@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-kernels bench-table1 bench-scale bench-check bench-full scale scale-smoke chaos-smoke crash-smoke scenario-smoke obs-smoke profile examples-smoke clean
+.PHONY: all build test race vet bench bench-kernels bench-table1 bench-scale bench-check bench-selftest bench-full scale scale-smoke chaos-smoke crash-smoke scenario-smoke obs-smoke profile examples-smoke clean
 
 all: vet build test
 
@@ -49,6 +49,12 @@ bench-check:
 	( $(GO) test -run=NONE -bench='$(KERNEL_BENCH)' -benchmem -count=3 $(KERNEL_PKGS) ; \
 	  $(GO) test -run=NONE -bench='BenchmarkTable1_M30$$' -benchtime=1x -benchmem -count=1 . ) \
 		| $(GO) run ./cmd/benchguard BENCH_kernels.json BENCH_table1.json
+
+# bench-selftest vets and tests bench/, the repository benchmark. It is a
+# module of its own (replace hierdrl => ../), so `go test ./...` never compiles
+# it and a change to the public API could otherwise break it unnoticed (~10 s).
+bench-selftest:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # scale prints the sharded engine's speedup table for the scale-10k preset
 # at P = 1..NumCPU on this machine; scale-smoke is the reduced CI variant
@@ -115,5 +121,7 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof -o hierdrl-bench.test .
 	@echo wrote cpu.pprof mem.pprof '(binary: hierdrl-bench.test)'
 
+# clean removes only what the targets above leave behind that is not tracked:
+# BENCH_kernels.json is the committed baseline bench-check gates against.
 clean:
-	rm -f BENCH_kernels.json BENCH_full.json cpu.pprof mem.pprof hierdrl-bench.test
+	rm -f BENCH_full.json cpu.pprof mem.pprof hierdrl-bench.test

@@ -113,43 +113,30 @@ func (s *Session) Checkpoint(w io.Writer) (err error) {
 	metricsEnc := wr.Section(secMetrics)
 	mergerEnc := wr.Section(secMerger)
 
-	// Parallel-tier dispatches already allocated but not yet committed to a
-	// lane live only in the coordinator; hand them to the cluster so they
-	// join its job table.
-	var extra []*cluster.Job
-	if s.sr != nil {
-		for i := range s.sr.pends {
-			extra = append(extra, s.sr.pends[i].job)
-		}
-	}
-	idx := s.cl.SaveState(clusterEnc, extra)
+	// Dispatches already allocated but not yet committed to a lane live only
+	// in the engine; hand them to the cluster so they join its job table.
+	idx := s.cl.SaveState(clusterEnc, s.eng.inflight())
 
 	s.saveEngine(engineEnc, idx)
 	s.saveSessionState(sessionEnc)
 
+	agentEnc.Bool(s.agent != nil)
 	if s.agent != nil {
-		agentEnc.Bool(true)
 		s.agent.SaveState(agentEnc)
-	} else {
-		agentEnc.Bool(false)
 	}
 
 	// The DRL agent doubles as the allocator and is already captured above;
 	// every other allocator serializes as its own component.
-	if s.cfg.Alloc == AllocDRL {
-		allocEnc.Bool(false)
-	} else {
-		allocEnc.Bool(true)
+	allocEnc.Bool(s.cfg.Alloc != AllocDRL)
+	if s.cfg.Alloc != AllocDRL {
 		checkpoint.SaveComponent(allocEnc, s.alloc)
 	}
 
 	s.col.SaveState(metricsEnc)
 
-	if s.sr != nil && s.sr.merger != nil {
-		mergerEnc.Bool(true)
-		s.sr.merger.SaveState(mergerEnc)
-	} else {
-		mergerEnc.Bool(false)
+	mergerEnc.Bool(s.merger != nil)
+	if s.merger != nil {
+		s.merger.SaveState(mergerEnc)
 	}
 
 	_, err = wr.WriteTo(w)
@@ -157,14 +144,11 @@ func (s *Session) Checkpoint(w io.Writer) (err error) {
 }
 
 // saveEngine captures the execution tier: shard count, per-lane clock and
-// sequence counters, and the tier-specific in-flight scheduling state (the
+// sequence counters, then the engine's own in-flight scheduling state (the
 // strict tier's pump timer; the parallel tier's engine clock and uncommitted
 // dispatches, by cluster job-table index).
 func (s *Session) saveEngine(e *checkpoint.Enc, idx map[*cluster.Job]int32) {
-	p := 1
-	if s.sr != nil {
-		p = s.sr.p
-	}
+	p := s.cl.Shards()
 	e.Int(p)
 	for i := 0; i < p; i++ {
 		lane := s.cl.Lane(i)
@@ -174,30 +158,8 @@ func (s *Session) saveEngine(e *checkpoint.Enc, idx map[*cluster.Job]int32) {
 		e.I64(prioSeq)
 		e.I64(nFired)
 	}
-	if s.sr == nil {
-		if s.pumpTimer.Pending() {
-			e.Bool(true)
-			e.F64(float64(s.pumpTimer.At()))
-			e.I64(s.pumpTimer.Seq())
-		} else {
-			e.Bool(false)
-		}
-		return
-	}
-	e.F64(float64(s.sr.clock))
-	e.Int(len(s.sr.pends))
-	for i := range s.sr.pends {
-		d := &s.sr.pends[i]
-		e.I32(idx[d.job])
-		e.Int(d.target)
-		e.Int(d.shard)
-		e.F64(float64(d.at))
-	}
+	s.eng.saveTail(e, idx)
 }
-
-// pendRecBytes is a lower bound on one serialized parallel-tier dispatch
-// (I32 job index + Int target + Int shard + F64 at).
-const pendRecBytes = 4 + 8 + 8 + 8
 
 // queuedJobBytes is a lower bound on one serialized pending arrival
 // (Int ID + F64 arrival + F64 duration + NumResources × F64).
@@ -309,109 +271,80 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 		s.cl.Lane(i).RestoreBegin(now, seq, prioSeq, nFired)
 	}
 
-	clDec, err := rd.Section(secCluster)
+	var table []*cluster.Job
+	err = restoreSection(rd, secCluster, func(d *checkpoint.Dec) (err error) {
+		table, err = s.cl.RestoreState(d)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	table, err := s.cl.RestoreState(clDec)
-	if err != nil {
-		return nil, err
-	}
-	if err := clDec.Err(); err != nil {
-		return nil, err
-	}
-
-	if err := s.restoreEngineTail(engDec, table); err != nil {
+	if err := s.eng.restoreTail(engDec, table); err != nil {
 		return nil, err
 	}
 	if err := engDec.Err(); err != nil {
 		return nil, err
 	}
-
-	sesDec, err := rd.Section(secSession)
+	if err := restoreSection(rd, secSession, s.restoreSessionState); err != nil {
+		return nil, err
+	}
+	err = restoreOptional(rd, secAgent, s.agent != nil, func(d *checkpoint.Dec) error {
+		return s.agent.RestoreState(d)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := s.restoreSessionState(sesDec); err != nil {
-		return nil, err
-	}
-	if err := sesDec.Err(); err != nil {
-		return nil, err
-	}
-
-	agDec, err := rd.Section(secAgent)
+	err = restoreOptional(rd, secAlloc, s.cfg.Alloc != AllocDRL, func(d *checkpoint.Dec) error {
+		return checkpoint.RestoreComponent(d, s.alloc)
+	})
 	if err != nil {
 		return nil, err
 	}
-	hasAgent := agDec.Bool()
-	if err := agDec.Sticky(); err != nil {
+	if err := restoreSection(rd, secMetrics, s.col.RestoreState); err != nil {
 		return nil, err
 	}
-	if hasAgent != (s.agent != nil) {
-		return nil, fmt.Errorf("%w: agent presence %v contradicts config", ErrCorrupt, hasAgent)
-	}
-	if hasAgent {
-		if err := s.agent.RestoreState(agDec); err != nil {
-			return nil, err
-		}
-	}
-	if err := agDec.Err(); err != nil {
-		return nil, err
-	}
-
-	alDec, err := rd.Section(secAlloc)
+	err = restoreOptional(rd, secMerger, s.merger != nil, func(d *checkpoint.Dec) error {
+		return s.merger.RestoreState(d)
+	})
 	if err != nil {
-		return nil, err
-	}
-	hasAlloc := alDec.Bool()
-	if err := alDec.Sticky(); err != nil {
-		return nil, err
-	}
-	if hasAlloc != (s.cfg.Alloc != AllocDRL) {
-		return nil, fmt.Errorf("%w: allocator presence %v contradicts config", ErrCorrupt, hasAlloc)
-	}
-	if hasAlloc {
-		if err := checkpoint.RestoreComponent(alDec, s.alloc); err != nil {
-			return nil, err
-		}
-	}
-	if err := alDec.Err(); err != nil {
-		return nil, err
-	}
-
-	mDec, err := rd.Section(secMetrics)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.col.RestoreState(mDec); err != nil {
-		return nil, err
-	}
-	if err := mDec.Err(); err != nil {
-		return nil, err
-	}
-
-	mgDec, err := rd.Section(secMerger)
-	if err != nil {
-		return nil, err
-	}
-	hasMerger := mgDec.Bool()
-	if err := mgDec.Sticky(); err != nil {
-		return nil, err
-	}
-	if hasMerger != (s.sr != nil && s.sr.merger != nil) {
-		return nil, fmt.Errorf("%w: merger presence %v contradicts config", ErrCorrupt, hasMerger)
-	}
-	if hasMerger {
-		if err := s.sr.merger.RestoreState(mgDec); err != nil {
-			return nil, err
-		}
-	}
-	if err := mgDec.Err(); err != nil {
 		return nil, err
 	}
 
 	ok = true
 	return s, nil
+}
+
+// restoreSection opens the named section, hands its decoder to restore, and
+// rejects a payload that was not consumed exactly.
+func restoreSection(rd *checkpoint.Reader, name string, restore func(*checkpoint.Dec) error) error {
+	d, err := rd.Section(name)
+	if err != nil {
+		return err
+	}
+	if err := restore(d); err != nil {
+		return err
+	}
+	return d.Err()
+}
+
+// restoreOptional is restoreSection for a component the snapshot records
+// behind a presence flag: the flag must agree with want — whether the session
+// rebuilt from the snapshot's own config has that component — and restore
+// runs only when it is present.
+func restoreOptional(rd *checkpoint.Reader, name string, want bool, restore func(*checkpoint.Dec) error) error {
+	return restoreSection(rd, name, func(d *checkpoint.Dec) error {
+		has := d.Bool()
+		if err := d.Sticky(); err != nil {
+			return err
+		}
+		if has != want {
+			return fmt.Errorf("%w: %s presence %v contradicts config", ErrCorrupt, name, has)
+		}
+		if !has {
+			return nil
+		}
+		return restore(d)
+	})
 }
 
 // restoreConfig decodes and cross-checks the embedded Config: the section
@@ -436,57 +369,6 @@ func restoreConfig(rd *checkpoint.Reader) (Config, error) {
 	}
 	cfg.WarmupTrace = nil
 	return cfg, nil
-}
-
-// restoreEngineTail decodes the tier-specific scheduling state that follows
-// the per-lane counters: the strict tier's pump timer (re-registered with its
-// exact original sequence number, preserving event order bit for bit) or the
-// parallel tier's engine clock and uncommitted dispatches.
-func (s *Session) restoreEngineTail(d *checkpoint.Dec, table []*cluster.Job) error {
-	if s.sr == nil {
-		if !d.Bool() {
-			return d.Sticky()
-		}
-		at := sim.Time(d.F64())
-		seq := d.I64()
-		if err := d.Sticky(); err != nil {
-			return err
-		}
-		if math.IsNaN(float64(at)) || at < s.sm.Now() {
-			return fmt.Errorf("%w: pump timer at %v before clock %v", ErrCorrupt, at, s.sm.Now())
-		}
-		s.pumpTimer = s.sm.ScheduleRestored(at, seq, sessionPumpFire, s)
-		return nil
-	}
-	clock := sim.Time(d.F64())
-	n := d.SliceLen(pendRecBytes)
-	if err := d.Sticky(); err != nil {
-		return err
-	}
-	if math.IsNaN(float64(clock)) || clock < 0 {
-		return fmt.Errorf("%w: engine clock %v", ErrCorrupt, clock)
-	}
-	s.sr.clock = clock
-	for k := 0; k < n; k++ {
-		ji := d.I32()
-		target := d.Int()
-		shard := d.Int()
-		at := sim.Time(d.F64())
-		if err := d.Sticky(); err != nil {
-			return err
-		}
-		if ji < 0 || int(ji) >= len(table) {
-			return fmt.Errorf("%w: dispatch %d references job %d of %d", ErrCorrupt, k, ji, len(table))
-		}
-		if target < 0 || target >= s.cl.M() || shard != s.cl.ShardOf(target) {
-			return fmt.Errorf("%w: dispatch %d target %d shard %d", ErrCorrupt, k, target, shard)
-		}
-		if math.IsNaN(float64(at)) {
-			return fmt.Errorf("%w: dispatch %d time is NaN", ErrCorrupt, k)
-		}
-		s.sr.pends = append(s.sr.pends, dispatch{job: table[ji], target: target, shard: shard, at: at})
-	}
-	return nil
 }
 
 // restoreSessionState decodes the ingestion and fault-retry layer written by
@@ -603,10 +485,9 @@ func (s *Session) LoadWeights(r io.Reader) error {
 }
 
 // Drained reports whether every ingested job has been dispatched and either
-// completed or lost — the condition under which Drain stops on fault runs
-// (whose crash/repair timers never exhaust the event queue). Callers driving
-// their own Step loop use it the same way Drain does: stop at Drained on a
-// fault-injected run, at Step reporting idle otherwise.
+// completed or lost — the condition under which Step reports idle and Drain
+// stops on fault runs (whose crash/repair timers never exhaust the event
+// queue).
 func (s *Session) Drained() bool { return s.drained() }
 
 // FaultsEnabled reports whether the session injects failures
@@ -646,12 +527,8 @@ func WithAutoCheckpoint(path string, everyNJobs int) SessionOption {
 }
 
 // autoTick writes a periodic snapshot if the completed-job threshold has
-// passed since the last one. Called at epoch boundaries by the clock-advance
-// methods; a no-op (one branch) when auto-checkpointing is off.
+// passed since the last one. Called from tick with auto-checkpointing on.
 func (s *Session) autoTick() error {
-	if s.auto == nil {
-		return nil
-	}
 	done := s.cl.Completed()
 	if done-s.auto.last < s.auto.every {
 		return nil

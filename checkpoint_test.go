@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -478,5 +479,31 @@ func TestAutoCheckpointRotationAndResume(t *testing.T) {
 	if !reflect.DeepEqual(refRes, resRes) {
 		t.Fatalf("resume from auto snapshot diverges:\nref:     %+v\nresumed: %+v",
 			refRes.Summary, resRes.Summary)
+	}
+
+	// The cadence is per completed job in both tiers, not per clock-advance
+	// call: one StepUntil spanning more than 2N completions rotates at least
+	// twice (RunSource advances in exactly such long calls).
+	for _, p := range []int{1, 2} {
+		path := filepath.Join(dir, fmt.Sprintf("span-p%d.ckpt", p))
+		s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(p), hierdrl.WithAutoCheckpoint(path, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.SubmitTrace(tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.StepUntil(hierdrl.Time(tr.Jobs[len(tr.Jobs)-1].Arrival)); err != nil {
+			t.Fatal(err)
+		}
+		if s.Completed() <= 200 {
+			t.Fatalf("P=%d: only %d completions inside the call; the case is vacuous", p, s.Completed())
+		}
+		for _, f := range []string{path, path + ".1"} {
+			if _, err := os.Stat(f); err != nil {
+				t.Errorf("P=%d: one StepUntil over %d completions left no %s: %v", p, s.Completed(), filepath.Base(f), err)
+			}
+		}
 	}
 }

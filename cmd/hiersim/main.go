@@ -292,7 +292,7 @@ func main() {
 		}
 		opts := append([]hierdrl.SessionOption{
 			hierdrl.WithShards(*shards), hierdrl.WithContext(ctx)}, telOpts...)
-		res, err := hierdrl.RunStreamed(cfg, src, opts...)
+		res, err := hierdrl.RunSource(cfg, src, opts...)
 		if err != nil {
 			if ctx.Err() != nil {
 				log.Println("interrupted — partial run discarded")

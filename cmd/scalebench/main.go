@@ -108,7 +108,7 @@ func main() {
 			log.Fatalf("workload: %v", err)
 		}
 		start := time.Now()
-		res, err := hierdrl.RunStreamed(cfg, src, hierdrl.WithShards(p))
+		res, err := hierdrl.RunSource(cfg, src, hierdrl.WithShards(p))
 		if err != nil {
 			log.Fatalf("P=%d: %v", p, err)
 		}

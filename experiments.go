@@ -8,6 +8,7 @@ import (
 	"hierdrl/internal/local"
 	"hierdrl/internal/lstm"
 	"hierdrl/internal/mat"
+	"hierdrl/internal/nn"
 	"hierdrl/internal/trace"
 )
 
@@ -67,62 +68,52 @@ func (c *Comparison) Rows() []Summary {
 	return []Summary{c.RoundRobin.Summary, c.DRLOnly.Summary, c.Hierarchical.Summary}
 }
 
+// sweep runs one cell per element of cells through the bounded worker pool
+// and returns the results in cell order. Every run derives its entire RNG
+// chain from its own config and shares only immutable inputs (the trace), so
+// a sweep's results are bitwise those of running the cells sequentially.
+func sweep[C, R any](cells []C, run func(C) (R, error)) ([]R, error) {
+	out := make([]R, len(cells))
+	tasks := make([]func() error, len(cells))
+	for i, c := range cells {
+		tasks[i] = func() (err error) {
+			out[i], err = run(c)
+			return err
+		}
+	}
+	if err := runParallel(tasks); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // RunComparison executes the paper's three systems on the same workload with
 // M servers — the engine behind Table I (checkpointEvery = 0) and the
-// Fig. 8/9 accumulated series (checkpointEvery > 0).
-//
-// The three systems run concurrently through a bounded worker pool, each as
-// one batch Session (via Run). Every run derives its entire RNG chain from
-// its own config seed and shares only the immutable trace, so the results
-// are identical (bitwise) to running them sequentially.
+// Fig. 8/9 accumulated series (checkpointEvery > 0). The three systems run
+// concurrently, each as one batch Session (via Run).
 func RunComparison(m int, sc Scale, checkpointEvery int) (*Comparison, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	tr := sc.trace(0)
 	warm := sc.warmupTrace(0)
-
-	cmp := &Comparison{}
-	if err := runParallel([]func() error{
-		func() error {
-			cfg := RoundRobin(m)
-			cfg.Seed = sc.Seed
-			cfg.CheckpointEvery = checkpointEvery
-			res, err := Run(cfg, tr)
-			if err != nil {
-				return fmt.Errorf("hierdrl: round-robin: %w", err)
-			}
-			cmp.RoundRobin = res
-			return nil
-		},
-		func() error {
-			cfg := DRLOnly(m)
-			cfg.Seed = sc.Seed
-			cfg.CheckpointEvery = checkpointEvery
-			cfg.WarmupTrace = warm
-			res, err := Run(cfg, tr)
-			if err != nil {
-				return fmt.Errorf("hierdrl: drl-only: %w", err)
-			}
-			cmp.DRLOnly = res
-			return nil
-		},
-		func() error {
-			cfg := Hierarchical(m)
-			cfg.Seed = sc.Seed
-			cfg.CheckpointEvery = checkpointEvery
-			cfg.WarmupTrace = warm
-			res, err := Run(cfg, tr)
-			if err != nil {
-				return fmt.Errorf("hierdrl: hierarchical: %w", err)
-			}
-			cmp.Hierarchical = res
-			return nil
-		},
-	}); err != nil {
+	cfgs := []Config{RoundRobin(m), DRLOnly(m), Hierarchical(m)}
+	for i := range cfgs {
+		cfgs[i].Seed = sc.Seed
+		cfgs[i].CheckpointEvery = checkpointEvery
+		cfgs[i].WarmupTrace = warm // only the DRL systems consume it
+	}
+	res, err := sweep(cfgs, func(cfg Config) (*Result, error) {
+		res, err := Run(cfg, tr)
+		if err != nil {
+			return nil, fmt.Errorf("hierdrl: %s: %w", cfg.Name, err)
+		}
+		return res, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return cmp, nil
+	return &Comparison{RoundRobin: res[0], DRLOnly: res[1], Hierarchical: res[2]}, nil
 }
 
 // TradeoffCurves holds the Fig. 10 study: one point series per system.
@@ -159,59 +150,67 @@ func RunTradeoff(m int, sc Scale, lambdas []float64) (*TradeoffCurves, error) {
 	tr := sc.trace(0)
 	warm := sc.warmupTrace(0)
 
-	// The whole sweep — every (lambda, system) pair — fans out across the
-	// worker pool. Results land in per-index slots so the assembled curves
-	// keep the sequential ordering (and, since every run's RNG chain is
-	// derived from its own config, the sequential values).
+	// One cell per (lambda, system) pair, lambda-major, hierarchical first.
+	type cell struct {
+		cfg   Config
+		label string
+		lam   float64
+	}
 	timeouts := []float64{30, 60, 90}
-	perLam := 1 + len(timeouts)
-	points := make([]TradeoffPoint, len(lambdas)*perLam)
-	tasks := make([]func() error, 0, len(points))
-	for li, lam := range lambdas {
-		li, lam := li, lam
-		apply := func(cfg *Config) {
-			cfg.Seed = sc.Seed
-			cfg.WarmupTrace = warm
-			cfg.Global.W1 = 2 * (1 - lam)
-			cfg.Global.W2 = 2 * lam
-		}
-		tasks = append(tasks, func() error {
-			cfg := Hierarchical(m)
-			apply(&cfg)
-			cfg.LocalRL.PowerWeight = 1 - lam
-			res, err := Run(cfg, tr)
-			if err != nil {
-				return fmt.Errorf("hierdrl: tradeoff hierarchical lambda=%v: %w", lam, err)
-			}
-			points[li*perLam] = res.Tradeoff("hierarchical", lam)
-			return nil
-		})
-		for ti, timeout := range timeouts {
-			ti, timeout := ti, timeout
-			tasks = append(tasks, func() error {
-				cfg := FixedTimeoutBaseline(m, timeout)
-				apply(&cfg)
-				res, err := Run(cfg, tr)
-				if err != nil {
-					return fmt.Errorf("hierdrl: tradeoff fixed-%v lambda=%v: %w",
-						timeout, lam, err)
-				}
-				points[li*perLam+1+ti] = res.Tradeoff(fmt.Sprintf("fixed-%.0f", timeout), lam)
-				return nil
-			})
+	var cells []cell
+	for _, lam := range lambdas {
+		hier := Hierarchical(m)
+		hier.LocalRL.PowerWeight = 1 - lam
+		cells = append(cells, cell{hier, "hierarchical", lam})
+		for _, timeout := range timeouts {
+			cells = append(cells, cell{FixedTimeoutBaseline(m, timeout), fmt.Sprintf("fixed-%.0f", timeout), lam})
 		}
 	}
-	if err := runParallel(tasks); err != nil {
+	points, err := sweep(cells, func(c cell) (TradeoffPoint, error) {
+		// Every system shares the seed, the warmup and the global weights.
+		c.cfg.Seed = sc.Seed
+		c.cfg.WarmupTrace = warm
+		c.cfg.Global.W1 = 2 * (1 - c.lam)
+		c.cfg.Global.W2 = 2 * c.lam
+		res, err := Run(c.cfg, tr)
+		if err != nil {
+			return TradeoffPoint{}, fmt.Errorf("hierdrl: tradeoff %s lambda=%v: %w", c.label, c.lam, err)
+		}
+		return res.Tradeoff(c.label, c.lam), nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	out := &TradeoffCurves{}
-	for li := range lambdas {
-		out.Hierarchical = append(out.Hierarchical, points[li*perLam])
-		out.Fixed30 = append(out.Fixed30, points[li*perLam+1])
-		out.Fixed60 = append(out.Fixed60, points[li*perLam+2])
-		out.Fixed90 = append(out.Fixed90, points[li*perLam+3])
+	for i := 0; i < len(points); i += 1 + len(timeouts) {
+		out.Hierarchical = append(out.Hierarchical, points[i])
+		out.Fixed30 = append(out.Fixed30, points[i+1])
+		out.Fixed60 = append(out.Fixed60, points[i+2])
+		out.Fixed90 = append(out.Fixed90, points[i+3])
 	}
 	return out, nil
+}
+
+// heuristicAllocs are the non-learning allocation policies the fault sweeps
+// compare.
+var heuristicAllocs = []AllocPolicy{AllocRoundRobin, AllocRandom, AllocLeastLoaded, AllocPackFit}
+
+// faultCell is one fault-sweep configuration: alloc under fault model faults
+// with the given MTTF, a 600 s mean repair time, capped-backoff retries and a
+// fixed 60 s local timeout.
+func faultCell(name string, m int, seed int64, alloc AllocPolicy, faults FaultKind, mttf float64) Config {
+	return Config{
+		Name:            name,
+		M:               m,
+		Seed:            seed,
+		Alloc:           alloc,
+		DPM:             DPMFixedTimeout,
+		FixedTimeoutSec: 60,
+		Faults:          faults,
+		MTTFSec:         mttf,
+		MTTRSec:         600,
+		Retry:           RetryBackoff,
+	}
 }
 
 // FaultPoint is one cell of the fault sweep: an allocation policy run under
@@ -242,38 +241,20 @@ func RunFaultSweep(m int, sc Scale, mttfs []float64) ([]FaultPoint, error) {
 		}
 	}
 	tr := sc.trace(0)
-	allocs := []AllocPolicy{AllocRoundRobin, AllocRandom, AllocLeastLoaded, AllocPackFit}
-	points := make([]FaultPoint, len(allocs)*len(mttfs))
-	tasks := make([]func() error, 0, len(points))
-	for ai, alloc := range allocs {
-		for mi, mttf := range mttfs {
-			ai, mi, alloc, mttf := ai, mi, alloc, mttf
-			tasks = append(tasks, func() error {
-				cfg := Config{
-					Name:            fmt.Sprintf("%s/mttf=%.0fs", alloc, mttf),
-					M:               m,
-					Seed:            sc.Seed,
-					Alloc:           alloc,
-					DPM:             DPMFixedTimeout,
-					FixedTimeoutSec: 60,
-					Faults:          FaultExpCrash,
-					MTTFSec:         mttf,
-					MTTRSec:         600,
-					Retry:           RetryBackoff,
-				}
-				res, err := Run(cfg, tr)
-				if err != nil {
-					return fmt.Errorf("hierdrl: fault sweep %s: %w", cfg.Name, err)
-				}
-				points[ai*len(mttfs)+mi] = FaultPoint{Alloc: alloc, MTTFSec: mttf, Summary: res.Summary}
-				return nil
-			})
+	var cfgs []Config
+	for _, alloc := range heuristicAllocs {
+		for _, mttf := range mttfs {
+			name := fmt.Sprintf("%s/mttf=%.0fs", alloc, mttf)
+			cfgs = append(cfgs, faultCell(name, m, sc.Seed, alloc, FaultExpCrash, mttf))
 		}
 	}
-	if err := runParallel(tasks); err != nil {
-		return nil, err
-	}
-	return points, nil
+	return sweep(cfgs, func(cfg Config) (FaultPoint, error) {
+		res, err := Run(cfg, tr)
+		if err != nil {
+			return FaultPoint{}, fmt.Errorf("hierdrl: fault sweep %s: %w", cfg.Name, err)
+		}
+		return FaultPoint{Alloc: cfg.Alloc, MTTFSec: cfg.MTTFSec, Summary: res.Summary}, nil
+	})
 }
 
 // FaultMatrixPoint is one cell of the fault-class matrix: an allocation
@@ -299,49 +280,24 @@ func RunFaultMatrix(m int, sc Scale) ([]FaultMatrixPoint, error) {
 		return nil, err
 	}
 	tr := sc.trace(0)
-	allocs := []AllocPolicy{AllocRoundRobin, AllocRandom, AllocLeastLoaded, AllocPackFit}
-	models := []FaultKind{FaultExpCrash, FaultCorrelatedCrash, FaultDegrade, FaultDrain}
-	nDom := m / 6
-	if nDom < 1 {
-		nDom = 1
-	}
-	domains := EqualDomains(nDom, m)
-	points := make([]FaultMatrixPoint, len(allocs)*len(models))
-	tasks := make([]func() error, 0, len(points))
-	for ai, alloc := range allocs {
-		for fi, model := range models {
-			ai, fi, alloc, model := ai, fi, alloc, model
-			tasks = append(tasks, func() error {
-				cfg := Config{
-					Name:            fmt.Sprintf("%s/%s", alloc, model),
-					M:               m,
-					Seed:            sc.Seed,
-					Alloc:           alloc,
-					DPM:             DPMFixedTimeout,
-					FixedTimeoutSec: 60,
-					Faults:          model,
-					MTTFSec:         30000,
-					MTTRSec:         600,
-					Retry:           RetryBackoff,
-				}
-				if model == FaultCorrelatedCrash {
-					cfg.Domains = domains
-				}
-				res, err := Run(cfg, tr)
-				if err != nil {
-					return fmt.Errorf("hierdrl: fault matrix %s: %w", cfg.Name, err)
-				}
-				points[ai*len(models)+fi] = FaultMatrixPoint{
-					Alloc: alloc, Faults: model, Summary: res.Summary,
-				}
-				return nil
-			})
+	domains := EqualDomains(max(m/6, 1), m)
+	var cfgs []Config
+	for _, alloc := range heuristicAllocs {
+		for _, model := range []FaultKind{FaultExpCrash, FaultCorrelatedCrash, FaultDegrade, FaultDrain} {
+			cfg := faultCell(fmt.Sprintf("%s/%s", alloc, model), m, sc.Seed, alloc, model, 30000)
+			if model == FaultCorrelatedCrash {
+				cfg.Domains = domains
+			}
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	if err := runParallel(tasks); err != nil {
-		return nil, err
-	}
-	return points, nil
+	return sweep(cfgs, func(cfg Config) (FaultMatrixPoint, error) {
+		res, err := Run(cfg, tr)
+		if err != nil {
+			return FaultMatrixPoint{}, fmt.Errorf("hierdrl: fault matrix %s: %w", cfg.Name, err)
+		}
+		return FaultMatrixPoint{Alloc: cfg.Alloc, Faults: cfg.Faults, Summary: res.Summary}, nil
+	})
 }
 
 // ScenarioPoint is one cell of the scenario sweep: an allocation policy run
@@ -364,47 +320,39 @@ func RunScenarioSweep(allocs []AllocPolicy, scenarios []string, jobs int, seed i
 	if len(allocs) == 0 || len(scenarios) == 0 {
 		return nil, fmt.Errorf("hierdrl: empty scenario sweep")
 	}
-	scens := make([]Scenario, len(scenarios))
-	for i, name := range scenarios {
-		sc, ok := LookupScenario(name)
+	type cell struct {
+		scen  Scenario
+		alloc AllocPolicy
+	}
+	var cells []cell
+	for _, name := range scenarios {
+		scen, ok := LookupScenario(name)
 		if !ok {
 			return nil, fmt.Errorf("hierdrl: unknown scenario %q", name)
 		}
-		scens[i] = sc.Scaled(0, jobs)
-	}
-	points := make([]ScenarioPoint, len(scenarios)*len(allocs))
-	tasks := make([]func() error, 0, len(points))
-	for si, scen := range scens {
-		for ai, alloc := range allocs {
-			si, ai, scen, alloc := si, ai, scen, alloc
-			tasks = append(tasks, func() error {
-				cfg := Config{
-					Name:            fmt.Sprintf("%s/%s", scen.Name, alloc),
-					Seed:            seed,
-					Alloc:           alloc,
-					DPM:             DPMFixedTimeout,
-					FixedTimeoutSec: 60,
-				}
-				scen.ApplyTo(&cfg)
-				src, err := scen.Source(seed)
-				if err != nil {
-					return err
-				}
-				res, err := RunSource(cfg, src)
-				if err != nil {
-					return fmt.Errorf("hierdrl: scenario sweep %s: %w", cfg.Name, err)
-				}
-				points[si*len(allocs)+ai] = ScenarioPoint{
-					Scenario: scen.Name, Alloc: alloc, Summary: res.Summary,
-				}
-				return nil
-			})
+		for _, alloc := range allocs {
+			cells = append(cells, cell{scen.Scaled(0, jobs), alloc})
 		}
 	}
-	if err := runParallel(tasks); err != nil {
-		return nil, err
-	}
-	return points, nil
+	return sweep(cells, func(c cell) (ScenarioPoint, error) {
+		cfg := Config{
+			Name:            fmt.Sprintf("%s/%s", c.scen.Name, c.alloc),
+			Seed:            seed,
+			Alloc:           c.alloc,
+			DPM:             DPMFixedTimeout,
+			FixedTimeoutSec: 60,
+		}
+		c.scen.ApplyTo(&cfg)
+		src, err := c.scen.Source(seed)
+		if err != nil {
+			return ScenarioPoint{}, err
+		}
+		res, err := RunSource(cfg, src)
+		if err != nil {
+			return ScenarioPoint{}, fmt.Errorf("hierdrl: scenario sweep %s: %w", cfg.Name, err)
+		}
+		return ScenarioPoint{Scenario: c.scen.Name, Alloc: c.alloc, Summary: res.Summary}, nil
+	})
 }
 
 // PredictorScore reports one predictor's accuracy on a held-out stream (the
@@ -536,7 +484,7 @@ func ablationRun(m, k, steps int, useAE, share bool, seed int64) (loss float64, 
 	}
 	rng := mat.NewRNG(seed)
 	net := global.NewQNetwork(enc, cfg, rng.Split())
-	opt := newAdamForAblation(cfg.LearningRate)
+	opt := nn.NewAdam(cfg.LearningRate)
 
 	// Shared synthetic task across variants: target = the chosen server's
 	// negated CPU load minus the job's CPU demand — a proxy for "prefer

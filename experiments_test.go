@@ -1,7 +1,9 @@
 package hierdrl
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -190,5 +192,116 @@ func TestRunFaultSweepTiny(t *testing.T) {
 	}
 	if _, err := RunFaultSweep(4, tinyScale(4), []float64{-1}); err == nil {
 		t.Fatal("negative MTTF accepted")
+	}
+}
+
+// summaryBitsAll flattens every numeric Summary field to its bit pattern, so
+// two summaries compare bitwise across all measurements (NaN-safe, -0-aware).
+func summaryBitsAll(s Summary) []uint64 {
+	var out []uint64
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Float64:
+			out = append(out, math.Float64bits(f.Float()))
+		case reflect.Int, reflect.Int64:
+			out = append(out, uint64(f.Int()))
+		}
+	}
+	return out
+}
+
+// TestRunFaultMatrixTiny pins the fault-class matrix harness: cells come back
+// policy-major in the documented model order, and each cell's Summary is
+// bitwise the Summary of a direct Run of the same configuration.
+func TestRunFaultMatrixTiny(t *testing.T) {
+	if testing.Short() {
+		t.Skip("32 end-to-end fault runs; skip with -short")
+	}
+	m, sc := 12, tinyScale(12)
+	pts, err := RunFaultMatrix(m, sc)
+	if err != nil {
+		t.Fatalf("RunFaultMatrix: %v", err)
+	}
+	allocs := []AllocPolicy{AllocRoundRobin, AllocRandom, AllocLeastLoaded, AllocPackFit}
+	models := []FaultKind{FaultExpCrash, FaultCorrelatedCrash, FaultDegrade, FaultDrain}
+	if len(pts) != len(allocs)*len(models) {
+		t.Fatalf("points %d want %d", len(pts), len(allocs)*len(models))
+	}
+	tr := sc.trace(0)
+	for i, p := range pts {
+		alloc, model := allocs[i/len(models)], models[i%len(models)]
+		if p.Alloc != alloc || p.Faults != model {
+			t.Fatalf("point %d is %s/%s want %s/%s (policy-major order)", i, p.Alloc, p.Faults, alloc, model)
+		}
+		cfg := Config{
+			Name: fmt.Sprintf("%s/%s", alloc, model), M: m, Seed: sc.Seed, Alloc: alloc,
+			DPM: DPMFixedTimeout, FixedTimeoutSec: 60,
+			Faults: model, MTTFSec: 30000, MTTRSec: 600, Retry: RetryBackoff,
+		}
+		if model == FaultCorrelatedCrash {
+			cfg.Domains = EqualDomains(m/6, m)
+		}
+		want := runOrFatal(t, cfg, tr).Summary
+		if p.Summary.Policy != want.Policy || !reflect.DeepEqual(summaryBitsAll(p.Summary), summaryBitsAll(want)) {
+			t.Errorf("%s: cell summary differs from a direct Run:\n got %+v\nwant %+v", cfg.Name, p.Summary, want)
+		}
+	}
+	if _, err := RunFaultMatrix(m, Scale{}); err == nil {
+		t.Fatal("invalid scale accepted")
+	}
+}
+
+// TestRunScenarioSweepTiny pins the scenario sweep harness: cells come back
+// scenario-major in the input orders, and each cell's Summary is bitwise the
+// Summary of a direct RunSource of the same configuration and workload.
+func TestRunScenarioSweepTiny(t *testing.T) {
+	allocs := []AllocPolicy{AllocRoundRobin, AllocLeastLoaded}
+	scenarios := []string{"mixed-het", "steady", "rack-outage"}
+	const jobs, seed = 300, 5
+	pts, err := RunScenarioSweep(allocs, scenarios, jobs, seed)
+	if err != nil {
+		t.Fatalf("RunScenarioSweep: %v", err)
+	}
+	if len(pts) != len(scenarios)*len(allocs) {
+		t.Fatalf("points %d want %d", len(pts), len(scenarios)*len(allocs))
+	}
+	for i, p := range pts {
+		name, alloc := scenarios[i/len(allocs)], allocs[i%len(allocs)]
+		if p.Scenario != name || p.Alloc != alloc {
+			t.Fatalf("point %d is %s/%s want %s/%s (scenario-major order)", i, p.Scenario, p.Alloc, name, alloc)
+		}
+		scen, ok := LookupScenario(name)
+		if !ok {
+			t.Fatalf("scenario %q not registered", name)
+		}
+		scen = scen.Scaled(0, jobs)
+		cfg := Config{
+			Name: fmt.Sprintf("%s/%s", name, alloc), Seed: seed, Alloc: alloc,
+			DPM: DPMFixedTimeout, FixedTimeoutSec: 60,
+		}
+		scen.ApplyTo(&cfg)
+		src, err := scen.Source(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunSource(cfg, src)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		if p.Summary.Jobs != jobs {
+			t.Errorf("%s: %d jobs want %d", cfg.Name, p.Summary.Jobs, jobs)
+		}
+		if p.Summary.Policy != res.Summary.Policy ||
+			!reflect.DeepEqual(summaryBitsAll(p.Summary), summaryBitsAll(res.Summary)) {
+			t.Errorf("%s: cell summary differs from a direct RunSource:\n got %+v\nwant %+v",
+				cfg.Name, p.Summary, res.Summary)
+		}
+	}
+	if _, err := RunScenarioSweep(nil, scenarios, jobs, seed); err == nil {
+		t.Fatal("empty allocator list accepted")
+	}
+	if _, err := RunScenarioSweep(allocs, []string{"no-such-scenario"}, jobs, seed); err == nil {
+		t.Fatal("unknown scenario accepted")
 	}
 }

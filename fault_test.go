@@ -101,7 +101,7 @@ func TestFaultReproducibleAcrossRuns(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8} {
 		var ref [17]uint64
 		for run := 0; run < 2; run++ {
-			res, err := hierdrl.RunWith(cfg, tr, hierdrl.WithShards(p))
+			res, err := hierdrl.Run(cfg, tr, hierdrl.WithShards(p))
 			if err != nil {
 				t.Fatalf("P=%d run %d: %v", p, run, err)
 			}
@@ -206,7 +206,7 @@ func TestNewFaultModelsReproducibleAcrossRuns(t *testing.T) {
 			for _, p := range []int{1, 2, 4, 8} {
 				var ref [17]uint64
 				for run := 0; run < 2; run++ {
-					res, err := hierdrl.RunWith(tc.cfg, tr, hierdrl.WithShards(p))
+					res, err := hierdrl.Run(tc.cfg, tr, hierdrl.WithShards(p))
 					if err != nil {
 						t.Fatalf("P=%d run %d: %v", p, run, err)
 					}
@@ -381,7 +381,7 @@ func TestDRLDispatchMonotoneUnderFaultRequeues(t *testing.T) {
 	for _, p := range []int{2, 4} {
 		var ref [17]uint64
 		for run := 0; run < 2; run++ {
-			res, err := hierdrl.RunWith(mkCfg(), tr, hierdrl.WithShards(p))
+			res, err := hierdrl.Run(mkCfg(), tr, hierdrl.WithShards(p))
 			if err != nil {
 				t.Fatalf("P=%d run %d: %v", p, run, err)
 			}

@@ -3,12 +3,7 @@ package hierdrl
 import (
 	"hierdrl/internal/cluster"
 	"hierdrl/internal/mat"
-	"hierdrl/internal/nn"
 )
-
-// newAdamForAblation keeps the nn import out of experiments.go's public
-// surface.
-func newAdamForAblation(lr float64) nn.Optimizer { return nn.NewAdam(lr) }
 
 // randomView synthesizes a plausible cluster snapshot for offline ablation
 // training.

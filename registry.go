@@ -2,7 +2,8 @@ package hierdrl
 
 import (
 	"fmt"
-	"sort"
+	"reflect"
+	"slices"
 	"sync"
 
 	"hierdrl/internal/cluster"
@@ -97,241 +98,129 @@ type FaultModelFactory func(cfg *Config) (FaultModel, error)
 // RetryPolicyFactory builds one run's retry policy.
 type RetryPolicyFactory func(cfg *Config) (RetryPolicy, error)
 
-// Registry entries pair the factory with an optional config check that runs
+// registry is the one name -> entry table behind every extension point: the
+// five policy registries below and the scenario registry (scenario.go).
+// Listings are its discovery surface (hiersim -list), so they are sorted
+// regardless of registration order.
+type registry[K ~string, E any] struct {
+	register string // the exported Register* function, named in the misuse panic
+	noun     string // what a duplicate-registration panic calls an entry
+	kind     string // what an unknown-name error calls an entry
+
+	mu sync.RWMutex
+	m  map[K]regEntry[E]
+}
+
+// regEntry pairs a registered value with an optional config check that runs
 // at validation time (NewSession/Run), so bad configurations fail before any
 // simulation state is built. Built-in entries use checks to preserve the
 // historical validation errors; externally registered policies typically
 // validate inside their factory instead.
-type (
-	allocEntry struct {
-		build AllocatorFactory
-		check func(cfg *Config) error
+type regEntry[E any] struct {
+	val   E
+	check func(cfg *Config) error
+}
+
+func newRegistry[K ~string, E any](register, noun, kind string) *registry[K, E] {
+	return &registry[K, E]{register: register, noun: noun, kind: kind, m: map[K]regEntry[E]{}}
+}
+
+// add registers name. It panics on an empty name, a nil factory, or a name
+// already registered (including the built-ins).
+func (r *registry[K, E]) add(name K, val E, check func(*Config) error) {
+	if v := reflect.ValueOf(val); name == "" || v.Kind() == reflect.Func && v.IsNil() {
+		panic("hierdrl: " + r.register + " with empty name or nil factory")
 	}
-	pmEntry struct {
-		build PowerManagerFactory
-		check func(cfg *Config) error
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.m[name]; dup {
+		panic(fmt.Sprintf("hierdrl: %s %q already registered", r.noun, name))
 	}
-	predEntry struct {
-		build PredictorFactory
+	r.m[name] = regEntry[E]{val: val, check: check}
+}
+
+// entry resolves name, or fails with the registry's unknown-name error.
+func (r *registry[K, E]) entry(name K) (regEntry[E], error) {
+	r.mu.RLock()
+	e, ok := r.m[name]
+	r.mu.RUnlock()
+	if !ok {
+		return e, fmt.Errorf("hierdrl: unknown %s %q", r.kind, name)
 	}
-	faultEntry struct {
-		build FaultModelFactory
-		check func(cfg *Config) error
+	return e, nil
+}
+
+// lookup resolves name to its registered value.
+func (r *registry[K, E]) lookup(name K) (E, error) {
+	e, err := r.entry(name)
+	return e.val, err
+}
+
+// check validates a Config's choice of name: it must be registered, and pass
+// the entry's config check if it has one.
+func (r *registry[K, E]) check(name K, cfg *Config) error {
+	e, err := r.entry(name)
+	if err != nil || e.check == nil {
+		return err
 	}
-	retryEntry struct {
-		build RetryPolicyFactory
-		check func(cfg *Config) error
+	return e.check(cfg)
+}
+
+// names returns every registered name, sorted.
+func (r *registry[K, E]) names() []K {
+	r.mu.RLock()
+	names := make([]K, 0, len(r.m))
+	for name := range r.m {
+		names = append(names, name)
 	}
-)
+	r.mu.RUnlock()
+	slices.Sort(names)
+	return names
+}
 
 var (
-	registryMu sync.RWMutex
-	allocators = map[AllocPolicy]allocEntry{}
-	powerMgrs  = map[DPMKind]pmEntry{}
-	predictors = map[PredictorKind]predEntry{}
-	faultMdls  = map[FaultKind]faultEntry{}
-	retryPols  = map[RetryKind]retryEntry{}
+	allocators = newRegistry[AllocPolicy, AllocatorFactory]("RegisterAllocator", "allocator", "allocation policy")
+	powerMgrs  = newRegistry[DPMKind, PowerManagerFactory]("RegisterPowerManager", "power manager", "DPM policy")
+	predictors = newRegistry[PredictorKind, PredictorFactory]("RegisterPredictor", "predictor", "predictor")
+	faultMdls  = newRegistry[FaultKind, FaultModelFactory]("RegisterFaultModel", "fault model", "fault model")
+	retryPols  = newRegistry[RetryKind, RetryPolicyFactory]("RegisterRetryPolicy", "retry policy", "retry policy")
 )
 
 // RegisterAllocator makes a custom allocation policy resolvable through
 // Config.Alloc. It panics on an empty name, a nil factory, or a name already
 // registered (including the built-ins).
-func RegisterAllocator(name AllocPolicy, build AllocatorFactory) {
-	registerAllocator(name, build, nil)
-}
-
-func registerAllocator(name AllocPolicy, build AllocatorFactory, check func(*Config) error) {
-	if name == "" || build == nil {
-		panic("hierdrl: RegisterAllocator with empty name or nil factory")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := allocators[name]; dup {
-		panic(fmt.Sprintf("hierdrl: allocator %q already registered", name))
-	}
-	allocators[name] = allocEntry{build: build, check: check}
-}
+func RegisterAllocator(name AllocPolicy, build AllocatorFactory) { allocators.add(name, build, nil) }
 
 // RegisterPowerManager makes a custom local-tier policy resolvable through
 // Config.DPM. Panics on misuse, like RegisterAllocator.
-func RegisterPowerManager(name DPMKind, build PowerManagerFactory) {
-	registerPowerManager(name, build, nil)
-}
-
-func registerPowerManager(name DPMKind, build PowerManagerFactory, check func(*Config) error) {
-	if name == "" || build == nil {
-		panic("hierdrl: RegisterPowerManager with empty name or nil factory")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := powerMgrs[name]; dup {
-		panic(fmt.Sprintf("hierdrl: power manager %q already registered", name))
-	}
-	powerMgrs[name] = pmEntry{build: build, check: check}
-}
+func RegisterPowerManager(name DPMKind, build PowerManagerFactory) { powerMgrs.add(name, build, nil) }
 
 // RegisterPredictor makes a custom workload predictor resolvable through
 // Config.Predictor. Panics on misuse, like RegisterAllocator.
-func RegisterPredictor(name PredictorKind, build PredictorFactory) {
-	if name == "" || build == nil {
-		panic("hierdrl: RegisterPredictor with empty name or nil factory")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := predictors[name]; dup {
-		panic(fmt.Sprintf("hierdrl: predictor %q already registered", name))
-	}
-	predictors[name] = predEntry{build: build}
-}
+func RegisterPredictor(name PredictorKind, build PredictorFactory) { predictors.add(name, build, nil) }
 
 // RegisterFaultModel makes a custom fault model resolvable through
 // Config.Faults. Panics on misuse, like RegisterAllocator.
-func RegisterFaultModel(name FaultKind, build FaultModelFactory) {
-	registerFaultModel(name, build, nil)
-}
-
-func registerFaultModel(name FaultKind, build FaultModelFactory, check func(*Config) error) {
-	if name == "" || build == nil {
-		panic("hierdrl: RegisterFaultModel with empty name or nil factory")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := faultMdls[name]; dup {
-		panic(fmt.Sprintf("hierdrl: fault model %q already registered", name))
-	}
-	faultMdls[name] = faultEntry{build: build, check: check}
-}
+func RegisterFaultModel(name FaultKind, build FaultModelFactory) { faultMdls.add(name, build, nil) }
 
 // RegisterRetryPolicy makes a custom retry policy resolvable through
 // Config.Retry. Panics on misuse, like RegisterAllocator.
-func RegisterRetryPolicy(name RetryKind, build RetryPolicyFactory) {
-	registerRetryPolicy(name, build, nil)
-}
-
-func registerRetryPolicy(name RetryKind, build RetryPolicyFactory, check func(*Config) error) {
-	if name == "" || build == nil {
-		panic("hierdrl: RegisterRetryPolicy with empty name or nil factory")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := retryPols[name]; dup {
-		panic(fmt.Sprintf("hierdrl: retry policy %q already registered", name))
-	}
-	retryPols[name] = retryEntry{build: build, check: check}
-}
-
-// sortedNames returns a registry map's keys in sorted order. Listings are
-// the registry's discovery surface (hiersim -list), so the order is stable
-// regardless of registration order.
-func sortedNames[K ~string, V any](m map[K]V) []K {
-	registryMu.RLock()
-	names := make([]K, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	registryMu.RUnlock()
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	return names
-}
+func RegisterRetryPolicy(name RetryKind, build RetryPolicyFactory) { retryPols.add(name, build, nil) }
 
 // Allocators returns every registered allocation-policy name, sorted.
-func Allocators() []AllocPolicy { return sortedNames(allocators) }
+func Allocators() []AllocPolicy { return allocators.names() }
 
 // PowerManagers returns every registered power-manager name, sorted.
-func PowerManagers() []DPMKind { return sortedNames(powerMgrs) }
+func PowerManagers() []DPMKind { return powerMgrs.names() }
 
 // Predictors returns every registered predictor name, sorted.
-func Predictors() []PredictorKind { return sortedNames(predictors) }
+func Predictors() []PredictorKind { return predictors.names() }
 
 // FaultModels returns every registered fault-model name, sorted.
-func FaultModels() []FaultKind { return sortedNames(faultMdls) }
+func FaultModels() []FaultKind { return faultMdls.names() }
 
 // RetryPolicies returns every registered retry-policy name, sorted.
-func RetryPolicies() []RetryKind { return sortedNames(retryPols) }
-
-func lookupAllocator(name AllocPolicy) (allocEntry, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	e, ok := allocators[name]
-	return e, ok
-}
-
-func lookupPowerManager(name DPMKind) (pmEntry, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	e, ok := powerMgrs[name]
-	return e, ok
-}
-
-func lookupPredictor(name PredictorKind) (predEntry, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	e, ok := predictors[name]
-	return e, ok
-}
-
-func lookupFaultModel(name FaultKind) (faultEntry, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	e, ok := faultMdls[name]
-	return e, ok
-}
-
-func lookupRetryPolicy(name RetryKind) (retryEntry, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	e, ok := retryPols[name]
-	return e, ok
-}
-
-// checkAllocConfig validates Config.Alloc through the registry.
-func checkAllocConfig(cfg *Config) error {
-	e, ok := lookupAllocator(cfg.Alloc)
-	if !ok {
-		return fmt.Errorf("hierdrl: unknown allocation policy %q", cfg.Alloc)
-	}
-	if e.check != nil {
-		return e.check(cfg)
-	}
-	return nil
-}
-
-// checkDPMConfig validates Config.DPM (and, transitively, Config.Predictor)
-// through the registry.
-func checkDPMConfig(cfg *Config) error {
-	e, ok := lookupPowerManager(cfg.DPM)
-	if !ok {
-		return fmt.Errorf("hierdrl: unknown DPM policy %q", cfg.DPM)
-	}
-	if e.check != nil {
-		return e.check(cfg)
-	}
-	return nil
-}
-
-// checkFaultConfig validates Config.Faults through the registry.
-func checkFaultConfig(cfg *Config) error {
-	e, ok := lookupFaultModel(cfg.Faults)
-	if !ok {
-		return fmt.Errorf("hierdrl: unknown fault model %q", cfg.Faults)
-	}
-	if e.check != nil {
-		return e.check(cfg)
-	}
-	return nil
-}
-
-// checkRetryConfig validates Config.Retry through the registry.
-func checkRetryConfig(cfg *Config) error {
-	e, ok := lookupRetryPolicy(cfg.Retry)
-	if !ok {
-		return fmt.Errorf("hierdrl: unknown retry policy %q", cfg.Retry)
-	}
-	if e.check != nil {
-		return e.check(cfg)
-	}
-	return nil
-}
+func RetryPolicies() []RetryKind { return retryPols.names() }
 
 // EqualDomains splits m servers into n contiguous equal failure domains
 // named "dom0".."domN-1" (the first m%n domains absorb the remainder).
@@ -380,22 +269,19 @@ func drainSpec(cfg *Config) (everySec, windowSec float64) {
 // A nil model (FaultNone, or any factory returning nil) disables the whole
 // subsystem; the retry policy is only built alongside a live model.
 func buildFaultLayer(cfg *Config) (FaultModel, RetryPolicy, error) {
-	fe, ok := lookupFaultModel(cfg.Faults)
-	if !ok {
-		return nil, nil, fmt.Errorf("hierdrl: unknown fault model %q", cfg.Faults)
-	}
-	fm, err := fe.build(cfg)
+	buildFM, err := faultMdls.lookup(cfg.Faults)
 	if err != nil {
 		return nil, nil, err
 	}
-	if fm == nil {
-		return nil, nil, nil
+	fm, err := buildFM(cfg)
+	if err != nil || fm == nil {
+		return nil, nil, err
 	}
-	re, ok := lookupRetryPolicy(cfg.Retry)
-	if !ok {
-		return nil, nil, fmt.Errorf("hierdrl: unknown retry policy %q", cfg.Retry)
+	buildRP, err := retryPols.lookup(cfg.Retry)
+	if err != nil {
+		return nil, nil, err
 	}
-	rp, err := re.build(cfg)
+	rp, err := buildRP(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -415,29 +301,29 @@ func buildAllocator(cfg *Config, agent *global.Agent, rng *RNG) (Allocator, erro
 		}
 		return agent, nil
 	}
-	e, ok := lookupAllocator(cfg.Alloc)
-	if !ok {
-		return nil, fmt.Errorf("hierdrl: unknown allocation policy %q", cfg.Alloc)
+	build, err := allocators.lookup(cfg.Alloc)
+	if err != nil {
+		return nil, err
 	}
-	return e.build(cfg, rng)
+	return build(cfg, rng)
 }
 
 // buildPowerManager resolves one server's local tier through the registry.
 func buildPowerManager(cfg *Config, serverID int, rng *RNG) (PowerManager, error) {
-	e, ok := lookupPowerManager(cfg.DPM)
-	if !ok {
-		return nil, fmt.Errorf("hierdrl: unknown DPM policy %q", cfg.DPM)
+	build, err := powerMgrs.lookup(cfg.DPM)
+	if err != nil {
+		return nil, err
 	}
-	return e.build(cfg, serverID, rng)
+	return build(cfg, serverID, rng)
 }
 
 // buildPredictor resolves a workload predictor through the registry.
 func buildPredictor(cfg *Config, rng *RNG) (Predictor, error) {
-	e, ok := lookupPredictor(cfg.Predictor)
-	if !ok {
-		return nil, fmt.Errorf("hierdrl: unknown predictor %q", cfg.Predictor)
+	build, err := predictors.lookup(cfg.Predictor)
+	if err != nil {
+		return nil, err
 	}
-	return e.build(cfg, rng)
+	return build(cfg, rng)
 }
 
 // Built-in policies register through the same machinery external code uses,
@@ -445,19 +331,19 @@ func buildPredictor(cfg *Config, rng *RNG) (Predictor, error) {
 // split order inside each factory is part of the reproducibility contract:
 // it matches the historical construction order bit for bit.
 func init() {
-	registerAllocator(AllocRoundRobin, func(*Config, *RNG) (Allocator, error) {
+	allocators.add(AllocRoundRobin, func(*Config, *RNG) (Allocator, error) {
 		return policy.NewRoundRobin(), nil
 	}, nil)
-	registerAllocator(AllocRandom, func(_ *Config, rng *RNG) (Allocator, error) {
+	allocators.add(AllocRandom, func(_ *Config, rng *RNG) (Allocator, error) {
 		return policy.NewRandom(rng.Split()), nil
 	}, nil)
-	registerAllocator(AllocLeastLoaded, func(*Config, *RNG) (Allocator, error) {
+	allocators.add(AllocLeastLoaded, func(*Config, *RNG) (Allocator, error) {
 		return policy.NewLeastLoaded(), nil
 	}, nil)
-	registerAllocator(AllocPackFit, func(*Config, *RNG) (Allocator, error) {
+	allocators.add(AllocPackFit, func(*Config, *RNG) (Allocator, error) {
 		return policy.NewPackFit(0.05)
 	}, nil)
-	registerAllocator(AllocDRL, func(*Config, *RNG) (Allocator, error) {
+	allocators.add(AllocDRL, func(*Config, *RNG) (Allocator, error) {
 		return nil, fmt.Errorf("hierdrl: the DRL allocator is built by its session (it owns the learning agent)")
 	}, func(cfg *Config) error {
 		if err := cfg.Global.Validate(cfg.M); err != nil {
@@ -466,13 +352,13 @@ func init() {
 		return nil
 	})
 
-	registerPowerManager(DPMAlwaysOn, func(*Config, int, *RNG) (PowerManager, error) {
+	powerMgrs.add(DPMAlwaysOn, func(*Config, int, *RNG) (PowerManager, error) {
 		return local.AlwaysOn{}, nil
 	}, nil)
-	registerPowerManager(DPMAdHoc, func(*Config, int, *RNG) (PowerManager, error) {
+	powerMgrs.add(DPMAdHoc, func(*Config, int, *RNG) (PowerManager, error) {
 		return local.AdHoc{}, nil
 	}, nil)
-	registerPowerManager(DPMFixedTimeout, func(cfg *Config, _ int, _ *RNG) (PowerManager, error) {
+	powerMgrs.add(DPMFixedTimeout, func(cfg *Config, _ int, _ *RNG) (PowerManager, error) {
 		return local.NewFixedTimeout(cfg.FixedTimeoutSec), nil
 	}, func(cfg *Config) error {
 		if cfg.FixedTimeoutSec < 0 {
@@ -480,7 +366,7 @@ func init() {
 		}
 		return nil
 	})
-	registerPowerManager(DPMRL, func(cfg *Config, _ int, rng *RNG) (PowerManager, error) {
+	powerMgrs.add(DPMRL, func(cfg *Config, _ int, rng *RNG) (PowerManager, error) {
 		pred, err := buildPredictor(cfg, rng)
 		if err != nil {
 			return nil, err
@@ -493,10 +379,8 @@ func init() {
 		if cfg.Predictor == "" {
 			cfg.Predictor = PredictorLSTM
 		}
-		if _, ok := lookupPredictor(cfg.Predictor); !ok {
-			return fmt.Errorf("hierdrl: unknown predictor %q", cfg.Predictor)
-		}
-		return nil
+		_, err := predictors.lookup(cfg.Predictor)
+		return err
 	})
 
 	RegisterPredictor(PredictorLSTM, func(cfg *Config, rng *RNG) (Predictor, error) {
@@ -512,10 +396,10 @@ func init() {
 		return local.NewWindowMean(10), nil
 	})
 
-	registerFaultModel(FaultNone, func(*Config) (FaultModel, error) {
+	faultMdls.add(FaultNone, func(*Config) (FaultModel, error) {
 		return nil, nil
 	}, nil)
-	registerFaultModel(FaultExpCrash, func(cfg *Config) (FaultModel, error) {
+	faultMdls.add(FaultExpCrash, func(cfg *Config) (FaultModel, error) {
 		return fault.NewExpCrash(cfg.Seed, cfg.MTTFSec, cfg.MTTRSec)
 	}, func(cfg *Config) error {
 		if _, err := fault.NewExpCrash(cfg.Seed, cfg.MTTFSec, cfg.MTTRSec); err != nil {
@@ -523,7 +407,7 @@ func init() {
 		}
 		return nil
 	})
-	registerFaultModel(FaultCorrelatedCrash, func(cfg *Config) (FaultModel, error) {
+	faultMdls.add(FaultCorrelatedCrash, func(cfg *Config) (FaultModel, error) {
 		return fault.NewCorrelatedCrash(cfg.Seed, domainSpec(cfg), cfg.M, cfg.MTTFSec, cfg.MTTRSec)
 	}, func(cfg *Config) error {
 		// The check runs before the cluster default is derived, so only an
@@ -539,7 +423,7 @@ func init() {
 		}
 		return nil
 	})
-	registerFaultModel(FaultDegrade, func(cfg *Config) (FaultModel, error) {
+	faultMdls.add(FaultDegrade, func(cfg *Config) (FaultModel, error) {
 		return fault.NewFailSlow(cfg.Seed, degradeFactor(cfg), cfg.MTTFSec, cfg.MTTRSec)
 	}, func(cfg *Config) error {
 		if _, err := fault.NewFailSlow(cfg.Seed, degradeFactor(cfg), cfg.MTTFSec, cfg.MTTRSec); err != nil {
@@ -547,7 +431,7 @@ func init() {
 		}
 		return nil
 	})
-	registerFaultModel(FaultDrain, func(cfg *Config) (FaultModel, error) {
+	faultMdls.add(FaultDrain, func(cfg *Config) (FaultModel, error) {
 		every, window := drainSpec(cfg)
 		return fault.NewMaintenanceDrain(every, window, cfg.M)
 	}, func(cfg *Config) error {
@@ -558,10 +442,10 @@ func init() {
 		return nil
 	})
 
-	registerRetryPolicy(RetryImmediate, func(*Config) (RetryPolicy, error) {
+	retryPols.add(RetryImmediate, func(*Config) (RetryPolicy, error) {
 		return fault.Immediate{}, nil
 	}, nil)
-	registerRetryPolicy(RetryBackoff, func(cfg *Config) (RetryPolicy, error) {
+	retryPols.add(RetryBackoff, func(cfg *Config) (RetryPolicy, error) {
 		base, capSec := cfg.RetryBackoffSec, cfg.RetryBackoffCapSec
 		if base == 0 {
 			base = 30
@@ -583,7 +467,7 @@ func init() {
 		}
 		return nil
 	})
-	registerRetryPolicy(RetryDropAfter, func(cfg *Config) (RetryPolicy, error) {
+	retryPols.add(RetryDropAfter, func(cfg *Config) (RetryPolicy, error) {
 		return fault.DropAfter{Max: cfg.RetryMax}, nil
 	}, func(cfg *Config) error {
 		if cfg.RetryMax <= 0 {

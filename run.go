@@ -16,25 +16,36 @@ import (
 // the Algorithm 1 offline phase for DRL configurations with a WarmupTrace),
 // replays the trace through it, and returns the measurements. It is a thin
 // wrapper over the streaming Session API — NewSession, SubmitTrace, Drain,
-// Result — and a Session driven the same way produces bitwise-identical
-// results.
-func Run(cfg Config, tr *Trace) (*Result, error) {
-	return RunWith(cfg, tr)
-}
-
-// RunWith is Run with session options — most usefully WithShards(P) to
-// execute one large run on P cores (the parallel tier), and WithObserver to
-// watch a batch run live.
-func RunWith(cfg Config, tr *Trace, opts ...SessionOption) (*Result, error) {
+// Result, Close — and a Session driven the same way produces
+// bitwise-identical results. opts are NewSession's: most usefully
+// WithShards(P) to execute one large run on P cores (the parallel tier), and
+// WithObserver to watch a batch run live.
+//
+// Run submits the whole trace at once rather than chunking it through
+// RunSource: SubmitTrace sorts the entire batch, so an unsorted trace keeps
+// its declared arrival instants, whereas chasing 32,768-job chunks would
+// re-time every job that arrives before the previous chunk's horizon.
+func Run(cfg Config, tr *Trace, opts ...SessionOption) (*Result, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("hierdrl: empty trace")
 	}
+	return runSession(cfg, opts, func(s *Session) error { return s.SubmitTrace(tr) })
+}
+
+// runSession is the lifecycle Run and RunSource share: NewSession, feed the
+// jobs in, Drain, Result, Close. A failing Close (the WithEpochTraceFile
+// dump) is the run's error when everything before it succeeded.
+func runSession(cfg Config, opts []SessionOption, feed func(*Session) error) (res *Result, err error) {
 	s, err := NewSession(cfg, opts...)
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
-	if err := s.SubmitTrace(tr); err != nil {
+	defer func() {
+		if cerr := s.Close(); cerr != nil && err == nil {
+			res, err = nil, cerr
+		}
+	}()
+	if err := feed(s); err != nil {
 		return nil, err
 	}
 	if err := s.Drain(); err != nil {
@@ -51,10 +62,10 @@ func validate(cfg *Config) error {
 	if cfg.M <= 0 {
 		return fmt.Errorf("hierdrl: M must be positive, got %d", cfg.M)
 	}
-	if err := checkAllocConfig(cfg); err != nil {
+	if err := allocators.check(cfg.Alloc, cfg); err != nil {
 		return err
 	}
-	if err := checkDPMConfig(cfg); err != nil {
+	if err := powerMgrs.check(cfg.DPM, cfg); err != nil {
 		return err
 	}
 	if cfg.Faults == "" {
@@ -63,10 +74,10 @@ func validate(cfg *Config) error {
 	if cfg.Retry == "" {
 		cfg.Retry = RetryImmediate
 	}
-	if err := checkFaultConfig(cfg); err != nil {
+	if err := faultMdls.check(cfg.Faults, cfg); err != nil {
 		return err
 	}
-	if err := checkRetryConfig(cfg); err != nil {
+	if err := retryPols.check(cfg.Retry, cfg); err != nil {
 		return err
 	}
 	// An explicit Cluster override must be complete and consistent with M;

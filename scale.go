@@ -64,16 +64,6 @@ func ScaleStream(n, m int, seed int64) (*TraceStream, error) {
 // TraceStream re-exports the incremental workload generator.
 type TraceStream = trace.Stream
 
-// RunStreamed executes one run fed from the classic incremental generator.
-// It is RunSource specialized to *TraceStream, kept for compatibility; both
-// stream in bounded chunks so the workload never materializes.
-func RunStreamed(cfg Config, src *TraceStream, opts ...SessionOption) (*Result, error) {
-	if src == nil {
-		return nil, fmt.Errorf("hierdrl: nil job source")
-	}
-	return RunSource(cfg, src, opts...)
-}
-
 // RunSource executes one run fed from any incremental job source (a
 // *TraceStream, a scenario's WorkloadSource, or any JobSource) in bounded
 // chunks: each chunk is submitted, then the clock is advanced to its last
@@ -85,42 +75,33 @@ func RunSource(cfg Config, src JobSource, opts ...SessionOption) (*Result, error
 	if src == nil {
 		return nil, fmt.Errorf("hierdrl: nil job source")
 	}
-	s, err := NewSession(cfg, opts...)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-
-	const chunk = 1 << 15
-	buf := make([]Job, 0, chunk)
-	tr := &Trace{}
-	for {
-		buf = buf[:0]
-		for len(buf) < chunk {
-			j, ok := src.Next()
-			if !ok {
+	return runSession(cfg, opts, func(s *Session) error {
+		const chunk = 1 << 15
+		tr := &Trace{Jobs: make([]Job, 0, chunk)}
+		for {
+			tr.Jobs = tr.Jobs[:0]
+			for len(tr.Jobs) < chunk {
+				j, ok := src.Next()
+				if !ok {
+					break
+				}
+				tr.Jobs = append(tr.Jobs, j)
+			}
+			if len(tr.Jobs) == 0 {
 				break
 			}
-			buf = append(buf, j)
+			if err := s.SubmitTrace(tr); err != nil {
+				return err
+			}
+			// Chase the chunk: dispatch everything up to its last arrival so
+			// the pending queue stays O(chunk) while completions drain behind.
+			if err := s.StepUntil(Time(tr.Jobs[len(tr.Jobs)-1].Arrival)); err != nil {
+				return err
+			}
 		}
-		if len(buf) == 0 {
-			break
+		if s.Ingested() == 0 {
+			return fmt.Errorf("hierdrl: empty job source")
 		}
-		tr.Jobs = buf
-		if err := s.SubmitTrace(tr); err != nil {
-			return nil, err
-		}
-		// Chase the chunk: dispatch everything up to its last arrival so the
-		// pending queue stays O(chunk) while completions drain behind it.
-		if err := s.StepUntil(Time(buf[len(buf)-1].Arrival)); err != nil {
-			return nil, err
-		}
-	}
-	if s.Ingested() == 0 {
-		return nil, fmt.Errorf("hierdrl: empty job source")
-	}
-	if err := s.Drain(); err != nil {
-		return nil, err
-	}
-	return s.Result()
+		return nil
+	})
 }

@@ -2,8 +2,6 @@ package hierdrl
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"hierdrl/internal/cluster"
 	"hierdrl/internal/fault"
@@ -112,7 +110,7 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("hierdrl: scenario %q: %w", s.Name, err)
 	}
 	if s.Faults != "" && s.Faults != FaultNone {
-		if _, ok := lookupFaultModel(s.Faults); !ok {
+		if _, err := faultMdls.lookup(s.Faults); err != nil {
 			return fmt.Errorf("hierdrl: scenario %q: unknown fault model %q", s.Name, s.Faults)
 		}
 		if len(s.Domains) > 0 {
@@ -122,7 +120,7 @@ func (s Scenario) Validate() error {
 		}
 	}
 	if s.Retry != "" {
-		if _, ok := lookupRetryPolicy(s.Retry); !ok {
+		if _, err := retryPols.lookup(s.Retry); err != nil {
 			return fmt.Errorf("hierdrl: scenario %q: unknown retry policy %q", s.Name, s.Retry)
 		}
 	}
@@ -272,10 +270,7 @@ func scaleFailureDomains(domains []FailureDomain, m int) []FailureDomain {
 	return out
 }
 
-var (
-	scenarioMu  sync.RWMutex
-	scenarioMap = map[string]Scenario{}
-)
+var scenarios = newRegistry[string, Scenario]("RegisterScenario", "scenario", "scenario")
 
 // RegisterScenario adds a named scenario to the registry (the same pattern
 // as RegisterAllocator). It panics on an invalid scenario or a name already
@@ -284,32 +279,16 @@ func RegisterScenario(s Scenario) {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	scenarioMu.Lock()
-	defer scenarioMu.Unlock()
-	if _, dup := scenarioMap[s.Name]; dup {
-		panic(fmt.Sprintf("hierdrl: scenario %q already registered", s.Name))
-	}
-	scenarioMap[s.Name] = s
+	scenarios.add(s.Name, s, nil)
 }
 
 // Scenarios returns every registered scenario name in sorted order.
-func Scenarios() []string {
-	scenarioMu.RLock()
-	defer scenarioMu.RUnlock()
-	names := make([]string, 0, len(scenarioMap))
-	for name := range scenarioMap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Scenarios() []string { return scenarios.names() }
 
 // LookupScenario resolves a registered scenario by name.
 func LookupScenario(name string) (Scenario, bool) {
-	scenarioMu.RLock()
-	defer scenarioMu.RUnlock()
-	s, ok := scenarioMap[name]
-	return s, ok
+	s, err := scenarios.lookup(name)
+	return s, err == nil
 }
 
 // refRate is the paper's calibrated 30-server arrival rate: ~95,000 jobs

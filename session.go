@@ -84,9 +84,8 @@ func WithObserver(obs Observer) SessionOption {
 }
 
 // WithContext attaches a cancellation context: Step, StepUntil and Drain
-// return ctx.Err() once ctx is done (checked between events, every few
-// hundred events on long drains). The default context never cancels and
-// costs nothing per event.
+// return ctx.Err() once ctx is done (checked before every event or decision
+// epoch). The default context never cancels and costs nothing per event.
 func WithContext(ctx context.Context) SessionOption {
 	return func(o *sessionOptions) {
 		if ctx != nil {
@@ -107,9 +106,10 @@ func WithExpectedJobs(n int) SessionOption {
 // partitioned into p contiguous server groups, each stepped on its own event
 // lane by its own worker, synchronizing only at arrival decision epochs
 // (see shard_engine.go and DESIGN.md §12 for the determinism contract:
-// results at a fixed p are bitwise reproducible run to run and match the
-// strict tier within documented tolerance). The DRL warmup pass, when
-// configured, always runs strict — sharding applies to the measured session.
+// results at a fixed p are bitwise reproducible run to run and bitwise equal
+// to the strict tier's, short of a cross-shard timestamp tie). The DRL warmup
+// pass, when configured, always runs strict — sharding applies to the
+// measured session.
 //
 // A sharded session owns p worker goroutines; Close releases them.
 func WithShards(p int) SessionOption {
@@ -134,7 +134,6 @@ func WithShards(p int) SessionOption {
 type Session struct {
 	cfg   Config
 	agent *global.Agent
-	sm    *sim.Simulator
 	cl    *cluster.Cluster
 	alloc Allocator
 	col   *metrics.Collector
@@ -143,29 +142,42 @@ type Session struct {
 	ctx  context.Context
 	done <-chan struct{}
 
+	// eng is the execution tier, chosen once in newPass from WithShards: the
+	// strict lane or the shard runner (see engine).
+	eng engine
+
 	// Ingestion: pending arrivals ordered by (arrival, submission order),
 	// consumed through qhead so steady-state streaming reuses the backing
-	// array. Exactly one pump timer is armed while arrivals are pending.
-	queue     []trace.Job
-	qhead     int
-	pumpTimer sim.Timer
-	ingested  int64
+	// array.
+	queue    []trace.Job
+	qhead    int
+	ingested int64
 
 	// pool recycles completed cluster jobs (steady-state arrivals allocate
 	// nothing); view is the reused allocator snapshot.
 	pool []*cluster.Job
 	view cluster.View
 
-	// Allocator fast paths, classified once at construction: fastLL answers
+	// Allocator strategy, classified once at construction: fastLL answers
 	// least-loaded from the cluster's incremental per-shard index (no O(M)
-	// snapshot scan per arrival), viewFree skips the snapshot refresh for
-	// allocators that never read server state (round-robin, random). Both
-	// produce bitwise-identical decisions to the snapshot path.
-	fastLL   bool
-	viewFree bool
+	// snapshot scan per arrival), needsView is false for allocators that never
+	// read server state (least-loaded, round-robin, random) so their engine
+	// skips the view refresh, preEncoded means the shard workers gather the
+	// DRL group features. All produce bitwise the decisions of the plain
+	// snapshot path.
+	fastLL     bool
+	needsView  bool
+	preEncoded bool
 
-	// sr drives the parallel tier (nil in the strict tier).
-	sr *shardRunner
+	// merger replays the parallel tier's merged change feed through
+	// strict-order global bookkeeping for the DRL reward integral (nil unless
+	// a sharded session runs an agent).
+	merger *cluster.Merger
+
+	// etrace records per-phase timing spans of the parallel tier's epochs (nil
+	// unless WithEpochTrace; see telemetry.EpochRing for the lock-free
+	// discipline the barrier gives it).
+	etrace *telemetry.EpochRing
 
 	// auto is the periodic snapshot-to-disk layer (nil unless configured
 	// with WithAutoCheckpoint, leaving one never-taken nil check per epoch).
@@ -299,7 +311,6 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 	s := &Session{
 		cfg:   cfg,
 		agent: agent,
-		sm:    lanes[0],
 		cl:    cl,
 		alloc: alloc,
 		col:   metrics.NewCollector(cl, checkpointEvery),
@@ -316,15 +327,16 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 	}
 	// Classify the allocator's state needs once: least-loaded runs off the
 	// cluster's incremental per-shard load index (enabled here so it is
-	// maintained from the first event), round-robin and random never read
-	// server state, everything else gets a refreshed snapshot per arrival.
+	// maintained from the first event), round-robin and random read only the
+	// prepared view's M, everything else gets a refreshed snapshot per arrival.
+	cl.SnapshotPrepare(&s.view)
 	switch alloc.(type) {
 	case *policy.LeastLoaded:
 		s.fastLL = true
 		cl.EnableLoadIndex()
 	case *policy.RoundRobin, *policy.Random:
-		s.viewFree = true
-		cl.SnapshotPrepare(&s.view) // M is the only field such allocators read
+	default:
+		s.needsView = true
 	}
 
 	if fm != nil {
@@ -371,16 +383,15 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 			cl.OnDegrade = s.serverDegraded
 			cl.OnDrainStart = s.drainStarted
 		}
+		s.eng = &strictLane{s: s, sm: lanes[0]}
 	} else {
 		// Parallel tier: per-shard observation logs, replayed in merged time
 		// order at each epoch barrier (shard_engine.go).
 		cl.SetAsync(agent != nil, needTrans)
 		r := &shardRunner{s: s, p: p}
 		if o.etraceCap > 0 {
-			r.etrace = telemetry.NewEpochRing(o.etraceCap, p)
+			s.etrace = telemetry.NewEpochRing(o.etraceCap, p)
 		}
-		r.fastLL = s.fastLL
-		r.needsView = !s.fastLL && !s.viewFree
 		r.onDone = s.jobDone
 		if needTrans {
 			r.onTrans = s.routeTransition
@@ -392,21 +403,19 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 			r.onMaint = s.drainStarted
 		}
 		if agent != nil {
-			r.preEncode = true
+			s.preEncoded = true
 			agent.PrepareGather()
-			m := cluster.NewMerger(cl)
-			m.OnChange = agent.ObserveCluster
-			r.merger = m
+			s.merger = cluster.NewMerger(cl)
+			s.merger.OnChange = agent.ObserveCluster
 		}
 		s.col.CheckpointClock = func() sim.Time { return r.clock }
 		// Shard 0 runs inline on the coordinator; one worker per remaining
 		// shard (the barrier counts those p-1 arrivals).
 		r.bar.init(p - 1)
-		cl.SnapshotPrepare(&r.view)
 		for i := 1; i < p; i++ {
 			go r.worker(i)
 		}
-		s.sr = r
+		s.eng = r
 	}
 	if o.expectJobs > 0 {
 		s.Reserve(o.expectJobs)
@@ -515,52 +524,35 @@ func (s *Session) drainStarted(t sim.Time, server int) {
 
 // jobInterrupted is the cluster's crash-eviction callback — invoked during
 // the crash event in the strict tier, replayed at the epoch barrier in
-// merged (time, shard) order in the parallel tier. It routes the job through
-// the retry policy: a requeued job re-enters the pending queue at now+delay
-// under its original ID (latency keeps counting from the first declared
-// arrival), a dropped job counts as lost.
+// merged (time, shard) order in the parallel tier. The work the job had
+// executed is lost; the job itself goes through the retry policy.
 func (s *Session) jobInterrupted(t sim.Time, j *cluster.Job) {
-	ri, ok := s.retry[j.ID]
-	if !ok {
-		ri.orig = float64(j.Arrival)
-	}
-	ri.attempts++
 	s.interrupted++
 	if started, ok := j.StartedAt(); ok {
 		s.lostWork += float64(t - started)
 	}
-	tj := Job{ID: j.ID, Arrival: float64(t), Duration: j.Duration, Req: j.Req.ToTraceReq()}
-	s.pool = append(s.pool, j)
-	delay, retryJob := s.rp.Retry(float64(t), tj, ri.attempts)
-	if !retryJob || math.IsInf(delay, 1) || math.IsNaN(delay) {
-		s.lost++
-		delete(s.retry, j.ID)
-		return
-	}
-	if delay < 0 {
-		delay = 0
-	}
-	s.retry[j.ID] = ri
-	s.retried++
-	tj.Arrival = float64(t) + delay
-	s.requeue(tj)
-	if s.obs.OnJobRetry != nil {
-		s.obs.OnJobRetry(t, j.ID, ri.attempts, delay)
-	}
+	s.retryEvicted(t, j)
 }
 
 // jobMigrated is the cluster's drain-migration callback: a queued job handed
-// back when its server opened a maintenance window. It shares the retry
-// path's bookkeeping (attempt counting, original-arrival latency, the same
-// RetryPolicy) but counts as a graceful migration, not an interruption — the
-// job never started on the draining server, so no executed work is lost.
+// back when its server opened a maintenance window. It takes the same retry
+// path but counts as a graceful migration, not an interruption — the job
+// never started on the draining server, so no executed work is lost.
 func (s *Session) jobMigrated(t sim.Time, j *cluster.Job) {
+	s.migrated++
+	s.retryEvicted(t, j)
+}
+
+// retryEvicted routes a job a server handed back (crash eviction or drain
+// migration) through the retry policy: a requeued job re-enters the pending
+// queue at now+delay under its original ID (latency keeps counting from the
+// first declared arrival), a dropped job counts as lost.
+func (s *Session) retryEvicted(t sim.Time, j *cluster.Job) {
 	ri, ok := s.retry[j.ID]
 	if !ok {
 		ri.orig = float64(j.Arrival)
 	}
 	ri.attempts++
-	s.migrated++
 	tj := Job{ID: j.ID, Arrival: float64(t), Duration: j.Duration, Req: j.Req.ToTraceReq()}
 	s.pool = append(s.pool, j)
 	delay, retryJob := s.rp.Retry(float64(t), tj, ri.attempts)
@@ -575,22 +567,23 @@ func (s *Session) jobMigrated(t sim.Time, j *cluster.Job) {
 	s.retry[j.ID] = ri
 	s.retried++
 	tj.Arrival = float64(t) + delay
-	s.requeue(tj)
+	// Re-insert behind the same (arrival, order) total order Submit maintains,
+	// without assigning a new ID or counting the job as ingested again.
+	s.enqueue(tj)
 	if s.obs.OnJobRetry != nil {
 		s.obs.OnJobRetry(t, j.ID, ri.attempts, delay)
 	}
 }
 
-// requeue re-inserts an interrupted job behind the same (arrival, order)
-// total order Submit maintains — without assigning a new ID or counting it
-// as ingested again — and re-arms the strict tier's pump (a no-op in the
-// parallel tier, whose epoch loop reads the queue directly).
-func (s *Session) requeue(tj Job) {
+// enqueue appends one job to the pending queue, keeping the pending region
+// sorted by arrival and stable in submission order (streams are near-sorted
+// in practice, so the bubble is O(1) amortized), and lets the engine re-arm.
+func (s *Session) enqueue(tj Job) {
 	s.queue = append(s.queue, tj)
 	for i := len(s.queue) - 1; i > s.qhead && s.queue[i].Arrival < s.queue[i-1].Arrival; i-- {
 		s.queue[i], s.queue[i-1] = s.queue[i-1], s.queue[i]
 	}
-	s.arm()
+	s.eng.arm()
 }
 
 // drained reports whether every ingested job is accounted for — completed or
@@ -635,14 +628,8 @@ func (s *Session) Submit(j Job) error {
 	if err := j.Validate(); err != nil {
 		return fmt.Errorf("hierdrl: submit: %w", err)
 	}
-	s.queue = append(s.queue, j)
-	// Keep the pending region sorted by arrival, stable in submission order.
-	// Streams are near-sorted in practice, so this bubble is O(1) amortized.
-	for i := len(s.queue) - 1; i > s.qhead && s.queue[i].Arrival < s.queue[i-1].Arrival; i-- {
-		s.queue[i], s.queue[i-1] = s.queue[i-1], s.queue[i]
-	}
 	s.ingested++
-	s.arm()
+	s.enqueue(j)
 	return nil
 }
 
@@ -683,81 +670,40 @@ func (s *Session) SubmitTrace(tr *Trace) error {
 			return pending[a].Arrival < pending[b].Arrival
 		})
 	}
-	s.arm()
+	s.eng.arm()
 	return nil
 }
 
-// sessionPumpFire is the pump's event trampoline (package-level: no closure,
-// no per-event allocation).
-func sessionPumpFire(a any) { a.(*Session).pumpFire() }
-
-// arm keeps exactly one pending-arrival timer scheduled, in the simulator's
-// priority lane so a streamed arrival takes the same queue position an
-// up-front-scheduled arrival historically had (arrivals win timestamp ties
-// against simulation-spawned events). The parallel tier needs no pump: its
-// epoch loop pulls arrivals from the queue directly.
-func (s *Session) arm() {
-	if s.sr != nil || s.qhead >= len(s.queue) {
-		return
-	}
-	at := sim.Time(s.queue[s.qhead].Arrival)
-	if now := s.sm.Now(); at < now {
-		at = now
-	}
-	if s.pumpTimer.Pending() {
-		if s.pumpTimer.At() <= at {
-			return // already armed at or before the head arrival
-		}
-		s.pumpTimer.Cancel()
-	}
-	s.pumpTimer = s.sm.SchedulePriorityArg(at, sessionPumpFire, s)
-}
-
-// pumpFire dispatches the head arrival: renew a pooled job (or allocate the
-// pool's next entry), ask the allocator for a target against a refreshed
-// snapshot, submit, and re-arm for the next pending arrival.
-func (s *Session) pumpFire() {
-	s.pumpTimer = sim.Timer{}
-	if s.fm != nil && s.cl.UnavailableServers() == s.cl.M() {
-		// Every server is down or draining: park the pump at the earliest
-		// instant one can change state — a repair, or a draining server
-		// running dry (its power-off then schedules the real repair). The
-		// triggering event sits in the same (normal) lane with an earlier
-		// sequence number, so at that instant it fires before the pump does
-		// and the retried dispatch sees the updated availability; each
-		// re-park is therefore strictly later and the pump cannot spin.
-		at := s.cl.NextAvailAt()
-		if now := s.sm.Now(); at < now {
-			at = now
-		}
-		s.pumpTimer = s.sm.ScheduleArg(at, sessionPumpFire, s)
-		return
-	}
+// allocate pops the head arrival and picks its target server — the decision
+// epoch both tiers share. The calling engine has made s.view current for
+// allocators that read it (needsView) and commits the returned job itself.
+func (s *Session) allocate() (j *cluster.Job, target int) {
 	tj := s.queue[s.qhead]
 	s.popHead()
-	j := s.takeJob(tj)
-	var target int
+	j = s.takeJob(tj)
 	switch {
 	case s.fastLL:
-		// Least-loaded answers from the incrementally maintained load index
-		// — the same argmin, bit for bit, as the O(M) snapshot scan it
-		// replaces (essential at 10k-server scale, where a per-arrival scan
-		// would dominate the whole run).
+		// Least-loaded answers from the incrementally maintained load index:
+		// a P-way reduce over per-shard minima that is, bit for bit, the argmin
+		// of the O(M) snapshot scan it replaces (essential at 10k-server scale,
+		// where a per-arrival scan would dominate the whole run).
 		target = s.cl.LeastCommitted()
-	case s.viewFree:
-		// Round-robin and random read only the cluster size.
-		target = s.alloc.Allocate(j, &s.view)
+	case s.preEncoded:
+		// Group features were gathered by the shard workers in parallel; the
+		// epoch evaluates all K Sub-Q heads over them as one batched GEMM
+		// (QNetwork.QValuesInto) exactly as the strict tier does.
+		target = s.agent.AllocatePreEncoded(j, &s.view)
 	default:
-		target = s.alloc.Allocate(j, s.cl.SnapshotInto(&s.view))
+		target = s.alloc.Allocate(j, &s.view)
 	}
 	if s.fm != nil && !s.cl.Accepting(target) {
 		// Graceful degradation for state-blind allocators (round-robin,
 		// random, a stale DRL pick): cyclically remap onto a server that
-		// accepts work (neither down nor draining).
+		// accepts work (neither down nor draining). Both engines stall an
+		// arrival while every server is unavailable, so one always exists.
 		target = s.cl.NextUp(target)
 	}
-	s.cl.Submit(j, target)
-	s.arm()
+	return j, target
 }
 
 // takeJob renews a pooled cluster job (or allocates one) for dispatch. A
@@ -810,11 +756,18 @@ func (s *Session) ctxErr() error {
 	}
 }
 
+// eventsFired sums fired events across all lanes.
+func (s *Session) eventsFired() int64 {
+	var n int64
+	for i := 0; i < s.cl.Shards(); i++ {
+		n += s.cl.Lane(i).Fired()
+	}
+	return n
+}
+
 // guard bounds total event count relative to ingested jobs, protecting
 // callers from a runaway self-rescheduling model. Every job spawns a bounded
-// number of follow-up events; 64 per job is a generous ceiling. (The
-// parallel tier applies the same bound summed across lanes; see
-// shardRunner.guard.)
+// number of follow-up events; 64 per job is a generous ceiling.
 func (s *Session) guard() error {
 	budget := 64*s.ingested + 1024
 	if s.fm != nil {
@@ -822,11 +775,56 @@ func (s *Session) guard() error {
 		// one job, and every crash schedules one crash + one repair event.
 		budget += 64*s.retried + 16*s.cl.Failures()
 	}
-	if s.sm.Fired() > budget {
+	if fired := s.eventsFired(); fired > budget {
 		return fmt.Errorf("hierdrl: event budget exceeded (%d events for %d jobs): runaway model",
-			s.sm.Fired(), s.ingested)
+			fired, s.ingested)
 	}
 	return nil
+}
+
+// usable reports why the clock cannot advance: the session is closed, or an
+// earlier advance latched a terminal error.
+func (s *Session) usable() error {
+	if s.closed {
+		return ErrSessionClosed
+	}
+	return s.err
+}
+
+// tick is the epoch-boundary hook, reached after every unit of engine work:
+// the periodic snapshot-to-disk and the telemetry publish. An auto-checkpoint
+// failure surfaces without latching: the run itself is consistent and the
+// next boundary retries the write.
+func (s *Session) tick() error {
+	if s.tel != nil {
+		s.telTick()
+	}
+	if s.auto != nil {
+		return s.autoTick()
+	}
+	return nil
+}
+
+// unit is the one clock-advance path behind Step, StepUntil and Drain: the
+// cancellation and runaway checks (which latch), one engine step no later
+// than until, and the tick. It reports whether the engine did any work.
+func (s *Session) unit(until sim.Time) (bool, error) {
+	if err := s.ctxErr(); err != nil {
+		return false, s.fail(err)
+	}
+	if err := s.guard(); err != nil {
+		return false, s.fail(err)
+	}
+	if until == infTime && s.fm != nil && s.drained() {
+		// Fault runs never run out of events (crash/repair timers are
+		// perpetual): an unbounded advance is idle once the job accounting
+		// closes instead.
+		return false, nil
+	}
+	if !s.eng.step(until) {
+		return false, nil
+	}
+	return true, s.tick()
 }
 
 // Step advances the engine by one unit of work and reports whether anything
@@ -836,154 +834,50 @@ func (s *Session) guard() error {
 // allocated) or, with no arrivals left, one closing phase that drains the
 // lanes.
 func (s *Session) Step() (bool, error) {
-	if s.closed {
-		return false, ErrSessionClosed
+	if err := s.usable(); err != nil {
+		return false, err
 	}
-	if s.err != nil {
-		return false, s.err
-	}
-	if s.sr != nil {
-		ok, err := s.sr.step()
-		if err != nil {
-			return ok, s.fail(err)
-		}
-		if ok && s.auto != nil {
-			// Auto-checkpoint failures surface without latching: the run
-			// itself is consistent and the next boundary retries the write.
-			if aerr := s.autoTick(); aerr != nil {
-				return ok, aerr
-			}
-		}
-		if ok {
-			s.telTick()
-		}
-		return ok, nil
-	}
-	if err := s.ctxErr(); err != nil {
-		return false, s.fail(err)
-	}
-	if err := s.guard(); err != nil {
-		return false, s.fail(err)
-	}
-	fired := s.sm.Step()
-	if fired && s.auto != nil {
-		if err := s.autoTick(); err != nil {
-			return true, err
-		}
-	}
-	if fired {
-		s.telTick()
-	}
-	return fired, nil
+	return s.unit(infTime)
 }
 
 // StepUntil fires every event scheduled at or before t and advances the
 // clock to exactly t (it never runs past t, so a later Submit with an
 // arrival after t is dispatched at its declared instant).
 func (s *Session) StepUntil(t Time) error {
-	if s.closed {
-		return ErrSessionClosed
+	if err := s.usable(); err != nil {
+		return err
 	}
-	if s.err != nil {
-		return s.err
-	}
-	if s.sr != nil {
-		if err := s.fail(s.sr.stepUntil(t)); err != nil {
+	for {
+		more, err := s.unit(t)
+		if err != nil {
 			return err
 		}
-		s.telTick()
-		return s.autoTick()
-	}
-	for i := 0; ; i++ {
-		if i&255 == 0 {
-			if err := s.ctxErr(); err != nil {
-				return s.fail(err)
-			}
-		}
-		next, ok := s.sm.PeekTime()
-		if !ok || next > t {
+		if !more {
 			break
 		}
-		if err := s.guard(); err != nil {
-			return s.fail(err)
-		}
-		s.sm.Step()
-		if s.auto != nil {
-			if err := s.autoTick(); err != nil {
-				return err
-			}
-		}
-		s.telTick()
 	}
-	s.sm.Run(t) // queue is past t: just advances the clock to t
-	return nil
+	s.eng.settle(t)
+	return s.tick()
 }
 
 // Drain fires events until the engine is idle: every submitted job has been
 // dispatched and completed. Further jobs can still be submitted afterwards.
 func (s *Session) Drain() error {
-	if s.closed {
-		return ErrSessionClosed
+	if err := s.usable(); err != nil {
+		return err
 	}
-	if s.err != nil {
-		return s.err
-	}
-	if s.sr != nil {
-		if s.auto == nil && s.tel == nil {
-			return s.fail(s.sr.drainAll())
+	for {
+		more, err := s.unit(infTime)
+		if err != nil || !more {
+			return err
 		}
-		// drainAll is exactly this loop minus the snapshot/telemetry ticks;
-		// the split keeps the common path's epoch loop free of the extra
-		// branches.
-		for {
-			more, err := s.sr.step()
-			if err != nil {
-				return s.fail(err)
-			}
-			if err := s.autoTick(); err != nil {
-				return err
-			}
-			s.telTick()
-			if !more {
-				return nil
-			}
-		}
-	}
-	for i := 0; ; i++ {
-		if i&255 == 0 {
-			if err := s.ctxErr(); err != nil {
-				return s.fail(err)
-			}
-		}
-		if err := s.guard(); err != nil {
-			return s.fail(err)
-		}
-		if s.fm != nil && s.drained() {
-			// Fault runs never run out of events (crash/repair timers are
-			// perpetual): stop once the job accounting closes instead.
-			return nil
-		}
-		if !s.sm.Step() {
-			return nil
-		}
-		if s.auto != nil {
-			if err := s.autoTick(); err != nil {
-				return err
-			}
-		}
-		s.telTick()
 	}
 }
 
 // Now returns the current simulated time: the single lane's clock in the
 // strict tier, the engine clock (max lane clock, updated at every barrier)
 // in the parallel tier.
-func (s *Session) Now() Time {
-	if s.sr != nil {
-		return s.sr.clock
-	}
-	return s.sm.Now()
-}
+func (s *Session) Now() Time { return s.eng.now() }
 
 // Pending returns the number of ingested jobs not yet dispatched.
 func (s *Session) Pending() int { return len(s.queue) - s.qhead }
@@ -1056,11 +950,8 @@ func (s *Session) SnapshotInto(dst *SessionSnapshot) {
 		dst.View = &ClusterView{}
 	}
 	now := s.Now()
-	if s.sr != nil {
-		s.sr.snapshotRefresh(dst.View)
-	} else {
-		s.cl.SnapshotInto(dst.View)
-	}
+	s.cl.SnapshotInto(dst.View)
+	dst.View.Now = now
 	dst.Now = now
 	dst.Ingested = s.ingested
 	dst.Completed = s.cl.Completed()
@@ -1106,8 +997,8 @@ func (s *Session) Result() (*Result, error) {
 	}
 	s.finishEpisode()
 	s.cl.InvariantCheck()
-	if s.sr != nil && s.sr.merger != nil {
-		s.sr.merger.InvariantCheck(s.cl)
+	if s.merger != nil {
+		s.merger.InvariantCheck(s.cl)
 	}
 	s.col.SetFaultTallies(s.interrupted, s.migrated, s.retried, s.lost, s.domainOutages, s.lostWork)
 	res := &Result{
@@ -1141,21 +1032,16 @@ func (s *Session) finishEpisode() {
 
 // Close finalizes the learning episode (if Result has not already), dumps
 // the epoch-trace file and shuts the telemetry endpoint down (if configured),
-// stops the parallel tier's lane workers, and marks the session unusable. It
-// is idempotent; the only error it can return is a failing epoch-trace dump
-// (WithEpochTraceFile).
+// stops the engine (pump timer, lane workers), and marks the session
+// unusable. It is idempotent; the only error it can return is a failing
+// epoch-trace dump (WithEpochTraceFile).
 func (s *Session) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.finishEpisode()
-	if s.pumpTimer.Pending() {
-		s.pumpTimer.Cancel()
-	}
 	err := s.telClose()
-	if s.sr != nil {
-		s.sr.stop()
-	}
+	s.eng.stop()
 	s.closed = true
 	return err
 }

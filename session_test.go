@@ -3,7 +3,9 @@ package hierdrl_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -446,6 +448,15 @@ func init() {
 	hierdrl.RegisterPredictor("test-const", func(*hierdrl.Config, *hierdrl.RNG) (hierdrl.Predictor, error) {
 		return testConstPredictor{}, nil
 	})
+	hierdrl.RegisterFaultModel("test-no-faults", func(*hierdrl.Config) (hierdrl.FaultModel, error) {
+		return nil, nil
+	})
+	hierdrl.RegisterRetryPolicy("test-no-retry", func(*hierdrl.Config) (hierdrl.RetryPolicy, error) {
+		return nil, nil
+	})
+	twin, _ := hierdrl.LookupScenario("steady")
+	twin.Name = "test-steady-twin"
+	hierdrl.RegisterScenario(twin)
 }
 
 // TestCustomPoliciesViaRegistry is the registry acceptance test: custom
@@ -524,35 +535,136 @@ func TestFactoryErrorsSurfaceFromNewSession(t *testing.T) {
 	}
 }
 
-// TestRegisterPanicsOnMisuse pins the registry's misuse contract.
+// TestRegisterPanicsOnMisuse pins the misuse contract of all six registries:
+// an empty name, a nil factory (an invalid scenario), a duplicate and a
+// built-in override each panic with the registry's own message, and every
+// listing is sorted and contains both built-ins and test registrations.
 func TestRegisterPanicsOnMisuse(t *testing.T) {
-	expectPanic := func(name string, f func()) {
-		t.Helper()
+	alloc := func(*hierdrl.Config, *hierdrl.RNG) (hierdrl.Allocator, error) { return testGreedyAlloc{}, nil }
+	pm := func(*hierdrl.Config, int, *hierdrl.RNG) (hierdrl.PowerManager, error) { return testNapManager{}, nil }
+	pred := func(*hierdrl.Config, *hierdrl.RNG) (hierdrl.Predictor, error) { return testConstPredictor{}, nil }
+	fm := func(*hierdrl.Config) (hierdrl.FaultModel, error) { return nil, nil }
+	rp := func(*hierdrl.Config) (hierdrl.RetryPolicy, error) { return nil, nil }
+	scen := func(name string) hierdrl.Scenario {
+		sc, _ := hierdrl.LookupScenario("steady")
+		sc.Name = name
+		return sc
+	}
+	registries := []struct {
+		kind string
+		// register adds name; valid false passes a nil factory (for
+		// scenarios: a scenario that fails Validate).
+		register func(name string, valid bool)
+		names    func() []string
+		// existing is a test registration (see init), builtin a built-in.
+		existing, builtin string
+		// misuse and dup are the panic texts for an empty name / nil factory
+		// and for a taken name.
+		misuse, dup string
+	}{
+		{"allocator", func(n string, ok bool) {
+			f := alloc
+			if !ok {
+				f = nil
+			}
+			hierdrl.RegisterAllocator(hierdrl.AllocPolicy(n), f)
+		}, func() []string { return asStrings(hierdrl.Allocators()) },
+			"test-greedy", string(hierdrl.AllocRoundRobin),
+			"hierdrl: RegisterAllocator with empty name or nil factory", "hierdrl: allocator %q already registered"},
+		{"power manager", func(n string, ok bool) {
+			f := pm
+			if !ok {
+				f = nil
+			}
+			hierdrl.RegisterPowerManager(hierdrl.DPMKind(n), f)
+		}, func() []string { return asStrings(hierdrl.PowerManagers()) },
+			"test-nap", string(hierdrl.DPMRL),
+			"hierdrl: RegisterPowerManager with empty name or nil factory", "hierdrl: power manager %q already registered"},
+		{"predictor", func(n string, ok bool) {
+			f := pred
+			if !ok {
+				f = nil
+			}
+			hierdrl.RegisterPredictor(hierdrl.PredictorKind(n), f)
+		}, func() []string { return asStrings(hierdrl.Predictors()) },
+			"test-const", string(hierdrl.PredictorLSTM),
+			"hierdrl: RegisterPredictor with empty name or nil factory", "hierdrl: predictor %q already registered"},
+		{"fault model", func(n string, ok bool) {
+			f := fm
+			if !ok {
+				f = nil
+			}
+			hierdrl.RegisterFaultModel(hierdrl.FaultKind(n), f)
+		}, func() []string { return asStrings(hierdrl.FaultModels()) },
+			"test-no-faults", string(hierdrl.FaultExpCrash),
+			"hierdrl: RegisterFaultModel with empty name or nil factory", "hierdrl: fault model %q already registered"},
+		{"retry policy", func(n string, ok bool) {
+			f := rp
+			if !ok {
+				f = nil
+			}
+			hierdrl.RegisterRetryPolicy(hierdrl.RetryKind(n), f)
+		}, func() []string { return asStrings(hierdrl.RetryPolicies()) },
+			"test-no-retry", string(hierdrl.RetryBackoff),
+			"hierdrl: RegisterRetryPolicy with empty name or nil factory", "hierdrl: retry policy %q already registered"},
+		{"scenario", func(n string, ok bool) {
+			sc := scen(n)
+			if !ok {
+				sc.M = 0
+			}
+			hierdrl.RegisterScenario(sc)
+		}, hierdrl.Scenarios,
+			"test-steady-twin", "steady",
+			"", "hierdrl: scenario %q already registered"},
+	}
+	// panicText runs f and returns what it panicked with ("" if it did not).
+	panicText := func(f func()) (text string) {
 		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
+			if r := recover(); r != nil {
+				text = fmt.Sprint(r)
 			}
 		}()
 		f()
+		return ""
 	}
-	expectPanic("duplicate allocator", func() {
-		hierdrl.RegisterAllocator("test-greedy", func(*hierdrl.Config, *hierdrl.RNG) (hierdrl.Allocator, error) {
-			return testGreedyAlloc{}, nil
-		})
-	})
-	expectPanic("built-in allocator override", func() {
-		hierdrl.RegisterAllocator(hierdrl.AllocRoundRobin, func(*hierdrl.Config, *hierdrl.RNG) (hierdrl.Allocator, error) {
-			return testGreedyAlloc{}, nil
-		})
-	})
-	expectPanic("nil factory", func() {
-		hierdrl.RegisterPowerManager("test-nil", nil)
-	})
-	expectPanic("empty name", func() {
-		hierdrl.RegisterPredictor("", func(*hierdrl.Config, *hierdrl.RNG) (hierdrl.Predictor, error) {
-			return testConstPredictor{}, nil
-		})
-	})
+	for _, r := range registries {
+		for _, name := range []string{r.existing, r.builtin} {
+			if got, want := panicText(func() { r.register(name, true) }), fmt.Sprintf(r.dup, name); got != want {
+				t.Errorf("%s: re-registering %q panicked with %q, want %q", r.kind, name, got, want)
+			}
+		}
+		emptyName := panicText(func() { r.register("", true) })
+		nilFactory := panicText(func() { r.register("test-misuse-"+r.kind, false) })
+		if r.misuse != "" {
+			if emptyName != r.misuse || nilFactory != r.misuse {
+				t.Errorf("%s: empty name panicked with %q, nil factory with %q, want %q", r.kind, emptyName, nilFactory, r.misuse)
+			}
+		} else if !strings.Contains(emptyName, "empty name") || !strings.Contains(nilFactory, "M must be positive") {
+			// Scenarios panic with their own Validate error.
+			t.Errorf("%s: empty name panicked with %q, invalid scenario with %q", r.kind, emptyName, nilFactory)
+		}
+		names := r.names()
+		if !sort.StringsAreSorted(names) {
+			t.Errorf("%s: listing not sorted: %v", r.kind, names)
+		}
+		for _, want := range []string{r.existing, r.builtin} {
+			if i := sort.SearchStrings(names, want); i == len(names) || names[i] != want {
+				t.Errorf("%s: listing %v lacks %q", r.kind, names, want)
+			}
+		}
+		if i := sort.SearchStrings(names, "test-misuse-"+r.kind); i < len(names) && names[i] == "test-misuse-"+r.kind {
+			t.Errorf("%s: a rejected registration is listed", r.kind)
+		}
+	}
+}
+
+// asStrings converts a registry listing to plain strings.
+func asStrings[K ~string](names []K) []string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = string(n)
+	}
+	return out
 }
 
 // TestValidateClusterOverride pins the validate() fix: explicit Cluster

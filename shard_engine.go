@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hierdrl/internal/checkpoint"
 	"hierdrl/internal/cluster"
 	"hierdrl/internal/sim"
 	"hierdrl/internal/telemetry"
@@ -33,10 +34,10 @@ import (
 // chains are derived exactly as in the strict tier, and every merged replay
 // orders records by (time, shard index) — a pure function of the simulation,
 // never of goroutine scheduling. Results at a fixed P are bitwise
-// reproducible run to run, and equal to the strict tier within the tolerance
-// documented in DESIGN.md §12 (exactly equal whenever no two shards fire an
-// observable event at the same instant, which has probability ~1 under
-// continuous arrival processes).
+// reproducible run to run, and bitwise equal to the strict tier's — the tests
+// assert exactly that — with one caveat (DESIGN.md §12): when two shards fire
+// an observable event at the same instant the tiers may order the tie
+// differently, which has probability ~0 under continuous arrival processes.
 
 // infTime bounds an unbounded phase; every schedulable instant is finite
 // (sim.Schedule rejects NaN and nothing schedules at +Inf), so running
@@ -149,22 +150,16 @@ func (b *epochBarrier) arrive() {
 // join blocks the coordinator until every worker arrived.
 func (b *epochBarrier) join() { <-b.done }
 
-// shardRunner drives a sharded session: P lane workers, the epoch barrier,
-// the merged-replay machinery, and the gathered allocation view.
+// shardRunner is the parallel tier's engine: P lane workers, the epoch
+// barrier and the merged-replay machinery. The allocation view is the
+// session's: shard workers refresh disjoint server ranges of it during
+// refresh phases, so "merging" the per-shard view buffers is free — they
+// alias one backing array.
 type shardRunner struct {
 	s   *Session
 	p   int
 	bar epochBarrier
 	cmd phaseCmd
-
-	// merger replays the merged change feed through strict-order global
-	// bookkeeping for the DRL reward integral (nil without an agent).
-	merger *cluster.Merger
-
-	// view is the shared gather view: shard workers refresh disjoint server
-	// ranges during refresh phases, so "merging" the per-shard view buffers
-	// is free — they alias one backing array.
-	view cluster.View
 
 	// clock is the engine clock: the max lane clock, bumped at every join.
 	// It never runs behind any server's energy-integration watermark, so
@@ -191,19 +186,6 @@ type shardRunner struct {
 	onDegrade   func(sim.Time, int, float64)
 	onMaint     func(sim.Time, int)
 
-	// Allocator strategy flags (classified once at construction).
-	needsView bool // allocator reads server state: refresh the view each epoch
-	fastLL    bool // least-loaded via the incremental per-shard LoadIndex
-	preEncode bool // DRL: workers pre-encode their server ranges
-
-	// etrace records per-phase timing spans (nil unless WithEpochTrace):
-	// the coordinator opens a span before each barrier release, each worker
-	// writes only its own Shards slot between release and arrive, and the
-	// coordinator reads everything after join — the barrier's
-	// generation/done synchronization orders the writes, so the ring needs
-	// no locks (see telemetry.EpochRing).
-	etrace *telemetry.EpochRing
-
 	stopped bool
 }
 
@@ -217,9 +199,9 @@ func (r *shardRunner) runPhase(id int) {
 	c := &r.cmd
 	var ps *telemetry.PhaseSpan
 	var t0 int64
-	if r.etrace != nil {
-		ps = &r.etrace.Cur().Shards[id]
-		t0 = r.etrace.NowNs()
+	if r.s.etrace != nil {
+		ps = &r.s.etrace.Cur().Shards[id]
+		t0 = r.s.etrace.NowNs()
 		if id == 0 {
 			ps.StartNs = t0 // the coordinator's inline shard never waits
 		}
@@ -238,7 +220,7 @@ func (r *shardRunner) runPhase(id int) {
 		cl.Submit(d.job, d.target)
 	}
 	if ps != nil {
-		now := r.etrace.NowNs()
+		now := r.s.etrace.NowNs()
 		ps.CommitNs = now - t0
 		t0 = now
 	}
@@ -251,19 +233,19 @@ func (r *shardRunner) runPhase(id int) {
 		lane.RunBefore(infTime)
 	}
 	if ps != nil {
-		now := r.etrace.NowNs()
+		now := r.s.etrace.NowNs()
 		ps.RunNs = now - t0
 		t0 = now
 	}
 	if c.refresh {
 		lo, hi := cl.ShardRange(id)
-		cl.SnapshotRange(&r.view, lo, hi)
-		if r.preEncode {
-			r.s.agent.PreEncodeServers(&r.view, lo, hi)
+		cl.SnapshotRange(&r.s.view, lo, hi)
+		if r.s.preEncoded {
+			r.s.agent.PreEncodeServers(&r.s.view, lo, hi)
 		}
 	}
 	if ps != nil {
-		ps.RefreshNs = r.etrace.NowNs() - t0
+		ps.RefreshNs = r.s.etrace.NowNs() - t0
 	}
 }
 
@@ -273,20 +255,20 @@ func (r *shardRunner) worker(id int) {
 	var gen uint64
 	for {
 		var waitStart int64
-		if r.etrace != nil {
-			waitStart = r.etrace.NowNs()
+		if r.s.etrace != nil {
+			waitStart = r.s.etrace.NowNs()
 		}
 		gen = r.bar.await(gen)
 		if r.cmd.stop {
 			r.bar.arrive()
 			return
 		}
-		if r.etrace != nil {
+		if r.s.etrace != nil {
 			// The span was opened by the coordinator before the release this
 			// await observed; only this worker touches its Shards slot.
-			ps := &r.etrace.Cur().Shards[id]
+			ps := &r.s.etrace.Cur().Shards[id]
 			ps.StartNs = waitStart
-			ps.WaitNs = r.etrace.NowNs() - waitStart
+			ps.WaitNs = r.s.etrace.NowNs() - waitStart
 		}
 		r.runPhase(id)
 		r.bar.arrive()
@@ -305,10 +287,10 @@ func (r *shardRunner) round(mode runMode, until sim.Time, refresh bool) {
 		r.pends = r.pends[:copy(r.pends, r.pends[n:])]
 		r.cmd.d = r.commit
 	}
-	if r.etrace != nil {
+	if r.s.etrace != nil {
 		// Open the span before the release so workers can stamp their slots
 		// (runMode and the trace's mode constants coincide by construction).
-		r.etrace.Begin(float64(until), uint8(mode))
+		r.s.etrace.Begin(float64(until), uint8(mode))
 	}
 	r.bar.release()
 	r.runPhase(0)
@@ -317,13 +299,13 @@ func (r *shardRunner) round(mode runMode, until sim.Time, refresh bool) {
 		r.clock = c
 	}
 	var sp *telemetry.EpochSpan
-	if r.etrace != nil {
-		sp = r.etrace.Cur()
-		sp.ReplayStartNs = r.etrace.NowNs()
+	if r.s.etrace != nil {
+		sp = r.s.etrace.Cur()
+		sp.ReplayStartNs = r.s.etrace.NowNs()
 	}
 	r.replay()
 	if sp != nil {
-		sp.ReplayNs = r.etrace.NowNs() - sp.ReplayStartNs
+		sp.ReplayNs = r.s.etrace.NowNs() - sp.ReplayStartNs
 	}
 }
 
@@ -333,8 +315,8 @@ func (r *shardRunner) round(mode runMode, until sim.Time, refresh bool) {
 // shards are quiescent here, so user callbacks may take a Session snapshot.
 func (r *shardRunner) replay() {
 	s := r.s
-	if r.merger != nil {
-		s.cl.DrainChanges(r.merger)
+	if r.s.merger != nil {
+		s.cl.DrainChanges(r.s.merger)
 	}
 	s.cl.DrainDones(r.onDone)
 	if r.onTrans != nil {
@@ -357,26 +339,6 @@ func (r *shardRunner) replay() {
 	if r.onMigrate != nil {
 		s.cl.DrainMigrates(r.onMigrate)
 	}
-}
-
-// guard bounds total event count relative to ingested jobs across all lanes
-// (the sharded form of Session.guard).
-func (r *shardRunner) guard() error {
-	var fired int64
-	for i := 0; i < r.p; i++ {
-		fired += r.s.cl.Lane(i).Fired()
-	}
-	budget := 64*r.s.ingested + 1024
-	if r.s.fm != nil {
-		// Fault chains fund their own events: crashes and repairs each fire a
-		// timer, and every requeue replays a dispatch cascade.
-		budget += 64*r.s.retried + 16*r.s.cl.Failures()
-	}
-	if fired > budget {
-		return fmt.Errorf("hierdrl: event budget exceeded (%d events for %d jobs): runaway model",
-			fired, r.s.ingested)
-	}
-	return nil
 }
 
 // anyEvents reports whether any lane still has pending events.
@@ -411,19 +373,14 @@ func (r *shardRunner) nextEventTime() sim.Time {
 	return h
 }
 
-// step advances the engine by one decision epoch: quiesce every lane up to
-// the next arrival's instant, allocate it against the gathered state, and
-// pend its dispatch. With no arrivals left it runs one closing phase that
-// commits the last dispatch and drains the lanes. It reports whether the
-// engine did (or still has) work.
-func (r *shardRunner) step() (bool, error) {
+// step advances the engine by one decision epoch no later than until:
+// quiesce every lane up to the next arrival's dispatch instant, allocate it
+// against the gathered state, and pend its dispatch. With the head arrival
+// beyond until it reports idle (settle then closes the horizon); with no
+// arrivals left and no horizon it runs one closing phase that commits the
+// last dispatch and drains the lanes.
+func (r *shardRunner) step(until sim.Time) bool {
 	s := r.s
-	if err := s.ctxErr(); err != nil {
-		return false, err
-	}
-	if err := r.guard(); err != nil {
-		return false, err
-	}
 	if s.qhead < len(s.queue) {
 		at := sim.Time(s.queue[s.qhead].Arrival)
 		if r.clock > at {
@@ -440,80 +397,65 @@ func (r *shardRunner) step() (bool, error) {
 			// requeue and this is a no-op.
 			at = r.pends[n-1].at
 		}
-		r.round(runBefore, at, r.needsView)
+		if at > until {
+			// The arrival stays pending for a later call, exactly like the
+			// strict pump timer it replaces.
+			return false
+		}
+		r.round(runBefore, at, s.needsView)
 		if s.fm != nil && s.cl.UnavailableServers() == s.cl.M() {
 			// Every server is down or draining at the dispatch instant: run
 			// the lanes through the earliest availability change (a repair,
 			// or a draining server running dry) instead of allocating into a
-			// dead cluster. The arrival re-dispatches on the next step
-			// against the updated state (the sharded analogue of the strict
-			// pump parking at NextAvailAt).
-			r.round(runThrough, s.cl.NextAvailAt(), false)
-			return true, nil
+			// dead cluster — if it lies within the horizon. The arrival
+			// re-dispatches on the next step against the updated state (the
+			// sharded analogue of the strict pump parking at NextAvailAt).
+			ra := s.cl.NextAvailAt()
+			if ra > until {
+				return false
+			}
+			r.round(runThrough, ra, false)
+			return true
 		}
 		r.dispatchNext(at)
-		return true, nil
+		return true
+	}
+	if until != infTime {
+		return false
 	}
 	if s.fm != nil {
 		// With failure clocks armed the lanes never drain — every server
 		// always holds a crash or repair timer — so runAll would spin
-		// forever. Closing phases instead advance event by event until the
-		// accounting condition holds: every ingested job completed or lost.
-		if len(r.pends) == 0 && s.drained() {
-			return false, nil
-		}
+		// forever. Closing phases instead advance event by event; the
+		// session stops them once every ingested job completed or was lost.
 		h := r.nextEventTime()
 		if len(r.pends) > 0 && r.pends[0].at < h {
 			h = r.pends[0].at
 		}
 		if h == infTime {
-			return false, nil
+			return false
 		}
 		r.round(runThrough, h, false)
-		return true, nil
+		return true
 	}
 	if len(r.pends) > 0 || r.anyEvents() {
 		r.round(runAll, infTime, false)
-		return true, nil
+		return true
 	}
-	return false, nil
+	return false
 }
 
-// dispatchNext pops the head arrival, allocates it at instant at, and pends
-// the dispatch for the next phase.
+// dispatchNext allocates the head arrival at instant at and pends the
+// dispatch for the next phase.
 func (r *shardRunner) dispatchNext(at sim.Time) {
 	s := r.s
 	var sp *telemetry.EpochSpan
-	if r.etrace != nil {
-		sp = r.etrace.Cur()
-		sp.AllocStartNs = r.etrace.NowNs()
+	if s.etrace != nil {
+		sp = s.etrace.Cur()
+		sp.AllocStartNs = s.etrace.NowNs()
 	}
-	tj := s.queue[s.qhead]
-	s.popHead()
-	j := s.takeJob(tj)
-	r.view.Now = at
-	var target int
-	switch {
-	case r.fastLL:
-		// The per-shard tournament trees were maintained inside the lane
-		// workers; the decision collapses to a P-way reduce over shard
-		// minima — bitwise the same argmin as the O(M) snapshot scan.
-		target = s.cl.LeastCommitted()
-	case r.preEncode:
-		// Group features were gathered by the shard workers in parallel;
-		// the epoch evaluates all K Sub-Q heads over them as one batched
-		// GEMM (QNetwork.QValuesInto) exactly as the strict tier does.
-		target = s.agent.AllocatePreEncoded(j, &r.view)
-	default:
-		target = s.alloc.Allocate(j, &r.view)
-	}
-	if s.fm != nil && !s.cl.Accepting(target) {
-		// State-blind allocators (round-robin, random, a stale DRL head) may
-		// still pick a dead or draining server; remap to the next accepting
-		// one. The all-unavailable case was stalled out before dispatch, so
-		// NextUp always finds one.
-		target = s.cl.NextUp(target)
-	}
+	s.view.Now = at
+	j, target := s.allocate()
 	r.pends = append(r.pends, dispatch{job: j, target: target, shard: s.cl.ShardOf(target), at: at})
 	// Keep the in-flight list sorted by instant, stable on ties. A crash
 	// requeue can dispatch before an uncommitted earlier allocation (its
@@ -523,87 +465,81 @@ func (r *shardRunner) dispatchNext(at sim.Time) {
 		r.pends[i], r.pends[i-1] = r.pends[i-1], r.pends[i]
 	}
 	if sp != nil {
-		sp.AllocNs = r.etrace.NowNs() - sp.AllocStartNs
+		sp.AllocNs = s.etrace.NowNs() - sp.AllocStartNs
 	}
 }
 
-// drainAll runs decision epochs until every submitted job has completed and
-// every lane is idle.
-func (r *shardRunner) drainAll() error {
-	for {
-		more, err := r.step()
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
-}
-
-// stepUntil dispatches every arrival reachable at or before t and then runs
-// every lane through t, leaving the engine clock at exactly t. Arrivals
-// whose dispatch instant falls beyond t (late submissions against an already
-// advanced clock) stay pending, exactly like the strict pump timer they
-// replace.
-func (r *shardRunner) stepUntil(t sim.Time) error {
-	s := r.s
-	for s.qhead < len(s.queue) && sim.Time(s.queue[s.qhead].Arrival) <= t && r.clock <= t {
-		if err := s.ctxErr(); err != nil {
-			return err
-		}
-		if err := r.guard(); err != nil {
-			return err
-		}
-		at := sim.Time(s.queue[s.qhead].Arrival)
-		if r.clock > at {
-			at = r.clock
-		}
-		if n := len(r.pends); n > 0 && r.pends[n-1].at > at {
-			// Same monotone-decision clamp as step(): a fault requeue at the
-			// head must not dispatch before an uncommitted earlier decision.
-			at = r.pends[n-1].at
-		}
-		if at > t {
-			// The clamped instant fell beyond the horizon; the arrival stays
-			// pending for a later call, like a late submission.
-			break
-		}
-		r.round(runBefore, at, r.needsView)
-		if s.fm != nil && s.cl.UnavailableServers() == s.cl.M() {
-			// All servers unavailable at the dispatch instant: advance to the
-			// earliest availability change if it lies within the horizon, else
-			// leave the arrival pending for a later call (like a late
-			// submission).
-			ra := s.cl.NextAvailAt()
-			if ra > t {
-				break
-			}
-			r.round(runThrough, ra, false)
-			continue
-		}
-		r.dispatchNext(at)
-	}
-	if err := s.ctxErr(); err != nil {
-		return err
-	}
+// settle runs every lane through t, committing the dispatches pended at or
+// before it; every lane clock, hence the engine clock, ends at exactly t. A
+// clock already past t (late submissions against an advanced clock) stays.
+func (r *shardRunner) settle(t sim.Time) {
 	if r.clock <= t {
 		r.round(runThrough, t, false)
-		if t > r.clock {
-			r.clock = t
-		}
 	}
-	return nil
 }
 
-// snapshotRefresh refreshes the [lo, hi) ranges of a monitoring view on the
-// coordinator. All lanes are quiescent between phases, so the serial walk is
-// race-free (this is a monitoring surface, not the per-epoch gather path).
-func (r *shardRunner) snapshotRefresh(v *cluster.View) {
-	s := r.s
-	s.cl.SnapshotPrepare(v)
-	v.Now = r.clock
-	s.cl.SnapshotRange(v, 0, s.cl.M())
+func (r *shardRunner) now() sim.Time { return r.clock }
+
+// arm is a no-op: the epoch loop reads the pending queue directly.
+func (r *shardRunner) arm() {}
+
+func (r *shardRunner) inflight() []*cluster.Job {
+	jobs := make([]*cluster.Job, len(r.pends))
+	for i := range r.pends {
+		jobs[i] = r.pends[i].job
+	}
+	return jobs
+}
+
+// pendRecBytes is a lower bound on one serialized dispatch (I32 job index +
+// Int target + Int shard + F64 at).
+const pendRecBytes = 4 + 8 + 8 + 8
+
+// saveTail writes the engine clock and the uncommitted dispatches, by cluster
+// job-table index.
+func (r *shardRunner) saveTail(e *checkpoint.Enc, idx map[*cluster.Job]int32) {
+	e.F64(float64(r.clock))
+	e.Int(len(r.pends))
+	for i := range r.pends {
+		d := &r.pends[i]
+		e.I32(idx[d.job])
+		e.Int(d.target)
+		e.Int(d.shard)
+		e.F64(float64(d.at))
+	}
+}
+
+func (r *shardRunner) restoreTail(d *checkpoint.Dec, table []*cluster.Job) error {
+	cl := r.s.cl
+	clock := sim.Time(d.F64())
+	n := d.SliceLen(pendRecBytes)
+	if err := d.Sticky(); err != nil {
+		return err
+	}
+	if math.IsNaN(float64(clock)) || clock < 0 {
+		return fmt.Errorf("%w: engine clock %v", ErrCorrupt, clock)
+	}
+	r.clock = clock
+	for k := 0; k < n; k++ {
+		ji := d.I32()
+		target := d.Int()
+		shard := d.Int()
+		at := sim.Time(d.F64())
+		if err := d.Sticky(); err != nil {
+			return err
+		}
+		if ji < 0 || int(ji) >= len(table) {
+			return fmt.Errorf("%w: dispatch %d references job %d of %d", ErrCorrupt, k, ji, len(table))
+		}
+		if target < 0 || target >= cl.M() || shard != cl.ShardOf(target) {
+			return fmt.Errorf("%w: dispatch %d target %d shard %d", ErrCorrupt, k, target, shard)
+		}
+		if math.IsNaN(float64(at)) {
+			return fmt.Errorf("%w: dispatch %d time is NaN", ErrCorrupt, k)
+		}
+		r.pends = append(r.pends, dispatch{job: table[ji], target: target, shard: shard, at: at})
+	}
+	return nil
 }
 
 // stop terminates the lane workers. Idempotent.

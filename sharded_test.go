@@ -8,16 +8,11 @@ import (
 	"hierdrl"
 )
 
-// shardTestTol is the strict-vs-parallel metric tolerance asserted here —
-// far tighter than DESIGN.md §12's documented contract, because on these
-// workloads (continuous arrival processes, no cross-shard simultaneity) the
-// tiers are expected to agree bitwise; the margin only covers a pathological
-// timestamp tie.
-const shardTestTol = 1e-9
-
-func relClose(a, b float64) bool {
-	return math.Abs(a-b) <= shardTestTol*(1+math.Max(math.Abs(a), math.Abs(b)))
-}
+// sameBits reports whether two metrics are bitwise equal — the strict ==
+// sharded contract these tests assert. (On a workload where two shards fire
+// an observable event at the same instant the tiers may order the tie
+// differently; the continuous arrival processes used here never produce one.)
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // shardTestSystems returns the three compared systems at a reduced M=8
 // operating point (P=8 needs at least 8 servers).
@@ -48,9 +43,8 @@ func shardTestSystems(t *testing.T) (map[string]hierdrl.Config, *hierdrl.Trace) 
 
 // TestShardedMatchesStrict runs the compared systems strict (P=1) and
 // sharded (P in {2,4,8}) on the same workload and asserts the parallel
-// tier's results equal the strict tier's within the documented tolerance —
-// including the full DRL hierarchy, whose reward integral flows through the
-// merged change feed.
+// tier's results equal the strict tier's bit for bit — including the full
+// DRL hierarchy, whose reward integral flows through the merged change feed.
 func TestShardedMatchesStrict(t *testing.T) {
 	if testing.Short() {
 		t.Skip("DRL warmup passes are slow; run without -short")
@@ -62,7 +56,7 @@ func TestShardedMatchesStrict(t *testing.T) {
 			t.Fatalf("%s strict: %v", name, err)
 		}
 		for _, p := range []int{2, 4, 8} {
-			res, err := hierdrl.RunWith(cfg, tr, hierdrl.WithShards(p))
+			res, err := hierdrl.Run(cfg, tr, hierdrl.WithShards(p))
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", name, p, err)
 			}
@@ -76,7 +70,7 @@ func TestShardedMatchesStrict(t *testing.T) {
 				"duration": {res.Summary.DurationSec, strict.Summary.DurationSec},
 			}
 			for metric, v := range pairs {
-				if !relClose(v[0], v[1]) {
+				if !sameBits(v[0], v[1]) {
 					t.Errorf("%s P=%d: %s %v vs strict %v", name, p, metric, v[0], v[1])
 				}
 			}
@@ -99,7 +93,7 @@ func TestShardedReproducibleRunToRun(t *testing.T) {
 	tr := hierdrl.SyntheticTraceForCluster(300, m, 7)
 	var ref *hierdrl.Result
 	for run := 0; run < 3; run++ {
-		res, err := hierdrl.RunWith(cfg, tr, hierdrl.WithShards(4))
+		res, err := hierdrl.Run(cfg, tr, hierdrl.WithShards(4))
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -116,8 +110,8 @@ func TestShardedReproducibleRunToRun(t *testing.T) {
 	}
 }
 
-// TestRunStreamedMatchesRun asserts the chunked streaming runner reproduces
-// the batch Run exactly, in both tiers: same workload, same metrics.
+// TestRunStreamedMatchesRun asserts the chunked streaming runner (RunSource)
+// reproduces the batch Run exactly, in both tiers: same workload, same bits.
 func TestRunStreamedMatchesRun(t *testing.T) {
 	m := 8
 	cfg := hierdrl.ScaleSim(m)
@@ -131,12 +125,12 @@ func TestRunStreamedMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := hierdrl.RunStreamed(cfg, src, hierdrl.WithShards(p))
+		res, err := hierdrl.RunSource(cfg, src, hierdrl.WithShards(p))
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
-		if !relClose(res.Summary.EnergykWh, batch.Summary.EnergykWh) ||
-			!relClose(res.Summary.AccLatencySec, batch.Summary.AccLatencySec) {
+		if !sameBits(res.Summary.EnergykWh, batch.Summary.EnergykWh) ||
+			!sameBits(res.Summary.AccLatencySec, batch.Summary.AccLatencySec) {
 			t.Errorf("P=%d: energy %v accLat %v vs batch %v %v", p,
 				res.Summary.EnergykWh, res.Summary.AccLatencySec,
 				batch.Summary.EnergykWh, batch.Summary.AccLatencySec)
@@ -214,7 +208,7 @@ func TestShardedObserverHammer(t *testing.T) {
 		if c != strictCounts {
 			t.Errorf("P=%d: observer counts %+v vs strict %+v", p, c, strictCounts)
 		}
-		if !relClose(res.Summary.EnergykWh, strictRes.Summary.EnergykWh) {
+		if !sameBits(res.Summary.EnergykWh, strictRes.Summary.EnergykWh) {
 			t.Errorf("P=%d: energy %v vs strict %v", p, res.Summary.EnergykWh, strictRes.Summary.EnergykWh)
 		}
 		if len(res.Checkpoints) != len(strictRes.Checkpoints) {
@@ -273,7 +267,7 @@ func TestShardedLateSubmit(t *testing.T) {
 	strict := run(1)
 	for _, p := range []int{2, 4} {
 		got := run(p)
-		if !relClose(got.EnergykWh, strict.EnergykWh) || !relClose(got.AccLatencySec, strict.AccLatencySec) {
+		if !sameBits(got.EnergykWh, strict.EnergykWh) || !sameBits(got.AccLatencySec, strict.AccLatencySec) {
 			t.Errorf("P=%d: energy %v accLat %v vs strict %v %v", p,
 				got.EnergykWh, got.AccLatencySec, strict.EnergykWh, strict.AccLatencySec)
 		}

@@ -72,8 +72,8 @@ func WithEpochTrace(capacity int) SessionOption {
 
 // WithEpochTraceFile is WithEpochTrace plus an automatic dump: Close writes
 // the ring to path as Chrome trace-event JSON, so wrapper-owned sessions
-// (RunSource, RunStreamed) can record traces too. A failing dump surfaces
-// from Close.
+// (Run, RunSource) can record traces too. A failing dump surfaces from Close,
+// which those wrappers return.
 func WithEpochTraceFile(path string, capacity int) SessionOption {
 	return func(o *sessionOptions) {
 		if capacity < 1 {
@@ -118,19 +118,19 @@ func (s *Session) TelemetryAddr() string {
 // (load in chrome://tracing or ui.perfetto.dev). Errors unless the session
 // was built with WithEpochTrace / WithEpochTraceFile.
 func (s *Session) WriteEpochTrace(w io.Writer) error {
-	if s.sr == nil || s.sr.etrace == nil {
+	if s.etrace == nil {
 		return fmt.Errorf("hierdrl: epoch trace not enabled (WithEpochTrace requires WithShards(p >= 2))")
 	}
-	return s.sr.etrace.WriteChromeTrace(w)
+	return s.etrace.WriteChromeTrace(w)
 }
 
 // telTick publishes the metric blobs if the completed-job cadence has passed
-// and the wall-clock throttle allows it. Called at the same epoch boundaries
-// as autoTick; one branch when telemetry is off or publish-less (epoch-trace
-// file only). The clock is only consulted after the (cheap) job-count gate.
+// and the wall-clock throttle allows it. Called from tick with telemetry on;
+// one branch when it is publish-less (epoch-trace file only). The clock is
+// only consulted after the (cheap) job-count gate.
 func (s *Session) telTick() {
 	t := s.tel
-	if t == nil || t.srv == nil {
+	if t.srv == nil {
 		return
 	}
 	done := s.cl.Completed()
@@ -199,19 +199,6 @@ func (t *sessionTelemetry) publish(s *Session) {
 	t.srv.Publish(t.prom.Bytes(), bytes.TrimRight(t.js.Bytes(), "\n"))
 }
 
-// eventsFired sums fired events across all lanes.
-func (s *Session) eventsFired() int64 {
-	p := 1
-	if s.sr != nil {
-		p = s.sr.p
-	}
-	var n int64
-	for i := 0; i < p; i++ {
-		n += s.cl.Lane(i).Fired()
-	}
-	return n
-}
-
 // promQuantiles emits one summary-style family from a t-digest with optional
 // extra labels (`class="short",`-form prefix, empty for none).
 func promQuantiles(b *bytes.Buffer, family, labels string, d *telemetry.TDigest) {
@@ -254,11 +241,7 @@ func (t *sessionTelemetry) buildProm(s *Session) {
 	head("hiersim_energy_kwh", "counter", "Energy integrated since t=0.")
 	fmt.Fprintf(b, "hiersim_energy_kwh %g\n", sn.EnergykWh)
 	head("hiersim_shards", "gauge", "Event-lane shard count (1 = strict tier).")
-	p := 1
-	if s.sr != nil {
-		p = s.sr.p
-	}
-	fmt.Fprintf(b, "hiersim_shards %d\n", p)
+	fmt.Fprintf(b, "hiersim_shards %d\n", s.cl.Shards())
 	head("hiersim_jobs_per_second", "gauge", "Wall-clock job completion rate between publishes.")
 	fmt.Fprintf(b, "hiersim_jobs_per_second %g\n", t.jobsRate)
 	head("hiersim_events_per_second", "gauge", "Wall-clock simulation event rate between publishes.")

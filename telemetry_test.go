@@ -192,7 +192,7 @@ func TestTelemetryPreservesBitwiseMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("base: %v", err)
 	}
-	wired, err := hierdrl.RunWith(cfg, tr, hierdrl.WithTelemetry("127.0.0.1:0"))
+	wired, err := hierdrl.Run(cfg, tr, hierdrl.WithTelemetry("127.0.0.1:0"))
 	if err != nil {
 		t.Fatalf("telemetry run: %v", err)
 	}
@@ -219,7 +219,7 @@ func TestSketchOnlySummary(t *testing.T) {
 	obs := hierdrl.Observer{OnJobDone: func(_ hierdrl.Time, j *hierdrl.ClusterJob) {
 		exact = append(exact, j.Latency())
 	}}
-	sk, err := hierdrl.RunWith(cfg, tr, hierdrl.WithSketchOnly(), hierdrl.WithObserver(obs))
+	sk, err := hierdrl.Run(cfg, tr, hierdrl.WithSketchOnly(), hierdrl.WithObserver(obs))
 	if err != nil {
 		t.Fatalf("sketch-only: %v", err)
 	}
@@ -328,6 +328,25 @@ func TestEpochTraceRequiresShards(t *testing.T) {
 	cfg := hierdrl.RoundRobin(4)
 	if _, err := hierdrl.NewSession(cfg, hierdrl.WithEpochTrace(64)); err == nil {
 		t.Fatal("WithEpochTrace on the strict tier must error")
+	}
+}
+
+// TestRunSurfacesEpochTraceDumpError pins WithEpochTraceFile's documented
+// contract for wrapper-owned sessions: a failing dump surfaces from Close, and
+// Run / RunSource return it when the run itself succeeded.
+func TestRunSurfacesEpochTraceDumpError(t *testing.T) {
+	m := 4
+	cfg := hierdrl.RoundRobin(m)
+	opts := []hierdrl.SessionOption{hierdrl.WithShards(2), hierdrl.WithEpochTraceFile("/nonexistent-dir/x.json", 0)}
+	if res, err := hierdrl.Run(cfg, hierdrl.SyntheticTraceForCluster(50, m, 1), opts...); err == nil || res != nil {
+		t.Errorf("Run = (%v, %v), want the dump error", res, err)
+	}
+	src, err := hierdrl.ScaleStream(50, m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := hierdrl.RunSource(cfg, src, opts...); err == nil || res != nil {
+		t.Errorf("RunSource = (%v, %v), want the dump error", res, err)
 	}
 }
 
