@@ -17,7 +17,7 @@ vet:
 	$(GO) vet ./...
 
 # The kernel micro-benchmark set (also the CI perf-regression smoke).
-KERNEL_BENCH = BenchmarkMatMulVec$$|BenchmarkMatMulMat$$|BenchmarkQNetInferBatch$$|BenchmarkQNetworkInference$$|BenchmarkQNetworkTrainBatch$$|BenchmarkLSTMPredict$$|BenchmarkLSTMBPTT$$|BenchmarkEventLoop$$|BenchmarkSnapshot$$|BenchmarkAllocateEpoch$$|BenchmarkShardedEpoch$$|BenchmarkTDigestAdd$$|BenchmarkTDigestMerge$$|BenchmarkEpochSpanRecord$$
+KERNEL_BENCH = BenchmarkMatMulVec$$|BenchmarkMatMulMat$$|BenchmarkQNetInferBatch$$|BenchmarkQNetworkInference$$|BenchmarkQNetworkTrainBatch$$|BenchmarkLSTMPredict$$|BenchmarkLSTMBPTT$$|BenchmarkEventLoop$$|BenchmarkSnapshot$$|BenchmarkAllocateEpoch$$|BenchmarkShardedEpoch$$|BenchmarkRequeueLargePending$$|BenchmarkTDigestAdd$$|BenchmarkTDigestMerge$$|BenchmarkEpochSpanRecord$$
 KERNEL_PKGS = . ./internal/telemetry
 
 # bench records the full perf trajectory of a PR as three committed JSONs:
@@ -69,16 +69,21 @@ scale-smoke:
 # repair/retry/degrade/drain hooks plus mid-run snapshots at P = 1/2/4), the
 # cross-run bitwise reproducibility checks, and the fault-matrix smoke
 # (correlated-crash / degrade / maintenance-drain at P = 1/2, fingerprint-
-# pinned), all under the race detector.
+# pinned) and the pending queue's differential test against the insertion-sort
+# model (retry re-insertion order), all under the race detector; then a few
+# seconds of the native fuzz target over the same differential check.
 chaos-smoke:
-	$(GO) test -race -run 'TestFaultObserverHammer|TestFaultMatrixObserverHammer|TestFaultReproducibleAcrossRuns|TestNewFaultModelsReproducibleAcrossRuns' -v .
+	$(GO) test -race -run 'TestFaultObserverHammer|TestFaultMatrixObserverHammer|TestFaultReproducibleAcrossRuns|TestNewFaultModelsReproducibleAcrossRuns|TestPendingQueueMatchesInsertionSortModel' -v .
+	$(GO) test -run=NONE -fuzz='FuzzPendingQueueOrder$$' -fuzztime=5s .
 
 # crash-smoke is the durability CI gate: the mid-run checkpoint/restore
 # bitwise matrix across both tiers (incl. fault runs), the corrupt-snapshot
 # rejection table, and the end-to-end SIGKILL-and-resume drill against the
-# hiersim binary.
+# hiersim binary; then, under the race detector, the fault run checkpointed
+# right after a head-side retry insert and resumed at P = 1/2.
 crash-smoke:
 	$(GO) test -run 'TestCheckpointResumeBitwise|TestRestoreRejectsCorruptSnapshots|TestAutoCheckpointRotationAndResume|TestCrashResumeHarnessCLI' -v .
+	$(GO) test -race -run 'TestCheckpointAfterHeadSideInsert' -v .
 
 # scenario-smoke is the workload-subsystem CI gate: every registered
 # scenario's Summary must be bitwise identical at P = 1/2/4 shards and run to

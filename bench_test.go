@@ -333,7 +333,10 @@ func (benchAlwaysOn) Observe(sim.Time, float64, int)                          {}
 // BenchmarkAllocateEpoch measures one full DRL decision epoch on a warm
 // M=30 agent: state encode, transition close into the pooled replay, Q
 // inference, epsilon-greedy selection, integrator reset — plus the amortized
-// share of minibatch training (every TrainEvery-th epoch trains).
+// share of minibatch training (every TrainEvery-th epoch trains). Warm means
+// the replay ring is full: while it fills, every epoch clones two states into
+// a fresh slot (~10 allocs), so a shorter warm-up reports a mix of the two
+// regimes that moves with b.N.
 func BenchmarkAllocateEpoch(b *testing.B) {
 	m := 30
 	cfg := global.DefaultConfig(m)
@@ -352,13 +355,61 @@ func BenchmarkAllocateEpoch(b *testing.B) {
 		agent.ObserveCluster(v.Now, 3000, 10, 1)
 		agent.Allocate(j, v)
 	}
-	for i := 0; i < 2*cfg.TrainEvery; i++ {
+	for i := 0; i < cfg.ReplayCap+2*cfg.TrainEvery; i++ {
 		epoch()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		epoch()
+	}
+}
+
+// BenchmarkRequeueLargePending measures retry-shaped re-insertion next to the
+// head of a long pending queue — what a fault run with the whole trace
+// batch-submitted does at every crash. The queue is held at 100k jobs on an
+// always-on round-robin cluster; one op is one arrival landing 30-600 s past
+// the clock (the backoff range), fifteen in-order arrivals at the tail and
+// sixteen dispatches, about the 1:19 requeue-to-dispatch ratio of the
+// repository benchmark's faults-batch workload. Insertion that walks the
+// queue from its tail shows up here as hundreds of microseconds per op.
+func BenchmarkRequeueLargePending(b *testing.B) {
+	const pending, slack, perOp = 100_000, 2048, 16
+	s, err := hierdrl.NewSession(hierdrl.RoundRobin(30), hierdrl.WithExpectedJobs(pending+slack+perOp*b.N))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	tr := hierdrl.SyntheticTraceForCluster(pending+slack, 30, 1)
+	if err := s.SubmitTrace(tr); err != nil {
+		b.Fatal(err)
+	}
+	// Dispatch the first arrivals so the queue has a consumed prefix, as any
+	// run past its first minutes does.
+	if err := s.StepUntil(hierdrl.Time(tr.Jobs[slack-1].Arrival)); err != nil {
+		b.Fatal(err)
+	}
+	tail := tr.Jobs[len(tr.Jobs)-1]
+	gap := tail.Arrival / float64(len(tr.Jobs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		retry := tail
+		retry.Arrival = float64(s.Now()) + 30 + float64(i%20)*30
+		if err := s.Submit(retry); err != nil {
+			b.Fatal(err)
+		}
+		for k := 1; k < perOp; k++ {
+			tail.Arrival += gap
+			if err := s.Submit(tail); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for want := s.Pending() - perOp; s.Pending() > want; {
+			if _, err := s.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

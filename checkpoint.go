@@ -171,7 +171,7 @@ const queuedJobBytes = 8*3 + 8*trace.NumResources
 func (s *Session) saveSessionState(e *checkpoint.Enc) {
 	e.I64(s.ingested)
 	e.Bool(s.finished)
-	pending := s.queue[s.qhead:]
+	pending := s.pq.jobs()
 	e.Int(len(pending))
 	for i := range pending {
 		tj := &pending[i]
@@ -384,8 +384,8 @@ func (s *Session) restoreSessionState(d *checkpoint.Dec) error {
 	if s.ingested < 0 {
 		return fmt.Errorf("%w: ingested %d", ErrCorrupt, s.ingested)
 	}
-	s.queue = s.queue[:0]
-	s.qhead = 0
+	s.pq.reset()
+	prev := math.Inf(-1)
 	for k := 0; k < nq; k++ {
 		var tj trace.Job
 		tj.ID = d.Int()
@@ -400,10 +400,11 @@ func (s *Session) restoreSessionState(d *checkpoint.Dec) error {
 		if math.IsNaN(tj.Arrival) || math.IsNaN(tj.Duration) || tj.Duration < 0 {
 			return fmt.Errorf("%w: queued job %d arrival %v duration %v", ErrCorrupt, tj.ID, tj.Arrival, tj.Duration)
 		}
-		if k > 0 && tj.Arrival < s.queue[k-1].Arrival {
+		if tj.Arrival < prev {
 			return fmt.Errorf("%w: arrival queue out of order at %d", ErrCorrupt, k)
 		}
-		s.queue = append(s.queue, tj)
+		prev = tj.Arrival
+		s.pq.enqueue(tj)
 	}
 	hasFaults := d.Bool()
 	if err := d.Sticky(); err != nil {

@@ -17,6 +17,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"strconv"
 	"strings"
 
 	"hierdrl/internal/benchfmt"
@@ -67,7 +69,13 @@ func hasPrefixAny(name string, prefixes []string) bool {
 }
 
 func main() {
-	out := Output{Context: map[string]string{}}
+	// `go test` prints the cpu model but neither the core count nor the
+	// toolchain; benchjson runs on the same machine from the same `go`, so it
+	// records its own.
+	out := Output{Context: map[string]string{
+		"num_cpu":    strconv.Itoa(runtime.NumCPU()),
+		"go_version": runtime.Version(),
+	}}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {

@@ -356,9 +356,10 @@ func (s *Server) setState(to PowerState) {
 
 // queuePop removes and returns the queue head. The backing array is consumed
 // through qhead and recycled when the queue drains (or compacted when the
-// dead prefix dominates), so steady-state queueing never reallocates.
-// Session.popHead (package hierdrl) mirrors this scheme for the pending
-// arrival queue — change it in both places together.
+// dead prefix dominates), so steady-state queueing never reallocates. This
+// FCFS line only ever grows at the tail; the session's pending arrival queue
+// (pendingQueue, package hierdrl) also inserts at the head and keeps its own
+// rule.
 func (s *Server) queuePop() *Job {
 	j := s.queue[s.qhead]
 	s.queue[s.qhead] = nil

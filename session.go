@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"hierdrl/internal/cluster"
 	"hierdrl/internal/fault"
@@ -15,7 +14,6 @@ import (
 	"hierdrl/internal/policy"
 	"hierdrl/internal/sim"
 	"hierdrl/internal/telemetry"
-	"hierdrl/internal/trace"
 )
 
 // ErrSessionClosed is returned after Close by every Session method that
@@ -146,11 +144,8 @@ type Session struct {
 	// strict lane or the shard runner (see engine).
 	eng engine
 
-	// Ingestion: pending arrivals ordered by (arrival, submission order),
-	// consumed through qhead so steady-state streaming reuses the backing
-	// array.
-	queue    []trace.Job
-	qhead    int
+	// Ingestion: pending arrivals ordered by (arrival, submission order).
+	pq       pendingQueue
 	ingested int64
 
 	// pool recycles completed cluster jobs (steady-state arrivals allocate
@@ -575,14 +570,11 @@ func (s *Session) retryEvicted(t sim.Time, j *cluster.Job) {
 	}
 }
 
-// enqueue appends one job to the pending queue, keeping the pending region
-// sorted by arrival and stable in submission order (streams are near-sorted
-// in practice, so the bubble is O(1) amortized), and lets the engine re-arm.
+// enqueue adds one job to the pending queue behind every queued job that
+// arrives no later (see pendingQueue.enqueue for the cost) and lets the
+// engine re-arm.
 func (s *Session) enqueue(tj Job) {
-	s.queue = append(s.queue, tj)
-	for i := len(s.queue) - 1; i > s.qhead && s.queue[i].Arrival < s.queue[i-1].Arrival; i-- {
-		s.queue[i], s.queue[i-1] = s.queue[i-1], s.queue[i]
-	}
+	s.pq.enqueue(tj)
 	s.eng.arm()
 }
 
@@ -592,7 +584,7 @@ func (s *Session) enqueue(tj Job) {
 // timer), so fault-aware Drain stops on this accounting condition rather
 // than on queue exhaustion.
 func (s *Session) drained() bool {
-	return s.qhead >= len(s.queue) && s.cl.Completed()+s.lost == s.ingested
+	return s.pq.pending() == 0 && s.cl.Completed()+s.lost == s.ingested
 }
 
 // fail latches the first terminal error; once set, every clock-advancing
@@ -608,11 +600,7 @@ func (s *Session) fail(err error) error {
 // jobs, making a bounded stream allocation-free once the pools are warm.
 func (s *Session) Reserve(n int) {
 	s.col.Reserve(n)
-	if need := len(s.queue) + n; need > cap(s.queue) {
-		grown := make([]trace.Job, len(s.queue), need)
-		copy(grown, s.queue)
-		s.queue = grown
-	}
+	s.pq.reserve(n)
 }
 
 // Submit ingests one job. The job's ID is assigned by the session (ingestion
@@ -634,8 +622,8 @@ func (s *Session) Submit(j Job) error {
 }
 
 // SubmitTrace ingests every job of tr (IDs are reassigned to ingestion
-// order). It is equivalent to submitting the jobs one by one, but sorts an
-// out-of-order batch once instead of insertion-sorting it.
+// order). It is equivalent to submitting the jobs one by one, but merges an
+// out-of-order batch with one stable sort instead of an insert per job.
 func (s *Session) SubmitTrace(tr *Trace) error {
 	if s.closed {
 		return ErrSessionClosed
@@ -653,23 +641,8 @@ func (s *Session) SubmitTrace(tr *Trace) error {
 		}
 	}
 	s.Reserve(len(tr.Jobs))
-	unsorted := false
-	for _, tj := range tr.Jobs {
-		tj.ID = int(s.ingested)
-		if n := len(s.queue); n > s.qhead && tj.Arrival < s.queue[n-1].Arrival {
-			unsorted = true
-		}
-		s.queue = append(s.queue, tj)
-		s.ingested++
-	}
-	if unsorted {
-		// Stable sort of the pending region reproduces the (arrival,
-		// submission order) total order the per-job bubble maintains.
-		pending := s.queue[s.qhead:]
-		sort.SliceStable(pending, func(a, b int) bool {
-			return pending[a].Arrival < pending[b].Arrival
-		})
-	}
+	s.pq.enqueueAll(tr.Jobs, int(s.ingested))
+	s.ingested += int64(len(tr.Jobs))
 	s.eng.arm()
 	return nil
 }
@@ -678,9 +651,7 @@ func (s *Session) SubmitTrace(tr *Trace) error {
 // epoch both tiers share. The calling engine has made s.view current for
 // allocators that read it (needsView) and commits the returned job itself.
 func (s *Session) allocate() (j *cluster.Job, target int) {
-	tj := s.queue[s.qhead]
-	s.popHead()
-	j = s.takeJob(tj)
+	j = s.takeJob(s.pq.pop())
 	switch {
 	case s.fastLL:
 		// Least-loaded answers from the incrementally maintained load index:
@@ -724,23 +695,6 @@ func (s *Session) takeJob(tj Job) *cluster.Job {
 		}
 	}
 	return j
-}
-
-// popHead consumes the queue head, recycling the backing array when the
-// queue drains and compacting when the dead prefix dominates. It mirrors
-// Server.queuePop (internal/cluster) over value elements; the higher
-// compaction floor reflects the larger element size and queue scale here —
-// change the scheme in both places together.
-func (s *Session) popHead() {
-	s.qhead++
-	if s.qhead == len(s.queue) {
-		s.queue = s.queue[:0]
-		s.qhead = 0
-	} else if s.qhead > 1024 && s.qhead*2 > len(s.queue) {
-		n := copy(s.queue, s.queue[s.qhead:])
-		s.queue = s.queue[:n]
-		s.qhead = 0
-	}
 }
 
 // ctxErr reports the session context's cancellation state without blocking.
@@ -880,7 +834,7 @@ func (s *Session) Drain() error {
 func (s *Session) Now() Time { return s.eng.now() }
 
 // Pending returns the number of ingested jobs not yet dispatched.
-func (s *Session) Pending() int { return len(s.queue) - s.qhead }
+func (s *Session) Pending() int { return s.pq.pending() }
 
 // Ingested returns the number of jobs accepted so far.
 func (s *Session) Ingested() int64 { return s.ingested }

@@ -381,8 +381,8 @@ func (r *shardRunner) nextEventTime() sim.Time {
 // last dispatch and drains the lanes.
 func (r *shardRunner) step(until sim.Time) bool {
 	s := r.s
-	if s.qhead < len(s.queue) {
-		at := sim.Time(s.queue[s.qhead].Arrival)
+	if s.pq.pending() > 0 {
+		at := sim.Time(s.pq.head().Arrival)
 		if r.clock > at {
 			// A late submission: like the strict pump, dispatch at the
 			// current clock (latency still counts from the declared arrival).

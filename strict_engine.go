@@ -71,10 +71,10 @@ func (e *strictLane) now() sim.Time { return e.sm.Now() }
 // against simulation-spawned events).
 func (e *strictLane) arm() {
 	s := e.s
-	if s.qhead >= len(s.queue) {
+	if s.pq.pending() == 0 {
 		return
 	}
-	at := sim.Time(s.queue[s.qhead].Arrival)
+	at := sim.Time(s.pq.head().Arrival)
 	if now := e.sm.Now(); at < now {
 		// A late submission is dispatched at the current clock (its latency
 		// still counts from the declared arrival).
