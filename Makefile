@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-kernels bench-table1 bench-scale bench-check bench-selftest bench-full scale scale-smoke chaos-smoke crash-smoke scenario-smoke obs-smoke profile examples-smoke clean
+.PHONY: all build test race vet loc bench bench-kernels bench-table1 bench-scale bench-check bench-selftest bench-full scale scale-smoke chaos-smoke crash-smoke scenario-smoke obs-smoke profile examples-smoke clean
 
 all: vet build test
 
@@ -13,8 +13,21 @@ test:
 race:
 	$(GO) test -race ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
+
+# loc prints the non-test, non-blank, non-comment Go line count per package
+# (bench/ is a module of its own and is left out) — the figure CHANGES.md
+# quotes for size claims.
+loc:
+	@total=0; \
+	for d in $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs -n1 dirname | sort -u); do \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \
+		printf '%6d %s\n' $$n $$d; total=$$((total+n)); \
+	done; printf '%6d total\n' $$total
 
 # The kernel micro-benchmark set (also the CI perf-regression smoke).
 KERNEL_BENCH = BenchmarkMatMulVec$$|BenchmarkMatMulMat$$|BenchmarkQNetInferBatch$$|BenchmarkQNetworkInference$$|BenchmarkQNetworkTrainBatch$$|BenchmarkLSTMPredict$$|BenchmarkLSTMBPTT$$|BenchmarkEventLoop$$|BenchmarkSnapshot$$|BenchmarkAllocateEpoch$$|BenchmarkShardedEpoch$$|BenchmarkRequeueLargePending$$|BenchmarkTDigestAdd$$|BenchmarkTDigestMerge$$|BenchmarkEpochSpanRecord$$
@@ -80,10 +93,12 @@ chaos-smoke:
 # bitwise matrix across both tiers (incl. fault runs), the corrupt-snapshot
 # rejection table, and the end-to-end SIGKILL-and-resume drill against the
 # hiersim binary; then, under the race detector, the fault run checkpointed
-# right after a head-side retry insert and resumed at P = 1/2.
+# right after a head-side retry insert and resumed at P = 1/2, the
+# parent-written golden snapshots re-emitted byte for byte (format pin), and
+# every state walk over every strict prefix of its own payload.
 crash-smoke:
 	$(GO) test -run 'TestCheckpointResumeBitwise|TestRestoreRejectsCorruptSnapshots|TestAutoCheckpointRotationAndResume|TestCrashResumeHarnessCLI' -v .
-	$(GO) test -race -run 'TestCheckpointAfterHeadSideInsert' -v .
+	$(GO) test -race -run 'TestCheckpointAfterHeadSideInsert|TestGoldenSnapshotsByteIdentical|TestStateWalksRejectEveryPrefix' -v .
 
 # scenario-smoke is the workload-subsystem CI gate: every registered
 # scenario's Summary must be bitwise identical at P = 1/2/4 shards and run to

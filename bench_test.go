@@ -251,18 +251,21 @@ func BenchmarkMatMulVec(b *testing.B) {
 }
 
 // BenchmarkMatMulMat measures the batched GEMM path at the target-network
-// evaluation shape (96-row minibatch through the 128x64 layer).
+// evaluation shape (96-row minibatch through the 128x64 layer), the way
+// production runs it: against the layer's cached transpose.
 func BenchmarkMatMulMat(b *testing.B) {
 	rng := mat.NewRNG(1)
 	X := mat.NewDense(96, 64)
 	rng.FillNormal(X, 0, 1)
 	W := mat.NewDense(128, 64)
 	rng.FillNormal(W, 0, 1)
+	WT := mat.NewDense(64, 128)
+	mat.TransposeInto(W, WT)
 	Y := mat.NewDense(96, 128)
 	b.SetBytes(int64(96 * 64 * 128 * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mat.MulMatT(X, W, Y)
+		mat.MulMatTWithBT(X, W, WT, Y)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 
 	"hierdrl/internal/checkpoint"
 	"hierdrl/internal/cluster"
-	"hierdrl/internal/sim"
 	"hierdrl/internal/trace"
 )
 
@@ -101,109 +100,205 @@ func (s *Session) Checkpoint(w io.Writer) (err error) {
 	}
 	wr := checkpoint.NewWriter(fnv64a(cfgJSON))
 	wr.Section(secConfig).Bytes(cfgJSON)
-
-	// Register the remaining sections in file order up front; the writer
-	// buffers them, so the fill order below can differ (the cluster fills
-	// first because its job table indexes the engine's in-flight dispatches).
-	engineEnc := wr.Section(secEngine)
-	clusterEnc := wr.Section(secCluster)
-	sessionEnc := wr.Section(secSession)
-	agentEnc := wr.Section(secAgent)
-	allocEnc := wr.Section(secAlloc)
-	metricsEnc := wr.Section(secMetrics)
-	mergerEnc := wr.Section(secMerger)
-
-	// Dispatches already allocated but not yet committed to a lane live only
-	// in the engine; hand them to the cluster so they join its job table.
-	idx := s.cl.SaveState(clusterEnc, s.eng.inflight())
-
-	s.saveEngine(engineEnc, idx)
-	s.saveSessionState(sessionEnc)
-
-	agentEnc.Bool(s.agent != nil)
-	if s.agent != nil {
-		s.agent.SaveState(agentEnc)
+	eng := wr.Section(secEngine).Codec()
+	p := s.cl.Shards()
+	eng.Int(&p)
+	// The writer buffers its sections, so the walk may return to the engine
+	// section after later ones; the file keeps the order of first opening.
+	err = s.state(eng, func(name string, walk func(*checkpoint.Codec)) error {
+		walk(wr.Section(name).Codec())
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-
-	// The DRL agent doubles as the allocator and is already captured above;
-	// every other allocator serializes as its own component.
-	allocEnc.Bool(s.cfg.Alloc != AllocDRL)
-	if s.cfg.Alloc != AllocDRL {
-		checkpoint.SaveComponent(allocEnc, s.alloc)
-	}
-
-	s.col.SaveState(metricsEnc)
-
-	mergerEnc.Bool(s.merger != nil)
-	if s.merger != nil {
-		s.merger.SaveState(mergerEnc)
-	}
-
 	_, err = wr.WriteTo(w)
 	return err
 }
 
-// saveEngine captures the execution tier: shard count, per-lane clock and
-// sequence counters, then the engine's own in-flight scheduling state (the
-// strict tier's pump timer; the parallel tier's engine clock and uncommitted
-// dispatches, by cluster job-table index).
-func (s *Session) saveEngine(e *checkpoint.Enc, idx map[*cluster.Job]int32) {
-	p := s.cl.Shards()
-	e.Int(p)
-	for i := 0; i < p; i++ {
+// state walks every section after the config in the one order both
+// directions need: lane clocks first (the cluster's timers validate against
+// them), the cluster before the engine tail (in-flight dispatches refer into
+// its job table), then the layers above. eng is the engine section, already
+// past the shard count; section runs a walk over each further one and, when
+// decoding, reports its failure or an unconsumed payload.
+func (s *Session) state(eng *checkpoint.Codec, section func(name string, walk func(*checkpoint.Codec)) error) error {
+	for i := 0; i < s.cl.Shards(); i++ {
 		lane := s.cl.Lane(i)
-		e.F64(float64(lane.Now()))
+		now := lane.Now()
 		seq, prioSeq, nFired := lane.Counters()
-		e.I64(seq)
-		e.I64(prioSeq)
-		e.I64(nFired)
+		eng.F64((*float64)(&now))
+		eng.I64(&seq)
+		eng.I64(&prioSeq)
+		eng.I64(&nFired)
+		if !eng.Decoding() {
+			continue
+		}
+		if err := eng.Err(); err != nil {
+			return err
+		}
+		if math.IsNaN(float64(now)) || now < 0 || nFired < 0 {
+			return fmt.Errorf("%w: lane %d clock %v, %d fired", ErrCorrupt, i, now, nFired)
+		}
+		// RestoreBegin wipes the construction-time event queue.
+		lane.RestoreBegin(now, seq, prioSeq, nFired)
 	}
-	s.eng.saveTail(e, idx)
+	var tab *cluster.JobTable
+	// Dispatches already allocated but not yet committed to a lane live only
+	// in the engine; hand them to the cluster so they join its job table.
+	err := section(secCluster, func(c *checkpoint.Codec) { tab = s.cl.State(c, s.eng.inflight()) })
+	if err != nil {
+		return err
+	}
+	s.eng.tailState(eng, tab)
+	if err := eng.End(); err != nil {
+		return err
+	}
+	if err := section(secSession, s.sessionState); err != nil {
+		return err
+	}
+	if err := section(secAgent, optional(secAgent, s.agent != nil, s.agent.State)); err != nil {
+		return err
+	}
+	// The DRL agent doubles as the allocator and is already captured above;
+	// every other allocator walks as its own component.
+	err = section(secAlloc, optional(secAlloc, s.cfg.Alloc != AllocDRL, func(c *checkpoint.Codec) { c.Component(s.alloc) }))
+	if err != nil {
+		return err
+	}
+	if err := section(secMetrics, s.col.State); err != nil {
+		return err
+	}
+	return section(secMerger, optional(secMerger, s.merger != nil, s.merger.State))
+}
+
+// optional wraps the walk of a component the snapshot records behind a
+// presence flag: the flag must agree with has — whether this session, built
+// from the snapshot's own config, has that component — and walk runs only
+// when it is present.
+func optional(name string, has bool, walk func(*checkpoint.Codec)) func(*checkpoint.Codec) {
+	return func(c *checkpoint.Codec) {
+		got := has
+		c.Bool(&got)
+		if got != has {
+			c.Fail(ErrCorrupt, "%s presence %v contradicts config", name, got)
+		} else if has {
+			walk(c)
+		}
+	}
 }
 
 // queuedJobBytes is a lower bound on one serialized pending arrival
 // (Int ID + F64 arrival + F64 duration + NumResources × F64).
 const queuedJobBytes = 8*3 + 8*trace.NumResources
 
-// saveSessionState captures the ingestion and fault-retry layer: counters,
-// the undispatched arrival queue, the per-job retry map (sorted by ID for a
-// canonical byte stream), and the retry policy component.
-func (s *Session) saveSessionState(e *checkpoint.Enc) {
-	e.I64(s.ingested)
-	e.Bool(s.finished)
+// sessionState walks the ingestion and fault-retry layer: counters, the
+// undispatched arrival queue (validating its arrival-order invariant when
+// decoding), the per-job retry map (sorted by ID for a canonical byte
+// stream), and the retry policy component, whose presence must match the
+// rebuilt config.
+func (s *Session) sessionState(c *checkpoint.Codec) {
+	dec := c.Decoding()
+	c.I64(&s.ingested)
+	c.Bool(&s.finished)
 	pending := s.pq.jobs()
-	e.Int(len(pending))
-	for i := range pending {
-		tj := &pending[i]
-		e.Int(tj.ID)
-		e.F64(tj.Arrival)
-		e.F64(tj.Duration)
-		for r := 0; r < trace.NumResources; r++ {
-			e.F64(tj.Req[r])
+	nq := c.Count(len(pending), queuedJobBytes)
+	if dec {
+		if c.Err() == nil && s.ingested < 0 {
+			c.Fail(ErrCorrupt, "ingested %d", s.ingested)
+			return
 		}
+		pending = make([]trace.Job, nq)
+		s.pq.reset()
 	}
-	e.Bool(s.fm != nil)
-	if s.fm != nil {
+	prev := math.Inf(-1)
+	for k := range pending {
+		tj := &pending[k]
+		c.Int(&tj.ID)
+		c.F64(&tj.Arrival)
+		c.F64(&tj.Duration)
+		for r := range tj.Req {
+			c.F64(&tj.Req[r])
+		}
+		if !dec {
+			continue
+		}
+		if c.Err() != nil {
+			return
+		}
+		if math.IsNaN(tj.Arrival) || math.IsNaN(tj.Duration) || tj.Duration < 0 {
+			c.Fail(ErrCorrupt, "queued job %d arrival %v duration %v", tj.ID, tj.Arrival, tj.Duration)
+			return
+		}
+		if tj.Arrival < prev {
+			c.Fail(ErrCorrupt, "arrival queue out of order at %d", k)
+			return
+		}
+		prev = tj.Arrival
+		s.pq.enqueue(*tj)
+	}
+	hasFaults := s.fm != nil
+	c.Bool(&hasFaults)
+	if hasFaults != (s.fm != nil) {
+		c.Fail(ErrCorrupt, "fault layer presence %v contradicts config", hasFaults)
+		return
+	}
+	if hasFaults {
 		ids := make([]int, 0, len(s.retry))
 		for id := range s.retry {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
-		e.Int(len(ids))
+		nr := c.Count(len(ids), 8+8+8)
+		if dec {
+			ids = make([]int, nr)
+		}
 		for _, id := range ids {
 			ri := s.retry[id]
-			e.Int(id)
-			e.Int(ri.attempts)
-			e.F64(ri.orig)
+			c.Int(&id)
+			c.Int(&ri.attempts)
+			c.F64(&ri.orig)
+			if !dec {
+				continue
+			}
+			if c.Err() != nil {
+				return
+			}
+			if ri.attempts < 1 || math.IsNaN(ri.orig) {
+				c.Fail(ErrCorrupt, "retry record for job %d: %d attempts, orig %v", id, ri.attempts, ri.orig)
+				return
+			}
+			s.retry[id] = ri
 		}
-		checkpoint.SaveComponent(e, s.rp)
+		c.Component(s.rp)
 	}
-	e.I64(s.interrupted)
-	e.I64(s.retried)
-	e.I64(s.lost)
-	e.F64(s.lostWork)
-	e.I64(s.migrated)
-	e.I64(s.domainOutages)
+	c.I64(&s.interrupted)
+	c.I64(&s.retried)
+	c.I64(&s.lost)
+	c.F64(&s.lostWork)
+	c.I64(&s.migrated)
+	c.I64(&s.domainOutages)
+	if !dec || c.Err() != nil {
+		return
+	}
+	if s.interrupted < 0 || s.retried < 0 || s.lost < 0 || math.IsNaN(s.lostWork) ||
+		s.migrated < 0 || s.domainOutages < 0 {
+		c.Fail(ErrCorrupt, "fault tallies %d/%d/%d/%d/%d/%v",
+			s.interrupted, s.migrated, s.retried, s.lost, s.domainOutages, s.lostWork)
+		return
+	}
+	// The per-domain down counters are derived state: recompute them from the
+	// restored server states rather than serializing a redundant copy.
+	if s.domIdx != nil {
+		for i := range s.domDown {
+			s.domDown[i] = 0
+		}
+		for i := 0; i < s.cl.M(); i++ {
+			if s.cl.Down(i) {
+				s.domDown[s.domIdx[i]]++
+			}
+		}
+	}
 }
 
 // Restore rebuilds a Session from a snapshot written by Checkpoint. The
@@ -232,8 +327,10 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := engDec.Int()
-	if err := engDec.Sticky(); err != nil {
+	eng := engDec.Codec()
+	var p int
+	eng.Int(&p)
+	if err := eng.Err(); err != nil {
 		return nil, err
 	}
 	if p < 1 || p > 1<<16 {
@@ -247,104 +344,19 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hierdrl: restore: rebuild session: %w", err)
 	}
-	ok := false
-	defer func() {
-		if !ok {
-			s.Close()
-		}
-	}()
-
-	// Lane clocks and sequence counters first: RestoreBegin wipes the
-	// construction-time event queues, and the cluster's timer re-registration
-	// below validates against the restored clocks.
-	for i := 0; i < p; i++ {
-		now := sim.Time(engDec.F64())
-		seq := engDec.I64()
-		prioSeq := engDec.I64()
-		nFired := engDec.I64()
-		if err := engDec.Sticky(); err != nil {
-			return nil, err
-		}
-		if math.IsNaN(float64(now)) || now < 0 || nFired < 0 {
-			return nil, fmt.Errorf("%w: lane %d clock %v, %d fired", ErrCorrupt, i, now, nFired)
-		}
-		s.cl.Lane(i).RestoreBegin(now, seq, prioSeq, nFired)
-	}
-
-	var table []*cluster.Job
-	err = restoreSection(rd, secCluster, func(d *checkpoint.Dec) (err error) {
-		table, err = s.cl.RestoreState(d)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := s.eng.restoreTail(engDec, table); err != nil {
-		return nil, err
-	}
-	if err := engDec.Err(); err != nil {
-		return nil, err
-	}
-	if err := restoreSection(rd, secSession, s.restoreSessionState); err != nil {
-		return nil, err
-	}
-	err = restoreOptional(rd, secAgent, s.agent != nil, func(d *checkpoint.Dec) error {
-		return s.agent.RestoreState(d)
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = restoreOptional(rd, secAlloc, s.cfg.Alloc != AllocDRL, func(d *checkpoint.Dec) error {
-		return checkpoint.RestoreComponent(d, s.alloc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := restoreSection(rd, secMetrics, s.col.RestoreState); err != nil {
-		return nil, err
-	}
-	err = restoreOptional(rd, secMerger, s.merger != nil, func(d *checkpoint.Dec) error {
-		return s.merger.RestoreState(d)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	ok = true
-	return s, nil
-}
-
-// restoreSection opens the named section, hands its decoder to restore, and
-// rejects a payload that was not consumed exactly.
-func restoreSection(rd *checkpoint.Reader, name string, restore func(*checkpoint.Dec) error) error {
-	d, err := rd.Section(name)
-	if err != nil {
-		return err
-	}
-	if err := restore(d); err != nil {
-		return err
-	}
-	return d.Err()
-}
-
-// restoreOptional is restoreSection for a component the snapshot records
-// behind a presence flag: the flag must agree with want — whether the session
-// rebuilt from the snapshot's own config has that component — and restore
-// runs only when it is present.
-func restoreOptional(rd *checkpoint.Reader, name string, want bool, restore func(*checkpoint.Dec) error) error {
-	return restoreSection(rd, name, func(d *checkpoint.Dec) error {
-		has := d.Bool()
-		if err := d.Sticky(); err != nil {
+	err = s.state(eng, func(name string, walk func(*checkpoint.Codec)) error {
+		d, err := rd.Section(name)
+		if err != nil {
 			return err
 		}
-		if has != want {
-			return fmt.Errorf("%w: %s presence %v contradicts config", ErrCorrupt, name, has)
-		}
-		if !has {
-			return nil
-		}
-		return restore(d)
+		walk(d.Codec())
+		return d.Err()
 	})
+	if err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
 // restoreConfig decodes and cross-checks the embedded Config: the section
@@ -369,98 +381,6 @@ func restoreConfig(rd *checkpoint.Reader) (Config, error) {
 	}
 	cfg.WarmupTrace = nil
 	return cfg, nil
-}
-
-// restoreSessionState decodes the ingestion and fault-retry layer written by
-// saveSessionState, validating the arrival queue's (arrival, order) sort
-// invariant and the fault-layer presence against the rebuilt config.
-func (s *Session) restoreSessionState(d *checkpoint.Dec) error {
-	s.ingested = d.I64()
-	s.finished = d.Bool()
-	nq := d.SliceLen(queuedJobBytes)
-	if err := d.Sticky(); err != nil {
-		return err
-	}
-	if s.ingested < 0 {
-		return fmt.Errorf("%w: ingested %d", ErrCorrupt, s.ingested)
-	}
-	s.pq.reset()
-	prev := math.Inf(-1)
-	for k := 0; k < nq; k++ {
-		var tj trace.Job
-		tj.ID = d.Int()
-		tj.Arrival = d.F64()
-		tj.Duration = d.F64()
-		for r := 0; r < trace.NumResources; r++ {
-			tj.Req[r] = d.F64()
-		}
-		if err := d.Sticky(); err != nil {
-			return err
-		}
-		if math.IsNaN(tj.Arrival) || math.IsNaN(tj.Duration) || tj.Duration < 0 {
-			return fmt.Errorf("%w: queued job %d arrival %v duration %v", ErrCorrupt, tj.ID, tj.Arrival, tj.Duration)
-		}
-		if tj.Arrival < prev {
-			return fmt.Errorf("%w: arrival queue out of order at %d", ErrCorrupt, k)
-		}
-		prev = tj.Arrival
-		s.pq.enqueue(tj)
-	}
-	hasFaults := d.Bool()
-	if err := d.Sticky(); err != nil {
-		return err
-	}
-	if hasFaults != (s.fm != nil) {
-		return fmt.Errorf("%w: fault layer presence %v contradicts config", ErrCorrupt, hasFaults)
-	}
-	if hasFaults {
-		nr := d.SliceLen(8 + 8 + 8)
-		if err := d.Sticky(); err != nil {
-			return err
-		}
-		for k := 0; k < nr; k++ {
-			id := d.Int()
-			attempts := d.Int()
-			orig := d.F64()
-			if err := d.Sticky(); err != nil {
-				return err
-			}
-			if attempts < 1 || math.IsNaN(orig) {
-				return fmt.Errorf("%w: retry record for job %d: %d attempts, orig %v", ErrCorrupt, id, attempts, orig)
-			}
-			s.retry[id] = retryInfo{attempts: attempts, orig: orig}
-		}
-		if err := checkpoint.RestoreComponent(d, s.rp); err != nil {
-			return err
-		}
-	}
-	s.interrupted = d.I64()
-	s.retried = d.I64()
-	s.lost = d.I64()
-	s.lostWork = d.F64()
-	s.migrated = d.I64()
-	s.domainOutages = d.I64()
-	if err := d.Sticky(); err != nil {
-		return err
-	}
-	if s.interrupted < 0 || s.retried < 0 || s.lost < 0 || math.IsNaN(s.lostWork) ||
-		s.migrated < 0 || s.domainOutages < 0 {
-		return fmt.Errorf("%w: fault tallies %d/%d/%d/%d/%d/%v", ErrCorrupt,
-			s.interrupted, s.migrated, s.retried, s.lost, s.domainOutages, s.lostWork)
-	}
-	// The per-domain down counters are derived state: recompute them from the
-	// restored server states rather than serializing a redundant copy.
-	if s.domIdx != nil {
-		for i := range s.domDown {
-			s.domDown[i] = 0
-		}
-		for i := 0; i < s.cl.M(); i++ {
-			if s.cl.Down(i) {
-				s.domDown[s.domIdx[i]]++
-			}
-		}
-	}
-	return nil
 }
 
 // SaveWeights serializes only the DRL agent's online-network weights — the

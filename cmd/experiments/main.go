@@ -47,10 +47,10 @@ func main() {
 	}
 
 	run := map[string]func(func(int) hierdrl.Scale){
-		"table1":   table1,
-		"fig8":     func(s func(int) hierdrl.Scale) { figSeries(8, 30, s) },
-		"fig9":     func(s func(int) hierdrl.Scale) { figSeries(9, 40, s) },
-		"fig10":    fig10,
+		"table1":      table1,
+		"fig8":        func(s func(int) hierdrl.Scale) { figSeries(8, 30, s) },
+		"fig9":        func(s func(int) hierdrl.Scale) { figSeries(9, 40, s) },
+		"fig10":       fig10,
 		"lstm":        lstmStudy,
 		"ablation":    ablation,
 		"faultmatrix": faultMatrix,

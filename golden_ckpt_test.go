@@ -1,0 +1,95 @@
+package hierdrl_test
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"hierdrl"
+)
+
+// goldenSnapshots pins snapshot format v3 byte for byte. Each file under
+// testdata/ was written at PR 13's commit (before the state walks were folded
+// into one function per component) by exactly the run described here, and
+// want holds the Summary bits that commit produced when it restored the file
+// and drained (faultBits: the base measurements plus the fault telemetry).
+// Together the three cover every section a snapshot can carry — DRL agent,
+// replay memory, per-server LSTM + RL timeout, merger and pended dispatches
+// (P=2), fault clocks and retry map, and the v3 sketch extension.
+var goldenSnapshots = []struct {
+	file   string
+	shards int
+	pause  int64
+	cfg    func() hierdrl.Config
+	opts   []hierdrl.SessionOption
+	jobs   int
+	want   [17]uint64
+}{
+	{"hier30_p1_pr13.ckpt", 1, 120, goldenHier30, nil, 200, goldenHier30Bits},
+	{"hier30_p2_pr13.ckpt", 2, 120, goldenHier30, nil, 200, goldenHier30Bits}, // strict == sharded
+	{"sketch_faults_p2_pr13.ckpt", 2, 750, func() hierdrl.Config { return expCrashCfg(8, hierdrl.RetryBackoff) },
+		[]hierdrl.SessionOption{hierdrl.WithSketchOnly()}, 1500,
+		[17]uint64{0x4022e55599835a0f, 0x4137bf6cf3c7f696, 0x4089a4035c214c9c, 0x40903638a0f5bc22, 0x40d624c04fe5ed89, 0x40a82597fb050070, 0x403b596a8f995878, 0x40e43da9dc12e364, 0x3fef9e6fbf7ed529, 0x407670c92773fe9c, 0x40e2e9fbc21e853e, 0xb0000000b, 0x2a, 0x2a00000000}},
+}
+
+var goldenHier30Bits = [17]uint64{0x3ff7b94740b152b5, 0x4107b2cdebd679d4, 0x4084697b7d470eb0, 0x408e5582758d68bd, 0x40da104d87d2d01d, 0x40a4f305576b3a5a, 0x401220a9d14f92a1, 0x40bfec04b7279fbd, 0x3ff0000000000000}
+
+func goldenHier30() hierdrl.Config {
+	cfg := hierdrl.Hierarchical(30)
+	cfg.WarmupTrace = hierdrl.SyntheticTrace(40, 1001)
+	return cfg
+}
+
+// goldenRun replays case i up to its pause point and returns the paused
+// session with its snapshot.
+func goldenRun(t testing.TB, i int) (*hierdrl.Session, []byte) {
+	t.Helper()
+	g := goldenSnapshots[i]
+	cfg := g.cfg()
+	opts := append([]hierdrl.SessionOption{hierdrl.WithShards(g.shards)}, g.opts...)
+	s, err := hierdrl.NewSession(cfg, opts...)
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	if err := s.SubmitTrace(hierdrl.SyntheticTraceForCluster(g.jobs, cfg.M, 1)); err != nil {
+		t.Fatal(err)
+	}
+	stepToCompleted(t, s, g.pause)
+	var snap bytes.Buffer
+	if err := s.Checkpoint(&snap); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	return s, snap.Bytes()
+}
+
+// TestGoldenSnapshotsByteIdentical: today's code must re-emit every pinned
+// snapshot byte for byte at the same Step, restore the pinned file, and finish
+// the run with the bits the writing commit finished it with.
+func TestGoldenSnapshotsByteIdentical(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("snapshots recorded on amd64; see goldenM6")
+	}
+	for i, g := range goldenSnapshots {
+		t.Run(g.file, func(t *testing.T) {
+			old, err := os.ReadFile(filepath.Join("testdata", g.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, snap := goldenRun(t, i)
+			defer s.Close()
+			if !bytes.Equal(snap, old) {
+				t.Errorf("snapshot differs from the pinned one (%d vs %d bytes)", len(snap), len(old))
+			}
+			restored, err := hierdrl.Restore(bytes.NewReader(old))
+			if err != nil {
+				t.Fatalf("restore of the pinned snapshot: %v", err)
+			}
+			defer restored.Close()
+			if got := faultBits(drainResult(t, restored).Summary); got != g.want {
+				t.Errorf("pinned snapshot finished with %#x, at its own commit with %#x", got, g.want)
+			}
+		})
+	}
+}

@@ -56,11 +56,10 @@ var (
 
 // Stateful is the opt-in interface for pluggable components (allocators,
 // power managers, predictors, failure clocks, retry policies) that carry
-// run-time state: they serialize into and restore from a section stream.
-// RestoreState reads exactly what SaveState wrote.
+// run-time state. State names every persisted field once, in stream order;
+// the Codec decides whether the walk writes or reads them.
 type Stateful interface {
-	SaveState(e *Enc)
-	RestoreState(d *Dec) error
+	State(c *Codec)
 }
 
 // RNGState is the serializable face of a deterministic generator (seed plus
@@ -69,28 +68,6 @@ type Stateful interface {
 type RNGState interface {
 	State() (seed, draws int64)
 	Restore(seed, draws int64)
-}
-
-// SaveRNG appends a generator's (seed, draws) state.
-func SaveRNG(e *Enc, r RNGState) {
-	seed, draws := r.State()
-	e.I64(seed)
-	e.I64(draws)
-}
-
-// RestoreRNG reads a (seed, draws) state and rewinds r to it in place.
-func RestoreRNG(d *Dec, r RNGState) error {
-	seed := d.I64()
-	draws := d.I64()
-	if err := d.err; err != nil {
-		return err
-	}
-	if draws < 0 {
-		d.fail("negative RNG draw count %d", draws)
-		return d.err
-	}
-	r.Restore(seed, draws)
-	return nil
 }
 
 // Stateless is the opt-in marker for pluggable components that carry no
@@ -107,50 +84,148 @@ type Stateless interface {
 // anyway would silently drop its state, so Checkpoint fails loudly instead.
 var ErrNotCheckpointable = errors.New("checkpoint: component is neither Stateful nor Stateless")
 
-// saveFailure carries an ErrNotCheckpointable out of a SaveState call chain
-// (SaveState itself cannot return errors) to the Catch at the top.
+// saveFailure carries an ErrNotCheckpointable out of an encoding walk (State
+// cannot return errors) to the Catch at the top.
 type saveFailure struct{ err error }
 
-// SaveComponent writes a pluggable component's state: a presence flag and,
-// for a Stateful, its payload. A component implementing neither interface
-// aborts the snapshot by panicking with a failure that Catch converts back
-// into an ErrNotCheckpointable.
-func SaveComponent(e *Enc, c any) {
-	switch v := c.(type) {
-	case Stateful:
-		e.Bool(true)
-		v.SaveState(e)
-	case Stateless:
-		e.Bool(false)
-	default:
-		panic(saveFailure{fmt.Errorf("%w: %T", ErrNotCheckpointable, c)})
-	}
+// Codec is one direction of a state walk: built over an Enc it appends every
+// field it is shown, built over a Dec it overwrites them from the payload.
+// A component therefore declares what it persists once, and the two
+// directions cannot drift apart. Restore-only work (validation, timer
+// re-scheduling, cache invalidation) sits behind Decoding(). Decode failures
+// latch in the Dec: after the first one every read yields the zero value and
+// every Count is 0, so a walk runs to its end without acting on garbage.
+type Codec struct {
+	e *Enc
+	d *Dec
 }
 
-// RestoreComponent reads what SaveComponent wrote into the freshly
-// constructed component c, which must have the same checkpointability as
-// the one that was saved.
-func RestoreComponent(d *Dec, c any) error {
-	hasState := d.Bool()
-	if err := d.err; err != nil {
-		return err
-	}
-	if !hasState {
-		if _, ok := c.(Stateful); ok {
-			d.fail("stateless snapshot for stateful component %T", c)
-			return d.err
-		}
+// Codec returns the encoding direction over e.
+func (e *Enc) Codec() *Codec { return &Codec{e: e} }
+
+// Codec returns the decoding direction over d.
+func (d *Dec) Codec() *Codec { return &Codec{d: d} }
+
+// Save runs s's walk in the encoding direction.
+func Save(e *Enc, s Stateful) { s.State(e.Codec()) }
+
+// Restore runs s's walk in the decoding direction and returns its first
+// failure. A section payload routinely continues past any one component, so
+// the end-of-payload check stays with the section's driver (Dec.Err).
+func Restore(d *Dec, s Stateful) error {
+	s.State(d.Codec())
+	return d.err
+}
+
+// Decoding reports whether the walk reads (true) or writes (false).
+func (c *Codec) Decoding() bool { return c.d != nil }
+
+// Err returns the latched decode failure; an encoding walk never fails.
+func (c *Codec) Err() error {
+	if c.d == nil {
 		return nil
 	}
-	v, ok := c.(Stateful)
-	if !ok {
-		d.fail("stateful snapshot for stateless component %T", c)
-		return d.err
-	}
-	return v.RestoreState(d)
+	return c.d.err
 }
 
-// Catch converts a SaveComponent abort into an error return. Use as
+// End is Err plus the trailing-bytes check that closes a section.
+func (c *Codec) End() error {
+	if c.d == nil {
+		return nil
+	}
+	return c.d.Err()
+}
+
+// Fail latches a validation failure wrapping sentinel (ErrCorrupt or
+// ErrConfigMismatch) unless an earlier failure already did. Decoding only.
+func (c *Codec) Fail(sentinel error, format string, args ...any) {
+	if c.d.err == nil {
+		c.d.err = fmt.Errorf("%w: "+format, append([]any{sentinel}, args...)...)
+	}
+}
+
+func walk[T any](c *Codec, p *T, enc func(*Enc, T), dec func(*Dec) T) {
+	if c.d != nil {
+		*p = dec(c.d)
+	} else {
+		enc(c.e, *p)
+	}
+}
+
+// One method per primitive, each taking the field's address. Slices decode
+// into fresh storage (nil when empty).
+func (c *Codec) Bool(p *bool)      { walk(c, p, (*Enc).Bool, (*Dec).Bool) }
+func (c *Codec) Int(p *int)        { walk(c, p, (*Enc).Int, (*Dec).Int) }
+func (c *Codec) I32(p *int32)      { walk(c, p, (*Enc).I32, (*Dec).I32) }
+func (c *Codec) I64(p *int64)      { walk(c, p, (*Enc).I64, (*Dec).I64) }
+func (c *Codec) U64(p *uint64)     { walk(c, p, (*Enc).U64, (*Dec).U64) }
+func (c *Codec) F64(p *float64)    { walk(c, p, (*Enc).F64, (*Dec).F64) }
+func (c *Codec) Str(p *string)     { walk(c, p, (*Enc).Str, (*Dec).Str) }
+func (c *Codec) F64s(p *[]float64) { walk(c, p, (*Enc).F64s, (*Dec).F64s) }
+func (c *Codec) Ints(p *[]int)     { walk(c, p, (*Enc).Ints, (*Dec).Ints) }
+func (c *Codec) I64s(p *[]int64)   { walk(c, p, (*Enc).I64s, (*Dec).I64s) }
+
+// F64sFixed walks a length-prefixed []float64 whose length is construction
+// config: decoding fills v in place and fails on any other length.
+func (c *Codec) F64sFixed(v []float64) {
+	if c.d != nil {
+		c.d.F64sInto(v)
+	} else {
+		c.e.F64s(v)
+	}
+}
+
+// Count walks an element count: n is written, or read and bounded by the
+// remaining payload (elemSize is a lower bound on one encoded element), so a
+// corrupt count fails instead of driving an absurd allocation or loop. The
+// caller loops over the returned value in both directions.
+func (c *Codec) Count(n, elemSize int) int {
+	if c.d != nil {
+		return c.d.SliceLen(elemSize)
+	}
+	c.e.Int(n)
+	return n
+}
+
+// RNG walks a generator's (seed, draws) state, rewinding r in place.
+func (c *Codec) RNG(r RNGState) {
+	seed, draws := r.State()
+	c.I64(&seed)
+	c.I64(&draws)
+	if c.d == nil || c.d.err != nil {
+		return
+	}
+	if draws < 0 {
+		c.d.fail("negative RNG draw count %d", draws)
+		return
+	}
+	r.Restore(seed, draws)
+}
+
+// Component walks a pluggable component: a presence flag and, for a
+// Stateful, its own walk. Encoding a component that implements neither
+// interface aborts the snapshot by panicking with a failure that Catch
+// converts back into an ErrNotCheckpointable; decoding requires the freshly
+// constructed v to have the checkpointability of the one that was saved.
+func (c *Codec) Component(v any) {
+	s, stateful := v.(Stateful)
+	if _, stateless := v.(Stateless); c.d == nil && !stateful && !stateless {
+		panic(saveFailure{fmt.Errorf("%w: %T", ErrNotCheckpointable, v)})
+	}
+	has := stateful
+	c.Bool(&has)
+	switch {
+	case c.Err() != nil:
+	case has && !stateful:
+		c.d.fail("stateful snapshot for stateless component %T", v)
+	case !has && stateful:
+		c.d.fail("stateless snapshot for stateful component %T", v)
+	case has:
+		s.State(c)
+	}
+}
+
+// Catch converts a Codec.Component abort into an error return. Use as
 // `defer checkpoint.Catch(&err)` in the function driving a snapshot write.
 // Unrelated panics propagate.
 func Catch(err *error) {
@@ -236,8 +311,8 @@ func (e *Enc) Bytes(v []byte) {
 	e.buf = append(e.buf, v...)
 }
 
-// Len returns the number of bytes encoded so far.
-func (e *Enc) Len() int { return len(e.buf) }
+// Payload returns the bytes encoded so far (aliased, not copied).
+func (e *Enc) Payload() []byte { return e.buf }
 
 // Dec reads primitive values from a section payload. Errors are sticky:
 // after the first failure every read returns the zero value, and Err
@@ -249,6 +324,10 @@ type Dec struct {
 	off  int
 	err  error
 }
+
+// NewDec returns a decoder over a bare section payload; name labels it in
+// error messages.
+func NewDec(name string, payload []byte) *Dec { return &Dec{name: name, buf: payload} }
 
 func (d *Dec) fail(format string, args ...any) {
 	if d.err == nil {
@@ -268,12 +347,6 @@ func (d *Dec) take(n int) []byte {
 	d.off += n
 	return b
 }
-
-// Sticky returns the latched decode error without the end-of-payload check.
-// Component RestoreState methods use it at their validation points, since a
-// section payload routinely continues past any one component's state; the
-// top-level restore driver calls Err once per section instead.
-func (d *Dec) Sticky() error { return d.err }
 
 // Err returns the latched decode error, or a trailing-garbage error when
 // the payload was not fully consumed. Call once after decoding a section.
@@ -342,12 +415,7 @@ func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 // SliceLen decodes an element count and validates it against the remaining
 // payload (elemSize is a lower bound on the encoded size per element), so a
 // corrupt length fails instead of driving an absurd allocation or loop.
-func (d *Dec) SliceLen(elemSize int) int { return d.sliceLen(elemSize) }
-
-// sliceLen validates a decoded element count against the remaining payload
-// (elemSize is a lower bound on the encoded size per element), so corrupt
-// lengths fail instead of allocating absurd slices.
-func (d *Dec) sliceLen(elemSize int) int {
+func (d *Dec) SliceLen(elemSize int) int {
 	n := d.Int()
 	if d.err != nil {
 		return 0
@@ -361,7 +429,7 @@ func (d *Dec) sliceLen(elemSize int) int {
 
 // F64s reads a length-prefixed []float64.
 func (d *Dec) F64s() []float64 {
-	n := d.sliceLen(8)
+	n := d.SliceLen(8)
 	if n == 0 {
 		return nil
 	}
@@ -390,7 +458,7 @@ func (d *Dec) F64sInto(dst []float64) {
 
 // I64s reads a length-prefixed []int64.
 func (d *Dec) I64s() []int64 {
-	n := d.sliceLen(8)
+	n := d.SliceLen(8)
 	if n == 0 {
 		return nil
 	}
@@ -403,7 +471,7 @@ func (d *Dec) I64s() []int64 {
 
 // Ints reads a length-prefixed []int.
 func (d *Dec) Ints() []int {
-	n := d.sliceLen(8)
+	n := d.SliceLen(8)
 	if n == 0 {
 		return nil
 	}
@@ -416,7 +484,7 @@ func (d *Dec) Ints() []int {
 
 // Str reads a length-prefixed string.
 func (d *Dec) Str() string {
-	n := d.sliceLen(1)
+	n := d.SliceLen(1)
 	if n == 0 {
 		return ""
 	}
@@ -425,7 +493,7 @@ func (d *Dec) Str() string {
 
 // Bytes reads a length-prefixed byte slice (copied out of the payload).
 func (d *Dec) Bytes() []byte {
-	n := d.sliceLen(1)
+	n := d.SliceLen(1)
 	if n == 0 {
 		return nil
 	}
@@ -584,5 +652,5 @@ func (r *Reader) Section(name string) (*Dec, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: missing section %q", ErrCorrupt, name)
 	}
-	return &Dec{name: name, buf: payload}, nil
+	return NewDec(name, payload), nil
 }

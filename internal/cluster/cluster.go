@@ -193,26 +193,24 @@ type Cluster struct {
 	// its Eqn. (4) reward exactly. In async mode it must be nil — the
 	// Merger's change-feed replay takes its place.
 	OnChange func(t sim.Time)
-	// OnJobDone fires when any job completes (async mode: replayed at the
-	// epoch barrier through DrainDones, in merged time order).
+	// OnJobDone fires when any job completes. In async mode this and every
+	// callback below fire from ReplayLogs instead, at the epoch barrier, in
+	// merged time order.
 	OnJobDone func(t sim.Time, j *Job)
 	// OnTransition fires after any server changes power mode (wake begin,
 	// wake complete, shutdown begin, shutdown complete). Nil by default;
 	// transitions are rare relative to job events so the forwarding branch
 	// costs nothing on the hot path.
 	OnTransition func(t sim.Time, server int, from, to PowerState)
-	// OnInterrupt fires for every job a crash evicts (strict tier; async
-	// mode logs InterruptRecs instead, replayed at the epoch barrier through
-	// DrainInterrupts in merged time order).
+	// OnInterrupt fires for every job a crash evicts.
 	OnInterrupt func(t sim.Time, j *Job)
-	// OnMigrate fires for every queued job a maintenance drain migrates away
-	// (strict tier; async mode replays through DrainMigrates).
+	// OnMigrate fires for every queued job a maintenance drain migrates away.
 	OnMigrate func(t sim.Time, j *Job)
 	// OnDegrade fires on fail-slow onset (factor < 1) and restore
-	// (factor == 1) — strict tier; async mode replays through DrainDegrades.
+	// (factor == 1).
 	OnDegrade func(t sim.Time, server int, factor float64)
 	// OnDrainStart fires when a server's maintenance window opens, before its
-	// queue migrates — strict tier; async mode replays through DrainMaints.
+	// queue migrates.
 	OnDrainStart func(t sim.Time, server int)
 
 	// faults records that EnableFaults installed failure clocks; faultKind
@@ -339,10 +337,10 @@ func (c *Cluster) Clock() sim.Time {
 }
 
 // SetAsync switches the cluster's observation callbacks into per-shard
-// logging mode (the parallel tier): server events append ChangeRec/DoneRec/
-// TransRec entries to their shard's log instead of invoking OnChange/
-// OnJobDone/OnTransition synchronously, and the coordinator replays the
-// merged streams at each epoch barrier. logChanges must be set exactly when
+// logging mode (the parallel tier): server events append records to their
+// shard's logs instead of invoking the On* callbacks synchronously, and the
+// coordinator replays the merged streams into those callbacks at each epoch
+// barrier (ReplayLogs). logChanges must be set exactly when
 // a change-feed consumer (a Merger) exists; logTransitions exactly when a
 // transition observer is attached. OnChange must be nil in async mode.
 func (c *Cluster) SetAsync(logChanges, logTransitions bool) {

@@ -9,13 +9,12 @@ import (
 
 // The parallel tier's observation streams. Between two epoch barriers every
 // shard appends its server events to private logs (single writer: the shard's
-// worker); at the barrier the coordinator replays them through DrainChanges/
-// DrainDones/DrainTrans in merged global time order. Per-shard logs are
-// time-sorted by construction (each lane's clock is monotone), so the merge
-// is a k-way min pick with ties broken by ascending shard index — making the
-// replayed order a pure function of simulated time and the fixed partition,
-// never of goroutine scheduling. That is the parallel tier's reproducibility
-// contract (DESIGN.md §12).
+// worker); at the barrier the coordinator replays them (ReplayLogs) in merged
+// global time order. Per-shard logs are time-sorted by construction (each
+// lane's clock is monotone), so the merge is a k-way min pick with ties broken
+// by ascending shard index — making the replayed order a pure function of
+// simulated time and the fixed partition, never of goroutine scheduling. That
+// is the parallel tier's reproducibility contract (DESIGN.md §12).
 
 // ChangeRec is one aggregate-relevant server event: the server's post-event
 // power draw, jobs-in-system count, and committed utilization. It carries
@@ -64,226 +63,142 @@ type MaintRec struct {
 	Server int32
 }
 
-// prepCursor resets the cluster-retained per-shard merge cursor (allocated
-// once), so draining allocates nothing.
-func (c *Cluster) prepCursor() []int {
+// drainLogs is the one k-way merge behind every observation stream: it
+// replays the per-shard logs that log selects through emit — pop the earliest
+// head, ties to the lowest shard index, per-shard FIFO — then resets them
+// (keeping capacity). That rule is the reproducibility contract
+// (TestDrainOrderMerged covers each stream). The merge cursor is retained on
+// the cluster and neither callback escapes, so draining allocates nothing.
+func drainLogs[R any](c *Cluster, log func(*shardGroup) *[]R, at func(*R) sim.Time, emit func(*R)) {
 	if cap(c.drainCur) < len(c.shards) {
 		c.drainCur = make([]int, len(c.shards))
 	}
 	cur := c.drainCur[:len(c.shards)]
-	for i := range cur {
-		cur[i] = 0
+	clear(cur)
+	for {
+		best := -1
+		var bestAt sim.Time
+		for s := range c.shards {
+			l := *log(&c.shards[s])
+			if cur[s] >= len(l) {
+				continue
+			}
+			if t := at(&l[cur[s]]); best < 0 || t < bestAt {
+				best, bestAt = s, t
+			}
+		}
+		if best < 0 {
+			break
+		}
+		emit(&(*log(&c.shards[best]))[cur[best]])
+		cur[best]++
 	}
-	return cur
+	for s := range c.shards {
+		l := log(&c.shards[s])
+		*l = (*l)[:0]
+	}
 }
-
-// The seven Drain* loops below are intentionally parallel copies of one
-// k-way merge: a generic driver would either box the per-record emit into a
-// per-barrier closure (breaking the zero-alloc epoch) or hide the ordering
-// rule behind adapters. The rule they must share — pop the earliest head,
-// ties to the lowest shard index, per-shard FIFO — is the reproducibility
-// contract; change it in all seven together (TestDrainOrderMerged covers
-// each stream).
 
 // DrainChanges replays every logged ChangeRec in merged (time, shard) order
-// through the Merger, then resets the logs (keeping capacity).
+// through the Merger.
 func (c *Cluster) DrainChanges(m *Merger) {
-	cur := c.prepCursor()
-	for {
-		best := -1
-		var bestAt sim.Time
-		for s := range c.shards {
-			log := c.shards[s].changes
-			if cur[s] >= len(log) {
-				continue
-			}
-			if at := log[cur[s]].At; best < 0 || at < bestAt {
-				best, bestAt = s, at
-			}
-		}
-		if best < 0 {
-			break
-		}
-		m.Apply(&c.shards[best].changes[cur[best]])
-		cur[best]++
-	}
-	for s := range c.shards {
-		c.shards[s].changes = c.shards[s].changes[:0]
-	}
+	drainLogs(c, func(g *shardGroup) *[]ChangeRec { return &g.changes },
+		func(r *ChangeRec) sim.Time { return r.At }, m.Apply)
 }
 
-// DrainDones replays every logged completion in merged (time, shard) order,
-// then resets the logs (keeping capacity).
+// DrainDones replays every logged completion in merged (time, shard) order.
 func (c *Cluster) DrainDones(fn func(t sim.Time, j *Job)) {
-	cur := c.prepCursor()
-	for {
-		best := -1
-		var bestAt sim.Time
-		for s := range c.shards {
-			log := c.shards[s].dones
-			if cur[s] >= len(log) {
-				continue
-			}
-			if at := log[cur[s]].At; best < 0 || at < bestAt {
-				best, bestAt = s, at
-			}
-		}
-		if best < 0 {
-			break
-		}
-		rec := &c.shards[best].dones[cur[best]]
-		fn(rec.At, rec.J)
-		rec.J = nil // drop the reference so the log slab never pins a pooled job
-		cur[best]++
-	}
-	for s := range c.shards {
-		c.shards[s].dones = c.shards[s].dones[:0]
-	}
+	drainLogs(c, func(g *shardGroup) *[]DoneRec { return &g.dones },
+		func(r *DoneRec) sim.Time { return r.At },
+		func(r *DoneRec) {
+			fn(r.At, r.J)
+			r.J = nil // drop the reference so the log slab never pins a pooled job
+		})
 }
 
 // DrainTrans replays every logged power-mode transition in merged
-// (time, shard) order, then resets the logs (keeping capacity).
+// (time, shard) order.
 func (c *Cluster) DrainTrans(fn func(t sim.Time, server int, from, to PowerState)) {
-	cur := c.prepCursor()
-	for {
-		best := -1
-		var bestAt sim.Time
-		for s := range c.shards {
-			log := c.shards[s].trans
-			if cur[s] >= len(log) {
-				continue
-			}
-			if at := log[cur[s]].At; best < 0 || at < bestAt {
-				best, bestAt = s, at
-			}
-		}
-		if best < 0 {
-			break
-		}
-		rec := &c.shards[best].trans[cur[best]]
-		fn(rec.At, int(rec.Server), rec.From, rec.To)
-		cur[best]++
-	}
-	for s := range c.shards {
-		c.shards[s].trans = c.shards[s].trans[:0]
-	}
+	drainLogs(c, func(g *shardGroup) *[]TransRec { return &g.trans },
+		func(r *TransRec) sim.Time { return r.At },
+		func(r *TransRec) { fn(r.At, int(r.Server), r.From, r.To) })
+}
+
+// drainJobs is the shared body of the two job-carrying fault streams.
+func (c *Cluster) drainJobs(log func(*shardGroup) *[]InterruptRec, fn func(t sim.Time, j *Job)) {
+	drainLogs(c, log, func(r *InterruptRec) sim.Time { return r.At },
+		func(r *InterruptRec) {
+			fn(r.At, r.J)
+			r.J = nil // drop the reference so the log slab never pins a pooled job
+		})
 }
 
 // DrainInterrupts replays every logged crash eviction in merged
-// (time, shard) order, then resets the logs (keeping capacity). The session
-// routes each job through its RetryPolicy here, so requeue decisions happen
-// at the barrier in a deterministic order.
+// (time, shard) order. The session routes each job through its RetryPolicy
+// here, so requeue decisions happen at the barrier in a deterministic order.
 func (c *Cluster) DrainInterrupts(fn func(t sim.Time, j *Job)) {
-	cur := c.prepCursor()
-	for {
-		best := -1
-		var bestAt sim.Time
-		for s := range c.shards {
-			log := c.shards[s].interrupts
-			if cur[s] >= len(log) {
-				continue
-			}
-			if at := log[cur[s]].At; best < 0 || at < bestAt {
-				best, bestAt = s, at
-			}
-		}
-		if best < 0 {
-			break
-		}
-		rec := &c.shards[best].interrupts[cur[best]]
-		fn(rec.At, rec.J)
-		rec.J = nil // drop the reference so the log slab never pins a pooled job
-		cur[best]++
-	}
-	for s := range c.shards {
-		c.shards[s].interrupts = c.shards[s].interrupts[:0]
-	}
+	c.drainJobs(func(g *shardGroup) *[]InterruptRec { return &g.interrupts }, fn)
 }
 
 // DrainMigrates replays every logged drain-time migration in merged
-// (time, shard) order, then resets the logs (keeping capacity). Like
-// DrainInterrupts, the session routes each job through its RetryPolicy here.
+// (time, shard) order. Like DrainInterrupts, the session routes each job
+// through its RetryPolicy here.
 func (c *Cluster) DrainMigrates(fn func(t sim.Time, j *Job)) {
-	cur := c.prepCursor()
-	for {
-		best := -1
-		var bestAt sim.Time
-		for s := range c.shards {
-			log := c.shards[s].migrates
-			if cur[s] >= len(log) {
-				continue
-			}
-			if at := log[cur[s]].At; best < 0 || at < bestAt {
-				best, bestAt = s, at
-			}
-		}
-		if best < 0 {
-			break
-		}
-		rec := &c.shards[best].migrates[cur[best]]
-		fn(rec.At, rec.J)
-		rec.J = nil // drop the reference so the log slab never pins a pooled job
-		cur[best]++
-	}
-	for s := range c.shards {
-		c.shards[s].migrates = c.shards[s].migrates[:0]
-	}
+	c.drainJobs(func(g *shardGroup) *[]InterruptRec { return &g.migrates }, fn)
 }
 
 // DrainDegrades replays every logged fail-slow edge in merged (time, shard)
-// order, then resets the logs (keeping capacity).
+// order.
 func (c *Cluster) DrainDegrades(fn func(t sim.Time, server int, factor float64)) {
-	cur := c.prepCursor()
-	for {
-		best := -1
-		var bestAt sim.Time
-		for s := range c.shards {
-			log := c.shards[s].degrades
-			if cur[s] >= len(log) {
-				continue
-			}
-			if at := log[cur[s]].At; best < 0 || at < bestAt {
-				best, bestAt = s, at
-			}
-		}
-		if best < 0 {
-			break
-		}
-		rec := &c.shards[best].degrades[cur[best]]
-		fn(rec.At, int(rec.Server), rec.Factor)
-		cur[best]++
-	}
-	for s := range c.shards {
-		c.shards[s].degrades = c.shards[s].degrades[:0]
-	}
+	drainLogs(c, func(g *shardGroup) *[]DegradeRec { return &g.degrades },
+		func(r *DegradeRec) sim.Time { return r.At },
+		func(r *DegradeRec) { fn(r.At, int(r.Server), r.Factor) })
 }
 
 // DrainMaints replays every logged maintenance-window opening in merged
-// (time, shard) order, then resets the logs (keeping capacity).
+// (time, shard) order.
 func (c *Cluster) DrainMaints(fn func(t sim.Time, server int)) {
-	cur := c.prepCursor()
-	for {
-		best := -1
-		var bestAt sim.Time
-		for s := range c.shards {
-			log := c.shards[s].maints
-			if cur[s] >= len(log) {
-				continue
-			}
-			if at := log[cur[s]].At; best < 0 || at < bestAt {
-				best, bestAt = s, at
-			}
-		}
-		if best < 0 {
-			break
-		}
-		rec := &c.shards[best].maints[cur[best]]
-		fn(rec.At, int(rec.Server))
-		cur[best]++
+	drainLogs(c, func(g *shardGroup) *[]MaintRec { return &g.maints },
+		func(r *MaintRec) sim.Time { return r.At },
+		func(r *MaintRec) { fn(r.At, int(r.Server)) })
+}
+
+// ReplayLogs drains every stream that async mode logs into the callbacks the
+// strict tier fires synchronously, so an observer is wired once for both
+// tiers. All shards are quiescent at the barrier, so user callbacks may take
+// a snapshot. The gates are the ones the logging side applies: a stream is
+// drained exactly when it can hold records.
+func (c *Cluster) ReplayLogs(m *Merger) {
+	if c.logChanges {
+		c.DrainChanges(m)
 	}
-	for s := range c.shards {
-		c.shards[s].maints = c.shards[s].maints[:0]
+	c.DrainDones(c.OnJobDone)
+	if c.logTransitions {
+		c.DrainTrans(c.OnTransition)
 	}
+	if !c.faults {
+		return
+	}
+	// Maintenance openings replay before the migration stream so an observer
+	// hears OnDrainStart before the window's migrated jobs.
+	c.DrainMaints(c.OnDrainStart)
+	c.DrainDegrades(c.OnDegrade)
+	// Crash evictions replay after completions: a job completed at the same
+	// instant its server died was already running, so its completion wins the
+	// tie and the eviction stream only carries genuinely interrupted work.
+	c.DrainInterrupts(c.OnInterrupt)
+	c.DrainMigrates(c.OnMigrate)
+}
+
+// resetLogs empties every observation log, keeping capacity.
+func (g *shardGroup) resetLogs() {
+	g.changes = g.changes[:0]
+	g.dones = g.dones[:0]
+	g.trans = g.trans[:0]
+	g.interrupts = g.interrupts[:0]
+	g.migrates = g.migrates[:0]
+	g.degrades = g.degrades[:0]
+	g.maints = g.maints[:0]
 }
 
 // PendingLogs reports whether any shard has undrained log entries (test and

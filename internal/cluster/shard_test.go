@@ -17,7 +17,7 @@ func (adHocTestDPM) OnIdle(sim.Time, *Server) float64        { return 0 }
 func (adHocTestDPM) OnArrival(sim.Time, *Server, PowerState) {}
 func (adHocTestDPM) Observe(sim.Time, float64, int)          {}
 
-func (shardTestDPM) OnIdle(sim.Time, *Server) float64       { return math.Inf(1) }
+func (shardTestDPM) OnIdle(sim.Time, *Server) float64        { return math.Inf(1) }
 func (shardTestDPM) OnArrival(sim.Time, *Server, PowerState) {}
 func (shardTestDPM) Observe(sim.Time, float64, int)          {}
 
@@ -207,8 +207,8 @@ func TestAsyncMergerBitwise(t *testing.T) {
 
 // TestDrainOrderMerged asserts all three drain streams — completions,
 // changes, transitions — replay in global (time, shard) order even when
-// shards complete out of phase. (The three merge loops in shard.go are
-// deliberate copies; this test is what keeps them in sync.)
+// shards complete out of phase (one generic merge, drainLogs, serves every
+// stream).
 func TestDrainOrderMerged(t *testing.T) {
 	lanes := make([]*sim.Simulator, 4)
 	for i := range lanes {

@@ -10,96 +10,98 @@ import (
 	"hierdrl/internal/sim"
 )
 
-// This file serializes the complete resumable state of a cluster at an event
+// This file walks the complete resumable state of a cluster at an event
 // boundary: every live job (waiting or executing), every server's structural
 // and timer state, and the per-shard incremental aggregates — verbatim, so a
-// restored run's floating-point accumulators continue bit for bit.
+// restored run's floating-point accumulators continue bit for bit. Each field
+// is named once; the Codec decides whether the walk writes or reads it.
 //
 // Timers are captured as (at, seq) pairs and re-scheduled through
 // sim.ScheduleRestored with their original trampolines, which the restoring
 // side selects from the server's power state (a pending trans timer is a wake
 // completion while StateWaking and a shutdown completion while
 // StateShuttingDown; the fault timer is a crash while up and a repair while
-// down). The lane's RestoreBegin must have run before RestoreState so the
+// down). The lane's RestoreBegin must have run before a decoding walk so the
 // explicit sequence numbers land in an empty queue.
 
-// saveTimer appends a presence flag plus the (at, seq) key of a pending timer.
-func saveTimer(e *checkpoint.Enc, tm sim.Timer) {
-	if !tm.Pending() {
-		e.Bool(false)
-		return
-	}
-	e.Bool(true)
-	e.F64(float64(tm.At()))
-	e.I64(tm.Seq())
-}
-
-// restoreTimer reads what saveTimer wrote and re-schedules the event on sm
-// with its original key. An instant before the lane clock (or NaN) marks a
-// corrupt snapshot rather than a panic inside the scheduler.
-func restoreTimer(d *checkpoint.Dec, sm *sim.Simulator, fn func(any), arg any) (sim.Timer, error) {
-	present := d.Bool()
-	at := sim.Time(0)
+// TimerState walks a presence flag plus the (at, seq) key of a pending timer;
+// decoding re-schedules the event on sm with its original key. An instant
+// before the lane clock (or NaN) marks a corrupt snapshot rather than a panic
+// inside the scheduler.
+func TimerState(c *checkpoint.Codec, tm *sim.Timer, sm *sim.Simulator, fn func(any), arg any) {
+	var at sim.Time
 	var seq int64
+	present := !c.Decoding() && tm.Pending()
 	if present {
-		at = sim.Time(d.F64())
-		seq = d.I64()
+		at, seq = tm.At(), tm.Seq()
 	}
-	if err := d.Sticky(); err != nil && present {
-		// Surface a truncation before scheduling garbage values.
-		return sim.Timer{}, err
+	c.Bool(&present)
+	if c.Decoding() {
+		*tm = sim.Timer{}
 	}
 	if !present {
-		return sim.Timer{}, nil
+		return
+	}
+	c.F64((*float64)(&at))
+	c.I64(&seq)
+	if !c.Decoding() || c.Err() != nil {
+		return
 	}
 	if math.IsNaN(float64(at)) || at < sm.Now() {
-		return sim.Timer{}, fmt.Errorf("%w: timer at %v before lane clock %v", checkpoint.ErrCorrupt, at, sm.Now())
+		c.Fail(checkpoint.ErrCorrupt, "timer at %v before lane clock %v", at, sm.Now())
+		return
 	}
-	return sm.ScheduleRestored(at, seq, fn, arg), nil
+	*tm = sm.ScheduleRestored(at, seq, fn, arg)
 }
 
-// saveMultiset appends a jobs-in-system multiset verbatim.
-func saveMultiset(e *checkpoint.Enc, m *jobsMultiset) {
-	e.Ints(m.buckets)
-	e.Int(m.max)
+func (r *Resources) state(c *checkpoint.Codec) {
+	for p := range r {
+		c.F64(&r[p])
+	}
 }
 
-// restoreMultiset reads what saveMultiset wrote, validating the cursor.
-func restoreMultiset(d *checkpoint.Dec, m *jobsMultiset) error {
-	buckets := d.Ints()
-	max := d.Int()
-	if err := d.Sticky(); err != nil && len(buckets) == 0 {
-		return err
+// state walks a jobs-in-system multiset verbatim, validating the cursor.
+func (m *jobsMultiset) state(c *checkpoint.Codec) {
+	buckets, max := m.buckets, m.max
+	c.Ints(&buckets)
+	c.Int(&max)
+	if !c.Decoding() || c.Err() != nil {
+		return
 	}
 	if len(buckets) == 0 || max < 0 || max >= len(buckets) {
-		return fmt.Errorf("%w: jobs multiset max %d over %d buckets", checkpoint.ErrCorrupt, max, len(buckets))
+		c.Fail(checkpoint.ErrCorrupt, "jobs multiset max %d over %d buckets", max, len(buckets))
+		return
 	}
-	m.buckets = buckets
-	m.max = max
-	return nil
+	m.buckets, m.max = buckets, max
 }
 
-// saveHot appends a length-prefixed []uint64 bitset.
-func saveHot(e *checkpoint.Enc, hot []uint64) {
-	e.Int(len(hot))
-	for _, v := range hot {
-		e.U64(v)
+// aggregatesState walks the per-server aggregate arrays the shard groups and
+// the Merger both keep. Their widths are construction config: a snapshot of
+// another cluster size is a mismatch, named after owner.
+func aggregatesState(c *checkpoint.Codec, owner string, prevPower []float64, prevJobs []int, reliTerms []float64, reliHot []uint64) {
+	pp, pj, rt := prevPower, prevJobs, reliTerms
+	c.F64s(&pp)
+	c.Ints(&pj)
+	c.F64s(&rt)
+	nh := c.Count(len(reliHot), 8)
+	if c.Err() != nil {
+		return
 	}
-}
-
-// restoreHotInto reads a bitset whose length must match len(dst).
-func restoreHotInto(d *checkpoint.Dec, dst []uint64) error {
-	n := d.SliceLen(8)
-	if err := d.Sticky(); err != nil {
-		return err
+	if len(pp) != len(prevPower) || len(pj) != len(prevJobs) || len(rt) != len(reliTerms) {
+		c.Fail(checkpoint.ErrConfigMismatch, "%s aggregate widths (%d,%d,%d), want (%d,%d,%d)",
+			owner, len(pp), len(pj), len(rt), len(prevPower), len(prevJobs), len(reliTerms))
+		return
 	}
-	if n != len(dst) {
-		return fmt.Errorf("%w: hot bitset length %d, want %d", checkpoint.ErrConfigMismatch, n, len(dst))
+	if nh != len(reliHot) {
+		c.Fail(checkpoint.ErrConfigMismatch, "hot bitset length %d, want %d", nh, len(reliHot))
+		return
 	}
-	for i := range dst {
-		dst[i] = d.U64()
+	copy(prevPower, pp)
+	copy(prevJobs, pj)
+	copy(reliTerms, rt)
+	for i := range reliHot {
+		c.U64(&reliHot[i])
 	}
-	return nil
 }
 
 // runningJobs collects each server's executing jobs in a deterministic order:
@@ -129,351 +131,125 @@ func (c *Cluster) runningJobs() [][]*Job {
 	return running
 }
 
-// SaveState serializes the cluster: the live job table, every server, and the
-// per-shard aggregates. extra lists live jobs held outside the cluster (the
-// parallel tier's allocated-but-uncommitted dispatches); the returned map
-// gives every live job's table index so the caller can serialize its own
-// cross-references. Must be called at an event boundary with all shard
-// observation logs drained.
-func (c *Cluster) SaveState(e *checkpoint.Enc, extra []*Job) map[*Job]int32 {
-	if c.PendingLogs() {
-		panic("cluster: SaveState with undrained shard observation logs")
-	}
-	running := c.runningJobs()
+// JobTable is a snapshot's live-job table: every waiting, executing or
+// in-flight job exactly once, in a canonical order. Everything else in the
+// stream refers to a job by its table index.
+type JobTable struct {
+	jobs []*Job
+	idx  map[*Job]int32 // encoding direction only
+}
 
-	idx := make(map[*Job]int32)
-	var table []*Job
-	add := func(j *Job) {
-		if _, ok := idx[j]; ok {
-			panic(fmt.Sprintf("cluster: job %d reachable twice during checkpoint", j.ID))
-		}
-		idx[j] = int32(len(table))
-		table = append(table, j)
+func (t *JobTable) add(j *Job) {
+	if _, ok := t.idx[j]; ok {
+		panic(fmt.Sprintf("cluster: job %d reachable twice during checkpoint", j.ID))
 	}
-	for i, s := range c.servers {
-		for _, j := range s.queue[s.qhead:] {
-			add(j)
-		}
-		for _, j := range running[i] {
-			add(j)
-		}
-	}
-	for _, j := range extra {
-		add(j)
-	}
+	t.idx[j] = int32(len(t.jobs))
+	t.jobs = append(t.jobs, j)
+}
 
-	e.Int(len(table))
-	for _, j := range table {
-		e.Int(j.ID)
-		e.F64(float64(j.Arrival))
-		e.F64(j.Duration)
-		for p := 0; p < NumResources; p++ {
-			e.F64(j.Req[p])
-		}
-		e.Int(j.Server)
-		e.F64(float64(j.Started))
-		e.F64(float64(j.Finished))
-		e.Bool(j.started)
-		e.Bool(j.finished)
+// Ref walks one cross-reference: *j's table index, resolved back into *j when
+// decoding (an index outside the table fails the walk and leaves *j alone).
+func (t *JobTable) Ref(c *checkpoint.Codec, j **Job) {
+	k := t.idx[*j]
+	c.I32(&k)
+	if !c.Decoding() || c.Err() != nil {
+		return
 	}
-	e.Bool(c.faults)
-
-	for i, s := range c.servers {
-		e.Int(int(s.state))
-		for p := 0; p < NumResources; p++ {
-			e.F64(s.used[p])
-		}
-		for p := 0; p < NumResources; p++ {
-			e.F64(s.pending[p])
-		}
-		e.Int(s.running)
-		e.F64(s.speed)
-		e.Bool(s.degraded)
-		e.F64(float64(s.degradedAt))
-		e.F64(s.degradedSec)
-		e.Bool(s.draining)
-		e.I64(s.drains)
-		q := s.queue[s.qhead:]
-		e.Int(len(q))
-		for _, j := range q {
-			e.I32(idx[j])
-		}
-		e.Int(len(running[i]))
-		for _, j := range running[i] {
-			e.I32(idx[j])
-			e.F64(float64(j.done.At()))
-			e.I64(j.done.Seq())
-		}
-		saveTimer(e, s.timeout)
-		saveTimer(e, s.trans)
-		saveTimer(e, s.flt)
-		e.I64(s.fails)
-		e.I64(s.repairs)
-		e.F64(float64(s.downAt))
-		e.F64(s.downSec)
-		e.F64(float64(s.lastT))
-		e.F64(s.lastPower)
-		e.F64(s.energyJ)
-		e.I64(s.wakeups)
-		e.I64(s.shutdowns)
-		e.I64(s.completed)
-		checkpoint.SaveComponent(e, s.dpm)
-		if s.fclock != nil {
-			e.Bool(true)
-			checkpoint.SaveComponent(e, s.fclock)
-		} else {
-			e.Bool(false)
-		}
+	if k < 0 || int(k) >= len(t.jobs) {
+		c.Fail(checkpoint.ErrCorrupt, "job table index %d of %d", k, len(t.jobs))
+		return
 	}
-
-	for si := range c.shards {
-		g := &c.shards[si]
-		e.F64(g.totalPower)
-		e.Int(g.jobsInSystem)
-		e.F64s(g.prevPower)
-		e.Ints(g.prevJobs)
-		e.F64s(g.reliTerms)
-		saveHot(e, g.reliHot)
-		e.Bool(g.reliDirty)
-		e.F64(g.reliSum)
-		saveMultiset(e, &g.jobs)
-		e.I64(g.completed)
-		e.I64(g.submitted)
-		e.Int(g.down)
-		e.Int(g.draining)
-		e.I64(g.fails)
-	}
-	return idx
+	*j = t.jobs[k]
 }
 
 // jobRecBytes is the fixed encoded size of one job-table record: six 8-byte
 // scalar fields, NumResources demand entries, two booleans.
 const jobRecBytes = (6+NumResources)*8 + 2
 
-// RestoreState reads what SaveState wrote into a freshly constructed cluster
-// of the same configuration, re-scheduling every live timer on the (already
-// RestoreBegin-reset) lanes. It returns the decoded job table so the caller
-// can resolve its own cross-references (in-flight dispatches).
-func (c *Cluster) RestoreState(d *checkpoint.Dec) ([]*Job, error) {
-	n := d.SliceLen(jobRecBytes)
-	if err := d.Sticky(); err != nil {
-		return nil, err
-	}
-	table := make([]*Job, n)
-	for i := range table {
-		j := &Job{
-			ID:       d.Int(),
-			Arrival:  sim.Time(d.F64()),
-			Duration: d.F64(),
+// State walks the cluster: the live job table, every server, and the
+// per-shard aggregates. It must run at an event boundary with all shard
+// observation logs drained. Encoding, extra lists live jobs held outside the
+// cluster (the parallel tier's allocated-but-uncommitted dispatches);
+// decoding overwrites a freshly constructed cluster of the same
+// configuration and re-schedules every live timer on the (already
+// RestoreBegin-reset) lanes. The returned table lets the caller walk its own
+// cross-references (in-flight dispatches) in the same direction.
+func (c *Cluster) State(cd *checkpoint.Codec, extra []*Job) *JobTable {
+	dec := cd.Decoding()
+	tab := &JobTable{}
+	running := make([][]*Job, len(c.servers)) // each server's executing jobs; filled when encoding
+	if !dec {
+		if c.PendingLogs() {
+			panic("cluster: State with undrained shard observation logs")
 		}
-		for p := 0; p < NumResources; p++ {
-			j.Req[p] = d.F64()
+		running = c.runningJobs()
+		tab.idx = make(map[*Job]int32)
+		for i, s := range c.servers {
+			for _, j := range s.queue[s.qhead:] {
+				tab.add(j)
+			}
+			for _, j := range running[i] {
+				tab.add(j)
+			}
 		}
-		j.Server = d.Int()
-		j.Started = sim.Time(d.F64())
-		j.Finished = sim.Time(d.F64())
-		j.started = d.Bool()
-		j.finished = d.Bool()
-		table[i] = j
-	}
-	jobAt := func(k int32) (*Job, error) {
-		if k < 0 || int(k) >= len(table) {
-			return nil, fmt.Errorf("%w: job table index %d of %d", checkpoint.ErrCorrupt, k, len(table))
+		for _, j := range extra {
+			tab.add(j)
 		}
-		return table[k], nil
-	}
-	wantFaults := d.Bool()
-	if err := d.Sticky(); err != nil {
-		return nil, err
-	}
-	if wantFaults != c.faults {
-		return nil, fmt.Errorf("%w: snapshot faults=%v, cluster faults=%v", checkpoint.ErrConfigMismatch, wantFaults, c.faults)
 	}
 
-	for _, s := range c.servers {
-		st := PowerState(d.Int())
-		if st < StateSleep || st > StateDown {
-			return nil, fmt.Errorf("%w: server %d power state %d", checkpoint.ErrCorrupt, s.id, st)
+	n := cd.Count(len(tab.jobs), jobRecBytes)
+	if dec {
+		tab.jobs = make([]*Job, n)
+		for i := range tab.jobs {
+			tab.jobs[i] = &Job{}
 		}
-		s.state = st
-		for p := 0; p < NumResources; p++ {
-			s.used[p] = d.F64()
-		}
-		for p := 0; p < NumResources; p++ {
-			s.pending[p] = d.F64()
-		}
-		s.running = d.Int()
-		s.speed = d.F64()
-		s.degraded = d.Bool()
-		s.degradedAt = sim.Time(d.F64())
-		s.degradedSec = d.F64()
-		s.draining = d.Bool()
-		s.drains = d.I64()
-		if err := d.Sticky(); err != nil {
-			return nil, err
-		}
-		if !(s.speed > 0) || math.IsInf(s.speed, 1) {
-			return nil, fmt.Errorf("%w: server %d effective speed %v", checkpoint.ErrCorrupt, s.id, s.speed)
-		}
-		if s.draining && st != StateActive {
-			return nil, fmt.Errorf("%w: server %d draining in power state %v", checkpoint.ErrCorrupt, s.id, st)
-		}
-		nq := d.SliceLen(4)
-		if err := d.Sticky(); err != nil {
-			return nil, err
-		}
-		s.queue = s.queue[:0]
-		s.qhead = 0
-		for k := 0; k < nq; k++ {
-			j, err := jobAt(d.I32())
-			if err != nil {
-				return nil, err
-			}
-			s.queue = append(s.queue, j)
-		}
-		nr := d.SliceLen(4 + 8 + 8)
-		if err := d.Sticky(); err != nil {
-			return nil, err
-		}
-		s.runJobs = s.runJobs[:0]
-		if s.running != nr {
-			return nil, fmt.Errorf("%w: server %d running count %d, %d completion timers", checkpoint.ErrCorrupt, s.id, s.running, nr)
-		}
-		for k := 0; k < nr; k++ {
-			j, err := jobAt(d.I32())
-			if err != nil {
-				return nil, err
-			}
-			at := sim.Time(d.F64())
-			seq := d.I64()
-			if err := d.Sticky(); err != nil {
-				return nil, err
-			}
-			if math.IsNaN(float64(at)) || at < s.sm.Now() {
-				return nil, fmt.Errorf("%w: job %d completion at %v before lane clock %v", checkpoint.ErrCorrupt, j.ID, at, s.sm.Now())
-			}
-			j.srv = s
-			j.done = s.sm.ScheduleRestored(at, seq, jobComplete, j)
-			if c.faults {
-				j.runIdx = int32(k)
-				s.runJobs = append(s.runJobs, j)
-			}
-		}
-		var err error
-		if s.timeout, err = restoreTimer(d, s.sm, serverTimeoutExpire, s); err != nil {
-			return nil, err
-		}
-		transFn := serverWakeComplete
-		if st == StateShuttingDown {
-			transFn = serverShutdownComplete
-		}
-		if s.trans, err = restoreTimer(d, s.sm, transFn, s); err != nil {
-			return nil, err
-		}
-		if got, want := s.trans.Pending(), st == StateWaking || st == StateShuttingDown; got != want {
-			return nil, fmt.Errorf("%w: server %d state %v with transition timer %v", checkpoint.ErrCorrupt, s.id, st, got)
-		}
-		// The fault trampoline is selected from the model kind and the
-		// server's phase: a down server's pending timer is always its repair;
-		// otherwise a degrade model alternates start/end on the degraded flag,
-		// a drain model's timer opens the next maintenance window (none is
-		// pending mid-drain — onDrainStart consumed it), and a crash model's
-		// timer is the next crash.
-		fltFn := serverCrash
-		switch {
-		case st == StateDown:
-			fltFn = serverRepair
-		case c.faultKind == fault.KindDegrade && s.degraded:
-			fltFn = serverDegradeEnd
-		case c.faultKind == fault.KindDegrade:
-			fltFn = serverDegradeStart
-		case c.faultKind == fault.KindDrain:
-			fltFn = serverDrainStart
-		}
-		if s.flt, err = restoreTimer(d, s.sm, fltFn, s); err != nil {
-			return nil, err
-		}
-		if s.flt.Pending() && s.fclock == nil {
-			return nil, fmt.Errorf("%w: server %d fault timer without a failure clock", checkpoint.ErrCorrupt, s.id)
-		}
-		if s.draining && s.flt.Pending() {
-			return nil, fmt.Errorf("%w: server %d draining with a pending fault timer", checkpoint.ErrCorrupt, s.id)
-		}
-		s.fails = d.I64()
-		s.repairs = d.I64()
-		s.downAt = sim.Time(d.F64())
-		s.downSec = d.F64()
-		s.lastT = sim.Time(d.F64())
-		s.lastPower = d.F64()
-		s.energyJ = d.F64()
-		s.wakeups = d.I64()
-		s.shutdowns = d.I64()
-		s.completed = d.I64()
-		if err := checkpoint.RestoreComponent(d, s.dpm); err != nil {
-			return nil, err
-		}
-		hasClock := d.Bool()
-		if err := d.Sticky(); err != nil {
-			return nil, err
-		}
-		if hasClock != (s.fclock != nil) {
-			return nil, fmt.Errorf("%w: snapshot clock presence %v for server %d, cluster has %v",
-				checkpoint.ErrConfigMismatch, hasClock, s.id, s.fclock != nil)
-		}
-		if hasClock {
-			if err := checkpoint.RestoreComponent(d, s.fclock); err != nil {
-				return nil, err
-			}
+	}
+	for _, j := range tab.jobs {
+		cd.Int(&j.ID)
+		cd.F64((*float64)(&j.Arrival))
+		cd.F64(&j.Duration)
+		j.Req.state(cd)
+		cd.Int(&j.Server)
+		cd.F64((*float64)(&j.Started))
+		cd.F64((*float64)(&j.Finished))
+		cd.Bool(&j.started)
+		cd.Bool(&j.finished)
+	}
+	faults := c.faults
+	cd.Bool(&faults)
+	if faults != c.faults {
+		cd.Fail(checkpoint.ErrConfigMismatch, "snapshot faults=%v, cluster faults=%v", faults, c.faults)
+	}
+
+	for i, s := range c.servers {
+		if c.serverState(cd, s, tab, running[i]); cd.Err() != nil {
+			return tab
 		}
 	}
 
 	for si := range c.shards {
 		g := &c.shards[si]
-		g.totalPower = d.F64()
-		g.jobsInSystem = d.Int()
-		pp := d.F64s()
-		pj := d.Ints()
-		rt := d.F64s()
-		if err := d.Sticky(); err != nil {
-			return nil, err
-		}
-		if len(pp) != len(g.prevPower) || len(pj) != len(g.prevJobs) || len(rt) != len(g.reliTerms) {
-			return nil, fmt.Errorf("%w: shard %d aggregate widths (%d,%d,%d), want (%d,%d,%d)",
-				checkpoint.ErrConfigMismatch, si, len(pp), len(pj), len(rt),
-				len(g.prevPower), len(g.prevJobs), len(g.reliTerms))
-		}
-		copy(g.prevPower, pp)
-		copy(g.prevJobs, pj)
-		copy(g.reliTerms, rt)
-		if err := restoreHotInto(d, g.reliHot); err != nil {
-			return nil, err
-		}
-		g.reliDirty = d.Bool()
-		g.reliSum = d.F64()
-		if err := restoreMultiset(d, &g.jobs); err != nil {
-			return nil, err
-		}
-		g.completed = d.I64()
-		g.submitted = d.I64()
-		g.down = d.Int()
-		g.draining = d.Int()
-		g.fails = d.I64()
-		g.changes = g.changes[:0]
-		g.dones = g.dones[:0]
-		g.trans = g.trans[:0]
-		g.interrupts = g.interrupts[:0]
-		g.migrates = g.migrates[:0]
-		g.degrades = g.degrades[:0]
-		g.maints = g.maints[:0]
+		cd.F64(&g.totalPower)
+		cd.Int(&g.jobsInSystem)
+		aggregatesState(cd, fmt.Sprintf("shard %d", si), g.prevPower, g.prevJobs, g.reliTerms, g.reliHot)
+		cd.Bool(&g.reliDirty)
+		cd.F64(&g.reliSum)
+		g.jobs.state(cd)
+		cd.I64(&g.completed)
+		cd.I64(&g.submitted)
+		cd.Int(&g.down)
+		cd.Int(&g.draining)
+		cd.I64(&g.fails)
 	}
-	if err := d.Sticky(); err != nil {
-		return nil, err
+	if !dec || cd.Err() != nil {
+		return tab
 	}
 
 	// The load index is derived state: rebuild it from the restored servers
 	// rather than trusting (and having to validate) a serialized copy.
 	for si := range c.shards {
 		g := &c.shards[si]
+		g.resetLogs()
 		if g.idx == nil {
 			continue
 		}
@@ -482,45 +258,158 @@ func (c *Cluster) RestoreState(d *checkpoint.Dec) ([]*Job, error) {
 		}
 		g.idx.rebuild()
 	}
-	return table, nil
+	return tab
 }
 
-// SaveState serializes the merged-replay bookkeeping verbatim (the replayed
-// FP accumulators must continue bit for bit, exactly like the shard-local
-// ones).
-func (m *Merger) SaveState(e *checkpoint.Enc) {
-	e.F64(m.totalPower)
-	e.Int(m.jobsInSystem)
-	e.F64s(m.prevPower)
-	e.Ints(m.prevJobs)
-	e.F64s(m.reliTerms)
-	saveHot(e, m.reliHot)
-	saveMultiset(e, &m.jobs)
+// serverState walks one server; run lists its executing jobs when encoding.
+func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *JobTable, run []*Job) {
+	dec := cd.Decoding()
+	cd.Int((*int)(&s.state))
+	st := s.state
+	if st < StateSleep || st > StateDown {
+		cd.Fail(checkpoint.ErrCorrupt, "server %d power state %d", s.id, st)
+	}
+	s.used.state(cd)
+	s.pending.state(cd)
+	cd.Int(&s.running)
+	cd.F64(&s.speed)
+	cd.Bool(&s.degraded)
+	cd.F64((*float64)(&s.degradedAt))
+	cd.F64(&s.degradedSec)
+	cd.Bool(&s.draining)
+	cd.I64(&s.drains)
+	if cd.Err() != nil {
+		return
+	}
+	if !(s.speed > 0) || math.IsInf(s.speed, 1) {
+		cd.Fail(checkpoint.ErrCorrupt, "server %d effective speed %v", s.id, s.speed)
+		return
+	}
+	if s.draining && st != StateActive {
+		cd.Fail(checkpoint.ErrCorrupt, "server %d draining in power state %v", s.id, st)
+		return
+	}
+
+	queue := s.queue[s.qhead:]
+	nq := cd.Count(len(queue), 4)
+	if dec {
+		s.queue, s.qhead = make([]*Job, nq), 0
+		queue = s.queue
+	}
+	for k := range queue {
+		tab.Ref(cd, &queue[k])
+	}
+
+	nr := cd.Count(len(run), 4+8+8)
+	if cd.Err() != nil {
+		return
+	}
+	if dec {
+		if s.running != nr {
+			cd.Fail(checkpoint.ErrCorrupt, "server %d running count %d, %d completion timers", s.id, s.running, nr)
+			return
+		}
+		run = make([]*Job, nr)
+		s.runJobs = s.runJobs[:0]
+	}
+	for k := range run {
+		var at sim.Time
+		var seq int64
+		if !dec {
+			at, seq = run[k].done.At(), run[k].done.Seq()
+		}
+		tab.Ref(cd, &run[k])
+		cd.F64((*float64)(&at))
+		cd.I64(&seq)
+		if !dec {
+			continue
+		}
+		if cd.Err() != nil {
+			return
+		}
+		j := run[k]
+		if math.IsNaN(float64(at)) || at < s.sm.Now() {
+			cd.Fail(checkpoint.ErrCorrupt, "job %d completion at %v before lane clock %v", j.ID, at, s.sm.Now())
+			return
+		}
+		j.srv = s
+		j.done = s.sm.ScheduleRestored(at, seq, jobComplete, j)
+		if c.faults {
+			j.runIdx = int32(k)
+			s.runJobs = append(s.runJobs, j)
+		}
+	}
+
+	TimerState(cd, &s.timeout, s.sm, serverTimeoutExpire, s)
+	transFn := serverWakeComplete
+	if st == StateShuttingDown {
+		transFn = serverShutdownComplete
+	}
+	TimerState(cd, &s.trans, s.sm, transFn, s)
+	// The fault trampoline is selected from the model kind and the server's
+	// phase: a down server's pending timer is always its repair; otherwise a
+	// degrade model alternates start/end on the degraded flag, a drain
+	// model's timer opens the next maintenance window (none is pending
+	// mid-drain — onDrainStart consumed it), and a crash model's timer is the
+	// next crash.
+	fltFn := serverCrash
+	switch {
+	case st == StateDown:
+		fltFn = serverRepair
+	case c.faultKind == fault.KindDegrade && s.degraded:
+		fltFn = serverDegradeEnd
+	case c.faultKind == fault.KindDegrade:
+		fltFn = serverDegradeStart
+	case c.faultKind == fault.KindDrain:
+		fltFn = serverDrainStart
+	}
+	TimerState(cd, &s.flt, s.sm, fltFn, s)
+	if cd.Err() != nil {
+		return
+	}
+	if got, want := s.trans.Pending(), st == StateWaking || st == StateShuttingDown; got != want {
+		cd.Fail(checkpoint.ErrCorrupt, "server %d state %v with transition timer %v", s.id, st, got)
+		return
+	}
+	if s.flt.Pending() && s.fclock == nil {
+		cd.Fail(checkpoint.ErrCorrupt, "server %d fault timer without a failure clock", s.id)
+		return
+	}
+	if s.draining && s.flt.Pending() {
+		cd.Fail(checkpoint.ErrCorrupt, "server %d draining with a pending fault timer", s.id)
+		return
+	}
+
+	cd.I64(&s.fails)
+	cd.I64(&s.repairs)
+	cd.F64((*float64)(&s.downAt))
+	cd.F64(&s.downSec)
+	cd.F64((*float64)(&s.lastT))
+	cd.F64(&s.lastPower)
+	cd.F64(&s.energyJ)
+	cd.I64(&s.wakeups)
+	cd.I64(&s.shutdowns)
+	cd.I64(&s.completed)
+	cd.Component(s.dpm)
+	hasClock := s.fclock != nil
+	cd.Bool(&hasClock)
+	if cd.Err() == nil && hasClock != (s.fclock != nil) {
+		cd.Fail(checkpoint.ErrConfigMismatch, "snapshot clock presence %v for server %d, cluster has %v",
+			hasClock, s.id, s.fclock != nil)
+	}
+	if hasClock && s.fclock != nil {
+		cd.Component(s.fclock)
+	}
 }
 
-// RestoreState reads what SaveState wrote into a freshly constructed Merger
-// of the same cluster size.
-func (m *Merger) RestoreState(d *checkpoint.Dec) error {
-	m.totalPower = d.F64()
-	m.jobsInSystem = d.Int()
-	pp := d.F64s()
-	pj := d.Ints()
-	rt := d.F64s()
-	if err := d.Sticky(); err != nil {
-		return err
-	}
-	if len(pp) != len(m.prevPower) || len(pj) != len(m.prevJobs) || len(rt) != len(m.reliTerms) {
-		return fmt.Errorf("%w: merger aggregate widths (%d,%d,%d), want (%d,%d,%d)",
-			checkpoint.ErrConfigMismatch, len(pp), len(pj), len(rt),
-			len(m.prevPower), len(m.prevJobs), len(m.reliTerms))
-	}
-	copy(m.prevPower, pp)
-	copy(m.prevJobs, pj)
-	copy(m.reliTerms, rt)
-	if err := restoreHotInto(d, m.reliHot); err != nil {
-		return err
-	}
-	return restoreMultiset(d, &m.jobs)
+// State implements checkpoint.Stateful: the merged-replay bookkeeping
+// verbatim (the replayed FP accumulators must continue bit for bit, exactly
+// like the shard-local ones), into a Merger of the same cluster size.
+func (m *Merger) State(c *checkpoint.Codec) {
+	c.F64(&m.totalPower)
+	c.Int(&m.jobsInSystem)
+	aggregatesState(c, "merger", m.prevPower, m.prevJobs, m.reliTerms, m.reliHot)
+	m.jobs.state(c)
 }
 
 var _ checkpoint.Stateful = (*Merger)(nil)

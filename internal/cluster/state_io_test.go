@@ -89,7 +89,7 @@ func buildWorkload(sm *sim.Simulator, c *Cluster, nJobs int) {
 func roundTrip(t *testing.T, c *Cluster, sm *sim.Simulator, mk func() (*Cluster, *sim.Simulator)) (*Cluster, *sim.Simulator) {
 	t.Helper()
 	w := checkpoint.NewWriter(0)
-	c.SaveState(w.Section("cluster"), nil)
+	c.State(w.Section("cluster").Codec(), nil)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -106,11 +106,8 @@ func roundTrip(t *testing.T, c *Cluster, sm *sim.Simulator, mk func() (*Cluster,
 	if err != nil {
 		t.Fatalf("Section: %v", err)
 	}
-	if _, err := c2.RestoreState(d); err != nil {
-		t.Fatalf("RestoreState: %v", err)
-	}
-	if err := d.Err(); err != nil {
-		t.Fatalf("trailing section bytes: %v", err)
+	if c2.State(d.Codec(), nil); d.Err() != nil {
+		t.Fatalf("State: %v", d.Err())
 	}
 	return c2, sm2
 }
@@ -224,7 +221,7 @@ func TestClusterRestoreFaultFlagMismatch(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	w := checkpoint.NewWriter(0)
-	c.SaveState(w.Section("cluster"), nil)
+	c.State(w.Section("cluster").Codec(), nil)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -245,7 +242,8 @@ func TestClusterRestoreFaultFlagMismatch(t *testing.T) {
 		t.Fatalf("NewReader: %v", err)
 	}
 	d, _ := rd.Section("cluster")
-	if _, err := c2.RestoreState(d); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+	c2.State(d.Codec(), nil)
+	if err := d.Err(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
 		t.Fatalf("faults mismatch: got %v, want ErrConfigMismatch", err)
 	}
 }
@@ -275,7 +273,7 @@ func TestMergerStateRoundTrip(t *testing.T) {
 	m1.jobs.max = 3
 
 	w := checkpoint.NewWriter(0)
-	m1.SaveState(w.Section("merger"))
+	checkpoint.Save(w.Section("merger"), m1)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -287,8 +285,8 @@ func TestMergerStateRoundTrip(t *testing.T) {
 		t.Fatalf("NewReader: %v", err)
 	}
 	d, _ := rd.Section("merger")
-	if err := m2.RestoreState(d); err != nil {
-		t.Fatalf("RestoreState: %v", err)
+	if err := checkpoint.Restore(d, m2); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
 	if err := d.Err(); err != nil {
 		t.Fatalf("trailing section bytes: %v", err)

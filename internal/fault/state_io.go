@@ -4,25 +4,14 @@ import (
 	"hierdrl/internal/checkpoint"
 )
 
-// SaveState implements checkpoint.Stateful: the clock is its RNG chain —
-// rates are construction config.
-func (c *expClock) SaveState(e *checkpoint.Enc) { checkpoint.SaveRNG(e, c.rng) }
+// State implements checkpoint.Stateful: the clock is its RNG chain — rates
+// are construction config.
+func (c *expClock) State(cd *checkpoint.Codec) { cd.RNG(c.rng) }
 
-// RestoreState implements checkpoint.Stateful.
-func (c *expClock) RestoreState(d *checkpoint.Dec) error {
-	return checkpoint.RestoreRNG(d, c.rng)
-}
-
-// SaveState implements checkpoint.Stateful: the maintenance schedule's only
+// State implements checkpoint.Stateful: the maintenance schedule's only
 // evolving state is whether the stagger offset has been consumed — period,
 // window, and offset are construction config.
-func (c *drainClock) SaveState(e *checkpoint.Enc) { e.Bool(c.fired) }
-
-// RestoreState implements checkpoint.Stateful.
-func (c *drainClock) RestoreState(d *checkpoint.Dec) error {
-	c.fired = d.Bool()
-	return d.Sticky()
-}
+func (c *drainClock) State(cd *checkpoint.Codec) { cd.Bool(&c.fired) }
 
 // CheckpointStateless marks the retry policies: a job's fate depends only on
 // (now, job, attempt), never on prior calls.

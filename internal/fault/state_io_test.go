@@ -24,7 +24,7 @@ func TestExpClockRoundTrip(t *testing.T) {
 	}
 
 	w := checkpoint.NewWriter(0)
-	checkpoint.SaveComponent(w.Section("clock"), c1)
+	w.Section("clock").Codec().Component(c1)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -46,11 +46,8 @@ func TestExpClockRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Section: %v", err)
 	}
-	if err := checkpoint.RestoreComponent(d, c2); err != nil {
-		t.Fatalf("RestoreComponent: %v", err)
-	}
-	if err := d.Err(); err != nil {
-		t.Fatalf("trailing bytes: %v", err)
+	if d.Codec().Component(c2); d.Err() != nil {
+		t.Fatalf("Component: %v", d.Err())
 	}
 
 	for i := 0; i < 10; i++ {

@@ -309,6 +309,12 @@ func (a *Agent) FinishEpisode(t sim.Time) {
 	if !a.hasPending {
 		return
 	}
+	// The parallel tier's clock trails the decision instant of a dispatch it
+	// has not committed yet; a run closed there ends the sojourn where it
+	// began instead of running the integrator backwards.
+	if t < a.pendingTime {
+		t = a.pendingTime
+	}
 	rEq, tau := a.integ.EquivalentRate(t.Seconds())
 	tr := a.replay.NextSlot()
 	a.pendingState.CloneInto(&tr.S)

@@ -1,192 +1,101 @@
 package global
 
 import (
-	"fmt"
-
 	"hierdrl/internal/checkpoint"
 	"hierdrl/internal/mat"
+	"hierdrl/internal/nn"
 	"hierdrl/internal/rl"
-	"hierdrl/internal/sim"
 )
 
-// SaveParams serializes every trainable tensor of the online Q path in
-// enumeration order (AE encoders then Sub-Q heads; decoders train only in
-// offline pretraining, which never reruns after a restore).
-func (n *QNetwork) SaveParams(e *checkpoint.Enc) {
-	params := n.Params()
-	e.Int(len(params))
-	for _, p := range params {
-		e.F64s(p.Val)
+// state walks every trainable tensor of the online Q path in enumeration
+// order (AE encoders then Sub-Q heads; decoders train only in offline
+// pretraining, which never reruns after a restore).
+func (n *QNetwork) state(c *checkpoint.Codec) {
+	nn.ParamsState(c, "Q-network", n.Params())
+	if c.Decoding() {
+		n.InvalidateTransposes()
 	}
 }
 
-// RestoreParams reads what SaveParams wrote into the existing tensors and
-// invalidates the cached transposes. The architecture is construction
-// config, so shapes must match.
-func (n *QNetwork) RestoreParams(d *checkpoint.Dec) error {
-	params := n.Params()
-	cnt := d.Int()
-	if err := d.Sticky(); err != nil {
-		return err
+func vecsState(c *checkpoint.Codec, vs *[]mat.Vec) {
+	n := c.Count(len(*vs), 8)
+	if c.Decoding() {
+		*vs = append((*vs)[:0], make([]mat.Vec, n)...)
 	}
-	if cnt != len(params) {
-		return fmt.Errorf("%w: Q-network tensor count %d, want %d", checkpoint.ErrConfigMismatch, cnt, len(params))
+	for i := range *vs {
+		c.F64s((*[]float64)(&(*vs)[i]))
 	}
-	for _, p := range params {
-		d.F64sInto(p.Val)
-	}
-	if err := d.Sticky(); err != nil {
-		return err
-	}
-	n.InvalidateTransposes()
-	return nil
 }
 
-func saveVec(e *checkpoint.Enc, v mat.Vec) { e.F64s(v) }
-
-func saveDRLState(e *checkpoint.Enc, s State) {
-	e.Int(len(s.Groups))
-	for _, g := range s.Groups {
-		saveVec(e, g)
-	}
-	saveVec(e, s.Job)
+func (s *State) state(c *checkpoint.Codec) {
+	vecsState(c, &s.Groups)
+	c.F64s((*[]float64)(&s.Job))
 }
 
-func restoreDRLState(d *checkpoint.Dec) State {
-	n := d.SliceLen(8)
-	s := State{Groups: make([]mat.Vec, n)}
-	for i := 0; i < n; i++ {
-		s.Groups[i] = mat.Vec(d.F64s())
-	}
-	s.Job = mat.Vec(d.F64s())
-	return s
+func transitionState(c *checkpoint.Codec, tr *Transition) {
+	tr.S.state(c)
+	c.Int(&tr.Action)
+	c.F64(&tr.REq)
+	c.F64(&tr.Tau)
+	tr.Next.state(c)
+	c.Bool(&tr.Terminal)
 }
 
-func saveTransition(e *checkpoint.Enc, tr Transition) {
-	saveDRLState(e, tr.S)
-	e.Int(tr.Action)
-	e.F64(tr.REq)
-	e.F64(tr.Tau)
-	saveDRLState(e, tr.Next)
-	e.Bool(tr.Terminal)
-}
-
-func restoreTransition(d *checkpoint.Dec) Transition {
-	var tr Transition
-	tr.S = restoreDRLState(d)
-	tr.Action = d.Int()
-	tr.REq = d.F64()
-	tr.Tau = d.F64()
-	tr.Next = restoreDRLState(d)
-	tr.Terminal = d.Bool()
-	return tr
-}
-
-// SaveState implements checkpoint.Stateful: the complete learning trajectory
-// of the DRL broker. Everything a resumed run's decisions can observe is
+// State implements checkpoint.Stateful: the complete learning trajectory of
+// the DRL broker. Everything a resumed run's decisions can observe is
 // captured — both networks' weights, Adam moments, every RNG chain, the
 // replay memory with its slot generations, the open sojourn and pending
 // transition, the epsilon schedule, the autoencoder sample reservoir (its
 // fill level gates an RNG draw per buffered group), and all counters. The
 // target-Q memo is deliberately excluded: it is a cache keyed by (slot,
 // generation, target version) and recomputes bitwise-identical values from
-// the restored target weights.
-func (a *Agent) SaveState(e *checkpoint.Enc) {
-	if a.behavior != nil {
+// the restored target weights. Decoding requires an agent constructed from
+// the same Config (same architecture, replay capacity, and server count).
+func (a *Agent) State(c *checkpoint.Codec) {
+	if a.behavior != nil && !c.Decoding() {
 		// Checkpoints are taken between session decision epochs, after warmup
 		// has completed; a live behaviour policy would not survive the
 		// round-trip, so refuse to pretend it does.
 		panic("global: checkpoint with active behaviour policy")
 	}
-	a.net.SaveParams(e)
-	a.tgt.SaveParams(e)
-	a.opt.SaveState(e)
-	a.eps.SaveState(e)
-	checkpoint.SaveRNG(e, a.eps.RNG())
-	checkpoint.SaveRNG(e, a.rng)
-	rl.SaveReplay(a.replay, e, saveTransition)
-	a.integ.SaveState(e)
-	e.F64(a.lastPower)
-	e.Int(a.lastJobs)
-	e.F64(a.lastReli)
-	e.Bool(a.hasPending)
-	saveDRLState(e, a.pendingState)
-	e.Int(a.pendingAction)
-	e.F64(a.pendingTime.Seconds())
-	e.Bool(a.frozen)
-	e.I64(a.decisions)
-	e.I64(a.updates)
-	e.F64(a.lossSum)
-	e.I64(a.lossN)
-	e.I64s(a.actionCounts)
-	e.I64(a.tgtVersion)
-	e.Int(len(a.aeSamples))
-	for _, v := range a.aeSamples {
-		saveVec(e, v)
-	}
-}
-
-// RestoreState implements checkpoint.Stateful. The agent must have been
-// constructed from the same Config (same architecture, replay capacity, and
-// server count).
-func (a *Agent) RestoreState(d *checkpoint.Dec) error {
-	if err := a.net.RestoreParams(d); err != nil {
-		return err
-	}
-	if err := a.tgt.RestoreParams(d); err != nil {
-		return err
-	}
-	if err := a.opt.RestoreState(d); err != nil {
-		return err
-	}
-	if err := a.eps.RestoreState(d); err != nil {
-		return err
-	}
-	if err := checkpoint.RestoreRNG(d, a.eps.RNG()); err != nil {
-		return err
-	}
-	if err := checkpoint.RestoreRNG(d, a.rng); err != nil {
-		return err
-	}
-	if err := rl.RestoreReplay(a.replay, d, restoreTransition); err != nil {
-		return err
-	}
-	if err := a.integ.RestoreState(d); err != nil {
-		return err
-	}
-	a.lastPower = d.F64()
-	a.lastJobs = d.Int()
-	a.lastReli = d.F64()
-	a.hasPending = d.Bool()
-	a.pendingState = restoreDRLState(d)
-	a.pendingAction = d.Int()
-	a.pendingTime = sim.Time(d.F64())
-	a.frozen = d.Bool()
-	a.decisions = d.I64()
-	a.updates = d.I64()
-	a.lossSum = d.F64()
-	a.lossN = d.I64()
-	counts := d.I64s()
-	a.tgtVersion = d.I64()
-	nAE := d.SliceLen(8)
-	if err := d.Sticky(); err != nil {
-		return err
+	a.net.state(c)
+	a.tgt.state(c)
+	a.opt.State(c)
+	a.eps.State(c)
+	c.RNG(a.eps.RNG())
+	c.RNG(a.rng)
+	rl.ReplayState(a.replay, c, transitionState)
+	a.integ.State(c)
+	c.F64(&a.lastPower)
+	c.Int(&a.lastJobs)
+	c.F64(&a.lastReli)
+	c.Bool(&a.hasPending)
+	a.pendingState.state(c)
+	c.Int(&a.pendingAction)
+	c.F64((*float64)(&a.pendingTime))
+	c.Bool(&a.frozen)
+	c.I64(&a.decisions)
+	c.I64(&a.updates)
+	c.F64(&a.lossSum)
+	c.I64(&a.lossN)
+	counts := a.actionCounts
+	c.I64s(&counts)
+	c.I64(&a.tgtVersion)
+	vecsState(c, &a.aeSamples)
+	if !c.Decoding() || c.Err() != nil {
+		return
 	}
 	if len(counts) != len(a.actionCounts) {
-		return fmt.Errorf("%w: action count width %d, want %d", checkpoint.ErrConfigMismatch, len(counts), len(a.actionCounts))
+		c.Fail(checkpoint.ErrConfigMismatch, "action count width %d, want %d", len(counts), len(a.actionCounts))
+		return
 	}
 	copy(a.actionCounts, counts)
-	a.aeSamples = a.aeSamples[:0]
-	for i := 0; i < nAE; i++ {
-		a.aeSamples = append(a.aeSamples, mat.Vec(d.F64s()))
-	}
 	// Invalidate the target-Q memo: restored slot generations restart the
 	// (gen, version) keying, and the cached values belong to the pre-restore
 	// arrays anyway.
 	a.tgtQVal = nil
 	a.tgtQGen = nil
 	a.tgtQVer = nil
-	return d.Sticky()
 }
 
 var _ checkpoint.Stateful = (*Agent)(nil)

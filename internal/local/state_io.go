@@ -10,89 +10,42 @@ func (AlwaysOn) CheckpointStateless()     {}
 func (AdHoc) CheckpointStateless()        {}
 func (FixedTimeout) CheckpointStateless() {}
 
-// SaveState implements checkpoint.Stateful: the learned Q-table, the
-// epsilon schedule and its RNG, the open sojourn, and the nested arrival
-// predictor (which must itself be checkpointable).
-func (m *RLTimeout) SaveState(e *checkpoint.Enc) {
-	m.table.SaveState(e)
-	m.eps.SaveState(e)
-	checkpoint.SaveRNG(e, m.eps.RNG())
-	m.integ.SaveState(e)
-	e.F64(m.lastPower)
-	e.Int(m.lastJQ)
-	e.Bool(m.hasPending)
-	e.Str(m.pendingState)
-	e.Int(m.pendingAction)
-	e.I64(m.decisions)
-	e.I64(m.updates)
-	checkpoint.SaveComponent(e, m.pred)
+// State implements checkpoint.Stateful: the learned Q-table, the epsilon
+// schedule and its RNG, the open sojourn, and the nested arrival predictor
+// (which must itself be checkpointable).
+func (m *RLTimeout) State(c *checkpoint.Codec) {
+	m.table.State(c)
+	m.eps.State(c)
+	c.RNG(m.eps.RNG())
+	m.integ.State(c)
+	c.F64(&m.lastPower)
+	c.Int(&m.lastJQ)
+	c.Bool(&m.hasPending)
+	c.Str(&m.pendingState)
+	c.Int(&m.pendingAction)
+	c.I64(&m.decisions)
+	c.I64(&m.updates)
+	c.Component(m.pred)
 }
 
-// RestoreState implements checkpoint.Stateful.
-func (m *RLTimeout) RestoreState(d *checkpoint.Dec) error {
-	if err := m.table.RestoreState(d); err != nil {
-		return err
-	}
-	if err := m.eps.RestoreState(d); err != nil {
-		return err
-	}
-	if err := checkpoint.RestoreRNG(d, m.eps.RNG()); err != nil {
-		return err
-	}
-	if err := m.integ.RestoreState(d); err != nil {
-		return err
-	}
-	m.lastPower = d.F64()
-	m.lastJQ = d.Int()
-	m.hasPending = d.Bool()
-	m.pendingState = d.Str()
-	m.pendingAction = d.Int()
-	m.decisions = d.I64()
-	m.updates = d.I64()
-	return checkpoint.RestoreComponent(d, m.pred)
+// State implements checkpoint.Stateful.
+func (p *LastValue) State(c *checkpoint.Codec) {
+	c.F64(&p.last)
+	c.F64(&p.lastGap)
+	c.Int(&p.seen)
 }
 
-// SaveState implements checkpoint.Stateful.
-func (p *LastValue) SaveState(e *checkpoint.Enc) {
-	e.F64(p.last)
-	e.F64(p.lastGap)
-	e.Int(p.seen)
+// State implements checkpoint.Stateful.
+func (p *EWMA) State(c *checkpoint.Codec) {
+	c.F64(&p.last)
+	c.F64(&p.est)
+	c.Int(&p.seen)
 }
 
-// RestoreState implements checkpoint.Stateful.
-func (p *LastValue) RestoreState(d *checkpoint.Dec) error {
-	p.last = d.F64()
-	p.lastGap = d.F64()
-	p.seen = d.Int()
-	return nil
-}
-
-// SaveState implements checkpoint.Stateful.
-func (p *EWMA) SaveState(e *checkpoint.Enc) {
-	e.F64(p.last)
-	e.F64(p.est)
-	e.Int(p.seen)
-}
-
-// RestoreState implements checkpoint.Stateful.
-func (p *EWMA) RestoreState(d *checkpoint.Dec) error {
-	p.last = d.F64()
-	p.est = d.F64()
-	p.seen = d.Int()
-	return nil
-}
-
-// SaveState implements checkpoint.Stateful.
-func (p *WindowMean) SaveState(e *checkpoint.Enc) {
-	e.F64s(p.window)
-	e.F64(p.last)
-}
-
-// RestoreState implements checkpoint.Stateful.
-func (p *WindowMean) RestoreState(d *checkpoint.Dec) error {
-	p.window = d.F64s()
-	p.last = d.F64()
-	return nil
+// State implements checkpoint.Stateful.
+func (p *WindowMean) State(c *checkpoint.Codec) {
+	c.F64s(&p.window)
+	c.F64(&p.last)
 }
 
 var (

@@ -1,79 +1,28 @@
 package lstm
 
 import (
-	"fmt"
-
 	"hierdrl/internal/checkpoint"
+	"hierdrl/internal/nn"
 )
 
-// SaveParams serializes every trainable tensor in enumeration order.
-// Gradients and cached transposes are scratch and excluded.
-func (n *Network) SaveParams(e *checkpoint.Enc) {
-	params := n.Params()
-	e.Int(len(params))
-	for _, p := range params {
-		e.F64s(p.Val)
-	}
-}
-
-// RestoreParams reads what SaveParams wrote into the existing tensors (the
-// architecture is construction config, so shapes must match) and invalidates
-// the cached transposes.
-func (n *Network) RestoreParams(d *checkpoint.Dec) error {
-	params := n.Params()
-	cnt := d.Int()
-	if err := d.Sticky(); err != nil {
-		return err
-	}
-	if cnt != len(params) {
-		return fmt.Errorf("%w: LSTM tensor count %d, want %d", checkpoint.ErrConfigMismatch, cnt, len(params))
-	}
-	for _, p := range params {
-		d.F64sInto(p.Val)
-	}
-	if err := d.Sticky(); err != nil {
-		return err
-	}
-	n.InvalidateTransposes()
-	return nil
-}
-
-// SaveState implements checkpoint.Stateful: weights, optimizer moments, the
+// State implements checkpoint.Stateful: weights, optimizer moments, the
 // training RNG, and the full observation trajectory (history window, Welford
 // moments, step counters). Inference and BPTT scratch buffers are rebuilt
 // lazily and carry no information.
-func (p *Predictor) SaveState(e *checkpoint.Enc) {
-	p.net.SaveParams(e)
-	p.opt.SaveState(e)
-	checkpoint.SaveRNG(e, p.rng)
-	e.F64(p.lastArrival)
-	e.F64s(p.history)
-	e.Int(p.count)
-	e.F64(p.mean)
-	e.F64(p.m2)
-	e.Int(p.trained)
-	e.Int(p.sinceT)
-}
-
-// RestoreState implements checkpoint.Stateful.
-func (p *Predictor) RestoreState(d *checkpoint.Dec) error {
-	if err := p.net.RestoreParams(d); err != nil {
-		return err
+func (p *Predictor) State(c *checkpoint.Codec) {
+	nn.ParamsState(c, "LSTM", p.net.Params())
+	if c.Decoding() {
+		p.net.InvalidateTransposes()
 	}
-	if err := p.opt.RestoreState(d); err != nil {
-		return err
-	}
-	if err := checkpoint.RestoreRNG(d, p.rng); err != nil {
-		return err
-	}
-	p.lastArrival = d.F64()
-	p.history = d.F64s()
-	p.count = d.Int()
-	p.mean = d.F64()
-	p.m2 = d.F64()
-	p.trained = d.Int()
-	p.sinceT = d.Int()
-	return d.Sticky()
+	p.opt.State(c)
+	c.RNG(p.rng)
+	c.F64(&p.lastArrival)
+	c.F64s(&p.history)
+	c.Int(&p.count)
+	c.F64(&p.mean)
+	c.F64(&p.m2)
+	c.Int(&p.trained)
+	c.Int(&p.sinceT)
 }
 
 var _ checkpoint.Stateful = (*Predictor)(nil)

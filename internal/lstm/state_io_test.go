@@ -35,7 +35,7 @@ func TestPredictorStateRoundTrip(t *testing.T) {
 	}
 
 	w := checkpoint.NewWriter(0)
-	p1.SaveState(w.Section("lstm"))
+	checkpoint.Save(w.Section("lstm"), p1)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -52,8 +52,8 @@ func TestPredictorStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Section: %v", err)
 	}
-	if err := p2.RestoreState(d); err != nil {
-		t.Fatalf("RestoreState: %v", err)
+	if err := checkpoint.Restore(d, p2); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
 	if err := d.Err(); err != nil {
 		t.Fatalf("trailing bytes: %v", err)

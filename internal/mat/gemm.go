@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Batched matrix-matrix products. These are the compute core behind the
 // minibatch neural-network paths: one GEMM replaces a loop of GEMV calls,
@@ -11,50 +8,22 @@ import (
 // bitwise-identical results row for row (see kernels.go for the ordering
 // contract).
 
-// MulMatT computes c = a * bᵀ, where a is M×K, b is N×K, and c is M×N.
-// Row i of c equals b.MulVec(a.Row(i), ...) exactly: this is the layout used
-// by a batched dense-layer forward pass Y = X·Wᵀ, where both operands are
-// walked row-major. c may not alias a or b.
-func MulMatT(a, b, c *Dense) {
-	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MulMatT shape mismatch a=%dx%d b=%dx%d c=%dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	// Large-batch fast path: transpose b once and accumulate each output row
-	// as a sequence of vectorized axpys over k. For every output element the
-	// contributions still arrive in ascending k — the exact order of the dot
-	// products below — so both paths produce identical bits; the transposed
-	// form just exposes contiguous vectors to the SIMD kernel. (A zero
-	// coefficient is skipped; adding its ±0 product is bitwise equivalent
-	// for any +0-initialized accumulation, so the shortcut is free.)
-	if useVectorKernels && a.Rows >= 4 && b.Rows >= 8 && a.Cols >= 2 {
-		sb := getTransposed(b)
-		for i := 0; i < a.Rows; i++ {
-			crow := c.Row(i)
-			for j := range crow {
-				crow[j] = 0
-			}
-			gemvTAdd(sb.data, b.Cols, b.Rows, a.Row(i), crow)
-		}
-		gemmScratch.Put(sb)
-		return
-	}
-	for i := 0; i < a.Rows; i++ {
-		gemvRows4(b.Data, 0, b.Rows, b.Cols, a.Row(i), c.Row(i))
-	}
-}
-
 // BTUsable reports whether a cached transpose of an outRows×K matrix would
 // actually be read by MulMatTWithBT/MulVecWithBT — callers skip building
 // and maintaining the cache otherwise (no SIMD kernels, or the output is
 // too narrow for them).
 func BTUsable(outRows int) bool { return useVectorKernels && outRows >= 8 }
 
-// MulMatTWithBT is MulMatT with a caller-maintained transpose bt of b
-// (bt = bᵀ, shaped K×N). With a valid bt the axpy fast path applies at any
-// batch size — the caller amortizes the transpose across many calls (e.g. a
-// layer caching Wᵀ between weight updates). bt may be nil, which always
-// takes the dot-direction path. Results are bitwise identical to MulMatT.
+// MulMatTWithBT computes c = a * bᵀ, where a is M×K, b is N×K, and c is M×N.
+// Row i of c equals b.MulVec(a.Row(i), ...) exactly: this is the layout used
+// by a batched dense-layer forward pass Y = X·Wᵀ. bt is a caller-maintained
+// transpose of b (bt = bᵀ, shaped K×N; e.g. a layer caching Wᵀ between weight
+// updates): with it, each output row accumulates as a sequence of vectorized
+// axpys over k. For every output element the contributions still arrive in
+// ascending k — the exact order of the dot products — so both paths produce
+// identical bits; the transposed form just exposes contiguous vectors to the
+// SIMD kernel. bt may be nil, which always takes the dot-direction path.
+// c may not alias a or b.
 func MulMatTWithBT(a, b, bt, c *Dense) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows ||
 		(bt != nil && (bt.Rows != b.Cols || bt.Cols != b.Rows)) {
@@ -107,36 +76,6 @@ func MulVecWithBT(b, bt *Dense, x, dst Vec) {
 		return
 	}
 	gemvRows4(b.Data, 0, b.Rows, b.Cols, x, dst)
-}
-
-// gemmScratch recycles transpose panels across GEMM calls (safe for
-// concurrent use; each call owns its holder between Get and Put, and the
-// holder is a stable pointer so the round trip does not allocate).
-var gemmScratch sync.Pool
-
-type scratchBuf struct{ data []float64 }
-
-func getTransposed(b *Dense) *scratchBuf {
-	n := b.Rows * b.Cols
-	sb, _ := gemmScratch.Get().(*scratchBuf)
-	if sb == nil {
-		sb = &scratchBuf{}
-	}
-	if cap(sb.data) < n {
-		sb.data = make([]float64, n)
-	} else {
-		sb.data = sb.data[:n]
-	}
-	// sb.data holds bᵀ, laid out b.Cols x b.Rows.
-	rows, cols := b.Rows, b.Cols
-	bt := sb.data
-	for i := 0; i < rows; i++ {
-		row := b.Data[i*cols : (i+1)*cols]
-		for j, v := range row {
-			bt[j*rows+i] = v
-		}
-	}
-	return sb
 }
 
 // MulMat computes c = a * b, where a is M×K, b is K×N, and c is M×N. Row i

@@ -103,81 +103,95 @@ func TestMulVecMatchesScalarReference(t *testing.T) {
 }
 
 func TestMulVecTMatchesScalarReference(t *testing.T) {
-	rng := NewRNG(2)
-	for _, sh := range testShapes {
-		m := randDense(sh.r, sh.c, rng)
-		x := randVec(sh.r, rng)
-		sprinkleZeros(x, rng)
-		got := NewVec(sh.c)
-		want := NewVec(sh.c)
-		m.MulVecT(x, got)
-		naiveMulVecT(m, x, want)
-		if d := maxAbsDiff(got, want); d != 0 {
-			t.Errorf("%dx%d: MulVecT diverges from scalar reference by %g", sh.r, sh.c, d)
+	forEachKernelFamily(t, func(t *testing.T) {
+		rng := NewRNG(2)
+		for _, sh := range testShapes {
+			m := randDense(sh.r, sh.c, rng)
+			x := randVec(sh.r, rng)
+			sprinkleZeros(x, rng)
+			got := NewVec(sh.c)
+			want := NewVec(sh.c)
+			m.MulVecT(x, got)
+			naiveMulVecT(m, x, want)
+			if d := maxAbsDiff(got, want); d != 0 {
+				t.Errorf("%dx%d: MulVecT diverges from scalar reference by %g", sh.r, sh.c, d)
+			}
 		}
-	}
+	})
 }
 
 func TestMulMatTMatchesPerRowGEMV(t *testing.T) {
-	rng := NewRNG(3)
-	for _, sh := range testShapes {
-		for _, batch := range []int{1, 2, 5, 32} {
-			a := randDense(batch, sh.c, rng)
-			b := randDense(sh.r, sh.c, rng)
-			c := NewDense(batch, sh.r)
-			MulMatT(a, b, c)
-			want := NewVec(sh.r)
-			for i := 0; i < batch; i++ {
-				b.MulVec(a.Row(i), want)
-				if d := maxAbsDiff(c.Row(i), want); d != 0 {
-					t.Fatalf("batch=%d shape=%dx%d row %d: MulMatT diverges by %g",
-						batch, sh.r, sh.c, i, d)
+	forEachKernelFamily(t, func(t *testing.T) {
+		rng := NewRNG(3)
+		for _, sh := range testShapes {
+			for _, batch := range []int{1, 2, 5, 32} {
+				a := randDense(batch, sh.c, rng)
+				b := randDense(sh.r, sh.c, rng)
+				bt := NewDense(sh.c, sh.r)
+				TransposeInto(b, bt)
+				want := NewVec(sh.r)
+				// The cached-transpose (axpy) path production runs, and the
+				// dot-direction path a nil transpose selects.
+				for _, tr := range []*Dense{bt, nil} {
+					c := NewDense(batch, sh.r)
+					MulMatTWithBT(a, b, tr, c)
+					for i := 0; i < batch; i++ {
+						b.MulVec(a.Row(i), want)
+						if d := maxAbsDiff(c.Row(i), want); d != 0 {
+							t.Fatalf("batch=%d shape=%dx%d row %d (bt=%v): MulMatTWithBT diverges by %g",
+								batch, sh.r, sh.c, i, tr != nil, d)
+						}
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestMulMatMatchesPerRowGEMVT(t *testing.T) {
-	rng := NewRNG(4)
-	for _, sh := range testShapes {
-		for _, batch := range []int{1, 2, 5, 32} {
-			a := randDense(batch, sh.r, rng)
-			sprinkleZeros(a.Data, rng)
-			b := randDense(sh.r, sh.c, rng)
-			c := NewDense(batch, sh.c)
-			MulMat(a, b, c)
-			want := NewVec(sh.c)
-			for i := 0; i < batch; i++ {
-				b.MulVecT(a.Row(i), want)
-				if d := maxAbsDiff(c.Row(i), want); d != 0 {
-					t.Fatalf("batch=%d shape=%dx%d row %d: MulMat diverges by %g",
-						batch, sh.r, sh.c, i, d)
+	forEachKernelFamily(t, func(t *testing.T) {
+		rng := NewRNG(4)
+		for _, sh := range testShapes {
+			for _, batch := range []int{1, 2, 5, 32} {
+				a := randDense(batch, sh.r, rng)
+				sprinkleZeros(a.Data, rng)
+				b := randDense(sh.r, sh.c, rng)
+				c := NewDense(batch, sh.c)
+				MulMat(a, b, c)
+				want := NewVec(sh.c)
+				for i := 0; i < batch; i++ {
+					b.MulVecT(a.Row(i), want)
+					if d := maxAbsDiff(c.Row(i), want); d != 0 {
+						t.Fatalf("batch=%d shape=%dx%d row %d: MulMat diverges by %g",
+							batch, sh.r, sh.c, i, d)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestAddMulTMatMatchesSequentialAddOuter(t *testing.T) {
-	rng := NewRNG(5)
-	for _, sh := range testShapes {
-		for _, batch := range []int{1, 3, 4, 7, 32} {
-			a := randDense(batch, sh.r, rng)
-			sprinkleZeros(a.Data, rng)
-			b := randDense(batch, sh.c, rng)
-			got := randDense(sh.r, sh.c, rng)
-			want := got.Clone()
-			AddMulTMat(1, a, b, got)
-			for s := 0; s < batch; s++ {
-				want.AddOuter(1, a.Row(s), b.Row(s))
-			}
-			if !got.Equal(want, 0) {
-				t.Fatalf("batch=%d shape=%dx%d: AddMulTMat diverges from sequential AddOuter",
-					batch, sh.r, sh.c)
+	forEachKernelFamily(t, func(t *testing.T) {
+		rng := NewRNG(5)
+		for _, sh := range testShapes {
+			for _, batch := range []int{1, 3, 4, 7, 32} {
+				a := randDense(batch, sh.r, rng)
+				sprinkleZeros(a.Data, rng)
+				b := randDense(batch, sh.c, rng)
+				got := randDense(sh.r, sh.c, rng)
+				want := got.Clone()
+				AddMulTMat(1, a, b, got)
+				for s := 0; s < batch; s++ {
+					want.AddOuter(1, a.Row(s), b.Row(s))
+				}
+				if !got.Equal(want, 0) {
+					t.Fatalf("batch=%d shape=%dx%d: AddMulTMat diverges from sequential AddOuter",
+						batch, sh.r, sh.c)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestGEMMShapePanics(t *testing.T) {
@@ -185,7 +199,8 @@ func TestGEMMShapePanics(t *testing.T) {
 	b := NewDense(2, 3)
 	for name, f := range map[string]func(){
 		"MulMat":     func() { MulMat(a, b, NewDense(2, 3)) },
-		"MulMatT":    func() { MulMatT(a, NewDense(4, 4), NewDense(2, 4)) },
+		"MulMatT":    func() { MulMatTWithBT(a, NewDense(4, 4), nil, NewDense(2, 4)) },
+		"MulMatT/bt": func() { MulMatTWithBT(a, b, NewDense(2, 3), NewDense(2, 2)) },
 		"AddMulTMat": func() { AddMulTMat(1, a, NewDense(3, 3), NewDense(3, 3)) },
 	} {
 		func() {

@@ -82,16 +82,13 @@ func gemvAddRows4(a []float64, rows, cols int, x, dst []float64) {
 	}
 }
 
-// axpyRow accumulates dst += xi * a[row] with the seed's skip-zero shortcut.
+// axpyRow accumulates dst += xi * a[row] with the seed's skip-zero shortcut
+// (portable path only, like its caller gemvTAddRows4).
 func axpyRow(a []float64, row, cols int, xi float64, dst []float64) {
 	if xi == 0 {
 		return
 	}
 	r := a[row*cols : row*cols+cols][:len(dst)]
-	if useVectorKernels && len(dst) >= 8 {
-		vaxpy1(dst, r, xi)
-		return
-	}
 	for j := range dst {
 		dst[j] += r[j] * xi
 	}
@@ -174,47 +171,15 @@ func gemvTAdd(a []float64, rows, cols int, x, dst []float64) {
 	}
 }
 
-// gemvTAddRows4 computes dst += A^T * x (dst length cols, x length rows),
-// tiling four matrix rows per pass. Per element dst[j] the contributions
+// gemvTAddRows4 is gemvTAdd's portable path (no vector kernels, or dst too
+// narrow for them): dst += A^T * x (dst length cols, x length rows), tiling
+// four matrix rows per pass. Per element dst[j] the contributions
 // arrive in ascending row order, exactly as the scalar loop adds them; a tile
 // containing a zero coefficient falls back to the sequential per-row path so
 // the skip-zero semantics of the scalar kernel are preserved verbatim.
 func gemvTAddRows4(a []float64, rows, cols int, x, dst []float64) {
 	n := len(dst)
 	i := 0
-	if useVectorKernels && n >= 8 {
-		// Hoist the SIMD dispatch out of the tile loop: one n4 computation
-		// and one dst reslice serve every tile.
-		n4 := n &^ 3
-		vdst := dst[:n4]
-		for ; i+4 <= rows; i += 4 {
-			x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
-			if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 {
-				axpyRow(a, i, cols, x0, dst)
-				axpyRow(a, i+1, cols, x1, dst)
-				axpyRow(a, i+2, cols, x2, dst)
-				axpyRow(a, i+3, cols, x3, dst)
-				continue
-			}
-			r0 := a[i*cols : i*cols+cols][:n]
-			r1 := a[(i+1)*cols : (i+1)*cols+cols][:n]
-			r2 := a[(i+2)*cols : (i+2)*cols+cols][:n]
-			r3 := a[(i+3)*cols : (i+3)*cols+cols][:n]
-			vaxpy4Tile(vdst, r0, r1, r2, r3, x0, x1, x2, x3)
-			for j := n4; j < n; j++ {
-				s := dst[j]
-				s += r0[j] * x0
-				s += r1[j] * x1
-				s += r2[j] * x2
-				s += r3[j] * x3
-				dst[j] = s
-			}
-		}
-		for ; i < rows; i++ {
-			axpyRow(a, i, cols, x[i], dst)
-		}
-		return
-	}
 	for ; i+4 <= rows; i += 4 {
 		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
 		if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 {

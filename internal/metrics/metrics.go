@@ -57,14 +57,14 @@ type Summary struct {
 	MTTRSec         float64 // mean downtime of completed repairs
 	Failures        int64
 	Repairs         int64
-	JobsInterrupted int64 // crash evictions (a job can count more than once)
-	JobsMigrated    int64 // drain-time migrations (graceful, no work lost)
-	JobsRetried     int64 // evictions/migrations the retry policy requeued
-	JobsLost        int64 // jobs dropped by the retry policy
+	JobsInterrupted int64   // crash evictions (a job can count more than once)
+	JobsMigrated    int64   // drain-time migrations (graceful, no work lost)
+	JobsRetried     int64   // evictions/migrations the retry policy requeued
+	JobsLost        int64   // jobs dropped by the retry policy
 	LostWorkSec     float64 // executed-then-discarded work integral
-	DomainOutages   int64 // whole-failure-domain simultaneous-down episodes
+	DomainOutages   int64   // whole-failure-domain simultaneous-down episodes
 	DegradedSec     float64 // server-seconds spent fail-slow (speed < nominal)
-	Drains          int64 // maintenance windows opened
+	Drains          int64   // maintenance windows opened
 }
 
 // String renders the summary as a single aligned row.

@@ -2,84 +2,50 @@ package metrics
 
 import (
 	"hierdrl/internal/checkpoint"
-	"hierdrl/internal/sim"
 	"hierdrl/internal/telemetry"
 )
 
-// SaveState serializes the accumulated measurements: per-job samples, the
-// checkpoint series, and the fault tallies. The cluster reference and the
-// callbacks are wiring, re-established at restore.
-func (c *Collector) SaveState(e *checkpoint.Enc) {
-	e.F64(c.accLatency)
-	e.F64s(c.waits)
-	e.F64s(c.latencies)
-	e.Int(c.completed)
-	e.Int(len(c.checkpoints))
-	for _, cp := range c.checkpoints {
-		e.Int(cp.Jobs)
-		e.F64(cp.Time.Seconds())
-		e.F64(cp.AccLatencySec)
-		e.F64(cp.EnergykWh)
+// State implements checkpoint.Stateful: per-job samples, the checkpoint
+// series, and the fault tallies. The cluster reference and the callbacks are
+// wiring, re-established at restore; checkpointEvery is construction config.
+func (c *Collector) State(cd *checkpoint.Codec) {
+	cd.F64(&c.accLatency)
+	cd.F64s(&c.waits)
+	cd.F64s(&c.latencies)
+	cd.Int(&c.completed)
+	n := cd.Count(len(c.checkpoints), 32) // 4 fixed 8-byte fields per checkpoint
+	if cd.Decoding() {
+		c.checkpoints = append(c.checkpoints[:0], make([]Checkpoint, n)...)
 	}
-	e.I64(c.interrupted)
-	e.I64(c.retried)
-	e.I64(c.lost)
-	e.F64(c.lostWork)
-	e.I64(c.migrated)
-	e.I64(c.domOutages)
+	for i := range c.checkpoints {
+		cp := &c.checkpoints[i]
+		cd.Int(&cp.Jobs)
+		cd.F64((*float64)(&cp.Time))
+		cd.F64(&cp.AccLatencySec)
+		cd.F64(&cp.EnergykWh)
+	}
+	cd.I64(&c.interrupted)
+	cd.I64(&c.retried)
+	cd.I64(&c.lost)
+	cd.F64(&c.lostWork)
+	cd.I64(&c.migrated)
+	cd.I64(&c.domOutages)
 	// Telemetry extension (container Version 3): sketch-only flag, the
-	// incrementally kept wait sum, and the live quantile sketches.
-	e.Bool(c.sketchOnly)
-	e.F64(c.waitSum)
-	e.Bool(c.sk != nil)
-	if c.sk != nil {
-		c.sk.SaveState(e)
-	}
-}
-
-// RestoreState reads what SaveState wrote. checkpointEvery is construction
-// config and is not touched.
-func (c *Collector) RestoreState(d *checkpoint.Dec) error {
-	c.accLatency = d.F64()
-	c.waits = d.F64s()
-	c.latencies = d.F64s()
-	c.completed = d.Int()
-	n := d.SliceLen(32) // 4 fixed 8-byte fields per checkpoint
-	if err := d.Sticky(); err != nil {
-		return err
-	}
-	c.checkpoints = c.checkpoints[:0]
-	for i := 0; i < n; i++ {
-		c.checkpoints = append(c.checkpoints, Checkpoint{
-			Jobs:          d.Int(),
-			Time:          sim.Time(d.F64()),
-			AccLatencySec: d.F64(),
-			EnergykWh:     d.F64(),
-		})
-	}
-	c.interrupted = d.I64()
-	c.retried = d.I64()
-	c.lost = d.I64()
-	c.lostWork = d.F64()
-	c.migrated = d.I64()
-	c.domOutages = d.I64()
-	// Telemetry extension: the snapshot is authoritative for the collection
-	// mode and the sketch contents — a run checkpointed with sketches resumes
-	// with them regardless of which options the restoring caller re-attached
-	// (a restore without them would silently lose the percentile history).
-	c.sketchOnly = d.Bool()
-	c.waitSum = d.F64()
-	hasSk := d.Bool()
-	if err := d.Sticky(); err != nil {
-		return err
-	}
+	// incrementally kept wait sum, and the live quantile sketches. The
+	// snapshot is authoritative for the collection mode and the sketch
+	// contents — a run checkpointed with sketches resumes with them regardless
+	// of which options the restoring caller re-attached (a restore without
+	// them would silently lose the percentile history).
+	cd.Bool(&c.sketchOnly)
+	cd.F64(&c.waitSum)
+	hasSk := c.sk != nil
+	cd.Bool(&hasSk)
 	if hasSk {
 		if c.sk == nil {
 			c.sk = telemetry.NewSketchSet(c.clusterRef.Shards())
 		}
-		if err := c.sk.RestoreState(d); err != nil {
-			return err
-		}
+		c.sk.State(cd)
 	}
-	return d.Sticky()
 }
+
+var _ checkpoint.Stateful = (*Collector)(nil)

@@ -32,7 +32,7 @@ func TestCollectorStateRoundTrip(t *testing.T) {
 	}
 
 	w := checkpoint.NewWriter(0)
-	col1.SaveState(w.Section("metrics"))
+	checkpoint.Save(w.Section("metrics"), col1)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -49,8 +49,8 @@ func TestCollectorStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Section: %v", err)
 	}
-	if err := col2.RestoreState(d); err != nil {
-		t.Fatalf("RestoreState: %v", err)
+	if err := checkpoint.Restore(d, col2); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
 	if err := d.Err(); err != nil {
 		t.Fatalf("trailing bytes: %v", err)

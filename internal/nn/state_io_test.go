@@ -2,7 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"hierdrl/internal/checkpoint"
@@ -11,7 +13,7 @@ import (
 func adamSection(t *testing.T, a *Adam) *checkpoint.Dec {
 	t.Helper()
 	w := checkpoint.NewWriter(0)
-	a.SaveState(w.Section("adam"))
+	checkpoint.Save(w.Section("adam"), a)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -56,8 +58,8 @@ func TestAdamStateRoundTrip(t *testing.T) {
 
 	d := adamSection(t, a1)
 	a2 := NewAdam(0.01)
-	if err := a2.RestoreState(d); err != nil {
-		t.Fatalf("RestoreState: %v", err)
+	if err := checkpoint.Restore(d, a2); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
 	if err := d.Err(); err != nil {
 		t.Fatalf("trailing bytes: %v", err)
@@ -99,10 +101,42 @@ func TestAdamNeverSteppedRoundTrip(t *testing.T) {
 	a2.m = [][]float64{{1}}
 	a2.v = [][]float64{{1}}
 	a2.t = 5
-	if err := a2.RestoreState(d); err != nil {
-		t.Fatalf("RestoreState: %v", err)
+	if err := checkpoint.Restore(d, a2); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
 	if a2.t != 0 || a2.m != nil || a2.v != nil {
 		t.Fatalf("virgin optimizer restored as t=%d, %d moment tensors", a2.t, len(a2.m))
+	}
+}
+
+// TestAdamRejectsCraftedCount: the moment-tensor count is bounded by the
+// bytes that remain in the payload, not by a fixed cap — 2^19 tensors passed
+// the old 2^20 cap and sized two slices before the first read failed.
+func TestAdamRejectsCraftedCount(t *testing.T) {
+	w := checkpoint.NewWriter(0)
+	e := w.Section("adam")
+	e.Int(7)
+	e.Int(1 << 19)
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := rd.Section("adam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = checkpoint.Restore(d, NewAdam(0.01))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("crafted tensor count: got %v, want ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the crafted count allocated %d bytes", grew)
 	}
 }

@@ -206,6 +206,6 @@ func TestLeastCommittedMatchesLeastLoadedScan(t *testing.T) {
 // alwaysOnDPM keeps servers active for the load-index equivalence test.
 type alwaysOnDPM struct{}
 
-func (alwaysOnDPM) OnIdle(sim.Time, *cluster.Server) float64                 { return math.Inf(1) }
+func (alwaysOnDPM) OnIdle(sim.Time, *cluster.Server) float64                { return math.Inf(1) }
 func (alwaysOnDPM) OnArrival(sim.Time, *cluster.Server, cluster.PowerState) {}
 func (alwaysOnDPM) Observe(sim.Time, float64, int)                          {}

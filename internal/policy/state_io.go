@@ -4,22 +4,11 @@ import (
 	"hierdrl/internal/checkpoint"
 )
 
-// SaveState implements checkpoint.Stateful: the cyclic cursor.
-func (r *RoundRobin) SaveState(e *checkpoint.Enc) { e.Int(r.next) }
+// State implements checkpoint.Stateful: the cyclic cursor.
+func (r *RoundRobin) State(c *checkpoint.Codec) { c.Int(&r.next) }
 
-// RestoreState implements checkpoint.Stateful.
-func (r *RoundRobin) RestoreState(d *checkpoint.Dec) error {
-	r.next = d.Int()
-	return nil
-}
-
-// SaveState implements checkpoint.Stateful: the draw chain.
-func (r *Random) SaveState(e *checkpoint.Enc) { checkpoint.SaveRNG(e, r.rng) }
-
-// RestoreState implements checkpoint.Stateful.
-func (r *Random) RestoreState(d *checkpoint.Dec) error {
-	return checkpoint.RestoreRNG(d, r.rng)
-}
+// State implements checkpoint.Stateful: the draw chain.
+func (r *Random) State(c *checkpoint.Codec) { c.RNG(r.rng) }
 
 // CheckpointStateless marks the memoryless allocators.
 func (*LeastLoaded) CheckpointStateless() {}

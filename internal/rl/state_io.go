@@ -1,136 +1,99 @@
 package rl
 
 import (
-	"fmt"
 	"sort"
 
 	"hierdrl/internal/checkpoint"
 	"hierdrl/internal/mat"
 )
 
-// SaveState serializes the exploration schedule. The RNG is owned and
-// serialized by the policy's holder (it may be shared), so only the decayed
-// epsilon trajectory lives here; min and decay are construction config but
-// min can be lowered by SetEpsilon, so both mutable fields go in.
-func (p *EpsilonGreedy) SaveState(e *checkpoint.Enc) {
-	e.F64(p.eps)
-	e.F64(p.min)
-}
-
-// RestoreState reads what SaveState wrote.
-func (p *EpsilonGreedy) RestoreState(d *checkpoint.Dec) error {
-	p.eps = d.F64()
-	p.min = d.F64()
-	return nil
+// State walks the exploration schedule. The RNG is owned and serialized by
+// the policy's holder (it may be shared), so only the decayed epsilon
+// trajectory lives here; min and decay are construction config but min can
+// be lowered by SetEpsilon, so both mutable fields go in.
+func (p *EpsilonGreedy) State(c *checkpoint.Codec) {
+	c.F64(&p.eps)
+	c.F64(&p.min)
 }
 
 // RNG exposes the policy's random source for checkpointing by its holder.
 func (p *EpsilonGreedy) RNG() *mat.RNG { return p.rng }
 
-// SaveState serializes the in-flight sojourn of the integrator.
-func (ri *RewardIntegrator) SaveState(e *checkpoint.Enc) {
-	e.Bool(ri.started)
-	e.F64(ri.t0)
-	e.F64(ri.last)
-	e.F64(ri.rate)
-	e.F64(ri.integral)
+// State walks the in-flight sojourn of the integrator. Beta is construction
+// config.
+func (ri *RewardIntegrator) State(c *checkpoint.Codec) {
+	c.Bool(&ri.started)
+	c.F64(&ri.t0)
+	c.F64(&ri.last)
+	c.F64(&ri.rate)
+	c.F64(&ri.integral)
 }
 
-// RestoreState reads what SaveState wrote. Beta is construction config.
-func (ri *RewardIntegrator) RestoreState(d *checkpoint.Dec) error {
-	ri.started = d.Bool()
-	ri.t0 = d.F64()
-	ri.last = d.F64()
-	ri.rate = d.F64()
-	ri.integral = d.F64()
-	return nil
-}
-
-// SaveState serializes the ring buffer's cursor state and every slot through
-// the element codec enc (slots beyond Len have never been written and are
+// ReplayState walks the ring buffer's cursor state and every slot through
+// the element walk elem (slots beyond Len have never been written and are
 // skipped). Generation counters are included so (slot, generation) memo keys
-// stay valid across a restore.
-func SaveReplay[T any](r *Replay[T], e *checkpoint.Enc, enc func(*checkpoint.Enc, T)) {
-	e.Int(r.cap)
-	e.Int(r.next)
-	e.Bool(r.full)
-	e.I64s(r.gens)
-	n := r.Len()
-	e.Int(n)
+// stay valid across a restore. Decoding requires r to have been constructed
+// with the saved capacity.
+func ReplayState[T any](r *Replay[T], c *checkpoint.Codec, elem func(*checkpoint.Codec, *T)) {
+	capSaved, next, full, gens := r.cap, r.next, r.full, r.gens
+	c.Int(&capSaved)
+	c.Int(&next)
+	c.Bool(&full)
+	c.I64s(&gens)
+	n := c.Count(r.Len(), 0)
+	if c.Decoding() {
+		if c.Err() != nil {
+			return
+		}
+		if capSaved != r.cap {
+			c.Fail(checkpoint.ErrConfigMismatch, "replay capacity %d, want %d", capSaved, r.cap)
+			return
+		}
+		if len(gens) != r.cap || next < 0 || next >= r.cap || n > r.cap {
+			c.Fail(checkpoint.ErrCorrupt, "replay cursor state out of range")
+			return
+		}
+		r.next = next
+		r.full = full
+		copy(r.gens, gens)
+		clear(r.buf)
+	}
 	for i := 0; i < n; i++ {
-		enc(e, r.buf[i])
+		elem(c, &r.buf[i])
 	}
 }
 
-// RestoreReplay reads what SaveReplay wrote into r, which must have been
-// constructed with the same capacity.
-func RestoreReplay[T any](r *Replay[T], d *checkpoint.Dec, dec func(*checkpoint.Dec) T) error {
-	capSaved := d.Int()
-	next := d.Int()
-	full := d.Bool()
-	gens := d.I64s()
-	n := d.Int()
-	if err := d.Sticky(); err != nil {
-		return err
-	}
-	if capSaved != r.cap {
-		return fmt.Errorf("%w: replay capacity %d, want %d", checkpoint.ErrConfigMismatch, capSaved, r.cap)
-	}
-	if len(gens) != r.cap || next < 0 || next >= r.cap || n < 0 || n > r.cap {
-		return fmt.Errorf("%w: replay cursor state out of range", checkpoint.ErrCorrupt)
-	}
-	r.next = next
-	r.full = full
-	copy(r.gens, gens)
-	var zero T
-	for i := range r.buf {
-		r.buf[i] = zero
-	}
-	for i := 0; i < n; i++ {
-		r.buf[i] = dec(d)
-	}
-	return d.Sticky()
-}
-
-// SaveState serializes the learned Q-values and visit counts with sorted
-// state keys, so identical tables always produce identical bytes.
-func (t *QTable) SaveState(e *checkpoint.Enc) {
+// State walks the learned Q-values and visit counts with sorted state keys,
+// so identical tables always produce identical bytes. Decoding replaces the
+// table contents.
+func (t *QTable) State(c *checkpoint.Codec) {
 	keys := make([]string, 0, len(t.q))
 	for k := range t.q {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	e.Int(len(keys))
+	// One row is at least its three length prefixes.
+	n := c.Count(len(keys), 24)
+	if c.Decoding() {
+		keys = make([]string, n)
+		t.q = make(map[string][]float64, n)
+		t.visits = make(map[string][]int, n)
+	}
 	for _, k := range keys {
-		e.Str(k)
-		e.F64s(t.q[k])
-		e.Ints(t.visits[k])
-	}
-}
-
-// RestoreState reads what SaveState wrote, replacing the table contents.
-func (t *QTable) RestoreState(d *checkpoint.Dec) error {
-	n := d.Int()
-	if err := d.Sticky(); err != nil {
-		return err
-	}
-	if n < 0 {
-		return fmt.Errorf("%w: QTable state count %d", checkpoint.ErrCorrupt, n)
-	}
-	t.q = make(map[string][]float64, n)
-	t.visits = make(map[string][]int, n)
-	for i := 0; i < n; i++ {
-		k := d.Str()
-		q := d.F64s()
-		v := d.Ints()
-		if len(q) != t.nActions || len(v) != t.nActions {
-			if d.Sticky() != nil {
-				return d.Sticky()
+		q, v := t.q[k], t.visits[k]
+		c.Str(&k)
+		c.F64s(&q)
+		c.Ints(&v)
+		if c.Decoding() {
+			if c.Err() != nil {
+				return
 			}
-			return fmt.Errorf("%w: QTable row width %d/%d, want %d", checkpoint.ErrCorrupt, len(q), len(v), t.nActions)
+			if len(q) != t.nActions || len(v) != t.nActions {
+				c.Fail(checkpoint.ErrCorrupt, "QTable row width %d/%d, want %d", len(q), len(v), t.nActions)
+				return
+			}
+			t.q[k] = q
+			t.visits[k] = v
 		}
-		t.q[k] = q
-		t.visits[k] = v
 	}
-	return d.Sticky()
 }

@@ -3,14 +3,15 @@ package rl
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"hierdrl/internal/checkpoint"
 	"hierdrl/internal/mat"
 )
 
-func encInt(e *checkpoint.Enc, v int) { e.Int(v) }
-func decInt(d *checkpoint.Dec) int    { return d.Int() }
+func intState(c *checkpoint.Codec, v *int) { c.Int(v) }
+
 func section(t *testing.T, fill func(*checkpoint.Enc)) *checkpoint.Dec {
 	t.Helper()
 	w := checkpoint.NewWriter(0)
@@ -38,13 +39,10 @@ func TestReplayRoundTrip(t *testing.T) {
 		for i := 0; i < adds; i++ {
 			r1.Add(100 + i)
 		}
-		d := section(t, func(e *checkpoint.Enc) { SaveReplay(r1, e, encInt) })
+		d := section(t, func(e *checkpoint.Enc) { ReplayState(r1, e.Codec(), intState) })
 		r2 := NewReplay[int](8)
-		if err := RestoreReplay(r2, d, decInt); err != nil {
-			t.Fatalf("adds=%d RestoreReplay: %v", adds, err)
-		}
-		if err := d.Err(); err != nil {
-			t.Fatalf("adds=%d trailing bytes: %v", adds, err)
+		if ReplayState(r2, d.Codec(), intState); d.Err() != nil {
+			t.Fatalf("adds=%d ReplayState: %v", adds, d.Err())
 		}
 		if r2.Len() != r1.Len() || r2.next != r1.next || r2.full != r1.full {
 			t.Fatalf("adds=%d cursor state: (%d,%d,%v) vs (%d,%d,%v)",
@@ -68,9 +66,10 @@ func TestReplayRoundTrip(t *testing.T) {
 func TestReplayRestoreCapacityMismatch(t *testing.T) {
 	r1 := NewReplay[int](8)
 	r1.Add(1)
-	d := section(t, func(e *checkpoint.Enc) { SaveReplay(r1, e, encInt) })
+	d := section(t, func(e *checkpoint.Enc) { ReplayState(r1, e.Codec(), intState) })
 	r2 := NewReplay[int](16)
-	if err := RestoreReplay(r2, d, decInt); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+	ReplayState(r2, d.Codec(), intState)
+	if err := d.Err(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
 		t.Fatalf("capacity mismatch: got %v, want ErrConfigMismatch", err)
 	}
 }
@@ -87,19 +86,15 @@ func TestEpsilonGreedyAndIntegratorRoundTrip(t *testing.T) {
 	ri1.SetRate(12, 3.5)
 
 	d := section(t, func(e *checkpoint.Enc) {
-		p1.SaveState(e)
-		ri1.SaveState(e)
+		p1.State(e.Codec())
+		ri1.State(e.Codec())
 	})
 	p2 := NewEpsilonGreedy(1.0, 0.05, 0.999, mat.NewRNG(3))
 	ri2 := NewRewardIntegrator(0.5)
-	if err := p2.RestoreState(d); err != nil {
-		t.Fatalf("EpsilonGreedy.RestoreState: %v", err)
-	}
-	if err := ri2.RestoreState(d); err != nil {
-		t.Fatalf("RewardIntegrator.RestoreState: %v", err)
-	}
+	p2.State(d.Codec())
+	ri2.State(d.Codec())
 	if err := d.Err(); err != nil {
-		t.Fatalf("trailing bytes: %v", err)
+		t.Fatalf("restore: %v", err)
 	}
 	if p2.Epsilon() != p1.Epsilon() {
 		t.Fatalf("epsilon %v vs %v", p2.Epsilon(), p1.Epsilon())
@@ -107,5 +102,23 @@ func TestEpsilonGreedyAndIntegratorRoundTrip(t *testing.T) {
 	if ri2.started != ri1.started || ri2.t0 != ri1.t0 || ri2.last != ri1.last ||
 		ri2.rate != ri1.rate || ri2.integral != ri1.integral {
 		t.Fatalf("integrator state diverged: %+v vs %+v", *ri2, *ri1)
+	}
+}
+
+// TestQTableRejectsCraftedCount: a CRC-valid payload may claim any row count;
+// it must be bounded by the bytes that remain before anything is sized by it
+// (2^28 rows used to reach two make(map, n) calls — gigabytes — before the
+// first row was read).
+func TestQTableRejectsCraftedCount(t *testing.T) {
+	d := section(t, func(e *checkpoint.Enc) { e.Int(1 << 28) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := checkpoint.Restore(d, NewQTable(3, 0.1, 0.5, 0))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("crafted row count: got %v, want ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the crafted count allocated %d bytes", grew)
 	}
 }

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-
 	"hierdrl/internal/checkpoint"
 )
 
@@ -96,45 +94,24 @@ func (s *SketchSet) ClassLatency(class int) *TDigest { return &s.class[class] }
 // Wait returns the wait-time digest.
 func (s *SketchSet) Wait() *TDigest { return &s.wait }
 
-// SaveState serializes every digest (merged scratch excluded — derived).
-func (s *SketchSet) SaveState(e *checkpoint.Enc) {
-	e.Int(len(s.shards))
-	for i := range s.shards {
-		s.shards[i].SaveState(e)
-	}
-	e.Int(len(s.class))
-	for i := range s.class {
-		s.class[i].SaveState(e)
-	}
-	s.wait.SaveState(e)
-}
-
-// RestoreState reads what SaveState wrote; the set must have been built
-// with the same shard count.
-func (s *SketchSet) RestoreState(d *checkpoint.Dec) error {
-	np := d.Int()
-	if err := d.Sticky(); err != nil {
-		return err
-	}
+// State implements checkpoint.Stateful: every digest (merged scratch
+// excluded — derived). The set must have been built with the saved shard
+// count.
+func (s *SketchSet) State(c *checkpoint.Codec) {
+	np, nc := len(s.shards), len(s.class)
+	c.Int(&np)
 	if np != len(s.shards) {
-		return fmt.Errorf("%w: sketch set has %d shard digests, session %d", checkpoint.ErrCorrupt, np, len(s.shards))
+		c.Fail(checkpoint.ErrCorrupt, "sketch set has %d shard digests, session %d", np, len(s.shards))
 	}
 	for i := range s.shards {
-		if err := s.shards[i].RestoreState(d); err != nil {
-			return err
-		}
+		s.shards[i].State(c)
 	}
-	nc := d.Int()
-	if err := d.Sticky(); err != nil {
-		return err
-	}
+	c.Int(&nc)
 	if nc != len(s.class) {
-		return fmt.Errorf("%w: sketch set has %d class digests, want %d", checkpoint.ErrCorrupt, nc, len(s.class))
+		c.Fail(checkpoint.ErrCorrupt, "sketch set has %d class digests, want %d", nc, len(s.class))
 	}
 	for i := range s.class {
-		if err := s.class[i].RestoreState(d); err != nil {
-			return err
-		}
+		s.class[i].State(c)
 	}
-	return s.wait.RestoreState(d)
+	s.wait.State(c)
 }

@@ -8,7 +8,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -297,46 +296,45 @@ func MergedInto(dst *TDigest, parts ...*TDigest) {
 	dst.compressSorted(gm, gw)
 }
 
-// SaveState serializes the digest (flushed first, so the byte stream is
-// insertion-order canonical up to buffered samples).
-func (t *TDigest) SaveState(e *checkpoint.Enc) {
-	t.flush()
-	e.F64(t.comp)
-	e.F64(t.count)
-	e.F64(t.min)
-	e.F64(t.max)
-	e.F64s(t.mean)
-	e.F64s(t.weight)
-}
-
-// RestoreState reads what SaveState wrote into a digest constructed with
-// the same compression.
-func (t *TDigest) RestoreState(d *checkpoint.Dec) error {
-	comp := d.F64()
-	count := d.F64()
-	min := d.F64()
-	max := d.F64()
-	mean := d.F64s()
-	weight := d.F64s()
-	if err := d.Sticky(); err != nil {
-		return err
+// State implements checkpoint.Stateful. Encoding flushes first, so the byte
+// stream is insertion-order canonical up to buffered samples; decoding
+// validates the centroids before touching a digest constructed with the same
+// compression.
+func (t *TDigest) State(c *checkpoint.Codec) {
+	if !c.Decoding() {
+		t.flush()
+	}
+	comp, count, min, max, mean, weight := t.comp, t.count, t.min, t.max, t.mean, t.weight
+	c.F64(&comp)
+	c.F64(&count)
+	c.F64(&min)
+	c.F64(&max)
+	c.F64s(&mean)
+	c.F64s(&weight)
+	if !c.Decoding() || c.Err() != nil {
+		return
 	}
 	if comp != t.comp {
-		return fmt.Errorf("%w: tdigest compression %v, configured %v", checkpoint.ErrCorrupt, comp, t.comp)
+		c.Fail(checkpoint.ErrCorrupt, "tdigest compression %v, configured %v", comp, t.comp)
+		return
 	}
 	if len(mean) != len(weight) || len(mean) > cap(t.mean) {
-		return fmt.Errorf("%w: tdigest %d means, %d weights (cap %d)", checkpoint.ErrCorrupt, len(mean), len(weight), cap(t.mean))
+		c.Fail(checkpoint.ErrCorrupt, "tdigest %d means, %d weights (cap %d)", len(mean), len(weight), cap(t.mean))
+		return
 	}
 	for i, w := range weight {
 		if !(w > 0) || math.IsNaN(mean[i]) {
-			return fmt.Errorf("%w: tdigest centroid %d: mean %v weight %v", checkpoint.ErrCorrupt, i, mean[i], w)
+			c.Fail(checkpoint.ErrCorrupt, "tdigest centroid %d: mean %v weight %v", i, mean[i], w)
+			return
 		}
 		if i > 0 && mean[i] < mean[i-1] {
-			return fmt.Errorf("%w: tdigest centroids out of order at %d", checkpoint.ErrCorrupt, i)
+			c.Fail(checkpoint.ErrCorrupt, "tdigest centroids out of order at %d", i)
+			return
 		}
 	}
 	if math.IsNaN(count) || (len(mean) > 0) != (count > 0) {
-		return fmt.Errorf("%w: tdigest count %v with %d centroids", checkpoint.ErrCorrupt, count, len(mean))
+		c.Fail(checkpoint.ErrCorrupt, "tdigest count %v with %d centroids", count, len(mean))
+		return
 	}
 	t.resetStats()
 	t.mean = append(t.mean, mean...)
@@ -344,5 +342,4 @@ func (t *TDigest) RestoreState(d *checkpoint.Dec) error {
 	t.count = count
 	t.min = min
 	t.max = max
-	return nil
 }

@@ -175,10 +175,10 @@ func TestMergeAssociativityApproximate(t *testing.T) {
 	}
 }
 
-func roundTrip(t *testing.T, save func(*checkpoint.Enc), load func(*checkpoint.Dec) error) {
+func roundTrip(t *testing.T, from, into checkpoint.Stateful) {
 	t.Helper()
 	wr := checkpoint.NewWriter(0)
-	save(wr.Section("t"))
+	checkpoint.Save(wr.Section("t"), from)
 	var buf bytes.Buffer
 	if _, err := wr.WriteTo(&buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -191,7 +191,7 @@ func roundTrip(t *testing.T, save func(*checkpoint.Enc), load func(*checkpoint.D
 	if err != nil {
 		t.Fatalf("section: %v", err)
 	}
-	if err := load(dec); err != nil {
+	if err := checkpoint.Restore(dec, into); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 }
@@ -204,7 +204,7 @@ func TestTDigestCheckpointRoundTrip(t *testing.T) {
 	}
 	var back TDigest
 	back.Init(DefaultCompression)
-	roundTrip(t, td.SaveState, back.RestoreState)
+	roundTrip(t, td, &back)
 	if got, want := back.Count(), td.Count(); got != want {
 		t.Fatalf("count %v, want %v", got, want)
 	}
@@ -228,7 +228,7 @@ func TestSketchSetCheckpointRoundTrip(t *testing.T) {
 		sk.Record(k%3, JobClassOf(60+rng.Float64()*7000), lat, lat*0.1)
 	}
 	back := NewSketchSet(3)
-	roundTrip(t, sk.SaveState, back.RestoreState)
+	roundTrip(t, sk, back)
 	for _, q := range []float64{0.5, 0.95, 0.99} {
 		if x, y := sk.MergedLatency().Quantile(q), back.MergedLatency().Quantile(q); math.Float64bits(x) != math.Float64bits(y) {
 			t.Fatalf("merged q=%v: restored %v, want %v", q, y, x)
@@ -240,7 +240,7 @@ func TestSketchSetCheckpointRoundTrip(t *testing.T) {
 	// Shard-count mismatch must be rejected, not silently mis-shaped.
 	wrong := NewSketchSet(2)
 	wr := checkpoint.NewWriter(0)
-	sk.SaveState(wr.Section("t"))
+	checkpoint.Save(wr.Section("t"), sk)
 	var buf bytes.Buffer
 	if _, err := wr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestSketchSetCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wrong.RestoreState(dec); err == nil {
+	if err := checkpoint.Restore(dec, wrong); err == nil {
 		t.Fatal("restore into a 2-shard set accepted a 3-shard snapshot")
 	}
 }

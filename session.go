@@ -360,42 +360,32 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 		(fm != nil && (o.obs.OnServerFail != nil || o.obs.OnServerRepair != nil)) ||
 		s.domIdx != nil
 
+	// Observers are wired once: the strict tier fires these synchronously on
+	// its single lane, the parallel tier logs per shard and replays into the
+	// same callbacks in merged time order at each epoch barrier.
 	s.col.OnCheckpoint = o.obs.OnCheckpoint
+	cl.OnJobDone = s.jobDone
+	if needTrans {
+		cl.OnTransition = s.routeTransition
+	}
+	if fm != nil {
+		cl.OnInterrupt = s.jobInterrupted
+		cl.OnMigrate = s.jobMigrated
+		cl.OnDegrade = s.serverDegraded
+		cl.OnDrainStart = s.drainStarted
+	}
 	if p == 1 {
-		// Strict tier: synchronous callbacks on the single lane.
 		if agent != nil {
 			cl.OnChange = func(t sim.Time) {
 				agent.ObserveCluster(t, cl.TotalPower(), cl.JobsInSystem(), cl.ReliabilityObj())
 			}
 		}
-		cl.OnJobDone = s.jobDone
-		if needTrans {
-			cl.OnTransition = s.routeTransition
-		}
-		if fm != nil {
-			cl.OnInterrupt = s.jobInterrupted
-			cl.OnMigrate = s.jobMigrated
-			cl.OnDegrade = s.serverDegraded
-			cl.OnDrainStart = s.drainStarted
-		}
 		s.eng = &strictLane{s: s, sm: lanes[0]}
 	} else {
-		// Parallel tier: per-shard observation logs, replayed in merged time
-		// order at each epoch barrier (shard_engine.go).
 		cl.SetAsync(agent != nil, needTrans)
 		r := &shardRunner{s: s, p: p}
 		if o.etraceCap > 0 {
 			s.etrace = telemetry.NewEpochRing(o.etraceCap, p)
-		}
-		r.onDone = s.jobDone
-		if needTrans {
-			r.onTrans = s.routeTransition
-		}
-		if fm != nil {
-			r.onInterrupt = s.jobInterrupted
-			r.onMigrate = s.jobMigrated
-			r.onDegrade = s.serverDegraded
-			r.onMaint = s.drainStarted
 		}
 		if agent != nil {
 			s.preEncoded = true

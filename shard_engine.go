@@ -1,7 +1,6 @@
 package hierdrl
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -176,16 +175,6 @@ type shardRunner struct {
 	pends  []dispatch
 	commit []dispatch
 
-	// onDone/onTrans/onInterrupt/onMigrate/onDegrade/onMaint are the replay
-	// callbacks, bound once — passing a method value per round would
-	// allocate.
-	onDone      func(sim.Time, *cluster.Job)
-	onTrans     func(sim.Time, int, cluster.PowerState, cluster.PowerState)
-	onInterrupt func(sim.Time, *cluster.Job)
-	onMigrate   func(sim.Time, *cluster.Job)
-	onDegrade   func(sim.Time, int, float64)
-	onMaint     func(sim.Time, int)
-
 	stopped bool
 }
 
@@ -303,41 +292,12 @@ func (r *shardRunner) round(mode runMode, until sim.Time, refresh bool) {
 		sp = r.s.etrace.Cur()
 		sp.ReplayStartNs = r.s.etrace.NowNs()
 	}
-	r.replay()
+	// Replay the merged observation streams on the coordinator: the change
+	// feed into the DRL reward integral, completions into the collector, the
+	// observer hooks and the job pool, transitions into the observer.
+	r.s.cl.ReplayLogs(r.s.merger)
 	if sp != nil {
 		sp.ReplayNs = r.s.etrace.NowNs() - sp.ReplayStartNs
-	}
-}
-
-// replay drains the merged observation streams on the coordinator: the
-// change feed into the DRL reward integral, completions into the collector,
-// the observer hooks, and the job pool, transitions into the observer. All
-// shards are quiescent here, so user callbacks may take a Session snapshot.
-func (r *shardRunner) replay() {
-	s := r.s
-	if r.s.merger != nil {
-		s.cl.DrainChanges(r.s.merger)
-	}
-	s.cl.DrainDones(r.onDone)
-	if r.onTrans != nil {
-		s.cl.DrainTrans(r.onTrans)
-	}
-	if r.onMaint != nil {
-		// Maintenance openings replay before the migration stream so an
-		// observer hears OnDrainStart before the window's migrated jobs.
-		s.cl.DrainMaints(r.onMaint)
-	}
-	if r.onDegrade != nil {
-		s.cl.DrainDegrades(r.onDegrade)
-	}
-	if r.onInterrupt != nil {
-		// Crash evictions replay last: a job completed at the same instant its
-		// server died was already running, so its completion wins the tie and
-		// the eviction stream only carries genuinely interrupted work.
-		s.cl.DrainInterrupts(r.onInterrupt)
-	}
-	if r.onMigrate != nil {
-		s.cl.DrainMigrates(r.onMigrate)
 	}
 }
 
@@ -495,51 +455,40 @@ func (r *shardRunner) inflight() []*cluster.Job {
 // Int target + Int shard + F64 at).
 const pendRecBytes = 4 + 8 + 8 + 8
 
-// saveTail writes the engine clock and the uncommitted dispatches, by cluster
-// job-table index.
-func (r *shardRunner) saveTail(e *checkpoint.Enc, idx map[*cluster.Job]int32) {
-	e.F64(float64(r.clock))
-	e.Int(len(r.pends))
-	for i := range r.pends {
-		d := &r.pends[i]
-		e.I32(idx[d.job])
-		e.Int(d.target)
-		e.Int(d.shard)
-		e.F64(float64(d.at))
-	}
-}
-
-func (r *shardRunner) restoreTail(d *checkpoint.Dec, table []*cluster.Job) error {
+// tailState walks the engine clock and the uncommitted dispatches, by
+// cluster job-table reference.
+func (r *shardRunner) tailState(c *checkpoint.Codec, tab *cluster.JobTable) {
 	cl := r.s.cl
-	clock := sim.Time(d.F64())
-	n := d.SliceLen(pendRecBytes)
-	if err := d.Sticky(); err != nil {
-		return err
+	c.F64((*float64)(&r.clock))
+	n := c.Count(len(r.pends), pendRecBytes)
+	if c.Decoding() {
+		if c.Err() == nil && (math.IsNaN(float64(r.clock)) || r.clock < 0) {
+			c.Fail(ErrCorrupt, "engine clock %v", r.clock)
+			return
+		}
+		r.pends = make([]dispatch, n)
 	}
-	if math.IsNaN(float64(clock)) || clock < 0 {
-		return fmt.Errorf("%w: engine clock %v", ErrCorrupt, clock)
+	for k := range r.pends {
+		d := &r.pends[k]
+		tab.Ref(c, &d.job)
+		c.Int(&d.target)
+		c.Int(&d.shard)
+		c.F64((*float64)(&d.at))
+		if !c.Decoding() {
+			continue
+		}
+		if c.Err() != nil {
+			return
+		}
+		if d.target < 0 || d.target >= cl.M() || d.shard != cl.ShardOf(d.target) {
+			c.Fail(ErrCorrupt, "dispatch %d target %d shard %d", k, d.target, d.shard)
+			return
+		}
+		if math.IsNaN(float64(d.at)) {
+			c.Fail(ErrCorrupt, "dispatch %d time is NaN", k)
+			return
+		}
 	}
-	r.clock = clock
-	for k := 0; k < n; k++ {
-		ji := d.I32()
-		target := d.Int()
-		shard := d.Int()
-		at := sim.Time(d.F64())
-		if err := d.Sticky(); err != nil {
-			return err
-		}
-		if ji < 0 || int(ji) >= len(table) {
-			return fmt.Errorf("%w: dispatch %d references job %d of %d", ErrCorrupt, k, ji, len(table))
-		}
-		if target < 0 || target >= cl.M() || shard != cl.ShardOf(target) {
-			return fmt.Errorf("%w: dispatch %d target %d shard %d", ErrCorrupt, k, target, shard)
-		}
-		if math.IsNaN(float64(at)) {
-			return fmt.Errorf("%w: dispatch %d time is NaN", ErrCorrupt, k)
-		}
-		r.pends = append(r.pends, dispatch{job: table[ji], target: target, shard: shard, at: at})
-	}
-	return nil
 }
 
 // stop terminates the lane workers. Idempotent.

@@ -273,3 +273,22 @@ func TestShardedLateSubmit(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedCloseMidRun: the parallel tier's clock trails the decision
+// instant of its uncommitted dispatch, so closing a DRL session between Steps
+// used to run the agent's reward integrator backwards and panic — which is
+// also the path a failed Restore takes to discard its half-built session.
+func TestShardedCloseMidRun(t *testing.T) {
+	cfgs, tr := shardTestSystems(t)
+	s, err := hierdrl.NewSession(cfgs["drl-only"], hierdrl.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SubmitTrace(tr); err != nil {
+		t.Fatal(err)
+	}
+	stepToCompleted(t, s, int64(len(tr.Jobs)/2))
+	if err := s.Close(); err != nil {
+		t.Fatalf("close mid-run: %v", err)
+	}
+}

@@ -1,9 +1,6 @@
 package hierdrl
 
 import (
-	"fmt"
-	"math"
-
 	"hierdrl/internal/checkpoint"
 	"hierdrl/internal/cluster"
 	"hierdrl/internal/sim"
@@ -30,11 +27,10 @@ type engine interface {
 	// inflight lists the jobs already allocated but not yet handed to the
 	// cluster, which a checkpoint adds to the cluster's job table.
 	inflight() []*cluster.Job
-	// saveTail and restoreTail serialize the engine's own scheduling state
-	// after the per-lane counters of the snapshot's engine section; idx and
-	// table map jobs to and from the cluster's job table.
-	saveTail(e *checkpoint.Enc, idx map[*cluster.Job]int32)
-	restoreTail(d *checkpoint.Dec, table []*cluster.Job) error
+	// tailState walks the engine's own scheduling state, which follows the
+	// per-lane counters in the snapshot's engine section; in-flight jobs are
+	// references into the cluster's job table.
+	tailState(c *checkpoint.Codec, tab *cluster.JobTable)
 	// stop releases the engine's timers and goroutines. Idempotent.
 	stop()
 }
@@ -119,30 +115,10 @@ func (e *strictLane) fire() {
 
 func (e *strictLane) inflight() []*cluster.Job { return nil }
 
-// saveTail writes the pump timer with its exact sequence number, so the
+// tailState walks the pump timer with its exact sequence number, so the
 // restored lane fires it in the same position bit for bit.
-func (e *strictLane) saveTail(enc *checkpoint.Enc, _ map[*cluster.Job]int32) {
-	enc.Bool(e.pump.Pending())
-	if e.pump.Pending() {
-		enc.F64(float64(e.pump.At()))
-		enc.I64(e.pump.Seq())
-	}
-}
-
-func (e *strictLane) restoreTail(d *checkpoint.Dec, _ []*cluster.Job) error {
-	if !d.Bool() {
-		return d.Sticky()
-	}
-	at := sim.Time(d.F64())
-	seq := d.I64()
-	if err := d.Sticky(); err != nil {
-		return err
-	}
-	if now := e.sm.Now(); math.IsNaN(float64(at)) || at < now {
-		return fmt.Errorf("%w: pump timer at %v before clock %v", ErrCorrupt, at, now)
-	}
-	e.pump = e.sm.ScheduleRestored(at, seq, pumpFire, e)
-	return nil
+func (e *strictLane) tailState(c *checkpoint.Codec, _ *cluster.JobTable) {
+	cluster.TimerState(c, &e.pump, e.sm, pumpFire, e)
 }
 
 func (e *strictLane) stop() {
