@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet loc bench bench-kernels bench-table1 bench-scale bench-check bench-selftest bench-full scale scale-smoke chaos-smoke crash-smoke scenario-smoke obs-smoke profile examples-smoke clean
+.PHONY: all build test race vet loc bench bench-kernels bench-table1 bench-scale bench-check bench-selftest bench-full scale scale-smoke chaos-smoke crash-smoke scenario-smoke obs-smoke profile profile-drl examples-smoke clean
 
 all: vet build test
 
@@ -30,7 +30,7 @@ loc:
 	done; printf '%6d total\n' $$total
 
 # The kernel micro-benchmark set (also the CI perf-regression smoke).
-KERNEL_BENCH = BenchmarkMatMulVec$$|BenchmarkMatMulMat$$|BenchmarkQNetInferBatch$$|BenchmarkQNetworkInference$$|BenchmarkQNetworkTrainBatch$$|BenchmarkLSTMPredict$$|BenchmarkLSTMBPTT$$|BenchmarkEventLoop$$|BenchmarkSnapshot$$|BenchmarkAllocateEpoch$$|BenchmarkShardedEpoch$$|BenchmarkRequeueLargePending$$|BenchmarkTDigestAdd$$|BenchmarkTDigestMerge$$|BenchmarkEpochSpanRecord$$
+KERNEL_BENCH = BenchmarkMatMulVec$$|BenchmarkMatMulMat$$|BenchmarkQNetInferBatch$$|BenchmarkQNetworkInference$$|BenchmarkQNetworkTrainBatch$$|BenchmarkLSTMPredict$$|BenchmarkLSTMBPTT$$|BenchmarkLSTMBPTTCompact$$|BenchmarkEventLoop$$|BenchmarkSnapshot$$|BenchmarkAllocateEpoch$$|BenchmarkShardedEpoch$$|BenchmarkRequeueLargePending$$|BenchmarkTDigestAdd$$|BenchmarkTDigestMerge$$|BenchmarkEpochSpanRecord$$
 KERNEL_PKGS = . ./internal/telemetry
 
 # bench records the full perf trajectory of a PR as three committed JSONs:
@@ -95,10 +95,14 @@ chaos-smoke:
 # hiersim binary; then, under the race detector, the fault run checkpointed
 # right after a head-side retry insert and resumed at P = 1/2, the
 # parent-written golden snapshots re-emitted byte for byte (format pin), and
-# every state walk over every strict prefix of its own payload.
+# every state walk over every strict prefix of its own payload; then a few
+# seconds of FuzzRestoreState. Its minimization budget is capped: the fuzz
+# engine's default spends up to 60 s shrinking each new 20-50 KB snapshot it
+# finds interesting, during which it reports 0 execs/s.
 crash-smoke:
 	$(GO) test -run 'TestCheckpointResumeBitwise|TestRestoreRejectsCorruptSnapshots|TestAutoCheckpointRotationAndResume|TestCrashResumeHarnessCLI' -v .
 	$(GO) test -race -run 'TestCheckpointAfterHeadSideInsert|TestGoldenSnapshotsByteIdentical|TestStateWalksRejectEveryPrefix' -v .
+	$(GO) test -run=NONE -fuzz='FuzzRestoreState$$' -fuzztime=5s -fuzzminimizetime=200x .
 
 # scenario-smoke is the workload-subsystem CI gate: every registered
 # scenario's Summary must be bitwise identical at P = 1/2/4 shards and run to
@@ -141,7 +145,16 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof -o hierdrl-bench.test .
 	@echo wrote cpu.pprof mem.pprof '(binary: hierdrl-bench.test)'
 
+# profile-drl writes the CPU and allocation profiles of one paper-drl pass
+# (DRLOnly(30), 8,000 warmup + 44,000 jobs, seed 1 — the repository
+# benchmark's global-tier workload), the attribution DESIGN.md §7 and
+# EXPERIMENTS.md quote: `go tool pprof -top hierdrl-bench.test cpu-drl.pprof`.
+profile-drl:
+	$(GO) test -run=NONE -bench='BenchmarkPaperDRLPass$$' -benchtime=3x \
+		-cpuprofile cpu-drl.pprof -memprofile mem-drl.pprof -o hierdrl-bench.test .
+	@echo wrote cpu-drl.pprof mem-drl.pprof '(binary: hierdrl-bench.test)'
+
 # clean removes only what the targets above leave behind that is not tracked:
 # BENCH_kernels.json is the committed baseline bench-check gates against.
 clean:
-	rm -f BENCH_full.json cpu.pprof mem.pprof hierdrl-bench.test
+	rm -f BENCH_full.json cpu.pprof mem.pprof cpu-drl.pprof mem-drl.pprof hierdrl-bench.test

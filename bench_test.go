@@ -158,6 +158,22 @@ func BenchmarkX2_Ablation(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths ---
 
+// BenchmarkPaperDRLPass is one pass of the repository benchmark's paper-drl
+// workload (DRLOnly(30), 8,000 warmup + 44,000 measured jobs, seed 1) as an
+// in-process benchmark, so `make profile-drl` can attribute the global tier's
+// cost with pprof.
+func BenchmarkPaperDRLPass(b *testing.B) {
+	cfg := hierdrl.DRLOnly(30)
+	cfg.WarmupTrace = hierdrl.SyntheticTraceForCluster(8000, 30, 1001)
+	tr := hierdrl.SyntheticTraceForCluster(44000, 30, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := hierdrl.Run(cfg, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkQNetworkInference measures one global-tier decision: Q values for
 // all M=30 actions through the autoencoder + Sub-Q architecture.
 func BenchmarkQNetworkInference(b *testing.B) {
@@ -209,6 +225,24 @@ func BenchmarkLSTMBPTT(b *testing.B) {
 	rng := mat.NewRNG(1)
 	net := lstm.NewNetwork(lstm.DefaultNetworkConfig(), rng)
 	window := make([]float64, 35)
+	for i := range window {
+		window[i] = rng.Normal(0, 1)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.BPTT(window, 0.5, 1)
+	}
+}
+
+// BenchmarkLSTMBPTTCompact is BenchmarkLSTMBPTT at the scale presets'
+// per-server predictor shape (lookback 16, hidden 8): the GEMV/rank-1 sizes
+// scale-ll and scale-ll-p2 actually run, which a mat change must not slow.
+func BenchmarkLSTMBPTTCompact(b *testing.B) {
+	rng := mat.NewRNG(1)
+	cfg := lstm.DefaultNetworkConfig()
+	cfg.Hidden = 8
+	net := lstm.NewNetwork(cfg, rng)
+	window := make([]float64, 16)
 	for i := range window {
 		window[i] = rng.Normal(0, 1)
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hierdrl"
@@ -281,6 +282,12 @@ var snapshotCorruptions = []struct {
 		binary.LittleEndian.PutUint64(b[32:], 1<<40)
 		return b
 	}, hierdrl.ErrCorrupt},
+	// 100 bytes whose first table entry claims a section just under the
+	// 1 GiB cap: must be rejected without sizing anything by the claim.
+	{"section-length-overclaims-input", func(b []byte) []byte {
+		binary.LittleEndian.PutUint64(b[32:], 1<<30-1)
+		return b[:100]
+	}, hierdrl.ErrCorrupt},
 	{"payload-truncated", func(b []byte) []byte { return b[:len(b)-5] }, hierdrl.ErrCorrupt},
 	{"payload-bit-flip-tail", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, hierdrl.ErrCorrupt},
 	{"payload-bit-flip-mid", func(b []byte) []byte { b[len(b)*3/4] ^= 0x01; return b }, hierdrl.ErrCorrupt},
@@ -307,6 +314,23 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 			}
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want errors.Is(err, %v)", err, tc.want)
+			}
+			// The same bytes through a reader that cannot say how much is
+			// left (a file, a pipe): same sentinel, and — whatever lengths the
+			// header claims — memory in proportion to the input, not to them.
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, err = hierdrl.Restore(struct{ io.Reader }{bytes.NewReader(mutant)})
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				s.Close()
+				t.Fatal("corrupt snapshot accepted from an opaque reader")
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("opaque reader: got %v, want errors.Is(err, %v)", err, tc.want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+				t.Fatalf("rejecting %d corrupt bytes allocated %d bytes", len(mutant), grew)
 			}
 		})
 	}

@@ -26,6 +26,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Magic identifies a snapshot file.
@@ -566,10 +567,33 @@ type Reader struct {
 	sections    map[string][]byte
 }
 
+// readChunk is how far readFull sizes its buffer ahead of the bytes that have
+// actually arrived when the reader cannot say how many are left.
+const readChunk = 1 << 20
+
+// readFull reads exactly n bytes. n may be a section length taken from the
+// header before one byte of that section has been read, so the buffer is
+// never sized by n alone: an in-memory reader is asked what it can still
+// deliver (and gets one exact allocation), any other reader is followed in
+// readChunk steps. A table claiming gigabytes over a 100-byte input fails
+// with ErrCorrupt after allocating O(input).
 func readFull(r io.Reader, n int, what string) ([]byte, error) {
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, fmt.Errorf("%w: short read in %s: %v", ErrCorrupt, what, err)
+	ahead := readChunk
+	if l, ok := r.(interface{ Len() int }); ok {
+		if n > l.Len() {
+			return nil, fmt.Errorf("%w: short read in %s: %d bytes claimed, %d left", ErrCorrupt, what, n, l.Len())
+		}
+		ahead = n
+	}
+	b := make([]byte, 0, min(n, ahead))
+	for len(b) < n {
+		step := min(n-len(b), ahead)
+		b = slices.Grow(b, step)
+		m, err := io.ReadFull(r, b[len(b):len(b)+step])
+		b = b[:len(b)+m]
+		if err != nil {
+			return nil, fmt.Errorf("%w: short read in %s: %v", ErrCorrupt, what, err)
+		}
 	}
 	return b, nil
 }

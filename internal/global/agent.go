@@ -62,15 +62,9 @@ type Agent struct {
 	lossN        int64
 	actionCounts []int64
 
-	// Target-network max-Q memoization: the target net is frozen between
-	// syncs, so a transition's successor value is a pure function of
-	// (replay slot, slot generation, target version). Caching it skips the
-	// most expensive recomputation in trainStep without changing a single
-	// bit of any result.
+	// tgtVersion counts target-network syncs. It is part of the checkpointed
+	// state (format v3 is byte-pinned) and nothing else reads it.
 	tgtVersion int64
-	tgtQVal    []float64
-	tgtQGen    []int64
-	tgtQVer    []int64
 
 	// aeSamples buffers group states for offline autoencoder pretraining.
 	aeSamples   []mat.Vec
@@ -84,7 +78,6 @@ type Agent struct {
 	fitScratch  []int
 	idxScratch  []int
 	nextScratch []State
-	missScratch []int
 	itemScratch []TrainItem
 	maxQScratch []float64
 }
@@ -333,49 +326,26 @@ func (a *Agent) FinishEpisode(t sim.Time) {
 func (a *Agent) trainStep() {
 	idxs := a.replay.SampleIndicesInto(a.idxScratch[:0], a.cfg.MiniBatch, a.rng)
 	a.idxScratch = idxs
-	if a.tgtQVal == nil {
-		cap := a.replay.Cap()
-		a.tgtQVal = make([]float64, cap)
-		a.tgtQGen = make([]int64, cap)
-		a.tgtQVer = make([]int64, cap)
-	}
-	// Evaluate uncached non-terminal successors' max-Q through the target
-	// network in one batched forward (identical values to per-item Best);
-	// memoized slots reuse the bit-identical value computed under the same
-	// target-network version.
+	// Evaluate every non-terminal successor's max-Q through the target
+	// network in one batched forward (identical values to per-item Best).
 	nexts := a.nextScratch[:0]
-	miss := a.missScratch[:0]
 	for _, idx := range idxs {
-		tr := a.replay.At(idx)
-		if tr.Terminal {
-			continue
+		if tr := a.replay.At(idx); !tr.Terminal {
+			nexts = append(nexts, tr.Next)
 		}
-		if a.tgtQVer[idx] == a.tgtVersion && a.tgtQGen[idx] == a.replay.Gen(idx) {
-			continue
-		}
-		// Mark pending so a duplicate draw in this batch isn't evaluated
-		// twice; the real value lands before anyone reads it.
-		a.tgtQVer[idx] = a.tgtVersion
-		a.tgtQGen[idx] = a.replay.Gen(idx)
-		nexts = append(nexts, tr.Next)
-		miss = append(miss, idx)
 	}
 	a.nextScratch = nexts
-	a.missScratch = miss
 	if cap(a.maxQScratch) < len(nexts) {
 		a.maxQScratch = make([]float64, len(nexts))
 	}
 	maxQ := a.maxQScratch[:len(nexts)]
 	a.tgt.MaxQBatchInto(nexts, maxQ)
-	for i, idx := range miss {
-		a.tgtQVal[idx] = maxQ[i]
-	}
 	items := a.itemScratch[:0]
 	for _, idx := range idxs {
 		tr := a.replay.At(idx)
 		var next float64
 		if !tr.Terminal {
-			next = a.tgtQVal[idx]
+			next, maxQ = maxQ[0], maxQ[1:]
 		}
 		items = append(items, TrainItem{
 			S:      tr.S,

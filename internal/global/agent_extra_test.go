@@ -239,16 +239,14 @@ func TestAgentWeightsRoundTrip(t *testing.T) {
 	}
 }
 
-// One warm decision epoch — encode, transition close into the pooled replay
-// slot, Q inference, action selection, reward-integrator reset — must not
-// allocate. Training epochs (every TrainEvery-th call) run batched
-// forward/backward closures and are pinned to a small budget instead.
-func TestAllocateEpochZeroAllocOnceWarm(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation pinning is meaningless under -race")
-	}
+// warmAgent returns a small agent driven past every one-time allocation — the
+// replay ring wrapped twice, the AE sample reservoir in its replace-in-place
+// phase, several training rounds done — and the function that runs one more
+// decision epoch on it.
+func warmAgent(t *testing.T) (a *Agent, cfg Config, epoch func()) {
+	t.Helper()
 	m := 6
-	cfg := DefaultConfig(m)
+	cfg = DefaultConfig(m)
 	cfg.AEHidden = []int{8, 4}
 	cfg.SubQHidden = 16
 	cfg.ReplayCap = 64 // small ring so the slot pool wraps (and warms) fast
@@ -266,18 +264,27 @@ func TestAllocateEpochZeroAllocOnceWarm(t *testing.T) {
 	j := testJob(0.2, 300)
 	a.ObserveCluster(0, 200, 2, 0.5)
 	now := 0.0
-	epoch := func() {
+	epoch = func() {
 		now += 5
 		v.Now = sim.Time(now)
 		a.ObserveCluster(v.Now, 210, 3, 0.4)
 		a.Allocate(j, v)
 	}
-	// Warm every path: fill the AE sample reservoir's append phase is too
-	// big to exhaust here, so cap it by running enough epochs to wrap the
-	// replay ring twice and exercise several training rounds.
 	for i := 0; i < 3*cfg.ReplayCap; i++ {
 		epoch()
 	}
+	return a, cfg, epoch
+}
+
+// One warm decision epoch — encode, transition close into the pooled replay
+// slot, Q inference, action selection, reward-integrator reset — must not
+// allocate, and neither may the training step every TrainEvery-th epoch runs
+// (TestTrainStepZeroAlloc pins that one on its own).
+func TestAllocateEpochZeroAllocOnceWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pinning is meaningless under -race")
+	}
+	_, cfg, epoch := warmAgent(t)
 
 	// Non-training epochs: exactly zero. AllocsPerRun(1, ...) runs epoch
 	// twice (warmup + measured); across TrainEvery probes at least one
@@ -293,12 +300,25 @@ func TestAllocateEpochZeroAllocOnceWarm(t *testing.T) {
 	if min != 0 {
 		t.Fatalf("warm non-training Allocate epoch allocates %v, want 0", min)
 	}
-	// Averaged over a full train cycle the budget stays small: the only
-	// remaining allocations are the batched-backprop closures inside the
-	// TrainEvery-th epoch.
+	// Averaged over a full train cycle the budget stays small.
 	avg := testing.AllocsPerRun(8*cfg.TrainEvery, epoch)
 	if avg > 8 {
 		t.Fatalf("amortized Allocate epoch allocates %v, want <= 8", avg)
+	}
+}
+
+// A warm training step — minibatch draw, batched target max-Q, batched
+// forward and backward through encoder and Sub-Q head on saved buffers,
+// clipped Adam update, target sync — must not allocate: the backprop state
+// lives on tapes and in the workspace, not in closures.
+func TestTrainStepZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pinning is meaningless under -race")
+	}
+	a, cfg, _ := warmAgent(t)
+	// Enough runs to cross a target-network sync.
+	if avg := testing.AllocsPerRun(2*cfg.TargetSyncEvery, a.trainStep); avg != 0 {
+		t.Fatalf("warm trainStep allocates %v per run, want 0", avg)
 	}
 }
 

@@ -39,6 +39,10 @@ type QNetwork struct {
 	ws        *mat.Workspace
 	remoteBuf []mat.Vec
 
+	// aeTape and subTape hold the backprop state of accumulateBatch's two
+	// batched forward passes (shared-weight path), reused every step.
+	aeTape, subTape nn.BatchTape
+
 	// params caches the Params() enumeration: the parameter tensors are
 	// fixed at construction, so the slice (and the formatted names) never
 	// change, and rebuilding it per training step would allocate.
@@ -376,7 +380,6 @@ func (n *QNetwork) accumulateBatch(batch []TrainItem, scale float64) float64 {
 	ws.Reset()
 
 	var codes *mat.Dense
-	var aeBack func(*mat.Dense) *mat.Dense
 	if n.cfg.UseAutoencoder {
 		AEin := ws.TakeMatUninit(B*(K-1), gd)
 		idx := 0
@@ -390,8 +393,7 @@ func (n *QNetwork) accumulateBatch(batch []TrainItem, scale float64) float64 {
 				idx++
 			}
 		}
-		// The encoder is the graph's input layer: nothing consumes dL/dX.
-		codes, aeBack = n.aes[0].Enc.ForwardBatchWS(ws, AEin, false)
+		codes = n.aes[0].Enc.ForwardBatchWS(ws, AEin, &n.aeTape)
 	}
 
 	in := ws.TakeMatUninit(B, n.inDim())
@@ -412,7 +414,7 @@ func (n *QNetwork) accumulateBatch(batch []TrainItem, scale float64) float64 {
 		}
 		n.fillHeadInput(in.Row(b), k, item.S, remote)
 	}
-	raw, subBack := n.subs[0].ForwardBatchWS(ws, in, n.cfg.UseAutoencoder)
+	raw := n.subs[0].ForwardBatchWS(ws, in, &n.subTape)
 
 	dOut := ws.TakeMatUninit(B, G+1)
 	gs := float64(G)
@@ -439,7 +441,7 @@ func (n *QNetwork) accumulateBatch(batch []TrainItem, scale float64) float64 {
 			}
 		}
 	}
-	dIn := subBack(dOut)
+	dIn := n.subs[0].BackwardBatchWS(ws, &n.subTape, dOut, n.cfg.UseAutoencoder)
 
 	if n.cfg.UseAutoencoder {
 		dCodes := ws.TakeMatUninit(B*(K-1), n.codeD)
@@ -458,7 +460,8 @@ func (n *QNetwork) accumulateBatch(batch []TrainItem, scale float64) float64 {
 				seg++
 			}
 		}
-		aeBack(dCodes)
+		// The encoder is the graph's input layer: nothing consumes dL/dX.
+		n.aes[0].Enc.BackwardBatchWS(ws, &n.aeTape, dCodes, false)
 	}
 	return total
 }

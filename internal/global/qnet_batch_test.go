@@ -7,6 +7,13 @@ import (
 	"hierdrl/internal/nn"
 )
 
+// forEachKernelFamily runs f as one subtest per mat kernel family this host
+// supports (avx512, avx2, portable): the batched == per-sample contracts must
+// hold on each, not only on the one the CPU selects.
+func forEachKernelFamily(t *testing.T, f func(t *testing.T)) {
+	mat.ForEachKernelFamily(func(family string) { t.Run(family, f) })
+}
+
 // refQValues replicates the seed's per-sample QValues path: remote features
 // via per-group encoder inference, one per-head forward, dueling combine.
 func refQValues(n *QNetwork, s State) mat.Vec {
@@ -54,6 +61,10 @@ func qnetVariants() []Config {
 }
 
 func TestQValuesMatchesPerSampleReference(t *testing.T) {
+	forEachKernelFamily(t, testQValuesMatchesPerSampleReference)
+}
+
+func testQValuesMatchesPerSampleReference(t *testing.T) {
 	for _, cfg := range qnetVariants() {
 		enc, err := NewEncoder(12, cfg.K, cfg.DurationNormSec)
 		if err != nil {
@@ -75,7 +86,9 @@ func TestQValuesMatchesPerSampleReference(t *testing.T) {
 	}
 }
 
-func TestMaxQBatchMatchesBest(t *testing.T) {
+func TestMaxQBatchMatchesBest(t *testing.T) { forEachKernelFamily(t, testMaxQBatchMatchesBest) }
+
+func testMaxQBatchMatchesBest(t *testing.T) {
 	for _, cfg := range qnetVariants() {
 		enc, err := NewEncoder(12, cfg.K, cfg.DurationNormSec)
 		if err != nil {
@@ -121,6 +134,10 @@ func refTrainBatch(n *QNetwork, batch []TrainItem, opt nn.Optimizer) float64 {
 }
 
 func TestTrainBatchMatchesPerSampleReference(t *testing.T) {
+	forEachKernelFamily(t, testTrainBatchMatchesPerSampleReference)
+}
+
+func testTrainBatchMatchesPerSampleReference(t *testing.T) {
 	for _, cfg := range qnetVariants() {
 		for _, B := range []int{1, 2, 5, 16} {
 			enc, err := NewEncoder(12, cfg.K, cfg.DurationNormSec)

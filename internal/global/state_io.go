@@ -46,10 +46,8 @@ func transitionState(c *checkpoint.Codec, tr *Transition) {
 // captured — both networks' weights, Adam moments, every RNG chain, the
 // replay memory with its slot generations, the open sojourn and pending
 // transition, the epsilon schedule, the autoencoder sample reservoir (its
-// fill level gates an RNG draw per buffered group), and all counters. The
-// target-Q memo is deliberately excluded: it is a cache keyed by (slot,
-// generation, target version) and recomputes bitwise-identical values from
-// the restored target weights. Decoding requires an agent constructed from
+// fill level gates an RNG draw per buffered group), and all counters.
+// Decoding requires an agent constructed from
 // the same Config (same architecture, replay capacity, and server count).
 func (a *Agent) State(c *checkpoint.Codec) {
 	if a.behavior != nil && !c.Decoding() {
@@ -90,12 +88,6 @@ func (a *Agent) State(c *checkpoint.Codec) {
 		return
 	}
 	copy(a.actionCounts, counts)
-	// Invalidate the target-Q memo: restored slot generations restart the
-	// (gen, version) keying, and the cached values belong to the pre-restore
-	// arrays anyway.
-	a.tgtQVal = nil
-	a.tgtQGen = nil
-	a.tgtQVer = nil
 }
 
 var _ checkpoint.Stateful = (*Agent)(nil)

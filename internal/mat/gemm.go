@@ -31,13 +31,7 @@ func MulMatTWithBT(a, b, bt, c *Dense) {
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	if bt != nil && useVectorKernels && b.Rows >= 8 {
-		for i := 0; i < a.Rows; i++ {
-			crow := c.Row(i)
-			for j := range crow {
-				crow[j] = 0
-			}
-			gemvTAdd(bt.Data, bt.Rows, bt.Cols, a.Row(i), crow)
-		}
+		gemmInto(a, bt, c)
 		return
 	}
 	for i := 0; i < a.Rows; i++ {
@@ -45,14 +39,44 @@ func MulMatTWithBT(a, b, bt, c *Dense) {
 	}
 }
 
-// TransposeInto writes srcᵀ into dst (shaped src.Cols × src.Rows).
+// gemmInto computes c = a * w (a is M×K, w is K×N) with gemvTAdd's per-row
+// semantics: every sum starts at +0.0, takes its terms in ascending k and
+// skips zero coefficients. AVX-512 hosts run the whole product on the
+// register tile.
+func gemmInto(a, w, c *Dense) {
+	if useAVX512 && w.Cols >= 8 {
+		gemm512(c.Data, c.Cols, a.Data, a.Cols, 1, w.Data, w.Cols, a.Rows, a.Cols, w.Cols, true)
+		return
+	}
+	c.Zero()
+	for i := 0; i < a.Rows; i++ {
+		gemvTAdd(w.Data, w.Rows, w.Cols, a.Row(i), c.Row(i))
+	}
+}
+
+// TransposeInto writes srcᵀ into dst (shaped src.Cols × src.Rows). Four source
+// rows are walked together so every destination row receives four adjacent
+// elements per visit instead of one — the layers rebuild their cached Wᵀ
+// after every optimizer step, and one-element strided stores made that
+// rebuild cost as much as a small GEMM.
 func TransposeInto(src, dst *Dense) {
 	if dst.Rows != src.Cols || dst.Cols != src.Rows {
 		panic(fmt.Sprintf("mat: TransposeInto shape mismatch src=%dx%d dst=%dx%d",
 			src.Rows, src.Cols, dst.Rows, dst.Cols))
 	}
 	rows, cols := src.Rows, src.Cols
-	for i := 0; i < rows; i++ {
+	i := 0
+	for ; i+4 <= rows; i += 4 {
+		r0 := src.Data[i*cols : i*cols+cols]
+		r1 := src.Data[(i+1)*cols : (i+1)*cols+cols][:cols]
+		r2 := src.Data[(i+2)*cols : (i+2)*cols+cols][:cols]
+		r3 := src.Data[(i+3)*cols : (i+3)*cols+cols][:cols]
+		for j, v := range r0 {
+			d := dst.Data[j*rows+i : j*rows+i+4]
+			d[0], d[1], d[2], d[3] = v, r1[j], r2[j], r3[j]
+		}
+	}
+	for ; i < rows; i++ {
 		row := src.Data[i*cols : (i+1)*cols]
 		for j, v := range row {
 			dst.Data[j*rows+i] = v
@@ -87,13 +111,7 @@ func MulMat(a, b, c *Dense) {
 		panic(fmt.Sprintf("mat: MulMat shape mismatch a=%dx%d b=%dx%d c=%dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	for i := 0; i < a.Rows; i++ {
-		crow := c.Row(i)
-		for j := range crow {
-			crow[j] = 0
-		}
-		gemvTAdd(b.Data, b.Rows, b.Cols, a.Row(i), crow)
-	}
+	gemmInto(a, b, c)
 }
 
 // AddMulTMat performs the rank-K update c += alpha * aᵀ * b, where a is
@@ -106,6 +124,11 @@ func AddMulTMat(alpha float64, a, b, c *Dense) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: AddMulTMat shape mismatch a=%dx%d b=%dx%d c=%dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+	}
+	if useAVX512 && alpha == 1 && c.Cols >= 8 {
+		// Output row o takes coefficient a[s][o] at step s: A read column-wise.
+		gemm512(c.Data, c.Cols, a.Data, 1, a.Cols, b.Data, b.Cols, c.Rows, a.Rows, c.Cols, false)
+		return
 	}
 	s := 0
 	for ; s+4 <= a.Rows; s += 4 {

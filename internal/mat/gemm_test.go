@@ -35,6 +35,14 @@ func naiveMulVecT(m *Dense, x, dst Vec) {
 	}
 }
 
+// forEachKernelFamily runs f as one subtest per kernel family this host
+// supports (avx512, avx2, portable), so the narrower families are exercised
+// on a wide host instead of silently going untested.
+func forEachKernelFamily(t *testing.T, f func(t *testing.T)) {
+	t.Logf("detected kernel family: %s", KernelFamily())
+	ForEachKernelFamily(func(family string) { t.Run(family, f) })
+}
+
 // testShapes covers edge shapes (1×N, N×1, tile remainders) plus bulk sizes.
 var testShapes = []struct{ r, c int }{
 	{1, 1}, {1, 7}, {7, 1}, {2, 3}, {3, 2}, {4, 4}, {5, 5},
@@ -192,6 +200,22 @@ func TestAddMulTMatMatchesSequentialAddOuter(t *testing.T) {
 			}
 		}
 	})
+}
+
+func TestTransposeInto(t *testing.T) {
+	rng := NewRNG(6)
+	for _, sh := range testShapes {
+		src := randDense(sh.r, sh.c, rng)
+		dst := randDense(sh.c, sh.r, rng)
+		TransposeInto(src, dst)
+		for i := 0; i < sh.r; i++ {
+			for j := 0; j < sh.c; j++ {
+				if dst.At(j, i) != src.At(i, j) {
+					t.Fatalf("%dx%d: dst[%d][%d] = %v, want src[%d][%d] = %v", sh.r, sh.c, j, i, dst.At(j, i), i, j, src.At(i, j))
+				}
+			}
+		}
+	}
 }
 
 func TestGEMMShapePanics(t *testing.T) {

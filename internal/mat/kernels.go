@@ -94,6 +94,30 @@ func axpyRow(a []float64, row, cols int, xi float64, dst []float64) {
 	}
 }
 
+// eluScalar is the reference ELU loop (and the only one off the AVX-512+FMA
+// fast path): the expression shape of nn.ELU.F, element by element.
+func eluScalar(alpha float64, src, dst []float64) {
+	for i, x := range src {
+		if x >= 0 {
+			dst[i] = x
+		} else {
+			dst[i] = alpha * (math.Exp(x) - 1)
+		}
+	}
+}
+
+// eluGradScalar is the reference ELU backward loop, the expression shape of
+// nn.ELU.Deriv times the incoming gradient.
+func eluGradScalar(alpha float64, dy, pre, y, dst []float64) {
+	for i, g := range dy {
+		if pre[i] >= 0 {
+			dst[i] = g
+		} else {
+			dst[i] = g * (y[i] + alpha)
+		}
+	}
+}
+
 // fusedAdamScalar is the portable Adam update for elements [start, len),
 // with the exact expression shapes of the historical optimizer loop.
 func fusedAdamScalar(val, grad, m, v Vec, start int, b1, b2, c1, c2, lr, eps float64) {
@@ -108,67 +132,16 @@ func fusedAdamScalar(val, grad, m, v Vec, start int, b1, b2, c1, c2, lr, eps flo
 }
 
 // gemvTAdd computes dst += A^T * x (dst length cols, x length rows) — the
-// shared entry point of every axpy-direction GEMV/GEMM loop. Zero
-// coefficients are skipped (exactly as the scalar reference skips them) and
-// the surviving rows are compacted into fused 8-row passes, so zero-rich
-// inputs — idle servers produce exactly-0.0 state features — run through the
-// wide kernel instead of degrading to one axpy per row. Per output element
-// the non-zero contributions still arrive in strictly ascending row order,
-// the exact add sequence of gemvTAddRows4, so every output bit matches.
+// shared entry point of every axpy-direction GEMV loop. Zero coefficients
+// are skipped and per output element the non-zero contributions arrive in
+// strictly ascending row order, on every kernel family: the exact add
+// sequence of gemvTAddRows4, so every output bit matches.
 func gemvTAdd(a []float64, rows, cols int, x, dst []float64) {
-	n := len(dst)
-	if !useVectorKernels || n < 8 {
-		gemvTAddRows4(a, rows, cols, x, dst)
+	if useVectorKernels && len(dst) >= 8 {
+		gemvTAddVec(a, rows, cols, x, dst)
 		return
 	}
-	n4 := n &^ 3
-	vdst := dst[:n4]
-	var pr [8][]float64
-	var pc [8]float64
-	np := 0
-	for i := 0; i < rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		pr[np] = a[i*cols : i*cols+cols][:n]
-		pc[np] = xi
-		np++
-		if np < 8 {
-			continue
-		}
-		np = 0
-		vaxpy8Tile(vdst, pr[0], pr[1], pr[2], pr[3], pr[4], pr[5], pr[6], pr[7],
-			pc[0], pc[1], pc[2], pc[3], pc[4], pc[5], pc[6], pc[7])
-		for j := n4; j < n; j++ {
-			s := dst[j]
-			s += pr[0][j] * pc[0]
-			s += pr[1][j] * pc[1]
-			s += pr[2][j] * pc[2]
-			s += pr[3][j] * pc[3]
-			s += pr[4][j] * pc[4]
-			s += pr[5][j] * pc[5]
-			s += pr[6][j] * pc[6]
-			s += pr[7][j] * pc[7]
-			dst[j] = s
-		}
-	}
-	k := 0
-	if np >= 4 {
-		vaxpy4Tile(vdst, pr[0], pr[1], pr[2], pr[3], pc[0], pc[1], pc[2], pc[3])
-		for j := n4; j < n; j++ {
-			s := dst[j]
-			s += pr[0][j] * pc[0]
-			s += pr[1][j] * pc[1]
-			s += pr[2][j] * pc[2]
-			s += pr[3][j] * pc[3]
-			dst[j] = s
-		}
-		k = 4
-	}
-	for ; k < np; k++ {
-		vaxpy1(dst, pr[k], pc[k])
-	}
+	gemvTAddRows4(a, rows, cols, x, dst)
 }
 
 // gemvTAddRows4 is gemvTAdd's portable path (no vector kernels, or dst too

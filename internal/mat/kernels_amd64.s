@@ -246,314 +246,9 @@ adamdone:
 	VZEROUPPER
 	RET
 
-// AVX-512 variants: identical per-element semantics with 8-wide lanes.
-// Same contracts as the AVX2 versions (len(dst) multiple of 4).
-
-// func vaxpy4asm512(dst, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64)
-TEXT ·vaxpy4asm512(SB), NOSPLIT, $0-152
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), R9
-	MOVQ r0_base+24(FP), SI
-	MOVQ r1_base+48(FP), DX
-	MOVQ r2_base+72(FP), CX
-	MOVQ r3_base+96(FP), R8
-	VBROADCASTSD x0+120(FP), Z0
-	VBROADCASTSD x1+128(FP), Z1
-	VBROADCASTSD x2+136(FP), Z2
-	VBROADCASTSD x3+144(FP), Z3
-	XORQ AX, AX
-	MOVQ R9, BX
-	ANDQ $-32, BX
-
-loop32z:
-	CMPQ AX, BX
-	JGE  tail8z
-	VMOVUPD (DI)(AX*8), Z4
-	VMOVUPD 64(DI)(AX*8), Z5
-	VMOVUPD 128(DI)(AX*8), Z6
-	VMOVUPD 192(DI)(AX*8), Z7
-
-	VMOVUPD (SI)(AX*8), Z8
-	VMOVUPD 64(SI)(AX*8), Z9
-	VMOVUPD 128(SI)(AX*8), Z10
-	VMOVUPD 192(SI)(AX*8), Z11
-	VMULPD  Z0, Z8, Z8
-	VMULPD  Z0, Z9, Z9
-	VMULPD  Z0, Z10, Z10
-	VMULPD  Z0, Z11, Z11
-	VADDPD  Z8, Z4, Z4
-	VADDPD  Z9, Z5, Z5
-	VADDPD  Z10, Z6, Z6
-	VADDPD  Z11, Z7, Z7
-
-	VMOVUPD (DX)(AX*8), Z8
-	VMOVUPD 64(DX)(AX*8), Z9
-	VMOVUPD 128(DX)(AX*8), Z10
-	VMOVUPD 192(DX)(AX*8), Z11
-	VMULPD  Z1, Z8, Z8
-	VMULPD  Z1, Z9, Z9
-	VMULPD  Z1, Z10, Z10
-	VMULPD  Z1, Z11, Z11
-	VADDPD  Z8, Z4, Z4
-	VADDPD  Z9, Z5, Z5
-	VADDPD  Z10, Z6, Z6
-	VADDPD  Z11, Z7, Z7
-
-	VMOVUPD (CX)(AX*8), Z8
-	VMOVUPD 64(CX)(AX*8), Z9
-	VMOVUPD 128(CX)(AX*8), Z10
-	VMOVUPD 192(CX)(AX*8), Z11
-	VMULPD  Z2, Z8, Z8
-	VMULPD  Z2, Z9, Z9
-	VMULPD  Z2, Z10, Z10
-	VMULPD  Z2, Z11, Z11
-	VADDPD  Z8, Z4, Z4
-	VADDPD  Z9, Z5, Z5
-	VADDPD  Z10, Z6, Z6
-	VADDPD  Z11, Z7, Z7
-
-	VMOVUPD (R8)(AX*8), Z8
-	VMOVUPD 64(R8)(AX*8), Z9
-	VMOVUPD 128(R8)(AX*8), Z10
-	VMOVUPD 192(R8)(AX*8), Z11
-	VMULPD  Z3, Z8, Z8
-	VMULPD  Z3, Z9, Z9
-	VMULPD  Z3, Z10, Z10
-	VMULPD  Z3, Z11, Z11
-	VADDPD  Z8, Z4, Z4
-	VADDPD  Z9, Z5, Z5
-	VADDPD  Z10, Z6, Z6
-	VADDPD  Z11, Z7, Z7
-
-	VMOVUPD Z4, (DI)(AX*8)
-	VMOVUPD Z5, 64(DI)(AX*8)
-	VMOVUPD Z6, 128(DI)(AX*8)
-	VMOVUPD Z7, 192(DI)(AX*8)
-	ADDQ    $32, AX
-	JMP     loop32z
-
-tail8z:
-	MOVQ R9, BX
-	ANDQ $-8, BX
-
-tail8zloop:
-	CMPQ AX, BX
-	JGE  tail4z
-	VMOVUPD (DI)(AX*8), Z4
-	VMOVUPD (SI)(AX*8), Z8
-	VMULPD  Z0, Z8, Z8
-	VADDPD  Z8, Z4, Z4
-	VMOVUPD (DX)(AX*8), Z8
-	VMULPD  Z1, Z8, Z8
-	VADDPD  Z8, Z4, Z4
-	VMOVUPD (CX)(AX*8), Z8
-	VMULPD  Z2, Z8, Z8
-	VADDPD  Z8, Z4, Z4
-	VMOVUPD (R8)(AX*8), Z8
-	VMULPD  Z3, Z8, Z8
-	VADDPD  Z8, Z4, Z4
-	VMOVUPD Z4, (DI)(AX*8)
-	ADDQ    $8, AX
-	JMP     tail8zloop
-
-tail4z:
-	CMPQ AX, R9
-	JGE  done512
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD (SI)(AX*8), Y8
-	VMULPD  Y0, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD (DX)(AX*8), Y8
-	VMULPD  Y1, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD (CX)(AX*8), Y8
-	VMULPD  Y2, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD (R8)(AX*8), Y8
-	VMULPD  Y3, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ    $4, AX
-	JMP     tail4z
-
-done512:
-	VZEROUPPER
-	RET
-
-// func vaxpy8asm512(dst, r0, r1, r2, r3, r4, r5, r6, r7 []float64, x0, x1, x2, x3, x4, x5, x6, x7 float64)
-// Eight fused row contributions per pass: per element the adds arrive in
-// strict row order r0..r7 — the same sequence two chained vaxpy4 calls
-// produce — so results are bitwise identical while dst is loaded and stored
-// once instead of twice and the dispatch loop runs half as often.
-// len(dst) must be a multiple of 4; r* must be at least as long as dst.
-TEXT ·vaxpy8asm512(SB), NOSPLIT, $0-280
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), R9
-	MOVQ r0_base+24(FP), SI
-	MOVQ r1_base+48(FP), DX
-	MOVQ r2_base+72(FP), CX
-	MOVQ r3_base+96(FP), R8
-	MOVQ r4_base+120(FP), R10
-	MOVQ r5_base+144(FP), R11
-	MOVQ r6_base+168(FP), R12
-	MOVQ r7_base+192(FP), R13
-	VBROADCASTSD x0+216(FP), Z0
-	VBROADCASTSD x1+224(FP), Z1
-	VBROADCASTSD x2+232(FP), Z2
-	VBROADCASTSD x3+240(FP), Z3
-	VBROADCASTSD x4+248(FP), Z16
-	VBROADCASTSD x5+256(FP), Z17
-	VBROADCASTSD x6+264(FP), Z18
-	VBROADCASTSD x7+272(FP), Z19
-	XORQ AX, AX
-	MOVQ R9, BX
-	ANDQ $-16, BX
-
-loop16z8:
-	CMPQ AX, BX
-	JGE  tail8z8
-	VMOVUPD (DI)(AX*8), Z4
-	VMOVUPD 64(DI)(AX*8), Z5
-
-	VMOVUPD (SI)(AX*8), Z8
-	VMOVUPD 64(SI)(AX*8), Z9
-	VMULPD  Z0, Z8, Z8
-	VMULPD  Z0, Z9, Z9
-	VADDPD  Z8, Z4, Z4
-	VADDPD  Z9, Z5, Z5
-
-	VMOVUPD (DX)(AX*8), Z10
-	VMOVUPD 64(DX)(AX*8), Z11
-	VMULPD  Z1, Z10, Z10
-	VMULPD  Z1, Z11, Z11
-	VADDPD  Z10, Z4, Z4
-	VADDPD  Z11, Z5, Z5
-
-	VMOVUPD (CX)(AX*8), Z8
-	VMOVUPD 64(CX)(AX*8), Z9
-	VMULPD  Z2, Z8, Z8
-	VMULPD  Z2, Z9, Z9
-	VADDPD  Z8, Z4, Z4
-	VADDPD  Z9, Z5, Z5
-
-	VMOVUPD (R8)(AX*8), Z10
-	VMOVUPD 64(R8)(AX*8), Z11
-	VMULPD  Z3, Z10, Z10
-	VMULPD  Z3, Z11, Z11
-	VADDPD  Z10, Z4, Z4
-	VADDPD  Z11, Z5, Z5
-
-	VMOVUPD (R10)(AX*8), Z8
-	VMOVUPD 64(R10)(AX*8), Z9
-	VMULPD  Z16, Z8, Z8
-	VMULPD  Z16, Z9, Z9
-	VADDPD  Z8, Z4, Z4
-	VADDPD  Z9, Z5, Z5
-
-	VMOVUPD (R11)(AX*8), Z10
-	VMOVUPD 64(R11)(AX*8), Z11
-	VMULPD  Z17, Z10, Z10
-	VMULPD  Z17, Z11, Z11
-	VADDPD  Z10, Z4, Z4
-	VADDPD  Z11, Z5, Z5
-
-	VMOVUPD (R12)(AX*8), Z8
-	VMOVUPD 64(R12)(AX*8), Z9
-	VMULPD  Z18, Z8, Z8
-	VMULPD  Z18, Z9, Z9
-	VADDPD  Z8, Z4, Z4
-	VADDPD  Z9, Z5, Z5
-
-	VMOVUPD (R13)(AX*8), Z10
-	VMOVUPD 64(R13)(AX*8), Z11
-	VMULPD  Z19, Z10, Z10
-	VMULPD  Z19, Z11, Z11
-	VADDPD  Z10, Z4, Z4
-	VADDPD  Z11, Z5, Z5
-
-	VMOVUPD Z4, (DI)(AX*8)
-	VMOVUPD Z5, 64(DI)(AX*8)
-	ADDQ    $16, AX
-	JMP     loop16z8
-
-tail8z8:
-	MOVQ R9, BX
-	ANDQ $-8, BX
-
-tail8z8loop:
-	CMPQ AX, BX
-	JGE  tail4z8
-	VMOVUPD (DI)(AX*8), Z4
-	VMOVUPD (SI)(AX*8), Z8
-	VMULPD  Z0, Z8, Z8
-	VADDPD  Z8, Z4, Z4
-	VMOVUPD (DX)(AX*8), Z8
-	VMULPD  Z1, Z8, Z8
-	VADDPD  Z8, Z4, Z4
-	VMOVUPD (CX)(AX*8), Z8
-	VMULPD  Z2, Z8, Z8
-	VADDPD  Z8, Z4, Z4
-	VMOVUPD (R8)(AX*8), Z8
-	VMULPD  Z3, Z8, Z8
-	VADDPD  Z8, Z4, Z4
-	VMOVUPD (R10)(AX*8), Z8
-	VMULPD  Z16, Z8, Z8
-	VADDPD  Z8, Z4, Z4
-	VMOVUPD (R11)(AX*8), Z8
-	VMULPD  Z17, Z8, Z8
-	VADDPD  Z8, Z4, Z4
-	VMOVUPD (R12)(AX*8), Z8
-	VMULPD  Z18, Z8, Z8
-	VADDPD  Z8, Z4, Z4
-	VMOVUPD (R13)(AX*8), Z8
-	VMULPD  Z19, Z8, Z8
-	VADDPD  Z8, Z4, Z4
-	VMOVUPD Z4, (DI)(AX*8)
-	ADDQ    $8, AX
-	JMP     tail8z8loop
-
-tail4z8:
-	CMPQ AX, R9
-	JGE  done512v8
-	// Rebroadcast the high coefficients into VEX-addressable registers:
-	// EVEX-encoded YMM ops on Z16+ would need AVX-512VL, which the dispatch
-	// does not require.
-	VBROADCASTSD x4+248(FP), Y5
-	VBROADCASTSD x5+256(FP), Y6
-	VBROADCASTSD x6+264(FP), Y7
-	VBROADCASTSD x7+272(FP), Y9
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD (SI)(AX*8), Y8
-	VMULPD  Y0, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD (DX)(AX*8), Y8
-	VMULPD  Y1, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD (CX)(AX*8), Y8
-	VMULPD  Y2, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD (R8)(AX*8), Y8
-	VMULPD  Y3, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD (R10)(AX*8), Y8
-	VMULPD  Y5, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD (R11)(AX*8), Y8
-	VMULPD  Y6, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD (R12)(AX*8), Y8
-	VMULPD  Y7, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD (R13)(AX*8), Y8
-	VMULPD  Y9, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ    $4, AX
-	JMP     tail4z8
-
-done512v8:
-	VZEROUPPER
-	RET
+// AVX-512 variant of vaxpy1asm: identical per-element semantics with 8-wide
+// lanes, same contract (len(dst) multiple of 4). The 512-bit GEMM family
+// lives in gemm_avx512_amd64.s.
 
 // func vaxpy1asm512(dst, r []float64, x float64)
 TEXT ·vaxpy1asm512(SB), NOSPLIT, $0-56

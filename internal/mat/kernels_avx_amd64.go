@@ -2,13 +2,49 @@
 
 package mat
 
-// AVX2 dispatch for the fused axpy kernels. useVectorKernels is decided
-// once at init; when false (no AVX2, or the OS does not save YMM state)
-// everything falls back to the portable Go tiles, which compute the exact
-// same bits.
+// Kernel-family dispatch, decided once at init. Three families compute the
+// exact same bits: "avx512" (register-tiled GEMM, 8-lane axpy, packed ELU),
+// "avx2" (fused 4-row axpy passes; useVectorKernels without useAVX512) and
+// "portable" (the Go tiles of kernels.go; no AVX2, or the OS does not save
+// YMM state).
 
 var useVectorKernels = detectAVX2()
 var useAVX512 = useVectorKernels && detectAVX512()
+
+// hasFMA mirrors the toolchain's math.useFMA (AVX usable and CPUID.1:ECX.FMA):
+// the packed ELU repeats math.Exp's FMA instruction sequence, so it may run
+// only where math.Exp itself takes that path.
+var hasFMA = useVectorKernels && detectFMA()
+
+// KernelFamily names the kernel family in use.
+func KernelFamily() string {
+	switch {
+	case useAVX512:
+		return "avx512"
+	case useVectorKernels:
+		return "avx2"
+	}
+	return "portable"
+}
+
+// ForEachKernelFamily calls f once under every kernel family this host can
+// run, widest first, then restores the detected one. It is test support for
+// the bitwise-equivalence suites here and in the packages above, which would
+// otherwise only ever see the detected family. The switches are
+// process-wide: never call it from parallel tests or outside tests.
+func ForEachKernelFamily(f func(family string)) {
+	vec, wide := useVectorKernels, useAVX512
+	defer func() { useVectorKernels, useAVX512 = vec, wide }()
+	if wide {
+		f("avx512")
+	}
+	useAVX512 = false
+	if vec {
+		f("avx2")
+	}
+	useVectorKernels = false
+	f("portable")
+}
 
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
@@ -34,6 +70,12 @@ func detectAVX2() bool {
 	return ebx7&avx2 != 0
 }
 
+func detectFMA() bool {
+	_, _, ecx1, _ := cpuidex(1, 0)
+	const fma = 1 << 12
+	return ecx1&fma != 0
+}
+
 func detectAVX512() bool {
 	// Needs AVX512F plus OS support for opmask and ZMM state (XCR0 bits
 	// 5-7 alongside SSE/AVX).
@@ -46,12 +88,50 @@ func detectAVX512() bool {
 	return ebx7&avx512f != 0
 }
 
+// AVX2 family (kernels_amd64.s).
 func vaxpy4asm(dst, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64)
 func vaxpy1asm(dst, r []float64, x float64)
-func vaxpy4asm512(dst, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64)
-func vaxpy8asm512(dst, r0, r1, r2, r3, r4, r5, r6, r7 []float64, x0, x1, x2, x3, x4, x5, x6, x7 float64)
-func vaxpy1asm512(dst, r []float64, x float64)
 func fusedAdamAsm(val, grad, m, v []float64, b1, omb1, b2, omb2, c1, c2, lr, eps float64)
+
+// AVX-512 family (gemm_avx512_amd64.s, elu_avx512_amd64.s, kernels_amd64.s).
+func vaxpy1asm512(dst, r []float64, x float64)
+
+//go:noescape
+func gemmTile512(c *float64, ldc int, a *float64, rs, ks int, w *float64, ldw, k, cols, rows int, overwrite bool)
+
+//go:noescape
+func eluAsm512(dst, src *float64, n int, alpha float64)
+
+//go:noescape
+func eluGradAsm512(dst, dy, pre, y *float64, n int, alpha float64)
+
+// ELU computes dst[i] = src[i] for src[i] >= 0 and alpha*(exp(src[i]) - 1)
+// otherwise; src and dst must be the same slice or not overlap. On a host
+// where math.Exp runs its FMA sequence (and AVX-512 is usable) eight lanes
+// are evaluated at once with that same sequence — identical bits, see
+// elu_avx512_amd64.s — and everywhere else the scalar loop runs.
+func ELU(alpha float64, src, dst []float64) {
+	dst = dst[:len(src)]
+	if useAVX512 && hasFMA && len(src) > 0 {
+		eluAsm512(&dst[0], &src[0], len(src), alpha)
+		return
+	}
+	eluScalar(alpha, src, dst)
+}
+
+// ELUGrad computes the ELU backward factor dst[i] = dy[i] for pre[i] >= 0 and
+// dy[i]*(y[i] + alpha) otherwise (alpha*e^x = y + alpha), eight lanes at a
+// time on AVX-512 hosts; the scalar loop's branch on the sign of a random
+// pre-activation mispredicts about every other element.
+func ELUGrad(alpha float64, dy, pre, y, dst []float64) {
+	n := len(dy)
+	pre, y, dst = pre[:n], y[:n], dst[:n]
+	if useAVX512 && n > 0 {
+		eluGradAsm512(&dst[0], &dy[0], &pre[0], &y[0], n, alpha)
+		return
+	}
+	eluGradScalar(alpha, dy, pre, y, dst)
+}
 
 // FusedAdam applies one elementwise Adam update
 //
@@ -75,47 +155,84 @@ func FusedAdam(val, grad, m, v Vec, b1, b2, c1, c2, lr, eps float64) {
 	fusedAdamScalar(val, grad, m, v, start, b1, b2, c1, c2, lr, eps)
 }
 
-// vaxpy4Tile is the pre-truncated fast path: len(dst) must already be a
-// (possibly zero) multiple of 4 and r* at least as long.
-func vaxpy4Tile(dst, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64) {
-	if len(dst) == 0 {
+// gemm512 computes C += A·W — or, with overwrite, C = A·W — on the AVX-512
+// register tile: for every i < m, j < n
+//
+//	c[i*ldc+j] += Σ_k a[i*rs+k*ks] * w[k*ldw+j]
+//
+// with k ascending, one rounded multiply then one rounded add per term, and
+// terms whose coefficient a[..] == 0 skipped — the scalar sequence of
+// gemvTAddRows4 / AddOuter for each output element (gemm_avx512_amd64.s has
+// the argument). overwrite starts every sum from +0.0, which is what clearing
+// C first stores. It is the one entry behind every 512-bit GEMM/GEMV in the
+// package: the coefficient strides let it read A row-wise (rs = lda, ks = 1;
+// MulMatTWithBT, MulMat, gemvTAdd) or column-wise (rs = 1, ks = lda;
+// AddMulTMat). Column blocks are the outer loop so a K×32 stripe of W is
+// walked by every row tile while it is cache-hot; the first block takes the
+// odd width so all later ones are full.
+func gemm512(c []float64, ldc int, a []float64, rs, ks int, w []float64, ldw, m, k, n int, overwrite bool) {
+	if m == 0 || n == 0 {
 		return
 	}
-	if useAVX512 {
-		vaxpy4asm512(dst, r0, r1, r2, r3, x0, x1, x2, x3)
-	} else {
-		vaxpy4asm(dst, r0, r1, r2, r3, x0, x1, x2, x3)
+	if k == 0 {
+		if overwrite {
+			for i := 0; i < m; i++ {
+				clear(c[i*ldc : i*ldc+n])
+			}
+		}
+		return
+	}
+	// The kernel works on raw pointers: prove the far corners in range here.
+	_ = c[(m-1)*ldc+n-1]
+	_ = a[(m-1)*rs+(k-1)*ks]
+	_ = w[(k-1)*ldw+n-1]
+	for j, cols := 0, n-(n-1)/32*32; j < n; j, cols = j+cols, 32 {
+		for i := 0; i < m; i += 4 {
+			gemmTile512(&c[i*ldc+j], ldc, &a[i*rs], rs, ks, &w[j], ldw, k, cols, min(4, m-i), overwrite)
+		}
 	}
 }
 
-// vaxpy8Tile fuses eight row contributions into one pass over dst (loaded
-// and stored once). Per element the adds arrive in ascending row order, so
-// the result is bitwise identical to two chained vaxpy4Tile calls — which is
-// exactly the fallback when AVX-512 is unavailable. len(dst) must already be
-// a (possibly zero) multiple of 4 and r* at least as long.
-func vaxpy8Tile(dst, r0, r1, r2, r3, r4, r5, r6, r7 []float64,
-	x0, x1, x2, x3, x4, x5, x6, x7 float64) {
-	if len(dst) == 0 {
-		return
-	}
+// gemvTAddVec is gemvTAdd on the vector kernels (len(dst) >= 8). AVX-512
+// hosts run the register tile as a one-row GEMM. The AVX2 family compacts
+// the rows with a non-zero coefficient into fused 4-row axpy passes, so
+// zero-rich inputs — idle servers produce exactly-0.0 state features — do
+// not degrade to one axpy per row; per output element the surviving
+// contributions still arrive in ascending row order.
+func gemvTAddVec(a []float64, rows, cols int, x, dst []float64) {
+	n := len(dst)
 	if useAVX512 {
-		vaxpy8asm512(dst, r0, r1, r2, r3, r4, r5, r6, r7, x0, x1, x2, x3, x4, x5, x6, x7)
+		gemm512(dst, n, x, 0, 1, a, cols, 1, rows, n, false)
 		return
 	}
-	vaxpy4Tile(dst, r0, r1, r2, r3, x0, x1, x2, x3)
-	vaxpy4Tile(dst, r4, r5, r6, r7, x4, x5, x6, x7)
+	var pr [4][]float64
+	var pc [4]float64
+	np := 0
+	for i := 0; i < rows; i++ {
+		xi := x[i]
+		if xi == 0 {
+			continue
+		}
+		pr[np] = a[i*cols : i*cols+cols][:n]
+		pc[np] = xi
+		np++
+		if np == 4 {
+			np = 0
+			vaxpy4(dst, pr[0], pr[1], pr[2], pr[3], pc[0], pc[1], pc[2], pc[3])
+		}
+	}
+	for k := 0; k < np; k++ {
+		vaxpy1(dst, pr[k], pc[k])
+	}
 }
 
 // vaxpy4 computes dst[j] += r0[j]*x0; += r1[j]*x1; += r2[j]*x2; += r3[j]*x3
-// for every j, in exactly that per-element order.
+// for every j, in exactly that per-element order (AVX2 family only: the
+// AVX-512 family reaches its 4-row sums through gemm512).
 func vaxpy4(dst, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64) {
 	n4 := len(dst) &^ 3
 	if n4 > 0 {
-		if useAVX512 {
-			vaxpy4asm512(dst[:n4], r0, r1, r2, r3, x0, x1, x2, x3)
-		} else {
-			vaxpy4asm(dst[:n4], r0, r1, r2, r3, x0, x1, x2, x3)
-		}
+		vaxpy4asm(dst[:n4], r0, r1, r2, r3, x0, x1, x2, x3)
 	}
 	for j := n4; j < len(dst); j++ {
 		s := dst[j]

@@ -2,12 +2,27 @@
 
 package mat
 
-// Portable fallbacks: non-amd64 builds always use the Go tiles.
+// Portable fallbacks: non-amd64 builds always use the Go tiles. The two
+// constants make every vector-guarded call dead code; the GEMM stubs only let
+// the shared files compile.
 
-const useVectorKernels = false
+const (
+	useVectorKernels = false
+	useAVX512        = false
+)
 
-func vaxpy4Tile(dst, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64) {
-	vaxpy4(dst, r0, r1, r2, r3, x0, x1, x2, x3)
+// KernelFamily names the kernel family in use.
+func KernelFamily() string { return "portable" }
+
+// ForEachKernelFamily calls f under every kernel family of this build: one.
+func ForEachKernelFamily(f func(family string)) { f("portable") }
+
+func gemm512(c []float64, ldc int, a []float64, rs, ks int, w []float64, ldw, m, k, n int, overwrite bool) {
+	panic("mat: no vector kernels in this build")
+}
+
+func gemvTAddVec(a []float64, rows, cols int, x, dst []float64) {
+	panic("mat: no vector kernels in this build")
 }
 
 func vaxpy4(dst, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64) {
@@ -21,16 +36,21 @@ func vaxpy4(dst, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64) {
 	}
 }
 
-func vaxpy8Tile(dst, r0, r1, r2, r3, r4, r5, r6, r7 []float64,
-	x0, x1, x2, x3, x4, x5, x6, x7 float64) {
-	vaxpy4(dst, r0, r1, r2, r3, x0, x1, x2, x3)
-	vaxpy4(dst, r4, r5, r6, r7, x4, x5, x6, x7)
-}
-
 func vaxpy1(dst, r []float64, x float64) {
 	for j := range dst {
 		dst[j] += r[j] * x
 	}
+}
+
+// ELU computes dst[i] = src[i] for src[i] >= 0 and alpha*(exp(src[i]) - 1)
+// otherwise; src and dst may be the same slice.
+func ELU(alpha float64, src, dst []float64) { eluScalar(alpha, src, dst[:len(src)]) }
+
+// ELUGrad computes the ELU backward factor dst[i] = dy[i] for pre[i] >= 0 and
+// dy[i]*(y[i] + alpha) otherwise.
+func ELUGrad(alpha float64, dy, pre, y, dst []float64) {
+	n := len(dy)
+	eluGradScalar(alpha, dy, pre[:n], y[:n], dst[:n])
 }
 
 // FusedAdam applies one elementwise Adam update across the whole tensor

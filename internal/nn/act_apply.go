@@ -1,13 +1,19 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"hierdrl/internal/mat"
+)
 
 // Devirtualized elementwise activation loops. The generic interface call per
 // element costs more than the arithmetic for the cheap activations, so the
 // hot layer paths funnel through these helpers, which type-switch once per
 // vector and then run a direct loop. Each branch replicates the
 // corresponding Activation method exactly, so results are bitwise identical
-// to the interface path (the default case).
+// to the interface path (the default case). ELU goes through mat.ELU, which
+// on AVX-512+FMA hosts evaluates eight lanes with math.Exp's own instruction
+// sequence and is the scalar loop everywhere else.
 
 // applyAct computes dst[i] = act.F(src[i]). src and dst may alias.
 func applyAct(act Activation, src, dst []float64) {
@@ -18,14 +24,7 @@ func applyAct(act Activation, src, dst []float64) {
 			copy(dst, src)
 		}
 	case ELU:
-		al := a.alpha()
-		for i, x := range src {
-			if x >= 0 {
-				dst[i] = x
-			} else {
-				dst[i] = al * (math.Exp(x) - 1)
-			}
-		}
+		mat.ELU(a.alpha(), src, dst)
 	case ReLU:
 		for i, x := range src {
 			if x > 0 {
@@ -59,14 +58,7 @@ func applyActDeriv(act Activation, dy, pre, y, dst []float64) {
 	case Identity:
 		copy(dst, dy)
 	case ELU:
-		al := a.alpha()
-		for i, g := range dy {
-			if pre[i] >= 0 {
-				dst[i] = g
-			} else {
-				dst[i] = g * (y[i] + al)
-			}
-		}
+		mat.ELUGrad(a.alpha(), dy, pre, y, dst)
 	case ReLU:
 		for i, g := range dy {
 			if pre[i] > 0 {

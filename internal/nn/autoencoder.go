@@ -16,11 +16,12 @@ type Autoencoder struct {
 	Dec *MLP
 
 	// ws is the scratch arena for TrainBatch (inputs, activations,
-	// gradients); params caches the parameter enumeration. Both make warm
-	// pretraining epochs allocation-free. An Autoencoder is not safe for
-	// concurrent use.
-	ws     *mat.Workspace
-	params []Param
+	// gradients), the tapes hold its backprop state and params caches the
+	// parameter enumeration: warm pretraining epochs are allocation-free. An
+	// Autoencoder is not safe for concurrent use.
+	ws               *mat.Workspace
+	params           []Param
+	encTape, decTape BatchTape
 }
 
 // NewAutoencoder builds an autoencoder for input dimension in with the given
@@ -106,8 +107,8 @@ func (a *Autoencoder) TrainBatch(xs []mat.Vec, opt Optimizer, clipNorm float64) 
 	}
 	// The encoder is the graph's input layer: nothing consumes dL/dX, so
 	// skip computing it (parameter gradients are unaffected).
-	codes, encBack := a.Enc.ForwardBatchWS(ws, X, false)
-	Y, decBack := a.Dec.ForwardBatchWS(ws, codes, true)
+	codes := a.Enc.ForwardBatchWS(ws, X, &a.encTape)
+	Y := a.Dec.ForwardBatchWS(ws, codes, &a.decTape)
 
 	var total float64
 	scale := 1 / float64(B)
@@ -125,7 +126,7 @@ func (a *Autoencoder) TrainBatch(xs []mat.Vec, opt Optimizer, clipNorm float64) 
 		}
 		total += loss / n
 	}
-	encBack(decBack(G))
+	a.Enc.BackwardBatchWS(ws, &a.encTape, a.Dec.BackwardBatchWS(ws, &a.decTape, G, true), false)
 	if clipNorm > 0 {
 		ClipGrads(params, clipNorm)
 	}

@@ -24,68 +24,51 @@ func (d *Dense) InferBatch(X, Y *mat.Dense) {
 	}
 	mat.MulMatTWithBT(X, d.W, d.transposedW(), Y)
 	for b := 0; b < Y.Rows; b++ {
-		row := Y.Row(b)
-		mat.AddScaled(row, 1, d.B)
-		applyAct(d.Act, row, row)
+		mat.AddScaled(Y.Row(b), 1, d.B)
 	}
+	applyAct(d.Act, Y.Data, Y.Data)
 }
 
-// ForwardBatch computes Y = act(X·Wᵀ + b) for a whole minibatch and returns
-// a backward closure that accumulates dW/db over the batch (in ascending
-// sample order, matching a loop of per-sample Forward calls) and returns
-// dL/dX.
-func (d *Dense) ForwardBatch(X *mat.Dense) (Y *mat.Dense, back func(dY *mat.Dense) *mat.Dense) {
-	return d.forwardBatchWS(nil, X, true)
-}
-
-// forwardBatchWS is ForwardBatch with all scratch taken from ws (nil means
-// heap-allocate) and an optional skip of the dL/dX computation for layers
-// whose input gradient nobody consumes. Buffers taken from ws stay live
-// until the caller's next ws.Reset, which must not happen between forward
-// and backward.
-func (d *Dense) forwardBatchWS(ws *mat.Workspace, X *mat.Dense, needDX bool) (Y *mat.Dense, back func(dY *mat.Dense) *mat.Dense) {
+// forwardBatchSaved is the batched ForwardSaved: pre = X·Wᵀ + b and
+// Y = act(pre), both taken from ws and handed back so the caller keeps the
+// backprop state instead of a closure capturing it. X is not copied: it must
+// stay untouched — and ws un-Reset — until the matching backwardBatchSaved
+// has run.
+func (d *Dense) forwardBatchSaved(ws *mat.Workspace, X *mat.Dense) (pre, Y *mat.Dense) {
 	if X.Cols != d.In {
-		panic(fmt.Sprintf("nn: Dense.ForwardBatch input width %d want %d", X.Cols, d.In))
+		panic(fmt.Sprintf("nn: Dense batched forward input width %d want %d", X.Cols, d.In))
 	}
-	takeMat := func(r, c int) *mat.Dense {
-		if ws != nil {
-			return ws.TakeMatUninit(r, c)
-		}
-		return mat.NewDense(r, c)
-	}
-	B := X.Rows
-	pre := takeMat(B, d.Out)
+	pre = ws.TakeMatUninit(X.Rows, d.Out)
 	mat.MulMatTWithBT(X, d.W, d.transposedW(), pre)
-	Y = takeMat(B, d.Out)
-	for b := 0; b < B; b++ {
-		prow := pre.Row(b)
-		mat.AddScaled(prow, 1, d.B)
-		applyAct(d.Act, prow, Y.Row(b))
+	for b := 0; b < pre.Rows; b++ {
+		mat.AddScaled(pre.Row(b), 1, d.B)
 	}
-	Xs := takeMat(B, d.In)
-	Xs.CopyFrom(X)
-	Ys := Y
-	back = func(dY *mat.Dense) *mat.Dense {
-		if dY.Rows != B || dY.Cols != d.Out {
-			panic(fmt.Sprintf("nn: Dense batched backward grad %dx%d want %dx%d",
-				dY.Rows, dY.Cols, B, d.Out))
-		}
-		dPre := takeMat(B, d.Out)
-		for b := 0; b < B; b++ {
-			applyActDeriv(d.Act, dY.Row(b), pre.Row(b), Ys.Row(b), dPre.Row(b))
-		}
-		mat.AddMulTMat(1, dPre, Xs, d.GW)
-		for b := 0; b < B; b++ {
-			mat.AddScaled(d.GB, 1, dPre.Row(b))
-		}
-		if !needDX {
-			return nil
-		}
-		dX := takeMat(B, d.In)
-		mat.MulMat(dPre, d.W, dX)
-		return dX
+	Y = ws.TakeMatUninit(X.Rows, d.Out)
+	applyAct(d.Act, pre.Data, Y.Data)
+	return pre, Y
+}
+
+// backwardBatchSaved replays the backward pass from the buffers of
+// forwardBatchSaved: GW += dPreᵀ·X and GB += Σ dPre with samples in ascending
+// order, and — unless needDX is false, for a layer whose input gradient
+// nobody consumes — returns dL/dX = dPre·W (else nil). Scratch comes from ws.
+func (d *Dense) backwardBatchSaved(ws *mat.Workspace, X, pre, Y, dY *mat.Dense, needDX bool) *mat.Dense {
+	if dY.Rows != X.Rows || dY.Cols != d.Out {
+		panic(fmt.Sprintf("nn: Dense batched backward grad %dx%d want %dx%d",
+			dY.Rows, dY.Cols, X.Rows, d.Out))
 	}
-	return Y, back
+	dPre := ws.TakeMatUninit(dY.Rows, d.Out)
+	applyActDeriv(d.Act, dY.Data, pre.Data, Y.Data, dPre.Data)
+	mat.AddMulTMat(1, dPre, X, d.GW)
+	for b := 0; b < dPre.Rows; b++ {
+		mat.AddScaled(d.GB, 1, dPre.Row(b))
+	}
+	if !needDX {
+		return nil
+	}
+	dX := ws.TakeMatUninit(dY.Rows, d.In)
+	mat.MulMat(dPre, d.W, dX)
+	return dX
 }
 
 // InferBatchWS runs the whole network on a minibatch using ws for every
@@ -126,31 +109,43 @@ func (m *MLP) InferWS(ws *mat.Workspace, x mat.Vec) mat.Vec {
 	return h
 }
 
-// ForwardBatch runs the network on a minibatch with backprop capture. The
-// backward closure accumulates every layer's parameter gradients (per
-// parameter tensor, samples contribute in ascending order — matching a loop
-// of per-sample Forward calls) and returns dL/dX.
-func (m *MLP) ForwardBatch(X *mat.Dense) (Y *mat.Dense, back func(dY *mat.Dense) *mat.Dense) {
-	return m.ForwardBatchWS(nil, X, true)
+// BatchTape holds the backprop state of one batched forward pass through an
+// MLP — per layer its input, pre-activation and output — between
+// ForwardBatchWS and BackwardBatchWS. It is the batched counterpart of the
+// buffers ForwardSaved/BackwardSaved take: the caller keeps one tape per
+// network and reuses it every step, so a warm training step allocates
+// nothing.
+type BatchTape struct {
+	layers []struct{ x, pre, y *mat.Dense }
 }
 
-// ForwardBatchWS is ForwardBatch with scratch taken from ws (nil to
-// heap-allocate). With needInputDX false the first layer skips computing
-// dL/dX and the backward closure returns nil — use when nothing upstream
-// consumes the input gradient. ws must not be Reset between forward and
-// backward.
-func (m *MLP) ForwardBatchWS(ws *mat.Workspace, X *mat.Dense, needInputDX bool) (Y *mat.Dense, back func(dY *mat.Dense) *mat.Dense) {
-	backs := make([]func(*mat.Dense) *mat.Dense, len(m.Layers))
+// ForwardBatchWS runs the network on a minibatch with scratch taken from ws,
+// recording the backprop state in tape, and returns the B×Out output. X is
+// not copied: neither it nor ws may be touched or Reset until BackwardBatchWS
+// has consumed the tape.
+func (m *MLP) ForwardBatchWS(ws *mat.Workspace, X *mat.Dense, tape *BatchTape) *mat.Dense {
+	if len(tape.layers) != len(m.Layers) {
+		tape.layers = make([]struct{ x, pre, y *mat.Dense }, len(m.Layers))
+	}
 	h := X
 	for i, l := range m.Layers {
-		h, backs[i] = l.forwardBatchWS(ws, h, i > 0 || needInputDX)
+		t := &tape.layers[i]
+		t.x = h
+		t.pre, t.y = l.forwardBatchSaved(ws, h)
+		h = t.y
 	}
-	back = func(dY *mat.Dense) *mat.Dense {
-		g := dY
-		for i := len(backs) - 1; i >= 0; i-- {
-			g = backs[i](g)
-		}
-		return g
+	return h
+}
+
+// BackwardBatchWS backpropagates dY through the pass recorded in tape,
+// accumulating every layer's parameter gradients, and returns dL/dX. With
+// needInputDX false the first layer skips computing dL/dX and nil is
+// returned — use when nothing upstream consumes the input gradient.
+func (m *MLP) BackwardBatchWS(ws *mat.Workspace, tape *BatchTape, dY *mat.Dense, needInputDX bool) *mat.Dense {
+	g := dY
+	for i := len(m.Layers) - 1; i >= 0; i-- {
+		t := &tape.layers[i]
+		g = m.Layers[i].backwardBatchSaved(ws, t.x, t.pre, t.y, g, i > 0 || needInputDX)
 	}
-	return h, back
+	return g
 }

@@ -6,6 +6,13 @@ import (
 	"hierdrl/internal/mat"
 )
 
+// forEachKernelFamily runs f as one subtest per mat kernel family this host
+// supports (avx512, avx2, portable): the batched == per-sample contracts must
+// hold on each, not only on the one the CPU selects.
+func forEachKernelFamily(t *testing.T, f func(t *testing.T)) {
+	mat.ForEachKernelFamily(func(family string) { t.Run(family, f) })
+}
+
 var batchShapes = []struct{ in, out, b int }{
 	{1, 1, 1}, {1, 9, 4}, {9, 1, 4}, {3, 5, 1}, {5, 3, 2},
 	{8, 8, 8}, {13, 7, 5}, {30, 40, 32}, {40, 30, 33},
@@ -20,6 +27,10 @@ func randBatch(b, n int, rng *mat.RNG) *mat.Dense {
 }
 
 func TestDenseInferBatchMatchesPerSample(t *testing.T) {
+	forEachKernelFamily(t, testDenseInferBatchMatchesPerSample)
+}
+
+func testDenseInferBatchMatchesPerSample(t *testing.T) {
 	rng := mat.NewRNG(11)
 	for _, sh := range batchShapes {
 		for _, act := range []Activation{Identity{}, ELU{}, Tanh{}, Sigmoid{}} {
@@ -42,6 +53,10 @@ func TestDenseInferBatchMatchesPerSample(t *testing.T) {
 }
 
 func TestDenseForwardBatchMatchesPerSample(t *testing.T) {
+	forEachKernelFamily(t, testDenseForwardBatchMatchesPerSample)
+}
+
+func testDenseForwardBatchMatchesPerSample(t *testing.T) {
 	rng := mat.NewRNG(12)
 	for _, sh := range batchShapes {
 		// Two identical layers: one driven per sample, one batched.
@@ -56,8 +71,9 @@ func TestDenseForwardBatchMatchesPerSample(t *testing.T) {
 			dXRef.Row(b).CopyFrom(back(dY.Row(b)))
 		}
 
-		Y, back := bat.ForwardBatch(X)
-		dX := back(dY)
+		ws := mat.NewWorkspace()
+		pre, Y := bat.forwardBatchSaved(ws, X)
+		dX := bat.backwardBatchSaved(ws, X, pre, Y, dY, true)
 
 		wantY := mat.NewVec(sh.out)
 		for b := 0; b < sh.b; b++ {
@@ -94,7 +110,9 @@ func maxAbsDiffVec(a, b mat.Vec) float64 {
 	return d
 }
 
-func TestMLPBatchMatchesPerSample(t *testing.T) {
+func TestMLPBatchMatchesPerSample(t *testing.T) { forEachKernelFamily(t, testMLPBatchMatchesPerSample) }
+
+func testMLPBatchMatchesPerSample(t *testing.T) {
 	rng := mat.NewRNG(13)
 	sizes := []int{7, 11, 5, 3}
 	acts := []Activation{ELU{}, Tanh{}, Identity{}}
@@ -109,8 +127,10 @@ func TestMLPBatchMatchesPerSample(t *testing.T) {
 		_, back := ref.Forward(X.Row(b))
 		dXRef.Row(b).CopyFrom(back(dY.Row(b)))
 	}
-	Y, back := bat.ForwardBatch(X)
-	dX := back(dY)
+	var tape BatchTape
+	fws := mat.NewWorkspace()
+	Y := bat.ForwardBatchWS(fws, X, &tape)
+	dX := bat.BackwardBatchWS(fws, &tape, dY, true)
 
 	for b := 0; b < B; b++ {
 		want := bat.Infer(X.Row(b))
@@ -137,7 +157,7 @@ func TestMLPBatchMatchesPerSample(t *testing.T) {
 	ws.Reset()
 	Yws := bat.InferBatchWS(ws, X)
 	if !Yws.Equal(Y, 0) {
-		t.Fatal("InferBatchWS diverges from ForwardBatch output")
+		t.Fatal("InferBatchWS diverges from ForwardBatchWS output")
 	}
 	ws.Reset()
 	yv := bat.InferWS(ws, X.Row(0))
@@ -171,6 +191,10 @@ func trainBatchPerSampleRef(a *Autoencoder, xs []mat.Vec, opt Optimizer, clipNor
 }
 
 func TestAutoencoderTrainBatchMatchesPerSample(t *testing.T) {
+	forEachKernelFamily(t, testAutoencoderTrainBatchMatchesPerSample)
+}
+
+func testAutoencoderTrainBatchMatchesPerSample(t *testing.T) {
 	for _, B := range []int{1, 2, 7, 32} {
 		ref := NewAutoencoder(12, []int{8, 4}, mat.NewRNG(7))
 		bat := NewAutoencoder(12, []int{8, 4}, mat.NewRNG(7))

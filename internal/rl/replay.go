@@ -108,7 +108,7 @@ func (r *Replay[T]) At(i int) T { return r.buf[i] }
 
 // Gen returns the write generation of slot i: it increments every time the
 // slot is overwritten, so a (slot, generation) pair uniquely identifies one
-// stored transition for memoization purposes.
+// stored transition. The generations are checkpointed state (format v3).
 func (r *Replay[T]) Gen(i int) int64 { return r.gens[i] }
 
 // Each calls fn for every stored transition in insertion order (oldest
