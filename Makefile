@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet loc bench bench-kernels bench-table1 bench-scale bench-check bench-selftest bench-full scale scale-smoke chaos-smoke crash-smoke scenario-smoke obs-smoke profile profile-drl examples-smoke clean
+.PHONY: all build test race vet loc bench bench-selftest chaos-smoke crash-smoke scenario-smoke obs-smoke profile profile-drl examples-smoke clean
 
 all: vet build test
 
@@ -29,54 +29,18 @@ loc:
 		printf '%6d %s\n' $$n $$d; total=$$((total+n)); \
 	done; printf '%6d total\n' $$total
 
-# The kernel micro-benchmark set (also the CI perf-regression smoke).
-KERNEL_BENCH = BenchmarkMatMulVec$$|BenchmarkMatMulMat$$|BenchmarkQNetInferBatch$$|BenchmarkQNetworkInference$$|BenchmarkQNetworkTrainBatch$$|BenchmarkLSTMPredict$$|BenchmarkLSTMBPTT$$|BenchmarkLSTMBPTTCompact$$|BenchmarkEventLoop$$|BenchmarkSnapshot$$|BenchmarkAllocateEpoch$$|BenchmarkShardedEpoch$$|BenchmarkRequeueLargePending$$|BenchmarkTDigestAdd$$|BenchmarkTDigestMerge$$|BenchmarkEpochSpanRecord$$
-KERNEL_PKGS = . ./internal/telemetry
-
-# bench records the full perf trajectory of a PR as three committed JSONs:
-#   BENCH_kernels.json — kernel + hot-path micro-benchmarks
-#   BENCH_table1.json  — the end-to-end Table I run (ns/op, allocs/op, bytes)
-#   BENCH_scale.json   — the scale-10k preset at P=1/2/4/8 shards
-# (benchstat-compatible: the "raw" arrays hold the verbatim benchmark lines.)
-bench: bench-kernels bench-table1 bench-scale
-
-bench-kernels:
-	$(GO) test -run=NONE \
-		-bench='$(KERNEL_BENCH)' \
-		-benchmem -count=3 $(KERNEL_PKGS) | $(GO) run ./cmd/benchjson > BENCH_kernels.json
-	@echo wrote BENCH_kernels.json
-
-bench-table1:
-	$(GO) test -run=NONE -bench='BenchmarkTable1_M30$$' -benchtime=1x -benchmem -count=3 . \
-		| $(GO) run ./cmd/benchjson > BENCH_table1.json
-	@echo wrote BENCH_table1.json
-
-bench-scale:
-	$(GO) run ./cmd/scalebench -shards 1,2,4,8 -json BENCH_scale.json
-
-# bench-check is the CI perf-regression smoke: rerun the kernel set plus the
-# Table I benchmark and gate against the committed baselines (alloc-count
-# growth always fails; >15% ns/op fails when the cpu matches the baseline's,
-# and is a warning across different machines).
-bench-check:
-	( $(GO) test -run=NONE -bench='$(KERNEL_BENCH)' -benchmem -count=3 $(KERNEL_PKGS) ; \
-	  $(GO) test -run=NONE -bench='BenchmarkTable1_M30$$' -benchtime=1x -benchmem -count=1 . ) \
-		| $(GO) run ./cmd/benchguard BENCH_kernels.json BENCH_table1.json
+# bench runs the repository benchmark (BENCHMARK.json: seven workloads, result
+# JSON on the last stdout line) — the one place a wall-time number is recorded;
+# `bench compare` reports two runs side by side. Allocation counts are pinned
+# by the AllocsPerRun tests that plain `go test ./...` runs.
+bench:
+	bash bench/run.sh
 
 # bench-selftest vets and tests bench/, the repository benchmark. It is a
 # module of its own (replace hierdrl => ../), so `go test ./...` never compiles
 # it and a change to the public API could otherwise break it unnoticed (~10 s).
 bench-selftest:
 	cd bench && $(GO) vet . && $(GO) test .
-
-# scale prints the sharded engine's speedup table for the scale-10k preset
-# at P = 1..NumCPU on this machine; scale-smoke is the reduced CI variant
-# (small runners: 2 shards, 1/5 cluster, 1/10 workload).
-scale:
-	$(GO) run ./cmd/scalebench -cpus
-
-scale-smoke:
-	$(GO) run ./cmd/scalebench -shards 1,2 -m 2000 -jobs 200000
 
 # chaos-smoke is the fault-injection CI gate: the observer hammer (crash/
 # repair/retry/degrade/drain hooks plus mid-run snapshots at P = 1/2/4), the
@@ -121,12 +85,6 @@ obs-smoke:
 	$(GO) test -race -run 'TestObsSmoke|TestTelemetryPreservesBitwiseMetrics|TestSketchOnlySummary|TestEpochTraceChromeJSON|TestEpochTraceRequiresShards|TestCheckpointRoundTripSketches' -v .
 	$(GO) test -race ./internal/telemetry
 
-# bench-full additionally regenerates the paper tables/figures benchmarks
-# (minutes, not seconds).
-bench-full:
-	$(GO) test -run=NONE -bench=. -benchmem -benchtime=1x . | $(GO) run ./cmd/benchjson > BENCH_full.json
-	@echo wrote BENCH_full.json
-
 # examples-smoke builds and runs every examples/ program with a tiny job
 # count, exercising the public Session/registry API end to end (CI runs it
 # so API drift breaks the build, not users).
@@ -154,7 +112,6 @@ profile-drl:
 		-cpuprofile cpu-drl.pprof -memprofile mem-drl.pprof -o hierdrl-bench.test .
 	@echo wrote cpu-drl.pprof mem-drl.pprof '(binary: hierdrl-bench.test)'
 
-# clean removes only what the targets above leave behind that is not tracked:
-# BENCH_kernels.json is the committed baseline bench-check gates against.
+# clean removes what the profile targets leave behind.
 clean:
-	rm -f BENCH_full.json cpu.pprof mem.pprof cpu-drl.pprof mem-drl.pprof hierdrl-bench.test
+	rm -f cpu.pprof mem.pprof cpu-drl.pprof mem-drl.pprof hierdrl-bench.test

@@ -5,6 +5,11 @@
 // b.ReportMetric, so `go test -bench=.` regenerates every row/series shape;
 // `cmd/experiments -scale full` reproduces the full 95,000-job operating
 // point.
+//
+// Nothing here gates: wall time is report-only (the repository benchmark's
+// `-stage units` reads the micro-benchmarks named in bench/metrics.go by
+// name), and the allocation counts they print are asserted by the
+// AllocsPerRun tests beside the code, which plain `go test ./...` runs.
 package hierdrl_test
 
 import (
@@ -411,40 +416,49 @@ func BenchmarkAllocateEpoch(b *testing.B) {
 // repository benchmark's faults-batch workload. Insertion that walks the
 // queue from its tail shows up here as hundreds of microseconds per op.
 func BenchmarkRequeueLargePending(b *testing.B) {
-	const pending, slack, perOp = 100_000, 2048, 16
-	s, err := hierdrl.NewSession(hierdrl.RoundRobin(30), hierdrl.WithExpectedJobs(pending+slack+perOp*b.N))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	tr := hierdrl.SyntheticTraceForCluster(pending+slack, 30, 1)
-	if err := s.SubmitTrace(tr); err != nil {
-		b.Fatal(err)
-	}
-	// Dispatch the first arrivals so the queue has a consumed prefix, as any
-	// run past its first minutes does.
-	if err := s.StepUntil(hierdrl.Time(tr.Jobs[slack-1].Arrival)); err != nil {
-		b.Fatal(err)
-	}
-	tail := tr.Jobs[len(tr.Jobs)-1]
-	gap := tail.Arrival / float64(len(tr.Jobs))
+	op := requeueRig(b, 100_000, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+}
+
+// requeueRig batch-submits pending jobs (plus a prefix it dispatches, so the
+// queue has a consumed head as any run past its first minutes does) with room
+// reserved for ops more operations, and returns BenchmarkRequeueLargePending's
+// op — also what TestRequeueWarmPendingZeroAlloc counts allocations of.
+func requeueRig(tb testing.TB, pending, ops int) (op func(i int)) {
+	const slack, perOp = 2048, 16
+	s, err := hierdrl.NewSession(hierdrl.RoundRobin(30), hierdrl.WithExpectedJobs(pending+slack+perOp*ops))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	tr := hierdrl.SyntheticTraceForCluster(pending+slack, 30, 1)
+	if err := s.SubmitTrace(tr); err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.StepUntil(hierdrl.Time(tr.Jobs[slack-1].Arrival)); err != nil {
+		tb.Fatal(err)
+	}
+	tail := tr.Jobs[len(tr.Jobs)-1]
+	gap := tail.Arrival / float64(len(tr.Jobs))
+	return func(i int) {
 		retry := tail
 		retry.Arrival = float64(s.Now()) + 30 + float64(i%20)*30
 		if err := s.Submit(retry); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for k := 1; k < perOp; k++ {
 			tail.Arrival += gap
 			if err := s.Submit(tail); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		for want := s.Pending() - perOp; s.Pending() > want; {
 			if _, err := s.Step(); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
@@ -501,7 +515,7 @@ func benchView(m int, rng *mat.RNG) *cluster.View {
 // local tier): barrier release/join, lane stepping, merged log replay,
 // load-index allocation, and dispatch. One op = one job pushed through a
 // sharded session, so this row tracks the epoch machinery's cost across PRs
-// independently of the big scale runs (BENCH_scale.json).
+// independently of the repository benchmark's scale-ll-p2 workload.
 func BenchmarkShardedEpoch(b *testing.B) {
 	cfg := hierdrl.ScaleSim(64)
 	src, err := hierdrl.ScaleStream(2000+b.N, 64, 1)

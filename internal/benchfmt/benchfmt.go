@@ -1,7 +1,6 @@
-// Package benchfmt parses `go test -bench` text output into the benchmark
-// records shared by the perf-tracking tools (cmd/benchjson, which records
-// the BENCH_*.json baselines, and cmd/benchguard, which fails CI on
-// regressions against them).
+// Package benchfmt parses `go test -bench` text output into benchmark
+// records. Its caller is the repository benchmark's unit-cost stage
+// (bench/units.go), which reads the root micro-benchmarks' ns/op through it.
 package benchfmt
 
 import (
@@ -11,13 +10,9 @@ import (
 
 // Benchmark is one parsed benchmark result line.
 type Benchmark struct {
-	Name        string             `json:"name"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
-	MBPerSec    *float64           `json:"mb_per_sec,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	Name       string
+	Iterations int64
+	NsPerOp    float64
 }
 
 // NormalizeName strips the trailing "-N" GOMAXPROCS suffix, so results
@@ -32,21 +27,9 @@ func NormalizeName(name string) string {
 	return name
 }
 
-// ContextLine parses a "goos:"/"goarch:"/"pkg:"/"cpu:" header line,
-// reporting ok=false for anything else.
-func ContextLine(line string) (key, value string, ok bool) {
-	trimmed := strings.TrimSpace(line)
-	for _, k := range [...]string{"goos", "goarch", "pkg", "cpu"} {
-		if strings.HasPrefix(trimmed, k+":") {
-			return k, strings.TrimSpace(trimmed[len(k)+1:]), true
-		}
-	}
-	return "", "", false
-}
-
-// ParseLine parses "BenchmarkName-8  10  123 ns/op  4 B/op  2 allocs/op
-// 1.5 some_metric" into a Benchmark, reporting ok=false for non-benchmark
-// lines.
+// ParseLine parses "BenchmarkName-8  10  123 ns/op  4 B/op  2 allocs/op"
+// into a Benchmark (units other than ns/op are skipped), reporting ok=false
+// for non-benchmark lines.
 func ParseLine(line string) (Benchmark, bool) {
 	trimmed := strings.TrimSpace(line)
 	if !strings.HasPrefix(trimmed, "Benchmark") {
@@ -60,28 +43,15 @@ func ParseLine(line string) (Benchmark, bool) {
 	if err != nil {
 		return Benchmark{}, false
 	}
-	b := Benchmark{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+	b := Benchmark{Name: fields[0], Iterations: iters}
 	// Remaining fields come in (value, unit) pairs.
 	for i := 2; i+1 < len(fields); i += 2 {
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
+		if fields[i+1] != "ns/op" {
 			continue
 		}
-		switch unit := fields[i+1]; unit {
-		case "ns/op":
+		if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
 			b.NsPerOp = v
-		case "B/op":
-			b.BytesPerOp = &v
-		case "allocs/op":
-			b.AllocsPerOp = &v
-		case "MB/s":
-			b.MBPerSec = &v
-		default:
-			b.Metrics[unit] = v
 		}
-	}
-	if len(b.Metrics) == 0 {
-		b.Metrics = nil
 	}
 	return b, true
 }

@@ -136,9 +136,6 @@ func (c *Cluster) EnableLoadIndex() {
 	}
 }
 
-// HasLoadIndex reports whether EnableLoadIndex has been called.
-func (c *Cluster) HasLoadIndex() bool { return c.shards[0].idx != nil }
-
 // LeastCommitted returns the server with the smallest committed load
 // (running plus queued demand, binding dimension), preferring lower indices
 // on exact ties — the same argmin, bit for bit, as policy.LeastLoaded's

@@ -300,10 +300,10 @@ func TestAllocateEpochZeroAllocOnceWarm(t *testing.T) {
 	if min != 0 {
 		t.Fatalf("warm non-training Allocate epoch allocates %v, want 0", min)
 	}
-	// Averaged over a full train cycle the budget stays small.
-	avg := testing.AllocsPerRun(8*cfg.TrainEvery, epoch)
-	if avg > 8 {
-		t.Fatalf("amortized Allocate epoch allocates %v, want <= 8", avg)
+	// Averaged over full train cycles it is zero as well (the whole-epoch
+	// figure BenchmarkAllocateEpoch reports).
+	if avg := testing.AllocsPerRun(8*cfg.TrainEvery, epoch); avg != 0 {
+		t.Fatalf("amortized Allocate epoch allocates %v, want 0", avg)
 	}
 }
 

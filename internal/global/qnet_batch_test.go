@@ -178,6 +178,10 @@ func testTrainBatchMatchesPerSampleReference(t *testing.T) {
 	}
 }
 
+// Steady-state inference allocates nothing beyond what it returns: the Into
+// forms with a retained destination are allocation-free, and QValues /
+// MaxQBatch (what BenchmarkQNetworkInference and BenchmarkQNetInferBatch run)
+// allocate exactly their result.
 func TestQValuesIntoSteadyStateZeroAlloc(t *testing.T) {
 	cfg := DefaultConfig(12)
 	cfg.K = 3
@@ -188,13 +192,27 @@ func TestQValuesIntoSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := NewQNetwork(enc, cfg, mat.NewRNG(2))
-	s := randState(enc, mat.NewRNG(4))
+	rng := mat.NewRNG(4)
+	s := randState(enc, rng)
 	out := mat.NewVec(enc.M())
-	net.QValuesInto(s, out) // prime the arena
-	allocs := testing.AllocsPerRun(100, func() {
-		net.QValuesInto(s, out)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state QValuesInto allocates %v per run, want 0", allocs)
+	states := make([]State, 8)
+	for i := range states {
+		states[i] = randState(enc, rng)
+	}
+	vals := make([]float64, len(states))
+	for _, c := range []struct {
+		name string
+		fn   func()
+		want float64
+	}{
+		{"QValuesInto", func() { net.QValuesInto(s, out) }, 0},
+		{"QValues", func() { net.QValues(s) }, 1},
+		{"MaxQBatchInto", func() { net.MaxQBatchInto(states, vals) }, 0},
+		{"MaxQBatch", func() { net.MaxQBatch(states) }, 1},
+	} {
+		c.fn() // prime the arena
+		if allocs := testing.AllocsPerRun(100, c.fn); allocs != c.want {
+			t.Errorf("steady-state %s allocates %v per run, want %v", c.name, allocs, c.want)
+		}
 	}
 }

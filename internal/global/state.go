@@ -66,50 +66,6 @@ func (e *Encoder) ServerOf(group, offset int) int {
 	return group*e.groupSize + offset
 }
 
-// GroupStates extracts the K group vectors g_k from a snapshot. Each
-// server's per-resource feature is its *committed* utilization — running
-// plus queued demand, clamped at 2.0 — so the agent can distinguish a busy
-// server from a backlogged one. (The paper's state is "current resource
-// utilization level of each server"; with FCFS head-of-line blocking the
-// queued demand is part of that level for any placement-relevant purpose,
-// and without it queue-aware allocation is unlearnable.)
-func (e *Encoder) GroupStates(v *cluster.View) []mat.Vec {
-	if v.M != e.m {
-		panic(fmt.Sprintf("global: snapshot M=%d encoder M=%d", v.M, e.m))
-	}
-	const maxCommitted = 2.0
-	out := make([]mat.Vec, e.k)
-	for k := 0; k < e.k; k++ {
-		g := mat.NewVec(e.GroupDim())
-		for o := 0; o < e.groupSize; o++ {
-			srv := e.ServerOf(k, o)
-			for p := 0; p < cluster.NumResources; p++ {
-				committed := v.Util[srv][p] + v.Pending[srv][p]
-				if committed > maxCommitted {
-					committed = maxCommitted
-				}
-				g[o*cluster.NumResources+p] = committed
-			}
-		}
-		out[k] = g
-	}
-	return out
-}
-
-// JobState builds s_j for an arriving job.
-func (e *Encoder) JobState(j *cluster.Job) mat.Vec {
-	s := mat.NewVec(e.JobDim())
-	for p := 0; p < cluster.NumResources; p++ {
-		s[p] = j.Req[p]
-	}
-	d := j.Duration / e.durNorm
-	if d > 1 {
-		d = 1
-	}
-	s[cluster.NumResources] = d
-	return s
-}
-
 // State bundles one full DRL state observation.
 type State struct {
 	Groups []mat.Vec
@@ -163,6 +119,13 @@ func (e *Encoder) EnsureShape(dst *State) {
 // epoch's batched Q evaluation reads the assembled state. The per-server
 // arithmetic is exactly EncodeInto's, so a range-gathered state is bitwise
 // identical to a sequentially encoded one.
+//
+// Each server's per-resource feature is its *committed* utilization — running
+// plus queued demand, clamped at 2.0 — so the agent can distinguish a busy
+// server from a backlogged one. (The paper's state is "current resource
+// utilization level of each server"; with FCFS head-of-line blocking the
+// queued demand is part of that level for any placement-relevant purpose,
+// and without it queue-aware allocation is unlearnable.)
 func (e *Encoder) EncodeServersInto(v *cluster.View, dst *State, lo, hi int) {
 	const maxCommitted = 2.0
 	for srv := lo; srv < hi; srv++ {

@@ -400,16 +400,23 @@ func TestBPTTZeroAllocOnceWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pinning is meaningless under -race")
 	}
-	net := NewNetwork(DefaultNetworkConfig(), mat.NewRNG(3))
-	window := make([]float64, 35)
-	g := mat.NewRNG(4)
-	for i := range window {
-		window[i] = g.Normal(0, 1)
-	}
-	net.BPTT(window, 0.3, 1) // warm the scratch
-	net.Params()             // warm the enumeration cache
-	avg := testing.AllocsPerRun(50, func() { net.BPTT(window, 0.3, 1) })
-	if avg != 0 {
-		t.Fatalf("warm BPTT allocates %v per sample, want 0", avg)
+	// The paper's predictor shape and the scale presets' compact one, whose
+	// GEMV/rank-1 sizes fall below the SIMD tiles' widths.
+	for _, shape := range []struct{ lookback, hidden int }{{35, 30}, {16, 8}} {
+		cfg := DefaultNetworkConfig()
+		cfg.Hidden = shape.hidden
+		net := NewNetwork(cfg, mat.NewRNG(3))
+		window := make([]float64, shape.lookback)
+		g := mat.NewRNG(4)
+		for i := range window {
+			window[i] = g.Normal(0, 1)
+		}
+		net.BPTT(window, 0.3, 1) // warm the scratch
+		net.Params()             // warm the enumeration cache
+		avg := testing.AllocsPerRun(50, func() { net.BPTT(window, 0.3, 1) })
+		if avg != 0 {
+			t.Fatalf("lookback %d hidden %d: warm BPTT allocates %v per sample, want 0",
+				shape.lookback, shape.hidden, avg)
+		}
 	}
 }

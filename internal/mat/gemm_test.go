@@ -270,3 +270,22 @@ func TestWorkspaceReuse(t *testing.T) {
 		t.Fatalf("workspace steady state allocates %v per run", allocs)
 	}
 }
+
+// The GEMV and cached-transpose GEMM entry points allocate nothing, in every
+// kernel family, at the shapes BenchmarkMatMulVec and BenchmarkMatMulMat run.
+func TestKernelsZeroAlloc(t *testing.T) {
+	forEachKernelFamily(t, func(t *testing.T) {
+		rng := NewRNG(5)
+		W := randDense(128, 64, rng)
+		WT := NewDense(64, 128)
+		TransposeInto(W, WT)
+		x, dst := randVec(64, rng), NewVec(128)
+		X, Y := randDense(96, 64, rng), NewDense(96, 128)
+		if allocs := testing.AllocsPerRun(100, func() { W.MulVec(x, dst) }); allocs != 0 {
+			t.Errorf("MulVec allocates %v per run, want 0", allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { MulMatTWithBT(X, W, WT, Y) }); allocs != 0 {
+			t.Errorf("MulMatTWithBT allocates %v per run, want 0", allocs)
+		}
+	})
+}

@@ -138,9 +138,6 @@ func (c *Collector) EnableSketches(sk *telemetry.SketchSet, sketchOnly bool) {
 // Sketches returns the attached sketch set (nil unless enabled).
 func (c *Collector) Sketches() *telemetry.SketchSet { return c.sk }
 
-// SketchOnly reports whether the per-job sample slices are dropped.
-func (c *Collector) SketchOnly() bool { return c.sketchOnly }
-
 // JobDone records a completed job. Wire it to cluster.OnJobDone.
 func (c *Collector) JobDone(t sim.Time, j *cluster.Job) {
 	lat := j.Latency()

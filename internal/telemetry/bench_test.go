@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// The telemetry benchmark set (benchjson "telemetry" section; gated by
-// benchguard through make bench-check): the per-completion sketch insert,
-// the epoch-barrier shard merge, and one epoch-span record.
+// The telemetry benchmark set: the per-completion sketch insert, the
+// epoch-barrier shard merge, and one epoch-span record. Wall time is
+// report-only; their zero allocs/op is asserted by TestTDigestAddZeroAlloc
+// (Add, MergedInto) and TestEpochRingBeginNoAlloc.
 
 func BenchmarkTDigestAdd(b *testing.B) {
 	td := NewTDigest(DefaultCompression)

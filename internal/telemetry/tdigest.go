@@ -90,9 +90,6 @@ func (t *TDigest) resetStats() {
 // Reset empties the digest, keeping its buffers.
 func (t *TDigest) Reset() { t.resetStats() }
 
-// Compression returns the configured δ.
-func (t *TDigest) Compression() float64 { return t.comp }
-
 // Add inserts one sample. NaN is ignored (latency samples are always
 // finite; a NaN would poison every centroid mean). Zero allocations: the
 // sample lands in the preallocated buffer, and the amortized flush sorts

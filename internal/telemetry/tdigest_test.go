@@ -270,9 +270,10 @@ func TestJobClassOf(t *testing.T) {
 	}
 }
 
-// TestTDigestAddZeroAlloc pins the hot path: Add (including its amortized
+// TestTDigestAddZeroAlloc pins the hot paths: Add (including its amortized
 // flush: buffer sort + two-stream merge + compression, all in preallocated
-// scratch) allocates nothing. This pin runs under -race too (obs-smoke).
+// scratch), SketchSet.Record and a warm MergedInto allocate nothing. This pin
+// runs under -race too (obs-smoke).
 func TestTDigestAddZeroAlloc(t *testing.T) {
 	td := NewTDigest(DefaultCompression)
 	rng := rand.New(rand.NewSource(19))
@@ -301,5 +302,13 @@ func TestTDigestAddZeroAlloc(t *testing.T) {
 		k++
 	}); avg != 0 {
 		t.Fatalf("SketchSet.Record allocates %v/op, want 0", avg)
+	}
+	// The epoch-barrier merge into a retained destination (the first call
+	// sizes its gather arrays).
+	parts := []*TDigest{td, &sk.shards[0], &sk.shards[1]}
+	dst := NewTDigest(DefaultCompression)
+	MergedInto(dst, parts...)
+	if avg := testing.AllocsPerRun(200, func() { MergedInto(dst, parts...) }); avg != 0 {
+		t.Fatalf("warm MergedInto allocates %v/op, want 0", avg)
 	}
 }

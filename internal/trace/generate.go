@@ -111,24 +111,6 @@ type Source interface {
 	Next() (Job, bool)
 }
 
-// Collect drains src into a materialized, validated Trace — for small
-// workloads, goldens, and round-trip tests (large workloads should stay
-// streamed).
-func Collect(src Source) (*Trace, error) {
-	t := &Trace{}
-	for {
-		j, ok := src.Next()
-		if !ok {
-			break
-		}
-		t.Jobs = append(t.Jobs, j)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: collected trace invalid: %w", err)
-	}
-	return t, nil
-}
-
 // Stream is the incremental form of Generate: it produces the exact job
 // sequence Generate would (same RNG draw order, bit for bit) one job at a
 // time, so multi-million-job workloads — the scale-10k preset streams >= 2M

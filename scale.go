@@ -11,8 +11,7 @@ import (
 // This file defines the scale-10k operating point: the preset configuration
 // and the bounded-memory streaming runner that drive a single M=10,000-server
 // run over >= 2M jobs — the workload the sharded engine (WithShards) exists
-// for. See EXPERIMENTS.md for the measured speedup curve and `make scale`
-// for the harness.
+// for. EXPERIMENTS.md "Scale" has the measured strict-vs-sharded figures.
 
 // ScaleJobs is the scale-10k preset's workload length.
 const ScaleJobs = 2_000_000

@@ -786,10 +786,15 @@ func (s *Session) Step() (bool, error) {
 
 // StepUntil fires every event scheduled at or before t and advances the
 // clock to exactly t (it never runs past t, so a later Submit with an
-// arrival after t is dispatched at its declared instant).
+// arrival after t is dispatched at its declared instant). A NaN or infinite t
+// is rejected before anything fires: no event compares after NaN, and a fault
+// run's perpetual crash/repair timers never pass +Inf.
 func (s *Session) StepUntil(t Time) error {
 	if err := s.usable(); err != nil {
 		return err
+	}
+	if math.IsNaN(float64(t)) || math.IsInf(float64(t), 0) {
+		return fmt.Errorf("hierdrl: StepUntil: non-finite instant %v", float64(t))
 	}
 	for {
 		more, err := s.unit(t)

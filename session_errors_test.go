@@ -3,8 +3,11 @@ package hierdrl_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"hierdrl"
 )
@@ -70,5 +73,70 @@ func TestSessionStickyError(t *testing.T) {
 				p, s.Completed(), s.Ingested())
 		}
 		s.Close()
+	}
+}
+
+// TestStepUntilRejectsNonFinite pins StepUntil's argument check on both
+// tiers, with and without faults: a NaN or infinite instant is an error that
+// names the value, the session is left exactly as it was (clock, completed
+// and pending counts), and the run then drains to the same bits as a session
+// that never saw the call. Every session runs under a context deadline, so an
+// advance that never returns (unchecked, no fault timer ever compares after
+// NaN or reaches +Inf) fails the test instead of stalling the suite.
+func TestStepUntilRejectsNonFinite(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	tr := hierdrl.SyntheticTraceForCluster(200, 4, 1)
+	mid := hierdrl.Time(tr.Jobs[len(tr.Jobs)/2].Arrival)
+
+	for _, cfg := range []hierdrl.Config{hierdrl.RoundRobin(4), faultCfg(4)} {
+		for _, p := range []int{1, 2} {
+			// run steps a fresh session to mid, hands it to bad, then drains.
+			run := func(name string, bad func(*hierdrl.Session)) [17]uint64 {
+				s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(p), hierdrl.WithContext(ctx))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				defer s.Close()
+				if err := s.SubmitTrace(tr); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := s.StepUntil(mid); err != nil {
+					t.Fatalf("%s: StepUntil(mid): %v", name, err)
+				}
+				bad(s)
+				if err := s.Drain(); err != nil {
+					t.Fatalf("%s: Drain: %v", name, err)
+				}
+				res, err := s.Result()
+				if err != nil {
+					t.Fatalf("%s: Result: %v", name, err)
+				}
+				return faultBits(res.Summary)
+			}
+
+			base := fmt.Sprintf("%s/P=%d", cfg.Name, p)
+			want := run(base, func(*hierdrl.Session) {})
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				name := fmt.Sprintf("%s/%v", base, v)
+				got := run(name, func(s *hierdrl.Session) {
+					now, done, pending := s.Now(), s.Completed(), s.Pending()
+					if done == 0 || pending == 0 {
+						t.Fatalf("%s: not mid-run: completed=%d pending=%d", name, done, pending)
+					}
+					err := s.StepUntil(hierdrl.Time(v))
+					if err == nil || !strings.Contains(err.Error(), fmt.Sprint(v)) {
+						t.Fatalf("%s: StepUntil = %v, want an error naming %v", name, err, v)
+					}
+					if s.Now() != now || s.Completed() != done || s.Pending() != pending {
+						t.Errorf("%s: session moved: now %v -> %v, completed %d -> %d, pending %d -> %d",
+							name, now, s.Now(), done, s.Completed(), pending, s.Pending())
+					}
+				})
+				if got != want {
+					t.Errorf("%s: summary bits differ from the run that never saw the call", name)
+				}
+			}
+		}
 	}
 }

@@ -56,3 +56,20 @@ func TestSessionSteadyStepZeroAlloc(t *testing.T) {
 		t.Fatalf("jobs %d want %d", res.Summary.Jobs, jobs)
 	}
 }
+
+// TestRequeueWarmPendingZeroAlloc pins BenchmarkRequeueLargePending's op at
+// zero allocations: a retry-shaped Submit landing near the head of a long
+// pending queue, in-order Submits at its tail and the Steps that dispatch as
+// many jobs reuse the queue's storage and every pool.
+func TestRequeueWarmPendingZeroAlloc(t *testing.T) {
+	const warm, runs = 100, 400
+	op := requeueRig(t, 8000, warm+runs+1) // AllocsPerRun adds one warm-up call
+	i := 0
+	next := func() { op(i); i++ }
+	for i < warm {
+		next()
+	}
+	if avg := testing.AllocsPerRun(runs, next); avg != 0 {
+		t.Fatalf("warm requeue op allocates %v allocs/op, want 0", avg)
+	}
+}
