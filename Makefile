@@ -58,7 +58,7 @@ chaos-smoke:
 # rejection table, and the end-to-end SIGKILL-and-resume drill against the
 # hiersim binary; then, under the race detector, the fault run checkpointed
 # right after a head-side retry insert and resumed at P = 1/2, the
-# parent-written golden snapshots re-emitted byte for byte (format pin), and
+# golden snapshots re-emitted byte for byte (format v4 pin), and
 # every state walk over every strict prefix of its own payload; then a few
 # seconds of FuzzRestoreState. Its minimization budget is capped: the fuzz
 # engine's default spends up to 60 s shrinking each new 20-50 KB snapshot it

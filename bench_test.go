@@ -430,11 +430,12 @@ func BenchmarkRequeueLargePending(b *testing.B) {
 // op — also what TestRequeueWarmPendingZeroAlloc counts allocations of.
 func requeueRig(tb testing.TB, pending, ops int) (op func(i int)) {
 	const slack, perOp = 2048, 16
-	s, err := hierdrl.NewSession(hierdrl.RoundRobin(30), hierdrl.WithExpectedJobs(pending+slack+perOp*ops))
+	s, err := hierdrl.NewSession(hierdrl.RoundRobin(30))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { s.Close() })
+	s.Reserve(pending + slack + perOp*ops)
 	tr := hierdrl.SyntheticTraceForCluster(pending+slack, 30, 1)
 	if err := s.SubmitTrace(tr); err != nil {
 		tb.Fatal(err)
@@ -522,11 +523,12 @@ func BenchmarkShardedEpoch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(2), hierdrl.WithExpectedJobs(2000+b.N))
+	s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(2))
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
+	s.Reserve(2000 + b.N)
 	tr := &hierdrl.Trace{Jobs: make([]hierdrl.Job, 0, 2000+b.N)}
 	for {
 		j, ok := src.Next()

@@ -268,6 +268,12 @@ var snapshotCorruptions = []struct {
 		binary.LittleEndian.PutUint32(b[8:], 99)
 		return b
 	}, hierdrl.ErrVersion},
+	// Format v3 (the replay ring with a stored successor per slot) is not
+	// read by a v4 reader.
+	{"previous-version", func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[8:], 3)
+		return b
+	}, hierdrl.ErrVersion},
 	{"fingerprint-flip", func(b []byte) []byte { b[12] ^= 0xFF; return b }, hierdrl.ErrConfigMismatch},
 	{"implausible-section-count", func(b []byte) []byte {
 		binary.LittleEndian.PutUint32(b[20:], 100000)

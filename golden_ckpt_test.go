@@ -10,14 +10,17 @@ import (
 	"hierdrl"
 )
 
-// goldenSnapshots pins snapshot format v3 byte for byte. Each file under
-// testdata/ was written at PR 13's commit (before the state walks were folded
-// into one function per component) by exactly the run described here, and
-// want holds the Summary bits that commit produced when it restored the file
-// and drained (faultBits: the base measurements plus the fault telemetry).
+// goldenSnapshots pins snapshot format v4 byte for byte. Each file under
+// testdata/ is the snapshot of exactly the run described here, and want holds
+// the Summary bits PR 13's commit (before the state walks were folded into
+// one function per component) produced when it restored its own snapshot of
+// that run and drained (faultBits: the base measurements plus the fault
+// telemetry). The files were first written at that commit in format v3 and
+// re-recorded when v4 took each observation's second copy out of the agent
+// section (every other section kept its bytes); the want bits never moved.
 // Together the three cover every section a snapshot can carry — DRL agent,
 // replay memory, per-server LSTM + RL timeout, merger and pended dispatches
-// (P=2), fault clocks and retry map, and the v3 sketch extension.
+// (P=2), fault clocks and retry map, and the metrics sketch extension.
 var goldenSnapshots = []struct {
 	file   string
 	shards int

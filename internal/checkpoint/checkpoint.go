@@ -37,7 +37,10 @@ const Magic = "HDRLCKPT"
 // per-server state (effective speed, degrade and drain bookkeeping) and the
 // session migration/domain tallies. Version 3 extended the metrics section
 // with the telemetry sketch state (sketch-only flag, wait sum, t-digests).
-const Version uint32 = 3
+// Version 4 stores each DRL observation once: a replay transition no longer
+// carries its successor state, a state is one fixed-length block, and the
+// replay slot generations and the target-sync counter (read by nothing) left.
+const Version uint32 = 4
 
 // maxSectionLen bounds a single section payload (1 GiB) so a corrupt length
 // field cannot drive a huge allocation before the CRC check runs.

@@ -12,13 +12,14 @@ import (
 )
 
 // Transition is one experience-memory record: the SMDP tuple
-// (s_k, a_k, equivalent reward rate, sojourn, s_{k+1}).
+// (s_k, a_k, equivalent reward rate, sojourn). The successor s_{k+1} is not
+// stored a second time: every observation enters the ring once, as the S of
+// the transition it opens (Agent.successor).
 type Transition struct {
 	S      State
 	Action int
 	REq    float64
 	Tau    float64
-	Next   State
 	// Terminal marks end-of-episode transitions (no successor bootstrap).
 	Terminal bool
 }
@@ -62,10 +63,6 @@ type Agent struct {
 	lossN        int64
 	actionCounts []int64
 
-	// tgtVersion counts target-network syncs. It is part of the checkpointed
-	// state (format v3 is byte-pinned) and nothing else reads it.
-	tgtVersion int64
-
 	// aeSamples buffers group states for offline autoencoder pretraining.
 	aeSamples   []mat.Vec
 	aeSampleCap int
@@ -104,8 +101,10 @@ func NewAgent(cfg Config, m int, rng *mat.RNG) (*Agent, error) {
 		rng:          rng.Split(),
 		replay:       rl.NewReplay[Transition](cfg.ReplayCap),
 		integ:        rl.NewRewardIntegrator(cfg.Beta),
+		pendingState: enc.NewState(),
 		aeSampleCap:  4096,
 		actionCounts: make([]int64, m),
+		encScratch:   enc.NewState(),
 	}, nil
 }
 
@@ -137,21 +136,16 @@ func (a *Agent) ObserveCluster(t sim.Time, powerW float64, jobsInSystem int, rel
 // the next action epsilon-greedily from the DNN's Q estimates, and triggers
 // minibatch training at sequence boundaries.
 func (a *Agent) Allocate(j *cluster.Job, v *cluster.View) int {
-	a.enc.EncodeInto(v, j, &a.encScratch)
+	a.enc.EncodeInto(v, j, a.encScratch)
 	return a.allocateEncoded(j, v)
 }
-
-// PrepareGather readies the agent for range-gathered encoding: the encode
-// scratch is shaped once so shard workers can fill disjoint server ranges of
-// it concurrently through PreEncodeServers.
-func (a *Agent) PrepareGather() { a.enc.EnsureShape(&a.encScratch) }
 
 // PreEncodeServers refreshes the encode scratch's group features for servers
 // [lo, hi) — the sharded engine's gather phase, with each shard worker
 // encoding its own range in parallel (ranges are disjoint, so the writes
-// never race). Call PrepareGather once first.
+// never race).
 func (a *Agent) PreEncodeServers(v *cluster.View, lo, hi int) {
-	a.enc.EncodeServersInto(v, &a.encScratch, lo, hi)
+	a.enc.EncodeServersInto(v, a.encScratch, lo, hi)
 }
 
 // AllocatePreEncoded runs one decision epoch whose group features were
@@ -161,7 +155,7 @@ func (a *Agent) PreEncodeServers(v *cluster.View, lo, hi int) {
 // features are computed with Allocate's exact per-server arithmetic, the
 // decision stream is bitwise identical too.
 func (a *Agent) AllocatePreEncoded(j *cluster.Job, v *cluster.View) int {
-	a.enc.EncodeJobInto(j, &a.encScratch)
+	a.enc.EncodeJobInto(j, a.encScratch)
 	return a.allocateEncoded(j, v)
 }
 
@@ -171,17 +165,7 @@ func (a *Agent) allocateEncoded(j *cluster.Job, v *cluster.View) int {
 
 	if a.hasPending {
 		rEq, tau := a.integ.EquivalentRate(v.Now.Seconds())
-		// Build the transition in the replay slot it will occupy, recycling
-		// the evicted transition's state buffers instead of cloning into
-		// fresh ones.
-		tr := a.replay.NextSlot()
-		a.pendingState.CloneInto(&tr.S)
-		tr.Action = a.pendingAction
-		tr.REq = rEq
-		tr.Tau = tau
-		state.CloneInto(&tr.Next)
-		tr.Terminal = false
-		a.replay.CommitSlot()
+		a.storeTransition(rEq, tau, false)
 	}
 
 	var action int
@@ -309,16 +293,37 @@ func (a *Agent) FinishEpisode(t sim.Time) {
 		t = a.pendingTime
 	}
 	rEq, tau := a.integ.EquivalentRate(t.Seconds())
+	a.storeTransition(rEq, tau, true)
+	a.hasPending = false
+}
+
+// storeTransition closes the pending (state, action) pair into the replay
+// slot it will occupy, recycling the evicted transition's state block; only
+// a never-used slot allocates. These two callers are the ring's only writers.
+func (a *Agent) storeTransition(rEq, tau float64, terminal bool) {
 	tr := a.replay.NextSlot()
 	a.pendingState.CloneInto(&tr.S)
 	tr.Action = a.pendingAction
 	tr.REq = rEq
 	tr.Tau = tau
-	tr.Terminal = true
-	// tr.Next keeps the evicted slot's buffers: terminal transitions never
-	// bootstrap, so the successor state is dead weight either way.
+	tr.Terminal = terminal
 	a.replay.CommitSlot()
-	a.hasPending = false
+}
+
+// successor returns s_{k+1} of the non-terminal transition in ring slot i.
+// Consecutive decisions of an episode land in consecutive slots, each opening
+// with the observation that closed the one before, so the successor is the
+// ring neighbour's S — except for the newest slot, whose successor has not
+// been stored yet and is the pending state. (A terminal slot's neighbour
+// opens the next episode; terminal transitions never bootstrap.)
+func (a *Agent) successor(i int) State {
+	if i == a.replay.Newest() {
+		return a.pendingState
+	}
+	if i++; i == a.replay.Cap() {
+		i = 0
+	}
+	return a.replay.At(i).S
 }
 
 // trainStep samples a minibatch, computes SMDP targets with the target
@@ -330,8 +335,8 @@ func (a *Agent) trainStep() {
 	// network in one batched forward (identical values to per-item Best).
 	nexts := a.nextScratch[:0]
 	for _, idx := range idxs {
-		if tr := a.replay.At(idx); !tr.Terminal {
-			nexts = append(nexts, tr.Next)
+		if !a.replay.At(idx).Terminal {
+			nexts = append(nexts, a.successor(idx))
 		}
 	}
 	a.nextScratch = nexts
@@ -360,7 +365,6 @@ func (a *Agent) trainStep() {
 	a.updates++
 	if a.updates%int64(a.cfg.TargetSyncEvery) == 0 {
 		a.tgt.CopyWeightsFrom(a.net)
-		a.tgtVersion++
 	}
 }
 
@@ -379,7 +383,8 @@ func (a *Agent) PretrainAutoencoder(epochs int) float64 {
 }
 
 func (a *Agent) bufferAESamples(s State) {
-	for _, g := range s.Groups {
+	for k := 0; k < a.enc.K(); k++ {
+		g := s.Group(k)
 		if len(a.aeSamples) < a.aeSampleCap {
 			a.aeSamples = append(a.aeSamples, g.Clone())
 		} else {
@@ -455,7 +460,6 @@ func (a *Agent) LoadWeights(r io.Reader) error {
 	}
 	a.net.InvalidateTransposes()
 	a.tgt.CopyWeightsFrom(a.net)
-	a.tgtVersion++
 	return nil
 }
 

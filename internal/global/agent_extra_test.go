@@ -239,11 +239,9 @@ func TestAgentWeightsRoundTrip(t *testing.T) {
 	}
 }
 
-// warmAgent returns a small agent driven past every one-time allocation — the
-// replay ring wrapped twice, the AE sample reservoir in its replace-in-place
-// phase, several training rounds done — and the function that runs one more
-// decision epoch on it.
-func warmAgent(t *testing.T) (a *Agent, cfg Config, epoch func()) {
+// coldAgent returns a small agent that has made no decision yet and the
+// function that runs one decision epoch on it.
+func coldAgent(t *testing.T) (a *Agent, cfg Config, epoch func()) {
 	t.Helper()
 	m := 6
 	cfg = DefaultConfig(m)
@@ -270,6 +268,15 @@ func warmAgent(t *testing.T) (a *Agent, cfg Config, epoch func()) {
 		a.ObserveCluster(v.Now, 210, 3, 0.4)
 		a.Allocate(j, v)
 	}
+	return a, cfg, epoch
+}
+
+// warmAgent is coldAgent driven past every one-time allocation: the replay
+// ring wrapped twice, the AE sample reservoir in its replace-in-place phase,
+// several training rounds done.
+func warmAgent(t *testing.T) (a *Agent, cfg Config, epoch func()) {
+	t.Helper()
+	a, cfg, epoch = coldAgent(t)
 	for i := 0; i < 3*cfg.ReplayCap; i++ {
 		epoch()
 	}
@@ -304,6 +311,22 @@ func TestAllocateEpochZeroAllocOnceWarm(t *testing.T) {
 	// figure BenchmarkAllocateEpoch reports).
 	if avg := testing.AllocsPerRun(8*cfg.TrainEvery, epoch); avg != 0 {
 		t.Fatalf("amortized Allocate epoch allocates %v, want 0", avg)
+	}
+
+	// The ring's first fill: storing into a never-used slot allocates exactly
+	// its one state block; storing into a slot that has held a transition
+	// allocates nothing.
+	a, cfg, epoch := coldAgent(t)
+	epoch() // opens the pending decision storeTransition closes
+	store := func() { a.storeTransition(-1, 5, false) }
+	if avg := testing.AllocsPerRun(cfg.ReplayCap/2-1, store); avg != 1 {
+		t.Fatalf("storing into a never-used slot allocates %v, want 1 (the state block)", avg)
+	}
+	for a.replay.Len() < cfg.ReplayCap {
+		store()
+	}
+	if avg := testing.AllocsPerRun(cfg.ReplayCap, store); avg != 0 {
+		t.Fatalf("storing into a used slot allocates %v, want 0", avg)
 	}
 }
 

@@ -61,35 +61,43 @@ func TestEncoderStateContents(t *testing.T) {
 	e, _ := NewEncoder(4, 2, 7200)
 	v := testView(4, []float64{0.1, 0.2, 0.3, 0.4})
 	s := e.Encode(v, testJob(0.5, 3600))
-	if len(s.Groups) != 2 {
-		t.Fatalf("groups: %d", len(s.Groups))
+	// One block: two groups of two servers, then the job features.
+	if len(s.v) != e.StateDim() || len(s.Groups()) != 2*e.GroupDim() || len(s.Group(1)) != e.GroupDim() {
+		t.Fatalf("block %d, groups %d, group %d", len(s.v), len(s.Groups()), len(s.Group(1)))
 	}
 	// Group 0 holds servers 0,1: CPU utils at positions 0 and NumResources.
-	if s.Groups[0][0] != 0.1 || s.Groups[0][cluster.NumResources] != 0.2 {
-		t.Fatalf("group 0 contents: %v", s.Groups[0])
+	if s.Group(0)[0] != 0.1 || s.Group(0)[cluster.NumResources] != 0.2 {
+		t.Fatalf("group 0 contents: %v", s.Group(0))
 	}
-	if s.Groups[1][0] != 0.3 {
-		t.Fatalf("group 1 contents: %v", s.Groups[1])
+	if s.Group(1)[0] != 0.3 {
+		t.Fatalf("group 1 contents: %v", s.Group(1))
 	}
 	// Job: [0.5, 0.25, 0.125, 0.5].
-	if s.Job[0] != 0.5 || s.Job[cluster.NumResources] != 0.5 {
-		t.Fatalf("job state: %v", s.Job)
+	if s.Job()[0] != 0.5 || s.Job()[cluster.NumResources] != 0.5 {
+		t.Fatalf("job state: %v", s.Job())
 	}
 	// Duration clamps at 1.
 	s2 := e.Encode(v, testJob(0.5, 99999))
-	if s2.Job[cluster.NumResources] != 1 {
-		t.Fatalf("duration not clamped: %v", s2.Job[cluster.NumResources])
+	if s2.Job()[cluster.NumResources] != 1 {
+		t.Fatalf("duration not clamped: %v", s2.Job()[cluster.NumResources])
 	}
 }
 
 func TestStateCloneIndependent(t *testing.T) {
 	e, _ := NewEncoder(4, 2, 7200)
 	s := e.Encode(testView(4, []float64{0.1, 0.2, 0.3, 0.4}), testJob(0.5, 100))
-	c := s.Clone()
-	c.Groups[0][0] = 9
-	c.Job[0] = 9
-	if s.Groups[0][0] == 9 || s.Job[0] == 9 {
-		t.Fatal("Clone aliases buffers")
+	var c State
+	s.CloneInto(&c)
+	block := c.v
+	c.Group(0)[0] = 9
+	c.Job()[0] = 9
+	if s.Group(0)[0] == 9 || s.Job()[0] == 9 {
+		t.Fatal("CloneInto aliases buffers")
+	}
+	// A shaped destination is refilled in place.
+	s.CloneInto(&c)
+	if &c.v[0] != &block[0] || c.Group(0)[0] != s.Group(0)[0] || c.Job()[0] != s.Job()[0] {
+		t.Fatal("CloneInto into a shaped state must reuse its block")
 	}
 }
 
@@ -461,28 +469,19 @@ func TestEncodeServersRangeMatchesFull(t *testing.T) {
 	}
 	j := &cluster.Job{Duration: 900, Req: cluster.Resources{0.3, 0.2, 0.1}}
 
-	var full State
-	enc.EncodeInto(v, j, &full)
+	full := enc.Encode(v, j)
 
-	var ranged State
-	enc.EnsureShape(&ranged)
+	ranged := enc.NewState()
 	// Shard-shaped ranges: 12 servers in 5+4+3, none aligned to the group
 	// size of 4.
-	enc.EncodeServersInto(v, &ranged, 0, 5)
-	enc.EncodeServersInto(v, &ranged, 5, 9)
-	enc.EncodeServersInto(v, &ranged, 9, 12)
-	enc.EncodeJobInto(j, &ranged)
+	enc.EncodeServersInto(v, ranged, 0, 5)
+	enc.EncodeServersInto(v, ranged, 5, 9)
+	enc.EncodeServersInto(v, ranged, 9, 12)
+	enc.EncodeJobInto(j, ranged)
 
-	for g := range full.Groups {
-		for i := range full.Groups[g] {
-			if math.Float64bits(full.Groups[g][i]) != math.Float64bits(ranged.Groups[g][i]) {
-				t.Fatalf("group %d[%d]: %v vs %v", g, i, full.Groups[g][i], ranged.Groups[g][i])
-			}
-		}
-	}
-	for i := range full.Job {
-		if math.Float64bits(full.Job[i]) != math.Float64bits(ranged.Job[i]) {
-			t.Fatalf("job[%d]: %v vs %v", i, full.Job[i], ranged.Job[i])
+	for i := range full.v {
+		if math.Float64bits(full.v[i]) != math.Float64bits(ranged.v[i]) {
+			t.Fatalf("block[%d]: %v vs %v", i, full.v[i], ranged.v[i])
 		}
 	}
 }

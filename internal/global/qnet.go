@@ -36,8 +36,9 @@ type QNetwork struct {
 	// ws is the scratch arena for the inference fast paths. A QNetwork is
 	// not safe for concurrent use; concurrent experiment runs each own
 	// their networks.
-	ws        *mat.Workspace
-	remoteBuf []mat.Vec
+	ws         *mat.Workspace
+	remoteBuf  []mat.Vec
+	groupsView mat.Dense // K x GroupDim header over a state's group block
 
 	// aeTape and subTape hold the backprop state of accumulateBatch's two
 	// batched forward passes (shared-weight path), reused every step.
@@ -81,6 +82,7 @@ func NewQNetwork(enc *Encoder, cfg Config, rng *mat.RNG) *QNetwork {
 		n.subs = append(n.subs, nn.NewMLP(sizes, acts, rng))
 	}
 	n.remoteBuf = make([]mat.Vec, enc.K())
+	n.groupsView = mat.Dense{Rows: enc.K(), Cols: enc.GroupDim()}
 	return n
 }
 
@@ -116,7 +118,7 @@ func (n *QNetwork) remoteFeature(k int, g mat.Vec) mat.Vec {
 // features.
 func (n *QNetwork) headInput(k int, s State, remote []mat.Vec) mat.Vec {
 	parts := make([]mat.Vec, 0, 1+1+n.enc.K()-1)
-	parts = append(parts, s.Groups[k], s.Job)
+	parts = append(parts, s.Group(k), s.Job())
 	for kp := 0; kp < n.enc.K(); kp++ {
 		if kp != k {
 			parts = append(parts, remote[kp])
@@ -131,8 +133,8 @@ func (n *QNetwork) headInput(k int, s State, remote []mat.Vec) mat.Vec {
 func (n *QNetwork) fillHeadInput(dst mat.Vec, k int, s State, remote []mat.Vec) {
 	gd := n.enc.GroupDim()
 	jd := n.enc.JobDim()
-	copy(dst[:gd], s.Groups[k])
-	copy(dst[gd:gd+jd], s.Job)
+	copy(dst[:gd], s.Group(k))
+	copy(dst[gd:gd+jd], s.Job())
 	off := gd + jd
 	for kp := 0; kp < n.enc.K(); kp++ {
 		if kp == k {
@@ -169,20 +171,18 @@ func (n *QNetwork) remoteFeaturesWS(ws *mat.Workspace, s State) []mat.Vec {
 	switch {
 	case !n.cfg.UseAutoencoder:
 		for k := 0; k < K; k++ {
-			remote[k] = s.Groups[k]
+			remote[k] = s.Group(k)
 		}
 	case n.cfg.ShareWeights:
-		X := ws.TakeMatUninit(K, n.enc.GroupDim())
-		for k := 0; k < K; k++ {
-			X.Row(k).CopyFrom(s.Groups[k])
-		}
-		codes := n.aes[0].Enc.InferBatchWS(ws, X)
+		// The K x GroupDim encoder input is the state's own group block.
+		n.groupsView.Data = s.Groups()
+		codes := n.aes[0].Enc.InferBatchWS(ws, &n.groupsView)
 		for k := 0; k < K; k++ {
 			remote[k] = codes.Row(k)
 		}
 	default:
 		for k := 0; k < K; k++ {
-			remote[k] = n.aes[k].Enc.InferWS(ws, s.Groups[k])
+			remote[k] = n.aes[k].Enc.InferWS(ws, s.Group(k))
 		}
 	}
 	return remote
@@ -269,9 +269,7 @@ func (n *QNetwork) MaxQBatchInto(states []State, vals []float64) {
 	if n.cfg.UseAutoencoder {
 		X := ws.TakeMatUninit(R, gd)
 		for i, s := range states {
-			for k := 0; k < K; k++ {
-				X.Row(i*K + k).CopyFrom(s.Groups[k])
-			}
+			copy(X.Data[i*K*gd:(i+1)*K*gd], s.Groups())
 		}
 		codes = n.aes[0].Enc.InferBatchWS(ws, X)
 	}
@@ -282,7 +280,7 @@ func (n *QNetwork) MaxQBatchInto(states []State, vals []float64) {
 			if n.cfg.UseAutoencoder {
 				remote[k] = codes.Row(i*K + k)
 			} else {
-				remote[k] = s.Groups[k]
+				remote[k] = s.Group(k)
 			}
 		}
 		for k := 0; k < K; k++ {
@@ -305,7 +303,7 @@ func (n *QNetwork) Q(s State, action int) float64 {
 	remote := make([]mat.Vec, n.enc.K())
 	for kp := 0; kp < n.enc.K(); kp++ {
 		if kp != k {
-			remote[kp] = n.remoteFeature(kp, s.Groups[kp])
+			remote[kp] = n.remoteFeature(kp, s.Group(kp))
 		}
 	}
 	q := duel(n.subFor(k).Infer(n.headInput(k, s, remote)))
@@ -389,7 +387,7 @@ func (n *QNetwork) accumulateBatch(batch []TrainItem, scale float64) float64 {
 				if kp == k {
 					continue
 				}
-				AEin.Row(idx).CopyFrom(item.S.Groups[kp])
+				AEin.Row(idx).CopyFrom(item.S.Group(kp))
 				idx++
 			}
 		}
@@ -409,7 +407,7 @@ func (n *QNetwork) accumulateBatch(batch []TrainItem, scale float64) float64 {
 				remote[kp] = codes.Row(idx)
 				idx++
 			} else {
-				remote[kp] = item.S.Groups[kp]
+				remote[kp] = item.S.Group(kp)
 			}
 		}
 		n.fillHeadInput(in.Row(b), k, item.S, remote)
@@ -481,9 +479,9 @@ func (n *QNetwork) accumulate(item TrainItem, scale float64) float64 {
 			continue
 		}
 		if n.cfg.UseAutoencoder {
-			remote[kp], backs[kp] = n.aeFor(kp).Encode(item.S.Groups[kp])
+			remote[kp], backs[kp] = n.aeFor(kp).Encode(item.S.Group(kp))
 		} else {
-			remote[kp] = item.S.Groups[kp]
+			remote[kp] = item.S.Group(kp)
 		}
 	}
 	in := n.headInput(k, item.S, remote)

@@ -19,7 +19,7 @@ func forEachKernelFamily(t *testing.T, f func(t *testing.T)) {
 func refQValues(n *QNetwork, s State) mat.Vec {
 	remote := make([]mat.Vec, n.enc.K())
 	for k := 0; k < n.enc.K(); k++ {
-		remote[k] = n.remoteFeature(k, s.Groups[k])
+		remote[k] = n.remoteFeature(k, s.Group(k))
 	}
 	out := mat.NewVec(n.enc.M())
 	for k := 0; k < n.enc.K(); k++ {
@@ -30,15 +30,13 @@ func refQValues(n *QNetwork, s State) mat.Vec {
 }
 
 func randState(enc *Encoder, rng *mat.RNG) State {
-	s := State{Groups: make([]mat.Vec, enc.K()), Job: mat.NewVec(enc.JobDim())}
-	for k := range s.Groups {
-		s.Groups[k] = mat.NewVec(enc.GroupDim())
-		for i := range s.Groups[k] {
-			s.Groups[k][i] = rng.Float64() * 2
-		}
+	s := enc.NewState()
+	for i := range s.Groups() {
+		s.v[i] = rng.Float64() * 2
 	}
-	for i := range s.Job {
-		s.Job[i] = rng.Float64()
+	job := s.Job()
+	for i := range job {
+		job[i] = rng.Float64()
 	}
 	return s
 }

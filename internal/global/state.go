@@ -35,8 +35,12 @@ func NewEncoder(m, k int, durNormSec float64) (*Encoder, error) {
 // GroupDim is the dimensionality of one group state vector.
 func (e *Encoder) GroupDim() int { return e.groupSize * cluster.NumResources }
 
+// jobDim is the length of the job state vector s_j: the demand per resource
+// plus the normalized duration.
+const jobDim = cluster.NumResources + 1
+
 // JobDim is the dimensionality of the job state vector.
-func (e *Encoder) JobDim() int { return cluster.NumResources + 1 }
+func (e *Encoder) JobDim() int { return jobDim }
 
 // K returns the group count.
 func (e *Encoder) K() int { return e.k }
@@ -66,59 +70,57 @@ func (e *Encoder) ServerOf(group, offset int) int {
 	return group*e.groupSize + offset
 }
 
-// State bundles one full DRL state observation.
+// State is one full DRL state observation in one contiguous block: the K
+// group vectors in server order (server srv's features at
+// [srv*NumResources, (srv+1)*NumResources)), then the job features. A stored
+// observation is therefore one allocation and one copy.
 type State struct {
-	Groups []mat.Vec
-	Job    mat.Vec
+	v        mat.Vec
+	groupDim int
 }
+
+// NewState returns a zeroed state shaped for this encoder.
+func (e *Encoder) NewState() State {
+	return State{v: mat.NewVec(e.StateDim()), groupDim: e.GroupDim()}
+}
+
+// StateDim is the length of one state block, K*GroupDim + JobDim.
+func (e *Encoder) StateDim() int { return e.m*cluster.NumResources + e.JobDim() }
+
+// Group returns a view of group k's state vector g_k.
+func (s State) Group(k int) mat.Vec { return s.v[k*s.groupDim : (k+1)*s.groupDim] }
+
+// Groups returns a view of g_1..g_K back to back: a row-major K x GroupDim
+// matrix.
+func (s State) Groups() mat.Vec { return s.v[:len(s.v)-jobDim] }
+
+// Job returns a view of the job state vector s_j.
+func (s State) Job() mat.Vec { return s.v[len(s.v)-jobDim:] }
 
 // Encode captures the full state at a job arrival.
 func (e *Encoder) Encode(v *cluster.View, j *cluster.Job) State {
-	var s State
-	e.EncodeInto(v, j, &s)
+	s := e.NewState()
+	e.EncodeInto(v, j, s)
 	return s
 }
 
-// EncodeInto captures the full state at a job arrival into dst, reusing its
-// buffers when already shaped for this encoder. The written values are
-// identical to Encode's; after the first call on a given State the refresh
-// is allocation-free, which makes the decision epoch's encode step free of
-// heap traffic.
-func (e *Encoder) EncodeInto(v *cluster.View, j *cluster.Job, dst *State) {
+// EncodeInto captures the full state at a job arrival into dst (a state from
+// NewState), writing the values Encode would without allocating.
+func (e *Encoder) EncodeInto(v *cluster.View, j *cluster.Job, dst State) {
 	if v.M != e.m {
 		panic(fmt.Sprintf("global: snapshot M=%d encoder M=%d", v.M, e.m))
 	}
-	e.EnsureShape(dst)
 	e.EncodeServersInto(v, dst, 0, e.m)
 	e.EncodeJobInto(j, dst)
 }
 
-// EnsureShape sizes dst's buffers for this encoder without writing any
-// feature, so disjoint server ranges of a pre-shaped state can be filled
-// concurrently (EncodeServersInto) before the single-threaded epoch reads it.
-func (e *Encoder) EnsureShape(dst *State) {
-	if len(dst.Groups) != e.k {
-		dst.Groups = make([]mat.Vec, e.k)
-	}
-	gd := e.GroupDim()
-	for k := 0; k < e.k; k++ {
-		if len(dst.Groups[k]) != gd {
-			dst.Groups[k] = mat.NewVec(gd)
-		}
-	}
-	if len(dst.Job) != e.JobDim() {
-		dst.Job = mat.NewVec(e.JobDim())
-	}
-}
-
 // EncodeServersInto refreshes the group-state features of servers [lo, hi)
-// in a pre-shaped dst (see EnsureShape). Every server owns a disjoint
-// NumResources-wide strip of its group's vector, so concurrent calls over
-// disjoint ranges are race-free — this is the shard-aware encode: each shard
-// worker gathers its own servers' features in parallel, and the decision
-// epoch's batched Q evaluation reads the assembled state. The per-server
-// arithmetic is exactly EncodeInto's, so a range-gathered state is bitwise
-// identical to a sequentially encoded one.
+// in dst. Every server owns a disjoint NumResources-wide strip of the block,
+// so concurrent calls over disjoint ranges are race-free — this is the
+// shard-aware encode: each shard worker gathers its own servers' features in
+// parallel, and the decision epoch's batched Q evaluation reads the assembled
+// state. The per-server arithmetic is exactly EncodeInto's, so a
+// range-gathered state is bitwise identical to a sequentially encoded one.
 //
 // Each server's per-resource feature is its *committed* utilization — running
 // plus queued demand, clamped at 2.0 — so the agent can distinguish a busy
@@ -126,58 +128,39 @@ func (e *Encoder) EnsureShape(dst *State) {
 // utilization level of each server"; with FCFS head-of-line blocking the
 // queued demand is part of that level for any placement-relevant purpose,
 // and without it queue-aware allocation is unlearnable.)
-func (e *Encoder) EncodeServersInto(v *cluster.View, dst *State, lo, hi int) {
+func (e *Encoder) EncodeServersInto(v *cluster.View, dst State, lo, hi int) {
 	const maxCommitted = 2.0
 	for srv := lo; srv < hi; srv++ {
-		g := dst.Groups[srv/e.groupSize]
-		o := srv % e.groupSize
 		for p := 0; p < cluster.NumResources; p++ {
 			committed := v.Util[srv][p] + v.Pending[srv][p]
 			if committed > maxCommitted {
 				committed = maxCommitted
 			}
-			g[o*cluster.NumResources+p] = committed
+			dst.v[srv*cluster.NumResources+p] = committed
 		}
 	}
 }
 
-// EncodeJobInto refreshes the job part s_j of a pre-shaped dst.
-func (e *Encoder) EncodeJobInto(j *cluster.Job, dst *State) {
+// EncodeJobInto refreshes the job part s_j of dst.
+func (e *Encoder) EncodeJobInto(j *cluster.Job, dst State) {
+	job := dst.Job()
 	for p := 0; p < cluster.NumResources; p++ {
-		dst.Job[p] = j.Req[p]
+		job[p] = j.Req[p]
 	}
 	d := j.Duration / e.durNorm
 	if d > 1 {
 		d = 1
 	}
-	dst.Job[cluster.NumResources] = d
+	job[cluster.NumResources] = d
 }
 
-// Clone deep-copies the state (replay transitions must not alias live
-// buffers).
-func (s State) Clone() State {
-	out := State{Groups: make([]mat.Vec, len(s.Groups)), Job: s.Job.Clone()}
-	for i, g := range s.Groups {
-		out.Groups[i] = g.Clone()
-	}
-	return out
-}
-
-// CloneInto deep-copies s into dst, reusing dst's buffers when already
-// shaped like s. Pooled replay slots use it so storing a transition stops
-// allocating once the buffer pool is warm.
+// CloneInto deep-copies s into dst, allocating dst's block only when it is
+// not already s's length (a never-used replay slot); stored transitions must
+// not alias live buffers.
 func (s State) CloneInto(dst *State) {
-	if len(dst.Groups) != len(s.Groups) {
-		dst.Groups = make([]mat.Vec, len(s.Groups))
+	if len(dst.v) != len(s.v) {
+		dst.v = mat.NewVec(len(s.v))
 	}
-	for i, g := range s.Groups {
-		if len(dst.Groups[i]) != len(g) {
-			dst.Groups[i] = mat.NewVec(len(g))
-		}
-		copy(dst.Groups[i], g)
-	}
-	if len(dst.Job) != len(s.Job) {
-		dst.Job = mat.NewVec(len(s.Job))
-	}
-	copy(dst.Job, s.Job)
+	dst.groupDim = s.groupDim
+	copy(dst.v, s.v)
 }

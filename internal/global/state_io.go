@@ -17,36 +17,51 @@ func (n *QNetwork) state(c *checkpoint.Codec) {
 	}
 }
 
-func vecsState(c *checkpoint.Codec, vs *[]mat.Vec) {
-	n := c.Count(len(*vs), 8)
+// state walks one observation as a fixed-length block: decoding fills s in
+// place, so a stored block of any length other than K*GroupDim+JobDim is
+// ErrCorrupt.
+func (s State) state(c *checkpoint.Codec) { c.F64sFixed(s.v) }
+
+// transitionState walks one replay slot. A decoded slot gets a fresh block
+// (the ring was cleared), and its action must name a server: trainStep
+// indexes the Sub-Q heads with it.
+func (a *Agent) transitionState(c *checkpoint.Codec, tr *Transition) {
 	if c.Decoding() {
-		*vs = append((*vs)[:0], make([]mat.Vec, n)...)
+		tr.S = a.enc.NewState()
 	}
-	for i := range *vs {
-		c.F64s((*[]float64)(&(*vs)[i]))
-	}
-}
-
-func (s *State) state(c *checkpoint.Codec) {
-	vecsState(c, &s.Groups)
-	c.F64s((*[]float64)(&s.Job))
-}
-
-func transitionState(c *checkpoint.Codec, tr *Transition) {
 	tr.S.state(c)
 	c.Int(&tr.Action)
 	c.F64(&tr.REq)
 	c.F64(&tr.Tau)
-	tr.Next.state(c)
 	c.Bool(&tr.Terminal)
+	if c.Decoding() && c.Err() == nil && (tr.Action < 0 || tr.Action >= a.enc.M()) {
+		c.Fail(checkpoint.ErrCorrupt, "replay action %d out of range [0,%d)", tr.Action, a.enc.M())
+	}
+}
+
+// aeSamplesState walks the autoencoder sample reservoir, GroupDim values per
+// sample.
+func (a *Agent) aeSamplesState(c *checkpoint.Codec) {
+	gd := a.enc.GroupDim()
+	n := c.Count(len(a.aeSamples), 8*(1+gd))
+	if c.Decoding() {
+		a.aeSamples = make([]mat.Vec, n)
+	}
+	for i := range a.aeSamples {
+		if c.Decoding() {
+			a.aeSamples[i] = mat.NewVec(gd)
+		}
+		c.F64sFixed(a.aeSamples[i])
+	}
 }
 
 // State implements checkpoint.Stateful: the complete learning trajectory of
 // the DRL broker. Everything a resumed run's decisions can observe is
 // captured — both networks' weights, Adam moments, every RNG chain, the
-// replay memory with its slot generations, the open sojourn and pending
-// transition, the epsilon schedule, the autoencoder sample reservoir (its
-// fill level gates an RNG draw per buffered group), and all counters.
+// replay memory, the open sojourn and pending transition (whose state is
+// also the newest replay slot's successor), the epsilon schedule, the
+// autoencoder sample reservoir (its fill level gates an RNG draw per
+// buffered group), and all counters.
 // Decoding requires an agent constructed from
 // the same Config (same architecture, replay capacity, and server count).
 func (a *Agent) State(c *checkpoint.Codec) {
@@ -62,7 +77,7 @@ func (a *Agent) State(c *checkpoint.Codec) {
 	a.eps.State(c)
 	c.RNG(a.eps.RNG())
 	c.RNG(a.rng)
-	rl.ReplayState(a.replay, c, transitionState)
+	rl.ReplayState(a.replay, c, a.transitionState)
 	a.integ.State(c)
 	c.F64(&a.lastPower)
 	c.Int(&a.lastJobs)
@@ -78,8 +93,7 @@ func (a *Agent) State(c *checkpoint.Codec) {
 	c.I64(&a.lossN)
 	counts := a.actionCounts
 	c.I64s(&counts)
-	c.I64(&a.tgtVersion)
-	vecsState(c, &a.aeSamples)
+	a.aeSamplesState(c)
 	if !c.Decoding() || c.Err() != nil {
 		return
 	}
@@ -88,6 +102,12 @@ func (a *Agent) State(c *checkpoint.Codec) {
 		return
 	}
 	copy(a.actionCounts, counts)
+	switch {
+	case a.hasPending && (a.pendingAction < 0 || a.pendingAction >= a.enc.M()):
+		c.Fail(checkpoint.ErrCorrupt, "pending action %d out of range [0,%d)", a.pendingAction, a.enc.M())
+	case !a.hasPending && a.replay.Len() > 0 && !a.replay.Latest().Terminal:
+		c.Fail(checkpoint.ErrCorrupt, "newest replay transition bootstraps from a pending state the snapshot lacks")
+	}
 }
 
 var _ checkpoint.Stateful = (*Agent)(nil)

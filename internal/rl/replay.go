@@ -13,7 +13,6 @@ import (
 // learning.
 type Replay[T any] struct {
 	buf  []T
-	gens []int64
 	cap  int
 	next int
 	full bool
@@ -24,18 +23,13 @@ func NewReplay[T any](capacity int) *Replay[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("rl: NewReplay invalid capacity %d", capacity))
 	}
-	return &Replay[T]{buf: make([]T, capacity), gens: make([]int64, capacity), cap: capacity}
+	return &Replay[T]{buf: make([]T, capacity), cap: capacity}
 }
 
 // Add appends a transition, evicting the oldest when at capacity.
 func (r *Replay[T]) Add(t T) {
 	r.buf[r.next] = t
-	r.gens[r.next]++
-	r.next++
-	if r.next == r.cap {
-		r.next = 0
-		r.full = true
-	}
+	r.CommitSlot()
 }
 
 // NextSlot returns a pointer to the slot the next Add would occupy, so the
@@ -46,9 +40,8 @@ func (r *Replay[T]) Add(t T) {
 func (r *Replay[T]) NextSlot() *T { return &r.buf[r.next] }
 
 // CommitSlot finalizes a slot populated via NextSlot, with the same
-// bookkeeping as Add (generation bump, cursor advance, wrap-around).
+// bookkeeping as Add (cursor advance, wrap-around).
 func (r *Replay[T]) CommitSlot() {
-	r.gens[r.next]++
 	r.next++
 	if r.next == r.cap {
 		r.next = 0
@@ -83,8 +76,7 @@ func (r *Replay[T]) Sample(n int, rng *mat.RNG) []T {
 
 // SampleIndices draws n slot indices uniformly with replacement, consuming
 // the RNG exactly as Sample does (so the two are interchangeable for
-// deterministic replays). Use At to dereference and Gen to detect slot
-// reuse across draws.
+// deterministic replays). Use At to dereference.
 func (r *Replay[T]) SampleIndices(n int, rng *mat.RNG) []int {
 	return r.SampleIndicesInto(make([]int, 0, n), n, rng)
 }
@@ -106,11 +98,6 @@ func (r *Replay[T]) SampleIndicesInto(dst []int, n int, rng *mat.RNG) []int {
 // At returns the transition stored in slot i (0 <= i < Len).
 func (r *Replay[T]) At(i int) T { return r.buf[i] }
 
-// Gen returns the write generation of slot i: it increments every time the
-// slot is overwritten, so a (slot, generation) pair uniquely identifies one
-// stored transition. The generations are checkpointed state (format v3).
-func (r *Replay[T]) Gen(i int) int64 { return r.gens[i] }
-
 // Each calls fn for every stored transition in insertion order (oldest
 // first).
 func (r *Replay[T]) Each(fn func(T)) {
@@ -124,14 +111,18 @@ func (r *Replay[T]) Each(fn func(T)) {
 	}
 }
 
-// Latest returns the most recently added transition. It panics when empty.
-func (r *Replay[T]) Latest() T {
+// Newest returns the slot of the most recently added transition, the one
+// slot whose ring successor is not the transition stored after it. It panics
+// when empty.
+func (r *Replay[T]) Newest() int {
 	if r.Len() == 0 {
-		panic("rl: Latest on empty replay memory")
+		panic("rl: Newest on empty replay memory")
 	}
-	idx := r.next - 1
-	if idx < 0 {
-		idx = r.cap - 1
+	if r.next == 0 {
+		return r.cap - 1
 	}
-	return r.buf[idx]
+	return r.next - 1
 }
+
+// Latest returns the most recently added transition. It panics when empty.
+func (r *Replay[T]) Latest() T { return r.buf[r.Newest()] }

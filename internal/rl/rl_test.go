@@ -412,7 +412,7 @@ func TestQTableConstructorPanics(t *testing.T) {
 }
 
 // NextSlot/CommitSlot must behave exactly like Add — same ordering, same
-// generations, same eviction — while letting callers reuse slot memory.
+// eviction — while letting callers reuse slot memory.
 func TestReplayEmplaceMatchesAdd(t *testing.T) {
 	ra := NewReplay[int](4)
 	rb := NewReplay[int](4)
@@ -429,12 +429,9 @@ func TestReplayEmplaceMatchesAdd(t *testing.T) {
 		if ra.At(i) != rb.At(i) {
 			t.Fatalf("slot %d: %d vs %d", i, ra.At(i), rb.At(i))
 		}
-		if ra.Gen(i) != rb.Gen(i) {
-			t.Fatalf("gen %d: %d vs %d", i, ra.Gen(i), rb.Gen(i))
-		}
 	}
-	if ra.Latest() != rb.Latest() {
-		t.Fatalf("latest: %d vs %d", ra.Latest(), rb.Latest())
+	if ra.Latest() != rb.Latest() || ra.Newest() != rb.Newest() {
+		t.Fatalf("latest: %d (slot %d) vs %d (slot %d)", ra.Latest(), ra.Newest(), rb.Latest(), rb.Newest())
 	}
 }
 

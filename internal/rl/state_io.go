@@ -31,15 +31,13 @@ func (ri *RewardIntegrator) State(c *checkpoint.Codec) {
 
 // ReplayState walks the ring buffer's cursor state and every slot through
 // the element walk elem (slots beyond Len have never been written and are
-// skipped). Generation counters are included so (slot, generation) memo keys
-// stay valid across a restore. Decoding requires r to have been constructed
-// with the saved capacity.
+// skipped). Decoding requires r to have been constructed with the saved
+// capacity, and the element count to be the Len the cursor implies.
 func ReplayState[T any](r *Replay[T], c *checkpoint.Codec, elem func(*checkpoint.Codec, *T)) {
-	capSaved, next, full, gens := r.cap, r.next, r.full, r.gens
+	capSaved, next, full := r.cap, r.next, r.full
 	c.Int(&capSaved)
 	c.Int(&next)
 	c.Bool(&full)
-	c.I64s(&gens)
 	n := c.Count(r.Len(), 0)
 	if c.Decoding() {
 		if c.Err() != nil {
@@ -49,16 +47,19 @@ func ReplayState[T any](r *Replay[T], c *checkpoint.Codec, elem func(*checkpoint
 			c.Fail(checkpoint.ErrConfigMismatch, "replay capacity %d, want %d", capSaved, r.cap)
 			return
 		}
-		if len(gens) != r.cap || next < 0 || next >= r.cap || n > r.cap {
-			c.Fail(checkpoint.ErrCorrupt, "replay cursor state out of range")
+		stored := next
+		if full {
+			stored = r.cap
+		}
+		if next < 0 || next >= r.cap || n != stored {
+			c.Fail(checkpoint.ErrCorrupt, "replay cursor %d (full=%v) with %d transitions, capacity %d", next, full, n, r.cap)
 			return
 		}
 		r.next = next
 		r.full = full
-		copy(r.gens, gens)
 		clear(r.buf)
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && c.Err() == nil; i++ {
 		elem(c, &r.buf[i])
 	}
 }

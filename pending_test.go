@@ -270,9 +270,10 @@ func stepToRetry(t *testing.T, s *Session) (loBefore int) {
 // serialized, so Checkpoint -> Restore -> Checkpoint must be byte-identical
 // and the resumed run must finish exactly like the uninterrupted one, on both
 // tiers. testdata/faults_backoff_pr12.ckpt is the strict-tier snapshot the
-// commit before pendingQueue wrote at the same Step of the same run: the new
-// code must write those bytes, restore them, and finish with the Summary that
-// commit printed.
+// commit before pendingQueue wrote at the same Step of the same run (its
+// version word since moved to 4; the run has no agent, so nothing else did):
+// the new code must write those bytes, restore them, and finish with the
+// Summary that commit printed.
 func TestCheckpointAfterHeadSideInsert(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		shards := shards

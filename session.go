@@ -63,7 +63,6 @@ type Observer struct {
 type sessionOptions struct {
 	obs        Observer
 	ctx        context.Context
-	expectJobs int
 	shards     int
 	autoPath   string
 	autoEvery  int
@@ -90,12 +89,6 @@ func WithContext(ctx context.Context) SessionOption {
 			o.ctx = ctx
 		}
 	}
-}
-
-// WithExpectedJobs pre-sizes the ingestion queue and the metric sample
-// buffers for n jobs, so a bounded stream runs allocation-free once warm.
-func WithExpectedJobs(n int) SessionOption {
-	return func(o *sessionOptions) { o.expectJobs = n }
 }
 
 // WithShards selects the session's execution tier. p <= 1 (the default) is
@@ -389,7 +382,6 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 		}
 		if agent != nil {
 			s.preEncoded = true
-			agent.PrepareGather()
 			s.merger = cluster.NewMerger(cl)
 			s.merger.OnChange = agent.ObserveCluster
 		}
@@ -401,9 +393,6 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 			go r.worker(i)
 		}
 		s.eng = r
-	}
-	if o.expectJobs > 0 {
-		s.Reserve(o.expectJobs)
 	}
 	if o.autoPath != "" {
 		every := int64(o.autoEvery)

@@ -10,7 +10,7 @@ import (
 
 // TestSessionSteadyStepZeroAlloc pins the api_redesign acceptance criterion:
 // with no observers attached, a steady-state Session step performs zero
-// allocations. The workload is pre-ingested (WithExpectedJobs reserves the
+// allocations. The workload is pre-ingested (Reserve sizes the
 // metric buffers), the first three quarters of the run warm every pool —
 // event slots, the job pool, server queues, the reused snapshot — and the
 // measured window then steps through live arrival/completion traffic.
@@ -20,11 +20,12 @@ import (
 func TestSessionSteadyStepZeroAlloc(t *testing.T) {
 	const jobs = 6000
 	tr := hierdrl.SyntheticTraceForCluster(jobs, 4, 1)
-	s, err := hierdrl.NewSession(hierdrl.RoundRobin(4), hierdrl.WithExpectedJobs(jobs))
+	s, err := hierdrl.NewSession(hierdrl.RoundRobin(4))
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
 	defer s.Close()
+	s.Reserve(jobs)
 	if err := s.SubmitTrace(tr); err != nil {
 		t.Fatalf("SubmitTrace: %v", err)
 	}

@@ -27,11 +27,12 @@ func TestShardedSteadyStepZeroAlloc(t *testing.T) {
 	cfg.FixedTimeoutSec = 30
 
 	tr := hierdrl.SyntheticTraceForCluster(4000, m, 9)
-	s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(4), hierdrl.WithExpectedJobs(2*len(tr.Jobs)))
+	s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.Reserve(2 * len(tr.Jobs))
 	// Warm every pool — event slots, job pool, logs, queues — with one full
 	// pass, so the measured second stream's in-flight population never
 	// exceeds what the pools already hold.

@@ -59,6 +59,15 @@ func TestStateWalksRejectEveryPrefix(t *testing.T) {
 			cfg.CheckpointEvery = 40
 			return cfg
 		}(), []SessionOption{WithShards(2)}, 220},
+		// The agent walk over a replay ring that has wrapped twice: slot order
+		// is physical, the newest slot sits mid-ring and a terminal slot from
+		// the warmup episode has been overwritten.
+		{"drl-wrapped-ring-p1", func() Config {
+			cfg := DRLOnly(6)
+			cfg.Global.ReplayCap = 64
+			cfg.WarmupTrace = SyntheticTraceForCluster(40, 6, 1001)
+			return cfg
+		}(), nil, 220},
 		{"crash-backoff-sketch-p1", func() Config {
 			cfg := faulty(RoundRobin(6), FaultExpCrash)
 			cfg.Alloc, cfg.Retry = AllocLeastLoaded, RetryBackoff
