@@ -21,13 +21,15 @@ vet:
 
 # loc prints the non-test, non-blank, non-comment Go line count per package
 # (bench/ is a module of its own and is left out) — the figure CHANGES.md
-# quotes for size claims.
+# quotes for size claims — then, outside that total, the non-blank,
+# non-comment lines of hand-written assembly.
 loc:
 	@total=0; \
 	for d in $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs -n1 dirname | sort -u); do \
 		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \
 		printf '%6d %s\n' $$n $$d; total=$$((total+n)); \
-	done; printf '%6d total\n' $$total
+	done; printf '%6d total\n' $$total; \
+	printf '%6d asm\n' $$(find . -name '*.s' -not -path './.bench_build/*' | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l)
 
 # bench runs the repository benchmark (BENCHMARK.json: seven workloads, result
 # JSON on the last stdout line) — the one place a wall-time number is recorded;

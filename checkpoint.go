@@ -28,8 +28,8 @@ var (
 	// ErrVersion marks a snapshot written by an incompatible format version.
 	ErrVersion = checkpoint.ErrVersion
 	// ErrConfigMismatch marks a snapshot whose embedded Config does not match
-	// its header fingerprint (tampering) or whose structure contradicts the
-	// configuration it declares.
+	// its header fingerprint (tampering), is one NewSession rejects, or
+	// declares a configuration the snapshot's structure contradicts.
 	ErrConfigMismatch = checkpoint.ErrConfigMismatch
 )
 
@@ -360,8 +360,10 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 }
 
 // restoreConfig decodes and cross-checks the embedded Config: the section
-// bytes must hash to the header fingerprint (the snapshot's identity), and
-// the JSON must unmarshal cleanly.
+// bytes must hash to the header fingerprint (the snapshot's identity), the
+// JSON must unmarshal cleanly, and the result must pass the validation
+// NewSession applies (a fingerprint-consistent snapshot can still carry
+// settings no session was ever built from).
 func restoreConfig(rd *checkpoint.Reader) (Config, error) {
 	var cfg Config
 	cfgDec, err := rd.Section(secConfig)
@@ -380,6 +382,9 @@ func restoreConfig(rd *checkpoint.Reader) (Config, error) {
 		return cfg, fmt.Errorf("%w: config: %v", ErrCorrupt, err)
 	}
 	cfg.WarmupTrace = nil
+	if err := validate(&cfg); err != nil {
+		return cfg, fmt.Errorf("%w: embedded config: %v", ErrConfigMismatch, err)
+	}
 	return cfg, nil
 }
 

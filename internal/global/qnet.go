@@ -323,7 +323,7 @@ type TrainItem struct {
 // sharing the whole minibatch flows through the encoder and the Sub-Q head
 // as batched GEMMs; the resulting gradients (and therefore weights) are
 // bitwise identical to the per-sample accumulation path.
-func (n *QNetwork) TrainBatch(batch []TrainItem, opt nn.Optimizer) float64 {
+func (n *QNetwork) TrainBatch(batch []TrainItem, opt *nn.Adam) float64 {
 	if len(batch) == 0 {
 		return 0
 	}

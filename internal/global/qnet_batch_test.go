@@ -113,7 +113,7 @@ func testMaxQBatchMatchesBest(t *testing.T) {
 }
 
 // refTrainBatch replicates the seed's per-sample TrainBatch loop.
-func refTrainBatch(n *QNetwork, batch []TrainItem, opt nn.Optimizer) float64 {
+func refTrainBatch(n *QNetwork, batch []TrainItem, opt *nn.Adam) float64 {
 	if len(batch) == 0 {
 		return 0
 	}

@@ -2,6 +2,7 @@ package lstm
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -271,7 +272,7 @@ func TestDiscretizer(t *testing.T) {
 }
 
 func TestDiscretizerMonotoneProperty(t *testing.T) {
-	d := DefaultDiscretizer()
+	d := NewDiscretizer([]float64{15, 30, 60, 90, 120, 300})
 	f := func(a, b float64) bool {
 		a, b = math.Abs(a), math.Abs(b)
 		if math.IsNaN(a) || math.IsNaN(b) {
@@ -411,8 +412,18 @@ func TestBPTTZeroAllocOnceWarm(t *testing.T) {
 		for i := range window {
 			window[i] = g.Normal(0, 1)
 		}
-		net.BPTT(window, 0.3, 1) // warm the scratch
-		net.Params()             // warm the enumeration cache
+		// The first call sizes the scratch: one block of saved activations,
+		// one of work vectors and the step headers, not a vector per field per
+		// time step (15·T + 17 objects before the blocks).
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		net.BPTT(window, 0.3, 1)
+		runtime.ReadMemStats(&after)
+		if cold := after.Mallocs - before.Mallocs; cold > 40 {
+			t.Fatalf("lookback %d hidden %d: cold BPTT allocates %d objects, want <= 40",
+				shape.lookback, shape.hidden, cold)
+		}
+		net.Params() // warm the enumeration cache
 		avg := testing.AllocsPerRun(50, func() { net.BPTT(window, 0.3, 1) })
 		if avg != 0 {
 			t.Fatalf("lookback %d hidden %d: warm BPTT allocates %v per sample, want 0",

@@ -3,6 +3,7 @@ package lstm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hierdrl/internal/mat"
 	"hierdrl/internal/nn"
@@ -134,48 +135,63 @@ type bpttScratch struct {
 	dz, dzTmp, dPre                         mat.Vec // gate backward scratch
 }
 
+// ensureBPTT sizes the scratch for a window of the given length. The saved
+// activations of all new steps are cut from one block, and so are the backward
+// work vectors: two allocations per network instead of fifteen per time step
+// (a cluster holds one network per server).
 func (n *Network) ensureBPTT(steps int) {
 	b := &n.bptt
 	hidden := n.cfg.Hidden
 	cellIn := n.cfg.CellIn
-	for len(b.steps) < steps {
-		b.steps = append(b.steps, bpttStep{
-			x:      mat.NewVec(1),
-			inPre:  mat.NewVec(cellIn),
-			cellIn: mat.NewVec(cellIn),
-			z:      mat.NewVec(cellIn + hidden),
-			fPre:   mat.NewVec(hidden),
-			f:      mat.NewVec(hidden),
-			iPre:   mat.NewVec(hidden),
-			i:      mat.NewVec(hidden),
-			gPre:   mat.NewVec(hidden),
-			g:      mat.NewVec(hidden),
-			oPre:   mat.NewVec(hidden),
-			o:      mat.NewVec(hidden),
-			c:      mat.NewVec(hidden),
-			tanhC:  mat.NewVec(hidden),
-			h:      mat.NewVec(hidden),
-		})
+	var block mat.Vec
+	take := func(size int) mat.Vec {
+		v := block[:size:size]
+		block = block[size:]
+		return v
+	}
+	if grow := steps - len(b.steps); grow > 0 {
+		block = mat.NewVec(grow * (1 + 3*cellIn + 12*hidden))
+		b.steps = slices.Grow(b.steps, grow)
+		for ; grow > 0; grow-- {
+			b.steps = append(b.steps, bpttStep{
+				x:      take(1),
+				inPre:  take(cellIn),
+				cellIn: take(cellIn),
+				z:      take(cellIn + hidden),
+				fPre:   take(hidden),
+				f:      take(hidden),
+				iPre:   take(hidden),
+				i:      take(hidden),
+				gPre:   take(hidden),
+				g:      take(hidden),
+				oPre:   take(hidden),
+				o:      take(hidden),
+				c:      take(hidden),
+				tanhC:  take(hidden),
+				h:      take(hidden),
+			})
+		}
 	}
 	if b.zeroC == nil {
-		b.zeroC = mat.NewVec(hidden)
-		b.outPre = mat.NewVec(1)
-		b.outY = mat.NewVec(1)
-		b.dyOut = mat.NewVec(1)
-		b.dPreOut = mat.NewVec(1)
-		b.dxIn = mat.NewVec(1)
-		b.dPreIn = mat.NewVec(cellIn)
-		b.dH = mat.NewVec(hidden)
-		b.dC = mat.NewVec(hidden)
-		b.dO = mat.NewVec(hidden)
-		b.dCTotal = mat.NewVec(hidden)
-		b.dF = mat.NewVec(hidden)
-		b.dI = mat.NewVec(hidden)
-		b.dG = mat.NewVec(hidden)
-		b.dCPrev = mat.NewVec(hidden)
-		b.dz = mat.NewVec(cellIn + hidden)
-		b.dzTmp = mat.NewVec(cellIn + hidden)
-		b.dPre = mat.NewVec(hidden)
+		block = mat.NewVec(5 + 3*cellIn + 12*hidden)
+		b.zeroC = take(hidden)
+		b.outPre = take(1)
+		b.outY = take(1)
+		b.dyOut = take(1)
+		b.dPreOut = take(1)
+		b.dxIn = take(1)
+		b.dPreIn = take(cellIn)
+		b.dH = take(hidden)
+		b.dC = take(hidden)
+		b.dO = take(hidden)
+		b.dCTotal = take(hidden)
+		b.dF = take(hidden)
+		b.dI = take(hidden)
+		b.dG = take(hidden)
+		b.dCPrev = take(hidden)
+		b.dz = take(cellIn + hidden)
+		b.dzTmp = take(cellIn + hidden)
+		b.dPre = take(hidden)
 	}
 }
 

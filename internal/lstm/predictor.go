@@ -43,6 +43,25 @@ func DefaultPredictorConfig() PredictorConfig {
 	}
 }
 
+// Validate reports the first setting NewPredictor — or the network and the
+// optimizer it builds — would panic on. TrainEvery and BatchSize take any
+// value (below 1 means every arrival, one window).
+func (c PredictorConfig) Validate() error {
+	switch {
+	case c.Lookback < 1:
+		return fmt.Errorf("lstm: Lookback must be at least 1, got %d", c.Lookback)
+	case c.HistoryCap <= c.Lookback:
+		return fmt.Errorf("lstm: HistoryCap %d must exceed Lookback %d", c.HistoryCap, c.Lookback)
+	case c.Network.CellIn < 1 || c.Network.Hidden < 1:
+		return fmt.Errorf("lstm: network needs CellIn and Hidden of at least 1, got %d and %d", c.Network.CellIn, c.Network.Hidden)
+	case !(c.LearningRate > 0) || math.IsInf(c.LearningRate, 1):
+		return fmt.Errorf("lstm: LearningRate must be finite and positive, got %v", c.LearningRate)
+	case !(c.ClipNorm >= 0) || math.IsInf(c.ClipNorm, 1):
+		return fmt.Errorf("lstm: ClipNorm must be finite and non-negative, got %v", c.ClipNorm)
+	}
+	return nil
+}
+
 // Predictor forecasts the next job inter-arrival time for one server from
 // its observed arrival history. Raw inter-arrival times span several orders
 // of magnitude, so they are modeled in log1p space with running
@@ -71,11 +90,8 @@ type Predictor struct {
 
 // NewPredictor returns a Predictor with freshly initialized weights.
 func NewPredictor(cfg PredictorConfig, rng *mat.RNG) *Predictor {
-	if cfg.Lookback <= 0 {
-		panic(fmt.Sprintf("lstm: NewPredictor invalid lookback %d", cfg.Lookback))
-	}
-	if cfg.HistoryCap < cfg.Lookback+1 {
-		panic("lstm: HistoryCap must exceed Lookback")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	return &Predictor{
 		cfg:         cfg,
@@ -237,12 +253,6 @@ func NewDiscretizer(bounds []float64) *Discretizer {
 		}
 	}
 	return &Discretizer{bounds: append([]float64(nil), bounds...)}
-}
-
-// DefaultDiscretizer covers the timeout-relevant horizon: boundaries at
-// 15, 30, 60, 90, 120, 300 s give 7 categories.
-func DefaultDiscretizer() *Discretizer {
-	return NewDiscretizer([]float64{15, 30, 60, 90, 120, 300})
 }
 
 // Categorize returns the category index for prediction x.

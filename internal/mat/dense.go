@@ -68,15 +68,6 @@ func (m *Dense) MulVec(x, dst Vec) {
 	gemvRows4(m.Data, 0, m.Rows, m.Cols, x, dst)
 }
 
-// MulVecAdd computes dst += m * x.
-func (m *Dense) MulVecAdd(x, dst Vec) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("mat: MulVecAdd shape mismatch m=%dx%d len(x)=%d len(dst)=%d",
-			m.Rows, m.Cols, len(x), len(dst)))
-	}
-	gemvAddRows4(m.Data, m.Rows, m.Cols, x, dst)
-}
-
 // MulVecT computes dst = mᵀ * x. dst must have length m.Cols and x length
 // m.Rows. dst may not alias x.
 func (m *Dense) MulVecT(x, dst Vec) {
@@ -90,29 +81,15 @@ func (m *Dense) MulVecT(x, dst Vec) {
 	gemvTAdd(m.Data, m.Rows, m.Cols, x, dst)
 }
 
-// MulVecTAdd computes dst += mᵀ * x.
-func (m *Dense) MulVecTAdd(x, dst Vec) {
-	if len(x) != m.Rows || len(dst) != m.Cols {
-		panic(fmt.Sprintf("mat: MulVecTAdd shape mismatch m=%dx%d len(x)=%d len(dst)=%d",
-			m.Rows, m.Cols, len(x), len(dst)))
-	}
-	gemvTAdd(m.Data, m.Rows, m.Cols, x, dst)
-}
-
-// AddOuter performs the rank-1 update m += alpha * a * bᵀ, where a has
-// length m.Rows and b has length m.Cols.
-func (m *Dense) AddOuter(alpha float64, a, b Vec) {
+// AddOuter performs the rank-1 update m += a * bᵀ, where a has length m.Rows
+// and b has length m.Cols. Rows whose coefficient a[i] is zero are skipped.
+func (m *Dense) AddOuter(a, b Vec) {
 	if len(a) != m.Rows || len(b) != m.Cols {
 		panic(fmt.Sprintf("mat: AddOuter shape mismatch m=%dx%d len(a)=%d len(b)=%d",
 			m.Rows, m.Cols, len(a), len(b)))
 	}
 	for i := 0; i < m.Rows; i++ {
-		ai := alpha * a[i]
-		if ai == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		addScaled(row, ai, b)
+		addScaled(m.Data[i*m.Cols:(i+1)*m.Cols], a[i], b)
 	}
 }
 

@@ -10,19 +10,20 @@ import "fmt"
 
 // BTUsable reports whether a cached transpose of an outRows×K matrix would
 // actually be read by MulMatTWithBT/MulVecWithBT — callers skip building
-// and maintaining the cache otherwise (no SIMD kernels, or the output is
-// too narrow for them).
-func BTUsable(outRows int) bool { return useVectorKernels && outRows >= 8 }
+// and maintaining the cache otherwise (no AVX-512, or the output is too
+// narrow for a vector).
+func BTUsable(outRows int) bool { return useAVX512 && outRows >= 8 }
 
 // MulMatTWithBT computes c = a * bᵀ, where a is M×K, b is N×K, and c is M×N.
 // Row i of c equals b.MulVec(a.Row(i), ...) exactly: this is the layout used
 // by a batched dense-layer forward pass Y = X·Wᵀ. bt is a caller-maintained
 // transpose of b (bt = bᵀ, shaped K×N; e.g. a layer caching Wᵀ between weight
-// updates): with it, each output row accumulates as a sequence of vectorized
-// axpys over k. For every output element the contributions still arrive in
-// ascending k — the exact order of the dot products — so both paths produce
-// identical bits; the transposed form just exposes contiguous vectors to the
-// SIMD kernel. bt may be nil, which always takes the dot-direction path.
+// updates): with it, AVX-512 hosts accumulate each output row as a sequence of
+// vectorized axpys over k. For every output element the contributions still
+// arrive in ascending k — the exact order of the dot products — so both paths
+// produce identical bits; the transposed form just exposes contiguous vectors
+// to the register tile. bt may be nil, which always takes the dot-direction
+// path.
 // c may not alias a or b.
 func MulMatTWithBT(a, b, bt, c *Dense) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows ||
@@ -30,7 +31,7 @@ func MulMatTWithBT(a, b, bt, c *Dense) {
 		panic(fmt.Sprintf("mat: MulMatTWithBT shape mismatch a=%dx%d b=%dx%d c=%dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	if bt != nil && useVectorKernels && b.Rows >= 8 {
+	if bt != nil && BTUsable(b.Rows) {
 		gemmInto(a, bt, c)
 		return
 	}
@@ -84,15 +85,15 @@ func TransposeInto(src, dst *Dense) {
 	}
 }
 
-// MulVecWithBT computes dst = b*x using the cached transpose bt of b when
-// the vector kernels are enabled (bt may be nil to force the plain GEMV
-// path); bitwise identical to b.MulVec(x, dst).
+// MulVecWithBT computes dst = b*x using the cached transpose bt of b on
+// AVX-512 hosts (bt may be nil to force the plain GEMV path); bitwise
+// identical to b.MulVec(x, dst).
 func MulVecWithBT(b, bt *Dense, x, dst Vec) {
 	if len(x) != b.Cols || len(dst) != b.Rows {
 		panic(fmt.Sprintf("mat: MulVecWithBT shape mismatch m=%dx%d len(x)=%d len(dst)=%d",
 			b.Rows, b.Cols, len(x), len(dst)))
 	}
-	if bt != nil && useVectorKernels && b.Rows >= 8 {
+	if bt != nil && BTUsable(b.Rows) {
 		for j := range dst {
 			dst[j] = 0
 		}
@@ -114,18 +115,18 @@ func MulMat(a, b, c *Dense) {
 	gemmInto(a, b, c)
 }
 
-// AddMulTMat performs the rank-K update c += alpha * aᵀ * b, where a is
-// B×M, b is B×N, and c is M×N. The batch dimension B is the outermost loop,
-// so for every element of c the per-sample contributions accumulate in
-// ascending sample order — exactly the sequence a loop of AddOuter(alpha,
-// a.Row(s), b.Row(s)) calls would produce, including the skip-zero
-// shortcut. This is the batched weight-gradient update dW += dYᵀ·X.
-func AddMulTMat(alpha float64, a, b, c *Dense) {
+// AddMulTMat performs the rank-K update c += aᵀ * b, where a is B×M, b is
+// B×N, and c is M×N. The batch dimension B is the outermost loop, so for
+// every element of c the per-sample contributions accumulate in ascending
+// sample order — exactly the sequence a loop of AddOuter(a.Row(s), b.Row(s))
+// calls would produce, including the skip-zero shortcut. This is the batched
+// weight-gradient update dW += dYᵀ·X.
+func AddMulTMat(a, b, c *Dense) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: AddMulTMat shape mismatch a=%dx%d b=%dx%d c=%dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	if useAVX512 && alpha == 1 && c.Cols >= 8 {
+	if useAVX512 && c.Cols >= 8 {
 		// Output row o takes coefficient a[s][o] at step s: A read column-wise.
 		gemm512(c.Data, c.Cols, a.Data, 1, a.Cols, b.Data, b.Cols, c.Rows, a.Rows, c.Cols, false)
 		return
@@ -137,10 +138,10 @@ func AddMulTMat(alpha float64, a, b, c *Dense) {
 		b2 := b.Row(s + 2)
 		b3 := b.Row(s + 3)
 		for o := 0; o < c.Rows; o++ {
-			a0 := alpha * a.At(s, o)
-			a1 := alpha * a.At(s+1, o)
-			a2 := alpha * a.At(s+2, o)
-			a3 := alpha * a.At(s+3, o)
+			a0 := a.At(s, o)
+			a1 := a.At(s+1, o)
+			a2 := a.At(s+2, o)
+			a3 := a.At(s+3, o)
 			crow := c.Row(o)
 			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
 				// Preserve the scalar path's skip-zero semantics exactly.
@@ -148,10 +149,6 @@ func AddMulTMat(alpha float64, a, b, c *Dense) {
 				addScaled(crow, a1, b1)
 				addScaled(crow, a2, b2)
 				addScaled(crow, a3, b3)
-				continue
-			}
-			if useVectorKernels && len(crow) >= 8 {
-				vaxpy4(crow, b0, b1, b2, b3, a0, a1, a2, a3)
 				continue
 			}
 			for j := range crow {
@@ -165,12 +162,12 @@ func AddMulTMat(alpha float64, a, b, c *Dense) {
 		}
 	}
 	for ; s < a.Rows; s++ {
-		c.AddOuter(alpha, a.Row(s), b.Row(s))
+		c.AddOuter(a.Row(s), b.Row(s))
 	}
 }
 
 // AddScaled computes y += alpha*x, skipping entirely when alpha is zero
-// (mirrors AddOuter's per-row shortcut). With alpha == 1 the result is
+// (which is AddOuter's per-row shortcut). With alpha == 1 the result is
 // bitwise identical to y.Add(x), since multiplying by 1.0 is exact.
 func AddScaled(y Vec, alpha float64, x Vec) { addScaled(y, alpha, x) }
 
@@ -179,7 +176,7 @@ func addScaled(y Vec, alpha float64, x Vec) {
 		return
 	}
 	x = x[:len(y)]
-	if useVectorKernels && len(y) >= 8 {
+	if useAVX512 && len(y) >= 8 {
 		vaxpy1(y, x, alpha)
 		return
 	}

@@ -36,8 +36,8 @@ func naiveMulVecT(m *Dense, x, dst Vec) {
 }
 
 // forEachKernelFamily runs f as one subtest per kernel family this host
-// supports (avx512, avx2, portable), so the narrower families are exercised
-// on a wide host instead of silently going untested.
+// supports (avx512, portable), so the Go tiles are exercised on a wide host
+// instead of silently going untested.
 func forEachKernelFamily(t *testing.T, f func(t *testing.T)) {
 	t.Logf("detected kernel family: %s", KernelFamily())
 	ForEachKernelFamily(func(family string) { t.Run(family, f) })
@@ -95,17 +95,6 @@ func TestMulVecMatchesScalarReference(t *testing.T) {
 		naiveMulVec(m, x, want)
 		if d := maxAbsDiff(got, want); d != 0 {
 			t.Errorf("%dx%d: MulVec diverges from scalar reference by %g", sh.r, sh.c, d)
-		}
-		gotAdd := randVec(sh.r, rng)
-		wantAdd := gotAdd.Clone()
-		m.MulVecAdd(x, gotAdd)
-		tmp := NewVec(sh.r)
-		naiveMulVec(m, x, tmp)
-		for i := range wantAdd {
-			wantAdd[i] += tmp[i]
-		}
-		if d := maxAbsDiff(gotAdd, wantAdd); d != 0 {
-			t.Errorf("%dx%d: MulVecAdd diverges by %g", sh.r, sh.c, d)
 		}
 	}
 }
@@ -189,9 +178,9 @@ func TestAddMulTMatMatchesSequentialAddOuter(t *testing.T) {
 				b := randDense(batch, sh.c, rng)
 				got := randDense(sh.r, sh.c, rng)
 				want := got.Clone()
-				AddMulTMat(1, a, b, got)
+				AddMulTMat(a, b, got)
 				for s := 0; s < batch; s++ {
-					want.AddOuter(1, a.Row(s), b.Row(s))
+					want.AddOuter(a.Row(s), b.Row(s))
 				}
 				if !got.Equal(want, 0) {
 					t.Fatalf("batch=%d shape=%dx%d: AddMulTMat diverges from sequential AddOuter",
@@ -200,6 +189,95 @@ func TestAddMulTMatMatchesSequentialAddOuter(t *testing.T) {
 			}
 		}
 	})
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b Vec) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// TestKernelFamilyIsOneOfTwo pins the family set — avx512 where the host has
+// it, then portable, the detected one restored afterwards — and, under each
+// (so always with the wide switch off), drives the exported entry points the
+// layers call over the shapes TestGemm512MatchesScalarReference draws against
+// plain scalar loops, bit for bit.
+func TestKernelFamilyIsOneOfTwo(t *testing.T) {
+	detected := KernelFamily()
+	var visited []string
+	ForEachKernelFamily(func(family string) {
+		visited = append(visited, family)
+		if got := KernelFamily(); got != family || (family != "avx512" && family != "portable") {
+			t.Fatalf("family %q visited with KernelFamily() = %q", family, got)
+		}
+		t.Run(family, testEntryPointsMatchScalarLoops)
+	})
+	if n := len(visited); n > 2 || visited[0] != detected || visited[n-1] != "portable" {
+		t.Fatalf("visited %v on a host that detected %q", visited, detected)
+	}
+	if got := KernelFamily(); got != detected {
+		t.Fatalf("family after the walk = %q, detected %q", got, detected)
+	}
+}
+
+func testEntryPointsMatchScalarLoops(t *testing.T) {
+	rng := NewRNG(19)
+	for iter := 0; iter < 400; iter++ {
+		m, k, n := 1+rng.Intn(9), rng.Intn(71), 1+rng.Intn(140)
+		a, b := randDense(m, k, rng), randDense(n, k, rng)
+		sprinkleZeros(a.Data, rng)
+		bt := NewDense(k, n)
+		TransposeInto(b, bt)
+
+		got, want := randDense(m, n, rng), NewDense(m, n)
+		MulMatTWithBT(a, b, bt, got)
+		for i := 0; i < m; i++ {
+			naiveMulVec(b, a.Row(i), want.Row(i))
+		}
+		if !sameBits(got.Data, want.Data) {
+			t.Fatalf("iter %d m=%d k=%d n=%d: MulMatTWithBT differs from the scalar dot products", iter, m, k, n)
+		}
+		x, y := a.Row(0), randVec(n, rng)
+		MulVecWithBT(b, bt, x, y)
+		if !sameBits(y, want.Row(0)) {
+			t.Fatalf("iter %d k=%d n=%d: MulVecWithBT differs from the scalar dot products", iter, k, n)
+		}
+
+		// c (k×n) += aᵀ·got: sample s adds a[s][o]·got[s] to row o, zero
+		// coefficients skipped, samples ascending.
+		c := randDense(k, n, rng)
+		wantC := c.Clone()
+		AddMulTMat(a, got, c)
+		for s := 0; s < m; s++ {
+			for o := 0; o < k; o++ {
+				if coef := a.At(s, o); coef != 0 {
+					for j, v := range got.Row(s) {
+						wantC.Row(o)[j] += coef * v
+					}
+				}
+			}
+		}
+		if !sameBits(c.Data, wantC.Data) {
+			t.Fatalf("iter %d B=%d M=%d N=%d: AddMulTMat differs from the scalar rank-1 loop", iter, m, k, n)
+		}
+
+		val, grad, mom, vel := randVec(n, rng), randVec(n, rng), randVec(n, rng), randVec(n, rng)
+		for i := range vel {
+			vel[i] *= vel[i]
+		}
+		wantVal, wantM, wantV := val.Clone(), mom.Clone(), vel.Clone()
+		FusedAdam(val, grad, mom, vel, 0.9, 0.999, 0.19, 0.002, 1e-3, 1e-8)
+		fusedAdamScalar(wantVal, grad, wantM, wantV, 0, 0.9, 0.999, 0.19, 0.002, 1e-3, 1e-8)
+		if !sameBits(val, wantVal) || !sameBits(mom, wantM) || !sameBits(vel, wantV) {
+			t.Fatalf("iter %d n=%d: FusedAdam differs from the scalar loop", iter, n)
+		}
+
+		checkELU(t, 1, got.Row(0))
+	}
 }
 
 func TestTransposeInto(t *testing.T) {
@@ -225,7 +303,7 @@ func TestGEMMShapePanics(t *testing.T) {
 		"MulMat":     func() { MulMat(a, b, NewDense(2, 3)) },
 		"MulMatT":    func() { MulMatTWithBT(a, NewDense(4, 4), nil, NewDense(2, 4)) },
 		"MulMatT/bt": func() { MulMatTWithBT(a, b, NewDense(2, 3), NewDense(2, 2)) },
-		"AddMulTMat": func() { AddMulTMat(1, a, NewDense(3, 3), NewDense(3, 3)) },
+		"AddMulTMat": func() { AddMulTMat(a, NewDense(3, 3), NewDense(3, 3)) },
 	} {
 		func() {
 			defer func() {

@@ -51,39 +51,7 @@ func gemvRows4(a []float64, i0, rows, cols int, x, dst []float64) {
 	}
 }
 
-// gemvAddRows4 is gemvRows4 with dst[i] += instead of dst[i] =.
-func gemvAddRows4(a []float64, rows, cols int, x, dst []float64) {
-	n := len(x)
-	i := 0
-	for ; i+4 <= rows; i += 4 {
-		r0 := a[i*cols : i*cols+cols][:n]
-		r1 := a[(i+1)*cols : (i+1)*cols+cols][:n]
-		r2 := a[(i+2)*cols : (i+2)*cols+cols][:n]
-		r3 := a[(i+3)*cols : (i+3)*cols+cols][:n]
-		var s0, s1, s2, s3 float64
-		for j, xv := range x {
-			s0 += r0[j] * xv
-			s1 += r1[j] * xv
-			s2 += r2[j] * xv
-			s3 += r3[j] * xv
-		}
-		dst[i] += s0
-		dst[i+1] += s1
-		dst[i+2] += s2
-		dst[i+3] += s3
-	}
-	for ; i < rows; i++ {
-		row := a[i*cols : i*cols+cols][:n]
-		var s float64
-		for j, w := range row {
-			s += w * x[j]
-		}
-		dst[i] += s
-	}
-}
-
-// axpyRow accumulates dst += xi * a[row] with the seed's skip-zero shortcut
-// (portable path only, like its caller gemvTAddRows4).
+// axpyRow accumulates dst += xi * a[row] with the seed's skip-zero shortcut.
 func axpyRow(a []float64, row, cols int, xi float64, dst []float64) {
 	if xi == 0 {
 		return
@@ -134,22 +102,22 @@ func fusedAdamScalar(val, grad, m, v Vec, start int, b1, b2, c1, c2, lr, eps flo
 // gemvTAdd computes dst += A^T * x (dst length cols, x length rows) — the
 // shared entry point of every axpy-direction GEMV loop. Zero coefficients
 // are skipped and per output element the non-zero contributions arrive in
-// strictly ascending row order, on every kernel family: the exact add
-// sequence of gemvTAddRows4, so every output bit matches.
+// strictly ascending row order, in both kernel families: AVX-512 hosts run the
+// register tile as a one-row GEMM, everything else (and any dst too narrow
+// for a vector) the Go tile below, which defines that add sequence.
 func gemvTAdd(a []float64, rows, cols int, x, dst []float64) {
-	if useVectorKernels && len(dst) >= 8 {
-		gemvTAddVec(a, rows, cols, x, dst)
+	if n := len(dst); useAVX512 && n >= 8 {
+		gemm512(dst, n, x, 0, 1, a, cols, 1, rows, n, false)
 		return
 	}
 	gemvTAddRows4(a, rows, cols, x, dst)
 }
 
-// gemvTAddRows4 is gemvTAdd's portable path (no vector kernels, or dst too
-// narrow for them): dst += A^T * x (dst length cols, x length rows), tiling
-// four matrix rows per pass. Per element dst[j] the contributions
-// arrive in ascending row order, exactly as the scalar loop adds them; a tile
-// containing a zero coefficient falls back to the sequential per-row path so
-// the skip-zero semantics of the scalar kernel are preserved verbatim.
+// gemvTAddRows4 is gemvTAdd's Go tile: dst += A^T * x, four matrix rows per
+// pass. Per element dst[j] the contributions arrive in ascending row order,
+// exactly as the scalar loop adds them; a tile containing a zero coefficient
+// falls back to the sequential per-row path so the skip-zero semantics of the
+// scalar kernel are preserved verbatim.
 func gemvTAddRows4(a []float64, rows, cols int, x, dst []float64) {
 	n := len(dst)
 	i := 0

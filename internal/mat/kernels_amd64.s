@@ -2,172 +2,11 @@
 
 #include "textflag.h"
 
-// AVX2 implementations of the fused 4-row axpy kernels. Lanes map to
-// independent output elements of dst, and each element receives its four
-// row contributions strictly in row order (mul, then add, one row at a
-// time), so results are bitwise identical to the scalar Go tile in
-// kernels.go — vector parallelism across elements, not across the sum.
-//
-// Both functions require len(dst) to be a multiple of 4 (the Go wrappers
-// peel the scalar tail) and len(r*) >= len(dst). dst must not alias any r.
-
-// func vaxpy4asm(dst, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64)
-TEXT ·vaxpy4asm(SB), NOSPLIT, $0-152
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), R9
-	MOVQ r0_base+24(FP), SI
-	MOVQ r1_base+48(FP), DX
-	MOVQ r2_base+72(FP), CX
-	MOVQ r3_base+96(FP), R8
-	VBROADCASTSD x0+120(FP), Y0
-	VBROADCASTSD x1+128(FP), Y1
-	VBROADCASTSD x2+136(FP), Y2
-	VBROADCASTSD x3+144(FP), Y3
-	XORQ AX, AX
-	MOVQ R9, BX
-	ANDQ $-16, BX
-
-loop16:
-	CMPQ AX, BX
-	JGE  tail4
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
-	VMOVUPD 64(DI)(AX*8), Y6
-	VMOVUPD 96(DI)(AX*8), Y7
-
-	VMOVUPD (SI)(AX*8), Y8
-	VMOVUPD 32(SI)(AX*8), Y9
-	VMOVUPD 64(SI)(AX*8), Y10
-	VMOVUPD 96(SI)(AX*8), Y11
-	VMULPD  Y0, Y8, Y8
-	VMULPD  Y0, Y9, Y9
-	VMULPD  Y0, Y10, Y10
-	VMULPD  Y0, Y11, Y11
-	VADDPD  Y8, Y4, Y4
-	VADDPD  Y9, Y5, Y5
-	VADDPD  Y10, Y6, Y6
-	VADDPD  Y11, Y7, Y7
-
-	VMOVUPD (DX)(AX*8), Y8
-	VMOVUPD 32(DX)(AX*8), Y9
-	VMOVUPD 64(DX)(AX*8), Y10
-	VMOVUPD 96(DX)(AX*8), Y11
-	VMULPD  Y1, Y8, Y8
-	VMULPD  Y1, Y9, Y9
-	VMULPD  Y1, Y10, Y10
-	VMULPD  Y1, Y11, Y11
-	VADDPD  Y8, Y4, Y4
-	VADDPD  Y9, Y5, Y5
-	VADDPD  Y10, Y6, Y6
-	VADDPD  Y11, Y7, Y7
-
-	VMOVUPD (CX)(AX*8), Y8
-	VMOVUPD 32(CX)(AX*8), Y9
-	VMOVUPD 64(CX)(AX*8), Y10
-	VMOVUPD 96(CX)(AX*8), Y11
-	VMULPD  Y2, Y8, Y8
-	VMULPD  Y2, Y9, Y9
-	VMULPD  Y2, Y10, Y10
-	VMULPD  Y2, Y11, Y11
-	VADDPD  Y8, Y4, Y4
-	VADDPD  Y9, Y5, Y5
-	VADDPD  Y10, Y6, Y6
-	VADDPD  Y11, Y7, Y7
-
-	VMOVUPD (R8)(AX*8), Y8
-	VMOVUPD 32(R8)(AX*8), Y9
-	VMOVUPD 64(R8)(AX*8), Y10
-	VMOVUPD 96(R8)(AX*8), Y11
-	VMULPD  Y3, Y8, Y8
-	VMULPD  Y3, Y9, Y9
-	VMULPD  Y3, Y10, Y10
-	VMULPD  Y3, Y11, Y11
-	VADDPD  Y8, Y4, Y4
-	VADDPD  Y9, Y5, Y5
-	VADDPD  Y10, Y6, Y6
-	VADDPD  Y11, Y7, Y7
-
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	VMOVUPD Y6, 64(DI)(AX*8)
-	VMOVUPD Y7, 96(DI)(AX*8)
-	ADDQ    $16, AX
-	JMP     loop16
-
-tail4:
-	CMPQ AX, R9
-	JGE  done
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD (SI)(AX*8), Y8
-	VMULPD  Y0, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD (DX)(AX*8), Y8
-	VMULPD  Y1, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD (CX)(AX*8), Y8
-	VMULPD  Y2, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD (R8)(AX*8), Y8
-	VMULPD  Y3, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ    $4, AX
-	JMP     tail4
-
-done:
-	VZEROUPPER
-	RET
-
-// func vaxpy1asm(dst, r []float64, x float64)
-TEXT ·vaxpy1asm(SB), NOSPLIT, $0-56
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), R9
-	MOVQ r_base+24(FP), SI
-	VBROADCASTSD x+48(FP), Y0
-	XORQ AX, AX
-	MOVQ R9, BX
-	ANDQ $-16, BX
-
-loop16v1:
-	CMPQ AX, BX
-	JGE  tail4v1
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
-	VMOVUPD 64(DI)(AX*8), Y6
-	VMOVUPD 96(DI)(AX*8), Y7
-	VMOVUPD (SI)(AX*8), Y8
-	VMOVUPD 32(SI)(AX*8), Y9
-	VMOVUPD 64(SI)(AX*8), Y10
-	VMOVUPD 96(SI)(AX*8), Y11
-	VMULPD  Y0, Y8, Y8
-	VMULPD  Y0, Y9, Y9
-	VMULPD  Y0, Y10, Y10
-	VMULPD  Y0, Y11, Y11
-	VADDPD  Y8, Y4, Y4
-	VADDPD  Y9, Y5, Y5
-	VADDPD  Y10, Y6, Y6
-	VADDPD  Y11, Y7, Y7
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	VMOVUPD Y6, 64(DI)(AX*8)
-	VMOVUPD Y7, 96(DI)(AX*8)
-	ADDQ    $16, AX
-	JMP     loop16v1
-
-tail4v1:
-	CMPQ AX, R9
-	JGE  donev1
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD (SI)(AX*8), Y8
-	VMULPD  Y0, Y8, Y8
-	VADDPD  Y8, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ    $4, AX
-	JMP     tail4v1
-
-donev1:
-	VZEROUPPER
-	RET
+// CPU detection, the packed Adam step and the 8-lane axpy of the AVX-512
+// family (the GEMM tile is gemm_avx512_amd64.s, the packed ELU
+// elu_avx512_amd64.s). Lanes map to independent elements and every lane
+// operation is one correctly rounded IEEE operation in the scalar loop's
+// order, so results are bitwise identical to the Go loops in kernels.go.
 
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
@@ -246,11 +85,10 @@ adamdone:
 	VZEROUPPER
 	RET
 
-// AVX-512 variant of vaxpy1asm: identical per-element semantics with 8-wide
-// lanes, same contract (len(dst) multiple of 4). The 512-bit GEMM family
-// lives in gemm_avx512_amd64.s.
-
 // func vaxpy1asm512(dst, r []float64, x float64)
+// dst[j] += r[j]*x per element (multiply, then add), 8-wide with a 4-wide
+// tail. len(dst) must be a multiple of 4 (the Go wrapper peels the scalar
+// tail) and len(r) >= len(dst); dst must not alias r.
 TEXT ·vaxpy1asm512(SB), NOSPLIT, $0-56
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), R9

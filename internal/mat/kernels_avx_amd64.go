@@ -2,27 +2,23 @@
 
 package mat
 
-// Kernel-family dispatch, decided once at init. Three families compute the
-// exact same bits: "avx512" (register-tiled GEMM, 8-lane axpy, packed ELU),
-// "avx2" (fused 4-row axpy passes; useVectorKernels without useAVX512) and
-// "portable" (the Go tiles of kernels.go; no AVX2, or the OS does not save
-// YMM state).
+// Kernel-family dispatch, decided once at init. Two families compute the
+// exact same bits: "avx512" (register-tiled GEMM, 8-lane axpy, packed ELU,
+// packed Adam) and "portable" (the Go tiles of kernels.go, which define the
+// ordering rule; every amd64 host without AVX-512F, or whose OS does not save
+// ZMM state, runs them).
 
-var useVectorKernels = detectAVX2()
-var useAVX512 = useVectorKernels && detectAVX512()
+var useAVX512 = detectAVX512()
 
 // hasFMA mirrors the toolchain's math.useFMA (AVX usable and CPUID.1:ECX.FMA):
 // the packed ELU repeats math.Exp's FMA instruction sequence, so it may run
 // only where math.Exp itself takes that path.
-var hasFMA = useVectorKernels && detectFMA()
+var hasFMA = useAVX512 && detectFMA()
 
 // KernelFamily names the kernel family in use.
 func KernelFamily() string {
-	switch {
-	case useAVX512:
+	if useAVX512 {
 		return "avx512"
-	case useVectorKernels:
-		return "avx2"
 	}
 	return "portable"
 }
@@ -30,45 +26,20 @@ func KernelFamily() string {
 // ForEachKernelFamily calls f once under every kernel family this host can
 // run, widest first, then restores the detected one. It is test support for
 // the bitwise-equivalence suites here and in the packages above, which would
-// otherwise only ever see the detected family. The switches are
-// process-wide: never call it from parallel tests or outside tests.
+// otherwise only ever see the detected family. The switch is process-wide:
+// never call it from parallel tests or outside tests.
 func ForEachKernelFamily(f func(family string)) {
-	vec, wide := useVectorKernels, useAVX512
-	defer func() { useVectorKernels, useAVX512 = vec, wide }()
+	wide := useAVX512
+	defer func() { useAVX512 = wide }()
 	if wide {
 		f("avx512")
 	}
 	useAVX512 = false
-	if vec {
-		f("avx2")
-	}
-	useVectorKernels = false
 	f("portable")
 }
 
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
-
-func detectAVX2() bool {
-	maxLeaf, _, _, _ := cpuidex(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuidex(1, 0)
-	const osxsave = 1 << 27
-	const avx = 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
-	}
-	// XCR0 bits 1 (SSE) and 2 (AVX) must both be OS-enabled.
-	xcr0, _ := xgetbv0()
-	if xcr0&0x6 != 0x6 {
-		return false
-	}
-	_, ebx7, _, _ := cpuidex(7, 0)
-	const avx2 = 1 << 5
-	return ebx7&avx2 != 0
-}
 
 func detectFMA() bool {
 	_, _, ecx1, _ := cpuidex(1, 0)
@@ -77,8 +48,17 @@ func detectFMA() bool {
 }
 
 func detectAVX512() bool {
-	// Needs AVX512F plus OS support for opmask and ZMM state (XCR0 bits
-	// 5-7 alongside SSE/AVX).
+	maxLeaf, _, _, _ := cpuidex(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	_, _, ecx1, _ := cpuidex(1, 0)
+	const osxsave = 1 << 27
+	if ecx1&osxsave == 0 {
+		return false
+	}
+	// The OS must save SSE and AVX state (XCR0 bits 1-2) and the opmask and
+	// ZMM state (bits 5-7).
 	xcr0, _ := xgetbv0()
 	if xcr0&0xe6 != 0xe6 {
 		return false
@@ -88,12 +68,8 @@ func detectAVX512() bool {
 	return ebx7&avx512f != 0
 }
 
-// AVX2 family (kernels_amd64.s).
-func vaxpy4asm(dst, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64)
-func vaxpy1asm(dst, r []float64, x float64)
+// The assembly (gemm_avx512_amd64.s, elu_avx512_amd64.s, kernels_amd64.s).
 func fusedAdamAsm(val, grad, m, v []float64, b1, omb1, b2, omb2, c1, c2, lr, eps float64)
-
-// AVX-512 family (gemm_avx512_amd64.s, elu_avx512_amd64.s, kernels_amd64.s).
 func vaxpy1asm512(dst, r []float64, x float64)
 
 //go:noescape
@@ -147,7 +123,7 @@ func FusedAdam(val, grad, m, v Vec, b1, b2, c1, c2, lr, eps float64) {
 	m = m[:n]
 	v = v[:n]
 	start := 0
-	if useVectorKernels && n >= 4 {
+	if useAVX512 && n >= 4 {
 		n4 := n &^ 3
 		fusedAdamAsm(val[:n4], grad, m, v, b1, 1-b1, b2, 1-b2, c1, c2, lr, eps)
 		start = n4
@@ -193,66 +169,11 @@ func gemm512(c []float64, ldc int, a []float64, rs, ks int, w []float64, ldw, m,
 	}
 }
 
-// gemvTAddVec is gemvTAdd on the vector kernels (len(dst) >= 8). AVX-512
-// hosts run the register tile as a one-row GEMM. The AVX2 family compacts
-// the rows with a non-zero coefficient into fused 4-row axpy passes, so
-// zero-rich inputs — idle servers produce exactly-0.0 state features — do
-// not degrade to one axpy per row; per output element the surviving
-// contributions still arrive in ascending row order.
-func gemvTAddVec(a []float64, rows, cols int, x, dst []float64) {
-	n := len(dst)
-	if useAVX512 {
-		gemm512(dst, n, x, 0, 1, a, cols, 1, rows, n, false)
-		return
-	}
-	var pr [4][]float64
-	var pc [4]float64
-	np := 0
-	for i := 0; i < rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		pr[np] = a[i*cols : i*cols+cols][:n]
-		pc[np] = xi
-		np++
-		if np == 4 {
-			np = 0
-			vaxpy4(dst, pr[0], pr[1], pr[2], pr[3], pc[0], pc[1], pc[2], pc[3])
-		}
-	}
-	for k := 0; k < np; k++ {
-		vaxpy1(dst, pr[k], pc[k])
-	}
-}
-
-// vaxpy4 computes dst[j] += r0[j]*x0; += r1[j]*x1; += r2[j]*x2; += r3[j]*x3
-// for every j, in exactly that per-element order (AVX2 family only: the
-// AVX-512 family reaches its 4-row sums through gemm512).
-func vaxpy4(dst, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64) {
-	n4 := len(dst) &^ 3
-	if n4 > 0 {
-		vaxpy4asm(dst[:n4], r0, r1, r2, r3, x0, x1, x2, x3)
-	}
-	for j := n4; j < len(dst); j++ {
-		s := dst[j]
-		s += r0[j] * x0
-		s += r1[j] * x1
-		s += r2[j] * x2
-		s += r3[j] * x3
-		dst[j] = s
-	}
-}
-
 // vaxpy1 computes dst[j] += r[j]*x for every j.
 func vaxpy1(dst, r []float64, x float64) {
 	n4 := len(dst) &^ 3
 	if n4 > 0 {
-		if useAVX512 {
-			vaxpy1asm512(dst[:n4], r, x)
-		} else {
-			vaxpy1asm(dst[:n4], r, x)
-		}
+		vaxpy1asm512(dst[:n4], r, x)
 	}
 	for j := n4; j < len(dst); j++ {
 		dst[j] += r[j] * x

@@ -2,14 +2,11 @@
 
 package mat
 
-// Portable fallbacks: non-amd64 builds always use the Go tiles. The two
-// constants make every vector-guarded call dead code; the GEMM stubs only let
-// the shared files compile.
+// Non-amd64 builds always use the Go tiles. The constant makes every
+// vector-guarded call dead code; the two stubs only let the shared files
+// compile.
 
-const (
-	useVectorKernels = false
-	useAVX512        = false
-)
+const useAVX512 = false
 
 // KernelFamily names the kernel family in use.
 func KernelFamily() string { return "portable" }
@@ -21,26 +18,7 @@ func gemm512(c []float64, ldc int, a []float64, rs, ks int, w []float64, ldw, m,
 	panic("mat: no vector kernels in this build")
 }
 
-func gemvTAddVec(a []float64, rows, cols int, x, dst []float64) {
-	panic("mat: no vector kernels in this build")
-}
-
-func vaxpy4(dst, r0, r1, r2, r3 []float64, x0, x1, x2, x3 float64) {
-	for j := range dst {
-		s := dst[j]
-		s += r0[j] * x0
-		s += r1[j] * x1
-		s += r2[j] * x2
-		s += r3[j] * x3
-		dst[j] = s
-	}
-}
-
-func vaxpy1(dst, r []float64, x float64) {
-	for j := range dst {
-		dst[j] += r[j] * x
-	}
-}
+func vaxpy1(dst, r []float64, x float64) { panic("mat: no vector kernels in this build") }
 
 // ELU computes dst[i] = src[i] for src[i] >= 0 and alpha*(exp(src[i]) - 1)
 // otherwise; src and dst may be the same slice.

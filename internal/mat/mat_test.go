@@ -86,15 +86,6 @@ func TestVecHasNaN(t *testing.T) {
 	}
 }
 
-func TestVecAxpy(t *testing.T) {
-	x := Vec{1, 2}
-	y := Vec{10, 20}
-	Axpy(2, x, y)
-	if y[0] != 12 || y[1] != 24 {
-		t.Fatalf("Axpy: got %v", y)
-	}
-}
-
 func TestVecConcat(t *testing.T) {
 	got := Concat(Vec{1}, Vec{2, 3}, Vec{})
 	want := Vec{1, 2, 3}
@@ -117,7 +108,6 @@ func TestVecLengthMismatchPanics(t *testing.T) {
 		{"Sub", func() { Vec{1}.Sub(Vec{1, 2}) }},
 		{"MulElem", func() { Vec{1}.MulElem(Vec{1, 2}) }},
 		{"Dot", func() { Dot(Vec{1}, Vec{1, 2}) }},
-		{"Axpy", func() { Axpy(1, Vec{1}, Vec{1, 2}) }},
 		{"CopyFrom", func() { Vec{1}.CopyFrom(Vec{1, 2}) }},
 		{"MaxEmpty", func() { Vec{}.Max() }},
 		{"MinEmpty", func() { Vec{}.Min() }},
@@ -155,25 +145,10 @@ func TestDenseMulVec(t *testing.T) {
 	}
 }
 
-func TestDenseMulVecAdd(t *testing.T) {
-	m := NewDense(2, 2)
-	copy(m.Data, []float64{1, 2, 3, 4})
-	dst := Vec{10, 10}
-	m.MulVecAdd(Vec{1, 1}, dst)
-	if dst[0] != 13 || dst[1] != 17 {
-		t.Fatalf("MulVecAdd: got %v", dst)
-	}
-	dstT := Vec{10, 10}
-	m.MulVecTAdd(Vec{1, 1}, dstT)
-	if dstT[0] != 14 || dstT[1] != 16 {
-		t.Fatalf("MulVecTAdd: got %v", dstT)
-	}
-}
-
 func TestDenseAddOuter(t *testing.T) {
 	m := NewDense(2, 2)
-	m.AddOuter(2, Vec{1, 2}, Vec{3, 4})
-	want := []float64{6, 8, 12, 16}
+	m.AddOuter(Vec{1, 2}, Vec{3, 4})
+	want := []float64{3, 4, 6, 8}
 	for i := range want {
 		if m.Data[i] != want[i] {
 			t.Fatalf("AddOuter: got %v want %v", m.Data, want)
@@ -239,14 +214,13 @@ func TestDenseAddOuterProperty(t *testing.T) {
 		b := NewVec(cols)
 		g.FillVecNormal(a, 0, 2)
 		g.FillVecNormal(b, 0, 2)
-		alpha := g.Normal(0, 1)
 		m := NewDense(rows, cols)
 		g.FillNormal(m, 0, 1)
 		ref := m.Clone()
-		m.AddOuter(alpha, a, b)
+		m.AddOuter(a, b)
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
-				want := ref.At(i, j) + alpha*a[i]*b[j]
+				want := ref.At(i, j) + a[i]*b[j]
 				if !almostEqual(m.At(i, j), want, 1e-12) {
 					return false
 				}
@@ -267,7 +241,7 @@ func TestDenseShapePanics(t *testing.T) {
 	}{
 		{"MulVec", func() { m.MulVec(NewVec(2), NewVec(2)) }},
 		{"MulVecT", func() { m.MulVecT(NewVec(3), NewVec(3)) }},
-		{"AddOuter", func() { m.AddOuter(1, NewVec(3), NewVec(3)) }},
+		{"AddOuter", func() { m.AddOuter(NewVec(3), NewVec(3)) }},
 		{"CopyFrom", func() { m.CopyFrom(NewDense(3, 2)) }},
 		{"NegativeDims", func() { NewDense(-1, 2) }},
 	}

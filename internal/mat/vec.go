@@ -84,16 +84,6 @@ func Dot(a, b Vec) float64 {
 	return s
 }
 
-// Axpy computes y += alpha*x in place. It panics if lengths differ.
-func Axpy(alpha float64, x, y Vec) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: Axpy length mismatch %d != %d", len(x), len(y)))
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-}
-
 // Norm2 returns the Euclidean norm of v.
 func (v Vec) Norm2() float64 {
 	var s float64

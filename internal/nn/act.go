@@ -57,28 +57,6 @@ func (e ELU) alpha() float64 {
 	return e.Alpha
 }
 
-// ReLU is the rectified linear unit.
-type ReLU struct{}
-
-// F implements Activation.
-func (ReLU) F(x float64) float64 {
-	if x > 0 {
-		return x
-	}
-	return 0
-}
-
-// Deriv implements Activation.
-func (ReLU) Deriv(x, _ float64) float64 {
-	if x > 0 {
-		return 1
-	}
-	return 0
-}
-
-// Name implements Activation.
-func (ReLU) Name() string { return "relu" }
-
 // Tanh is the hyperbolic tangent.
 type Tanh struct{}
 
@@ -117,7 +95,6 @@ func (Identity) Name() string { return "identity" }
 
 var (
 	_ Activation = ELU{}
-	_ Activation = ReLU{}
 	_ Activation = Tanh{}
 	_ Activation = Sigmoid{}
 	_ Activation = Identity{}

@@ -25,14 +25,6 @@ func applyAct(act Activation, src, dst []float64) {
 		}
 	case ELU:
 		mat.ELU(a.alpha(), src, dst)
-	case ReLU:
-		for i, x := range src {
-			if x > 0 {
-				dst[i] = x
-			} else {
-				dst[i] = 0
-			}
-		}
 	case Tanh:
 		for i, x := range src {
 			dst[i] = math.Tanh(x)
@@ -59,14 +51,6 @@ func applyActDeriv(act Activation, dy, pre, y, dst []float64) {
 		copy(dst, dy)
 	case ELU:
 		mat.ELUGrad(a.alpha(), dy, pre, y, dst)
-	case ReLU:
-		for i, g := range dy {
-			if pre[i] > 0 {
-				dst[i] = g
-			} else {
-				dst[i] = g * 0 // keep the sign-of-zero of the generic path
-			}
-		}
 	case Tanh:
 		for i, g := range dy {
 			dst[i] = g * (1 - y[i]*y[i])

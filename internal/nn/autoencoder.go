@@ -88,7 +88,7 @@ func (a *Autoencoder) ReconstructionLoss(x mat.Vec) float64 {
 // whole minibatch flows through the encoder and decoder as batched GEMMs;
 // the result (loss and updated weights) is bitwise identical to running the
 // per-sample Forward path over the batch in order.
-func (a *Autoencoder) TrainBatch(xs []mat.Vec, opt Optimizer, clipNorm float64) float64 {
+func (a *Autoencoder) TrainBatch(xs []mat.Vec, opt *Adam, clipNorm float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}

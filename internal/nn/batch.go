@@ -59,7 +59,7 @@ func (d *Dense) backwardBatchSaved(ws *mat.Workspace, X, pre, Y, dY *mat.Dense, 
 	}
 	dPre := ws.TakeMatUninit(dY.Rows, d.Out)
 	applyActDeriv(d.Act, dY.Data, pre.Data, Y.Data, dPre.Data)
-	mat.AddMulTMat(1, dPre, X, d.GW)
+	mat.AddMulTMat(dPre, X, d.GW)
 	for b := 0; b < dPre.Rows; b++ {
 		mat.AddScaled(d.GB, 1, dPre.Row(b))
 	}

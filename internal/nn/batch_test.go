@@ -170,7 +170,7 @@ func testMLPBatchMatchesPerSample(t *testing.T) {
 
 // trainBatchPerSampleRef replicates the seed's per-sample autoencoder
 // training step (the pre-batching reference path).
-func trainBatchPerSampleRef(a *Autoencoder, xs []mat.Vec, opt Optimizer, clipNorm float64) float64 {
+func trainBatchPerSampleRef(a *Autoencoder, xs []mat.Vec, opt *Adam, clipNorm float64) float64 {
 	params := a.Params()
 	ZeroGrads(params)
 	var total float64

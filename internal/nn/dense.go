@@ -62,7 +62,7 @@ type Dense struct {
 	GW *mat.Dense // gradient accumulator, Out x In
 	GB mat.Vec    // gradient accumulator, Out
 
-	// wt caches Wᵀ for the SIMD fast paths. It is rebuilt lazily after any
+	// wt caches Wᵀ for the AVX-512 fast paths. It is rebuilt lazily after any
 	// weight mutation; every code path that writes W (optimizer steps,
 	// weight copies, snapshot restores) must call InvalidateTranspose.
 	wt   *mat.Dense
@@ -74,7 +74,7 @@ type Dense struct {
 func (d *Dense) InvalidateTranspose() { d.wtOK = false }
 
 // transposedW returns the cached Wᵀ, rebuilding it if stale. It returns
-// nil when no kernel would read the transpose (no SIMD support, or the
+// nil when no kernel would read the transpose (no AVX-512, or the
 // layer is too narrow), so callers skip the cache maintenance entirely on
 // such platforms/shapes.
 func (d *Dense) transposedW() *mat.Dense {
@@ -132,7 +132,7 @@ func (d *Dense) Forward(x mat.Vec) (y mat.Vec, back func(dy mat.Vec) mat.Vec) {
 		}
 		dPre := mat.NewVec(d.Out)
 		applyActDeriv(d.Act, dy, pre, y, dPre)
-		d.GW.AddOuter(1, dPre, xSaved)
+		d.GW.AddOuter(dPre, xSaved)
 		d.GB.Add(dPre)
 		dx := mat.NewVec(d.In)
 		d.W.MulVecT(dPre, dx)
@@ -169,7 +169,7 @@ func (d *Dense) BackwardSaved(x, pre, y, dy, dPre, dx mat.Vec) {
 			len(dy), len(dPre), len(dx), d.Out, d.Out, d.In))
 	}
 	applyActDeriv(d.Act, dy, pre, y, dPre)
-	d.GW.AddOuter(1, dPre, x)
+	d.GW.AddOuter(dPre, x)
 	d.GB.Add(dPre)
 	d.W.MulVecT(dPre, dx)
 }
@@ -187,7 +187,7 @@ func (d *Dense) Infer(x, dst mat.Vec) mat.Vec {
 	return dst
 }
 
-// InferFast is Infer routed through the cached-Wᵀ SIMD path (bitwise
+// InferFast is Infer routed through the cached-Wᵀ path (bitwise
 // identical results). Unlike Infer it reads the transpose cache, so callers
 // must guarantee InvalidateTranspose runs after every out-of-band weight
 // mutation; the training loops in this repo are wired accordingly. Use

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"hierdrl/internal/mat"
 )
@@ -19,35 +18,6 @@ func MSE(y, t mat.Vec) (loss float64, grad mat.Vec) {
 		d := y[i] - t[i]
 		loss += d * d
 		grad[i] = 2 * d / n
-	}
-	return loss / n, grad
-}
-
-// Huber returns the Huber loss (mean over elements) with threshold delta,
-// along with the gradient dL/dy. Quadratic inside |d| <= delta, linear
-// outside — the standard robust loss for Q-value regression.
-func Huber(y, t mat.Vec, delta float64) (loss float64, grad mat.Vec) {
-	if len(y) != len(t) {
-		panic(fmt.Sprintf("nn: Huber length mismatch %d != %d", len(y), len(t)))
-	}
-	if delta <= 0 {
-		panic("nn: Huber requires delta > 0")
-	}
-	grad = mat.NewVec(len(y))
-	n := float64(len(y))
-	for i := range y {
-		d := y[i] - t[i]
-		if math.Abs(d) <= delta {
-			loss += 0.5 * d * d
-			grad[i] = d / n
-		} else {
-			loss += delta * (math.Abs(d) - 0.5*delta)
-			if d > 0 {
-				grad[i] = delta / n
-			} else {
-				grad[i] = -delta / n
-			}
-		}
 	}
 	return loss / n, grad
 }

@@ -18,8 +18,6 @@ func TestActivations(t *testing.T) {
 		{ELU{}, 2, 2, 1},
 		{ELU{}, -1, math.Exp(-1) - 1, math.Exp(-1)},
 		{ELU{Alpha: 2}, -1, 2 * (math.Exp(-1) - 1), 2 * math.Exp(-1)},
-		{ReLU{}, 3, 3, 1},
-		{ReLU{}, -3, 0, 0},
 		{Tanh{}, 0, 0, 1},
 		{Sigmoid{}, 0, 0.5, 0.25},
 		{Identity{}, -7, -7, 1},
@@ -218,45 +216,6 @@ func TestMSE(t *testing.T) {
 	}
 }
 
-func TestHuber(t *testing.T) {
-	// Inside the quadratic zone Huber = 0.5*d^2.
-	loss, grad := Huber(mat.Vec{0.5}, mat.Vec{0}, 1)
-	if math.Abs(loss-0.125) > 1e-12 {
-		t.Fatalf("Huber quadratic loss: got %v want 0.125", loss)
-	}
-	if math.Abs(grad[0]-0.5) > 1e-12 {
-		t.Fatalf("Huber quadratic grad: got %v want 0.5", grad[0])
-	}
-	// Outside: linear with slope delta.
-	loss, grad = Huber(mat.Vec{3}, mat.Vec{0}, 1)
-	if math.Abs(loss-2.5) > 1e-12 {
-		t.Fatalf("Huber linear loss: got %v want 2.5", loss)
-	}
-	if math.Abs(grad[0]-1) > 1e-12 {
-		t.Fatalf("Huber linear grad: got %v want 1", grad[0])
-	}
-}
-
-func TestHuberGradProperty(t *testing.T) {
-	f := func(raw float64) bool {
-		d := math.Mod(raw, 10)
-		if math.IsNaN(d) || math.Abs(math.Abs(d)-1) < 1e-3 {
-			return true // skip the non-differentiable kink
-		}
-		y := mat.Vec{d}
-		tgt := mat.Vec{0}
-		_, grad := Huber(y, tgt, 1)
-		const h = 1e-6
-		lp, _ := Huber(mat.Vec{d + h}, tgt, 1)
-		lm, _ := Huber(mat.Vec{d - h}, tgt, 1)
-		want := (lp - lm) / (2 * h)
-		return math.Abs(grad[0]-want) < 1e-4
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestClipGrads(t *testing.T) {
 	p := Param{Val: []float64{0, 0}, Grad: []float64{3, 4}}
 	pre := ClipGrads([]Param{p}, 10)
@@ -307,20 +266,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 	if opt.Steps() != 500 {
 		t.Fatalf("Steps: got %d want 500", opt.Steps())
-	}
-}
-
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	w := []float64{10}
-	g := []float64{0}
-	p := []Param{{Val: w, Grad: g}}
-	opt := NewSGD(0.1, 0.5)
-	for i := 0; i < 300; i++ {
-		g[0] = 2 * (w[0] - 3)
-		opt.Step(p)
-	}
-	if math.Abs(w[0]-3) > 0.05 {
-		t.Fatalf("SGD did not converge: w=%v", w[0])
 	}
 }
 
@@ -454,10 +399,8 @@ func TestConstructorPanics(t *testing.T) {
 		{"MLPOneSize", func() { NewMLP([]int{3}, nil, rng) }},
 		{"MLPActMismatch", func() { NewMLP([]int{3, 2}, []Activation{}, rng) }},
 		{"AdamZeroLR", func() { NewAdam(0) }},
-		{"SGDZeroLR", func() { NewSGD(0, 0) }},
 		{"AEZeroIn", func() { NewAutoencoder(0, []int{2}, rng) }},
 		{"AENoHidden", func() { NewAutoencoder(3, nil, rng) }},
-		{"HuberZeroDelta", func() { Huber(mat.Vec{1}, mat.Vec{1}, 0) }},
 		{"MSEMismatch", func() { MSE(mat.Vec{1}, mat.Vec{1, 2}) }},
 	}
 	for _, tc := range cases {

@@ -61,51 +61,3 @@ func (a *Adam) Step(params []Param) {
 
 // Steps returns how many updates have been applied.
 func (a *Adam) Steps() int { return a.t }
-
-// SGD is a plain stochastic-gradient-descent optimizer, available as a
-// baseline for the ablation benchmarks.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	vel [][]float64
-}
-
-// NewSGD returns an SGD optimizer with optional momentum.
-func NewSGD(lr, momentum float64) *SGD {
-	if lr <= 0 {
-		panic("nn: SGD requires lr > 0")
-	}
-	return &SGD{LR: lr, Momentum: momentum}
-}
-
-// Step applies one SGD update.
-func (s *SGD) Step(params []Param) {
-	if s.vel == nil {
-		s.vel = make([][]float64, len(params))
-		for i, p := range params {
-			s.vel[i] = make([]float64, len(p.Val))
-		}
-	}
-	if len(params) != len(s.vel) {
-		panic(fmt.Sprintf("nn: SGD.Step param count changed: %d != %d",
-			len(params), len(s.vel)))
-	}
-	for i, p := range params {
-		vel := s.vel[i]
-		for j, g := range p.Grad {
-			vel[j] = s.Momentum*vel[j] - s.LR*g
-			p.Val[j] += vel[j]
-		}
-	}
-}
-
-// Optimizer abstracts Adam and SGD so network trainers can be parameterized.
-type Optimizer interface {
-	Step(params []Param)
-}
-
-var (
-	_ Optimizer = (*Adam)(nil)
-	_ Optimizer = (*SGD)(nil)
-)

@@ -379,12 +379,20 @@ func init() {
 		if cfg.Predictor == "" {
 			cfg.Predictor = PredictorLSTM
 		}
-		_, err := predictors.lookup(cfg.Predictor)
-		return err
+		return predictors.check(cfg.Predictor, cfg)
 	})
 
-	RegisterPredictor(PredictorLSTM, func(cfg *Config, rng *RNG) (Predictor, error) {
+	predictors.add(PredictorLSTM, func(cfg *Config, rng *RNG) (Predictor, error) {
 		return lstm.NewPredictor(cfg.LSTMPredictor, rng.Split()), nil
+	}, func(cfg *Config) error {
+		// A zero Lookback means "take the defaults": validate fills them in.
+		if cfg.LSTMPredictor.Lookback == 0 {
+			return nil
+		}
+		if err := cfg.LSTMPredictor.Validate(); err != nil {
+			return fmt.Errorf("hierdrl: %w", err)
+		}
+		return nil
 	})
 	RegisterPredictor(PredictorEWMA, func(*Config, *RNG) (Predictor, error) {
 		return local.NewEWMA(0.3), nil

@@ -1,9 +1,14 @@
 package hierdrl_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -139,4 +144,94 @@ func TestStepUntilRejectsNonFinite(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withEmbeddedConfig returns snap with its config section re-encoded after
+// edit and the section's length and CRC and the header fingerprint
+// recomputed: a snapshot every container check accepts (layout: the comment
+// on snapshotCorruptions; the first table entry's CRC is bytes [40,44)).
+func withEmbeddedConfig(t *testing.T, snap []byte, edit func(*hierdrl.Config)) []byte {
+	t.Helper()
+	le := binary.LittleEndian
+	if string(snap[26:32]) != "config" {
+		t.Fatalf("first section is %q, want config", snap[26:32])
+	}
+	tableEnd := 24
+	for i := le.Uint32(snap[20:]); i > 0; i-- {
+		tableEnd += 2 + int(le.Uint16(snap[tableEnd:])) + 8 + 4
+	}
+	oldLen := int(le.Uint64(snap[32:]))
+	var cfg hierdrl.Config
+	if err := json.Unmarshal(snap[tableEnd+8:tableEnd+oldLen], &cfg); err != nil {
+		t.Fatal(err)
+	}
+	edit(&cfg)
+	cfgJSON, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := append(le.AppendUint64(nil, uint64(len(cfgJSON))), cfgJSON...)
+	h := fnv.New64a()
+	h.Write(cfgJSON)
+	out := append([]byte(nil), snap[:tableEnd]...)
+	le.PutUint64(out[12:], h.Sum64())
+	le.PutUint64(out[32:], uint64(len(payload)))
+	le.PutUint32(out[40:], crc32.ChecksumIEEE(payload))
+	return append(append(out, payload...), snap[tableEnd+oldLen:]...)
+}
+
+// TestNewSessionRejectsMalformedLSTMConfig: every Config.LSTMPredictor value
+// the predictor, its network or its optimizer used to panic on is an error
+// from NewSession, and a CRC-valid, fingerprint-consistent snapshot carrying
+// one is ErrConfigMismatch from Restore — never a panic out of either.
+func TestNewSessionRejectsMalformedLSTMConfig(t *testing.T) {
+	for name, edit := range map[string]func(*hierdrl.Config){
+		"history-cap-below-lookback": func(c *hierdrl.Config) { c.LSTMPredictor.HistoryCap = 10 },
+		"zero-hidden":                func(c *hierdrl.Config) { c.LSTMPredictor.Network.Hidden = 0 },
+		"negative-lookback":          func(c *hierdrl.Config) { c.LSTMPredictor.Lookback = -3 },
+		"zero-learning-rate":         func(c *hierdrl.Config) { c.LSTMPredictor.LearningRate = 0 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := hierdrl.ScaleSim(8)
+			edit(&cfg)
+			s, err := hierdrl.NewSession(cfg)
+			if err == nil {
+				s.Close()
+				t.Fatal("malformed LSTM predictor config accepted")
+			}
+			if !strings.HasPrefix(err.Error(), "hierdrl: lstm: ") {
+				t.Fatalf("error %q does not name the layer that rejected it", err)
+			}
+		})
+	}
+
+	t.Run("restore", func(t *testing.T) {
+		s, err := hierdrl.NewSession(hierdrl.ScaleSim(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.SubmitTrace(hierdrl.SyntheticTraceForCluster(300, 8, 1)); err != nil {
+			t.Fatal(err)
+		}
+		stepToCompleted(t, s, 150)
+		var snap bytes.Buffer
+		if err := s.Checkpoint(&snap); err != nil {
+			t.Fatal(err)
+		}
+		// The re-encoding itself is sound: unedited, it reproduces the snapshot.
+		same := withEmbeddedConfig(t, snap.Bytes(), func(*hierdrl.Config) {})
+		if !bytes.Equal(same, snap.Bytes()) {
+			t.Fatal("re-encoding the config unchanged altered the snapshot")
+		}
+		bad := withEmbeddedConfig(t, snap.Bytes(), func(c *hierdrl.Config) { c.LSTMPredictor.HistoryCap = 1 })
+		r, err := hierdrl.Restore(bytes.NewReader(bad))
+		if err == nil {
+			r.Close()
+			t.Fatal("snapshot with HistoryCap = 1 restored")
+		}
+		if !errors.Is(err, hierdrl.ErrConfigMismatch) {
+			t.Fatalf("Restore = %v, want errors.Is(err, ErrConfigMismatch)", err)
+		}
+	})
 }
