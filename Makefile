@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet loc bench bench-selftest chaos-smoke crash-smoke scenario-smoke obs-smoke profile profile-drl examples-smoke clean
+.PHONY: all build test race vet loc bench bench-selftest chaos-smoke crash-smoke scenario-smoke obs-smoke profile profile-drl profile-hier examples-smoke clean
 
 all: vet build test
 
@@ -114,6 +114,15 @@ profile-drl:
 		-cpuprofile cpu-drl.pprof -memprofile mem-drl.pprof -o hierdrl-bench.test .
 	@echo wrote cpu-drl.pprof mem-drl.pprof '(binary: hierdrl-bench.test)'
 
+# profile-hier is profile-drl for one paper-hier pass (Hierarchical(30), 8,000
+# warmup + 28,000 jobs, seed 1: the global tier plus thirty LSTM predictors
+# and RL power managers), the attribution EXPERIMENTS.md "Local-tier step
+# cost" quotes: `go tool pprof -top hierdrl-bench.test cpu-hier.pprof`.
+profile-hier:
+	$(GO) test -run=NONE -bench='BenchmarkPaperHierPass$$' -benchtime=3x \
+		-cpuprofile cpu-hier.pprof -memprofile mem-hier.pprof -o hierdrl-bench.test .
+	@echo wrote cpu-hier.pprof mem-hier.pprof '(binary: hierdrl-bench.test)'
+
 # clean removes what the profile targets leave behind.
 clean:
-	rm -f cpu.pprof mem.pprof cpu-drl.pprof mem-drl.pprof hierdrl-bench.test
+	rm -f cpu.pprof mem.pprof cpu-drl.pprof mem-drl.pprof cpu-hier.pprof mem-hier.pprof hierdrl-bench.test

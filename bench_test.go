@@ -179,6 +179,23 @@ func BenchmarkPaperDRLPass(b *testing.B) {
 	}
 }
 
+// BenchmarkPaperHierPass is one pass of the repository benchmark's paper-hier
+// workload (Hierarchical(30), 8,000 warmup + 28,000 measured jobs, seed 1) as
+// an in-process benchmark, so `make profile-hier` can attribute the cost of
+// the paper's whole system — global tier and per-server LSTM + RL — with
+// pprof.
+func BenchmarkPaperHierPass(b *testing.B) {
+	cfg := hierdrl.Hierarchical(30)
+	cfg.WarmupTrace = hierdrl.SyntheticTraceForCluster(8000, 30, 1001)
+	tr := hierdrl.SyntheticTraceForCluster(28000, 30, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := hierdrl.Run(cfg, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkQNetworkInference measures one global-tier decision: Q values for
 // all M=30 actions through the autoencoder + Sub-Q architecture.
 func BenchmarkQNetworkInference(b *testing.B) {

@@ -96,6 +96,21 @@ func TestRLConfigValidate(t *testing.T) {
 		mod(func(c *RLConfig) { c.Beta = 0 }),
 		mod(func(c *RLConfig) { c.PowerWeight = 1.5 }),
 		mod(func(c *RLConfig) { c.PowerNormW = 0 }),
+		mod(func(c *RLConfig) { c.Timeouts = []float64{math.NaN()} }),
+		mod(func(c *RLConfig) { c.Alpha = math.NaN() }),
+		mod(func(c *RLConfig) { c.Beta = math.NaN() }),
+		mod(func(c *RLConfig) { c.Beta = math.Inf(1) }),
+		mod(func(c *RLConfig) { c.Epsilon = math.NaN() }),
+		mod(func(c *RLConfig) { c.Epsilon = 2 }),
+		mod(func(c *RLConfig) { c.EpsilonMin = 0.5 }),
+		mod(func(c *RLConfig) { c.EpsilonDecay = 0 }),
+		mod(func(c *RLConfig) { c.PowerWeight = math.NaN() }),
+		mod(func(c *RLConfig) { c.PowerNormW = math.NaN() }),
+		mod(func(c *RLConfig) { c.OptimisticInit = math.Inf(-1) }),
+		mod(func(c *RLConfig) { c.PredictorBounds = []float64{30, 15} }),
+		mod(func(c *RLConfig) { c.PredictorBounds = []float64{15, 15} }),
+		mod(func(c *RLConfig) { c.PredictorBounds = []float64{15, math.NaN()} }),
+		mod(func(c *RLConfig) { c.PredictorBounds = []float64{15, math.Inf(1)} }),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

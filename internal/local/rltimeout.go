@@ -61,27 +61,39 @@ func DefaultRLConfig() RLConfig {
 	}
 }
 
-// Validate checks the configuration.
+// Validate reports the first setting NewRLTimeout — or the Q-table, the
+// exploration policy, the reward integrator or the discretizer it builds —
+// would panic on or silently compute NaNs from. Every comparison is written
+// so that a NaN fails it.
 func (c RLConfig) Validate() error {
 	if len(c.Timeouts) == 0 {
 		return fmt.Errorf("local: empty timeout action set")
 	}
 	for _, to := range c.Timeouts {
-		if to < 0 || math.IsNaN(to) || math.IsInf(to, 0) {
+		if !(to >= 0) || math.IsInf(to, 1) {
 			return fmt.Errorf("local: invalid timeout action %v", to)
 		}
 	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
+	switch {
+	case !(c.Alpha > 0 && c.Alpha <= 1):
 		return fmt.Errorf("local: invalid alpha %v", c.Alpha)
-	}
-	if c.Beta <= 0 {
+	case !(c.Beta > 0) || math.IsInf(c.Beta, 1):
 		return fmt.Errorf("local: invalid beta %v", c.Beta)
-	}
-	if c.PowerWeight < 0 || c.PowerWeight > 1 {
+	case !(c.Epsilon >= 0 && c.Epsilon <= 1) || !(c.EpsilonMin >= 0 && c.EpsilonMin <= c.Epsilon) ||
+		!(c.EpsilonDecay > 0 && c.EpsilonDecay <= 1):
+		return fmt.Errorf("local: invalid exploration schedule epsilon=%v min=%v decay=%v (want 0 <= min <= epsilon <= 1, 0 < decay <= 1)",
+			c.Epsilon, c.EpsilonMin, c.EpsilonDecay)
+	case !(c.PowerWeight >= 0 && c.PowerWeight <= 1):
 		return fmt.Errorf("local: PowerWeight %v outside [0,1]", c.PowerWeight)
+	case !(c.PowerNormW > 0) || math.IsInf(c.PowerNormW, 1):
+		return fmt.Errorf("local: PowerNormW must be finite and positive, got %v", c.PowerNormW)
+	case math.IsNaN(c.OptimisticInit) || math.IsInf(c.OptimisticInit, 0):
+		return fmt.Errorf("local: OptimisticInit must be finite, got %v", c.OptimisticInit)
 	}
-	if c.PowerNormW <= 0 {
-		return fmt.Errorf("local: PowerNormW must be positive, got %v", c.PowerNormW)
+	for i, b := range c.PredictorBounds {
+		if math.IsNaN(b) || math.IsInf(b, 0) || (i > 0 && !(b > c.PredictorBounds[i-1])) {
+			return fmt.Errorf("local: PredictorBounds must be finite and strictly increasing, got %v", c.PredictorBounds)
+		}
 	}
 	return nil
 }

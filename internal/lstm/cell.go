@@ -18,13 +18,29 @@ import (
 // [x; hPrev] vector to the hidden dimension. One Cell object is applied at
 // every time step, which shares the weights across time (gradients
 // accumulate across applications).
+//
+// The four gates' tensors are row bands F|I|G|O of one block each — weights
+// and their gradient (4·Hidden)×(In+Hidden), biases and theirs 4·Hidden — so
+// one product against the block evaluates all four pre-activations; element
+// for element it is the four separate products, since every output element
+// is its own sum. The gate layers are views of their bands, which is what
+// Step, Params, the optimizer and the checkpoint walk see.
 type Cell struct {
 	In, Hidden int
+
+	w, gw *mat.Dense
+	b, gb mat.Vec
 
 	forget *nn.Dense // sigmoid
 	input  *nn.Dense // sigmoid
 	cand   *nn.Dense // tanh
 	output *nn.Dense // sigmoid
+
+	// wt caches wᵀ for the AVX-512 paths of StepInfer and Network.BPTT,
+	// under nn.Dense's rule: rebuilt lazily, and every code path that writes
+	// the weights must call InvalidateTransposes.
+	wt   *mat.Dense
+	wtOK bool
 }
 
 // NewCell returns an LSTM cell with Xavier-initialized gate weights. The
@@ -34,16 +50,58 @@ func NewCell(in, hidden int, rng *mat.RNG) *Cell {
 	if in <= 0 || hidden <= 0 {
 		panic(fmt.Sprintf("lstm: NewCell invalid dims in=%d hidden=%d", in, hidden))
 	}
+	k := in + hidden
 	c := &Cell{
 		In:     in,
 		Hidden: hidden,
-		forget: nn.NewDense(in+hidden, hidden, nn.Sigmoid{}, rng),
-		input:  nn.NewDense(in+hidden, hidden, nn.Sigmoid{}, rng),
-		cand:   nn.NewDense(in+hidden, hidden, nn.Tanh{}, rng),
-		output: nn.NewDense(in+hidden, hidden, nn.Sigmoid{}, rng),
+		w:      mat.NewDense(4*hidden, k),
+		gw:     mat.NewDense(4*hidden, k),
+		b:      mat.NewVec(4 * hidden),
+		gb:     mat.NewVec(4 * hidden),
 	}
+	band := func(m *mat.Dense, g int) *mat.Dense {
+		return &mat.Dense{Rows: hidden, Cols: k, Data: m.Data[g*hidden*k : (g+1)*hidden*k]}
+	}
+	gate := func(g int, act nn.Activation) *nn.Dense {
+		d := &nn.Dense{
+			In: k, Out: hidden, Act: act,
+			W: band(c.w, g), B: c.b[g*hidden : (g+1)*hidden],
+			GW: band(c.gw, g), GB: c.gb[g*hidden : (g+1)*hidden],
+		}
+		rng.FillXavier(d.W, k, hidden)
+		return d
+	}
+	c.forget = gate(0, nn.Sigmoid{})
+	c.input = gate(1, nn.Sigmoid{})
+	c.cand = gate(2, nn.Tanh{})
+	c.output = gate(3, nn.Sigmoid{})
 	c.forget.B.Fill(1)
 	return c
+}
+
+// transposedW returns the cached wᵀ, or nil when no kernel would read it.
+func (c *Cell) transposedW() *mat.Dense {
+	if !mat.BTUsable(c.w.Rows) {
+		return nil
+	}
+	if !c.wtOK {
+		if c.wt == nil {
+			c.wt = mat.NewDense(c.w.Cols, c.w.Rows)
+		}
+		mat.TransposeInto(c.w, c.wt)
+		c.wtOK = true
+	}
+	return c.wt
+}
+
+// activate turns one row of fused pre-activations (F|I|G|O, 4·Hidden) into
+// the gate values, written to dst: sigmoid, sigmoid, tanh, sigmoid. pre and
+// dst may be the same row.
+func (c *Cell) activate(pre, dst mat.Vec) {
+	h := c.Hidden
+	mat.Sigmoid(pre[:2*h], dst[:2*h])
+	mat.Tanh(pre[2*h:3*h], dst[2*h:3*h])
+	mat.Sigmoid(pre[3*h:4*h], dst[3*h:4*h])
 }
 
 // State is the recurrent state (h, c) carried between time steps.
@@ -128,27 +186,26 @@ func (c *Cell) Step(x mat.Vec, prev State) (State, StepBack) {
 
 // InferBuf holds the reusable gate buffers for inference-only stepping.
 // One buffer set serves an entire Predict recurrence: the gates are
-// recomputed every step, so the same five vectors are overwritten 35 times
+// recomputed every step, so the same vectors are overwritten 35 times
 // instead of being reallocated 35 times.
 type InferBuf struct {
-	z, f, i, g, o mat.Vec
+	z, gates, tanhC mat.Vec
 }
 
 // NewInferBuf allocates gate buffers matching the cell's dimensions.
 func (c *Cell) NewInferBuf() *InferBuf {
 	return &InferBuf{
-		z: mat.NewVec(c.In + c.Hidden),
-		f: mat.NewVec(c.Hidden),
-		i: mat.NewVec(c.Hidden),
-		g: mat.NewVec(c.Hidden),
-		o: mat.NewVec(c.Hidden),
+		z:     mat.NewVec(c.In + c.Hidden),
+		gates: mat.NewVec(4 * c.Hidden),
+		tanhC: mat.NewVec(c.Hidden),
 	}
 }
 
 // StepInfer advances the recurrence one step without capturing backprop
 // state, writing the new state into next. prev and next may be the same
 // State (in-place stepping); buf is overwritten. The arithmetic is
-// identical to Step, so the resulting state matches bitwise.
+// identical to Step, so the resulting state matches bitwise. It reads the
+// cached transpose: call InvalidateTransposes after mutating gate weights.
 func (c *Cell) StepInfer(x mat.Vec, prev, next State, buf *InferBuf) {
 	if len(x) != c.In {
 		panic(fmt.Sprintf("lstm: StepInfer input length %d want %d", len(x), c.In))
@@ -156,26 +213,24 @@ func (c *Cell) StepInfer(x mat.Vec, prev, next State, buf *InferBuf) {
 	copy(buf.z[:c.In], x)
 	copy(buf.z[c.In:], prev.H)
 
-	c.forget.InferFast(buf.z, buf.f)
-	c.input.InferFast(buf.z, buf.i)
-	c.cand.InferFast(buf.z, buf.g)
-	c.output.InferFast(buf.z, buf.o)
+	mat.MulVecWithBT(c.w, c.transposedW(), buf.z, buf.gates)
+	mat.AddScaled(buf.gates, 1, c.b)
+	c.activate(buf.gates, buf.gates)
 
-	for k := 0; k < c.Hidden; k++ {
-		cNew := buf.f[k]*prev.C[k] + buf.i[k]*buf.g[k]
-		next.C[k] = cNew
-		next.H[k] = buf.o[k] * math.Tanh(cNew)
+	h := c.Hidden
+	f, i, g, o := buf.gates[:h], buf.gates[h:2*h], buf.gates[2*h:3*h], buf.gates[3*h:]
+	for k := range f {
+		next.C[k] = f[k]*prev.C[k] + i[k]*g[k]
+	}
+	mat.Tanh(next.C, buf.tanhC)
+	for k, t := range buf.tanhC {
+		next.H[k] = o[k] * t
 	}
 }
 
-// InvalidateTransposes marks the gates' cached weight transposes stale;
-// call after mutating gate weights through Params.
-func (c *Cell) InvalidateTransposes() {
-	c.forget.InvalidateTranspose()
-	c.input.InvalidateTranspose()
-	c.cand.InvalidateTranspose()
-	c.output.InvalidateTranspose()
-}
+// InvalidateTransposes marks the cached weight transpose stale; call after
+// mutating gate weights through Params.
+func (c *Cell) InvalidateTransposes() { c.wtOK = false }
 
 // Params enumerates all gate parameters.
 func (c *Cell) Params() []nn.Param {

@@ -1,11 +1,13 @@
 package lstm
 
 import (
+	"bytes"
 	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
 
+	"hierdrl/internal/checkpoint"
 	"hierdrl/internal/mat"
 	"hierdrl/internal/nn"
 )
@@ -57,7 +59,10 @@ func TestNetworkBPTTGradCheck(t *testing.T) {
 	window := []float64{0.3, -0.5, 0.8, 0.2}
 	target := 0.7
 
+	// Predict and BPTT read the cached weight transposes; the loop below
+	// perturbs weights through Params.
 	lossFn := func() float64 {
+		net.InvalidateTransposes()
 		d := net.Predict(window) - target
 		return d * d
 	}
@@ -109,6 +114,7 @@ func TestNetworkLearnsAlternatingSequence(t *testing.T) {
 		net.BPTT(w, seq(start+look), 1)
 		nn.ClipGrads(params, 10)
 		opt.Step(params)
+		net.InvalidateTransposes()
 	}
 	w := make([]float64, look)
 	for i := range w {
@@ -143,6 +149,7 @@ func TestNetworkLearnsLongerPeriodThanMarkov(t *testing.T) {
 		net.BPTT(w, seq(start+look), 1)
 		nn.ClipGrads(params, 10)
 		opt.Step(params)
+		net.InvalidateTransposes()
 	}
 	var worst float64
 	for start := 0; start < 3; start++ {
@@ -342,10 +349,10 @@ func TestConstructorPanics(t *testing.T) {
 	}
 }
 
-// referenceBPTT is the closure-based unroll the buffered BPTT replaced:
-// Dense.Forward + Cell.Step per time step, backward in descending time. The
-// rewritten BPTT must reproduce its loss and every accumulated gradient
-// bit for bit.
+// referenceBPTT is the per-sample unroll the batched BPTT replaced:
+// Dense.Forward + Cell.Step closures per time step, backward in descending
+// time. Run sample after sample it defines every accumulated gradient the
+// batched pass must reproduce bit for bit.
 func referenceBPTT(n *Network, window []float64, target, weight float64) float64 {
 	inBacks := make([]func(mat.Vec) mat.Vec, len(window))
 	stepBacks := make([]StepBack, len(window))
@@ -369,65 +376,194 @@ func referenceBPTT(n *Network, window []float64, target, weight float64) float64
 	return err * err
 }
 
-func TestBPTTMatchesClosureReferenceBitwise(t *testing.T) {
-	cfg := NetworkConfig{CellIn: 2, Hidden: 9, InitStd: 0.4, InitBias: 0.1}
-	a := NewNetwork(cfg, mat.NewRNG(11))
-	b := NewNetwork(cfg, mat.NewRNG(11))
-	g := mat.NewRNG(12)
-	for round := 0; round < 5; round++ {
-		window := make([]float64, 6+round)
-		for i := range window {
-			window[i] = g.Normal(0, 1)
+// referenceTrainRound is trainRound over referenceBPTT: the same draws from
+// the predictor's RNG, one unroll per sample, then the same clip and step.
+func referenceTrainRound(p *Predictor) {
+	params := p.net.Params()
+	nn.ZeroGrads(params)
+	batch := max(p.cfg.BatchSize, 1)
+	for b := 0; b < batch; b++ {
+		maxEnd, minEnd := len(p.history)-1, p.cfg.Lookback
+		end := maxEnd
+		if span := maxEnd - minEnd; span > 0 {
+			end = minEnd + int(float64(span)*math.Sqrt(p.rng.Float64()))
 		}
-		target := g.Normal(0, 1)
-		lossA := a.BPTT(window, target, 0.5)
-		lossB := referenceBPTT(b, window, target, 0.5)
-		if lossA != lossB {
-			t.Fatalf("round %d: loss %v != reference %v", round, lossA, lossB)
-		}
+		referenceBPTT(p.net, p.window(end), p.normalize(p.history[end]), 1/float64(batch))
 	}
-	pa, pb := a.Params(), b.Params()
-	for i := range pa {
-		for j := range pa[i].Grad {
-			if pa[i].Grad[j] != pb[i].Grad[j] {
-				t.Fatalf("param %s grad[%d]: %v != reference %v",
-					pa[i].Name, j, pa[i].Grad[j], pb[i].Grad[j])
-			}
+	if p.cfg.ClipNorm > 0 {
+		nn.ClipGrads(params, p.cfg.ClipNorm)
+	}
+	p.opt.Step(params)
+	p.net.InvalidateTransposes()
+	p.trained++
+	p.sinceT = 0
+}
+
+// predictorBytes is the predictor's checkpoint payload: every weight, both
+// Adam moments of each, the RNG and the observation trajectory.
+func predictorBytes(t *testing.T, p *Predictor) []byte {
+	t.Helper()
+	w := checkpoint.NewWriter(0)
+	checkpoint.Save(w.Section("lstm"), p)
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestTrainRoundMatchesReferenceUnroll pins the batched training round to the
+// closure unroll. A predictor trained online by trainRound and one trained at
+// the same arrivals by referenceTrainRound under the portable family (scalar
+// loops only) must hold the same bits after every round — weights, Adam
+// moments, RNG — under each kernel family; then one more batch, holding a
+// window with exact zeros and a sample whose error is exactly zero (so whole
+// rows of dPre are skipped), must yield the same summed loss and the same
+// gradients.
+func TestTrainRoundMatchesReferenceUnroll(t *testing.T) {
+	shapes := []struct{ lookback, cellIn, hidden, batch int }{
+		{35, 1, 30, 4}, {35, 1, 30, 8}, {16, 1, 8, 2}, {3, 1, 1, 1}, {5, 1, 9, 3}, {6, 9, 5, 3},
+	}
+	for _, sh := range shapes {
+		cfg := DefaultPredictorConfig()
+		cfg.Lookback = sh.lookback
+		cfg.Network.CellIn = sh.cellIn
+		cfg.Network.Hidden = sh.hidden
+		cfg.BatchSize = sh.batch
+		cfg.TrainEvery = 5
+		cfg.HistoryCap = 3 * sh.lookback
+		const arrivals = 60
+		gaps := make([]float64, sh.lookback+arrivals)
+		g := mat.NewRNG(21)
+		for i := range gaps {
+			gaps[i] = math.Exp(g.Normal(1, 1.5))
 		}
+		// The final batch: row 0 random with exact zeros, row 1 (if any) such
+		// that its target is its own prediction, the rest random.
+		finalBatch := func(p *Predictor) (*mat.Dense, []float64) {
+			windows := mat.NewDense(sh.batch, sh.lookback)
+			g := mat.NewRNG(22)
+			g.FillNormal(windows, 0, 1)
+			for j := 0; j < sh.lookback; j += 2 {
+				windows.Data[j] = 0
+			}
+			targets := make([]float64, sh.batch)
+			for s := range targets {
+				targets[s] = g.Normal(0, 1)
+			}
+			if sh.batch > 1 {
+				targets[1] = p.net.Predict(windows.Row(1))
+			}
+			return windows, targets
+		}
+
+		// Reference: training disabled on the predictor itself, one
+		// referenceTrainRound wherever the real one trains.
+		var wantRounds [][]byte
+		var wantLoss float64
+		var wantGrads [][]float64
+		mat.ForEachKernelFamily(func(family string) {
+			if family != "portable" {
+				return
+			}
+			refCfg := cfg
+			refCfg.TrainEvery = math.MaxInt
+			ref := NewPredictor(refCfg, mat.NewRNG(20))
+			for _, gap := range gaps {
+				ref.ObserveGap(gap)
+				if ref.sinceT >= cfg.TrainEvery && len(ref.history) > cfg.Lookback {
+					referenceTrainRound(ref)
+					wantRounds = append(wantRounds, predictorBytes(t, ref))
+				}
+			}
+			windows, targets := finalBatch(ref)
+			nn.ZeroGrads(ref.net.Params())
+			for s, target := range targets {
+				wantLoss += referenceBPTT(ref.net, windows.Row(s), target, 0.3)
+			}
+			for _, p := range ref.net.Params() {
+				wantGrads = append(wantGrads, append([]float64(nil), p.Grad...))
+			}
+		})
+		if len(wantRounds) < 10 {
+			t.Fatalf("shape %+v: reference trained %d rounds, want >= 10", sh, len(wantRounds))
+		}
+
+		mat.ForEachKernelFamily(func(family string) {
+			p := NewPredictor(cfg, mat.NewRNG(20))
+			rounds := 0
+			for _, gap := range gaps {
+				p.ObserveGap(gap)
+				if p.TrainingRounds() == rounds {
+					continue
+				}
+				if rounds >= len(wantRounds) || !bytes.Equal(predictorBytes(t, p), wantRounds[rounds]) {
+					t.Fatalf("%s shape %+v: state after round %d differs from the reference unroll", family, sh, rounds+1)
+				}
+				rounds++
+			}
+			if rounds != len(wantRounds) {
+				t.Fatalf("%s shape %+v: trained %d rounds, reference %d", family, sh, rounds, len(wantRounds))
+			}
+			windows, targets := finalBatch(p)
+			nn.ZeroGrads(p.net.Params())
+			var loss float64
+			for s, target := range targets {
+				loss += p.net.BPTT(windows.Row(s), target, 0.3)
+			}
+			if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+				t.Fatalf("%s shape %+v: loss %v != reference %v", family, sh, loss, wantLoss)
+			}
+			for i, pm := range p.net.Params() {
+				for j, got := range pm.Grad {
+					if math.Float64bits(got) != math.Float64bits(wantGrads[i][j]) {
+						t.Fatalf("%s shape %+v: param %s grad[%d] = %v, reference %v",
+							family, sh, pm.Name, j, got, wantGrads[i][j])
+					}
+				}
+			}
+		})
 	}
 }
 
+// TestBPTTZeroAllocOnceWarm: a warm BPTT sample, and a whole warm training
+// round around it (window draws, clip, Adam step), allocate nothing.
 func TestBPTTZeroAllocOnceWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pinning is meaningless under -race")
 	}
 	// The paper's predictor shape and the scale presets' compact one, whose
-	// GEMV/rank-1 sizes fall below the SIMD tiles' widths.
-	for _, shape := range []struct{ lookback, hidden int }{{35, 30}, {16, 8}} {
-		cfg := DefaultNetworkConfig()
-		cfg.Hidden = shape.hidden
-		net := NewNetwork(cfg, mat.NewRNG(3))
+	// narrow matrices fall below the SIMD tiles' widths.
+	for _, shape := range []struct{ lookback, hidden, batch int }{{35, 30, 4}, {16, 8, 2}} {
+		cfg := DefaultPredictorConfig()
+		cfg.Lookback = shape.lookback
+		cfg.Network.Hidden = shape.hidden
+		cfg.BatchSize = shape.batch
+		net := NewNetwork(cfg.Network, mat.NewRNG(3))
 		window := make([]float64, shape.lookback)
 		g := mat.NewRNG(4)
 		for i := range window {
 			window[i] = g.Normal(0, 1)
 		}
-		// The first call sizes the scratch: one block of saved activations,
-		// one of work vectors and the step headers, not a vector per field per
-		// time step (15·T + 17 objects before the blocks).
+		// The first call sizes the tape — one block — and builds the cached
+		// transposes, not a vector per field per time step.
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		net.BPTT(window, 0.3, 1)
 		runtime.ReadMemStats(&after)
-		if cold := after.Mallocs - before.Mallocs; cold > 40 {
-			t.Fatalf("lookback %d hidden %d: cold BPTT allocates %d objects, want <= 40",
-				shape.lookback, shape.hidden, cold)
+		if cold := after.Mallocs - before.Mallocs; cold > 5 {
+			t.Fatalf("%+v: cold BPTT allocates %d objects, want <= 5", shape, cold)
 		}
-		net.Params() // warm the enumeration cache
-		avg := testing.AllocsPerRun(50, func() { net.BPTT(window, 0.3, 1) })
-		if avg != 0 {
-			t.Fatalf("lookback %d hidden %d: warm BPTT allocates %v per sample, want 0",
-				shape.lookback, shape.hidden, avg)
+		if avg := testing.AllocsPerRun(50, func() { net.BPTT(window, 0.3, 1) }); avg != 0 {
+			t.Fatalf("%+v: warm BPTT allocates %v per sample, want 0", shape, avg)
+		}
+
+		p := NewPredictor(cfg, mat.NewRNG(5))
+		for p.TrainingRounds() < 2 {
+			p.ObserveGap(math.Exp(g.Normal(1, 1)))
+		}
+		if avg := testing.AllocsPerRun(50, p.trainRound); avg != 0 {
+			t.Fatalf("%+v: warm training round allocates %v, want 0", shape, avg)
 		}
 	}
 }

@@ -2,8 +2,6 @@ package lstm
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"hierdrl/internal/mat"
 	"hierdrl/internal/nn"
@@ -44,14 +42,10 @@ type Network struct {
 	// predictor owns its own).
 	inferBuf   *InferBuf
 	inferState State
-	xIn        mat.Vec
-	cellIn     mat.Vec
+	cellIn     mat.Dense // steps × CellIn
 	outBuf     mat.Vec
 
-	// bptt holds the training scratch: per-step saved activations plus the
-	// backward-pass work vectors. Sized on first use and reused for every
-	// subsequent BPTT sample, so steady-state training allocates nothing.
-	bptt bpttScratch
+	tape bpttTape // training scratch, see bpttTape
 
 	// params caches the parameter enumeration (tensors are fixed at
 	// construction; rebuilding the slice per optimizer round allocates).
@@ -86,196 +80,180 @@ func (n *Network) Predict(window []float64) float64 {
 	if n.inferBuf == nil {
 		n.inferBuf = n.cell.NewInferBuf()
 		n.inferState = n.cell.NewState()
-		n.xIn = mat.NewVec(1)
-		n.cellIn = mat.NewVec(n.cfg.CellIn)
 		n.outBuf = mat.NewVec(1)
 	}
+	// The input layer has no recurrence: every step's cell input at once.
+	steps, in := len(window), n.cfg.CellIn
+	if n.cellIn.Rows != steps {
+		n.cellIn = *mat.NewDense(steps, in)
+	}
+	n.in.InferBatch(&mat.Dense{Rows: steps, Cols: 1, Data: window}, &n.cellIn)
 	st := n.inferState
 	st.H.Zero()
 	st.C.Zero()
-	for _, v := range window {
-		n.xIn[0] = v
-		n.in.InferFast(n.xIn, n.cellIn)
-		n.cell.StepInfer(n.cellIn, st, st, n.inferBuf)
+	for t := 0; t < steps; t++ {
+		n.cell.StepInfer(n.cellIn.Row(t), st, st, n.inferBuf)
 	}
 	n.out.InferFast(st.H, n.outBuf)
 	return n.outBuf[0]
 }
 
-// bpttStep holds one time step's saved activations: everything the backward
-// pass reads. One set per step, reused across BPTT samples.
-type bpttStep struct {
-	x      mat.Vec // scalar network input, length 1
-	inPre  mat.Vec // input-layer pre-activation (CellIn)
-	cellIn mat.Vec // input-layer output = cell input (CellIn)
-	z      mat.Vec // [cellIn ; hPrev] gate input (CellIn+Hidden)
-	fPre   mat.Vec // gate pre-activations and outputs (Hidden each)
-	f      mat.Vec
-	iPre   mat.Vec
-	i      mat.Vec
-	gPre   mat.Vec
-	g      mat.Vec
-	oPre   mat.Vec
-	o      mat.Vec
-	c      mat.Vec // cell state after the step
-	tanhC  mat.Vec
-	h      mat.Vec // hidden state after the step
+// bpttTape is the training scratch of one network, sized on first use for a
+// window length and reused by every later sample of that length, so
+// steady-state training allocates nothing. It stores only what the backward
+// pass reads: the activations' derivatives need the outputs, never the
+// pre-activations, and h is the next step's z.
+//
+// x, cellIn, dIn, z and gates feed the deferred gradient and hold step t in
+// row steps−1−t: time descending, the order in which the closure unroll adds
+// its rank-1 updates to every gradient element (DESIGN.md §7). c and tanhC
+// are only read step by step and run forward in time; c row 0 is the all-zero
+// initial state (never written), row t+1 the state after step t.
+type bpttTape struct {
+	x, cellIn, dIn mat.Dense // steps × 1, × CellIn, × CellIn
+	z              mat.Dense // steps × (CellIn+Hidden): [cellIn; hPrev]
+	gates          mat.Dense // steps × 4·Hidden, F|I|G|O; the backward pass turns each row into its dPre
+	c, tanhC       mat.Dense // (steps+1) × Hidden, steps × Hidden
+
+	dz, dzTmp      mat.Vec // CellIn+Hidden
+	hFinal, dH, dC mat.Vec // Hidden
+	pred, dOut     mat.Vec // 1
 }
 
-// bpttScratch is the full training scratch of one network: per-step saved
-// activations plus the backward-pass work vectors.
-type bpttScratch struct {
-	steps []bpttStep
-	zeroC mat.Vec // the all-zero initial cell state (never written)
-
-	outPre, outY, dyOut, dPreOut mat.Vec // output-layer buffers (length 1)
-	dxIn, dPreIn                 mat.Vec // input-layer backward scratch
-
-	dH, dC, dO, dCTotal, dF, dI, dG, dCPrev mat.Vec // Hidden each
-	dz, dzTmp, dPre                         mat.Vec // gate backward scratch
-}
-
-// ensureBPTT sizes the scratch for a window of the given length. The saved
-// activations of all new steps are cut from one block, and so are the backward
-// work vectors: two allocations per network instead of fifteen per time step
-// (a cluster holds one network per server).
-func (n *Network) ensureBPTT(steps int) {
-	b := &n.bptt
-	hidden := n.cfg.Hidden
-	cellIn := n.cfg.CellIn
-	var block mat.Vec
+// ensureTape sizes the tape for a window of the given length; every matrix
+// and vector is cut from one block.
+func (n *Network) ensureTape(steps int) *bpttTape {
+	tp := &n.tape
+	if tp.x.Rows == steps {
+		return tp
+	}
+	in, hid := n.cfg.CellIn, n.cfg.Hidden
+	k := in + hid
+	block := mat.NewVec(steps*(1+2*in+k+6*hid) + hid + 2*k + 3*hid + 2)
 	take := func(size int) mat.Vec {
 		v := block[:size:size]
 		block = block[size:]
 		return v
 	}
-	if grow := steps - len(b.steps); grow > 0 {
-		block = mat.NewVec(grow * (1 + 3*cellIn + 12*hidden))
-		b.steps = slices.Grow(b.steps, grow)
-		for ; grow > 0; grow-- {
-			b.steps = append(b.steps, bpttStep{
-				x:      take(1),
-				inPre:  take(cellIn),
-				cellIn: take(cellIn),
-				z:      take(cellIn + hidden),
-				fPre:   take(hidden),
-				f:      take(hidden),
-				iPre:   take(hidden),
-				i:      take(hidden),
-				gPre:   take(hidden),
-				g:      take(hidden),
-				oPre:   take(hidden),
-				o:      take(hidden),
-				c:      take(hidden),
-				tanhC:  take(hidden),
-				h:      take(hidden),
-			})
-		}
+	dense := func(rows, cols int) mat.Dense {
+		return mat.Dense{Rows: rows, Cols: cols, Data: take(rows * cols)}
 	}
-	if b.zeroC == nil {
-		block = mat.NewVec(5 + 3*cellIn + 12*hidden)
-		b.zeroC = take(hidden)
-		b.outPre = take(1)
-		b.outY = take(1)
-		b.dyOut = take(1)
-		b.dPreOut = take(1)
-		b.dxIn = take(1)
-		b.dPreIn = take(cellIn)
-		b.dH = take(hidden)
-		b.dC = take(hidden)
-		b.dO = take(hidden)
-		b.dCTotal = take(hidden)
-		b.dF = take(hidden)
-		b.dI = take(hidden)
-		b.dG = take(hidden)
-		b.dCPrev = take(hidden)
-		b.dz = take(cellIn + hidden)
-		b.dzTmp = take(cellIn + hidden)
-		b.dPre = take(hidden)
+	*tp = bpttTape{
+		x: dense(steps, 1), cellIn: dense(steps, in), dIn: dense(steps, in),
+		z: dense(steps, k), gates: dense(steps, 4*hid),
+		c: dense(steps+1, hid), tanhC: dense(steps, hid),
+		dz: take(k), dzTmp: take(k),
+		hFinal: take(hid), dH: take(hid), dC: take(hid),
+		pred: take(1), dOut: take(1),
 	}
+	return tp
 }
 
 // BPTT runs one forward+backward pass for a single (window, target) sample,
 // accumulating gradients (scaled by weight) into the network parameters and
 // returning the squared prediction error.
 //
-// All activations are saved in reusable per-step buffers and the backward
-// pass walks them in place, so a warm call performs no heap allocation. The
-// arithmetic — op for op, including the gate order F, I, G, O and the
-// descending-time gradient accumulation — replays the closure-based
-// reference unroll exactly, so every gradient (and therefore every trained
-// weight) is bitwise identical to it; lstm_test asserts this.
+// Each time step is one product of [cellIn; hPrev] against the fused gate
+// block, the input gradient four products (one per gate, added in F, I, G, O
+// order), and the gates' weight and bias gradients are deferred: every step's
+// dPre and z rows stay on the tape and one rank-T update per tensor applies
+// them after the loop. Every parameter gradient, and hence every trained
+// weight, is bit for bit what the closure unroll over Cell.Step accumulates;
+// lstm_test asserts it and DESIGN.md §7 has the argument. A warm call
+// performs no heap allocation.
+//
+// BPTT reads the cached weight transposes: call InvalidateTransposes after
+// mutating weights through Params (e.g. an optimizer step).
 func (n *Network) BPTT(window []float64, target, weight float64) float64 {
-	if len(window) == 0 {
+	steps := len(window)
+	if steps == 0 {
 		panic("lstm: BPTT empty window")
 	}
-	n.ensureBPTT(len(window))
-	b := &n.bptt
+	tp := n.ensureTape(steps)
 	in, hid := n.cfg.CellIn, n.cfg.Hidden
+	cell := n.cell
 
-	// Forward unroll with saved activations.
-	hPrev, cPrev := b.zeroC, b.zeroC
+	// The input layer has no recurrence: all steps in one batched pass.
 	for t, v := range window {
-		st := &b.steps[t]
-		st.x[0] = v
-		n.in.ForwardSaved(st.x, st.inPre, st.cellIn)
-		copy(st.z[:in], st.cellIn)
-		copy(st.z[in:], hPrev)
-		n.cell.forget.ForwardSaved(st.z, st.fPre, st.f)
-		n.cell.input.ForwardSaved(st.z, st.iPre, st.i)
-		n.cell.cand.ForwardSaved(st.z, st.gPre, st.g)
-		n.cell.output.ForwardSaved(st.z, st.oPre, st.o)
-		for k := 0; k < hid; k++ {
-			st.c[k] = st.f[k]*cPrev[k] + st.i[k]*st.g[k]
+		tp.x.Data[steps-1-t] = v
+	}
+	n.in.InferBatch(&tp.x, &tp.cellIn)
+
+	// Forward unroll. h lands directly in the next step's z row.
+	wt := cell.transposedW()
+	clear(tp.z.Row(steps - 1)[in:])
+	for t := 0; t < steps; t++ {
+		r := steps - 1 - t
+		z, gates := tp.z.Row(r), tp.gates.Row(r)
+		copy(z[:in], tp.cellIn.Row(r))
+		mat.MulVecWithBT(cell.w, wt, z, gates)
+		mat.AddScaled(gates, 1, cell.b)
+		cell.activate(gates, gates)
+		f, i, g, o := gates[:hid], gates[hid:2*hid], gates[2*hid:3*hid], gates[3*hid:]
+		cPrev, c, tanhC := tp.c.Row(t), tp.c.Row(t+1), tp.tanhC.Row(t)
+		for k := range c {
+			c[k] = f[k]*cPrev[k] + i[k]*g[k]
 		}
-		for k := 0; k < hid; k++ {
-			st.tanhC[k] = math.Tanh(st.c[k])
+		mat.Tanh(c, tanhC)
+		h := tp.hFinal
+		if r > 0 {
+			h = tp.z.Row(r - 1)[in:]
 		}
-		for k := 0; k < hid; k++ {
-			st.h[k] = st.o[k] * st.tanhC[k]
+		for k := range h {
+			h[k] = o[k] * tanhC[k]
 		}
-		hPrev, cPrev = st.h, st.c
 	}
 
-	// Output layer and loss gradient.
-	final := &b.steps[len(window)-1]
-	n.out.ForwardSaved(final.h, b.outPre, b.outY)
-	err := b.outY[0] - target
-	// d(weight * err^2)/dpred = 2*weight*err
-	b.dyOut[0] = 2 * weight * err
-	n.out.BackwardSaved(final.h, b.outPre, b.outY, b.dyOut, b.dPreOut, b.dH)
-	b.dC.Zero()
+	// Output layer and loss gradient: d(weight·err²)/dpred = 2·weight·err.
+	n.out.Infer(tp.hFinal, tp.pred)
+	err := tp.pred[0] - target
+	tp.dOut[0] = 2 * weight * err
+	n.out.GW.AddOuter(tp.dOut, tp.hFinal)
+	n.out.GB.Add(tp.dOut)
+	n.out.W.MulVecT(tp.dOut, tp.dH)
+	tp.dC.Zero()
 
-	// Backward through time: per step the gates backpropagate in F, I, G, O
-	// order, then the input layer — the exact parameter-gradient
-	// accumulation sequence of the reference unroll.
-	for t := len(window) - 1; t >= 0; t-- {
-		st := &b.steps[t]
-		cPrev := b.zeroC
-		if t > 0 {
-			cPrev = b.steps[t-1].c
+	// Backward through time. Each gates row is overwritten by its dPre, so
+	// after the loop tp.gates is the dPre matrix.
+	gateW := [4]*mat.Dense{cell.forget.W, cell.input.W, cell.cand.W, cell.output.W}
+	dH, dC := tp.dH, tp.dC
+	for t := steps - 1; t >= 0; t-- {
+		r := steps - 1 - t
+		gates := tp.gates.Row(r)
+		f, i, g, o := gates[:hid], gates[hid:2*hid], gates[2*hid:3*hid], gates[3*hid:]
+		cPrev, tanhC := tp.c.Row(t), tp.tanhC.Row(t)
+		for k := range dH {
+			fk, ik, gk, ok := f[k], i[k], g[k], o[k]
+			dO := dH[k] * tanhC[k]
+			dCTotal := dH[k]*ok*(1-tanhC[k]*tanhC[k]) + dC[k]
+			dF := dCTotal * cPrev[k]
+			dI := dCTotal * gk
+			dG := dCTotal * ik
+			dC[k] = dCTotal * fk
+			f[k] = dF * (fk * (1 - fk))
+			i[k] = dI * (ik * (1 - ik))
+			g[k] = dG * (1 - gk*gk)
+			o[k] = dO * (ok * (1 - ok))
 		}
-		for k := 0; k < hid; k++ {
-			b.dO[k] = b.dH[k] * st.tanhC[k]
-			b.dCTotal[k] = b.dH[k]*st.o[k]*(1-st.tanhC[k]*st.tanhC[k]) + b.dC[k]
+		gateW[0].MulVecT(f, tp.dz)
+		for j, dPre := range [3]mat.Vec{i, g, o} {
+			gateW[j+1].MulVecT(dPre, tp.dzTmp)
+			tp.dz.Add(tp.dzTmp)
 		}
-		for k := 0; k < hid; k++ {
-			b.dF[k] = b.dCTotal[k] * cPrev[k]
-			b.dI[k] = b.dCTotal[k] * st.g[k]
-			b.dG[k] = b.dCTotal[k] * st.i[k]
-			b.dCPrev[k] = b.dCTotal[k] * st.f[k]
-		}
-		n.cell.forget.BackwardSaved(st.z, st.fPre, st.f, b.dF, b.dPre, b.dz)
-		n.cell.input.BackwardSaved(st.z, st.iPre, st.i, b.dI, b.dPre, b.dzTmp)
-		b.dz.Add(b.dzTmp)
-		n.cell.cand.BackwardSaved(st.z, st.gPre, st.g, b.dG, b.dPre, b.dzTmp)
-		b.dz.Add(b.dzTmp)
-		n.cell.output.BackwardSaved(st.z, st.oPre, st.o, b.dO, b.dPre, b.dzTmp)
-		b.dz.Add(b.dzTmp)
-		// Input layer: gradient w.r.t. the scalar input is discarded.
-		n.in.BackwardSaved(st.x, st.inPre, st.cellIn, b.dz[:in], b.dPreIn, b.dxIn)
-		copy(b.dH, b.dz[in:])
-		b.dC, b.dCPrev = b.dCPrev, b.dC
+		copy(tp.dIn.Row(r), tp.dz[:in])
+		copy(dH, tp.dz[in:])
+	}
+
+	// Deferred parameter gradients, rows in descending time. The input
+	// layer's dPre is its tanh derivative times the dz rows saved above.
+	for j, y := range tp.cellIn.Data {
+		tp.dIn.Data[j] *= 1 - y*y
+	}
+	mat.AddMulTMat(&tp.dIn, &tp.x, n.in.GW)
+	mat.AddMulTMat(&tp.gates, &tp.z, cell.gw)
+	for r := 0; r < steps; r++ {
+		n.in.GB.Add(tp.dIn.Row(r))
+		mat.AddScaled(cell.gb, 1, tp.gates.Row(r))
 	}
 	return err * err
 }

@@ -140,3 +140,99 @@ func FuzzELUMatchesScalar(f *testing.F) {
 		checkELU(t, alpha, src)
 	})
 }
+
+// sigTanhEdges are the inputs around every branch point of the packed sigmoid
+// and tanh: signed zeros, infinities, NaN, denormals, math.tanh's 0.625 and
+// 0.5·MAXLOG switches with both neighbours, ±37.43 (where 1 + exp(-x) starts
+// rounding to 1), the ±700 range check with both neighbours, and math.Exp's
+// overflow and underflow arguments.
+var sigTanhEdges = func() []float64 {
+	const halfMaxLog = 0.5 * 8.8029691931113054295988e+01
+	edges := []float64{
+		0, math.NaN(), math.Inf(1), 5e-324, math.SmallestNonzeroFloat64 * 3, 2.2250738585072014e-308,
+		1e-300, 1e-17, 1e-8, 0.1, 0.5, 1, 10, 36.7, 37.43, 50, 699.5, 709.78, 745.13, 1000, 1e300, math.MaxFloat64,
+	}
+	for _, v := range []float64{0.625, halfMaxLog, 700} {
+		edges = append(edges, v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1)))
+	}
+	for _, e := range edges {
+		edges = append(edges, -e)
+	}
+	return edges
+}()
+
+func checkSigmoidTanh(t *testing.T, src []float64) {
+	t.Helper()
+	for _, fn := range []struct {
+		name string
+		f    func(src, dst []float64)
+		ref  func(float64) float64
+	}{
+		{"Sigmoid", Sigmoid, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }},
+		{"Tanh", Tanh, math.Tanh},
+	} {
+		dst := make([]float64, len(src))
+		fn.f(src, dst)
+		aliased := append([]float64(nil), src...)
+		fn.f(aliased, aliased)
+		for i, x := range src {
+			want := math.Float64bits(fn.ref(x))
+			if got := math.Float64bits(dst[i]); got != want {
+				t.Fatalf("n=%d: %s(%v = %#x)[%d] = %#x, want %#x", len(src), fn.name, x, math.Float64bits(x), i, got, want)
+			}
+			if got := math.Float64bits(aliased[i]); got != want {
+				t.Fatalf("n=%d aliased: %s(%v)[%d] = %#x, want %#x", len(src), fn.name, x, i, got, want)
+			}
+		}
+	}
+}
+
+// TestSigmoidTanhMatchScalarBitwise pins the packed sigmoid and tanh to
+// 1/(1+math.Exp(-x)) and math.Tanh(x): every edge input at every lane of
+// every length 0-33 (every tail mask, and out-of-range groups first, last and
+// in the middle), then a million random arguments from denormal-adjacent
+// scales to past the range check — in place and out of place, under each
+// kernel family.
+func TestSigmoidTanhMatchScalarBitwise(t *testing.T) {
+	forEachKernelFamily(t, func(t *testing.T) {
+		rng := NewRNG(19)
+		for n := 0; n <= 33; n++ {
+			src := make([]float64, n)
+			for _, e := range sigTanhEdges {
+				for pos := 0; pos < n; pos++ {
+					for i := range src {
+						src[i] = rng.Normal(0, 3)
+					}
+					src[pos] = e
+					checkSigmoidTanh(t, src)
+				}
+			}
+			checkSigmoidTanh(t, src)
+		}
+		src := make([]float64, 1<<12)
+		for round := 0; round < 260; round++ {
+			scale := math.Pow(10, float64(round%13)-9)
+			for i := range src {
+				src[i] = rng.Normal(0, 1) * scale
+			}
+			checkSigmoidTanh(t, src)
+		}
+	})
+}
+
+// FuzzSigmoidTanhMatchScalar lets the fuzzer look for an argument where the
+// packed kernels and the toolchain's math.Exp / math.Tanh part ways.
+func FuzzSigmoidTanhMatchScalar(f *testing.F) {
+	for _, e := range sigTanhEdges {
+		f.Add(e, uint8(3))
+	}
+	f.Add(-3.25, uint8(11))
+	f.Fuzz(func(t *testing.T, x float64, pos uint8) {
+		src := make([]float64, 17)
+		for i := range src {
+			src[i] = x * float64(i+1) / 8
+		}
+		src[int(pos)%len(src)] = x
+		checkSigmoidTanh(t, src)
+	})
+}

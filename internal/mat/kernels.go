@@ -86,6 +86,21 @@ func eluGradScalar(alpha float64, dy, pre, y, dst []float64) {
 	}
 }
 
+// sigmoidScalar is the reference logistic loop, the expression shape of
+// nn.Sigmoid.F.
+func sigmoidScalar(src, dst []float64) {
+	for i, x := range src {
+		dst[i] = 1 / (1 + math.Exp(-x))
+	}
+}
+
+// tanhScalar is the reference tanh loop.
+func tanhScalar(src, dst []float64) {
+	for i, x := range src {
+		dst[i] = math.Tanh(x)
+	}
+}
+
 // fusedAdamScalar is the portable Adam update for elements [start, len),
 // with the exact expression shapes of the historical optimizer loop.
 func fusedAdamScalar(val, grad, m, v Vec, start int, b1, b2, c1, c2, lr, eps float64) {

@@ -3,8 +3,8 @@
 #include "textflag.h"
 
 // CPU detection, the packed Adam step and the 8-lane axpy of the AVX-512
-// family (the GEMM tile is gemm_avx512_amd64.s, the packed ELU
-// elu_avx512_amd64.s). Lanes map to independent elements and every lane
+// family (the GEMM tile is gemm_avx512_amd64.s, the packed activations
+// act_avx512_amd64.s). Lanes map to independent elements and every lane
 // operation is one correctly rounded IEEE operation in the scalar loop's
 // order, so results are bitwise identical to the Go loops in kernels.go.
 

@@ -4,15 +4,15 @@ package mat
 
 // Kernel-family dispatch, decided once at init. Two families compute the
 // exact same bits: "avx512" (register-tiled GEMM, 8-lane axpy, packed ELU,
-// packed Adam) and "portable" (the Go tiles of kernels.go, which define the
-// ordering rule; every amd64 host without AVX-512F, or whose OS does not save
-// ZMM state, runs them).
+// sigmoid and tanh, packed Adam) and "portable" (the Go tiles of kernels.go,
+// which define the ordering rule; every amd64 host without AVX-512F, or whose
+// OS does not save ZMM state, runs them).
 
 var useAVX512 = detectAVX512()
 
 // hasFMA mirrors the toolchain's math.useFMA (AVX usable and CPUID.1:ECX.FMA):
-// the packed ELU repeats math.Exp's FMA instruction sequence, so it may run
-// only where math.Exp itself takes that path.
+// the packed activations repeat math.Exp's FMA instruction sequence, so they
+// may run only where math.Exp itself takes that path.
 var hasFMA = useAVX512 && detectFMA()
 
 // KernelFamily names the kernel family in use.
@@ -68,7 +68,7 @@ func detectAVX512() bool {
 	return ebx7&avx512f != 0
 }
 
-// The assembly (gemm_avx512_amd64.s, elu_avx512_amd64.s, kernels_amd64.s).
+// The assembly (gemm_avx512_amd64.s, act_avx512_amd64.s, kernels_amd64.s).
 func fusedAdamAsm(val, grad, m, v []float64, b1, omb1, b2, omb2, c1, c2, lr, eps float64)
 func vaxpy1asm512(dst, r []float64, x float64)
 
@@ -81,11 +81,17 @@ func eluAsm512(dst, src *float64, n int, alpha float64)
 //go:noescape
 func eluGradAsm512(dst, dy, pre, y *float64, n int, alpha float64)
 
+//go:noescape
+func sigmoidAsm512(dst, src *float64, n int) (done int)
+
+//go:noescape
+func tanhAsm512(dst, src *float64, n int) (done int)
+
 // ELU computes dst[i] = src[i] for src[i] >= 0 and alpha*(exp(src[i]) - 1)
 // otherwise; src and dst must be the same slice or not overlap. On a host
 // where math.Exp runs its FMA sequence (and AVX-512 is usable) eight lanes
 // are evaluated at once with that same sequence — identical bits, see
-// elu_avx512_amd64.s — and everywhere else the scalar loop runs.
+// act_avx512_amd64.s — and everywhere else the scalar loop runs.
 func ELU(alpha float64, src, dst []float64) {
 	dst = dst[:len(src)]
 	if useAVX512 && hasFMA && len(src) > 0 {
@@ -93,6 +99,43 @@ func ELU(alpha float64, src, dst []float64) {
 		return
 	}
 	eluScalar(alpha, src, dst)
+}
+
+// Sigmoid computes dst[i] = 1/(1 + exp(-src[i])); src and dst must be the
+// same slice or not overlap. Where the packed ELU runs, so does a packed
+// sigmoid on the same exp — identical bits to the scalar loop, which is the
+// only path everywhere else.
+func Sigmoid(src, dst []float64) {
+	dst = dst[:len(src)]
+	if !(useAVX512 && hasFMA) {
+		sigmoidScalar(src, dst)
+		return
+	}
+	for i := 0; i < len(src); {
+		i += sigmoidAsm512(&dst[i], &src[i], len(src)-i)
+		// The kernel stops at a group of eight it cannot prove in range
+		// (|x| > 700, NaN): that group is the scalar loop's.
+		end := min(i+8, len(src))
+		sigmoidScalar(src[i:end], dst[i:end])
+		i = end
+	}
+}
+
+// Tanh computes dst[i] = math.Tanh(src[i]) under Sigmoid's rules: eight lanes
+// of the toolchain's pure-Go tanh, all three branches, where the packed
+// kernels run, the scalar loop elsewhere and for any group out of range.
+func Tanh(src, dst []float64) {
+	dst = dst[:len(src)]
+	if !(useAVX512 && hasFMA) {
+		tanhScalar(src, dst)
+		return
+	}
+	for i := 0; i < len(src); {
+		i += tanhAsm512(&dst[i], &src[i], len(src)-i)
+		end := min(i+8, len(src))
+		tanhScalar(src[i:end], dst[i:end])
+		i = end
+	}
 }
 
 // ELUGrad computes the ELU backward factor dst[i] = dy[i] for pre[i] >= 0 and

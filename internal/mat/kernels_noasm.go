@@ -31,6 +31,13 @@ func ELUGrad(alpha float64, dy, pre, y, dst []float64) {
 	eluGradScalar(alpha, dy, pre[:n], y[:n], dst[:n])
 }
 
+// Sigmoid computes dst[i] = 1/(1 + exp(-src[i])); src and dst may be the same
+// slice.
+func Sigmoid(src, dst []float64) { sigmoidScalar(src, dst[:len(src)]) }
+
+// Tanh computes dst[i] = math.Tanh(src[i]); src and dst may be the same slice.
+func Tanh(src, dst []float64) { tanhScalar(src, dst[:len(src)]) }
+
 // FusedAdam applies one elementwise Adam update across the whole tensor
 // (see the amd64 variant for the formula).
 func FusedAdam(val, grad, m, v Vec, b1, b2, c1, c2, lr, eps float64) {

@@ -1,19 +1,16 @@
 package nn
 
-import (
-	"math"
-
-	"hierdrl/internal/mat"
-)
+import "hierdrl/internal/mat"
 
 // Devirtualized elementwise activation loops. The generic interface call per
 // element costs more than the arithmetic for the cheap activations, so the
 // hot layer paths funnel through these helpers, which type-switch once per
 // vector and then run a direct loop. Each branch replicates the
 // corresponding Activation method exactly, so results are bitwise identical
-// to the interface path (the default case). ELU goes through mat.ELU, which
-// on AVX-512+FMA hosts evaluates eight lanes with math.Exp's own instruction
-// sequence and is the scalar loop everywhere else.
+// to the interface path (the default case). ELU, tanh and the sigmoid go
+// through mat.ELU, mat.Tanh and mat.Sigmoid, which on AVX-512+FMA hosts
+// evaluate eight lanes with math.Exp's own instruction sequence (and
+// math.tanh's own branches) and are the scalar loops everywhere else.
 
 // applyAct computes dst[i] = act.F(src[i]). src and dst may alias.
 func applyAct(act Activation, src, dst []float64) {
@@ -26,13 +23,9 @@ func applyAct(act Activation, src, dst []float64) {
 	case ELU:
 		mat.ELU(a.alpha(), src, dst)
 	case Tanh:
-		for i, x := range src {
-			dst[i] = math.Tanh(x)
-		}
+		mat.Tanh(src, dst)
 	case Sigmoid:
-		for i, x := range src {
-			dst[i] = 1 / (1 + math.Exp(-x))
-		}
+		mat.Sigmoid(src, dst)
 	default:
 		for i, x := range src {
 			dst[i] = act.F(x)

@@ -29,7 +29,7 @@ func (d *Dense) InferBatch(X, Y *mat.Dense) {
 	applyAct(d.Act, Y.Data, Y.Data)
 }
 
-// forwardBatchSaved is the batched ForwardSaved: pre = X·Wᵀ + b and
+// forwardBatchSaved is the batched training forward: pre = X·Wᵀ + b and
 // Y = act(pre), both taken from ws and handed back so the caller keeps the
 // backprop state instead of a closure capturing it. X is not copied: it must
 // stay untouched — and ws un-Reset — until the matching backwardBatchSaved
@@ -111,10 +111,8 @@ func (m *MLP) InferWS(ws *mat.Workspace, x mat.Vec) mat.Vec {
 
 // BatchTape holds the backprop state of one batched forward pass through an
 // MLP — per layer its input, pre-activation and output — between
-// ForwardBatchWS and BackwardBatchWS. It is the batched counterpart of the
-// buffers ForwardSaved/BackwardSaved take: the caller keeps one tape per
-// network and reuses it every step, so a warm training step allocates
-// nothing.
+// ForwardBatchWS and BackwardBatchWS: the caller keeps one tape per network
+// and reuses it every step, so a warm training step allocates nothing.
 type BatchTape struct {
 	layers []struct{ x, pre, y *mat.Dense }
 }

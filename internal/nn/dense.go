@@ -141,39 +141,6 @@ func (d *Dense) Forward(x mat.Vec) (y mat.Vec, back func(dy mat.Vec) mat.Vec) {
 	return y, back
 }
 
-// ForwardSaved computes pre = W·x + b and y = act(pre) into caller-owned
-// buffers — the training forward pass with the backprop state (x, pre, y)
-// saved by the caller instead of captured in a closure, so recurrent
-// unrolls (LSTM BPTT) can reuse one buffer set per time step and run
-// allocation-free. Like Forward it reads no transpose cache, so it stays
-// correct under out-of-band weight mutation without any invalidation
-// discipline.
-func (d *Dense) ForwardSaved(x, pre, y mat.Vec) {
-	if len(x) != d.In || len(pre) != d.Out || len(y) != d.Out {
-		panic(fmt.Sprintf("nn: Dense.ForwardSaved shapes len(x)=%d len(pre)=%d len(y)=%d want %d,%d,%d",
-			len(x), len(pre), len(y), d.In, d.Out, d.Out))
-	}
-	d.W.MulVec(x, pre)
-	mat.AddScaled(pre, 1, d.B)
-	applyAct(d.Act, pre, y)
-}
-
-// BackwardSaved replays Forward's backward closure from buffers saved by
-// ForwardSaved: it accumulates the parameter gradients (GW += dPre⊗x,
-// GB += dPre) and writes dL/dx into dx. dPre is caller scratch of length
-// Out (overwritten); dx has length In (overwritten). The arithmetic — and
-// therefore every accumulated gradient bit — matches Forward's closure.
-func (d *Dense) BackwardSaved(x, pre, y, dy, dPre, dx mat.Vec) {
-	if len(dy) != d.Out || len(dPre) != d.Out || len(dx) != d.In {
-		panic(fmt.Sprintf("nn: Dense.BackwardSaved shapes len(dy)=%d len(dPre)=%d len(dx)=%d want %d,%d,%d",
-			len(dy), len(dPre), len(dx), d.Out, d.Out, d.In))
-	}
-	applyActDeriv(d.Act, dy, pre, y, dPre)
-	d.GW.AddOuter(dPre, x)
-	d.GB.Add(dPre)
-	d.W.MulVecT(dPre, dx)
-}
-
 // Infer computes the layer output without capturing state for backprop.
 // dst must have length Out; it is returned for convenience.
 func (d *Dense) Infer(x, dst mat.Vec) mat.Vec {

@@ -235,3 +235,71 @@ func TestNewSessionRejectsMalformedLSTMConfig(t *testing.T) {
 		}
 	})
 }
+
+// TestNewSessionRejectsMalformedLocalRLConfig: every Config.LocalRL value the
+// RL power manager's parts used to panic on (a non-increasing PredictorBounds
+// out of lstm.NewDiscretizer, an exploration schedule out of
+// rl.NewEpsilonGreedy) or silently learn NaNs from (x <= 0 is false for NaN)
+// is an error from NewSession naming the layer, and a CRC-valid,
+// fingerprint-consistent snapshot carrying one is ErrConfigMismatch from
+// Restore — never a panic out of either.
+func TestNewSessionRejectsMalformedLocalRLConfig(t *testing.T) {
+	nan := math.NaN()
+	for name, edit := range map[string]func(*hierdrl.Config){
+		"bounds-decreasing":    func(c *hierdrl.Config) { c.LocalRL.PredictorBounds = []float64{30, 15} },
+		"bounds-repeated":      func(c *hierdrl.Config) { c.LocalRL.PredictorBounds = []float64{15, 30, 30} },
+		"bounds-nan":           func(c *hierdrl.Config) { c.LocalRL.PredictorBounds = []float64{15, nan, 60} },
+		"bounds-inf":           func(c *hierdrl.Config) { c.LocalRL.PredictorBounds = []float64{15, math.Inf(1)} },
+		"alpha-nan":            func(c *hierdrl.Config) { c.LocalRL.Alpha = nan },
+		"beta-nan":             func(c *hierdrl.Config) { c.LocalRL.Beta = nan },
+		"beta-inf":             func(c *hierdrl.Config) { c.LocalRL.Beta = math.Inf(1) },
+		"epsilon-nan":          func(c *hierdrl.Config) { c.LocalRL.Epsilon = nan },
+		"epsilon-above-one":    func(c *hierdrl.Config) { c.LocalRL.Epsilon = 2 },
+		"epsilon-min-above":    func(c *hierdrl.Config) { c.LocalRL.EpsilonMin = 0.9 },
+		"epsilon-decay-nan":    func(c *hierdrl.Config) { c.LocalRL.EpsilonDecay = nan },
+		"power-weight-nan":     func(c *hierdrl.Config) { c.LocalRL.PowerWeight = nan },
+		"power-norm-nan":       func(c *hierdrl.Config) { c.LocalRL.PowerNormW = nan },
+		"power-norm-inf":       func(c *hierdrl.Config) { c.LocalRL.PowerNormW = math.Inf(1) },
+		"optimistic-init-nan":  func(c *hierdrl.Config) { c.LocalRL.OptimisticInit = nan },
+		"timeout-action-nan":   func(c *hierdrl.Config) { c.LocalRL.Timeouts = []float64{0, nan} },
+		"timeout-action-minus": func(c *hierdrl.Config) { c.LocalRL.Timeouts = []float64{0, -15} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := hierdrl.Hierarchical(4)
+			edit(&cfg)
+			s, err := hierdrl.NewSession(cfg)
+			if err == nil {
+				s.Close()
+				t.Fatal("malformed local RL config accepted")
+			}
+			if !strings.HasPrefix(err.Error(), "hierdrl: local: ") {
+				t.Fatalf("error %q does not name the layer that rejected it", err)
+			}
+		})
+	}
+
+	t.Run("restore", func(t *testing.T) {
+		s, err := hierdrl.NewSession(hierdrl.ScaleSim(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.SubmitTrace(hierdrl.SyntheticTraceForCluster(300, 8, 1)); err != nil {
+			t.Fatal(err)
+		}
+		stepToCompleted(t, s, 150)
+		var snap bytes.Buffer
+		if err := s.Checkpoint(&snap); err != nil {
+			t.Fatal(err)
+		}
+		bad := withEmbeddedConfig(t, snap.Bytes(), func(c *hierdrl.Config) { c.LocalRL.PredictorBounds = []float64{30, 15} })
+		r, err := hierdrl.Restore(bytes.NewReader(bad))
+		if err == nil {
+			r.Close()
+			t.Fatal("snapshot with PredictorBounds = {30, 15} restored")
+		}
+		if !errors.Is(err, hierdrl.ErrConfigMismatch) {
+			t.Fatalf("Restore = %v, want errors.Is(err, ErrConfigMismatch)", err)
+		}
+	})
+}

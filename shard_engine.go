@@ -2,7 +2,6 @@ package hierdrl
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -84,13 +83,14 @@ type phaseCmd struct {
 }
 
 // epochBarrier is the two-sided synchronization of one phase: a generation
-// counter releases the workers (spin-then-park: consecutive epochs are
-// microseconds apart, so a bounded spin usually wins; the condition variable
-// catches idle stretches), and an arrival countdown hands completion back to
-// the coordinator through a one-slot channel.
+// counter under a condition variable releases the workers, and an arrival
+// countdown hands completion back to the coordinator through a one-slot
+// channel. Workers park at once, never spin first: the last worker's arrive()
+// readies the coordinator on that worker's own P, so a spin there sits on the
+// critical path — and the next release is a replay and an allocation away, so
+// it would lose anyway (DESIGN.md §12 has the measurement).
 type epochBarrier struct {
 	p       int // worker count (shards 1..P-1; shard 0 is the coordinator's)
-	spin    int
 	gen     atomic.Uint64
 	arrived atomic.Int32
 	done    chan struct{}
@@ -102,13 +102,6 @@ func (b *epochBarrier) init(p int) {
 	b.p = p
 	b.done = make(chan struct{}, 1)
 	b.cond = sync.NewCond(&b.mu)
-	// Spinning only helps when every worker (and the coordinator) can hold a
-	// core; on an oversubscribed box parking immediately is faster.
-	if runtime.GOMAXPROCS(0) > p {
-		b.spin = 4096
-	} else {
-		b.spin = 64
-	}
 }
 
 // release publishes the new generation and wakes parked workers. The
@@ -124,11 +117,6 @@ func (b *epochBarrier) release() {
 
 // await blocks until the generation moves past gen and returns the new one.
 func (b *epochBarrier) await(gen uint64) uint64 {
-	for i := 0; i < b.spin; i++ {
-		if g := b.gen.Load(); g != gen {
-			return g
-		}
-	}
 	b.mu.Lock()
 	for b.gen.Load() == gen {
 		b.cond.Wait()
