@@ -88,8 +88,9 @@ obs-smoke:
 	$(GO) test -race ./internal/telemetry
 
 # examples-smoke builds and runs every examples/ program with a tiny job
-# count, exercising the public Session/registry API end to end (CI runs it
-# so API drift breaks the build, not users).
+# count, exercising the public Session/registry API end to end, then every
+# table of cmd/experiments at bench scale over two seeds (~7 s; CI runs it so
+# API drift breaks the build, not users).
 examples-smoke:
 	$(GO) run ./examples/quickstart -jobs 300 -warmup 80
 	$(GO) run ./examples/datacenter -servers 6 -jobs 250 -warmup 60
@@ -97,6 +98,7 @@ examples-smoke:
 	$(GO) run ./examples/tradeoff -jobs 200 -warmup 50
 	$(GO) run ./examples/pluggable -jobs 200 -servers 4
 	$(GO) run ./examples/scenario -scenario mixed-het -jobs 400
+	$(GO) run ./cmd/experiments -exp all -scale bench -seeds 1,2
 
 # profile writes CPU and allocation pprof profiles of the headline
 # experiment benchmark (inspect with `go tool pprof cpu.pprof`).

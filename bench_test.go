@@ -1,6 +1,7 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (Sec. VII), plus micro-benchmarks of the hot components. The
-// experiment benchmarks run the 20x-reduced BenchScale workload and report
+// experiment benchmarks run reduced workloads (Table I and Fig. 8/9 the
+// 20x-reduced BenchScale) through a one-seed Study and report
 // the paper's metrics (energy, accumulated latency, average power) through
 // b.ReportMetric, so `go test -bench=.` regenerates every row/series shape;
 // `cmd/experiments -scale full` reproduces the full 95,000-job operating
@@ -24,15 +25,27 @@ import (
 	"hierdrl/internal/sim"
 )
 
-// benchScale trims BenchScale further so a single benchmark iteration stays
-// in the seconds range.
-func benchScale(m int) hierdrl.Scale {
-	return hierdrl.Scale{Jobs: 2000, WarmupJobs: 600, Seed: 1, ClusterM: m}
+// threeSystems runs the paper's three systems (round-robin, DRL-only,
+// hierarchical) on BenchScale(m) through a one-seed study, recording the
+// Fig. 8/9 series every `every` jobs when every > 0.
+func threeSystems(b *testing.B, m, every int) []*hierdrl.Result {
+	b.Helper()
+	var cells []hierdrl.Cell
+	for _, cfg := range []hierdrl.Config{hierdrl.RoundRobin(m), hierdrl.DRLOnly(m), hierdrl.Hierarchical(m)} {
+		cfg.CheckpointEvery = every
+		cells = append(cells, hierdrl.Cell{Name: cfg.Name, Config: cfg, Scale: hierdrl.BenchScale(m)})
+	}
+	res, err := hierdrl.Study{Cells: cells, Seeds: []int64{1}}.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return []*hierdrl.Result{res[0][0], res[1][0], res[2][0]}
 }
 
-func reportComparison(b *testing.B, cmp *hierdrl.Comparison) {
+func reportComparison(b *testing.B, runs []*hierdrl.Result) {
 	b.Helper()
-	for _, s := range cmp.Rows() {
+	for _, r := range runs {
+		s := r.Summary
 		b.ReportMetric(s.EnergykWh, s.Policy+"_energy_kWh")
 		b.ReportMetric(s.AccLatencySec/1e6, s.Policy+"_latency_Ms")
 		b.ReportMetric(s.AvgPowerW, s.Policy+"_power_W")
@@ -42,12 +55,9 @@ func reportComparison(b *testing.B, cmp *hierdrl.Comparison) {
 // BenchmarkTable1_M30 regenerates the M=30 block of Table I.
 func BenchmarkTable1_M30(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cmp, err := hierdrl.RunComparison(30, benchScale(30), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runs := threeSystems(b, 30, 0)
 		if i == b.N-1 {
-			reportComparison(b, cmp)
+			reportComparison(b, runs)
 		}
 	}
 }
@@ -55,12 +65,9 @@ func BenchmarkTable1_M30(b *testing.B) {
 // BenchmarkTable1_M40 regenerates the M=40 block of Table I.
 func BenchmarkTable1_M40(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cmp, err := hierdrl.RunComparison(40, benchScale(40), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runs := threeSystems(b, 40, 0)
 		if i == b.N-1 {
-			reportComparison(b, cmp)
+			reportComparison(b, runs)
 		}
 	}
 }
@@ -68,61 +75,62 @@ func BenchmarkTable1_M40(b *testing.B) {
 // BenchmarkFig8_M30 regenerates the Fig. 8 accumulated latency/energy series
 // (M=30); the checkpoint count mirrors the paper's plotted resolution.
 func BenchmarkFig8_M30(b *testing.B) {
-	sc := benchScale(30)
 	for i := 0; i < b.N; i++ {
-		cmp, err := hierdrl.RunComparison(30, sc, sc.Jobs/19)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runs := threeSystems(b, 30, hierdrl.BenchScale(30).Jobs/19)
 		if i == b.N-1 {
-			reportComparison(b, cmp)
-			b.ReportMetric(float64(len(cmp.Hierarchical.Checkpoints)), "series_points")
+			reportComparison(b, runs)
+			b.ReportMetric(float64(len(runs[2].Checkpoints)), "series_points")
 		}
 	}
 }
 
 // BenchmarkFig9_M40 regenerates the Fig. 9 series (M=40).
 func BenchmarkFig9_M40(b *testing.B) {
-	sc := benchScale(40)
 	for i := 0; i < b.N; i++ {
-		cmp, err := hierdrl.RunComparison(40, sc, sc.Jobs/19)
-		if err != nil {
-			b.Fatal(err)
-		}
+		runs := threeSystems(b, 40, hierdrl.BenchScale(40).Jobs/19)
 		if i == b.N-1 {
-			reportComparison(b, cmp)
-			b.ReportMetric(float64(len(cmp.Hierarchical.Checkpoints)), "series_points")
+			reportComparison(b, runs)
+			b.ReportMetric(float64(len(runs[2].Checkpoints)), "series_points")
 		}
 	}
 }
 
-// BenchmarkFig10_Tradeoff regenerates the Fig. 10 latency/energy trade-off
-// study (hierarchical sweep vs fixed-timeout baselines) and reports the
-// dominated hypervolume of each curve (larger = better trade-off).
+// BenchmarkFig10_Tradeoff regenerates two curves of the Fig. 10
+// latency/energy trade-off study — the hierarchical lambda sweep and the
+// fixed 60 s timeout baseline, lambda weighting the global reward as in
+// cmd/experiments — and reports each curve's dominated hypervolume (larger =
+// better trade-off).
 func BenchmarkFig10_Tradeoff(b *testing.B) {
-	sc := hierdrl.Scale{Jobs: 1200, WarmupJobs: 400, Seed: 1, ClusterM: 10}
+	const m = 10
+	sc := hierdrl.Scale{Jobs: 1200, WarmupJobs: 400, ClusterM: m}
 	lambdas := []float64{0.25, 0.75}
+	var cells []hierdrl.Cell
+	for _, lam := range lambdas {
+		hier := hierdrl.Hierarchical(m)
+		hier.LocalRL.PowerWeight = 1 - lam
+		for _, cfg := range []hierdrl.Config{hier, hierdrl.FixedTimeoutBaseline(m, 60)} {
+			cfg.Global.W1, cfg.Global.W2 = 2*(1-lam), 2*lam
+			cells = append(cells, hierdrl.Cell{Name: cfg.Name, Config: cfg, Scale: sc})
+		}
+	}
 	for i := 0; i < b.N; i++ {
-		curves, err := hierdrl.RunTradeoff(10, sc, lambdas)
+		res, err := hierdrl.Study{Cells: cells, Seeds: []int64{1}}.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
+			curves := make([][]hierdrl.TradeoffPoint, 2) // hierarchical, fixed-60
 			var refLat, refE float64
-			for _, c := range curves.All() {
-				for _, p := range c {
-					if p.AvgLatencySec > refLat {
-						refLat = p.AvgLatencySec
-					}
-					if p.AvgEnergyJPerJob > refE {
-						refE = p.AvgEnergyJPerJob
-					}
-				}
+			for k, runs := range res {
+				p := runs[0].Tradeoff(cells[k].Name, lambdas[k/2])
+				curves[k%2] = append(curves[k%2], p)
+				refLat = max(refLat, p.AvgLatencySec)
+				refE = max(refE, p.AvgEnergyJPerJob)
 			}
 			refLat *= 1.05
 			refE *= 1.05
-			b.ReportMetric(hierdrl.HypervolumeOf(curves.Hierarchical, refLat, refE)/1e6, "hier_hypervol")
-			b.ReportMetric(hierdrl.HypervolumeOf(curves.Fixed60, refLat, refE)/1e6, "fixed60_hypervol")
+			b.ReportMetric(hierdrl.HypervolumeOf(curves[0], refLat, refE)/1e6, "hier_hypervol")
+			b.ReportMetric(hierdrl.HypervolumeOf(curves[1], refLat, refE)/1e6, "fixed60_hypervol")
 		}
 	}
 }

@@ -35,32 +35,35 @@ func main() {
 
 	fmt.Printf("comparing 3 systems on %d servers, %d jobs (warmup %d)...\n\n",
 		*servers, sc.Jobs, sc.WarmupJobs)
-	cmp, err := hierdrl.RunComparison(*servers, sc, sc.Jobs/10)
+	// One study cell per system, all on the same workload and seed; the
+	// study runs them concurrently, bitwise equal to running them in turn.
+	var cells []hierdrl.Cell
+	for _, cfg := range []hierdrl.Config{hierdrl.RoundRobin(*servers), hierdrl.DRLOnly(*servers), hierdrl.Hierarchical(*servers)} {
+		cfg.CheckpointEvery = sc.Jobs / 10
+		cells = append(cells, hierdrl.Cell{Name: cfg.Name, Config: cfg, Scale: sc})
+	}
+	res, err := hierdrl.Study{Cells: cells, Seeds: []int64{1}}.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
+	rr, drl, hier := res[0][0], res[1][0], res[2][0]
 
 	fmt.Printf("%-14s %14s %18s %12s %14s\n",
 		"policy", "Energy (kWh)", "Latency (10^6 s)", "Power (W)", "AvgLat (s)")
-	for _, s := range cmp.Rows() {
+	for _, r := range []*hierdrl.Result{rr, drl, hier} {
+		s := r.Summary
 		fmt.Printf("%-14s %14.2f %18.3f %12.1f %14.1f\n",
 			s.Policy, s.EnergykWh, s.AccLatencySec/1e6, s.AvgPowerW, s.AvgLatencySec)
 	}
 
-	rr := cmp.RoundRobin.Summary
-	hier := cmp.Hierarchical.Summary
 	fmt.Printf("\nhierarchical saves %.1f%% power/energy vs round-robin\n",
-		100*(rr.EnergykWh-hier.EnergykWh)/rr.EnergykWh)
+		100*(rr.Summary.EnergykWh-hier.Summary.EnergykWh)/rr.Summary.EnergykWh)
 
 	fmt.Println("\naccumulated energy series (Fig. 8(b) shape):")
 	fmt.Printf("%-10s %14s %14s %14s\n", "jobs", "round-robin", "drl-only", "hierarchical")
-	n := min(len(cmp.RoundRobin.Checkpoints),
-		min(len(cmp.DRLOnly.Checkpoints), len(cmp.Hierarchical.Checkpoints)))
+	n := min(len(rr.Checkpoints), len(drl.Checkpoints), len(hier.Checkpoints))
 	for i := 0; i < n; i++ {
-		fmt.Printf("%-10d %14.2f %14.2f %14.2f\n",
-			cmp.RoundRobin.Checkpoints[i].Jobs,
-			cmp.RoundRobin.Checkpoints[i].EnergykWh,
-			cmp.DRLOnly.Checkpoints[i].EnergykWh,
-			cmp.Hierarchical.Checkpoints[i].EnergykWh)
+		fmt.Printf("%-10d %14.2f %14.2f %14.2f\n", rr.Checkpoints[i].Jobs,
+			rr.Checkpoints[i].EnergykWh, drl.Checkpoints[i].EnergykWh, hier.Checkpoints[i].EnergykWh)
 	}
 }

@@ -3,6 +3,7 @@ package hierdrl
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hierdrl/internal/cluster"
 	"hierdrl/internal/global"
@@ -13,15 +14,16 @@ import (
 	"hierdrl/internal/trace"
 )
 
-// Scale sizes an experiment. FullScale reproduces the paper's operating
-// point; BenchScale keeps `go test -bench` runs tractable.
+// Scale sizes a synthetic workload: Jobs measured jobs on a trace whose
+// arrival rate is calibrated to ClusterM servers (SyntheticTraceForCluster),
+// after a WarmupJobs-job offline rollout for DRL agents. FullScale reproduces
+// the paper's operating point; BenchScale keeps CI and benchmark runs
+// tractable.
 type Scale struct {
 	// Jobs is the measured workload length (the paper reports at 95,000).
 	Jobs int
 	// WarmupJobs sizes the offline-phase rollout for DRL agents.
 	WarmupJobs int
-	// Seed drives workload generation and every learner.
-	Seed int64
 	// ClusterM is the reference cluster size of the *measured* runs; the
 	// trace arrival rate is scaled to it (see SyntheticTraceForCluster).
 	ClusterM int
@@ -30,12 +32,12 @@ type Scale struct {
 // FullScale is the paper's configuration: 95,000 jobs on a 30/40-server
 // cluster (~one simulated week).
 func FullScale(m int) Scale {
-	return Scale{Jobs: 95000, WarmupJobs: 20000, Seed: 1, ClusterM: m}
+	return Scale{Jobs: 95000, WarmupJobs: 20000, ClusterM: m}
 }
 
 // BenchScale is a 20x-reduced configuration for benchmarks and CI.
 func BenchScale(m int) Scale {
-	return Scale{Jobs: 4750, WarmupJobs: 1000, Seed: 1, ClusterM: m}
+	return Scale{Jobs: 4750, WarmupJobs: 1000, ClusterM: m}
 }
 
 // Validate checks the scale.
@@ -46,40 +48,95 @@ func (s Scale) Validate() error {
 	return nil
 }
 
-func (s Scale) trace(seedOffset int64) *Trace {
-	return SyntheticTraceForCluster(s.Jobs, s.ClusterM, s.Seed+seedOffset)
+// Cell is one configuration of a Study: a Config and the workload it runs
+// on. The workload is a registered scenario when Scenario is set, else the
+// synthetic trace Scale sizes.
+type Cell struct {
+	// Name labels the cell in errors.
+	Name   string
+	Config Config
+	// Scale sizes the synthetic workload: at seed s the cell runs
+	// SyntheticTraceForCluster(Jobs, ClusterM, s) and, when WarmupJobs > 0,
+	// hands SyntheticTraceForCluster(WarmupJobs, ClusterM, s+1000) to the
+	// config as its WarmupTrace (only DRL allocation consumes it). A scenario
+	// cell reads only Jobs: a positive value caps the scenario's length.
+	Scale Scale
+	// Scenario names a registered scenario, streamed through RunSource on the
+	// scenario's own cluster layout (Scenario.ApplyTo) from Source(seed).
+	Scenario string
 }
 
-func (s Scale) warmupTrace(seedOffset int64) *Trace {
-	if s.WarmupJobs == 0 {
-		return nil
+// Study is a grid of cells crossed with seeds: the shape of every
+// session-backed experiment of the paper's evaluation and the robustness
+// sweeps.
+type Study struct {
+	Cells []Cell
+	Seeds []int64
+}
+
+// Run executes every (cell, seed) pair and returns the results indexed
+// [cell][seed] in input order. A seed becomes the run's Config.Seed and
+// seeds its workload. Each distinct synthetic trace is generated once and
+// shared read-only by every cell that runs on it. Runs fan out over the
+// bounded worker pool; every run derives its whole RNG chain from its own
+// config, so the results are bitwise those of calling Run / RunSource on each
+// pair in turn (runParallel returns the lowest-index error).
+func (st Study) Run() ([][]*Result, error) {
+	if len(st.Cells) == 0 || len(st.Seeds) == 0 {
+		return nil, fmt.Errorf("hierdrl: study needs at least one cell and one seed")
 	}
-	return SyntheticTraceForCluster(s.WarmupJobs, s.ClusterM, s.Seed+1000+seedOffset)
-}
-
-// Comparison holds the three-system results of Table I / Fig. 8 / Fig. 9.
-type Comparison struct {
-	RoundRobin   *Result
-	DRLOnly      *Result
-	Hierarchical *Result
-}
-
-// Rows returns the Table I rows in the paper's order.
-func (c *Comparison) Rows() []Summary {
-	return []Summary{c.RoundRobin.Summary, c.DRLOnly.Summary, c.Hierarchical.Summary}
-}
-
-// sweep runs one cell per element of cells through the bounded worker pool
-// and returns the results in cell order. Every run derives its entire RNG
-// chain from its own config and shares only immutable inputs (the trace), so
-// a sweep's results are bitwise those of running the cells sequentially.
-func sweep[C, R any](cells []C, run func(C) (R, error)) ([]R, error) {
-	out := make([]R, len(cells))
-	tasks := make([]func() error, len(cells))
-	for i, c := range cells {
-		tasks[i] = func() (err error) {
-			out[i], err = run(c)
-			return err
+	traces := map[[3]int64]*Trace{} // (jobs, M, seed) -> shared trace
+	trace := func(n, m int, seed int64) *Trace {
+		k := [3]int64{int64(n), int64(m), seed}
+		if traces[k] == nil {
+			traces[k] = SyntheticTraceForCluster(n, m, seed)
+		}
+		return traces[k]
+	}
+	out := make([][]*Result, len(st.Cells))
+	var tasks []func() error
+	for i, c := range st.Cells {
+		var scen Scenario
+		if c.Scenario != "" {
+			s, ok := LookupScenario(c.Scenario)
+			if !ok {
+				return nil, fmt.Errorf("hierdrl: study cell %q: unknown scenario %q", c.Name, c.Scenario)
+			}
+			scen = s.Scaled(0, c.Scale.Jobs)
+		} else if c.Scale == (Scale{}) {
+			return nil, fmt.Errorf("hierdrl: study cell %q has no workload", c.Name)
+		} else if err := c.Scale.Validate(); err != nil {
+			return nil, fmt.Errorf("hierdrl: study cell %q: %w", c.Name, err)
+		}
+		out[i] = make([]*Result, len(st.Seeds))
+		for k, seed := range st.Seeds {
+			cfg := c.Config
+			cfg.Seed = seed
+			var tr *Trace
+			var src *WorkloadSource
+			if c.Scenario != "" {
+				scen.ApplyTo(&cfg)
+				var err error
+				if src, err = scen.Source(seed); err != nil {
+					return nil, err
+				}
+			} else {
+				tr = trace(c.Scale.Jobs, c.Scale.ClusterM, seed)
+				if c.Scale.WarmupJobs > 0 {
+					cfg.WarmupTrace = trace(c.Scale.WarmupJobs, c.Scale.ClusterM, seed+1000)
+				}
+			}
+			tasks = append(tasks, func() (err error) {
+				if src != nil {
+					out[i][k], err = RunSource(cfg, src)
+				} else {
+					out[i][k], err = Run(cfg, tr)
+				}
+				if err != nil {
+					return fmt.Errorf("hierdrl: study cell %q seed %d: %w", c.Name, seed, err)
+				}
+				return nil
+			})
 		}
 	}
 	if err := runParallel(tasks); err != nil {
@@ -88,272 +145,22 @@ func sweep[C, R any](cells []C, run func(C) (R, error)) ([]R, error) {
 	return out, nil
 }
 
-// RunComparison executes the paper's three systems on the same workload with
-// M servers — the engine behind Table I (checkpointEvery = 0) and the
-// Fig. 8/9 accumulated series (checkpointEvery > 0). The three systems run
-// concurrently, each as one batch Session (via Run).
-func RunComparison(m int, sc Scale, checkpointEvery int) (*Comparison, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
+// MedianRange reduces one metric across a study's seeds (typically a Summary
+// field of one cell's results) to its median, minimum and maximum. The median
+// of an even count is the mean of the two middle values; xs is not modified,
+// and an empty xs gives NaN.
+func MedianRange(xs []float64) (median, lo, hi float64) {
+	if len(xs) == 0 {
+		return math.NaN(), math.NaN(), math.NaN()
 	}
-	tr := sc.trace(0)
-	warm := sc.warmupTrace(0)
-	cfgs := []Config{RoundRobin(m), DRLOnly(m), Hierarchical(m)}
-	for i := range cfgs {
-		cfgs[i].Seed = sc.Seed
-		cfgs[i].CheckpointEvery = checkpointEvery
-		cfgs[i].WarmupTrace = warm // only the DRL systems consume it
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	n := len(s)
+	median = s[n/2]
+	if n%2 == 0 {
+		median = (s[n/2-1] + s[n/2]) / 2
 	}
-	res, err := sweep(cfgs, func(cfg Config) (*Result, error) {
-		res, err := Run(cfg, tr)
-		if err != nil {
-			return nil, fmt.Errorf("hierdrl: %s: %w", cfg.Name, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Comparison{RoundRobin: res[0], DRLOnly: res[1], Hierarchical: res[2]}, nil
-}
-
-// TradeoffCurves holds the Fig. 10 study: one point series per system.
-type TradeoffCurves struct {
-	Hierarchical []TradeoffPoint
-	Fixed30      []TradeoffPoint
-	Fixed60      []TradeoffPoint
-	Fixed90      []TradeoffPoint
-}
-
-// All returns every point (for hypervolume comparisons).
-func (tc *TradeoffCurves) All() [][]TradeoffPoint {
-	return [][]TradeoffPoint{tc.Hierarchical, tc.Fixed30, tc.Fixed60, tc.Fixed90}
-}
-
-// RunTradeoff sweeps the latency-emphasis parameter lambda across all four
-// systems of Fig. 10. lambda couples the reward weights coherently: the
-// global tier uses W1 = 2(1-lambda) (power) and W2 = 2*lambda (latency
-// proxy); the hierarchical local tier additionally sets its Eqn. (5) weight
-// w = 1-lambda. The fixed-timeout baselines have no local knob — exactly why
-// the paper calls their curves "not complete".
-func RunTradeoff(m int, sc Scale, lambdas []float64) (*TradeoffCurves, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if len(lambdas) == 0 {
-		return nil, fmt.Errorf("hierdrl: empty lambda sweep")
-	}
-	for _, lam := range lambdas {
-		if lam <= 0 || lam >= 1 {
-			return nil, fmt.Errorf("hierdrl: lambda %v outside (0,1)", lam)
-		}
-	}
-	tr := sc.trace(0)
-	warm := sc.warmupTrace(0)
-
-	// One cell per (lambda, system) pair, lambda-major, hierarchical first.
-	type cell struct {
-		cfg   Config
-		label string
-		lam   float64
-	}
-	timeouts := []float64{30, 60, 90}
-	var cells []cell
-	for _, lam := range lambdas {
-		hier := Hierarchical(m)
-		hier.LocalRL.PowerWeight = 1 - lam
-		cells = append(cells, cell{hier, "hierarchical", lam})
-		for _, timeout := range timeouts {
-			cells = append(cells, cell{FixedTimeoutBaseline(m, timeout), fmt.Sprintf("fixed-%.0f", timeout), lam})
-		}
-	}
-	points, err := sweep(cells, func(c cell) (TradeoffPoint, error) {
-		// Every system shares the seed, the warmup and the global weights.
-		c.cfg.Seed = sc.Seed
-		c.cfg.WarmupTrace = warm
-		c.cfg.Global.W1 = 2 * (1 - c.lam)
-		c.cfg.Global.W2 = 2 * c.lam
-		res, err := Run(c.cfg, tr)
-		if err != nil {
-			return TradeoffPoint{}, fmt.Errorf("hierdrl: tradeoff %s lambda=%v: %w", c.label, c.lam, err)
-		}
-		return res.Tradeoff(c.label, c.lam), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &TradeoffCurves{}
-	for i := 0; i < len(points); i += 1 + len(timeouts) {
-		out.Hierarchical = append(out.Hierarchical, points[i])
-		out.Fixed30 = append(out.Fixed30, points[i+1])
-		out.Fixed60 = append(out.Fixed60, points[i+2])
-		out.Fixed90 = append(out.Fixed90, points[i+3])
-	}
-	return out, nil
-}
-
-// heuristicAllocs are the non-learning allocation policies the fault sweeps
-// compare.
-var heuristicAllocs = []AllocPolicy{AllocRoundRobin, AllocRandom, AllocLeastLoaded, AllocPackFit}
-
-// faultCell is one fault-sweep configuration: alloc under fault model faults
-// with the given MTTF, a 600 s mean repair time, capped-backoff retries and a
-// fixed 60 s local timeout.
-func faultCell(name string, m int, seed int64, alloc AllocPolicy, faults FaultKind, mttf float64) Config {
-	return Config{
-		Name:            name,
-		M:               m,
-		Seed:            seed,
-		Alloc:           alloc,
-		DPM:             DPMFixedTimeout,
-		FixedTimeoutSec: 60,
-		Faults:          faults,
-		MTTFSec:         mttf,
-		MTTRSec:         600,
-		Retry:           RetryBackoff,
-	}
-}
-
-// FaultPoint is one cell of the fault sweep: an allocation policy run under
-// a given mean time to failure.
-type FaultPoint struct {
-	Alloc   AllocPolicy
-	MTTFSec float64
-	Summary Summary
-}
-
-// RunFaultSweep runs every non-learning allocation policy against the same
-// workload under increasing failure pressure (decreasing MTTF), with a fixed
-// 600s mean repair time and capped-backoff retries — the robustness
-// counterpart to RunComparison. It answers how gracefully each policy
-// degrades: availability, completed-work latency, retries, and lost work per
-// (policy, MTTF) cell. Points are ordered policy-major, matching the input
-// mttfs order within each policy.
-func RunFaultSweep(m int, sc Scale, mttfs []float64) ([]FaultPoint, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if len(mttfs) == 0 {
-		return nil, fmt.Errorf("hierdrl: empty MTTF sweep")
-	}
-	for _, mttf := range mttfs {
-		if mttf <= 0 || math.IsInf(mttf, 0) || math.IsNaN(mttf) {
-			return nil, fmt.Errorf("hierdrl: MTTF %v must be positive and finite", mttf)
-		}
-	}
-	tr := sc.trace(0)
-	var cfgs []Config
-	for _, alloc := range heuristicAllocs {
-		for _, mttf := range mttfs {
-			name := fmt.Sprintf("%s/mttf=%.0fs", alloc, mttf)
-			cfgs = append(cfgs, faultCell(name, m, sc.Seed, alloc, FaultExpCrash, mttf))
-		}
-	}
-	return sweep(cfgs, func(cfg Config) (FaultPoint, error) {
-		res, err := Run(cfg, tr)
-		if err != nil {
-			return FaultPoint{}, fmt.Errorf("hierdrl: fault sweep %s: %w", cfg.Name, err)
-		}
-		return FaultPoint{Alloc: cfg.Alloc, MTTFSec: cfg.MTTFSec, Summary: res.Summary}, nil
-	})
-}
-
-// FaultMatrixPoint is one cell of the fault-class matrix: an allocation
-// policy run under one fault model at fixed offered load.
-type FaultMatrixPoint struct {
-	Alloc   AllocPolicy
-	Faults  FaultKind
-	Summary Summary
-}
-
-// RunFaultMatrix runs every non-learning allocation policy against the same
-// workload under each fault class — independent exponential crashes,
-// correlated rack crashes (one domain per ~6 servers), fail-slow degradation
-// (default 0.25 speed factor), and rolling maintenance drains — the
-// graceful-degradation counterpart to RunFaultSweep's MTTF pressure sweep.
-// All crash/degrade cells share MTTF 30,000 s and MTTR 600 s so the columns
-// differ only in failure *shape*, not failure *volume*; drains use the
-// default 4 h cadence / 10 min window. Points are ordered policy-major,
-// matching the model order {exp-crash, correlated-crash, degrade,
-// maintenance-drain} within each policy.
-func RunFaultMatrix(m int, sc Scale) ([]FaultMatrixPoint, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	tr := sc.trace(0)
-	domains := EqualDomains(max(m/6, 1), m)
-	var cfgs []Config
-	for _, alloc := range heuristicAllocs {
-		for _, model := range []FaultKind{FaultExpCrash, FaultCorrelatedCrash, FaultDegrade, FaultDrain} {
-			cfg := faultCell(fmt.Sprintf("%s/%s", alloc, model), m, sc.Seed, alloc, model, 30000)
-			if model == FaultCorrelatedCrash {
-				cfg.Domains = domains
-			}
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	return sweep(cfgs, func(cfg Config) (FaultMatrixPoint, error) {
-		res, err := Run(cfg, tr)
-		if err != nil {
-			return FaultMatrixPoint{}, fmt.Errorf("hierdrl: fault matrix %s: %w", cfg.Name, err)
-		}
-		return FaultMatrixPoint{Alloc: cfg.Alloc, Faults: cfg.Faults, Summary: res.Summary}, nil
-	})
-}
-
-// ScenarioPoint is one cell of the scenario sweep: an allocation policy run
-// on a registered scenario.
-type ScenarioPoint struct {
-	Scenario string
-	Alloc    AllocPolicy
-	Summary  Summary
-}
-
-// RunScenarioSweep runs every given allocation policy against every named
-// scenario — the allocators × scenarios table of EXPERIMENTS.md. Each cell
-// streams the scenario's workload through RunSource with a fixed-timeout
-// (60 s) local tier, on the scenario's own cluster layout (including
-// heterogeneous server classes). jobs > 0 caps each scenario's length (the
-// scale scenarios would otherwise stream millions of jobs); seed drives the
-// workload and every policy. Cells run concurrently through the worker pool;
-// points are ordered scenario-major, matching the input orders.
-func RunScenarioSweep(allocs []AllocPolicy, scenarios []string, jobs int, seed int64) ([]ScenarioPoint, error) {
-	if len(allocs) == 0 || len(scenarios) == 0 {
-		return nil, fmt.Errorf("hierdrl: empty scenario sweep")
-	}
-	type cell struct {
-		scen  Scenario
-		alloc AllocPolicy
-	}
-	var cells []cell
-	for _, name := range scenarios {
-		scen, ok := LookupScenario(name)
-		if !ok {
-			return nil, fmt.Errorf("hierdrl: unknown scenario %q", name)
-		}
-		for _, alloc := range allocs {
-			cells = append(cells, cell{scen.Scaled(0, jobs), alloc})
-		}
-	}
-	return sweep(cells, func(c cell) (ScenarioPoint, error) {
-		cfg := Config{
-			Name:            fmt.Sprintf("%s/%s", c.scen.Name, c.alloc),
-			Seed:            seed,
-			Alloc:           c.alloc,
-			DPM:             DPMFixedTimeout,
-			FixedTimeoutSec: 60,
-		}
-		c.scen.ApplyTo(&cfg)
-		src, err := c.scen.Source(seed)
-		if err != nil {
-			return ScenarioPoint{}, err
-		}
-		res, err := RunSource(cfg, src)
-		if err != nil {
-			return ScenarioPoint{}, fmt.Errorf("hierdrl: scenario sweep %s: %w", cfg.Name, err)
-		}
-		return ScenarioPoint{Scenario: c.scen.Name, Alloc: c.alloc, Summary: res.Summary}, nil
-	})
+	return median, s[0], s[n-1]
 }
 
 // PredictorScore reports one predictor's accuracy on a held-out stream (the

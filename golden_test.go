@@ -27,12 +27,17 @@ func TestSeed1MetricsBitwiseGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full three-system comparison is slow; run without -short")
 	}
-	sc := hierdrl.Scale{Jobs: 500, WarmupJobs: 200, Seed: 1, ClusterM: 6}
-	cmp, err := hierdrl.RunComparison(6, sc, 0)
+	sc := hierdrl.Scale{Jobs: 500, WarmupJobs: 200, ClusterM: 6}
+	res, err := hierdrl.Study{Cells: []hierdrl.Cell{
+		{Name: "round-robin", Config: hierdrl.RoundRobin(6), Scale: sc},
+		{Name: "drl-only", Config: hierdrl.DRLOnly(6), Scale: sc},
+		{Name: "hierarchical", Config: hierdrl.Hierarchical(6), Scale: sc},
+	}, Seeds: []int64{1}}.Run()
 	if err != nil {
-		t.Fatalf("RunComparison: %v", err)
+		t.Fatalf("Study.Run: %v", err)
 	}
-	for _, s := range cmp.Rows() {
+	for _, runs := range res {
+		s := runs[0].Summary
 		want, ok := goldenM6[s.Policy]
 		if !ok {
 			t.Fatalf("unexpected policy %q", s.Policy)

@@ -26,9 +26,9 @@
 //	if err != nil { ... }
 //	fmt.Println(res.Summary)
 //
-// The batch helper Run(cfg, tr) wraps exactly that sequence; RunComparison
-// and RunTradeoff fan batched runs out in parallel. Custom allocation
-// policies, power managers, and workload predictors plug in through
+// The batch helper Run(cfg, tr) wraps exactly that sequence; a Study fans
+// batched runs over a grid of cells and seeds out in parallel. Custom
+// allocation policies, power managers, and workload predictors plug in through
 // RegisterAllocator / RegisterPowerManager / RegisterPredictor, after which
 // the Config.Alloc / Config.DPM / Config.Predictor strings resolve to them
 // like to the built-ins.

@@ -5,41 +5,52 @@ import (
 	"testing"
 )
 
-// TestRunComparisonMatchesSequential pins the concurrency contract: the
-// pooled runner must produce exactly the metrics of three independent
-// sequential Run calls (per-run RNG chains, shared immutable trace).
+// TestRunComparisonMatchesSequential pins the concurrency contract: a
+// pooled study of the three paper systems over two seeds produces exactly
+// the metrics of independent sequential Run calls on the documented workload
+// (the seed's trace, its seed+1000 warmup trace; per-run RNG chains).
 func TestRunComparisonMatchesSequential(t *testing.T) {
 	if testing.Short() {
-		t.Skip("six end-to-end runs; skip with -short")
+		t.Skip("twelve end-to-end runs; skip with -short")
 	}
-	m := 4
+	m, seeds := 4, []int64{3, 4}
+	cells := paperCells(m, 0)
+	res := runStudy(t, cells, seeds...)
 	sc := tinyScale(m)
-	cmp, err := RunComparison(m, sc, 0)
-	if err != nil {
-		t.Fatalf("RunComparison: %v", err)
-	}
-
-	tr := sc.trace(0)
-	warm := sc.warmupTrace(0)
-	seq := make([]*Result, 0, 3)
-	for _, mk := range []func() Config{
-		func() Config { return RoundRobin(m) },
-		func() Config { c := DRLOnly(m); c.WarmupTrace = warm; return c },
-		func() Config { c := Hierarchical(m); c.WarmupTrace = warm; return c },
-	} {
-		cfg := mk()
-		cfg.Seed = sc.Seed
-		res, err := Run(cfg, tr)
-		if err != nil {
-			t.Fatalf("sequential %s: %v", cfg.Name, err)
+	for k, seed := range seeds {
+		tr := SyntheticTraceForCluster(sc.Jobs, m, seed)
+		warm := SyntheticTraceForCluster(sc.WarmupJobs, m, seed+1000)
+		for i, mk := range []func() Config{
+			func() Config { return RoundRobin(m) },
+			func() Config { c := DRLOnly(m); c.WarmupTrace = warm; return c },
+			func() Config { c := Hierarchical(m); c.WarmupTrace = warm; return c },
+		} {
+			cfg := mk()
+			cfg.Seed = seed
+			want := runOrFatal(t, cfg, tr).Summary
+			if got := res[i][k].Summary; !sameSummary(got, want) {
+				t.Fatalf("%s seed %d: concurrent %+v != sequential %+v", cfg.Name, seed, got, want)
+			}
 		}
-		seq = append(seq, res)
 	}
-	for i, got := range cmp.Rows() {
-		want := seq[i].Summary
-		if got.EnergykWh != want.EnergykWh || got.AccLatencySec != want.AccLatencySec ||
-			got.AvgPowerW != want.AvgPowerW {
-			t.Fatalf("%s: concurrent %+v != sequential %+v", got.Policy, got, want)
+}
+
+// TestRunTradeoffOrderingStable pins the result layout: in a lambda x seed
+// grid, result [i][k] is cell i at seed k — bitwise the one-cell, one-seed
+// study of that pair — however the worker pool scheduled the grid.
+func TestRunTradeoffOrderingStable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep runs; skip with -short")
+	}
+	cells, seeds := lambdaCells(4, []float64{0.3, 0.7}), []int64{3, 4}
+	res := runStudy(t, cells, seeds...)
+	for i, c := range cells {
+		for k, seed := range seeds {
+			want := runStudy(t, []Cell{c}, seed)[0][0].Summary
+			if got := res[i][k].Summary; !sameSummary(got, want) {
+				t.Fatalf("[%d][%d] is not %s at seed %d (ordering lost):\n got %+v\nwant %+v",
+					i, k, c.Name, seed, got, want)
+			}
 		}
 	}
 }
@@ -57,28 +68,5 @@ func TestRunParallelErrorSelection(t *testing.T) {
 	}
 	if err := runParallel(nil); err != nil {
 		t.Fatalf("empty task list: %v", err)
-	}
-}
-
-func TestRunTradeoffOrderingStable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep runs; skip with -short")
-	}
-	m := 4
-	sc := tinyScale(m)
-	lambdas := []float64{0.3, 0.7}
-	curves, err := RunTradeoff(m, sc, lambdas)
-	if err != nil {
-		t.Fatalf("RunTradeoff: %v", err)
-	}
-	for _, series := range curves.All() {
-		if len(series) != len(lambdas) {
-			t.Fatalf("series length %d want %d", len(series), len(lambdas))
-		}
-		for i, p := range series {
-			if p.Weight != lambdas[i] {
-				t.Fatalf("series point %d weight %v want %v (ordering lost)", i, p.Weight, lambdas[i])
-			}
-		}
 	}
 }

@@ -5,43 +5,27 @@ import (
 	"sync"
 )
 
-// runParallel executes every task through a bounded worker pool sized to
-// the machine (errgroup-style, but dependency-free). All tasks run to
-// completion even when one fails; the error returned is the failing task
-// with the lowest index, so error selection is deterministic regardless of
-// scheduling.
+// runParallel executes every task with at most GOMAXPROCS running at once
+// (errgroup-style, but dependency-free). All tasks run to completion even
+// when one fails; the error returned is the failing task with the lowest
+// index, so error selection is deterministic regardless of scheduling.
 //
 // Tasks must be independent: each experiment run owns its RNG chain
 // (seeded from its config), its cluster, and its collector, and shares only
 // immutable inputs (the trace), so concurrent runs produce bitwise the same
 // results as sequential ones.
 func runParallel(tasks []func() error) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	errs := make([]error, len(tasks))
-	idx := make(chan int)
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i, task := range tasks {
 		wg.Add(1)
+		slots <- struct{}{}
 		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = tasks[i]()
-			}
+			defer func() { <-slots; wg.Done() }()
+			errs[i] = task()
 		}()
 	}
-	for i := range tasks {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

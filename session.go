@@ -119,8 +119,8 @@ func WithShards(p int) SessionOption {
 // DRL configurations with a WarmupTrace — performs the Algorithm 1 offline
 // phase), then any interleaving of Submit/SubmitTrace and Step/StepUntil/
 // Drain, then Result for the final measurements, then Close. The batch
-// helpers (Run, RunComparison, RunTradeoff) are thin wrappers over exactly
-// this sequence, and replaying a trace through a Session is bitwise
+// helpers (Run, RunSource, and Study.Run over them) are thin wrappers over
+// exactly this sequence, and replaying a trace through a Session is bitwise
 // identical to Run on the same Config.
 type Session struct {
 	cfg   Config

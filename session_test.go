@@ -20,13 +20,13 @@ const (
 	sessWarmups = 200
 )
 
-// sessionPresets builds the three evaluation systems exactly as
-// RunComparison does, sharing one workload and one warmup trace.
+// sessionPresets builds the three evaluation systems on one workload and one
+// warmup trace, as a Study cell at Scale{sessJobs, sessWarmups, sessM} runs
+// them at seed 1.
 func sessionPresets(t *testing.T) (tr, warm *hierdrl.Trace, cfgs []hierdrl.Config) {
 	t.Helper()
-	sc := hierdrl.Scale{Jobs: sessJobs, WarmupJobs: sessWarmups, Seed: 1, ClusterM: sessM}
-	tr = hierdrl.SyntheticTraceForCluster(sc.Jobs, sc.ClusterM, sc.Seed)
-	warm = hierdrl.SyntheticTraceForCluster(sc.WarmupJobs, sc.ClusterM, sc.Seed+1000)
+	tr = hierdrl.SyntheticTraceForCluster(sessJobs, sessM, 1)
+	warm = hierdrl.SyntheticTraceForCluster(sessWarmups, sessM, 1001)
 
 	rr := hierdrl.RoundRobin(sessM)
 	drl := hierdrl.DRLOnly(sessM)
