@@ -45,22 +45,22 @@ bench-selftest:
 	cd bench && $(GO) vet . && $(GO) test .
 
 # chaos-smoke is the fault-injection CI gate: the observer hammer (crash/
-# repair/retry/degrade/drain hooks plus mid-run snapshots at P = 1/2/4), the
-# cross-run bitwise reproducibility checks, and the fault-matrix smoke
-# (correlated-crash / degrade / maintenance-drain at P = 1/2, fingerprint-
-# pinned) and the pending queue's differential test against the insertion-sort
-# model (retry re-insertion order), all under the race detector; then a few
-# seconds of the native fuzz target over the same differential check.
+# repair/retry/degrade/drain hooks plus mid-run snapshots), the cross-run
+# bitwise reproducibility checks, and the fault-matrix smoke
+# (correlated-crash / degrade / maintenance-drain, fingerprint-pinned) and
+# the pending queue's differential test against the insertion-sort model
+# (retry re-insertion order), all under the race detector; then a few seconds
+# of the native fuzz target over the same differential check.
 chaos-smoke:
 	$(GO) test -race -run 'TestFaultObserverHammer|TestFaultMatrixObserverHammer|TestFaultReproducibleAcrossRuns|TestNewFaultModelsReproducibleAcrossRuns|TestPendingQueueMatchesInsertionSortModel' -v .
 	$(GO) test -run=NONE -fuzz='FuzzPendingQueueOrder$$' -fuzztime=5s .
 
 # crash-smoke is the durability CI gate: the mid-run checkpoint/restore
-# bitwise matrix across both tiers (incl. fault runs), the corrupt-snapshot
-# rejection table, and the end-to-end SIGKILL-and-resume drill against the
-# hiersim binary; then, under the race detector, the fault run checkpointed
-# right after a head-side retry insert and resumed at P = 1/2, the
-# golden snapshots re-emitted byte for byte (format v4 pin), and
+# bitwise matrix (incl. fault runs), the corrupt-snapshot rejection table,
+# and the end-to-end SIGKILL-and-resume drill against the hiersim binary;
+# then, under the race detector, the fault run checkpointed right after a
+# head-side retry insert and resumed, the golden snapshots
+# re-emitted byte for byte (format v4 pin) and the removed tier's refused, and
 # every state walk over every strict prefix of its own payload; then a few
 # seconds of FuzzRestoreState. Its minimization budget is capped: the fuzz
 # engine's default spends up to 60 s shrinking each new 20-50 KB snapshot it
@@ -71,16 +71,15 @@ crash-smoke:
 	$(GO) test -run=NONE -fuzz='FuzzRestoreState$$' -fuzztime=5s -fuzzminimizetime=200x .
 
 # scenario-smoke is the workload-subsystem CI gate: every registered
-# scenario's Summary must be bitwise identical at P = 1/2/4 shards and run to
-# run, the scenario CSV round trip must replay bit for bit, and a single-class
-# speed-1.0 cluster must match the homogeneous cluster exactly — all under
-# the race detector.
+# scenario's Summary must be bitwise identical run to run, the scenario CSV
+# round trip must replay bit for bit, and a single-class speed-1.0 cluster
+# must match the homogeneous cluster exactly — all under the race detector.
 scenario-smoke:
 	$(GO) test -race -run 'TestScenarioBitwiseAcrossShards|TestScenarioCSVRoundTrip|TestHomogeneousClassesBitwiseIdentical' -v .
 
 # obs-smoke is the observability CI gate: the live /metrics + /snapshot scrape
-# of a sharded fault run with a t-digest p99 accuracy check, the Chrome
-# trace-event dump, the telemetry-is-bitwise-invisible pin, and the
+# of a fault run with a t-digest p99 accuracy check, the Chrome trace-event
+# dump of a default-tier run, the telemetry-is-bitwise-invisible pin, and the
 # sketch-checkpoint round trip — all under the race detector — plus the
 # telemetry package's own zero-alloc and merge-determinism pins.
 obs-smoke:

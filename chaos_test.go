@@ -9,45 +9,26 @@ import (
 
 // TestFaultObserverHammer is the chaos soak: crash/repair injection with
 // every observer hook attached and a snapshot taken from inside the
-// callbacks (in the sharded tier that means at the epoch barrier, while the
-// worker goroutines exist), run twice per shard count under the race
-// detector. The fingerprint folds in every hook firing and a mid-run
-// snapshot, so it fails if fault injection perturbs determinism anywhere on
-// the observation surface — not just in the final summary.
+// callbacks, run twice under the race detector. The fingerprint folds in
+// every hook firing and a mid-run snapshot, so it fails if fault injection
+// perturbs determinism anywhere on the observation surface — not just in the
+// final summary.
 func TestFaultObserverHammer(t *testing.T) {
 	cfg := faultCfg(8)
 	cfg.Retry = hierdrl.RetryBackoff
 	tr := hierdrl.SyntheticTraceForCluster(1500, 8, 1)
-
-	for _, p := range []int{1, 2, 4} {
-		var ref uint64
-		for run := 0; run < 2; run++ {
-			fp, sum, err := hammerRun(cfg, tr, p)
-			if err != nil {
-				t.Fatalf("P=%d run %d: %v", p, run, err)
-			}
-			if run == 0 {
-				ref = fp
-				if sum.Failures == 0 || sum.JobsRetried == 0 {
-					t.Fatalf("P=%d: hammer saw no faults (failures=%d retried=%d); test is vacuous",
-						p, sum.Failures, sum.JobsRetried)
-				}
-				continue
-			}
-			if fp != ref {
-				t.Errorf("P=%d: observer fingerprints differ run to run: %#x vs %#x", p, ref, fp)
-			}
-		}
-	}
+	hammerTwice(t, cfg, tr, func(sum hierdrl.Summary) bool {
+		return sum.Failures > 0 && sum.JobsRetried > 0
+	})
 }
 
 // TestFaultMatrixObserverHammer is the fault-matrix chaos smoke: the same
 // fully observed hammer as TestFaultObserverHammer, run over each of the
-// three topology-aware fault classes at P = 1 and 2 under the race detector.
-// Each model pins its own cross-run fingerprint (fingerprints are not
-// compared across models — the classes intentionally behave differently) and
-// must exercise its distinctive hooks (degrade edges, drain starts, domain
-// outages) so the smoke can't pass vacuously.
+// three topology-aware fault classes under the race detector. Each model
+// pins its own cross-run fingerprint (fingerprints are not compared across
+// models — the classes intentionally behave differently) and must exercise
+// its distinctive hooks (degrade edges, drain starts, domain outages) so the
+// smoke can't pass vacuously.
 func TestFaultMatrixObserverHammer(t *testing.T) {
 	tr := hierdrl.SyntheticTraceForCluster(1500, 8, 1)
 	cases := []struct {
@@ -67,35 +48,38 @@ func TestFaultMatrixObserverHammer(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			for _, p := range []int{1, 2} {
-				var ref uint64
-				for run := 0; run < 2; run++ {
-					fp, sum, err := hammerRun(tc.cfg, tr, p)
-					if err != nil {
-						t.Fatalf("P=%d run %d: %v", p, run, err)
-					}
-					if run == 0 {
-						ref = fp
-						if !tc.ok(sum) {
-							t.Fatalf("P=%d: hammer saw no %s activity (failures=%d drains=%d outages=%d degraded=%v); test is vacuous",
-								p, tc.name, sum.Failures, sum.Drains, sum.DomainOutages, sum.DegradedSec)
-						}
-						continue
-					}
-					if fp != ref {
-						t.Errorf("P=%d: observer fingerprints differ run to run: %#x vs %#x", p, ref, fp)
-					}
-				}
+		t.Run(tc.name, func(t *testing.T) { hammerTwice(t, tc.cfg, tr, tc.ok) })
+	}
+}
+
+// hammerTwice runs the observed hammer twice and fails unless the first run
+// shows the activity ok looks for and both runs share one fingerprint.
+func hammerTwice(t *testing.T, cfg hierdrl.Config, tr *hierdrl.Trace, ok func(hierdrl.Summary) bool) {
+	t.Helper()
+	var ref uint64
+	for run := 0; run < 2; run++ {
+		fp, sum, err := hammerRun(cfg, tr)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if run == 0 {
+			ref = fp
+			if !ok(sum) {
+				t.Fatalf("hammer saw no fault activity (failures=%d retried=%d drains=%d outages=%d degraded=%v); test is vacuous",
+					sum.Failures, sum.JobsRetried, sum.Drains, sum.DomainOutages, sum.DegradedSec)
 			}
-		})
+			continue
+		}
+		if fp != ref {
+			t.Errorf("observer fingerprints differ run to run: %#x vs %#x", ref, fp)
+		}
 	}
 }
 
 // hammerRun executes one observed fault run and reduces everything the hooks
 // saw — and a periodically refreshed snapshot — into one order-sensitive
 // fingerprint.
-func hammerRun(cfg hierdrl.Config, tr *hierdrl.Trace, p int) (uint64, hierdrl.Summary, error) {
+func hammerRun(cfg hierdrl.Config, tr *hierdrl.Trace) (uint64, hierdrl.Summary, error) {
 	var (
 		s    *hierdrl.Session
 		snap hierdrl.SessionSnapshot
@@ -112,8 +96,8 @@ func hammerRun(cfg hierdrl.Config, tr *hierdrl.Trace, p int) (uint64, hierdrl.Su
 			mix(math.Float64bits(float64(at)), uint64(j.ID))
 			done++
 			if done%200 == 0 {
-				// Snapshot from inside a callback: all lanes are quiescent at
-				// the barrier, so this must be race-free and deterministic.
+				// Snapshot from inside a callback: must be race-free and
+				// deterministic.
 				s.SnapshotInto(&snap)
 				mix(uint64(snap.Completed), uint64(snap.Failures),
 					math.Float64bits(snap.EnergykWh), math.Float64bits(snap.Availability),
@@ -141,7 +125,7 @@ func hammerRun(cfg hierdrl.Config, tr *hierdrl.Trace, p int) (uint64, hierdrl.Su
 		},
 	}
 
-	s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(p), hierdrl.WithObserver(obs))
+	s, err := hierdrl.NewSession(cfg, hierdrl.WithObserver(obs))
 	if err != nil {
 		return 0, hierdrl.Summary{}, err
 	}

@@ -1,8 +1,8 @@
 // Durable checkpoint/restore: Session.Checkpoint serializes the complete
-// resumable state of a run at a decision-epoch boundary into a versioned,
+// resumable state of a run at an event boundary into a versioned,
 // CRC-guarded snapshot; Restore rebuilds a Session from one that continues
 // bitwise-identically to the uninterrupted run (see DESIGN.md §14 for the
-// format and the per-tier determinism contract). WithAutoCheckpoint layers a
+// format and the determinism contract). WithAutoCheckpoint layers a
 // crash-safe periodic snapshot file on top (atomic write-rename, keep-last-K).
 package hierdrl
 
@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"hierdrl/internal/checkpoint"
-	"hierdrl/internal/cluster"
 	"hierdrl/internal/trace"
 )
 
@@ -68,13 +67,11 @@ func (s *Session) configJSON() ([]byte, error) {
 }
 
 // Checkpoint serializes the session's complete resumable state to w. It must
-// be called at a decision-epoch boundary — any instant user code runs between
-// Step / StepUntil / Drain calls qualifies, in both tiers (the parallel tier
-// parks its workers at a barrier between epochs, so the lanes are quiescent
-// exactly when the caller has control).
+// be called at an event boundary — any instant user code runs between Step /
+// StepUntil / Drain calls qualifies.
 //
-// The snapshot captures the engine clocks and pending timers, every queued
-// and in-flight job, the cluster's power/reliability aggregates, the DRL
+// The snapshot captures the engine clock and pending timers, every queued
+// job, the cluster's power/reliability aggregates, the DRL
 // agent (weights, optimizer moments, replay buffer, RNG chains), the
 // allocator and per-server power-management policies, the fault clocks and
 // retry bookkeeping, and the metrics series — everything Restore needs to
@@ -101,7 +98,7 @@ func (s *Session) Checkpoint(w io.Writer) (err error) {
 	wr := checkpoint.NewWriter(fnv64a(cfgJSON))
 	wr.Section(secConfig).Bytes(cfgJSON)
 	eng := wr.Section(secEngine).Codec()
-	p := s.cl.Shards()
+	p := engineShardWord
 	eng.Int(&p)
 	// The writer buffers its sections, so the walk may return to the engine
 	// section after later ones; the file keeps the order of first opening.
@@ -116,41 +113,41 @@ func (s *Session) Checkpoint(w io.Writer) (err error) {
 	return err
 }
 
+// engineShardWord documents the engine section's first word. Format v4 was
+// designed with a parallel tier that stepped P event lanes, and the word
+// counts them. Only the single lane remains, so every snapshot writes 1 and
+// Restore refuses any other count as a format it no longer reads; keeping the
+// word keeps every P = 1 snapshot byte-identical.
+const engineShardWord = 1
+
 // state walks every section after the config in the one order both
-// directions need: lane clocks first (the cluster's timers validate against
-// them), the cluster before the engine tail (in-flight dispatches refer into
-// its job table), then the layers above. eng is the engine section, already
-// past the shard count; section runs a walk over each further one and, when
-// decoding, reports its failure or an unconsumed payload.
+// directions need: the lane clock first (the cluster's timers validate
+// against it), the cluster before the pump timer, then the layers above. eng
+// is the engine section, already past the shard-count word; section runs a
+// walk over each further one and, when decoding, reports its failure or an
+// unconsumed payload.
 func (s *Session) state(eng *checkpoint.Codec, section func(name string, walk func(*checkpoint.Codec)) error) error {
-	for i := 0; i < s.cl.Shards(); i++ {
-		lane := s.cl.Lane(i)
-		now := lane.Now()
-		seq, prioSeq, nFired := lane.Counters()
-		eng.F64((*float64)(&now))
-		eng.I64(&seq)
-		eng.I64(&prioSeq)
-		eng.I64(&nFired)
-		if !eng.Decoding() {
-			continue
-		}
+	lane := s.lane.sm
+	now := lane.Now()
+	seq, prioSeq, nFired := lane.Counters()
+	eng.F64((*float64)(&now))
+	eng.I64(&seq)
+	eng.I64(&prioSeq)
+	eng.I64(&nFired)
+	if eng.Decoding() {
 		if err := eng.Err(); err != nil {
 			return err
 		}
 		if math.IsNaN(float64(now)) || now < 0 || nFired < 0 {
-			return fmt.Errorf("%w: lane %d clock %v, %d fired", ErrCorrupt, i, now, nFired)
+			return fmt.Errorf("%w: lane clock %v, %d fired", ErrCorrupt, now, nFired)
 		}
 		// RestoreBegin wipes the construction-time event queue.
 		lane.RestoreBegin(now, seq, prioSeq, nFired)
 	}
-	var tab *cluster.JobTable
-	// Dispatches already allocated but not yet committed to a lane live only
-	// in the engine; hand them to the cluster so they join its job table.
-	err := section(secCluster, func(c *checkpoint.Codec) { tab = s.cl.State(c, s.eng.inflight()) })
-	if err != nil {
+	if err := section(secCluster, s.cl.State); err != nil {
 		return err
 	}
-	s.eng.tailState(eng, tab)
+	s.lane.tailState(eng)
 	if err := eng.End(); err != nil {
 		return err
 	}
@@ -162,14 +159,16 @@ func (s *Session) state(eng *checkpoint.Codec, section func(name string, walk fu
 	}
 	// The DRL agent doubles as the allocator and is already captured above;
 	// every other allocator walks as its own component.
-	err = section(secAlloc, optional(secAlloc, s.cfg.Alloc != AllocDRL, func(c *checkpoint.Codec) { c.Component(s.alloc) }))
+	err := section(secAlloc, optional(secAlloc, s.cfg.Alloc != AllocDRL, func(c *checkpoint.Codec) { c.Component(s.alloc) }))
 	if err != nil {
 		return err
 	}
 	if err := section(secMetrics, s.col.State); err != nil {
 		return err
 	}
-	return section(secMerger, optional(secMerger, s.merger != nil, s.merger.State))
+	// The merger section held the parallel tier's replay bookkeeping. Format
+	// v4 keeps it as a presence flag that is always false.
+	return section(secMerger, optional(secMerger, false, nil))
 }
 
 // optional wraps the walk of a component the snapshot records behind a
@@ -308,10 +307,11 @@ func (s *Session) sessionState(c *checkpoint.Codec) {
 //
 // The Config is embedded in the snapshot (warmup trace excluded — its effect
 // lives in the restored agent weights), so opts carry only the re-attachable
-// runtime state: WithObserver, WithContext, WithAutoCheckpoint. The execution
-// tier is part of the snapshot; a WithShards option is ignored. Restore
+// runtime state: WithObserver, WithContext, WithAutoCheckpoint. Restore
 // fails with ErrCorrupt, ErrVersion, or ErrConfigMismatch on damaged input,
-// never with a partially built session.
+// never with a partially built session. A snapshot the removed parallel
+// tier wrote (shard count P >= 2) is a format this build no longer reads:
+// ErrVersion.
 func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 	rd, err := checkpoint.NewReader(r)
 	if err != nil {
@@ -333,14 +333,14 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 	if err := eng.Err(); err != nil {
 		return nil, err
 	}
-	if p < 1 || p > 1<<16 {
-		return nil, fmt.Errorf("%w: shard count %d", ErrCorrupt, p)
+	if p != engineShardWord {
+		return nil, fmt.Errorf("%w: snapshot of the removed sharded tier (shard count %d; only 1 is read)", ErrVersion, p)
 	}
 
 	// Rebuild an equivalent empty session; every stateful component inside it
 	// is then overwritten from the snapshot, so the construction-time RNG
 	// draws and initial fault timers are irrelevant.
-	s, err := NewSession(cfg, append(append([]SessionOption{}, opts...), WithShards(p))...)
+	s, err := NewSession(cfg, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("hierdrl: restore: rebuild session: %w", err)
 	}

@@ -7,7 +7,7 @@
 //	hiersim -system hierarchical -servers 30 -jobs 95000
 //	hiersim -system round-robin -servers 40 -jobs 20000 -series
 //	hiersim -system fixed-timeout -timeout 60 -trace mytrace.csv
-//	hiersim -system scale-10k -shards 8
+//	hiersim -system scale-10k
 //	hiersim -system round-robin -faults exp-crash -mttf 20000 -mttr 600 -retry backoff
 //	hiersim -system round-robin -faults correlated-crash -domains 4 -mttf 40000
 //	hiersim -system hierarchical -faults degrade -degrade-factor 0.3
@@ -16,7 +16,7 @@
 //	hiersim -resume run.ckpt
 //	hiersim -list
 //	hiersim -scenario flashcrowd
-//	hiersim -scenario mixed-het -system hierarchical -servers 60 -jobs 40000 -shards 4
+//	hiersim -scenario mixed-het -system hierarchical -servers 60 -jobs 40000
 //
 // -list prints every registered allocator, power manager, predictor, fault
 // model, retry policy, and workload scenario, then exits. -scenario runs a
@@ -24,10 +24,9 @@
 // -jobs rescale it when set explicitly, and -system picks the policy stack
 // (default fixed-timeout, the cheap non-learning baseline).
 //
-// The scale-10k system is the multi-core single-run preset: 10,000 servers,
-// 2M jobs streamed from the generator, least-loaded dispatch over the
-// RL/LSTM local tier. -shards P partitions the cluster into P event lanes
-// stepped on P cores (the parallel tier; see DESIGN.md §12).
+// The scale-10k system is the large single-run preset: 10,000 servers, 2M
+// jobs streamed from the generator, least-loaded dispatch over the RL/LSTM
+// local tier.
 //
 // Streaming mode ingests jobs from stdin line by line through the Session
 // API ("arrival,duration,cpu,mem,disk" CSV rows, header optional), advances
@@ -59,8 +58,6 @@ func main() {
 		"system to run: round-robin | drl-only | hierarchical | fixed-timeout | scale-10k")
 	servers := flag.Int("servers", 30, "cluster size M (scale-10k default: 10000)")
 	jobs := flag.Int("jobs", 95000, "synthetic workload length (ignored with -trace/-stream; scale-10k default: 2000000)")
-	shards := flag.Int("shards", 1,
-		"event-lane shards P: 1 = strict single-core tier, >= 2 = parallel tier (one worker per shard)")
 	warmup := flag.Int("warmup", 20000, "offline-phase rollout length for DRL systems")
 	timeout := flag.Float64("timeout", 60, "fixed timeout seconds (system=fixed-timeout)")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -106,7 +103,7 @@ func main() {
 			"/debug/pprof); e.g. 127.0.0.1:9188, or 127.0.0.1:0 for an ephemeral port")
 	epochTrace := flag.String("epoch-trace", "",
 		"write the last decision epochs as Chrome trace-event JSON to this file at exit "+
-			"(load in chrome://tracing; requires -shards >= 2)")
+			"(load in chrome://tracing)")
 	sketchOnly := flag.Bool("sketch-only", false,
 		"constant-memory quantiles: drop the per-job latency samples and answer p50/p95/p99 "+
 			"from merging t-digest sketches (for unbounded streams)")
@@ -132,10 +129,6 @@ func main() {
 	}
 	if *snapFormat != "table" && *snapFormat != "json" {
 		fmt.Fprintf(os.Stderr, "hiersim: unknown -snap-format %q; supported: table json\n", *snapFormat)
-		os.Exit(2)
-	}
-	if *epochTrace != "" && *shards < 2 {
-		fmt.Fprintln(os.Stderr, "hiersim: -epoch-trace records the parallel tier's decision epochs; it requires -shards >= 2")
 		os.Exit(2)
 	}
 
@@ -248,8 +241,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("scenario: %v", err)
 		}
-		opts := append([]hierdrl.SessionOption{
-			hierdrl.WithShards(*shards), hierdrl.WithContext(ctx)}, telOpts...)
+		opts := append([]hierdrl.SessionOption{hierdrl.WithContext(ctx)}, telOpts...)
 		res, err := hierdrl.RunSource(cfg, src, opts...)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -279,7 +271,7 @@ func main() {
 		if *traceFile != "" {
 			log.Fatal("-trace replays a file; with -stream, pipe the CSV to stdin instead")
 		}
-		runStream(ctx, cfg, *shards, *snapEvery, *series, *snapFormat == "json", telOpts)
+		runStream(ctx, cfg, *snapEvery, *series, *snapFormat == "json", telOpts)
 		return
 	}
 
@@ -290,8 +282,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("workload: %v", err)
 		}
-		opts := append([]hierdrl.SessionOption{
-			hierdrl.WithShards(*shards), hierdrl.WithContext(ctx)}, telOpts...)
+		opts := append([]hierdrl.SessionOption{hierdrl.WithContext(ctx)}, telOpts...)
 		res, err := hierdrl.RunSource(cfg, src, opts...)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -322,16 +313,15 @@ func main() {
 		tr = hierdrl.SyntheticTraceForCluster(*jobs, *servers, *seed)
 	}
 
-	runBatch(ctx, cfg, tr, *shards, *series, *checkpointPath, *checkpointEvery, telOpts)
+	runBatch(ctx, cfg, tr, *series, *checkpointPath, *checkpointEvery, telOpts)
 }
 
 // runBatch replays one materialized trace through a Session the command owns
 // (rather than the Run wrapper), so an interrupt can surface a final
 // snapshot of the partial run — and, with -checkpoint, flush a resumable
 // snapshot file — before exiting.
-func runBatch(ctx context.Context, cfg hierdrl.Config, tr *hierdrl.Trace, shards int, series bool, ckpt string, every int, telOpts []hierdrl.SessionOption) {
-	opts := []hierdrl.SessionOption{hierdrl.WithShards(shards)}
-	opts = append(opts, telOpts...)
+func runBatch(ctx context.Context, cfg hierdrl.Config, tr *hierdrl.Trace, series bool, ckpt string, every int, telOpts []hierdrl.SessionOption) {
+	opts := append([]hierdrl.SessionOption{}, telOpts...)
 	if ckpt == "" {
 		// Without checkpointing the context latches cancellation inside the
 		// session (Drain returns it); with checkpointing the drive loop polls
@@ -536,9 +526,8 @@ func flagWasSet(name string) bool {
 // runStream drives the Session API end to end: Submit per stdin row,
 // StepUntil to chase the ingested arrivals, Snapshot for live progress,
 // Drain + Result at EOF.
-func runStream(ctx context.Context, cfg hierdrl.Config, shards, snapEvery int, series, jsonSnaps bool, telOpts []hierdrl.SessionOption) {
-	opts := append([]hierdrl.SessionOption{
-		hierdrl.WithShards(shards), hierdrl.WithContext(ctx)}, telOpts...)
+func runStream(ctx context.Context, cfg hierdrl.Config, snapEvery int, series, jsonSnaps bool, telOpts []hierdrl.SessionOption) {
+	opts := append([]hierdrl.SessionOption{hierdrl.WithContext(ctx)}, telOpts...)
 	s, err := hierdrl.NewSession(cfg, opts...)
 	if err != nil {
 		log.Fatalf("session: %v", err)

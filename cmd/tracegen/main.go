@@ -10,7 +10,7 @@
 //
 // Omitting -out writes to stdout. The -servers flag scales the arrival rate
 // so the offered load matches the paper's 30-server operating point on a
-// cluster of that size. The scale-10k preset emits the sharded engine's
+// cluster of that size. The scale-10k preset emits the large-run
 // benchmark workload (2,000,000 jobs calibrated for 10,000 servers) through
 // the streaming generator, so it writes in constant memory. -scenario writes
 // a registered workload scenario's job stream (see hiersim -list), also in

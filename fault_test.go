@@ -41,7 +41,7 @@ func faultBits(s hierdrl.Summary) [17]uint64 {
 }
 
 // TestFaultInjectionStrict exercises the full crash -> evict -> requeue ->
-// complete cycle on the strict tier: with immediate retries every job must
+// complete cycle: with immediate retries every job must
 // still finish, and the robustness telemetry must be populated and sane.
 func TestFaultInjectionStrict(t *testing.T) {
 	cfg := faultCfg(6)
@@ -90,32 +90,28 @@ func TestFaultInjectionStrict(t *testing.T) {
 }
 
 // TestFaultReproducibleAcrossRuns is the robustness acceptance test: with
-// failure clocks armed, two runs at the same shard count P are bitwise
-// identical for every P — the failure schedule is a pure function of
-// (seed, serverID), never of goroutine interleaving.
+// failure clocks armed, two runs are bitwise identical — the failure
+// schedule is a pure function of (seed, serverID).
 func TestFaultReproducibleAcrossRuns(t *testing.T) {
 	cfg := faultCfg(8)
 	cfg.Retry = hierdrl.RetryBackoff
 	tr := hierdrl.SyntheticTraceForCluster(2000, 8, 1)
-
-	for _, p := range []int{1, 2, 4, 8} {
-		var ref [17]uint64
-		for run := 0; run < 2; run++ {
-			res, err := hierdrl.Run(cfg, tr, hierdrl.WithShards(p))
-			if err != nil {
-				t.Fatalf("P=%d run %d: %v", p, run, err)
+	var ref [17]uint64
+	for run := 0; run < 2; run++ {
+		res, err := hierdrl.Run(cfg, tr)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		bits := faultBits(res.Summary)
+		if run == 0 {
+			ref = bits
+			if res.Summary.Failures == 0 {
+				t.Fatal("no failures injected; test is vacuous")
 			}
-			bits := faultBits(res.Summary)
-			if run == 0 {
-				ref = bits
-				if res.Summary.Failures == 0 {
-					t.Fatalf("P=%d: no failures injected; test is vacuous", p)
-				}
-				continue
-			}
-			if bits != ref {
-				t.Errorf("P=%d: runs differ bitwise:\n  run0 %v\n  run1 %v", p, ref, bits)
-			}
+			continue
+		}
+		if bits != ref {
+			t.Errorf("runs differ bitwise:\n  run0 %v\n  run1 %v", ref, bits)
 		}
 	}
 }
@@ -158,67 +154,65 @@ func drainCfg(m int) hierdrl.Config {
 
 // TestNewFaultModelsReproducibleAcrossRuns extends the robustness acceptance
 // test to the three topology-aware fault classes: for each of
-// correlated-crash, degrade, and maintenance-drain, two runs at every shard
-// count P are bitwise identical, and each model's distinctive telemetry is
+// correlated-crash, degrade, and maintenance-drain, two runs are bitwise
+// identical, and each model's distinctive telemetry is
 // actually exercised (the runs are not vacuous).
 func TestNewFaultModelsReproducibleAcrossRuns(t *testing.T) {
 	tr := hierdrl.SyntheticTraceForCluster(2000, 8, 1)
 	cases := []struct {
 		name  string
 		cfg   hierdrl.Config
-		check func(t *testing.T, p int, s hierdrl.Summary)
+		check func(t *testing.T, s hierdrl.Summary)
 	}{
-		{"correlated-crash", correlatedCfg(8), func(t *testing.T, p int, s hierdrl.Summary) {
+		{"correlated-crash", correlatedCfg(8), func(t *testing.T, s hierdrl.Summary) {
 			if s.Failures == 0 {
-				t.Fatalf("P=%d: no correlated crashes injected; test is vacuous", p)
+				t.Fatal("no correlated crashes injected; test is vacuous")
 			}
 			if s.DomainOutages == 0 {
-				t.Errorf("P=%d: correlated crashes produced no whole-domain outages", p)
+				t.Error("correlated crashes produced no whole-domain outages")
 			}
 		}},
-		{"degrade", degradeCfg(8), func(t *testing.T, p int, s hierdrl.Summary) {
+		{"degrade", degradeCfg(8), func(t *testing.T, s hierdrl.Summary) {
 			if s.Failures == 0 {
-				t.Fatalf("P=%d: no degrade windows opened; test is vacuous", p)
+				t.Fatal("no degrade windows opened; test is vacuous")
 			}
 			if !(s.DegradedSec > 0) {
-				t.Errorf("P=%d: DegradedSec %v, want > 0", p, s.DegradedSec)
+				t.Errorf("DegradedSec %v, want > 0", s.DegradedSec)
 			}
 			if s.JobsInterrupted != 0 || s.JobsLost != 0 || s.LostWorkSec != 0 {
-				t.Errorf("P=%d: fail-slow must not evict: interrupted=%d lost=%d lostWork=%v",
-					p, s.JobsInterrupted, s.JobsLost, s.LostWorkSec)
+				t.Errorf("fail-slow must not evict: interrupted=%d lost=%d lostWork=%v",
+					s.JobsInterrupted, s.JobsLost, s.LostWorkSec)
 			}
 		}},
-		{"maintenance-drain", drainCfg(8), func(t *testing.T, p int, s hierdrl.Summary) {
+		{"maintenance-drain", drainCfg(8), func(t *testing.T, s hierdrl.Summary) {
 			if s.Drains == 0 {
-				t.Fatalf("P=%d: no maintenance windows opened; test is vacuous", p)
+				t.Fatal("no maintenance windows opened; test is vacuous")
 			}
 			if s.JobsInterrupted != 0 {
-				t.Errorf("P=%d: planned drains interrupted %d running jobs", p, s.JobsInterrupted)
+				t.Errorf("planned drains interrupted %d running jobs", s.JobsInterrupted)
 			}
 			if s.JobsMigrated < 0 || s.JobsLost != 0 {
-				t.Errorf("P=%d: migrated=%d lost=%d", p, s.JobsMigrated, s.JobsLost)
+				t.Errorf("migrated=%d lost=%d", s.JobsMigrated, s.JobsLost)
 			}
 		}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			for _, p := range []int{1, 2, 4, 8} {
-				var ref [17]uint64
-				for run := 0; run < 2; run++ {
-					res, err := hierdrl.Run(tc.cfg, tr, hierdrl.WithShards(p))
-					if err != nil {
-						t.Fatalf("P=%d run %d: %v", p, run, err)
-					}
-					bits := faultBits(res.Summary)
-					if run == 0 {
-						ref = bits
-						tc.check(t, p, res.Summary)
-						continue
-					}
-					if bits != ref {
-						t.Errorf("P=%d: runs differ bitwise:\n  run0 %v\n  run1 %v", p, ref, bits)
-					}
+			var ref [17]uint64
+			for run := 0; run < 2; run++ {
+				res, err := hierdrl.Run(tc.cfg, tr)
+				if err != nil {
+					t.Fatalf("run %d: %v", run, err)
+				}
+				bits := faultBits(res.Summary)
+				if run == 0 {
+					ref = bits
+					tc.check(t, res.Summary)
+					continue
+				}
+				if bits != ref {
+					t.Errorf("runs differ bitwise:\n  run0 %v\n  run1 %v", ref, bits)
 				}
 			}
 		})
@@ -325,48 +319,36 @@ func TestRegisteredRetryPolicy(t *testing.T) {
 	cfg.Retry = "always-drop"
 	tr := hierdrl.SyntheticTraceForCluster(3000, 6, 1)
 
-	for _, p := range []int{1, 4} {
-		s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(p))
-		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		if err := s.SubmitTrace(tr); err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		if err := s.Drain(); err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		res, err := s.Result()
-		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		sum := res.Summary
-		if sum.JobsLost == 0 {
-			t.Errorf("P=%d: no jobs lost under always-drop with %d failures", p, sum.Failures)
-		}
-		if sum.JobsLost != sum.JobsInterrupted {
-			t.Errorf("P=%d: lost %d != interrupted %d", p, sum.JobsLost, sum.JobsInterrupted)
-		}
-		if sum.JobsRetried != 0 {
-			t.Errorf("P=%d: retried %d under always-drop", p, sum.JobsRetried)
-		}
-		if got := s.Completed() + sum.JobsLost; got != s.Ingested() {
-			t.Errorf("P=%d: completed %d + lost %d != ingested %d",
-				p, s.Completed(), sum.JobsLost, s.Ingested())
-		}
-		s.Close()
+	s, err := hierdrl.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.SubmitTrace(tr); err != nil {
+		t.Fatal(err)
+	}
+	sum := drainResult(t, s).Summary
+	if sum.JobsLost == 0 {
+		t.Errorf("no jobs lost under always-drop with %d failures", sum.Failures)
+	}
+	if sum.JobsLost != sum.JobsInterrupted {
+		t.Errorf("lost %d != interrupted %d", sum.JobsLost, sum.JobsInterrupted)
+	}
+	if sum.JobsRetried != 0 {
+		t.Errorf("retried %d under always-drop", sum.JobsRetried)
+	}
+	if got := s.Completed() + sum.JobsLost; got != s.Ingested() {
+		t.Errorf("completed %d + lost %d != ingested %d", s.Completed(), sum.JobsLost, s.Ingested())
 	}
 }
 
-// TestDRLDispatchMonotoneUnderFaultRequeues pins the sharded engine's
-// monotone-decision clamp. A drain (or crash) can hand back several queued
-// jobs at one instant t0 while an arrival at t1 > t0 is already allocated
-// but not yet committed; the first migrated job then dispatches at t1 and
-// the next would — without the clamp — dispatch back at its nominal t0,
-// driving the DRL reward integrator backwards (panic: "time went
-// backwards"). The DRL allocator over the fixed-timeout tier with a short
-// staggered drain reproduces that interleaving at P >= 2; the same config
-// must also stay bitwise reproducible run to run.
+// TestDRLDispatchMonotoneUnderFaultRequeues: a drain (or crash) can hand
+// back several queued jobs at one instant while later arrivals are pending;
+// every requeued job must dispatch at or after the clock, or the DRL reward
+// integrator would run backwards (panic: "time went backwards"). The DRL
+// allocator over the fixed-timeout tier with a short staggered drain drives
+// that interleaving; the same config must also stay bitwise reproducible run
+// to run.
 func TestDRLDispatchMonotoneUnderFaultRequeues(t *testing.T) {
 	mkCfg := func() hierdrl.Config {
 		cfg := hierdrl.FixedTimeoutBaseline(16, 60)
@@ -378,22 +360,20 @@ func TestDRLDispatchMonotoneUnderFaultRequeues(t *testing.T) {
 		return cfg
 	}
 	tr := hierdrl.SyntheticTraceForCluster(3000, 16, 1)
-	for _, p := range []int{2, 4} {
-		var ref [17]uint64
-		for run := 0; run < 2; run++ {
-			res, err := hierdrl.Run(mkCfg(), tr, hierdrl.WithShards(p))
-			if err != nil {
-				t.Fatalf("P=%d run %d: %v", p, run, err)
-			}
-			if res.Summary.Drains == 0 {
-				t.Fatalf("P=%d: no drains fired; test is vacuous", p)
-			}
-			bits := faultBits(res.Summary)
-			if run == 0 {
-				ref = bits
-			} else if bits != ref {
-				t.Errorf("P=%d: run %d summary diverged:\n  run0 %v\n  run%d %v", p, run, ref, run, bits)
-			}
+	var ref [17]uint64
+	for run := 0; run < 2; run++ {
+		res, err := hierdrl.Run(mkCfg(), tr)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if res.Summary.Drains == 0 {
+			t.Fatal("no drains fired; test is vacuous")
+		}
+		bits := faultBits(res.Summary)
+		if run == 0 {
+			ref = bits
+		} else if bits != ref {
+			t.Errorf("run %d summary diverged:\n  run0 %v\n  run%d %v", run, ref, run, bits)
 		}
 	}
 }

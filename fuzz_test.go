@@ -35,9 +35,8 @@ func agentSnapshot(t testing.TB) []byte {
 // FuzzRestoreState throws arbitrary bytes at the snapshot restore path. The
 // seed corpus is one pristine mid-run snapshot from a fault-free run, every
 // corruption class of snapshotCorruptions, two of the pinned golden snapshots
-// (format v4) — a fault-enabled strict run (fault clocks, retry map) and a
-// sketch-only fault run at P=2 (metrics sketch extension, merger-less sharded
-// engine tail) — and agentSnapshot, so the fuzzer starts from the exact byte
+// (format v4) — a fault-enabled run (fault clocks, retry map) and a
+// sketch-only fault run (metrics sketch extension) — and agentSnapshot, so the fuzzer starts from the exact byte
 // layouts the rejection table and the format pin hold, one of them mostly
 // replay memory, and mutates outward. The invariant: Restore either rejects
 // the input with an error or returns a session that can actually be driven —
@@ -49,7 +48,7 @@ func FuzzRestoreState(f *testing.F) {
 	for _, tc := range snapshotCorruptions {
 		f.Add(tc.mutate(append([]byte(nil), good...)))
 	}
-	for _, name := range []string{"faults_backoff_pr12.ckpt", "sketch_faults_p2_pr13.ckpt"} {
+	for _, name := range []string{"faults_backoff_pr12.ckpt", "sketch_faults_p1_pr26.ckpt"} {
 		golden, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)

@@ -2,9 +2,11 @@ package hierdrl_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"hierdrl"
@@ -12,29 +14,35 @@ import (
 
 // goldenSnapshots pins snapshot format v4 byte for byte. Each file under
 // testdata/ is the snapshot of exactly the run described here, and want holds
-// the Summary bits PR 13's commit (before the state walks were folded into
-// one function per component) produced when it restored its own snapshot of
-// that run and drained (faultBits: the base measurements plus the fault
-// telemetry). The files were first written at that commit in format v3 and
+// the Summary bits the writing commit produced when it restored its own
+// snapshot of that run and drained (faultBits: the base measurements plus the
+// fault telemetry). The PR 13 files were first written in format v3 and
 // re-recorded when v4 took each observation's second copy out of the agent
-// section (every other section kept its bytes); the want bits never moved.
-// Together the three cover every section a snapshot can carry — DRL agent,
-// replay memory, per-server LSTM + RL timeout, merger and pended dispatches
-// (P=2), fault clocks and retry map, and the metrics sketch extension.
+// section (every other section kept its bytes); their want bits never moved.
+// Together the files cover every section a snapshot can carry — DRL agent,
+// replay memory, per-server LSTM + RL timeout, fault clocks and retry map,
+// and the metrics sketch extension.
+//
+// The removedTier files were written by the sharded tier (shard count 2),
+// which is gone: Restore must refuse them with ErrVersion, never panic.
 var goldenSnapshots = []struct {
-	file   string
-	shards int
-	pause  int64
-	cfg    func() hierdrl.Config
-	opts   []hierdrl.SessionOption
-	jobs   int
-	want   [17]uint64
+	file        string
+	removedTier bool
+	pause       int64
+	cfg         func() hierdrl.Config
+	opts        []hierdrl.SessionOption
+	jobs        int
+	want        [17]uint64
 }{
-	{"hier30_p1_pr13.ckpt", 1, 120, goldenHier30, nil, 200, goldenHier30Bits},
-	{"hier30_p2_pr13.ckpt", 2, 120, goldenHier30, nil, 200, goldenHier30Bits}, // strict == sharded
-	{"sketch_faults_p2_pr13.ckpt", 2, 750, func() hierdrl.Config { return expCrashCfg(8, hierdrl.RetryBackoff) },
+	{"hier30_p1_pr13.ckpt", false, 120, goldenHier30, nil, 200, goldenHier30Bits},
+	{"hier30_p2_pr13.ckpt", true, 0, nil, nil, 0, [17]uint64{}},
+	// Written at the parent of the commit that removed the sharded tier, to
+	// pin the sketch walk at P = 1. Its bits differ from the P = 2 file's: a
+	// cross-shard timestamp tie in this fault run ordered differently there.
+	{"sketch_faults_p1_pr26.ckpt", false, 750, func() hierdrl.Config { return expCrashCfg(8, hierdrl.RetryBackoff) },
 		[]hierdrl.SessionOption{hierdrl.WithSketchOnly()}, 1500,
-		[17]uint64{0x4022e55599835a0f, 0x4137bf6cf3c7f696, 0x4089a4035c214c9c, 0x40903638a0f5bc22, 0x40d624c04fe5ed89, 0x40a82597fb050070, 0x403b596a8f995878, 0x40e43da9dc12e364, 0x3fef9e6fbf7ed529, 0x407670c92773fe9c, 0x40e2e9fbc21e853e, 0xb0000000b, 0x2a, 0x2a00000000}},
+		[17]uint64{0x4022e57eb716af9f, 0x4137be87506c145e, 0x4089a43b26cafc3e, 0x4090359bdcca1fa7, 0x40d624f07e8e95cf, 0x40a869dcd86642b2, 0x403b323984b2394d, 0x40e43da9dc12e364, 0x3fef9e6fbf7ed529, 0x407670c92773fe9c, 0x40e2ed9b99ddef40, 0xb0000000b, 0x2a, 0x2a00000000}},
+	{"sketch_faults_p2_pr13.ckpt", true, 0, nil, nil, 0, [17]uint64{}},
 }
 
 var goldenHier30Bits = [17]uint64{0x3ff7b94740b152b5, 0x4107b2cdebd679d4, 0x4084697b7d470eb0, 0x408e5582758d68bd, 0x40da104d87d2d01d, 0x40a4f305576b3a5a, 0x401220a9d14f92a1, 0x40bfec04b7279fbd, 0x3ff0000000000000}
@@ -51,8 +59,7 @@ func goldenRun(t testing.TB, i int) (*hierdrl.Session, []byte) {
 	t.Helper()
 	g := goldenSnapshots[i]
 	cfg := g.cfg()
-	opts := append([]hierdrl.SessionOption{hierdrl.WithShards(g.shards)}, g.opts...)
-	s, err := hierdrl.NewSession(cfg, opts...)
+	s, err := hierdrl.NewSession(cfg, g.opts...)
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -69,7 +76,8 @@ func goldenRun(t testing.TB, i int) (*hierdrl.Session, []byte) {
 
 // TestGoldenSnapshotsByteIdentical: today's code must re-emit every pinned
 // snapshot byte for byte at the same Step, restore the pinned file, and finish
-// the run with the bits the writing commit finished it with.
+// the run with the bits the writing commit finished it with — and refuse
+// every removed-tier file with ErrVersion.
 func TestGoldenSnapshotsByteIdentical(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("snapshots recorded on amd64; see goldenM6")
@@ -79,6 +87,17 @@ func TestGoldenSnapshotsByteIdentical(t *testing.T) {
 			old, err := os.ReadFile(filepath.Join("testdata", g.file))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if g.removedTier {
+				s, err := hierdrl.Restore(bytes.NewReader(old))
+				if err == nil {
+					s.Close()
+					t.Fatal("snapshot of the removed sharded tier accepted")
+				}
+				if !errors.Is(err, hierdrl.ErrVersion) || !strings.Contains(err.Error(), "sharded tier") {
+					t.Fatalf("got %v, want ErrVersion naming the sharded tier", err)
+				}
+				return
 			}
 			s, snap := goldenRun(t, i)
 			defer s.Close()

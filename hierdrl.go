@@ -127,7 +127,7 @@ const (
 	FaultNone FaultKind = "none"
 	// FaultExpCrash gives every server an independent exponential
 	// crash/repair process parameterized by MTTFSec/MTTRSec, derived from
-	// (Seed, serverID) so the schedule is identical at every shard count.
+	// (Seed, serverID) so the schedule is independent of the workload.
 	FaultExpCrash FaultKind = "exp-crash"
 	// FaultCorrelatedCrash crashes whole failure domains (racks/zones)
 	// together: one exponential crash/repair process per domain (MTTFSec/

@@ -53,8 +53,8 @@ var (
 	ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 	// ErrVersion marks a snapshot written by an incompatible format version.
 	ErrVersion = errors.New("checkpoint: unsupported snapshot version")
-	// ErrConfigMismatch marks a snapshot whose configuration (or shard
-	// count) does not match the restore target.
+	// ErrConfigMismatch marks a snapshot whose configuration does not match
+	// the restore target.
 	ErrConfigMismatch = errors.New("checkpoint: config mismatch")
 )
 

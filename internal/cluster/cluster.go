@@ -112,90 +112,53 @@ func (c Config) serverConfigFor(i int) ServerConfig {
 	panic(fmt.Sprintf("cluster: server %d beyond class ranges (sum %d)", i, lo))
 }
 
-// shardGroup is one horizontal partition of the cluster: a contiguous server
-// range [lo, hi) stepped by its own event lane, carrying its own incremental
-// aggregates so no cross-shard cache line is written on the hot path. The
-// strict tier is the P=1 special case — one group over all servers, whose
-// aggregate arithmetic is instruction-for-instruction the historical
-// single-cluster bookkeeping (same accumulators, same update order), so
-// strict results are bitwise unchanged.
-type shardGroup struct {
-	sm     *sim.Simulator
-	lo, hi int
+// Cluster aggregates M servers on one event lane, maintains incremental
+// totals (power draw, jobs in system, reliability partial sums), and exposes
+// the state snapshot the allocation tiers consume.
+type Cluster struct {
+	cfg     Config
+	servers []*Server
+	sm      *sim.Simulator
 
-	// Incremental aggregates over [lo, hi), all indexed shard-locally.
+	// Incremental aggregates, indexed by server.
 	totalPower   float64
 	jobsInSystem int
 	prevPower    []float64
 	prevJobs     []int
 
-	// Per-shard reliability partial state: reliTerms caches every local
-	// server's per-resource hot-spot penalty term, reliHot is a bitmask of
-	// local servers with a non-zero term, and reliSum memoizes the sparse
-	// ascending-order partial sum (recomputed only when reliDirty). The
-	// global objective is a fixed-shard-order reduction of these partials.
+	// Reliability state: reliTerms caches every server's per-resource
+	// hot-spot penalty term, reliHot is a bitmask of servers with a non-zero
+	// term, and reliSum memoizes the sparse ascending-order sum (recomputed
+	// only when reliDirty).
 	reliTerms []float64
 	reliHot   []uint64
 	reliDirty bool
 	reliSum   float64
 
-	// jobs is a counting multiset of local jobs-in-system values backing an
-	// O(1) running per-shard maximum.
+	// jobs is a counting multiset of per-server jobs-in-system values backing
+	// an O(1) running maximum.
 	jobs jobsMultiset
 
 	completed int64
 	submitted int64
 
-	// Fault-layer bookkeeping, written only by the shard's own lane (crash
-	// and repair events run on it): down counts currently-down local servers
-	// (crashed or powered off for maintenance), draining counts local servers
-	// with an open maintenance window still finishing jobs, fails counts
-	// local fault onsets (crashes, degrade windows, maintenance windows).
+	// Fault-layer bookkeeping: down counts currently-down servers (crashed or
+	// powered off for maintenance), draining counts servers with an open
+	// maintenance window still finishing jobs, fails counts fault onsets
+	// (crashes, degrade windows, maintenance windows).
 	down     int
 	draining int
 	fails    int64
 
-	// idx, when enabled, maintains the least-committed-server tournament
-	// tree over this shard (see LoadIndex).
+	// idx, when enabled, maintains the least-committed-server tournament tree
+	// (see LoadIndex).
 	idx *LoadIndex
-
-	// Async-mode logs. Exactly one worker goroutine owns a shard during a
-	// parallel phase, so appends are single-writer; the coordinator drains
-	// them at the epoch barrier (the barrier's synchronization orders the
-	// accesses).
-	changes    []ChangeRec
-	dones      []DoneRec
-	trans      []TransRec
-	interrupts []InterruptRec
-	migrates   []InterruptRec
-	degrades   []DegradeRec
-	maints     []MaintRec
-}
-
-// Cluster aggregates M servers across one or more shard groups, maintains
-// incremental totals (power draw, jobs in system, reliability partial sums),
-// and exposes the state snapshot the allocation tiers consume.
-type Cluster struct {
-	cfg     Config
-	servers []*Server
-	shards  []shardGroup
-	shardOf []int32 // server id -> shard index
-
-	// async switches the hot-path callbacks from synchronous dispatch to
-	// per-shard logging (parallel tier). logChanges/logTransitions gate the
-	// corresponding log streams so runs without a consumer log nothing.
-	async          bool
-	logChanges     bool
-	logTransitions bool
 
 	// OnChange fires after any server changes power draw or occupancy, with
 	// aggregates already updated. The global DRL tier uses it to integrate
-	// its Eqn. (4) reward exactly. In async mode it must be nil — the
-	// Merger's change-feed replay takes its place.
+	// its Eqn. (4) reward exactly.
 	OnChange func(t sim.Time)
-	// OnJobDone fires when any job completes. In async mode this and every
-	// callback below fire from ReplayLogs instead, at the epoch barrier, in
-	// merged time order.
+	// OnJobDone fires when any job completes.
 	OnJobDone func(t sim.Time, j *Job)
 	// OnTransition fires after any server changes power mode (wake begin,
 	// wake complete, shutdown begin, shutdown complete). Nil by default;
@@ -221,83 +184,44 @@ type Cluster struct {
 	// dynSpeed marks that effective speeds can change mid-run (fail-slow), so
 	// snapshot refreshes must rewrite View.Speed instead of filling it once.
 	dynSpeed bool
-
-	// drainCur is the reusable per-shard cursor scratch of the barrier-time
-	// log merges (see shard.go).
-	drainCur []int
 }
 
-// New builds a single-lane cluster (the strict tier). dpmFactory is invoked
-// once per server index to produce that server's local power-management
-// policy (the paper's distributed local tier: one independent manager per
-// machine).
+// New builds a cluster of cfg.M servers on the event lane sm. dpmFactory is
+// invoked once per server index, in ascending order, to produce that
+// server's local power-management policy (the paper's distributed local
+// tier: one independent manager per machine).
 func New(cfg Config, sm *sim.Simulator, dpmFactory func(serverID int) DPMPolicy) (*Cluster, error) {
-	return NewSharded(cfg, []*sim.Simulator{sm}, dpmFactory)
-}
-
-// NewSharded builds a cluster partitioned into len(lanes) contiguous shard
-// groups, server i belonging to the lane of its shard. The factory is still
-// invoked in ascending server order regardless of the partitioning, so every
-// RNG-splitting factory produces the exact construction-time draw sequence
-// of the strict tier.
-func NewSharded(cfg Config, lanes []*sim.Simulator, dpmFactory func(serverID int) DPMPolicy) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if dpmFactory == nil {
 		return nil, fmt.Errorf("cluster: nil DPM factory")
 	}
-	p := len(lanes)
-	if p <= 0 {
-		return nil, fmt.Errorf("cluster: no event lanes")
+	if sm == nil {
+		return nil, fmt.Errorf("cluster: nil event lane")
 	}
-	if p > cfg.M {
-		return nil, fmt.Errorf("cluster: %d lanes for %d servers", p, cfg.M)
-	}
-	for i, sm := range lanes {
-		if sm == nil {
-			return nil, fmt.Errorf("cluster: nil lane %d", i)
-		}
-	}
+	m := cfg.M
 	c := &Cluster{
-		cfg:     cfg,
-		servers: make([]*Server, cfg.M),
-		shards:  make([]shardGroup, p),
-		shardOf: make([]int32, cfg.M),
+		cfg:       cfg,
+		servers:   make([]*Server, m),
+		sm:        sm,
+		prevPower: make([]float64, m),
+		prevJobs:  make([]int, m),
+		reliTerms: make([]float64, m*NumResources),
+		reliHot:   make([]uint64, (m+63)/64),
 	}
-	// Balanced contiguous ranges: the first M%P shards take one extra server.
-	base, rem := cfg.M/p, cfg.M%p
-	lo := 0
-	for s := range c.shards {
-		n := base
-		if s < rem {
-			n++
-		}
-		g := &c.shards[s]
-		g.sm = lanes[s]
-		g.lo, g.hi = lo, lo+n
-		g.prevPower = make([]float64, n)
-		g.prevJobs = make([]int, n)
-		g.reliTerms = make([]float64, n*NumResources)
-		g.reliHot = make([]uint64, (n+63)/64)
-		g.jobs.init(n) // every server starts empty
-		for i := g.lo; i < g.hi; i++ {
-			c.shardOf[i] = int32(s)
-		}
-		lo += n
-	}
-	for i := 0; i < cfg.M; i++ {
+	c.jobs.init(m) // every server starts empty
+	for i := 0; i < m; i++ {
 		dpm := dpmFactory(i)
-		g := &c.shards[c.shardOf[i]]
-		s, err := NewServer(i, g.sm, cfg.serverConfigFor(i), dpm)
+		s, err := NewServer(i, sm, cfg.serverConfigFor(i), dpm)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: server %d: %w", i, err)
 		}
 		s.SetHooks(c.serverUpdated, c.jobDone)
 		s.SetTransitionHook(c.serverTransition)
 		c.servers[i] = s
-		g.prevPower[i-g.lo] = s.Power()
-		g.totalPower += s.Power()
+		c.prevPower[i] = s.Power()
+		c.totalPower += s.Power()
 	}
 	return c, nil
 }
@@ -308,59 +232,15 @@ func (c *Cluster) M() int { return c.cfg.M }
 // Server returns server i.
 func (c *Cluster) Server(i int) *Server { return c.servers[i] }
 
-// Sim returns the simulator driving the first shard (strict-tier callers,
-// which always run one lane).
-func (c *Cluster) Sim() *sim.Simulator { return c.shards[0].sm }
+// Sim returns the cluster's event lane.
+func (c *Cluster) Sim() *sim.Simulator { return c.sm }
 
-// Shards returns the number of shard groups.
-func (c *Cluster) Shards() int { return len(c.shards) }
-
-// ShardRange returns the [lo, hi) server range of shard s.
-func (c *Cluster) ShardRange(s int) (lo, hi int) { return c.shards[s].lo, c.shards[s].hi }
-
-// ShardOf returns the shard index owning server i.
-func (c *Cluster) ShardOf(i int) int { return int(c.shardOf[i]) }
-
-// Lane returns shard s's simulator.
-func (c *Cluster) Lane(s int) *sim.Simulator { return c.shards[s].sm }
-
-// Clock returns the most advanced lane clock — for the strict tier, simply
-// the clock. (Individual lanes lag behind between epoch barriers.)
-func (c *Cluster) Clock() sim.Time {
-	now := c.shards[0].sm.Now()
-	for i := 1; i < len(c.shards); i++ {
-		if t := c.shards[i].sm.Now(); t > now {
-			now = t
-		}
-	}
-	return now
-}
-
-// SetAsync switches the cluster's observation callbacks into per-shard
-// logging mode (the parallel tier): server events append records to their
-// shard's logs instead of invoking the On* callbacks synchronously, and the
-// coordinator replays the merged streams into those callbacks at each epoch
-// barrier (ReplayLogs). logChanges must be set exactly when
-// a change-feed consumer (a Merger) exists; logTransitions exactly when a
-// transition observer is attached. OnChange must be nil in async mode.
-func (c *Cluster) SetAsync(logChanges, logTransitions bool) {
-	if c.OnChange != nil {
-		panic("cluster: SetAsync with a synchronous OnChange attached")
-	}
-	c.async = true
-	c.logChanges = logChanges
-	c.logTransitions = logTransitions
-}
-
-// Submit dispatches job j to the given server at the current time (of the
-// server's lane).
+// Submit dispatches job j to the given server at the current time.
 func (c *Cluster) Submit(j *Job, server int) {
 	if server < 0 || server >= len(c.servers) {
 		panic(fmt.Sprintf("cluster: Submit to invalid server %d of %d", server, len(c.servers)))
 	}
-	// The counter is shard-local: Submit runs on the target server's lane,
-	// and one barrier phase may commit dispatches on several lanes at once.
-	c.shards[c.shardOf[server]].submitted++
+	c.submitted++
 	c.servers[server].Submit(j)
 }
 
@@ -395,104 +275,63 @@ func (c *Cluster) FaultsEnabled() bool { return c.faults }
 // faults are enabled).
 func (c *Cluster) FaultKind() fault.Kind { return c.faultKind }
 
-// serverFault maintains the shard-local down/failure counters. It runs on
-// the failing server's own lane (single-writer), before the eviction
-// cascade. A maintenance power-off arrives with s.draining still set, so the
-// server moves from the draining count to the down count atomically.
+// serverFault maintains the down/failure counters. It runs before the
+// eviction cascade. A maintenance power-off arrives with s.draining still
+// set, so the server moves from the draining count to the down count
+// atomically.
 func (c *Cluster) serverFault(t sim.Time, s *Server, down bool) {
-	g := &c.shards[c.shardOf[s.ID()]]
 	if down {
-		g.down++
-		g.fails++
+		c.down++
+		c.fails++
 		if s.draining {
-			g.draining--
+			c.draining--
 		}
 	} else {
-		g.down--
+		c.down--
 	}
 }
 
-// serverDegraded maintains the shard-local fault counter for fail-slow
-// onsets and forwards the event (synchronously in the strict tier, via the
-// shard's degrade log in async mode).
+// serverDegraded maintains the fault counter for fail-slow onsets and
+// forwards the event.
 func (c *Cluster) serverDegraded(t sim.Time, s *Server, degraded bool) {
-	g := &c.shards[c.shardOf[s.ID()]]
 	factor := 1.0
 	if degraded {
-		g.fails++
+		c.fails++
 		factor = c.degradeFactor
-	}
-	if c.async {
-		g.degrades = append(g.degrades, DegradeRec{At: t, Server: int32(s.ID()), Factor: factor})
-		return
 	}
 	if c.OnDegrade != nil {
 		c.OnDegrade(t, s.ID(), factor)
 	}
 }
 
-// serverDrain maintains the shard-local draining counter and forwards the
-// window-open event.
+// serverDrain maintains the draining counter and forwards the window-open
+// event.
 func (c *Cluster) serverDrain(t sim.Time, s *Server) {
-	g := &c.shards[c.shardOf[s.ID()]]
-	g.draining++
-	if c.async {
-		g.maints = append(g.maints, MaintRec{At: t, Server: int32(s.ID())})
-		return
-	}
+	c.draining++
 	if c.OnDrainStart != nil {
 		c.OnDrainStart(t, s.ID())
 	}
 }
 
-// jobMigrated forwards one drain-migrated job: synchronously through
-// OnMigrate in the strict tier, via the shard's migrate log in async mode
-// (unconditional there — re-dispatch handling is mandatory whenever faults
-// are enabled, exactly like interrupts).
+// jobMigrated forwards one drain-migrated job through OnMigrate.
 func (c *Cluster) jobMigrated(t sim.Time, j *Job) {
-	if c.async {
-		g := &c.shards[c.shardOf[j.Server]]
-		g.migrates = append(g.migrates, InterruptRec{At: t, J: j})
-		return
-	}
 	if c.OnMigrate != nil {
 		c.OnMigrate(t, j)
 	}
 }
 
-// jobInterrupted forwards one crash-evicted job: synchronously through
-// OnInterrupt in the strict tier, via the shard's interrupt log in async
-// mode (logging is unconditional there — requeue handling is mandatory
-// whenever faults are enabled).
+// jobInterrupted forwards one crash-evicted job through OnInterrupt.
 func (c *Cluster) jobInterrupted(t sim.Time, j *Job) {
-	if c.async {
-		g := &c.shards[c.shardOf[j.Server]]
-		g.interrupts = append(g.interrupts, InterruptRec{At: t, J: j})
-		return
-	}
 	if c.OnInterrupt != nil {
 		c.OnInterrupt(t, j)
 	}
 }
 
-// DownServers returns how many servers are currently crashed (parallel
-// tier: barrier-time only, like every aggregate).
-func (c *Cluster) DownServers() int {
-	n := c.shards[0].down
-	for i := 1; i < len(c.shards); i++ {
-		n += c.shards[i].down
-	}
-	return n
-}
+// DownServers returns how many servers are currently crashed.
+func (c *Cluster) DownServers() int { return c.down }
 
 // Failures returns the total crash count so far.
-func (c *Cluster) Failures() int64 {
-	n := c.shards[0].fails
-	for i := 1; i < len(c.shards); i++ {
-		n += c.shards[i].fails
-	}
-	return n
-}
+func (c *Cluster) Failures() int64 { return c.fails }
 
 // Repairs returns the total completed-repair count so far.
 func (c *Cluster) Repairs() int64 {
@@ -515,14 +354,8 @@ func (c *Cluster) Accepting(i int) bool {
 
 // UnavailableServers returns how many servers currently reject new work —
 // down (crashed or maintenance) plus draining. With no drain model it equals
-// DownServers. Parallel tier: barrier-time only, like every aggregate.
-func (c *Cluster) UnavailableServers() int {
-	n := 0
-	for i := range c.shards {
-		n += c.shards[i].down + c.shards[i].draining
-	}
-	return n
-}
+// DownServers.
+func (c *Cluster) UnavailableServers() int { return c.down + c.draining }
 
 // NextUp returns the first accepting server scanning cyclically upward from
 // `from` — the graceful-degradation remap applied when an allocator's pick
@@ -629,32 +462,18 @@ func (c *Cluster) RepairedDownSeconds() float64 {
 
 func (c *Cluster) serverUpdated(t sim.Time, s *Server) {
 	i := s.ID()
-	g := &c.shards[c.shardOf[i]]
-	li := i - g.lo
 	jobs := s.JobsInSystem()
-	g.totalPower += s.Power() - g.prevPower[li]
-	g.jobsInSystem += jobs - g.prevJobs[li]
-	if old := g.prevJobs[li]; old != jobs {
-		g.jobs.move(old, jobs)
+	c.totalPower += s.Power() - c.prevPower[i]
+	c.jobsInSystem += jobs - c.prevJobs[i]
+	if old := c.prevJobs[i]; old != jobs {
+		c.jobs.move(old, jobs)
 	}
-	g.prevPower[li] = s.Power()
-	g.prevJobs[li] = jobs
-	updateReliTerms(g.reliTerms, g.reliHot, li, s.CommittedUtilization(), c.cfg.HotSpotThreshold)
-	g.reliDirty = true
-	if g.idx != nil {
-		g.idx.Update(li, s.CommittedLoad())
-	}
-	if c.async {
-		if c.logChanges {
-			g.changes = append(g.changes, ChangeRec{
-				At:     t,
-				Server: int32(i),
-				Jobs:   int32(jobs),
-				Power:  s.Power(),
-				CU:     s.CommittedUtilization(),
-			})
-		}
-		return
+	c.prevPower[i] = s.Power()
+	c.prevJobs[i] = jobs
+	updateReliTerms(c.reliTerms, c.reliHot, i, s.CommittedUtilization(), c.cfg.HotSpotThreshold)
+	c.reliDirty = true
+	if c.idx != nil {
+		c.idx.Update(i, s.CommittedLoad())
 	}
 	if c.OnChange != nil {
 		c.OnChange(t)
@@ -665,8 +484,7 @@ func (c *Cluster) serverUpdated(t sim.Time, s *Server) {
 // terms a single-server event can change) and its bit in the hot mask; local
 // is the index within terms/hot. The per-term arithmetic is exactly the full
 // scan's, so the cached values are bitwise identical to freshly computed
-// ones. Shared verbatim by the per-shard partial state and the Merger's
-// strict-order global replay.
+// ones.
 func updateReliTerms(terms []float64, hot []uint64, local int, u Resources, theta float64) {
 	denom := (1 - theta) * (1 - theta)
 	base := local * NumResources
@@ -707,80 +525,31 @@ func sparseReliSum(terms []float64, hot []uint64) float64 {
 	return s
 }
 
-// reliPartial returns the shard's cached hot-spot partial sum, rescanned
-// only when a server event dirtied it. The cached value is the rescan's
-// value, so memoization never changes a bit.
-func (g *shardGroup) reliPartial() float64 {
-	if g.reliDirty {
-		g.reliSum = sparseReliSum(g.reliTerms, g.reliHot)
-		g.reliDirty = false
-	}
-	return g.reliSum
-}
-
 func (c *Cluster) serverTransition(t sim.Time, s *Server, from, to PowerState) {
-	if c.async {
-		if c.logTransitions {
-			g := &c.shards[c.shardOf[s.ID()]]
-			g.trans = append(g.trans, TransRec{At: t, Server: int32(s.ID()), From: from, To: to})
-		}
-		return
-	}
 	if c.OnTransition != nil {
 		c.OnTransition(t, s.ID(), from, to)
 	}
 }
 
 func (c *Cluster) jobDone(t sim.Time, j *Job) {
-	g := &c.shards[c.shardOf[j.Server]]
-	g.completed++
-	if c.async {
-		g.dones = append(g.dones, DoneRec{At: t, J: j})
-		return
-	}
+	c.completed++
 	if c.OnJobDone != nil {
 		c.OnJobDone(t, j)
 	}
 }
 
-// TotalPower returns the cluster's instantaneous draw in watts: the
-// fixed-order reduction of the per-shard incremental accumulators (see
-// InvariantCheck for the O(M) recomputation). Parallel tier: barrier-time
-// only.
-func (c *Cluster) TotalPower() float64 {
-	p := c.shards[0].totalPower
-	for i := 1; i < len(c.shards); i++ {
-		p += c.shards[i].totalPower
-	}
-	return p
-}
+// TotalPower returns the cluster's instantaneous draw in watts, maintained
+// incrementally (see InvariantCheck for the O(M) recomputation).
+func (c *Cluster) TotalPower() float64 { return c.totalPower }
 
 // JobsInSystem returns the number of jobs queued or running anywhere.
-func (c *Cluster) JobsInSystem() int {
-	n := c.shards[0].jobsInSystem
-	for i := 1; i < len(c.shards); i++ {
-		n += c.shards[i].jobsInSystem
-	}
-	return n
-}
+func (c *Cluster) JobsInSystem() int { return c.jobsInSystem }
 
 // Submitted returns the number of jobs dispatched so far.
-func (c *Cluster) Submitted() int64 {
-	n := c.shards[0].submitted
-	for i := 1; i < len(c.shards); i++ {
-		n += c.shards[i].submitted
-	}
-	return n
-}
+func (c *Cluster) Submitted() int64 { return c.submitted }
 
 // Completed returns the number of jobs finished so far.
-func (c *Cluster) Completed() int64 {
-	n := c.shards[0].completed
-	for i := 1; i < len(c.shards); i++ {
-		n += c.shards[i].completed
-	}
-	return n
-}
+func (c *Cluster) Completed() int64 { return c.completed }
 
 // TotalEnergyJoules integrates every server's energy through time t.
 func (c *Cluster) TotalEnergyJoules(t sim.Time) float64 {
@@ -816,51 +585,37 @@ func (c *Cluster) ServerClasses() []ServerClass { return c.cfg.Classes }
 // no formula; DESIGN.md records this concretization. Both terms increase
 // when load piles onto individual machines, so the penalty is monotone in
 // exactly the placements reliability engineering forbids.
-// The value is maintained incrementally as per-shard partial sums (each
-// server event refreshes only that server's cached penalty terms and dirties
-// its shard's partial), reduced here in fixed ascending shard order. With
-// one shard this is the historical sparse ascending sum, bit for bit; the
-// parallel tier's bitwise-exact change feed instead flows through the
-// Merger, which replays the strict global summation order.
+// The value is maintained incrementally: each server event refreshes only
+// that server's cached penalty terms and dirties the memoized sum, which is
+// rescanned here in ascending server order. The cached value is the
+// rescan's value, so memoization never changes a bit.
 func (c *Cluster) ReliabilityObj() float64 {
-	hot := c.shards[0].reliPartial()
-	maxJobs := c.shards[0].jobs.max
-	for i := 1; i < len(c.shards); i++ {
-		g := &c.shards[i]
-		hot += g.reliPartial()
-		if g.jobs.max > maxJobs {
-			maxJobs = g.jobs.max
-		}
+	if c.reliDirty {
+		c.reliSum = sparseReliSum(c.reliTerms, c.reliHot)
+		c.reliDirty = false
 	}
-	return hot + float64(maxJobs)
+	return c.reliSum + float64(c.jobs.max)
 }
 
 // reliabilityRecompute is the reference scan of the reliability objective,
-// recomputing every penalty term from live server state in the same
-// per-shard partial-sum order the incremental path reduces in, so the
-// comparison is exact at any shard count. InvariantCheck and the equivalence
-// tests compare it against the incremental value bit for bit.
+// recomputing every penalty term from live server state in ascending server
+// order. InvariantCheck and the equivalence tests compare it against the
+// incremental value bit for bit.
 func (c *Cluster) reliabilityRecompute() float64 {
 	theta := c.cfg.HotSpotThreshold
 	denom := (1 - theta) * (1 - theta)
 	var hot float64
 	maxJobs := 0
-	for gi := range c.shards {
-		g := &c.shards[gi]
-		var part float64
-		for i := g.lo; i < g.hi; i++ {
-			s := c.servers[i]
-			u := s.CommittedUtilization()
-			for _, v := range u {
-				if over := v - theta; over > 0 {
-					part += over * over / denom
-				}
-			}
-			if n := s.JobsInSystem(); n > maxJobs {
-				maxJobs = n
+	for _, s := range c.servers {
+		u := s.CommittedUtilization()
+		for _, v := range u {
+			if over := v - theta; over > 0 {
+				hot += over * over / denom
 			}
 		}
-		hot += part
+		if n := s.JobsInSystem(); n > maxJobs {
+			maxJobs = n
+		}
 	}
 	return hot + float64(maxJobs)
 }
@@ -877,7 +632,7 @@ type View struct {
 	// Speed is each server's effective execution-speed factor (all 1.0 on a
 	// homogeneous cluster). Without a fail-slow fault model speeds are
 	// immutable after construction, so the slice is filled once when the
-	// view is first sized; under the degrade model SnapshotRange refreshes
+	// view is first sized; under the degrade model SnapshotInto refreshes
 	// it, so allocators see degraded capacity. Hand-built views may leave it
 	// nil; speed-aware allocators must treat nil as "all nominal".
 	Speed []float64
@@ -890,11 +645,7 @@ func (c *Cluster) Snapshot() *View {
 }
 
 // SnapshotPrepare sizes v's slices for this cluster (allocating only when
-// not already sized) and stamps M, without refreshing any server state. The
-// parallel tier prepares the shared view once, then each shard worker
-// refreshes its own disjoint range through SnapshotRange — the per-shard
-// view "buffers" alias non-overlapping sections of one backing array, so the
-// merge is free and the whole refresh is allocation-free once warm.
+// not already sized) and stamps M, without refreshing any server state.
 func (c *Cluster) SnapshotPrepare(v *View) {
 	m := len(c.servers)
 	if len(v.Util) != m {
@@ -913,12 +664,13 @@ func (c *Cluster) SnapshotPrepare(v *View) {
 	v.M = m
 }
 
-// SnapshotRange refreshes servers [lo, hi) of a prepared view. Distinct
-// ranges touch disjoint memory, so concurrent refreshes of different shards'
-// ranges are race-free.
-func (c *Cluster) SnapshotRange(v *View, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := c.servers[i]
+// SnapshotInto captures the current state of every server into v, reusing
+// its slices when already sized for this cluster. After the first call on a
+// given View the refresh is allocation-free. It returns v for convenience.
+func (c *Cluster) SnapshotInto(v *View) *View {
+	c.SnapshotPrepare(v)
+	v.Now = c.sm.Now()
+	for i, s := range c.servers {
 		v.Util[i] = s.Utilization()
 		v.Pending[i] = s.PendingDemand()
 		v.QueueLen[i] = s.QueueLen()
@@ -928,19 +680,10 @@ func (c *Cluster) SnapshotRange(v *View, lo, hi int) {
 	// Speed is refreshed only under a fail-slow model: the branch keeps the
 	// fault-free refresh loop (and its zero-alloc pin) byte-identical.
 	if c.dynSpeed && v.Speed != nil {
-		for i := lo; i < hi; i++ {
-			v.Speed[i] = c.servers[i].Speed()
+		for i, s := range c.servers {
+			v.Speed[i] = s.Speed()
 		}
 	}
-}
-
-// SnapshotInto captures the current state of every server into v, reusing
-// its slices when already sized for this cluster. After the first call on a
-// given View the refresh is allocation-free. It returns v for convenience.
-func (c *Cluster) SnapshotInto(v *View) *View {
-	c.SnapshotPrepare(v)
-	v.Now = c.Clock()
-	c.SnapshotRange(v, 0, len(c.servers))
 	return v
 }
 
@@ -985,17 +728,13 @@ func (c *Cluster) InvariantCheck() {
 		panic(fmt.Sprintf("cluster: unavailable-server drift: incremental %d recomputed %d",
 			c.UnavailableServers(), unavail))
 	}
-	for s := range c.shards {
-		if idx := c.shards[s].idx; idx != nil {
-			idx.invariantCheck(c, c.shards[s].lo)
-		}
+	if c.idx != nil {
+		c.idx.invariantCheck(c)
 	}
 }
 
 // jobsMultiset is a counting multiset of per-server jobs-in-system values
-// backing an O(1) amortized running maximum. The shard groups and the
-// Merger share it so both maintain the co-location term with identical
-// (integer, hence exact) arithmetic.
+// backing an O(1) amortized running maximum (the co-location term).
 type jobsMultiset struct {
 	buckets []int
 	max     int

@@ -5,13 +5,11 @@ import (
 	"math"
 )
 
-// LoadIndex is a tournament (min-segment) tree over one shard's committed
+// LoadIndex is a tournament (min-segment) tree over the servers' committed
 // loads, keeping the least-committed server queryable in O(1) with O(log n)
 // updates on server events. It exists because a latency-greedy allocator at
 // 10k-server scale cannot afford the historical O(M) snapshot scan per
-// arrival: with the index, the per-arrival cost collapses to a P-way reduce
-// over shard minima, and the O(log n) maintenance rides inside the shard
-// workers where it parallelizes.
+// arrival.
 //
 // Tie-breaking prefers the lower index (left child on equality), which is
 // exactly the order the sequential scan's strict `<` comparison produces —
@@ -72,16 +70,16 @@ func (x *LoadIndex) winner(k int) int32 {
 	return ri
 }
 
-// Update sets leaf local's load and repairs the path to the root. A no-op
+// Update sets leaf i's load and repairs the path to the root. A no-op
 // when the load is unchanged (most power-only server events).
-func (x *LoadIndex) Update(local int, load float64) {
-	if x.loads[local] == load {
+func (x *LoadIndex) Update(i int, load float64) {
+	if x.loads[i] == load {
 		return
 	}
-	x.loads[local] = load
-	for k := (local + x.size) / 2; k >= 1; k /= 2 {
+	x.loads[i] = load
+	for k := (i + x.size) / 2; k >= 1; k /= 2 {
 		w := x.winner(k)
-		if w == x.win[k] && w != int32(local) {
+		if w == x.win[k] && w != int32(i) {
 			// The node's winner is another leaf whose value is untouched, so
 			// this node's (winner, value) pair — and every ancestor's — is
 			// unchanged.
@@ -91,9 +89,9 @@ func (x *LoadIndex) Update(local int, load float64) {
 	}
 }
 
-// ArgMin returns the shard-local index and load of the least-committed
-// server (lowest index on ties).
-func (x *LoadIndex) ArgMin() (local int, load float64) {
+// ArgMin returns the index and load of the least-committed server (lowest
+// index on ties).
+func (x *LoadIndex) ArgMin() (i int, load float64) {
 	if x.size == 1 {
 		return 0, x.loads[0]
 	}
@@ -102,11 +100,11 @@ func (x *LoadIndex) ArgMin() (local int, load float64) {
 }
 
 // invariantCheck validates the tree against a fresh scan of live server
-// state (lo is the shard's global offset).
-func (x *LoadIndex) invariantCheck(c *Cluster, lo int) {
+// state.
+func (x *LoadIndex) invariantCheck(c *Cluster) {
 	for i := 0; i < x.n; i++ {
-		if got, want := x.loads[i], c.servers[lo+i].CommittedLoad(); got != want {
-			panic(fmt.Sprintf("cluster: load index leaf %d drift: cached %v live %v", lo+i, got, want))
+		if got, want := x.loads[i], c.servers[i].CommittedLoad(); got != want {
+			panic(fmt.Sprintf("cluster: load index leaf %d drift: cached %v live %v", i, got, want))
 		}
 	}
 	best, bestLoad := 0, x.loads[0]
@@ -120,41 +118,36 @@ func (x *LoadIndex) invariantCheck(c *Cluster, lo int) {
 	}
 }
 
-// EnableLoadIndex builds the per-shard least-committed tournament trees and
-// keeps them maintained on every server event. Call once, before any event
-// fires (typically right after construction).
+// EnableLoadIndex builds the least-committed tournament tree and keeps it
+// maintained on every server event. Call once, before any event fires
+// (typically right after construction).
 func (c *Cluster) EnableLoadIndex() {
-	for s := range c.shards {
-		g := &c.shards[s]
-		if g.idx != nil {
-			continue
-		}
-		g.idx = newLoadIndex(g.hi - g.lo)
-		for i := g.lo; i < g.hi; i++ {
-			g.idx.Update(i-g.lo, c.servers[i].CommittedLoad())
-		}
+	if c.idx != nil {
+		return
 	}
+	c.idx = newLoadIndex(len(c.servers))
+	c.rebuildLoadIndex()
+}
+
+// rebuildLoadIndex reloads every leaf from live server state.
+func (c *Cluster) rebuildLoadIndex() {
+	for i, s := range c.servers {
+		c.idx.loads[i] = s.CommittedLoad()
+	}
+	c.idx.rebuild()
 }
 
 // LeastCommitted returns the server with the smallest committed load
 // (running plus queued demand, binding dimension), preferring lower indices
 // on exact ties — the same argmin, bit for bit, as policy.LeastLoaded's
 // sequential snapshot scan, including its >=2.0 sentinel fallback to server
-// 0. Parallel tier: barrier-time only.
+// 0.
 func (c *Cluster) LeastCommitted() int {
-	g0 := &c.shards[0]
-	local, best := g0.idx.ArgMin()
-	bestServer := g0.lo + local
-	for s := 1; s < len(c.shards); s++ {
-		g := &c.shards[s]
-		if l, load := g.idx.ArgMin(); load < best {
-			best, bestServer = load, g.lo+l
-		}
-	}
-	if best >= 2.0 {
+	best, load := c.idx.ArgMin()
+	if load >= 2.0 {
 		// policy.LeastLoaded initializes its best at 2.0 and only moves on a
 		// strict improvement, so an all-overcommitted cluster yields 0.
 		return 0
 	}
-	return bestServer
+	return best
 }

@@ -182,7 +182,7 @@ type Server struct {
 	// (front to back; running jobs finish in place and are never migrated).
 	onMigrate func(t sim.Time, j *Job)
 	// onFault reports up/down flips (down=true on crash or maintenance
-	// power-off) for the cluster's shard-local failure bookkeeping, before
+	// power-off) for the cluster's failure bookkeeping, before
 	// the eviction cascade.
 	onFault func(t sim.Time, s *Server, down bool)
 	// onDegrade reports degrade onset (degraded=true) and restore.

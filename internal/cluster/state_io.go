@@ -12,7 +12,7 @@ import (
 
 // This file walks the complete resumable state of a cluster at an event
 // boundary: every live job (waiting or executing), every server's structural
-// and timer state, and the per-shard incremental aggregates — verbatim, so a
+// and timer state, and the incremental aggregates — verbatim, so a
 // restored run's floating-point accumulators continue bit for bit. Each field
 // is named once; the Codec decides whether the walk writes or reads it.
 //
@@ -75,10 +75,9 @@ func (m *jobsMultiset) state(c *checkpoint.Codec) {
 	m.buckets, m.max = buckets, max
 }
 
-// aggregatesState walks the per-server aggregate arrays the shard groups and
-// the Merger both keep. Their widths are construction config: a snapshot of
-// another cluster size is a mismatch, named after owner.
-func aggregatesState(c *checkpoint.Codec, owner string, prevPower []float64, prevJobs []int, reliTerms []float64, reliHot []uint64) {
+// aggregatesState walks the per-server aggregate arrays. Their widths are
+// construction config: a snapshot of another cluster size is a mismatch.
+func aggregatesState(c *checkpoint.Codec, prevPower []float64, prevJobs []int, reliTerms []float64, reliHot []uint64) {
 	pp, pj, rt := prevPower, prevJobs, reliTerms
 	c.F64s(&pp)
 	c.Ints(&pj)
@@ -88,8 +87,8 @@ func aggregatesState(c *checkpoint.Codec, owner string, prevPower []float64, pre
 		return
 	}
 	if len(pp) != len(prevPower) || len(pj) != len(prevJobs) || len(rt) != len(reliTerms) {
-		c.Fail(checkpoint.ErrConfigMismatch, "%s aggregate widths (%d,%d,%d), want (%d,%d,%d)",
-			owner, len(pp), len(pj), len(rt), len(prevPower), len(prevJobs), len(reliTerms))
+		c.Fail(checkpoint.ErrConfigMismatch, "aggregate widths (%d,%d,%d), want (%d,%d,%d)",
+			len(pp), len(pj), len(rt), len(prevPower), len(prevJobs), len(reliTerms))
 		return
 	}
 	if nh != len(reliHot) {
@@ -107,7 +106,7 @@ func aggregatesState(c *checkpoint.Codec, owner string, prevPower []float64, pre
 // runningJobs collects each server's executing jobs in a deterministic order:
 // the crash-interrupt list verbatim under fault injection (its slot order is
 // behavior — crashes evict in it), or the live completion timers discovered
-// from the lanes and sorted by sequence number on fault-free runs, where no
+// from the lane and sorted by sequence number on fault-free runs, where no
 // server-side list exists.
 func (c *Cluster) runningJobs() [][]*Job {
 	running := make([][]*Job, len(c.servers))
@@ -117,13 +116,11 @@ func (c *Cluster) runningJobs() [][]*Job {
 		}
 		return running
 	}
-	for si := range c.shards {
-		c.shards[si].sm.ForEachPending(func(at sim.Time, seq int64, cb func(any), arg any) {
-			if j, ok := arg.(*Job); ok {
-				running[j.srv.id] = append(running[j.srv.id], j)
-			}
-		})
-	}
+	c.sm.ForEachPending(func(at sim.Time, seq int64, cb func(any), arg any) {
+		if j, ok := arg.(*Job); ok {
+			running[j.srv.id] = append(running[j.srv.id], j)
+		}
+	})
 	for i := range running {
 		r := running[i]
 		sort.Slice(r, func(a, b int) bool { return r[a].done.Seq() < r[b].done.Seq() })
@@ -131,15 +128,15 @@ func (c *Cluster) runningJobs() [][]*Job {
 	return running
 }
 
-// JobTable is a snapshot's live-job table: every waiting, executing or
-// in-flight job exactly once, in a canonical order. Everything else in the
+// jobTable is a snapshot's live-job table: every waiting or executing job
+// exactly once, in a canonical order. Everything else in the
 // stream refers to a job by its table index.
-type JobTable struct {
+type jobTable struct {
 	jobs []*Job
 	idx  map[*Job]int32 // encoding direction only
 }
 
-func (t *JobTable) add(j *Job) {
+func (t *jobTable) add(j *Job) {
 	if _, ok := t.idx[j]; ok {
 		panic(fmt.Sprintf("cluster: job %d reachable twice during checkpoint", j.ID))
 	}
@@ -147,9 +144,9 @@ func (t *JobTable) add(j *Job) {
 	t.jobs = append(t.jobs, j)
 }
 
-// Ref walks one cross-reference: *j's table index, resolved back into *j when
+// ref walks one cross-reference: *j's table index, resolved back into *j when
 // decoding (an index outside the table fails the walk and leaves *j alone).
-func (t *JobTable) Ref(c *checkpoint.Codec, j **Job) {
+func (t *jobTable) ref(c *checkpoint.Codec, j **Job) {
 	k := t.idx[*j]
 	c.I32(&k)
 	if !c.Decoding() || c.Err() != nil {
@@ -166,22 +163,15 @@ func (t *JobTable) Ref(c *checkpoint.Codec, j **Job) {
 // scalar fields, NumResources demand entries, two booleans.
 const jobRecBytes = (6+NumResources)*8 + 2
 
-// State walks the cluster: the live job table, every server, and the
-// per-shard aggregates. It must run at an event boundary with all shard
-// observation logs drained. Encoding, extra lists live jobs held outside the
-// cluster (the parallel tier's allocated-but-uncommitted dispatches);
-// decoding overwrites a freshly constructed cluster of the same
-// configuration and re-schedules every live timer on the (already
-// RestoreBegin-reset) lanes. The returned table lets the caller walk its own
-// cross-references (in-flight dispatches) in the same direction.
-func (c *Cluster) State(cd *checkpoint.Codec, extra []*Job) *JobTable {
+// State implements checkpoint.Stateful: the live job table, every server,
+// and the aggregates. It must run at an event boundary. Decoding overwrites a
+// freshly constructed cluster of the same configuration and re-schedules
+// every live timer on the (already RestoreBegin-reset) lane.
+func (c *Cluster) State(cd *checkpoint.Codec) {
 	dec := cd.Decoding()
-	tab := &JobTable{}
+	tab := &jobTable{}
 	running := make([][]*Job, len(c.servers)) // each server's executing jobs; filled when encoding
 	if !dec {
-		if c.PendingLogs() {
-			panic("cluster: State with undrained shard observation logs")
-		}
 		running = c.runningJobs()
 		tab.idx = make(map[*Job]int32)
 		for i, s := range c.servers {
@@ -191,9 +181,6 @@ func (c *Cluster) State(cd *checkpoint.Codec, extra []*Job) *JobTable {
 			for _, j := range running[i] {
 				tab.add(j)
 			}
-		}
-		for _, j := range extra {
-			tab.add(j)
 		}
 	}
 
@@ -223,46 +210,30 @@ func (c *Cluster) State(cd *checkpoint.Codec, extra []*Job) *JobTable {
 
 	for i, s := range c.servers {
 		if c.serverState(cd, s, tab, running[i]); cd.Err() != nil {
-			return tab
+			return
 		}
 	}
 
-	for si := range c.shards {
-		g := &c.shards[si]
-		cd.F64(&g.totalPower)
-		cd.Int(&g.jobsInSystem)
-		aggregatesState(cd, fmt.Sprintf("shard %d", si), g.prevPower, g.prevJobs, g.reliTerms, g.reliHot)
-		cd.Bool(&g.reliDirty)
-		cd.F64(&g.reliSum)
-		g.jobs.state(cd)
-		cd.I64(&g.completed)
-		cd.I64(&g.submitted)
-		cd.Int(&g.down)
-		cd.Int(&g.draining)
-		cd.I64(&g.fails)
-	}
-	if !dec || cd.Err() != nil {
-		return tab
-	}
-
+	cd.F64(&c.totalPower)
+	cd.Int(&c.jobsInSystem)
+	aggregatesState(cd, c.prevPower, c.prevJobs, c.reliTerms, c.reliHot)
+	cd.Bool(&c.reliDirty)
+	cd.F64(&c.reliSum)
+	c.jobs.state(cd)
+	cd.I64(&c.completed)
+	cd.I64(&c.submitted)
+	cd.Int(&c.down)
+	cd.Int(&c.draining)
+	cd.I64(&c.fails)
 	// The load index is derived state: rebuild it from the restored servers
 	// rather than trusting (and having to validate) a serialized copy.
-	for si := range c.shards {
-		g := &c.shards[si]
-		g.resetLogs()
-		if g.idx == nil {
-			continue
-		}
-		for i := g.lo; i < g.hi; i++ {
-			g.idx.loads[i-g.lo] = c.servers[i].CommittedLoad()
-		}
-		g.idx.rebuild()
+	if dec && cd.Err() == nil && c.idx != nil {
+		c.rebuildLoadIndex()
 	}
-	return tab
 }
 
 // serverState walks one server; run lists its executing jobs when encoding.
-func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *JobTable, run []*Job) {
+func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *jobTable, run []*Job) {
 	dec := cd.Decoding()
 	cd.Int((*int)(&s.state))
 	st := s.state
@@ -297,7 +268,7 @@ func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *JobTable, ru
 		queue = s.queue
 	}
 	for k := range queue {
-		tab.Ref(cd, &queue[k])
+		tab.ref(cd, &queue[k])
 	}
 
 	nr := cd.Count(len(run), 4+8+8)
@@ -318,7 +289,7 @@ func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *JobTable, ru
 		if !dec {
 			at, seq = run[k].done.At(), run[k].done.Seq()
 		}
-		tab.Ref(cd, &run[k])
+		tab.ref(cd, &run[k])
 		cd.F64((*float64)(&at))
 		cd.I64(&seq)
 		if !dec {
@@ -402,14 +373,4 @@ func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *JobTable, ru
 	}
 }
 
-// State implements checkpoint.Stateful: the merged-replay bookkeeping
-// verbatim (the replayed FP accumulators must continue bit for bit, exactly
-// like the shard-local ones), into a Merger of the same cluster size.
-func (m *Merger) State(c *checkpoint.Codec) {
-	c.F64(&m.totalPower)
-	c.Int(&m.jobsInSystem)
-	aggregatesState(c, "merger", m.prevPower, m.prevJobs, m.reliTerms, m.reliHot)
-	m.jobs.state(c)
-}
-
-var _ checkpoint.Stateful = (*Merger)(nil)
+var _ checkpoint.Stateful = (*Cluster)(nil)

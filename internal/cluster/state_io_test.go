@@ -89,7 +89,7 @@ func buildWorkload(sm *sim.Simulator, c *Cluster, nJobs int) {
 func roundTrip(t *testing.T, c *Cluster, sm *sim.Simulator, mk func() (*Cluster, *sim.Simulator)) (*Cluster, *sim.Simulator) {
 	t.Helper()
 	w := checkpoint.NewWriter(0)
-	c.State(w.Section("cluster").Codec(), nil)
+	c.State(w.Section("cluster").Codec())
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -106,7 +106,7 @@ func roundTrip(t *testing.T, c *Cluster, sm *sim.Simulator, mk func() (*Cluster,
 	if err != nil {
 		t.Fatalf("Section: %v", err)
 	}
-	if c2.State(d.Codec(), nil); d.Err() != nil {
+	if c2.State(d.Codec()); d.Err() != nil {
 		t.Fatalf("State: %v", d.Err())
 	}
 	return c2, sm2
@@ -221,7 +221,7 @@ func TestClusterRestoreFaultFlagMismatch(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	w := checkpoint.NewWriter(0)
-	c.State(w.Section("cluster").Codec(), nil)
+	c.State(w.Section("cluster").Codec())
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -242,64 +242,50 @@ func TestClusterRestoreFaultFlagMismatch(t *testing.T) {
 		t.Fatalf("NewReader: %v", err)
 	}
 	d, _ := rd.Section("cluster")
-	c2.State(d.Codec(), nil)
+	c2.State(d.Codec())
 	if err := d.Err(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
 		t.Fatalf("faults mismatch: got %v, want ErrConfigMismatch", err)
 	}
 }
 
-// TestMergerStateRoundTrip drives the merged-replay accumulators to
-// arbitrary values and verifies they restore verbatim into a fresh Merger.
+// TestMergerStateRoundTrip drives the cluster's incremental accumulators to
+// arbitrary values and verifies the state walk restores them verbatim into a
+// fresh cluster (the replayed FP accumulators must continue bit for bit).
 func TestMergerStateRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(6)
-	mk := func() (*Cluster, *Merger) {
-		lanes := []*sim.Simulator{sim.New(), sim.New()}
-		c, err := NewSharded(cfg, lanes, func(int) DPMPolicy { return statelessDPM{timeout: 3} })
+	mk := func() (*Cluster, *sim.Simulator) {
+		sm := sim.New()
+		c, err := New(cfg, sm, func(int) DPMPolicy { return statelessDPM{timeout: 3} })
 		if err != nil {
-			t.Fatalf("NewSharded: %v", err)
+			t.Fatalf("New: %v", err)
 		}
-		return c, NewMerger(c)
+		return c, sm
 	}
-	_, m1 := mk()
-	m1.totalPower = 1234.5678
-	m1.jobsInSystem = 17
-	for i := range m1.prevPower {
-		m1.prevPower[i] = 100 + float64(i)*1.25
-		m1.prevJobs[i] = i * 3
-		m1.reliTerms[i] = float64(i) * 0.015625
+	c1, sm1 := mk()
+	c1.totalPower = 1234.5678
+	c1.jobsInSystem = 17
+	for i := range c1.prevPower {
+		c1.prevPower[i] = 100 + float64(i)*1.25
+		c1.prevJobs[i] = i * 3
+		c1.reliTerms[i] = float64(i) * 0.015625
 	}
-	m1.reliHot[0] = 0x2a
-	m1.jobs.buckets[3] = 5
-	m1.jobs.max = 3
+	c1.reliHot[0] = 0x2a
+	c1.reliDirty = true
+	c1.jobs.buckets[3] = 5
+	c1.jobs.max = 3
+	c1.completed, c1.submitted = 11, 13
 
-	w := checkpoint.NewWriter(0)
-	checkpoint.Save(w.Section("merger"), m1)
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
+	c2, _ := roundTrip(t, c1, sm1, mk)
+	if c2.totalPower != c1.totalPower || c2.jobsInSystem != c1.jobsInSystem ||
+		c2.completed != c1.completed || c2.submitted != c1.submitted || c2.reliDirty != c1.reliDirty {
+		t.Fatalf("scalars diverge: (%v,%d) vs (%v,%d)", c2.totalPower, c2.jobsInSystem, c1.totalPower, c1.jobsInSystem)
 	}
-
-	_, m2 := mk()
-	rd, err := checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
-	}
-	d, _ := rd.Section("merger")
-	if err := checkpoint.Restore(d, m2); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if err := d.Err(); err != nil {
-		t.Fatalf("trailing section bytes: %v", err)
-	}
-	if m2.totalPower != m1.totalPower || m2.jobsInSystem != m1.jobsInSystem {
-		t.Fatalf("scalars diverge: (%v,%d) vs (%v,%d)", m2.totalPower, m2.jobsInSystem, m1.totalPower, m1.jobsInSystem)
-	}
-	for i := range m1.prevPower {
-		if m2.prevPower[i] != m1.prevPower[i] || m2.prevJobs[i] != m1.prevJobs[i] || m2.reliTerms[i] != m1.reliTerms[i] {
+	for i := range c1.prevPower {
+		if c2.prevPower[i] != c1.prevPower[i] || c2.prevJobs[i] != c1.prevJobs[i] || c2.reliTerms[i] != c1.reliTerms[i] {
 			t.Fatalf("per-server accumulators diverge at %d", i)
 		}
 	}
-	if m2.reliHot[0] != m1.reliHot[0] || m2.jobs.max != m1.jobs.max || m2.jobs.buckets[3] != m1.jobs.buckets[3] {
+	if c2.reliHot[0] != c1.reliHot[0] || c2.jobs.max != c1.jobs.max || c2.jobs.buckets[3] != c1.jobs.buckets[3] {
 		t.Fatal("reliability bitset or jobs multiset diverged")
 	}
 }

@@ -7,8 +7,8 @@
 // that server's own crash/repair events. No draw ever crosses servers and
 // nothing else consumes from these chains, so the full failure schedule of
 // every server is a pure function of (seed, serverID, mttf, mttr) —
-// independent of shard count, event interleaving, and workload. That is what
-// keeps fault-enabled runs bitwise run-to-run reproducible at any P.
+// independent of event interleaving and workload. That is what keeps
+// fault-enabled runs bitwise run-to-run reproducible.
 package fault
 
 import (
@@ -249,7 +249,7 @@ func EqualDomains(n, m int) []Domain {
 // NextFailure/NextRepair in strict alternation per server, and all members
 // start up together at t=0, the replicas stay in perpetual lockstep: the
 // whole domain goes down and comes back at identical instants, with zero
-// cross-server (and hence zero cross-shard) draws.
+// cross-server draws.
 type CorrelatedCrash struct {
 	domSeed    int64
 	domains    []Domain

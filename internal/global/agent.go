@@ -49,7 +49,10 @@ type Agent struct {
 	hasPending    bool
 	pendingState  State
 	pendingAction int
-	pendingTime   sim.Time
+	// pendingTime is the pending pair's decision instant. Nothing reads it
+	// back since the engine's clock can no longer trail a decision, but
+	// snapshot format v4 records it.
+	pendingTime sim.Time
 
 	// behavior, when non-nil, overrides action selection (Algorithm 1's
 	// offline phase allows an arbitrary or refined behaviour policy to
@@ -137,29 +140,6 @@ func (a *Agent) ObserveCluster(t sim.Time, powerW float64, jobsInSystem int, rel
 // minibatch training at sequence boundaries.
 func (a *Agent) Allocate(j *cluster.Job, v *cluster.View) int {
 	a.enc.EncodeInto(v, j, a.encScratch)
-	return a.allocateEncoded(j, v)
-}
-
-// PreEncodeServers refreshes the encode scratch's group features for servers
-// [lo, hi) — the sharded engine's gather phase, with each shard worker
-// encoding its own range in parallel (ranges are disjoint, so the writes
-// never race).
-func (a *Agent) PreEncodeServers(v *cluster.View, lo, hi int) {
-	a.enc.EncodeServersInto(v, a.encScratch, lo, hi)
-}
-
-// AllocatePreEncoded runs one decision epoch whose group features were
-// already gathered through PreEncodeServers; only the job part is encoded
-// here. The epoch — including the single batched GEMM that evaluates all K
-// Sub-Q heads — is otherwise identical to Allocate, and because the gathered
-// features are computed with Allocate's exact per-server arithmetic, the
-// decision stream is bitwise identical too.
-func (a *Agent) AllocatePreEncoded(j *cluster.Job, v *cluster.View) int {
-	a.enc.EncodeJobInto(j, a.encScratch)
-	return a.allocateEncoded(j, v)
-}
-
-func (a *Agent) allocateEncoded(j *cluster.Job, v *cluster.View) int {
 	state := a.encScratch
 	a.bufferAESamples(state)
 
@@ -285,12 +265,6 @@ func (a *Agent) SetBehavior(b func(j *cluster.Job, v *cluster.View) int) {
 func (a *Agent) FinishEpisode(t sim.Time) {
 	if !a.hasPending {
 		return
-	}
-	// The parallel tier's clock trails the decision instant of a dispatch it
-	// has not committed yet; a run closed there ends the sojourn where it
-	// began instead of running the integrator backwards.
-	if t < a.pendingTime {
-		t = a.pendingTime
 	}
 	rEq, tau := a.integ.EquivalentRate(t.Seconds())
 	a.storeTransition(rEq, tau, true)

@@ -444,10 +444,9 @@ func TestAgentValidatesConfig(t *testing.T) {
 	}
 }
 
-// TestEncodeServersRangeMatchesFull asserts that range-gathered encoding —
-// the sharded engine's parallel per-shard encode — writes a state bitwise
-// identical to the sequential EncodeInto, for ranges that straddle group
-// boundaries.
+// TestEncodeServersRangeMatchesFull asserts that range-gathered encoding
+// writes a state bitwise identical to the one-pass EncodeInto, for ranges
+// that straddle group boundaries.
 func TestEncodeServersRangeMatchesFull(t *testing.T) {
 	m, k := 12, 3
 	enc, err := NewEncoder(m, k, 7200)
@@ -472,8 +471,7 @@ func TestEncodeServersRangeMatchesFull(t *testing.T) {
 	full := enc.Encode(v, j)
 
 	ranged := enc.NewState()
-	// Shard-shaped ranges: 12 servers in 5+4+3, none aligned to the group
-	// size of 4.
+	// 12 servers in 5+4+3, none aligned to the group size of 4.
 	enc.EncodeServersInto(v, ranged, 0, 5)
 	enc.EncodeServersInto(v, ranged, 5, 9)
 	enc.EncodeServersInto(v, ranged, 9, 12)

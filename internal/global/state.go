@@ -116,11 +116,8 @@ func (e *Encoder) EncodeInto(v *cluster.View, j *cluster.Job, dst State) {
 
 // EncodeServersInto refreshes the group-state features of servers [lo, hi)
 // in dst. Every server owns a disjoint NumResources-wide strip of the block,
-// so concurrent calls over disjoint ranges are race-free — this is the
-// shard-aware encode: each shard worker gathers its own servers' features in
-// parallel, and the decision epoch's batched Q evaluation reads the assembled
-// state. The per-server arithmetic is exactly EncodeInto's, so a
-// range-gathered state is bitwise identical to a sequentially encoded one.
+// so a state gathered range by range is bitwise identical to one encoded in
+// a single pass.
 //
 // Each server's per-resource feature is its *committed* utilization — running
 // plus queued demand, clamped at 2.0 — so the agent can distinguish a busy

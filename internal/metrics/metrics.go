@@ -89,19 +89,10 @@ type Collector struct {
 	// positive checkpoint interval). Nil by default.
 	OnCheckpoint func(cp Checkpoint)
 
-	// CheckpointClock, when non-nil, overrides the instant a checkpoint's
-	// energy is integrated at (and stamped with). The sharded engine sets it
-	// to the epoch-barrier time: completions are replayed at the barrier,
-	// when other shards' servers have already integrated past the completion
-	// instant, so barrier time is the earliest instant at which a consistent
-	// whole-cluster energy reading exists (DESIGN.md §12).
-	CheckpointClock func() sim.Time
-
 	// sk, when non-nil, receives every completion into the live quantile
-	// sketches (per-shard latency digests merged deterministically at
-	// publish points, per-job-class digests, wait digest). sketchOnly
-	// additionally drops the O(jobs) latency/wait slices — summary
-	// percentiles then come from the merged sketch and MeanWaitSec from the
+	// sketches (latency digest, per-job-class digests, wait digest).
+	// sketchOnly additionally drops the O(jobs) latency/wait slices — summary
+	// percentiles then come from the latency sketch and MeanWaitSec from the
 	// incrementally kept waitSum (identical FP accumulation order to the
 	// slice loop it replaces).
 	sk         *telemetry.SketchSet
@@ -144,7 +135,7 @@ func (c *Collector) JobDone(t sim.Time, j *cluster.Job) {
 	c.accLatency += lat
 	wait := j.WaitTime()
 	if c.sk != nil {
-		c.sk.Record(c.clusterRef.ShardOf(j.Server), telemetry.JobClassOf(j.Duration), lat, wait)
+		c.sk.Record(telemetry.JobClassOf(j.Duration), lat, wait)
 	}
 	if c.sketchOnly {
 		c.waitSum += wait
@@ -154,15 +145,11 @@ func (c *Collector) JobDone(t sim.Time, j *cluster.Job) {
 	}
 	c.completed++
 	if c.checkpointEvery > 0 && c.completed%c.checkpointEvery == 0 {
-		ct := t
-		if c.CheckpointClock != nil {
-			ct = c.CheckpointClock()
-		}
 		cp := Checkpoint{
 			Jobs:          c.completed,
-			Time:          ct,
+			Time:          t,
 			AccLatencySec: c.accLatency,
-			EnergykWh:     c.clusterRef.TotalEnergyJoules(ct) / JoulesPerKWh,
+			EnergykWh:     c.clusterRef.TotalEnergyJoules(t) / JoulesPerKWh,
 		}
 		c.checkpoints = append(c.checkpoints, cp)
 		if c.OnCheckpoint != nil {
@@ -231,9 +218,9 @@ func (c *Collector) Summarize(policy string, now sim.Time) Summary {
 		s.AvgLatencySec = c.accLatency / float64(c.completed)
 		s.AvgEnergyJPerJob = energyJ / float64(c.completed)
 		if c.sketchOnly {
-			// Sketch-only mode: approximate percentiles from the merged
+			// Sketch-only mode: approximate percentiles from the latency
 			// t-digest (the per-job slices were never retained).
-			m := c.sk.MergedLatency()
+			m := c.sk.Latency()
 			s.P50LatencySec = m.Quantile(0.50)
 			s.P95LatencySec = m.Quantile(0.95)
 			s.P99LatencySec = m.Quantile(0.99)

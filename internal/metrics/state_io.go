@@ -42,7 +42,7 @@ func (c *Collector) State(cd *checkpoint.Codec) {
 	cd.Bool(&hasSk)
 	if hasSk {
 		if c.sk == nil {
-			c.sk = telemetry.NewSketchSet(c.clusterRef.Shards())
+			c.sk = telemetry.NewSketchSet()
 		}
 		c.sk.State(cd)
 	}

@@ -155,52 +155,44 @@ func TestAllocatorsStayInRange(t *testing.T) {
 }
 
 // TestLeastCommittedMatchesLeastLoadedScan pins the engine's fastLL rewrite:
-// cluster.LeastCommitted (the incremental per-shard load index) must return
-// exactly the server LeastLoaded.Allocate picks from a fresh snapshot, at
-// every decision point of a live workload — including ties (lowest index)
-// and the all-overcommitted >=2.0 sentinel fallback.
+// cluster.LeastCommitted (the incremental load index) must return exactly
+// the server LeastLoaded.Allocate picks from a fresh snapshot, at every
+// decision point of a live workload — including ties (lowest index) and the
+// all-overcommitted >=2.0 sentinel fallback.
 func TestLeastCommittedMatchesLeastLoadedScan(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		lanes := make([]*sim.Simulator, shards)
-		for i := range lanes {
-			lanes[i] = sim.New()
-		}
-		cfg := cluster.DefaultConfig(9)
-		cfg.Server.InitialState = cluster.StateActive
-		cl, err := cluster.NewSharded(cfg, lanes, func(int) cluster.DPMPolicy { return alwaysOnDPM{} })
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.EnableLoadIndex()
-		ll := NewLeastLoaded()
-		rng := mat.NewRNG(21)
-		var v cluster.View
-		arrival := 0.0
-		for i := 0; i < 400; i++ {
-			arrival += rng.Exponential(0.7)
-			for _, ln := range lanes {
-				ln.RunBefore(sim.Time(arrival))
-			}
-			cl.SnapshotInto(&v)
-			want := ll.Allocate(nil, &v)
-			if got := cl.LeastCommitted(); got != want {
-				t.Fatalf("shards=%d step %d: LeastCommitted=%d, scan=%d", shards, i, got, want)
-			}
-			// Oversized bursts periodically push every server past the 2.0
-			// sentinel, exercising the fallback branch.
-			cpu := 0.05 + 0.4*rng.Float64()
-			if i%50 == 49 {
-				cpu = 0.9
-			}
-			target := want
-			lanes[cl.ShardOf(target)].AdvanceTo(sim.Time(arrival))
-			cl.Submit(&cluster.Job{
-				ID: i, Arrival: sim.Time(arrival), Duration: 30 + rng.Float64()*200,
-				Req: cluster.Resources{cpu, cpu * 0.8, cpu * 0.5}, Server: -1,
-			}, target)
-		}
-		cl.InvariantCheck()
+	sm := sim.New()
+	cfg := cluster.DefaultConfig(9)
+	cfg.Server.InitialState = cluster.StateActive
+	cl, err := cluster.New(cfg, sm, func(int) cluster.DPMPolicy { return alwaysOnDPM{} })
+	if err != nil {
+		t.Fatal(err)
 	}
+	cl.EnableLoadIndex()
+	ll := NewLeastLoaded()
+	rng := mat.NewRNG(21)
+	var v cluster.View
+	arrival := 0.0
+	for i := 0; i < 400; i++ {
+		arrival += rng.Exponential(0.7)
+		sm.RunBefore(sim.Time(arrival))
+		cl.SnapshotInto(&v)
+		want := ll.Allocate(nil, &v)
+		if got := cl.LeastCommitted(); got != want {
+			t.Fatalf("step %d: LeastCommitted=%d, scan=%d", i, got, want)
+		}
+		// Oversized bursts periodically push every server past the 2.0
+		// sentinel, exercising the fallback branch.
+		cpu := 0.05 + 0.4*rng.Float64()
+		if i%50 == 49 {
+			cpu = 0.9
+		}
+		sm.AdvanceTo(sim.Time(arrival))
+		cl.Submit(&cluster.Job{
+			ID: i, Arrival: sim.Time(arrival), Duration: 30 + rng.Float64()*200,
+			Req: cluster.Resources{cpu, cpu * 0.8, cpu * 0.5}, Server: -1,
+		}, want)
+	}
+	cl.InvariantCheck()
 }
 
 // alwaysOnDPM keeps servers active for the load-index equivalence test.

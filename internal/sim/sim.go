@@ -318,12 +318,10 @@ func (s *Simulator) Run(until Time) {
 }
 
 // RunBefore fires every event scheduled strictly before t, leaving the clock
-// at the last fired event (it never advances the clock to t on its own). It
-// is the per-lane stepping primitive of the sharded engine: between two
-// decision epochs every shard runs its own lane up to — but excluding — the
-// epoch instant, so an epoch-time dispatch still precedes same-instant lane
-// events exactly as the strict tier's priority-lane arrivals do. It reports
-// the number of events fired.
+// at the last fired event (it never advances the clock to t on its own), so
+// a dispatch at t made next still precedes same-instant lane events, as the
+// engine's priority-lane arrivals do. Tests drive a lane by hand with it. It
+// reports the number of events fired.
 func (s *Simulator) RunBefore(t Time) int {
 	n := 0
 	for {
@@ -338,9 +336,8 @@ func (s *Simulator) RunBefore(t Time) int {
 
 // AdvanceTo moves the clock forward to t without firing anything. It panics
 // if t is in the past or if an event strictly before t is still pending —
-// jumping over a scheduled event would corrupt the simulation order. The
-// sharded engine uses it to position a quiescent lane at the epoch instant
-// before committing a dispatch.
+// jumping over a scheduled event would corrupt the simulation order. Tests
+// use it to position a quiescent lane at a dispatch instant.
 func (s *Simulator) AdvanceTo(t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: AdvanceTo into the past: %v < now %v", t, s.now))

@@ -414,7 +414,7 @@ func TestCancelSubsetProperty(t *testing.T) {
 	}
 }
 
-// TestRunBeforeExcludesBoundary asserts the sharded-lane stepping contract:
+// TestRunBeforeExcludesBoundary asserts the hand-stepping contract:
 // RunBefore(t) fires strictly-before events only and leaves the clock at the
 // last fired event, so an epoch-time dispatch can still precede same-instant
 // lane events.

@@ -6,7 +6,7 @@ import (
 )
 
 // The telemetry benchmark set: the per-completion sketch insert, the
-// epoch-barrier shard merge, and one epoch-span record. Wall time is
+// one-pass digest merge, and one epoch-span record. Wall time is
 // report-only; their zero allocs/op is asserted by TestTDigestAddZeroAlloc
 // (Add, MergedInto) and TestEpochRingBeginNoAlloc.
 
@@ -44,18 +44,13 @@ func BenchmarkTDigestMerge(b *testing.B) {
 }
 
 func BenchmarkEpochSpanRecord(b *testing.B) {
-	r := NewEpochRing(4096, 4)
+	r := NewEpochRing(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Begin(float64(i), ModeEpoch)
-		sp := r.Cur()
-		t0 := r.NowNs()
-		for s := range sp.Shards {
-			sp.Shards[s].StartNs = t0
-			sp.Shards[s].RunNs = r.NowNs() - t0
-		}
-		sp.ReplayStartNs = r.NowNs()
-		sp.ReplayNs = 1
+		sp := r.Begin(float64(i))
+		r.Lap(&sp.RefreshNs)
+		r.Lap(&sp.AllocNs)
+		r.Lap(&sp.CommitNs)
 	}
 }

@@ -3,24 +3,23 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 )
 
-func fillSpan(r *EpochRing, at float64, p int) {
-	r.Begin(at, ModeEpoch)
-	sp := r.Cur()
-	base := r.NowNs()
-	for s := 0; s < p; s++ {
-		sp.Shards[s] = PhaseSpan{StartNs: base, WaitNs: int64(100 * s), CommitNs: 50, RunNs: 1000, RefreshNs: 200}
+// fillSpan records one epoch whose segments all have a non-zero duration.
+func fillSpan(r *EpochRing, at float64) {
+	sp := r.Begin(at)
+	for _, seg := range []*int64{&sp.RefreshNs, &sp.AllocNs, &sp.CommitNs} {
+		r.Lap(seg)
 	}
-	sp.ReplayStartNs, sp.ReplayNs = base+2000, 300
-	sp.AllocStartNs, sp.AllocNs = base+2300, 400
+	sp.RunNs, sp.RefreshNs, sp.AllocNs, sp.CommitNs = 1000, 200, 400, 50
 }
 
 func TestEpochRingWrapAndOrder(t *testing.T) {
-	r := NewEpochRing(4, 2)
+	r := NewEpochRing(4)
 	for i := 0; i < 7; i++ {
-		fillSpan(r, float64(i), 2)
+		fillSpan(r, float64(i))
 	}
 	if got := r.Recorded(); got != 7 {
 		t.Fatalf("recorded %d, want 7", got)
@@ -37,15 +36,16 @@ func TestEpochRingWrapAndOrder(t *testing.T) {
 }
 
 func TestEpochRingBeginNoAlloc(t *testing.T) {
-	r := NewEpochRing(64, 4)
+	r := NewEpochRing(64)
 	for i := 0; i < 128; i++ {
-		fillSpan(r, float64(i), 4)
+		fillSpan(r, float64(i))
 	}
 	i := 0
 	if avg := testing.AllocsPerRun(5000, func() {
-		r.Begin(float64(i), ModeEpoch)
-		sp := r.Cur()
-		sp.Shards[0].RunNs = r.NowNs()
+		sp := r.Begin(float64(i))
+		r.Lap(&sp.RefreshNs)
+		r.Lap(&sp.AllocNs)
+		r.Lap(&sp.CommitNs)
 		i++
 	}); avg != 0 {
 		t.Fatalf("EpochRing.Begin allocates %v/op, want 0", avg)
@@ -53,13 +53,12 @@ func TestEpochRingBeginNoAlloc(t *testing.T) {
 }
 
 // TestChromeTraceJSON validates the dump is well-formed Chrome trace-event
-// JSON with per-shard phases and the coordinator lane — the machine-checkable
-// proxy for "loads in chrome://tracing".
+// JSON with the four decision segments, consecutive on the engine's thread —
+// the machine-checkable proxy for "loads in chrome://tracing".
 func TestChromeTraceJSON(t *testing.T) {
-	const p = 3
-	r := NewEpochRing(16, p)
+	r := NewEpochRing(16)
 	for i := 0; i < 5; i++ {
-		fillSpan(r, 100*float64(i), p)
+		fillSpan(r, 100*float64(i))
 	}
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -79,8 +78,8 @@ func TestChromeTraceJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid trace JSON: %v\n%s", err, buf.String())
 	}
-	threads := map[int]bool{}
 	phases := map[string]int{}
+	end := map[int64]float64{} // epoch -> end of its previous segment
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
 		case "M":
@@ -88,29 +87,28 @@ func TestChromeTraceJSON(t *testing.T) {
 				t.Errorf("unexpected metadata event %q", ev.Name)
 			}
 		case "X":
-			threads[ev.Tid] = true
 			phases[ev.Name]++
+			if ev.Tid != 0 {
+				t.Errorf("event %q on tid %d, want 0", ev.Name, ev.Tid)
+			}
 			if ev.Dur <= 0 {
 				t.Errorf("event %q has dur %v", ev.Name, ev.Dur)
 			}
-			if ev.Args["epoch"] == nil || ev.Args["mode"] == nil {
-				t.Errorf("event %q missing epoch/mode args", ev.Name)
+			epoch, ok := ev.Args["epoch"].(float64)
+			if !ok || ev.Args["t_sim_s"] == nil {
+				t.Fatalf("event %q missing epoch/t_sim_s args", ev.Name)
 			}
+			if prev, seen := end[int64(epoch)]; seen && math.Abs(ev.Ts-prev) > 1e-3 {
+				t.Errorf("epoch %v: %q starts at %v, previous segment ended at %v", epoch, ev.Name, ev.Ts, prev)
+			}
+			end[int64(epoch)] = ev.Ts + ev.Dur
 		default:
 			t.Errorf("unexpected event phase %q", ev.Ph)
 		}
 	}
-	for s := 0; s < p; s++ {
-		if !threads[s] {
-			t.Errorf("no events on shard %d lane", s)
-		}
-	}
-	if !threads[p] {
-		t.Errorf("no events on the coordinator lane (tid %d)", p)
-	}
-	for _, name := range []string{"commit", "run", "refresh+encode", "replay", "alloc+gemm", "barrier-wait"} {
-		if phases[name] == 0 {
-			t.Errorf("no %q events in trace", name)
+	for _, name := range []string{"run", "refresh+encode", "alloc+gemm", "commit"} {
+		if phases[name] != 5 {
+			t.Errorf("%d %q events in trace, want 5", phases[name], name)
 		}
 	}
 }

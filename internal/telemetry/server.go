@@ -11,11 +11,10 @@ import (
 )
 
 // Server is the session's observability endpoint. It serves only immutable
-// byte blobs published by the simulation driver at barrier-time boundaries
-// (plus process self-metrics sampled at scrape time), so the HTTP
-// goroutines never touch live simulation state — strict-tier bitwise
-// goldens and the parallel tier's determinism contract are unaffected by
-// scrapes (DESIGN.md §17).
+// byte blobs published by the simulation driver between events (plus
+// process self-metrics sampled at scrape time), so the HTTP goroutines never
+// touch live simulation state — the bitwise goldens are unaffected by scrapes
+// (DESIGN.md §17).
 //
 //	/metrics        Prometheus text: published sim metrics + process gauges
 //	/healthz        200 "ok" liveness probe

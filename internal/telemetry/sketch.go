@@ -8,7 +8,7 @@ import (
 // trace schema, so telemetry classes are deterministic duration buckets over
 // the paper's clipped duration range [60 s, 7200 s]: short < 600 s,
 // medium < 3600 s, long otherwise. The bucket is a pure function of the
-// job's nominal duration, so it is identical across tiers and shard counts.
+// job's nominal duration.
 const (
 	ClassShort = iota
 	ClassMedium
@@ -31,34 +31,22 @@ func JobClassOf(durationSec float64) int {
 	}
 }
 
-// SketchSet is the session's live quantile state: one latency digest per
-// shard (fed in merged replay order on the coordinator, merged
-// deterministically at publish points), one latency digest per job class,
-// and one wait-time digest. Everything is preallocated; Record is the
-// per-completion hot path and performs no allocation.
+// SketchSet is the session's live quantile state: one latency digest, one
+// latency digest per job class, and one wait-time digest. Everything is
+// preallocated; Record is the per-completion hot path and performs no
+// allocation.
 type SketchSet struct {
-	shards []TDigest // latency, by completing server's shard
-	class  []TDigest // latency, by job-duration class
-	wait   TDigest   // wait time, all jobs
+	latency TDigest   // latency, all jobs
+	class   []TDigest // latency, by job-duration class
+	wait    TDigest   // wait time, all jobs
 
-	merged TDigest // scratch output of MergedLatency
-	parts  []*TDigest
+	merged TDigest // scratch output of Latency
 }
 
-// NewSketchSet builds the digest set for p shards (p >= 1).
-func NewSketchSet(p int) *SketchSet {
-	if p < 1 {
-		p = 1
-	}
-	s := &SketchSet{
-		shards: make([]TDigest, p),
-		class:  make([]TDigest, NumJobClasses),
-		parts:  make([]*TDigest, p),
-	}
-	for i := range s.shards {
-		s.shards[i].Init(DefaultCompression)
-		s.parts[i] = &s.shards[i]
-	}
+// NewSketchSet builds the digest set.
+func NewSketchSet() *SketchSet {
+	s := &SketchSet{class: make([]TDigest, NumJobClasses)}
+	s.latency.Init(DefaultCompression)
 	for i := range s.class {
 		s.class[i].Init(DefaultCompression)
 	}
@@ -67,24 +55,21 @@ func NewSketchSet(p int) *SketchSet {
 	return s
 }
 
-// Shards returns the configured shard count.
-func (s *SketchSet) Shards() int { return len(s.shards) }
-
-// Record ingests one completion: latency into the shard and class digests,
-// wait into the wait digest. Zero allocations.
-func (s *SketchSet) Record(shard, class int, latencySec, waitSec float64) {
-	s.shards[shard].Add(latencySec)
+// Record ingests one completion: latency into the overall and class
+// digests, wait into the wait digest. Zero allocations.
+func (s *SketchSet) Record(class int, latencySec, waitSec float64) {
+	s.latency.Add(latencySec)
 	s.class[class].Add(latencySec)
 	s.wait.Add(waitSec)
 }
 
-// MergedLatency merges the per-shard latency digests (ascending shard
-// order into a (mean, weight)-sorted one-shot compression — the result is
-// bitwise independent of shard order, see MergedInto) and returns the
-// merged digest. The returned digest is owned by the set and valid until
-// the next call.
-func (s *SketchSet) MergedLatency() *TDigest {
-	MergedInto(&s.merged, s.parts...)
+// Latency returns the overall latency digest recompressed in one
+// (mean, weight)-sorted pass (MergedInto over the single digest). The summary
+// quantiles have always been read from that recompression, so reading it
+// keeps them bit for bit. The returned digest is owned by the set and valid
+// until the next call.
+func (s *SketchSet) Latency() *TDigest {
+	MergedInto(&s.merged, &s.latency)
 	return &s.merged
 }
 
@@ -95,17 +80,15 @@ func (s *SketchSet) ClassLatency(class int) *TDigest { return &s.class[class] }
 func (s *SketchSet) Wait() *TDigest { return &s.wait }
 
 // State implements checkpoint.Stateful: every digest (merged scratch
-// excluded — derived). The set must have been built with the saved shard
-// count.
+// excluded — derived). The leading latency-digest count is always 1: format
+// v4 keeps the word, which once counted one digest per engine shard.
 func (s *SketchSet) State(c *checkpoint.Codec) {
-	np, nc := len(s.shards), len(s.class)
+	np, nc := 1, len(s.class)
 	c.Int(&np)
-	if np != len(s.shards) {
-		c.Fail(checkpoint.ErrCorrupt, "sketch set has %d shard digests, session %d", np, len(s.shards))
+	if np != 1 {
+		c.Fail(checkpoint.ErrCorrupt, "sketch set has %d latency digests, want 1", np)
 	}
-	for i := range s.shards {
-		s.shards[i].State(c)
-	}
+	s.latency.State(c)
 	c.Int(&nc)
 	if nc != len(s.class) {
 		c.Fail(checkpoint.ErrCorrupt, "sketch set has %d class digests, want %d", nc, len(s.class))

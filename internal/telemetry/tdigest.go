@@ -30,7 +30,7 @@ const DefaultCompression = 100
 // a pure function of the inserted multiset *and insertion order*; MergedInto
 // re-sorts all centroids by (mean, weight) before a single compression pass,
 // so a merged digest is bitwise independent of the order its parts are given
-// in (the epoch-barrier shard merge relies on this).
+// in.
 type TDigest struct {
 	comp float64
 
@@ -263,8 +263,8 @@ func (p *pairSorter) Swap(i, j int) {
 // are gathered, sorted by the (mean, weight) total order, and compressed in
 // one pass. The result is bitwise identical under any permutation of parts.
 // dst may not be one of parts. Parts are flushed but otherwise unchanged.
-// This is the epoch-barrier merge path, not the per-sample hot path; the
-// gather arrays grow to fit all parts' centroids on first use.
+// This is the publish-time path, not the per-sample hot path; the gather
+// arrays grow to fit all parts' centroids on first use.
 func MergedInto(dst *TDigest, parts ...*TDigest) {
 	dst.Reset()
 	need := 0

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -99,9 +100,8 @@ func TestTDigestEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// TestMergeDeterministicAcrossShardOrders pins the epoch-barrier merge
-// contract: MergedInto's result is bitwise identical under any permutation
-// of its parts.
+// TestMergeDeterministicAcrossShardOrders pins MergedInto's contract: its
+// result is bitwise identical under any permutation of its parts.
 func TestMergeDeterministicAcrossShardOrders(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	parts := make([]*TDigest, 4)
@@ -222,39 +222,30 @@ func TestTDigestCheckpointRoundTrip(t *testing.T) {
 
 func TestSketchSetCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	sk := NewSketchSet(3)
+	sk := NewSketchSet()
 	for k := 0; k < 60000; k++ {
 		lat := rng.ExpFloat64() * 500
-		sk.Record(k%3, JobClassOf(60+rng.Float64()*7000), lat, lat*0.1)
+		sk.Record(JobClassOf(60+rng.Float64()*7000), lat, lat*0.1)
 	}
-	back := NewSketchSet(3)
+	back := NewSketchSet()
 	roundTrip(t, sk, back)
 	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if x, y := sk.MergedLatency().Quantile(q), back.MergedLatency().Quantile(q); math.Float64bits(x) != math.Float64bits(y) {
+		if x, y := sk.Latency().Quantile(q), back.Latency().Quantile(q); math.Float64bits(x) != math.Float64bits(y) {
 			t.Fatalf("merged q=%v: restored %v, want %v", q, y, x)
 		}
 		if x, y := sk.Wait().Quantile(q), back.Wait().Quantile(q); math.Float64bits(x) != math.Float64bits(y) {
 			t.Fatalf("wait q=%v: restored %v, want %v", q, y, x)
 		}
 	}
-	// Shard-count mismatch must be rejected, not silently mis-shaped.
-	wrong := NewSketchSet(2)
-	wr := checkpoint.NewWriter(0)
-	checkpoint.Save(wr.Section("t"), sk)
-	var buf bytes.Buffer
-	if _, err := wr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := checkpoint.NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := rd.Section("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkpoint.Restore(dec, wrong); err == nil {
-		t.Fatal("restore into a 2-shard set accepted a 3-shard snapshot")
+	// A latency-digest count other than 1 must be rejected, not silently
+	// mis-shaped.
+	var enc checkpoint.Enc
+	two := 2
+	enc.Codec().Int(&two)
+	dec := checkpoint.NewDec("t", enc.Payload())
+	NewSketchSet().State(dec.Codec())
+	if err := dec.Err(); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("restore of a two-digest set: got %v, want ErrCorrupt", err)
 	}
 }
 
@@ -292,20 +283,20 @@ func TestTDigestAddZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("TDigest.Add allocates %v/op, want 0", avg)
 	}
-	sk := NewSketchSet(2)
+	sk := NewSketchSet()
 	for k := 0; k < 4096; k++ {
-		sk.Record(k&1, k%NumJobClasses, vals[k%len(vals)], vals[(k+7)%len(vals)])
+		sk.Record(k%NumJobClasses, vals[k%len(vals)], vals[(k+7)%len(vals)])
 	}
 	k := 0
 	if avg := testing.AllocsPerRun(20000, func() {
-		sk.Record(k&1, k%NumJobClasses, vals[k%len(vals)], vals[(k+7)%len(vals)])
+		sk.Record(k%NumJobClasses, vals[k%len(vals)], vals[(k+7)%len(vals)])
 		k++
 	}); avg != 0 {
 		t.Fatalf("SketchSet.Record allocates %v/op, want 0", avg)
 	}
-	// The epoch-barrier merge into a retained destination (the first call
-	// sizes its gather arrays).
-	parts := []*TDigest{td, &sk.shards[0], &sk.shards[1]}
+	// A merge into a retained destination (the first call sizes its gather
+	// arrays).
+	parts := []*TDigest{td, &sk.latency, &sk.wait}
 	dst := NewTDigest(DefaultCompression)
 	MergedInto(dst, parts...)
 	if avg := testing.AllocsPerRun(200, func() { MergedInto(dst, parts...) }); avg != 0 {

@@ -10,8 +10,8 @@
 // own RNG, seeded by splitmix64-mixing the scenario seed with the component's
 // structural index. Components therefore never perturb each other's streams:
 // adding a modulator or a class changes only the jobs that component touches,
-// and the sequence is bitwise reproducible run to run, independent of shard
-// count (generation happens before dispatch).
+// and the sequence is bitwise reproducible run to run (generation happens
+// before dispatch).
 package workload
 
 import (

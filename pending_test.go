@@ -215,7 +215,8 @@ func FuzzPendingQueueOrder(f *testing.F) {
 // faultsBatchRun is the shape of run the fault sweeps make: least-loaded on 8
 // always-on servers, exponential crashes, backoff retries, the whole trace
 // batch-submitted — so every retry re-arrives 30-600 s past the clock into a
-// queue still holding the rest of the trace.
+// queue still holding the rest of the trace. shards goes to the deprecated
+// WithShards, a no-op.
 func faultsBatchRun(t *testing.T, shards int) *Session {
 	t.Helper()
 	cfg := RoundRobin(8)
@@ -268,8 +269,9 @@ func stepToRetry(t *testing.T, s *Session) (loBefore int) {
 // state the positional insert added: consumed prefix non-empty and just
 // shrunk by a retry that shifted the head side down. Only the live region is
 // serialized, so Checkpoint -> Restore -> Checkpoint must be byte-identical
-// and the resumed run must finish exactly like the uninterrupted one, on both
-// tiers. testdata/faults_backoff_pr12.ckpt is the strict-tier snapshot the
+// and the resumed run must finish exactly like the uninterrupted one. The p2
+// row builds its sessions through the deprecated WithShards(2) and must write
+// the same bytes. testdata/faults_backoff_pr12.ckpt is the snapshot the
 // commit before pendingQueue wrote at the same Step of the same run (its
 // version word since moved to 4; the run has no agent, so nothing else did):
 // the new code must write those bytes, restore them, and finish with the
@@ -301,7 +303,7 @@ func TestCheckpointAfterHeadSideInsert(t *testing.T) {
 			if !bytes.Equal(snap.Bytes(), again.Bytes()) {
 				t.Fatalf("re-checkpoint of the restored session differs (%d vs %d bytes)", snap.Len(), again.Len())
 			}
-			if shards == 1 && runtime.GOARCH == "amd64" { // recorded there; see goldenM6
+			if runtime.GOARCH == "amd64" { // recorded there; see goldenM6
 				old, err := os.ReadFile("testdata/faults_backoff_pr12.ckpt")
 				if err != nil {
 					t.Fatal(err)

@@ -36,7 +36,7 @@ type (
 	Predictor = local.ArrivalPredictor
 	// FaultModel assigns each server its failure/repair clock. Clocks are
 	// derived from (Config.Seed, serverID) alone — never from the run RNG —
-	// so fault schedules are identical at every shard count.
+	// so fault schedules are independent of the workload.
 	FaultModel = fault.Model
 	// FailureClock is one server's failure/repair process (see FaultModel).
 	FailureClock = fault.Clock
@@ -91,7 +91,7 @@ type PredictorFactory func(cfg *Config, rng *RNG) (Predictor, error)
 // FaultModelFactory builds one run's fault model. It deliberately receives no
 // RNG: failure clocks must derive all randomness from (cfg.Seed, serverID)
 // so the schedule is a pure function of the configuration, independent of
-// shard count and of every other random stream. Returning a nil FaultModel
+// every other random stream. Returning a nil FaultModel
 // (with a nil error) disables fault injection.
 type FaultModelFactory func(cfg *Config) (FaultModel, error)
 

@@ -18,7 +18,6 @@ import (
 // wrapper over the streaming Session API — NewSession, SubmitTrace, Drain,
 // Result, Close — and a Session driven the same way produces
 // bitwise-identical results. opts are NewSession's: most usefully
-// WithShards(P) to execute one large run on P cores (the parallel tier), and
 // WithObserver to watch a batch run live.
 //
 // Run submits the whole trace at once rather than chunking it through

@@ -10,8 +10,8 @@ import (
 
 // This file defines the scale-10k operating point: the preset configuration
 // and the bounded-memory streaming runner that drive a single M=10,000-server
-// run over >= 2M jobs — the workload the sharded engine (WithShards) exists
-// for. EXPERIMENTS.md "Scale" has the measured strict-vs-sharded figures.
+// run over >= 2M jobs. EXPERIMENTS.md "Scale" has the measured figures,
+// including the removed sharded tier's negative result.
 
 // ScaleJobs is the scale-10k preset's workload length.
 const ScaleJobs = 2_000_000
@@ -20,13 +20,12 @@ const ScaleJobs = 2_000_000
 const ScaleM = 10_000
 
 // ScaleSim returns the scale-10k system: latency-greedy least-loaded global
-// allocation (answered from the engine's incremental per-shard load index —
+// allocation (answered from the cluster's incremental load index —
 // a per-arrival O(M) scan would dominate the whole run at this M) over the
 // paper's RL local power-management tier with a compact per-server LSTM
 // predictor. The global DRL agent is deliberately not used here: a 10k-way
 // action space is far outside the paper's design envelope, while the local
-// tier is exactly its "one independent manager per machine" shape — which is
-// also what makes the run shard-parallel.
+// tier is exactly its "one independent manager per machine" shape.
 //
 // The LSTM is downsized (lookback 16, hidden 8, history 64) so 10k per-server
 // replicas fit comfortably in memory while still giving the local tier its
@@ -69,7 +68,7 @@ type TraceStream = trace.Stream
 // arrival before the next chunk is pulled, so neither the workload nor the
 // pending queue ever materializes more than chunk+in-flight jobs. This is
 // how the scale presets push >= 2M jobs through a 10k-server cluster in a
-// few hundred MB. Combine with WithShards(P) for the parallel tier.
+// few hundred MB.
 func RunSource(cfg Config, src JobSource, opts ...SessionOption) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("hierdrl: nil job source")

@@ -58,7 +58,7 @@ const (
 // Scenario is a named, self-contained evaluation setting: a cluster size
 // (optionally heterogeneous) plus a declarative workload. A scenario's job
 // sequence is a pure function of (seed, Scenario) — bitwise reproducible run
-// to run and identical at every shard count.
+// to run.
 type Scenario struct {
 	// Name resolves the scenario in the registry (hiersim -scenario).
 	Name string

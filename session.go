@@ -63,7 +63,6 @@ type Observer struct {
 type sessionOptions struct {
 	obs        Observer
 	ctx        context.Context
-	shards     int
 	autoPath   string
 	autoEvery  int
 	sketchOnly bool   // WithSketchOnly: constant-memory quantile sketches
@@ -91,20 +90,15 @@ func WithContext(ctx context.Context) SessionOption {
 	}
 }
 
-// WithShards selects the session's execution tier. p <= 1 (the default) is
-// the strict tier: one event lane, one goroutine, bitwise-reproducible
-// against the historical engine. p >= 2 is the parallel tier: the cluster is
-// partitioned into p contiguous server groups, each stepped on its own event
-// lane by its own worker, synchronizing only at arrival decision epochs
-// (see shard_engine.go and DESIGN.md §12 for the determinism contract:
-// results at a fixed p are bitwise reproducible run to run and bitwise equal
-// to the strict tier's, short of a cross-shard timestamp tie). The DRL warmup
-// pass, when configured, always runs strict — sharding applies to the
-// measured session.
+// WithShards once selected a parallel execution tier that stepped p server
+// groups on p goroutines between arrival decision epochs. It never beat the
+// single lane (DESIGN.md §12), and the tier is gone: every session now runs
+// the one strict engine, whatever p is.
 //
-// A sharded session owns p worker goroutines; Close releases them.
+// Deprecated: WithShards is a no-op for every p. It remains only so existing
+// callers compile, and will be removed.
 func WithShards(p int) SessionOption {
-	return func(o *sessionOptions) { o.shards = p }
+	return func(*sessionOptions) {}
 }
 
 // Session is the long-lived, streaming form of one experiment run: the same
@@ -133,9 +127,8 @@ type Session struct {
 	ctx  context.Context
 	done <-chan struct{}
 
-	// eng is the execution tier, chosen once in newPass from WithShards: the
-	// strict lane or the shard runner (see engine).
-	eng engine
+	// lane is the execution engine: the one event lane and its pump timer.
+	lane strictLane
 
 	// Ingestion: pending arrivals ordered by (arrival, submission order).
 	pq       pendingQueue
@@ -147,24 +140,16 @@ type Session struct {
 	view cluster.View
 
 	// Allocator strategy, classified once at construction: fastLL answers
-	// least-loaded from the cluster's incremental per-shard index (no O(M)
+	// least-loaded from the cluster's incremental load index (no O(M)
 	// snapshot scan per arrival), needsView is false for allocators that never
-	// read server state (least-loaded, round-robin, random) so their engine
-	// skips the view refresh, preEncoded means the shard workers gather the
-	// DRL group features. All produce bitwise the decisions of the plain
+	// read server state (least-loaded, round-robin, random) so the engine
+	// skips the view refresh. Both produce bitwise the decisions of the plain
 	// snapshot path.
-	fastLL     bool
-	needsView  bool
-	preEncoded bool
+	fastLL    bool
+	needsView bool
 
-	// merger replays the parallel tier's merged change feed through
-	// strict-order global bookkeeping for the DRL reward integral (nil unless
-	// a sharded session runs an agent).
-	merger *cluster.Merger
-
-	// etrace records per-phase timing spans of the parallel tier's epochs (nil
-	// unless WithEpochTrace; see telemetry.EpochRing for the lock-free
-	// discipline the barrier gives it).
+	// etrace records one timing span per decision epoch (nil unless
+	// WithEpochTrace, leaving one never-taken nil check per decision).
 	etrace *telemetry.EpochRing
 
 	// auto is the periodic snapshot-to-disk layer (nil unless configured
@@ -254,24 +239,14 @@ func NewSession(cfg Config, opts ...SessionOption) (*Session, error) {
 // measured session and the warmup rollout are passes; the agent (if any)
 // persists across them so learning accumulates.
 func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int, o sessionOptions) (*Session, error) {
-	p := o.shards
-	if p < 1 {
-		p = 1
-	}
-	if o.etraceCap > 0 && p < 2 {
-		return nil, errors.New("hierdrl: WithEpochTrace requires WithShards(p >= 2)")
-	}
-	lanes := make([]*sim.Simulator, p)
-	for i := range lanes {
-		lanes[i] = sim.New()
-	}
+	sm := sim.New()
 	// The factory callback cannot return an error through cluster.New, and
 	// registered factories may legitimately fail (external policies validate
 	// inside their factory): capture the first failure and surface it. The
 	// nil policy makes cluster.New abort on that server, so no partially
 	// built cluster escapes.
 	var pmErr error
-	cl, err := cluster.NewSharded(cfg.Cluster, lanes, func(id int) cluster.DPMPolicy {
+	cl, err := cluster.New(cfg.Cluster, sm, func(id int) cluster.DPMPolicy {
 		pm, e := buildPowerManager(&cfg, id, rng)
 		if e != nil {
 			if pmErr == nil {
@@ -311,10 +286,10 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 	if o.sketchOnly || o.telAddr != "" {
 		// Quantile sketches feed the live endpoint's percentiles; under
 		// sketch-only they also replace the per-job sample slices entirely.
-		s.col.EnableSketches(telemetry.NewSketchSet(p), o.sketchOnly)
+		s.col.EnableSketches(telemetry.NewSketchSet(), o.sketchOnly)
 	}
 	// Classify the allocator's state needs once: least-loaded runs off the
-	// cluster's incremental per-shard load index (enabled here so it is
+	// cluster's incremental load index (enabled here so it is
 	// maintained from the first event), round-robin and random read only the
 	// prepared view's M, everything else gets a refreshed snapshot per arrival.
 	cl.SnapshotPrepare(&s.view)
@@ -353,9 +328,7 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 		(fm != nil && (o.obs.OnServerFail != nil || o.obs.OnServerRepair != nil)) ||
 		s.domIdx != nil
 
-	// Observers are wired once: the strict tier fires these synchronously on
-	// its single lane, the parallel tier logs per shard and replays into the
-	// same callbacks in merged time order at each epoch barrier.
+	// Observers fire synchronously on the lane, as the events happen.
 	s.col.OnCheckpoint = o.obs.OnCheckpoint
 	cl.OnJobDone = s.jobDone
 	if needTrans {
@@ -367,32 +340,14 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 		cl.OnDegrade = s.serverDegraded
 		cl.OnDrainStart = s.drainStarted
 	}
-	if p == 1 {
-		if agent != nil {
-			cl.OnChange = func(t sim.Time) {
-				agent.ObserveCluster(t, cl.TotalPower(), cl.JobsInSystem(), cl.ReliabilityObj())
-			}
+	if agent != nil {
+		cl.OnChange = func(t sim.Time) {
+			agent.ObserveCluster(t, cl.TotalPower(), cl.JobsInSystem(), cl.ReliabilityObj())
 		}
-		s.eng = &strictLane{s: s, sm: lanes[0]}
-	} else {
-		cl.SetAsync(agent != nil, needTrans)
-		r := &shardRunner{s: s, p: p}
-		if o.etraceCap > 0 {
-			s.etrace = telemetry.NewEpochRing(o.etraceCap, p)
-		}
-		if agent != nil {
-			s.preEncoded = true
-			s.merger = cluster.NewMerger(cl)
-			s.merger.OnChange = agent.ObserveCluster
-		}
-		s.col.CheckpointClock = func() sim.Time { return r.clock }
-		// Shard 0 runs inline on the coordinator; one worker per remaining
-		// shard (the barrier counts those p-1 arrivals).
-		r.bar.init(p - 1)
-		for i := 1; i < p; i++ {
-			go r.worker(i)
-		}
-		s.eng = r
+	}
+	s.lane = strictLane{s: s, sm: sm}
+	if o.etraceCap > 0 {
+		s.etrace = telemetry.NewEpochRing(o.etraceCap)
 	}
 	if o.autoPath != "" {
 		every := int64(o.autoEvery)
@@ -480,9 +435,7 @@ func (s *Session) routeTransition(t sim.Time, server int, from, to cluster.Power
 	}
 }
 
-// serverDegraded routes a fail-slow edge to the observer — invoked at the
-// degrade event in the strict tier, replayed at the epoch barrier in the
-// parallel tier.
+// serverDegraded routes a fail-slow edge to the observer.
 func (s *Session) serverDegraded(t sim.Time, server int, factor float64) {
 	if s.obs.OnServerDegrade != nil {
 		s.obs.OnServerDegrade(t, server, factor)
@@ -496,10 +449,9 @@ func (s *Session) drainStarted(t sim.Time, server int) {
 	}
 }
 
-// jobInterrupted is the cluster's crash-eviction callback — invoked during
-// the crash event in the strict tier, replayed at the epoch barrier in
-// merged (time, shard) order in the parallel tier. The work the job had
-// executed is lost; the job itself goes through the retry policy.
+// jobInterrupted is the cluster's crash-eviction callback, invoked during the
+// crash event. The work the job had executed is lost; the job itself goes
+// through the retry policy.
 func (s *Session) jobInterrupted(t sim.Time, j *cluster.Job) {
 	s.interrupted++
 	if started, ok := j.StartedAt(); ok {
@@ -551,10 +503,10 @@ func (s *Session) retryEvicted(t sim.Time, j *cluster.Job) {
 
 // enqueue adds one job to the pending queue behind every queued job that
 // arrives no later (see pendingQueue.enqueue for the cost) and lets the
-// engine re-arm.
+// lane re-arm.
 func (s *Session) enqueue(tj Job) {
 	s.pq.enqueue(tj)
-	s.eng.arm()
+	s.lane.arm()
 }
 
 // drained reports whether every ingested job is accounted for — completed or
@@ -622,34 +574,29 @@ func (s *Session) SubmitTrace(tr *Trace) error {
 	s.Reserve(len(tr.Jobs))
 	s.pq.enqueueAll(tr.Jobs, int(s.ingested))
 	s.ingested += int64(len(tr.Jobs))
-	s.eng.arm()
+	s.lane.arm()
 	return nil
 }
 
-// allocate pops the head arrival and picks its target server — the decision
-// epoch both tiers share. The calling engine has made s.view current for
-// allocators that read it (needsView) and commits the returned job itself.
+// allocate pops the head arrival and picks its target server. The lane has
+// made s.view current for allocators that read it (needsView) and commits
+// the returned job itself.
 func (s *Session) allocate() (j *cluster.Job, target int) {
 	j = s.takeJob(s.pq.pop())
 	switch {
 	case s.fastLL:
 		// Least-loaded answers from the incrementally maintained load index:
-		// a P-way reduce over per-shard minima that is, bit for bit, the argmin
-		// of the O(M) snapshot scan it replaces (essential at 10k-server scale,
-		// where a per-arrival scan would dominate the whole run).
+		// bit for bit the argmin of the O(M) snapshot scan it replaces
+		// (essential at 10k-server scale, where a per-arrival scan would
+		// dominate the whole run).
 		target = s.cl.LeastCommitted()
-	case s.preEncoded:
-		// Group features were gathered by the shard workers in parallel; the
-		// epoch evaluates all K Sub-Q heads over them as one batched GEMM
-		// (QNetwork.QValuesInto) exactly as the strict tier does.
-		target = s.agent.AllocatePreEncoded(j, &s.view)
 	default:
 		target = s.alloc.Allocate(j, &s.view)
 	}
 	if s.fm != nil && !s.cl.Accepting(target) {
 		// Graceful degradation for state-blind allocators (round-robin,
 		// random, a stale DRL pick): cyclically remap onto a server that
-		// accepts work (neither down nor draining). Both engines stall an
+		// accepts work (neither down nor draining). The lane stalls an
 		// arrival while every server is unavailable, so one always exists.
 		target = s.cl.NextUp(target)
 	}
@@ -689,14 +636,8 @@ func (s *Session) ctxErr() error {
 	}
 }
 
-// eventsFired sums fired events across all lanes.
-func (s *Session) eventsFired() int64 {
-	var n int64
-	for i := 0; i < s.cl.Shards(); i++ {
-		n += s.cl.Lane(i).Fired()
-	}
-	return n
-}
+// eventsFired counts the events the lane has fired.
+func (s *Session) eventsFired() int64 { return s.lane.sm.Fired() }
 
 // guard bounds total event count relative to ingested jobs, protecting
 // callers from a runaway self-rescheduling model. Every job spawns a bounded
@@ -724,7 +665,7 @@ func (s *Session) usable() error {
 	return s.err
 }
 
-// tick is the epoch-boundary hook, reached after every unit of engine work:
+// tick is the epoch-boundary hook, reached after every event:
 // the periodic snapshot-to-disk and the telemetry publish. An auto-checkpoint
 // failure surfaces without latching: the run itself is consistent and the
 // next boundary retries the write.
@@ -739,8 +680,8 @@ func (s *Session) tick() error {
 }
 
 // unit is the one clock-advance path behind Step, StepUntil and Drain: the
-// cancellation and runaway checks (which latch), one engine step no later
-// than until, and the tick. It reports whether the engine did any work.
+// cancellation and runaway checks (which latch), one event no later than
+// until, and the tick. It reports whether an event fired.
 func (s *Session) unit(until sim.Time) (bool, error) {
 	if err := s.ctxErr(); err != nil {
 		return false, s.fail(err)
@@ -754,18 +695,14 @@ func (s *Session) unit(until sim.Time) (bool, error) {
 		// closes instead.
 		return false, nil
 	}
-	if !s.eng.step(until) {
+	if !s.lane.step(until) {
 		return false, nil
 	}
 	return true, s.tick()
 }
 
-// Step advances the engine by one unit of work and reports whether anything
-// fired (false means the engine is idle — drained or awaiting submissions).
-// In the strict tier the unit is one event; in the parallel tier it is one
-// decision epoch (every lane quiesced up to the next arrival, which is then
-// allocated) or, with no arrivals left, one closing phase that drains the
-// lanes.
+// Step fires one event and reports whether anything fired (false means the
+// engine is idle — drained or awaiting submissions).
 func (s *Session) Step() (bool, error) {
 	if err := s.usable(); err != nil {
 		return false, err
@@ -794,7 +731,7 @@ func (s *Session) StepUntil(t Time) error {
 			break
 		}
 	}
-	s.eng.settle(t)
+	s.lane.settle(t)
 	return s.tick()
 }
 
@@ -812,10 +749,8 @@ func (s *Session) Drain() error {
 	}
 }
 
-// Now returns the current simulated time: the single lane's clock in the
-// strict tier, the engine clock (max lane clock, updated at every barrier)
-// in the parallel tier.
-func (s *Session) Now() Time { return s.eng.now() }
+// Now returns the current simulated time.
+func (s *Session) Now() Time { return s.lane.sm.Now() }
 
 // Pending returns the number of ingested jobs not yet dispatched.
 func (s *Session) Pending() int { return s.pq.pending() }
@@ -879,10 +814,7 @@ func (s *Session) Snapshot() SessionSnapshot {
 // SnapshotInto refreshes dst with a live view of the session, reusing
 // dst.View's buffers (allocated on first use): a warm refresh performs no
 // heap allocation. It is safe wherever Snapshot is — between clock advances
-// and inside Observer callbacks: in the parallel tier every callback runs at
-// an epoch barrier with all lanes quiescent, each shard's range of the view
-// is refreshed from its own servers, and the per-shard aggregates reduce in
-// fixed shard order, so a mid-run snapshot is race-free and deterministic.
+// and inside Observer callbacks.
 func (s *Session) SnapshotInto(dst *SessionSnapshot) {
 	if dst.View == nil {
 		dst.View = &ClusterView{}
@@ -935,9 +867,6 @@ func (s *Session) Result() (*Result, error) {
 	}
 	s.finishEpisode()
 	s.cl.InvariantCheck()
-	if s.merger != nil {
-		s.merger.InvariantCheck(s.cl)
-	}
 	s.col.SetFaultTallies(s.interrupted, s.migrated, s.retried, s.lost, s.domainOutages, s.lostWork)
 	res := &Result{
 		Summary:     s.col.Summarize(s.cfg.Name, s.Now()),
@@ -970,7 +899,7 @@ func (s *Session) finishEpisode() {
 
 // Close finalizes the learning episode (if Result has not already), dumps
 // the epoch-trace file and shuts the telemetry endpoint down (if configured),
-// stops the engine (pump timer, lane workers), and marks the session
+// stops the lane's pump timer, and marks the session
 // unusable. It is idempotent; the only error it can return is a failing
 // epoch-trace dump (WithEpochTraceFile).
 func (s *Session) Close() error {
@@ -979,7 +908,7 @@ func (s *Session) Close() error {
 	}
 	s.finishEpisode()
 	err := s.telClose()
-	s.eng.stop()
+	s.lane.stop()
 	s.closed = true
 	return err
 }

@@ -18,9 +18,19 @@ import (
 // The build tag mirrors the other alloc-pinned suites: the race detector's
 // instrumentation allocates, so exact counts only hold without -race.
 func TestSessionSteadyStepZeroAlloc(t *testing.T) {
+	// The trace-on row pins the epoch ring's per-decision span at 0 allocs.
+	for name, opts := range map[string][]hierdrl.SessionOption{
+		"default":     nil,
+		"epoch-trace": {hierdrl.WithEpochTrace(256)},
+	} {
+		t.Run(name, func(t *testing.T) { steadyStepZeroAlloc(t, opts) })
+	}
+}
+
+func steadyStepZeroAlloc(t *testing.T, opts []hierdrl.SessionOption) {
 	const jobs = 6000
 	tr := hierdrl.SyntheticTraceForCluster(jobs, 4, 1)
-	s, err := hierdrl.NewSession(hierdrl.RoundRobin(4))
+	s, err := hierdrl.NewSession(hierdrl.RoundRobin(4), opts...)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}

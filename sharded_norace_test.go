@@ -8,13 +8,12 @@ import (
 	"hierdrl"
 )
 
-// TestShardedSteadyStepZeroAlloc pins the parallel tier's steady-state
-// allocation budget: with every pool warm (event slots, job pool, per-shard
-// logs, metric buffers, load index) a decision epoch — barrier round, lane
-// stepping in the workers, merged replay, load-index allocation, dispatch —
-// performs zero heap allocations. The configuration avoids the RL power
-// manager (whose Q-table state keys are strings by design) so the pin
-// measures the sharding machinery itself.
+// TestShardedSteadyStepZeroAlloc pins the least-loaded steady state: with
+// every pool warm (event slots, job pool, metric buffers, load index) a Step
+// — load-index allocation, dispatch, server events — performs zero heap
+// allocations. The configuration avoids the RL power manager (whose Q-table
+// state keys are strings by design) so the pin measures the engine and the
+// load index themselves.
 //
 // The build tag mirrors the other alloc-pinned suites: race instrumentation
 // allocates, so exact counts only hold without -race.
@@ -27,13 +26,13 @@ func TestShardedSteadyStepZeroAlloc(t *testing.T) {
 	cfg.FixedTimeoutSec = 30
 
 	tr := hierdrl.SyntheticTraceForCluster(4000, m, 9)
-	s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(4))
+	s, err := hierdrl.NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	s.Reserve(2 * len(tr.Jobs))
-	// Warm every pool — event slots, job pool, logs, queues — with one full
+	// Warm every pool — event slots, job pool, queues — with one full
 	// pass, so the measured second stream's in-flight population never
 	// exceeds what the pools already hold.
 	if err := s.SubmitTrace(tr); err != nil {
@@ -56,16 +55,16 @@ func TestShardedSteadyStepZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const epochs = 500
+	const steps = 500
 	avg := testing.AllocsPerRun(1, func() {
-		for i := 0; i < epochs; i++ {
+		for i := 0; i < steps; i++ {
 			if _, err := s.Step(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
-	if perEpoch := avg / epochs; perEpoch > 0.01 {
-		t.Errorf("sharded steady step allocates %.3f allocs/epoch, want 0", perEpoch)
+	if perStep := avg / steps; perStep > 0.01 {
+		t.Errorf("least-loaded steady step allocates %.3f allocs/step, want 0", perStep)
 	}
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
@@ -76,30 +75,27 @@ func TestShardedSteadyStepZeroAlloc(t *testing.T) {
 }
 
 // TestSnapshotIntoZeroAllocWarm pins the Session.Snapshot satellite: a warm
-// SnapshotInto — including the per-shard view refresh and the fixed-order
-// aggregate reduction — allocates nothing, in both tiers.
+// SnapshotInto allocates nothing.
 func TestSnapshotIntoZeroAllocWarm(t *testing.T) {
-	for _, p := range []int{1, 4} {
-		cfg := hierdrl.RoundRobin(8)
-		s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := hierdrl.SyntheticTraceForCluster(300, 8, 4)
-		if err := s.SubmitTrace(tr); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.StepUntil(hierdrl.Time(tr.Jobs[150].Arrival)); err != nil {
-			t.Fatal(err)
-		}
-		var snap hierdrl.SessionSnapshot
-		s.SnapshotInto(&snap) // first call sizes the view buffers
-		if avg := testing.AllocsPerRun(100, func() { s.SnapshotInto(&snap) }); avg > 0 {
-			t.Errorf("P=%d: warm SnapshotInto allocates %.1f allocs/op, want 0", p, avg)
-		}
-		if snap.View.M != 8 || snap.Ingested != int64(len(tr.Jobs)) {
-			t.Fatalf("P=%d: bad snapshot %+v", p, snap)
-		}
-		s.Close()
+	cfg := hierdrl.RoundRobin(8)
+	s, err := hierdrl.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tr := hierdrl.SyntheticTraceForCluster(300, 8, 4)
+	if err := s.SubmitTrace(tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StepUntil(hierdrl.Time(tr.Jobs[150].Arrival)); err != nil {
+		t.Fatal(err)
+	}
+	var snap hierdrl.SessionSnapshot
+	s.SnapshotInto(&snap) // first call sizes the view buffers
+	if avg := testing.AllocsPerRun(100, func() { s.SnapshotInto(&snap) }); avg > 0 {
+		t.Errorf("warm SnapshotInto allocates %.1f allocs/op, want 0", avg)
+	}
+	if snap.View.M != 8 || snap.Ingested != int64(len(tr.Jobs)) {
+		t.Fatalf("bad snapshot %+v", snap)
 	}
 }

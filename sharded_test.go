@@ -2,20 +2,23 @@ package hierdrl_test
 
 import (
 	"math"
-	"sync/atomic"
+	"reflect"
 	"testing"
 
 	"hierdrl"
 )
 
-// sameBits reports whether two metrics are bitwise equal — the strict ==
-// sharded contract these tests assert. (On a workload where two shards fire
-// an observable event at the same instant the tiers may order the tie
-// differently; the continuous arrival processes used here never produce one.)
+// The sharded parallel tier is gone (DESIGN.md §12). These tests keep their
+// names and pin what replaced it: WithShards(p) is a deprecated no-op, and
+// the one engine keeps the contracts the tier was measured against — run to
+// run reproducibility, streamed == batch, observer ordering, late-arrival
+// clamping, and a clean mid-run Close.
+
+// sameBits reports whether two metrics are bitwise equal.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// shardTestSystems returns the three compared systems at a reduced M=8
-// operating point (P=8 needs at least 8 servers).
+// shardTestSystems returns the compared systems at a reduced M=8 operating
+// point.
 func shardTestSystems(t *testing.T) (map[string]hierdrl.Config, *hierdrl.Trace) {
 	t.Helper()
 	m := 8
@@ -41,51 +44,33 @@ func shardTestSystems(t *testing.T) (map[string]hierdrl.Config, *hierdrl.Trace) 
 	return cfgs, tr
 }
 
-// TestShardedMatchesStrict runs the compared systems strict (P=1) and
-// sharded (P in {2,4,8}) on the same workload and asserts the parallel
-// tier's results equal the strict tier's bit for bit — including the full
-// DRL hierarchy, whose reward integral flows through the merged change feed.
+// TestShardedMatchesStrict: on every compared system, including the full
+// DRL hierarchy, a run with WithShards(p) for any p is the default run, bit
+// for bit — the option is a no-op.
 func TestShardedMatchesStrict(t *testing.T) {
 	if testing.Short() {
 		t.Skip("DRL warmup passes are slow; run without -short")
 	}
 	cfgs, tr := shardTestSystems(t)
 	for name, cfg := range cfgs {
-		strict, err := hierdrl.Run(cfg, tr)
+		ref, err := hierdrl.Run(cfg, tr)
 		if err != nil {
-			t.Fatalf("%s strict: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		for _, p := range []int{2, 4, 8} {
+		for _, p := range []int{0, 2, 8, cfg.M + 4} {
 			res, err := hierdrl.Run(cfg, tr, hierdrl.WithShards(p))
 			if err != nil {
-				t.Fatalf("%s P=%d: %v", name, p, err)
+				t.Fatalf("%s WithShards(%d): %v", name, p, err)
 			}
-			if res.Summary.Jobs != strict.Summary.Jobs {
-				t.Errorf("%s P=%d: %d jobs vs strict %d", name, p, res.Summary.Jobs, strict.Summary.Jobs)
-			}
-			pairs := map[string][2]float64{
-				"energy":   {res.Summary.EnergykWh, strict.Summary.EnergykWh},
-				"accLat":   {res.Summary.AccLatencySec, strict.Summary.AccLatencySec},
-				"avgPower": {res.Summary.AvgPowerW, strict.Summary.AvgPowerW},
-				"duration": {res.Summary.DurationSec, strict.Summary.DurationSec},
-			}
-			for metric, v := range pairs {
-				if !sameBits(v[0], v[1]) {
-					t.Errorf("%s P=%d: %s %v vs strict %v", name, p, metric, v[0], v[1])
-				}
-			}
-			if res.TotalWakeups != strict.TotalWakeups || res.TotalShutdowns != strict.TotalShutdowns {
-				t.Errorf("%s P=%d: transitions %d/%d vs strict %d/%d", name, p,
-					res.TotalWakeups, res.TotalShutdowns, strict.TotalWakeups, strict.TotalShutdowns)
+			if !reflect.DeepEqual(res, ref) {
+				t.Errorf("%s WithShards(%d): %+v, default %+v", name, p, res.Summary, ref.Summary)
 			}
 		}
 	}
 }
 
-// TestShardedReproducibleRunToRun asserts the parallel tier's determinism
-// contract: the same configuration at the same P yields bitwise-identical
-// metrics on repeated runs (goroutine scheduling must never leak into
-// results).
+// TestShardedReproducibleRunToRun asserts the determinism contract: the same
+// configuration yields bitwise-identical metrics on repeated runs.
 func TestShardedReproducibleRunToRun(t *testing.T) {
 	m := 8
 	cfg := hierdrl.Hierarchical(m)
@@ -93,7 +78,7 @@ func TestShardedReproducibleRunToRun(t *testing.T) {
 	tr := hierdrl.SyntheticTraceForCluster(300, m, 7)
 	var ref *hierdrl.Result
 	for run := 0; run < 3; run++ {
-		res, err := hierdrl.Run(cfg, tr, hierdrl.WithShards(4))
+		res, err := hierdrl.Run(cfg, tr)
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -101,17 +86,14 @@ func TestShardedReproducibleRunToRun(t *testing.T) {
 			ref = res
 			continue
 		}
-		if math.Float64bits(res.Summary.EnergykWh) != math.Float64bits(ref.Summary.EnergykWh) ||
-			math.Float64bits(res.Summary.AccLatencySec) != math.Float64bits(ref.Summary.AccLatencySec) {
-			t.Fatalf("run %d diverged: energy %x vs %x, accLat %x vs %x", run,
-				math.Float64bits(res.Summary.EnergykWh), math.Float64bits(ref.Summary.EnergykWh),
-				math.Float64bits(res.Summary.AccLatencySec), math.Float64bits(ref.Summary.AccLatencySec))
+		if !reflect.DeepEqual(res, ref) {
+			t.Fatalf("run %d diverged: %+v vs %+v", run, res.Summary, ref.Summary)
 		}
 	}
 }
 
 // TestRunStreamedMatchesRun asserts the chunked streaming runner (RunSource)
-// reproduces the batch Run exactly, in both tiers: same workload, same bits.
+// reproduces the batch Run exactly: same workload, same bits.
 func TestRunStreamedMatchesRun(t *testing.T) {
 	m := 8
 	cfg := hierdrl.ScaleSim(m)
@@ -120,167 +102,151 @@ func TestRunStreamedMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{1, 2, 4} {
-		src, err := hierdrl.ScaleStream(2000, m, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := hierdrl.RunSource(cfg, src, hierdrl.WithShards(p))
-		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		if !sameBits(res.Summary.EnergykWh, batch.Summary.EnergykWh) ||
-			!sameBits(res.Summary.AccLatencySec, batch.Summary.AccLatencySec) {
-			t.Errorf("P=%d: energy %v accLat %v vs batch %v %v", p,
-				res.Summary.EnergykWh, res.Summary.AccLatencySec,
-				batch.Summary.EnergykWh, batch.Summary.AccLatencySec)
-		}
+	src, err := hierdrl.ScaleStream(2000, m, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := hierdrl.RunSource(cfg, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(res.Summary.EnergykWh, batch.Summary.EnergykWh) ||
+		!sameBits(res.Summary.AccLatencySec, batch.Summary.AccLatencySec) {
+		t.Errorf("energy %v accLat %v vs batch %v %v",
+			res.Summary.EnergykWh, res.Summary.AccLatencySec,
+			batch.Summary.EnergykWh, batch.Summary.AccLatencySec)
 	}
 }
 
-// TestShardedObserverHammer drives a sharded session with every Observer
-// hook active — each one taking a mid-run snapshot through the reused
-// buffer — and asserts the callback streams match the strict tier's. Under
-// `go test -race` this doubles as the concurrency soak for the logging/
-// replay machinery: P lanes step concurrently while the observer reads
-// cluster state at every barrier.
+// TestShardedObserverHammer drives a session with every Observer hook
+// active, interleaving bounded clock advances with mid-run snapshots through
+// the reused buffer, and asserts the callbacks arrive in time order with the
+// expected counts and leave the result bitwise equal to an unobserved Run.
 func TestShardedObserverHammer(t *testing.T) {
 	m := 16
 	tr := hierdrl.SyntheticTraceForCluster(1500, m, 11)
 	cfg := hierdrl.ScaleSim(m)
 	cfg.CheckpointEvery = 100
 
-	type counts struct {
-		done, trans, checkpoints int64
-	}
-	runWith := func(p int) (counts, *hierdrl.Result) {
-		var c counts
-		var snap hierdrl.SessionSnapshot
-		var lastDone hierdrl.Time
-		obs := hierdrl.Observer{
-			OnJobDone: func(tm hierdrl.Time, j *hierdrl.ClusterJob) {
-				atomic.AddInt64(&c.done, 1)
-				if tm < lastDone {
-					t.Errorf("P=%d: completion replay not time-ordered: %v after %v", p, tm, lastDone)
-				}
-				lastDone = tm
-			},
-			OnModeTransition: func(tm hierdrl.Time, server int, from, to hierdrl.PowerState) {
-				atomic.AddInt64(&c.trans, 1)
-			},
-			OnCheckpoint: func(cp hierdrl.Checkpoint) { atomic.AddInt64(&c.checkpoints, 1) },
-		}
-		s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(p), hierdrl.WithObserver(obs))
-		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		defer s.Close()
-		if err := s.SubmitTrace(tr); err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		// Interleave stepping with mid-run snapshots through the reused view.
-		span := tr.Jobs[len(tr.Jobs)-1].Arrival
-		for i := 1; i <= 10; i++ {
-			if err := s.StepUntil(hierdrl.Time(span * float64(i) / 10)); err != nil {
-				t.Fatalf("P=%d: %v", p, err)
+	var done, trans, checkpoints int
+	var snap hierdrl.SessionSnapshot
+	var lastDone hierdrl.Time
+	obs := hierdrl.Observer{
+		OnJobDone: func(tm hierdrl.Time, j *hierdrl.ClusterJob) {
+			done++
+			if tm < lastDone {
+				t.Errorf("completions not time-ordered: %v after %v", tm, lastDone)
 			}
-			s.SnapshotInto(&snap)
-			if snap.View.M != m {
-				t.Fatalf("P=%d: snapshot M=%d", p, snap.View.M)
-			}
-		}
-		if err := s.Drain(); err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		res, err := s.Result()
-		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		return c, res
+			lastDone = tm
+		},
+		OnModeTransition: func(tm hierdrl.Time, server int, from, to hierdrl.PowerState) { trans++ },
+		OnCheckpoint:     func(cp hierdrl.Checkpoint) { checkpoints++ },
 	}
-
-	strictCounts, strictRes := runWith(1)
-	if strictCounts.done != int64(len(tr.Jobs)) {
-		t.Fatalf("strict saw %d completions, want %d", strictCounts.done, len(tr.Jobs))
+	s, err := hierdrl.NewSession(cfg, hierdrl.WithObserver(obs))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range []int{2, 4} {
-		c, res := runWith(p)
-		if c != strictCounts {
-			t.Errorf("P=%d: observer counts %+v vs strict %+v", p, c, strictCounts)
+	defer s.Close()
+	if err := s.SubmitTrace(tr); err != nil {
+		t.Fatal(err)
+	}
+	span := tr.Jobs[len(tr.Jobs)-1].Arrival
+	for i := 1; i <= 10; i++ {
+		if err := s.StepUntil(hierdrl.Time(span * float64(i) / 10)); err != nil {
+			t.Fatal(err)
 		}
-		if !sameBits(res.Summary.EnergykWh, strictRes.Summary.EnergykWh) {
-			t.Errorf("P=%d: energy %v vs strict %v", p, res.Summary.EnergykWh, strictRes.Summary.EnergykWh)
+		s.SnapshotInto(&snap)
+		if snap.View.M != m {
+			t.Fatalf("snapshot M=%d", snap.View.M)
 		}
-		if len(res.Checkpoints) != len(strictRes.Checkpoints) {
-			t.Errorf("P=%d: %d checkpoints vs strict %d", p, len(res.Checkpoints), len(strictRes.Checkpoints))
-		}
+	}
+	res := drainResult(t, s)
+	if done != len(tr.Jobs) || checkpoints != len(tr.Jobs)/100 || trans == 0 {
+		t.Fatalf("observer counts: %d done, %d checkpoints, %d transitions", done, checkpoints, trans)
+	}
+	ref, err := hierdrl.Run(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, ref) {
+		t.Errorf("observed run %+v, unobserved %+v", res.Summary, ref.Summary)
 	}
 }
 
-// TestWithShardsValidation asserts the option's error surface.
+// TestWithShardsValidation: WithShards is accepted for every p — even one
+// larger than the cluster, which the removed tier rejected — and the session
+// it builds runs bitwise like the default one.
 func TestWithShardsValidation(t *testing.T) {
 	cfg := hierdrl.RoundRobin(4)
-	if _, err := hierdrl.NewSession(cfg, hierdrl.WithShards(8)); err == nil {
-		t.Fatal("NewSession with more shards than servers did not fail")
-	}
-	s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(0))
+	cfg.Alloc = hierdrl.AllocLeastLoaded
+	tr := hierdrl.SyntheticTraceForCluster(300, cfg.M, 2)
+	ref, err := hierdrl.Run(cfg, tr)
 	if err != nil {
-		t.Fatalf("WithShards(0) should mean the strict default: %v", err)
+		t.Fatal(err)
 	}
-	s.Close()
+	for _, p := range []int{-1, 0, 2, 8, cfg.M + 4} {
+		res, err := hierdrl.Run(cfg, tr, hierdrl.WithShards(p))
+		if err != nil {
+			t.Fatalf("WithShards(%d): %v", p, err)
+		}
+		if !reflect.DeepEqual(res, ref) {
+			t.Errorf("WithShards(%d): %+v, default %+v", p, res.Summary, ref.Summary)
+		}
+	}
 }
 
-// TestShardedLateSubmit mirrors the strict pump's late-arrival clamping: a
-// job submitted with an arrival already in the past is dispatched at the
-// current clock, in both tiers, with identical results.
+// TestShardedLateSubmit pins the pump's late-arrival clamping: a job
+// submitted with an arrival already in the past is dispatched at the current
+// clock, and its latency still counts from the declared arrival.
 func TestShardedLateSubmit(t *testing.T) {
 	m := 8
-	run := func(p int) hierdrl.Summary {
-		cfg := hierdrl.ScaleSim(m)
-		s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(p))
-		if err != nil {
-			t.Fatal(err)
+	lateID := -1
+	var started, latency float64
+	obs := hierdrl.Observer{OnJobDone: func(_ hierdrl.Time, j *hierdrl.ClusterJob) {
+		if j.ID == lateID {
+			st, _ := j.StartedAt()
+			started, latency = float64(st), j.Latency()
 		}
-		defer s.Close()
-		tr := hierdrl.SyntheticTraceForCluster(200, m, 5)
-		if err := s.SubmitTrace(tr); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.StepUntil(hierdrl.Time(tr.Jobs[len(tr.Jobs)-1].Arrival + 100)); err != nil {
-			t.Fatal(err)
-		}
-		// Arrival far in the past: dispatched at the current clock.
-		late := tr.Jobs[0]
-		late.Arrival = 1
-		if err := s.Submit(late); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Summary
+	}}
+	s, err := hierdrl.NewSession(hierdrl.ScaleSim(m), hierdrl.WithObserver(obs))
+	if err != nil {
+		t.Fatal(err)
 	}
-	strict := run(1)
-	for _, p := range []int{2, 4} {
-		got := run(p)
-		if !sameBits(got.EnergykWh, strict.EnergykWh) || !sameBits(got.AccLatencySec, strict.AccLatencySec) {
-			t.Errorf("P=%d: energy %v accLat %v vs strict %v %v", p,
-				got.EnergykWh, got.AccLatencySec, strict.EnergykWh, strict.AccLatencySec)
-		}
+	defer s.Close()
+	tr := hierdrl.SyntheticTraceForCluster(200, m, 5)
+	if err := s.SubmitTrace(tr); err != nil {
+		t.Fatal(err)
+	}
+	clock := tr.Jobs[len(tr.Jobs)-1].Arrival + 100
+	if err := s.StepUntil(hierdrl.Time(clock)); err != nil {
+		t.Fatal(err)
+	}
+	// Arrival far in the past: dispatched at the current clock.
+	late := tr.Jobs[0]
+	late.Arrival = 1
+	lateID = len(tr.Jobs)
+	if err := s.Submit(late); err != nil {
+		t.Fatal(err)
+	}
+	res := drainResult(t, s)
+	if res.Summary.Jobs != len(tr.Jobs)+1 {
+		t.Fatalf("%d jobs completed, want %d", res.Summary.Jobs, len(tr.Jobs)+1)
+	}
+	if started < clock {
+		t.Errorf("late job started at %v, before the clock %v it was submitted at", started, clock)
+	}
+	if latency < clock-1 {
+		t.Errorf("late job latency %v does not count from its declared arrival", latency)
 	}
 }
 
-// TestShardedCloseMidRun: the parallel tier's clock trails the decision
-// instant of its uncommitted dispatch, so closing a DRL session between Steps
-// used to run the agent's reward integrator backwards and panic — which is
-// also the path a failed Restore takes to discard its half-built session.
+// TestShardedCloseMidRun: closing a DRL session between Steps finishes the
+// agent's episode at the current clock — the path a failed Restore takes to
+// discard its half-built session — without running its reward integrator
+// backwards.
 func TestShardedCloseMidRun(t *testing.T) {
 	cfgs, tr := shardTestSystems(t)
-	s, err := hierdrl.NewSession(cfgs["drl-only"], hierdrl.WithShards(2))
+	s, err := hierdrl.NewSession(cfgs["drl-only"])
 	if err != nil {
 		t.Fatal(err)
 	}

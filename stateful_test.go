@@ -15,16 +15,13 @@ import (
 // metrics -> sketch set -> t-digests; agent -> networks, replay, transitions).
 func stateWalks(s *Session) map[string]func(*checkpoint.Codec) {
 	walks := map[string]func(*checkpoint.Codec){
-		secCluster: func(c *checkpoint.Codec) { s.eng.tailState(c, s.cl.State(c, s.eng.inflight())) },
+		secCluster: func(c *checkpoint.Codec) { s.cl.State(c); s.lane.tailState(c) },
 		secSession: s.sessionState,
 		secMetrics: s.col.State,
 		secAlloc:   func(c *checkpoint.Codec) { c.Component(s.alloc) },
 	}
 	if s.agent != nil {
 		walks[secAgent] = s.agent.State
-	}
-	if s.merger != nil {
-		walks[secMerger] = s.merger.State
 	}
 	return walks
 }
@@ -47,6 +44,8 @@ func TestStateWalksRejectEveryPrefix(t *testing.T) {
 		cfg.DrainEverySec, cfg.DrainWindowSec = 6000, 400
 		return cfg
 	}
+	// The -p2 shapes build their session through the deprecated WithShards(2),
+	// a no-op: they pin that the option leaves every walk unchanged.
 	shapes := []struct {
 		name string
 		cfg  Config
@@ -110,10 +109,8 @@ func TestStateWalksRejectEveryPrefix(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { dst.Close() })
-				for i := 0; i < src.cl.Shards(); i++ {
-					seq, prioSeq, nFired := src.cl.Lane(i).Counters()
-					dst.cl.Lane(i).RestoreBegin(src.cl.Lane(i).Now(), seq, prioSeq, nFired)
-				}
+				seq, prioSeq, nFired := src.lane.sm.Counters()
+				dst.lane.sm.RestoreBegin(src.lane.sm.Now(), seq, prioSeq, nFired)
 				return dst
 			}
 			for name, walk := range stateWalks(src) {

@@ -1,43 +1,22 @@
 package hierdrl
 
 import (
+	"math"
+
 	"hierdrl/internal/checkpoint"
 	"hierdrl/internal/cluster"
 	"hierdrl/internal/sim"
 )
 
-// engine is the execution tier behind a Session's clock. The paper's control
-// loop has one synchronisation point — the global tier's decision epoch at
-// each arrival — and the two implementations differ only in how the cluster
-// advances between epochs: strictLane fires one event lane on the caller's
-// goroutine, shardRunner steps P lanes in parallel between epoch barriers.
-// Everything above the seam (the checks, the tick, ingestion, retry,
-// snapshots, the checkpoint container) has one body in Session.
-type engine interface {
-	// step performs one unit of work no later than until — one event in the
-	// strict tier, one decision epoch or closing phase in the parallel tier —
-	// and reports whether anything ran. infTime means unbounded.
-	step(until sim.Time) bool
-	// settle leaves the clock at exactly t once step(t) reported idle.
-	settle(t sim.Time)
-	// now is the simulated clock.
-	now() sim.Time
-	// arm tells the engine the pending queue's head may have changed.
-	arm()
-	// inflight lists the jobs already allocated but not yet handed to the
-	// cluster, which a checkpoint adds to the cluster's job table.
-	inflight() []*cluster.Job
-	// tailState walks the engine's own scheduling state, which follows the
-	// per-lane counters in the snapshot's engine section; in-flight jobs are
-	// references into the cluster's job table.
-	tailState(c *checkpoint.Codec, tab *cluster.JobTable)
-	// stop releases the engine's timers and goroutines. Idempotent.
-	stop()
-}
+// infTime is the horizon of an unbounded advance; every schedulable instant
+// is finite (sim.Schedule rejects NaN and nothing schedules at +Inf).
+const infTime = sim.Time(math.MaxFloat64)
 
-// strictLane is the strict tier (the default, WithShards(p <= 1)): one event
-// lane, one goroutine, bitwise-reproducible against the historical engine.
-// Arrivals enter the lane through a single pump timer.
+// strictLane is the execution engine behind a Session's clock: one event
+// lane on the caller's goroutine, bitwise-reproducible against the
+// historical engine. The paper's control loop has one synchronisation point,
+// the global tier's decision epoch at each arrival; arrivals enter the lane
+// through a single pump timer whose firing is that epoch.
 type strictLane struct {
 	s  *Session
 	sm *sim.Simulator
@@ -49,6 +28,8 @@ type strictLane struct {
 // per-event allocation).
 func pumpFire(a any) { a.(*strictLane).fire() }
 
+// step fires one event no later than until and reports whether anything
+// ran; infTime means unbounded.
 func (e *strictLane) step(until sim.Time) bool {
 	if next, ok := e.sm.PeekTime(); !ok || next > until {
 		return false
@@ -56,15 +37,15 @@ func (e *strictLane) step(until sim.Time) bool {
 	return e.sm.Step()
 }
 
-// settle only moves the clock: step(t) left nothing at or before t.
+// settle leaves the clock at exactly t once step(t) reported idle: it only
+// moves the clock, since nothing is left at or before t.
 func (e *strictLane) settle(t sim.Time) { e.sm.Run(t) }
-
-func (e *strictLane) now() sim.Time { return e.sm.Now() }
 
 // arm keeps exactly one pending-arrival timer scheduled, in the simulator's
 // priority lane so a streamed arrival takes the same queue position an
 // up-front-scheduled arrival historically had (arrivals win timestamp ties
-// against simulation-spawned events).
+// against simulation-spawned events). Call it whenever the pending queue's
+// head may have changed.
 func (e *strictLane) arm() {
 	s := e.s
 	if s.pq.pending() == 0 {
@@ -85,8 +66,9 @@ func (e *strictLane) arm() {
 	e.pump = e.sm.SchedulePriorityArg(at, pumpFire, e)
 }
 
-// fire dispatches the head arrival: refresh the snapshot if the allocator
-// reads it, allocate, submit, and re-arm for the next pending arrival.
+// fire is the decision epoch: refresh the view if the allocator reads it,
+// allocate the head arrival, submit it, and re-arm for the next pending
+// arrival. With WithEpochTrace it records one span per decision.
 func (e *strictLane) fire() {
 	s := e.s
 	e.pump = sim.Timer{}
@@ -105,6 +87,10 @@ func (e *strictLane) fire() {
 		e.pump = e.sm.ScheduleArg(at, pumpFire, e)
 		return
 	}
+	if s.etrace != nil {
+		e.fireTraced()
+		return
+	}
 	if s.needsView {
 		s.cl.SnapshotInto(&s.view)
 	}
@@ -113,14 +99,30 @@ func (e *strictLane) fire() {
 	e.arm()
 }
 
-func (e *strictLane) inflight() []*cluster.Job { return nil }
+// fireTraced is fire's decision epoch with each segment timed into the epoch
+// ring under the names the Chrome dump shows: run (the lane's events since
+// the previous decision ended), refresh+encode, alloc+gemm and commit.
+func (e *strictLane) fireTraced() {
+	s, r := e.s, e.s.etrace
+	sp := r.Begin(float64(e.sm.Now()))
+	if s.needsView {
+		s.cl.SnapshotInto(&s.view)
+	}
+	r.Lap(&sp.RefreshNs)
+	j, target := s.allocate()
+	r.Lap(&sp.AllocNs)
+	s.cl.Submit(j, target)
+	r.Lap(&sp.CommitNs)
+	e.arm()
+}
 
 // tailState walks the pump timer with its exact sequence number, so the
 // restored lane fires it in the same position bit for bit.
-func (e *strictLane) tailState(c *checkpoint.Codec, _ *cluster.JobTable) {
+func (e *strictLane) tailState(c *checkpoint.Codec) {
 	cluster.TimerState(c, &e.pump, e.sm, pumpFire, e)
 }
 
+// stop cancels the pump timer. Idempotent.
 func (e *strictLane) stop() {
 	if e.pump.Pending() {
 		e.pump.Cancel()

@@ -2,8 +2,8 @@
 // (Prometheus /metrics, /healthz, /snapshot JSON, net/http/pprof) to a
 // running session, WithSketchOnly switches the metrics collector to
 // constant-memory quantile sketches (dropping the O(jobs) sample slices),
-// and WithEpochTrace records the parallel tier's decision-epoch phases into
-// a fixed ring dumpable as Chrome trace-event JSON. The HTTP goroutines read
+// and WithEpochTrace records the engine's decision epochs into a fixed ring
+// dumpable as Chrome trace-event JSON. The HTTP goroutines read
 // only immutable blobs published at epoch boundaries, so telemetry never
 // perturbs the simulation's determinism contract (DESIGN.md §17).
 package hierdrl
@@ -56,11 +56,12 @@ const telemetryPublishEvery = 500
 const telemetryMinPublishGap = 250 * time.Millisecond
 
 // WithEpochTrace records the last capacity decision epochs (capacity < 1
-// defaults to 2048) of the parallel tier into a fixed-size ring: per-shard
-// barrier-wait, dispatch-commit, lane-run, and view-refresh/encode segments,
-// plus the coordinator's merged replay and allocation/GEMM. Zero steady-state
-// allocation. Dump with Session.WriteEpochTrace (Chrome trace-event JSON).
-// Requires WithShards(p >= 2); NewSession errors otherwise.
+// defaults to 2048) into a fixed-size ring: per decision, the lane's event
+// execution since the previous one (run), the allocation-view refresh
+// (refresh+encode), the allocation with its batched GEMM (alloc+gemm) and the
+// dispatch's Submit cascade (commit). Zero steady-state allocation, and wall
+// clock only: the simulation is bitwise unchanged. Dump with
+// Session.WriteEpochTrace (Chrome trace-event JSON).
 func WithEpochTrace(capacity int) SessionOption {
 	return func(o *sessionOptions) {
 		if capacity < 1 {
@@ -119,7 +120,7 @@ func (s *Session) TelemetryAddr() string {
 // was built with WithEpochTrace / WithEpochTraceFile.
 func (s *Session) WriteEpochTrace(w io.Writer) error {
 	if s.etrace == nil {
-		return fmt.Errorf("hierdrl: epoch trace not enabled (WithEpochTrace requires WithShards(p >= 2))")
+		return fmt.Errorf("hierdrl: epoch trace not enabled (use WithEpochTrace or WithEpochTraceFile)")
 	}
 	return s.etrace.WriteChromeTrace(w)
 }
@@ -177,8 +178,8 @@ func (s *Session) dumpEpochTrace(path string) error {
 }
 
 // publish refreshes the reused snapshot, rebuilds both blobs, and swaps them
-// into the server. Runs on the driving goroutine at an epoch boundary (all
-// lanes quiescent), so the snapshot walk is race-free.
+// into the server. Runs on the driving goroutine between events, so the
+// snapshot walk is race-free.
 func (t *sessionTelemetry) publish(s *Session) {
 	s.SnapshotInto(&t.snap)
 	now := time.Now()
@@ -240,8 +241,6 @@ func (t *sessionTelemetry) buildProm(s *Session) {
 	fmt.Fprintf(b, "hiersim_power_watts %g\n", sn.TotalPowerW)
 	head("hiersim_energy_kwh", "counter", "Energy integrated since t=0.")
 	fmt.Fprintf(b, "hiersim_energy_kwh %g\n", sn.EnergykWh)
-	head("hiersim_shards", "gauge", "Event-lane shard count (1 = strict tier).")
-	fmt.Fprintf(b, "hiersim_shards %d\n", s.cl.Shards())
 	head("hiersim_jobs_per_second", "gauge", "Wall-clock job completion rate between publishes.")
 	fmt.Fprintf(b, "hiersim_jobs_per_second %g\n", t.jobsRate)
 	head("hiersim_events_per_second", "gauge", "Wall-clock simulation event rate between publishes.")
@@ -250,7 +249,7 @@ func (t *sessionTelemetry) buildProm(s *Session) {
 	if sk := s.col.Sketches(); sk != nil {
 		head("hiersim_latency_seconds", "summary",
 			"Completed-job latency quantiles (t-digest; overall and per duration class).")
-		promQuantiles(b, "hiersim_latency_seconds", "", sk.MergedLatency())
+		promQuantiles(b, "hiersim_latency_seconds", "", sk.Latency())
 		for cls := 0; cls < telemetry.NumJobClasses; cls++ {
 			promQuantiles(b, "hiersim_latency_seconds",
 				fmt.Sprintf("class=%q,", telemetry.JobClassNames[cls]), sk.ClassLatency(cls))
@@ -347,7 +346,7 @@ func buildSnapshotRecord(s *Session, sn *SessionSnapshot) SnapshotRecord {
 		Availability:       sn.Availability,
 	}
 	if sk := s.col.Sketches(); sk != nil {
-		if m := sk.MergedLatency(); m.Count() > 0 {
+		if m := sk.Latency(); m.Count() > 0 {
 			p50, p95, p99 := m.Quantile(0.50), m.Quantile(0.95), m.Quantile(0.99)
 			rec.P50LatencySec, rec.P95LatencySec, rec.P99LatencySec = &p50, &p95, &p99
 		}

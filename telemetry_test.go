@@ -65,8 +65,8 @@ func metricValue(t *testing.T, body, series string) float64 {
 	return 0
 }
 
-// TestObsSmoke is the live-telemetry acceptance run: a sharded (P=2) fault-
-// injected workload scraped mid-run — /metrics must expose the simulation
+// TestObsSmoke is the live-telemetry acceptance run: a fault-injected
+// workload scraped mid-run — /metrics must expose the simulation
 // and process families, /healthz must answer — and, after completion, the
 // published t-digest p99 must fall within the documented q-space error of
 // the exact latency distribution collected through the Observer.
@@ -80,7 +80,6 @@ func TestObsSmoke(t *testing.T) {
 		exact = append(exact, j.Latency())
 	}}
 	s, err := hierdrl.NewSession(cfg,
-		hierdrl.WithShards(2),
 		hierdrl.WithTelemetry("127.0.0.1:0"),
 		hierdrl.WithObserver(obs))
 	if err != nil {
@@ -96,7 +95,7 @@ func TestObsSmoke(t *testing.T) {
 	}
 
 	// Run to roughly the half-way point, then scrape while the session is
-	// live (parked between decision epochs). Publishes are wall-clock
+	// live (parked between events). Publishes are wall-clock
 	// throttled to ~4/s, so wait out the gap and step again to force a
 	// mid-run publish before scraping.
 	for s.Completed() < 1500 && !s.Drained() {
@@ -183,7 +182,8 @@ func TestObsSmoke(t *testing.T) {
 
 // TestTelemetryPreservesBitwiseMetrics asserts the observability layer's
 // zero-perturbation contract: attaching WithTelemetry (sketches feeding a
-// live endpoint) changes no summary bit of a strict-tier run.
+// live endpoint) or WithEpochTrace (wall-clock spans per decision) changes
+// no summary bit of a run.
 func TestTelemetryPreservesBitwiseMetrics(t *testing.T) {
 	m := 8
 	cfg := hierdrl.RoundRobin(m)
@@ -192,12 +192,17 @@ func TestTelemetryPreservesBitwiseMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("base: %v", err)
 	}
-	wired, err := hierdrl.Run(cfg, tr, hierdrl.WithTelemetry("127.0.0.1:0"))
-	if err != nil {
-		t.Fatalf("telemetry run: %v", err)
-	}
-	if summaryBits(base.Summary) != summaryBits(wired.Summary) {
-		t.Fatalf("telemetry perturbed the summary: %+v vs %+v", base.Summary, wired.Summary)
+	for name, opt := range map[string]hierdrl.SessionOption{
+		"telemetry":   hierdrl.WithTelemetry("127.0.0.1:0"),
+		"epoch-trace": hierdrl.WithEpochTrace(64),
+	} {
+		wired, err := hierdrl.Run(cfg, tr, opt)
+		if err != nil {
+			t.Fatalf("%s run: %v", name, err)
+		}
+		if summaryBits(base.Summary) != summaryBits(wired.Summary) {
+			t.Fatalf("%s perturbed the summary: %+v vs %+v", name, base.Summary, wired.Summary)
+		}
 	}
 }
 
@@ -251,15 +256,16 @@ func TestSketchOnlySummary(t *testing.T) {
 	}
 }
 
-// TestEpochTraceChromeJSON drives a sharded run with the decision-epoch ring
-// attached and asserts the dump is loadable Chrome trace-event JSON with
-// per-shard phases and the coordinator's replay/alloc segments visible.
+// TestEpochTraceChromeJSON drives a run with the decision-epoch ring attached
+// and asserts the dump is loadable Chrome trace-event JSON with all four
+// decision segments on the engine's thread. Pack-fit reads the allocation
+// view, so the refresh segment is timed too.
 func TestEpochTraceChromeJSON(t *testing.T) {
 	m := 8
 	cfg := hierdrl.RoundRobin(m)
-	cfg.Alloc = hierdrl.AllocLeastLoaded
+	cfg.Alloc = hierdrl.AllocPackFit
 	tr := hierdrl.SyntheticTraceForCluster(400, m, 7)
-	s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(2), hierdrl.WithEpochTrace(4096))
+	s, err := hierdrl.NewSession(cfg, hierdrl.WithEpochTrace(4096))
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -308,26 +314,45 @@ func TestEpochTraceChromeJSON(t *testing.T) {
 			t.Fatalf("event %s missing epoch arg", ev.Name)
 		}
 	}
-	for _, want := range []string{"run", "replay", "alloc+gemm"} {
+	for _, want := range []string{"run", "refresh+encode", "alloc+gemm", "commit"} {
 		if !names[want] {
 			t.Errorf("trace missing %q events (got %v)", want, names)
 		}
 	}
-	// Both shards and the coordinator row (tid = P) must be populated.
-	for _, tid := range []int{0, 1, 2} {
-		if !tids[tid] {
-			t.Errorf("trace missing events for tid %d (got %v)", tid, tids)
-		}
+	if len(tids) != 1 || !tids[0] {
+		t.Errorf("events on threads %v, want the engine's tid 0 only", tids)
 	}
 }
 
-// TestEpochTraceRequiresShards pins the construction-time error: epoch
-// tracing measures the parallel tier's barrier phases, so it is meaningless
-// (and rejected) on the strict tier.
+// TestEpochTraceRequiresShards pins that epoch tracing needs no option but
+// its own: a default session records one span per decision, and a session
+// without the ring refuses the dump.
 func TestEpochTraceRequiresShards(t *testing.T) {
 	cfg := hierdrl.RoundRobin(4)
-	if _, err := hierdrl.NewSession(cfg, hierdrl.WithEpochTrace(64)); err == nil {
-		t.Fatal("WithEpochTrace on the strict tier must error")
+	tr := hierdrl.SyntheticTraceForCluster(100, 4, 3)
+	s, err := hierdrl.NewSession(cfg, hierdrl.WithEpochTrace(64))
+	if err != nil {
+		t.Fatalf("WithEpochTrace: %v", err)
+	}
+	defer s.Close()
+	if err := s.SubmitTrace(tr); err != nil {
+		t.Fatal(err)
+	}
+	drainResult(t, s)
+	var buf bytes.Buffer
+	if err := s.WriteEpochTrace(&buf); err != nil {
+		t.Fatalf("WriteEpochTrace: %v", err)
+	}
+	if n := strings.Count(buf.String(), `"name":"alloc+gemm"`); n == 0 || n > 64 {
+		t.Errorf("%d alloc+gemm spans in a 64-slot ring over %d decisions", n, len(tr.Jobs))
+	}
+	plain, err := hierdrl.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if err := plain.WriteEpochTrace(io.Discard); err == nil {
+		t.Fatal("WriteEpochTrace without WithEpochTrace must error")
 	}
 }
 
@@ -337,7 +362,7 @@ func TestEpochTraceRequiresShards(t *testing.T) {
 func TestRunSurfacesEpochTraceDumpError(t *testing.T) {
 	m := 4
 	cfg := hierdrl.RoundRobin(m)
-	opts := []hierdrl.SessionOption{hierdrl.WithShards(2), hierdrl.WithEpochTraceFile("/nonexistent-dir/x.json", 0)}
+	opts := []hierdrl.SessionOption{hierdrl.WithEpochTraceFile("/nonexistent-dir/x.json", 0)}
 	if res, err := hierdrl.Run(cfg, hierdrl.SyntheticTraceForCluster(50, m, 1), opts...); err == nil || res != nil {
 		t.Errorf("Run = (%v, %v), want the dump error", res, err)
 	}
