@@ -236,9 +236,9 @@ func (s *Session) sessionState(c *checkpoint.Codec) {
 		prev = tj.Arrival
 		s.pq.enqueue(*tj)
 	}
-	hasFaults := s.fm != nil
+	hasFaults := s.faults
 	c.Bool(&hasFaults)
-	if hasFaults != (s.fm != nil) {
+	if hasFaults != s.faults {
 		c.Fail(ErrCorrupt, "fault layer presence %v contradicts config", hasFaults)
 		return
 	}
@@ -418,7 +418,7 @@ func (s *Session) Drained() bool { return s.drained() }
 
 // FaultsEnabled reports whether the session injects failures
 // (Config.Faults != FaultNone).
-func (s *Session) FaultsEnabled() bool { return s.fm != nil }
+func (s *Session) FaultsEnabled() bool { return s.faults }
 
 // autoCheckpoint is the periodic snapshot-to-disk layer configured by
 // WithAutoCheckpoint.

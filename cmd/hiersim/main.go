@@ -18,8 +18,8 @@
 //	hiersim -scenario flashcrowd
 //	hiersim -scenario mixed-het -system hierarchical -servers 60 -jobs 40000
 //
-// -list prints every registered allocator, power manager, predictor, fault
-// model, retry policy, and workload scenario, then exits. -scenario runs a
+// -list prints every allocator, power manager, predictor, fault model, retry
+// policy, and workload scenario this build knows, then exits. -scenario runs a
 // registered scenario (cluster layout plus streamed workload); -servers and
 // -jobs rescale it when set explicitly, and -system picks the policy stack
 // (default fixed-timeout, the cheap non-learning baseline).
@@ -41,6 +41,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -113,17 +114,17 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		printRegistry()
+		printRegistry(os.Stdout)
 		return
 	}
 
 	// Fail fast on unknown extension-point names with the registered set in
 	// the message (exit 2: usage error, distinct from runtime failures).
-	if msg := checkRegistered("fault model", *faults, faultModelNames()); msg != "" {
+	if msg := checkRegistered("fault model", *faults, names(hierdrl.FaultModels())); msg != "" {
 		fmt.Fprintln(os.Stderr, "hiersim: "+msg)
 		os.Exit(2)
 	}
-	if msg := checkRegistered("retry policy", *retry, retryPolicyNames()); msg != "" {
+	if msg := checkRegistered("retry policy", *retry, names(hierdrl.RetryPolicies())); msg != "" {
 		fmt.Fprintln(os.Stderr, "hiersim: "+msg)
 		os.Exit(2)
 	}
@@ -241,16 +242,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("scenario: %v", err)
 		}
-		opts := append([]hierdrl.SessionOption{hierdrl.WithContext(ctx)}, telOpts...)
-		res, err := hierdrl.RunSource(cfg, src, opts...)
-		if err != nil {
-			if ctx.Err() != nil {
-				log.Println("interrupted — partial run discarded")
-				return
-			}
-			log.Fatalf("run: %v", err)
-		}
-		printResult(res, *series)
+		runGenerated(ctx, cfg, src, *series, telOpts)
 		return
 	}
 
@@ -282,16 +274,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("workload: %v", err)
 		}
-		opts := append([]hierdrl.SessionOption{hierdrl.WithContext(ctx)}, telOpts...)
-		res, err := hierdrl.RunSource(cfg, src, opts...)
-		if err != nil {
-			if ctx.Err() != nil {
-				log.Println("interrupted — partial run discarded")
-				return
-			}
-			log.Fatalf("run: %v", err)
-		}
-		printResult(res, *series)
+		runGenerated(ctx, cfg, src, *series, telOpts)
 		return
 	}
 
@@ -314,6 +297,22 @@ func main() {
 	}
 
 	runBatch(ctx, cfg, tr, *series, *checkpointPath, *checkpointEvery, telOpts)
+}
+
+// runGenerated streams a generator's jobs through RunSource and prints the
+// result; an interrupt discards the partial run (a generator feed is not
+// resumable).
+func runGenerated(ctx context.Context, cfg hierdrl.Config, src hierdrl.JobSource, series bool, telOpts []hierdrl.SessionOption) {
+	opts := append([]hierdrl.SessionOption{hierdrl.WithContext(ctx)}, telOpts...)
+	res, err := hierdrl.RunSource(cfg, src, opts...)
+	if err != nil {
+		if ctx.Err() != nil {
+			log.Println("interrupted — partial run discarded")
+			return
+		}
+		log.Fatalf("run: %v", err)
+	}
+	printResult(res, series)
 }
 
 // runBatch replays one materialized trace through a Session the command owns
@@ -452,33 +451,24 @@ func exitInterrupted(s *hierdrl.Session) {
 	os.Exit(0)
 }
 
-// printRegistry lists every registered extension point, one entry per line
-// in sorted order, so scripts can discover what this build supports.
-func printRegistry() {
-	fmt.Println("allocators:")
-	for _, a := range hierdrl.Allocators() {
-		fmt.Printf("  %s\n", a)
+// printRegistry lists every extension point's names to w, one entry per
+// line in sorted order, so scripts can discover what this build supports.
+func printRegistry(w io.Writer) {
+	section := func(title string, entries []string) {
+		fmt.Fprintf(w, "%s:\n", title)
+		for _, e := range entries {
+			fmt.Fprintf(w, "  %s\n", e)
+		}
 	}
-	fmt.Println("power managers:")
-	for _, p := range hierdrl.PowerManagers() {
-		fmt.Printf("  %s\n", p)
-	}
-	fmt.Println("predictors:")
-	for _, p := range hierdrl.Predictors() {
-		fmt.Printf("  %s\n", p)
-	}
-	fmt.Println("fault models:")
-	for _, f := range hierdrl.FaultModels() {
-		fmt.Printf("  %s\n", f)
-	}
-	fmt.Println("retry policies:")
-	for _, r := range hierdrl.RetryPolicies() {
-		fmt.Printf("  %s\n", r)
-	}
-	fmt.Println("scenarios:")
+	section("allocators", names(hierdrl.Allocators()))
+	section("power managers", names(hierdrl.PowerManagers()))
+	section("predictors", names(hierdrl.Predictors()))
+	section("fault models", names(hierdrl.FaultModels()))
+	section("retry policies", names(hierdrl.RetryPolicies()))
+	fmt.Fprintln(w, "scenarios:")
 	for _, name := range hierdrl.Scenarios() {
 		sc, _ := hierdrl.LookupScenario(name)
-		fmt.Printf("  %-18s %s\n", name, sc.Description)
+		fmt.Fprintf(w, "  %-18s %s\n", name, sc.Description)
 	}
 }
 
@@ -494,17 +484,8 @@ func checkRegistered(kind, name string, registered []string) string {
 	return fmt.Sprintf("unknown %s %q; registered: %s", kind, name, strings.Join(registered, " "))
 }
 
-func faultModelNames() []string {
-	ks := hierdrl.FaultModels()
-	out := make([]string, len(ks))
-	for i, k := range ks {
-		out[i] = string(k)
-	}
-	return out
-}
-
-func retryPolicyNames() []string {
-	ks := hierdrl.RetryPolicies()
+// names converts a listing of named kinds to plain strings.
+func names[K ~string](ks []K) []string {
 	out := make([]string, len(ks))
 	for i, k := range ks {
 		out[i] = string(k)

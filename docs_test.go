@@ -1,6 +1,9 @@
 package hierdrl_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,9 +14,10 @@ import (
 // TestDocsNameLiveSymbols keeps the commands the docs quote runnable: every
 // back-ticked `make <target>` in README / DESIGN / EXPERIMENTS is a target of
 // the Makefile, every -flag on a `go run ./cmd/<bin>` line is defined by
-// that binary's source, and every -exp name on a `go run ./cmd/experiments`
+// that binary's source, every -exp name on a `go run ./cmd/experiments`
 // line or in EXPERIMENTS.md's Runner table is an entry of that command's
-// experiments table.
+// experiments table, and every back-ticked `Register*` / `With*` / `Run*`
+// name and every hierdrl.X is declared at the top level of this package.
 func TestDocsNameLiveSymbols(t *testing.T) {
 	read := func(path string) string {
 		t.Helper()
@@ -52,12 +56,51 @@ func TestDocsNameLiveSymbols(t *testing.T) {
 		t.Fatal("found no entries in cmd/experiments' experiments table")
 	}
 
+	// The root package's top-level declarations (methods excluded).
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, f := range pkgs["hierdrl"].Files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					declared[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						declared[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							declared[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	if !declared["NewSession"] {
+		t.Fatal("parsed no declarations of package hierdrl")
+	}
+
 	makeRef := regexp.MustCompile("`make ([a-z][a-z0-9-]*)")
 	goRun := regexp.MustCompile(`go run \./cmd/(\w+)([^#\n]*)`)
 	flagRef := regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z0-9-]*)`)
 	expRef := regexp.MustCompile(`-exp ([a-z0-9]+)`)
+	apiRef := regexp.MustCompile("`((?:Register|With|Run)\\w*)|\\bhierdrl\\.([A-Z]\\w*)")
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		for n, line := range strings.Split(read(doc), "\n") {
+			for _, m := range apiRef.FindAllStringSubmatch(line, -1) {
+				if name := m[1] + m[2]; !declared[name] {
+					t.Errorf("%s:%d: package hierdrl declares no %s", doc, n+1, name)
+				}
+			}
 			for _, m := range makeRef.FindAllStringSubmatch(line, -1) {
 				if !targets[m[1]] {
 					t.Errorf("%s:%d: `make %s` is not a Makefile target", doc, n+1, m[1])

@@ -74,3 +74,52 @@ func FuzzRestoreState(f *testing.F) {
 		}
 	})
 }
+
+// FuzzScenarioValidate fuzzes the fault family of a small steady scenario —
+// model, clocks, degrade factor, drain schedule, failure domains and retry
+// policy. The invariant: Validate never panics, and a scenario it accepts
+// builds a session. The run config supplies RetryMax, which Validate assumes
+// to be 1, so the run here sets it to 1.
+func FuzzScenarioValidate(f *testing.F) {
+	// Model indices follow FaultModels(): 0 correlated-crash, 1 degrade,
+	// 2 exp-crash, 3 maintenance-drain, 4 none, 5 fault-free.
+	f.Add(uint8(2), 0.0, 600.0, 0.0, 0.0, 0.0, 0, 0, uint8(0))      // MTTF 0
+	f.Add(uint8(3), 20000.0, 600.0, 0.0, 0.0, -5.0, 0, 0, uint8(0)) // drain window -5
+	f.Add(uint8(1), 20000.0, 600.0, 1.5, 0.0, 0.0, 0, 0, uint8(0))  // degrade factor 1.5
+	f.Add(uint8(0), 40000.0, 600.0, 0.0, 0.0, 0.0, 3, 5, uint8(2))  // two racks
+	f.Add(uint8(3), 20000.0, 600.0, 0.0, 7200.0, 300.0, 0, 0, uint8(1))
+
+	base, ok := hierdrl.LookupScenario("steady")
+	if !ok {
+		f.Fatal("steady not registered")
+	}
+	base = base.Scaled(8, 50)
+	models := hierdrl.FaultModels()
+	retries := hierdrl.RetryPolicies()
+	f.Fuzz(func(t *testing.T, model uint8, mttf, mttr, degrade, drainEvery, drainWindow float64,
+		domA, domB int, retry uint8) {
+		sc := base
+		if i := int(model) % (len(models) + 1); i < len(models) {
+			sc.Faults = models[i] // the extra index leaves the scenario fault-free
+		}
+		sc.MTTFSec, sc.MTTRSec, sc.DegradeFactor = mttf, mttr, degrade
+		sc.DrainEverySec, sc.DrainWindowSec = drainEvery, drainWindow
+		if domA != 0 || domB != 0 {
+			sc.Domains = []hierdrl.FailureDomain{{Name: "a", Count: domA}, {Name: "b", Count: domB}}
+		}
+		if i := int(retry) % (len(retries) + 1); i < len(retries) {
+			sc.Retry = retries[i] // the extra index keeps the run config's policy
+		}
+		if sc.Validate() != nil {
+			return
+		}
+		cfg := hierdrl.RoundRobin(sc.M)
+		cfg.RetryMax = 1
+		sc.ApplyTo(&cfg)
+		s, err := hierdrl.NewSession(cfg)
+		if err != nil {
+			t.Fatalf("Validate accepted faults %q retry %q, but NewSession failed: %v", sc.Faults, sc.Retry, err)
+		}
+		s.Close()
+	})
+}

@@ -28,10 +28,11 @@
 //
 // The batch helper Run(cfg, tr) wraps exactly that sequence; a Study fans
 // batched runs over a grid of cells and seeds out in parallel. Custom
-// allocation policies, power managers, and workload predictors plug in through
-// RegisterAllocator / RegisterPowerManager / RegisterPredictor, after which
-// the Config.Alloc / Config.DPM / Config.Predictor strings resolve to them
-// like to the built-ins.
+// allocation policies and power managers plug in through RegisterAllocator /
+// RegisterPowerManager, after which the Config.Alloc / Config.DPM strings
+// resolve to them like to the built-ins. Workload predictors, fault models
+// and retry policies are closed sets (Predictors, FaultModels,
+// RetryPolicies).
 //
 // The three preset constructors mirror the paper's evaluation systems:
 // RoundRobin (baseline: even dispatch, servers always on), DRLOnly (DRL

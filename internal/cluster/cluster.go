@@ -268,13 +268,6 @@ func (c *Cluster) EnableFaults(clockFor func(serverID int) fault.Clock, kind fau
 	}
 }
 
-// FaultsEnabled reports whether EnableFaults has been called.
-func (c *Cluster) FaultsEnabled() bool { return c.faults }
-
-// FaultKind returns the installed fault model's class (KindCrash when no
-// faults are enabled).
-func (c *Cluster) FaultKind() fault.Kind { return c.faultKind }
-
 // serverFault maintains the down/failure counters. It runs before the
 // eviction cascade. A maintenance power-off arrives with s.draining still
 // set, so the server moves from the draining count to the down count
@@ -333,15 +326,6 @@ func (c *Cluster) DownServers() int { return c.down }
 // Failures returns the total crash count so far.
 func (c *Cluster) Failures() int64 { return c.fails }
 
-// Repairs returns the total completed-repair count so far.
-func (c *Cluster) Repairs() int64 {
-	var n int64
-	for _, s := range c.servers {
-		n += s.Repairs()
-	}
-	return n
-}
-
 // Down reports whether server i is currently crashed.
 func (c *Cluster) Down(i int) bool { return c.servers[i].Down() }
 
@@ -375,30 +359,12 @@ func (c *Cluster) NextUp(from int) int {
 	return -1
 }
 
-// NextRepairAt returns the earliest scheduled repair instant among down
-// servers. Call only while at least one server is down.
-func (c *Cluster) NextRepairAt() sim.Time {
-	best := sim.Time(math.MaxFloat64)
-	found := false
-	for _, s := range c.servers {
-		if s.Down() {
-			if at := s.RepairAt(); !found || at < best {
-				best, found = at, true
-			}
-		}
-	}
-	if !found {
-		panic("cluster: NextRepairAt with no server down")
-	}
-	return best
-}
-
 // NextAvailAt returns the earliest instant an unavailable server's state can
 // next change: the soonest repair among down servers, or the soonest run-dry
 // instant among draining servers (whose graceful power-off then schedules the
 // real repair — parking there makes progress because the completion event
 // fires first at that instant). Call only while at least one server is
-// unavailable; with no drain model it equals NextRepairAt.
+// unavailable.
 func (c *Cluster) NextAvailAt() sim.Time {
 	best := sim.Time(math.MaxFloat64)
 	found := false
@@ -422,15 +388,6 @@ func (c *Cluster) NextAvailAt() sim.Time {
 	return best
 }
 
-// Drains returns the total maintenance windows opened so far.
-func (c *Cluster) Drains() int64 {
-	var n int64
-	for _, s := range c.servers {
-		n += s.Drains()
-	}
-	return n
-}
-
 // DegradedSeconds integrates every server's fail-slow time through t.
 func (c *Cluster) DegradedSeconds(t sim.Time) float64 {
 	var d float64
@@ -446,16 +403,6 @@ func (c *Cluster) DownSeconds(t sim.Time) float64 {
 	var d float64
 	for _, s := range c.servers {
 		d += s.DownSeconds(t)
-	}
-	return d
-}
-
-// RepairedDownSeconds sums completed down intervals across servers (the
-// MTTR numerator).
-func (c *Cluster) RepairedDownSeconds() float64 {
-	var d float64
-	for _, s := range c.servers {
-		d += s.RepairedDownSeconds()
 	}
 	return d
 }

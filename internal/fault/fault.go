@@ -33,21 +33,11 @@ type Clock interface {
 	NextRepair() float64
 }
 
-// Model supplies the per-server failure clocks for one run.
-type Model interface {
-	Name() string
-	// ClockFor returns server serverID's clock, or nil if that server never
-	// fails. It is invoked once per server in ascending ID order at session
-	// construction.
-	ClockFor(serverID int) Clock
-}
-
 // RetryPolicy decides an interrupted job's fate. Retry is consulted on the
 // attempt-th interruption of job j (attempt counts from 1 across the job's
 // lifetime, surviving multiple crashes): it returns the requeue delay in
 // seconds and whether to retry at all — false drops the job as lost.
 type RetryPolicy interface {
-	Name() string
 	Retry(now float64, j trace.Job, attempt int) (delaySec float64, retry bool)
 }
 
@@ -84,11 +74,8 @@ func NewExpCrash(seed int64, mttfSec, mttrSec float64) (*ExpCrash, error) {
 	return &ExpCrash{seed: seed, mttf: mttfSec, mttr: mttrSec}, nil
 }
 
-// Name implements Model.
-func (m *ExpCrash) Name() string { return "exp-crash" }
-
-// ClockFor implements Model: every server gets its own chain seeded from
-// (run seed, serverID).
+// ClockFor returns server serverID's clock: every server gets its own chain
+// seeded from (run seed, serverID).
 func (m *ExpCrash) ClockFor(serverID int) Clock {
 	return &expClock{
 		rng:      mat.NewRNG(chainSeed(m.seed, serverID)),
@@ -109,9 +96,6 @@ func (c *expClock) NextRepair() float64  { return c.rng.Exponential(c.repRate) }
 // Immediate is the built-in "immediate" retry policy: every interrupted job
 // requeues at the crash instant with no delay and no attempt cap.
 type Immediate struct{}
-
-// Name implements RetryPolicy.
-func (Immediate) Name() string { return "immediate" }
 
 // Retry implements RetryPolicy.
 func (Immediate) Retry(now float64, j trace.Job, attempt int) (float64, bool) {
@@ -140,9 +124,6 @@ func NewBackoff(baseSec, capSec float64, max int) (Backoff, error) {
 	}
 	return Backoff{BaseSec: baseSec, CapSec: capSec, Max: max}, nil
 }
-
-// Name implements RetryPolicy.
-func (Backoff) Name() string { return "backoff" }
 
 // Retry implements RetryPolicy.
 func (b Backoff) Retry(now float64, j trace.Job, attempt int) (float64, bool) {
@@ -177,19 +158,6 @@ const (
 	KindDrain
 )
 
-// Classified is an optional Model extension declaring the fault class of the
-// model's clock firings. Models that do not implement it are crash models
-// (KindCrash), matching the original exp-crash semantics.
-type Classified interface {
-	Kind() Kind
-}
-
-// Degrader is the optional Model extension for KindDegrade models: Factor
-// returns the speed multiplier applied while a server is degraded.
-type Degrader interface {
-	Factor() float64
-}
-
 // Domain groups Count contiguous server IDs into one failure domain (a rack
 // or availability zone). Domains partition the cluster in declaration order,
 // exactly like cluster.Config.Classes partitions it into server classes.
@@ -198,12 +166,6 @@ type Domain struct {
 	Name string
 	// Count is the number of consecutive servers in the domain.
 	Count int
-}
-
-// DomainModel is the optional Model extension for topology-aware models: the
-// session uses the returned partition to count whole-domain outages.
-type DomainModel interface {
-	Domains() []Domain
 }
 
 // ValidateDomains checks that domains partition exactly m servers.
@@ -252,7 +214,6 @@ func EqualDomains(n, m int) []Domain {
 // cross-server draws.
 type CorrelatedCrash struct {
 	domSeed    int64
-	domains    []Domain
 	domainOf   []int32
 	mttf, mttr float64
 }
@@ -260,14 +221,14 @@ type CorrelatedCrash struct {
 // NewCorrelatedCrash builds a domain-correlated crash/repair model over m
 // servers. The domain counts must sum to m.
 func NewCorrelatedCrash(seed int64, domains []Domain, m int, mttfSec, mttrSec float64) (*CorrelatedCrash, error) {
+	if err := ValidateDomains(domains, m); err != nil {
+		return nil, err
+	}
 	if !(mttfSec > 0) || math.IsInf(mttfSec, 1) {
 		return nil, fmt.Errorf("fault: MTTF %v must be positive and finite", mttfSec)
 	}
 	if !(mttrSec > 0) || math.IsInf(mttrSec, 1) {
 		return nil, fmt.Errorf("fault: MTTR %v must be positive and finite", mttrSec)
-	}
-	if err := ValidateDomains(domains, m); err != nil {
-		return nil, err
 	}
 	domainOf := make([]int32, 0, m)
 	for g, d := range domains {
@@ -280,24 +241,15 @@ func NewCorrelatedCrash(seed int64, domains []Domain, m int, mttfSec, mttrSec fl
 		// channel plain ExpCrash draws from; level 2 (in ClockFor) separates
 		// the domains from each other.
 		domSeed:  chainSeed(seed, 1),
-		domains:  append([]Domain(nil), domains...),
 		domainOf: domainOf,
 		mttf:     mttfSec,
 		mttr:     mttrSec,
 	}, nil
 }
 
-// Name implements Model.
-func (m *CorrelatedCrash) Name() string { return "correlated-crash" }
-
-// Kind implements Classified.
-func (m *CorrelatedCrash) Kind() Kind { return KindCrash }
-
-// Domains implements DomainModel.
-func (m *CorrelatedCrash) Domains() []Domain { return m.domains }
-
-// ClockFor implements Model: all members of a domain share one chain seed,
-// so each holds an identical private replay of the domain schedule.
+// ClockFor returns server serverID's clock. All members of a domain share
+// one chain seed, so each holds an identical private replay of the domain
+// schedule.
 func (m *CorrelatedCrash) ClockFor(serverID int) Clock {
 	g := int(m.domainOf[serverID])
 	return &expClock{
@@ -308,12 +260,12 @@ func (m *CorrelatedCrash) ClockFor(serverID int) Clock {
 }
 
 // FailSlow is the built-in "degrade" model: servers never die, they slow
-// down. A firing multiplies the server's effective speed by Factor (jobs
-// started while degraded stretch by 1/Factor); the matching repair restores
-// full speed. Chains are per-server, exactly like ExpCrash.
+// down. A firing multiplies the server's effective speed by the degrade
+// factor (jobs started while degraded stretch by its inverse); the matching
+// repair restores full speed. Chains are per-server, exactly like ExpCrash.
+// The factor itself is the session's to apply: NewFailSlow only checks it.
 type FailSlow struct {
 	seed       int64
-	factor     float64
 	mttd, mttr float64
 }
 
@@ -330,20 +282,11 @@ func NewFailSlow(seed int64, factor, mttdSec, mttrSec float64) (*FailSlow, error
 	if !(mttrSec > 0) || math.IsInf(mttrSec, 1) {
 		return nil, fmt.Errorf("fault: MTTR %v must be positive and finite", mttrSec)
 	}
-	return &FailSlow{seed: seed, factor: factor, mttd: mttdSec, mttr: mttrSec}, nil
+	return &FailSlow{seed: seed, mttd: mttdSec, mttr: mttrSec}, nil
 }
 
-// Name implements Model.
-func (m *FailSlow) Name() string { return "degrade" }
-
-// Kind implements Classified.
-func (m *FailSlow) Kind() Kind { return KindDegrade }
-
-// Factor implements Degrader.
-func (m *FailSlow) Factor() float64 { return m.factor }
-
-// ClockFor implements Model: NextFailure is the time to the next degrade
-// onset, NextRepair the degraded-window length.
+// ClockFor returns server serverID's clock: NextFailure is the time to the
+// next degrade onset, NextRepair the degraded-window length.
 func (m *FailSlow) ClockFor(serverID int) Clock {
 	return &expClock{
 		rng:      mat.NewRNG(chainSeed(m.seed, serverID)),
@@ -376,13 +319,7 @@ func NewMaintenanceDrain(everySec, windowSec float64, m int) (*MaintenanceDrain,
 	return &MaintenanceDrain{everySec: everySec, windowSec: windowSec, m: m}, nil
 }
 
-// Name implements Model.
-func (m *MaintenanceDrain) Name() string { return "maintenance-drain" }
-
-// Kind implements Classified.
-func (m *MaintenanceDrain) Kind() Kind { return KindDrain }
-
-// ClockFor implements Model.
+// ClockFor returns server serverID's staggered maintenance schedule.
 func (m *MaintenanceDrain) ClockFor(serverID int) Clock {
 	return &drainClock{
 		period: m.everySec,
@@ -413,9 +350,6 @@ func (c *drainClock) NextRepair() float64 { return c.window }
 type DropAfter struct {
 	Max int
 }
-
-// Name implements RetryPolicy.
-func (DropAfter) Name() string { return "drop-after" }
 
 // Retry implements RetryPolicy.
 func (d DropAfter) Retry(now float64, j trace.Job, attempt int) (float64, bool) {

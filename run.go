@@ -3,6 +3,7 @@ package hierdrl
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"hierdrl/internal/cluster"
 	"hierdrl/internal/global"
@@ -54,30 +55,52 @@ func runSession(cfg Config, opts []SessionOption, feed func(*Session) error) (re
 }
 
 // validate normalizes cfg in place (defaults) and rejects inconsistent
-// configurations. Policy names resolve through the registry, so externally
-// registered allocators, power managers, and predictors validate exactly
-// like the built-ins.
+// configurations. Allocator and power-manager names resolve through the
+// registry, so externally registered policies validate exactly like the
+// built-ins; the fault layer is built and discarded, so a config validates
+// exactly when it builds.
 func validate(cfg *Config) error {
 	if cfg.M <= 0 {
 		return fmt.Errorf("hierdrl: M must be positive, got %d", cfg.M)
 	}
-	if err := allocators.check(cfg.Alloc, cfg); err != nil {
+	if _, err := allocators.lookup(cfg.Alloc); err != nil {
 		return err
 	}
-	if err := powerMgrs.check(cfg.DPM, cfg); err != nil {
+	if cfg.Alloc == AllocDRL {
+		if err := cfg.Global.Validate(cfg.M); err != nil {
+			return fmt.Errorf("hierdrl: %w", err)
+		}
+	}
+	if _, err := powerMgrs.lookup(cfg.DPM); err != nil {
 		return err
+	}
+	switch cfg.DPM {
+	case DPMFixedTimeout:
+		if cfg.FixedTimeoutSec < 0 {
+			return fmt.Errorf("hierdrl: negative fixed timeout %v", cfg.FixedTimeoutSec)
+		}
+	case DPMRL:
+		if err := cfg.LocalRL.Validate(); err != nil {
+			return fmt.Errorf("hierdrl: %w", err)
+		}
+		if cfg.Predictor == "" {
+			cfg.Predictor = PredictorLSTM
+		}
+		if !slices.Contains(Predictors(), cfg.Predictor) {
+			return fmt.Errorf("hierdrl: unknown predictor %q", cfg.Predictor)
+		}
+		// A zero Lookback means "take the defaults", filled in below.
+		if cfg.Predictor == PredictorLSTM && cfg.LSTMPredictor.Lookback != 0 {
+			if err := cfg.LSTMPredictor.Validate(); err != nil {
+				return fmt.Errorf("hierdrl: %w", err)
+			}
+		}
 	}
 	if cfg.Faults == "" {
 		cfg.Faults = FaultNone
 	}
 	if cfg.Retry == "" {
 		cfg.Retry = RetryImmediate
-	}
-	if err := faultMdls.check(cfg.Faults, cfg); err != nil {
-		return err
-	}
-	if err := retryPols.check(cfg.Retry, cfg); err != nil {
-		return err
 	}
 	// An explicit Cluster override must be complete and consistent with M;
 	// historically a partial override (M left zero) was silently replaced by
@@ -93,6 +116,10 @@ func validate(cfg *Config) error {
 		if err := cfg.Cluster.Validate(); err != nil {
 			return fmt.Errorf("hierdrl: %w", err)
 		}
+	}
+	// After the Cluster check: class-derived failure domains read it.
+	if _, err := buildFaultLayer(cfg); err != nil {
+		return fmt.Errorf("hierdrl: %w", err)
 	}
 	if cfg.WarmupEpsilon == 0 {
 		cfg.WarmupEpsilon = 1.0

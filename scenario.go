@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hierdrl/internal/cluster"
-	"hierdrl/internal/fault"
 	"hierdrl/internal/trace"
 	"hierdrl/internal/workload"
 )
@@ -71,7 +70,7 @@ type Scenario struct {
 	// Classes optionally declares heterogeneous server classes (counts must
 	// sum to M); empty means the homogeneous default cluster.
 	Classes []ServerClass
-	// Faults optionally enables a registered fault model for the scenario
+	// Faults optionally enables a fault model for the scenario
 	// (empty = fault-free). A fault-enabled scenario replaces the run
 	// config's fault family wholesale in ApplyTo, so the scenario stays a
 	// self-contained, reproducible evaluation setting.
@@ -93,7 +92,9 @@ type Scenario struct {
 	Retry RetryKind
 }
 
-// Validate checks the scenario's workload and cluster declaration.
+// Validate checks the scenario's workload and cluster declaration, and
+// builds its fault family the way a run would, so a scenario that validates
+// also starts. RetryMax comes from the run config, so the check assumes 1.
 func (s Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("hierdrl: scenario with empty name")
@@ -109,20 +110,10 @@ func (s Scenario) Validate() error {
 	if err := cc.Validate(); err != nil {
 		return fmt.Errorf("hierdrl: scenario %q: %w", s.Name, err)
 	}
-	if s.Faults != "" && s.Faults != FaultNone {
-		if _, err := faultMdls.lookup(s.Faults); err != nil {
-			return fmt.Errorf("hierdrl: scenario %q: unknown fault model %q", s.Name, s.Faults)
-		}
-		if len(s.Domains) > 0 {
-			if err := fault.ValidateDomains(s.Domains, s.M); err != nil {
-				return fmt.Errorf("hierdrl: scenario %q: %w", s.Name, err)
-			}
-		}
-	}
-	if s.Retry != "" {
-		if _, err := retryPols.lookup(s.Retry); err != nil {
-			return fmt.Errorf("hierdrl: scenario %q: unknown retry policy %q", s.Name, s.Retry)
-		}
+	cfg := Config{Faults: FaultNone, Retry: RetryImmediate, RetryMax: 1}
+	s.ApplyTo(&cfg)
+	if _, err := buildFaultLayer(&cfg); err != nil {
+		return fmt.Errorf("hierdrl: scenario %q: %w", s.Name, err)
 	}
 	return nil
 }
@@ -279,7 +270,7 @@ func RegisterScenario(s Scenario) {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	scenarios.add(s.Name, s, nil)
+	scenarios.add(s.Name, s)
 }
 
 // Scenarios returns every registered scenario name in sorted order.

@@ -194,6 +194,51 @@ func TestScenarioScaledLayout(t *testing.T) {
 	}
 }
 
+// TestScenarioValidateBuildsFaults pins that Scenario.Validate builds the
+// scenario's fault family the way a run does: fault settings that would fail
+// only at NewSession are rejected up front, with the run's own error text
+// under a single "hierdrl:" prefix, and every built-in scenario still
+// validates.
+func TestScenarioValidateBuildsFaults(t *testing.T) {
+	steady, ok := hierdrl.LookupScenario("steady")
+	if !ok {
+		t.Fatal("steady not registered")
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*hierdrl.Scenario)
+		want string
+	}{
+		{"exp-crash MTTF 0", func(s *hierdrl.Scenario) {
+			s.Faults, s.MTTFSec, s.MTTRSec = hierdrl.FaultExpCrash, 0, 600
+		}, `hierdrl: scenario "steady": fault: MTTF 0 must be positive and finite`},
+		{"drain window -5", func(s *hierdrl.Scenario) {
+			s.Faults, s.DrainWindowSec = hierdrl.FaultDrain, -5
+		}, `hierdrl: scenario "steady": fault: drain window -5 must be positive and finite`},
+		{"degrade factor 1.5", func(s *hierdrl.Scenario) {
+			s.Faults, s.MTTFSec, s.MTTRSec, s.DegradeFactor = hierdrl.FaultDegrade, 20000, 600, 1.5
+		}, `hierdrl: scenario "steady": fault: degrade factor 1.5 must be in (0, 1)`},
+		{"unknown fault model", func(s *hierdrl.Scenario) {
+			s.Faults = "bit-rot"
+		}, `hierdrl: scenario "steady": unknown fault model "bit-rot"`},
+		{"unknown retry policy", func(s *hierdrl.Scenario) {
+			s.Retry = "exponentail"
+		}, `hierdrl: scenario "steady": unknown retry policy "exponentail"`},
+	} {
+		sc := steady
+		c.edit(&sc)
+		if err := sc.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate = %v, want %q", c.name, err, c.want)
+		}
+	}
+	for _, name := range hierdrl.Scenarios() {
+		sc, _ := hierdrl.LookupScenario(name)
+		if err := sc.Validate(); err != nil {
+			t.Errorf("built-in %s: %v", name, err)
+		}
+	}
+}
+
 // TestRegistryListers pins the discovery surface behind hiersim -list: the
 // listers return sorted names including every built-in.
 func TestRegistryListers(t *testing.T) {

@@ -160,11 +160,11 @@ type Session struct {
 	// WithTelemetry or WithEpochTraceFile; same one-nil-check discipline).
 	tel *sessionTelemetry
 
-	// Fault layer (all nil/zero when Config.Faults is FaultNone, leaving
-	// every fault branch below a never-taken nil check).
-	fm    FaultModel
-	rp    RetryPolicy
-	retry map[int]retryInfo // job ID -> attempts + original arrival
+	// Fault layer (all false/nil when Config.Faults is FaultNone, leaving
+	// every fault branch below a never-taken check).
+	faults bool
+	rp     fault.RetryPolicy
+	retry  map[int]retryInfo // job ID -> attempts + original arrival
 	// Retry accounting: interrupted counts crash evictions, migrated the
 	// drain-time migrations, retried the requeues, lost the drops; lostWork
 	// integrates executed-then-discarded seconds. Pushed into the collector
@@ -175,10 +175,11 @@ type Session struct {
 	lost        int64
 	lostWork    float64
 
-	// Failure-domain bookkeeping (nil unless the fault model declares
-	// domains): domIdx maps server -> domain, domDown counts each domain's
-	// down members, domainOutages counts episodes where an entire domain was
-	// simultaneously down (incremented when the last member drops).
+	// Failure-domain bookkeeping (nil unless Config.Faults is
+	// correlated-crash): domIdx maps server -> domain, domDown counts each
+	// domain's down members, domainOutages counts episodes where an entire
+	// domain was simultaneously down (incremented when the last member
+	// drops).
 	domIdx        []int32
 	domDown       []int32
 	domSize       []int32
@@ -266,9 +267,9 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 	if err != nil {
 		return nil, err
 	}
-	fm, rp, err := buildFaultLayer(&cfg)
+	fl, err := buildFaultLayer(&cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hierdrl: %w", err)
 	}
 
 	s := &Session{
@@ -302,30 +303,19 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 		s.needsView = true
 	}
 
-	if fm != nil {
-		s.fm, s.rp = fm, rp
+	if fl.clockFor != nil {
+		s.faults, s.rp = true, fl.retry
 		s.retry = make(map[int]retryInfo)
-		// Classify the model once: its kind selects the per-server fault
-		// trampoline, a Degrader supplies the fail-slow speed factor, and a
-		// DomainModel's topology feeds the outage-episode counter.
-		kind := fault.KindCrash
-		if c, ok := fm.(fault.Classified); ok {
-			kind = c.Kind()
-		}
-		factor := 1.0
-		if d, ok := fm.(fault.Degrader); ok {
-			factor = d.Factor()
-		}
-		cl.EnableFaults(fm.ClockFor, kind, factor)
-		if dm, ok := fm.(fault.DomainModel); ok {
-			s.initDomains(dm.Domains())
+		cl.EnableFaults(fl.clockFor, fl.kind, fl.factor)
+		if fl.domains != nil {
+			s.initDomains(fl.domains)
 		}
 	}
 	// Fail/repair edges ride the ordinary transition stream; route it when
 	// anyone listens (mode observer, or fault observers with faults on) or
 	// when domain outages must be counted off the down/up edges.
 	needTrans := o.obs.OnModeTransition != nil ||
-		(fm != nil && (o.obs.OnServerFail != nil || o.obs.OnServerRepair != nil)) ||
+		(s.faults && (o.obs.OnServerFail != nil || o.obs.OnServerRepair != nil)) ||
 		s.domIdx != nil
 
 	// Observers fire synchronously on the lane, as the events happen.
@@ -334,7 +324,7 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 	if needTrans {
 		cl.OnTransition = s.routeTransition
 	}
-	if fm != nil {
+	if s.faults {
 		cl.OnInterrupt = s.jobInterrupted
 		cl.OnMigrate = s.jobMigrated
 		cl.OnDegrade = s.serverDegraded
@@ -382,13 +372,13 @@ func (s *Session) jobDone(t sim.Time, j *cluster.Job) {
 	if s.obs.OnJobDone != nil {
 		s.obs.OnJobDone(t, j)
 	}
-	if s.fm != nil {
+	if s.faults {
 		delete(s.retry, j.ID)
 	}
 	s.pool = append(s.pool, j)
 }
 
-// initDomains builds the server->domain tables a DomainModel needs for
+// initDomains builds the server->domain tables correlated-crash needs for
 // outage-episode counting. Domains are contiguous ID ranges in declared
 // order (the same layout the model's per-domain clocks assume).
 func (s *Session) initDomains(domains []fault.Domain) {
@@ -593,7 +583,7 @@ func (s *Session) allocate() (j *cluster.Job, target int) {
 	default:
 		target = s.alloc.Allocate(j, &s.view)
 	}
-	if s.fm != nil && !s.cl.Accepting(target) {
+	if s.faults && !s.cl.Accepting(target) {
 		// Graceful degradation for state-blind allocators (round-robin,
 		// random, a stale DRL pick): cyclically remap onto a server that
 		// accepts work (neither down nor draining). The lane stalls an
@@ -615,7 +605,7 @@ func (s *Session) takeJob(tj Job) *cluster.Job {
 	} else {
 		j = cluster.NewJob(tj)
 	}
-	if s.fm != nil {
+	if s.faults {
 		if ri, ok := s.retry[j.ID]; ok {
 			j.Arrival = sim.Time(ri.orig)
 		}
@@ -644,7 +634,7 @@ func (s *Session) eventsFired() int64 { return s.lane.sm.Fired() }
 // number of follow-up events; 64 per job is a generous ceiling.
 func (s *Session) guard() error {
 	budget := 64*s.ingested + 1024
-	if s.fm != nil {
+	if s.faults {
 		// Fault runs self-fund their extra events: every requeue re-dispatches
 		// one job, and every crash schedules one crash + one repair event.
 		budget += 64*s.retried + 16*s.cl.Failures()
@@ -689,7 +679,7 @@ func (s *Session) unit(until sim.Time) (bool, error) {
 	if err := s.guard(); err != nil {
 		return false, s.fail(err)
 	}
-	if until == infTime && s.fm != nil && s.drained() {
+	if until == infTime && s.faults && s.drained() {
 		// Fault runs never run out of events (crash/repair timers are
 		// perpetual): an unbounded advance is idle once the job accounting
 		// closes instead.

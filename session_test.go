@@ -422,12 +422,6 @@ func (testNapManager) OnArrival(hierdrl.Time, *hierdrl.Server, hierdrl.PowerStat
 }
 func (testNapManager) Observe(hierdrl.Time, float64, int) {}
 
-// testConstPredictor always predicts a 60 s gap.
-type testConstPredictor struct{}
-
-func (testConstPredictor) ObserveArrival(float64) {}
-func (testConstPredictor) Predict() float64       { return 60 }
-
 func init() {
 	errDeliberate := errors.New("deliberate failure")
 	hierdrl.RegisterAllocator("test-failing-alloc", func(*hierdrl.Config, *hierdrl.RNG) (hierdrl.Allocator, error) {
@@ -436,23 +430,11 @@ func init() {
 	hierdrl.RegisterPowerManager("test-failing-pm", func(*hierdrl.Config, int, *hierdrl.RNG) (hierdrl.PowerManager, error) {
 		return nil, errDeliberate
 	})
-	hierdrl.RegisterPredictor("test-failing-pred", func(*hierdrl.Config, *hierdrl.RNG) (hierdrl.Predictor, error) {
-		return nil, errDeliberate
-	})
 	hierdrl.RegisterAllocator("test-greedy", func(*hierdrl.Config, *hierdrl.RNG) (hierdrl.Allocator, error) {
 		return testGreedyAlloc{}, nil
 	})
 	hierdrl.RegisterPowerManager("test-nap", func(*hierdrl.Config, int, *hierdrl.RNG) (hierdrl.PowerManager, error) {
 		return testNapManager{}, nil
-	})
-	hierdrl.RegisterPredictor("test-const", func(*hierdrl.Config, *hierdrl.RNG) (hierdrl.Predictor, error) {
-		return testConstPredictor{}, nil
-	})
-	hierdrl.RegisterFaultModel("test-no-faults", func(*hierdrl.Config) (hierdrl.FaultModel, error) {
-		return nil, nil
-	})
-	hierdrl.RegisterRetryPolicy("test-no-retry", func(*hierdrl.Config) (hierdrl.RetryPolicy, error) {
-		return nil, nil
 	})
 	twin, _ := hierdrl.LookupScenario("steady")
 	twin.Name = "test-steady-twin"
@@ -460,8 +442,8 @@ func init() {
 }
 
 // TestCustomPoliciesViaRegistry is the registry acceptance test: custom
-// Allocator, PowerManager and Predictor implementations resolve through the
-// Config strings and run end to end.
+// Allocator and PowerManager implementations resolve through the Config
+// strings and run end to end, as does a non-default built-in predictor.
 func TestCustomPoliciesViaRegistry(t *testing.T) {
 	tr := hierdrl.SyntheticTraceForCluster(400, 4, 17)
 
@@ -481,13 +463,13 @@ func TestCustomPoliciesViaRegistry(t *testing.T) {
 		t.Error("custom nap manager never slept")
 	}
 
-	// Custom predictor feeding the built-in RL power manager.
+	// A baseline predictor feeding the built-in RL power manager.
 	cfg2 := hierdrl.Hierarchical(4)
 	cfg2.Alloc = hierdrl.AllocRoundRobin // keep the test cheap: no DRL tier
-	cfg2.Predictor = "test-const"
+	cfg2.Predictor = hierdrl.PredictorEWMA
 	res2, err := hierdrl.Run(cfg2, tr)
 	if err != nil {
-		t.Fatalf("Run with custom predictor: %v", err)
+		t.Fatalf("Run with the ewma predictor: %v", err)
 	}
 	if res2.Summary.Jobs != tr.Len() {
 		t.Fatalf("jobs %d want %d", res2.Summary.Jobs, tr.Len())
@@ -514,8 +496,8 @@ func TestCustomPoliciesViaRegistry(t *testing.T) {
 
 // TestFactoryErrorsSurfaceFromNewSession checks a registered factory that
 // fails (the documented validate-in-factory pattern for external policies)
-// produces an error from NewSession on every extension point — never a
-// panic.
+// produces an error from NewSession on both open extension points — never a
+// panic — and that the closed predictor set rejects a name outside it.
 func TestFactoryErrorsSurfaceFromNewSession(t *testing.T) {
 	cfg := hierdrl.RoundRobin(2)
 	cfg.Alloc = "test-failing-alloc"
@@ -530,21 +512,18 @@ func TestFactoryErrorsSurfaceFromNewSession(t *testing.T) {
 	cfg = hierdrl.Hierarchical(2)
 	cfg.Alloc = hierdrl.AllocRoundRobin
 	cfg.Predictor = "test-failing-pred"
-	if _, err := hierdrl.NewSession(cfg); err == nil || !strings.Contains(err.Error(), "deliberate failure") {
-		t.Errorf("failing predictor factory: err = %v", err)
+	if _, err := hierdrl.NewSession(cfg); err == nil || !strings.Contains(err.Error(), "unknown predictor") {
+		t.Errorf("predictor outside the closed set: err = %v", err)
 	}
 }
 
-// TestRegisterPanicsOnMisuse pins the misuse contract of all six registries:
+// TestRegisterPanicsOnMisuse pins the misuse contract of all three registries:
 // an empty name, a nil factory (an invalid scenario), a duplicate and a
 // built-in override each panic with the registry's own message, and every
 // listing is sorted and contains both built-ins and test registrations.
 func TestRegisterPanicsOnMisuse(t *testing.T) {
 	alloc := func(*hierdrl.Config, *hierdrl.RNG) (hierdrl.Allocator, error) { return testGreedyAlloc{}, nil }
 	pm := func(*hierdrl.Config, int, *hierdrl.RNG) (hierdrl.PowerManager, error) { return testNapManager{}, nil }
-	pred := func(*hierdrl.Config, *hierdrl.RNG) (hierdrl.Predictor, error) { return testConstPredictor{}, nil }
-	fm := func(*hierdrl.Config) (hierdrl.FaultModel, error) { return nil, nil }
-	rp := func(*hierdrl.Config) (hierdrl.RetryPolicy, error) { return nil, nil }
 	scen := func(name string) hierdrl.Scenario {
 		sc, _ := hierdrl.LookupScenario("steady")
 		sc.Name = name
@@ -580,33 +559,6 @@ func TestRegisterPanicsOnMisuse(t *testing.T) {
 		}, func() []string { return asStrings(hierdrl.PowerManagers()) },
 			"test-nap", string(hierdrl.DPMRL),
 			"hierdrl: RegisterPowerManager with empty name or nil factory", "hierdrl: power manager %q already registered"},
-		{"predictor", func(n string, ok bool) {
-			f := pred
-			if !ok {
-				f = nil
-			}
-			hierdrl.RegisterPredictor(hierdrl.PredictorKind(n), f)
-		}, func() []string { return asStrings(hierdrl.Predictors()) },
-			"test-const", string(hierdrl.PredictorLSTM),
-			"hierdrl: RegisterPredictor with empty name or nil factory", "hierdrl: predictor %q already registered"},
-		{"fault model", func(n string, ok bool) {
-			f := fm
-			if !ok {
-				f = nil
-			}
-			hierdrl.RegisterFaultModel(hierdrl.FaultKind(n), f)
-		}, func() []string { return asStrings(hierdrl.FaultModels()) },
-			"test-no-faults", string(hierdrl.FaultExpCrash),
-			"hierdrl: RegisterFaultModel with empty name or nil factory", "hierdrl: fault model %q already registered"},
-		{"retry policy", func(n string, ok bool) {
-			f := rp
-			if !ok {
-				f = nil
-			}
-			hierdrl.RegisterRetryPolicy(hierdrl.RetryKind(n), f)
-		}, func() []string { return asStrings(hierdrl.RetryPolicies()) },
-			"test-no-retry", string(hierdrl.RetryBackoff),
-			"hierdrl: RegisterRetryPolicy with empty name or nil factory", "hierdrl: retry policy %q already registered"},
 		{"scenario", func(n string, ok bool) {
 			sc := scen(n)
 			if !ok {

@@ -72,7 +72,7 @@ func (e *strictLane) arm() {
 func (e *strictLane) fire() {
 	s := e.s
 	e.pump = sim.Timer{}
-	if s.fm != nil && s.cl.UnavailableServers() == s.cl.M() {
+	if s.faults && s.cl.UnavailableServers() == s.cl.M() {
 		// Every server is down or draining: park the pump at the earliest
 		// instant one can change state — a repair, or a draining server
 		// running dry (its power-off then schedules the real repair). The
