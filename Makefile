@@ -62,13 +62,16 @@ chaos-smoke:
 # head-side retry insert and resumed, the golden snapshots
 # re-emitted byte for byte (format v4 pin) and the removed tier's refused, and
 # every state walk over every strict prefix of its own payload; then a few
-# seconds of FuzzRestoreState. Its minimization budget is capped: the fuzz
-# engine's default spends up to 60 s shrinking each new 20-50 KB snapshot it
-# finds interesting, during which it reports 0 execs/s.
+# seconds each of FuzzRestoreState and FuzzRestoreResealed (one word of a
+# section rewritten under a recomputed CRC). FuzzRestoreState's minimization
+# budget is capped: the fuzz engine's default spends up to 60 s shrinking each
+# new 20-50 KB snapshot it finds interesting, during which it reports 0
+# execs/s (FuzzRestoreResealed's inputs are four scalars).
 crash-smoke:
 	$(GO) test -run 'TestCheckpointResumeBitwise|TestRestoreRejectsCorruptSnapshots|TestAutoCheckpointRotationAndResume|TestCrashResumeHarnessCLI' -v .
 	$(GO) test -race -run 'TestCheckpointAfterHeadSideInsert|TestGoldenSnapshotsByteIdentical|TestStateWalksRejectEveryPrefix' -v .
 	$(GO) test -run=NONE -fuzz='FuzzRestoreState$$' -fuzztime=5s -fuzzminimizetime=200x .
+	$(GO) test -run=NONE -fuzz='FuzzRestoreResealed$$' -fuzztime=5s .
 
 # scenario-smoke is the workload-subsystem CI gate: every registered
 # scenario's Summary must be bitwise identical run to run, the scenario CSV

@@ -14,6 +14,7 @@
 package hierdrl_test
 
 import (
+	"bytes"
 	"testing"
 
 	"hierdrl"
@@ -202,6 +203,55 @@ func BenchmarkPaperHierPass(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCheckpointRoundTrip is the checkpoint layer of the repository
+// benchmark's ckpt-resume workload: one Hierarchical(30) snapshot taken 9,000
+// jobs into a 16,000-job pass after a 4,000-job warmup (seed 1, ~14 MB, most
+// of it the DRL replay memory), written by /save and read back by /restore.
+// SetBytes makes the MB/s column the snapshot's throughput.
+func BenchmarkCheckpointRoundTrip(b *testing.B) {
+	cfg := hierdrl.Hierarchical(30)
+	cfg.WarmupTrace = hierdrl.SyntheticTraceForCluster(4000, 30, 1001)
+	s, err := hierdrl.NewSession(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.SubmitTrace(hierdrl.SyntheticTraceForCluster(16000, 30, 1)); err != nil {
+		b.Fatal(err)
+	}
+	for s.Completed() < 9000 {
+		if _, err := s.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := s.Checkpoint(&snap); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
+		var buf bytes.Buffer
+		b.SetBytes(int64(snap.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := s.Checkpoint(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.SetBytes(int64(snap.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r, err := hierdrl.Restore(bytes.NewReader(snap.Bytes()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			r.Close()
+		}
+	})
 }
 
 // BenchmarkQNetworkInference measures one global-tier decision: Q values for

@@ -225,8 +225,9 @@ func (s *Session) sessionState(c *checkpoint.Codec) {
 		if c.Err() != nil {
 			return
 		}
-		if math.IsNaN(tj.Arrival) || math.IsNaN(tj.Duration) || tj.Duration < 0 {
-			c.Fail(ErrCorrupt, "queued job %d arrival %v duration %v", tj.ID, tj.Arrival, tj.Duration)
+		// Submission validated every queued job; a retry keeps its demand.
+		if err := tj.Validate(); err != nil {
+			c.Fail(ErrCorrupt, "arrival queue: %v", err)
 			return
 		}
 		if tj.Arrival < prev {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -298,6 +299,30 @@ var snapshotCorruptions = []struct {
 	{"payload-truncated", func(b []byte) []byte { return b[:len(b)-5] }, hierdrl.ErrCorrupt},
 	{"payload-bit-flip-tail", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, hierdrl.ErrCorrupt},
 	{"payload-bit-flip-mid", func(b []byte) []byte { b[len(b)*3/4] ^= 0x01; return b }, hierdrl.ErrCorrupt},
+	// CRC-valid: the session section's queued-job count (after ingested and
+	// finished) times its 48-byte lower bound wraps to 16, which a bound
+	// check by multiplication passed.
+	{"section-count-overflows", func(b []byte) []byte {
+		return resealWord(b, findSection(b, "session"), 9, 384307168202282326)
+	}, hierdrl.ErrCorrupt},
+	// CRC-valid: the first job-table record (after the count) belongs to an
+	// executing job; the word over its started and finished flags clears
+	// both, and the job used to complete unstarted and panic the run.
+	{"executing-job-unstarted", func(b []byte) []byte {
+		return resealWord(b, findSection(b, "cluster"), 80, 1<<61)
+	}, hierdrl.ErrCorrupt},
+	// CRC-valid: that job's CPU demand raised to a whole server, more than
+	// its server holds; its completion used to drive the utilization
+	// negative and panic the run.
+	{"executing-demand-exceeds-utilization", func(b []byte) []byte {
+		return resealWord(b, findSection(b, "cluster"), 32, math.Float64bits(1))
+	}, hierdrl.ErrCorrupt},
+	// CRC-valid: the first undispatched arrival (after ingested, finished
+	// and the count; then its ID, arrival and duration) asks for two whole
+	// servers of CPU; dispatching it used to panic the cluster.
+	{"queued-demand-over-capacity", func(b []byte) []byte {
+		return resealWord(b, findSection(b, "session"), 41, math.Float64bits(2))
+	}, hierdrl.ErrCorrupt},
 }
 
 // TestRestoreRejectsCorruptSnapshots mutates a valid snapshot one corruption

@@ -2,6 +2,9 @@ package hierdrl_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -66,6 +69,98 @@ func FuzzRestoreState(f *testing.F) {
 		// An accepted snapshot must be drivable: advance a bounded number of
 		// events without panicking (a short prefix is enough — full-run
 		// equivalence belongs to TestCheckpointResumeBitwise).
+		for i := 0; i < 200; i++ {
+			more, err := s.Step()
+			if err != nil || !more {
+				return
+			}
+		}
+	})
+}
+
+// sectionSpan locates one section of a snapshot: its table entry and its
+// payload.
+type sectionSpan struct {
+	name    string
+	entry   int // offset of the entry's payload length; the CRC follows it
+	payload int // offset of the payload
+	n       int // payload length
+}
+
+// sectionSpans parses the section table of a well-formed snapshot.
+func sectionSpans(snap []byte) []sectionSpan {
+	le := binary.LittleEndian
+	var spans []sectionSpan
+	off := 24 // magic, version, fingerprint, section count
+	for i := le.Uint32(snap[20:]); i > 0; i-- {
+		nameLen := int(le.Uint16(snap[off:]))
+		name := string(snap[off+2 : off+2+nameLen])
+		off += 2 + nameLen
+		spans = append(spans, sectionSpan{name: name, entry: off, n: int(le.Uint64(snap[off:]))})
+		off += 8 + 4
+	}
+	for i := range spans {
+		spans[i].payload = off
+		off += spans[i].n
+	}
+	return spans
+}
+
+func findSection(snap []byte, name string) sectionSpan {
+	for _, sp := range sectionSpans(snap) {
+		if sp.name == name {
+			return sp
+		}
+	}
+	panic("snapshot has no section " + name)
+}
+
+// resealWord overwrites the 8-byte word at offset off of section sp's payload
+// and recomputes that section's CRC, so the container check passes and the
+// word reaches the state walk.
+func resealWord(snap []byte, sp sectionSpan, off int, word uint64) []byte {
+	binary.LittleEndian.PutUint64(snap[sp.payload+off:], word)
+	binary.LittleEndian.PutUint32(snap[sp.entry+8:], crc32.ChecksumIEEE(snap[sp.payload:sp.payload+sp.n]))
+	return snap
+}
+
+// FuzzRestoreResealed patches one 8-byte word of one section of a valid
+// snapshot — the small fault-free one or agentSnapshot — and recomputes that
+// section's CRC. FuzzRestoreState's byte mutations almost never get past the
+// CRC check; these always do, so every count, cursor, flag and value a state
+// walk reads is exposed to arbitrary input. The invariant: Restore returns an
+// error wrapping one of the three sentinels, or a session that steps 200
+// events; it never panics or hangs.
+func FuzzRestoreResealed(f *testing.F) {
+	snaps := [][]byte{smallSnapshot(f), agentSnapshot(f)}
+	session := 0
+	for i, sp := range sectionSpans(snaps[0]) {
+		if sp.name == "session" {
+			session = i
+		}
+	}
+	// The queued-job count whose 48-byte bound wraps past zero.
+	f.Add(uint8(0), uint8(session), uint32(9), uint64(384307168202282326))
+	f.Add(uint8(1), uint8(4), uint32(0), uint64(1<<61))
+	f.Add(uint8(1), uint8(4), uint32(100), uint64(1<<63))
+
+	f.Fuzz(func(t *testing.T, which, sec uint8, off uint32, word uint64) {
+		snap := snaps[int(which)%len(snaps)]
+		spans := sectionSpans(snap)
+		sp := spans[int(sec)%len(spans)]
+		if sp.n < 8 {
+			return
+		}
+		data := resealWord(append([]byte(nil), snap...), sp, int(off)%(sp.n-7), word)
+		s, err := hierdrl.Restore(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, hierdrl.ErrCorrupt) && !errors.Is(err, hierdrl.ErrVersion) &&
+				!errors.Is(err, hierdrl.ErrConfigMismatch) {
+				t.Fatalf("section %q word at %d = %#x: error wraps no sentinel: %v", sp.name, int(off)%(sp.n-7), word, err)
+			}
+			return
+		}
+		defer s.Close()
 		for i := 0; i < 200; i++ {
 			more, err := s.Step()
 			if err != nil || !more {

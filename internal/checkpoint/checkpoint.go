@@ -20,6 +20,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -244,12 +245,49 @@ func Catch(err *error) {
 
 // Enc appends primitive values to an in-memory section payload. It never
 // fails: sections are buffered and checksummed at WriteTo time.
+//
+// The payload is a list of chunks rather than one growing slice, so a 15 MB
+// section is never re-copied as it grows: chunks start at 4 KiB and double
+// up to 1 MiB, and a block larger than the next chunk gets a chunk of its
+// own. Every primitive reserves its whole encoding once and fills it in
+// place.
 type Enc struct {
-	buf []byte
+	// chunks hold the payload in order; the spare capacity of the last one
+	// is where the next bytes go.
+	chunks [][]byte
+}
+
+const (
+	minChunk = 4 << 10
+	// maxChunkShift caps chunk doubling at minChunk<<8 = 1 MiB.
+	maxChunkShift = 8
+)
+
+// grow reserves the next n payload bytes and returns them for the caller to
+// fill completely.
+func (e *Enc) grow(n int) []byte {
+	if k := len(e.chunks) - 1; k >= 0 {
+		if c, l := e.chunks[k], len(e.chunks[k]); n <= cap(c)-l {
+			e.chunks[k] = c[:l+n]
+			return c[l : l+n]
+		}
+	}
+	c := make([]byte, n, max(n, minChunk<<min(len(e.chunks), maxChunkShift)))
+	e.chunks = append(e.chunks, c)
+	return c
+}
+
+// size returns the number of payload bytes encoded so far.
+func (e *Enc) size() int {
+	n := 0
+	for _, c := range e.chunks {
+		n += len(c)
+	}
+	return n
 }
 
 // U8 appends one byte.
-func (e *Enc) U8(v uint8) { e.buf = append(e.buf, v) }
+func (e *Enc) U8(v uint8) { e.grow(1)[0] = v }
 
 // Bool appends a boolean as one byte.
 func (e *Enc) Bool(v bool) {
@@ -261,10 +299,10 @@ func (e *Enc) Bool(v bool) {
 }
 
 // U32 appends a little-endian uint32.
-func (e *Enc) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *Enc) U32(v uint32) { binary.LittleEndian.PutUint32(e.grow(4), v) }
 
 // U64 appends a little-endian uint64.
-func (e *Enc) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *Enc) U64(v uint64) { binary.LittleEndian.PutUint64(e.grow(8), v) }
 
 // I32 appends a little-endian int32.
 func (e *Enc) I32(v int32) { e.U32(uint32(v)) }
@@ -279,44 +317,52 @@ func (e *Enc) Int(v int) { e.I64(int64(v)) }
 // zeros round-trip).
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
+// block reserves a length prefix holding n followed by n words, and returns
+// the words' bytes.
+func (e *Enc) block(n int) []byte {
+	b := e.grow(8 + 8*n)
+	binary.LittleEndian.PutUint64(b, uint64(n))
+	return b[8:]
+}
+
 // F64s appends a length-prefixed []float64.
 func (e *Enc) F64s(v []float64) {
-	e.Int(len(v))
-	for _, x := range v {
-		e.F64(x)
+	b := e.block(len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 }
 
 // I64s appends a length-prefixed []int64.
 func (e *Enc) I64s(v []int64) {
-	e.Int(len(v))
-	for _, x := range v {
-		e.I64(x)
+	b := e.block(len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
 	}
 }
 
 // Ints appends a length-prefixed []int.
 func (e *Enc) Ints(v []int) {
-	e.Int(len(v))
-	for _, x := range v {
-		e.Int(x)
+	b := e.block(len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
 	}
 }
 
 // Str appends a length-prefixed string.
-func (e *Enc) Str(v string) {
-	e.Int(len(v))
-	e.buf = append(e.buf, v...)
-}
+func (e *Enc) Str(v string) { putBytes(e, v) }
 
 // Bytes appends a length-prefixed byte slice.
-func (e *Enc) Bytes(v []byte) {
-	e.Int(len(v))
-	e.buf = append(e.buf, v...)
+func (e *Enc) Bytes(v []byte) { putBytes(e, v) }
+
+func putBytes[T string | []byte](e *Enc, v T) {
+	b := e.grow(8 + len(v))
+	binary.LittleEndian.PutUint64(b, uint64(len(v)))
+	copy(b[8:], v)
 }
 
-// Payload returns the bytes encoded so far (aliased, not copied).
-func (e *Enc) Payload() []byte { return e.buf }
+// Payload returns a copy of the bytes encoded so far, in one slice.
+func (e *Enc) Payload() []byte { return bytes.Join(e.chunks, nil) }
 
 // Dec reads primitive values from a section payload. Errors are sticky:
 // after the first failure every read returns the zero value, and Err
@@ -343,7 +389,7 @@ func (d *Dec) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n < 0 || d.off+n > len(d.buf) {
+	if n < 0 || n > len(d.buf)-d.off {
 		d.fail("truncated: need %d bytes at offset %d of %d", n, d.off, len(d.buf))
 		return nil
 	}
@@ -418,31 +464,36 @@ func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // SliceLen decodes an element count and validates it against the remaining
 // payload (elemSize is a lower bound on the encoded size per element), so a
-// corrupt length fails instead of driving an absurd allocation or loop.
+// corrupt length fails instead of driving an absurd allocation or loop. The
+// bound divides rather than multiplies: n*elemSize can wrap past zero.
 func (d *Dec) SliceLen(elemSize int) int {
 	n := d.Int()
 	if d.err != nil {
 		return 0
 	}
-	if n < 0 || n*elemSize > len(d.buf)-d.off {
+	if n < 0 || elemSize > 0 && n > (len(d.buf)-d.off)/elemSize {
 		d.fail("invalid slice length %d", n)
 		return 0
 	}
 	return n
 }
 
-// F64s reads a length-prefixed []float64.
-func (d *Dec) F64s() []float64 {
-	n := d.SliceLen(8)
-	if n == 0 {
+// words reads n little-endian 8-byte words in one bounds check and returns
+// them converted (nil when n is 0 or the read fails).
+func words[T float64 | int64 | int](d *Dec, n int, conv func(uint64) T) []T {
+	b := d.take(8 * n)
+	if n == 0 || b == nil {
 		return nil
 	}
-	v := make([]float64, n)
+	v := make([]T, n)
 	for i := range v {
-		v[i] = d.F64()
+		v[i] = conv(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return v
 }
+
+// F64s reads a length-prefixed []float64.
+func (d *Dec) F64s() []float64 { return words(d, d.SliceLen(8), math.Float64frombits) }
 
 // F64sInto reads a length-prefixed []float64 whose length must equal
 // len(dst), decoding in place.
@@ -455,35 +506,23 @@ func (d *Dec) F64sInto(dst []float64) {
 		d.fail("float64 slice length %d, want %d", n, len(dst))
 		return
 	}
+	b := d.take(8 * n)
+	if b == nil {
+		return
+	}
 	for i := range dst {
-		dst[i] = d.F64()
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 }
 
 // I64s reads a length-prefixed []int64.
 func (d *Dec) I64s() []int64 {
-	n := d.SliceLen(8)
-	if n == 0 {
-		return nil
-	}
-	v := make([]int64, n)
-	for i := range v {
-		v[i] = d.I64()
-	}
-	return v
+	return words(d, d.SliceLen(8), func(u uint64) int64 { return int64(u) })
 }
 
 // Ints reads a length-prefixed []int.
 func (d *Dec) Ints() []int {
-	n := d.SliceLen(8)
-	if n == 0 {
-		return nil
-	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = d.Int()
-	}
-	return v
+	return words(d, d.SliceLen(8), func(u uint64) int { return int(u) })
 }
 
 // Str reads a length-prefixed string.
@@ -540,10 +579,14 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(w.sections)))
 	for i, e := range w.sections {
 		name := w.names[i]
+		var crc uint32
+		for _, c := range e.chunks {
+			crc = crc32.Update(crc, crc32.IEEETable, c)
+		}
 		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(name)))
 		hdr = append(hdr, name...)
-		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(e.buf)))
-		hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(e.buf))
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(e.size()))
+		hdr = binary.LittleEndian.AppendUint32(hdr, crc)
 	}
 	var written int64
 	n, err := out.Write(hdr)
@@ -552,10 +595,12 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 		return written, fmt.Errorf("checkpoint: write header: %w", err)
 	}
 	for i, e := range w.sections {
-		n, err := out.Write(e.buf)
-		written += int64(n)
-		if err != nil {
-			return written, fmt.Errorf("checkpoint: write section %q: %w", w.names[i], err)
+		for _, c := range e.chunks {
+			n, err := out.Write(c)
+			written += int64(n)
+			if err != nil {
+				return written, fmt.Errorf("checkpoint: write section %q: %w", w.names[i], err)
+			}
 		}
 	}
 	return written, nil

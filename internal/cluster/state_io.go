@@ -8,6 +8,7 @@ import (
 	"hierdrl/internal/checkpoint"
 	"hierdrl/internal/fault"
 	"hierdrl/internal/sim"
+	"hierdrl/internal/trace"
 )
 
 // This file walks the complete resumable state of a cluster at an event
@@ -132,8 +133,9 @@ func (c *Cluster) runningJobs() [][]*Job {
 // exactly once, in a canonical order. Everything else in the
 // stream refers to a job by its table index.
 type jobTable struct {
-	jobs []*Job
-	idx  map[*Job]int32 // encoding direction only
+	jobs   []*Job
+	idx    map[*Job]int32 // encoding direction only
+	placed []bool         // decoding direction only: entries a reference named
 }
 
 func (t *jobTable) add(j *Job) {
@@ -144,9 +146,13 @@ func (t *jobTable) add(j *Job) {
 	t.jobs = append(t.jobs, j)
 }
 
-// ref walks one cross-reference: *j's table index, resolved back into *j when
-// decoding (an index outside the table fails the walk and leaves *j alone).
-func (t *jobTable) ref(c *checkpoint.Codec, j **Job) {
+// ref walks one cross-reference from a server's waiting (running false) or
+// executing list: *j's table index, resolved back into *j when decoding. A
+// decoded reference must name an entry no other reference named, in the
+// phase its list implies — started exactly when executing, never finished —
+// so a job queued twice or completing unstarted fails the walk here instead
+// of panicking the run later; a failing reference leaves *j alone.
+func (t *jobTable) ref(c *checkpoint.Codec, j **Job, running bool) {
 	k := t.idx[*j]
 	c.I32(&k)
 	if !c.Decoding() || c.Err() != nil {
@@ -156,7 +162,18 @@ func (t *jobTable) ref(c *checkpoint.Codec, j **Job) {
 		c.Fail(checkpoint.ErrCorrupt, "job table index %d of %d", k, len(t.jobs))
 		return
 	}
-	*j = t.jobs[k]
+	jk := t.jobs[k]
+	switch {
+	case t.placed[k]:
+		c.Fail(checkpoint.ErrCorrupt, "job table index %d referenced twice", k)
+		return
+	case jk.started != running || jk.finished:
+		c.Fail(checkpoint.ErrCorrupt, "job %d listed as executing=%v with started=%v finished=%v",
+			jk.ID, running, jk.started, jk.finished)
+		return
+	}
+	t.placed[k] = true
+	*j = jk
 }
 
 // jobRecBytes is the fixed encoded size of one job-table record: six 8-byte
@@ -186,7 +203,7 @@ func (c *Cluster) State(cd *checkpoint.Codec) {
 
 	n := cd.Count(len(tab.jobs), jobRecBytes)
 	if dec {
-		tab.jobs = make([]*Job, n)
+		tab.jobs, tab.placed = make([]*Job, n), make([]bool, n)
 		for i := range tab.jobs {
 			tab.jobs[i] = &Job{}
 		}
@@ -201,6 +218,13 @@ func (c *Cluster) State(cd *checkpoint.Codec) {
 		cd.F64((*float64)(&j.Finished))
 		cd.Bool(&j.started)
 		cd.Bool(&j.finished)
+		if dec && cd.Err() == nil {
+			// A live job entered through submission, which validated it.
+			tj := trace.Job{ID: j.ID, Arrival: float64(j.Arrival), Duration: j.Duration, Req: j.Req.ToTraceReq()}
+			if err := tj.Validate(); err != nil {
+				cd.Fail(checkpoint.ErrCorrupt, "%v", err)
+			}
+		}
 	}
 	faults := c.faults
 	cd.Bool(&faults)
@@ -268,7 +292,7 @@ func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *jobTable, ru
 		queue = s.queue
 	}
 	for k := range queue {
-		tab.ref(cd, &queue[k])
+		tab.ref(cd, &queue[k], false)
 	}
 
 	nr := cd.Count(len(run), 4+8+8)
@@ -289,7 +313,7 @@ func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *jobTable, ru
 		if !dec {
 			at, seq = run[k].done.At(), run[k].done.Seq()
 		}
-		tab.ref(cd, &run[k])
+		tab.ref(cd, &run[k], true)
 		cd.F64((*float64)(&at))
 		cd.I64(&seq)
 		if !dec {
@@ -308,6 +332,19 @@ func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *jobTable, ru
 		if c.faults {
 			j.runIdx = int32(k)
 			s.runJobs = append(s.runJobs, j)
+		}
+	}
+
+	if dec {
+		// Each completion returns its job's demand: the executing jobs
+		// together must not hold more than the server's utilization.
+		left := s.used
+		for _, j := range run {
+			left = left.Sub(j.Req)
+		}
+		if !left.NonNegative() {
+			cd.Fail(checkpoint.ErrCorrupt, "server %d utilization %v below its executing demand", s.id, s.used)
+			return
 		}
 	}
 

@@ -22,13 +22,28 @@ func (n *QNetwork) state(c *checkpoint.Codec) {
 // ErrCorrupt.
 func (s State) state(c *checkpoint.Codec) { c.F64sFixed(s.v) }
 
-// transitionState walks one replay slot. A decoded slot gets a fresh block
-// (the ring was cleared), and its action must name a server: trainStep
-// indexes the Sub-Q heads with it.
+// replayState walks the replay memory. Decoding cleared the ring, so every
+// restored slot's block is a capacity-clipped window of one slab of
+// Len()·StateDim values: one allocation per restore instead of one per slot,
+// and CloneInto still overwrites each window in place when the ring wraps.
+func (a *Agent) replayState(c *checkpoint.Codec) {
+	dim := a.enc.StateDim()
+	var slab mat.Vec
+	rl.ReplayState(a.replay, c, func(c *checkpoint.Codec, tr *Transition) {
+		if c.Decoding() {
+			if slab == nil {
+				slab = mat.NewVec(a.replay.Len() * dim)
+			}
+			tr.S = State{v: slab[:dim:dim], groupDim: a.enc.GroupDim()}
+			slab = slab[dim:]
+		}
+		a.transitionState(c, tr)
+	})
+}
+
+// transitionState walks one replay slot. A decoded slot's action must name a
+// server: trainStep indexes the Sub-Q heads with it.
 func (a *Agent) transitionState(c *checkpoint.Codec, tr *Transition) {
-	if c.Decoding() {
-		tr.S = a.enc.NewState()
-	}
 	tr.S.state(c)
 	c.Int(&tr.Action)
 	c.F64(&tr.REq)
@@ -40,18 +55,19 @@ func (a *Agent) transitionState(c *checkpoint.Codec, tr *Transition) {
 }
 
 // aeSamplesState walks the autoencoder sample reservoir, GroupDim values per
-// sample.
+// sample. Decoding cuts the samples from one slab, as replayState does.
 func (a *Agent) aeSamplesState(c *checkpoint.Codec) {
 	gd := a.enc.GroupDim()
 	n := c.Count(len(a.aeSamples), 8*(1+gd))
 	if c.Decoding() {
+		slab := mat.NewVec(n * gd)
 		a.aeSamples = make([]mat.Vec, n)
-	}
-	for i := range a.aeSamples {
-		if c.Decoding() {
-			a.aeSamples[i] = mat.NewVec(gd)
+		for i := range a.aeSamples {
+			a.aeSamples[i] = slab[i*gd : (i+1)*gd : (i+1)*gd]
 		}
-		c.F64sFixed(a.aeSamples[i])
+	}
+	for _, v := range a.aeSamples {
+		c.F64sFixed(v)
 	}
 }
 
@@ -77,7 +93,7 @@ func (a *Agent) State(c *checkpoint.Codec) {
 	a.eps.State(c)
 	c.RNG(a.eps.RNG())
 	c.RNG(a.rng)
-	rl.ReplayState(a.replay, c, a.transitionState)
+	a.replayState(c)
 	a.integ.State(c)
 	c.F64(&a.lastPower)
 	c.Int(&a.lastJobs)

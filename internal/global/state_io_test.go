@@ -10,7 +10,6 @@ import (
 	"hierdrl/internal/checkpoint"
 	"hierdrl/internal/cluster"
 	"hierdrl/internal/mat"
-	"hierdrl/internal/rl"
 	"hierdrl/internal/sim"
 )
 
@@ -225,7 +224,7 @@ func TestAgentStateRejectsUnreplayableReplay(t *testing.T) {
 	c.RNG(a.eps.RNG())
 	c.RNG(a.rng)
 	replay := len(pre.Payload()) // capacity, cursor, full, count, then the slots
-	rl.ReplayState(a.replay, c, a.transitionState)
+	a.replayState(c)
 	a.integ.State(c)
 	c.F64(&a.lastPower)
 	c.Int(&a.lastJobs)
@@ -288,7 +287,7 @@ func TestReplaySectionBytesPerTransition(t *testing.T) {
 		a.storeTransition(-1, 5, false)
 	}
 	var e checkpoint.Enc
-	rl.ReplayState(a.replay, e.Codec(), a.transitionState)
+	a.replayState(e.Codec())
 	const header = 8 + 8 + 1 + 8 // capacity, cursor, full, count
 	if per := (len(e.Payload()) - header) / stored; per != 785 || len(e.Payload()) != header+stored*per {
 		t.Fatalf("replay walk is %d bytes for %d transitions (%d each), want %d + %d x 785",
