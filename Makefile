@@ -57,10 +57,12 @@ chaos-smoke:
 
 # crash-smoke is the durability CI gate: the mid-run checkpoint/restore
 # bitwise matrix (incl. fault runs), the corrupt-snapshot rejection table,
-# and the end-to-end SIGKILL-and-resume drill against the hiersim binary;
+# the sweep that drives every one-word rewrite of a small snapshot's cluster
+# and metrics sections through Drain to Result (~2 s, un-raced), and the
+# end-to-end SIGKILL-and-resume drill against the hiersim binary;
 # then, under the race detector, the fault run checkpointed right after a
 # head-side retry insert and resumed, the golden snapshots
-# re-emitted byte for byte (format v4 pin) and the removed tier's refused, and
+# re-emitted byte for byte (format v5 pin) and the removed tier's refused, and
 # every state walk over every strict prefix of its own payload; then a few
 # seconds each of FuzzRestoreState and FuzzRestoreResealed (one word of a
 # section rewritten under a recomputed CRC). FuzzRestoreState's minimization
@@ -68,7 +70,7 @@ chaos-smoke:
 # new 20-50 KB snapshot it finds interesting, during which it reports 0
 # execs/s (FuzzRestoreResealed's inputs are four scalars).
 crash-smoke:
-	$(GO) test -run 'TestCheckpointResumeBitwise|TestRestoreRejectsCorruptSnapshots|TestAutoCheckpointRotationAndResume|TestCrashResumeHarnessCLI' -v .
+	$(GO) test -run 'TestCheckpointResumeBitwise|TestRestoreRejectsCorruptSnapshots|TestResealedWordsNeverPanicResult|TestAutoCheckpointRotationAndResume|TestCrashResumeHarnessCLI' -v .
 	$(GO) test -race -run 'TestCheckpointAfterHeadSideInsert|TestGoldenSnapshotsByteIdentical|TestStateWalksRejectEveryPrefix' -v .
 	$(GO) test -run=NONE -fuzz='FuzzRestoreState$$' -fuzztime=5s -fuzzminimizetime=200x .
 	$(GO) test -run=NONE -fuzz='FuzzRestoreResealed$$' -fuzztime=5s .

@@ -43,7 +43,6 @@ const (
 	secAgent   = "agent"
 	secAlloc   = "alloc"
 	secMetrics = "metrics"
-	secMerger  = "merger"
 )
 
 // fnv64a hashes b with FNV-1a (64-bit) — the snapshot's config fingerprint.
@@ -71,7 +70,7 @@ func (s *Session) configJSON() ([]byte, error) {
 // StepUntil / Drain calls qualifies.
 //
 // The snapshot captures the engine clock and pending timers, every queued
-// job, the cluster's power/reliability aggregates, the DRL
+// job, the cluster's total-power accumulator, the DRL
 // agent (weights, optimizer moments, replay buffer, RNG chains), the
 // allocator and per-server power-management policies, the fault clocks and
 // retry bookkeeping, and the metrics series — everything Restore needs to
@@ -97,12 +96,9 @@ func (s *Session) Checkpoint(w io.Writer) (err error) {
 	}
 	wr := checkpoint.NewWriter(fnv64a(cfgJSON))
 	wr.Section(secConfig).Bytes(cfgJSON)
-	eng := wr.Section(secEngine).Codec()
-	p := engineShardWord
-	eng.Int(&p)
 	// The writer buffers its sections, so the walk may return to the engine
 	// section after later ones; the file keeps the order of first opening.
-	err = s.state(eng, func(name string, walk func(*checkpoint.Codec)) error {
+	err = s.state(wr.Section(secEngine).Codec(), func(name string, walk func(*checkpoint.Codec)) error {
 		walk(wr.Section(name).Codec())
 		return nil
 	})
@@ -113,19 +109,11 @@ func (s *Session) Checkpoint(w io.Writer) (err error) {
 	return err
 }
 
-// engineShardWord documents the engine section's first word. Format v4 was
-// designed with a parallel tier that stepped P event lanes, and the word
-// counts them. Only the single lane remains, so every snapshot writes 1 and
-// Restore refuses any other count as a format it no longer reads; keeping the
-// word keeps every P = 1 snapshot byte-identical.
-const engineShardWord = 1
-
 // state walks every section after the config in the one order both
 // directions need: the lane clock first (the cluster's timers validate
 // against it), the cluster before the pump timer, then the layers above. eng
-// is the engine section, already past the shard-count word; section runs a
-// walk over each further one and, when decoding, reports its failure or an
-// unconsumed payload.
+// is the engine section; section runs a walk over each further one and, when
+// decoding, reports its failure or an unconsumed payload.
 func (s *Session) state(eng *checkpoint.Codec, section func(name string, walk func(*checkpoint.Codec)) error) error {
 	lane := s.lane.sm
 	now := lane.Now()
@@ -163,12 +151,7 @@ func (s *Session) state(eng *checkpoint.Codec, section func(name string, walk fu
 	if err != nil {
 		return err
 	}
-	if err := section(secMetrics, s.col.State); err != nil {
-		return err
-	}
-	// The merger section held the parallel tier's replay bookkeeping. Format
-	// v4 keeps it as a presence flag that is always false.
-	return section(secMerger, optional(secMerger, false, nil))
+	return section(secMetrics, s.col.State)
 }
 
 // optional wraps the walk of a component the snapshot records behind a
@@ -310,8 +293,8 @@ func (s *Session) sessionState(c *checkpoint.Codec) {
 // lives in the restored agent weights), so opts carry only the re-attachable
 // runtime state: WithObserver, WithContext, WithAutoCheckpoint. Restore
 // fails with ErrCorrupt, ErrVersion, or ErrConfigMismatch on damaged input,
-// never with a partially built session. A snapshot the removed parallel
-// tier wrote (shard count P >= 2) is a format this build no longer reads:
+// never with a partially built session. A snapshot of an earlier format
+// version, including every one the removed parallel tier wrote, is
 // ErrVersion.
 func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 	rd, err := checkpoint.NewReader(r)
@@ -324,18 +307,9 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 		return nil, err
 	}
 
-	engDec, err := rd.Section(secEngine)
+	eng, err := rd.Section(secEngine)
 	if err != nil {
 		return nil, err
-	}
-	eng := engDec.Codec()
-	var p int
-	eng.Int(&p)
-	if err := eng.Err(); err != nil {
-		return nil, err
-	}
-	if p != engineShardWord {
-		return nil, fmt.Errorf("%w: snapshot of the removed sharded tier (shard count %d; only 1 is read)", ErrVersion, p)
 	}
 
 	// Rebuild an equivalent empty session; every stateful component inside it
@@ -345,7 +319,7 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hierdrl: restore: rebuild session: %w", err)
 	}
-	err = s.state(eng, func(name string, walk func(*checkpoint.Codec)) error {
+	err = s.state(eng.Codec(), func(name string, walk func(*checkpoint.Codec)) error {
 		d, err := rd.Section(name)
 		if err != nil {
 			return err
@@ -353,6 +327,12 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 		walk(d.Codec())
 		return d.Err()
 	})
+	if err == nil {
+		// Every ingested job is completed, lost, on a server, or still pending.
+		if got := s.cl.Completed() + int64(s.cl.JobsInSystem()) + s.lost + int64(s.pq.pending()); got != s.ingested {
+			err = fmt.Errorf("%w: %d jobs ingested, %d completed, lost, on a server or pending", ErrCorrupt, s.ingested, got)
+		}
+	}
 	if err != nil {
 		s.Close()
 		return nil, err

@@ -4,6 +4,8 @@ package hierdrl_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"hierdrl"
@@ -44,4 +46,64 @@ func TestRestoreAllocsFlatInReplayFill(t *testing.T) {
 	if d := many - few; d >= 64 || d <= -64 {
 		t.Fatalf("Restore allocs move with the replay fill: %.0f at ~200 slots, %.0f at ~2,000", few, many)
 	}
+}
+
+// TestResealedWordsNeverPanicResult rewrites, one at a time, every 8-byte
+// word of smallSnapshot's cluster and metrics sections — as 1 and as its
+// original value + 1, each under a recomputed CRC — and drives every snapshot
+// Restore accepts through Drain to its Result. Each case must end in an error
+// wrapping one of the three sentinels or in a finished Result, never in a
+// panic: a stored value that disagrees with the state it summarizes is
+// rejected at Restore or never stored. The fault-clock and agent sections are
+// left to FuzzRestoreResealed's Restore-and-step property.
+func TestResealedWordsNeverPanicResult(t *testing.T) {
+	good := smallSnapshot(t)
+	cases, accepted := 0, 0
+	var failures []string
+	for _, name := range []string{"cluster", "metrics"} {
+		sp := findSection(good, name)
+		for off := 0; off+8 <= sp.n; off++ {
+			orig := binary.LittleEndian.Uint64(good[sp.payload+off:])
+			for _, word := range []uint64{1, orig + 1} {
+				cases++
+				data := resealWord(append([]byte(nil), good...), sp, off, word)
+				ok, err := restoreAndFinish(data)
+				switch {
+				case err != nil && !wrapsSentinel(err):
+					failures = append(failures, fmt.Sprintf("%s word at %d = %#x: error wraps no sentinel: %v", name, off, word, err))
+				case err != nil:
+				case ok:
+					accepted++
+				}
+			}
+		}
+	}
+	t.Logf("%d resealed words, %d finished with a Result", cases, accepted)
+	for i, f := range failures {
+		if i == 20 {
+			t.Errorf("... and %d more", len(failures)-i)
+			break
+		}
+		t.Error(f)
+	}
+}
+
+// restoreAndFinish restores data and drains the session to its Result. ok
+// reports a finished Result; a panic anywhere on the way comes back as an
+// error that wraps no sentinel.
+func restoreAndFinish(data []byte) (ok bool, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			ok, err = false, fmt.Errorf("panic: %v", p)
+		}
+	}()
+	s, err := hierdrl.Restore(bytes.NewReader(data))
+	if err != nil {
+		return false, err
+	}
+	defer s.Close()
+	if err := finishRun(s); err != nil {
+		return false, err
+	}
+	return true, nil
 }

@@ -270,10 +270,10 @@ var snapshotCorruptions = []struct {
 		binary.LittleEndian.PutUint32(b[8:], 99)
 		return b
 	}, hierdrl.ErrVersion},
-	// Format v3 (the replay ring with a stored successor per slot) is not
-	// read by a v4 reader.
+	// Format v4 (the cluster's derived aggregates stored beside the
+	// servers) is not read by a v5 reader.
 	{"previous-version", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[8:], 3)
+		binary.LittleEndian.PutUint32(b[8:], 4)
 		return b
 	}, hierdrl.ErrVersion},
 	{"fingerprint-flip", func(b []byte) []byte { b[12] ^= 0xFF; return b }, hierdrl.ErrConfigMismatch},
@@ -322,6 +322,21 @@ var snapshotCorruptions = []struct {
 	// servers of CPU; dispatching it used to panic the cluster.
 	{"queued-demand-over-capacity", func(b []byte) []byte {
 		return resealWord(b, findSection(b, "session"), 41, math.Float64bits(2))
+	}, hierdrl.ErrCorrupt},
+	// CRC-valid: server 0's draining flag (after the 20-record job table, the
+	// faults flag, and the server's power state, utilization, pending demand
+	// and degrade bookkeeping) set on a fault-free cluster; its next job
+	// completion used to power it off for maintenance with no fault clock to
+	// draw the repair from, and panic.
+	{"draining-without-drain-model", func(b []byte) []byte {
+		return resealWord(b, findSection(b, "cluster"), 1562, 1)
+	}, hierdrl.ErrCorrupt},
+	// CRC-valid: the metrics section's sketch-only flag (after the latency
+	// sum, the 150 waits, the 150 latencies and the empty checkpoint
+	// series) set on a run that keeps no sketches; Result used to
+	// read percentiles from the missing latency sketch and panic.
+	{"sketch-only-without-sketches", func(b []byte) []byte {
+		return resealWord(b, findSection(b, "metrics"), 2432, 1)
 	}, hierdrl.ErrCorrupt},
 }
 

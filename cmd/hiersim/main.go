@@ -629,7 +629,7 @@ func printResult(res *hierdrl.Result, series bool) {
 	fmt.Printf("p95 latency       %.1f s\n", s.P95LatencySec)
 	fmt.Printf("p50/p99 latency   %.1f / %.1f s\n", s.P50LatencySec, s.P99LatencySec)
 	fmt.Printf("mean wait         %.1f s\n", s.MeanWaitSec)
-	fmt.Printf("wakeups/shutdowns %d / %d\n", res.TotalWakeups, res.TotalShutdowns)
+	fmt.Printf("wakeups/shutdowns %d / %d\n", res.Summary.Wakeups, res.Summary.Shutdowns)
 	if s.Failures > 0 {
 		fmt.Printf("availability      %.4f\n", s.Availability)
 		fmt.Printf("failures/repairs  %d / %d (MTTR %.0f s)\n", s.Failures, s.Repairs, s.MTTRSec)

@@ -85,7 +85,7 @@ func main() {
 		}
 		fmt.Printf("%-22s %12.3f %12.1f %12d %12.1f\n",
 			sys.name, res.Summary.EnergykWh, res.Summary.AvgLatencySec,
-			res.TotalWakeups, res.Summary.AvgPowerW)
+			res.Summary.Wakeups, res.Summary.AvgPowerW)
 	}
 	fmt.Println("\nthe RL manager should land between always-on (fast, hungry)")
 	fmt.Println("and ad-hoc (frugal, slow): most of the energy saving at a")

@@ -82,7 +82,7 @@ func main() {
 	fmt.Printf("  avg power    %.1f W\n", res.Summary.AvgPowerW)
 	fmt.Printf("  avg latency  %.1f s per job\n", res.Summary.AvgLatencySec)
 	fmt.Printf("  transitions  %d wakeups, %d shutdowns\n",
-		res.TotalWakeups, res.TotalShutdowns)
+		res.Summary.Wakeups, res.Summary.Shutdowns)
 	fmt.Printf("  agent        %s\n", res.AgentDiag)
 
 	// Baseline for context: round-robin with always-on servers (the batch

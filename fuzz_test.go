@@ -38,7 +38,7 @@ func agentSnapshot(t testing.TB) []byte {
 // FuzzRestoreState throws arbitrary bytes at the snapshot restore path. The
 // seed corpus is one pristine mid-run snapshot from a fault-free run, every
 // corruption class of snapshotCorruptions, two of the pinned golden snapshots
-// (format v4) — a fault-enabled run (fault clocks, retry map) and a
+// (format v5) — a fault-enabled run (fault clocks, retry map) and a
 // sketch-only fault run (metrics sketch extension) — and agentSnapshot, so the fuzzer starts from the exact byte
 // layouts the rejection table and the format pin hold, one of them mostly
 // replay memory, and mutates outward. The invariant: Restore either rejects
@@ -124,13 +124,30 @@ func resealWord(snap []byte, sp sectionSpan, off int, word uint64) []byte {
 	return snap
 }
 
+// wrapsSentinel reports whether err wraps one of the three snapshot error
+// sentinels.
+func wrapsSentinel(err error) bool {
+	return errors.Is(err, hierdrl.ErrCorrupt) || errors.Is(err, hierdrl.ErrVersion) ||
+		errors.Is(err, hierdrl.ErrConfigMismatch)
+}
+
+// finishRun drains a restored session and summarizes it.
+func finishRun(s *hierdrl.Session) error {
+	if err := s.Drain(); err != nil {
+		return err
+	}
+	_, err := s.Result()
+	return err
+}
+
 // FuzzRestoreResealed patches one 8-byte word of one section of a valid
 // snapshot — the small fault-free one or agentSnapshot — and recomputes that
 // section's CRC. FuzzRestoreState's byte mutations almost never get past the
 // CRC check; these always do, so every count, cursor, flag and value a state
 // walk reads is exposed to arbitrary input. The invariant: Restore returns an
 // error wrapping one of the three sentinels, or a session that steps 200
-// events; it never panics or hangs.
+// events; it never panics or hangs. Outside the agent section an accepted
+// session must also drain to its Result without panicking.
 func FuzzRestoreResealed(f *testing.F) {
 	snaps := [][]byte{smallSnapshot(f), agentSnapshot(f)}
 	session := 0
@@ -154,13 +171,16 @@ func FuzzRestoreResealed(f *testing.F) {
 		data := resealWord(append([]byte(nil), snap...), sp, int(off)%(sp.n-7), word)
 		s, err := hierdrl.Restore(bytes.NewReader(data))
 		if err != nil {
-			if !errors.Is(err, hierdrl.ErrCorrupt) && !errors.Is(err, hierdrl.ErrVersion) &&
-				!errors.Is(err, hierdrl.ErrConfigMismatch) {
+			if !wrapsSentinel(err) {
 				t.Fatalf("section %q word at %d = %#x: error wraps no sentinel: %v", sp.name, int(off)%(sp.n-7), word, err)
 			}
 			return
 		}
 		defer s.Close()
+		if sp.name != "agent" {
+			_ = finishRun(s) // an error is an outcome; only a panic fails
+			return
+		}
 		for i := 0; i < 200; i++ {
 			more, err := s.Step()
 			if err != nil || !more {

@@ -358,7 +358,11 @@ type Result struct {
 	// AgentDiag describes the DRL agent's learning state ("" for
 	// non-learning allocators).
 	AgentDiag string
-	// TotalWakeups and TotalShutdowns count server mode transitions.
+	// TotalWakeups and TotalShutdowns repeat Summary.Wakeups and
+	// Summary.Shutdowns.
+	//
+	// Deprecated: read Summary.Wakeups and Summary.Shutdowns. The fields stay
+	// because the repository benchmark (bench/) reads them.
 	TotalWakeups   int64
 	TotalShutdowns int64
 }

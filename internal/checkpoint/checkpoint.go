@@ -41,7 +41,12 @@ const Magic = "HDRLCKPT"
 // Version 4 stores each DRL observation once: a replay transition no longer
 // carries its successor state, a state is one fixed-length block, and the
 // replay slot generations and the target-sync counter (read by nothing) left.
-const Version uint32 = 4
+// Version 5 stores each cluster fact once: the aggregates derived from the
+// servers (and the metrics copies of the completion count and the session's
+// fault tallies) are rebuilt on restore instead of stored, and the engine's
+// shard-count word, the always-empty merger section and the agent's unread
+// pending-decision instant are gone.
+const Version uint32 = 5
 
 // maxSectionLen bounds a single section payload (1 GiB) so a corrupt length
 // field cannot drive a huge allocation before the CRC check runs.

@@ -140,7 +140,6 @@ type Cluster struct {
 	jobs jobsMultiset
 
 	completed int64
-	submitted int64
 
 	// Fault-layer bookkeeping: down counts currently-down servers (crashed or
 	// powered off for maintenance), draining counts servers with an open
@@ -210,7 +209,6 @@ func New(cfg Config, sm *sim.Simulator, dpmFactory func(serverID int) DPMPolicy)
 		reliTerms: make([]float64, m*NumResources),
 		reliHot:   make([]uint64, (m+63)/64),
 	}
-	c.jobs.init(m) // every server starts empty
 	for i := 0; i < m; i++ {
 		dpm := dpmFactory(i)
 		s, err := NewServer(i, sm, cfg.serverConfigFor(i), dpm)
@@ -220,9 +218,9 @@ func New(cfg Config, sm *sim.Simulator, dpmFactory func(serverID int) DPMPolicy)
 		s.SetHooks(c.serverUpdated, c.jobDone)
 		s.SetTransitionHook(c.serverTransition)
 		c.servers[i] = s
-		c.prevPower[i] = s.Power()
 		c.totalPower += s.Power()
 	}
+	c.rebuildAggregates()
 	return c, nil
 }
 
@@ -240,7 +238,6 @@ func (c *Cluster) Submit(j *Job, server int) {
 	if server < 0 || server >= len(c.servers) {
 		panic(fmt.Sprintf("cluster: Submit to invalid server %d of %d", server, len(c.servers)))
 	}
-	c.submitted++
 	c.servers[server].Submit(j)
 }
 
@@ -492,9 +489,6 @@ func (c *Cluster) TotalPower() float64 { return c.totalPower }
 // JobsInSystem returns the number of jobs queued or running anywhere.
 func (c *Cluster) JobsInSystem() int { return c.jobsInSystem }
 
-// Submitted returns the number of jobs dispatched so far.
-func (c *Cluster) Submitted() int64 { return c.submitted }
-
 // Completed returns the number of jobs finished so far.
 func (c *Cluster) Completed() int64 { return c.completed }
 
@@ -546,7 +540,7 @@ func (c *Cluster) ReliabilityObj() float64 {
 
 // reliabilityRecompute is the reference scan of the reliability objective,
 // recomputing every penalty term from live server state in ascending server
-// order. InvariantCheck and the equivalence tests compare it against the
+// order. checkAggregates and the equivalence tests compare it against the
 // incremental value bit for bit.
 func (c *Cluster) reliabilityRecompute() float64 {
 	theta := c.cfg.HotSpotThreshold
@@ -634,46 +628,74 @@ func (c *Cluster) SnapshotInto(v *View) *View {
 	return v
 }
 
-// InvariantCheck recomputes the aggregates from scratch and panics if the
-// incremental bookkeeping drifted. Tests call it liberally.
-func (c *Cluster) InvariantCheck() {
+// rebuildAggregates recomputes every derived aggregate from the servers:
+// the per-server power and jobs caches, jobs in system and its running
+// maximum, the reliability terms, the down/draining/fault counters, the
+// completions and the load index. Every value is exactly what the
+// incremental bookkeeping would hold — integers, copies of each server's
+// draw, and updateReliTerms output — so a restored cluster rebuilds them
+// instead of storing them. Only totalPower, a floating-point running sum
+// whose bits depend on its history, is left alone.
+func (c *Cluster) rebuildAggregates() {
+	c.jobsInSystem, c.completed, c.down, c.draining, c.fails = 0, 0, 0, 0, 0
+	for i, s := range c.servers {
+		c.prevPower[i] = s.Power()
+		c.prevJobs[i] = s.JobsInSystem()
+		c.jobsInSystem += c.prevJobs[i]
+		updateReliTerms(c.reliTerms, c.reliHot, i, s.CommittedUtilization(), c.cfg.HotSpotThreshold)
+		c.completed += s.completed
+		c.fails += s.fails
+		if s.Down() {
+			c.down++
+		}
+		if s.draining {
+			c.draining++
+		}
+	}
+	c.jobs.init(c.prevJobs)
+	c.reliDirty = true
+	if c.idx != nil {
+		c.rebuildLoadIndex()
+	}
+}
+
+// checkAggregates recomputes the aggregates from scratch and reports where
+// the incremental bookkeeping drifted. Decoding runs it on a restored
+// cluster, where only the stored total power can disagree.
+func (c *Cluster) checkAggregates() error {
 	var power float64
-	jobs := 0
+	jobs, down, unavail := 0, 0, 0
 	for _, s := range c.servers {
 		power += s.Power()
 		jobs += s.JobsInSystem()
-	}
-	if math.Abs(power-c.TotalPower()) > 1e-6 {
-		panic(fmt.Sprintf("cluster: power drift: incremental %v recomputed %v",
-			c.TotalPower(), power))
-	}
-	if jobs != c.JobsInSystem() {
-		panic(fmt.Sprintf("cluster: jobs drift: incremental %d recomputed %d",
-			c.JobsInSystem(), jobs))
-	}
-	if inc, ref := c.ReliabilityObj(), c.reliabilityRecompute(); inc != ref {
-		panic(fmt.Sprintf("cluster: reliability drift: incremental %v recomputed %v",
-			inc, ref))
-	}
-	down := 0
-	for _, s := range c.servers {
 		if s.Down() {
 			down++
 		}
-	}
-	if down != c.DownServers() {
-		panic(fmt.Sprintf("cluster: down-server drift: incremental %d recomputed %d",
-			c.DownServers(), down))
-	}
-	unavail := 0
-	for _, s := range c.servers {
 		if s.Down() || s.Draining() {
 			unavail++
 		}
 	}
-	if unavail != c.UnavailableServers() {
-		panic(fmt.Sprintf("cluster: unavailable-server drift: incremental %d recomputed %d",
-			c.UnavailableServers(), unavail))
+	switch {
+	case !(math.Abs(power-c.TotalPower()) <= 1e-6):
+		return fmt.Errorf("cluster: power drift: incremental %v recomputed %v", c.TotalPower(), power)
+	case jobs != c.JobsInSystem():
+		return fmt.Errorf("cluster: jobs drift: incremental %d recomputed %d", c.JobsInSystem(), jobs)
+	case down != c.DownServers():
+		return fmt.Errorf("cluster: down-server drift: incremental %d recomputed %d", c.DownServers(), down)
+	case unavail != c.UnavailableServers():
+		return fmt.Errorf("cluster: unavailable-server drift: incremental %d recomputed %d", c.UnavailableServers(), unavail)
+	}
+	if inc, ref := c.ReliabilityObj(), c.reliabilityRecompute(); inc != ref {
+		return fmt.Errorf("cluster: reliability drift: incremental %v recomputed %v", inc, ref)
+	}
+	return nil
+}
+
+// InvariantCheck recomputes the aggregates from scratch and panics if the
+// incremental bookkeeping drifted. Tests call it liberally.
+func (c *Cluster) InvariantCheck() {
+	if err := c.checkAggregates(); err != nil {
+		panic(err.Error())
 	}
 	if c.idx != nil {
 		c.idx.invariantCheck(c)
@@ -687,10 +709,16 @@ type jobsMultiset struct {
 	max     int
 }
 
-func (m *jobsMultiset) init(servers int) {
-	m.buckets = make([]int, 8)
-	m.buckets[0] = servers // every server starts empty
+// init fills the multiset from every server's jobs-in-system count.
+func (m *jobsMultiset) init(counts []int) {
 	m.max = 0
+	for _, n := range counts {
+		m.max = max(m.max, n)
+	}
+	m.buckets = make([]int, max(8, m.max+1))
+	for _, n := range counts {
+		m.buckets[n]++
+	}
 }
 
 // move shifts one server's jobs-in-system count between buckets and

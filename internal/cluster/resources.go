@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"hierdrl/internal/trace"
 )
@@ -60,6 +61,17 @@ func (r Resources) NonNegative() bool {
 	const eps = 1e-9
 	for _, v := range r {
 		if v < -eps {
+			return false
+		}
+	}
+	return true
+}
+
+// near reports whether r and o agree to within rounding (1e-9 in every
+// component); a NaN component never does.
+func (r Resources) near(o Resources) bool {
+	for p := range r {
+		if !(math.Abs(r[p]-o[p]) <= 1e-9) {
 			return false
 		}
 	}

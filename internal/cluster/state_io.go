@@ -13,9 +13,11 @@ import (
 
 // This file walks the complete resumable state of a cluster at an event
 // boundary: every live job (waiting or executing), every server's structural
-// and timer state, and the incremental aggregates — verbatim, so a
-// restored run's floating-point accumulators continue bit for bit. Each field
-// is named once; the Codec decides whether the walk writes or reads it.
+// and timer state, and the one aggregate that cannot be recomputed — the
+// total-power accumulator, verbatim, so a restored run continues bit for
+// bit. Every other aggregate is derived from the servers and rebuilt on
+// decoding (rebuildAggregates), never stored. Each field is named once; the
+// Codec decides whether the walk writes or reads it.
 //
 // Timers are captured as (at, seq) pairs and re-scheduled through
 // sim.ScheduleRestored with their original trampolines, which the restoring
@@ -58,49 +60,6 @@ func TimerState(c *checkpoint.Codec, tm *sim.Timer, sm *sim.Simulator, fn func(a
 func (r *Resources) state(c *checkpoint.Codec) {
 	for p := range r {
 		c.F64(&r[p])
-	}
-}
-
-// state walks a jobs-in-system multiset verbatim, validating the cursor.
-func (m *jobsMultiset) state(c *checkpoint.Codec) {
-	buckets, max := m.buckets, m.max
-	c.Ints(&buckets)
-	c.Int(&max)
-	if !c.Decoding() || c.Err() != nil {
-		return
-	}
-	if len(buckets) == 0 || max < 0 || max >= len(buckets) {
-		c.Fail(checkpoint.ErrCorrupt, "jobs multiset max %d over %d buckets", max, len(buckets))
-		return
-	}
-	m.buckets, m.max = buckets, max
-}
-
-// aggregatesState walks the per-server aggregate arrays. Their widths are
-// construction config: a snapshot of another cluster size is a mismatch.
-func aggregatesState(c *checkpoint.Codec, prevPower []float64, prevJobs []int, reliTerms []float64, reliHot []uint64) {
-	pp, pj, rt := prevPower, prevJobs, reliTerms
-	c.F64s(&pp)
-	c.Ints(&pj)
-	c.F64s(&rt)
-	nh := c.Count(len(reliHot), 8)
-	if c.Err() != nil {
-		return
-	}
-	if len(pp) != len(prevPower) || len(pj) != len(prevJobs) || len(rt) != len(reliTerms) {
-		c.Fail(checkpoint.ErrConfigMismatch, "aggregate widths (%d,%d,%d), want (%d,%d,%d)",
-			len(pp), len(pj), len(rt), len(prevPower), len(prevJobs), len(reliTerms))
-		return
-	}
-	if nh != len(reliHot) {
-		c.Fail(checkpoint.ErrConfigMismatch, "hot bitset length %d, want %d", nh, len(reliHot))
-		return
-	}
-	copy(prevPower, pp)
-	copy(prevJobs, pj)
-	copy(reliTerms, rt)
-	for i := range reliHot {
-		c.U64(&reliHot[i])
 	}
 }
 
@@ -181,9 +140,11 @@ func (t *jobTable) ref(c *checkpoint.Codec, j **Job, running bool) {
 const jobRecBytes = (6+NumResources)*8 + 2
 
 // State implements checkpoint.Stateful: the live job table, every server,
-// and the aggregates. It must run at an event boundary. Decoding overwrites a
-// freshly constructed cluster of the same configuration and re-schedules
-// every live timer on the (already RestoreBegin-reset) lane.
+// and the total-power accumulator. It must run at an event boundary. Decoding
+// overwrites a freshly constructed cluster of the same configuration,
+// re-schedules every live timer on the (already RestoreBegin-reset) lane, and
+// rebuilds the derived aggregates; a stored total power they contradict is
+// corrupt.
 func (c *Cluster) State(cd *checkpoint.Codec) {
 	dec := cd.Decoding()
 	tab := &jobTable{}
@@ -239,20 +200,11 @@ func (c *Cluster) State(cd *checkpoint.Codec) {
 	}
 
 	cd.F64(&c.totalPower)
-	cd.Int(&c.jobsInSystem)
-	aggregatesState(cd, c.prevPower, c.prevJobs, c.reliTerms, c.reliHot)
-	cd.Bool(&c.reliDirty)
-	cd.F64(&c.reliSum)
-	c.jobs.state(cd)
-	cd.I64(&c.completed)
-	cd.I64(&c.submitted)
-	cd.Int(&c.down)
-	cd.Int(&c.draining)
-	cd.I64(&c.fails)
-	// The load index is derived state: rebuild it from the restored servers
-	// rather than trusting (and having to validate) a serialized copy.
-	if dec && cd.Err() == nil && c.idx != nil {
-		c.rebuildLoadIndex()
+	if dec && cd.Err() == nil {
+		c.rebuildAggregates()
+		if err := c.checkAggregates(); err != nil {
+			cd.Fail(checkpoint.ErrCorrupt, "%v", err)
+		}
 	}
 }
 
@@ -266,8 +218,6 @@ func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *jobTable, ru
 	}
 	s.used.state(cd)
 	s.pending.state(cd)
-	cd.Int(&s.running)
-	cd.F64(&s.speed)
 	cd.Bool(&s.degraded)
 	cd.F64((*float64)(&s.degradedAt))
 	cd.F64(&s.degradedSec)
@@ -276,13 +226,19 @@ func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *jobTable, ru
 	if cd.Err() != nil {
 		return
 	}
-	if !(s.speed > 0) || math.IsInf(s.speed, 1) {
-		cd.Fail(checkpoint.ErrCorrupt, "server %d effective speed %v", s.id, s.speed)
+	// Only the drain model drains and only the degrade model degrades; a
+	// fault-free server's zero kind is the crash model's.
+	if s.draining && (st != StateActive || s.fkind != fault.KindDrain) ||
+		s.degraded && s.fkind != fault.KindDegrade {
+		cd.Fail(checkpoint.ErrCorrupt, "server %d draining=%v degraded=%v in power state %v, which its fault model cannot produce",
+			s.id, s.draining, s.degraded, st)
 		return
 	}
-	if s.draining && st != StateActive {
-		cd.Fail(checkpoint.ErrCorrupt, "server %d draining in power state %v", s.id, st)
-		return
+	if dec {
+		// The effective speed follows from the degraded flag.
+		if s.speed = s.baseSpeed; s.degraded {
+			s.speed = s.degradeTo
+		}
 	}
 
 	queue := s.queue[s.qhead:]
@@ -300,12 +256,15 @@ func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *jobTable, ru
 		return
 	}
 	if dec {
-		if s.running != nr {
-			cd.Fail(checkpoint.ErrCorrupt, "server %d running count %d, %d completion timers", s.id, s.running, nr)
+		// Jobs execute only on an active server, and wait only behind
+		// executing ones or for a power transition to finish; any other
+		// phase would strand them.
+		if nr > 0 && st != StateActive || nq > 0 && nr == 0 && st != StateWaking && st != StateShuttingDown {
+			cd.Fail(checkpoint.ErrCorrupt, "server %d in power state %v with %d waiting and %d executing jobs", s.id, st, nq, nr)
 			return
 		}
 		run = make([]*Job, nr)
-		s.runJobs = s.runJobs[:0]
+		s.runJobs, s.running = s.runJobs[:0], nr
 	}
 	for k := range run {
 		var at sim.Time
@@ -336,14 +295,19 @@ func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *jobTable, ru
 	}
 
 	if dec {
-		// Each completion returns its job's demand: the executing jobs
-		// together must not hold more than the server's utilization.
-		left := s.used
+		// The utilization and the pending demand are running sums of the
+		// executing and the waiting jobs' demands: they may differ from a
+		// fresh sum by rounding only.
+		var ran, waiting Resources
 		for _, j := range run {
-			left = left.Sub(j.Req)
+			ran = ran.Add(j.Req)
 		}
-		if !left.NonNegative() {
-			cd.Fail(checkpoint.ErrCorrupt, "server %d utilization %v below its executing demand", s.id, s.used)
+		for _, j := range queue {
+			waiting = waiting.Add(j.Req)
+		}
+		if !s.used.near(ran) || !s.pending.near(waiting) {
+			cd.Fail(checkpoint.ErrCorrupt, "server %d utilization %v and pending demand %v, its jobs demand %v and %v",
+				s.id, s.used, s.pending, ran, waiting)
 			return
 		}
 	}

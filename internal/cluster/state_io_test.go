@@ -248,44 +248,65 @@ func TestClusterRestoreFaultFlagMismatch(t *testing.T) {
 	}
 }
 
-// TestMergerStateRoundTrip drives the cluster's incremental accumulators to
-// arbitrary values and verifies the state walk restores them verbatim into a
-// fresh cluster (the replayed FP accumulators must continue bit for bit).
+// TestMergerStateRoundTrip checks the split the state walk makes between
+// stored and rebuilt aggregates on a crash-model cluster stopped mid-run:
+// the total-power accumulator, whose bits depend on its history, round-trips
+// verbatim (here nudged off the fresh sum, within the drift tolerance), and
+// every other aggregate is rebuilt to exactly what the uninterrupted
+// cluster's incremental bookkeeping holds.
 func TestMergerStateRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(6)
+	model, err := fault.NewExpCrash(3, 60, 4)
+	if err != nil {
+		t.Fatalf("NewExpCrash: %v", err)
+	}
 	mk := func() (*Cluster, *sim.Simulator) {
 		sm := sim.New()
 		c, err := New(cfg, sm, func(int) DPMPolicy { return statelessDPM{timeout: 3} })
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
+		c.EnableFaults(model.ClockFor, fault.KindCrash, 1)
+		c.OnInterrupt = func(sim.Time, *Job) {}
 		return c, sm
 	}
 	c1, sm1 := mk()
-	c1.totalPower = 1234.5678
-	c1.jobsInSystem = 17
-	for i := range c1.prevPower {
-		c1.prevPower[i] = 100 + float64(i)*1.25
-		c1.prevJobs[i] = i * 3
-		c1.reliTerms[i] = float64(i) * 0.015625
+	buildWorkload(sm1, c1, 36)
+	sm1.Run(45)
+	if c1.JobsInSystem() == 0 || c1.Completed() == 0 || c1.Failures() == 0 {
+		t.Fatalf("need live jobs, completions and crashes at the checkpoint: %d in system, %d done, %d crashes",
+			c1.JobsInSystem(), c1.Completed(), c1.Failures())
 	}
-	c1.reliHot[0] = 0x2a
-	c1.reliDirty = true
-	c1.jobs.buckets[3] = 5
-	c1.jobs.max = 3
-	c1.completed, c1.submitted = 11, 13
+	c1.totalPower = math.Nextafter(c1.totalPower, math.Inf(1))
 
 	c2, _ := roundTrip(t, c1, sm1, mk)
-	if c2.totalPower != c1.totalPower || c2.jobsInSystem != c1.jobsInSystem ||
-		c2.completed != c1.completed || c2.submitted != c1.submitted || c2.reliDirty != c1.reliDirty {
-		t.Fatalf("scalars diverge: (%v,%d) vs (%v,%d)", c2.totalPower, c2.jobsInSystem, c1.totalPower, c1.jobsInSystem)
+	if math.Float64bits(c2.totalPower) != math.Float64bits(c1.totalPower) {
+		t.Fatalf("total power %v, stored %v", c2.totalPower, c1.totalPower)
+	}
+	if c2.jobsInSystem != c1.jobsInSystem || c2.completed != c1.completed || c2.down != c1.down ||
+		c2.draining != c1.draining || c2.fails != c1.fails || c2.jobs.max != c1.jobs.max {
+		t.Fatalf("counters diverge: rebuilt %d/%d/%d/%d/%d/%d, incremental %d/%d/%d/%d/%d/%d",
+			c2.jobsInSystem, c2.completed, c2.down, c2.draining, c2.fails, c2.jobs.max,
+			c1.jobsInSystem, c1.completed, c1.down, c1.draining, c1.fails, c1.jobs.max)
 	}
 	for i := range c1.prevPower {
-		if c2.prevPower[i] != c1.prevPower[i] || c2.prevJobs[i] != c1.prevJobs[i] || c2.reliTerms[i] != c1.reliTerms[i] {
-			t.Fatalf("per-server accumulators diverge at %d", i)
+		if c2.prevPower[i] != c1.prevPower[i] || c2.prevJobs[i] != c1.prevJobs[i] {
+			t.Fatalf("server %d caches diverge", i)
 		}
 	}
-	if c2.reliHot[0] != c1.reliHot[0] || c2.jobs.max != c1.jobs.max || c2.jobs.buckets[3] != c1.jobs.buckets[3] {
-		t.Fatal("reliability bitset or jobs multiset diverged")
+	for i := range c1.reliTerms {
+		if math.Float64bits(c2.reliTerms[i]) != math.Float64bits(c1.reliTerms[i]) {
+			t.Fatalf("reliability term %d diverges", i)
+		}
 	}
+	if c2.reliHot[0] != c1.reliHot[0] ||
+		math.Float64bits(c2.ReliabilityObj()) != math.Float64bits(c1.ReliabilityObj()) {
+		t.Fatal("reliability objective diverges")
+	}
+	for i, n := range c1.jobs.buckets {
+		if i < len(c2.jobs.buckets) && c2.jobs.buckets[i] != n || i >= len(c2.jobs.buckets) && n != 0 {
+			t.Fatalf("jobs multiset bucket %d diverges", i)
+		}
+	}
+	c2.InvariantCheck()
 }

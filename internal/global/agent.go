@@ -49,10 +49,6 @@ type Agent struct {
 	hasPending    bool
 	pendingState  State
 	pendingAction int
-	// pendingTime is the pending pair's decision instant. Nothing reads it
-	// back since the engine's clock can no longer trail a decision, but
-	// snapshot format v4 records it.
-	pendingTime sim.Time
 
 	// behavior, when non-nil, overrides action selection (Algorithm 1's
 	// offline phase allows an arbitrary or refined behaviour policy to
@@ -174,7 +170,6 @@ func (a *Agent) Allocate(j *cluster.Job, v *cluster.View) int {
 	a.actionCounts[action]++
 	state.CloneInto(&a.pendingState)
 	a.pendingAction = action
-	a.pendingTime = v.Now
 	a.hasPending = true
 	a.integ.Reset(v.Now.Seconds(), a.rewardRate())
 	a.decisions++

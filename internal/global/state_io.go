@@ -101,7 +101,6 @@ func (a *Agent) State(c *checkpoint.Codec) {
 	c.Bool(&a.hasPending)
 	a.pendingState.state(c)
 	c.Int(&a.pendingAction)
-	c.F64((*float64)(&a.pendingTime))
 	c.Bool(&a.frozen)
 	c.I64(&a.decisions)
 	c.I64(&a.updates)

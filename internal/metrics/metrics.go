@@ -80,7 +80,6 @@ type Collector struct {
 	accLatency float64
 	waits      []float64
 	latencies  []float64
-	completed  int
 
 	checkpoints []Checkpoint
 	clusterRef  *cluster.Cluster
@@ -98,15 +97,6 @@ type Collector struct {
 	sk         *telemetry.SketchSet
 	sketchOnly bool
 	waitSum    float64
-
-	// Fault tallies, owned by the session's retry path and pushed down via
-	// SetFaultTallies before Summarize.
-	interrupted int64
-	migrated    int64
-	retried     int64
-	lost        int64
-	lostWork    float64
-	domOutages  int64
 }
 
 // NewCollector returns a collector that records a checkpoint every
@@ -129,7 +119,8 @@ func (c *Collector) EnableSketches(sk *telemetry.SketchSet, sketchOnly bool) {
 // Sketches returns the attached sketch set (nil unless enabled).
 func (c *Collector) Sketches() *telemetry.SketchSet { return c.sk }
 
-// JobDone records a completed job. Wire it to cluster.OnJobDone.
+// JobDone records a completed job. Wire it to cluster.OnJobDone, which fires
+// after the cluster counted the completion.
 func (c *Collector) JobDone(t sim.Time, j *cluster.Job) {
 	lat := j.Latency()
 	c.accLatency += lat
@@ -143,10 +134,9 @@ func (c *Collector) JobDone(t sim.Time, j *cluster.Job) {
 		c.latencies = append(c.latencies, lat)
 		c.waits = append(c.waits, wait)
 	}
-	c.completed++
-	if c.checkpointEvery > 0 && c.completed%c.checkpointEvery == 0 {
+	if n := c.Completed(); c.checkpointEvery > 0 && n%c.checkpointEvery == 0 {
 		cp := Checkpoint{
-			Jobs:          c.completed,
+			Jobs:          n,
 			Time:          t,
 			AccLatencySec: c.accLatency,
 			EnergykWh:     c.clusterRef.TotalEnergyJoules(t) / JoulesPerKWh,
@@ -179,20 +169,8 @@ func (c *Collector) Reserve(n int) {
 	c.waits = w
 }
 
-// SetFaultTallies records the session-level retry accounting (crash
-// evictions, drain migrations, requeues, drops, whole-domain outage episodes,
-// and the discarded-work integral) so Summarize can surface it.
-func (c *Collector) SetFaultTallies(interrupted, migrated, retried, lost, domainOutages int64, lostWorkSec float64) {
-	c.interrupted = interrupted
-	c.migrated = migrated
-	c.retried = retried
-	c.lost = lost
-	c.domOutages = domainOutages
-	c.lostWork = lostWorkSec
-}
-
-// Completed returns the number of completions recorded.
-func (c *Collector) Completed() int { return c.completed }
+// Completed returns the number of completions recorded: the cluster's count.
+func (c *Collector) Completed() int { return int(c.clusterRef.Completed()) }
 
 // AccLatency returns the accumulated latency in seconds.
 func (c *Collector) AccLatency() float64 { return c.accLatency }
@@ -200,13 +178,16 @@ func (c *Collector) AccLatency() float64 { return c.accLatency }
 // Checkpoints returns the recorded Fig. 8/9 series.
 func (c *Collector) Checkpoints() []Checkpoint { return c.checkpoints }
 
-// Summarize produces the Table I row at the current simulation time.
+// Summarize produces the Table I row at the current simulation time. The
+// retry-path fault tallies (JobsInterrupted through DomainOutages) belong to
+// the caller, which fills them in.
 func (c *Collector) Summarize(policy string, now sim.Time) Summary {
 	energyJ := c.clusterRef.TotalEnergyJoules(now)
+	n := c.Completed()
 	s := Summary{
 		Policy:        policy,
 		M:             c.clusterRef.M(),
-		Jobs:          c.completed,
+		Jobs:          n,
 		DurationSec:   now.Seconds(),
 		EnergykWh:     energyJ / JoulesPerKWh,
 		AccLatencySec: c.accLatency,
@@ -214,9 +195,9 @@ func (c *Collector) Summarize(policy string, now sim.Time) Summary {
 	if now > 0 {
 		s.AvgPowerW = energyJ / now.Seconds()
 	}
-	if c.completed > 0 {
-		s.AvgLatencySec = c.accLatency / float64(c.completed)
-		s.AvgEnergyJPerJob = energyJ / float64(c.completed)
+	if n > 0 {
+		s.AvgLatencySec = c.accLatency / float64(n)
+		s.AvgEnergyJPerJob = energyJ / float64(n)
 		if c.sketchOnly {
 			// Sketch-only mode: approximate percentiles from the latency
 			// t-digest (the per-job slices were never retained).
@@ -224,7 +205,7 @@ func (c *Collector) Summarize(policy string, now sim.Time) Summary {
 			s.P50LatencySec = m.Quantile(0.50)
 			s.P95LatencySec = m.Quantile(0.95)
 			s.P99LatencySec = m.Quantile(0.99)
-			s.MeanWaitSec = c.waitSum / float64(c.completed)
+			s.MeanWaitSec = c.waitSum / float64(n)
 		} else {
 			// One sorted copy services every quantile (the historical
 			// per-quantile copy+sort was O(k · n log n) at scale). The index
@@ -263,12 +244,6 @@ func (c *Collector) Summarize(policy string, now sim.Time) Summary {
 	if s.Repairs > 0 {
 		s.MTTRSec = repairedSec / float64(s.Repairs)
 	}
-	s.JobsInterrupted = c.interrupted
-	s.JobsMigrated = c.migrated
-	s.JobsRetried = c.retried
-	s.JobsLost = c.lost
-	s.LostWorkSec = c.lostWork
-	s.DomainOutages = c.domOutages
 	return s
 }
 

@@ -15,6 +15,7 @@ type alwaysOn struct{}
 func (alwaysOn) OnIdle(sim.Time, *cluster.Server) float64                { return math.Inf(1) }
 func (alwaysOn) OnArrival(sim.Time, *cluster.Server, cluster.PowerState) {}
 func (alwaysOn) Observe(sim.Time, float64, int)                          {}
+func (alwaysOn) CheckpointStateless()                                    {}
 
 func buildCluster(t *testing.T, m int) (*sim.Simulator, *cluster.Cluster) {
 	t.Helper()

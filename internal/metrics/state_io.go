@@ -5,14 +5,14 @@ import (
 	"hierdrl/internal/telemetry"
 )
 
-// State implements checkpoint.Stateful: per-job samples, the checkpoint
-// series, and the fault tallies. The cluster reference and the callbacks are
-// wiring, re-established at restore; checkpointEvery is construction config.
+// State implements checkpoint.Stateful: per-job samples and the checkpoint
+// series. The completion count is the cluster's and the fault tallies are the
+// session's; the cluster reference and the callbacks are wiring,
+// re-established at restore; checkpointEvery is construction config.
 func (c *Collector) State(cd *checkpoint.Codec) {
 	cd.F64(&c.accLatency)
 	cd.F64s(&c.waits)
 	cd.F64s(&c.latencies)
-	cd.Int(&c.completed)
 	n := cd.Count(len(c.checkpoints), 32) // 4 fixed 8-byte fields per checkpoint
 	if cd.Decoding() {
 		c.checkpoints = append(c.checkpoints[:0], make([]Checkpoint, n)...)
@@ -24,12 +24,6 @@ func (c *Collector) State(cd *checkpoint.Codec) {
 		cd.F64(&cp.AccLatencySec)
 		cd.F64(&cp.EnergykWh)
 	}
-	cd.I64(&c.interrupted)
-	cd.I64(&c.retried)
-	cd.I64(&c.lost)
-	cd.F64(&c.lostWork)
-	cd.I64(&c.migrated)
-	cd.I64(&c.domOutages)
 	// Telemetry extension (container Version 3): sketch-only flag, the
 	// incrementally kept wait sum, and the live quantile sketches. The
 	// snapshot is authoritative for the collection mode and the sketch
@@ -45,6 +39,8 @@ func (c *Collector) State(cd *checkpoint.Codec) {
 			c.sk = telemetry.NewSketchSet()
 		}
 		c.sk.State(cd)
+	} else if c.sketchOnly {
+		cd.Fail(checkpoint.ErrCorrupt, "sketch-only collection without sketches")
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 	"hierdrl/internal/sim"
 )
 
-// TestCollectorStateRoundTrip: the accumulated per-job samples, checkpoint
-// series, and fault tallies restore verbatim, and the restored collector
-// keeps checkpointing on the original cadence (completed counter survives).
+// TestCollectorStateRoundTrip: the accumulated per-job samples and the
+// checkpoint series restore verbatim, and the restored collector keeps
+// checkpointing on the original cadence (its completion count is the
+// restored cluster's).
 func TestCollectorStateRoundTrip(t *testing.T) {
 	sm, c := buildCluster(t, 2)
 	col1 := NewCollector(c, 2)
@@ -26,12 +27,12 @@ func TestCollectorStateRoundTrip(t *testing.T) {
 		sm.Schedule(j.Arrival, func() { c.Submit(j, i%2) })
 	}
 	sm.RunAll(1000)
-	col1.SetFaultTallies(3, 4, 2, 1, 5, 17.5)
 	if col1.Completed() != 5 || len(col1.Checkpoints()) != 2 {
 		t.Fatalf("precondition: %d completed, %d checkpoints", col1.Completed(), len(col1.Checkpoints()))
 	}
 
 	w := checkpoint.NewWriter(0)
+	checkpoint.Save(w.Section("cluster"), c)
 	checkpoint.Save(w.Section("metrics"), col1)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
@@ -41,19 +42,26 @@ func TestCollectorStateRoundTrip(t *testing.T) {
 	sm2, c2 := buildCluster(t, 2)
 	col2 := NewCollector(c2, 2)
 	c2.OnJobDone = col2.JobDone
+	seq, prioSeq, nFired := sm.Counters()
+	sm2.RestoreBegin(sm.Now(), seq, prioSeq, nFired)
 	rd, err := checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
-	d, err := rd.Section("metrics")
-	if err != nil {
-		t.Fatalf("Section: %v", err)
-	}
-	if err := checkpoint.Restore(d, col2); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if err := d.Err(); err != nil {
-		t.Fatalf("trailing bytes: %v", err)
+	for _, sec := range []struct {
+		name string
+		v    checkpoint.Stateful
+	}{{"cluster", c2}, {"metrics", col2}} {
+		d, err := rd.Section(sec.name)
+		if err != nil {
+			t.Fatalf("Section: %v", err)
+		}
+		if err := checkpoint.Restore(d, sec.v); err != nil {
+			t.Fatalf("Restore %s: %v", sec.name, err)
+		}
+		if err := d.Err(); err != nil {
+			t.Fatalf("%s trailing bytes: %v", sec.name, err)
+		}
 	}
 
 	if col2.Completed() != col1.Completed() ||
@@ -69,11 +77,6 @@ func TestCollectorStateRoundTrip(t *testing.T) {
 		if cps1[i] != cps2[i] {
 			t.Fatalf("checkpoint %d diverges: %+v vs %+v", i, cps2[i], cps1[i])
 		}
-	}
-	if col2.interrupted != 3 || col2.migrated != 4 || col2.retried != 2 || col2.lost != 1 ||
-		col2.domOutages != 5 || col2.lostWork != 17.5 {
-		t.Fatalf("fault tallies diverge: %d/%d/%d/%d/%d/%v", col2.interrupted, col2.migrated,
-			col2.retried, col2.lost, col2.domOutages, col2.lostWork)
 	}
 
 	// The restored collector continues the per-2-completions cadence: one

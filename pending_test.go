@@ -272,10 +272,10 @@ func stepToRetry(t *testing.T, s *Session) (loBefore int) {
 // and the resumed run must finish exactly like the uninterrupted one. The p2
 // row builds its sessions through the deprecated WithShards(2) and must write
 // the same bytes. testdata/faults_backoff_pr12.ckpt is the snapshot the
-// commit before pendingQueue wrote at the same Step of the same run (its
-// version word since moved to 4; the run has no agent, so nothing else did):
-// the new code must write those bytes, restore them, and finish with the
-// Summary that commit printed.
+// commit before pendingQueue wrote at the same Step of the same run,
+// re-recorded when format v5 stopped storing the cluster's derived
+// aggregates (its want bits did not move): the code must write those bytes,
+// restore them, and finish with the Summary that commit printed.
 func TestCheckpointAfterHeadSideInsert(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		shards := shards

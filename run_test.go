@@ -30,13 +30,13 @@ func TestRunRoundRobinCompletes(t *testing.T) {
 		t.Fatalf("energy/power: %+v", res.Summary)
 	}
 	// Round-robin keeps everything on: no transitions at all.
-	if res.TotalShutdowns != 0 {
-		t.Fatalf("round-robin had %d shutdowns", res.TotalShutdowns)
+	if res.Summary.Shutdowns != 0 {
+		t.Fatalf("round-robin had %d shutdowns", res.Summary.Shutdowns)
 	}
 	// With always-on DPM, servers start asleep, wake on their first job,
 	// and never sleep again: at most one wakeup per server.
-	if res.TotalWakeups == 0 || res.TotalWakeups > int64(6) {
-		t.Fatalf("wakeups %d want in [1,6]", res.TotalWakeups)
+	if res.Summary.Wakeups == 0 || res.Summary.Wakeups > int64(6) {
+		t.Fatalf("wakeups %d want in [1,6]", res.Summary.Wakeups)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestRunFixedTimeoutSavesEnergyVsAlwaysOn(t *testing.T) {
 		t.Fatalf("fixed timeout did not save energy: %v vs %v kWh",
 			b.Summary.EnergykWh, a.Summary.EnergykWh)
 	}
-	if b.TotalShutdowns == 0 {
+	if b.Summary.Shutdowns == 0 {
 		t.Fatal("fixed timeout never slept")
 	}
 }
@@ -123,7 +123,7 @@ func TestRunDRLOnlySmoke(t *testing.T) {
 		t.Fatal("missing agent diagnostics")
 	}
 	// The DRL-only system must actually use sleep (ad-hoc DPM).
-	if res.TotalShutdowns == 0 {
+	if res.Summary.Shutdowns == 0 {
 		t.Fatal("ad-hoc DPM never slept")
 	}
 }

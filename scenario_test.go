@@ -136,9 +136,9 @@ func TestHomogeneousClassesBitwiseIdentical(t *testing.T) {
 		t.Errorf("single-class speed-1.0 cluster diverged from homogeneous:\n got %+v\nwant %+v",
 			viaClasses.Summary, plain.Summary)
 	}
-	if plain.TotalWakeups != viaClasses.TotalWakeups || plain.TotalShutdowns != viaClasses.TotalShutdowns {
+	if plain.Summary.Wakeups != viaClasses.Summary.Wakeups || plain.Summary.Shutdowns != viaClasses.Summary.Shutdowns {
 		t.Errorf("transition counts diverged: %d/%d vs %d/%d",
-			viaClasses.TotalWakeups, viaClasses.TotalShutdowns, plain.TotalWakeups, plain.TotalShutdowns)
+			viaClasses.Summary.Wakeups, viaClasses.Summary.Shutdowns, plain.Summary.Wakeups, plain.Summary.Shutdowns)
 	}
 }
 

@@ -857,14 +857,14 @@ func (s *Session) Result() (*Result, error) {
 	}
 	s.finishEpisode()
 	s.cl.InvariantCheck()
-	s.col.SetFaultTallies(s.interrupted, s.migrated, s.retried, s.lost, s.domainOutages, s.lostWork)
+	sum := s.col.Summarize(s.cfg.Name, s.Now())
+	sum.JobsInterrupted, sum.JobsMigrated, sum.JobsRetried = s.interrupted, s.migrated, s.retried
+	sum.JobsLost, sum.LostWorkSec, sum.DomainOutages = s.lost, s.lostWork, s.domainOutages
 	res := &Result{
-		Summary:     s.col.Summarize(s.cfg.Name, s.Now()),
-		Checkpoints: s.col.Checkpoints(),
-	}
-	for i := 0; i < s.cl.M(); i++ {
-		res.TotalWakeups += s.cl.Server(i).Wakeups()
-		res.TotalShutdowns += s.cl.Server(i).Shutdowns()
+		Summary:        sum,
+		Checkpoints:    s.col.Checkpoints(),
+		TotalWakeups:   sum.Wakeups,
+		TotalShutdowns: sum.Shutdowns,
 	}
 	if s.agent != nil {
 		res.AgentDiag = s.agent.String()

@@ -97,9 +97,9 @@ func TestSessionMatchesRunBitwise(t *testing.T) {
 		if got, want := summaryBits(stream.Summary), summaryBits(batch.Summary); got != want {
 			t.Errorf("%s: streamed summary diverged:\n got %v\nwant %v", cfg.Name, got, want)
 		}
-		if stream.TotalWakeups != batch.TotalWakeups || stream.TotalShutdowns != batch.TotalShutdowns {
+		if stream.Summary.Wakeups != batch.Summary.Wakeups || stream.Summary.Shutdowns != batch.Summary.Shutdowns {
 			t.Errorf("%s: transitions %d/%d want %d/%d", cfg.Name,
-				stream.TotalWakeups, stream.TotalShutdowns, batch.TotalWakeups, batch.TotalShutdowns)
+				stream.Summary.Wakeups, stream.Summary.Shutdowns, batch.Summary.Wakeups, batch.Summary.Shutdowns)
 		}
 		if len(stream.Checkpoints) != len(batch.Checkpoints) {
 			t.Fatalf("%s: checkpoint count %d want %d", cfg.Name,
@@ -173,13 +173,13 @@ func TestSessionObserverHooks(t *testing.T) {
 	if checkpoints != len(res.Checkpoints) || checkpoints == 0 {
 		t.Errorf("OnCheckpoint fired %d times want %d (>0)", checkpoints, len(res.Checkpoints))
 	}
-	if int64(wakes) != res.TotalWakeups {
-		t.Errorf("observed %d wakeups, result says %d", wakes, res.TotalWakeups)
+	if int64(wakes) != res.Summary.Wakeups {
+		t.Errorf("observed %d wakeups, result says %d", wakes, res.Summary.Wakeups)
 	}
-	if int64(sleeps) != res.TotalShutdowns {
-		t.Errorf("observed %d shutdowns, result says %d", sleeps, res.TotalShutdowns)
+	if int64(sleeps) != res.Summary.Shutdowns {
+		t.Errorf("observed %d shutdowns, result says %d", sleeps, res.Summary.Shutdowns)
 	}
-	if res.TotalShutdowns == 0 {
+	if res.Summary.Shutdowns == 0 {
 		t.Error("fixed-timeout run never slept; transition hook untested")
 	}
 }
@@ -459,7 +459,7 @@ func TestCustomPoliciesViaRegistry(t *testing.T) {
 	if res.Summary.Jobs != tr.Len() {
 		t.Fatalf("jobs %d want %d", res.Summary.Jobs, tr.Len())
 	}
-	if res.TotalShutdowns == 0 {
+	if res.Summary.Shutdowns == 0 {
 		t.Error("custom nap manager never slept")
 	}
 
