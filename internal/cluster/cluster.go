@@ -57,7 +57,7 @@ func (c Config) Validate() error {
 	if c.M <= 0 {
 		return fmt.Errorf("cluster: M must be positive, got %d", c.M)
 	}
-	if c.HotSpotThreshold <= 0 || c.HotSpotThreshold >= 1 {
+	if !(c.HotSpotThreshold > 0 && c.HotSpotThreshold < 1) {
 		return fmt.Errorf("cluster: HotSpotThreshold must be in (0,1), got %v", c.HotSpotThreshold)
 	}
 	if err := c.Server.Validate(); err != nil {
@@ -71,7 +71,7 @@ func (c Config) Validate() error {
 		if cl.Count <= 0 {
 			return fmt.Errorf("cluster: class %d (%q) Count must be positive, got %d", i, cl.Name, cl.Count)
 		}
-		if cl.Speed < 0 || math.IsNaN(cl.Speed) || math.IsInf(cl.Speed, 0) {
+		if !finite(cl.Speed) || cl.Speed < 0 {
 			return fmt.Errorf("cluster: class %d (%q) Speed must be a non-negative finite factor, got %v", i, cl.Name, cl.Speed)
 		}
 		if cl.Power != (PowerModel{}) {

@@ -555,6 +555,28 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
+	// Non-finite settings: each of these used to pass validation and then
+	// panic mid-run (Schedule at NaN, power drift) or complete no job.
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mut := range map[string]func(*Config){
+		"Ton=NaN":              func(c *Config) { c.Server.TonSeconds = nan },
+		"Ton=+Inf":             func(c *Config) { c.Server.TonSeconds = inf },
+		"Toff=NaN":             func(c *Config) { c.Server.ToffSeconds = nan },
+		"IdleW=NaN":            func(c *Config) { c.Server.Power.IdleW = nan },
+		"PeakW=TransW=+Inf":    func(c *Config) { c.Server.Power.PeakW, c.Server.Power.TransitionW = inf, inf },
+		"Capacity[0]=NaN":      func(c *Config) { c.Server.Capacity[0] = nan },
+		"Capacity[0]=+Inf":     func(c *Config) { c.Server.Capacity[0] = inf },
+		"HotSpotThreshold=NaN": func(c *Config) { c.HotSpotThreshold = nan },
+		"class IdleW=NaN": func(c *Config) {
+			c.Classes = []ServerClass{{Count: c.M, Power: PowerModel{IdleW: nan, PeakW: 145, TransitionW: 145}}}
+		},
+	} {
+		c := DefaultConfig(6)
+		mut(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 	sm := sim.New()
 	if _, err := New(DefaultConfig(2), sm, nil); err == nil {
 		t.Fatal("nil DPM factory accepted")

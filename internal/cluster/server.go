@@ -95,16 +95,16 @@ func (c ServerConfig) Validate() error {
 	if err := c.Power.Validate(); err != nil {
 		return err
 	}
-	if c.TonSeconds < 0 || c.ToffSeconds < 0 {
-		return fmt.Errorf("cluster: negative transition times Ton=%v Toff=%v",
+	if !finite(c.TonSeconds) || !finite(c.ToffSeconds) || c.TonSeconds < 0 || c.ToffSeconds < 0 {
+		return fmt.Errorf("cluster: transition times must be non-negative and finite, got Ton=%v Toff=%v",
 			c.TonSeconds, c.ToffSeconds)
 	}
-	if c.Speed < 0 || math.IsNaN(c.Speed) || math.IsInf(c.Speed, 0) {
+	if !finite(c.Speed) || c.Speed < 0 {
 		return fmt.Errorf("cluster: Speed must be a non-negative finite factor, got %v", c.Speed)
 	}
 	for p, v := range c.Capacity {
-		if v <= 0 {
-			return fmt.Errorf("cluster: capacity resource %d must be positive, got %v", p, v)
+		if !finite(v) || v <= 0 {
+			return fmt.Errorf("cluster: capacity resource %d must be positive and finite, got %v", p, v)
 		}
 	}
 	switch c.InitialState {

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"hierdrl/internal/cluster"
@@ -41,9 +42,9 @@ type Summary struct {
 	AvgPowerW        float64
 	AvgLatencySec    float64
 	AvgEnergyJPerJob float64
-	// Latency percentiles. Exact (one sort over the retained per-job slice)
-	// by default; t-digest approximations under sketch-only collection
-	// (documented error bounds in DESIGN.md §17).
+	// Latency percentiles. Exact (selected from one copy of the retained
+	// per-job slice) by default; t-digest approximations under sketch-only
+	// collection (documented error bounds in DESIGN.md §17).
 	P50LatencySec float64
 	P95LatencySec float64
 	P99LatencySec float64
@@ -207,15 +208,7 @@ func (c *Collector) Summarize(policy string, now sim.Time) Summary {
 			s.P99LatencySec = m.Quantile(0.99)
 			s.MeanWaitSec = c.waitSum / float64(n)
 		} else {
-			// One sorted copy services every quantile (the historical
-			// per-quantile copy+sort was O(k · n log n) at scale). The index
-			// convention matches the historical percentile() exactly, so
-			// P95 stays bitwise identical.
-			sorted := append([]float64(nil), c.latencies...)
-			sort.Float64s(sorted)
-			s.P50LatencySec = quantileSorted(sorted, 0.50)
-			s.P95LatencySec = quantileSorted(sorted, 0.95)
-			s.P99LatencySec = quantileSorted(sorted, 0.99)
+			s.P50LatencySec, s.P95LatencySec, s.P99LatencySec = exactQuantiles(c.latencies)
 			var w float64
 			for _, x := range c.waits {
 				w += x
@@ -247,15 +240,81 @@ func (c *Collector) Summarize(policy string, now sim.Time) Summary {
 	return s
 }
 
-// quantileSorted reads quantile p from an already-sorted sample slice,
-// using the same index convention the historical percentile() helper used.
-func quantileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
+// quantileIndex is the index quantile p reads from n sorted samples, the
+// convention of the historical percentile() helper: floor(p·(n-1)).
+func quantileIndex(n int, p float64) int { return int(p * float64(n-1)) }
+
+// exactQuantiles returns the P50, P95 and P99 of xs at quantileIndex without
+// a full sort: three selections on one copy (xs keeps its order, which is
+// snapshot content), each on the part above the previous index. Order
+// statistics are unique values, so the results equal reads from a sorted
+// copy bit for bit. Empty xs gives NaN.
+func exactQuantiles(xs []float64) (p50, p95, p99 float64) {
+	if len(xs) == 0 {
+		return math.NaN(), math.NaN(), math.NaN()
 	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
+	a := append([]float64(nil), xs...)
+	var q [3]float64
+	lo := 0
+	for i, p := range [3]float64{0.50, 0.95, 0.99} {
+		k := quantileIndex(len(a), p)
+		introselect(a[lo:], k-lo)
+		q[i], lo = a[k], k
+	}
+	return q[0], q[1], q[2]
 }
+
+// introselect reorders a so that a[k] holds what a sorted copy holds there,
+// with nothing greater before it and nothing smaller after it, in
+// sort.Float64s's order (NaN below every number). It is median-of-3
+// quickselect with Wirth's partition; after 2·⌈log₂ n⌉ rounds it sorts the
+// remaining range instead, so the worst case stays O(n log n). It reports
+// whether it fell back to the sort.
+func introselect(a []float64, k int) (fellBack bool) {
+	lo, hi := 0, len(a)-1
+	for rounds := 2 * bits.Len(uint(len(a)-1)); lo < hi; rounds-- {
+		if rounds == 0 {
+			sort.Float64s(a[lo : hi+1])
+			return true
+		}
+		mid := lo + (hi-lo)/2
+		if floatLess(a[mid], a[lo]) {
+			a[lo], a[mid] = a[mid], a[lo]
+		}
+		if floatLess(a[hi], a[mid]) {
+			a[mid], a[hi] = a[hi], a[mid]
+			if floatLess(a[mid], a[lo]) {
+				a[lo], a[mid] = a[mid], a[lo]
+			}
+		}
+		x := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for floatLess(a[i], x) {
+				i++
+			}
+			for floatLess(x, a[j]) {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo..j] <= x <= a[i..hi], and a[j+1..i-1] all equal x.
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
+	return false
+}
+
+// floatLess is sort.Float64s's order: NaN sorts below every number.
+func floatLess(x, y float64) bool { return x < y || (x != x && y == y) }
 
 // TradeoffPoint is one point of the Fig. 10 study: per-job averages achieved
 // by one configuration.

@@ -123,6 +123,9 @@ type Stream struct {
 	burstUntil float64
 	nextBurst  float64
 	produced   int
+
+	// Logs of the config's log-medians, taken once by NewStream.
+	durLogMu, cpuLogMu, diskLogMu float64
 }
 
 // NewStream validates cfg and returns a generator positioned before the
@@ -137,6 +140,9 @@ func NewStream(cfg GeneratorConfig, seed int64) (*Stream, error) {
 		rng:        rng,
 		burstUntil: -1.0,
 		nextBurst:  rng.Exponential(1 / cfg.MeanBurstEvery),
+		durLogMu:   math.Log(cfg.DurationLogMedian),
+		cpuLogMu:   math.Log(cfg.CPULogMedian),
+		diskLogMu:  math.Log(cfg.DiskLogMedian),
 	}, nil
 }
 
@@ -166,14 +172,14 @@ func (g *Stream) Next() (j Job, ok bool) {
 	}
 	g.now += rng.Exponential(rate)
 
-	dur := clamp(rng.LogNormal(math.Log(cfg.DurationLogMedian), cfg.DurationLogSigma),
+	dur := clamp(rng.LogNormal(g.durLogMu, cfg.DurationLogSigma),
 		cfg.MinDuration, cfg.MaxDuration)
-	cpu := clamp(rng.LogNormal(math.Log(cfg.CPULogMedian), cfg.CPULogSigma),
+	cpu := clamp(rng.LogNormal(g.cpuLogMu, cfg.CPULogSigma),
 		cfg.MinReq, cfg.MaxReq)
-	memIndep := rng.LogNormal(math.Log(cfg.CPULogMedian), cfg.CPULogSigma)
+	memIndep := rng.LogNormal(g.cpuLogMu, cfg.CPULogSigma)
 	mem := clamp(cfg.MemCorrelation*cpu+(1-cfg.MemCorrelation)*memIndep,
 		cfg.MinReq, cfg.MaxReq)
-	disk := clamp(rng.LogNormal(math.Log(cfg.DiskLogMedian), cfg.DiskLogSigma),
+	disk := clamp(rng.LogNormal(g.diskLogMu, cfg.DiskLogSigma),
 		cfg.MinReq, cfg.MaxReq)
 
 	j = Job{

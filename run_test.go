@@ -47,6 +47,7 @@ func TestRunChecksConfig(t *testing.T) {
 		{M: 4, Alloc: "bogus", DPM: DPMAlwaysOn},
 		{M: 4, Alloc: AllocRoundRobin, DPM: "bogus"},
 		{M: 4, Alloc: AllocRoundRobin, DPM: DPMFixedTimeout, FixedTimeoutSec: -1},
+		nanTonConfig(4),
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg, tr); err == nil {
@@ -56,6 +57,16 @@ func TestRunChecksConfig(t *testing.T) {
 	if _, err := Run(RoundRobin(4), &Trace{}); err == nil {
 		t.Fatal("empty trace accepted")
 	}
+}
+
+// nanTonConfig is a fixed-timeout run whose explicit cluster has a NaN
+// wake-up time: it must fail validation, not panic scheduling at NaN.
+func nanTonConfig(m int) Config {
+	cfg := FixedTimeoutBaseline(m, 60)
+	cfg.Seed = 1
+	cfg.Cluster = DefaultClusterConfig(m)
+	cfg.Cluster.Server.TonSeconds = math.NaN()
+	return cfg
 }
 
 func TestRunDeterminism(t *testing.T) {
