@@ -62,7 +62,7 @@ chaos-smoke:
 # end-to-end SIGKILL-and-resume drill against the hiersim binary;
 # then, under the race detector, the fault run checkpointed right after a
 # head-side retry insert and resumed, the golden snapshots
-# re-emitted byte for byte (format v5 pin) and the removed tier's refused, and
+# re-emitted byte for byte (format v6 pin) and the removed tier's refused, and
 # every state walk over every strict prefix of its own payload; then a few
 # seconds each of FuzzRestoreState and FuzzRestoreResealed (one word of a
 # section rewritten under a recomputed CRC). FuzzRestoreState's minimization

@@ -209,7 +209,8 @@ func BenchmarkPaperHierPass(b *testing.B) {
 // benchmark's ckpt-resume workload: one Hierarchical(30) snapshot taken 9,000
 // jobs into a 16,000-job pass after a 4,000-job warmup (seed 1, ~14 MB, most
 // of it the DRL replay memory), written by /save and read back by /restore.
-// SetBytes makes the MB/s column the snapshot's throughput.
+// SetBytes makes the MB/s column the snapshot's throughput, and B/snapshot is
+// its size.
 func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	cfg := hierdrl.Hierarchical(30)
 	cfg.WarmupTrace = hierdrl.SyntheticTraceForCluster(4000, 30, 1001)
@@ -240,6 +241,7 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(snap.Len()), "B/snapshot")
 	})
 	b.Run("restore", func(b *testing.B) {
 		b.SetBytes(int64(snap.Len()))
@@ -251,6 +253,7 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 			}
 			r.Close()
 		}
+		b.ReportMetric(float64(snap.Len()), "B/snapshot")
 	})
 }
 

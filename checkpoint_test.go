@@ -270,10 +270,10 @@ var snapshotCorruptions = []struct {
 		binary.LittleEndian.PutUint32(b[8:], 99)
 		return b
 	}, hierdrl.ErrVersion},
-	// Format v4 (the cluster's derived aggregates stored beside the
-	// servers) is not read by a v5 reader.
+	// Format v5 (every replay state stored whole) is not read by a v6
+	// reader.
 	{"previous-version", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[8:], 4)
+		binary.LittleEndian.PutUint32(b[8:], 5)
 		return b
 	}, hierdrl.ErrVersion},
 	{"fingerprint-flip", func(b []byte) []byte { b[12] ^= 0xFF; return b }, hierdrl.ErrConfigMismatch},

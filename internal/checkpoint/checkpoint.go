@@ -27,6 +27,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -45,8 +46,9 @@ const Magic = "HDRLCKPT"
 // servers (and the metrics copies of the completion count and the session's
 // fault tallies) are rebuilt on restore instead of stored, and the engine's
 // shard-count word, the always-empty merger section and the agent's unread
-// pending-decision instant are gone.
-const Version uint32 = 5
+// pending-decision instant are gone. Version 6 stores every replay state after
+// the first as a delta against the previous buffer slot (F64sDelta).
+const Version uint32 = 6
 
 // maxSectionLen bounds a single section payload (1 GiB) so a corrupt length
 // field cannot drive a huge allocation before the CRC check runs.
@@ -182,6 +184,25 @@ func (c *Codec) F64sFixed(v []float64) {
 		c.d.F64sInto(v)
 	} else {
 		c.e.F64s(v)
+	}
+}
+
+// F64sDelta walks cur as a delta against prev, a slice of the same
+// construction-config length walked just before it. Each 64-word window is a
+// bitmask of the words whose bit patterns differ from prev's (so -0/+0 and
+// NaN payloads count as changes) followed by those words; decoding copies
+// prev's window into cur and patches it. No length is stored.
+func (c *Codec) F64sDelta(prev, cur []float64) {
+	if len(prev) != len(cur) {
+		panic(fmt.Sprintf("checkpoint: F64sDelta over widths %d and %d", len(prev), len(cur)))
+	}
+	for lo := 0; lo < len(cur); lo += 64 {
+		hi := min(lo+64, len(cur))
+		if c.d != nil {
+			c.d.deltaWindow(prev[lo:hi], cur[lo:hi])
+		} else {
+			c.e.deltaWindow(prev[lo:hi], cur[lo:hi])
+		}
 	}
 }
 
@@ -354,6 +375,22 @@ func (e *Enc) Ints(v []int) {
 	}
 }
 
+// deltaWindow appends one F64sDelta window of at most 64 words: the mask of
+// the words of cur that differ bitwise from prev, then those words.
+func (e *Enc) deltaWindow(prev, cur []float64) {
+	var mask uint64
+	for i, x := range cur {
+		if math.Float64bits(x) != math.Float64bits(prev[i]) {
+			mask |= 1 << i
+		}
+	}
+	b := e.grow(8 + 8*bits.OnesCount64(mask))
+	binary.LittleEndian.PutUint64(b, mask)
+	for m, o := mask, 8; m != 0; m, o = m&(m-1), o+8 {
+		binary.LittleEndian.PutUint64(b[o:], math.Float64bits(cur[bits.TrailingZeros64(m)]))
+	}
+}
+
 // Str appends a length-prefixed string.
 func (e *Enc) Str(v string) { putBytes(e, v) }
 
@@ -517,6 +554,28 @@ func (d *Dec) F64sInto(dst []float64) {
 	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+// deltaWindow decodes one F64sDelta window into dst: prev's words, patched
+// with the words the mask names. A mask bit past the window's width or a mask
+// naming more words than the payload holds fails before dst is written.
+func (d *Dec) deltaWindow(prev, dst []float64) {
+	b := d.take(8)
+	if b == nil {
+		return
+	}
+	mask := binary.LittleEndian.Uint64(b)
+	if mask>>len(dst) != 0 {
+		d.fail("delta mask %#x has bits past width %d", mask, len(dst))
+		return
+	}
+	if b = d.take(8 * bits.OnesCount64(mask)); b == nil {
+		return
+	}
+	copy(dst, prev)
+	for m, o := mask, 0; m != 0; m, o = m&(m-1), o+8 {
+		dst[bits.TrailingZeros64(m)] = math.Float64frombits(binary.LittleEndian.Uint64(b[o:]))
 	}
 }
 

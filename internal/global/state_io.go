@@ -22,13 +22,16 @@ func (n *QNetwork) state(c *checkpoint.Codec) {
 // ErrCorrupt.
 func (s State) state(c *checkpoint.Codec) { c.F64sFixed(s.v) }
 
-// replayState walks the replay memory. Decoding cleared the ring, so every
-// restored slot's block is a capacity-clipped window of one slab of
-// Len()·StateDim values: one allocation per restore instead of one per slot,
-// and CloneInto still overwrites each window in place when the ring wraps.
+// replayState walks the replay memory. Slot 0's state is a fixed-length
+// block; every later slot's is a delta against the slot before it in the
+// buffer (consecutive observations differ in the few servers that took or
+// finished a job). Decoding cleared the ring, so every restored slot's block
+// is a capacity-clipped window of one slab of Len()·StateDim values: one
+// allocation per restore instead of one per slot, and CloneInto still
+// overwrites each window in place when the ring wraps.
 func (a *Agent) replayState(c *checkpoint.Codec) {
 	dim := a.enc.StateDim()
-	var slab mat.Vec
+	var slab, prev mat.Vec
 	rl.ReplayState(a.replay, c, func(c *checkpoint.Codec, tr *Transition) {
 		if c.Decoding() {
 			if slab == nil {
@@ -37,14 +40,19 @@ func (a *Agent) replayState(c *checkpoint.Codec) {
 			tr.S = State{v: slab[:dim:dim], groupDim: a.enc.GroupDim()}
 			slab = slab[dim:]
 		}
+		if prev == nil {
+			tr.S.state(c)
+		} else {
+			c.F64sDelta(prev, tr.S.v)
+		}
+		prev = tr.S.v
 		a.transitionState(c, tr)
 	})
 }
 
-// transitionState walks one replay slot. A decoded slot's action must name a
-// server: trainStep indexes the Sub-Q heads with it.
+// transitionState walks what follows a replay slot's state. A decoded slot's
+// action must name a server: trainStep indexes the Sub-Q heads with it.
 func (a *Agent) transitionState(c *checkpoint.Codec, tr *Transition) {
-	tr.S.state(c)
 	c.Int(&tr.Action)
 	c.F64(&tr.REq)
 	c.F64(&tr.Tau)

@@ -230,28 +230,34 @@ func TestAgentStateRejectsUnreplayableReplay(t *testing.T) {
 	c.Int(&a.lastJobs)
 	c.F64(&a.lastReli)
 	pending := len(pre.Payload()) // hasPending, pending state, pending action
-	const cursor, full, slot0 = 8, 16, 25
-	block := 8 + 8*a.enc.StateDim() // length prefix + values
+	const cursor, full, slot0, tail = 8, 16, 25, 25
+	dim := a.enc.StateDim()                // one delta window: the rig's M=6 gives 22 words
+	block := 8 + 8*dim                     // length prefix + values
+	mask1 := replay + slot0 + block + tail // slot 1's delta mask
 	put := func(b []byte, off int, v int64) { binary.LittleEndian.PutUint64(b[off:], uint64(v)) }
 
 	cases := []struct {
 		name  string
-		alter func(b []byte)
+		alter func(b []byte) []byte
 		msg   string
 	}{
-		{"intact", func([]byte) {}, ""},
-		{"action-names-no-server", func(b []byte) { put(b, replay+slot0+block, 1<<30) }, "replay action"},
-		{"one-element-state", func(b []byte) { put(b, replay+slot0, 1) }, "slice length 1"},
-		{"full-flag-over-partial-ring", func(b []byte) { b[replay+full] = 1 }, "replay cursor"},
-		{"cursor-ahead-of-count", func(b []byte) { put(b, replay+cursor, 5) }, "replay cursor"},
-		{"cursor-behind-count", func(b []byte) { put(b, replay+cursor, 2) }, "replay cursor"},
-		{"newest-bootstraps-without-pending", func(b []byte) { b[pending] = 0 }, "pending state"},
-		{"pending-action-names-no-server", func(b []byte) { put(b, pending+1+block, -1) }, "pending action"},
+		{"intact", func(b []byte) []byte { return b }, ""},
+		{"action-names-no-server", func(b []byte) []byte { put(b, replay+slot0+block, 1<<30); return b }, "replay action"},
+		{"one-element-state", func(b []byte) []byte { put(b, replay+slot0, 1); return b }, "slice length 1"},
+		{"delta-mask-past-width", func(b []byte) []byte { put(b, mask1, 1<<dim); return b }, "past width"},
+		{"delta-words-overrun-section", func(b []byte) []byte {
+			put(b, mask1, 1<<dim-1)
+			return b[:mask1+8+8] // one of the dim words the mask names
+		}, "truncated"},
+		{"full-flag-over-partial-ring", func(b []byte) []byte { b[replay+full] = 1; return b }, "replay cursor"},
+		{"cursor-ahead-of-count", func(b []byte) []byte { put(b, replay+cursor, 5); return b }, "replay cursor"},
+		{"cursor-behind-count", func(b []byte) []byte { put(b, replay+cursor, 2); return b }, "replay cursor"},
+		{"newest-bootstraps-without-pending", func(b []byte) []byte { b[pending] = 0; return b }, "pending state"},
+		{"pending-action-names-no-server", func(b []byte) []byte { put(b, pending+1+block, -1); return b }, "pending action"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := append([]byte(nil), good...)
-			tc.alter(b)
+			b := tc.alter(append([]byte(nil), good...))
 			into, err := NewAgent(r.cfg, a.enc.M(), mat.NewRNG(99))
 			if err != nil {
 				t.Fatal(err)
@@ -273,24 +279,35 @@ func TestAgentStateRejectsUnreplayableReplay(t *testing.T) {
 }
 
 // TestReplaySectionBytesPerTransition pins the snapshot cost of the replay
-// memory at the paper's shape (M=30, K=3): a stored transition is one
-// 94-value block with its length prefix plus action, reward rate, sojourn and
-// terminal flag, 785 bytes, and the ring header is cursor state only (no
-// per-slot array).
+// memory at the paper's shape (M=30, K=3; a 94-word state, two delta
+// windows). Slot 0 is one 94-value block with its length prefix plus action,
+// reward rate, sojourn and terminal flag, 785 bytes. Every later slot is two
+// 8-byte delta masks plus that 25-byte tail, 41 bytes, and 8 more per word
+// that differs from the slot before it. The ring header is cursor state only
+// (no per-slot array).
 func TestReplaySectionBytesPerTransition(t *testing.T) {
 	a, err := NewAgent(DefaultConfig(30), 30, mat.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const stored = 10
-	for i := 0; i < stored; i++ {
+	// Words changed against the previous slot: none, one per window, a whole
+	// window, all of them.
+	changed := []int{0, 0, 1, 5, 63, 64, 65, 94, 0, 2}
+	want := 8 + 8 + 1 + 8 // capacity, cursor, full, count
+	for i, n := range changed {
+		for w := 0; w < n; w++ {
+			a.pendingState.v[w] = float64(i + 1)
+		}
 		a.storeTransition(-1, 5, false)
+		if i == 0 {
+			want += 785
+		} else {
+			want += 16 + 25 + 8*n
+		}
 	}
 	var e checkpoint.Enc
 	a.replayState(e.Codec())
-	const header = 8 + 8 + 1 + 8 // capacity, cursor, full, count
-	if per := (len(e.Payload()) - header) / stored; per != 785 || len(e.Payload()) != header+stored*per {
-		t.Fatalf("replay walk is %d bytes for %d transitions (%d each), want %d + %d x 785",
-			len(e.Payload()), stored, per, header, stored)
+	if got := len(e.Payload()); got != want {
+		t.Fatalf("replay walk is %d bytes for %d transitions, want %d", got, len(changed), want)
 	}
 }

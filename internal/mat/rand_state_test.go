@@ -94,3 +94,47 @@ func TestRNGSplitState(t *testing.T) {
 		t.Fatal("child draws not counted")
 	}
 }
+
+// Restore lands on the saved stream position whatever the generator drew
+// before: after a forward, backward, equal-count and different-seed restore
+// the stream must be a fresh generator's that skipped the same draws.
+func TestRNGRestoreMatchesSkippedStream(t *testing.T) {
+	skipped := func(seed, draws int64) *RNG {
+		r := NewRNG(seed)
+		for i := int64(0); i < draws; i++ {
+			r.Int63()
+		}
+		return r
+	}
+	cases := []struct {
+		name        string
+		drawn       int64 // draws the generator made from seed 5 before Restore
+		seed, draws int64
+	}{
+		{"forward", 100, 5, 350},
+		{"backward", 350, 5, 100},
+		{"equal-count", 200, 5, 200},
+		{"from-fresh", 0, 5, 77},
+		{"different-seed", 200, 6, 300},
+		{"different-seed-behind", 200, 6, 50},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := skipped(5, tc.drawn)
+			g.Restore(tc.seed, tc.draws)
+			if seed, draws := g.State(); seed != tc.seed || draws != tc.draws {
+				t.Fatalf("State() = (%d, %d) after Restore(%d, %d)", seed, draws, tc.seed, tc.draws)
+			}
+			ref := skipped(tc.seed, tc.draws)
+			for i := 0; i < 500; i++ {
+				if a, b := g.Normal(0, 1), ref.Normal(0, 1); a != b {
+					t.Fatalf("draw %d after Restore: %v, fresh generator %v", i, a, b)
+				}
+			}
+			gs, gn := g.State()
+			if rs, rn := ref.State(); gs != rs || gn != rn {
+				t.Fatalf("State() = (%d, %d) after the same samples, fresh generator (%d, %d)", gs, gn, rs, rn)
+			}
+		})
+	}
+}
