@@ -253,16 +253,61 @@ func smallSnapshot(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// snapshotCorruptions is the corruption-class table shared by the rejection
-// test and FuzzRestoreState's seed corpus. Container layout
-// (internal/checkpoint): magic [0,8), version u32 [8,12), fingerprint u64
-// [12,20), nSections u32 [20,24), then the section table — first entry
-// nameLen u16 [24,26), name "config" [26,32), payloadLen u64 [32,40).
-var snapshotCorruptions = []struct {
+// localSnapshot builds one valid mid-run snapshot of the RL + LSTM local
+// tier (three servers, round-robin, every predictor trained) for the
+// corruption tests.
+func localSnapshot(t testing.TB) []byte {
+	t.Helper()
+	cfg := hierdrl.RoundRobin(3)
+	cfg.DPM = hierdrl.DPMRL
+	cfg.LocalRL = hierdrl.Hierarchical(3).LocalRL
+	cfg.Predictor = hierdrl.PredictorLSTM
+	s, err := hierdrl.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.SubmitTrace(hierdrl.SyntheticTraceForCluster(300, 3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	stepToCompleted(t, s, 150)
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// snapshotCorruption is one corruption class: a mutation of a valid
+// snapshot and the sentinel its restore must surface.
+type snapshotCorruption struct {
 	name   string
 	mutate func(b []byte) []byte
 	want   error
-}{
+}
+
+// localTierCorruptions mutate localSnapshot (clock 12477.8 s). Each rewrites
+// a local-tier instant to 1e15 s, after the lane clock, under a recomputed
+// CRC; the run used to restore and then panic on that server's next event.
+var localTierCorruptions = []snapshotCorruption{
+	// Server 0's LSTM predictor's last arrival (after its weights, Adam
+	// moments and RNG): its next arrival was "out of order".
+	{"predictor-arrival-after-clock", func(b []byte) []byte {
+		return resealWord(b, findSection(b, "cluster"), 94770, math.Float64bits(1e15))
+	}, hierdrl.ErrCorrupt},
+	// Server 2's RL timeout's reward integrator, advanced to 1e15: its next
+	// observation sent "time backwards".
+	{"sojourn-instant-after-clock", func(b []byte) []byte {
+		return resealWord(b, findSection(b, "cluster"), 189704, math.Float64bits(1e15))
+	}, hierdrl.ErrCorrupt},
+}
+
+// snapshotCorruptions is the corruption-class table, over smallSnapshot,
+// shared by the rejection test and FuzzRestoreState's seed corpus. Container
+// layout (internal/checkpoint): magic [0,8), version u32 [8,12), fingerprint
+// u64 [12,20), nSections u32 [20,24), then the section table — first entry
+// nameLen u16 [24,26), name "config" [26,32), payloadLen u64 [32,40).
+var snapshotCorruptions = []snapshotCorruption{
 	{"empty-file", func(b []byte) []byte { return nil }, hierdrl.ErrCorrupt},
 	{"truncated-header", func(b []byte) []byte { return b[:10] }, hierdrl.ErrCorrupt},
 	{"bad-magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }, hierdrl.ErrCorrupt},
@@ -343,44 +388,50 @@ var snapshotCorruptions = []struct {
 // TestRestoreRejectsCorruptSnapshots mutates a valid snapshot one corruption
 // class at a time and pins the sentinel each class must surface.
 func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
-	good := smallSnapshot(t)
-	if s, err := hierdrl.Restore(bytes.NewReader(good)); err != nil {
-		t.Fatalf("pristine snapshot rejected: %v", err)
-	} else {
-		s.Close()
+	for _, set := range []struct {
+		good  []byte
+		cases []snapshotCorruption
+	}{{smallSnapshot(t), snapshotCorruptions}, {localSnapshot(t), localTierCorruptions}} {
+		if s, err := hierdrl.Restore(bytes.NewReader(set.good)); err != nil {
+			t.Fatalf("pristine snapshot rejected: %v", err)
+		} else {
+			s.Close()
+		}
+		for _, tc := range set.cases {
+			testRejectsCorruption(t, set.good, tc)
+		}
 	}
+}
 
-	for _, tc := range snapshotCorruptions {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			mutant := tc.mutate(append([]byte(nil), good...))
-			s, err := hierdrl.Restore(bytes.NewReader(mutant))
-			if err == nil {
-				s.Close()
-				t.Fatal("corrupt snapshot accepted")
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("got %v, want errors.Is(err, %v)", err, tc.want)
-			}
-			// The same bytes through a reader that cannot say how much is
-			// left (a file, a pipe): same sentinel, and — whatever lengths the
-			// header claims — memory in proportion to the input, not to them.
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			s, err = hierdrl.Restore(struct{ io.Reader }{bytes.NewReader(mutant)})
-			runtime.ReadMemStats(&after)
-			if err == nil {
-				s.Close()
-				t.Fatal("corrupt snapshot accepted from an opaque reader")
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("opaque reader: got %v, want errors.Is(err, %v)", err, tc.want)
-			}
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
-				t.Fatalf("rejecting %d corrupt bytes allocated %d bytes", len(mutant), grew)
-			}
-		})
-	}
+func testRejectsCorruption(t *testing.T, good []byte, tc snapshotCorruption) {
+	t.Run(tc.name, func(t *testing.T) {
+		mutant := tc.mutate(append([]byte(nil), good...))
+		s, err := hierdrl.Restore(bytes.NewReader(mutant))
+		if err == nil {
+			s.Close()
+			t.Fatal("corrupt snapshot accepted")
+		}
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("got %v, want errors.Is(err, %v)", err, tc.want)
+		}
+		// The same bytes through a reader that cannot say how much is
+		// left (a file, a pipe): same sentinel, and — whatever lengths the
+		// header claims — memory in proportion to the input, not to them.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err = hierdrl.Restore(struct{ io.Reader }{bytes.NewReader(mutant)})
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			s.Close()
+			t.Fatal("corrupt snapshot accepted from an opaque reader")
+		}
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("opaque reader: got %v, want errors.Is(err, %v)", err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Fatalf("rejecting %d corrupt bytes allocated %d bytes", len(mutant), grew)
+		}
+	})
 }
 
 // TestSessionWeightsGoldenRoundTrip covers the weights-only export: saving a

@@ -37,7 +37,7 @@ func agentSnapshot(t testing.TB) []byte {
 
 // FuzzRestoreState throws arbitrary bytes at the snapshot restore path. The
 // seed corpus is one pristine mid-run snapshot from a fault-free run, every
-// corruption class of snapshotCorruptions, two of the pinned golden snapshots
+// corruption class of snapshotCorruptions and localTierCorruptions, two of the pinned golden snapshots
 // (format v6) — a fault-enabled run (fault clocks, retry map) and a
 // sketch-only fault run (metrics sketch extension) — and agentSnapshot, so the fuzzer starts from the exact byte
 // layouts the rejection table and the format pin hold, one of them mostly
@@ -46,10 +46,13 @@ func agentSnapshot(t testing.TB) []byte {
 // it must never panic, hang on a length field, or accept bytes it cannot
 // replay.
 func FuzzRestoreState(f *testing.F) {
-	good := smallSnapshot(f)
+	good, local := smallSnapshot(f), localSnapshot(f)
 	f.Add(good)
 	for _, tc := range snapshotCorruptions {
 		f.Add(tc.mutate(append([]byte(nil), good...)))
+	}
+	for _, tc := range localTierCorruptions {
+		f.Add(tc.mutate(append([]byte(nil), local...)))
 	}
 	for _, name := range []string{"faults_backoff_pr12.ckpt", "sketch_faults_p1_pr26.ckpt"} {
 		golden, err := os.ReadFile(filepath.Join("testdata", name))

@@ -60,6 +60,14 @@ type DPMPolicy interface {
 	Observe(t sim.Time, powerW float64, jobsInSystem int)
 }
 
+// InstantRecorder is implemented by a DPMPolicy whose checkpoint state holds
+// instants of the lane it runs on. Restore rejects a snapshot whose
+// LatestInstant is after the lane clock, or NaN: the policy would panic on
+// its next, earlier event.
+type InstantRecorder interface {
+	LatestInstant() float64
+}
+
 // ServerConfig parameterizes one server.
 type ServerConfig struct {
 	// Capacity is the resource capacity (normally UnitCapacity).

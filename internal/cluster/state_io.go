@@ -363,6 +363,12 @@ func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *jobTable, ru
 	cd.I64(&s.shutdowns)
 	cd.I64(&s.completed)
 	cd.Component(s.dpm)
+	if r, ok := s.dpm.(InstantRecorder); ok && dec && cd.Err() == nil {
+		if at := r.LatestInstant(); !(at <= s.sm.Now().Seconds()) {
+			cd.Fail(checkpoint.ErrCorrupt, "server %d power manager at %v, after lane clock %v", s.id, at, s.sm.Now())
+			return
+		}
+	}
 	hasClock := s.fclock != nil
 	cd.Bool(&hasClock)
 	if cd.Err() == nil && hasClock != (s.fclock != nil) {

@@ -195,6 +195,31 @@ func (m *RLTimeout) Observe(t sim.Time, powerW float64, jobsInSystem int) {
 	}
 }
 
+// LatestInstant implements cluster.InstantRecorder: the later of the open
+// sojourn's integration point and the predictor's last arrival (when the
+// predictor reports one), -Inf when neither has been recorded.
+func (m *RLTimeout) LatestInstant() float64 {
+	at := math.Inf(-1)
+	if m.integ.Started() {
+		at = m.integ.Last()
+	}
+	if p, ok := m.pred.(interface{ LastArrival() float64 }); ok {
+		if a := p.LastArrival(); a > at { // NaN: no arrival yet
+			at = a
+		}
+	}
+	return at
+}
+
+// Join waits for the predictor's training round in flight, if the predictor
+// trains off the caller's goroutine (lstm.Predictor.Join); the session joins
+// every power manager on Close.
+func (m *RLTimeout) Join() {
+	if p, ok := m.pred.(interface{ Join() }); ok {
+		p.Join()
+	}
+}
+
 // FreezePolicy disables exploration (evaluation mode).
 func (m *RLTimeout) FreezePolicy() { m.eps.SetEpsilon(0) }
 
@@ -210,4 +235,7 @@ func (m *RLTimeout) Updates() int64 { return m.updates }
 // QTable exposes the learned table for inspection in tests and ablations.
 func (m *RLTimeout) QTable() *rl.QTable { return m.table }
 
-var _ cluster.DPMPolicy = (*RLTimeout)(nil)
+var (
+	_ cluster.DPMPolicy       = (*RLTimeout)(nil)
+	_ cluster.InstantRecorder = (*RLTimeout)(nil)
+)

@@ -382,13 +382,15 @@ func referenceTrainRound(p *Predictor) {
 	params := p.net.Params()
 	nn.ZeroGrads(params)
 	batch := max(p.cfg.BatchSize, 1)
+	w := make([]float64, p.cfg.Lookback)
 	for b := 0; b < batch; b++ {
 		maxEnd, minEnd := len(p.history)-1, p.cfg.Lookback
 		end := maxEnd
 		if span := maxEnd - minEnd; span > 0 {
 			end = minEnd + int(float64(span)*math.Sqrt(p.rng.Float64()))
 		}
-		referenceBPTT(p.net, p.window(end), p.normalize(p.history[end]), 1/float64(batch))
+		target := normalize(p.history[end], p.mean, p.std())
+		referenceBPTT(p.net, fillWindow(w, p.history, end, p.mean, p.std()), target, 1/float64(batch))
 	}
 	if p.cfg.ClipNorm > 0 {
 		nn.ClipGrads(params, p.cfg.ClipNorm)
@@ -526,8 +528,9 @@ func TestTrainRoundMatchesReferenceUnroll(t *testing.T) {
 	}
 }
 
-// TestBPTTZeroAllocOnceWarm: a warm BPTT sample, and a whole warm training
-// round around it (window draws, clip, Adam step), allocate nothing.
+// TestBPTTZeroAllocOnceWarm: a warm BPTT sample, a whole warm training
+// round around it (window draws, clip, Adam step) launched on its goroutine
+// and joined, and a warm ObserveGap that launches a round, allocate nothing.
 func TestBPTTZeroAllocOnceWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pinning is meaningless under -race")
@@ -562,8 +565,34 @@ func TestBPTTZeroAllocOnceWarm(t *testing.T) {
 		for p.TrainingRounds() < 2 {
 			p.ObserveGap(math.Exp(g.Normal(1, 1)))
 		}
-		if avg := testing.AllocsPerRun(50, p.trainRound); avg != 0 {
+		if avg := testing.AllocsPerRun(50, func() { p.launchRound(); p.Join() }); avg != 0 {
 			t.Fatalf("%+v: warm training round allocates %v, want 0", shape, avg)
 		}
+
+		// Each run below observes TrainEvery gaps, the last of which joins
+		// the round before it and launches one. The history is appended to
+		// in place until it outgrows its array, one reallocation per ~1,000
+		// arrivals at the default cap; warm up to just past one so the 51
+		// runs (the first is AllocsPerRun's own warm-up) fit in the slack.
+		gaps := cfg.TrainEvery * 51
+		for i := 0; p.sinceT != 0 || cap(p.history)-len(p.history) < gaps; i++ {
+			if i == 4*cfg.HistoryCap {
+				t.Fatalf("%+v: the history never had room for %d appends", shape, gaps)
+			}
+			p.ObserveGap(math.Exp(g.Normal(1, 1)))
+		}
+		observe := func() {
+			for i := 0; i < cfg.TrainEvery; i++ {
+				p.ObserveGap(1.5)
+			}
+		}
+		rounds := p.TrainingRounds()
+		if avg := testing.AllocsPerRun(50, observe); avg != 0 {
+			t.Fatalf("%+v: warm ObserveGap launching a round allocates %v, want 0", shape, avg)
+		}
+		if got := p.TrainingRounds() - rounds; got != 51 {
+			t.Fatalf("%+v: the pin launched %d rounds, want 51", shape, got)
+		}
+		p.Join()
 	}
 }

@@ -3,6 +3,7 @@ package lstm
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"hierdrl/internal/mat"
 	"hierdrl/internal/nn"
@@ -67,6 +68,16 @@ func (c PredictorConfig) Validate() error {
 // of magnitude, so they are modeled in log1p space with running
 // standardization (Welford), which keeps the network inputs well-scaled
 // without a separate normalization pass.
+//
+// Each online training round runs on a goroutine of its own, off the
+// caller's path, against a launch-time view of the history: the history
+// slice as it stood (later arrivals land past its length) and the
+// normalization statistics of that instant. While a round is in flight it
+// owns net, opt, rng and its window buffer; the caller's goroutine owns
+// everything else. Predict, State and the next launch join the round before
+// they touch what it owns, so every result is bitwise the one of training
+// inline; ObserveArrival, Ready and TrainingRounds never wait. A Predictor is
+// not safe for concurrent use: drive it from one goroutine at a time.
 type Predictor struct {
 	cfg PredictorConfig
 	net *Network
@@ -83,9 +94,39 @@ type Predictor struct {
 	trained int
 	sinceT  int
 
-	// winBuf is reused by window(): windows are consumed synchronously by
-	// Predict/BPTT, which never retain the slice.
+	// winBuf is Predict's window; a training round fills its own
+	// (round.win), so the two never share a buffer.
 	winBuf []float64
+
+	round    roundView
+	inFlight bool     // a launched round has not been joined yet
+	runRound func()   // p.train, bound once so a launch allocates nothing
+	done     chan any // a finished round's recovered panic value, or nil
+}
+
+// roundView is what a training round reads besides the weights it trains:
+// the history and the normalization statistics as they stood at its launch,
+// and the round's own window buffer.
+type roundView struct {
+	history   []float64
+	mean, std float64
+	win       []float64
+}
+
+// roundHook, when set, runs every training round in place of the direct
+// call (SetRoundHook).
+var roundHook atomic.Pointer[func(p *Predictor, train func())]
+
+// SetRoundHook makes every training round whose goroutine starts after the
+// call run as h(p, train) on that goroutine, where p is the round's
+// predictor and train the round, which h must call once; nil restores
+// direct calls. Tests use it to hold a round open or to make one panic.
+func SetRoundHook(h func(p *Predictor, train func())) {
+	if h == nil {
+		roundHook.Store(nil)
+		return
+	}
+	roundHook.Store(&h)
 }
 
 // NewPredictor returns a Predictor with freshly initialized weights.
@@ -93,17 +134,22 @@ func NewPredictor(cfg PredictorConfig, rng *mat.RNG) *Predictor {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &Predictor{
+	p := &Predictor{
 		cfg:         cfg,
 		net:         NewNetwork(cfg.Network, rng),
 		opt:         nn.NewAdam(cfg.LearningRate),
 		rng:         rng,
 		lastArrival: math.NaN(),
+		winBuf:      make([]float64, cfg.Lookback),
+		round:       roundView{win: make([]float64, cfg.Lookback)},
+		done:        make(chan any, 1),
 	}
+	p.runRound = p.train
+	return p
 }
 
-// ObserveArrival records a job arrival at time t (seconds) and triggers
-// periodic online training.
+// ObserveArrival records a job arrival at time t (seconds) and launches
+// periodic online training. It never waits for a round in flight.
 func (p *Predictor) ObserveArrival(t float64) {
 	if !math.IsNaN(p.lastArrival) {
 		gap := t - p.lastArrival
@@ -138,7 +184,47 @@ func (p *Predictor) observeGap(gap float64) {
 	p.sinceT++
 	if p.sinceT >= p.cfg.TrainEvery && len(p.history) > p.cfg.Lookback {
 		p.sinceT = 0
-		p.trainRound()
+		p.launchRound()
+	}
+}
+
+// launchRound joins the round before it (one round in flight per
+// predictor), captures the view the new round reads and starts it. The round
+// is counted here, so TrainingRounds and Ready never wait for it.
+func (p *Predictor) launchRound() {
+	p.Join()
+	p.round.history, p.round.mean, p.round.std = p.history, p.mean, p.std()
+	p.trained++
+	p.inFlight = true
+	go p.runRound()
+}
+
+// train is the body of a round's goroutine.
+func (p *Predictor) train() {
+	defer p.finishRound()
+	if h := roundHook.Load(); h != nil {
+		(*h)(p, p.trainRound)
+		return
+	}
+	p.trainRound()
+}
+
+// finishRound hands the round's panic value, or nil, to the next Join.
+func (p *Predictor) finishRound() { p.done <- recover() }
+
+// Join waits for the training round in flight, if any, and re-raises its
+// panic, with the same value, on the calling goroutine. Predict, State and
+// the next launch join by themselves; call Join before dropping a predictor
+// to know that none of its rounds still runs.
+func (p *Predictor) Join() {
+	if !p.inFlight {
+		return
+	}
+	p.inFlight = false
+	v := <-p.done
+	p.round.history = nil // let a history the foreground has outgrown go
+	if v != nil {
+		panic(v)
 	}
 }
 
@@ -153,9 +239,9 @@ func (p *Predictor) std() float64 {
 	return s
 }
 
-// normalize maps a raw gap to network space.
-func (p *Predictor) normalize(gap float64) float64 {
-	return (math.Log1p(gap) - p.mean) / p.std()
+// normalize maps a raw gap to network space under the given moments.
+func normalize(gap, mean, std float64) float64 {
+	return (math.Log1p(gap) - mean) / std
 }
 
 // denormalize maps a network-space value back to seconds (clamped >= 0).
@@ -167,18 +253,19 @@ func (p *Predictor) denormalize(z float64) float64 {
 	return gap
 }
 
-func (p *Predictor) window(end int) []float64 {
-	if p.winBuf == nil {
-		p.winBuf = make([]float64, p.cfg.Lookback)
-	}
-	w := p.winBuf
-	for i := 0; i < p.cfg.Lookback; i++ {
-		w[i] = p.normalize(p.history[end-p.cfg.Lookback+i])
+// fillWindow writes into w the len(w) normalized gaps of history that end
+// just before index end.
+func fillWindow(w, history []float64, end int, mean, std float64) []float64 {
+	for i := range w {
+		w[i] = normalize(history[end-len(w)+i], mean, std)
 	}
 	return w
 }
 
+// trainRound is one Adam step over BatchSize windows drawn from the round's
+// view. It touches only what a round in flight owns.
 func (p *Predictor) trainRound() {
+	r := &p.round
 	params := p.net.Params()
 	nn.ZeroGrads(params)
 	batch := p.cfg.BatchSize
@@ -189,7 +276,7 @@ func (p *Predictor) trainRound() {
 	for b := 0; b < batch; b++ {
 		// Sample a random training window from history, biased toward the
 		// recent past (the workload is non-stationary).
-		maxEnd := len(p.history) - 1
+		maxEnd := len(r.history) - 1
 		minEnd := p.cfg.Lookback
 		span := maxEnd - minEnd
 		end := maxEnd
@@ -198,15 +285,14 @@ func (p *Predictor) trainRound() {
 			u := p.rng.Float64()
 			end = minEnd + int(float64(span)*math.Sqrt(u))
 		}
-		target := p.normalize(p.history[end])
-		p.net.BPTT(p.window(end), target, scale)
+		target := normalize(r.history[end], r.mean, r.std)
+		p.net.BPTT(fillWindow(r.win, r.history, end, r.mean, r.std), target, scale)
 	}
 	if p.cfg.ClipNorm > 0 {
 		nn.ClipGrads(params, p.cfg.ClipNorm)
 	}
 	p.opt.Step(params)
 	p.net.InvalidateTransposes()
-	p.trained++
 }
 
 // Ready reports whether the predictor has enough history for an LSTM
@@ -217,19 +303,27 @@ func (p *Predictor) Ready() bool {
 
 // Predict returns the expected next inter-arrival time in seconds.
 // Before enough history accumulates it falls back to the running mean
-// inter-arrival (or a large default when nothing has been observed).
+// inter-arrival (or a large default when nothing has been observed). It
+// joins the training round in flight first.
 func (p *Predictor) Predict() float64 {
+	p.Join()
 	if !p.Ready() {
 		if p.count == 0 {
 			return math.Inf(1)
 		}
 		return math.Expm1(p.mean)
 	}
-	w := p.window(len(p.history))
+	w := fillWindow(p.winBuf, p.history, len(p.history), p.mean, p.std())
 	return p.denormalize(p.net.Predict(w))
 }
 
-// TrainingRounds reports how many Adam steps have been applied (diagnostics).
+// LastArrival reports the most recent arrival instant, or NaN before the
+// first.
+func (p *Predictor) LastArrival() float64 { return p.lastArrival }
+
+// TrainingRounds reports how many training rounds have been launched
+// (diagnostics); a launched round's Adam step is visible to the next call
+// that joins it.
 func (p *Predictor) TrainingRounds() int { return p.trained }
 
 // ObservedArrivals reports how many inter-arrival samples have been recorded.

@@ -8,8 +8,10 @@ import (
 // State implements checkpoint.Stateful: weights, optimizer moments, the
 // training RNG, and the full observation trajectory (history window, Welford
 // moments, step counters). Inference and BPTT scratch buffers are rebuilt
-// lazily and carry no information.
+// lazily and carry no information. It joins the training round in flight
+// first, so a snapshot holds that round's step.
 func (p *Predictor) State(c *checkpoint.Codec) {
+	p.Join()
 	nn.ParamsState(c, "LSTM", p.net.Params())
 	if c.Decoding() {
 		p.net.InvalidateTransposes()

@@ -96,5 +96,9 @@ func (ri *RewardIntegrator) EquivalentRate(t float64) (rEq, tau float64) {
 	return ri.integral / gain, tau
 }
 
+// Last returns the instant the integral has been advanced to (the sojourn's
+// start right after Reset).
+func (ri *RewardIntegrator) Last() float64 { return ri.last }
+
 // Rate returns the current instantaneous reward rate.
 func (ri *RewardIntegrator) Rate() float64 { return ri.rate }

@@ -172,6 +172,7 @@ func warmup(cfg Config, agent *global.Agent, rng *mat.RNG) error {
 	if err != nil {
 		return fmt.Errorf("hierdrl: warmup rollout: %w", err)
 	}
+	defer p.Close() // no training round of the throwaway pass outlives it
 	if err := p.SubmitTrace(cfg.WarmupTrace); err != nil {
 		return fmt.Errorf("hierdrl: warmup rollout: %w", err)
 	}

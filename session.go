@@ -190,6 +190,10 @@ type Session struct {
 	// partial run instead of misleading metrics.
 	err error
 
+	// joiners are the power managers whose learners train off the lane
+	// (lstm.Predictor); Close joins each, so no training round outlives it.
+	joiners []interface{ Join() }
+
 	finished bool
 	closed   bool
 }
@@ -247,6 +251,7 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 	// nil policy makes cluster.New abort on that server, so no partially
 	// built cluster escapes.
 	var pmErr error
+	var joiners []interface{ Join() }
 	cl, err := cluster.New(cfg.Cluster, sm, func(id int) cluster.DPMPolicy {
 		pm, e := buildPowerManager(&cfg, id, rng)
 		if e != nil {
@@ -254,6 +259,9 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 				pmErr = e
 			}
 			return nil
+		}
+		if j, ok := pm.(interface{ Join() }); ok {
+			joiners = append(joiners, j)
 		}
 		return pm
 	})
@@ -273,13 +281,14 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 	}
 
 	s := &Session{
-		cfg:   cfg,
-		agent: agent,
-		cl:    cl,
-		alloc: alloc,
-		col:   metrics.NewCollector(cl, checkpointEvery),
-		obs:   o.obs,
-		ctx:   o.ctx,
+		cfg:     cfg,
+		agent:   agent,
+		cl:      cl,
+		alloc:   alloc,
+		col:     metrics.NewCollector(cl, checkpointEvery),
+		obs:     o.obs,
+		ctx:     o.ctx,
+		joiners: joiners,
 	}
 	if o.ctx != nil {
 		s.done = o.ctx.Done()
@@ -887,14 +896,18 @@ func (s *Session) finishEpisode() {
 	}
 }
 
-// Close finalizes the learning episode (if Result has not already), dumps
-// the epoch-trace file and shuts the telemetry endpoint down (if configured),
-// stops the lane's pump timer, and marks the session
-// unusable. It is idempotent; the only error it can return is a failing
-// epoch-trace dump (WithEpochTraceFile).
+// Close waits for every LSTM training round still in flight (re-raising a
+// round's panic), finalizes the learning episode (if Result has not already),
+// dumps the epoch-trace file and shuts the telemetry endpoint down (if
+// configured), stops the lane's pump timer, and marks the session unusable.
+// It is idempotent; the only error it can return is a failing epoch-trace
+// dump (WithEpochTraceFile).
 func (s *Session) Close() error {
 	if s.closed {
 		return nil
+	}
+	for _, j := range s.joiners {
+		j.Join()
 	}
 	s.finishEpisode()
 	err := s.telClose()
