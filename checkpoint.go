@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"hierdrl/internal/checkpoint"
+	"hierdrl/internal/cluster"
 	"hierdrl/internal/trace"
 )
 
@@ -80,7 +81,9 @@ func (s *Session) configJSON() ([]byte, error) {
 //
 // Checkpointing a closed session returns ErrSessionClosed; checkpointing a
 // session whose run already failed (context cancellation, guard trip) returns
-// the latched error — a partial failed run is not a resumable state.
+// the latched error — a partial failed run is not a resumable state. A
+// cancelled run that should stay resumable uses WithAutoCheckpoint, whose
+// final generation is written before the cancellation latches.
 func (s *Session) Checkpoint(w io.Writer) (err error) {
 	if s.closed {
 		return ErrSessionClosed
@@ -115,9 +118,8 @@ func (s *Session) Checkpoint(w io.Writer) (err error) {
 // is the engine section; section runs a walk over each further one and, when
 // decoding, reports its failure or an unconsumed payload.
 func (s *Session) state(eng *checkpoint.Codec, section func(name string, walk func(*checkpoint.Codec)) error) error {
-	lane := s.lane.sm
-	now := lane.Now()
-	seq, prioSeq, nFired := lane.Counters()
+	now := s.sm.Now()
+	seq, prioSeq, nFired := s.sm.Counters()
 	eng.F64((*float64)(&now))
 	eng.I64(&seq)
 	eng.I64(&prioSeq)
@@ -130,12 +132,14 @@ func (s *Session) state(eng *checkpoint.Codec, section func(name string, walk fu
 			return fmt.Errorf("%w: lane clock %v, %d fired", ErrCorrupt, now, nFired)
 		}
 		// RestoreBegin wipes the construction-time event queue.
-		lane.RestoreBegin(now, seq, prioSeq, nFired)
+		s.sm.RestoreBegin(now, seq, prioSeq, nFired)
 	}
 	if err := section(secCluster, s.cl.State); err != nil {
 		return err
 	}
-	s.lane.tailState(eng)
+	// The pump timer, with its exact sequence number, so the restored lane
+	// fires it in the same position bit for bit.
+	cluster.TimerState(eng, &s.pump, s.sm, pumpFire, s)
 	if err := eng.End(); err != nil {
 		return err
 	}
@@ -422,7 +426,9 @@ const autoKeep = 3
 // path.1 and path.2 — a crash mid-write never destroys the last good
 // snapshot. A write failure surfaces from the driving Step/StepUntil/Drain
 // call without terminating the run: the session itself stays consistent and
-// resumable, and the next boundary retries.
+// resumable, and the next boundary retries. With WithContext, cancellation
+// writes one final generation before it latches, so the newest file holds
+// the instant the run stopped.
 //
 // The option applies to NewSession and Restore alike, so a resumed run keeps
 // checkpointing to the same file.

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -286,10 +287,17 @@ type snapshotCorruption struct {
 	want   error
 }
 
-// localTierCorruptions mutate localSnapshot (clock 12477.8 s). Each rewrites
-// a local-tier instant to 1e15 s, after the lane clock, under a recomputed
-// CRC; the run used to restore and then panic on that server's next event.
+// localTierCorruptions mutate localSnapshot (clock 12477.8 s) under a
+// recomputed CRC. The local-tier rows rewrite an instant to 1e15 s, after the
+// lane clock; the run used to restore and then panic on that server's next
+// event.
 var localTierCorruptions = []snapshotCorruption{
+	// The round-robin cursor (after the alloc section's presence flag and the
+	// component's stateful flag) set to -1: the next dispatch used to hand
+	// the cluster server -1 and panic.
+	{"round-robin-negative-cursor", func(b []byte) []byte {
+		return resealWord(b, findSection(b, "alloc"), 2, ^uint64(0))
+	}, hierdrl.ErrCorrupt},
 	// Server 0's LSTM predictor's last arrival (after its weights, Adam
 	// moments and RNG): its next arrival was "out of order".
 	{"predictor-arrival-after-clock", func(b []byte) []byte {
@@ -401,6 +409,20 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 			testRejectsCorruption(t, set.good, tc)
 		}
 	}
+}
+
+// TestRoundRobinCursorPastMResumes: a round-robin cursor at or past M is
+// reduced at the next dispatch, so one at math.MaxInt restores and drains to
+// a Result (the increment used to overflow one dispatch later and panic).
+func TestRoundRobinCursorPastMResumes(t *testing.T) {
+	good := localSnapshot(t)
+	mutant := resealWord(append([]byte(nil), good...), findSection(good, "alloc"), 2, math.MaxInt)
+	s, err := hierdrl.Restore(bytes.NewReader(mutant))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	defer s.Close()
+	drainResult(t, s)
 }
 
 func testRejectsCorruption(t *testing.T, good []byte, tc snapshotCorruption) {
@@ -626,4 +648,81 @@ func TestAutoCheckpointRotationAndResume(t *testing.T) {
 			t.Errorf("one StepUntil over %d completions left no %s: %v", long.Completed(), filepath.Base(f), err)
 		}
 	}
+}
+
+// TestAutoCheckpointFlushesOnCancel: a cancelled run with auto-checkpointing
+// writes one final generation at the event boundary where it stops — not
+// only the last periodic one — and that generation resumes to the
+// uninterrupted Summary. When the final write fails, Drain's error carries
+// both the cancellation and the write error.
+func TestAutoCheckpointFlushesOnCancel(t *testing.T) {
+	cfg := hierdrl.RoundRobin(6)
+	cfg.Alloc = hierdrl.AllocLeastLoaded
+	tr := hierdrl.SyntheticTraceForCluster(1200, 6, 1)
+	ref, err := hierdrl.Run(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// drain runs a session that snapshots to path every 200 completions and,
+	// at the 537th, calls atCancel and cancels its own context.
+	drain := func(path string, atCancel func()) error {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		done := 0
+		s, err := hierdrl.NewSession(cfg, hierdrl.WithContext(ctx), hierdrl.WithAutoCheckpoint(path, 200),
+			hierdrl.WithObserver(hierdrl.Observer{OnJobDone: func(hierdrl.Time, *hierdrl.ClusterJob) {
+				if done++; done == 537 {
+					atCancel()
+					cancel()
+				}
+			}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.SubmitTrace(tr); err != nil {
+			t.Fatal(err)
+		}
+		return s.Drain()
+	}
+
+	t.Run("final-generation", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		if err := drain(path, func() {}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Drain: got %v, want context.Canceled", err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := hierdrl.Restore(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("restore final generation: %v", err)
+		}
+		defer s.Close()
+		if got := s.Completed(); got != 537 {
+			t.Fatalf("final generation holds %d completions, want 537", got)
+		}
+		if res := drainResult(t, s); !reflect.DeepEqual(ref.Summary, res.Summary) {
+			t.Fatalf("resume from the final generation diverges:\nref:     %+v\nresumed: %+v",
+				ref.Summary, res.Summary)
+		}
+	})
+
+	t.Run("write-fails", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		err := drain(filepath.Join(dir, "run.ckpt"), func() {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Error(err)
+			}
+		})
+		if !errors.Is(err, context.Canceled) || !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("Drain: got %v, want both context.Canceled and the failed write", err)
+		}
+	})
 }

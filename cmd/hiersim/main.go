@@ -230,9 +230,10 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM cancel the session between events; the run then surfaces
-	// a final snapshot (and, with -checkpoint, flushes a resumable snapshot
-	// file) and exits cleanly instead of dying mid-simulation. A second
-	// signal (after stop restores the default handler) kills hard.
+	// a final snapshot (with -checkpoint, the session writes a resumable final
+	// generation to the snapshot file) and exits cleanly instead of dying
+	// mid-simulation. A second signal (after stop restores the default
+	// handler) kills hard.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -317,17 +318,11 @@ func runGenerated(ctx context.Context, cfg hierdrl.Config, src hierdrl.JobSource
 
 // runBatch replays one materialized trace through a Session the command owns
 // (rather than the Run wrapper), so an interrupt can surface a final
-// snapshot of the partial run — and, with -checkpoint, flush a resumable
+// snapshot of the partial run — or, with -checkpoint, leave a resumable
 // snapshot file — before exiting.
 func runBatch(ctx context.Context, cfg hierdrl.Config, tr *hierdrl.Trace, series bool, ckpt string, every int, telOpts []hierdrl.SessionOption) {
-	opts := append([]hierdrl.SessionOption{}, telOpts...)
-	if ckpt == "" {
-		// Without checkpointing the context latches cancellation inside the
-		// session (Drain returns it); with checkpointing the drive loop polls
-		// the context itself, so the session stays consistent and resumable
-		// at the instant the final snapshot is flushed.
-		opts = append(opts, hierdrl.WithContext(ctx))
-	} else {
+	opts := append([]hierdrl.SessionOption{hierdrl.WithContext(ctx)}, telOpts...)
+	if ckpt != "" {
 		opts = append(opts, hierdrl.WithAutoCheckpoint(ckpt, every))
 	}
 	s, err := hierdrl.NewSession(cfg, opts...)
@@ -339,19 +334,7 @@ func runBatch(ctx context.Context, cfg hierdrl.Config, tr *hierdrl.Trace, series
 	if err := s.SubmitTrace(tr); err != nil {
 		log.Fatalf("submit: %v", err)
 	}
-	if ckpt != "" {
-		driveCheckpointed(ctx, s, ckpt)
-	} else if err := s.Drain(); err != nil {
-		if ctx.Err() != nil {
-			exitInterrupted(s)
-		}
-		log.Fatalf("drain: %v", err)
-	}
-	res, err := s.Result()
-	if err != nil {
-		log.Fatalf("result: %v", err)
-	}
-	printResult(res, series)
+	drainBatch(ctx, s, ckpt, series)
 }
 
 // runResume restores a session from a snapshot file and drives it to
@@ -365,7 +348,7 @@ func runResume(ctx context.Context, from, ckpt string, every int, series bool, t
 	if err != nil {
 		log.Fatalf("open snapshot: %v", err)
 	}
-	opts := append([]hierdrl.SessionOption{hierdrl.WithAutoCheckpoint(ckpt, every)}, telOpts...)
+	opts := append([]hierdrl.SessionOption{hierdrl.WithContext(ctx), hierdrl.WithAutoCheckpoint(ckpt, every)}, telOpts...)
 	s, err := hierdrl.Restore(f, opts...)
 	cerr := f.Close()
 	if err != nil {
@@ -376,70 +359,34 @@ func runResume(ctx context.Context, from, ckpt string, every int, series bool, t
 	}
 	defer closeSession(s)
 	logTelemetryAddr(s)
-	driveCheckpointed(ctx, s, ckpt)
+	drainBatch(ctx, s, ckpt, series)
+}
+
+// drainBatch is the batch and resume runs' one tail: Drain, then the
+// interrupt, then the Result. An interrupt latches inside the session; with
+// -checkpoint (ckpt set) the session has written its final snapshot
+// generation first, and Drain returns the bare cancellation only when that
+// write landed — a failed write comes back wrapped beside it and exits
+// non-zero.
+func drainBatch(ctx context.Context, s *hierdrl.Session, ckpt string, series bool) {
+	err := s.Drain()
+	if err != nil && ctx.Err() != nil {
+		if ckpt == "" {
+			exitInterrupted(s)
+		}
+		if err == ctx.Err() {
+			fmt.Printf("\ninterrupted — snapshot flushed; resume with -resume %s\n", ckpt)
+			os.Exit(0)
+		}
+	}
+	if err != nil {
+		log.Fatalf("drain: %v", err)
+	}
 	res, err := s.Result()
 	if err != nil {
 		log.Fatalf("result: %v", err)
 	}
 	printResult(res, series)
-}
-
-// driveCheckpointed advances the session to completion, mirroring Drain's
-// stop conditions (idle engine; drained accounting on fault runs, whose
-// crash/repair timers never exhaust the queue), while polling the signal
-// context so an interrupt flushes one final snapshot and exits resumable.
-func driveCheckpointed(ctx context.Context, s *hierdrl.Session, ckpt string) {
-	done := ctx.Done()
-	faulty := s.FaultsEnabled()
-	for i := 0; ; i++ {
-		if i&255 == 0 {
-			select {
-			case <-done:
-				if err := flushCheckpoint(s, ckpt); err != nil {
-					log.Fatalf("final checkpoint: %v", err)
-				}
-				fmt.Printf("\ninterrupted — snapshot flushed; resume with -resume %s\n", ckpt)
-				os.Exit(0)
-			default:
-			}
-		}
-		if faulty && s.Drained() {
-			return
-		}
-		more, err := s.Step()
-		if err != nil {
-			log.Fatalf("run: %v", err)
-		}
-		if !more {
-			return
-		}
-	}
-}
-
-// flushCheckpoint writes one snapshot atomically: serialize next to the
-// target, fsync, then rename into place, so a crash mid-flush never
-// clobbers the last periodic snapshot.
-func flushCheckpoint(s *hierdrl.Session, path string) error {
-	tmp := path + ".final.tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := s.Checkpoint(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // exitInterrupted prints a final snapshot of a canceled session and exits

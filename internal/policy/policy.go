@@ -38,7 +38,7 @@ func (r *RoundRobin) Name() string { return "round-robin" }
 // Allocate implements Allocator.
 func (r *RoundRobin) Allocate(_ *cluster.Job, v *cluster.View) int {
 	s := r.next % v.M
-	r.next = (r.next + 1) % v.M
+	r.next = (s + 1) % v.M
 	return s
 }
 

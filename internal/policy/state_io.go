@@ -4,8 +4,15 @@ import (
 	"hierdrl/internal/checkpoint"
 )
 
-// State implements checkpoint.Stateful: the cyclic cursor.
-func (r *RoundRobin) State(c *checkpoint.Codec) { c.Int(&r.next) }
+// State implements checkpoint.Stateful: the cyclic cursor. A negative one is
+// corrupt (Allocate would hand the cluster a negative server); one at or
+// past M is reduced at the next dispatch.
+func (r *RoundRobin) State(c *checkpoint.Codec) {
+	c.Int(&r.next)
+	if c.Decoding() && c.Err() == nil && r.next < 0 {
+		c.Fail(checkpoint.ErrCorrupt, "round-robin cursor %d", r.next)
+	}
+}
 
 // State implements checkpoint.Stateful: the draw chain.
 func (r *Random) State(c *checkpoint.Codec) { c.RNG(r.rng) }

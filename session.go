@@ -22,6 +22,10 @@ import (
 // Ingested, Completed) keep reporting the final state.
 var ErrSessionClosed = errors.New("hierdrl: session closed")
 
+// infTime is the horizon of an unbounded advance; every schedulable instant
+// is finite (sim.Schedule rejects NaN and nothing schedules at +Inf).
+const infTime = sim.Time(math.MaxFloat64)
+
 // Observer bundles the session's lifecycle callbacks. It is a struct of
 // function fields rather than an interface so unset hooks cost exactly one
 // nil check on the hot path (no interface dispatch, no boxing) and callers
@@ -81,7 +85,11 @@ func WithObserver(obs Observer) SessionOption {
 
 // WithContext attaches a cancellation context: Step, StepUntil and Drain
 // return ctx.Err() once ctx is done (checked before every event or decision
-// epoch). The default context never cancels and costs nothing per event.
+// epoch) and latch it, so every later advance returns it too. With
+// WithAutoCheckpoint also set, the first advance that sees ctx done first
+// writes one final snapshot generation at that event boundary; if the write
+// fails, the returned error wraps both ctx.Err() and the write error. The
+// default context never cancels and costs nothing per event.
 func WithContext(ctx context.Context) SessionOption {
 	return func(o *sessionOptions) {
 		if ctx != nil {
@@ -93,7 +101,7 @@ func WithContext(ctx context.Context) SessionOption {
 // WithShards once selected a parallel execution tier that stepped p server
 // groups on p goroutines between arrival decision epochs. It never beat the
 // single lane (DESIGN.md §12), and the tier is gone: every session now runs
-// the one strict engine, whatever p is.
+// the one event lane, whatever p is.
 //
 // Deprecated: WithShards is a no-op for every p. It remains only so existing
 // callers compile, and will be removed.
@@ -127,8 +135,13 @@ type Session struct {
 	ctx  context.Context
 	done <-chan struct{}
 
-	// lane is the execution engine: the one event lane and its pump timer.
-	lane strictLane
+	// sm is the one event lane, stepped on the caller's goroutine. The
+	// paper's control loop has one synchronisation point, the global tier's
+	// decision epoch at each arrival; arrivals enter the lane through pump,
+	// the one pending-arrival timer (armed while arrivals are pending), whose
+	// firing is that epoch.
+	sm   *sim.Simulator
+	pump sim.Timer
 
 	// Ingestion: pending arrivals ordered by (arrival, submission order).
 	pq       pendingQueue
@@ -288,6 +301,7 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 		col:     metrics.NewCollector(cl, checkpointEvery),
 		obs:     o.obs,
 		ctx:     o.ctx,
+		sm:      sm,
 		joiners: joiners,
 	}
 	if o.ctx != nil {
@@ -344,7 +358,6 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 			agent.ObserveCluster(t, cl.TotalPower(), cl.JobsInSystem(), cl.ReliabilityObj())
 		}
 	}
-	s.lane = strictLane{s: s, sm: sm}
 	if o.etraceCap > 0 {
 		s.etrace = telemetry.NewEpochRing(o.etraceCap)
 	}
@@ -502,10 +515,10 @@ func (s *Session) retryEvicted(t sim.Time, j *cluster.Job) {
 
 // enqueue adds one job to the pending queue behind every queued job that
 // arrives no later (see pendingQueue.enqueue for the cost) and lets the
-// lane re-arm.
+// pump re-arm.
 func (s *Session) enqueue(tj Job) {
 	s.pq.enqueue(tj)
-	s.lane.arm()
+	s.arm()
 }
 
 // drained reports whether every ingested job is accounted for — completed or
@@ -573,11 +586,88 @@ func (s *Session) SubmitTrace(tr *Trace) error {
 	s.Reserve(len(tr.Jobs))
 	s.pq.enqueueAll(tr.Jobs, int(s.ingested))
 	s.ingested += int64(len(tr.Jobs))
-	s.lane.arm()
+	s.arm()
 	return nil
 }
 
-// allocate pops the head arrival and picks its target server. The lane has
+// pumpFire is the pump's event trampoline (package-level: no closure, no
+// per-event allocation).
+func pumpFire(a any) { a.(*Session).fire() }
+
+// arm keeps exactly one pending-arrival timer scheduled, in the simulator's
+// priority lane so a streamed arrival takes the same queue position an
+// up-front-scheduled arrival historically had (arrivals win timestamp ties
+// against simulation-spawned events). Call it whenever the pending queue's
+// head may have changed.
+func (s *Session) arm() {
+	if s.pq.pending() == 0 {
+		return
+	}
+	at := sim.Time(s.pq.head().Arrival)
+	if now := s.sm.Now(); at < now {
+		// A late submission is dispatched at the current clock (its latency
+		// still counts from the declared arrival).
+		at = now
+	}
+	if s.pump.Pending() {
+		if s.pump.At() <= at {
+			return // already armed at or before the head arrival
+		}
+		s.pump.Cancel()
+	}
+	s.pump = s.sm.SchedulePriorityArg(at, pumpFire, s)
+}
+
+// fire is the decision epoch: refresh the view if the allocator reads it,
+// allocate the head arrival, submit it, and re-arm for the next pending
+// arrival. With WithEpochTrace it records one span per decision.
+func (s *Session) fire() {
+	s.pump = sim.Timer{}
+	if s.faults && s.cl.UnavailableServers() == s.cl.M() {
+		// Every server is down or draining: park the pump at the earliest
+		// instant one can change state — a repair, or a draining server
+		// running dry (its power-off then schedules the real repair). The
+		// triggering event sits in the same (normal) lane with an earlier
+		// sequence number, so at that instant it fires before the pump does
+		// and the retried dispatch sees the updated availability; each
+		// re-park is therefore strictly later and the pump cannot spin.
+		at := s.cl.NextAvailAt()
+		if now := s.sm.Now(); at < now {
+			at = now
+		}
+		s.pump = s.sm.ScheduleArg(at, pumpFire, s)
+		return
+	}
+	if s.etrace != nil {
+		s.fireTraced()
+		return
+	}
+	if s.needsView {
+		s.cl.SnapshotInto(&s.view)
+	}
+	j, target := s.allocate()
+	s.cl.Submit(j, target)
+	s.arm()
+}
+
+// fireTraced is fire's decision epoch with each segment timed into the epoch
+// ring under the names the Chrome dump shows: run (the lane's events since
+// the previous decision ended), refresh+encode, alloc+gemm and commit.
+func (s *Session) fireTraced() {
+	r := s.etrace
+	sp := r.Begin(float64(s.sm.Now()))
+	if s.needsView {
+		s.cl.SnapshotInto(&s.view)
+	}
+	r.Lap(&sp.RefreshNs)
+	j, target := s.allocate()
+	r.Lap(&sp.AllocNs)
+	s.cl.Submit(j, target)
+	r.Lap(&sp.CommitNs)
+	s.arm()
+}
+
+// allocate pops the head arrival and picks its target server. fire has
 // made s.view current for allocators that read it (needsView) and commits
 // the returned job itself.
 func (s *Session) allocate() (j *cluster.Job, target int) {
@@ -636,7 +726,7 @@ func (s *Session) ctxErr() error {
 }
 
 // eventsFired counts the events the lane has fired.
-func (s *Session) eventsFired() int64 { return s.lane.sm.Fired() }
+func (s *Session) eventsFired() int64 { return s.sm.Fired() }
 
 // guard bounds total event count relative to ingested jobs, protecting
 // callers from a runaway self-rescheduling model. Every job spawns a bounded
@@ -680,9 +770,17 @@ func (s *Session) tick() error {
 
 // unit is the one clock-advance path behind Step, StepUntil and Drain: the
 // cancellation and runaway checks (which latch), one event no later than
-// until, and the tick. It reports whether an event fired.
+// until (infTime means unbounded), and the tick. It reports whether an event
+// fired.
 func (s *Session) unit(until sim.Time) (bool, error) {
 	if err := s.ctxErr(); err != nil {
+		if s.auto != nil {
+			// The last event boundary before the latch: write the final
+			// generation here, so the cancelled run resumes from this instant.
+			if werr := s.writeAutoCheckpoint(); werr != nil {
+				err = fmt.Errorf("hierdrl: %w; final auto-checkpoint: %w", err, werr)
+			}
+		}
 		return false, s.fail(err)
 	}
 	if err := s.guard(); err != nil {
@@ -694,7 +792,7 @@ func (s *Session) unit(until sim.Time) (bool, error) {
 		// closes instead.
 		return false, nil
 	}
-	if !s.lane.step(until) {
+	if next, ok := s.sm.PeekTime(); !ok || next > until || !s.sm.Step() {
 		return false, nil
 	}
 	return true, s.tick()
@@ -730,7 +828,8 @@ func (s *Session) StepUntil(t Time) error {
 			break
 		}
 	}
-	s.lane.settle(t)
+	// Nothing is left at or before t: Run only moves the clock there.
+	s.sm.Run(t)
 	return s.tick()
 }
 
@@ -749,7 +848,7 @@ func (s *Session) Drain() error {
 }
 
 // Now returns the current simulated time.
-func (s *Session) Now() Time { return s.lane.sm.Now() }
+func (s *Session) Now() Time { return s.sm.Now() }
 
 // Pending returns the number of ingested jobs not yet dispatched.
 func (s *Session) Pending() int { return s.pq.pending() }
@@ -899,7 +998,7 @@ func (s *Session) finishEpisode() {
 // Close waits for every LSTM training round still in flight (re-raising a
 // round's panic), finalizes the learning episode (if Result has not already),
 // dumps the epoch-trace file and shuts the telemetry endpoint down (if
-// configured), stops the lane's pump timer, and marks the session unusable.
+// configured), stops the pump timer, and marks the session unusable.
 // It is idempotent; the only error it can return is a failing epoch-trace
 // dump (WithEpochTraceFile).
 func (s *Session) Close() error {
@@ -911,7 +1010,9 @@ func (s *Session) Close() error {
 	}
 	s.finishEpisode()
 	err := s.telClose()
-	s.lane.stop()
+	if s.pump.Pending() {
+		s.pump.Cancel()
+	}
 	s.closed = true
 	return err
 }

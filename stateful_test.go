@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hierdrl/internal/checkpoint"
+	"hierdrl/internal/cluster"
 )
 
 // stateWalks lists every state walk a session drives when it is checkpointed,
@@ -15,7 +16,7 @@ import (
 // metrics -> sketch set -> t-digests; agent -> networks, replay, transitions).
 func stateWalks(s *Session) map[string]func(*checkpoint.Codec) {
 	walks := map[string]func(*checkpoint.Codec){
-		secCluster: func(c *checkpoint.Codec) { s.cl.State(c); s.lane.tailState(c) },
+		secCluster: func(c *checkpoint.Codec) { s.cl.State(c); cluster.TimerState(c, &s.pump, s.sm, pumpFire, s) },
 		secSession: s.sessionState,
 		secMetrics: s.col.State,
 		secAlloc:   func(c *checkpoint.Codec) { c.Component(s.alloc) },
@@ -109,8 +110,8 @@ func TestStateWalksRejectEveryPrefix(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { dst.Close() })
-				seq, prioSeq, nFired := src.lane.sm.Counters()
-				dst.lane.sm.RestoreBegin(src.lane.sm.Now(), seq, prioSeq, nFired)
+				seq, prioSeq, nFired := src.sm.Counters()
+				dst.sm.RestoreBegin(src.sm.Now(), seq, prioSeq, nFired)
 				return dst
 			}
 			for name, walk := range stateWalks(src) {
