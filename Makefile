@@ -49,10 +49,11 @@ bench-selftest:
 # bitwise reproducibility checks, and the fault-matrix smoke
 # (correlated-crash / degrade / maintenance-drain, fingerprint-pinned) and
 # the pending queue's differential test against the insertion-sort model
-# (retry re-insertion order), all under the race detector; then a few seconds
+# (retry re-insertion order) and the order the fault callbacks fire in
+# relative to the retries they cause, all under the race detector; then a few seconds
 # of the native fuzz target over the same differential check.
 chaos-smoke:
-	$(GO) test -race -run 'TestFaultObserverHammer|TestFaultMatrixObserverHammer|TestFaultReproducibleAcrossRuns|TestNewFaultModelsReproducibleAcrossRuns|TestPendingQueueMatchesInsertionSortModel' -v .
+	$(GO) test -race -run 'TestFaultObserverHammer|TestFaultMatrixObserverHammer|TestFaultReproducibleAcrossRuns|TestNewFaultModelsReproducibleAcrossRuns|TestPendingQueueMatchesInsertionSortModel|TestObserverCallbackOrder' -v .
 	$(GO) test -run=NONE -fuzz='FuzzPendingQueueOrder$$' -fuzztime=5s .
 
 # crash-smoke is the durability CI gate: the mid-run checkpoint/restore
@@ -64,7 +65,7 @@ chaos-smoke:
 # SIGINT-and-resume drills against the hiersim binary;
 # then, under the race detector, the fault run checkpointed right after a
 # head-side retry insert and resumed, the golden snapshots
-# re-emitted byte for byte (format v6 pin) and the removed tier's refused, and
+# re-emitted byte for byte (format v7 pin) and the removed tier's refused, and
 # every state walk over every strict prefix of its own payload; then a few
 # seconds each of FuzzRestoreState and FuzzRestoreResealed (one word of a
 # section rewritten under a recomputed CRC). FuzzRestoreState's minimization

@@ -144,3 +144,66 @@ func hammerRun(cfg hierdrl.Config, tr *hierdrl.Trace) (uint64, hierdrl.Summary, 
 	mix(bits[:]...)
 	return fp, res.Summary, nil
 }
+
+// TestObserverCallbackOrder pins where the fault callbacks fall relative to
+// the retries they cause: a crash fires OnServerFail before the OnJobRetry
+// of every job it evicts, and a maintenance window fires OnDrainStart before
+// the OnJobRetry of every queued job it migrates. So each retry follows,
+// at its own instant, a failure or a drain start with only retries between.
+func TestObserverCallbackOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   hierdrl.Config
+		tr    *hierdrl.Trace
+		cause string
+	}{
+		{"crash", faultCfg(8), hierdrl.SyntheticTraceForCluster(1500, 8, 1), "fail"},
+		{"drain", drainCfg(4), hierdrl.SyntheticTraceForCluster(2000, 3, 1), "drain"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type event struct {
+				kind string
+				at   hierdrl.Time
+			}
+			var log []event
+			obs := hierdrl.Observer{
+				OnServerFail:   func(at hierdrl.Time, _ int) { log = append(log, event{"fail", at}) },
+				OnServerRepair: func(at hierdrl.Time, _ int) { log = append(log, event{"repair", at}) },
+				OnDrainStart:   func(at hierdrl.Time, _ int) { log = append(log, event{"drain", at}) },
+				OnJobRetry: func(at hierdrl.Time, _, _ int, _ float64) {
+					log = append(log, event{"retry", at})
+				},
+			}
+			s, err := hierdrl.NewSession(tc.cfg, hierdrl.WithObserver(obs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.SubmitTrace(tc.tr); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			caused := 0
+			for i, e := range log {
+				if e.kind != "retry" {
+					continue
+				}
+				k := i - 1
+				for k >= 0 && log[k].kind == "retry" && log[k].at == e.at {
+					k--
+				}
+				if k < 0 || log[k].at != e.at || log[k].kind != "fail" && log[k].kind != "drain" {
+					t.Fatalf("retry #%d at %v follows no failure or drain start at its instant", i, e.at)
+				}
+				if log[k].kind == tc.cause {
+					caused++
+				}
+			}
+			if caused == 0 {
+				t.Fatalf("no retry followed a %s; test is vacuous", tc.cause)
+			}
+		})
+	}
+}

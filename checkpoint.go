@@ -264,27 +264,12 @@ func (s *Session) sessionState(c *checkpoint.Codec) {
 	c.I64(&s.lost)
 	c.F64(&s.lostWork)
 	c.I64(&s.migrated)
-	c.I64(&s.domainOutages)
 	if !dec || c.Err() != nil {
 		return
 	}
-	if s.interrupted < 0 || s.retried < 0 || s.lost < 0 || math.IsNaN(s.lostWork) ||
-		s.migrated < 0 || s.domainOutages < 0 {
-		c.Fail(ErrCorrupt, "fault tallies %d/%d/%d/%d/%d/%v",
-			s.interrupted, s.migrated, s.retried, s.lost, s.domainOutages, s.lostWork)
-		return
-	}
-	// The per-domain down counters are derived state: recompute them from the
-	// restored server states rather than serializing a redundant copy.
-	if s.domIdx != nil {
-		for i := range s.domDown {
-			s.domDown[i] = 0
-		}
-		for i := 0; i < s.cl.M(); i++ {
-			if s.cl.Down(i) {
-				s.domDown[s.domIdx[i]]++
-			}
-		}
+	if s.interrupted < 0 || s.retried < 0 || s.lost < 0 || math.IsNaN(s.lostWork) || s.migrated < 0 {
+		c.Fail(ErrCorrupt, "fault tallies %d/%d/%d/%d/%v",
+			s.interrupted, s.migrated, s.retried, s.lost, s.lostWork)
 	}
 }
 

@@ -323,10 +323,10 @@ var snapshotCorruptions = []snapshotCorruption{
 		binary.LittleEndian.PutUint32(b[8:], 99)
 		return b
 	}, hierdrl.ErrVersion},
-	// Format v5 (every replay state stored whole) is not read by a v6
-	// reader.
+	// Format v6 (the domain outage count in the session section, per-job
+	// waits in the metrics section) is not read by a v7 reader.
 	{"previous-version", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[8:], 5)
+		binary.LittleEndian.PutUint32(b[8:], 6)
 		return b
 	}, hierdrl.ErrVersion},
 	{"fingerprint-flip", func(b []byte) []byte { b[12] ^= 0xFF; return b }, hierdrl.ErrConfigMismatch},
@@ -385,11 +385,11 @@ var snapshotCorruptions = []snapshotCorruption{
 		return resealWord(b, findSection(b, "cluster"), 1562, 1)
 	}, hierdrl.ErrCorrupt},
 	// CRC-valid: the metrics section's sketch-only flag (after the latency
-	// sum, the 150 waits, the 150 latencies and the empty checkpoint
-	// series) set on a run that keeps no sketches; Result used to
-	// read percentiles from the missing latency sketch and panic.
+	// sum, the 150 latencies and the empty checkpoint series) set on a run
+	// that keeps no sketches; Result used to read percentiles from the
+	// missing latency sketch and panic.
 	{"sketch-only-without-sketches", func(b []byte) []byte {
-		return resealWord(b, findSection(b, "metrics"), 2432, 1)
+		return resealWord(b, findSection(b, "metrics"), 1224, 1)
 	}, hierdrl.ErrCorrupt},
 }
 

@@ -11,15 +11,16 @@ import (
 	"hierdrl"
 )
 
-// goldenSnapshots pins snapshot format v6 byte for byte. Each file under
+// goldenSnapshots pins snapshot format v7 byte for byte. Each file under
 // testdata/ is the snapshot of exactly the run described here, and want holds
 // the Summary bits the writing commit produced when it restored its own
 // snapshot of that run and drained (faultBits: the base measurements plus the
 // fault telemetry). The PR 13 files were first written in format v3 and
 // re-recorded when v4 took each observation's second copy out of the agent
 // section, and both P = 1 files again when v5 stopped storing the cluster's
-// derived aggregates and when v6 stored replay states as deltas; their want
-// bits never moved.
+// derived aggregates, when v6 stored replay states as deltas, and when v7
+// moved the domain outage count into the cluster section and dropped the
+// per-job waits; their want bits never moved.
 // Together the files cover every section a snapshot can carry — DRL agent,
 // replay memory, per-server LSTM + RL timeout, fault clocks and retry map,
 // and the metrics sketch extension.

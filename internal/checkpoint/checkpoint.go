@@ -48,7 +48,10 @@ const Magic = "HDRLCKPT"
 // shard-count word, the always-empty merger section and the agent's unread
 // pending-decision instant are gone. Version 6 stores every replay state after
 // the first as a delta against the previous buffer slot (F64sDelta).
-const Version uint32 = 6
+// Version 7 moves the failure-domain outage count from the session section to
+// the end of the cluster section and drops the metrics section's per-job
+// waits (their sum is kept).
+const Version uint32 = 7
 
 // maxSectionLen bounds a single section payload (1 GiB) so a corrupt length
 // field cannot drive a huge allocation before the CRC check runs.

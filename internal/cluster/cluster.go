@@ -149,6 +149,14 @@ type Cluster struct {
 	draining int
 	fails    int64
 
+	// Failure domains (nil unless EnableFaults was given any): domOf maps
+	// server -> domain and domUp counts each domain's members that are not
+	// down; domainOutages counts the episodes in which a whole domain was
+	// down at once (counted when its last member drops).
+	domOf         []int32
+	domUp         []int32
+	domainOutages int64
+
 	// idx, when enabled, maintains the least-committed-server tournament tree
 	// (see LoadIndex).
 	idx *LoadIndex
@@ -211,12 +219,10 @@ func New(cfg Config, sm *sim.Simulator, dpmFactory func(serverID int) DPMPolicy)
 	}
 	for i := 0; i < m; i++ {
 		dpm := dpmFactory(i)
-		s, err := NewServer(i, sm, cfg.serverConfigFor(i), dpm)
+		s, err := newServer(c, i, cfg.serverConfigFor(i), dpm)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: server %d: %w", i, err)
 		}
-		s.SetHooks(c.serverUpdated, c.jobDone)
-		s.SetTransitionHook(c.serverTransition)
 		c.servers[i] = s
 		c.totalPower += s.Power()
 	}
@@ -244,24 +250,29 @@ func (c *Cluster) Submit(j *Job, server int) {
 // EnableFaults installs per-server fault clocks of the given kind and
 // schedules each server's first onset event. clockFor is invoked in ascending
 // server order; a nil clock exempts that server. degradeFactor is the
-// fail-slow speed multiplier (ignored for other kinds). Call once, before any
-// event fires.
-func (c *Cluster) EnableFaults(clockFor func(serverID int) fault.Clock, kind fault.Kind, degradeFactor float64) {
+// fail-slow speed multiplier (ignored for other kinds). domains, when
+// non-empty, partitions the servers into contiguous failure domains in
+// declared order, whose whole-domain outages DomainOutages counts; their
+// counts must sum to M. Call once, before any event fires.
+func (c *Cluster) EnableFaults(clockFor func(serverID int) fault.Clock, kind fault.Kind, degradeFactor float64, domains []fault.Domain) {
 	c.faults = true
 	c.faultKind = kind
 	c.degradeFactor = degradeFactor
 	if kind == fault.KindDegrade {
 		c.dynSpeed = true
 	}
-	hooks := FaultHooks{
-		OnInterrupt: c.jobInterrupted,
-		OnMigrate:   c.jobMigrated,
-		OnFault:     c.serverFault,
-		OnDegrade:   c.serverDegraded,
-		OnDrain:     c.serverDrain,
+	if len(domains) > 0 {
+		c.domOf = make([]int32, 0, len(c.servers))
+		c.domUp = make([]int32, len(domains))
+		for d, dom := range domains {
+			c.domUp[d] = int32(dom.Count)
+			for k := 0; k < dom.Count; k++ {
+				c.domOf = append(c.domOf, int32(d))
+			}
+		}
 	}
 	for i, s := range c.servers {
-		s.SetFaultClock(clockFor(i), kind, degradeFactor, hooks)
+		s.SetFaultClock(clockFor(i), kind, degradeFactor)
 	}
 }
 
@@ -269,7 +280,7 @@ func (c *Cluster) EnableFaults(clockFor func(serverID int) fault.Clock, kind fau
 // eviction cascade. A maintenance power-off arrives with s.draining still
 // set, so the server moves from the draining count to the down count
 // atomically.
-func (c *Cluster) serverFault(t sim.Time, s *Server, down bool) {
+func (c *Cluster) serverFault(s *Server, down bool) {
 	if down {
 		c.down++
 		c.fails++
@@ -316,6 +327,10 @@ func (c *Cluster) jobInterrupted(t sim.Time, j *Job) {
 		c.OnInterrupt(t, j)
 	}
 }
+
+// DomainOutages returns how many times a whole failure domain has been down
+// at once (zero without failure domains).
+func (c *Cluster) DomainOutages() int64 { return c.domainOutages }
 
 // DownServers returns how many servers are currently crashed.
 func (c *Cluster) DownServers() int { return c.down }
@@ -469,7 +484,19 @@ func sparseReliSum(terms []float64, hot []uint64) float64 {
 	return s
 }
 
+// serverTransition counts failure-domain outages off the down and up edges,
+// then forwards the transition, so an observer already sees the new count.
 func (c *Cluster) serverTransition(t sim.Time, s *Server, from, to PowerState) {
+	if c.domOf != nil {
+		d := c.domOf[s.id]
+		if to == StateDown {
+			if c.domUp[d]--; c.domUp[d] == 0 {
+				c.domainOutages++
+			}
+		} else if from == StateDown {
+			c.domUp[d]++
+		}
+	}
 	if c.OnTransition != nil {
 		c.OnTransition(t, s.ID(), from, to)
 	}
@@ -631,13 +658,14 @@ func (c *Cluster) SnapshotInto(v *View) *View {
 // rebuildAggregates recomputes every derived aggregate from the servers:
 // the per-server power and jobs caches, jobs in system and its running
 // maximum, the reliability terms, the down/draining/fault counters, the
-// completions and the load index. Every value is exactly what the
-// incremental bookkeeping would hold — integers, copies of each server's
-// draw, and updateReliTerms output — so a restored cluster rebuilds them
-// instead of storing them. Only totalPower, a floating-point running sum
+// failure domains' up counts, the completions and the load index. Every
+// value is exactly what the incremental bookkeeping would hold — integers,
+// copies of each server's draw, and updateReliTerms output — so a restored
+// cluster rebuilds them instead of storing them. Only totalPower, a floating-point running sum
 // whose bits depend on its history, is left alone.
 func (c *Cluster) rebuildAggregates() {
 	c.jobsInSystem, c.completed, c.down, c.draining, c.fails = 0, 0, 0, 0, 0
+	clear(c.domUp)
 	for i, s := range c.servers {
 		c.prevPower[i] = s.Power()
 		c.prevJobs[i] = s.JobsInSystem()
@@ -647,6 +675,8 @@ func (c *Cluster) rebuildAggregates() {
 		c.fails += s.fails
 		if s.Down() {
 			c.down++
+		} else if c.domOf != nil {
+			c.domUp[c.domOf[i]]++
 		}
 		if s.draining {
 			c.draining++

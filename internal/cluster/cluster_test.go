@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hierdrl/internal/fault"
 	"hierdrl/internal/mat"
 	"hierdrl/internal/sim"
 )
@@ -42,13 +43,14 @@ func mkJob(id int, arrival, duration, cpu float64) *Job {
 	}
 }
 
+// newTestServer builds a one-server cluster on sm and returns its server.
 func newTestServer(t *testing.T, sm *sim.Simulator, cfg ServerConfig, dpm DPMPolicy) *Server {
 	t.Helper()
-	s, err := NewServer(0, sm, cfg, dpm)
+	c, err := New(Config{M: 1, Server: cfg, HotSpotThreshold: 0.8}, sm, func(int) DPMPolicy { return dpm })
 	if err != nil {
-		t.Fatalf("NewServer: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	return s
+	return c.Server(0)
 }
 
 func TestPowerModelEndpoints(t *testing.T) {
@@ -581,7 +583,7 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := New(DefaultConfig(2), sm, nil); err == nil {
 		t.Fatal("nil DPM factory accepted")
 	}
-	if _, err := NewServer(0, sm, DefaultServerConfig(), nil); err == nil {
+	if _, err := New(DefaultConfig(2), sm, func(int) DPMPolicy { return nil }); err == nil {
 		t.Fatal("nil DPM accepted")
 	}
 }
@@ -600,5 +602,38 @@ func TestJobAccessorPanics(t *testing.T) {
 			}()
 			fn()
 		})
+	}
+}
+
+// fixedClock is a fault clock with constant delays.
+type fixedClock struct{ fail, repair float64 }
+
+func (c fixedClock) NextFailure() float64 { return c.fail }
+func (c fixedClock) NextRepair() float64  { return c.repair }
+
+// TestCrashEvictsInRunListOrder pins the order a crash evicts running jobs
+// in: runJobs order, which is start order only until the first completion.
+// Jobs 0, 1 and 2 start; 0 completes and the swap-remove moves job 2 into
+// its slot; the crash then evicts [2, 1].
+func TestCrashEvictsInRunListOrder(t *testing.T) {
+	sm := sim.New()
+	cfg := DefaultConfig(1)
+	cfg.Server.InitialState = StateActive
+	c, err := New(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: math.Inf(1)} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableFaults(func(int) fault.Clock { return fixedClock{fail: 50, repair: 100} }, fault.KindCrash, 1, nil)
+	var evicted []int
+	c.OnInterrupt = func(_ sim.Time, j *Job) { evicted = append(evicted, j.ID) }
+	for i, d := range []float64{10, 100, 100} {
+		c.Submit(mkJob(i, 0, d, 0.2), 0)
+	}
+	sm.Run(50)
+	if c.Completed() != 1 || c.DownServers() != 1 {
+		t.Fatalf("at the crash: %d completed, %d down; want 1 and 1", c.Completed(), c.DownServers())
+	}
+	if len(evicted) != 2 || evicted[0] != 2 || evicted[1] != 1 {
+		t.Fatalf("crash evicted %v, want [2 1]", evicted)
 	}
 }

@@ -75,10 +75,11 @@ func TestPendingDemandCacheInvariant(t *testing.T) {
 		g := mat.NewRNG(seed)
 		sm := sim.New()
 		cfg := DefaultServerConfig()
-		srv, err := NewServer(0, sm, cfg, fixedDPM{timeout: 30})
+		c, err := New(Config{M: 1, Server: cfg, HotSpotThreshold: 0.8}, sm, func(int) DPMPolicy { return fixedDPM{timeout: 30} })
 		if err != nil {
 			return false
 		}
+		srv := c.Server(0)
 		ok := true
 		check := func() {
 			var want Resources
@@ -98,7 +99,7 @@ func TestPendingDemandCacheInvariant(t *testing.T) {
 				}
 			}
 		}
-		srv.SetHooks(func(sim.Time, *Server) { check() }, nil)
+		c.OnChange = func(sim.Time) { check() }
 
 		tNow := 0.0
 		for i := 0; i < 30; i++ {
@@ -126,11 +127,7 @@ func TestPendingDemandCacheInvariant(t *testing.T) {
 }
 
 func TestSubmitRejectsOversizedJob(t *testing.T) {
-	sm := sim.New()
-	srv, err := NewServer(0, sm, DefaultServerConfig(), fixedDPM{timeout: 0})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
+	srv := newTestServer(t, sim.New(), DefaultServerConfig(), fixedDPM{timeout: 0})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("oversized job accepted")

@@ -13,13 +13,16 @@ import (
 //
 // Tie-breaking prefers the lower index (left child on equality), which is
 // exactly the order the sequential scan's strict `<` comparison produces —
-// so the indexed argmin is bitwise-faithful to policy.LeastLoaded.
+// so, without a drain model, the indexed argmin is bitwise-faithful to
+// policy.LeastLoaded.
 //
-// Fault injection composes with the tree for free: a down server reports
-// CommittedLoad = +Inf (see Server.CommittedLoad), the same value the
-// [n, size) padding leaves carry, so crashed servers lose every tournament
+// Fault injection composes with the tree for free: a down or draining
+// server reports CommittedLoad = +Inf (see Server.CommittedLoad), the same
+// value the [n, size) padding leaves carry, so it loses every tournament
 // without any index-side special case — graceful degradation falls out of
-// the existing comparison rule.
+// the existing comparison rule. The View carries no draining flag, so under
+// a drain model the scan can pick a draining server the index skips, and
+// the two picks differ.
 type LoadIndex struct {
 	n     int
 	size  int       // leaf capacity: smallest power of two >= n
@@ -139,9 +142,10 @@ func (c *Cluster) rebuildLoadIndex() {
 
 // LeastCommitted returns the server with the smallest committed load
 // (running plus queued demand, binding dimension), preferring lower indices
-// on exact ties — the same argmin, bit for bit, as policy.LeastLoaded's
-// sequential snapshot scan, including its >=2.0 sentinel fallback to server
-// 0.
+// on exact ties. Without a drain model it is the same argmin, bit for bit,
+// as policy.LeastLoaded's sequential snapshot scan, including its >=2.0
+// sentinel fallback to server 0; under one it skips draining servers, which
+// the scan cannot see.
 func (c *Cluster) LeastCommitted() int {
 	best, load := c.idx.ArgMin()
 	if load >= 2.0 {

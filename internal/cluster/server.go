@@ -131,6 +131,9 @@ type Server struct {
 	sm  *sim.Simulator
 	cfg ServerConfig
 	dpm DPMPolicy
+	// cl is the owning cluster, which every server event reports to
+	// directly (aggregates, completions, transitions, fault edges).
+	cl *Cluster
 
 	state PowerState
 	// speed is the current effective execution-speed factor; baseSpeed is the
@@ -166,8 +169,11 @@ type Server struct {
 	// exists at a time, and only a draining server (running jobs winding
 	// down, power-off not yet scheduled) has none.
 	flt sim.Timer
-	// runJobs tracks executing jobs in start order so a crash can interrupt
-	// them deterministically; maintained only when fclock != nil.
+	// runJobs lists executing jobs so a crash can interrupt them
+	// deterministically, in list order; maintained only when fclock != nil.
+	// A start appends and a completion swap-removes (the last entry moves
+	// into the freed slot), so the order is start order only until the
+	// first completion.
 	runJobs []*Job
 	fails   int64
 	repairs int64
@@ -183,21 +189,6 @@ type Server struct {
 	// jobs — an idle server powers off the instant its window opens).
 	draining bool
 	drains   int64
-	// onInterrupt receives every job a crash evicts (running first in start
-	// order, then the FCFS queue front to back).
-	onInterrupt func(t sim.Time, j *Job)
-	// onMigrate receives every queued job a drain start migrates away
-	// (front to back; running jobs finish in place and are never migrated).
-	onMigrate func(t sim.Time, j *Job)
-	// onFault reports up/down flips (down=true on crash or maintenance
-	// power-off) for the cluster's failure bookkeeping, before
-	// the eviction cascade.
-	onFault func(t sim.Time, s *Server, down bool)
-	// onDegrade reports degrade onset (degraded=true) and restore.
-	onDegrade func(t sim.Time, s *Server, degraded bool)
-	// onDrain reports a maintenance window opening, before the queue
-	// migration cascade.
-	onDrain func(t sim.Time, s *Server)
 
 	// Energy accounting.
 	lastT     sim.Time
@@ -208,21 +199,11 @@ type Server struct {
 	wakeups   int64
 	shutdowns int64
 	completed int64
-
-	// onUpdate fires after every change to the server's power draw or
-	// jobs-in-system count, with the server already in its new state. The
-	// cluster uses it to maintain aggregates incrementally.
-	onUpdate func(t sim.Time, s *Server)
-	// onJobDone fires when a job completes.
-	onJobDone func(t sim.Time, j *Job)
-	// onTransition fires after every power-mode change (nil when no observer
-	// is attached; the nil check keeps the unobserved hot path free).
-	onTransition func(t sim.Time, s *Server, from, to PowerState)
 }
 
-// NewServer builds a server attached to the given simulator. dpm must not be
-// nil (use local.AlwaysOn for an unmanaged server).
-func NewServer(id int, sm *sim.Simulator, cfg ServerConfig, dpm DPMPolicy) (*Server, error) {
+// newServer builds server id of cluster cl, on cl's event lane. dpm must not
+// be nil (use local.AlwaysOn for an unmanaged server).
+func newServer(cl *Cluster, id int, cfg ServerConfig, dpm DPMPolicy) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -239,13 +220,14 @@ func NewServer(id int, sm *sim.Simulator, cfg ServerConfig, dpm DPMPolicy) (*Ser
 	}
 	s := &Server{
 		id:        id,
-		sm:        sm,
+		sm:        cl.sm,
 		cfg:       cfg,
 		dpm:       dpm,
+		cl:        cl,
 		state:     st,
 		speed:     sp,
 		baseSpeed: sp,
-		lastT:     sm.Now(),
+		lastT:     cl.sm.Now(),
 	}
 	s.lastPower = s.currentPower()
 	return s, nil
@@ -341,25 +323,11 @@ func (s *Server) Shutdowns() int64 { return s.shutdowns }
 // Completed returns the number of finished jobs.
 func (s *Server) Completed() int64 { return s.completed }
 
-// SetHooks installs the cluster-level callbacks.
-func (s *Server) SetHooks(onUpdate func(sim.Time, *Server), onJobDone func(sim.Time, *Job)) {
-	s.onUpdate = onUpdate
-	s.onJobDone = onJobDone
-}
-
-// SetTransitionHook installs an observer for power-mode changes. A nil hook
-// (the default) costs one branch per transition.
-func (s *Server) SetTransitionHook(fn func(t sim.Time, s *Server, from, to PowerState)) {
-	s.onTransition = fn
-}
-
-// setState changes the power mode and notifies the transition observer.
+// setState changes the power mode and reports the transition to the cluster.
 func (s *Server) setState(to PowerState) {
 	from := s.state
 	s.state = to
-	if s.onTransition != nil {
-		s.onTransition(s.sm.Now(), s, from, to)
-	}
+	s.cl.serverTransition(s.sm.Now(), s, from, to)
 }
 
 // queuePop removes and returns the queue head. The backing array is consumed
@@ -401,16 +369,14 @@ func (s *Server) currentPower() float64 {
 	}
 }
 
-// sync integrates energy up to now, recomputes power, and fires the hooks.
-// Call after every state mutation.
+// sync integrates energy up to now, recomputes power, and reports to the
+// cluster, then to the DPM. Call after every state mutation.
 func (s *Server) sync() {
 	now := s.sm.Now()
 	s.energyJ += s.lastPower * float64(now-s.lastT)
 	s.lastT = now
 	s.lastPower = s.currentPower()
-	if s.onUpdate != nil {
-		s.onUpdate(now, s)
-	}
+	s.cl.serverUpdated(now, s)
 	s.dpm.Observe(now, s.lastPower, s.JobsInSystem())
 }
 
@@ -536,9 +502,7 @@ func (s *Server) onJobComplete(j *Job) {
 
 	s.tryStart()
 	s.sync()
-	if s.onJobDone != nil {
-		s.onJobDone(now, j)
-	}
+	s.cl.jobDone(now, j)
 	if s.draining {
 		// A draining server bypasses the DPM: once the last running job
 		// finishes (its queue migrated away at the window opening), it powers
@@ -597,33 +561,17 @@ func (s *Server) onShutdownComplete() {
 	}
 }
 
-// FaultHooks bundles the cluster-level callbacks a fault clock reports
-// through. OnInterrupt and OnFault must be non-nil for crash/drain kinds;
-// OnDegrade, OnDrain, and OnMigrate are consulted only by their own kinds.
-type FaultHooks struct {
-	OnInterrupt func(t sim.Time, j *Job)
-	OnMigrate   func(t sim.Time, j *Job)
-	OnFault     func(t sim.Time, s *Server, down bool)
-	OnDegrade   func(t sim.Time, s *Server, degraded bool)
-	OnDrain     func(t sim.Time, s *Server)
-}
-
 // SetFaultClock attaches a deterministic fault clock of the given kind and
 // schedules the server's first onset event. A nil clock exempts the server.
 // degradeFactor is the fail-slow speed multiplier (ignored for other kinds).
 // Call once, before any event fires.
-func (s *Server) SetFaultClock(c fault.Clock, kind fault.Kind, degradeFactor float64, hooks FaultHooks) {
+func (s *Server) SetFaultClock(c fault.Clock, kind fault.Kind, degradeFactor float64) {
 	if c == nil {
 		return
 	}
 	s.fclock = c
 	s.fkind = kind
 	s.degradeTo = s.baseSpeed * degradeFactor
-	s.onInterrupt = hooks.OnInterrupt
-	s.onMigrate = hooks.OnMigrate
-	s.onFault = hooks.OnFault
-	s.onDegrade = hooks.OnDegrade
-	s.onDrain = hooks.OnDrain
 	s.armFault(c.NextFailure())
 }
 
@@ -641,9 +589,10 @@ func (s *Server) armFault(delay float64) {
 
 // onCrash is the crash event. The eviction order is part of the determinism
 // contract: state flips to StateDown first (so the transition observer sees
-// the failure before any job callback), then running jobs are interrupted in
-// start order, then the FCFS queue front to back. Energy integrates at the
-// pre-crash power before the draw drops to zero.
+// the failure before any job callback), the cluster counts the failure, then
+// running jobs are interrupted in runJobs order (not start order once a job
+// has completed: see runJobs), then the FCFS queue front to back. Energy
+// integrates at the pre-crash power before the draw drops to zero.
 func (s *Server) onCrash() {
 	s.flt = sim.Timer{}
 	now := s.sm.Now()
@@ -656,21 +605,19 @@ func (s *Server) onCrash() {
 	s.setState(StateDown)
 	s.fails++
 	s.downAt = now
-	if s.onFault != nil {
-		s.onFault(now, s, true)
-	}
+	s.cl.serverFault(s, true)
 	for i, j := range s.runJobs {
 		j.done.Cancel()
 		j.done = sim.Timer{}
 		j.srv = nil
 		s.runJobs[i] = nil
-		s.onInterrupt(now, j)
+		s.cl.jobInterrupted(now, j)
 	}
 	s.runJobs = s.runJobs[:0]
 	s.running = 0
 	s.used = Resources{}
 	for s.qhead < len(s.queue) {
-		s.onInterrupt(now, s.queuePop())
+		s.cl.jobInterrupted(now, s.queuePop())
 	}
 	s.pending = Resources{}
 	s.sync()
@@ -688,9 +635,7 @@ func (s *Server) onRepair() {
 	s.repairs++
 	s.downSec += float64(now - s.downAt)
 	s.setState(StateSleep)
-	if s.onFault != nil {
-		s.onFault(now, s, false)
-	}
+	s.cl.serverFault(s, false)
 	s.sync()
 	s.armFault(s.fclock.NextFailure())
 }
@@ -706,9 +651,7 @@ func (s *Server) onDegradeStart() {
 	s.degradedAt = now
 	s.fails++
 	s.speed = s.degradeTo
-	if s.onDegrade != nil {
-		s.onDegrade(now, s, true)
-	}
+	s.cl.serverDegraded(now, s, true)
 	s.flt = s.sm.ScheduleAfterArg(s.fclock.NextRepair(), serverDegradeEnd, s)
 }
 
@@ -720,17 +663,16 @@ func (s *Server) onDegradeEnd() {
 	s.degradedSec += float64(now - s.degradedAt)
 	s.repairs++
 	s.speed = s.baseSpeed
-	if s.onDegrade != nil {
-		s.onDegrade(now, s, false)
-	}
+	s.cl.serverDegraded(now, s, false)
 	s.flt = s.sm.ScheduleAfterArg(s.fclock.NextFailure(), serverDegradeStart, s)
 }
 
 // onDrainStart opens a maintenance window. The ordering mirrors onCrash —
-// bookkeeping hook first, then the job cascade — but the cascade is gentler:
-// queued jobs migrate (front to back, counted JobsMigrated upstream) instead
-// of being interrupted, and running jobs finish in place. The power-off
-// happens immediately if nothing is running, else when the last job drains.
+// the cluster hears of the window first, then the job cascade — but the
+// cascade is gentler: queued jobs migrate (front to back, counted
+// JobsMigrated upstream) instead of being interrupted, and running jobs
+// finish in place. The power-off happens immediately if nothing is running,
+// else when the last job drains.
 func (s *Server) onDrainStart() {
 	s.flt = sim.Timer{}
 	now := s.sm.Now()
@@ -739,11 +681,9 @@ func (s *Server) onDrainStart() {
 	if s.timeout.Cancel() {
 		s.timeout = sim.Timer{}
 	}
-	if s.onDrain != nil {
-		s.onDrain(now, s)
-	}
+	s.cl.serverDrain(now, s)
 	for s.qhead < len(s.queue) {
-		s.onMigrate(now, s.queuePop())
+		s.cl.jobMigrated(now, s.queuePop())
 	}
 	s.pending = Resources{}
 	s.sync()
@@ -754,9 +694,9 @@ func (s *Server) onDrainStart() {
 
 // maintenanceDown is the graceful power-off at the end of a drain: same
 // StateDown machinery as a crash (zero draw, masked from allocators, repair
-// timer pending) but with nothing evicted. onFault fires while draining is
-// still set, so the cluster can move the server from its draining count to
-// its down count atomically.
+// timer pending) but with nothing evicted. The cluster hears of the fault
+// while draining is still set, so it can move the server from its draining
+// count to its down count atomically.
 func (s *Server) maintenanceDown() {
 	now := s.sm.Now()
 	if s.trans.Cancel() {
@@ -765,9 +705,7 @@ func (s *Server) maintenanceDown() {
 	s.setState(StateDown)
 	s.fails++
 	s.downAt = now
-	if s.onFault != nil {
-		s.onFault(now, s, true)
-	}
+	s.cl.serverFault(s, true)
 	s.draining = false
 	s.sync()
 	s.flt = s.sm.ScheduleAfterArg(s.fclock.NextRepair(), serverRepair, s)

@@ -13,9 +13,10 @@ import (
 
 // This file walks the complete resumable state of a cluster at an event
 // boundary: every live job (waiting or executing), every server's structural
-// and timer state, and the one aggregate that cannot be recomputed — the
+// and timer state, the one aggregate that cannot be recomputed — the
 // total-power accumulator, verbatim, so a restored run continues bit for
-// bit. Every other aggregate is derived from the servers and rebuilt on
+// bit — and the failure-domain outage count, a history no server state
+// determines. Every other aggregate is derived from the servers and rebuilt on
 // decoding (rebuildAggregates), never stored. Each field is named once; the
 // Codec decides whether the walk writes or reads it.
 //
@@ -140,11 +141,11 @@ func (t *jobTable) ref(c *checkpoint.Codec, j **Job, running bool) {
 const jobRecBytes = (6+NumResources)*8 + 2
 
 // State implements checkpoint.Stateful: the live job table, every server,
-// and the total-power accumulator. It must run at an event boundary. Decoding
-// overwrites a freshly constructed cluster of the same configuration,
-// re-schedules every live timer on the (already RestoreBegin-reset) lane, and
-// rebuilds the derived aggregates; a stored total power they contradict is
-// corrupt.
+// the total-power accumulator and the domain outage count. It must run at an
+// event boundary. Decoding overwrites a freshly constructed cluster of the
+// same configuration, re-schedules every live timer on the (already
+// RestoreBegin-reset) lane, and rebuilds the derived aggregates; a stored
+// total power they contradict, or a negative outage count, is corrupt.
 func (c *Cluster) State(cd *checkpoint.Codec) {
 	dec := cd.Decoding()
 	tab := &jobTable{}
@@ -200,7 +201,12 @@ func (c *Cluster) State(cd *checkpoint.Codec) {
 	}
 
 	cd.F64(&c.totalPower)
+	cd.I64(&c.domainOutages)
 	if dec && cd.Err() == nil {
+		if c.domainOutages < 0 {
+			cd.Fail(checkpoint.ErrCorrupt, "domain outage count %d", c.domainOutages)
+			return
+		}
 		c.rebuildAggregates()
 		if err := c.checkAggregates(); err != nil {
 			cd.Fail(checkpoint.ErrCorrupt, "%v", err)

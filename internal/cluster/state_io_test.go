@@ -174,7 +174,7 @@ func TestClusterCheckpointRoundTripWithFaults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			c.EnableFaults(model.ClockFor, fault.KindCrash, 1)
+			c.EnableFaults(model.ClockFor, fault.KindCrash, 1, nil)
 			c.OnInterrupt = func(t sim.Time, j *Job) { *lost = append(*lost, j.ID) }
 			return c, sm
 		}
@@ -233,7 +233,7 @@ func TestClusterRestoreFaultFlagMismatch(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	model, _ := fault.NewExpCrash(1, 100, 10)
-	c2.EnableFaults(model.ClockFor, fault.KindCrash, 1)
+	c2.EnableFaults(model.ClockFor, fault.KindCrash, 1, nil)
 	seq, prioSeq, nFired := sm.Counters()
 	sm2.RestoreBegin(sm.Now(), seq, prioSeq, nFired)
 
@@ -266,7 +266,7 @@ func TestMergerStateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		c.EnableFaults(model.ClockFor, fault.KindCrash, 1)
+		c.EnableFaults(model.ClockFor, fault.KindCrash, 1, nil)
 		c.OnInterrupt = func(sim.Time, *Job) {}
 		return c, sm
 	}

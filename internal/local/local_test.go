@@ -123,6 +123,19 @@ func TestRLConfigValidate(t *testing.T) {
 	}
 }
 
+// oneServer builds a one-server cluster on sm under dpm and returns its
+// server.
+func oneServer(t *testing.T, sm *sim.Simulator, scfg cluster.ServerConfig, dpm cluster.DPMPolicy) *cluster.Server {
+	t.Helper()
+	cfg := cluster.DefaultConfig(1)
+	cfg.Server = scfg
+	cl, err := cluster.New(cfg, sm, func(int) cluster.DPMPolicy { return dpm })
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	return cl.Server(0)
+}
+
 // runServerWithRL drives one server under the RL power manager with a
 // perfectly periodic workload and returns the manager.
 func runServerWithRL(t *testing.T, cfg RLConfig, gap, duration float64, cycles int) *RLTimeout {
@@ -135,10 +148,7 @@ func runServerWithRL(t *testing.T, cfg RLConfig, gap, duration float64, cycles i
 	sm := sim.New()
 	scfg := cluster.DefaultServerConfig()
 	scfg.InitialState = cluster.StateActive
-	srv, err := cluster.NewServer(0, sm, scfg, mgr)
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
+	srv := oneServer(t, sm, scfg, mgr)
 	for i := 0; i < cycles; i++ {
 		j := &cluster.Job{
 			ID: i, Arrival: sim.Time(float64(i) * gap), Duration: duration,
@@ -215,10 +225,7 @@ func TestRLTimeoutFirstUpdateMatchesIntegral(t *testing.T) {
 	sm := sim.New()
 	scfg := cluster.DefaultServerConfig()
 	scfg.InitialState = cluster.StateActive
-	srv, err := cluster.NewServer(0, sm, scfg, mgr)
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
+	srv := oneServer(t, sm, scfg, mgr)
 
 	// Job 1: runs 0-10. Idle epoch at t=10 chooses timeout 0 (greedy tie).
 	// Shutdown 10-40, sleep 40-100. Job 2 arrives at 100: wake 100-130,
@@ -266,10 +273,7 @@ func TestRLTimeoutAlwaysValidTimeouts(t *testing.T) {
 	}
 	sm := sim.New()
 	scfg := cluster.DefaultServerConfig()
-	srv, err := cluster.NewServer(0, sm, scfg, mgr)
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
+	srv := oneServer(t, sm, scfg, mgr)
 	tNow := 0.0
 	for i := 0; i < 300; i++ {
 		tNow += rng.Exponential(1.0 / 40)

@@ -79,8 +79,10 @@ type Collector struct {
 	checkpointEvery int
 
 	accLatency float64
-	waits      []float64
-	latencies  []float64
+	// waitSum accumulates every completion's wait in completion order, the
+	// whole of what MeanWaitSec needs.
+	waitSum   float64
+	latencies []float64
 
 	checkpoints []Checkpoint
 	clusterRef  *cluster.Cluster
@@ -91,13 +93,10 @@ type Collector struct {
 
 	// sk, when non-nil, receives every completion into the live quantile
 	// sketches (latency digest, per-job-class digests, wait digest).
-	// sketchOnly additionally drops the O(jobs) latency/wait slices — summary
-	// percentiles then come from the latency sketch and MeanWaitSec from the
-	// incrementally kept waitSum (identical FP accumulation order to the
-	// slice loop it replaces).
+	// sketchOnly additionally drops the O(jobs) latency slice — summary
+	// percentiles then come from the latency sketch.
 	sk         *telemetry.SketchSet
 	sketchOnly bool
-	waitSum    float64
 }
 
 // NewCollector returns a collector that records a checkpoint every
@@ -129,11 +128,9 @@ func (c *Collector) JobDone(t sim.Time, j *cluster.Job) {
 	if c.sk != nil {
 		c.sk.Record(telemetry.JobClassOf(j.Duration), lat, wait)
 	}
-	if c.sketchOnly {
-		c.waitSum += wait
-	} else {
+	c.waitSum += wait
+	if !c.sketchOnly {
 		c.latencies = append(c.latencies, lat)
-		c.waits = append(c.waits, wait)
 	}
 	if n := c.Completed(); c.checkpointEvery > 0 && n%c.checkpointEvery == 0 {
 		cp := Checkpoint{
@@ -149,7 +146,7 @@ func (c *Collector) JobDone(t sim.Time, j *cluster.Job) {
 	}
 }
 
-// Reserve pre-sizes the per-job sample buffers for n completions beyond
+// Reserve pre-sizes the per-job latency buffer for n completions beyond
 // those already recorded, so a steady-state JobDone performs no slice
 // growth. Callers that know the workload length (batch replay, bounded
 // streams) use it to keep the collection path allocation-free — including
@@ -165,9 +162,6 @@ func (c *Collector) Reserve(n int) {
 	lat := make([]float64, len(c.latencies), need)
 	copy(lat, c.latencies)
 	c.latencies = lat
-	w := make([]float64, len(c.waits), need)
-	copy(w, c.waits)
-	c.waits = w
 }
 
 // Completed returns the number of completions recorded: the cluster's count.
@@ -180,7 +174,7 @@ func (c *Collector) AccLatency() float64 { return c.accLatency }
 func (c *Collector) Checkpoints() []Checkpoint { return c.checkpoints }
 
 // Summarize produces the Table I row at the current simulation time. The
-// retry-path fault tallies (JobsInterrupted through DomainOutages) belong to
+// retry-path fault tallies (JobsInterrupted through LostWorkSec) belong to
 // the caller, which fills them in.
 func (c *Collector) Summarize(policy string, now sim.Time) Summary {
 	energyJ := c.clusterRef.TotalEnergyJoules(now)
@@ -199,21 +193,16 @@ func (c *Collector) Summarize(policy string, now sim.Time) Summary {
 	if n > 0 {
 		s.AvgLatencySec = c.accLatency / float64(n)
 		s.AvgEnergyJPerJob = energyJ / float64(n)
+		s.MeanWaitSec = c.waitSum / float64(n)
 		if c.sketchOnly {
 			// Sketch-only mode: approximate percentiles from the latency
-			// t-digest (the per-job slices were never retained).
+			// t-digest (the per-job slice was never retained).
 			m := c.sk.Latency()
 			s.P50LatencySec = m.Quantile(0.50)
 			s.P95LatencySec = m.Quantile(0.95)
 			s.P99LatencySec = m.Quantile(0.99)
-			s.MeanWaitSec = c.waitSum / float64(n)
 		} else {
 			s.P50LatencySec, s.P95LatencySec, s.P99LatencySec = exactQuantiles(c.latencies)
-			var w float64
-			for _, x := range c.waits {
-				w += x
-			}
-			s.MeanWaitSec = w / float64(len(c.waits))
 		}
 	}
 	for i := 0; i < c.clusterRef.M(); i++ {
@@ -230,6 +219,7 @@ func (c *Collector) Summarize(policy string, now sim.Time) Summary {
 		s.DegradedSec += srv.DegradedSeconds(now)
 		s.Drains += srv.Drains()
 	}
+	s.DomainOutages = c.clusterRef.DomainOutages()
 	s.Availability = 1
 	if now > 0 {
 		s.Availability = 1 - downSec/(float64(c.clusterRef.M())*now.Seconds())

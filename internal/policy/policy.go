@@ -69,9 +69,12 @@ func NewLeastLoaded() *LeastLoaded { return &LeastLoaded{} }
 func (*LeastLoaded) Name() string { return "least-loaded" }
 
 // Allocate implements Allocator. Down servers are skipped, which matches
-// the LoadIndex fast path bit for bit: there a down server reports
-// CommittedLoad = +Inf and loses every tournament, so both paths consider
-// the same finite candidates in the same order.
+// the LoadIndex fast path bit for bit without a drain model: there a down
+// server reports CommittedLoad = +Inf and loses every tournament, so both
+// paths consider the same finite candidates in the same order. The View has
+// no draining flag, so under a drain model this scan can pick a draining
+// server (the session remaps it through Cluster.NextUp), which the index
+// scores +Inf.
 func (*LeastLoaded) Allocate(_ *cluster.Job, v *cluster.View) int {
 	best, bestLoad := 0, 2.0
 	for i := 0; i < v.M; i++ {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hierdrl/internal/cluster"
+	"hierdrl/internal/fault"
 	"hierdrl/internal/mat"
 	"hierdrl/internal/sim"
 )
@@ -191,6 +192,66 @@ func TestLeastCommittedMatchesLeastLoadedScan(t *testing.T) {
 			ID: i, Arrival: sim.Time(arrival), Duration: 30 + rng.Float64()*200,
 			Req: cluster.Resources{cpu, cpu * 0.8, cpu * 0.5}, Server: -1,
 		}, want)
+	}
+	cl.InvariantCheck()
+}
+
+// TestLeastCommittedSkipsDrainingServers drives the equivalence test's
+// workload under rolling maintenance windows. The View has no draining flag,
+// so LeastLoaded's scan can pick a draining server there and the two picks
+// are no longer the same; the index scores a draining server +Inf, so its
+// pick accepts work whenever some server that accepts work has a committed
+// load below the 2.0 sentinel.
+func TestLeastCommittedSkipsDrainingServers(t *testing.T) {
+	sm := sim.New()
+	cfg := cluster.DefaultConfig(9)
+	cfg.Server.InitialState = cluster.StateActive
+	cl, err := cluster.New(cfg, sm, func(int) cluster.DPMPolicy { return alwaysOnDPM{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.EnableLoadIndex()
+	drain, err := fault.NewMaintenanceDrain(400, 100, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.EnableFaults(drain.ClockFor, fault.KindDrain, 1, nil)
+	rng := mat.NewRNG(21)
+	arrival := 0.0
+	drainingSeen := 0
+	for i := 0; i < 2000; i++ {
+		arrival += rng.Exponential(0.7)
+		sm.RunBefore(sim.Time(arrival))
+		open := false
+		for k := 0; k < cl.M(); k++ {
+			if cl.Server(k).Draining() {
+				drainingSeen++
+			}
+			if cl.Accepting(k) && cl.Server(k).CommittedLoad() < 2.0 {
+				open = true
+			}
+		}
+		pick := cl.LeastCommitted()
+		if open && !cl.Accepting(pick) {
+			t.Fatalf("step %d: LeastCommitted=%d, which accepts no work (down %v, draining %v)",
+				i, pick, cl.Down(pick), cl.Server(pick).Draining())
+		}
+		to := cl.NextUp(pick)
+		if to < 0 {
+			continue
+		}
+		cpu := 0.05 + 0.4*rng.Float64()
+		if i%50 == 49 {
+			cpu = 0.9
+		}
+		sm.AdvanceTo(sim.Time(arrival))
+		cl.Submit(&cluster.Job{
+			ID: i, Arrival: sim.Time(arrival), Duration: 30 + rng.Float64()*200,
+			Req: cluster.Resources{cpu, cpu * 0.8, cpu * 0.5}, Server: -1,
+		}, to)
+	}
+	if drainingSeen == 0 {
+		t.Fatal("no decision saw a draining server; test is vacuous")
 	}
 	cl.InvariantCheck()
 }

@@ -274,8 +274,8 @@ func stepToRetry(t *testing.T, s *Session) (loBefore int) {
 // the same bytes. testdata/faults_backoff_pr12.ckpt is the snapshot the
 // commit before pendingQueue wrote at the same Step of the same run,
 // re-recorded when format v5 stopped storing the cluster's derived
-// aggregates and again, in the version word alone, for format v6 (its want
-// bits did not move): the code must write those bytes,
+// aggregates, again, in the version word alone, for format v6, and again for
+// format v7 (its want bits did not move): the code must write those bytes,
 // restore them, and finish with the Summary that commit printed.
 func TestCheckpointAfterHeadSideInsert(t *testing.T) {
 	for _, shards := range []int{1, 2} {

@@ -42,8 +42,8 @@ type Observer struct {
 	OnCheckpoint func(cp Checkpoint)
 	// OnModeTransition fires at every server power-mode change.
 	OnModeTransition func(t Time, server int, from, to PowerState)
-	// OnServerFail fires when a server crashes (fault injection), after its
-	// jobs have been evicted into the retry path.
+	// OnServerFail fires when a server crashes (fault injection), before its
+	// jobs are evicted: the OnJobRetry calls for them follow it.
 	OnServerFail func(t Time, server int)
 	// OnServerRepair fires when a crashed server rejoins (cold).
 	OnServerRepair func(t Time, server int)
@@ -56,10 +56,11 @@ type Observer struct {
 	// new effective speed multiplier (< 1 entering degradation, 1.0 on
 	// restore to full speed).
 	OnServerDegrade func(t Time, server int, factor float64)
-	// OnDrainStart fires when a maintenance window opens on a server: its
-	// queue has just been migrated and it accepts no new work while the
-	// running jobs finish. The eventual power-off and rejoin surface as
-	// OnServerFail/OnServerRepair like any other outage.
+	// OnDrainStart fires when a maintenance window opens on a server, before
+	// its queue migrates: the OnJobRetry calls for the migrated jobs follow
+	// it. The server accepts no new work while its running jobs finish. The
+	// eventual power-off and rejoin surface as OnServerFail/OnServerRepair
+	// like any other outage.
 	OnDrainStart func(t Time, server int)
 }
 
@@ -187,16 +188,6 @@ type Session struct {
 	retried     int64
 	lost        int64
 	lostWork    float64
-
-	// Failure-domain bookkeeping (nil unless Config.Faults is
-	// correlated-crash): domIdx maps server -> domain, domDown counts each
-	// domain's down members, domainOutages counts episodes where an entire
-	// domain was simultaneously down (incremented when the last member
-	// drops).
-	domIdx        []int32
-	domDown       []int32
-	domSize       []int32
-	domainOutages int64
 
 	// err latches the first terminal error (context cancellation or guard
 	// trip): all further clock advances return it and Result reports a
@@ -329,17 +320,12 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 	if fl.clockFor != nil {
 		s.faults, s.rp = true, fl.retry
 		s.retry = make(map[int]retryInfo)
-		cl.EnableFaults(fl.clockFor, fl.kind, fl.factor)
-		if fl.domains != nil {
-			s.initDomains(fl.domains)
-		}
+		cl.EnableFaults(fl.clockFor, fl.kind, fl.factor, fl.domains)
 	}
 	// Fail/repair edges ride the ordinary transition stream; route it when
-	// anyone listens (mode observer, or fault observers with faults on) or
-	// when domain outages must be counted off the down/up edges.
+	// anyone listens (mode observer, or fault observers with faults on).
 	needTrans := o.obs.OnModeTransition != nil ||
-		(s.faults && (o.obs.OnServerFail != nil || o.obs.OnServerRepair != nil)) ||
-		s.domIdx != nil
+		(s.faults && (o.obs.OnServerFail != nil || o.obs.OnServerRepair != nil))
 
 	// Observers fire synchronously on the lane, as the events happen.
 	s.col.OnCheckpoint = o.obs.OnCheckpoint
@@ -350,8 +336,8 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 	if s.faults {
 		cl.OnInterrupt = s.jobInterrupted
 		cl.OnMigrate = s.jobMigrated
-		cl.OnDegrade = s.serverDegraded
-		cl.OnDrainStart = s.drainStarted
+		cl.OnDegrade = o.obs.OnServerDegrade
+		cl.OnDrainStart = o.obs.OnDrainStart
 	}
 	if agent != nil {
 		cl.OnChange = func(t sim.Time) {
@@ -400,64 +386,21 @@ func (s *Session) jobDone(t sim.Time, j *cluster.Job) {
 	s.pool = append(s.pool, j)
 }
 
-// initDomains builds the server->domain tables correlated-crash needs for
-// outage-episode counting. Domains are contiguous ID ranges in declared
-// order (the same layout the model's per-domain clocks assume).
-func (s *Session) initDomains(domains []fault.Domain) {
-	s.domIdx = make([]int32, s.cl.M())
-	s.domDown = make([]int32, len(domains))
-	s.domSize = make([]int32, len(domains))
-	id := 0
-	for d, dom := range domains {
-		s.domSize[d] = int32(dom.Count)
-		for k := 0; k < dom.Count; k++ {
-			s.domIdx[id] = int32(d)
-			id++
-		}
-	}
-}
-
 // routeTransition fans one power-mode change out to the attached observers,
 // classifying the fault edges: a transition into StateDown is a crash, one
-// out of it a repair. With failure domains configured it also maintains the
-// per-domain down counters — a whole-domain outage episode is counted when
-// the last member drops.
+// out of it a repair.
 func (s *Session) routeTransition(t sim.Time, server int, from, to cluster.PowerState) {
 	if s.obs.OnModeTransition != nil {
 		s.obs.OnModeTransition(t, server, from, to)
 	}
 	if to == cluster.StateDown {
-		if s.domIdx != nil {
-			d := s.domIdx[server]
-			s.domDown[d]++
-			if s.domDown[d] == s.domSize[d] {
-				s.domainOutages++
-			}
-		}
 		if s.obs.OnServerFail != nil {
 			s.obs.OnServerFail(t, server)
 		}
 	} else if from == cluster.StateDown {
-		if s.domIdx != nil {
-			s.domDown[s.domIdx[server]]--
-		}
 		if s.obs.OnServerRepair != nil {
 			s.obs.OnServerRepair(t, server)
 		}
-	}
-}
-
-// serverDegraded routes a fail-slow edge to the observer.
-func (s *Session) serverDegraded(t sim.Time, server int, factor float64) {
-	if s.obs.OnServerDegrade != nil {
-		s.obs.OnServerDegrade(t, server, factor)
-	}
-}
-
-// drainStarted routes a maintenance-window opening to the observer.
-func (s *Session) drainStarted(t sim.Time, server int) {
-	if s.obs.OnDrainStart != nil {
-		s.obs.OnDrainStart(t, server)
 	}
 }
 
@@ -939,7 +882,7 @@ func (s *Session) SnapshotInto(dst *SessionSnapshot) {
 	dst.LostWorkSec = s.lostWork
 	dst.ServersUnavailable = s.cl.UnavailableServers()
 	dst.JobsMigrated = s.migrated
-	dst.DomainOutages = s.domainOutages
+	dst.DomainOutages = s.cl.DomainOutages()
 	dst.DegradedSec = s.cl.DegradedSeconds(now)
 	dst.Availability = 1
 	if now > 0 {
@@ -967,7 +910,7 @@ func (s *Session) Result() (*Result, error) {
 	s.cl.InvariantCheck()
 	sum := s.col.Summarize(s.cfg.Name, s.Now())
 	sum.JobsInterrupted, sum.JobsMigrated, sum.JobsRetried = s.interrupted, s.migrated, s.retried
-	sum.JobsLost, sum.LostWorkSec, sum.DomainOutages = s.lost, s.lostWork, s.domainOutages
+	sum.JobsLost, sum.LostWorkSec = s.lost, s.lostWork
 	res := &Result{
 		Summary:        sum,
 		Checkpoints:    s.col.Checkpoints(),
