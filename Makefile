@@ -96,8 +96,9 @@ obs-smoke:
 
 # examples-smoke builds and runs every examples/ program with a tiny job
 # count, exercising the public Session/registry API end to end, then every
-# table of cmd/experiments at bench scale over two seeds (~7 s; CI runs it so
-# API drift breaks the build, not users).
+# table of cmd/experiments at bench scale over two seeds, plus the two tables
+# -exp all skips, faultsweep and scenarios (~7 s; CI runs it so API drift
+# breaks the build, not users).
 examples-smoke:
 	$(GO) run ./examples/quickstart -jobs 300 -warmup 80
 	$(GO) run ./examples/datacenter -servers 6 -jobs 250 -warmup 60
@@ -106,6 +107,8 @@ examples-smoke:
 	$(GO) run ./examples/pluggable -jobs 200 -servers 4
 	$(GO) run ./examples/scenario -scenario mixed-het -jobs 400
 	$(GO) run ./cmd/experiments -exp all -scale bench -seeds 1,2
+	$(GO) run ./cmd/experiments -exp faultsweep -scale bench
+	$(GO) run ./cmd/experiments -exp scenarios -scale bench
 
 # profile writes CPU and allocation pprof profiles of the headline
 # experiment benchmark (inspect with `go tool pprof cpu.pprof`).

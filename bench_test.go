@@ -20,6 +20,7 @@ import (
 	"hierdrl"
 	"hierdrl/internal/cluster"
 	"hierdrl/internal/global"
+	"hierdrl/internal/local"
 	"hierdrl/internal/lstm"
 	"hierdrl/internal/mat"
 	"hierdrl/internal/nn"
@@ -430,7 +431,7 @@ func BenchmarkEventLoop(b *testing.B) {
 func BenchmarkSnapshot(b *testing.B) {
 	sm := sim.New()
 	cl, err := cluster.New(cluster.DefaultConfig(30), sm, func(int) cluster.DPMPolicy {
-		return benchAlwaysOn{}
+		return local.AlwaysOn
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -442,13 +443,6 @@ func BenchmarkSnapshot(b *testing.B) {
 		cl.SnapshotInto(&v)
 	}
 }
-
-// benchAlwaysOn avoids importing internal/local just for the benchmark.
-type benchAlwaysOn struct{}
-
-func (benchAlwaysOn) OnIdle(sim.Time, *cluster.Server) float64                { return 1e18 }
-func (benchAlwaysOn) OnArrival(sim.Time, *cluster.Server, cluster.PowerState) {}
-func (benchAlwaysOn) Observe(sim.Time, float64, int)                          {}
 
 // BenchmarkAllocateEpoch measures one full DRL decision epoch on a warm
 // M=30 agent: state encode, transition close into the pooled replay, Q

@@ -29,6 +29,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"hierdrl/internal/mat"
 )
 
 // Magic identifies a snapshot file.
@@ -75,14 +77,6 @@ var (
 // the Codec decides whether the walk writes or reads them.
 type Stateful interface {
 	State(c *Codec)
-}
-
-// RNGState is the serializable face of a deterministic generator (seed plus
-// draw count, see mat.RNG). The interface lives here so every component's
-// state I/O writes RNG chains identically.
-type RNGState interface {
-	State() (seed, draws int64)
-	Restore(seed, draws int64)
 }
 
 // Stateless is the opt-in marker for pluggable components that carry no
@@ -221,8 +215,10 @@ func (c *Codec) Count(n, elemSize int) int {
 	return n
 }
 
-// RNG walks a generator's (seed, draws) state, rewinding r in place.
-func (c *Codec) RNG(r RNGState) {
+// RNG walks a generator's (seed, draws) state, rewinding r in place. It is
+// the one place RNG chains are written, so every component's state I/O
+// writes them identically.
+func (c *Codec) RNG(r *mat.RNG) {
 	seed, draws := r.State()
 	c.I64(&seed)
 	c.I64(&draws)

@@ -184,13 +184,11 @@ type Cluster struct {
 	OnDrainStart func(t sim.Time, server int)
 
 	// faults records that EnableFaults installed failure clocks; faultKind
-	// and degradeFactor record the installed model's class.
+	// tells every server what a clock firing means, and degradeFactor is the
+	// fail-slow speed multiplier.
 	faults        bool
 	faultKind     fault.Kind
 	degradeFactor float64
-	// dynSpeed marks that effective speeds can change mid-run (fail-slow), so
-	// snapshot refreshes must rewrite View.Speed instead of filling it once.
-	dynSpeed bool
 }
 
 // New builds a cluster of cfg.M servers on the event lane sm. dpmFactory is
@@ -249,7 +247,7 @@ func (c *Cluster) Submit(j *Job, server int) {
 
 // EnableFaults installs per-server fault clocks of the given kind and
 // schedules each server's first onset event. clockFor is invoked in ascending
-// server order; a nil clock exempts that server. degradeFactor is the
+// server order and must return a clock for every server. degradeFactor is the
 // fail-slow speed multiplier (ignored for other kinds). domains, when
 // non-empty, partitions the servers into contiguous failure domains in
 // declared order, whose whole-domain outages DomainOutages counts; their
@@ -258,9 +256,6 @@ func (c *Cluster) EnableFaults(clockFor func(serverID int) fault.Clock, kind fau
 	c.faults = true
 	c.faultKind = kind
 	c.degradeFactor = degradeFactor
-	if kind == fault.KindDegrade {
-		c.dynSpeed = true
-	}
 	if len(domains) > 0 {
 		c.domOf = make([]int32, 0, len(c.servers))
 		c.domUp = make([]int32, len(domains))
@@ -272,7 +267,8 @@ func (c *Cluster) EnableFaults(clockFor func(serverID int) fault.Clock, kind fau
 		}
 	}
 	for i, s := range c.servers {
-		s.SetFaultClock(clockFor(i), kind, degradeFactor)
+		s.fclock = clockFor(i)
+		s.armFault(s.fclock.NextFailure())
 	}
 }
 
@@ -645,9 +641,9 @@ func (c *Cluster) SnapshotInto(v *View) *View {
 		v.InSystem[i] = s.JobsInSystem()
 		v.State[i] = s.State()
 	}
-	// Speed is refreshed only under a fail-slow model: the branch keeps the
-	// fault-free refresh loop (and its zero-alloc pin) byte-identical.
-	if c.dynSpeed && v.Speed != nil {
+	// Speed can change mid-run only under a fail-slow model: the branch keeps
+	// the fault-free refresh loop (and its zero-alloc pin) byte-identical.
+	if c.faultKind == fault.KindDegrade && v.Speed != nil {
 		for i, s := range c.servers {
 			v.Speed[i] = s.Speed()
 		}

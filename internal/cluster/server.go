@@ -156,14 +156,9 @@ type Server struct {
 	// cancels (pure value writes, no behavior change).
 	trans sim.Timer
 
-	// Fault layer (all zero when no failure clock is attached).
+	// Fault layer (all zero when no failure clock is attached). What a clock
+	// firing means — crash, degrade or drain — is the cluster's faultKind.
 	fclock fault.Clock
-	// fkind tells the server what a clock firing means: crash (evict all),
-	// degrade (slow down), or drain (planned maintenance window).
-	fkind fault.Kind
-	// degradeTo is the precomputed degraded speed (baseSpeed * model factor),
-	// meaningful only for KindDegrade.
-	degradeTo float64
 	// flt is the pending fault-onset timer while up, the pending repair timer
 	// while down, and the pending restore timer while degraded — at most one
 	// exists at a time, and only a draining server (running jobs winding
@@ -243,21 +238,12 @@ func (s *Server) State() PowerState { return s.state }
 // nominal); a fail-slow fault lowers it until the matching restore.
 func (s *Server) Speed() float64 { return s.speed }
 
-// BaseSpeed returns the configured class speed factor, unaffected by faults.
-func (s *Server) BaseSpeed() float64 { return s.baseSpeed }
-
 // QueueLen returns the number of jobs waiting (not yet granted resources).
 func (s *Server) QueueLen() int { return len(s.queue) - s.qhead }
-
-// Running returns the number of executing jobs.
-func (s *Server) Running() int { return s.running }
 
 // JobsInSystem returns waiting plus executing jobs (the JQ(t) signal feeding
 // Eqn. (5), via Little's law a proxy for per-job latency).
 func (s *Server) JobsInSystem() int { return len(s.queue) - s.qhead + s.running }
-
-// Used returns the resources currently granted to running jobs.
-func (s *Server) Used() Resources { return s.used }
 
 // Utilization returns the fractional utilization per resource dimension.
 func (s *Server) Utilization() Resources {
@@ -561,23 +547,10 @@ func (s *Server) onShutdownComplete() {
 	}
 }
 
-// SetFaultClock attaches a deterministic fault clock of the given kind and
-// schedules the server's first onset event. A nil clock exempts the server.
-// degradeFactor is the fail-slow speed multiplier (ignored for other kinds).
-// Call once, before any event fires.
-func (s *Server) SetFaultClock(c fault.Clock, kind fault.Kind, degradeFactor float64) {
-	if c == nil {
-		return
-	}
-	s.fclock = c
-	s.fkind = kind
-	s.degradeTo = s.baseSpeed * degradeFactor
-	s.armFault(c.NextFailure())
-}
-
-// armFault schedules the next fault onset through the kind's trampoline.
+// armFault schedules the next fault onset through the cluster's fault
+// kind's trampoline.
 func (s *Server) armFault(delay float64) {
-	switch s.fkind {
+	switch s.cl.faultKind {
 	case fault.KindDegrade:
 		s.flt = s.sm.ScheduleAfterArg(delay, serverDegradeStart, s)
 	case fault.KindDrain:
@@ -650,7 +623,7 @@ func (s *Server) onDegradeStart() {
 	s.degraded = true
 	s.degradedAt = now
 	s.fails++
-	s.speed = s.degradeTo
+	s.speed = s.baseSpeed * s.cl.degradeFactor
 	s.cl.serverDegraded(now, s, true)
 	s.flt = s.sm.ScheduleAfterArg(s.fclock.NextRepair(), serverDegradeEnd, s)
 }
@@ -744,10 +717,6 @@ func (s *Server) Draining() bool { return s.draining }
 
 // Drains returns how many maintenance windows have opened.
 func (s *Server) Drains() int64 { return s.drains }
-
-// Degraded reports whether a fail-slow fault currently holds the server at
-// reduced speed.
-func (s *Server) Degraded() bool { return s.degraded }
 
 // DegradedSeconds returns the total time spent degraded through t, including
 // the still-open interval if the server is degraded now.

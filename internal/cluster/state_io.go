@@ -233,9 +233,9 @@ func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *jobTable, ru
 		return
 	}
 	// Only the drain model drains and only the degrade model degrades; a
-	// fault-free server's zero kind is the crash model's.
-	if s.draining && (st != StateActive || s.fkind != fault.KindDrain) ||
-		s.degraded && s.fkind != fault.KindDegrade {
+	// fault-free cluster's zero kind is the crash model's.
+	if s.draining && (st != StateActive || c.faultKind != fault.KindDrain) ||
+		s.degraded && c.faultKind != fault.KindDegrade {
 		cd.Fail(checkpoint.ErrCorrupt, "server %d draining=%v degraded=%v in power state %v, which its fault model cannot produce",
 			s.id, s.draining, s.degraded, st)
 		return
@@ -243,7 +243,7 @@ func (c *Cluster) serverState(cd *checkpoint.Codec, s *Server, tab *jobTable, ru
 	if dec {
 		// The effective speed follows from the degraded flag.
 		if s.speed = s.baseSpeed; s.degraded {
-			s.speed = s.degradeTo
+			s.speed = s.baseSpeed * c.degradeFactor
 		}
 	}
 

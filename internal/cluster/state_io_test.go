@@ -162,9 +162,9 @@ func TestClusterCheckpointRoundTripFaultFree(t *testing.T) {
 // schedule continues exactly where the snapshot left off.
 func TestClusterCheckpointRoundTripWithFaults(t *testing.T) {
 	cfg := DefaultConfig(4)
-	model, err := fault.NewExpCrash(7, 15, 4)
+	clockFor, err := fault.ExpClocks(7, 15, 4, nil, 4)
 	if err != nil {
-		t.Fatalf("NewExpCrash: %v", err)
+		t.Fatalf("ExpClocks: %v", err)
 	}
 	var lost1, lost2 []int
 	mk := func(lost *[]int) func() (*Cluster, *sim.Simulator) {
@@ -174,7 +174,7 @@ func TestClusterCheckpointRoundTripWithFaults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			c.EnableFaults(model.ClockFor, fault.KindCrash, 1, nil)
+			c.EnableFaults(clockFor, fault.KindCrash, 1, nil)
 			c.OnInterrupt = func(t sim.Time, j *Job) { *lost = append(*lost, j.ID) }
 			return c, sm
 		}
@@ -232,8 +232,8 @@ func TestClusterRestoreFaultFlagMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	model, _ := fault.NewExpCrash(1, 100, 10)
-	c2.EnableFaults(model.ClockFor, fault.KindCrash, 1, nil)
+	clockFor, _ := fault.ExpClocks(1, 100, 10, nil, 2)
+	c2.EnableFaults(clockFor, fault.KindCrash, 1, nil)
 	seq, prioSeq, nFired := sm.Counters()
 	sm2.RestoreBegin(sm.Now(), seq, prioSeq, nFired)
 
@@ -256,9 +256,9 @@ func TestClusterRestoreFaultFlagMismatch(t *testing.T) {
 // cluster's incremental bookkeeping holds.
 func TestMergerStateRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(6)
-	model, err := fault.NewExpCrash(3, 60, 4)
+	clockFor, err := fault.ExpClocks(3, 60, 4, nil, 6)
 	if err != nil {
-		t.Fatalf("NewExpCrash: %v", err)
+		t.Fatalf("ExpClocks: %v", err)
 	}
 	mk := func() (*Cluster, *sim.Simulator) {
 		sm := sim.New()
@@ -266,7 +266,7 @@ func TestMergerStateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		c.EnableFaults(model.ClockFor, fault.KindCrash, 1, nil)
+		c.EnableFaults(clockFor, fault.KindCrash, 1, nil)
 		c.OnInterrupt = func(sim.Time, *Job) {}
 		return c, sm
 	}

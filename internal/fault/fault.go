@@ -1,6 +1,9 @@
 // Package fault implements the deterministic failure/repair subsystem:
-// per-server exponential crash and repair clocks plus the retry policies
-// that decide what happens to jobs a crash interrupts.
+// per-server fault clocks plus the retry policy that decides what happens
+// to jobs a crash interrupts. Both are closed sets held as values: two
+// clock constructors (ExpClocks for exp-crash, correlated-crash and
+// degrade; DrainClocks for maintenance-drain) and one Retry whose fields
+// select immediate, backoff or drop-after.
 //
 // Determinism contract: each server's clock is an independent RNG chain
 // seeded from (run seed, server ID) only, and it is advanced exclusively by
@@ -16,7 +19,6 @@ import (
 	"math"
 
 	"hierdrl/internal/mat"
-	"hierdrl/internal/trace"
 )
 
 // Clock draws one server's crash/repair delays, in seconds. Implementations
@@ -33,12 +35,47 @@ type Clock interface {
 	NextRepair() float64
 }
 
-// RetryPolicy decides an interrupted job's fate. Retry is consulted on the
-// attempt-th interruption of job j (attempt counts from 1 across the job's
-// lifetime, surviving multiple crashes): it returns the requeue delay in
-// seconds and whether to retry at all — false drops the job as lost.
-type RetryPolicy interface {
-	Retry(now float64, j trace.Job, attempt int) (delaySec float64, retry bool)
+// Retry decides an interrupted job's fate. The zero value is "immediate"
+// (requeue at the crash instant, no attempt cap), Retry{Max: n} is
+// "drop-after" (up to n immediate requeues) and NewBackoff builds "backoff"
+// (capped exponential delays, optionally capped in attempts too).
+type Retry struct {
+	BaseSec float64 // first backoff delay; 0 requeues at once
+	CapSec  float64 // largest backoff delay
+	Max     int     // interruptions a job survives; 0 = unlimited
+}
+
+// NewBackoff validates and builds a capped exponential backoff policy.
+func NewBackoff(baseSec, capSec float64, max int) (Retry, error) {
+	if !(baseSec > 0) || math.IsInf(baseSec, 1) {
+		return Retry{}, fmt.Errorf("fault: backoff base %v must be positive and finite", baseSec)
+	}
+	if !(capSec >= baseSec) || math.IsInf(capSec, 1) {
+		return Retry{}, fmt.Errorf("fault: backoff cap %v must be finite and >= base %v", capSec, baseSec)
+	}
+	if max < 0 {
+		return Retry{}, fmt.Errorf("fault: backoff max %d must be non-negative", max)
+	}
+	return Retry{BaseSec: baseSec, CapSec: capSec, Max: max}, nil
+}
+
+// Delay is consulted on the attempt-th interruption of a job (attempt counts
+// from 1 across the job's lifetime, surviving multiple crashes): it returns
+// the requeue delay in seconds and whether to retry at all — false drops
+// the job as lost. Attempt k waits min(BaseSec * 2^(k-1), CapSec), which is
+// 0 for the zero BaseSec and CapSec.
+func (r Retry) Delay(attempt int) (delaySec float64, retry bool) {
+	if r.Max > 0 && attempt > r.Max {
+		return 0, false
+	}
+	// Ldexp overflows to +Inf past attempt ~1075 (and a poisoned BaseSec can
+	// yield NaN); the inverted comparison clamps every non-finite value to the
+	// cap, so the delay handed to the event clock is always finite.
+	d := math.Ldexp(r.BaseSec, attempt-1) // base * 2^(attempt-1)
+	if !(d < r.CapSec) {
+		d = r.CapSec
+	}
+	return d, true
 }
 
 // chainSeed mixes the run seed and a server ID into one well-separated
@@ -55,33 +92,52 @@ func chainSeed(seed int64, serverID int) int64 {
 	return int64(x >> 1)
 }
 
-// ExpCrash is the built-in "exp-crash" model: i.i.d. exponential time to
-// failure and time to repair, the textbook Markovian machine-repair model.
-type ExpCrash struct {
-	seed       int64
-	mttf, mttr float64
-}
-
-// NewExpCrash builds an exponential crash/repair model with the given mean
-// time to failure and mean time to repair (both in seconds).
-func NewExpCrash(seed int64, mttfSec, mttrSec float64) (*ExpCrash, error) {
+// ExpClocks builds the exponential clocks: i.i.d. exponential time to
+// failure (mean mttfSec) and to repair (mean mttrSec), the textbook
+// Markovian machine-repair model. Under the degrade model the same draws are
+// the time to a slowdown and the slowdown's length.
+//
+// With nil domains every server gets its own chain seeded from (run seed,
+// server ID): the "exp-crash" and "degrade" models. Otherwise domains must
+// partition the m servers, and every member of a domain gets its own replica
+// of one domain-level chain — a two-level splitmix64 chain seeded from (run
+// seed, domain index), the same discipline the workload subsystem uses for
+// component isolation. That is "correlated-crash": because the engine calls
+// NextFailure/NextRepair in strict alternation per server, and all members
+// start up together at t=0, the replicas stay in perpetual lockstep, so the
+// whole domain goes down and comes back at identical instants with zero
+// cross-server draws.
+func ExpClocks(seed int64, mttfSec, mttrSec float64, domains []Domain, m int) (func(serverID int) Clock, error) {
+	if domains != nil {
+		if err := ValidateDomains(domains, m); err != nil {
+			return nil, err
+		}
+	}
 	if !(mttfSec > 0) || math.IsInf(mttfSec, 1) {
 		return nil, fmt.Errorf("fault: MTTF %v must be positive and finite", mttfSec)
 	}
 	if !(mttrSec > 0) || math.IsInf(mttrSec, 1) {
 		return nil, fmt.Errorf("fault: MTTR %v must be positive and finite", mttrSec)
 	}
-	return &ExpCrash{seed: seed, mttf: mttfSec, mttr: mttrSec}, nil
-}
-
-// ClockFor returns server serverID's clock: every server gets its own chain
-// seeded from (run seed, serverID).
-func (m *ExpCrash) ClockFor(serverID int) Clock {
-	return &expClock{
-		rng:      mat.NewRNG(chainSeed(m.seed, serverID)),
-		failRate: 1 / m.mttf,
-		repRate:  1 / m.mttr,
+	failRate, repRate := 1/mttfSec, 1/mttrSec
+	if domains == nil {
+		return func(serverID int) Clock {
+			return &expClock{rng: mat.NewRNG(chainSeed(seed, serverID)), failRate: failRate, repRate: repRate}
+		}, nil
 	}
+	domainOf := make([]int32, 0, m)
+	for g, d := range domains {
+		for i := 0; i < d.Count; i++ {
+			domainOf = append(domainOf, int32(g))
+		}
+	}
+	// Level 1 separates the domain-chain channel from the per-server
+	// channel; level 2 separates the domains from each other.
+	domSeed := chainSeed(seed, 1)
+	return func(serverID int) Clock {
+		g := int(domainOf[serverID])
+		return &expClock{rng: mat.NewRNG(chainSeed(domSeed, g)), failRate: failRate, repRate: repRate}
+	}, nil
 }
 
 type expClock struct {
@@ -93,52 +149,42 @@ type expClock struct {
 func (c *expClock) NextFailure() float64 { return c.rng.Exponential(c.failRate) }
 func (c *expClock) NextRepair() float64  { return c.rng.Exponential(c.repRate) }
 
-// Immediate is the built-in "immediate" retry policy: every interrupted job
-// requeues at the crash instant with no delay and no attempt cap.
-type Immediate struct{}
-
-// Retry implements RetryPolicy.
-func (Immediate) Retry(now float64, j trace.Job, attempt int) (float64, bool) {
-	return 0, true
+// DrainClocks builds the "maintenance-drain" clocks over m servers: planned,
+// RNG-free windows. Server i's first window opens everySec*(1 + i/m) after
+// t=0 — an even stagger across one period so the fleet never drains at once —
+// and each later window opens everySec after the previous rejoin. The window
+// lasts windowSec measured from the graceful power-off.
+func DrainClocks(everySec, windowSec float64, m int) (func(serverID int) Clock, error) {
+	if !(everySec > 0) || math.IsInf(everySec, 1) {
+		return nil, fmt.Errorf("fault: drain period %v must be positive and finite", everySec)
+	}
+	if !(windowSec > 0) || math.IsInf(windowSec, 1) {
+		return nil, fmt.Errorf("fault: drain window %v must be positive and finite", windowSec)
+	}
+	if m <= 0 {
+		return nil, fmt.Errorf("fault: drain model needs a positive cluster size, got %d", m)
+	}
+	return func(serverID int) Clock {
+		return &drainClock{period: everySec, window: windowSec, offset: everySec * float64(serverID) / float64(m)}
+	}, nil
 }
 
-// Backoff is the built-in "backoff" retry policy: capped exponential
-// backoff. Attempt k waits min(BaseSec * 2^(k-1), CapSec); when Max > 0 a
-// job is dropped after Max interruptions.
-type Backoff struct {
-	BaseSec float64
-	CapSec  float64
-	Max     int // 0 = unlimited attempts
+// drainClock is the deterministic maintenance schedule: no RNG at all, just
+// the stagger offset folded into the first draw.
+type drainClock struct {
+	period, window, offset float64
+	fired                  bool
 }
 
-// NewBackoff validates and builds a capped exponential backoff policy.
-func NewBackoff(baseSec, capSec float64, max int) (Backoff, error) {
-	if !(baseSec > 0) || math.IsInf(baseSec, 1) {
-		return Backoff{}, fmt.Errorf("fault: backoff base %v must be positive and finite", baseSec)
+func (c *drainClock) NextFailure() float64 {
+	if !c.fired {
+		c.fired = true
+		return c.period + c.offset
 	}
-	if !(capSec >= baseSec) || math.IsInf(capSec, 1) {
-		return Backoff{}, fmt.Errorf("fault: backoff cap %v must be finite and >= base %v", capSec, baseSec)
-	}
-	if max < 0 {
-		return Backoff{}, fmt.Errorf("fault: backoff max %d must be non-negative", max)
-	}
-	return Backoff{BaseSec: baseSec, CapSec: capSec, Max: max}, nil
+	return c.period
 }
 
-// Retry implements RetryPolicy.
-func (b Backoff) Retry(now float64, j trace.Job, attempt int) (float64, bool) {
-	if b.Max > 0 && attempt > b.Max {
-		return 0, false
-	}
-	// Ldexp overflows to +Inf past attempt ~1075 (and a poisoned BaseSec can
-	// yield NaN); the inverted comparison clamps every non-finite value to the
-	// cap, so the delay handed to the event clock is always finite.
-	d := math.Ldexp(b.BaseSec, attempt-1) // base * 2^(attempt-1)
-	if !(d < b.CapSec) {
-		d = b.CapSec
-	}
-	return d, true
-}
+func (c *drainClock) NextRepair() float64 { return c.window }
 
 // Kind classifies what a model's clock firings do to a server. The engine
 // dispatches on it: crash evicts everything immediately, degrade only slows
@@ -201,157 +247,4 @@ func EqualDomains(n, m int) []Domain {
 		}
 	}
 	return out
-}
-
-// CorrelatedCrash is the built-in "correlated-crash" model: whole failure
-// domains crash and repair together. Every member of a domain receives its
-// own replica of one domain-level RNG chain — a two-level splitmix64 chain
-// seeded from (run seed, domain index), the same discipline the workload
-// subsystem uses for component isolation. Because the engine calls
-// NextFailure/NextRepair in strict alternation per server, and all members
-// start up together at t=0, the replicas stay in perpetual lockstep: the
-// whole domain goes down and comes back at identical instants, with zero
-// cross-server draws.
-type CorrelatedCrash struct {
-	domSeed    int64
-	domainOf   []int32
-	mttf, mttr float64
-}
-
-// NewCorrelatedCrash builds a domain-correlated crash/repair model over m
-// servers. The domain counts must sum to m.
-func NewCorrelatedCrash(seed int64, domains []Domain, m int, mttfSec, mttrSec float64) (*CorrelatedCrash, error) {
-	if err := ValidateDomains(domains, m); err != nil {
-		return nil, err
-	}
-	if !(mttfSec > 0) || math.IsInf(mttfSec, 1) {
-		return nil, fmt.Errorf("fault: MTTF %v must be positive and finite", mttfSec)
-	}
-	if !(mttrSec > 0) || math.IsInf(mttrSec, 1) {
-		return nil, fmt.Errorf("fault: MTTR %v must be positive and finite", mttrSec)
-	}
-	domainOf := make([]int32, 0, m)
-	for g, d := range domains {
-		for i := 0; i < d.Count; i++ {
-			domainOf = append(domainOf, int32(g))
-		}
-	}
-	return &CorrelatedCrash{
-		// Level 1 separates the domain-chain channel from the per-server
-		// channel plain ExpCrash draws from; level 2 (in ClockFor) separates
-		// the domains from each other.
-		domSeed:  chainSeed(seed, 1),
-		domainOf: domainOf,
-		mttf:     mttfSec,
-		mttr:     mttrSec,
-	}, nil
-}
-
-// ClockFor returns server serverID's clock. All members of a domain share
-// one chain seed, so each holds an identical private replay of the domain
-// schedule.
-func (m *CorrelatedCrash) ClockFor(serverID int) Clock {
-	g := int(m.domainOf[serverID])
-	return &expClock{
-		rng:      mat.NewRNG(chainSeed(m.domSeed, g)),
-		failRate: 1 / m.mttf,
-		repRate:  1 / m.mttr,
-	}
-}
-
-// FailSlow is the built-in "degrade" model: servers never die, they slow
-// down. A firing multiplies the server's effective speed by the degrade
-// factor (jobs started while degraded stretch by its inverse); the matching
-// repair restores full speed. Chains are per-server, exactly like ExpCrash.
-// The factor itself is the session's to apply: NewFailSlow only checks it.
-type FailSlow struct {
-	seed       int64
-	mttd, mttr float64
-}
-
-// NewFailSlow builds a fail-slow model: factor is the degraded speed
-// multiplier in (0, 1), mttdSec the mean time to degrade, mttrSec the mean
-// degraded-window length.
-func NewFailSlow(seed int64, factor, mttdSec, mttrSec float64) (*FailSlow, error) {
-	if !(factor > 0 && factor < 1) {
-		return nil, fmt.Errorf("fault: degrade factor %v must be in (0, 1)", factor)
-	}
-	if !(mttdSec > 0) || math.IsInf(mttdSec, 1) {
-		return nil, fmt.Errorf("fault: MTTF %v must be positive and finite", mttdSec)
-	}
-	if !(mttrSec > 0) || math.IsInf(mttrSec, 1) {
-		return nil, fmt.Errorf("fault: MTTR %v must be positive and finite", mttrSec)
-	}
-	return &FailSlow{seed: seed, mttd: mttdSec, mttr: mttrSec}, nil
-}
-
-// ClockFor returns server serverID's clock: NextFailure is the time to the
-// next degrade onset, NextRepair the degraded-window length.
-func (m *FailSlow) ClockFor(serverID int) Clock {
-	return &expClock{
-		rng:      mat.NewRNG(chainSeed(m.seed, serverID)),
-		failRate: 1 / m.mttd,
-		repRate:  1 / m.mttr,
-	}
-}
-
-// MaintenanceDrain is the built-in "maintenance-drain" model: planned,
-// RNG-free windows. Server i's first window opens everySec*(1 + i/m) after
-// t=0 — an even stagger across one period so the fleet never drains at once —
-// and each later window opens everySec after the previous rejoin. The window
-// lasts windowSec measured from the graceful power-off.
-type MaintenanceDrain struct {
-	everySec, windowSec float64
-	m                   int
-}
-
-// NewMaintenanceDrain builds a planned-maintenance model over m servers.
-func NewMaintenanceDrain(everySec, windowSec float64, m int) (*MaintenanceDrain, error) {
-	if !(everySec > 0) || math.IsInf(everySec, 1) {
-		return nil, fmt.Errorf("fault: drain period %v must be positive and finite", everySec)
-	}
-	if !(windowSec > 0) || math.IsInf(windowSec, 1) {
-		return nil, fmt.Errorf("fault: drain window %v must be positive and finite", windowSec)
-	}
-	if m <= 0 {
-		return nil, fmt.Errorf("fault: drain model needs a positive cluster size, got %d", m)
-	}
-	return &MaintenanceDrain{everySec: everySec, windowSec: windowSec, m: m}, nil
-}
-
-// ClockFor returns server serverID's staggered maintenance schedule.
-func (m *MaintenanceDrain) ClockFor(serverID int) Clock {
-	return &drainClock{
-		period: m.everySec,
-		window: m.windowSec,
-		offset: m.everySec * float64(serverID) / float64(m.m),
-	}
-}
-
-// drainClock is the deterministic maintenance schedule: no RNG at all, just
-// the stagger offset folded into the first draw.
-type drainClock struct {
-	period, window, offset float64
-	fired                  bool
-}
-
-func (c *drainClock) NextFailure() float64 {
-	if !c.fired {
-		c.fired = true
-		return c.period + c.offset
-	}
-	return c.period
-}
-
-func (c *drainClock) NextRepair() float64 { return c.window }
-
-// DropAfter is the built-in "drop-after" retry policy: up to Max immediate
-// requeues, then the job is counted lost.
-type DropAfter struct {
-	Max int
-}
-
-// Retry implements RetryPolicy.
-func (d DropAfter) Retry(now float64, j trace.Job, attempt int) (float64, bool) {
-	return 0, attempt <= d.Max
 }

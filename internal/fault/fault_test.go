@@ -3,21 +3,20 @@ package fault
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
-
-	"hierdrl/internal/trace"
 )
 
 // TestExpCrashChainsDeterministicAndDisjoint pins the determinism contract:
 // a server's schedule is a pure function of (seed, serverID, mttf, mttr),
 // and distinct servers (or distinct run seeds) draw from unrelated chains.
 func TestExpCrashChainsDeterministicAndDisjoint(t *testing.T) {
-	m1, err := NewExpCrash(42, 1000, 100)
+	m1, err := ExpClocks(42, 1000, 100, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _ := NewExpCrash(42, 1000, 100)
-	m3, _ := NewExpCrash(43, 1000, 100)
+	m2, _ := ExpClocks(42, 1000, 100, nil, 0)
+	m3, _ := ExpClocks(43, 1000, 100, nil, 0)
 
 	draw := func(c Clock) [6]uint64 {
 		var out [6]uint64
@@ -29,20 +28,20 @@ func TestExpCrashChainsDeterministicAndDisjoint(t *testing.T) {
 	}
 
 	for id := 0; id < 8; id++ {
-		a, b := draw(m1.ClockFor(id)), draw(m2.ClockFor(id))
+		a, b := draw(m1(id)), draw(m2(id))
 		if a != b {
 			t.Fatalf("server %d: same (seed, id) produced different schedules: %v vs %v", id, a, b)
 		}
-		if draw(m1.ClockFor(id)) == draw(m1.ClockFor(id+1)) {
+		if draw(m1(id)) == draw(m1(id+1)) {
 			t.Fatalf("servers %d and %d share a chain", id, id+1)
 		}
-		if a == draw(m3.ClockFor(id)) {
+		if a == draw(m3(id)) {
 			t.Fatalf("server %d: seeds 42 and 43 share a chain", id)
 		}
 	}
 
 	// Draws must be valid exponential variates: positive and finite.
-	c := m1.ClockFor(0)
+	c := m1(0)
 	for i := 0; i < 1000; i++ {
 		if f := c.NextFailure(); !(f > 0) || math.IsInf(f, 1) {
 			t.Fatalf("NextFailure draw %d = %v", i, f)
@@ -59,11 +58,11 @@ func TestNewExpCrashValidation(t *testing.T) {
 		{1000, 0}, {1000, -1}, {1000, math.Inf(1)}, {1000, math.NaN()},
 	}
 	for _, p := range bad {
-		if _, err := NewExpCrash(1, p[0], p[1]); err == nil {
-			t.Errorf("NewExpCrash(1, %v, %v): want error, got nil", p[0], p[1])
+		if _, err := ExpClocks(1, p[0], p[1], nil, 0); err == nil {
+			t.Errorf("ExpClocks(1, %v, %v): want error, got nil", p[0], p[1])
 		}
 	}
-	if _, err := NewExpCrash(1, 1000, 100); err != nil {
+	if _, err := ExpClocks(1, 1000, 100, nil, 0); err != nil {
 		t.Fatalf("valid params rejected: %v", err)
 	}
 }
@@ -73,25 +72,24 @@ func TestBackoffSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var j trace.Job
 	want := []float64{30, 60, 120, 240, 480, 600, 600} // doubles then caps
 	for i, w := range want {
-		d, ok := b.Retry(0, j, i+1)
+		d, ok := b.Delay(i + 1)
 		if !ok || d != w {
 			t.Fatalf("attempt %d: got (%v, %v), want (%v, true)", i+1, d, ok, w)
 		}
 	}
 
 	capped, _ := NewBackoff(10, 40, 3)
-	if d, ok := capped.Retry(0, j, 3); !ok || d != 40 {
+	if d, ok := capped.Delay(3); !ok || d != 40 {
 		t.Fatalf("attempt 3: got (%v, %v), want (40, true)", d, ok)
 	}
-	if _, ok := capped.Retry(0, j, 4); ok {
+	if _, ok := capped.Delay(4); ok {
 		t.Fatal("attempt 4 with Max=3: want drop")
 	}
 
 	// A huge attempt count must not overflow into Inf or a negative delay.
-	if d, ok := b.Retry(0, j, 10000); !ok || d != 600 {
+	if d, ok := b.Delay(10000); !ok || d != 600 {
 		t.Fatalf("attempt 10000: got (%v, %v), want (600, true)", d, ok)
 	}
 }
@@ -105,9 +103,8 @@ func TestBackoffExtremeAttemptClampsToCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var j trace.Job
 	for _, attempt := range []int{1074, 1075, 1100, 1 << 20, math.MaxInt32} {
-		d, ok := b.Retry(0, j, attempt)
+		d, ok := b.Delay(attempt)
 		if !ok {
 			t.Fatalf("attempt %d: unexpectedly dropped", attempt)
 		}
@@ -120,13 +117,13 @@ func TestBackoffExtremeAttemptClampsToCap(t *testing.T) {
 	}
 	// The clamp must be bitwise-neutral below the cap: the small-attempt
 	// schedule is pinned by TestBackoffSchedule, re-check the boundary here.
-	if d, _ := b.Retry(0, j, 5); d != 480 {
+	if d, _ := b.Delay(5); d != 480 {
 		t.Fatalf("attempt 5: delay %v, want 480 (clamp disturbed the finite path)", d)
 	}
-	// A poisoned policy (zero value, not via NewBackoff) yields NaN from
-	// Ldexp(0, large)*...; even then the delay must come out finite.
-	poisoned := Backoff{BaseSec: math.NaN(), CapSec: 600}
-	if d, ok := poisoned.Retry(0, j, 3); !ok || d != 600 {
+	// A poisoned policy (built as a literal, not via NewBackoff) yields NaN
+	// from Ldexp; even then the delay must come out finite.
+	poisoned := Retry{BaseSec: math.NaN(), CapSec: 600}
+	if d, ok := poisoned.Delay(3); !ok || d != 600 {
 		t.Fatalf("NaN base: got (%v, %v), want (600, true)", d, ok)
 	}
 }
@@ -209,12 +206,12 @@ func TestValidateDomains(t *testing.T) {
 // schedule is a pure function of (seed, partition, rates).
 func TestCorrelatedCrashLockstep(t *testing.T) {
 	domains := []Domain{{Name: "r0", Count: 3}, {Name: "r1", Count: 2}, {Name: "r2", Count: 3}}
-	m1, err := NewCorrelatedCrash(42, domains, 8, 1000, 100)
+	m1, err := ExpClocks(42, 1000, 100, domains, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _ := NewCorrelatedCrash(42, domains, 8, 1000, 100)
-	m3, _ := NewCorrelatedCrash(43, domains, 8, 1000, 100)
+	m2, _ := ExpClocks(42, 1000, 100, domains, 8)
+	m3, _ := ExpClocks(43, 1000, 100, domains, 8)
 
 	draw := func(c Clock) [8]uint64 {
 		var out [8]uint64
@@ -229,18 +226,18 @@ func TestCorrelatedCrashLockstep(t *testing.T) {
 	groups := [][]int{{0, 1, 2}, {3, 4}, {5, 6, 7}}
 	var perDomain [3][8]uint64
 	for g, members := range groups {
-		ref := draw(m1.ClockFor(members[0]))
+		ref := draw(m1(members[0]))
 		perDomain[g] = ref
 		for _, id := range members[1:] {
-			if got := draw(m1.ClockFor(id)); got != ref {
+			if got := draw(m1(id)); got != ref {
 				t.Fatalf("domain %d: server %d diverges from server %d: %v vs %v",
 					g, id, members[0], got, ref)
 			}
 		}
-		if got := draw(m2.ClockFor(members[0])); got != ref {
+		if got := draw(m2(members[0])); got != ref {
 			t.Fatalf("domain %d: same seed reconstructed a different schedule", g)
 		}
-		if got := draw(m3.ClockFor(members[0])); got == ref {
+		if got := draw(m3(members[0])); got == ref {
 			t.Fatalf("domain %d: seeds 42 and 43 share a chain", g)
 		}
 	}
@@ -248,38 +245,37 @@ func TestCorrelatedCrashLockstep(t *testing.T) {
 	if perDomain[0] == perDomain[1] || perDomain[1] == perDomain[2] || perDomain[0] == perDomain[2] {
 		t.Fatalf("domains share a chain: %v", perDomain)
 	}
-	// The domain channel must not collide with ExpCrash's per-server channel
-	// on the same run seed (level-1 separation).
-	exp, _ := NewExpCrash(42, 1000, 100)
+	// The domain channel must not collide with the per-server channel on
+	// the same run seed (level-1 separation).
+	exp, _ := ExpClocks(42, 1000, 100, nil, 0)
 	for id := 0; id < 8; id++ {
-		if draw(exp.ClockFor(id)) == perDomain[0] {
+		if draw(exp(id)) == perDomain[0] {
 			t.Fatalf("domain 0 chain collides with exp-crash server %d chain", id)
 		}
 	}
 
-	if _, err := NewCorrelatedCrash(1, domains, 9, 1000, 100); err == nil {
+	if _, err := ExpClocks(1, 1000, 100, domains, 9); err == nil {
 		t.Fatal("partition not summing to M: want error")
 	}
-	if _, err := NewCorrelatedCrash(1, domains, 8, 0, 100); err == nil {
+	if _, err := ExpClocks(1, 0, 100, domains, 8); err == nil {
 		t.Fatal("MTTF 0: want error")
+	}
+	// Domains are checked before rates.
+	if _, err := ExpClocks(1, 0, 100, domains, 9); err == nil || !strings.Contains(err.Error(), "domain counts") {
+		t.Fatalf("bad partition and MTTF 0: got %v, want the partition error", err)
 	}
 }
 
-// TestFailSlowModel pins the degrade model: the (0,1) factor validation and
-// per-server deterministic chains. (Its kind and factor are the session's
+// TestFailSlowModel pins the degrade model's per-server deterministic
+// chains. (Its kind, factor and the factor's (0, 1) check are the session's
 // fault layer: TestBuildFaultLayer.)
 func TestFailSlowModel(t *testing.T) {
-	m1, err := NewFailSlow(7, 0.25, 5000, 600)
+	m1, err := ExpClocks(7, 5000, 600, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []float64{0, 1, -0.5, 1.5, math.NaN(), math.Inf(1)} {
-		if _, err := NewFailSlow(7, f, 5000, 600); err == nil {
-			t.Errorf("factor %v: want error, got nil", f)
-		}
-	}
-	m2, _ := NewFailSlow(7, 0.25, 5000, 600)
-	c1, c2 := m1.ClockFor(3), m2.ClockFor(3)
+	m2, _ := ExpClocks(7, 5000, 600, nil, 0)
+	c1, c2 := m1(3), m2(3)
 	for i := 0; i < 10; i++ {
 		if a, b := c1.NextFailure(), c2.NextFailure(); a != b {
 			t.Fatalf("draw %d: %v vs %v", i, a, b)
@@ -294,12 +290,12 @@ func TestFailSlowModel(t *testing.T) {
 // first window opens at everySec*(1 + i/m), every later window everySec
 // after the previous rejoin, each lasting exactly windowSec.
 func TestDrainClockSchedule(t *testing.T) {
-	m, err := NewMaintenanceDrain(14400, 600, 4)
+	m, err := DrainClocks(14400, 600, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id := 0; id < 4; id++ {
-		c := m.ClockFor(id)
+		c := m(id)
 		first := 14400 * (1 + float64(id)/4)
 		if got := c.NextFailure(); got != first {
 			t.Fatalf("server %d: first window at %v, want %v", id, got, first)
@@ -314,26 +310,25 @@ func TestDrainClockSchedule(t *testing.T) {
 		}
 	}
 	for _, bad := range [][2]float64{{0, 600}, {-1, 600}, {14400, 0}, {math.Inf(1), 600}, {14400, math.NaN()}} {
-		if _, err := NewMaintenanceDrain(bad[0], bad[1], 4); err == nil {
-			t.Errorf("NewMaintenanceDrain(%v, %v, 4): want error", bad[0], bad[1])
+		if _, err := DrainClocks(bad[0], bad[1], 4); err == nil {
+			t.Errorf("DrainClocks(%v, %v, 4): want error", bad[0], bad[1])
 		}
 	}
-	if _, err := NewMaintenanceDrain(14400, 600, 0); err == nil {
+	if _, err := DrainClocks(14400, 600, 0); err == nil {
 		t.Error("m=0: want error")
 	}
 }
 
 func TestImmediateAndDropAfter(t *testing.T) {
-	var j trace.Job
 	for attempt := 1; attempt <= 100; attempt++ {
-		if d, ok := (Immediate{}).Retry(0, j, attempt); !ok || d != 0 {
-			t.Fatalf("Immediate attempt %d: got (%v, %v), want (0, true)", attempt, d, ok)
+		if d, ok := (Retry{}).Delay(attempt); !ok || d != 0 {
+			t.Fatalf("immediate attempt %d: got (%v, %v), want (0, true)", attempt, d, ok)
 		}
 	}
-	da := DropAfter{Max: 2}
+	da := Retry{Max: 2}
 	for attempt, want := range map[int]bool{1: true, 2: true, 3: false, 4: false} {
-		if d, ok := da.Retry(0, j, attempt); ok != want || d != 0 {
-			t.Fatalf("DropAfter{2} attempt %d: got (%v, %v), want (0, %v)", attempt, d, ok, want)
+		if d, ok := da.Delay(attempt); ok != want || d != 0 {
+			t.Fatalf("drop-after 2 attempt %d: got (%v, %v), want (0, %v)", attempt, d, ok, want)
 		}
 	}
 }

@@ -13,16 +13,12 @@ func (c *expClock) State(cd *checkpoint.Codec) { cd.RNG(c.rng) }
 // window, and offset are construction config.
 func (c *drainClock) State(cd *checkpoint.Codec) { cd.Bool(&c.fired) }
 
-// CheckpointStateless marks the retry policies: a job's fate depends only on
-// (now, job, attempt), never on prior calls.
-func (Immediate) CheckpointStateless() {}
-func (Backoff) CheckpointStateless()   {}
-func (DropAfter) CheckpointStateless() {}
+// CheckpointStateless marks the retry policy: a job's fate depends only on
+// its attempt count, never on prior calls.
+func (Retry) CheckpointStateless() {}
 
 var (
 	_ checkpoint.Stateful  = (*expClock)(nil)
 	_ checkpoint.Stateful  = (*drainClock)(nil)
-	_ checkpoint.Stateless = Immediate{}
-	_ checkpoint.Stateless = Backoff{}
-	_ checkpoint.Stateless = DropAfter{}
+	_ checkpoint.Stateless = Retry{}
 )

@@ -12,11 +12,11 @@ import (
 // sequence bitwise — the post-restore crash/repair schedule is exactly the
 // one the interrupted run would have produced.
 func TestExpClockRoundTrip(t *testing.T) {
-	m, err := NewExpCrash(42, 3600, 300)
+	m, err := ExpClocks(42, 3600, 300, nil, 0)
 	if err != nil {
-		t.Fatalf("NewExpCrash: %v", err)
+		t.Fatalf("ExpClocks: %v", err)
 	}
-	c1 := m.ClockFor(5).(*expClock)
+	c1 := m(5).(*expClock)
 	// Advance the chain mid-alternation.
 	for i := 0; i < 7; i++ {
 		c1.NextFailure()
@@ -32,11 +32,11 @@ func TestExpClockRoundTrip(t *testing.T) {
 
 	// Restore into a clock from an unrelated seed: every construction draw
 	// must be overwritten by the replayed chain.
-	m2, err := NewExpCrash(999, 3600, 300)
+	m2, err := ExpClocks(999, 3600, 300, nil, 0)
 	if err != nil {
-		t.Fatalf("NewExpCrash: %v", err)
+		t.Fatalf("ExpClocks: %v", err)
 	}
-	c2 := m2.ClockFor(0).(*expClock)
+	c2 := m2(0).(*expClock)
 	c2.NextFailure()
 	rd, err := checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -60,14 +60,15 @@ func TestExpClockRoundTrip(t *testing.T) {
 }
 
 // TestRetryPoliciesAreStateless pins the checkpoint contract of the retry
-// policies: pure functions of (now, job, attempt) serialize as stateless.
+// policy: a pure function of the attempt count serializes as stateless, in
+// each of its three shapes (immediate, backoff, drop-after).
 func TestRetryPoliciesAreStateless(t *testing.T) {
-	for _, p := range []any{Immediate{}, Backoff{}, DropAfter{}} {
+	for _, p := range []any{Retry{}, Retry{BaseSec: 30, CapSec: 600}, Retry{Max: 2}} {
 		if _, ok := p.(checkpoint.Stateless); !ok {
-			t.Fatalf("%T must be checkpoint.Stateless", p)
+			t.Fatalf("%+v must be checkpoint.Stateless", p)
 		}
 		if _, ok := p.(checkpoint.Stateful); ok {
-			t.Fatalf("%T must not also be Stateful", p)
+			t.Fatalf("%+v must not also be Stateful", p)
 		}
 	}
 }

@@ -10,10 +10,10 @@ import (
 )
 
 func TestStaticPolicies(t *testing.T) {
-	if got := (AlwaysOn{}).OnIdle(0, nil); !math.IsInf(got, 1) {
+	if got := AlwaysOn.OnIdle(0, nil); !math.IsInf(got, 1) {
 		t.Fatalf("AlwaysOn timeout %v want +Inf", got)
 	}
-	if got := (AdHoc{}).OnIdle(0, nil); got != 0 {
+	if got := AdHoc.OnIdle(0, nil); got != 0 {
 		t.Fatalf("AdHoc timeout %v want 0", got)
 	}
 	if got := NewFixedTimeout(60).OnIdle(0, nil); got != 60 {

@@ -1,11 +1,11 @@
 // Package local implements the local tier of the hierarchical framework
 // (Sec. VI): per-server dynamic power management. The centerpiece is
 // RLTimeout — the paper's model-free continuous-time Q-learning power
-// manager driven by an LSTM workload predictor — plus the comparison
-// policies the evaluation needs: AlwaysOn (round-robin baseline servers
-// never sleep), AdHoc (immediate sleep, Fig. 4(a), used by the "DRL-only"
-// comparator), and FixedTimeout (the Fig. 10 baselines with 30/60/90 s
-// timeouts).
+// manager driven by an LSTM workload predictor — plus the fixed-timeout
+// family the evaluation compares it against: FixedTimeout (the Fig. 10
+// baselines with 30/60/90 s timeouts) and its two ends, AlwaysOn (timeout
+// +Inf: round-robin baseline servers never sleep) and AdHoc (timeout 0:
+// immediate sleep, Fig. 4(a), used by the "DRL-only" comparator).
 package local
 
 import (
@@ -16,30 +16,14 @@ import (
 	"hierdrl/internal/sim"
 )
 
-// AlwaysOn keeps the server active forever (no power management).
-type AlwaysOn struct{}
-
-// OnIdle implements cluster.DPMPolicy.
-func (AlwaysOn) OnIdle(sim.Time, *cluster.Server) float64 { return math.Inf(1) }
-
-// OnArrival implements cluster.DPMPolicy.
-func (AlwaysOn) OnArrival(sim.Time, *cluster.Server, cluster.PowerState) {}
-
-// Observe implements cluster.DPMPolicy.
-func (AlwaysOn) Observe(sim.Time, float64, int) {}
-
-// AdHoc sleeps the instant the server goes idle — the wasteful behaviour of
-// Fig. 4(a) that the local tier is designed to beat.
-type AdHoc struct{}
-
-// OnIdle implements cluster.DPMPolicy.
-func (AdHoc) OnIdle(sim.Time, *cluster.Server) float64 { return 0 }
-
-// OnArrival implements cluster.DPMPolicy.
-func (AdHoc) OnArrival(sim.Time, *cluster.Server, cluster.PowerState) {}
-
-// Observe implements cluster.DPMPolicy.
-func (AdHoc) Observe(sim.Time, float64, int) {}
+// AlwaysOn keeps the server active forever (no power management), and AdHoc
+// sleeps the instant the server goes idle — the wasteful behaviour of
+// Fig. 4(a) that the local tier is designed to beat. Both are held as
+// interface values so every server shares one boxed FixedTimeout.
+var (
+	AlwaysOn cluster.DPMPolicy = FixedTimeout{TimeoutSec: math.Inf(1)}
+	AdHoc    cluster.DPMPolicy = FixedTimeout{}
+)
 
 // FixedTimeout sleeps after a constant idle timeout (the Fig. 10 baselines
 // use 30, 60 and 90 seconds).
@@ -63,9 +47,3 @@ func (f FixedTimeout) OnArrival(sim.Time, *cluster.Server, cluster.PowerState) {
 
 // Observe implements cluster.DPMPolicy.
 func (f FixedTimeout) Observe(sim.Time, float64, int) {}
-
-var (
-	_ cluster.DPMPolicy = AlwaysOn{}
-	_ cluster.DPMPolicy = AdHoc{}
-	_ cluster.DPMPolicy = FixedTimeout{}
-)

@@ -4,10 +4,8 @@ import (
 	"hierdrl/internal/checkpoint"
 )
 
-// CheckpointStateless marks the constant policies: their behavior is a pure
-// function of construction parameters, so a snapshot records nothing.
-func (AlwaysOn) CheckpointStateless()     {}
-func (AdHoc) CheckpointStateless()        {}
+// CheckpointStateless marks the fixed-timeout family: its behavior is a pure
+// function of the timeout, so a snapshot records nothing.
 func (FixedTimeout) CheckpointStateless() {}
 
 // State implements checkpoint.Stateful: the learned Q-table, the epsilon
@@ -49,8 +47,6 @@ func (p *WindowMean) State(c *checkpoint.Codec) {
 }
 
 var (
-	_ checkpoint.Stateless = AlwaysOn{}
-	_ checkpoint.Stateless = AdHoc{}
 	_ checkpoint.Stateless = FixedTimeout{}
 	_ checkpoint.Stateful  = (*RLTimeout)(nil)
 	_ checkpoint.Stateful  = (*LastValue)(nil)

@@ -211,11 +211,11 @@ func TestLeastCommittedSkipsDrainingServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.EnableLoadIndex()
-	drain, err := fault.NewMaintenanceDrain(400, 100, 9)
+	drain, err := fault.DrainClocks(400, 100, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.EnableFaults(drain.ClockFor, fault.KindDrain, 1, nil)
+	cl.EnableFaults(drain, fault.KindDrain, 1, nil)
 	rng := mat.NewRNG(21)
 	arrival := 0.0
 	drainingSeen := 0

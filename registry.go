@@ -173,7 +173,7 @@ type faultLayer struct {
 	kind     fault.Kind
 	factor   float64        // speed multiplier while degraded (1 unless KindDegrade)
 	domains  []fault.Domain // outage-episode partition (correlated-crash only)
-	retry    fault.RetryPolicy
+	retry    fault.Retry
 }
 
 // buildFaultLayer resolves cfg's fault model and retry policy. It is the one
@@ -183,43 +183,35 @@ type faultLayer struct {
 // prefix; callers add their own context.
 func buildFaultLayer(cfg *Config) (faultLayer, error) {
 	fl := faultLayer{factor: 1}
+	var err error
 	switch cfg.Faults {
 	case FaultNone:
 	case FaultExpCrash:
-		m, err := fault.NewExpCrash(cfg.Seed, cfg.MTTFSec, cfg.MTTRSec)
-		if err != nil {
-			return faultLayer{}, err
-		}
-		fl.clockFor = m.ClockFor
+		fl.clockFor, err = fault.ExpClocks(cfg.Seed, cfg.MTTFSec, cfg.MTTRSec, nil, cfg.M)
 	case FaultCorrelatedCrash:
 		// An explicit Domains wins, then one domain per heterogeneous server
 		// class (classes are contiguous ID ranges, the natural rack
 		// analogue), then the whole cluster as a single domain.
-		domains := cfg.Domains
-		if len(domains) == 0 {
-			domains = fault.EqualDomains(1, cfg.M)
+		fl.domains = cfg.Domains
+		if len(fl.domains) == 0 {
+			fl.domains = fault.EqualDomains(1, cfg.M)
 			if classes := cfg.Cluster.Classes; len(classes) > 0 {
-				domains = make([]fault.Domain, len(classes))
+				fl.domains = make([]fault.Domain, len(classes))
 				for i, cl := range classes {
-					domains[i] = fault.Domain{Name: cl.Name, Count: cl.Count}
+					fl.domains[i] = fault.Domain{Name: cl.Name, Count: cl.Count}
 				}
 			}
 		}
-		m, err := fault.NewCorrelatedCrash(cfg.Seed, domains, cfg.M, cfg.MTTFSec, cfg.MTTRSec)
-		if err != nil {
-			return faultLayer{}, err
-		}
-		fl.clockFor, fl.domains = m.ClockFor, domains
+		fl.clockFor, err = fault.ExpClocks(cfg.Seed, cfg.MTTFSec, cfg.MTTRSec, fl.domains, cfg.M)
 	case FaultDegrade:
-		factor := cfg.DegradeFactor
-		if factor == 0 {
-			factor = 0.25
+		fl.kind, fl.factor = fault.KindDegrade, cfg.DegradeFactor
+		if fl.factor == 0 {
+			fl.factor = 0.25
 		}
-		m, err := fault.NewFailSlow(cfg.Seed, factor, cfg.MTTFSec, cfg.MTTRSec)
-		if err != nil {
-			return faultLayer{}, err
+		if !(fl.factor > 0 && fl.factor < 1) {
+			return faultLayer{}, fmt.Errorf("fault: degrade factor %v must be in (0, 1)", fl.factor)
 		}
-		fl.clockFor, fl.kind, fl.factor = m.ClockFor, fault.KindDegrade, factor
+		fl.clockFor, err = fault.ExpClocks(cfg.Seed, cfg.MTTFSec, cfg.MTTRSec, nil, cfg.M)
 	case FaultDrain:
 		every, window := cfg.DrainEverySec, cfg.DrainWindowSec
 		if every == 0 {
@@ -228,18 +220,17 @@ func buildFaultLayer(cfg *Config) (faultLayer, error) {
 		if window == 0 {
 			window = 600
 		}
-		m, err := fault.NewMaintenanceDrain(every, window, cfg.M)
-		if err != nil {
-			return faultLayer{}, err
-		}
-		fl.clockFor, fl.kind = m.ClockFor, fault.KindDrain
+		fl.kind = fault.KindDrain
+		fl.clockFor, err = fault.DrainClocks(every, window, cfg.M)
 	default:
 		return faultLayer{}, fmt.Errorf("unknown fault model %q", cfg.Faults)
 	}
+	if err != nil {
+		return faultLayer{}, err
+	}
 
 	switch cfg.Retry {
-	case RetryImmediate:
-		fl.retry = fault.Immediate{}
+	case RetryImmediate: // the zero fault.Retry
 	case RetryBackoff:
 		base, capSec := cfg.RetryBackoffSec, cfg.RetryBackoffCapSec
 		if base == 0 {
@@ -248,16 +239,14 @@ func buildFaultLayer(cfg *Config) (faultLayer, error) {
 		if capSec == 0 {
 			capSec = 600
 		}
-		b, err := fault.NewBackoff(base, capSec, cfg.RetryMax)
-		if err != nil {
+		if fl.retry, err = fault.NewBackoff(base, capSec, cfg.RetryMax); err != nil {
 			return faultLayer{}, err
 		}
-		fl.retry = b
 	case RetryDropAfter:
 		if cfg.RetryMax <= 0 {
 			return faultLayer{}, fmt.Errorf("retry policy %q needs RetryMax > 0, got %d", RetryDropAfter, cfg.RetryMax)
 		}
-		fl.retry = fault.DropAfter{Max: cfg.RetryMax}
+		fl.retry = fault.Retry{Max: cfg.RetryMax}
 	default:
 		return faultLayer{}, fmt.Errorf("unknown retry policy %q", cfg.Retry)
 	}
@@ -331,10 +320,10 @@ func init() {
 	})
 
 	powerMgrs.add(DPMAlwaysOn, func(*Config, int, *RNG) (PowerManager, error) {
-		return local.AlwaysOn{}, nil
+		return local.AlwaysOn, nil
 	})
 	powerMgrs.add(DPMAdHoc, func(*Config, int, *RNG) (PowerManager, error) {
-		return local.AdHoc{}, nil
+		return local.AdHoc, nil
 	})
 	powerMgrs.add(DPMFixedTimeout, func(cfg *Config, _ int, _ *RNG) (PowerManager, error) {
 		return local.NewFixedTimeout(cfg.FixedTimeoutSec), nil

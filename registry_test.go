@@ -1,6 +1,7 @@
 package hierdrl
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,7 +34,9 @@ func TestBuildFaultLayer(t *testing.T) {
 		return fl
 	}
 
-	if fl := build(base(FaultNone)); fl.clockFor != nil || fl.retry != nil {
+	noneBackoff := base(FaultNone)
+	noneBackoff.Retry = RetryBackoff
+	if fl := build(noneBackoff); fl.clockFor != nil || fl.retry != (fault.Retry{}) {
 		t.Errorf("none: attached a fault layer %+v", fl)
 	}
 	noneDrop := base(FaultNone)
@@ -60,7 +63,7 @@ func TestBuildFaultLayer(t *testing.T) {
 		if (fl.domains != nil) != (c.faults == FaultCorrelatedCrash) {
 			t.Errorf("%s: domains %v", c.faults, fl.domains)
 		}
-		if fl.retry != (fault.Immediate{}) {
+		if fl.retry != (fault.Retry{}) {
 			t.Errorf("%s: retry %#v, want immediate", c.faults, fl.retry)
 		}
 	}
@@ -68,6 +71,19 @@ func TestBuildFaultLayer(t *testing.T) {
 	degrade.DegradeFactor = 0.3
 	if fl := build(degrade); fl.factor != 0.3 {
 		t.Errorf("degrade factor %v, want the configured 0.3", fl.factor)
+	}
+	// The factor must lie in (0, 1); 0 selects the 0.25 default (pinned by
+	// the table above). It is checked before the rates.
+	for _, f := range []float64{1, -0.5, 1.5, math.NaN(), math.Inf(1)} {
+		degrade.DegradeFactor = f
+		if _, err := buildFaultLayer(&degrade); err == nil || !strings.Contains(err.Error(), "degrade factor") {
+			t.Errorf("degrade factor %v: err = %v", f, err)
+		}
+		degrade.MTTFSec = 0
+		if _, err := buildFaultLayer(&degrade); err == nil || !strings.Contains(err.Error(), "degrade factor") {
+			t.Errorf("degrade factor %v with MTTF 0: err = %v, want the factor error", f, err)
+		}
+		degrade.MTTFSec = 20000
 	}
 	if c := build(base(FaultDrain)).clockFor(0); c.NextFailure() != 14400 || c.NextRepair() != 600 {
 		t.Error("drain defaults are not 14400 s / 600 s")
@@ -91,12 +107,12 @@ func TestBuildFaultLayer(t *testing.T) {
 
 	backoff := base(FaultExpCrash)
 	backoff.Retry, backoff.RetryMax = RetryBackoff, 4
-	if got := build(backoff).retry; got != (fault.Backoff{BaseSec: 30, CapSec: 600, Max: 4}) {
+	if got := build(backoff).retry; got != (fault.Retry{BaseSec: 30, CapSec: 600, Max: 4}) {
 		t.Errorf("backoff defaults %#v", got)
 	}
 	drop := base(FaultExpCrash)
 	drop.Retry, drop.RetryMax = RetryDropAfter, 2
-	if got := build(drop).retry; got != (fault.DropAfter{Max: 2}) {
+	if got := build(drop).retry; got != (fault.Retry{Max: 2}) {
 		t.Errorf("drop-after %#v", got)
 	}
 }

@@ -174,10 +174,10 @@ type Session struct {
 	// WithTelemetry or WithEpochTraceFile; same one-nil-check discipline).
 	tel *sessionTelemetry
 
-	// Fault layer (all false/nil when Config.Faults is FaultNone, leaving
+	// Fault layer (all zero when Config.Faults is FaultNone, leaving
 	// every fault branch below a never-taken check).
 	faults bool
-	rp     fault.RetryPolicy
+	rp     fault.Retry
 	retry  map[int]retryInfo // job ID -> attempts + original arrival
 	// Retry accounting: interrupted counts crash evictions, migrated the
 	// drain-time migrations, retried the requeues, lost the drops; lostWork
@@ -434,20 +434,16 @@ func (s *Session) retryEvicted(t sim.Time, j *cluster.Job) {
 		ri.orig = float64(j.Arrival)
 	}
 	ri.attempts++
-	tj := Job{ID: j.ID, Arrival: float64(t), Duration: j.Duration, Req: j.Req.ToTraceReq()}
+	delay, retryJob := s.rp.Delay(ri.attempts)
+	tj := Job{ID: j.ID, Arrival: float64(t) + delay, Duration: j.Duration, Req: j.Req.ToTraceReq()}
 	s.pool = append(s.pool, j)
-	delay, retryJob := s.rp.Retry(float64(t), tj, ri.attempts)
-	if !retryJob || math.IsInf(delay, 1) || math.IsNaN(delay) {
+	if !retryJob {
 		s.lost++
 		delete(s.retry, j.ID)
 		return
 	}
-	if delay < 0 {
-		delay = 0
-	}
 	s.retry[j.ID] = ri
 	s.retried++
-	tj.Arrival = float64(t) + delay
 	// Re-insert behind the same (arrival, order) total order Submit maintains,
 	// without assigning a new ID or counting the job as ingested again.
 	s.enqueue(tj)
