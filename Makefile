@@ -73,13 +73,16 @@ chaos-smoke:
 # new 20-50 KB snapshot it finds interesting, during which it reports 0
 # execs/s (FuzzRestoreResealed's inputs are four scalars); then a few seconds
 # of FuzzRNGMatchesMathRand, since every restored (seed, draws) pair replays
-# mat.RNG's copy of math/rand's source.
+# mat.RNG's copy of math/rand's source; then a few seconds of FuzzCodecDecode,
+# arbitrary bytes through one walk over every checkpoint.Codec primitive
+# (ErrCorrupt, or a decode that re-encodes to exactly the bytes it read).
 crash-smoke:
 	$(GO) test -run 'TestCheckpointResumeBitwise|TestRestoreRejectsCorruptSnapshots|TestResealedWordsNeverPanicResult|TestAutoCheckpointRotationAndResume|TestAutoCheckpointFlushesOnCancel|TestCrashResumeHarnessCLI|TestInterruptResumeHarnessCLI' -v .
 	$(GO) test -race -run 'TestCheckpointAfterHeadSideInsert|TestGoldenSnapshotsByteIdentical|TestStateWalksRejectEveryPrefix' -v .
 	$(GO) test -run=NONE -fuzz='FuzzRestoreState$$' -fuzztime=5s -fuzzminimizetime=200x .
 	$(GO) test -run=NONE -fuzz='FuzzRestoreResealed$$' -fuzztime=5s .
 	$(GO) test -run=NONE -fuzz='FuzzRNGMatchesMathRand$$' -fuzztime=5s ./internal/mat/
+	$(GO) test -run=NONE -fuzz='FuzzCodecDecode$$' -fuzztime=5s ./internal/checkpoint/
 
 # scenario-smoke is the workload-subsystem CI gate: every registered
 # scenario's Summary must be bitwise identical run to run, the scenario CSV

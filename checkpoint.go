@@ -98,13 +98,10 @@ func (s *Session) Checkpoint(w io.Writer) (err error) {
 		return fmt.Errorf("hierdrl: checkpoint config: %w", jerr)
 	}
 	wr := checkpoint.NewWriter(fnv64a(cfgJSON))
-	wr.Section(secConfig).Bytes(cfgJSON)
+	wr.Section(secConfig).Bytes(&cfgJSON)
 	// The writer buffers its sections, so the walk may return to the engine
 	// section after later ones; the file keeps the order of first opening.
-	err = s.state(wr.Section(secEngine).Codec(), func(name string, walk func(*checkpoint.Codec)) error {
-		walk(wr.Section(name).Codec())
-		return nil
-	})
+	err = s.state(func(name string) (*checkpoint.Codec, error) { return wr.Section(name), nil })
 	if err != nil {
 		return err
 	}
@@ -114,10 +111,23 @@ func (s *Session) Checkpoint(w io.Writer) (err error) {
 
 // state walks every section after the config in the one order both
 // directions need: the lane clock first (the cluster's timers validate
-// against it), the cluster before the pump timer, then the layers above. eng
-// is the engine section; section runs a walk over each further one and, when
-// decoding, reports its failure or an unconsumed payload.
-func (s *Session) state(eng *checkpoint.Codec, section func(name string, walk func(*checkpoint.Codec)) error) error {
+// against it), the cluster before the pump timer, then the layers above.
+// open returns each section's Codec, encoding or decoding; each section ends
+// with its End, which when decoding reports its failure or an unconsumed
+// payload.
+func (s *Session) state(open func(name string) (*checkpoint.Codec, error)) error {
+	section := func(name string, walk func(*checkpoint.Codec)) error {
+		c, err := open(name)
+		if err != nil {
+			return err
+		}
+		walk(c)
+		return c.End()
+	}
+	eng, err := open(secEngine)
+	if err != nil {
+		return err
+	}
 	now := s.sm.Now()
 	seq, prioSeq, nFired := s.sm.Counters()
 	eng.F64((*float64)(&now))
@@ -151,7 +161,7 @@ func (s *Session) state(eng *checkpoint.Codec, section func(name string, walk fu
 	}
 	// The DRL agent doubles as the allocator and is already captured above;
 	// every other allocator walks as its own component.
-	err := section(secAlloc, optional(secAlloc, s.cfg.Alloc != AllocDRL, func(c *checkpoint.Codec) { c.Component(s.alloc) }))
+	err = section(secAlloc, optional(secAlloc, s.cfg.Alloc != AllocDRL, func(c *checkpoint.Codec) { c.Component(s.alloc) }))
 	if err != nil {
 		return err
 	}
@@ -296,11 +306,6 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 		return nil, err
 	}
 
-	eng, err := rd.Section(secEngine)
-	if err != nil {
-		return nil, err
-	}
-
 	// Rebuild an equivalent empty session; every stateful component inside it
 	// is then overwritten from the snapshot, so the construction-time RNG
 	// draws and initial fault timers are irrelevant.
@@ -308,15 +313,7 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hierdrl: restore: rebuild session: %w", err)
 	}
-	err = s.state(eng.Codec(), func(name string, walk func(*checkpoint.Codec)) error {
-		d, err := rd.Section(name)
-		if err != nil {
-			return err
-		}
-		walk(d.Codec())
-		return d.Err()
-	})
-	if err == nil {
+	if err = s.state(rd.Section); err == nil {
 		// Every ingested job is completed, lost, on a server, or still pending.
 		if got := s.cl.Completed() + int64(s.cl.JobsInSystem()) + s.lost + int64(s.pq.pending()); got != s.ingested {
 			err = fmt.Errorf("%w: %d jobs ingested, %d completed, lost, on a server or pending", ErrCorrupt, s.ingested, got)
@@ -336,12 +333,13 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 // settings no session was ever built from).
 func restoreConfig(rd *checkpoint.Reader) (Config, error) {
 	var cfg Config
-	cfgDec, err := rd.Section(secConfig)
+	c, err := rd.Section(secConfig)
 	if err != nil {
 		return cfg, err
 	}
-	cfgJSON := cfgDec.Bytes()
-	if err := cfgDec.Err(); err != nil {
+	var cfgJSON []byte
+	c.Bytes(&cfgJSON)
+	if err := c.End(); err != nil {
 		return cfg, err
 	}
 	if got := fnv64a(cfgJSON); got != rd.Fingerprint() {

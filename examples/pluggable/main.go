@@ -22,8 +22,6 @@ type coolestFirst struct {
 	threshold float64
 }
 
-func (coolestFirst) Name() string { return "coolest-first" }
-
 func (c coolestFirst) Allocate(_ *hierdrl.ClusterJob, v *hierdrl.ClusterView) int {
 	best, bestLoad := -1, 2.0
 	firstSleeper := -1

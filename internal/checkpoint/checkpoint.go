@@ -17,6 +17,11 @@
 // a named section in error messages. The container carries no pointers and
 // no code — restoration rebuilds the object graph from the Config and then
 // overwrites each component's state from its section.
+//
+// A section payload is written and read by one type, Codec: each stateful
+// component has a single State(*Codec) walk naming its fields in stream
+// order, and the Codec it is handed decides whether the walk encodes them
+// (Writer.Section) or decodes them (Reader.Section, NewDec).
 package checkpoint
 
 import (
@@ -37,22 +42,10 @@ import (
 const Magic = "HDRLCKPT"
 
 // Version is the current snapshot format version. Readers reject any other
-// version with ErrVersion. Version 2 added the extended fault classes'
-// per-server state (effective speed, degrade and drain bookkeeping) and the
-// session migration/domain tallies. Version 3 extended the metrics section
-// with the telemetry sketch state (sketch-only flag, wait sum, t-digests).
-// Version 4 stores each DRL observation once: a replay transition no longer
-// carries its successor state, a state is one fixed-length block, and the
-// replay slot generations and the target-sync counter (read by nothing) left.
-// Version 5 stores each cluster fact once: the aggregates derived from the
-// servers (and the metrics copies of the completion count and the session's
-// fault tallies) are rebuilt on restore instead of stored, and the engine's
-// shard-count word, the always-empty merger section and the agent's unread
-// pending-decision instant are gone. Version 6 stores every replay state after
-// the first as a delta against the previous buffer slot (F64sDelta).
-// Version 7 moves the failure-domain outage count from the session section to
-// the end of the cluster section and drops the metrics section's per-job
-// waits (their sum is kept).
+// version with ErrVersion. Version 7 moved the failure-domain outage count
+// from the session section to the end of the cluster section and dropped the
+// metrics section's per-job waits (their sum is kept); CHANGES.md records
+// what each of versions 2 to 6 changed.
 const Version uint32 = 7
 
 // maxSectionLen bounds a single section payload (1 GiB) so a corrupt length
@@ -97,91 +90,242 @@ var ErrNotCheckpointable = errors.New("checkpoint: component is neither Stateful
 // cannot return errors) to the Catch at the top.
 type saveFailure struct{ err error }
 
-// Codec is one direction of a state walk: built over an Enc it appends every
-// field it is shown, built over a Dec it overwrites them from the payload.
-// A component therefore declares what it persists once, and the two
-// directions cannot drift apart. Restore-only work (validation, timer
-// re-scheduling, cache invalidation) sits behind Decoding(). Decode failures
-// latch in the Dec: after the first one every read yields the zero value and
-// every Count is 0, so a walk runs to its end without acting on garbage.
+// Codec is one direction of a state walk over one section payload. The zero
+// Codec encodes: it appends every field it is shown. NewDec returns one that
+// decodes: it overwrites every field from the payload. A component therefore
+// declares what it persists once, and the two directions cannot drift apart.
+// Restore-only work (validation, timer re-scheduling, cache invalidation)
+// sits behind Decoding().
+//
+// An encoded payload is a list of chunks rather than one growing slice, so a
+// 15 MB section is never re-copied as it grows: chunks start at 4 KiB and
+// double up to 1 MiB, and a block larger than the next chunk gets a chunk of
+// its own. Every primitive reserves its whole encoding once and fills it in
+// place. Encoding never fails: sections are checksummed at WriteTo time.
+//
+// Decode failures latch, wrapped around ErrCorrupt: after the first one
+// every read yields the zero value and every Count is 0, so a walk runs to
+// its end without acting on garbage and is checked once, by Err or End. A
+// slice is read with one bounds check, into fresh storage (nil when empty).
 type Codec struct {
-	e *Enc
-	d *Dec
+	// chunks hold the encoded payload in order; the spare capacity of the
+	// last one is where the next bytes go.
+	chunks [][]byte
+
+	// dec marks a decoding Codec: name labels its section in errors, buf is
+	// the payload, off the read position and err the latched failure.
+	dec  bool
+	name string
+	buf  []byte
+	off  int
+	err  error
 }
 
-// Codec returns the encoding direction over e.
-func (e *Enc) Codec() *Codec { return &Codec{e: e} }
-
-// Codec returns the decoding direction over d.
-func (d *Dec) Codec() *Codec { return &Codec{d: d} }
-
-// Save runs s's walk in the encoding direction.
-func Save(e *Enc, s Stateful) { s.State(e.Codec()) }
-
-// Restore runs s's walk in the decoding direction and returns its first
-// failure. A section payload routinely continues past any one component, so
-// the end-of-payload check stays with the section's driver (Dec.Err).
-func Restore(d *Dec, s Stateful) error {
-	s.State(d.Codec())
-	return d.err
+// NewDec returns a Codec decoding a bare section payload; name labels it in
+// error messages.
+func NewDec(name string, payload []byte) *Codec {
+	return &Codec{dec: true, name: name, buf: payload}
 }
 
 // Decoding reports whether the walk reads (true) or writes (false).
-func (c *Codec) Decoding() bool { return c.d != nil }
+func (c *Codec) Decoding() bool { return c.dec }
 
 // Err returns the latched decode failure; an encoding walk never fails.
-func (c *Codec) Err() error {
-	if c.d == nil {
-		return nil
-	}
-	return c.d.err
-}
+func (c *Codec) Err() error { return c.err }
 
-// End is Err plus the trailing-bytes check that closes a section.
+// End is Err plus the trailing-bytes check that closes a section: a decode
+// that left payload bytes unread fails. Call it once per section.
 func (c *Codec) End() error {
-	if c.d == nil {
-		return nil
+	if c.err == nil && c.off != len(c.buf) {
+		return fmt.Errorf("%w: section %q: %d trailing bytes", ErrCorrupt, c.name, len(c.buf)-c.off)
 	}
-	return c.d.Err()
+	return c.err
 }
 
 // Fail latches a validation failure wrapping sentinel (ErrCorrupt or
 // ErrConfigMismatch) unless an earlier failure already did. Decoding only.
 func (c *Codec) Fail(sentinel error, format string, args ...any) {
-	if c.d.err == nil {
-		c.d.err = fmt.Errorf("%w: "+format, append([]any{sentinel}, args...)...)
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: "+format, append([]any{sentinel}, args...)...)
 	}
 }
 
-func walk[T any](c *Codec, p *T, enc func(*Enc, T), dec func(*Dec) T) {
-	if c.d != nil {
-		*p = dec(c.d)
+func (c *Codec) fail(format string, args ...any) {
+	c.Fail(ErrCorrupt, "section %q: "+format, append([]any{c.name}, args...)...)
+}
+
+const (
+	minChunk = 4 << 10
+	// maxChunkShift caps chunk doubling at minChunk<<8 = 1 MiB.
+	maxChunkShift = 8
+)
+
+// grow reserves the next n encoded bytes and returns them for the caller to
+// fill completely.
+func (c *Codec) grow(n int) []byte {
+	if k := len(c.chunks) - 1; k >= 0 {
+		if b, l := c.chunks[k], len(c.chunks[k]); n <= cap(b)-l {
+			c.chunks[k] = b[:l+n]
+			return b[l : l+n]
+		}
+	}
+	b := make([]byte, n, max(n, minChunk<<min(len(c.chunks), maxChunkShift)))
+	c.chunks = append(c.chunks, b)
+	return b
+}
+
+// take consumes the next n payload bytes, or latches a truncation failure
+// and returns nil.
+func (c *Codec) take(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(c.buf)-c.off {
+		c.fail("truncated: need %d bytes at offset %d of %d", n, c.off, len(c.buf))
+		return nil
+	}
+	b := c.buf[c.off : c.off+n]
+	c.off += n
+	return b
+}
+
+// set stores a decoded value; an encoding walk leaves the field untouched.
+func set[T any](c *Codec, p *T, v T) {
+	if c.dec {
+		*p = v
+	}
+}
+
+// u64 walks one little-endian word: encoding writes v, decoding returns the
+// next word (0 once a read has failed).
+func (c *Codec) u64(v uint64) uint64 {
+	if !c.dec {
+		binary.LittleEndian.PutUint64(c.grow(8), v)
+		return v
+	}
+	if b := c.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// One method per primitive, each taking the field's address. Integers are
+// little-endian, an int is stored as an int64, and a float64 by its exact bit
+// pattern (NaN payloads and signed zeros round-trip).
+func (c *Codec) I64(p *int64)   { set(c, p, int64(c.u64(uint64(*p)))) }
+func (c *Codec) Int(p *int)     { set(c, p, int(c.u64(uint64(*p)))) }
+func (c *Codec) F64(p *float64) { set(c, p, math.Float64frombits(c.u64(math.Float64bits(*p)))) }
+
+// I32 walks a little-endian int32.
+func (c *Codec) I32(p *int32) {
+	if !c.dec {
+		binary.LittleEndian.PutUint32(c.grow(4), uint32(*p))
+	} else if b := c.take(4); b != nil {
+		*p = int32(binary.LittleEndian.Uint32(b))
 	} else {
-		enc(c.e, *p)
+		*p = 0
 	}
 }
 
-// One method per primitive, each taking the field's address. Slices decode
-// into fresh storage (nil when empty).
-func (c *Codec) Bool(p *bool)      { walk(c, p, (*Enc).Bool, (*Dec).Bool) }
-func (c *Codec) Int(p *int)        { walk(c, p, (*Enc).Int, (*Dec).Int) }
-func (c *Codec) I32(p *int32)      { walk(c, p, (*Enc).I32, (*Dec).I32) }
-func (c *Codec) I64(p *int64)      { walk(c, p, (*Enc).I64, (*Dec).I64) }
-func (c *Codec) U64(p *uint64)     { walk(c, p, (*Enc).U64, (*Dec).U64) }
-func (c *Codec) F64(p *float64)    { walk(c, p, (*Enc).F64, (*Dec).F64) }
-func (c *Codec) Str(p *string)     { walk(c, p, (*Enc).Str, (*Dec).Str) }
-func (c *Codec) F64s(p *[]float64) { walk(c, p, (*Enc).F64s, (*Dec).F64s) }
-func (c *Codec) Ints(p *[]int)     { walk(c, p, (*Enc).Ints, (*Dec).Ints) }
-func (c *Codec) I64s(p *[]int64)   { walk(c, p, (*Enc).I64s, (*Dec).I64s) }
+// Bool walks a boolean as one byte, 0 or 1.
+func (c *Codec) Bool(p *bool) {
+	if !c.dec {
+		var v byte
+		if *p {
+			v = 1
+		}
+		c.grow(1)[0] = v
+		return
+	}
+	b := c.take(1)
+	if b != nil && b[0] > 1 {
+		c.fail("invalid boolean")
+	}
+	// A read that did not fail returned its byte.
+	*p = c.err == nil && b[0] == 1
+}
+
+// Count walks an element count: n is written, or read and bounded by the
+// remaining payload (elemSize is a lower bound on one encoded element), so a
+// corrupt count fails instead of driving an absurd allocation or loop. The
+// bound divides rather than multiplies: n*elemSize can wrap past zero. The
+// caller loops over the returned value in both directions.
+func (c *Codec) Count(n, elemSize int) int {
+	c.Int(&n)
+	if c.dec && (n < 0 || elemSize > 0 && n > (len(c.buf)-c.off)/elemSize) {
+		c.fail("invalid slice length %d", n)
+		return 0
+	}
+	return n
+}
+
+// F64s walks a length-prefixed []float64.
+func (c *Codec) F64s(p *[]float64) {
+	if !c.dec {
+		c.F64sFixed(*p)
+		return
+	}
+	var v []float64
+	if n := c.Count(0, 8); n > 0 {
+		b := c.take(8 * n)
+		v = make([]float64, n)
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+	*p = v
+}
 
 // F64sFixed walks a length-prefixed []float64 whose length is construction
 // config: decoding fills v in place and fails on any other length.
 func (c *Codec) F64sFixed(v []float64) {
-	if c.d != nil {
-		c.d.F64sInto(v)
-	} else {
-		c.e.F64s(v)
+	if !c.dec {
+		b := c.grow(8 + 8*len(v))
+		binary.LittleEndian.PutUint64(b, uint64(len(v)))
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(b[8+8*i:], math.Float64bits(x))
+		}
+		return
 	}
+	n := len(v)
+	if c.Int(&n); c.err == nil && n != len(v) {
+		c.fail("float64 slice length %d, want %d", n, len(v))
+	}
+	if b := c.take(8 * n); b != nil {
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+}
+
+// Ints walks a length-prefixed []int.
+func (c *Codec) Ints(p *[]int) { set(c, p, ints(c, *p)) }
+
+// I64s walks a length-prefixed []int64.
+func (c *Codec) I64s(p *[]int64) { set(c, p, ints(c, *p)) }
+
+// ints walks a length-prefixed slice of 8-byte integers: encoding writes v,
+// decoding returns the slice it reads. The slice goes in and out by value: a
+// generic taking the field's address would move the caller's variable to
+// the heap.
+func ints[T int | int64](c *Codec, v []T) []T {
+	if !c.dec {
+		b := c.grow(8 + 8*len(v))
+		binary.LittleEndian.PutUint64(b, uint64(len(v)))
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(b[8+8*i:], uint64(x))
+		}
+		return v
+	}
+	if n := c.Count(0, 8); n > 0 {
+		b := c.take(8 * n)
+		v = make([]T, n)
+		for i := range v {
+			v[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		return v
+	}
+	return nil
 }
 
 // F64sDelta walks cur as a delta against prev, a slice of the same
@@ -195,24 +339,79 @@ func (c *Codec) F64sDelta(prev, cur []float64) {
 	}
 	for lo := 0; lo < len(cur); lo += 64 {
 		hi := min(lo+64, len(cur))
-		if c.d != nil {
-			c.d.deltaWindow(prev[lo:hi], cur[lo:hi])
-		} else {
-			c.e.deltaWindow(prev[lo:hi], cur[lo:hi])
-		}
+		c.deltaWindow(prev[lo:hi], cur[lo:hi])
 	}
 }
 
-// Count walks an element count: n is written, or read and bounded by the
-// remaining payload (elemSize is a lower bound on one encoded element), so a
-// corrupt count fails instead of driving an absurd allocation or loop. The
-// caller loops over the returned value in both directions.
-func (c *Codec) Count(n, elemSize int) int {
-	if c.d != nil {
-		return c.d.SliceLen(elemSize)
+// deltaWindow walks one F64sDelta window of at most 64 words. Decoding fails
+// before cur is written on a mask bit past the window's width, a mask naming
+// more words than the payload holds, or a named word whose bits equal prev's:
+// the encoder never names one, so every accepted delta has one encoding.
+func (c *Codec) deltaWindow(prev, cur []float64) {
+	if !c.dec {
+		var mask uint64
+		for i, x := range cur {
+			if math.Float64bits(x) != math.Float64bits(prev[i]) {
+				mask |= 1 << i
+			}
+		}
+		b := c.grow(8 + 8*bits.OnesCount64(mask))
+		binary.LittleEndian.PutUint64(b, mask)
+		for m, o := mask, 8; m != 0; m, o = m&(m-1), o+8 {
+			binary.LittleEndian.PutUint64(b[o:], math.Float64bits(cur[bits.TrailingZeros64(m)]))
+		}
+		return
 	}
-	c.e.Int(n)
-	return n
+	b := c.take(8)
+	if b == nil {
+		return
+	}
+	mask := binary.LittleEndian.Uint64(b)
+	if mask>>len(cur) != 0 {
+		c.fail("delta mask %#x has bits past width %d", mask, len(cur))
+		return
+	}
+	if b = c.take(8 * bits.OnesCount64(mask)); b == nil {
+		return
+	}
+	for m, o := mask, 0; m != 0; m, o = m&(m-1), o+8 {
+		if i := bits.TrailingZeros64(m); binary.LittleEndian.Uint64(b[o:]) == math.Float64bits(prev[i]) {
+			c.fail("delta names unchanged word %d", i)
+			return
+		}
+	}
+	copy(cur, prev)
+	for m, o := mask, 0; m != 0; m, o = m&(m-1), o+8 {
+		cur[bits.TrailingZeros64(m)] = math.Float64frombits(binary.LittleEndian.Uint64(b[o:]))
+	}
+}
+
+// Str walks a length-prefixed string.
+func (c *Codec) Str(p *string) {
+	if b, ok := text(c, *p); ok {
+		*p = string(b)
+	}
+}
+
+// Bytes walks a length-prefixed byte slice; decoding copies it out of the
+// payload.
+func (c *Codec) Bytes(p *[]byte) {
+	if b, ok := text(c, *p); ok {
+		*p = append([]byte(nil), b...)
+	}
+}
+
+// text walks a length-prefixed string or byte slice, one generic for both so
+// that encoding a string converts (and allocates) nothing. Decoding returns
+// the payload's bytes (none once failed) and true.
+func text[T string | []byte](c *Codec, v T) ([]byte, bool) {
+	if !c.dec {
+		b := c.grow(8 + len(v))
+		binary.LittleEndian.PutUint64(b, uint64(len(v)))
+		copy(b[8:], v)
+		return nil, false
+	}
+	return c.take(c.Count(0, 1)), true
 }
 
 // RNG walks a generator's (seed, draws) state, rewinding r in place. It is
@@ -222,11 +421,11 @@ func (c *Codec) RNG(r *mat.RNG) {
 	seed, draws := r.State()
 	c.I64(&seed)
 	c.I64(&draws)
-	if c.d == nil || c.d.err != nil {
+	if !c.dec || c.err != nil {
 		return
 	}
 	if draws < 0 {
-		c.d.fail("negative RNG draw count %d", draws)
+		c.fail("negative RNG draw count %d", draws)
 		return
 	}
 	r.Restore(seed, draws)
@@ -239,17 +438,17 @@ func (c *Codec) RNG(r *mat.RNG) {
 // constructed v to have the checkpointability of the one that was saved.
 func (c *Codec) Component(v any) {
 	s, stateful := v.(Stateful)
-	if _, stateless := v.(Stateless); c.d == nil && !stateful && !stateless {
+	if _, stateless := v.(Stateless); !c.dec && !stateful && !stateless {
 		panic(saveFailure{fmt.Errorf("%w: %T", ErrNotCheckpointable, v)})
 	}
 	has := stateful
 	c.Bool(&has)
 	switch {
-	case c.Err() != nil:
+	case c.err != nil:
 	case has && !stateful:
-		c.d.fail("stateful snapshot for stateless component %T", v)
+		c.fail("stateful snapshot for stateless component %T", v)
 	case !has && stateful:
-		c.d.fail("stateless snapshot for stateful component %T", v)
+		c.fail("stateless snapshot for stateful component %T", v)
 	case has:
 		s.State(c)
 	}
@@ -268,350 +467,15 @@ func Catch(err *error) {
 	}
 }
 
-// Enc appends primitive values to an in-memory section payload. It never
-// fails: sections are buffered and checksummed at WriteTo time.
-//
-// The payload is a list of chunks rather than one growing slice, so a 15 MB
-// section is never re-copied as it grows: chunks start at 4 KiB and double
-// up to 1 MiB, and a block larger than the next chunk gets a chunk of its
-// own. Every primitive reserves its whole encoding once and fills it in
-// place.
-type Enc struct {
-	// chunks hold the payload in order; the spare capacity of the last one
-	// is where the next bytes go.
-	chunks [][]byte
-}
-
-const (
-	minChunk = 4 << 10
-	// maxChunkShift caps chunk doubling at minChunk<<8 = 1 MiB.
-	maxChunkShift = 8
-)
-
-// grow reserves the next n payload bytes and returns them for the caller to
-// fill completely.
-func (e *Enc) grow(n int) []byte {
-	if k := len(e.chunks) - 1; k >= 0 {
-		if c, l := e.chunks[k], len(e.chunks[k]); n <= cap(c)-l {
-			e.chunks[k] = c[:l+n]
-			return c[l : l+n]
-		}
-	}
-	c := make([]byte, n, max(n, minChunk<<min(len(e.chunks), maxChunkShift)))
-	e.chunks = append(e.chunks, c)
-	return c
-}
-
-// size returns the number of payload bytes encoded so far.
-func (e *Enc) size() int {
-	n := 0
-	for _, c := range e.chunks {
-		n += len(c)
-	}
-	return n
-}
-
-// U8 appends one byte.
-func (e *Enc) U8(v uint8) { e.grow(1)[0] = v }
-
-// Bool appends a boolean as one byte.
-func (e *Enc) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-
-// U32 appends a little-endian uint32.
-func (e *Enc) U32(v uint32) { binary.LittleEndian.PutUint32(e.grow(4), v) }
-
-// U64 appends a little-endian uint64.
-func (e *Enc) U64(v uint64) { binary.LittleEndian.PutUint64(e.grow(8), v) }
-
-// I32 appends a little-endian int32.
-func (e *Enc) I32(v int32) { e.U32(uint32(v)) }
-
-// I64 appends a little-endian int64.
-func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
-
-// Int appends an int as int64.
-func (e *Enc) Int(v int) { e.I64(int64(v)) }
-
-// F64 appends a float64 by exact bit pattern (NaN payloads and signed
-// zeros round-trip).
-func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// block reserves a length prefix holding n followed by n words, and returns
-// the words' bytes.
-func (e *Enc) block(n int) []byte {
-	b := e.grow(8 + 8*n)
-	binary.LittleEndian.PutUint64(b, uint64(n))
-	return b[8:]
-}
-
-// F64s appends a length-prefixed []float64.
-func (e *Enc) F64s(v []float64) {
-	b := e.block(len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
-}
-
-// I64s appends a length-prefixed []int64.
-func (e *Enc) I64s(v []int64) {
-	b := e.block(len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
-	}
-}
-
-// Ints appends a length-prefixed []int.
-func (e *Enc) Ints(v []int) {
-	b := e.block(len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
-	}
-}
-
-// deltaWindow appends one F64sDelta window of at most 64 words: the mask of
-// the words of cur that differ bitwise from prev, then those words.
-func (e *Enc) deltaWindow(prev, cur []float64) {
-	var mask uint64
-	for i, x := range cur {
-		if math.Float64bits(x) != math.Float64bits(prev[i]) {
-			mask |= 1 << i
-		}
-	}
-	b := e.grow(8 + 8*bits.OnesCount64(mask))
-	binary.LittleEndian.PutUint64(b, mask)
-	for m, o := mask, 8; m != 0; m, o = m&(m-1), o+8 {
-		binary.LittleEndian.PutUint64(b[o:], math.Float64bits(cur[bits.TrailingZeros64(m)]))
-	}
-}
-
-// Str appends a length-prefixed string.
-func (e *Enc) Str(v string) { putBytes(e, v) }
-
-// Bytes appends a length-prefixed byte slice.
-func (e *Enc) Bytes(v []byte) { putBytes(e, v) }
-
-func putBytes[T string | []byte](e *Enc, v T) {
-	b := e.grow(8 + len(v))
-	binary.LittleEndian.PutUint64(b, uint64(len(v)))
-	copy(b[8:], v)
-}
-
 // Payload returns a copy of the bytes encoded so far, in one slice.
-func (e *Enc) Payload() []byte { return bytes.Join(e.chunks, nil) }
-
-// Dec reads primitive values from a section payload. Errors are sticky:
-// after the first failure every read returns the zero value, and Err
-// reports the latched error (wrapped around ErrCorrupt). This lets restore
-// code decode a whole struct linearly and check once.
-type Dec struct {
-	name string
-	buf  []byte
-	off  int
-	err  error
-}
-
-// NewDec returns a decoder over a bare section payload; name labels it in
-// error messages.
-func NewDec(name string, payload []byte) *Dec { return &Dec{name: name, buf: payload} }
-
-func (d *Dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: section %q: %s", ErrCorrupt, d.name, fmt.Sprintf(format, args...))
-	}
-}
-
-func (d *Dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(d.buf)-d.off {
-		d.fail("truncated: need %d bytes at offset %d of %d", n, d.off, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-// Err returns the latched decode error, or a trailing-garbage error when
-// the payload was not fully consumed. Call once after decoding a section.
-func (d *Dec) Err() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("%w: section %q: %d trailing bytes", ErrCorrupt, d.name, len(d.buf)-d.off)
-	}
-	return nil
-}
-
-// U8 reads one byte.
-func (d *Dec) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// Bool reads a boolean.
-func (d *Dec) Bool() bool {
-	switch d.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail("invalid boolean")
-		return false
-	}
-}
-
-// U32 reads a little-endian uint32.
-func (d *Dec) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 reads a little-endian uint64.
-func (d *Dec) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// I32 reads a little-endian int32.
-func (d *Dec) I32() int32 { return int32(d.U32()) }
-
-// I64 reads a little-endian int64.
-func (d *Dec) I64() int64 { return int64(d.U64()) }
-
-// Int reads an int64-encoded int.
-func (d *Dec) Int() int { return int(d.I64()) }
-
-// F64 reads a float64 by exact bit pattern.
-func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// SliceLen decodes an element count and validates it against the remaining
-// payload (elemSize is a lower bound on the encoded size per element), so a
-// corrupt length fails instead of driving an absurd allocation or loop. The
-// bound divides rather than multiplies: n*elemSize can wrap past zero.
-func (d *Dec) SliceLen(elemSize int) int {
-	n := d.Int()
-	if d.err != nil {
-		return 0
-	}
-	if n < 0 || elemSize > 0 && n > (len(d.buf)-d.off)/elemSize {
-		d.fail("invalid slice length %d", n)
-		return 0
-	}
-	return n
-}
-
-// words reads n little-endian 8-byte words in one bounds check and returns
-// them converted (nil when n is 0 or the read fails).
-func words[T float64 | int64 | int](d *Dec, n int, conv func(uint64) T) []T {
-	b := d.take(8 * n)
-	if n == 0 || b == nil {
-		return nil
-	}
-	v := make([]T, n)
-	for i := range v {
-		v[i] = conv(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return v
-}
-
-// F64s reads a length-prefixed []float64.
-func (d *Dec) F64s() []float64 { return words(d, d.SliceLen(8), math.Float64frombits) }
-
-// F64sInto reads a length-prefixed []float64 whose length must equal
-// len(dst), decoding in place.
-func (d *Dec) F64sInto(dst []float64) {
-	n := d.Int()
-	if d.err != nil {
-		return
-	}
-	if n != len(dst) {
-		d.fail("float64 slice length %d, want %d", n, len(dst))
-		return
-	}
-	b := d.take(8 * n)
-	if b == nil {
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-}
-
-// deltaWindow decodes one F64sDelta window into dst: prev's words, patched
-// with the words the mask names. A mask bit past the window's width or a mask
-// naming more words than the payload holds fails before dst is written.
-func (d *Dec) deltaWindow(prev, dst []float64) {
-	b := d.take(8)
-	if b == nil {
-		return
-	}
-	mask := binary.LittleEndian.Uint64(b)
-	if mask>>len(dst) != 0 {
-		d.fail("delta mask %#x has bits past width %d", mask, len(dst))
-		return
-	}
-	if b = d.take(8 * bits.OnesCount64(mask)); b == nil {
-		return
-	}
-	copy(dst, prev)
-	for m, o := mask, 0; m != 0; m, o = m&(m-1), o+8 {
-		dst[bits.TrailingZeros64(m)] = math.Float64frombits(binary.LittleEndian.Uint64(b[o:]))
-	}
-}
-
-// I64s reads a length-prefixed []int64.
-func (d *Dec) I64s() []int64 {
-	return words(d, d.SliceLen(8), func(u uint64) int64 { return int64(u) })
-}
-
-// Ints reads a length-prefixed []int.
-func (d *Dec) Ints() []int {
-	return words(d, d.SliceLen(8), func(u uint64) int { return int(u) })
-}
-
-// Str reads a length-prefixed string.
-func (d *Dec) Str() string {
-	n := d.SliceLen(1)
-	if n == 0 {
-		return ""
-	}
-	return string(d.take(n))
-}
-
-// Bytes reads a length-prefixed byte slice (copied out of the payload).
-func (d *Dec) Bytes() []byte {
-	n := d.SliceLen(1)
-	if n == 0 {
-		return nil
-	}
-	return append([]byte(nil), d.take(n)...)
-}
+func (c *Codec) Payload() []byte { return bytes.Join(c.chunks, nil) }
 
 // Writer assembles a snapshot: named sections appended in order, flushed
 // with header, table, and per-section CRCs by WriteTo.
 type Writer struct {
 	fingerprint uint64
 	names       []string
-	sections    []*Enc
+	sections    []*Codec
 }
 
 // NewWriter starts a snapshot carrying the given config fingerprint.
@@ -619,18 +483,16 @@ func NewWriter(fingerprint uint64) *Writer {
 	return &Writer{fingerprint: fingerprint}
 }
 
-// Section starts a new named section and returns its encoder. Names must be
-// unique within a snapshot.
-func (w *Writer) Section(name string) *Enc {
-	for _, n := range w.names {
-		if n == name {
-			panic(fmt.Sprintf("checkpoint: duplicate section %q", name))
-		}
+// Section starts a new named section and returns its encoding Codec. Names
+// must be unique within a snapshot.
+func (w *Writer) Section(name string) *Codec {
+	if slices.Contains(w.names, name) {
+		panic(fmt.Sprintf("checkpoint: duplicate section %q", name))
 	}
-	e := &Enc{}
+	c := &Codec{}
 	w.names = append(w.names, name)
-	w.sections = append(w.sections, e)
-	return e
+	w.sections = append(w.sections, c)
+	return c
 }
 
 // WriteTo serializes the assembled snapshot.
@@ -640,26 +502,27 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	hdr = binary.LittleEndian.AppendUint32(hdr, Version)
 	hdr = binary.LittleEndian.AppendUint64(hdr, w.fingerprint)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(w.sections)))
-	for i, e := range w.sections {
+	for i, c := range w.sections {
 		name := w.names[i]
 		var crc uint32
-		for _, c := range e.chunks {
-			crc = crc32.Update(crc, crc32.IEEETable, c)
+		size := 0
+		for _, b := range c.chunks {
+			crc = crc32.Update(crc, crc32.IEEETable, b)
+			size += len(b)
 		}
 		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(name)))
 		hdr = append(hdr, name...)
-		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(e.size()))
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(size))
 		hdr = binary.LittleEndian.AppendUint32(hdr, crc)
 	}
-	var written int64
 	n, err := out.Write(hdr)
-	written += int64(n)
+	written := int64(n)
 	if err != nil {
 		return written, fmt.Errorf("checkpoint: write header: %w", err)
 	}
-	for i, e := range w.sections {
-		for _, c := range e.chunks {
-			n, err := out.Write(c)
+	for i, c := range w.sections {
+		for _, b := range c.chunks {
+			n, err := out.Write(b)
 			written += int64(n)
 			if err != nil {
 				return written, fmt.Errorf("checkpoint: write section %q: %w", w.names[i], err)
@@ -780,9 +643,9 @@ func (r *Reader) Fingerprint() uint64 { return r.fingerprint }
 // Sections returns the section names in file order.
 func (r *Reader) Sections() []string { return r.order }
 
-// Section returns a decoder over the named payload, or an ErrCorrupt-wrapped
-// error when the snapshot lacks it.
-func (r *Reader) Section(name string) (*Dec, error) {
+// Section returns a Codec decoding the named payload, or an
+// ErrCorrupt-wrapped error when the snapshot lacks it.
+func (r *Reader) Section(name string) (*Codec, error) {
 	payload, ok := r.sections[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: missing section %q", ErrCorrupt, name)

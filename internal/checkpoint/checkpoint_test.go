@@ -7,26 +7,57 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
+
+	"hierdrl/internal/mat"
 )
+
+// sample holds one field of every value primitive; its walk is the one the
+// container tests write and read back.
+type sample struct {
+	b    bool
+	i32  int32
+	i64  int64
+	n    int
+	f, z float64
+	s    string
+	fs   []float64
+	is   []int64
+	ints []int
+	bs   []byte
+}
+
+func (v *sample) State(c *Codec) {
+	c.Bool(&v.b)
+	c.I32(&v.i32)
+	c.I64(&v.i64)
+	c.Int(&v.n)
+	c.F64(&v.f)
+	c.F64(&v.z)
+	c.Str(&v.s)
+	c.F64s(&v.fs)
+	c.I64s(&v.is)
+	c.Ints(&v.ints)
+	c.Bytes(&v.bs)
+}
+
+func testSample() sample {
+	return sample{
+		b: true, i32: -123456, i64: -42, n: 7, f: math.Pi, z: math.Copysign(0, -1),
+		s: "hello, snapshot", fs: []float64{1.5, -2.5, math.Inf(1)},
+		is: []int64{9, -9}, ints: []int{3, 1, 4}, bs: []byte{0xAA, 0xBB},
+	}
+}
 
 func buildSnapshot(t *testing.T) []byte {
 	t.Helper()
 	w := NewWriter(0xDEADBEEFCAFE)
-	a := w.Section("alpha")
-	a.U8(7)
-	a.Bool(true)
-	a.U32(123456)
-	a.I64(-42)
-	a.F64(math.Pi)
-	a.F64(math.Copysign(0, -1))
-	a.Str("hello, snapshot")
-	a.F64s([]float64{1.5, -2.5, math.Inf(1)})
-	a.I64s([]int64{9, -9})
-	a.Ints([]int{3, 1, 4})
-	a.Bytes([]byte{0xAA, 0xBB})
-	b := w.Section("beta")
-	b.Int(99)
+	v := testSample()
+	v.State(w.Section("alpha"))
+	n := 99
+	w.Section("beta").Int(&n)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -51,99 +82,87 @@ func TestContainerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Section(alpha): %v", err)
 	}
-	if v := d.U8(); v != 7 {
-		t.Fatalf("U8 = %d", v)
+	if !d.Decoding() {
+		t.Fatal("a Reader section encodes")
 	}
-	if !d.Bool() {
-		t.Fatal("Bool = false")
+	var got sample
+	got.State(d)
+	if err := d.End(); err != nil {
+		t.Fatalf("End after full decode: %v", err)
 	}
-	if v := d.U32(); v != 123456 {
-		t.Fatalf("U32 = %d", v)
+	if want := testSample(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
 	}
-	if v := d.I64(); v != -42 {
-		t.Fatalf("I64 = %d", v)
-	}
-	if v := d.F64(); v != math.Pi {
-		t.Fatalf("F64 = %v", v)
-	}
-	if v := d.F64(); math.Float64bits(v) != math.Float64bits(math.Copysign(0, -1)) {
-		t.Fatalf("negative zero lost: %v", v)
-	}
-	if v := d.Str(); v != "hello, snapshot" {
-		t.Fatalf("Str = %q", v)
-	}
-	fs := d.F64s()
-	if len(fs) != 3 || fs[0] != 1.5 || fs[1] != -2.5 || !math.IsInf(fs[2], 1) {
-		t.Fatalf("F64s = %v", fs)
-	}
-	is := d.I64s()
-	if len(is) != 2 || is[0] != 9 || is[1] != -9 {
-		t.Fatalf("I64s = %v", is)
-	}
-	ints := d.Ints()
-	if len(ints) != 3 || ints[0] != 3 || ints[2] != 4 {
-		t.Fatalf("Ints = %v", ints)
-	}
-	bs := d.Bytes()
-	if len(bs) != 2 || bs[0] != 0xAA || bs[1] != 0xBB {
-		t.Fatalf("Bytes = %v", bs)
-	}
-	if err := d.Err(); err != nil {
-		t.Fatalf("Err after full decode: %v", err)
+	if math.Float64bits(got.z) != math.Float64bits(math.Copysign(0, -1)) {
+		t.Fatalf("negative zero lost: %v", got.z)
 	}
 
 	d2, err := r.Section("beta")
 	if err != nil {
 		t.Fatalf("Section(beta): %v", err)
 	}
-	if v := d2.Int(); v != 99 {
-		t.Fatalf("beta Int = %d", v)
+	var n int
+	if d2.Int(&n); n != 99 {
+		t.Fatalf("beta Int = %d", n)
 	}
-	if err := d2.Err(); err != nil {
-		t.Fatalf("beta Err: %v", err)
+	if err := d2.End(); err != nil {
+		t.Fatalf("beta End: %v", err)
 	}
 }
 
 func TestDecStickyErrors(t *testing.T) {
-	d := &Dec{name: "t", buf: []byte{1, 2}}
-	_ = d.U64() // overruns
+	d := NewDec("t", []byte{1, 2})
+	v := int64(5)
+	d.I64(&v) // overruns
 	if err := d.Err(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("overrun err = %v", err)
 	}
-	// Subsequent reads stay zero, error stays latched.
-	if v := d.I64(); v != 0 {
-		t.Fatalf("read after error = %d", v)
+	if v != 0 {
+		t.Fatalf("failed read = %d, want 0", v)
 	}
-	if err := d.Err(); !errors.Is(err, ErrCorrupt) {
+	// Subsequent reads yield the zero value, counts are 0, the error stays
+	// latched.
+	v, b := 5, true
+	d.I64(&v)
+	d.Bool(&b)
+	if v != 0 || b || d.Count(3, 0) != 0 {
+		t.Fatalf("reads after error = %d, %v", v, b)
+	}
+	if err := d.End(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("latched err = %v", err)
 	}
 }
 
 func TestDecTrailingBytes(t *testing.T) {
-	d := &Dec{name: "t", buf: []byte{1, 0, 0, 0, 0, 0, 0, 0, 0xFF}}
-	_ = d.U64()
-	if err := d.Err(); !errors.Is(err, ErrCorrupt) {
+	d := NewDec("t", []byte{1, 0, 0, 0, 0, 0, 0, 0, 0xFF})
+	var v int64
+	d.I64(&v)
+	if err := d.Err(); err != nil || v != 1 {
+		t.Fatalf("read = %d, err = %v", v, err)
+	}
+	if err := d.End(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing bytes err = %v", err)
 	}
 }
 
 func TestDecF64sInto(t *testing.T) {
-	e := &Enc{}
-	e.F64s([]float64{1, 2, 3})
-	d := &Dec{name: "t", buf: e.Payload()}
+	var e Codec
+	v := []float64{1, 2, 3}
+	e.F64s(&v)
+	d := NewDec("t", e.Payload())
 	dst := make([]float64, 3)
-	d.F64sInto(dst)
+	d.F64sFixed(dst)
 	if dst[0] != 1 || dst[1] != 2 || dst[2] != 3 {
-		t.Fatalf("F64sInto = %v", dst)
+		t.Fatalf("F64sFixed = %v", dst)
 	}
-	if err := d.Err(); err != nil {
-		t.Fatalf("Err: %v", err)
+	if err := d.End(); err != nil {
+		t.Fatalf("End: %v", err)
 	}
 	// Length mismatch fails.
-	d2 := &Dec{name: "t", buf: e.Payload()}
-	d2.F64sInto(make([]float64, 2))
-	if err := d2.Err(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("mismatched F64sInto err = %v", err)
+	d2 := NewDec("t", e.Payload())
+	d2.F64sFixed(make([]float64, 2))
+	if err := d2.End(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("mismatched F64sFixed err = %v", err)
 	}
 }
 
@@ -155,22 +174,22 @@ func TestDecInvalidSliceLength(t *testing.T) {
 	cases := []struct {
 		name string
 		n    uint64
-		read func(d *Dec) any
+		read func(d *Codec) any
 	}{
-		{"F64s-2^40", 1 << 40, func(d *Dec) any { return d.F64s() }},
-		{"F64s", 1 << 61, func(d *Dec) any { return d.F64s() }},
-		{"Ints", 1 << 61, func(d *Dec) any { return d.Ints() }},
-		{"I64s", 1 << 61, func(d *Dec) any { return d.I64s() }},
-		{"I64s-wraps-to-8", 1<<61 + 1, func(d *Dec) any { return d.I64s() }},
-		{"Str", math.MaxInt64, func(d *Dec) any { return d.Str() }},
-		{"Bytes", math.MaxInt64, func(d *Dec) any { return d.Bytes() }},
-		{"Count-1", math.MaxInt64, func(d *Dec) any { return d.Codec().Count(0, 1) }},
-		{"Count-8", 1 << 61, func(d *Dec) any { return d.Codec().Count(0, 8) }},
+		{"F64s-2^40", 1 << 40, func(d *Codec) any { var v []float64; d.F64s(&v); return v }},
+		{"F64s", 1 << 61, func(d *Codec) any { var v []float64; d.F64s(&v); return v }},
+		{"Ints", 1 << 61, func(d *Codec) any { var v []int; d.Ints(&v); return v }},
+		{"I64s", 1 << 61, func(d *Codec) any { var v []int64; d.I64s(&v); return v }},
+		{"I64s-wraps-to-8", 1<<61 + 1, func(d *Codec) any { var v []int64; d.I64s(&v); return v }},
+		{"Str", math.MaxInt64, func(d *Codec) any { v := "x"; d.Str(&v); return v }},
+		{"Bytes", math.MaxInt64, func(d *Codec) any { v := []byte{1}; d.Bytes(&v); return v }},
+		{"Count-1", math.MaxInt64, func(d *Codec) any { return d.Count(0, 1) }},
+		{"Count-8", 1 << 61, func(d *Codec) any { return d.Count(0, 8) }},
 		// 24 * 768,614,336,404,564,651 = 2^64 + 8 and
 		// 48 * 384,307,168,202,282,326 = 2^64 + 16.
-		{"Count-24", 768614336404564651, func(d *Dec) any { return d.Codec().Count(0, 24) }},
-		{"Count-48", 384307168202282326, func(d *Dec) any { return d.Codec().Count(0, 48) }},
-		{"negative", 1 << 63, func(d *Dec) any { return d.Codec().Count(0, 8) }},
+		{"Count-24", 768614336404564651, func(d *Codec) any { return d.Count(0, 24) }},
+		{"Count-48", 384307168202282326, func(d *Codec) any { return d.Count(0, 48) }},
+		{"negative", 1 << 63, func(d *Codec) any { return d.Count(0, 8) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,7 +229,7 @@ func TestDecInvalidSliceLength(t *testing.T) {
 	}
 }
 
-// TestEncMatchesReferenceAppender drives random sequences of every Enc
+// TestEncMatchesReferenceAppender drives random sequences of every encoding
 // primitive — empty slices, blocks straddling a chunk edge, one block over
 // 1 MiB — and requires exactly the bytes of a per-primitive append encoder,
 // and a section CRC from WriteTo equal to the checksum of those bytes.
@@ -224,8 +243,15 @@ func TestEncMatchesReferenceAppender(t *testing.T) {
 		}
 		return v
 	}
+	words := func(ref []byte, v []uint64) []byte {
+		ref = le.AppendUint64(ref, uint64(len(v)))
+		for _, x := range v {
+			ref = le.AppendUint64(ref, x)
+		}
+		return ref
+	}
 	for seq := 0; seq < 20; seq++ {
-		e := &Enc{}
+		e := &Codec{}
 		var ref []byte
 		steps := 200 + rng.Intn(400)
 		big := rng.Intn(steps)
@@ -239,81 +265,80 @@ func TestEncMatchesReferenceAppender(t *testing.T) {
 			case rng.Intn(8) == 0:
 				n = rng.Intn(3000)
 			}
-			op := rng.Intn(13)
+			op := rng.Intn(12)
 			if i == big {
-				op = 8 + rng.Intn(5)
+				op = 6 + rng.Intn(6)
 			}
 			switch op {
 			case 0:
-				v := uint8(rng.Intn(256))
-				e.U8(v)
-				ref = append(ref, v)
-			case 1:
 				v := rng.Intn(2) == 1
-				e.Bool(v)
+				e.Bool(&v)
 				if v {
 					ref = append(ref, 1)
 				} else {
 					ref = append(ref, 0)
 				}
-			case 2:
-				v := rng.Uint32()
-				e.U32(v)
-				ref = le.AppendUint32(ref, v)
-			case 3:
-				v := rng.Uint64()
-				e.U64(v)
-				ref = le.AppendUint64(ref, v)
-			case 4:
+			case 1:
 				v := int32(rng.Uint32())
-				e.I32(v)
+				e.I32(&v)
 				ref = le.AppendUint32(ref, uint32(v))
-			case 5:
+			case 2:
 				v := int64(rng.Uint64())
-				e.I64(v)
+				e.I64(&v)
 				ref = le.AppendUint64(ref, uint64(v))
-			case 6:
+			case 3:
 				v := int(rng.Uint64())
-				e.Int(v)
+				e.Int(&v)
 				ref = le.AppendUint64(ref, uint64(v))
-			case 7:
+			case 4:
+				v := int(rng.Uint64())
+				if got := e.Count(v, 8); got != v {
+					t.Fatalf("encoding Count returned %d, want %d", got, v)
+				}
+				ref = le.AppendUint64(ref, uint64(v))
+			case 5:
 				v := math.Float64frombits(rng.Uint64())
-				e.F64(v)
+				e.F64(&v)
 				ref = le.AppendUint64(ref, math.Float64bits(v))
-			case 8:
+			case 6, 7:
 				v := floats(n)
-				e.F64s(v)
-				ref = le.AppendUint64(ref, uint64(len(v)))
-				for _, x := range v {
-					ref = le.AppendUint64(ref, math.Float64bits(x))
+				if op == 6 {
+					e.F64s(&v)
+				} else {
+					e.F64sFixed(v)
 				}
-			case 9:
-				v := make([]int64, n)
-				for j := range v {
-					v[j] = int64(rng.Uint64())
+				u := make([]uint64, n)
+				for j, x := range v {
+					u[j] = math.Float64bits(x)
 				}
-				e.I64s(v)
-				ref = le.AppendUint64(ref, uint64(len(v)))
-				for _, x := range v {
-					ref = le.AppendUint64(ref, uint64(x))
+				ref = words(ref, u)
+			case 8, 9:
+				u := make([]uint64, n)
+				for j := range u {
+					u[j] = rng.Uint64()
 				}
-			case 10:
-				v := make([]int, n)
-				for j := range v {
-					v[j] = int(rng.Uint64())
+				if op == 8 {
+					v := make([]int64, n)
+					for j, x := range u {
+						v[j] = int64(x)
+					}
+					e.I64s(&v)
+				} else {
+					v := make([]int, n)
+					for j, x := range u {
+						v[j] = int(x)
+					}
+					e.Ints(&v)
 				}
-				e.Ints(v)
-				ref = le.AppendUint64(ref, uint64(len(v)))
-				for _, x := range v {
-					ref = le.AppendUint64(ref, uint64(x))
-				}
-			case 11, 12:
+				ref = words(ref, u)
+			case 10, 11:
 				v := make([]byte, 8*n+rng.Intn(8))
 				rng.Read(v)
-				if op == 11 {
-					e.Str(string(v))
+				if op == 10 {
+					s := string(v)
+					e.Str(&s)
 				} else {
-					e.Bytes(v)
+					e.Bytes(&v)
 				}
 				ref = le.AppendUint64(ref, uint64(len(v)))
 				ref = append(ref, v...)
@@ -385,4 +410,90 @@ func TestMissingSection(t *testing.T) {
 	if _, err := r.Section("gamma"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("missing section err = %v", err)
 	}
+}
+
+// record holds one field of every primitive, walked in the fixed order
+// FuzzCodecDecode decodes arbitrary bytes through.
+type record struct {
+	rng       *mat.RNG
+	sample    sample
+	counted   []int64
+	fixed     [5]float64
+	delta     [5]float64
+	stateful  *record
+	stateless stateless
+}
+
+type stateless struct{}
+
+func (stateless) CheckpointStateless() {}
+
+func newRecord(nested bool) *record {
+	r := &record{rng: mat.NewRNG(1)}
+	if nested {
+		r.stateful = newRecord(false)
+	}
+	return r
+}
+
+func (r *record) State(c *Codec) {
+	c.RNG(r.rng)
+	r.sample.State(c)
+	n := c.Count(len(r.counted), 8)
+	if c.Decoding() {
+		r.counted = make([]int64, n)
+	}
+	for i := range r.counted {
+		c.I64(&r.counted[i])
+	}
+	c.F64sFixed(r.fixed[:])
+	c.F64sDelta(r.fixed[:], r.delta[:])
+	if r.stateful != nil {
+		c.Component(r.stateful)
+		c.Component(r.stateless)
+	}
+}
+
+// FuzzCodecDecode decodes arbitrary bytes through one walk that touches every
+// primitive, a nested Stateful and a Stateless component included. The decode
+// either fails with an ErrCorrupt-wrapped error or succeeds, and then
+// re-encoding what it read gives exactly the bytes it consumed; it never
+// panics. RNG.Restore fast-forwards one draw at a time, so the walk reads the
+// generator first and the input's draw count is cut to 20 bits (its sign
+// kept) before decoding.
+func FuzzCodecDecode(f *testing.F) {
+	r := newRecord(true)
+	r.rng.Float64()
+	r.sample = testSample()
+	r.counted = []int64{-1, 1 << 40}
+	r.fixed = [5]float64{1, 2, math.NaN(), 4, 5}
+	r.delta = [5]float64{1, 0, math.NaN(), 4, math.Inf(-1)}
+	r.stateful.rng.Intn(9)
+	var e Codec
+	r.State(&e)
+	good := e.Payload()
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = slices.Clone(data)
+		if len(data) >= 16 {
+			draws := binary.LittleEndian.Uint64(data[8:])
+			binary.LittleEndian.PutUint64(data[8:], draws&(1<<63|1<<20-1))
+		}
+		got := newRecord(true)
+		d := NewDec("fuzz", data)
+		got.State(d)
+		if err := d.Err(); err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decode failed without ErrCorrupt: %v", err)
+			}
+			return
+		}
+		var again Codec
+		got.State(&again)
+		if !bytes.Equal(again.Payload(), data[:d.off]) {
+			t.Fatalf("re-encoding of a clean %d-byte decode differs from the bytes read", d.off)
+		}
+	})
 }

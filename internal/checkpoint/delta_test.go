@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -12,13 +13,13 @@ import (
 // prev and returns the payload and the decoded slice.
 func deltaRoundTrip(t *testing.T, prev, cur []float64) ([]byte, []float64) {
 	t.Helper()
-	var e Enc
-	e.Codec().F64sDelta(prev, cur)
+	var e Codec
+	e.F64sDelta(prev, cur)
 	payload := e.Payload()
 	got := make([]float64, len(cur))
 	d := NewDec("delta", payload)
-	d.Codec().F64sDelta(prev, got)
-	if err := d.Err(); err != nil {
+	d.F64sDelta(prev, got)
+	if err := d.End(); err != nil {
 		t.Fatalf("decode of a fresh encoding: %v", err)
 	}
 	return payload, got
@@ -40,7 +41,7 @@ func sameBits(a, b []float64) bool {
 // both sides of a 64-word window, with none to all words changed, and with
 // changes only a bitwise comparison sees (-0 against +0, two NaN payloads).
 // Each must round-trip bit for bit, write the bytes a reference built from
-// U64/F64 writes, and be exactly 8 bytes per window plus 8 per changed word.
+// I64/F64 writes, and be exactly 8 bytes per window plus 8 per changed word.
 func TestF64sDeltaMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	negZero := math.Copysign(0, -1)
@@ -81,7 +82,7 @@ func TestF64sDeltaMatchesReference(t *testing.T) {
 			if want := 8*((width+63)/64) + 8*nChanged; len(payload) != want {
 				t.Fatalf("width %d, %d changed: %d bytes, want %d", width, nChanged, len(payload), want)
 			}
-			var ref Enc
+			var ref Codec
 			for lo := 0; lo < width; lo += 64 {
 				hi := min(lo+64, width)
 				var mask uint64
@@ -90,10 +91,11 @@ func TestF64sDeltaMatchesReference(t *testing.T) {
 						mask |= 1 << (i - lo)
 					}
 				}
-				ref.U64(mask)
+				m := int64(mask)
+				ref.I64(&m)
 				for i := lo; i < hi; i++ {
 					if changed[i] {
-						ref.F64(cur[i])
+						ref.F64(&cur[i])
 					}
 				}
 			}
@@ -104,17 +106,33 @@ func TestF64sDeltaMatchesReference(t *testing.T) {
 	}
 }
 
+// TestF64sDeltaRejectsUnchangedWord: a mask naming a word whose bits equal
+// prev's is not an encoding the encoder writes, so it fails, even for a NaN.
+func TestF64sDeltaRejectsUnchangedWord(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8000000000001)
+	prev := []float64{1, nan, 3}
+	for i, word := range []uint64{math.Float64bits(1), 0x7ff8000000000001} {
+		payload := binary.LittleEndian.AppendUint64(nil, 1<<i)
+		payload = binary.LittleEndian.AppendUint64(payload, word)
+		d := NewDec("delta", payload)
+		d.F64sDelta(prev, make([]float64, 3))
+		if err := d.End(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("word %d named unchanged: err = %v, want ErrCorrupt", i, err)
+		}
+	}
+}
+
 // FuzzF64sDelta decodes arbitrary bytes as a delta of an arbitrary width
 // against an arbitrary previous slice. The decode either fails with an
-// ErrCorrupt-wrapped error or yields a slice that encodes and decodes back to
-// itself bit for bit; it never panics.
+// ErrCorrupt-wrapped error or yields a slice that encodes back to exactly the
+// payload and decodes back to itself bit for bit; it never panics.
 func FuzzF64sDelta(f *testing.F) {
 	seed := func(width int, prev, cur []float64) {
-		var e Enc
-		e.Codec().F64sDelta(prev, cur)
-		var words Enc
-		for _, x := range prev {
-			words.F64(x)
+		var e Codec
+		e.F64sDelta(prev, cur)
+		var words Codec
+		for i := range prev {
+			words.F64(&prev[i])
 		}
 		f.Add(uint8(width), words.Payload(), e.Payload())
 	}
@@ -140,14 +158,18 @@ func FuzzF64sDelta(f *testing.F) {
 		}
 		cur := make([]float64, width)
 		d := NewDec("fuzz", payload)
-		d.Codec().F64sDelta(prev, cur)
-		if err := d.Err(); err != nil {
+		d.F64sDelta(prev, cur)
+		if err := d.End(); err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("decode failed without ErrCorrupt: %v", err)
 			}
 			return
 		}
-		if _, got := deltaRoundTrip(t, prev, cur); !sameBits(got, cur) {
+		again, got := deltaRoundTrip(t, prev, cur)
+		if !bytes.Equal(again, payload) {
+			t.Fatal("accepted delta re-encodes to other bytes")
+		}
+		if !sameBits(got, cur) {
 			t.Fatal("accepted delta does not round-trip bit for bit")
 		}
 	})

@@ -89,7 +89,7 @@ func buildWorkload(sm *sim.Simulator, c *Cluster, nJobs int) {
 func roundTrip(t *testing.T, c *Cluster, sm *sim.Simulator, mk func() (*Cluster, *sim.Simulator)) (*Cluster, *sim.Simulator) {
 	t.Helper()
 	w := checkpoint.NewWriter(0)
-	c.State(w.Section("cluster").Codec())
+	c.State(w.Section("cluster"))
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -106,8 +106,8 @@ func roundTrip(t *testing.T, c *Cluster, sm *sim.Simulator, mk func() (*Cluster,
 	if err != nil {
 		t.Fatalf("Section: %v", err)
 	}
-	if c2.State(d.Codec()); d.Err() != nil {
-		t.Fatalf("State: %v", d.Err())
+	if c2.State(d); d.End() != nil {
+		t.Fatalf("State: %v", d.End())
 	}
 	return c2, sm2
 }
@@ -221,7 +221,7 @@ func TestClusterRestoreFaultFlagMismatch(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	w := checkpoint.NewWriter(0)
-	c.State(w.Section("cluster").Codec())
+	c.State(w.Section("cluster"))
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -242,8 +242,8 @@ func TestClusterRestoreFaultFlagMismatch(t *testing.T) {
 		t.Fatalf("NewReader: %v", err)
 	}
 	d, _ := rd.Section("cluster")
-	c2.State(d.Codec())
-	if err := d.Err(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+	c2.State(d)
+	if err := d.End(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
 		t.Fatalf("faults mismatch: got %v, want ErrConfigMismatch", err)
 	}
 }

@@ -24,7 +24,7 @@ func TestExpClockRoundTrip(t *testing.T) {
 	}
 
 	w := checkpoint.NewWriter(0)
-	w.Section("clock").Codec().Component(c1)
+	w.Section("clock").Component(c1)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -46,8 +46,8 @@ func TestExpClockRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Section: %v", err)
 	}
-	if d.Codec().Component(c2); d.Err() != nil {
-		t.Fatalf("Component: %v", d.Err())
+	if d.Component(c2); d.End() != nil {
+		t.Fatalf("Component: %v", d.End())
 	}
 
 	for i := 0; i < 10; i++ {

@@ -107,9 +107,6 @@ func NewAgent(cfg Config, m int, rng *mat.RNG) (*Agent, error) {
 	}, nil
 }
 
-// Name implements policy.Allocator.
-func (a *Agent) Name() string { return "drl" }
-
 // rewardRate computes the Eqn. (4) reward rate from the latest cluster
 // observation: r(t) = -w1*Power - w2*#VMs - w3*Reli, all normalized.
 func (a *Agent) rewardRate() float64 {

@@ -58,15 +58,15 @@ func (r *replayRig) decide() (mat.Vec, int) {
 // roundTrip replaces the agent by one restored from its own checkpoint.
 func (r *replayRig) roundTrip(t *testing.T) {
 	t.Helper()
-	var e checkpoint.Enc
-	r.a.State(e.Codec())
+	var e checkpoint.Codec
+	r.a.State(&e)
 	b, err := NewAgent(r.cfg, r.a.enc.M(), mat.NewRNG(99))
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := checkpoint.NewDec("agent", e.Payload())
-	b.State(d.Codec())
-	if err := d.Err(); err != nil {
+	b.State(d)
+	if err := d.End(); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	r.a = b
@@ -210,26 +210,25 @@ func TestAgentStateRejectsUnreplayableReplay(t *testing.T) {
 		r.decide()
 	}
 	a := r.a // 4 stored transitions, cursor 4, a pending decision open
-	var e checkpoint.Enc
-	a.State(e.Codec())
+	var e checkpoint.Codec
+	a.State(&e)
 	good := e.Payload()
 
 	// Field offsets, from prefixes of the walk itself.
-	var pre checkpoint.Enc
-	c := pre.Codec()
+	c := &checkpoint.Codec{}
 	a.net.state(c)
 	a.tgt.state(c)
 	a.opt.State(c)
 	a.eps.State(c)
 	c.RNG(a.eps.RNG())
 	c.RNG(a.rng)
-	replay := len(pre.Payload()) // capacity, cursor, full, count, then the slots
+	replay := len(c.Payload()) // capacity, cursor, full, count, then the slots
 	a.replayState(c)
 	a.integ.State(c)
 	c.F64(&a.lastPower)
 	c.Int(&a.lastJobs)
 	c.F64(&a.lastReli)
-	pending := len(pre.Payload()) // hasPending, pending state, pending action
+	pending := len(c.Payload()) // hasPending, pending state, pending action
 	const cursor, full, slot0, tail = 8, 16, 25, 25
 	dim := a.enc.StateDim()                // one delta window: the rig's M=6 gives 22 words
 	block := 8 + 8*dim                     // length prefix + values
@@ -263,8 +262,8 @@ func TestAgentStateRejectsUnreplayableReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := checkpoint.NewDec("agent", b)
-			into.State(d.Codec())
-			err = d.Err()
+			into.State(d)
+			err = d.End()
 			if tc.msg == "" {
 				if err != nil {
 					t.Fatalf("unaltered payload rejected: %v", err)
@@ -305,8 +304,8 @@ func TestReplaySectionBytesPerTransition(t *testing.T) {
 			want += 16 + 25 + 8*n
 		}
 	}
-	var e checkpoint.Enc
-	a.replayState(e.Codec())
+	var e checkpoint.Codec
+	a.replayState(&e)
 	if got := len(e.Payload()); got != want {
 		t.Fatalf("replay walk is %d bytes for %d transitions, want %d", got, len(changed), want)
 	}

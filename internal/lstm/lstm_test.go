@@ -406,7 +406,7 @@ func referenceTrainRound(p *Predictor) {
 func predictorBytes(t *testing.T, p *Predictor) []byte {
 	t.Helper()
 	w := checkpoint.NewWriter(0)
-	checkpoint.Save(w.Section("lstm"), p)
+	p.State(w.Section("lstm"))
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)

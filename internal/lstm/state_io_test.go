@@ -35,7 +35,7 @@ func TestPredictorStateRoundTrip(t *testing.T) {
 	}
 
 	w := checkpoint.NewWriter(0)
-	checkpoint.Save(w.Section("lstm"), p1)
+	p1.State(w.Section("lstm"))
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -52,11 +52,9 @@ func TestPredictorStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Section: %v", err)
 	}
-	if err := checkpoint.Restore(d, p2); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if err := d.Err(); err != nil {
-		t.Fatalf("trailing bytes: %v", err)
+	p2.State(d)
+	if err := d.End(); err != nil {
+		t.Fatalf("State: %v", err)
 	}
 
 	if p2.ObservedArrivals() != p1.ObservedArrivals() || p2.TrainingRounds() != p1.TrainingRounds() {

@@ -32,8 +32,8 @@ func TestCollectorStateRoundTrip(t *testing.T) {
 	}
 
 	w := checkpoint.NewWriter(0)
-	checkpoint.Save(w.Section("cluster"), c)
-	checkpoint.Save(w.Section("metrics"), col1)
+	c.State(w.Section("cluster"))
+	col1.State(w.Section("metrics"))
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -56,11 +56,9 @@ func TestCollectorStateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Section: %v", err)
 		}
-		if err := checkpoint.Restore(d, sec.v); err != nil {
-			t.Fatalf("Restore %s: %v", sec.name, err)
-		}
-		if err := d.Err(); err != nil {
-			t.Fatalf("%s trailing bytes: %v", sec.name, err)
+		sec.v.State(d)
+		if err := d.End(); err != nil {
+			t.Fatalf("State %s: %v", sec.name, err)
 		}
 	}
 

@@ -21,8 +21,6 @@ type Activation interface {
 	F(x float64) float64
 	// Deriv returns dF/dx given the input x and output y = F(x).
 	Deriv(x, y float64) float64
-	// Name identifies the activation for diagnostics.
-	Name() string
 }
 
 // ELU is the exponential linear unit used by the paper's autoencoder and
@@ -47,9 +45,6 @@ func (e ELU) Deriv(x, y float64) float64 {
 	return y + e.alpha() // alpha*e^x = y + alpha
 }
 
-// Name implements Activation.
-func (e ELU) Name() string { return "elu" }
-
 func (e ELU) alpha() float64 {
 	if e.Alpha == 0 {
 		return 1
@@ -66,9 +61,6 @@ func (Tanh) F(x float64) float64 { return math.Tanh(x) }
 // Deriv implements Activation.
 func (Tanh) Deriv(_, y float64) float64 { return 1 - y*y }
 
-// Name implements Activation.
-func (Tanh) Name() string { return "tanh" }
-
 // Sigmoid is the logistic function.
 type Sigmoid struct{}
 
@@ -78,9 +70,6 @@ func (Sigmoid) F(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 // Deriv implements Activation.
 func (Sigmoid) Deriv(_, y float64) float64 { return y * (1 - y) }
 
-// Name implements Activation.
-func (Sigmoid) Name() string { return "sigmoid" }
-
 // Identity is the linear (no-op) activation used for Q-value output layers.
 type Identity struct{}
 
@@ -89,9 +78,6 @@ func (Identity) F(x float64) float64 { return x }
 
 // Deriv implements Activation.
 func (Identity) Deriv(_, _ float64) float64 { return 1 }
-
-// Name implements Activation.
-func (Identity) Name() string { return "identity" }
 
 var (
 	_ Activation = ELU{}

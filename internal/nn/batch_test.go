@@ -43,8 +43,8 @@ func testDenseInferBatchMatchesPerSample(t *testing.T) {
 				d.Infer(X.Row(b), want)
 				for i := range want {
 					if Y.At(b, i) != want[i] {
-						t.Fatalf("in=%d out=%d b=%d act=%s: InferBatch row %d diverges",
-							sh.in, sh.out, sh.b, act.Name(), b)
+						t.Fatalf("in=%d out=%d b=%d act=%T: InferBatch row %d diverges",
+							sh.in, sh.out, sh.b, act, b)
 					}
 				}
 			}

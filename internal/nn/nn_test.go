@@ -25,11 +25,11 @@ func TestActivations(t *testing.T) {
 	for _, tc := range cases {
 		y := tc.act.F(tc.x)
 		if math.Abs(y-tc.y) > 1e-12 {
-			t.Errorf("%s.F(%v) = %v, want %v", tc.act.Name(), tc.x, y, tc.y)
+			t.Errorf("%T.F(%v) = %v, want %v", tc.act, tc.x, y, tc.y)
 		}
 		d := tc.act.Deriv(tc.x, y)
 		if math.Abs(d-tc.dydx) > 1e-12 {
-			t.Errorf("%s.Deriv(%v) = %v, want %v", tc.act.Name(), tc.x, d, tc.dydx)
+			t.Errorf("%T.Deriv(%v) = %v, want %v", tc.act, tc.x, d, tc.dydx)
 		}
 	}
 }

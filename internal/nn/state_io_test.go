@@ -10,10 +10,10 @@ import (
 	"hierdrl/internal/checkpoint"
 )
 
-func adamSection(t *testing.T, a *Adam) *checkpoint.Dec {
+func adamSection(t *testing.T, a *Adam) *checkpoint.Codec {
 	t.Helper()
 	w := checkpoint.NewWriter(0)
-	checkpoint.Save(w.Section("adam"), a)
+	a.State(w.Section("adam"))
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -58,11 +58,9 @@ func TestAdamStateRoundTrip(t *testing.T) {
 
 	d := adamSection(t, a1)
 	a2 := NewAdam(0.01)
-	if err := checkpoint.Restore(d, a2); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if err := d.Err(); err != nil {
-		t.Fatalf("trailing bytes: %v", err)
+	a2.State(d)
+	if err := d.End(); err != nil {
+		t.Fatalf("State: %v", err)
 	}
 	if a2.Steps() != a1.Steps() {
 		t.Fatalf("step count %d vs %d", a2.Steps(), a1.Steps())
@@ -101,8 +99,8 @@ func TestAdamNeverSteppedRoundTrip(t *testing.T) {
 	a2.m = [][]float64{{1}}
 	a2.v = [][]float64{{1}}
 	a2.t = 5
-	if err := checkpoint.Restore(d, a2); err != nil {
-		t.Fatalf("Restore: %v", err)
+	if a2.State(d); d.Err() != nil {
+		t.Fatalf("State: %v", d.Err())
 	}
 	if a2.t != 0 || a2.m != nil || a2.v != nil {
 		t.Fatalf("virgin optimizer restored as t=%d, %d moment tensors", a2.t, len(a2.m))
@@ -115,8 +113,9 @@ func TestAdamNeverSteppedRoundTrip(t *testing.T) {
 func TestAdamRejectsCraftedCount(t *testing.T) {
 	w := checkpoint.NewWriter(0)
 	e := w.Section("adam")
-	e.Int(7)
-	e.Int(1 << 19)
+	steps, count := 7, 1<<19
+	e.Int(&steps)
+	e.Int(&count)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -131,7 +130,8 @@ func TestAdamRejectsCraftedCount(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err = checkpoint.Restore(d, NewAdam(0.01))
+	NewAdam(0.01).State(d)
+	err = d.Err()
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("crafted tensor count: got %v, want ErrCorrupt", err)

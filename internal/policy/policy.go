@@ -16,8 +16,6 @@ import (
 // Allocator picks the target server for each arriving job — the action of
 // the paper's global tier, taken at every job-arrival decision epoch.
 type Allocator interface {
-	// Name identifies the policy in reports.
-	Name() string
 	// Allocate returns the server index in [0, v.M) for job j.
 	Allocate(j *cluster.Job, v *cluster.View) int
 }
@@ -31,9 +29,6 @@ type RoundRobin struct {
 
 // NewRoundRobin returns a round-robin allocator.
 func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
-
-// Name implements Allocator.
-func (r *RoundRobin) Name() string { return "round-robin" }
 
 // Allocate implements Allocator.
 func (r *RoundRobin) Allocate(_ *cluster.Job, v *cluster.View) int {
@@ -50,9 +45,6 @@ type Random struct {
 // NewRandom returns a random allocator.
 func NewRandom(rng *mat.RNG) *Random { return &Random{rng: rng} }
 
-// Name implements Allocator.
-func (r *Random) Name() string { return "random" }
-
 // Allocate implements Allocator.
 func (r *Random) Allocate(_ *cluster.Job, v *cluster.View) int {
 	return r.rng.Intn(v.M)
@@ -64,9 +56,6 @@ type LeastLoaded struct{}
 
 // NewLeastLoaded returns a least-loaded allocator.
 func NewLeastLoaded() *LeastLoaded { return &LeastLoaded{} }
-
-// Name implements Allocator.
-func (*LeastLoaded) Name() string { return "least-loaded" }
 
 // Allocate implements Allocator. Down servers are skipped, which matches
 // the LoadIndex fast path bit for bit without a drain model: there a down
@@ -106,9 +95,6 @@ func NewPackFit(headroom float64) (*PackFit, error) {
 	}
 	return &PackFit{Headroom: headroom}, nil
 }
-
-// Name implements Allocator.
-func (*PackFit) Name() string { return "pack-fit" }
 
 // Allocate implements Allocator.
 func (p *PackFit) Allocate(j *cluster.Job, v *cluster.View) int {

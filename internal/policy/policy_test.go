@@ -43,9 +43,6 @@ func TestRoundRobinCycles(t *testing.T) {
 			t.Fatalf("sequence %v want %v", got, want)
 		}
 	}
-	if rr.Name() != "round-robin" {
-		t.Fatal("name")
-	}
 }
 
 func TestRandomInRange(t *testing.T) {
@@ -149,7 +146,7 @@ func TestAllocatorsStayInRange(t *testing.T) {
 			}
 			got := a.Allocate(testJob(0.1+rng.Float64()*0.4), v)
 			if got < 0 || got >= m {
-				t.Fatalf("%s returned %d for M=%d", a.Name(), got, m)
+				t.Fatalf("%T returned %d for M=%d", a, got, m)
 			}
 		}
 	}

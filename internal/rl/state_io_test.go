@@ -12,7 +12,7 @@ import (
 
 func intState(c *checkpoint.Codec, v *int) { c.Int(v) }
 
-func section(t *testing.T, fill func(*checkpoint.Enc)) *checkpoint.Dec {
+func section(t *testing.T, fill func(*checkpoint.Codec)) *checkpoint.Codec {
 	t.Helper()
 	w := checkpoint.NewWriter(0)
 	fill(w.Section("s"))
@@ -39,10 +39,10 @@ func TestReplayRoundTrip(t *testing.T) {
 		for i := 0; i < adds; i++ {
 			r1.Add(100 + i)
 		}
-		d := section(t, func(e *checkpoint.Enc) { ReplayState(r1, e.Codec(), intState) })
+		d := section(t, func(e *checkpoint.Codec) { ReplayState(r1, e, intState) })
 		r2 := NewReplay[int](8)
-		if ReplayState(r2, d.Codec(), intState); d.Err() != nil {
-			t.Fatalf("adds=%d ReplayState: %v", adds, d.Err())
+		if ReplayState(r2, d, intState); d.End() != nil {
+			t.Fatalf("adds=%d ReplayState: %v", adds, d.End())
 		}
 		if r2.Len() != r1.Len() || r2.next != r1.next || r2.full != r1.full {
 			t.Fatalf("adds=%d cursor state: (%d,%d,%v) vs (%d,%d,%v)",
@@ -65,10 +65,10 @@ func TestReplayRoundTrip(t *testing.T) {
 func TestReplayRestoreCapacityMismatch(t *testing.T) {
 	r1 := NewReplay[int](8)
 	r1.Add(1)
-	d := section(t, func(e *checkpoint.Enc) { ReplayState(r1, e.Codec(), intState) })
+	d := section(t, func(e *checkpoint.Codec) { ReplayState(r1, e, intState) })
 	r2 := NewReplay[int](16)
-	ReplayState(r2, d.Codec(), intState)
-	if err := d.Err(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+	ReplayState(r2, d, intState)
+	if err := d.End(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
 		t.Fatalf("capacity mismatch: got %v, want ErrConfigMismatch", err)
 	}
 }
@@ -84,15 +84,15 @@ func TestEpsilonGreedyAndIntegratorRoundTrip(t *testing.T) {
 	ri1.Reset(10, 2.25)
 	ri1.SetRate(12, 3.5)
 
-	d := section(t, func(e *checkpoint.Enc) {
-		p1.State(e.Codec())
-		ri1.State(e.Codec())
+	d := section(t, func(e *checkpoint.Codec) {
+		p1.State(e)
+		ri1.State(e)
 	})
 	p2 := NewEpsilonGreedy(1.0, 0.05, 0.999, mat.NewRNG(3))
 	ri2 := NewRewardIntegrator(0.5)
-	p2.State(d.Codec())
-	ri2.State(d.Codec())
-	if err := d.Err(); err != nil {
+	p2.State(d)
+	ri2.State(d)
+	if err := d.End(); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if p2.Epsilon() != p1.Epsilon() {
@@ -109,10 +109,14 @@ func TestEpsilonGreedyAndIntegratorRoundTrip(t *testing.T) {
 // (2^28 rows used to reach two make(map, n) calls — gigabytes — before the
 // first row was read).
 func TestQTableRejectsCraftedCount(t *testing.T) {
-	d := section(t, func(e *checkpoint.Enc) { e.Int(1 << 28) })
+	d := section(t, func(e *checkpoint.Codec) {
+		rows := 1 << 28
+		e.Int(&rows)
+	})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := checkpoint.Restore(d, NewQTable(3, 0.1, 0.5, 0))
+	NewQTable(3, 0.1, 0.5, 0).State(d)
+	err := d.Err()
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("crafted row count: got %v, want ErrCorrupt", err)

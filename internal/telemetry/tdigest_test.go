@@ -178,7 +178,7 @@ func TestMergeAssociativityApproximate(t *testing.T) {
 func roundTrip(t *testing.T, from, into checkpoint.Stateful) {
 	t.Helper()
 	wr := checkpoint.NewWriter(0)
-	checkpoint.Save(wr.Section("t"), from)
+	from.State(wr.Section("t"))
 	var buf bytes.Buffer
 	if _, err := wr.WriteTo(&buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -191,8 +191,8 @@ func roundTrip(t *testing.T, from, into checkpoint.Stateful) {
 	if err != nil {
 		t.Fatalf("section: %v", err)
 	}
-	if err := checkpoint.Restore(dec, into); err != nil {
-		t.Fatalf("restore: %v", err)
+	if into.State(dec); dec.Err() != nil {
+		t.Fatalf("restore: %v", dec.Err())
 	}
 }
 
@@ -239,12 +239,12 @@ func TestSketchSetCheckpointRoundTrip(t *testing.T) {
 	}
 	// A latency-digest count other than 1 must be rejected, not silently
 	// mis-shaped.
-	var enc checkpoint.Enc
+	var enc checkpoint.Codec
 	two := 2
-	enc.Codec().Int(&two)
+	enc.Int(&two)
 	dec := checkpoint.NewDec("t", enc.Payload())
-	NewSketchSet().State(dec.Codec())
-	if err := dec.Err(); !errors.Is(err, checkpoint.ErrCorrupt) {
+	NewSketchSet().State(dec)
+	if err := dec.End(); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("restore of a two-digest set: got %v, want ErrCorrupt", err)
 	}
 }

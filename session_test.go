@@ -403,7 +403,6 @@ func TestSessionIncrementalDrains(t *testing.T) {
 // registry: it picks the lowest-CPU-committed awake server.
 type testGreedyAlloc struct{}
 
-func (testGreedyAlloc) Name() string { return "test-greedy" }
 func (testGreedyAlloc) Allocate(_ *hierdrl.ClusterJob, v *hierdrl.ClusterView) int {
 	best, bestLoad := 0, math.Inf(1)
 	for i := 0; i < v.M; i++ {

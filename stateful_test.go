@@ -115,8 +115,8 @@ func TestStateWalksRejectEveryPrefix(t *testing.T) {
 				return dst
 			}
 			for name, walk := range stateWalks(src) {
-				var enc checkpoint.Enc
-				walk(enc.Codec())
+				var enc checkpoint.Codec
+				walk(&enc)
 				payload := enc.Payload()
 
 				// Every prefix of a small payload; a large one (network
@@ -128,8 +128,8 @@ func TestStateWalksRejectEveryPrefix(t *testing.T) {
 						continue
 					}
 					d := checkpoint.NewDec(name, payload[:n])
-					into(d.Codec())
-					if err := d.Err(); !errors.Is(err, checkpoint.ErrCorrupt) {
+					into(d)
+					if err := d.End(); !errors.Is(err, checkpoint.ErrCorrupt) {
 						t.Fatalf("%s: %d-byte prefix of %d: got %v, want ErrCorrupt", name, n, len(payload), err)
 					}
 				}
@@ -138,12 +138,12 @@ func TestStateWalksRejectEveryPrefix(t *testing.T) {
 				// the round trip gets a target of its own.
 				back := stateWalks(fresh())[name]
 				d := checkpoint.NewDec(name, payload)
-				back(d.Codec())
-				if err := d.Err(); err != nil {
+				back(d)
+				if err := d.End(); err != nil {
 					t.Fatalf("%s: full payload rejected: %v", name, err)
 				}
-				var again checkpoint.Enc
-				back(again.Codec())
+				var again checkpoint.Codec
+				back(&again)
 				if !bytes.Equal(again.Payload(), payload) {
 					t.Errorf("%s: decode then encode gives %d bytes that differ from the %d decoded", name, len(again.Payload()), len(payload))
 				}
