@@ -89,7 +89,7 @@ crash-smoke:
 # round trip must replay bit for bit, and a single-class speed-1.0 cluster
 # must match the homogeneous cluster exactly — all under the race detector.
 scenario-smoke:
-	$(GO) test -race -run 'TestScenarioBitwiseAcrossShards|TestScenarioCSVRoundTrip|TestHomogeneousClassesBitwiseIdentical' -v .
+	$(GO) test -race -run 'TestScenarioBitwiseRunToRun|TestScenarioCSVRoundTrip|TestHomogeneousClassesBitwiseIdentical' -v .
 
 # obs-smoke is the observability CI gate: the live /metrics + /snapshot scrape
 # of a fault run with a t-digest p99 accuracy check, the Chrome trace-event
@@ -97,7 +97,7 @@ scenario-smoke:
 # sketch-checkpoint round trip — all under the race detector — plus the
 # telemetry package's own zero-alloc and merge-determinism pins.
 obs-smoke:
-	$(GO) test -race -run 'TestObsSmoke|TestTelemetryPreservesBitwiseMetrics|TestSketchOnlySummary|TestEpochTraceChromeJSON|TestEpochTraceRequiresShards|TestCheckpointRoundTripSketches' -v .
+	$(GO) test -race -run 'TestObsSmoke|TestTelemetryPreservesBitwiseMetrics|TestSketchOnlySummary|TestEpochTraceChromeJSON|TestEpochTraceOnDefaultSession|TestCheckpointRoundTripSketches' -v .
 	$(GO) test -race ./internal/telemetry
 
 # examples-smoke builds and runs every examples/ program with a tiny job
@@ -126,7 +126,7 @@ profile:
 # profile-drl writes the CPU and allocation profiles of one paper-drl pass
 # (DRLOnly(30), 8,000 warmup + 44,000 jobs, seed 1 — the repository
 # benchmark's global-tier workload), the attribution DESIGN.md §7 and
-# EXPERIMENTS.md quote: `go tool pprof -top hierdrl-bench.test cpu-drl.pprof`.
+# CHANGES.md PR 16 quote: `go tool pprof -top hierdrl-bench.test cpu-drl.pprof`.
 profile-drl:
 	$(GO) test -run=NONE -bench='BenchmarkPaperDRLPass$$' -benchtime=3x \
 		-cpuprofile cpu-drl.pprof -memprofile mem-drl.pprof -o hierdrl-bench.test .
@@ -134,8 +134,8 @@ profile-drl:
 
 # profile-hier is profile-drl for one paper-hier pass (Hierarchical(30), 8,000
 # warmup + 28,000 jobs, seed 1: the global tier plus thirty LSTM predictors
-# and RL power managers), the attribution EXPERIMENTS.md "Local-tier step
-# cost" quotes: `go tool pprof -top hierdrl-bench.test cpu-hier.pprof`.
+# and RL power managers), the attribution CHANGES.md PR 24 quotes:
+# `go tool pprof -top hierdrl-bench.test cpu-hier.pprof`.
 profile-hier:
 	$(GO) test -run=NONE -bench='BenchmarkPaperHierPass$$' -benchtime=3x \
 		-cpuprofile cpu-hier.pprof -memprofile mem-hier.pprof -o hierdrl-bench.test .

@@ -1,11 +1,9 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (Sec. VII), plus micro-benchmarks of the hot components. The
-// experiment benchmarks run reduced workloads (Table I and Fig. 8/9 the
-// 20x-reduced BenchScale) through a one-seed Study and report
-// the paper's metrics (energy, accumulated latency, average power) through
-// b.ReportMetric, so `go test -bench=.` regenerates every row/series shape;
-// `cmd/experiments -scale full` reproduces the full 95,000-job operating
-// point.
+// Benchmark harness: the Table I M=30 block, whose CPU and allocation
+// profile `make profile` writes, one pass each of the repository benchmark's
+// paper-drl and paper-hier workloads (`make profile-drl` / `profile-hier`),
+// and micro-benchmarks of the hot components. The tables themselves are
+// regenerated by cmd/experiments and pinned, at bench scale, by its
+// TestExperimentsTablesCurrent.
 //
 // Nothing here gates: wall time is report-only (the repository benchmark's
 // `-stage units` reads the micro-benchmarks named in bench/metrics.go by
@@ -28,13 +26,11 @@ import (
 )
 
 // threeSystems runs the paper's three systems (round-robin, DRL-only,
-// hierarchical) on BenchScale(m) through a one-seed study, recording the
-// Fig. 8/9 series every `every` jobs when every > 0.
-func threeSystems(b *testing.B, m, every int) []*hierdrl.Result {
+// hierarchical) on BenchScale(m) through a one-seed study.
+func threeSystems(b *testing.B, m int) []*hierdrl.Result {
 	b.Helper()
 	var cells []hierdrl.Cell
 	for _, cfg := range []hierdrl.Config{hierdrl.RoundRobin(m), hierdrl.DRLOnly(m), hierdrl.Hierarchical(m)} {
-		cfg.CheckpointEvery = every
 		cells = append(cells, hierdrl.Cell{Name: cfg.Name, Config: cfg, Scale: hierdrl.BenchScale(m)})
 	}
 	res, err := hierdrl.Study{Cells: cells, Seeds: []int64{1}}.Run()
@@ -57,116 +53,9 @@ func reportComparison(b *testing.B, runs []*hierdrl.Result) {
 // BenchmarkTable1_M30 regenerates the M=30 block of Table I.
 func BenchmarkTable1_M30(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runs := threeSystems(b, 30, 0)
+		runs := threeSystems(b, 30)
 		if i == b.N-1 {
 			reportComparison(b, runs)
-		}
-	}
-}
-
-// BenchmarkTable1_M40 regenerates the M=40 block of Table I.
-func BenchmarkTable1_M40(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runs := threeSystems(b, 40, 0)
-		if i == b.N-1 {
-			reportComparison(b, runs)
-		}
-	}
-}
-
-// BenchmarkFig8_M30 regenerates the Fig. 8 accumulated latency/energy series
-// (M=30); the checkpoint count mirrors the paper's plotted resolution.
-func BenchmarkFig8_M30(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runs := threeSystems(b, 30, hierdrl.BenchScale(30).Jobs/19)
-		if i == b.N-1 {
-			reportComparison(b, runs)
-			b.ReportMetric(float64(len(runs[2].Checkpoints)), "series_points")
-		}
-	}
-}
-
-// BenchmarkFig9_M40 regenerates the Fig. 9 series (M=40).
-func BenchmarkFig9_M40(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runs := threeSystems(b, 40, hierdrl.BenchScale(40).Jobs/19)
-		if i == b.N-1 {
-			reportComparison(b, runs)
-			b.ReportMetric(float64(len(runs[2].Checkpoints)), "series_points")
-		}
-	}
-}
-
-// BenchmarkFig10_Tradeoff regenerates two curves of the Fig. 10
-// latency/energy trade-off study — the hierarchical lambda sweep and the
-// fixed 60 s timeout baseline, lambda weighting the global reward as in
-// cmd/experiments — and reports each curve's dominated hypervolume (larger =
-// better trade-off).
-func BenchmarkFig10_Tradeoff(b *testing.B) {
-	const m = 10
-	sc := hierdrl.Scale{Jobs: 1200, WarmupJobs: 400, ClusterM: m}
-	lambdas := []float64{0.25, 0.75}
-	var cells []hierdrl.Cell
-	for _, lam := range lambdas {
-		hier := hierdrl.Hierarchical(m)
-		hier.LocalRL.PowerWeight = 1 - lam
-		for _, cfg := range []hierdrl.Config{hier, hierdrl.FixedTimeoutBaseline(m, 60)} {
-			cfg.Global.W1, cfg.Global.W2 = 2*(1-lam), 2*lam
-			cells = append(cells, hierdrl.Cell{Name: cfg.Name, Config: cfg, Scale: sc})
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := hierdrl.Study{Cells: cells, Seeds: []int64{1}}.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			curves := make([][]hierdrl.TradeoffPoint, 2) // hierarchical, fixed-60
-			var refLat, refE float64
-			for k, runs := range res {
-				p := runs[0].Tradeoff(cells[k].Name, lambdas[k/2])
-				curves[k%2] = append(curves[k%2], p)
-				refLat = max(refLat, p.AvgLatencySec)
-				refE = max(refE, p.AvgEnergyJPerJob)
-			}
-			refLat *= 1.05
-			refE *= 1.05
-			b.ReportMetric(hierdrl.HypervolumeOf(curves[0], refLat, refE)/1e6, "hier_hypervol")
-			b.ReportMetric(hierdrl.HypervolumeOf(curves[1], refLat, refE)/1e6, "fixed60_hypervol")
-		}
-	}
-}
-
-// BenchmarkX1_LSTMPredictor regenerates the predictor-accuracy extension
-// study (LSTM vs linear-history baselines, Sec. VI-A motivation).
-func BenchmarkX1_LSTMPredictor(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		scores, err := hierdrl.RunPredictorComparison(800, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, s := range scores {
-				b.ReportMetric(s.RMSELog, s.Name+"_rmse_log")
-			}
-		}
-	}
-}
-
-// BenchmarkX2_Ablation regenerates the Fig. 6 architecture ablation
-// (autoencoder and weight sharing, K in {2,3}).
-func BenchmarkX2_Ablation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results, err := hierdrl.RunAblation(12, 60, []int{2, 3}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, r := range results {
-				if r.K == 3 {
-					b.ReportMetric(r.FinalLoss, r.Variant+"_loss")
-				}
-			}
 		}
 	}
 }

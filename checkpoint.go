@@ -295,6 +295,15 @@ func (s *Session) sessionState(c *checkpoint.Codec) {
 // never with a partially built session. A snapshot of an earlier format
 // version, including every one the removed parallel tier wrote, is
 // ErrVersion.
+//
+// One kind of damaged input is not refused: an RNG draw count. Each
+// generator is stored as (seed, draws) and restored by replaying its draws,
+// about 1.76 s per 2^31 on a 2-vCPU Xeon, and any non-negative count is
+// accepted. A CRC-valid snapshot whose draw word reads 2^62 therefore keeps
+// Restore replaying for about a century instead of failing. There is no
+// principled per-generator ceiling to check against; storing each
+// generator's state instead of replaying it (ROADMAP item 10) removes the
+// replay, and with it this case.
 func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 	rd, err := checkpoint.NewReader(r)
 	if err != nil {

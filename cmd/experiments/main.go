@@ -16,23 +16,28 @@
 // -scale bench runs the 20x-reduced configuration (seconds); -scale full
 // reproduces the 95,000-job operating point. -seeds is a comma list with a-b
 // ranges (default 1): with one seed a table prints each value, with several
-// it prints median [min, max] across the seeds.
+// it prints median [min, max] across the seeds. Every table is printed as
+// markdown; EXPERIMENTS.md holds the bench-scale ones verbatim.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"hierdrl"
 )
 
-// setup is what every experiment reads from the flags.
+// setup is what every experiment reads from the flags, and where it prints.
 type setup struct {
 	scale func(m int) hierdrl.Scale
 	seeds []int64
+	w     io.Writer
 }
 
 // experiments is the -exp table, in -exp all order. solo entries run only
@@ -56,34 +61,41 @@ var experiments = []struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && err != flag.ErrHelp {
+		log.Fatal(err)
+	}
+}
 
+// run parses a command line and prints the tables of the experiments it
+// names to w.
+func run(args []string, w io.Writer) error {
 	var names []string
 	for _, e := range experiments {
 		names = append(names, e.name)
 	}
-	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, " | ")+" | all")
-	scaleName := flag.String("scale", "bench", "bench (20x reduced) or full (95,000 jobs)")
-	seedList := flag.String("seeds", "1", "random seeds: a comma list with a-b ranges, e.g. 1-3,7")
-	flag.Parse()
-
-	su := setup{scale: map[string]func(int) hierdrl.Scale{"bench": hierdrl.BenchScale, "full": hierdrl.FullScale}[*scaleName]}
-	if su.scale == nil {
-		log.Fatalf("unknown scale %q", *scaleName)
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(names, " | ")+" | all")
+	scaleName := fs.String("scale", "bench", "bench (20x reduced) or full (95,000 jobs)")
+	seedList := fs.String("seeds", "1", "random seeds: a comma list with a-b ranges, e.g. 1-3,7")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	var err error
-	if su.seeds, err = parseSeeds(*seedList); err != nil {
-		log.Fatal(err)
+	seeds, err := parseSeeds(*seedList)
+	su := setup{scale: map[string]func(int) hierdrl.Scale{"bench": hierdrl.BenchScale, "full": hierdrl.FullScale}[*scaleName], seeds: seeds, w: w}
+	switch {
+	case err != nil:
+		return err
+	case su.scale == nil:
+		return fmt.Errorf("unknown scale %q", *scaleName)
+	case *exp != "all" && !slices.Contains(names, *exp):
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
-	ran := false
 	for _, e := range experiments {
 		if e.name == *exp || (*exp == "all" && !e.solo) {
 			e.run(su)
-			ran = true
 		}
 	}
-	if !ran {
-		log.Fatalf("unknown experiment %q", *exp)
-	}
+	return nil
 }
 
 // parseSeeds reads a comma list of non-negative seeds and a-b ranges
@@ -107,66 +119,69 @@ func parseSeeds(list string) ([]int64, error) {
 	return seeds, nil
 }
 
-// run executes cells over the seeds, exiting on error.
-func (su setup) run(what string, cells []hierdrl.Cell) [][]*hierdrl.Result {
-	res, err := hierdrl.Study{Cells: cells, Seeds: su.seeds}.Run()
+// must returns v, exiting on err.
+func must[T any](v T, err error) T {
 	if err != nil {
-		log.Fatalf("%s: %v", what, err)
+		log.Fatal(err)
 	}
-	return res
+	return v
 }
 
-// each evaluates one metric at every seed index.
-func (su setup) each(metric func(s int) float64) []float64 {
+// stat formats one metric, evaluated at every seed index, with a fmt verb:
+// the value itself for one seed, "median [min, max]" for several.
+func (su setup) stat(verb string, metric func(s int) float64) string {
 	xs := make([]float64, len(su.seeds))
 	for s := range xs {
 		xs[s] = metric(s)
 	}
-	return xs
-}
-
-// stat formats one metric across seeds with a fmt verb: the value itself for
-// one seed, "median [min, max]" for several.
-func stat(verb string, xs []float64) string {
 	if len(xs) == 1 {
 		return fmt.Sprintf(verb, xs[0])
 	}
 	med, lo, hi := hierdrl.MedianRange(xs)
-	bare := func(x float64) string { return strings.TrimSpace(fmt.Sprintf(verb, x)) }
-	return fmt.Sprintf(verb, med) + " [" + bare(lo) + ", " + bare(hi) + "]"
+	return fmt.Sprintf(verb+" ["+verb+", "+verb+"]", med, lo, hi)
 }
 
-// A column is one Summary metric of a table: its header, width and precision.
+// writeTable prints what every experiment prints: a bold title line, then a
+// markdown table of the header row and the value rows.
+func writeTable(w io.Writer, title string, head []string, rows [][]string) {
+	fmt.Fprintf(w, "**%s**\n\n| %s |\n|%s\n", title, strings.Join(head, " | "), strings.Repeat(" --- |", len(head)))
+	for _, r := range rows {
+		fmt.Fprintf(w, "| %s |\n", strings.Join(r, " | "))
+	}
+	fmt.Fprintln(w)
+}
+
+// A column is one Summary metric of a table: its header and fmt verb.
 type column struct {
-	head        string
-	width, prec int
-	of          func(hierdrl.Summary) float64
+	head, verb string
+	of         func(hierdrl.Summary) float64
 }
 
 var (
-	colAvail   = column{"avail", 8, 4, func(s hierdrl.Summary) float64 { return s.Availability }}
-	colAvgLat  = column{"avgLat(s)", 10, 1, func(s hierdrl.Summary) float64 { return s.AvgLatencySec }}
-	colEnergy  = column{"E(kWh)", 10, 2, func(s hierdrl.Summary) float64 { return s.EnergykWh }}
-	colRetried = column{"retried", 9, 0, func(s hierdrl.Summary) float64 { return float64(s.JobsRetried) }}
-	colLost    = column{"lost", 9, 0, func(s hierdrl.Summary) float64 { return float64(s.JobsLost) }}
+	colAvail   = column{"avail", "%.4f", func(s hierdrl.Summary) float64 { return s.Availability }}
+	colAvgLat  = column{"avgLat(s)", "%.1f", func(s hierdrl.Summary) float64 { return s.AvgLatencySec }}
+	colEnergy  = column{"E(kWh)", "%.2f", func(s hierdrl.Summary) float64 { return s.EnergykWh }}
+	colRetried = column{"retried", "%.0f", func(s hierdrl.Summary) float64 { return float64(s.JobsRetried) }}
+	colLost    = column{"lost", "%.0f", func(s hierdrl.Summary) float64 { return float64(s.JobsLost) }}
 )
 
-// summaryTable runs cells over the seeds and prints a header (head, then the
-// column heads) and one row per cell: its label, then each column.
-func summaryTable(su setup, what string, cells []hierdrl.Cell, head string, label func(hierdrl.Cell) string, cols []column) [][]*hierdrl.Result {
-	res := su.run(what, cells)
-	fmt.Print(head)
-	for _, c := range cols {
-		fmt.Printf(" %*s", c.width, c.head)
-	}
-	fmt.Println()
+// summaryTable runs cells over the seeds and prints one table: the label
+// heads, then the column heads; one row per cell, labelled by the parts of
+// its name ("round-robin/degrade" fills two label cells), then each column.
+func summaryTable(su setup, title string, cells []hierdrl.Cell, heads []string, cols []column) [][]*hierdrl.Result {
+	res := must(hierdrl.Study{Cells: cells, Seeds: su.seeds}.Run())
+	var rows [][]string
 	for i, runs := range res {
-		fmt.Print(label(cells[i]))
+		row := strings.Split(cells[i].Name, "/")
 		for _, c := range cols {
-			fmt.Print(" " + stat(fmt.Sprintf("%%%d.%df", c.width, c.prec), su.each(func(s int) float64 { return c.of(runs[s].Summary) })))
+			row = append(row, su.stat(c.verb, func(s int) float64 { return c.of(runs[s].Summary) }))
 		}
-		fmt.Println()
+		rows = append(rows, row)
 	}
+	for _, c := range cols {
+		heads = append(heads, c.head)
+	}
+	writeTable(su.w, title, heads, rows)
 	return res
 }
 
@@ -182,64 +197,72 @@ func comparisonCells(m int, sc hierdrl.Scale, every int) []hierdrl.Cell {
 }
 
 func table1(su setup) {
-	fmt.Println("== Table I: energy / accumulated latency / average power ==")
 	energy := func(s hierdrl.Summary) float64 { return s.EnergykWh }
 	for _, m := range []int{30, 40} {
-		fmt.Printf("\n-- M = %d, jobs = %d --\n", m, su.scale(m).Jobs)
-		res := summaryTable(su, "table1", comparisonCells(m, su.scale(m), 0), fmt.Sprintf("%-14s", "policy"),
-			func(c hierdrl.Cell) string { return fmt.Sprintf("%-14s", c.Name) }, []column{
-				{"Energy (kWh)", 14, 2, energy},
-				{"Latency (10^6 s)", 18, 2, func(s hierdrl.Summary) float64 { return s.AccLatencySec / 1e6 }},
-				{"Power (W)", 12, 2, func(s hierdrl.Summary) float64 { return s.AvgPowerW }},
+		res := summaryTable(su, fmt.Sprintf("Table I: energy / accumulated latency / average power (M = %d, jobs = %d)", m, su.scale(m).Jobs),
+			comparisonCells(m, su.scale(m), 0), []string{"policy"}, []column{
+				{"Energy (kWh)", "%.2f", energy},
+				{"Latency (10^6 s)", "%.2f", func(s hierdrl.Summary) float64 { return s.AccLatencySec / 1e6 }},
+				{"Power (W)", "%.2f", func(s hierdrl.Summary) float64 { return s.AvgPowerW }},
 			})
 		// change is hierarchical's per-seed relative difference to system b in percent.
 		change := func(b int, of func(hierdrl.Summary) float64) string {
-			return stat("%+.2f", su.each(func(s int) float64 {
+			return su.stat("%+.2f", func(s int) float64 {
 				x, y := of(res[2][s].Summary), of(res[b][s].Summary)
 				return 100 * (x - y) / y
-			}))
+			})
 		}
-		fmt.Printf("hierarchical vs round-robin: %s%% energy\n", change(0, energy))
-		fmt.Printf("hierarchical vs drl-only:    %s%% energy, %s%% latency\n", change(1, energy),
-			change(1, func(s hierdrl.Summary) float64 { return s.AccLatencySec }))
+		writeTable(su.w, fmt.Sprintf("Table I: hierarchical's change against each baseline (M = %d)", m),
+			[]string{"hierarchical vs", "energy (%)", "latency (%)"}, [][]string{
+				{"round-robin", change(0, energy), ""},
+				{"drl-only", change(1, energy), change(1, func(s hierdrl.Summary) float64 { return s.AccLatencySec })},
+			})
 	}
 }
 
 func figSeries(fig, m int, su setup) {
 	sc := su.scale(m)
-	fmt.Printf("\n== Fig. %d: accumulated latency & energy vs #jobs (M = %d) ==\n", fig, m)
-	res := su.run(fmt.Sprintf("fig%d", fig), comparisonCells(m, sc, max(1, sc.Jobs/19)))
-	fmt.Printf("%-8s | %-26s | %-26s | %-26s\n", "", "round-robin", "drl-only", "hierarchical")
-	fmt.Printf("%-8s | %12s %13s | %12s %13s | %12s %13s\n",
-		"jobs", "latency(s)", "energy(kWh)", "latency(s)", "energy(kWh)", "latency(s)", "energy(kWh)")
+	cells := comparisonCells(m, sc, max(1, sc.Jobs/19))
+	res := must(hierdrl.Study{Cells: cells, Seeds: su.seeds}.Run())
+	head := []string{"jobs"}
+	for _, c := range cells {
+		head = append(head, c.Name+" latency(s)", c.Name+" energy(kWh)")
+	}
+	var rows [][]string
 	// Every run completes the same jobs, so every series has the same length.
 	for i := range res[0][0].Checkpoints {
-		fmt.Printf("%-8d", res[0][0].Checkpoints[i].Jobs)
+		row := []string{strconv.Itoa(res[0][0].Checkpoints[i].Jobs)}
 		for _, runs := range res {
-			fmt.Printf(" | %s %s",
-				stat("%12.0f", su.each(func(s int) float64 { return runs[s].Checkpoints[i].AccLatencySec })),
-				stat("%13.2f", su.each(func(s int) float64 { return runs[s].Checkpoints[i].EnergykWh })))
+			row = append(row,
+				su.stat("%.0f", func(s int) float64 { return runs[s].Checkpoints[i].AccLatencySec }),
+				su.stat("%.2f", func(s int) float64 { return runs[s].Checkpoints[i].EnergykWh }))
 		}
-		fmt.Println()
+		rows = append(rows, row)
 	}
+	writeTable(su.w, fmt.Sprintf("Fig. %d: accumulated latency & energy vs #jobs (M = %d)", fig, m), head, rows)
 }
 
-// tradeoffCells is the Fig. 10 grid, lambda-major: per lambda the
-// hierarchical framework, then the fixed 30/60/90 s timeout baselines.
-// lambda couples the reward weights coherently: the global tier uses
+// tradeoffSystems names the Fig. 10 systems in tradeoffCells' order.
+var tradeoffSystems = []string{"hierarchical", "fixed-30", "fixed-60", "fixed-90"}
+
+// tradeoffCells is the Fig. 10 grid, system-major: the hierarchical
+// framework, then the fixed 30/60/90 s timeout baselines, each at every
+// lambda. lambda couples the reward weights coherently: the global tier uses
 // W1 = 2(1-lambda) (power) and W2 = 2*lambda (latency proxy); the
 // hierarchical local tier additionally sets its Eqn. (5) weight w = 1-lambda.
 // The fixed-timeout baselines have no local knob — exactly why the paper
 // calls their curves "not complete".
 func tradeoffCells(m int, sc hierdrl.Scale, lambdas []float64) []hierdrl.Cell {
 	var cells []hierdrl.Cell
-	for _, lam := range lambdas {
-		hier := hierdrl.Hierarchical(m)
-		hier.LocalRL.PowerWeight = 1 - lam
-		for _, cfg := range []hierdrl.Config{hier, hierdrl.FixedTimeoutBaseline(m, 30),
-			hierdrl.FixedTimeoutBaseline(m, 60), hierdrl.FixedTimeoutBaseline(m, 90)} {
+	for i, sys := range []hierdrl.Config{hierdrl.Hierarchical(m), hierdrl.FixedTimeoutBaseline(m, 30),
+		hierdrl.FixedTimeoutBaseline(m, 60), hierdrl.FixedTimeoutBaseline(m, 90)} {
+		for _, lam := range lambdas {
+			cfg := sys
 			cfg.Global.W1, cfg.Global.W2 = 2*(1-lam), 2*lam
-			cells = append(cells, hierdrl.Cell{Name: fmt.Sprintf("%s/lambda=%v", cfg.Name, lam), Config: cfg, Scale: sc})
+			if cfg.DPM == hierdrl.DPMRL {
+				cfg.LocalRL.PowerWeight = 1 - lam
+			}
+			cells = append(cells, hierdrl.Cell{Name: fmt.Sprintf("%s/%v", tradeoffSystems[i], lam), Config: cfg, Scale: sc})
 		}
 	}
 	return cells
@@ -249,83 +272,68 @@ func fig10(su setup) {
 	m, sc := 30, su.scale(30)
 	// The full sweep is expensive (16 end-to-end runs); thin the workload.
 	sc.Jobs, sc.WarmupJobs = max(2000, sc.Jobs/4), max(500, sc.WarmupJobs/4)
-	fmt.Printf("\n== Fig. 10: latency/energy trade-off (M = %d, jobs = %d) ==\n", m, sc.Jobs)
 	lambdas := []float64{0.15, 0.35, 0.55, 0.75}
-	res := su.run("fig10", tradeoffCells(m, sc, lambdas))
-	names := []string{"hierarchical", "fixed-30", "fixed-60", "fixed-90"} // tradeoffCells' systems
-	for c, name := range names {
-		fmt.Printf("%-14s", name)
-		for k := range lambdas {
-			runs := res[k*len(names)+c]
-			fmt.Printf("  (lat=%ss, E=%skJ)",
-				stat("%.0f", su.each(func(s int) float64 { return runs[s].Summary.AvgLatencySec })),
-				stat("%.0f", su.each(func(s int) float64 { return runs[s].Summary.AvgEnergyJPerJob / 1e3 })))
-		}
-		fmt.Println()
-	}
+	res := summaryTable(su, fmt.Sprintf("Fig. 10: latency/energy trade-off (M = %d, jobs = %d)", m, sc.Jobs),
+		tradeoffCells(m, sc, lambdas), []string{"system", "lambda"}, []column{
+			{"avgLat(s)", "%.0f", func(s hierdrl.Summary) float64 { return s.AvgLatencySec }},
+			{"E(kJ/job)", "%.0f", func(s hierdrl.Summary) float64 { return s.AvgEnergyJPerJob / 1e3 }},
+		})
 	// The paper's "smallest area against the axes" comparison, reported as
 	// dominated hypervolume (larger = better trade-off curve) against each
 	// seed's own reference point.
-	fmt.Println("dominated hypervolume (larger = better):")
-	parts := make([]string, len(names))
-	for c, name := range names {
-		parts[c] = name + " " + stat("%.3g", su.each(func(s int) float64 {
+	var hv [][]string
+	for c, name := range tradeoffSystems {
+		hv = append(hv, []string{name, su.stat("%.3g", func(s int) float64 {
 			var refLat, refE float64
 			var curve []hierdrl.TradeoffPoint
 			for i, runs := range res {
-				p := runs[s].Tradeoff(names[i%len(names)], lambdas[i/len(names)])
+				p := runs[s].Tradeoff(tradeoffSystems[i/len(lambdas)], lambdas[i%len(lambdas)])
 				refLat, refE = max(refLat, p.AvgLatencySec), max(refE, p.AvgEnergyJPerJob)
-				if i%len(names) == c {
+				if i/len(lambdas) == c {
 					curve = append(curve, p)
 				}
 			}
 			return hierdrl.HypervolumeOf(curve, refLat*1.05, refE*1.05)
-		}))
+		})})
 	}
-	fmt.Println("  " + strings.Join(parts, " | "))
+	writeTable(su.w, "Fig. 10: dominated hypervolume (larger = better)", []string{"system", "hypervolume"}, hv)
 }
 
 func lstmStudy(su setup) {
-	fmt.Println("\n== X1: workload predictor accuracy (one-step inter-arrival) ==")
 	n := 3000
 	if su.scale(30).Jobs > 10000 {
 		n = 10000
 	}
 	scores := make([][]hierdrl.PredictorScore, len(su.seeds)) // [seed][predictor]
 	for s, seed := range su.seeds {
-		var err error
-		if scores[s], err = hierdrl.RunPredictorComparison(n, seed); err != nil {
-			log.Fatalf("lstm study: %v", err)
-		}
+		scores[s] = must(hierdrl.RunPredictorComparison(n, seed))
 	}
-	fmt.Printf("%-14s %12s %12s %10s\n", "predictor", "RMSE(log)", "MAE(s)", "samples")
+	var rows [][]string
 	for i, p := range scores[0] {
-		fmt.Printf("%-14s %s %s %s\n", p.Name,
-			stat("%12.4f", su.each(func(s int) float64 { return scores[s][i].RMSELog })),
-			stat("%12.2f", su.each(func(s int) float64 { return scores[s][i].MAE })),
-			stat("%10.0f", su.each(func(s int) float64 { return float64(scores[s][i].Samples) })))
+		rows = append(rows, []string{p.Name,
+			su.stat("%.4f", func(s int) float64 { return scores[s][i].RMSELog }),
+			su.stat("%.2f", func(s int) float64 { return scores[s][i].MAE }),
+			su.stat("%.0f", func(s int) float64 { return float64(scores[s][i].Samples) })})
 	}
+	writeTable(su.w, "X1: workload predictor accuracy (one-step inter-arrival)", []string{"predictor", "RMSE(log)", "MAE(s)", "samples"}, rows)
 }
 
 func ablation(su setup) {
-	fmt.Println("\n== X2: Fig. 6 architecture ablation (offline Q-regression) ==")
 	steps := 300
 	if su.scale(30).Jobs > 10000 {
 		steps = 1500
 	}
 	results := make([][]hierdrl.AblationResult, len(su.seeds)) // [seed][variant]
 	for s, seed := range su.seeds {
-		var err error
-		if results[s], err = hierdrl.RunAblation(30, steps, []int{2, 3, 5}, seed); err != nil {
-			log.Fatalf("ablation: %v", err)
-		}
+		results[s] = must(hierdrl.RunAblation(30, steps, []int{2, 3, 5}, seed))
 	}
-	fmt.Printf("%-20s %4s %10s %12s\n", "variant", "K", "params", "final loss")
+	var rows [][]string
 	for i, r := range results[0] {
-		fmt.Printf("%-20s %4d %s %s\n", r.Variant, r.K,
-			stat("%10.0f", su.each(func(s int) float64 { return float64(results[s][i].Params) })),
-			stat("%12.5f", su.each(func(s int) float64 { return results[s][i].FinalLoss })))
+		rows = append(rows, []string{r.Variant, strconv.Itoa(r.K),
+			su.stat("%.0f", func(s int) float64 { return float64(results[s][i].Params) }),
+			su.stat("%.5f", func(s int) float64 { return results[s][i].FinalLoss })})
 	}
+	writeTable(su.w, "X2: Fig. 6 architecture ablation (offline Q-regression)", []string{"variant", "K", "params", "final loss"}, rows)
 }
 
 // heuristicAllocs are the non-learning allocation policies the fault sweeps
@@ -349,7 +357,7 @@ func faultSweepCells(m int, sc hierdrl.Scale, mttfs []float64) []hierdrl.Cell {
 	var cells []hierdrl.Cell
 	for _, alloc := range heuristicAllocs {
 		for _, mttf := range mttfs {
-			cells = append(cells, faultCell(fmt.Sprintf("%s/mttf=%.0fs", alloc, mttf), m, sc, alloc, hierdrl.FaultExpCrash, mttf))
+			cells = append(cells, faultCell(fmt.Sprintf("%s/%.0f", alloc, mttf), m, sc, alloc, hierdrl.FaultExpCrash, mttf))
 		}
 	}
 	return cells
@@ -357,11 +365,9 @@ func faultSweepCells(m int, sc hierdrl.Scale, mttfs []float64) []hierdrl.Cell {
 
 func faultSweep(su setup) {
 	m, sc := 30, su.scale(30)
-	fmt.Printf("\n== Fault sweep: availability and retry cost vs MTTF (M = %d, jobs = %d) ==\n", m, sc.Jobs)
-	failures := column{"failures", 9, 0, func(s hierdrl.Summary) float64 { return float64(s.Failures) }}
-	summaryTable(su, "faultsweep", faultSweepCells(m, sc, []float64{10000, 20000, 40000}),
-		fmt.Sprintf("%-14s %8s", "policy", "mttf(s)"),
-		func(c hierdrl.Cell) string { return fmt.Sprintf("%-14s %8.0f", c.Config.Alloc, c.Config.MTTFSec) },
+	failures := column{"failures", "%.0f", func(s hierdrl.Summary) float64 { return float64(s.Failures) }}
+	summaryTable(su, fmt.Sprintf("Fault sweep: availability and retry cost vs MTTF (M = %d, jobs = %d)", m, sc.Jobs),
+		faultSweepCells(m, sc, []float64{10000, 20000, 40000}), []string{"policy", "mttf(s)"},
 		[]column{colAvail, colAvgLat, colEnergy, failures, colRetried, colLost})
 }
 
@@ -387,12 +393,11 @@ func faultMatrixCells(m int, sc hierdrl.Scale) []hierdrl.Cell {
 
 func faultMatrix(su setup) {
 	m, sc := 30, su.scale(30)
-	fmt.Printf("\n== X3: graceful degradation — allocators x fault classes (M = %d, jobs = %d) ==\n", m, sc.Jobs)
-	summaryTable(su, "faultmatrix", faultMatrixCells(m, sc), fmt.Sprintf("%-14s %-18s", "policy", "faults"),
-		func(c hierdrl.Cell) string { return fmt.Sprintf("%-14s %-18s", c.Config.Alloc, c.Config.Faults) },
+	summaryTable(su, fmt.Sprintf("X3: graceful degradation — allocators x fault classes (M = %d, jobs = %d)", m, sc.Jobs),
+		faultMatrixCells(m, sc), []string{"policy", "faults"},
 		[]column{colAvail, colAvgLat, colEnergy, colRetried, colLost,
-			{"migrated", 9, 0, func(s hierdrl.Summary) float64 { return float64(s.JobsMigrated) }},
-			{"degraded(s)", 11, 0, func(s hierdrl.Summary) float64 { return s.DegradedSec }}})
+			{"migrated", "%.0f", func(s hierdrl.Summary) float64 { return float64(s.JobsMigrated) }},
+			{"degraded(s)", "%.0f", func(s hierdrl.Summary) float64 { return s.DegradedSec }}})
 }
 
 // scenarioCells runs every allocator on every named scenario over a fixed
@@ -412,17 +417,16 @@ func scenarioCells(allocs []hierdrl.AllocPolicy, scenarios []string, jobs int) [
 
 func scenarioSweep(su setup) {
 	jobs := su.scale(30).Jobs
-	fmt.Printf("\n== Scenario sweep: allocators x registered scenarios (jobs = %d) ==\n", jobs)
 	allocs := []hierdrl.AllocPolicy{hierdrl.AllocRoundRobin, hierdrl.AllocLeastLoaded}
-	summaryTable(su, "scenarios", scenarioCells(allocs, hierdrl.Scenarios(), jobs), fmt.Sprintf("%-18s %-14s", "scenario", "policy"),
-		func(c hierdrl.Cell) string { return fmt.Sprintf("%-18s %-14s", c.Scenario, c.Config.Alloc) },
+	summaryTable(su, fmt.Sprintf("Scenario sweep: allocators x registered scenarios (jobs = %d)", jobs),
+		scenarioCells(allocs, hierdrl.Scenarios(), jobs), []string{"scenario", "policy"},
 		[]column{
-			{"M", 6, 0, func(s hierdrl.Summary) float64 { return float64(s.M) }},
-			{"span(d)", 8, 2, func(s hierdrl.Summary) float64 { return s.DurationSec / 86400 }},
+			{"M", "%.0f", func(s hierdrl.Summary) float64 { return float64(s.M) }},
+			{"span(d)", "%.2f", func(s hierdrl.Summary) float64 { return s.DurationSec / 86400 }},
 			colEnergy,
-			{"power(W)", 10, 1, func(s hierdrl.Summary) float64 { return s.AvgPowerW }},
+			{"power(W)", "%.1f", func(s hierdrl.Summary) float64 { return s.AvgPowerW }},
 			colAvgLat,
-			{"p95(s)", 10, 1, func(s hierdrl.Summary) float64 { return s.P95LatencySec }},
+			{"p95(s)", "%.1f", func(s hierdrl.Summary) float64 { return s.P95LatencySec }},
 			colAvail,
 		})
 }

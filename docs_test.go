@@ -31,7 +31,7 @@ func TestDocsNameLiveSymbols(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllStringSubmatch(read("Makefile"), -1) {
 		targets[m[1]] = true
 	}
-	flagDef := regexp.MustCompile(`flag\.\w+\((?:&\w+, )?"([^"]+)"`)
+	flagDef := regexp.MustCompile(`\b(?:flag|fs)\.\w+\((?:&\w+, )?"([^"]+)"`)
 	flagsOf := func(bin string) map[string]bool {
 		t.Helper()
 		files, err := filepath.Glob(filepath.Join("cmd", bin, "*.go"))
@@ -137,5 +137,55 @@ func TestDocsNameLiveSymbols(t *testing.T) {
 		if !exps[r[1]] {
 			t.Errorf("EXPERIMENTS.md Runner table: cmd/experiments has no -exp %s", r[1])
 		}
+	}
+}
+
+// TestSmokeGatesNameLiveTests keeps the Makefile's and CI's named test
+// selections from going silently empty: `go test -run X` passes when nothing
+// matches, so every name in a -run, -fuzz or -bench pattern there must be a
+// Test, Fuzz or Benchmark function declared in some _test.go file. -run=NONE,
+// the idiom for running no test, is the one exception.
+func TestSmokeGatesNameLiveTests(t *testing.T) {
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		for _, m := range decl.FindAllStringSubmatch(string(b), -1) {
+			declared[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := regexp.MustCompile(`-(run|fuzz|bench)[= ](?:'([^']*)'|([^\s']+))`)
+	gates := 0
+	for _, file := range []string{"Makefile", ".github/workflows/ci.yml"} {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(b), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "#") {
+				continue // a comment, in either file
+			}
+			for _, m := range pattern.FindAllStringSubmatch(line, -1) {
+				if m[1] == "run" && m[3] == "NONE" {
+					continue
+				}
+				for _, name := range strings.Split(m[2]+m[3], "|") {
+					name = strings.TrimRight(strings.TrimPrefix(name, "^"), "$")
+					if gates++; !declared[name] {
+						t.Errorf("%s:%d: -%s names %q, which no _test.go declares", file, n+1, m[1], name)
+					}
+				}
+			}
+		}
+	}
+	if gates == 0 {
+		t.Fatal("found no -run, -fuzz or -bench pattern in the Makefile or CI")
 	}
 }

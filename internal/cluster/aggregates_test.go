@@ -50,10 +50,11 @@ func submitRandom(c *Cluster, sm *sim.Simulator, rng *mat.RNG, id int, arrival *
 	}, target)
 }
 
-// TestShardedPartition: the cluster builds every server on its one event
-// lane, invokes the DPM factory once per server in ascending order (the RNG
-// split order every factory relies on), and rejects a missing lane.
-func TestShardedPartition(t *testing.T) {
+// TestNewBuildsServersInOrderOnOneLane: the cluster builds every server on
+// its one event lane, invokes the DPM factory once per server in ascending
+// order (the RNG split order every factory relies on), and rejects a missing
+// lane.
+func TestNewBuildsServersInOrderOnOneLane(t *testing.T) {
 	sm := sim.New()
 	var order []int
 	c, err := New(DefaultConfig(10), sm, func(id int) DPMPolicy {
@@ -84,12 +85,12 @@ func TestShardedPartition(t *testing.T) {
 	}
 }
 
-// TestShardedAggregatesMatchStrict drives a random workload to completion
+// TestAggregatesMatchRecompute drives a random workload to completion
 // and asserts every incremental aggregate equals a full recompute from live
 // server state: counters exactly, the reliability objective and the load
 // index's argmin bit for bit, the power accumulator to tolerance (it is an
 // incremental FP sum in a different association order).
-func TestShardedAggregatesMatchStrict(t *testing.T) {
+func TestAggregatesMatchRecompute(t *testing.T) {
 	c, sm := newActiveForTest(t, 13, alwaysOnTestDPM{})
 	c.EnableLoadIndex()
 	rng := mat.NewRNG(42)
@@ -124,11 +125,11 @@ func TestShardedAggregatesMatchStrict(t *testing.T) {
 	}
 }
 
-// TestAsyncMergerBitwise: the OnChange feed the DRL reward integrates is
-// exact at every event — at each callback the incremental jobs counter, the
-// reliability objective (bit for bit) and the power accumulator (to
-// tolerance) equal a full recompute from live server state.
-func TestAsyncMergerBitwise(t *testing.T) {
+// TestOnChangeAggregatesMatchRecompute: the OnChange feed the DRL reward
+// integrates is exact at every event — at each callback the incremental jobs
+// counter, the reliability objective (bit for bit) and the power accumulator
+// (to tolerance) equal a full recompute from live server state.
+func TestOnChangeAggregatesMatchRecompute(t *testing.T) {
 	c, sm := newActiveForTest(t, 12, alwaysOnTestDPM{})
 	changes := 0
 	c.OnChange = func(sim.Time) {
@@ -160,9 +161,9 @@ func TestAsyncMergerBitwise(t *testing.T) {
 	}
 }
 
-// TestDrainOrderMerged: completions, changes and transitions reach their
+// TestCallbacksInSimulatedTimeOrder: completions, changes and transitions reach their
 // callbacks synchronously, in simulated-time order, as the events fire.
-func TestDrainOrderMerged(t *testing.T) {
+func TestCallbacksInSimulatedTimeOrder(t *testing.T) {
 	// Immediate-sleep DPM: every completion triggers shutdown transitions,
 	// so the transition stream has content to order.
 	c, sm := newActiveForTest(t, 4, adHocTestDPM{})

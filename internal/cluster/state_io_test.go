@@ -248,13 +248,13 @@ func TestClusterRestoreFaultFlagMismatch(t *testing.T) {
 	}
 }
 
-// TestMergerStateRoundTrip checks the split the state walk makes between
+// TestAggregateStateRoundTrip checks the split the state walk makes between
 // stored and rebuilt aggregates on a crash-model cluster stopped mid-run:
 // the total-power accumulator, whose bits depend on its history, round-trips
 // verbatim (here nudged off the fresh sum, within the drift tolerance), and
 // every other aggregate is rebuilt to exactly what the uninterrupted
 // cluster's incremental bookkeeping holds.
-func TestMergerStateRoundTrip(t *testing.T) {
+func TestAggregateStateRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(6)
 	clockFor, err := fault.ExpClocks(3, 60, 4, nil, 6)
 	if err != nil {

@@ -10,8 +10,8 @@ import (
 
 // This file defines the scale-10k operating point: the preset configuration
 // and the bounded-memory streaming runner that drive a single M=10,000-server
-// run over >= 2M jobs. EXPERIMENTS.md "Scale" has the measured figures,
-// including the removed sharded tier's negative result.
+// run over >= 2M jobs. DESIGN.md §12 has the removed sharded tier's negative
+// result on it.
 
 // ScaleJobs is the scale-10k preset's workload length.
 const ScaleJobs = 2_000_000

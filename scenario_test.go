@@ -22,10 +22,10 @@ func scenarioTestConfig(sc hierdrl.Scenario) hierdrl.Config {
 	return cfg
 }
 
-// TestScenarioBitwiseAcrossShards pins the scenario determinism contract for
+// TestScenarioBitwiseRunToRun pins the scenario determinism contract for
 // every registered scenario at a reduced size: the Summary is bitwise
 // identical run to run. This is the `make scenario-smoke` gate.
-func TestScenarioBitwiseAcrossShards(t *testing.T) {
+func TestScenarioBitwiseRunToRun(t *testing.T) {
 	for _, name := range hierdrl.Scenarios() {
 		name := name
 		t.Run(name, func(t *testing.T) {

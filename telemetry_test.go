@@ -324,10 +324,10 @@ func TestEpochTraceChromeJSON(t *testing.T) {
 	}
 }
 
-// TestEpochTraceRequiresShards pins that epoch tracing needs no option but
+// TestEpochTraceOnDefaultSession pins that epoch tracing needs no option but
 // its own: a default session records one span per decision, and a session
 // without the ring refuses the dump.
-func TestEpochTraceRequiresShards(t *testing.T) {
+func TestEpochTraceOnDefaultSession(t *testing.T) {
 	cfg := hierdrl.RoundRobin(4)
 	tr := hierdrl.SyntheticTraceForCluster(100, 4, 3)
 	s, err := hierdrl.NewSession(cfg, hierdrl.WithEpochTrace(64))
