@@ -65,23 +65,24 @@ chaos-smoke:
 # SIGINT-and-resume drills against the hiersim binary;
 # then, under the race detector, the fault run checkpointed right after a
 # head-side retry insert and resumed, the golden snapshots
-# re-emitted byte for byte (format v7 pin) and the removed tier's refused, and
+# re-emitted byte for byte (format v8 pin) and the earlier formats' refused, and
 # every state walk over every strict prefix of its own payload; then a few
 # seconds each of FuzzRestoreState and FuzzRestoreResealed (one word of a
 # section rewritten under a recomputed CRC). FuzzRestoreState's minimization
 # budget is capped: the fuzz engine's default spends up to 60 s shrinking each
 # new 20-50 KB snapshot it finds interesting, during which it reports 0
 # execs/s (FuzzRestoreResealed's inputs are four scalars); then a few seconds
-# of FuzzRNGMatchesMathRand, since every restored (seed, draws) pair replays
-# mat.RNG's copy of math/rand's source; then a few seconds of FuzzCodecDecode,
-# arbitrary bytes through one walk over every checkpoint.Codec primitive
-# (ErrCorrupt, or a decode that re-encodes to exactly the bytes it read).
+# of FuzzRNGMatchesPCG, mat.RNG's copy of PCG against math/rand/v2 (every
+# restored pair of state words continues that stream); then a few seconds of
+# FuzzCodecDecode, arbitrary bytes through one walk over every
+# checkpoint.Codec primitive (ErrCorrupt, or a decode that re-encodes to
+# exactly the bytes it read).
 crash-smoke:
 	$(GO) test -run 'TestCheckpointResumeBitwise|TestRestoreRejectsCorruptSnapshots|TestResealedWordsNeverPanicResult|TestAutoCheckpointRotationAndResume|TestAutoCheckpointFlushesOnCancel|TestCrashResumeHarnessCLI|TestInterruptResumeHarnessCLI' -v .
 	$(GO) test -race -run 'TestCheckpointAfterHeadSideInsert|TestGoldenSnapshotsByteIdentical|TestStateWalksRejectEveryPrefix' -v .
 	$(GO) test -run=NONE -fuzz='FuzzRestoreState$$' -fuzztime=5s -fuzzminimizetime=200x .
 	$(GO) test -run=NONE -fuzz='FuzzRestoreResealed$$' -fuzztime=5s .
-	$(GO) test -run=NONE -fuzz='FuzzRNGMatchesMathRand$$' -fuzztime=5s ./internal/mat/
+	$(GO) test -run=NONE -fuzz='FuzzRNGMatchesPCG$$' -fuzztime=5s ./internal/mat/
 	$(GO) test -run=NONE -fuzz='FuzzCodecDecode$$' -fuzztime=5s ./internal/checkpoint/
 
 # scenario-smoke is the workload-subsystem CI gate: every registered

@@ -287,7 +287,7 @@ type snapshotCorruption struct {
 	want   error
 }
 
-// localTierCorruptions mutate localSnapshot (clock 12477.8 s) under a
+// localTierCorruptions mutate localSnapshot (clock 14066.4 s) under a
 // recomputed CRC. The local-tier rows rewrite an instant to 1e15 s, after the
 // lane clock; the run used to restore and then panic on that server's next
 // event.
@@ -301,12 +301,12 @@ var localTierCorruptions = []snapshotCorruption{
 	// Server 0's LSTM predictor's last arrival (after its weights, Adam
 	// moments and RNG): its next arrival was "out of order".
 	{"predictor-arrival-after-clock", func(b []byte) []byte {
-		return resealWord(b, findSection(b, "cluster"), 94770, math.Float64bits(1e15))
+		return resealWord(b, findSection(b, "cluster"), 94424, math.Float64bits(1e15))
 	}, hierdrl.ErrCorrupt},
 	// Server 2's RL timeout's reward integrator, advanced to 1e15: its next
 	// observation sent "time backwards".
 	{"sojourn-instant-after-clock", func(b []byte) []byte {
-		return resealWord(b, findSection(b, "cluster"), 189704, math.Float64bits(1e15))
+		return resealWord(b, findSection(b, "cluster"), 189572, math.Float64bits(1e15))
 	}, hierdrl.ErrCorrupt},
 }
 
@@ -323,10 +323,10 @@ var snapshotCorruptions = []snapshotCorruption{
 		binary.LittleEndian.PutUint32(b[8:], 99)
 		return b
 	}, hierdrl.ErrVersion},
-	// Format v6 (the domain outage count in the session section, per-job
-	// waits in the metrics section) is not read by a v7 reader.
+	// Format v7 (each RNG as a seed and a draw count) is not read by a v8
+	// reader.
 	{"previous-version", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[8:], 6)
+		binary.LittleEndian.PutUint32(b[8:], 7)
 		return b
 	}, hierdrl.ErrVersion},
 	{"fingerprint-flip", func(b []byte) []byte { b[12] ^= 0xFF; return b }, hierdrl.ErrConfigMismatch},
@@ -376,13 +376,13 @@ var snapshotCorruptions = []snapshotCorruption{
 	{"queued-demand-over-capacity", func(b []byte) []byte {
 		return resealWord(b, findSection(b, "session"), 41, math.Float64bits(2))
 	}, hierdrl.ErrCorrupt},
-	// CRC-valid: server 0's draining flag (after the 20-record job table, the
+	// CRC-valid: server 0's draining flag (after the 14-record job table, the
 	// faults flag, and the server's power state, utilization, pending demand
 	// and degrade bookkeeping) set on a fault-free cluster; its next job
 	// completion used to power it off for maintenance with no fault clock to
 	// draw the repair from, and panic.
 	{"draining-without-drain-model", func(b []byte) []byte {
-		return resealWord(b, findSection(b, "cluster"), 1562, 1)
+		return resealWord(b, findSection(b, "cluster"), 1118, 1)
 	}, hierdrl.ErrCorrupt},
 	// CRC-valid: the metrics section's sketch-only flag (after the latency
 	// sum, the 150 latencies and the empty checkpoint series) set on a run

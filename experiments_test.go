@@ -206,6 +206,24 @@ func TestRunTradeoffTiny(t *testing.T) {
 	wantStudyError(t, Study{Cells: lambdaCells(4, []float64{1.5}), Seeds: []int64{3}}, "hierarchical/lambda=1.5")
 }
 
+// TestFixedTimeoutBaselinesNamedByTimeout: two fixed-timeout baselines that
+// differ only in the timeout report distinct policies from one study.
+func TestFixedTimeoutBaselinesNamedByTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two end-to-end runs; skip with -short")
+	}
+	var cells []Cell
+	for _, sec := range []float64{30, 60} {
+		cells = append(cells, Cell{Name: fmt.Sprint("fixed/", sec), Config: FixedTimeoutBaseline(4, sec), Scale: tinyScale(4)})
+	}
+	res := runStudy(t, cells, 3)
+	for i, want := range []string{"fixed-timeout-30s", "fixed-timeout-60s"} {
+		if got := res[i][0].Summary.Policy; got != want {
+			t.Errorf("cell %s: policy %q, want %q", cells[i].Name, got, want)
+		}
+	}
+}
+
 func TestRunPredictorComparisonTiny(t *testing.T) {
 	scores, err := RunPredictorComparison(300, 1)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 	"hierdrl"
 )
 
-// goldenSnapshots pins snapshot format v7 byte for byte. Each file under
+// goldenSnapshots pins snapshot format v8 byte for byte. Each file under
 // testdata/ is the snapshot of exactly the run described here, and want holds
 // the Summary bits the writing commit produced when it restored its own
 // snapshot of that run and drained (faultBits: the base measurements plus the
@@ -20,22 +20,24 @@ import (
 // section, and both P = 1 files again when v5 stopped storing the cluster's
 // derived aggregates, when v6 stored replay states as deltas, and when v7
 // moved the domain outage count into the cluster section and dropped the
-// per-job waits; their want bits never moved.
+// per-job waits; their want bits did not move until v8, whose PCG generator
+// changed every simulated stream and so every run's bits, once.
 // Together the files cover every section a snapshot can carry — DRL agent,
 // replay memory, per-server LSTM + RL timeout, fault clocks and retry map,
 // and the metrics sketch extension.
 //
-// The removedTier files are format v4 snapshots the sharded tier (shard
-// count 2) wrote. That tier is gone and so is v4: Restore must refuse them
-// with ErrVersion, never panic.
+// The refused files are snapshots of earlier formats, and Restore must refuse
+// them with ErrVersion, never panic: two v4 files the removed sharded tier
+// (shard count 2) wrote, and the v7 snapshot of TestCheckpointAfterHeadSideInsert's
+// fault run.
 var goldenSnapshots = []struct {
-	file        string
-	removedTier bool
-	pause       int64
-	cfg         func() hierdrl.Config
-	opts        []hierdrl.SessionOption
-	jobs        int
-	want        [17]uint64
+	file    string
+	refused bool
+	pause   int64
+	cfg     func() hierdrl.Config
+	opts    []hierdrl.SessionOption
+	jobs    int
+	want    [17]uint64
 }{
 	{"hier30_p1_pr13.ckpt", false, 120, goldenHier30, nil, 200, goldenHier30Bits},
 	{"hier30_p2_pr13.ckpt", true, 0, nil, nil, 0, [17]uint64{}},
@@ -44,11 +46,12 @@ var goldenSnapshots = []struct {
 	// cross-shard timestamp tie in this fault run ordered differently there.
 	{"sketch_faults_p1_pr26.ckpt", false, 750, func() hierdrl.Config { return expCrashCfg(8, hierdrl.RetryBackoff) },
 		[]hierdrl.SessionOption{hierdrl.WithSketchOnly()}, 1500,
-		[17]uint64{0x4022e57eb716af9f, 0x4137be87506c145e, 0x4089a43b26cafc3e, 0x4090359bdcca1fa7, 0x40d624f07e8e95cf, 0x40a869dcd86642b2, 0x403b323984b2394d, 0x40e43da9dc12e364, 0x3fef9e6fbf7ed529, 0x407670c92773fe9c, 0x40e2ed9b99ddef40, 0xb0000000b, 0x2a, 0x2a00000000}},
+		[17]uint64{0x4024bcd5b9f4ba14, 0x4136be3b226e3606, 0x4086f1ee896e68a3, 0x408f0d493a9d4d2c, 0x40d84d4a75eaca0f, 0x40a6a8d8ebca530f, 0x40499ee061efd026, 0x40e8d2d0700a7af8, 0x3fef17771b791a06, 0x40812df6225df2d5, 0x40f1f5061e85b18d, 0x1500000015, 0x46, 0x4600000000}},
 	{"sketch_faults_p2_pr13.ckpt", true, 0, nil, nil, 0, [17]uint64{}},
+	{"faults_backoff_v7.ckpt", true, 0, nil, nil, 0, [17]uint64{}},
 }
 
-var goldenHier30Bits = [17]uint64{0x3ff7b94740b152b5, 0x4107b2cdebd679d4, 0x4084697b7d470eb0, 0x408e5582758d68bd, 0x40da104d87d2d01d, 0x40a4f305576b3a5a, 0x401220a9d14f92a1, 0x40bfec04b7279fbd, 0x3ff0000000000000}
+var goldenHier30Bits = [17]uint64{0x3ffe97336bcb38cc, 0x41076c135197e646, 0x408ea244dc19bec2, 0x408dfafa020a1c83, 0x40e0cdce9f168213, 0x40a5d27965730e25, 0x4019159d53aa3cd1, 0x40bb6d5395d28c2d, 0x3ff0000000000000}
 
 func goldenHier30() hierdrl.Config {
 	cfg := hierdrl.Hierarchical(30)
@@ -80,7 +83,7 @@ func goldenRun(t testing.TB, i int) (*hierdrl.Session, []byte) {
 // TestGoldenSnapshotsByteIdentical: today's code must re-emit every pinned
 // snapshot byte for byte at the same Step, restore the pinned file, and finish
 // the run with the bits the writing commit finished it with — and refuse
-// every removed-tier file with ErrVersion.
+// every refused file with ErrVersion.
 func TestGoldenSnapshotsByteIdentical(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("snapshots recorded on amd64; see goldenM6")
@@ -91,11 +94,11 @@ func TestGoldenSnapshotsByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g.removedTier {
+			if g.refused {
 				s, err := hierdrl.Restore(bytes.NewReader(old))
 				if err == nil {
 					s.Close()
-					t.Fatal("snapshot of the removed sharded tier accepted")
+					t.Fatal("snapshot of an earlier format accepted")
 				}
 				if !errors.Is(err, hierdrl.ErrVersion) {
 					t.Fatalf("got %v, want ErrVersion", err)

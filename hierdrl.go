@@ -42,6 +42,8 @@
 package hierdrl
 
 import (
+	"strconv"
+
 	"hierdrl/internal/cluster"
 	"hierdrl/internal/global"
 	"hierdrl/internal/local"
@@ -303,10 +305,11 @@ func Hierarchical(m int) Config {
 }
 
 // FixedTimeoutBaseline returns the Fig. 10 baseline: DRL allocation with a
-// fixed local timeout.
+// fixed local timeout. It is named with its timeout ("fixed-timeout-60s"),
+// so baselines that differ only in the timeout report distinct policies.
 func FixedTimeoutBaseline(m int, timeoutSec float64) Config {
 	cfg := DRLOnly(m)
-	cfg.Name = "fixed-timeout"
+	cfg.Name = "fixed-timeout-" + strconv.FormatFloat(timeoutSec, 'g', -1, 64) + "s"
 	cfg.DPM = DPMFixedTimeout
 	cfg.FixedTimeoutSec = timeoutSec
 	return cfg

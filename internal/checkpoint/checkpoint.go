@@ -42,11 +42,10 @@ import (
 const Magic = "HDRLCKPT"
 
 // Version is the current snapshot format version. Readers reject any other
-// version with ErrVersion. Version 7 moved the failure-domain outage count
-// from the session section to the end of the cluster section and dropped the
-// metrics section's per-job waits (their sum is kept); CHANGES.md records
-// what each of versions 2 to 6 changed.
-const Version uint32 = 7
+// version with ErrVersion. Version 8 stores each RNG as its two PCG state
+// words in place of a (seed, draws) pair; CHANGES.md records what each of
+// versions 2 to 7 changed.
+const Version uint32 = 8
 
 // maxSectionLen bounds a single section payload (1 GiB) so a corrupt length
 // field cannot drive a huge allocation before the CRC check runs.
@@ -414,21 +413,15 @@ func text[T string | []byte](c *Codec, v T) ([]byte, bool) {
 	return c.take(c.Count(0, 1)), true
 }
 
-// RNG walks a generator's (seed, draws) state, rewinding r in place. It is
+// RNG walks a generator's two PCG state words, restoring r in place. It is
 // the one place RNG chains are written, so every component's state I/O
-// writes them identically.
+// writes them identically. Every pair of words is a valid state.
 func (c *Codec) RNG(r *mat.RNG) {
-	seed, draws := r.State()
-	c.I64(&seed)
-	c.I64(&draws)
-	if !c.dec || c.err != nil {
-		return
+	hi, lo := r.State()
+	hi, lo = c.u64(hi), c.u64(lo)
+	if c.dec && c.err == nil {
+		r.Restore(hi, lo)
 	}
-	if draws < 0 {
-		c.fail("negative RNG draw count %d", draws)
-		return
-	}
-	r.Restore(seed, draws)
 }
 
 // Component walks a pluggable component: a presence flag and, for a

@@ -78,18 +78,14 @@ func (r Retry) Delay(attempt int) (delaySec float64, retry bool) {
 	return d, true
 }
 
-// chainSeed mixes the run seed and a server ID into one well-separated
-// 63-bit seed (splitmix64-style finalizer). Adjacent server IDs — and
-// adjacent run seeds — land in unrelated regions of the generator's state
-// space, so per-server chains are statistically independent.
+// chainSeed mixes the run seed and a server ID into one well-separated seed
+// through the splitmix64 finalizer. Adjacent server IDs — and adjacent run
+// seeds — land in unrelated regions of the generator's state space, so
+// per-server chains are statistically independent. It mixes its input
+// differently from the workload generator's chainSeed, so a run's fault and
+// workload chains draw from different streams.
 func chainSeed(seed int64, serverID int) int64 {
-	x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(serverID+1)*0xBF58476D1CE4E5B9
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return int64(x >> 1)
+	return int64(mat.SplitMix(uint64(seed)*mat.Golden + uint64(serverID+1)*0xBF58476D1CE4E5B9))
 }
 
 // ExpClocks builds the exponential clocks: i.i.d. exponential time to

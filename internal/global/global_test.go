@@ -379,7 +379,9 @@ func TestAgentFreezeStopsLearning(t *testing.T) {
 
 // The agent must learn an allocation preference: with reward dominated by a
 // hand-crafted signal that penalizes choosing busy servers (via the
-// reliability term), greedy actions should concentrate on idle servers.
+// reliability term), greedy actions should concentrate on idle servers. The
+// hot server still fits the job, so the unfit-server mask leaves it
+// choosable and the agent must meet the penalty to learn from it.
 func TestAgentLearnsToAvoidHotServer(t *testing.T) {
 	m := 4
 	cfg := DefaultConfig(m)
@@ -399,8 +401,9 @@ func TestAgentLearnsToAvoidHotServer(t *testing.T) {
 
 	// Synthetic environment: server 0 is "hot" — choosing it yields a much
 	// worse reward rate during the sojourn. Other servers are fine.
-	v := testView(m, []float64{0.95, 0.1, 0.1, 0.1})
+	v := testView(m, []float64{0.75, 0.1, 0.1, 0.1})
 	now := 0.0
+	hot := 0
 	for i := 0; i < 1500; i++ {
 		v.Now = sim.Time(now)
 		a.ObserveCluster(v.Now, 100, 1, 0)
@@ -408,10 +411,14 @@ func TestAgentLearnsToAvoidHotServer(t *testing.T) {
 		// Reward during the sojourn reflects the choice.
 		penalty := 0.0
 		if act == 0 {
+			hot++
 			penalty = float64(m) * 3 // large reliability hit
 		}
 		a.ObserveCluster(sim.Time(now+0.01), 100, 1, penalty)
 		now += 5
+	}
+	if hot == 0 {
+		t.Fatal("the agent never chose the hot server, so it met no penalty")
 	}
 	a.FreezePolicy()
 	v.Now = sim.Time(now)

@@ -6,7 +6,8 @@ import "testing"
 
 // TestRNGDrawsAllocateNothing pins the generator's allocations: a draw and a
 // Restore allocate nothing, and NewRNG allocates the RNG (which holds the
-// source's register) and the rand.Rand that serves the ziggurat samplers.
+// source's two words) and the rand.Rand that serves Intn and the ziggurat
+// samplers.
 // The race detector's instrumentation allocates, hence the build tag.
 func TestRNGDrawsAllocateNothing(t *testing.T) {
 	g := NewRNG(3)
@@ -20,6 +21,7 @@ func TestRNGDrawsAllocateNothing(t *testing.T) {
 		{"Int63", 0, func() { g.Int63() }},
 		{"Uniform", 0, func() { g.Uniform(-1, 1) }},
 		{"Restore", 0, func() { g.Restore(7, 1000) }},
+		{"Normal", 0, func() { g.Normal(0, 1) }},
 		{"NewRNG", 2, func() { rngSink = NewRNG(7) }},
 	}
 	for _, c := range cases {

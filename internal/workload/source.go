@@ -7,19 +7,13 @@ import (
 	"hierdrl/internal/trace"
 )
 
-// chainSeed mixes (seed, component index) through the splitmix64 finalizer —
-// the same idiom internal/fault uses for per-server fault chains. Each
+// chainSeed is output idx+1 of a splitmix64 generator started at seed, the
+// finalizer internal/fault also chains per-server fault seeds through. Each
 // stochastic component of a Source gets its own well-separated RNG stream, so
 // the workload is a pure function of (seed, Config) and editing one component
 // never perturbs another's draws.
 func chainSeed(seed int64, idx int) int64 {
-	x := uint64(seed) + 0x9E3779B97F4A7C15*uint64(idx+1)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return int64(x >> 1)
+	return int64(mat.SplitMix(uint64(seed) + mat.Golden*uint64(idx+1)))
 }
 
 // mmppState is one MMPP modulator's live burst process. Like the classic

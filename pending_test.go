@@ -275,8 +275,9 @@ func stepToRetry(t *testing.T, s *Session) (loBefore int) {
 // commit before pendingQueue wrote at the same Step of the same run,
 // re-recorded when format v5 stopped storing the cluster's derived
 // aggregates, again, in the version word alone, for format v6, and again for
-// format v7 (its want bits did not move): the code must write those bytes,
-// restore them, and finish with the Summary that commit printed.
+// format v7 (its want bits did not move), and last for format v8, whose PCG
+// generator moved the run and its want bits once: the code must write those
+// bytes, restore them, and finish with the Summary they record.
 func TestCheckpointAfterHeadSideInsert(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		shards := shards
@@ -320,7 +321,7 @@ func TestCheckpointAfterHeadSideInsert(t *testing.T) {
 				sm := drainedResult(t, fromOld).Summary
 				got := [6]uint64{math.Float64bits(sm.EnergykWh), math.Float64bits(sm.AccLatencySec), math.Float64bits(sm.AvgPowerW),
 					uint64(sm.Failures), uint64(sm.JobsInterrupted), uint64(sm.JobsRetried)}
-				want := [6]uint64{0x4014a03511b77383, 0x4123072e74478b07, 0x40883ebeeb517c35, 4, 17, 17}
+				want := [6]uint64{0x40167dbf955ddf3d, 0x4121dfd75b64992d, 0x4086ab257407d398, 12, 34, 34}
 				if got != want {
 					t.Errorf("previous layout's snapshot finished with %#x, its own run with %#x", got, want)
 				}
