@@ -88,9 +88,12 @@ crash-smoke:
 # scenario-smoke is the workload-subsystem CI gate: every registered
 # scenario's Summary must be bitwise identical run to run, the scenario CSV
 # round trip must replay bit for bit, and a single-class speed-1.0 cluster
-# must match the homogeneous cluster exactly — all under the race detector.
+# must match the homogeneous cluster exactly — all under the race detector;
+# then a few seconds of FuzzWorkloadSource (every workload config that
+# validates yields exactly NumJobs valid jobs in arrival order).
 scenario-smoke:
 	$(GO) test -race -run 'TestScenarioBitwiseRunToRun|TestScenarioCSVRoundTrip|TestHomogeneousClassesBitwiseIdentical' -v .
+	$(GO) test -run=NONE -fuzz='FuzzWorkloadSource$$' -fuzztime=5s ./internal/workload/
 
 # obs-smoke is the observability CI gate: the live /metrics + /snapshot scrape
 # of a fault run with a t-digest p99 accuracy check, the Chrome trace-event

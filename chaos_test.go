@@ -158,7 +158,7 @@ func TestObserverCallbackOrder(t *testing.T) {
 		cause string
 	}{
 		{"crash", faultCfg(8), hierdrl.SyntheticTraceForCluster(1500, 8, 1), "fail"},
-		{"drain", drainCfg(4), hierdrl.SyntheticTraceForCluster(2000, 3, 1), "drain"},
+		{"drain", drainCfg(4), hierdrl.SyntheticTraceForCluster(2000, 4, 1), "drain"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			type event struct {

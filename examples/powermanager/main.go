@@ -22,15 +22,15 @@ func main() {
 	const m = 1
 	// One server's worth of arrivals: short jobs in bursts separated by
 	// long quiet periods — exactly the regime where timeout choice matters.
-	gen := hierdrl.DefaultTraceGen()
-	gen.NumJobs = *jobs
-	gen.BaseRate = 1.0 / 420 // one job every ~7 minutes on average
-	gen.BurstRateFactor = 10 // ...arriving mostly in bursts
-	gen.MeanBurstEvery = 2 * 3600
-	gen.MeanBurstLen = 900
-	gen.DurationLogMedian = 150 // short jobs (median 2.5 min)
-	gen.DurationLogSigma = 0.5
-	gen.CPULogMedian = 0.3 // each job loads the machine noticeably
+	gen := hierdrl.PaperWorkload(*jobs, m)
+	gen.Base.Rate = 1.0 / 420 // one job every ~7 minutes on average
+	gen.Mods[0].Factor = 10   // ...arriving mostly in bursts
+	gen.Mods[0].MeanEverySec = 2 * 3600
+	gen.Mods[0].MeanLenSec = 900
+	job := &gen.Classes[0]
+	job.Duration.Median = 150 // short jobs (median 2.5 min)
+	job.Duration.Sigma = 0.5
+	job.CPU.Median = 0.3 // each job loads the machine noticeably
 	workload, err := hierdrl.GenerateTrace(gen, 7)
 	if err != nil {
 		log.Fatal(err)

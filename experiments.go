@@ -58,8 +58,11 @@ type Cell struct {
 	// Scale sizes the synthetic workload: at seed s the cell runs
 	// SyntheticTraceForCluster(Jobs, ClusterM, s) and, when WarmupJobs > 0,
 	// hands SyntheticTraceForCluster(WarmupJobs, ClusterM, s+1000) to the
-	// config as its WarmupTrace (only DRL allocation consumes it). A scenario
-	// cell reads only Jobs: a positive value caps the scenario's length.
+	// config as its WarmupTrace (only DRL allocation consumes it). Both
+	// traces, like a scenario's, draw from streams chain-seeded from their
+	// seed, never from the session's root generator that Config.Seed = s
+	// seeds. A scenario cell reads only Jobs: a positive value caps the
+	// scenario's length.
 	Scale Scale
 	// Scenario names a registered scenario, streamed through RunSource on the
 	// scenario's own cluster layout (Scenario.ApplyTo) from Source(seed).
@@ -76,11 +79,13 @@ type Study struct {
 
 // Run executes every (cell, seed) pair and returns the results indexed
 // [cell][seed] in input order. A seed becomes the run's Config.Seed and
-// seeds its workload. Each distinct synthetic trace is generated once and
-// shared read-only by every cell that runs on it. Runs fan out over the
-// bounded worker pool; every run derives its whole RNG chain from its own
-// config, so the results are bitwise those of calling Run / RunSource on each
-// pair in turn (runParallel returns the lowest-index error).
+// seeds its workload, whose streams are chain-seeded from it and so never
+// shared with the session's root generator. Each distinct synthetic trace
+// is generated once and shared read-only by every cell that runs on it.
+// Runs fan out over the bounded worker pool; every run derives its whole
+// RNG chain from its own config, so the results are bitwise those of calling
+// Run / RunSource on each pair in turn (runParallel returns the lowest-index
+// error).
 func (st Study) Run() ([][]*Result, error) {
 	if len(st.Cells) == 0 || len(st.Seeds) == 0 {
 		return nil, fmt.Errorf("hierdrl: study needs at least one cell and one seed")

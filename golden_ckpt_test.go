@@ -21,7 +21,9 @@ import (
 // derived aggregates, when v6 stored replay states as deltas, and when v7
 // moved the domain outage count into the cluster section and dropped the
 // per-job waits; their want bits did not move until v8, whose PCG generator
-// changed every simulated stream and so every run's bits, once.
+// changed every simulated stream and so every run's bits. All three live
+// files were re-recorded, still v8, when the paper workload moved onto
+// internal/workload's generator and its streams changed.
 // Together the files cover every section a snapshot can carry — DRL agent,
 // replay memory, per-server LSTM + RL timeout, fault clocks and retry map,
 // and the metrics sketch extension.
@@ -46,12 +48,12 @@ var goldenSnapshots = []struct {
 	// cross-shard timestamp tie in this fault run ordered differently there.
 	{"sketch_faults_p1_pr26.ckpt", false, 750, func() hierdrl.Config { return expCrashCfg(8, hierdrl.RetryBackoff) },
 		[]hierdrl.SessionOption{hierdrl.WithSketchOnly()}, 1500,
-		[17]uint64{0x4024bcd5b9f4ba14, 0x4136be3b226e3606, 0x4086f1ee896e68a3, 0x408f0d493a9d4d2c, 0x40d84d4a75eaca0f, 0x40a6a8d8ebca530f, 0x40499ee061efd026, 0x40e8d2d0700a7af8, 0x3fef17771b791a06, 0x40812df6225df2d5, 0x40f1f5061e85b18d, 0x1500000015, 0x46, 0x4600000000}},
+		[17]uint64{0x4023b0680c8ec369, 0x41376112890e37b1, 0x4088c3808299cddc, 0x408feb9e6d4d7038, 0x40d712b9eeb74cff, 0x40a80b30000468fc, 0x40473bd5bb580548, 0x40e5d666a2e575fb, 0x3fef0cf44afa9563, 0x407902eff1ce4794, 0x40f02c38327e8b87, 0x1400000012, 0x4b, 0x4b00000000}},
 	{"sketch_faults_p2_pr13.ckpt", true, 0, nil, nil, 0, [17]uint64{}},
 	{"faults_backoff_v7.ckpt", true, 0, nil, nil, 0, [17]uint64{}},
 }
 
-var goldenHier30Bits = [17]uint64{0x3ffe97336bcb38cc, 0x41076c135197e646, 0x408ea244dc19bec2, 0x408dfafa020a1c83, 0x40e0cdce9f168213, 0x40a5d27965730e25, 0x4019159d53aa3cd1, 0x40bb6d5395d28c2d, 0x3ff0000000000000}
+var goldenHier30Bits = [17]uint64{0x3ff794b64d829a3d, 0x41067aab95cca915, 0x40829cda2772b853, 0x408cc5fa5957e2aa, 0x40d9e82148a7bbf3, 0x40a1cfd9516a8f23, 0x4010f0065851f4cc, 0x40c16608d6a3ed6b, 0x3ff0000000000000}
 
 func goldenHier30() hierdrl.Config {
 	cfg := hierdrl.Hierarchical(30)

@@ -10,15 +10,17 @@ import (
 
 // The Seed=1 metric fingerprint of the three-system comparison at a reduced
 // operating point (M=6, 500 jobs, 200 warmup jobs). These are the exact
-// float64 bit patterns produced by the seed implementation, re-recorded once
-// when mat.RNG moved from math/rand's source to PCG and every simulated
-// stream changed; every performance PR must reproduce them bit for bit — the
-// whole optimization discipline of this repo is "faster, not different".
+// float64 bit patterns produced by the seed implementation, re-recorded when
+// mat.RNG moved from math/rand's source to PCG and every simulated stream
+// changed, and when the paper workload moved onto internal/workload's
+// generator and its streams changed; every performance PR must reproduce them
+// bit for bit — the whole optimization discipline of this repo is "faster,
+// not different".
 // Regenerate only when the simulated dynamics are changed intentionally.
 var goldenM6 = map[string][3]uint64{ // policy -> {energy kWh, acc latency s, avg power W}
-	"round-robin":  {0x40113d214c7bf4ac, 0x411e3020b0b8f1ba, 0x40827233a8a39019},
-	"drl-only":     {0x400717fb6e02526e, 0x411e3d20f0457d1a, 0x4078aed0306b03a6},
-	"hierarchical": {0x400610b131043c88, 0x411e387e816aae4e, 0x407779ff6ec38b80},
+	"round-robin":  {0x401256a3aebf5ec2, 0x411d6e5d6a76a0ec, 0x408231aa877ff2c1},
+	"drl-only":     {0x400299f5fbf91d5e, 0x411d758b7c0e7ca8, 0x40726f76857e1be3},
+	"hierarchical": {0x40000d93187f5e6a, 0x411d7530163e4980, 0x406fc09c8a5de7e4},
 }
 
 // TestSeed1MetricsBitwiseGolden asserts the acceptance criterion of the

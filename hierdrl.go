@@ -50,6 +50,7 @@ import (
 	"hierdrl/internal/lstm"
 	"hierdrl/internal/metrics"
 	"hierdrl/internal/trace"
+	"hierdrl/internal/workload"
 )
 
 // Re-exported result types so downstream users never import internal
@@ -315,41 +316,58 @@ func FixedTimeoutBaseline(m int, timeoutSec float64) Config {
 	return cfg
 }
 
-// SyntheticTrace generates a Google-style workload with n jobs (see
-// internal/trace for the calibration; DESIGN.md documents the substitution
-// for the proprietary Google cluster traces). The arrival rate is calibrated
-// for the paper's 30-server operating point.
-func SyntheticTrace(n int, seed int64) *Trace {
-	cfg := trace.DefaultGeneratorConfig()
-	cfg.NumJobs = n
-	return trace.MustGenerate(cfg, seed)
+// PaperWorkload is the synthetic Google-style workload of the paper's
+// evaluation (DESIGN.md §1 documents the substitution for the proprietary
+// Google cluster traces): n jobs whose arrival rate is scaled by m/30, so an
+// m-server cluster sees the relative offered load of the paper's 30-server
+// configuration (~20% of aggregate CPU capacity). At m = 30 one simulated
+// week holds ~95,000 jobs: a diurnal swing of amplitude 0.35, 1.8x MMPP
+// bursts about every 4 h lasting ~5 min, log-normal durations (median
+// 650 s) clipped to [1 min, 2 h], and small log-normal demands with memory
+// correlated to CPU.
+func PaperWorkload(n, m int) WorkloadConfig {
+	return WorkloadConfig{
+		NumJobs: n,
+		Base:    WorkloadBase{Kind: BaseDiurnal, Rate: 95000.0 / (7 * 86400) * (float64(m) / 30), Amplitude: 0.35},
+		Mods:    []WorkloadModulator{{Kind: ModMMPP, Factor: 1.8, MeanEverySec: 4 * 3600, MeanLenSec: 300}},
+		Classes: []WorkloadClass{{
+			Name:           "google",
+			Weight:         1,
+			Duration:       WorkloadDist{Kind: DistLogNormal, Median: 650, Sigma: 0.9},
+			CPU:            WorkloadDist{Kind: DistLogNormal, Median: 0.035, Sigma: 0.8},
+			MemCorrelation: 0.7,
+			Disk:           WorkloadDist{Kind: DistLogNormal, Median: 0.010, Sigma: 0.7},
+		}},
+	}
 }
 
-// TraceGenConfig re-exports the synthetic-workload generator configuration;
-// see its field docs for the calibration knobs (arrival rate, diurnal and
-// burst modulation, duration and demand distributions).
-type TraceGenConfig = trace.GeneratorConfig
-
-// DefaultTraceGen returns the generator calibration matched to the paper's
-// published Google-trace marginals.
-func DefaultTraceGen() TraceGenConfig { return trace.DefaultGeneratorConfig() }
-
-// GenerateTrace produces a synthetic workload from an explicit generator
-// configuration.
-func GenerateTrace(cfg TraceGenConfig, seed int64) (*Trace, error) {
-	return trace.Generate(cfg, seed)
+// GenerateTrace materializes a workload: the cfg.NumJobs jobs that a
+// WorkloadSource compiled from cfg at seed streams, in one Trace.
+func GenerateTrace(cfg WorkloadConfig, seed int64) (*Trace, error) {
+	src, err := workload.NewSource(cfg, seed)
+	if err != nil {
+		return nil, err
+	}
+	tr := &Trace{Jobs: make([]Job, 0, cfg.NumJobs)}
+	for j, ok := src.Next(); ok; j, ok = src.Next() {
+		tr.Jobs = append(tr.Jobs, j)
+	}
+	return tr, nil
 }
 
-// SyntheticTraceForCluster generates a workload whose arrival rate is scaled
-// so an m-server cluster sees the same relative offered load as the paper's
-// 30-server configuration (~20% of aggregate CPU capacity). Use it when
-// evaluating reduced-size clusters so results are not dominated by
-// saturation effects.
+// SyntheticTrace is the paper workload at its 30-server operating point:
+// SyntheticTraceForCluster(n, 30, seed).
+func SyntheticTrace(n int, seed int64) *Trace { return SyntheticTraceForCluster(n, 30, seed) }
+
+// SyntheticTraceForCluster materializes PaperWorkload(n, m) at seed. Use it
+// when evaluating reduced-size clusters so results are not dominated by
+// saturation effects. It panics if n or m is not positive.
 func SyntheticTraceForCluster(n, m int, seed int64) *Trace {
-	cfg := trace.DefaultGeneratorConfig()
-	cfg.NumJobs = n
-	cfg.BaseRate *= float64(m) / 30.0
-	return trace.MustGenerate(cfg, seed)
+	tr, err := GenerateTrace(PaperWorkload(n, m), seed)
+	if err != nil {
+		panic(err)
+	}
+	return tr
 }
 
 // Result carries everything one run produces.

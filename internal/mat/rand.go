@@ -18,8 +18,8 @@ import (
 // Float64, Uniform, Int63 and Split draw from the source directly;
 // rand.Rand serves Intn and the ziggurat samplers through the same source.
 type RNG struct {
-	src pcg // by value: the state rides in the RNG's allocation
-	r   *rand.Rand
+	src pcg       // by value: the state rides in the RNG's allocation
+	r   rand.Rand // by value too, over &src: one allocation per RNG
 }
 
 // pcg is math/rand/v2's PCG, copied so that its two words can be read and
@@ -69,7 +69,7 @@ const Golden = 0x9E3779B97F4A7C15
 func NewRNG(seed int64) *RNG {
 	x := uint64(seed) + Golden
 	g := &RNG{src: pcg{SplitMix(x), SplitMix(x + Golden)}}
-	g.r = rand.New(&g.src)
+	g.r = *rand.New(&g.src)
 	return g
 }
 

@@ -1,11 +1,11 @@
 // Package trace models the Google cluster-usage workload the paper
 // evaluates on: job records with an arrival time, a duration, and per-job
 // CPU/memory/disk demands normalized to one server. The real traces are
-// proprietary-scale (and not redistributable here), so the package also
-// provides a synthetic generator that matches the published marginals —
-// diurnal, bursty arrivals; heavy-tailed durations clipped to
-// [1 min, 2 h]; small fractional resource requests — plus a CSV codec so
-// genuinely extracted traces can be dropped in unchanged.
+// proprietary-scale (and not redistributable here), so internal/workload
+// synthesizes jobs that match the published marginals — diurnal, bursty
+// arrivals; heavy-tailed durations clipped to [1 min, 2 h]; small fractional
+// resource requests — and this package's CSV codec lets genuinely extracted
+// traces be dropped in unchanged.
 package trace
 
 import (

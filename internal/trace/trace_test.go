@@ -5,13 +5,22 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
-func smallConfig(n int) GeneratorConfig {
-	cfg := DefaultGeneratorConfig()
-	cfg.NumJobs = n
-	return cfg
+// fixture returns n valid jobs in arrival order whose fields are not short
+// decimals, so a CSV round trip must carry every bit.
+func fixture(n int) *Trace {
+	tr := &Trace{Jobs: make([]Job, n)}
+	for i := range tr.Jobs {
+		x := float64(i)
+		tr.Jobs[i] = Job{
+			ID:       i,
+			Arrival:  x * math.Pi,
+			Duration: 60 + 97*math.Sqrt(x+1),
+			Req:      [NumResources]float64{0.002 + math.Mod(0.618034*x, 0.5), 0.01 + math.Mod(0.414214*x, 0.4), 1 / (x + 3)},
+		}
+	}
+	return tr
 }
 
 func TestJobValidate(t *testing.T) {
@@ -50,139 +59,8 @@ func TestTraceValidateOrdering(t *testing.T) {
 	}
 }
 
-func TestGenerateDeterminism(t *testing.T) {
-	a := MustGenerate(smallConfig(500), 42)
-	b := MustGenerate(smallConfig(500), 42)
-	if a.Len() != b.Len() {
-		t.Fatal("lengths differ")
-	}
-	for i := range a.Jobs {
-		if a.Jobs[i] != b.Jobs[i] {
-			t.Fatalf("job %d differs between same-seed runs", i)
-		}
-	}
-	c := MustGenerate(smallConfig(500), 43)
-	same := true
-	for i := range a.Jobs {
-		if a.Jobs[i] != c.Jobs[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical traces")
-	}
-}
-
-func TestGenerateRespectsClips(t *testing.T) {
-	cfg := smallConfig(2000)
-	tr := MustGenerate(cfg, 1)
-	for _, j := range tr.Jobs {
-		if j.Duration < cfg.MinDuration || j.Duration > cfg.MaxDuration {
-			t.Fatalf("job %d duration %v outside [%v,%v]",
-				j.ID, j.Duration, cfg.MinDuration, cfg.MaxDuration)
-		}
-		for p, r := range j.Req {
-			if r < cfg.MinReq || r > cfg.MaxReq {
-				t.Fatalf("job %d resource %d demand %v outside [%v,%v]",
-					j.ID, p, r, cfg.MinReq, cfg.MaxReq)
-			}
-		}
-	}
-}
-
-func TestGenerateMarginals(t *testing.T) {
-	// With default calibration a 20k-job sample must land near the
-	// published operating point: inter-arrival ~6.4 s, durations with a
-	// heavy tail under 2 h, small CPU demands.
-	tr := MustGenerate(smallConfig(20000), 7)
-	s := tr.ComputeStats()
-	if s.MeanInterArrive < 3 || s.MeanInterArrive > 10 {
-		t.Fatalf("mean inter-arrival %v outside plausible band", s.MeanInterArrive)
-	}
-	if s.MeanDuration < 500 || s.MeanDuration > 1400 {
-		t.Fatalf("mean duration %v outside plausible band", s.MeanDuration)
-	}
-	if s.P95Duration <= s.MeanDuration {
-		t.Fatalf("duration distribution not right-skewed: p95 %v mean %v",
-			s.P95Duration, s.MeanDuration)
-	}
-	if s.MeanReq[CPU] < 0.02 || s.MeanReq[CPU] > 0.09 {
-		t.Fatalf("mean CPU demand %v outside plausible band", s.MeanReq[CPU])
-	}
-	// Offered CPU load must fit comfortably in a 30-server cluster but be
-	// non-trivial (several servers' worth).
-	if s.OfferedLoad[CPU] < 2 || s.OfferedLoad[CPU] > 15 {
-		t.Fatalf("offered CPU load %v servers outside [2,15]", s.OfferedLoad[CPU])
-	}
-}
-
-func TestGenerateWeekJobCount(t *testing.T) {
-	// The default config should produce ~95k jobs in ~one week of simulated
-	// time; test at 1/10 scale to stay fast.
-	cfg := DefaultGeneratorConfig()
-	cfg.NumJobs = 9500
-	tr := MustGenerate(cfg, 3)
-	span := tr.Span()
-	week := 7.0 * 86400 / 10
-	if span < week*0.6 || span > week*1.6 {
-		t.Fatalf("9500 jobs span %v s, want roughly %v", span, week)
-	}
-}
-
-func TestGenerateDiurnalModulation(t *testing.T) {
-	cfg := smallConfig(40000)
-	cfg.BurstRateFactor = 1 // isolate the diurnal component
-	cfg.DiurnalAmplitude = 0.5
-	tr := MustGenerate(cfg, 11)
-	// With phase -pi/2 the modulation sin(2*pi*t/86400 - pi/2) is negative
-	// for time-of-day in [0, 6h) and (18h, 24h), positive in (6h, 18h).
-	// Compare arrival counts between those windows.
-	var lowWin, highWin int
-	for _, j := range tr.Jobs {
-		tod := math.Mod(j.Arrival, 86400)
-		if tod < 21600 || tod >= 64800 {
-			lowWin++
-		} else {
-			highWin++
-		}
-	}
-	if float64(highWin) < 1.2*float64(lowWin) {
-		t.Fatalf("diurnal pattern absent: low=%d high=%d", lowWin, highWin)
-	}
-}
-
-func TestGenerateBurstsIncreaseVariance(t *testing.T) {
-	base := smallConfig(30000)
-	base.BurstRateFactor = 1
-	bursty := smallConfig(30000)
-	bursty.BurstRateFactor = 6
-	bursty.MeanBurstEvery = 1800
-	bursty.MeanBurstLen = 600
-
-	cv := func(tr *Trace) float64 {
-		var gaps []float64
-		for i := 1; i < tr.Len(); i++ {
-			gaps = append(gaps, tr.Jobs[i].Arrival-tr.Jobs[i-1].Arrival)
-		}
-		var sum, sumSq float64
-		for _, g := range gaps {
-			sum += g
-		}
-		mean := sum / float64(len(gaps))
-		for _, g := range gaps {
-			d := g - mean
-			sumSq += d * d
-		}
-		return math.Sqrt(sumSq/float64(len(gaps))) / mean
-	}
-	if cv(MustGenerate(bursty, 5)) <= cv(MustGenerate(base, 5)) {
-		t.Fatal("bursty config did not increase inter-arrival variability")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
-	tr := MustGenerate(smallConfig(300), 9)
+	tr := fixture(300)
 	var buf bytes.Buffer
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
@@ -230,7 +108,7 @@ func TestReadCSVSkipsBlankAndHeader(t *testing.T) {
 }
 
 func TestSliceRebases(t *testing.T) {
-	tr := MustGenerate(smallConfig(100), 13)
+	tr := fixture(100)
 	sub := tr.Slice(10, 20)
 	if sub.Len() != 10 {
 		t.Fatalf("slice length %d want 10", sub.Len())
@@ -248,7 +126,7 @@ func TestSliceRebases(t *testing.T) {
 }
 
 func TestSliceBoundsPanics(t *testing.T) {
-	tr := MustGenerate(smallConfig(10), 1)
+	tr := fixture(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -258,7 +136,7 @@ func TestSliceBoundsPanics(t *testing.T) {
 }
 
 func TestSegments(t *testing.T) {
-	tr := MustGenerate(smallConfig(103), 17)
+	tr := fixture(103)
 	segs := tr.Segments(10)
 	if len(segs) != 10 {
 		t.Fatalf("got %d segments want 10", len(segs))
@@ -279,50 +157,6 @@ func TestSegments(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	mod := func(f func(*GeneratorConfig)) GeneratorConfig {
-		c := DefaultGeneratorConfig()
-		f(&c)
-		return c
-	}
-	bad := []GeneratorConfig{
-		mod(func(c *GeneratorConfig) { c.NumJobs = 0 }),
-		mod(func(c *GeneratorConfig) { c.BaseRate = 0 }),
-		mod(func(c *GeneratorConfig) { c.DiurnalAmplitude = 1 }),
-		mod(func(c *GeneratorConfig) { c.BurstRateFactor = 0.5 }),
-		mod(func(c *GeneratorConfig) { c.MinDuration = 0 }),
-		mod(func(c *GeneratorConfig) { c.MaxDuration = 1 }),
-		mod(func(c *GeneratorConfig) { c.MemCorrelation = 2 }),
-		mod(func(c *GeneratorConfig) { c.MaxReq = 1.5 }),
-		mod(func(c *GeneratorConfig) { c.MinReq = 0 }),
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-		if _, err := Generate(c, 1); err == nil {
-			t.Errorf("Generate accepted bad config %d", i)
-		}
-	}
-	if err := DefaultGeneratorConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-}
-
-// Property: any generated trace passes validation and is arrival-ordered.
-func TestGenerateAlwaysValidProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		tr, err := Generate(smallConfig(200), seed)
-		if err != nil {
-			return false
-		}
-		return tr.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestComputeStatsEmptyAndSingle(t *testing.T) {
 	empty := &Trace{}
 	s := empty.ComputeStats()
@@ -336,54 +170,19 @@ func TestComputeStatsEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesGenerate asserts the incremental generator yields exactly
-// Generate's job sequence (same RNG draw order, bit for bit), in both
-// one-at-a-time and batch consumption.
-func TestStreamMatchesGenerate(t *testing.T) {
-	cfg := DefaultGeneratorConfig()
-	cfg.NumJobs = 2000
-	want := MustGenerate(cfg, 31)
-
-	g, err := NewStream(cfg, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; ; i++ {
-		j, ok := g.Next()
-		if !ok {
-			if i != len(want.Jobs) {
-				t.Fatalf("stream produced %d jobs, want %d", i, len(want.Jobs))
-			}
-			break
-		}
-		w := want.Jobs[i]
-		if j.ID != w.ID || j.Arrival != w.Arrival || j.Duration != w.Duration || j.Req != w.Req {
-			t.Fatalf("job %d: stream %+v generate %+v", i, j, w)
-		}
-	}
-	if g.Produced() != cfg.NumJobs {
-		t.Fatalf("Produced() = %d, want %d", g.Produced(), cfg.NumJobs)
-	}
-	if _, ok := g.Next(); ok {
-		t.Fatal("stream produced past NumJobs")
-	}
-	if _, err := NewStream(GeneratorConfig{}, 1); err == nil {
-		t.Fatal("NewStream accepted an invalid config")
-	}
-}
-
 // TestWriteCSVStreamRoundTrip asserts the streaming writer emits exactly the
 // canonical format ReadCSV parses back.
 func TestWriteCSVStreamRoundTrip(t *testing.T) {
-	cfg := DefaultGeneratorConfig()
-	cfg.NumJobs = 200
-	want := MustGenerate(cfg, 8)
-	g, err := NewStream(cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := fixture(200)
+	next := 0
 	var buf bytes.Buffer
-	if err := WriteCSVStream(&buf, g.Next); err != nil {
+	if err := WriteCSVStream(&buf, func() (Job, bool) {
+		if next == want.Len() {
+			return Job{}, false
+		}
+		next++
+		return want.Jobs[next-1], true
+	}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadCSV(&buf)

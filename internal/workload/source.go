@@ -16,10 +16,10 @@ func chainSeed(seed int64, idx int) int64 {
 	return int64(mat.SplitMix(uint64(seed) + mat.Golden*uint64(idx+1)))
 }
 
-// mmppState is one MMPP modulator's live burst process. Like the classic
-// generator, burst boundaries are refreshed at arrival instants (gaps are
-// seconds, burst scales are minutes-to-hours, so the piecewise-constant
-// approximation error is negligible).
+// mmppState is one MMPP modulator's live burst process. Burst boundaries are
+// refreshed at arrival instants (gaps are seconds, burst scales are
+// minutes-to-hours, so the piecewise-constant approximation error is
+// negligible).
 type mmppState struct {
 	mod        Modulator
 	rng        *mat.RNG
@@ -27,14 +27,23 @@ type mmppState struct {
 	nextBurst  float64
 }
 
+// classState is one class of the mix, normalized, with its cumulative mix
+// weight and its live sampler: its own RNG stream and the logs of its
+// distributions' log-normal medians, taken once by NewSource.
+type classState struct {
+	Class
+	cum                  float64
+	rng                  *mat.RNG
+	durMu, cpuMu, diskMu float64
+}
+
 // Source generates the configured workload one job at a time. It implements
 // trace.Source; it is not safe for concurrent use.
 type Source struct {
-	cfg      Config // normalized
+	cfg      Config // as given; classes holds its classes, normalized
 	arr      *mat.RNG
-	pick     *mat.RNG
-	classRNG []*mat.RNG
-	cum      []float64 // cumulative class weights
+	pick     *mat.RNG // nil for a one-class mix, which draws no pick
+	classes  []classState
 	mmpp     []mmppState
 	now      float64
 	produced int
@@ -50,11 +59,9 @@ func NewSource(cfg Config, seed int64) (*Source, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.normalized()
-	s := &Source{
-		cfg:  cfg,
-		arr:  mat.NewRNG(chainSeed(seed, 0)),
-		pick: mat.NewRNG(chainSeed(seed, 1)),
+	s := &Source{cfg: cfg, arr: mat.NewRNG(chainSeed(seed, 0))}
+	if len(cfg.Classes) > 1 {
+		s.pick = mat.NewRNG(chainSeed(seed, 1))
 	}
 	modSeed, classSeed := chainSeed(seed, 2), chainSeed(seed, 3)
 	for i, m := range cfg.Mods {
@@ -72,23 +79,19 @@ func NewSource(cfg Config, seed int64) (*Source, error) {
 		})
 	}
 	var wsum float64
-	s.cum = make([]float64, len(cfg.Classes))
-	s.classRNG = make([]*mat.RNG, len(cfg.Classes))
+	s.classes = make([]classState, len(cfg.Classes))
 	for i, cl := range cfg.Classes {
 		wsum += cl.Weight
-		s.cum[i] = wsum
-		s.classRNG[i] = mat.NewRNG(chainSeed(classSeed, i))
+		s.classes[i] = classState{
+			Class:  cl.normalized(),
+			cum:    wsum,
+			rng:    mat.NewRNG(chainSeed(classSeed, i)),
+			durMu:  cl.Duration.logMedian(),
+			cpuMu:  cl.CPU.logMedian(),
+			diskMu: cl.Disk.logMedian(),
+		}
 	}
 	return s, nil
-}
-
-// MustSource is NewSource for known-good configs (scenario registration).
-func MustSource(cfg Config, seed int64) *Source {
-	s, err := NewSource(cfg, seed)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 var _ trace.Source = (*Source)(nil)
@@ -97,7 +100,7 @@ var _ trace.Source = (*Source)(nil)
 func (s *Source) Produced() int { return s.produced }
 
 // baseRate evaluates the base layer's deterministic rate profile at t.
-func (b Base) baseRate(t float64) float64 {
+func (b *Base) baseRate(t float64) float64 {
 	switch b.Kind {
 	case BaseConstant:
 		return b.Rate
@@ -119,7 +122,7 @@ func (b Base) baseRate(t float64) float64 {
 
 // flashMultiplier evaluates a flash-crowd spike's deterministic multiplier
 // at t: 1 outside the spike, a linear ramp to Peak, a hold, a linear decay.
-func flashMultiplier(m Modulator, t float64) float64 {
+func flashMultiplier(m *Modulator, t float64) float64 {
 	tt := t - m.AtSec
 	if tt < 0 {
 		return 1
@@ -154,16 +157,26 @@ func (s *Source) rateAt(t float64) float64 {
 			rate *= st.mod.Factor
 		}
 	}
-	for _, m := range s.cfg.Mods {
-		if m.Kind == ModFlash {
+	for i := range s.cfg.Mods {
+		if m := &s.cfg.Mods[i]; m.Kind == ModFlash {
 			rate *= flashMultiplier(m, t)
 		}
 	}
 	return rate
 }
 
-// sample draws one value from the distribution using rng.
-func (d Dist) sample(rng *mat.RNG) float64 {
+// logMedian is a log-normal's mu, log(Median), and 0 for the other kinds,
+// whose samples do not read it.
+func (d Dist) logMedian() float64 {
+	if d.Kind == DistLogNormal {
+		return math.Log(d.Median)
+	}
+	return 0
+}
+
+// sample draws one value from the distribution using rng; mu is
+// d.logMedian(), taken once per class rather than once per draw.
+func (d *Dist) sample(rng *mat.RNG, mu float64) float64 {
 	switch d.Kind {
 	case DistFixed:
 		return d.Mean
@@ -173,16 +186,17 @@ func (d Dist) sample(rng *mat.RNG) float64 {
 		// Inverse-CDF: Xm / (1-U)^(1/Alpha), U uniform in [0,1).
 		return d.Xm / math.Pow(1-rng.Float64(), 1/d.Alpha)
 	case DistLogNormal:
-		return rng.LogNormal(math.Log(d.Median), d.Sigma)
+		return rng.LogNormal(mu, d.Sigma)
 	default:
 		panic("workload: unvalidated distribution kind " + string(d.Kind))
 	}
 }
 
 // Next returns the next job; ok is false once NumJobs jobs were produced.
-// Draw order per job is fixed — arrival gap, class pick, then the class's
-// duration, CPU, independent-memory, and disk draws from the class's own
-// stream — so every job is reproducible by construction.
+// Draw order per job is fixed — arrival gap, class pick (skipped when the mix
+// has one class; the pick stream is its own, so no other draw moves), then
+// the class's duration, CPU, independent-memory, and disk draws from the
+// class's own stream — so every job is reproducible by construction.
 func (s *Source) Next() (j trace.Job, ok bool) {
 	if s.produced >= s.cfg.NumJobs {
 		return trace.Job{}, false
@@ -191,21 +205,28 @@ func (s *Source) Next() (j trace.Job, ok bool) {
 	// (piecewise-constant approximation, refreshed at every arrival).
 	s.now += s.arr.Exponential(s.rateAt(s.now))
 
-	ci := len(s.cum) - 1
-	u := s.pick.Float64()
-	for i, c := range s.cum {
-		if u < c {
-			ci = i
-			break
+	ci := len(s.classes) - 1
+	if s.pick != nil {
+		u := s.pick.Float64()
+		for i := range s.classes {
+			if u < s.classes[i].cum {
+				ci = i
+				break
+			}
 		}
 	}
-	cl, rng := &s.cfg.Classes[ci], s.classRNG[ci]
+	cl := &s.classes[ci]
 
-	dur := clampf(cl.Duration.sample(rng), cl.MinDuration, cl.MaxDuration)
-	cpu := clampf(cl.CPU.sample(rng), cl.MinReq, cl.MaxReq)
-	memIndep := cl.CPU.sample(rng)
-	mem := clampf(cl.MemCorrelation*cpu+(1-cl.MemCorrelation)*memIndep, cl.MinReq, cl.MaxReq)
-	disk := clampf(cl.Disk.sample(rng), cl.MinReq, cl.MaxReq)
+	dur := clampf(cl.Duration.sample(cl.rng, cl.durMu), cl.MinDuration, cl.MaxDuration)
+	cpu := clampf(cl.CPU.sample(cl.rng, cl.cpuMu), cl.MinReq, cl.MaxReq)
+	memIndep := cl.CPU.sample(cl.rng, cl.cpuMu)
+	// At MemCorrelation 1 memory is the CPU demand: the blend's 0*memIndep
+	// would be NaN for an independent draw that overflowed to +Inf.
+	mem := cpu
+	if cl.MemCorrelation < 1 {
+		mem = clampf(cl.MemCorrelation*cpu+(1-cl.MemCorrelation)*memIndep, cl.MinReq, cl.MaxReq)
+	}
+	disk := clampf(cl.Disk.sample(cl.rng, cl.diskMu), cl.MinReq, cl.MaxReq)
 
 	j = trace.Job{
 		ID:       s.produced,

@@ -19,15 +19,20 @@ import (
 	"math"
 )
 
-// Default clip bounds, shared with the classic generator's calibration
-// (trace.DefaultGeneratorConfig): jobs stay within [1 minute, 2 hours] and
-// per-dimension demands within [0.002, 0.6] of a unit server.
+// Default clip bounds, the paper workload's calibration: jobs stay within
+// [1 minute, 2 hours] and per-dimension demands within [0.002, 0.6] of a
+// unit server.
 const (
 	DefaultMinDuration = 60
 	DefaultMaxDuration = 7200
 	DefaultMinReq      = 0.002
 	DefaultMaxReq      = 0.6
 )
+
+// MinRate is the smallest base or ramp rate Validate accepts, in jobs/second
+// (one job in ~32 years). Far below it an arrival gap, drawn at 1/rate,
+// overflows to +Inf and every later job arrives at +Inf.
+const MinRate = 1e-9
 
 // BaseKind selects the base arrival-rate layer's shape.
 type BaseKind string
@@ -55,9 +60,11 @@ type Base struct {
 	Rate float64
 	// Amplitude in [0,1) scales the diurnal swing (diurnal only).
 	Amplitude float64
-	// PeriodSec is the diurnal period (0 = 86400, one day).
+	// PeriodSec is the diurnal period (0 = 86400, one day), from 1 s to
+	// 1e9 s (~32 years).
 	PeriodSec float64
-	// PhaseSec shifts the diurnal phase (0 = trough at t=0).
+	// PhaseSec shifts the diurnal phase (0 = trough at t=0), by less than
+	// one period either way.
 	PhaseSec float64
 	// EndRate is the ramp's final rate (ramp only).
 	EndRate float64
@@ -144,8 +151,8 @@ type Class struct {
 	// CPU is the CPU-demand distribution, clipped to [MinReq, MaxReq].
 	CPU Dist
 	// MemCorrelation blends memory demand between an independent CPU-dist
-	// draw (0) and the job's CPU demand (1), mirroring the classic
-	// generator's correlated-demand model.
+	// draw (0) and the job's CPU demand (1): Google jobs show strongly
+	// correlated CPU/memory requests.
 	MemCorrelation float64
 	// Disk is the disk-demand distribution, clipped to [MinReq, MaxReq].
 	Disk   Dist
@@ -173,10 +180,12 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) } // NaN fails x > 0
 
-// Validate rejects inconsistent configurations: non-positive or non-finite
-// rates and parameters, empty class mixes, weights that don't sum to ~1, and
-// inverted clip ranges. It validates the normalized form, so zero clip
-// fields (meaning "use the defaults") pass.
+func rateOK(x float64) bool { return x >= MinRate && !math.IsInf(x, 1) } // NaN fails x >= MinRate
+
+// Validate rejects inconsistent configurations: rates below MinRate or
+// non-finite, non-positive or non-finite parameters, empty class mixes,
+// weights that don't sum to ~1, and inverted clip ranges. It validates the
+// normalized form, so zero clip fields (meaning "use the defaults") pass.
 func (c Config) Validate() error {
 	if c.NumJobs <= 0 {
 		return fmt.Errorf("workload: NumJobs must be positive, got %d", c.NumJobs)
@@ -208,25 +217,31 @@ func (c Config) Validate() error {
 func (b Base) validate() error {
 	switch b.Kind {
 	case BaseConstant:
-		if !positive(b.Rate) {
-			return fmt.Errorf("workload: constant base Rate must be positive and finite, got %v", b.Rate)
+		if !rateOK(b.Rate) {
+			return fmt.Errorf("workload: constant base Rate must be finite and at least MinRate (%v), got %v", MinRate, b.Rate)
 		}
 	case BaseDiurnal:
-		if !positive(b.Rate) {
-			return fmt.Errorf("workload: diurnal base Rate must be positive and finite, got %v", b.Rate)
+		if !rateOK(b.Rate) {
+			return fmt.Errorf("workload: diurnal base Rate must be finite and at least MinRate (%v), got %v", MinRate, b.Rate)
 		}
 		if !(b.Amplitude >= 0 && b.Amplitude < 1) { // NaN fails
 			return fmt.Errorf("workload: diurnal Amplitude must be in [0,1), got %v", b.Amplitude)
 		}
-		if b.PeriodSec != 0 && !positive(b.PeriodSec) {
-			return fmt.Errorf("workload: diurnal PeriodSec must be positive and finite, got %v", b.PeriodSec)
+		// Outside these bounds the phase angle 2π(t+PhaseSec)/PeriodSec
+		// overflows and the rate is NaN.
+		period := b.PeriodSec
+		if period == 0 {
+			period = 86400
 		}
-		if !finite(b.PhaseSec) {
-			return fmt.Errorf("workload: diurnal PhaseSec must be finite, got %v", b.PhaseSec)
+		if !(period >= 1 && period <= 1e9) { // NaN fails
+			return fmt.Errorf("workload: diurnal PeriodSec must be 0 or in [1, 1e9] s, got %v", b.PeriodSec)
+		}
+		if !(math.Abs(b.PhaseSec) < period) {
+			return fmt.Errorf("workload: diurnal PhaseSec must be less than one period either way, got %v", b.PhaseSec)
 		}
 	case BaseRamp:
-		if !positive(b.Rate) || !positive(b.EndRate) {
-			return fmt.Errorf("workload: ramp rates must be positive and finite, got %v -> %v", b.Rate, b.EndRate)
+		if !rateOK(b.Rate) || !rateOK(b.EndRate) {
+			return fmt.Errorf("workload: ramp rates must be finite and at least MinRate (%v), got %v -> %v", MinRate, b.Rate, b.EndRate)
 		}
 		if !positive(b.RampSec) {
 			return fmt.Errorf("workload: RampSec must be positive and finite, got %v", b.RampSec)
@@ -342,14 +357,4 @@ func (cl Class) validate() error {
 		return fmt.Errorf("invalid demand clip [%v,%v]", cl.MinReq, cl.MaxReq)
 	}
 	return nil
-}
-
-// normalized returns the config with every class's clip defaults filled in.
-func (c Config) normalized() Config {
-	classes := make([]Class, len(c.Classes))
-	for i, cl := range c.Classes {
-		classes[i] = cl.normalized()
-	}
-	c.Classes = classes
-	return c
 }

@@ -22,6 +22,15 @@ func validConfig() Config {
 	}
 }
 
+// MustSource is NewSource for known-good configs.
+func MustSource(cfg Config, seed int64) *Source {
+	s, err := NewSource(cfg, seed)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // TestConfigValidateTable exercises the validation hardening: non-positive
 // rates, NaN/Inf parameters, empty class mixes, broken weight sums, and
 // inverted clip ranges must all be rejected with a descriptive error.
@@ -59,6 +68,10 @@ func TestConfigValidateTable(t *testing.T) {
 		{"negative-rate", func(c *Config) { c.Base.Rate = -1 }, "Rate"},
 		{"nan-rate", func(c *Config) { c.Base.Rate = nan }, "Rate"},
 		{"inf-rate", func(c *Config) { c.Base.Rate = inf }, "Rate"},
+		{"rate-below-floor", func(c *Config) { c.Base.Rate = 1e-320 }, "MinRate"},
+		{"ramp-end-below-floor", func(c *Config) {
+			c.Base = Base{Kind: BaseRamp, Rate: 0.1, EndRate: MinRate / 2, RampSec: 86400}
+		}, "MinRate"},
 		{"amplitude-one", func(c *Config) {
 			c.Base = Base{Kind: BaseDiurnal, Rate: 0.2, Amplitude: 1}
 		}, "Amplitude"},
@@ -68,6 +81,15 @@ func TestConfigValidateTable(t *testing.T) {
 		{"nan-period", func(c *Config) {
 			c.Base = Base{Kind: BaseDiurnal, Rate: 0.2, PeriodSec: nan}
 		}, "PeriodSec"},
+		{"period-below-one-second", func(c *Config) {
+			c.Base = Base{Kind: BaseDiurnal, Rate: 0.2, PeriodSec: 1e-320}
+		}, "PeriodSec"},
+		{"phase-beyond-period", func(c *Config) {
+			c.Base = Base{Kind: BaseDiurnal, Rate: 0.2, PhaseSec: 1e308}
+		}, "PhaseSec"},
+		{"valid-phase-and-period", func(c *Config) {
+			c.Base = Base{Kind: BaseDiurnal, Rate: 0.2, Amplitude: 0.3, PeriodSec: 3600, PhaseSec: -1800}
+		}, ""},
 		{"ramp-zero-end", func(c *Config) {
 			c.Base = Base{Kind: BaseRamp, Rate: 0.1, EndRate: 0, RampSec: 86400}
 		}, "ramp rates"},
@@ -244,8 +266,93 @@ func TestFlashMultiplierShape(t *testing.T) {
 		{150, 3}, {170, 1}, {500, 1},
 		{1105, 3}, {1130, 5}, {1170, 1}, // second occurrence
 	} {
-		if got := flashMultiplier(m, tc.t); math.Abs(got-tc.want) > 1e-12 {
+		if got := flashMultiplier(&m, tc.t); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("flashMultiplier(t=%v) = %v, want %v", tc.t, got, tc.want)
 		}
 	}
+}
+
+// diurnalBursty is validConfig on a diurnal base with one MMPP layer: the
+// shape of the paper workload, one class, every per-job code path live.
+func diurnalBursty(n int) Config {
+	cfg := validConfig()
+	cfg.NumJobs = n
+	cfg.Base = Base{Kind: BaseDiurnal, Rate: 0.157, Amplitude: 0.35}
+	cfg.Mods = []Modulator{{Kind: ModMMPP, Factor: 1.8, MeanEverySec: 4 * 3600, MeanLenSec: 300}}
+	cfg.Classes[0].Duration = Dist{Kind: DistLogNormal, Median: 650, Sigma: 0.9}
+	return cfg
+}
+
+// BenchmarkSourceNext is the per-job cost of the generator, which runs
+// inside the measured loop of every streamed run.
+func BenchmarkSourceNext(b *testing.B) {
+	src := MustSource(diurnalBursty(b.N), 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Next()
+	}
+}
+
+// FuzzWorkloadSource: a config that validates yields exactly NumJobs jobs,
+// each valid (finite, non-negative arrival; positive finite duration;
+// demands in (0, 1]), with IDs in order and non-decreasing arrivals. The
+// fuzzed config is one class over any base kind with an optional MMPP
+// layer; the 1e-320 seed is a base rate whose arrival gaps overflowed to
+// +Inf before Validate enforced MinRate.
+func FuzzWorkloadSource(f *testing.F) {
+	type args struct {
+		seed                   int64
+		jobs                   uint16
+		kind                   uint8
+		rate, amp, end, span   float64
+		period, phase          float64
+		factor, every, burst   float64
+		durMed, durSig         float64
+		cpuMed, cpuSig, memCor float64
+	}
+	for _, a := range []args{
+		{1, 500, 1, 0.157, 0.35, 0, 0, 0, 0, 1.8, 14400, 300, 650, 0.9, 0.035, 0.8, 0.7},
+		{7, 200, 0, 1e-320, 0, 0, 0, 0, 0, 0, 0, 0, 650, 0.9, 0.035, 0.8, 0.7},
+		{3, 300, 2, 0.01, 0, 5, 3600, 0, 0, 6, 1800, 600, 300, 2, 0.1, 3, 1},
+		{5, 300, 1, 0.05, 0.9, 0, 0, 3600, -1800, 0, 0, 0, 650, 0.9, 0.035, 0.8, 0.7},
+	} {
+		f.Add(a.seed, a.jobs, a.kind, a.rate, a.amp, a.end, a.span, a.period, a.phase, a.factor, a.every, a.burst,
+			a.durMed, a.durSig, a.cpuMed, a.cpuSig, a.memCor)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, jobs uint16, kind uint8, rate, amp, end, span, period, phase, factor, every, burst,
+		durMed, durSig, cpuMed, cpuSig, memCor float64) {
+		cfg := validConfig()
+		cfg.NumJobs = 1 + int(jobs%1000)
+		cfg.Base = Base{Kind: [...]BaseKind{BaseConstant, BaseDiurnal, BaseRamp}[kind%3],
+			Rate: rate, Amplitude: amp, EndRate: end, RampSec: span, PeriodSec: period, PhaseSec: phase}
+		if factor != 0 {
+			cfg.Mods = []Modulator{{Kind: ModMMPP, Factor: factor, MeanEverySec: every, MeanLenSec: burst}}
+		}
+		cl := &cfg.Classes[0]
+		cl.Duration = Dist{Kind: DistLogNormal, Median: durMed, Sigma: durSig}
+		cl.CPU = Dist{Kind: DistLogNormal, Median: cpuMed, Sigma: cpuSig}
+		cl.MemCorrelation = memCor
+		if cfg.Validate() != nil {
+			return
+		}
+		src := MustSource(cfg, seed)
+		prev := 0.0
+		for i := 0; i < cfg.NumJobs; i++ {
+			j, ok := src.Next()
+			if !ok {
+				t.Fatalf("source ended after %d of %d jobs", i, cfg.NumJobs)
+			}
+			if err := j.Validate(); err != nil {
+				t.Fatalf("%+v: %v", cfg, err)
+			}
+			if j.ID != i || j.Arrival < prev {
+				t.Fatalf("job %d (ID %d) arrives at %v, before %v", i, j.ID, j.Arrival, prev)
+			}
+			prev = j.Arrival
+		}
+		if _, ok := src.Next(); ok {
+			t.Fatalf("source yielded more than NumJobs = %d jobs", cfg.NumJobs)
+		}
+	})
 }

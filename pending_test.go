@@ -275,9 +275,11 @@ func stepToRetry(t *testing.T, s *Session) (loBefore int) {
 // commit before pendingQueue wrote at the same Step of the same run,
 // re-recorded when format v5 stopped storing the cluster's derived
 // aggregates, again, in the version word alone, for format v6, and again for
-// format v7 (its want bits did not move), and last for format v8, whose PCG
-// generator moved the run and its want bits once: the code must write those
-// bytes, restore them, and finish with the Summary they record.
+// format v7 (its want bits did not move), for format v8, whose PCG generator
+// moved the run and its want bits, and last, still v8, when the paper
+// workload moved onto internal/workload's generator and its streams changed:
+// the code must write those bytes, restore them, and finish with the Summary
+// they record.
 func TestCheckpointAfterHeadSideInsert(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		shards := shards
@@ -321,7 +323,7 @@ func TestCheckpointAfterHeadSideInsert(t *testing.T) {
 				sm := drainedResult(t, fromOld).Summary
 				got := [6]uint64{math.Float64bits(sm.EnergykWh), math.Float64bits(sm.AccLatencySec), math.Float64bits(sm.AvgPowerW),
 					uint64(sm.Failures), uint64(sm.JobsInterrupted), uint64(sm.JobsRetried)}
-				want := [6]uint64{0x40167dbf955ddf3d, 0x4121dfd75b64992d, 0x4086ab257407d398, 12, 34, 34}
+				want := [6]uint64{0x40158fdf14964a6b, 0x412273a00f3beef9, 0x4086dd16a1a23307, 12, 34, 34}
 				if got != want {
 					t.Errorf("previous layout's snapshot finished with %#x, its own run with %#x", got, want)
 				}

@@ -5,7 +5,7 @@ import (
 
 	"hierdrl/internal/local"
 	"hierdrl/internal/lstm"
-	"hierdrl/internal/trace"
+	"hierdrl/internal/workload"
 )
 
 // This file defines the scale-10k operating point: the preset configuration
@@ -49,26 +49,24 @@ func ScaleSim(m int) Config {
 	}
 }
 
-// ScaleStream returns the incremental generator of the scale workload: n
-// jobs with the arrival rate scaled to an m-server cluster (the same
-// calibration as SyntheticTraceForCluster, without materializing the trace).
+// ScaleStream streams PaperWorkload(n, m) at seed: the jobs
+// SyntheticTraceForCluster(n, m, seed) holds, without materializing them.
 func ScaleStream(n, m int, seed int64) (*TraceStream, error) {
-	cfg := trace.DefaultGeneratorConfig()
-	cfg.NumJobs = n
-	cfg.BaseRate *= float64(m) / 30.0
-	return trace.NewStream(cfg, seed)
+	return workload.NewSource(PaperWorkload(n, m), seed)
 }
 
-// TraceStream re-exports the incremental workload generator.
-type TraceStream = trace.Stream
+// TraceStream is the workload generator ScaleStream returns.
+//
+// Deprecated: use WorkloadSource, the same type.
+type TraceStream = WorkloadSource
 
 // RunSource executes one run fed from any incremental job source (a
-// *TraceStream, a scenario's WorkloadSource, or any JobSource) in bounded
-// chunks: each chunk is submitted, then the clock is advanced to its last
-// arrival before the next chunk is pulled, so neither the workload nor the
-// pending queue ever materializes more than chunk+in-flight jobs. This is
-// how the scale presets push >= 2M jobs through a 10k-server cluster in a
-// few hundred MB.
+// WorkloadSource such as ScaleStream's or a scenario's, or any JobSource)
+// in bounded chunks: each chunk is submitted, then the clock is advanced to
+// its last arrival before the next chunk is pulled, so neither the workload
+// nor the pending queue ever materializes more than chunk+in-flight jobs.
+// This is how the scale presets push >= 2M jobs through a 10k-server cluster
+// in a few hundred MB.
 func RunSource(cfg Config, src JobSource, opts ...SessionOption) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("hierdrl: nil job source")

@@ -282,22 +282,13 @@ func LookupScenario(name string) (Scenario, bool) {
 	return s, err == nil
 }
 
-// refRate is the paper's calibrated 30-server arrival rate: ~95,000 jobs
-// over one simulated week (see trace.DefaultGeneratorConfig).
-const refRate = 95000.0 / (7 * 86400)
-
-// googleClass returns the classic Google-style job class (the marginals of
-// trace.DefaultGeneratorConfig) with the given mix weight.
-func googleClass(weight float64) WorkloadClass {
-	return WorkloadClass{
-		Name:           "google",
-		Weight:         weight,
-		Duration:       WorkloadDist{Kind: DistLogNormal, Median: 650, Sigma: 0.9},
-		CPU:            WorkloadDist{Kind: DistLogNormal, Median: 0.035, Sigma: 0.8},
-		MemCorrelation: 0.7,
-		Disk:           WorkloadDist{Kind: DistLogNormal, Median: 0.010, Sigma: 0.7},
-	}
-}
+// The built-in scenarios' calibration is the paper workload's at M = 30:
+// refRate is its mean arrival rate (~95,000 jobs over one simulated week)
+// and googleClass its one job class.
+var (
+	refRate     = PaperWorkload(0, 30).Base.Rate
+	googleClass = PaperWorkload(0, 30).Classes[0]
+)
 
 // Built-in scenarios. Rates are calibrated at M=30 so the offered CPU load
 // stays near the paper's ~20% operating point (the scale-10k scenario scales
@@ -312,7 +303,7 @@ func init() {
 		Workload: WorkloadConfig{
 			NumJobs: 20000,
 			Base:    WorkloadBase{Kind: BaseConstant, Rate: refRate},
-			Classes: []WorkloadClass{googleClass(1)},
+			Classes: []WorkloadClass{googleClass},
 		},
 	})
 	RegisterScenario(Scenario{
@@ -322,7 +313,7 @@ func init() {
 		Workload: WorkloadConfig{
 			NumJobs: 20000,
 			Base:    WorkloadBase{Kind: BaseDiurnal, Rate: refRate, Amplitude: 0.35},
-			Classes: []WorkloadClass{googleClass(1)},
+			Classes: []WorkloadClass{googleClass},
 		},
 	})
 	RegisterScenario(Scenario{
@@ -336,7 +327,7 @@ func init() {
 				Kind: ModFlash, AtSec: 6 * 3600, Peak: 6,
 				RampUpSec: 300, HoldSec: 900, DecaySec: 1800, RepeatEverySec: 86400,
 			}},
-			Classes: []WorkloadClass{googleClass(1)},
+			Classes: []WorkloadClass{googleClass},
 		},
 	})
 	RegisterScenario(Scenario{
@@ -377,7 +368,7 @@ func init() {
 				{Kind: ModMMPP, Factor: 2.5, MeanEverySec: 2 * 3600, MeanLenSec: 240},
 				{Kind: ModMMPP, Factor: 1.5, MeanEverySec: 2700, MeanLenSec: 600},
 			},
-			Classes: []WorkloadClass{googleClass(1)},
+			Classes: []WorkloadClass{googleClass},
 		},
 	})
 	RegisterScenario(Scenario{
@@ -387,10 +378,12 @@ func init() {
 		Workload: WorkloadConfig{
 			NumJobs: 20000,
 			Base: WorkloadBase{
-				Kind: BaseRamp, Rate: 0.3 * refRate,
+				// 0.3x: refRate*3/10 is the rate the pinned scenario tables
+				// were recorded at; 0.3*refRate rounds one ulp lower.
+				Kind: BaseRamp, Rate: refRate * 3 / 10,
 				EndRate: 1.5 * refRate, RampSec: 3 * 86400,
 			},
-			Classes: []WorkloadClass{googleClass(1)},
+			Classes: []WorkloadClass{googleClass},
 		},
 	})
 	RegisterScenario(Scenario{
@@ -440,7 +433,7 @@ func init() {
 		Workload: WorkloadConfig{
 			NumJobs: 20000,
 			Base:    WorkloadBase{Kind: BaseConstant, Rate: refRate},
-			Classes: []WorkloadClass{googleClass(1)},
+			Classes: []WorkloadClass{googleClass},
 		},
 		Faults:  FaultCorrelatedCrash,
 		MTTFSec: 40000,
@@ -458,7 +451,7 @@ func init() {
 		Workload: WorkloadConfig{
 			NumJobs: 20000,
 			Base:    WorkloadBase{Kind: BaseDiurnal, Rate: refRate, Amplitude: 0.35},
-			Classes: []WorkloadClass{googleClass(1)},
+			Classes: []WorkloadClass{googleClass},
 		},
 		Faults:        FaultDegrade,
 		MTTFSec:       20000,
@@ -472,7 +465,7 @@ func init() {
 		Workload: WorkloadConfig{
 			NumJobs: 20000,
 			Base:    WorkloadBase{Kind: BaseConstant, Rate: refRate},
-			Classes: []WorkloadClass{googleClass(1)},
+			Classes: []WorkloadClass{googleClass},
 		},
 		Faults:         FaultDrain,
 		DrainEverySec:  21600,
@@ -486,7 +479,7 @@ func init() {
 		Workload: WorkloadConfig{
 			NumJobs: 2_000_000,
 			Base:    WorkloadBase{Kind: BaseDiurnal, Rate: refRate * 10000 / 30, Amplitude: 0.35},
-			Classes: []WorkloadClass{googleClass(1)},
+			Classes: []WorkloadClass{googleClass},
 		},
 	})
 }
