@@ -65,7 +65,7 @@ chaos-smoke:
 # SIGINT-and-resume drills against the hiersim binary;
 # then, under the race detector, the fault run checkpointed right after a
 # head-side retry insert and resumed, the golden snapshots
-# re-emitted byte for byte (format v8 pin) and the earlier formats' refused, and
+# re-emitted byte for byte (format v9 pin) and the earlier formats' refused, and
 # every state walk over every strict prefix of its own payload; then a few
 # seconds each of FuzzRestoreState and FuzzRestoreResealed (one word of a
 # section rewritten under a recomputed CRC). FuzzRestoreState's minimization
@@ -96,13 +96,17 @@ scenario-smoke:
 	$(GO) test -run=NONE -fuzz='FuzzWorkloadSource$$' -fuzztime=5s ./internal/workload/
 
 # obs-smoke is the observability CI gate: the live /metrics + /snapshot scrape
-# of a fault run with a t-digest p99 accuracy check, the Chrome trace-event
-# dump of a default-tier run, the telemetry-is-bitwise-invisible pin, and the
-# sketch-checkpoint round trip — all under the race detector — plus the
-# telemetry package's own zero-alloc and merge-determinism pins.
+# of a fault run with a check of the published p99 against the histogram's
+# 2^-7 error bound, the Chrome trace-event dump of a default-tier run, the
+# telemetry-is-bitwise-invisible pin, and the sketch-checkpoint round trip —
+# all under the race detector — plus the telemetry package's own error-bound
+# and zero-alloc pins; then a few seconds of FuzzSketchState (arbitrary bytes
+# through the sketch decoder: ErrCorrupt, or a decode that re-encodes to
+# exactly the bytes it read).
 obs-smoke:
 	$(GO) test -race -run 'TestObsSmoke|TestTelemetryPreservesBitwiseMetrics|TestSketchOnlySummary|TestEpochTraceChromeJSON|TestEpochTraceOnDefaultSession|TestCheckpointRoundTripSketches' -v .
 	$(GO) test -race ./internal/telemetry
+	$(GO) test -run=NONE -fuzz='FuzzSketchState$$' -fuzztime=5s ./internal/telemetry/
 
 # examples-smoke builds and runs every examples/ program with a tiny job
 # count, exercising the public Session/registry API end to end, then every

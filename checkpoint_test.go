@@ -324,10 +324,9 @@ var snapshotCorruptions = []snapshotCorruption{
 		binary.LittleEndian.PutUint32(b[8:], 99)
 		return b
 	}, hierdrl.ErrVersion},
-	// Format v7 (each RNG as a seed and a draw count) is not read by a v8
-	// reader.
+	// Format v8 (t-digest latency sketches) is not read by a v9 reader.
 	{"previous-version", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[8:], 7)
+		binary.LittleEndian.PutUint32(b[8:], 8)
 		return b
 	}, hierdrl.ErrVersion},
 	{"fingerprint-flip", func(b []byte) []byte { b[12] ^= 0xFF; return b }, hierdrl.ErrConfigMismatch},

@@ -107,7 +107,7 @@ func main() {
 			"(load in chrome://tracing)")
 	sketchOnly := flag.Bool("sketch-only", false,
 		"constant-memory quantiles: drop the per-job latency samples and answer p50/p95/p99 "+
-			"from merging t-digest sketches (for unbounded streams)")
+			"from log-bucketed histograms, each within 0.78% of the exact value (for unbounded streams)")
 	snapFormat := flag.String("snap-format", "table",
 		"live snapshot format (with -stream): table | json (one object per line, matching the "+
 			"telemetry endpoint's /snapshot schema)")

@@ -42,10 +42,10 @@ import (
 const Magic = "HDRLCKPT"
 
 // Version is the current snapshot format version. Readers reject any other
-// version with ErrVersion. Version 8 stores each RNG as its two PCG state
-// words in place of a (seed, draws) pair; CHANGES.md records what each of
-// versions 2 to 7 changed.
-const Version uint32 = 8
+// version with ErrVersion. Version 9 stores the metrics section's latency
+// sketches as log-bucket histograms (nonzero buckets only) in place of
+// t-digests; CHANGES.md records what each of versions 2 to 8 changed.
+const Version uint32 = 9
 
 // maxSectionLen bounds a single section payload (1 GiB) so a corrupt length
 // field cannot drive a huge allocation before the CRC check runs.

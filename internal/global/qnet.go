@@ -69,7 +69,7 @@ func NewQNetwork(enc *Encoder, cfg Config, rng *mat.RNG) *QNetwork {
 	// network's capacity goes to the per-action differences that actually
 	// drive the argmax.
 	sizes := []int{inDim, cfg.SubQHidden, enc.GroupSize() + 1}
-	acts := []nn.Activation{nn.ELU{}, nn.Identity{}}
+	acts := []nn.Activation{nn.ELU, nn.Identity}
 
 	count := 1
 	if !cfg.ShareWeights {

@@ -71,10 +71,10 @@ func NewCell(in, hidden int, rng *mat.RNG) *Cell {
 		rng.FillXavier(d.W, k, hidden)
 		return d
 	}
-	c.forget = gate(0, nn.Sigmoid{})
-	c.input = gate(1, nn.Sigmoid{})
-	c.cand = gate(2, nn.Tanh{})
-	c.output = gate(3, nn.Sigmoid{})
+	c.forget = gate(0, nn.Sigmoid)
+	c.input = gate(1, nn.Sigmoid)
+	c.cand = gate(2, nn.Tanh)
+	c.output = gate(3, nn.Sigmoid)
 	c.forget.B.Fill(1)
 	return c
 }

@@ -59,9 +59,9 @@ func NewNetwork(cfg NetworkConfig, rng *mat.RNG) *Network {
 	}
 	n := &Network{
 		cfg:  cfg,
-		in:   nn.NewDense(1, cfg.CellIn, nn.Tanh{}, rng),
+		in:   nn.NewDense(1, cfg.CellIn, nn.Tanh, rng),
 		cell: NewCell(cfg.CellIn, cfg.Hidden, rng),
-		out:  nn.NewDense(cfg.Hidden, 1, nn.Identity{}, rng),
+		out:  nn.NewDense(cfg.Hidden, 1, nn.Identity, rng),
 	}
 	// Paper Sec. VI-A: input/output layer weights ~ N(0, InitStd), biases
 	// set to the constant InitBias; LSTM initial state all zeros.

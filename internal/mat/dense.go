@@ -42,13 +42,6 @@ func (m *Dense) Zero() {
 	}
 }
 
-// Scale multiplies every element by s in place.
-func (m *Dense) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
 // CopyFrom copies src into m. It panics on shape mismatch.
 func (m *Dense) CopyFrom(src *Dense) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {

@@ -43,8 +43,8 @@ type Summary struct {
 	AvgLatencySec    float64
 	AvgEnergyJPerJob float64
 	// Latency percentiles. Exact (selected from one copy of the retained
-	// per-job slice) by default; t-digest approximations under sketch-only
-	// collection (documented error bounds in DESIGN.md §17).
+	// per-job slice) by default; under sketch-only collection, histogram
+	// reads within 2^-7 of the exact value (DESIGN.md §17).
 	P50LatencySec float64
 	P95LatencySec float64
 	P99LatencySec float64
@@ -92,7 +92,7 @@ type Collector struct {
 	OnCheckpoint func(cp Checkpoint)
 
 	// sk, when non-nil, receives every completion into the live quantile
-	// sketches (latency digest, per-job-class digests, wait digest).
+	// sketches (latency histogram, per-job-class histograms, wait histogram).
 	// sketchOnly additionally drops the O(jobs) latency slice — summary
 	// percentiles then come from the latency sketch.
 	sk         *telemetry.SketchSet
@@ -196,7 +196,7 @@ func (c *Collector) Summarize(policy string, now sim.Time) Summary {
 		s.MeanWaitSec = c.waitSum / float64(n)
 		if c.sketchOnly {
 			// Sketch-only mode: approximate percentiles from the latency
-			// t-digest (the per-job slice was never retained).
+			// histogram (the per-job slice was never retained).
 			m := c.sk.Latency()
 			s.P50LatencySec = m.Quantile(0.50)
 			s.P95LatencySec = m.Quantile(0.95)

@@ -36,7 +36,7 @@ func (c *Collector) State(cd *checkpoint.Codec) {
 	cd.Bool(&hasSk)
 	if hasSk {
 		if c.sk == nil {
-			c.sk = telemetry.NewSketchSet()
+			c.sk = new(telemetry.SketchSet)
 		}
 		c.sk.State(cd)
 	} else if c.sketchOnly {

@@ -11,77 +11,19 @@
 // steps) falls out naturally.
 package nn
 
-import "math"
+// Activation names a layer's elementwise nonlinearity, one of a closed set.
+// The zero value is Identity.
+type Activation uint8
 
-// Activation is an elementwise nonlinearity. Deriv receives both the
-// pre-activation x and the activation y = F(x) so implementations can use
-// whichever is cheaper.
-type Activation interface {
-	// F applies the function to a scalar.
-	F(x float64) float64
-	// Deriv returns dF/dx given the input x and output y = F(x).
-	Deriv(x, y float64) float64
-}
-
-// ELU is the exponential linear unit used by the paper's autoencoder and
-// Sub-Q networks: F(x) = x for x >= 0, alpha*(e^x - 1) otherwise.
-type ELU struct {
-	Alpha float64
-}
-
-// F implements Activation.
-func (e ELU) F(x float64) float64 {
-	if x >= 0 {
-		return x
-	}
-	return e.alpha() * (math.Exp(x) - 1)
-}
-
-// Deriv implements Activation.
-func (e ELU) Deriv(x, y float64) float64 {
-	if x >= 0 {
-		return 1
-	}
-	return y + e.alpha() // alpha*e^x = y + alpha
-}
-
-func (e ELU) alpha() float64 {
-	if e.Alpha == 0 {
-		return 1
-	}
-	return e.Alpha
-}
-
-// Tanh is the hyperbolic tangent.
-type Tanh struct{}
-
-// F implements Activation.
-func (Tanh) F(x float64) float64 { return math.Tanh(x) }
-
-// Deriv implements Activation.
-func (Tanh) Deriv(_, y float64) float64 { return 1 - y*y }
-
-// Sigmoid is the logistic function.
-type Sigmoid struct{}
-
-// F implements Activation.
-func (Sigmoid) F(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
-// Deriv implements Activation.
-func (Sigmoid) Deriv(_, y float64) float64 { return y * (1 - y) }
-
-// Identity is the linear (no-op) activation used for Q-value output layers.
-type Identity struct{}
-
-// F implements Activation.
-func (Identity) F(x float64) float64 { return x }
-
-// Deriv implements Activation.
-func (Identity) Deriv(_, _ float64) float64 { return 1 }
-
-var (
-	_ Activation = ELU{}
-	_ Activation = Tanh{}
-	_ Activation = Sigmoid{}
-	_ Activation = Identity{}
+const (
+	// Identity is the linear (no-op) activation used for Q-value output
+	// layers.
+	Identity Activation = iota
+	// ELU is the exponential linear unit (α = 1) used by the paper's
+	// autoencoder and Sub-Q networks: x for x >= 0, e^x − 1 otherwise.
+	ELU
+	// Tanh is the hyperbolic tangent.
+	Tanh
+	// Sigmoid is the logistic function 1 / (1 + e^−x).
+	Sigmoid
 )

@@ -38,7 +38,7 @@ func NewAutoencoder(in int, hidden []int, rng *mat.RNG) *Autoencoder {
 	encSizes := append([]int{in}, hidden...)
 	encActs := make([]Activation, len(hidden))
 	for i := range encActs {
-		encActs[i] = ELU{}
+		encActs[i] = ELU
 	}
 	decSizes := make([]int, 0, len(hidden)+1)
 	for i := len(hidden) - 1; i >= 0; i-- {
@@ -48,9 +48,9 @@ func NewAutoencoder(in int, hidden []int, rng *mat.RNG) *Autoencoder {
 	decActs := make([]Activation, len(decSizes)-1)
 	for i := range decActs {
 		if i == len(decActs)-1 {
-			decActs[i] = Identity{}
+			decActs[i] = Identity
 		} else {
-			decActs[i] = ELU{}
+			decActs[i] = ELU
 		}
 	}
 	return &Autoencoder{

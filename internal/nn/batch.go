@@ -84,18 +84,6 @@ func (m *MLP) InferBatchWS(ws *mat.Workspace, X *mat.Dense) *mat.Dense {
 	return h
 }
 
-// InferBatch runs the whole network on a minibatch, allocating the
-// intermediates. Prefer InferBatchWS on hot paths.
-func (m *MLP) InferBatch(X *mat.Dense) *mat.Dense {
-	h := X
-	for _, l := range m.Layers {
-		out := mat.NewDense(h.Rows, l.Out)
-		l.InferBatch(h, out)
-		h = out
-	}
-	return h
-}
-
 // InferWS runs the network on a single input using ws for every
 // intermediate, returning the output vector (valid until the next ws Reset).
 // Steady-state calls are allocation-free.

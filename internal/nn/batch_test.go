@@ -33,7 +33,7 @@ func TestDenseInferBatchMatchesPerSample(t *testing.T) {
 func testDenseInferBatchMatchesPerSample(t *testing.T) {
 	rng := mat.NewRNG(11)
 	for _, sh := range batchShapes {
-		for _, act := range []Activation{Identity{}, ELU{}, Tanh{}, Sigmoid{}} {
+		for _, act := range []Activation{Identity, ELU, Tanh, Sigmoid} {
 			d := NewDense(sh.in, sh.out, act, rng)
 			X := randBatch(sh.b, sh.in, rng)
 			Y := mat.NewDense(sh.b, sh.out)
@@ -43,7 +43,7 @@ func testDenseInferBatchMatchesPerSample(t *testing.T) {
 				d.Infer(X.Row(b), want)
 				for i := range want {
 					if Y.At(b, i) != want[i] {
-						t.Fatalf("in=%d out=%d b=%d act=%T: InferBatch row %d diverges",
+						t.Fatalf("in=%d out=%d b=%d act=%d: InferBatch row %d diverges",
 							sh.in, sh.out, sh.b, act, b)
 					}
 				}
@@ -60,8 +60,8 @@ func testDenseForwardBatchMatchesPerSample(t *testing.T) {
 	rng := mat.NewRNG(12)
 	for _, sh := range batchShapes {
 		// Two identical layers: one driven per sample, one batched.
-		ref := NewDense(sh.in, sh.out, ELU{}, mat.NewRNG(99))
-		bat := NewDense(sh.in, sh.out, ELU{}, mat.NewRNG(99))
+		ref := NewDense(sh.in, sh.out, ELU, mat.NewRNG(99))
+		bat := NewDense(sh.in, sh.out, ELU, mat.NewRNG(99))
 		X := randBatch(sh.b, sh.in, rng)
 		dY := randBatch(sh.b, sh.out, rng)
 
@@ -115,7 +115,7 @@ func TestMLPBatchMatchesPerSample(t *testing.T) { forEachKernelFamily(t, testMLP
 func testMLPBatchMatchesPerSample(t *testing.T) {
 	rng := mat.NewRNG(13)
 	sizes := []int{7, 11, 5, 3}
-	acts := []Activation{ELU{}, Tanh{}, Identity{}}
+	acts := []Activation{ELU, Tanh, Identity}
 	ref := NewMLP(sizes, acts, mat.NewRNG(42))
 	bat := NewMLP(sizes, acts, mat.NewRNG(42))
 	B := 17
@@ -228,7 +228,7 @@ func testAutoencoderTrainBatchMatchesPerSample(t *testing.T) {
 
 func TestInferBatchSteadyStateZeroAlloc(t *testing.T) {
 	rng := mat.NewRNG(21)
-	m := NewMLP([]int{30, 40, 11}, []Activation{ELU{}, Identity{}}, rng)
+	m := NewMLP([]int{30, 40, 11}, []Activation{ELU, Identity}, rng)
 	X := randBatch(16, 30, rng)
 	ws := mat.NewWorkspace()
 	// Prime the arena to its high-water mark.

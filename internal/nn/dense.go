@@ -92,13 +92,10 @@ func (d *Dense) transposedW() *mat.Dense {
 }
 
 // NewDense returns a Dense layer with Xavier-initialized weights and zero
-// biases. act may be nil, which means Identity.
+// biases.
 func NewDense(in, out int, act Activation, rng *mat.RNG) *Dense {
 	if in <= 0 || out <= 0 {
 		panic(fmt.Sprintf("nn: NewDense invalid dims in=%d out=%d", in, out))
-	}
-	if act == nil {
-		act = Identity{}
 	}
 	d := &Dense{
 		In:  in,

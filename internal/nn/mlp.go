@@ -13,7 +13,7 @@ type MLP struct {
 
 // NewMLP builds a multilayer perceptron with the given layer sizes. sizes
 // must contain at least two entries (input and output dimension). acts must
-// have len(sizes)-1 entries, one per layer; nil entries mean Identity.
+// have len(sizes)-1 entries, one per layer.
 func NewMLP(sizes []int, acts []Activation, rng *mat.RNG) *MLP {
 	if len(sizes) < 2 {
 		panic("nn: NewMLP needs at least input and output sizes")

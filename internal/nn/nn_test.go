@@ -8,6 +8,39 @@ import (
 	"hierdrl/internal/mat"
 )
 
+// scalarActs is the scalar reference for each activation: its value, and
+// its derivative given the input x and the output y.
+var scalarActs = map[Activation]struct {
+	f     func(x float64) float64
+	deriv func(x, y float64) float64
+}{
+	Identity: {func(x float64) float64 { return x }, func(_, _ float64) float64 { return 1 }},
+	ELU: {
+		func(x float64) float64 {
+			if x >= 0 {
+				return x
+			}
+			return math.Exp(x) - 1
+		},
+		func(x, y float64) float64 {
+			if x >= 0 {
+				return 1
+			}
+			return y + 1
+		},
+	},
+	Tanh:    {math.Tanh, func(_, y float64) float64 { return 1 - y*y }},
+	Sigmoid: {func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }, func(_, y float64) float64 { return y * (1 - y) }},
+}
+
+// act1 runs one scalar through the layer paths, applyAct and applyActDeriv.
+func act1(a Activation, x float64) (y, dydx float64) {
+	out, d := []float64{0}, []float64{0}
+	applyAct(a, []float64{x}, out)
+	applyActDeriv(a, []float64{1}, []float64{x}, out, d)
+	return out[0], d[0]
+}
+
 func TestActivations(t *testing.T) {
 	cases := []struct {
 		act  Activation
@@ -15,37 +48,47 @@ func TestActivations(t *testing.T) {
 		y    float64
 		dydx float64
 	}{
-		{ELU{}, 2, 2, 1},
-		{ELU{}, -1, math.Exp(-1) - 1, math.Exp(-1)},
-		{ELU{Alpha: 2}, -1, 2 * (math.Exp(-1) - 1), 2 * math.Exp(-1)},
-		{Tanh{}, 0, 0, 1},
-		{Sigmoid{}, 0, 0.5, 0.25},
-		{Identity{}, -7, -7, 1},
+		{ELU, 2, 2, 1},
+		{ELU, -1, math.Exp(-1) - 1, math.Exp(-1)},
+		{Tanh, 0, 0, 1},
+		{Sigmoid, 0, 0.5, 0.25},
+		{Identity, -7, -7, 1},
 	}
 	for _, tc := range cases {
-		y := tc.act.F(tc.x)
+		y, d := act1(tc.act, tc.x)
 		if math.Abs(y-tc.y) > 1e-12 {
-			t.Errorf("%T.F(%v) = %v, want %v", tc.act, tc.x, y, tc.y)
+			t.Errorf("activation %d at %v = %v, want %v", tc.act, tc.x, y, tc.y)
 		}
-		d := tc.act.Deriv(tc.x, y)
 		if math.Abs(d-tc.dydx) > 1e-12 {
-			t.Errorf("%T.Deriv(%v) = %v, want %v", tc.act, tc.x, d, tc.dydx)
+			t.Errorf("activation %d derivative at %v = %v, want %v", tc.act, tc.x, d, tc.dydx)
+		}
+	}
+	// The layer paths agree with the scalar reference across the range.
+	for a, ref := range scalarActs {
+		for x := -6.0; x <= 6; x += 0.125 {
+			y, d := act1(a, x)
+			if want := ref.f(x); math.Abs(y-want) > 1e-12 {
+				t.Errorf("activation %d at %v = %v, scalar reference %v", a, x, y, want)
+			}
+			if want := ref.deriv(x, ref.f(x)); math.Abs(d-want) > 1e-12 {
+				t.Errorf("activation %d derivative at %v = %v, scalar reference %v", a, x, d, want)
+			}
 		}
 	}
 }
 
-// Property: each activation's Deriv matches a central finite difference.
+// Property: each activation's derivative matches a central finite
+// difference of its scalar reference.
 func TestActivationDerivativeProperty(t *testing.T) {
-	acts := []Activation{ELU{}, Tanh{}, Sigmoid{}, Identity{}}
 	f := func(raw float64) bool {
 		x := math.Mod(raw, 5)
 		if math.IsNaN(x) {
 			return true
 		}
 		const h = 1e-6
-		for _, a := range acts {
-			want := (a.F(x+h) - a.F(x-h)) / (2 * h)
-			got := a.Deriv(x, a.F(x))
+		for _, a := range scalarActs {
+			want := (a.f(x+h) - a.f(x-h)) / (2 * h)
+			got := a.deriv(x, a.f(x))
 			if math.Abs(got-want) > 1e-4 {
 				return false
 			}
@@ -59,7 +102,7 @@ func TestActivationDerivativeProperty(t *testing.T) {
 
 func TestDenseForwardShapes(t *testing.T) {
 	rng := mat.NewRNG(1)
-	d := NewDense(3, 2, nil, rng)
+	d := NewDense(3, 2, Identity, rng)
 	y, _ := d.Forward(mat.Vec{1, 2, 3})
 	if len(y) != 2 {
 		t.Fatalf("output length %d want 2", len(y))
@@ -74,7 +117,7 @@ func TestDenseForwardShapes(t *testing.T) {
 
 func TestDenseInferMatchesForward(t *testing.T) {
 	rng := mat.NewRNG(2)
-	d := NewDense(4, 3, ELU{}, rng)
+	d := NewDense(4, 3, ELU, rng)
 	x := mat.Vec{0.1, -0.2, 0.3, 0.7}
 	yF, _ := d.Forward(x)
 	yI := mat.NewVec(3)
@@ -105,7 +148,7 @@ func numericalGrad(theta []float64, loss func() float64) []float64 {
 
 func TestDenseGradCheck(t *testing.T) {
 	rng := mat.NewRNG(3)
-	d := NewDense(3, 2, ELU{}, rng)
+	d := NewDense(3, 2, ELU, rng)
 	x := mat.Vec{0.5, -0.4, 0.9}
 	target := mat.Vec{0.3, -0.1}
 
@@ -142,7 +185,7 @@ func TestDenseGradCheck(t *testing.T) {
 
 func TestMLPGradCheck(t *testing.T) {
 	rng := mat.NewRNG(4)
-	m := NewMLP([]int{4, 5, 3}, []Activation{Tanh{}, Identity{}}, rng)
+	m := NewMLP([]int{4, 5, 3}, []Activation{Tanh, Identity}, rng)
 	x := mat.Vec{0.2, -0.7, 0.4, 0.1}
 	target := mat.Vec{1, -1, 0.5}
 
@@ -171,7 +214,7 @@ func TestMLPGradCheck(t *testing.T) {
 // sum of the per-input gradients.
 func TestDenseWeightSharingAccumulates(t *testing.T) {
 	rng := mat.NewRNG(5)
-	d := NewDense(2, 2, nil, rng)
+	d := NewDense(2, 2, Identity, rng)
 	x1 := mat.Vec{1, 0}
 	x2 := mat.Vec{0, 1}
 	target := mat.Vec{0, 0}
@@ -271,7 +314,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 
 func TestMLPLearnsLinearMap(t *testing.T) {
 	rng := mat.NewRNG(11)
-	m := NewMLP([]int{2, 8, 1}, []Activation{Tanh{}, Identity{}}, rng)
+	m := NewMLP([]int{2, 8, 1}, []Activation{Tanh, Identity}, rng)
 	opt := NewAdam(0.01)
 	params := m.Params()
 
@@ -369,8 +412,8 @@ func TestAutoencoderEncodeGradCheck(t *testing.T) {
 
 func TestMLPCopyWeights(t *testing.T) {
 	rng := mat.NewRNG(14)
-	a := NewMLP([]int{3, 4, 2}, []Activation{ELU{}, Identity{}}, rng)
-	b := NewMLP([]int{3, 4, 2}, []Activation{ELU{}, Identity{}}, rng)
+	a := NewMLP([]int{3, 4, 2}, []Activation{ELU, Identity}, rng)
+	b := NewMLP([]int{3, 4, 2}, []Activation{ELU, Identity}, rng)
 	x := mat.Vec{0.1, 0.2, 0.3}
 	b.CopyWeightsFrom(a)
 	ya := a.Infer(x)
@@ -395,7 +438,7 @@ func TestConstructorPanics(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"DenseZeroIn", func() { NewDense(0, 1, nil, rng) }},
+		{"DenseZeroIn", func() { NewDense(0, 1, Identity, rng) }},
 		{"MLPOneSize", func() { NewMLP([]int{3}, nil, rng) }},
 		{"MLPActMismatch", func() { NewMLP([]int{3, 2}, []Activation{}, rng) }},
 		{"AdamZeroLR", func() { NewAdam(0) }},

@@ -9,8 +9,8 @@ import (
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := mat.NewRNG(1)
-	a := NewMLP([]int{3, 5, 2}, []Activation{ELU{}, Identity{}}, rng)
-	b := NewMLP([]int{3, 5, 2}, []Activation{ELU{}, Identity{}}, rng)
+	a := NewMLP([]int{3, 5, 2}, []Activation{ELU, Identity}, rng)
+	b := NewMLP([]int{3, 5, 2}, []Activation{ELU, Identity}, rng)
 
 	var buf bytes.Buffer
 	if err := TakeSnapshot(a.Params()).Write(&buf); err != nil {
@@ -35,9 +35,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotRejectsMismatchedArchitecture(t *testing.T) {
 	rng := mat.NewRNG(2)
-	small := NewMLP([]int{3, 4, 2}, []Activation{ELU{}, Identity{}}, rng)
-	big := NewMLP([]int{3, 8, 2}, []Activation{ELU{}, Identity{}}, rng)
-	deep := NewMLP([]int{3, 4, 4, 2}, []Activation{ELU{}, ELU{}, Identity{}}, rng)
+	small := NewMLP([]int{3, 4, 2}, []Activation{ELU, Identity}, rng)
+	big := NewMLP([]int{3, 8, 2}, []Activation{ELU, Identity}, rng)
+	deep := NewMLP([]int{3, 4, 4, 2}, []Activation{ELU, ELU, Identity}, rng)
 
 	snap := TakeSnapshot(small.Params())
 	if err := snap.Restore(big.Params()); err == nil {

@@ -276,8 +276,9 @@ func stepToRetry(t *testing.T, s *Session) (loBefore int) {
 // re-recorded when format v5 stopped storing the cluster's derived
 // aggregates, again, in the version word alone, for format v6, and again for
 // format v7 (its want bits did not move), for format v8, whose PCG generator
-// moved the run and its want bits, and last, still v8, when the paper
-// workload moved onto internal/workload's generator and its streams changed:
+// moved the run and its want bits, still v8 when the paper workload moved
+// onto internal/workload's generator and its streams changed, and last, in
+// the version word alone, for format v9 (its want bits did not move):
 // the code must write those bytes, restore them, and finish with the Summary
 // they record.
 func TestCheckpointAfterHeadSideInsert(t *testing.T) {

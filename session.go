@@ -301,7 +301,7 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 	if o.sketchOnly || o.telAddr != "" {
 		// Quantile sketches feed the live endpoint's percentiles; under
 		// sketch-only they also replace the per-job sample slices entirely.
-		s.col.EnableSketches(telemetry.NewSketchSet(), o.sketchOnly)
+		s.col.EnableSketches(new(telemetry.SketchSet), o.sketchOnly)
 	}
 	// Classify the allocator's state needs once: least-loaded runs off the
 	// cluster's incremental load index (enabled here so it is

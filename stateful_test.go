@@ -13,7 +13,7 @@ import (
 // by snapshot section. Between them the shapes in TestStateWalksRejectEveryPrefix
 // reach every checkpoint.Stateful in the tree: the walks nest (cluster ->
 // per-server DPM -> Q-table, epsilon schedule, integrator, predictor -> Adam;
-// metrics -> sketch set -> t-digests; agent -> networks, replay, transitions).
+// metrics -> sketch set -> histograms; agent -> networks, replay, transitions).
 func stateWalks(s *Session) map[string]func(*checkpoint.Codec) {
 	walks := map[string]func(*checkpoint.Codec){
 		secCluster: func(c *checkpoint.Codec) { s.cl.State(c); cluster.TimerState(c, &s.pump, s.sm, pumpFire, s) },

@@ -19,12 +19,12 @@ import (
 	"hierdrl/internal/telemetry"
 )
 
-// WithSketchOnly drops the collector's per-job latency/wait sample slices and
-// answers the summary quantiles (p50/p95/p99, mean wait) from merging
-// t-digest sketches instead: memory stays constant in the job count, at the
-// cost of the documented sketch error (DESIGN.md §17; |q̂-q| ≲ 0.004 in
-// q-space at p99 with the default compression). Exact-quantile goldens do not
-// hold under this option — it is for unbounded streaming runs.
+// WithSketchOnly drops the collector's per-job latency sample slice and
+// answers the summary quantiles (p50/p95/p99) from log-bucketed histograms
+// instead: memory stays constant in the job count, and each quantile is
+// within 2^-7 (0.78 %) of the exact order statistic for latencies between
+// about a microsecond and 194 days (DESIGN.md §17). Exact-quantile goldens do
+// not hold under this option — it is for unbounded streaming runs.
 func WithSketchOnly() SessionOption {
 	return func(o *sessionOptions) { o.sketchOnly = true }
 }
@@ -200,9 +200,9 @@ func (t *sessionTelemetry) publish(s *Session) {
 	t.srv.Publish(t.prom.Bytes(), bytes.TrimRight(t.js.Bytes(), "\n"))
 }
 
-// promQuantiles emits one summary-style family from a t-digest with optional
+// promQuantiles emits one summary-style family from a histogram with optional
 // extra labels (`class="short",`-form prefix, empty for none).
-func promQuantiles(b *bytes.Buffer, family, labels string, d *telemetry.TDigest) {
+func promQuantiles(b *bytes.Buffer, family, labels string, d *telemetry.Histogram) {
 	if d.Count() == 0 {
 		return
 	}
@@ -213,7 +213,7 @@ func promQuantiles(b *bytes.Buffer, family, labels string, d *telemetry.TDigest)
 	if labels != "" {
 		cnt += "{" + labels[:len(labels)-1] + "}" // drop the trailing comma
 	}
-	fmt.Fprintf(b, "%s %.0f\n", cnt, d.Count())
+	fmt.Fprintf(b, "%s %d\n", cnt, d.Count())
 }
 
 // buildProm renders the simulation metric families as Prometheus text into
@@ -248,13 +248,13 @@ func (t *sessionTelemetry) buildProm(s *Session) {
 
 	if sk := s.col.Sketches(); sk != nil {
 		head("hiersim_latency_seconds", "summary",
-			"Completed-job latency quantiles (t-digest; overall and per duration class).")
+			"Completed-job latency quantiles (log-bucket histogram, within 0.78%; overall and per duration class).")
 		promQuantiles(b, "hiersim_latency_seconds", "", sk.Latency())
 		for cls := 0; cls < telemetry.NumJobClasses; cls++ {
 			promQuantiles(b, "hiersim_latency_seconds",
 				fmt.Sprintf("class=%q,", telemetry.JobClassNames[cls]), sk.ClassLatency(cls))
 		}
-		head("hiersim_wait_seconds", "summary", "Completed-job queue-wait quantiles (t-digest).")
+		head("hiersim_wait_seconds", "summary", "Completed-job queue-wait quantiles (log-bucket histogram, within 0.78%).")
 		promQuantiles(b, "hiersim_wait_seconds", "", sk.Wait())
 	}
 
@@ -358,14 +358,11 @@ func buildSnapshotRecord(s *Session, sn *SessionSnapshot) SnapshotRecord {
 // (no trailing newline) in the SnapshotRecord schema — byte-compatible with
 // the telemetry endpoint's /snapshot body. Safe wherever Snapshot is.
 func (s *Session) SnapshotJSON() ([]byte, error) {
-	var sn SessionSnapshot
+	sn := new(SessionSnapshot)
 	if s.tel != nil {
-		// Reuse the publisher's snapshot buffers when present.
-		s.SnapshotInto(&s.tel.snap)
-		rec := buildSnapshotRecord(s, &s.tel.snap)
-		return json.Marshal(&rec)
+		sn = &s.tel.snap // reuse the publisher's snapshot buffers
 	}
-	s.SnapshotInto(&sn)
-	rec := buildSnapshotRecord(s, &sn)
+	s.SnapshotInto(sn)
+	rec := buildSnapshotRecord(s, sn)
 	return json.Marshal(&rec)
 }

@@ -68,8 +68,8 @@ func metricValue(t *testing.T, body, series string) float64 {
 // TestObsSmoke is the live-telemetry acceptance run: a fault-injected
 // workload scraped mid-run — /metrics must expose the simulation
 // and process families, /healthz must answer — and, after completion, the
-// published t-digest p99 must fall within the documented q-space error of
-// the exact latency distribution collected through the Observer.
+// published p99 must lie within the histogram's 2^-7 relative bound of the
+// exact p99 of the latencies collected through the Observer.
 func TestObsSmoke(t *testing.T) {
 	m := 8
 	cfg := obsCfg(m)
@@ -149,9 +149,8 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatalf("result: %v", err)
 	}
 
-	// Result publishes the final blobs: the served p99 must land inside the
-	// exact distribution's [0.985, 0.995] quantile window (DESIGN.md §17's
-	// documented ±0.004 q-space bound at p99, with slack for interpolation).
+	// Result publishes the final blobs: the served p99 must lie within the
+	// histogram's hard bound of the exact p99 (DESIGN.md §17).
 	final := httpGet(t, "http://"+addr+"/metrics")
 	p99 := metricValue(t, final, `hiersim_latency_seconds{quantile="0.99"}`)
 	sort.Float64s(exact)
@@ -159,10 +158,8 @@ func TestObsSmoke(t *testing.T) {
 	if n < 2000 {
 		t.Fatalf("only %d completions observed", n)
 	}
-	lo := exact[int(0.985*float64(n-1))]
-	hi := exact[int(0.995*float64(n-1))]
-	if p99 < lo || p99 > hi {
-		t.Errorf("published p99 %v outside exact window [%v, %v] (n=%d)", p99, lo, hi, n)
+	if want := exact[int(0.99*float64(n-1))]; math.Abs(p99-want) > want/128 {
+		t.Errorf("published p99 %v, exact %v: off by more than 2^-7 (n=%d)", p99, want, n)
 	}
 	if got := metricValue(t, final, "hiersim_jobs_completed_total"); int(got) != n {
 		t.Errorf("published completions %v, observer saw %d", got, n)
@@ -208,8 +205,8 @@ func TestTelemetryPreservesBitwiseMetrics(t *testing.T) {
 
 // TestSketchOnlySummary asserts the constant-memory mode: exact aggregate
 // metrics survive bitwise (they never depended on the sample slices), and
-// the sketch-answered quantiles land inside tight q-space windows of the
-// exact distribution collected through the Observer.
+// the sketch-answered quantiles lie within 2^-7 of the exact order
+// statistics of the latencies collected through the Observer.
 func TestSketchOnlySummary(t *testing.T) {
 	m := 8
 	cfg := hierdrl.RoundRobin(m)
@@ -235,23 +232,16 @@ func TestSketchOnlySummary(t *testing.T) {
 		t.Fatalf("sketch-only perturbed exact aggregates: %+v vs %+v", sk.Summary, base.Summary)
 	}
 	sort.Float64s(exact)
-	n := len(exact)
-	window := func(q, w float64) (float64, float64) {
-		loQ, hiQ := math.Max(q-w, 0), math.Min(q+w, 1)
-		return exact[int(loQ*float64(n-1))], exact[int(hiQ*float64(n-1))]
-	}
 	for _, c := range []struct {
-		name string
-		got  float64
-		q, w float64
+		name   string
+		got, q float64
 	}{
-		{"p50", sk.Summary.P50LatencySec, 0.50, 0.02},
-		{"p95", sk.Summary.P95LatencySec, 0.95, 0.008},
-		{"p99", sk.Summary.P99LatencySec, 0.99, 0.005},
+		{"p50", sk.Summary.P50LatencySec, 0.50},
+		{"p95", sk.Summary.P95LatencySec, 0.95},
+		{"p99", sk.Summary.P99LatencySec, 0.99},
 	} {
-		lo, hi := window(c.q, c.w)
-		if c.got < lo || c.got > hi {
-			t.Errorf("%s %v outside exact window [%v, %v]", c.name, c.got, lo, hi)
+		if want := exact[int(c.q*float64(len(exact)-1))]; math.Abs(c.got-want) > want/128 {
+			t.Errorf("%s %v, exact %v: off by more than 2^-7", c.name, c.got, want)
 		}
 	}
 }
@@ -379,7 +369,7 @@ func TestRunSurfacesEpochTraceDumpError(t *testing.T) {
 // mid-stream and resumes it twice — with and without re-attaching the
 // option — asserting both continuations reproduce the uninterrupted run's
 // sketch-answered quantiles bitwise (the snapshot is authoritative for the
-// collection mode and the digest state).
+// collection mode and the histogram state).
 func TestCheckpointRoundTripSketches(t *testing.T) {
 	m := 8
 	cfg := obsCfg(m)
