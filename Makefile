@@ -65,7 +65,7 @@ chaos-smoke:
 # SIGINT-and-resume drills against the hiersim binary;
 # then, under the race detector, the fault run checkpointed right after a
 # head-side retry insert and resumed, the golden snapshots
-# re-emitted byte for byte (format v9 pin) and the earlier formats' refused, and
+# re-emitted byte for byte (format v10 pin) and the earlier formats' refused, and
 # every state walk over every strict prefix of its own payload; then a few
 # seconds each of FuzzRestoreState and FuzzRestoreResealed (one word of a
 # section rewritten under a recomputed CRC). FuzzRestoreState's minimization
@@ -90,21 +90,24 @@ crash-smoke:
 # round trip must replay bit for bit, and a single-class speed-1.0 cluster
 # must match the homogeneous cluster exactly — all under the race detector;
 # then a few seconds of FuzzWorkloadSource (every workload config that
-# validates yields exactly NumJobs valid jobs in arrival order).
+# validates yields exactly NumJobs valid jobs in arrival order) and of
+# FuzzReadTraceCSV (arbitrary bytes through the trace CSV reader: an error, or
+# a valid trace that comes back bit for bit through the writer).
 scenario-smoke:
 	$(GO) test -race -run 'TestScenarioBitwiseRunToRun|TestScenarioCSVRoundTrip|TestHomogeneousClassesBitwiseIdentical' -v .
 	$(GO) test -run=NONE -fuzz='FuzzWorkloadSource$$' -fuzztime=5s ./internal/workload/
+	$(GO) test -run=NONE -fuzz='FuzzReadTraceCSV$$' -fuzztime=5s .
 
 # obs-smoke is the observability CI gate: the live /metrics + /snapshot scrape
 # of a fault run with a check of the published p99 against the histogram's
-# 2^-7 error bound, the Chrome trace-event dump of a default-tier run, the
-# telemetry-is-bitwise-invisible pin, and the sketch-checkpoint round trip —
-# all under the race detector — plus the telemetry package's own error-bound
-# and zero-alloc pins; then a few seconds of FuzzSketchState (arbitrary bytes
-# through the sketch decoder: ErrCorrupt, or a decode that re-encodes to
-# exactly the bytes it read).
+# 2^-7 error bound, the same bound on a run's Summary P50/P95/P99, the Chrome
+# trace-event dump of a default-tier run, the telemetry-is-bitwise-invisible
+# pin, and the histogram-checkpoint round trip — all under the race detector —
+# plus the telemetry package's own error-bound and zero-alloc pins; then a few
+# seconds of FuzzSketchState (arbitrary bytes through the histogram decoder:
+# ErrCorrupt, or a decode that re-encodes to exactly the bytes it read).
 obs-smoke:
-	$(GO) test -race -run 'TestObsSmoke|TestTelemetryPreservesBitwiseMetrics|TestSketchOnlySummary|TestEpochTraceChromeJSON|TestEpochTraceOnDefaultSession|TestCheckpointRoundTripSketches' -v .
+	$(GO) test -race -run 'TestObsSmoke|TestTelemetryPreservesBitwiseMetrics|TestSummaryQuantilesWithinBound|TestEpochTraceChromeJSON|TestEpochTraceOnDefaultSession|TestCheckpointRoundTripSketches' -v .
 	$(GO) test -race ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='FuzzSketchState$$' -fuzztime=5s ./internal/telemetry/
 

@@ -324,9 +324,10 @@ var snapshotCorruptions = []snapshotCorruption{
 		binary.LittleEndian.PutUint32(b[8:], 99)
 		return b
 	}, hierdrl.ErrVersion},
-	// Format v8 (t-digest latency sketches) is not read by a v9 reader.
+	// Format v9 (per-job latencies beside the histograms) is not read by a
+	// v10 reader.
 	{"previous-version", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[8:], 8)
+		binary.LittleEndian.PutUint32(b[8:], 9)
 		return b
 	}, hierdrl.ErrVersion},
 	{"fingerprint-flip", func(b []byte) []byte { b[12] ^= 0xFF; return b }, hierdrl.ErrConfigMismatch},
@@ -384,12 +385,12 @@ var snapshotCorruptions = []snapshotCorruption{
 	{"draining-without-drain-model", func(b []byte) []byte {
 		return resealWord(b, findSection(b, "cluster"), 1266, 1)
 	}, hierdrl.ErrCorrupt},
-	// CRC-valid: the metrics section's sketch-only flag (after the latency
-	// sum, the 150 latencies and the empty checkpoint series) set on a run
-	// that keeps no sketches; Result used to read percentiles from the
-	// missing latency sketch and panic.
-	{"sketch-only-without-sketches", func(b []byte) []byte {
-		return resealWord(b, findSection(b, "metrics"), 1224, 1)
+	// CRC-valid: the latency histogram's minimum (after the metrics
+	// section's latency sum, the empty checkpoint series and the wait sum)
+	// raised above its maximum and out of its first nonzero bucket; the
+	// summary percentiles are clamped to [min, max] and would read it.
+	{"latency-min-above-max", func(b []byte) []byte {
+		return resealWord(b, findSection(b, "metrics"), 24, math.Float64bits(1e15))
 	}, hierdrl.ErrCorrupt},
 }
 

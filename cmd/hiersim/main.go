@@ -28,6 +28,10 @@
 // jobs streamed from the generator, least-loaded dispatch over the RL/LSTM
 // local tier.
 //
+// The summary's p50/p95/p99 latencies are read from a log-bucket histogram,
+// each within 0.78% of the exact order statistic; memory does not grow with
+// the job count.
+//
 // Streaming mode ingests jobs from stdin line by line through the Session
 // API ("arrival,duration,cpu,mem,disk" CSV rows, header optional), advances
 // the simulated clock as arrivals come in, and prints a live Snapshot
@@ -105,9 +109,6 @@ func main() {
 	epochTrace := flag.String("epoch-trace", "",
 		"write the last decision epochs as Chrome trace-event JSON to this file at exit "+
 			"(load in chrome://tracing)")
-	sketchOnly := flag.Bool("sketch-only", false,
-		"constant-memory quantiles: drop the per-job latency samples and answer p50/p95/p99 "+
-			"from log-bucketed histograms, each within 0.78% of the exact value (for unbounded streams)")
 	snapFormat := flag.String("snap-format", "table",
 		"live snapshot format (with -stream): table | json (one object per line, matching the "+
 			"telemetry endpoint's /snapshot schema)")
@@ -138,9 +139,6 @@ func main() {
 	var telOpts []hierdrl.SessionOption
 	if *telemetryAddr != "" {
 		telOpts = append(telOpts, hierdrl.WithTelemetry(*telemetryAddr))
-	}
-	if *sketchOnly {
-		telOpts = append(telOpts, hierdrl.WithSketchOnly())
 	}
 	if *epochTrace != "" {
 		telOpts = append(telOpts, hierdrl.WithEpochTraceFile(*epochTrace, 0))

@@ -42,10 +42,11 @@ import (
 const Magic = "HDRLCKPT"
 
 // Version is the current snapshot format version. Readers reject any other
-// version with ErrVersion. Version 9 stores the metrics section's latency
-// sketches as log-bucket histograms (nonzero buckets only) in place of
-// t-digests; CHANGES.md records what each of versions 2 to 8 changed.
-const Version uint32 = 9
+// version with ErrVersion. Version 10 makes the metrics section's log-bucket
+// histograms its only latency record (no per-job latencies, no sketch flags)
+// and writes each nonzero bucket's index in 4 bytes; CHANGES.md records what
+// each of versions 2 to 9 changed.
+const Version uint32 = 10
 
 // maxSectionLen bounds a single section payload (1 GiB) so a corrupt length
 // field cannot drive a huge allocation before the CRC check runs.

@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"hierdrl/internal/cluster"
@@ -42,9 +41,8 @@ type Summary struct {
 	AvgPowerW        float64
 	AvgLatencySec    float64
 	AvgEnergyJPerJob float64
-	// Latency percentiles. Exact (selected from one copy of the retained
-	// per-job slice) by default; under sketch-only collection, histogram
-	// reads within 2^-7 of the exact value (DESIGN.md §17).
+	// Latency percentiles, read from the collector's latency histogram:
+	// each within 2^-7 of the exact order statistic (DESIGN.md §17).
 	P50LatencySec float64
 	P95LatencySec float64
 	P99LatencySec float64
@@ -81,8 +79,7 @@ type Collector struct {
 	accLatency float64
 	// waitSum accumulates every completion's wait in completion order, the
 	// whole of what MeanWaitSec needs.
-	waitSum   float64
-	latencies []float64
+	waitSum float64
 
 	checkpoints []Checkpoint
 	clusterRef  *cluster.Cluster
@@ -91,12 +88,12 @@ type Collector struct {
 	// positive checkpoint interval). Nil by default.
 	OnCheckpoint func(cp Checkpoint)
 
-	// sk, when non-nil, receives every completion into the live quantile
-	// sketches (latency histogram, per-job-class histograms, wait histogram).
-	// sketchOnly additionally drops the O(jobs) latency slice — summary
-	// percentiles then come from the latency sketch.
-	sk         *telemetry.SketchSet
-	sketchOnly bool
+	// sk receives every completion (latency histogram, per-job-class
+	// histograms, wait histogram): the summary percentiles and the live
+	// endpoint's quantiles both read it, and its memory is fixed. Sketches
+	// allocates it on first use, not NewCollector: zeroing its 112.8 KB is
+	// about a third of a streamed session's set-up.
+	sk *telemetry.SketchSet
 }
 
 // NewCollector returns a collector that records a checkpoint every
@@ -105,19 +102,17 @@ func NewCollector(c *cluster.Cluster, checkpointEvery int) *Collector {
 	if checkpointEvery < 0 {
 		panic(fmt.Sprintf("metrics: negative checkpoint interval %d", checkpointEvery))
 	}
-	col := &Collector{checkpointEvery: checkpointEvery, clusterRef: c}
-	return col
+	return &Collector{checkpointEvery: checkpointEvery, clusterRef: c}
 }
 
-// EnableSketches attaches the live quantile sketches (and optionally the
-// sketch-only collection mode) before the first completion is recorded.
-func (c *Collector) EnableSketches(sk *telemetry.SketchSet, sketchOnly bool) {
-	c.sk = sk
-	c.sketchOnly = sketchOnly
+// Sketches returns the collector's quantile histograms, allocating the
+// empty set on first use.
+func (c *Collector) Sketches() *telemetry.SketchSet {
+	if c.sk == nil {
+		c.sk = new(telemetry.SketchSet)
+	}
+	return c.sk
 }
-
-// Sketches returns the attached sketch set (nil unless enabled).
-func (c *Collector) Sketches() *telemetry.SketchSet { return c.sk }
 
 // JobDone records a completed job. Wire it to cluster.OnJobDone, which fires
 // after the cluster counted the completion.
@@ -125,13 +120,8 @@ func (c *Collector) JobDone(t sim.Time, j *cluster.Job) {
 	lat := j.Latency()
 	c.accLatency += lat
 	wait := j.WaitTime()
-	if c.sk != nil {
-		c.sk.Record(telemetry.JobClassOf(j.Duration), lat, wait)
-	}
+	c.Sketches().Record(telemetry.JobClassOf(j.Duration), lat, wait)
 	c.waitSum += wait
-	if !c.sketchOnly {
-		c.latencies = append(c.latencies, lat)
-	}
 	if n := c.Completed(); c.checkpointEvery > 0 && n%c.checkpointEvery == 0 {
 		cp := Checkpoint{
 			Jobs:          n,
@@ -144,24 +134,6 @@ func (c *Collector) JobDone(t sim.Time, j *cluster.Job) {
 			c.OnCheckpoint(cp)
 		}
 	}
-}
-
-// Reserve pre-sizes the per-job latency buffer for n completions beyond
-// those already recorded, so a steady-state JobDone performs no slice
-// growth. Callers that know the workload length (batch replay, bounded
-// streams) use it to keep the collection path allocation-free — including
-// on the second and later bounded streams of a long-lived run.
-func (c *Collector) Reserve(n int) {
-	if c.sketchOnly {
-		return // constant memory: nothing to pre-size
-	}
-	need := len(c.latencies) + n
-	if need <= cap(c.latencies) {
-		return
-	}
-	lat := make([]float64, len(c.latencies), need)
-	copy(lat, c.latencies)
-	c.latencies = lat
 }
 
 // Completed returns the number of completions recorded: the cluster's count.
@@ -194,16 +166,10 @@ func (c *Collector) Summarize(policy string, now sim.Time) Summary {
 		s.AvgLatencySec = c.accLatency / float64(n)
 		s.AvgEnergyJPerJob = energyJ / float64(n)
 		s.MeanWaitSec = c.waitSum / float64(n)
-		if c.sketchOnly {
-			// Sketch-only mode: approximate percentiles from the latency
-			// histogram (the per-job slice was never retained).
-			m := c.sk.Latency()
-			s.P50LatencySec = m.Quantile(0.50)
-			s.P95LatencySec = m.Quantile(0.95)
-			s.P99LatencySec = m.Quantile(0.99)
-		} else {
-			s.P50LatencySec, s.P95LatencySec, s.P99LatencySec = exactQuantiles(c.latencies)
-		}
+		m := c.Sketches().Latency()
+		s.P50LatencySec = m.Quantile(0.50)
+		s.P95LatencySec = m.Quantile(0.95)
+		s.P99LatencySec = m.Quantile(0.99)
 	}
 	for i := 0; i < c.clusterRef.M(); i++ {
 		s.Wakeups += c.clusterRef.Server(i).Wakeups()
@@ -229,82 +195,6 @@ func (c *Collector) Summarize(policy string, now sim.Time) Summary {
 	}
 	return s
 }
-
-// quantileIndex is the index quantile p reads from n sorted samples, the
-// convention of the historical percentile() helper: floor(p·(n-1)).
-func quantileIndex(n int, p float64) int { return int(p * float64(n-1)) }
-
-// exactQuantiles returns the P50, P95 and P99 of xs at quantileIndex without
-// a full sort: three selections on one copy (xs keeps its order, which is
-// snapshot content), each on the part above the previous index. Order
-// statistics are unique values, so the results equal reads from a sorted
-// copy bit for bit. Empty xs gives NaN.
-func exactQuantiles(xs []float64) (p50, p95, p99 float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN(), math.NaN()
-	}
-	a := append([]float64(nil), xs...)
-	var q [3]float64
-	lo := 0
-	for i, p := range [3]float64{0.50, 0.95, 0.99} {
-		k := quantileIndex(len(a), p)
-		introselect(a[lo:], k-lo)
-		q[i], lo = a[k], k
-	}
-	return q[0], q[1], q[2]
-}
-
-// introselect reorders a so that a[k] holds what a sorted copy holds there,
-// with nothing greater before it and nothing smaller after it, in
-// sort.Float64s's order (NaN below every number). It is median-of-3
-// quickselect with Wirth's partition; after 2·⌈log₂ n⌉ rounds it sorts the
-// remaining range instead, so the worst case stays O(n log n). It reports
-// whether it fell back to the sort.
-func introselect(a []float64, k int) (fellBack bool) {
-	lo, hi := 0, len(a)-1
-	for rounds := 2 * bits.Len(uint(len(a)-1)); lo < hi; rounds-- {
-		if rounds == 0 {
-			sort.Float64s(a[lo : hi+1])
-			return true
-		}
-		mid := lo + (hi-lo)/2
-		if floatLess(a[mid], a[lo]) {
-			a[lo], a[mid] = a[mid], a[lo]
-		}
-		if floatLess(a[hi], a[mid]) {
-			a[mid], a[hi] = a[hi], a[mid]
-			if floatLess(a[mid], a[lo]) {
-				a[lo], a[mid] = a[mid], a[lo]
-			}
-		}
-		x := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for floatLess(a[i], x) {
-				i++
-			}
-			for floatLess(x, a[j]) {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		// a[lo..j] <= x <= a[i..hi], and a[j+1..i-1] all equal x.
-		if j < k {
-			lo = i
-		}
-		if k < i {
-			hi = j
-		}
-	}
-	return false
-}
-
-// floatLess is sort.Float64s's order: NaN sorts below every number.
-func floatLess(x, y float64) bool { return x < y || (x != x && y == y) }
 
 // TradeoffPoint is one point of the Fig. 10 study: per-job averages achieved
 // by one configuration.

@@ -71,11 +71,10 @@ func (h *Histogram) Add(x float64) {
 // Count returns the number of samples inserted.
 func (h *Histogram) Count() int64 { return h.n }
 
-// Quantile returns the order statistic of rank ⌊q·(n−1)⌋ (NaN when empty),
-// the convention of the exact path's quantileIndex: the exact min at rank 0,
-// the exact max at rank n−1, and otherwise the midpoint of the rank's bucket
-// clamped to [min, max] — within 2^-7 of the true order statistic whenever
-// that lies in the histogram's range.
+// Quantile returns the order statistic of rank ⌊q·(n−1)⌋ (NaN when empty):
+// the exact min at rank 0, the exact max at rank n−1, and otherwise the
+// midpoint of the rank's bucket clamped to [min, max] — within 2^-7 of the
+// true order statistic whenever that lies in the histogram's range.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h.n == 0 {
 		return math.NaN()
@@ -107,7 +106,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // State implements checkpoint.Stateful: min, max, then the nonzero buckets
-// as (index, count) pairs in ascending index order. The count is derived.
+// as (4-byte index, 8-byte count) pairs in ascending index order. The count
+// is derived.
 // Decoding accepts only what encoding writes — strictly ascending in-range
 // indices, positive counts whose sum fits, and extremes that fall in the
 // first and last nonzero buckets (both zero when there are none) — so every
@@ -121,11 +121,11 @@ func (h *Histogram) State(c *checkpoint.Codec) {
 			nz++
 		}
 	}
-	nz = c.Count(nz, 16)
+	nz = c.Count(nz, 12)
 	if c.Decoding() {
 		h.counts, h.n = [numBuckets]int64{}, 0
 	}
-	first, i := -1, -1
+	first, i := -1, int32(-1)
 	for ; nz > 0 && c.Err() == nil; nz-- {
 		prev := i
 		var k int64
@@ -134,7 +134,7 @@ func (h *Histogram) State(c *checkpoint.Codec) {
 			}
 			k = h.counts[i]
 		}
-		c.Int(&i)
+		c.I32(&i)
 		c.I64(&k)
 		if !c.Decoding() || c.Err() != nil {
 			continue
@@ -144,7 +144,7 @@ func (h *Histogram) State(c *checkpoint.Codec) {
 			return
 		}
 		if first < 0 {
-			first = i
+			first = int(i)
 		}
 		h.counts[i] = k
 		h.n += k
@@ -156,7 +156,7 @@ func (h *Histogram) State(c *checkpoint.Codec) {
 		if math.Float64bits(h.min)|math.Float64bits(h.max) != 0 {
 			c.Fail(checkpoint.ErrCorrupt, "empty histogram with min %v, max %v", h.min, h.max)
 		}
-	} else if !(h.min <= h.max) || bucketOf(h.min) != first || bucketOf(h.max) != i {
+	} else if !(h.min <= h.max) || bucketOf(h.min) != first || bucketOf(h.max) != int(i) {
 		c.Fail(checkpoint.ErrCorrupt, "histogram min %v, max %v outside buckets %d..%d", h.min, h.max, first, i)
 	}
 }

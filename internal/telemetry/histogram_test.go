@@ -19,7 +19,7 @@ const relBound = 1.0 / 128
 // TestHistogramErrorBound pins the hard bound over a grid of 1,001 quantiles
 // on distributions whose samples all lie in the histogram's range or are
 // exactly zero: |Quantile(q) − exact| ≤ 2^-7·exact, where exact is the order
-// statistic of rank ⌊q·(n−1)⌋ (the metrics package's quantileIndex). Rank 0
+// statistic of rank ⌊q·(n−1)⌋ (the rank the Summary percentiles read). Rank 0
 // and rank n−1 read the exact min and max.
 func TestHistogramErrorBound(t *testing.T) {
 	for _, c := range []struct {
@@ -171,8 +171,13 @@ func TestSketchSetCheckpointRoundTrip(t *testing.T) {
 		c.F64(&max)
 		n := len(pairs) / 2
 		c.Int(&n)
-		for _, p := range pairs {
-			c.I64(&p)
+		for k, p := range pairs {
+			if k%2 == 0 {
+				i := int32(p)
+				c.I32(&i)
+			} else {
+				c.I64(&p)
+			}
 		}
 		return c.Payload()
 	}
@@ -182,6 +187,7 @@ func TestSketchSetCheckpointRoundTrip(t *testing.T) {
 		"repeated bucket":      hist(5, 5, b5, 1, b5, 1),
 		"zero count":           hist(5, 5, b5, 0),
 		"bucket out of range":  hist(5, 5, numBuckets, 1),
+		"negative bucket":      hist(5, 5, -1, 1),
 		"count overflow":       hist(5, 10, b5, math.MaxInt64, int64(bucketOf(10)), 1),
 		"min outside buckets":  hist(4, 5, b5, 2),
 		"max outside buckets":  hist(5, 6, b5, 2),

@@ -189,22 +189,14 @@ func (t *Trace) ComputeStats() Stats {
 // WriteCSV writes the trace in the canonical format:
 // one "arrival,duration,cpu,mem,disk" row per job, with a header.
 func (t *Trace) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("arrival,duration,cpu,mem,disk\n"); err != nil {
-		return fmt.Errorf("trace: write header: %w", err)
-	}
-	for _, j := range t.Jobs {
-		_, err := fmt.Fprintf(bw, "%s,%s,%s,%s,%s\n",
-			formatF(j.Arrival), formatF(j.Duration),
-			formatF(j.Req[CPU]), formatF(j.Req[Memory]), formatF(j.Req[Disk]))
-		if err != nil {
-			return fmt.Errorf("trace: write job %d: %w", j.ID, err)
+	i := 0
+	return WriteCSVStream(w, func() (Job, bool) {
+		if i == len(t.Jobs) {
+			return Job{}, false
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("trace: flush: %w", err)
-	}
-	return nil
+		i++
+		return t.Jobs[i-1], true
+	})
 }
 
 // WriteCSVStream writes jobs pulled from next (until it reports false) in

@@ -277,8 +277,9 @@ func stepToRetry(t *testing.T, s *Session) (loBefore int) {
 // aggregates, again, in the version word alone, for format v6, and again for
 // format v7 (its want bits did not move), for format v8, whose PCG generator
 // moved the run and its want bits, still v8 when the paper workload moved
-// onto internal/workload's generator and its streams changed, and last, in
-// the version word alone, for format v9 (its want bits did not move):
+// onto internal/workload's generator and its streams changed, in the
+// version word alone, for format v9, and last, in the version word and the
+// metrics section, for format v10 (its want bits did not move at either):
 // the code must write those bytes, restore them, and finish with the Summary
 // they record.
 func TestCheckpointAfterHeadSideInsert(t *testing.T) {

@@ -70,7 +70,6 @@ type sessionOptions struct {
 	ctx        context.Context
 	autoPath   string
 	autoEvery  int
-	sketchOnly bool   // WithSketchOnly: constant-memory quantile sketches
 	telAddr    string // WithTelemetry: HTTP observability endpoint address
 	etraceCap  int    // WithEpochTrace: ring capacity (0 = off)
 	etracePath string // WithEpochTraceFile: Chrome-trace dump at Close
@@ -298,11 +297,6 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 	if o.ctx != nil {
 		s.done = o.ctx.Done()
 	}
-	if o.sketchOnly || o.telAddr != "" {
-		// Quantile sketches feed the live endpoint's percentiles; under
-		// sketch-only they also replace the per-job sample slices entirely.
-		s.col.EnableSketches(new(telemetry.SketchSet), o.sketchOnly)
-	}
 	// Classify the allocator's state needs once: least-loaded runs off the
 	// cluster's incremental load index (enabled here so it is
 	// maintained from the first event), round-robin and random read only the
@@ -478,10 +472,10 @@ func (s *Session) fail(err error) error {
 	return err
 }
 
-// Reserve pre-sizes the ingestion queue and metric buffers for n further
-// jobs, making a bounded stream allocation-free once the pools are warm.
+// Reserve pre-sizes the pending queue for n further jobs, making a bounded
+// stream allocation-free once the pools are warm. The metrics collector needs
+// no sizing: its latency record is a fixed-size histogram set.
 func (s *Session) Reserve(n int) {
-	s.col.Reserve(n)
 	s.pq.reserve(n)
 }
 

@@ -11,7 +11,7 @@ import (
 // TestSessionSteadyStepZeroAlloc pins the api_redesign acceptance criterion:
 // with no observers attached, a steady-state Session step performs zero
 // allocations. The workload is pre-ingested (Reserve sizes the
-// metric buffers), the first three quarters of the run warm every pool —
+// pending queue), the first three quarters of the run warm every pool —
 // event slots, the job pool, server queues, the reused snapshot — and the
 // measured window then steps through live arrival/completion traffic.
 //

@@ -72,7 +72,7 @@ func TestStateWalksRejectEveryPrefix(t *testing.T) {
 			cfg := faulty(RoundRobin(6), FaultExpCrash)
 			cfg.Alloc, cfg.Retry = AllocLeastLoaded, RetryBackoff
 			return cfg
-		}(), []SessionOption{WithSketchOnly()}, 1500},
+		}(), nil, 1500},
 		{"drain-random-ewma-p2", func() Config {
 			cfg := faulty(rl(RoundRobin(6), PredictorEWMA), FaultDrain)
 			cfg.Alloc = AllocRandom

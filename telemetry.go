@@ -1,11 +1,11 @@
 // Live telemetry: WithTelemetry attaches an HTTP observability endpoint
 // (Prometheus /metrics, /healthz, /snapshot JSON, net/http/pprof) to a
-// running session, WithSketchOnly switches the metrics collector to
-// constant-memory quantile sketches (dropping the O(jobs) sample slices),
-// and WithEpochTrace records the engine's decision epochs into a fixed ring
-// dumpable as Chrome trace-event JSON. The HTTP goroutines read
-// only immutable blobs published at epoch boundaries, so telemetry never
-// perturbs the simulation's determinism contract (DESIGN.md §17).
+// running session, serving the metrics collector's latency and wait
+// histograms among its families, and WithEpochTrace records the engine's
+// decision epochs into a fixed ring dumpable as Chrome trace-event JSON. The
+// HTTP goroutines read only immutable blobs published at epoch boundaries, so
+// telemetry never perturbs the simulation's determinism contract (DESIGN.md
+// §17).
 package hierdrl
 
 import (
@@ -19,16 +19,6 @@ import (
 	"hierdrl/internal/telemetry"
 )
 
-// WithSketchOnly drops the collector's per-job latency sample slice and
-// answers the summary quantiles (p50/p95/p99) from log-bucketed histograms
-// instead: memory stays constant in the job count, and each quantile is
-// within 2^-7 (0.78 %) of the exact order statistic for latencies between
-// about a microsecond and 194 days (DESIGN.md §17). Exact-quantile goldens do
-// not hold under this option — it is for unbounded streaming runs.
-func WithSketchOnly() SessionOption {
-	return func(o *sessionOptions) { o.sketchOnly = true }
-}
-
 // WithTelemetry serves live observability on addr (e.g. "127.0.0.1:9188", or
 // "127.0.0.1:0" for an ephemeral port — read it back with TelemetryAddr):
 // Prometheus-text /metrics (simulation families plus process self-metrics),
@@ -36,9 +26,7 @@ func WithSketchOnly() SessionOption {
 // /debug/pprof/. Metrics are published at epoch boundaries — every
 // telemetryPublishEvery completed jobs, wall-clock throttled to one publish
 // per telemetryMinPublishGap — and once at Result; scrapes read only the
-// published blobs, never live simulation state. The option also enables the
-// quantile sketches (without dropping the exact samples — combine with
-// WithSketchOnly for constant memory).
+// published blobs, never live simulation state.
 func WithTelemetry(addr string) SessionOption {
 	return func(o *sessionOptions) { o.telAddr = addr }
 }
@@ -246,17 +234,16 @@ func (t *sessionTelemetry) buildProm(s *Session) {
 	head("hiersim_events_per_second", "gauge", "Wall-clock simulation event rate between publishes.")
 	fmt.Fprintf(b, "hiersim_events_per_second %g\n", t.eventsRate)
 
-	if sk := s.col.Sketches(); sk != nil {
-		head("hiersim_latency_seconds", "summary",
-			"Completed-job latency quantiles (log-bucket histogram, within 0.78%; overall and per duration class).")
-		promQuantiles(b, "hiersim_latency_seconds", "", sk.Latency())
-		for cls := 0; cls < telemetry.NumJobClasses; cls++ {
-			promQuantiles(b, "hiersim_latency_seconds",
-				fmt.Sprintf("class=%q,", telemetry.JobClassNames[cls]), sk.ClassLatency(cls))
-		}
-		head("hiersim_wait_seconds", "summary", "Completed-job queue-wait quantiles (log-bucket histogram, within 0.78%).")
-		promQuantiles(b, "hiersim_wait_seconds", "", sk.Wait())
+	sk := s.col.Sketches()
+	head("hiersim_latency_seconds", "summary",
+		"Completed-job latency quantiles (log-bucket histogram, within 0.78%; overall and per duration class).")
+	promQuantiles(b, "hiersim_latency_seconds", "", sk.Latency())
+	for cls := 0; cls < telemetry.NumJobClasses; cls++ {
+		promQuantiles(b, "hiersim_latency_seconds",
+			fmt.Sprintf("class=%q,", telemetry.JobClassNames[cls]), sk.ClassLatency(cls))
 	}
+	head("hiersim_wait_seconds", "summary", "Completed-job queue-wait quantiles (log-bucket histogram, within 0.78%).")
+	promQuantiles(b, "hiersim_wait_seconds", "", sk.Wait())
 
 	if classes := s.cl.ServerClasses(); len(classes) > 0 {
 		head("hiersim_class_energy_joules", "counter",
@@ -292,9 +279,9 @@ func (t *sessionTelemetry) buildProm(s *Session) {
 
 // SnapshotRecord is the flat JSON schema served by the telemetry endpoint's
 // /snapshot and printed per line by `hiersim -snap-format json`: the
-// SessionSnapshot aggregates (the per-server View excluded) plus the sketch
-// quantiles when enabled. Quantile fields are nil until a first job
-// completes (JSON cannot carry NaN).
+// SessionSnapshot aggregates (the per-server View excluded) plus the latency
+// histogram's quantiles. Quantile fields are nil until a first job completes
+// (JSON cannot carry NaN).
 type SnapshotRecord struct {
 	TSec            float64 `json:"t_s"`
 	Ingested        int64   `json:"ingested"`
@@ -321,8 +308,8 @@ type SnapshotRecord struct {
 	Availability       float64 `json:"availability"`
 }
 
-// buildSnapshotRecord flattens a refreshed SessionSnapshot (plus the sketch
-// quantiles, when enabled) into the shared JSON schema.
+// buildSnapshotRecord flattens a refreshed SessionSnapshot (plus the latency
+// histogram's quantiles) into the shared JSON schema.
 func buildSnapshotRecord(s *Session, sn *SessionSnapshot) SnapshotRecord {
 	rec := SnapshotRecord{
 		TSec:            sn.Now.Seconds(),
@@ -345,11 +332,9 @@ func buildSnapshotRecord(s *Session, sn *SessionSnapshot) SnapshotRecord {
 		DegradedSec:        sn.DegradedSec,
 		Availability:       sn.Availability,
 	}
-	if sk := s.col.Sketches(); sk != nil {
-		if m := sk.Latency(); m.Count() > 0 {
-			p50, p95, p99 := m.Quantile(0.50), m.Quantile(0.95), m.Quantile(0.99)
-			rec.P50LatencySec, rec.P95LatencySec, rec.P99LatencySec = &p50, &p95, &p99
-		}
+	if m := s.col.Sketches().Latency(); m.Count() > 0 {
+		p50, p95, p99 := m.Quantile(0.50), m.Quantile(0.95), m.Quantile(0.99)
+		rec.P50LatencySec, rec.P95LatencySec, rec.P99LatencySec = &p50, &p95, &p99
 	}
 	return rec
 }

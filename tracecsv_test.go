@@ -122,3 +122,46 @@ func TestTraceCSVMalformedInputs(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadTraceCSV feeds arbitrary bytes to ReadTraceCSV: it must return an
+// error or a trace that passes Validate, never panic, and any trace it
+// accepts must come back bit for bit through WriteTraceCSV → ReadTraceCSV.
+func FuzzReadTraceCSV(f *testing.F) {
+	var buf bytes.Buffer
+	if err := hierdrl.WriteTraceCSV(&buf, hierdrl.SyntheticTrace(20, 7)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("arrival,duration,cpu,mem,disk\n\n-0, 60 ,1,0x1p-3,5e-324\r\n-0,7200,0.5,0.5,0.5\n"))
+	f.Add([]byte("10,60,0.1,0.2,0.3\n5,60,0.1,0.2,0.3\n"))
+	f.Add([]byte("0,60,NaN,0.2,0.3\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := hierdrl.ReadTraceCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("accepted trace fails Validate: %v", err)
+		}
+		var out bytes.Buffer
+		if err := hierdrl.WriteTraceCSV(&out, tr); err != nil {
+			t.Fatalf("WriteTraceCSV: %v", err)
+		}
+		back, err := hierdrl.ReadTraceCSV(&out)
+		if err != nil {
+			t.Fatalf("written trace refused: %v\n%s", err, out.Bytes())
+		}
+		if back.Len() != tr.Len() {
+			t.Fatalf("round trip holds %d jobs, want %d", back.Len(), tr.Len())
+		}
+		bits := math.Float64bits
+		for i, want := range tr.Jobs {
+			got := back.Jobs[i]
+			if got.ID != want.ID || bits(got.Arrival) != bits(want.Arrival) ||
+				bits(got.Duration) != bits(want.Duration) || bits(got.Req[0]) != bits(want.Req[0]) ||
+				bits(got.Req[1]) != bits(want.Req[1]) || bits(got.Req[2]) != bits(want.Req[2]) {
+				t.Fatalf("job %d came back as %+v, want %+v", i, got, want)
+			}
+		}
+	})
+}
