@@ -10,6 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
+# race is where the goroutines off the event lane meet the race detector:
+# Study's worker pool, each LSTM training round, and the DRL agent's
+# train-step helper (GOMAXPROCS=1 is their serial schedule: no helper starts
+# and every train-step task runs inline, the CI golden step's setting).
 race:
 	$(GO) test -race ./...
 

@@ -3,6 +3,7 @@ package hierdrl
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 
 	"hierdrl/internal/cluster"
@@ -100,6 +101,13 @@ func (st Study) Run() ([][]*Result, error) {
 	}
 	out := make([][]*Result, len(st.Cells))
 	var tasks []func() error
+	// Runs that fill every core step their agents inline: a train-step
+	// helper (DESIGN.md §7) beside them would only take a core from another
+	// run.
+	var opts []SessionOption
+	if 2*len(st.Cells)*len(st.Seeds) > runtime.GOMAXPROCS(0) {
+		opts = append(opts, inlineTraining)
+	}
 	for i, c := range st.Cells {
 		var scen Scenario
 		if c.Scenario != "" {
@@ -133,9 +141,9 @@ func (st Study) Run() ([][]*Result, error) {
 			}
 			tasks = append(tasks, func() (err error) {
 				if src != nil {
-					out[i][k], err = RunSource(cfg, src)
+					out[i][k], err = RunSource(cfg, src, opts...)
 				} else {
-					out[i][k], err = Run(cfg, tr)
+					out[i][k], err = Run(cfg, tr, opts...)
 				}
 				if err != nil {
 					return fmt.Errorf("hierdrl: study cell %q seed %d: %w", c.Name, seed, err)

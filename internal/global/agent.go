@@ -76,6 +76,14 @@ type Agent struct {
 	nextScratch []State
 	itemScratch []TrainItem
 	maxQScratch []float64
+	nextOff     []int
+	targetTask  func(worker, b0, b1 int) // a.targets, bound once
+
+	// crew runs each training step's phases on the caller and one helper
+	// goroutine (DESIGN.md §7, "Train step on two cores"). It is a separate
+	// object so that a parked helper, which holds only the crew, does not
+	// keep an agent whose session was dropped without Close alive.
+	crew *crew
 }
 
 // NewAgent builds a DRL agent for a cluster of m servers.
@@ -90,7 +98,7 @@ func NewAgent(cfg Config, m int, rng *mat.RNG) (*Agent, error) {
 	net := NewQNetwork(enc, cfg, rng.Split())
 	tgt := NewQNetwork(enc, cfg, rng.Split())
 	tgt.CopyWeightsFrom(net)
-	return &Agent{
+	a := &Agent{
 		cfg:          cfg,
 		enc:          enc,
 		net:          net,
@@ -104,7 +112,10 @@ func NewAgent(cfg Config, m int, rng *mat.RNG) (*Agent, error) {
 		aeSampleCap:  4096,
 		actionCounts: make([]int64, m),
 		encScratch:   enc.NewState(),
-	}, nil
+		crew:         &crew{},
+	}
+	a.targetTask = a.targets
+	return a, nil
 }
 
 // rewardRate computes the Eqn. (4) reward rate from the latest cluster
@@ -171,9 +182,13 @@ func (a *Agent) Allocate(j *cluster.Job, v *cluster.View) int {
 	a.integ.Reset(v.Now.Seconds(), a.rewardRate())
 	a.decisions++
 
-	if !a.frozen && a.decisions%int64(a.cfg.TrainEvery) == 0 &&
-		a.replay.Len() >= a.cfg.MiniBatch {
-		a.trainStep()
+	if !a.frozen && a.replay.Len() >= a.cfg.MiniBatch {
+		switch a.decisions % int64(a.cfg.TrainEvery) {
+		case 0:
+			a.trainStep()
+		case int64(a.cfg.TrainEvery / 2):
+			a.crew.prewake()
+		}
 	}
 	return action
 }
@@ -293,44 +308,55 @@ func (a *Agent) successor(i int) State {
 }
 
 // trainStep samples a minibatch, computes SMDP targets with the target
-// network (Eqn. 2), and applies one clipped Adam update.
+// network (Eqn. 2), and applies one clipped Adam update. The step's phases
+// run on the caller and the crew's helper; each row task first evaluates its
+// own samples' successors through the target network.
 func (a *Agent) trainStep() {
+	a.crew.begin()
 	idxs := a.replay.SampleIndicesInto(a.idxScratch[:0], a.cfg.MiniBatch, a.rng)
 	a.idxScratch = idxs
-	// Evaluate every non-terminal successor's max-Q through the target
-	// network in one batched forward (identical values to per-item Best).
+	// Sample b's successor, when it has one, is nexts[nextOff[b]]; the
+	// successors of samples [b0, b1) are nexts[nextOff[b0]:nextOff[b1]].
 	nexts := a.nextScratch[:0]
-	for _, idx := range idxs {
-		if !a.replay.At(idx).Terminal {
-			nexts = append(nexts, a.successor(idx))
-		}
-	}
-	a.nextScratch = nexts
-	if cap(a.maxQScratch) < len(nexts) {
-		a.maxQScratch = make([]float64, len(nexts))
-	}
-	maxQ := a.maxQScratch[:len(nexts)]
-	a.tgt.MaxQBatchInto(nexts, maxQ)
+	offs := a.nextOff[:0]
 	items := a.itemScratch[:0]
 	for _, idx := range idxs {
 		tr := a.replay.At(idx)
-		var next float64
+		offs = append(offs, len(nexts))
 		if !tr.Terminal {
-			next, maxQ = maxQ[0], maxQ[1:]
+			nexts = append(nexts, a.successor(idx))
 		}
-		items = append(items, TrainItem{
-			S:      tr.S,
-			Action: tr.Action,
-			Target: rl.SMDPTarget(a.cfg.Beta, tr.Tau, tr.REq, next),
-		})
+		items = append(items, TrainItem{S: tr.S, Action: tr.Action})
 	}
-	a.itemScratch = items
-	loss := a.net.TrainBatch(items, a.opt)
+	a.nextScratch, a.nextOff, a.itemScratch = nexts, append(offs, len(nexts)), items
+	if cap(a.maxQScratch) < len(nexts) {
+		a.maxQScratch = make([]float64, len(nexts))
+	}
+	a.maxQScratch = a.maxQScratch[:len(nexts)]
+	a.tgt.PrepareTransposes()
+	loss := a.net.trainBatch(a.crew, items, a.opt, a.targetTask)
 	a.lossSum += loss
 	a.lossN++
 	a.updates++
 	if a.updates%int64(a.cfg.TargetSyncEvery) == 0 {
 		a.tgt.CopyWeightsFrom(a.net)
+	}
+}
+
+// targets fills in the SMDP target of samples [b0, b1) of the minibatch in
+// progress: one batched target-network forward over their successors (the
+// same values as per-item Best), then Eqn. 2.
+func (a *Agent) targets(worker, b0, b1 int) {
+	s0, s1 := a.nextOff[b0], a.nextOff[b1]
+	maxQ := a.maxQScratch
+	a.tgt.maxQFor(worker, a.nextScratch[s0:s1], maxQ[s0:s1])
+	for b := b0; b < b1; b++ {
+		tr := a.replay.At(a.idxScratch[b])
+		var next float64
+		if !tr.Terminal {
+			next = maxQ[a.nextOff[b]]
+		}
+		a.itemScratch[b].Target = rl.SMDPTarget(a.cfg.Beta, tr.Tau, tr.REq, next)
 	}
 }
 
@@ -361,6 +387,18 @@ func (a *Agent) bufferAESamples(s State) {
 		}
 	}
 }
+
+// TrainInline makes every later training step run on the calling goroutine
+// alone — for a caller that already keeps every core busy — and stops the
+// helper, if one runs. The steps compute the same bits either way.
+func (a *Agent) TrainInline() {
+	a.crew.close()
+	a.crew.inline = true
+}
+
+// Close stops the goroutine that helps with training steps, if one runs.
+// The agent stays usable: its next training step starts a new one.
+func (a *Agent) Close() { a.crew.close() }
 
 // FreezePolicy stops exploration and learning (evaluation mode).
 func (a *Agent) FreezePolicy() {

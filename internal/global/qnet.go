@@ -33,16 +33,26 @@ type QNetwork struct {
 	subs  []*nn.MLP         // len 1 when shared, K otherwise
 	codeD int               // per-remote-group feature width fed to Sub-Q
 
-	// ws is the scratch arena for the inference fast paths. A QNetwork is
-	// not safe for concurrent use; concurrent experiment runs each own
-	// their networks.
+	// ws is the scratch arena for the inference fast paths and the training
+	// step's shared buffers; helperWS is the train-step helper's arena for
+	// its share of the target pass. remoteBuf holds each worker's remote
+	// feature headers (index 0: the caller). A QNetwork is not safe for
+	// concurrent use; concurrent experiment runs each own their networks.
 	ws         *mat.Workspace
-	remoteBuf  []mat.Vec
+	helperWS   *mat.Workspace
+	remoteBuf  [2][]mat.Vec
 	groupsView mat.Dense // K x GroupDim header over a state's group block
 
-	// aeTape and subTape hold the backprop state of accumulateBatch's two
-	// batched forward passes (shared-weight path), reused every step.
+	// aeTape and subTape hold the backprop state of the training step's two
+	// batched passes (shared-weight path), reused every step.
 	aeTape, subTape nn.BatchTape
+
+	// step is the training step in progress; the task bodies below read
+	// it. They are bound once, in NewQNetwork, so a warm step hands the crew
+	// no new closure.
+	step                          stepBufs
+	rowTask, gradTask, updateTask func(worker, task int)
+	ranges                        []layerRange
 
 	// params caches the Params() enumeration: the parameter tensors are
 	// fixed at construction, so the slice (and the formatted names) never
@@ -81,8 +91,12 @@ func NewQNetwork(enc *Encoder, cfg Config, rng *mat.RNG) *QNetwork {
 		}
 		n.subs = append(n.subs, nn.NewMLP(sizes, acts, rng))
 	}
-	n.remoteBuf = make([]mat.Vec, enc.K())
+	n.helperWS = mat.NewWorkspace()
+	for w := range n.remoteBuf {
+		n.remoteBuf[w] = make([]mat.Vec, enc.K())
+	}
 	n.groupsView = mat.Dense{Rows: enc.K(), Cols: enc.GroupDim()}
+	n.bindTasks()
 	return n
 }
 
@@ -167,7 +181,7 @@ func duelInto(raw, q mat.Vec) {
 // remoteBuf, batching the shared-encoder case into one GEMM.
 func (n *QNetwork) remoteFeaturesWS(ws *mat.Workspace, s State) []mat.Vec {
 	K := n.enc.K()
-	remote := n.remoteBuf
+	remote := n.remoteBuf[0]
 	switch {
 	case !n.cfg.UseAutoencoder:
 		for k := 0; k < K; k++ {
@@ -250,6 +264,15 @@ func (n *QNetwork) MaxQBatchInto(states []State, vals []float64) {
 	if len(vals) != len(states) {
 		panic(fmt.Sprintf("global: MaxQBatchInto dst length %d want %d", len(vals), len(states)))
 	}
+	n.maxQFor(0, states, vals)
+}
+
+// maxQFor is MaxQBatchInto run by one worker of a split training step, with
+// that worker's arena and remote-feature headers. A state's value never
+// depends on the other rows of its batch, so any split of the states between
+// workers yields the same bits; the caller of a split builds the target
+// network's cached transposes first (PrepareTransposes).
+func (n *QNetwork) maxQFor(worker int, states []State, vals []float64) {
 	if len(states) == 0 {
 		return
 	}
@@ -259,11 +282,31 @@ func (n *QNetwork) MaxQBatchInto(states []State, vals []float64) {
 		}
 		return
 	}
+	ws := n.ws
+	if worker == 1 {
+		ws = n.helperWS
+	}
+	ws.Reset()
+	n.maxQRows(ws, n.remoteBuf[worker], states, vals)
+}
+
+// PrepareTransposes builds every stale cached transpose of the inference
+// path, so that workers sharing the network afterwards only read them.
+func (n *QNetwork) PrepareTransposes() {
+	for _, ae := range n.aes {
+		ae.Enc.PrepareTransposes()
+	}
+	for _, sub := range n.subs {
+		sub.PrepareTransposes()
+	}
+}
+
+// maxQRows computes the shared-weight max-Q of states into vals, all states
+// and heads as one batched forward, with scratch from ws.
+func (n *QNetwork) maxQRows(ws *mat.Workspace, remote []mat.Vec, states []State, vals []float64) {
 	K := n.enc.K()
 	G := n.enc.GroupSize()
 	gd := n.enc.GroupDim()
-	ws := n.ws
-	ws.Reset()
 	R := len(states) * K
 	var codes *mat.Dense
 	if n.cfg.UseAutoencoder {
@@ -274,7 +317,6 @@ func (n *QNetwork) MaxQBatchInto(states []State, vals []float64) {
 		codes = n.aes[0].Enc.InferBatchWS(ws, X)
 	}
 	in := ws.TakeMatUninit(R, n.inDim())
-	remote := n.remoteBuf
 	for i, s := range states {
 		for k := 0; k < K; k++ {
 			if n.cfg.UseAutoencoder {
@@ -324,25 +366,66 @@ type TrainItem struct {
 // as batched GEMMs; the resulting gradients (and therefore weights) are
 // bitwise identical to the per-sample accumulation path.
 func (n *QNetwork) TrainBatch(batch []TrainItem, opt *nn.Adam) float64 {
+	return n.trainBatch(nil, batch, opt, nil)
+}
+
+// trainBatch is TrainBatch with its phases split between c's workers
+// (DESIGN.md §7, "Train step on two cores"): sample rows through the forward
+// and backward passes, then output neurons through the weight gradients
+// (zeroed by the same task) and, once the caller has the gradient norm — one
+// sum, so not split — through the clip rescale, Adam and the rows of the
+// cached transposes. targets, when set, fills in the Target of samples
+// [b0, b1) at the start of their row task. Without weight sharing the step
+// runs the per-sample path on the caller.
+func (n *QNetwork) trainBatch(c *crew, batch []TrainItem, opt *nn.Adam, targets func(worker, b0, b1 int)) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
 	params := n.Params()
-	nn.ZeroGrads(params)
 	scale := 1 / float64(len(batch))
 	var total float64
-	if n.cfg.ShareWeights {
-		total = n.accumulateBatch(batch, scale)
-	} else {
+	if !n.cfg.ShareWeights {
+		if targets != nil {
+			targets(0, 0, len(batch))
+		}
+		nn.ZeroGrads(params)
 		for _, item := range batch {
 			total += n.accumulate(item, scale)
 		}
+		if n.cfg.ClipNorm > 0 {
+			nn.ClipGrads(params, n.cfg.ClipNorm)
+		}
+		opt.Step(params)
+		n.InvalidateTransposes()
+		return total / float64(len(batch))
 	}
+	n.beginStep(batch, scale, targets)
+	per := len(batch)
+	if c.split() {
+		per = samplesPerTask
+	}
+	n.step.per = per
+	c.run(n.rowTask, (len(batch)+per-1)/per)
+	c.run(n.gradTask, len(n.ranges))
+	for _, e := range n.step.errSq[:len(batch)] {
+		total += e
+	}
+	n.step.batch, n.step.targets = nil, nil
+	n.step.clip = 0
 	if n.cfg.ClipNorm > 0 {
-		nn.ClipGrads(params, n.cfg.ClipNorm)
+		if norm := nn.GradNorm(params); norm > n.cfg.ClipNorm && norm > 0 {
+			n.step.clip = n.cfg.ClipNorm / norm
+		}
 	}
-	opt.Step(params)
-	n.InvalidateTransposes()
+	opt.Begin(params)
+	n.step.opt = opt
+	c.run(n.updateTask, len(n.ranges))
+	n.step.opt = nil
+	for _, r := range n.ranges {
+		if r.o0 == 0 {
+			r.mlp.Layers[r.layer].SetTransposeCurrent()
+		}
+	}
 	return total / float64(len(batch))
 }
 
@@ -359,45 +442,69 @@ func (n *QNetwork) InvalidateTransposes() {
 	}
 }
 
-// accumulateBatch adds the whole minibatch's gradient contribution through
-// the batched forward/backward path (weight sharing only) and returns the
-// summed squared error. Row ordering everywhere is sample-major with remote
-// groups ascending, which makes every parameter tensor receive per-sample
-// contributions in exactly the order the per-sample path would produce.
-func (n *QNetwork) accumulateBatch(batch []TrainItem, scale float64) float64 {
+// beginStep takes the shared-weight step's buffers from the arena and
+// opens both batched passes on them. Row ordering everywhere is sample-major
+// with remote groups ascending, which makes every parameter tensor receive
+// per-sample contributions in exactly the order the per-sample path would
+// produce.
+func (n *QNetwork) beginStep(batch []TrainItem, scale float64, targets func(worker, b0, b1 int)) {
 	B := len(batch)
+	K := n.enc.K()
+	ws := n.ws
+	ws.Reset()
+	st := &n.step
+	st.batch, st.scale, st.targets = batch, scale, targets
+	if n.cfg.UseAutoencoder {
+		st.aeIn = ws.TakeMatUninit(B*(K-1), n.enc.GroupDim())
+		st.dCodes = ws.TakeMatUninit(B*(K-1), n.codeD)
+		// The encoder is the graph's input layer: nothing consumes dL/dX.
+		n.aes[0].Enc.BeginBatch(ws, st.aeIn, &n.aeTape, false)
+	}
+	st.in = ws.TakeMatUninit(B, n.inDim())
+	st.dOut = ws.TakeMatUninit(B, n.enc.GroupSize()+1)
+	n.subs[0].BeginBatch(ws, st.in, &n.subTape, n.cfg.UseAutoencoder)
+	if cap(st.errSq) < B {
+		st.errSq = make([]float64, B)
+	}
+}
+
+// trainRows is task t of the split forward and backward passes: samples
+// [t·per, (t+1)·per) through the encoder, the Sub-Q head, the dueling loss
+// and back again, every layer's rows of pre-activation and input gradient.
+// Parameter gradients wait for gradPart, once every row is back.
+func (n *QNetwork) trainRows(worker, t int) {
+	st := &n.step
+	b0 := t * st.per
+	b1 := min(b0+st.per, len(st.batch))
 	K := n.enc.K()
 	G := n.enc.GroupSize()
 	gd := n.enc.GroupDim()
 	jd := n.enc.JobDim()
-
-	// All scratch (inputs, activations, gradients) comes from the arena;
-	// nothing here survives the call, and no inference runs concurrently,
-	// so the whole training step is allocation-light.
-	ws := n.ws
-	ws.Reset()
+	a0, a1 := b0*(K-1), b1*(K-1) // the samples' encoder rows
+	if st.targets != nil {
+		st.targets(worker, b0, b1)
+	}
 
 	var codes *mat.Dense
 	if n.cfg.UseAutoencoder {
-		AEin := ws.TakeMatUninit(B*(K-1), gd)
-		idx := 0
-		for _, item := range batch {
+		idx := a0
+		for _, item := range st.batch[b0:b1] {
 			k := n.enc.GroupOf(item.Action)
 			for kp := 0; kp < K; kp++ {
 				if kp == k {
 					continue
 				}
-				AEin.Row(idx).CopyFrom(item.S.Group(kp))
+				st.aeIn.Row(idx).CopyFrom(item.S.Group(kp))
 				idx++
 			}
 		}
-		codes = n.aes[0].Enc.ForwardBatchWS(ws, AEin, &n.aeTape)
+		codes = n.aes[0].Enc.ForwardRows(&n.aeTape, a0, a1)
 	}
 
-	in := ws.TakeMatUninit(B, n.inDim())
-	remote := n.remoteBuf
-	idx := 0
-	for b, item := range batch {
+	remote := n.remoteBuf[worker]
+	idx := a0
+	for b := b0; b < b1; b++ {
+		item := st.batch[b]
 		k := n.enc.GroupOf(item.Action)
 		for kp := 0; kp < K; kp++ {
 			if kp == k {
@@ -410,14 +517,13 @@ func (n *QNetwork) accumulateBatch(batch []TrainItem, scale float64) float64 {
 				remote[kp] = item.S.Group(kp)
 			}
 		}
-		n.fillHeadInput(in.Row(b), k, item.S, remote)
+		n.fillHeadInput(st.in.Row(b), k, item.S, remote)
 	}
-	raw := n.subs[0].ForwardBatchWS(ws, in, &n.subTape)
+	raw := n.subs[0].ForwardRows(&n.subTape, b0, b1)
 
-	dOut := ws.TakeMatUninit(B, G+1)
 	gs := float64(G)
-	var total float64
-	for b, item := range batch {
+	for b := b0; b < b1; b++ {
+		item := st.batch[b]
 		o := n.enc.OffsetOf(item.Action)
 		rawRow := raw.Row(b)
 		v := rawRow[0]
@@ -425,11 +531,11 @@ func (n *QNetwork) accumulateBatch(batch []TrainItem, scale float64) float64 {
 		meanA := adv.Mean()
 		q := v + adv[o] - meanA
 		err := q - item.Target
-		total += err * err
-		g := 2 * err * scale
+		st.errSq[b] = err * err
+		g := 2 * err * st.scale
 		// Backprop through the dueling combination: dQ_o/dV = 1,
 		// dQ_o/dA_{o'} = delta_{o o'} - 1/G.
-		dRow := dOut.Row(b)
+		dRow := st.dOut.Row(b)
 		dRow[0] = g
 		for op := 0; op < G; op++ {
 			if op == o {
@@ -439,29 +545,60 @@ func (n *QNetwork) accumulateBatch(batch []TrainItem, scale float64) float64 {
 			}
 		}
 	}
-	dIn := n.subs[0].BackwardBatchWS(ws, &n.subTape, dOut, n.cfg.UseAutoencoder)
+	dIn := n.subs[0].BackwardRows(&n.subTape, st.dOut, b0, b1)
 
 	if n.cfg.UseAutoencoder {
-		dCodes := ws.TakeMatUninit(B*(K-1), n.codeD)
 		base := gd + jd
-		idx := 0
-		for b, item := range batch {
-			k := n.enc.GroupOf(item.Action)
+		idx := a0
+		for b := b0; b < b1; b++ {
+			k := n.enc.GroupOf(st.batch[b].Action)
 			seg := 0
 			dRow := dIn.Row(b)
 			for kp := 0; kp < K; kp++ {
 				if kp == k {
 					continue
 				}
-				copy(dCodes.Row(idx), dRow[base+seg*n.codeD:base+(seg+1)*n.codeD])
+				copy(st.dCodes.Row(idx), dRow[base+seg*n.codeD:base+(seg+1)*n.codeD])
 				idx++
 				seg++
 			}
 		}
-		// The encoder is the graph's input layer: nothing consumes dL/dX.
-		n.aes[0].Enc.BackwardBatchWS(ws, &n.aeTape, dCodes, false)
+		n.aes[0].Enc.BackwardRows(&n.aeTape, st.dCodes, a0, a1)
 	}
-	return total
+}
+
+// gradPart is task t of the split weight-gradient pass: it zeroes one range
+// of a layer's output neurons and adds their gradient over every sample,
+// samples ascending.
+func (n *QNetwork) gradPart(_, t int) {
+	r := n.ranges[t]
+	l := r.mlp.Layers[r.layer]
+	clear(l.GW.Data[r.o0*l.In : r.o1*l.In])
+	clear(l.GB[r.o0:r.o1])
+	r.mlp.GradRows(r.tape, r.layer, r.o0, r.o1)
+}
+
+// updatePart is task t of the split update: the clip rescale and the Adam
+// step of one range of a layer's output neurons — their weight rows and
+// biases — and then those rows of the layer's cached transpose.
+func (n *QNetwork) updatePart(_, t int) {
+	r := n.ranges[t]
+	l := r.mlp.Layers[r.layer]
+	n.update(r.p, r.o0*l.In, r.o1*l.In)
+	n.update(r.p+1, r.o0, r.o1)
+	l.TransposeRows(r.o0, r.o1)
+}
+
+// update rescales elements [lo, hi) of Params()[i]'s gradient by the clip
+// factor, if any, and applies the Adam step to them.
+func (n *QNetwork) update(i, lo, hi int) {
+	if clip := n.step.clip; clip != 0 {
+		g := n.params[i].Grad[lo:hi]
+		for j := range g {
+			g[j] *= clip
+		}
+	}
+	n.step.opt.StepRange(n.params, i, lo, hi)
 }
 
 // accumulate adds one item's gradient contribution (scaled) and returns its

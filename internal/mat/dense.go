@@ -28,6 +28,11 @@ func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Dense) Row(i int) Vec { return Vec(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
+// Slice returns rows [r0, r1) of m as a header sharing its storage.
+func (m *Dense) Slice(r0, r1 int) Dense {
+	return Dense{Rows: r1 - r0, Cols: m.Cols, Data: m.Data[r0*m.Cols : r1*m.Cols]}
+}
+
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	out := NewDense(m.Rows, m.Cols)

@@ -60,24 +60,28 @@ func gemmInto(a, w, c *Dense) {
 // elements per visit instead of one — the layers rebuild their cached Wᵀ
 // after every optimizer step, and one-element strided stores made that
 // rebuild cost as much as a small GEMM.
-func TransposeInto(src, dst *Dense) {
-	if dst.Rows != src.Cols || dst.Cols != src.Rows {
-		panic(fmt.Sprintf("mat: TransposeInto shape mismatch src=%dx%d dst=%dx%d",
-			src.Rows, src.Cols, dst.Rows, dst.Cols))
+func TransposeInto(src, dst *Dense) { TransposeRowsInto(src, dst, 0, src.Rows) }
+
+// TransposeRowsInto writes rows [r0, r1) of src into columns [r0, r1) of
+// dst = srcᵀ, leaving dst's other columns alone.
+func TransposeRowsInto(src, dst *Dense, r0, r1 int) {
+	if dst.Rows != src.Cols || dst.Cols != src.Rows || r0 < 0 || r1 > src.Rows || r0 > r1 {
+		panic(fmt.Sprintf("mat: TransposeInto shape mismatch src=%dx%d dst=%dx%d rows [%d,%d)",
+			src.Rows, src.Cols, dst.Rows, dst.Cols, r0, r1))
 	}
 	rows, cols := src.Rows, src.Cols
-	i := 0
-	for ; i+4 <= rows; i += 4 {
-		r0 := src.Data[i*cols : i*cols+cols]
-		r1 := src.Data[(i+1)*cols : (i+1)*cols+cols][:cols]
-		r2 := src.Data[(i+2)*cols : (i+2)*cols+cols][:cols]
-		r3 := src.Data[(i+3)*cols : (i+3)*cols+cols][:cols]
-		for j, v := range r0 {
+	i := r0
+	for ; i+4 <= r1; i += 4 {
+		s0 := src.Data[i*cols : i*cols+cols]
+		s1 := src.Data[(i+1)*cols : (i+1)*cols+cols][:cols]
+		s2 := src.Data[(i+2)*cols : (i+2)*cols+cols][:cols]
+		s3 := src.Data[(i+3)*cols : (i+3)*cols+cols][:cols]
+		for j, v := range s0 {
 			d := dst.Data[j*rows+i : j*rows+i+4]
-			d[0], d[1], d[2], d[3] = v, r1[j], r2[j], r3[j]
+			d[0], d[1], d[2], d[3] = v, s1[j], s2[j], s3[j]
 		}
 	}
-	for ; i < rows; i++ {
+	for ; i < r1; i++ {
 		row := src.Data[i*cols : (i+1)*cols]
 		for j, v := range row {
 			dst.Data[j*rows+i] = v
@@ -121,14 +125,23 @@ func MulMat(a, b, c *Dense) {
 // sample order — exactly the sequence a loop of AddOuter(a.Row(s), b.Row(s))
 // calls would produce, including the skip-zero shortcut. This is the batched
 // weight-gradient update dW += dYᵀ·X.
-func AddMulTMat(a, b, c *Dense) {
-	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: AddMulTMat shape mismatch a=%dx%d b=%dx%d c=%dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+func AddMulTMat(a, b, c *Dense) { AddMulTMatRows(a, b, c, 0, c.Rows) }
+
+// AddMulTMatRows is AddMulTMat restricted to rows [o0, o1) of c (columns
+// [o0, o1) of a): every element it writes receives the same terms in the
+// same order as under AddMulTMat, and no other element is touched, so
+// disjoint row ranges may be updated concurrently.
+func AddMulTMatRows(a, b, c *Dense, o0, o1 int) {
+	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols || o0 < 0 || o1 > c.Rows || o0 > o1 {
+		panic(fmt.Sprintf("mat: AddMulTMat shape mismatch a=%dx%d b=%dx%d c=%dx%d rows [%d,%d)",
+			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols, o0, o1))
+	}
+	if o0 == o1 {
+		return
 	}
 	if useAVX512 && c.Cols >= 8 {
 		// Output row o takes coefficient a[s][o] at step s: A read column-wise.
-		gemm512(c.Data, c.Cols, a.Data, 1, a.Cols, b.Data, b.Cols, c.Rows, a.Rows, c.Cols, false)
+		gemm512(c.Data[o0*c.Cols:], c.Cols, a.Data[o0:], 1, a.Cols, b.Data, b.Cols, o1-o0, a.Rows, c.Cols, false)
 		return
 	}
 	s := 0
@@ -137,7 +150,7 @@ func AddMulTMat(a, b, c *Dense) {
 		b1 := b.Row(s + 1)
 		b2 := b.Row(s + 2)
 		b3 := b.Row(s + 3)
-		for o := 0; o < c.Rows; o++ {
+		for o := o0; o < o1; o++ {
 			a0 := a.At(s, o)
 			a1 := a.At(s+1, o)
 			a2 := a.At(s+2, o)
@@ -162,7 +175,10 @@ func AddMulTMat(a, b, c *Dense) {
 		}
 	}
 	for ; s < a.Rows; s++ {
-		c.AddOuter(a.Row(s), b.Row(s))
+		bs := b.Row(s)
+		for o := o0; o < o1; o++ {
+			addScaled(c.Row(o), a.At(s, o), bs)
+		}
 	}
 }
 

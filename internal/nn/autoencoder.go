@@ -126,7 +126,7 @@ func (a *Autoencoder) TrainBatch(xs []mat.Vec, opt *Adam, clipNorm float64) floa
 		}
 		total += loss / n
 	}
-	a.Enc.BackwardBatchWS(ws, &a.encTape, a.Dec.BackwardBatchWS(ws, &a.decTape, G, true), false)
+	a.Enc.BackwardBatchWS(&a.encTape, a.Dec.BackwardBatchWS(&a.decTape, G, true), false)
 	if clipNorm > 0 {
 		ClipGrads(params, clipNorm)
 	}

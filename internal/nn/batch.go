@@ -29,46 +29,55 @@ func (d *Dense) InferBatch(X, Y *mat.Dense) {
 	applyAct(d.Act, Y.Data, Y.Data)
 }
 
-// forwardBatchSaved is the batched training forward: pre = X·Wᵀ + b and
-// Y = act(pre), both taken from ws and handed back so the caller keeps the
-// backprop state instead of a closure capturing it. X is not copied: it must
-// stay untouched — and ws un-Reset — until the matching backwardBatchSaved
-// has run.
-func (d *Dense) forwardBatchSaved(ws *mat.Workspace, X *mat.Dense) (pre, Y *mat.Dense) {
+// forwardRows computes rows [r0, r1) of pre = X·Wᵀ + b and Y = act(pre).
+// Rows of a batch never meet, so each row holds what the whole-batch forward
+// computes for it, bit for bit. The cached Wᵀ must be current before rows
+// run concurrently (MLP.BeginBatch builds it).
+func (d *Dense) forwardRows(X, pre, Y *mat.Dense, r0, r1 int) {
 	if X.Cols != d.In {
 		panic(fmt.Sprintf("nn: Dense batched forward input width %d want %d", X.Cols, d.In))
 	}
-	pre = ws.TakeMatUninit(X.Rows, d.Out)
-	mat.MulMatTWithBT(X, d.W, d.transposedW(), pre)
-	for b := 0; b < pre.Rows; b++ {
-		mat.AddScaled(pre.Row(b), 1, d.B)
+	if r0 == r1 {
+		return
 	}
-	Y = ws.TakeMatUninit(X.Rows, d.Out)
-	applyAct(d.Act, pre.Data, Y.Data)
-	return pre, Y
+	x, p, y := X.Slice(r0, r1), pre.Slice(r0, r1), Y.Slice(r0, r1)
+	mat.MulMatTWithBT(&x, d.W, d.transposedW(), &p)
+	for b := 0; b < p.Rows; b++ {
+		mat.AddScaled(p.Row(b), 1, d.B)
+	}
+	applyAct(d.Act, p.Data, y.Data)
 }
 
-// backwardBatchSaved replays the backward pass from the buffers of
-// forwardBatchSaved: GW += dPreᵀ·X and GB += Σ dPre with samples in ascending
-// order, and — unless needDX is false, for a layer whose input gradient
-// nobody consumes — returns dL/dX = dPre·W (else nil). Scratch comes from ws.
-func (d *Dense) backwardBatchSaved(ws *mat.Workspace, X, pre, Y, dY *mat.Dense, needDX bool) *mat.Dense {
-	if dY.Rows != X.Rows || dY.Cols != d.Out {
+// backwardRows computes rows [r0, r1) of dPre = dY ⊙ act'(pre) and, unless
+// dX is nil (a layer whose input gradient nobody consumes), of
+// dL/dX = dPre·W.
+func (d *Dense) backwardRows(dY, pre, Y, dPre, dX *mat.Dense, r0, r1 int) {
+	if dY.Rows != pre.Rows || dY.Cols != d.Out {
 		panic(fmt.Sprintf("nn: Dense batched backward grad %dx%d want %dx%d",
-			dY.Rows, dY.Cols, X.Rows, d.Out))
+			dY.Rows, dY.Cols, pre.Rows, d.Out))
 	}
-	dPre := ws.TakeMatUninit(dY.Rows, d.Out)
-	applyActDeriv(d.Act, dY.Data, pre.Data, Y.Data, dPre.Data)
-	mat.AddMulTMat(dPre, X, d.GW)
+	if r0 == r1 {
+		return
+	}
+	g, p, y, dp := dY.Slice(r0, r1), pre.Slice(r0, r1), Y.Slice(r0, r1), dPre.Slice(r0, r1)
+	applyActDeriv(d.Act, g.Data, p.Data, y.Data, dp.Data)
+	if dX != nil {
+		dx := dX.Slice(r0, r1)
+		mat.MulMat(&dp, d.W, &dx)
+	}
+}
+
+// gradRows adds output neurons [o0, o1) of GW += dPreᵀ·X and GB += Σ dPre,
+// samples in ascending order: each gradient element receives the terms of the
+// whole-layer update in the same order, and no other element is touched.
+func (d *Dense) gradRows(X, dPre *mat.Dense, o0, o1 int) {
+	mat.AddMulTMatRows(dPre, X, d.GW, o0, o1)
+	if o0 == o1 {
+		return
+	}
 	for b := 0; b < dPre.Rows; b++ {
-		mat.AddScaled(d.GB, 1, dPre.Row(b))
+		mat.AddScaled(d.GB[o0:o1], 1, dPre.Row(b)[o0:o1])
 	}
-	if !needDX {
-		return nil
-	}
-	dX := ws.TakeMatUninit(dY.Rows, d.In)
-	mat.MulMat(dPre, d.W, dX)
-	return dX
 }
 
 // InferBatchWS runs the whole network on a minibatch using ws for every
@@ -97,12 +106,75 @@ func (m *MLP) InferWS(ws *mat.Workspace, x mat.Vec) mat.Vec {
 	return h
 }
 
-// BatchTape holds the backprop state of one batched forward pass through an
-// MLP — per layer its input, pre-activation and output — between
-// ForwardBatchWS and BackwardBatchWS: the caller keeps one tape per network
-// and reuses it every step, so a warm training step allocates nothing.
+// BatchTape holds the state of one batched training pass through an MLP —
+// per layer its input, pre-activation, output, pre-activation gradient and
+// input gradient — between the forward and backward calls: the caller keeps
+// one tape per network and reuses it every step, so a warm training step
+// allocates nothing.
 type BatchTape struct {
-	layers []struct{ x, pre, y *mat.Dense }
+	layers []tapeLayer
+}
+
+type tapeLayer struct{ x, pre, y, dPre, dX *mat.Dense }
+
+// BeginBatch takes every buffer of a training pass over X's rows from ws into
+// tape (X is not copied: neither it nor ws may be touched or Reset until the
+// pass is over) and builds each layer's cached Wᵀ. After it, ForwardRows,
+// BackwardRows and GradRows only write the rows or neurons they are given, so
+// calls on disjoint ranges may run concurrently; every element they write
+// holds the bits the whole-batch pass computes. With needInputDX false the
+// first layer's dL/dX is not computed — for a network whose input gradient
+// nobody consumes.
+func (m *MLP) BeginBatch(ws *mat.Workspace, X *mat.Dense, tape *BatchTape, needInputDX bool) {
+	if len(tape.layers) != len(m.Layers) {
+		tape.layers = make([]tapeLayer, len(m.Layers))
+	}
+	h := X
+	for i, l := range m.Layers {
+		t := &tape.layers[i]
+		t.x = h
+		t.pre = ws.TakeMatUninit(X.Rows, l.Out)
+		t.y = ws.TakeMatUninit(X.Rows, l.Out)
+		t.dPre = ws.TakeMatUninit(X.Rows, l.Out)
+		t.dX = nil
+		if i > 0 || needInputDX {
+			t.dX = ws.TakeMatUninit(X.Rows, l.In)
+		}
+		l.transposedW()
+		h = t.y
+	}
+}
+
+// ForwardRows runs rows [r0, r1) of the pass begun on tape through every
+// layer and returns the whole output matrix.
+func (m *MLP) ForwardRows(tape *BatchTape, r0, r1 int) *mat.Dense {
+	for i, l := range m.Layers {
+		t := &tape.layers[i]
+		l.forwardRows(t.x, t.pre, t.y, r0, r1)
+	}
+	return tape.layers[len(m.Layers)-1].y
+}
+
+// BackwardRows backpropagates rows [r0, r1) of dY through the pass begun on
+// tape — every layer's pre-activation gradient and input gradient — and
+// returns the whole dL/dX matrix (nil without needInputDX). It accumulates no
+// parameter gradient: GradRows does, once every row is back.
+func (m *MLP) BackwardRows(tape *BatchTape, dY *mat.Dense, r0, r1 int) *mat.Dense {
+	g := dY
+	for i := len(m.Layers) - 1; i >= 0; i-- {
+		t := &tape.layers[i]
+		m.Layers[i].backwardRows(g, t.pre, t.y, t.dPre, t.dX, r0, r1)
+		g = t.dX
+	}
+	return tape.layers[0].dX
+}
+
+// GradRows adds output neurons [o0, o1) of layer i's parameter gradients from
+// the rows BackwardRows left on tape: GW += dPreᵀ·X and GB += Σ dPre, samples
+// in ascending order.
+func (m *MLP) GradRows(tape *BatchTape, i, o0, o1 int) {
+	t := &tape.layers[i]
+	m.Layers[i].gradRows(t.x, t.dPre, o0, o1)
 }
 
 // ForwardBatchWS runs the network on a minibatch with scratch taken from ws,
@@ -110,28 +182,21 @@ type BatchTape struct {
 // not copied: neither it nor ws may be touched or Reset until BackwardBatchWS
 // has consumed the tape.
 func (m *MLP) ForwardBatchWS(ws *mat.Workspace, X *mat.Dense, tape *BatchTape) *mat.Dense {
-	if len(tape.layers) != len(m.Layers) {
-		tape.layers = make([]struct{ x, pre, y *mat.Dense }, len(m.Layers))
-	}
-	h := X
-	for i, l := range m.Layers {
-		t := &tape.layers[i]
-		t.x = h
-		t.pre, t.y = l.forwardBatchSaved(ws, h)
-		h = t.y
-	}
-	return h
+	m.BeginBatch(ws, X, tape, true)
+	return m.ForwardRows(tape, 0, X.Rows)
 }
 
 // BackwardBatchWS backpropagates dY through the pass recorded in tape,
 // accumulating every layer's parameter gradients, and returns dL/dX. With
 // needInputDX false the first layer skips computing dL/dX and nil is
 // returned — use when nothing upstream consumes the input gradient.
-func (m *MLP) BackwardBatchWS(ws *mat.Workspace, tape *BatchTape, dY *mat.Dense, needInputDX bool) *mat.Dense {
-	g := dY
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		t := &tape.layers[i]
-		g = m.Layers[i].backwardBatchSaved(ws, t.x, t.pre, t.y, g, i > 0 || needInputDX)
+func (m *MLP) BackwardBatchWS(tape *BatchTape, dY *mat.Dense, needInputDX bool) *mat.Dense {
+	if !needInputDX {
+		tape.layers[0].dX = nil
 	}
-	return g
+	dX := m.BackwardRows(tape, dY, 0, dY.Rows)
+	for i, l := range m.Layers {
+		m.GradRows(tape, i, 0, l.Out)
+	}
+	return dX
 }

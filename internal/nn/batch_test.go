@@ -71,9 +71,18 @@ func testDenseForwardBatchMatchesPerSample(t *testing.T) {
 			dXRef.Row(b).CopyFrom(back(dY.Row(b)))
 		}
 
-		ws := mat.NewWorkspace()
-		pre, Y := bat.forwardBatchSaved(ws, X)
-		dX := bat.backwardBatchSaved(ws, X, pre, Y, dY, true)
+		// The batched layer runs in row ranges of 3 and neuron ranges of 5,
+		// as a split train step hands them out: the pieces must add up to
+		// the per-sample path bit for bit.
+		pre, Y := mat.NewDense(sh.b, sh.out), mat.NewDense(sh.b, sh.out)
+		dPre, dX := mat.NewDense(sh.b, sh.out), mat.NewDense(sh.b, sh.in)
+		for r := 0; r < sh.b; r += 3 {
+			bat.forwardRows(X, pre, Y, r, min(r+3, sh.b))
+			bat.backwardRows(dY, pre, Y, dPre, dX, r, min(r+3, sh.b))
+		}
+		for o := 0; o < sh.out; o += 5 {
+			bat.gradRows(X, dPre, o, min(o+5, sh.out))
+		}
 
 		wantY := mat.NewVec(sh.out)
 		for b := 0; b < sh.b; b++ {
@@ -130,7 +139,7 @@ func testMLPBatchMatchesPerSample(t *testing.T) {
 	var tape BatchTape
 	fws := mat.NewWorkspace()
 	Y := bat.ForwardBatchWS(fws, X, &tape)
-	dX := bat.BackwardBatchWS(fws, &tape, dY, true)
+	dX := bat.BackwardBatchWS(&tape, dY, true)
 
 	for b := 0; b < B; b++ {
 		want := bat.Infer(X.Row(b))

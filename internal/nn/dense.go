@@ -91,6 +91,21 @@ func (d *Dense) transposedW() *mat.Dense {
 	return d.wt
 }
 
+// TransposeRows rewrites rows [r0, r1) of W into the cached Wᵀ, for an
+// update that changed those rows: ranges that are disjoint may be written
+// concurrently, and once every row is rewritten SetTransposeCurrent marks the
+// cache current, so no later call rebuilds it. Both do nothing where no
+// kernel reads the cache or it was never built.
+func (d *Dense) TransposeRows(r0, r1 int) {
+	if d.wt != nil && mat.BTUsable(d.Out) {
+		mat.TransposeRowsInto(d.W, d.wt, r0, r1)
+	}
+}
+
+// SetTransposeCurrent marks the cached Wᵀ current after TransposeRows has
+// rewritten every row.
+func (d *Dense) SetTransposeCurrent() { d.wtOK = d.wt != nil && mat.BTUsable(d.Out) }
+
 // NewDense returns a Dense layer with Xavier-initialized weights and zero
 // biases.
 func NewDense(in, out int, act Activation, rng *mat.RNG) *Dense {

@@ -95,6 +95,14 @@ func (m *MLP) InvalidateTransposes() {
 	}
 }
 
+// PrepareTransposes builds every stale cached Wᵀ now, so that concurrent
+// inference calls afterwards only read the caches.
+func (m *MLP) PrepareTransposes() {
+	for _, l := range m.Layers {
+		l.transposedW()
+	}
+}
+
 // NumParams returns the total scalar parameter count.
 func (m *MLP) NumParams() int {
 	n := 0

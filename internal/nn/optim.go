@@ -20,6 +20,8 @@ type Adam struct {
 	t int
 	m [][]float64
 	v [][]float64
+	// c1 and c2 are the bias corrections of the update Begin opened.
+	c1, c2 float64
 }
 
 // NewAdam returns an Adam optimizer with the standard defaults
@@ -34,6 +36,18 @@ func NewAdam(lr float64) *Adam {
 // Step applies one Adam update using the accumulated gradients in params and
 // then leaves the gradients untouched (callers typically ZeroGrads after).
 func (a *Adam) Step(params []Param) {
+	a.Begin(params)
+	for i, p := range params {
+		a.StepRange(params, i, 0, len(p.Val))
+	}
+}
+
+// Begin opens one update: it advances the step count and its bias
+// corrections. StepRange then applies the update to elements [lo, hi) of
+// tensor i; the update is elementwise, so ranges that together cover every
+// tensor once — in any order, or concurrently when disjoint — produce the
+// bits of Step.
+func (a *Adam) Begin(params []Param) {
 	if a.m == nil {
 		a.m = make([][]float64, len(params))
 		a.v = make([][]float64, len(params))
@@ -46,17 +60,22 @@ func (a *Adam) Step(params []Param) {
 		panic(fmt.Sprintf("nn: Adam.Step param count changed: %d != %d",
 			len(params), len(a.m)))
 	}
-	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for i, p := range params {
 		if len(p.Val) != len(a.m[i]) {
 			panic(fmt.Sprintf("nn: Adam.Step param %d size changed: %d != %d",
 				i, len(p.Val), len(a.m[i])))
 		}
-		mat.FusedAdam(p.Val, p.Grad, a.m[i], a.v[i],
-			a.Beta1, a.Beta2, c1, c2, a.LR, a.Eps)
 	}
+	a.t++
+	a.c1 = 1 - math.Pow(a.Beta1, float64(a.t))
+	a.c2 = 1 - math.Pow(a.Beta2, float64(a.t))
+}
+
+// StepRange applies the update Begin opened to elements [lo, hi) of tensor i.
+func (a *Adam) StepRange(params []Param, i, lo, hi int) {
+	p := params[i]
+	mat.FusedAdam(p.Val[lo:hi], p.Grad[lo:hi], a.m[i][lo:hi], a.v[i][lo:hi],
+		a.Beta1, a.Beta2, a.c1, a.c2, a.LR, a.Eps)
 }
 
 // Steps returns how many updates have been applied.

@@ -73,7 +73,16 @@ type sessionOptions struct {
 	telAddr    string // WithTelemetry: HTTP observability endpoint address
 	etraceCap  int    // WithEpochTrace: ring capacity (0 = off)
 	etracePath string // WithEpochTraceFile: Chrome-trace dump at Close
+
+	// trainInline keeps the DRL agent's training steps on the lane's
+	// goroutine, for a Study running enough sessions at once to keep every
+	// core busy (inlineTraining).
+	trainInline bool
 }
+
+// inlineTraining is the session setting of a Study whose runs occupy every
+// core: a train-step helper there would only take a core from another run.
+func inlineTraining(o *sessionOptions) { o.trainInline = true }
 
 // SessionOption configures NewSession.
 type SessionOption func(*sessionOptions)
@@ -232,6 +241,9 @@ func NewSession(cfg Config, opts ...SessionOption) (*Session, error) {
 		agent, err = global.NewAgent(cfg.Global, cfg.M, rng.Split())
 		if err != nil {
 			return nil, fmt.Errorf("hierdrl: global agent: %w", err)
+		}
+		if o.trainInline {
+			agent.TrainInline()
 		}
 		if cfg.WarmupTrace != nil && cfg.WarmupTrace.Len() > 0 {
 			if err := warmup(cfg, agent, rng.Split()); err != nil {
@@ -929,7 +941,8 @@ func (s *Session) finishEpisode() {
 }
 
 // Close waits for every LSTM training round still in flight (re-raising a
-// round's panic), finalizes the learning episode (if Result has not already),
+// round's panic), stops the DRL agent's train-step helper goroutine,
+// finalizes the learning episode (if Result has not already),
 // dumps the epoch-trace file and shuts the telemetry endpoint down (if
 // configured), stops the pump timer, and marks the session unusable.
 // It is idempotent; the only error it can return is a failing epoch-trace
@@ -940,6 +953,9 @@ func (s *Session) Close() error {
 	}
 	for _, j := range s.joiners {
 		j.Join()
+	}
+	if s.agent != nil {
+		s.agent.Close()
 	}
 	s.finishEpisode()
 	err := s.telClose()

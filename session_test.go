@@ -1,13 +1,16 @@
 package hierdrl_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"hierdrl"
 	"hierdrl/internal/cluster"
@@ -656,5 +659,82 @@ func TestValidateClusterOverride(t *testing.T) {
 	cfg.Cluster.Server.TonSeconds = 10
 	if _, err := hierdrl.Run(cfg, tr); err != nil {
 		t.Errorf("valid explicit override rejected: %v", err)
+	}
+}
+
+// TestSessionCloseStopsTrainHelper opens and closes 20 DRL sessions, the
+// last two as Checkpoint -> Restore -> Close: while a trained session is open
+// the goroutine count is its baseline plus the one parked train-step helper,
+// and after Close it is back at the baseline. Under GOMAXPROCS=1 no helper
+// starts at all.
+func TestSessionCloseStopsTrainHelper(t *testing.T) {
+	cfg := hierdrl.DRLOnly(6)
+	cfg.Global.AEHidden, cfg.Global.SubQHidden, cfg.Global.ReplayCap = []int{8, 4}, 16, 256
+	tr := hierdrl.SyntheticTraceForCluster(300, 6, 1)
+	open := func() *hierdrl.Session {
+		s, err := hierdrl.NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SubmitTrace(tr); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// An exited goroutine leaves the count a moment after its last deferred
+	// call has run, so poll briefly for the expected count.
+	settle := func(want int) int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 200 && n != want; i++ {
+			time.Sleep(time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{2, 1} {
+		runtime.GOMAXPROCS(procs)
+		base := runtime.NumGoroutine()
+		helpers := 0
+		if procs > 1 {
+			helpers = 1
+		}
+		for i := 0; i < 18; i++ {
+			s := open()
+			if err := s.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if n := settle(base + helpers); n != base+helpers {
+				t.Fatalf("GOMAXPROCS=%d: %d goroutines with a trained session open, want %d", procs, n, base+helpers)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := settle(base); n != base {
+				t.Fatalf("GOMAXPROCS=%d: %d goroutines after Close, baseline %d", procs, n, base)
+			}
+		}
+		s := open()
+		stepToCompleted(t, s, 150)
+		var buf bytes.Buffer
+		if err := s.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := hierdrl.Restore(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := settle(base); n != base {
+			t.Fatalf("GOMAXPROCS=%d: %d goroutines after Checkpoint -> Restore -> Close, baseline %d", procs, n, base)
+		}
 	}
 }
