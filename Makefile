@@ -69,7 +69,7 @@ chaos-smoke:
 # SIGINT-and-resume drills against the hiersim binary;
 # then, under the race detector, the fault run checkpointed right after a
 # head-side retry insert and resumed, the golden snapshots
-# re-emitted byte for byte (format v10 pin) and the earlier formats' refused, and
+# re-emitted byte for byte (format v11 pin) and the earlier formats' refused, and
 # every state walk over every strict prefix of its own payload; then a few
 # seconds each of FuzzRestoreState and FuzzRestoreResealed (one word of a
 # section rewritten under a recomputed CRC). FuzzRestoreState's minimization
@@ -107,7 +107,9 @@ scenario-smoke:
 # 2^-7 error bound, the same bound on a run's Summary P50/P95/P99, the Chrome
 # trace-event dump of a default-tier run, the telemetry-is-bitwise-invisible
 # pin, and the histogram-checkpoint round trip — all under the race detector —
-# plus the telemetry package's own error-bound and zero-alloc pins; then a few
+# plus the whole telemetry package: its error-bound and zero-alloc pins and
+# TestLatencyIsClassSum (the overall latency histogram, derived from the class
+# histograms, against one fed every latency); then a few
 # seconds of FuzzSketchState (arbitrary bytes through the histogram decoder:
 # ErrCorrupt, or a decode that re-encodes to exactly the bytes it read).
 obs-smoke:

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"math"
@@ -232,11 +233,13 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 	}
 }
 
-// smallSnapshot builds one valid mid-run snapshot for the corruption tests.
+// smallSnapshot builds one valid mid-run snapshot for the corruption tests,
+// with a three-point checkpoint series.
 func smallSnapshot(t testing.TB) []byte {
 	t.Helper()
 	cfg := hierdrl.RoundRobin(4)
 	cfg.Alloc = hierdrl.AllocLeastLoaded
+	cfg.CheckpointEvery = 50
 	tr := hierdrl.SyntheticTraceForCluster(300, 4, 1)
 	s, err := hierdrl.NewSession(cfg)
 	if err != nil {
@@ -324,10 +327,11 @@ var snapshotCorruptions = []snapshotCorruption{
 		binary.LittleEndian.PutUint32(b[8:], 99)
 		return b
 	}, hierdrl.ErrVersion},
-	// Format v9 (per-job latencies beside the histograms) is not read by a
-	// v10 reader.
+	// Format v10 (an overall latency histogram and series job counts beside
+	// the class histograms) is not read by a v11 reader; nor is any earlier
+	// version (the previous-version-vN rows, appended below).
 	{"previous-version", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[8:], 9)
+		binary.LittleEndian.PutUint32(b[8:], 10)
 		return b
 	}, hierdrl.ErrVersion},
 	{"fingerprint-flip", func(b []byte) []byte { b[12] ^= 0xFF; return b }, hierdrl.ErrConfigMismatch},
@@ -385,13 +389,44 @@ var snapshotCorruptions = []snapshotCorruption{
 	{"draining-without-drain-model", func(b []byte) []byte {
 		return resealWord(b, findSection(b, "cluster"), 1266, 1)
 	}, hierdrl.ErrCorrupt},
-	// CRC-valid: the latency histogram's minimum (after the metrics
-	// section's latency sum, the empty checkpoint series and the wait sum)
-	// raised above its maximum and out of its first nonzero bucket; the
-	// summary percentiles are clamped to [min, max] and would read it.
+	// CRC-valid: the short class's latency histogram's minimum (after the
+	// metrics section's latency sum, the series count, the three 24-byte
+	// series points and the wait sum) raised above its maximum and out of its
+	// first nonzero bucket; the summary percentiles are clamped to [min, max]
+	// and would read it.
 	{"latency-min-above-max", func(b []byte) []byte {
-		return resealWord(b, findSection(b, "metrics"), 24, math.Float64bits(1e15))
+		return resealWord(b, findSection(b, "metrics"), 96, math.Float64bits(1e15))
 	}, hierdrl.ErrCorrupt},
+	// CRC-valid: the short class's first bucket count (after its min, max,
+	// nonzero-bucket count and that bucket's 4-byte index) one higher, so the
+	// histograms hold one latency more than the cluster completed.
+	{"class-count-off-completions", func(b []byte) []byte {
+		sp := findSection(b, "metrics")
+		return resealWord(b, sp, 124, binary.LittleEndian.Uint64(b[sp.payload+124:])+1)
+	}, hierdrl.ErrCorrupt},
+	// CRC-valid: the series' last point cut out and its count lowered, so
+	// two points stand for 150 completions at one every 50.
+	{"series-point-dropped", func(b []byte) []byte {
+		sp := findSection(b, "metrics")
+		b = cutSection(b, sp, 16+2*24, 24)
+		return resealWord(b, findSection(b, "metrics"), 8, 2)
+	}, hierdrl.ErrCorrupt},
+}
+
+func init() {
+	for v := 1; v < 10; v++ {
+		snapshotCorruptions = append(snapshotCorruptions, snapshotCorruption{fmt.Sprintf("previous-version-v%d", v), func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[8:], uint32(v))
+			return b
+		}, hierdrl.ErrVersion})
+	}
+}
+
+// cutSection removes n bytes at off from one section's payload and rewrites
+// the section's length; the caller reseals its CRC.
+func cutSection(snap []byte, sp sectionSpan, off, n int) []byte {
+	binary.LittleEndian.PutUint64(snap[sp.entry:], uint64(sp.n-n))
+	return append(snap[:sp.payload+off], snap[sp.payload+off+n:]...)
 }
 
 // TestRestoreRejectsCorruptSnapshots mutates a valid snapshot one corruption

@@ -38,7 +38,7 @@ func agentSnapshot(t testing.TB) []byte {
 // FuzzRestoreState throws arbitrary bytes at the snapshot restore path. The
 // seed corpus is one pristine mid-run snapshot from a fault-free run, every
 // corruption class of snapshotCorruptions and localTierCorruptions, two of the pinned golden snapshots
-// (format v10) — a fault-enabled run (fault clocks, retry map) and a
+// (format v11) — a fault-enabled run (fault clocks, retry map) and a
 // backoff fault run (longer metrics histograms) — and agentSnapshot, so the fuzzer starts from the exact byte
 // layouts the rejection table and the format pin hold, one of them mostly
 // replay memory, and mutates outward. The invariant: Restore either rejects

@@ -11,7 +11,7 @@ import (
 	"hierdrl"
 )
 
-// goldenSnapshots pins snapshot format v10 byte for byte. Each file under
+// goldenSnapshots pins snapshot format v11 byte for byte. Each file under
 // testdata/ is the snapshot of exactly the run described here, and want holds
 // the Summary bits the writing commit produced when it restored its own
 // snapshot of that run and drained (faultBits: the base measurements plus the
@@ -32,7 +32,10 @@ import (
 // version word and the metrics section alone, and the one want word that
 // moved is hier30's P95, now the histogram's (2288 s, 0.35 % above the exact
 // 2279.92 s). The sketch file's run no longer asks for sketches; its bytes
-// outside the metrics section and its want bits are unchanged.
+// outside the metrics section and its want bits are unchanged. Format v11
+// stores the metrics section's facts once (no overall latency histogram, no
+// series job counts): every live file changed in the version word and the
+// metrics section alone, which shrank, and no want word moved.
 // Together the files cover every section a snapshot can carry — DRL agent,
 // replay memory, per-server LSTM + RL timeout, fault clocks and retry map,
 // and the metrics histograms.
@@ -42,7 +45,10 @@ import (
 // (shard count 2) wrote, the v7 snapshot of TestCheckpointAfterHeadSideInsert's
 // fault run, the v8 snapshot of the sketch run, whose metrics section holds
 // t-digests, and its v9 snapshot, whose metrics section holds the sketch
-// flags and 8-byte bucket indices.
+// flags and 8-byte bucket indices. There is no refused v10 file: every refused
+// file stops at the reader's one header comparison of the version word, which
+// TestRestoreRejectsCorruptSnapshots's previous-version rows run for every
+// earlier version, 1 to 10.
 var goldenSnapshots = []struct {
 	file    string
 	refused bool

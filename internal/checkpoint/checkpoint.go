@@ -42,11 +42,11 @@ import (
 const Magic = "HDRLCKPT"
 
 // Version is the current snapshot format version. Readers reject any other
-// version with ErrVersion. Version 10 makes the metrics section's log-bucket
-// histograms its only latency record (no per-job latencies, no sketch flags)
-// and writes each nonzero bucket's index in 4 bytes; CHANGES.md records what
-// each of versions 2 to 9 changed.
-const Version uint32 = 10
+// version with ErrVersion. Version 11 stores each fact of the metrics section
+// once: no overall latency histogram (it is the class histograms' sum) and no
+// job count per series point (it is the point's index times the checkpoint
+// interval); CHANGES.md records what each of versions 2 to 10 changed.
+const Version uint32 = 11
 
 // maxSectionLen bounds a single section payload (1 GiB) so a corrupt length
 // field cannot drive a huge allocation before the CRC check runs.

@@ -88,11 +88,11 @@ type Collector struct {
 	// positive checkpoint interval). Nil by default.
 	OnCheckpoint func(cp Checkpoint)
 
-	// sk receives every completion (latency histogram, per-job-class
-	// histograms, wait histogram): the summary percentiles and the live
-	// endpoint's quantiles both read it, and its memory is fixed. Sketches
-	// allocates it on first use, not NewCollector: zeroing its 112.8 KB is
-	// about a third of a streamed session's set-up.
+	// sk receives every completion (per-job-class latency histograms, whose
+	// sum is the overall one, and the wait histogram): the summary
+	// percentiles and the live endpoint's quantiles both read it, and its
+	// memory is fixed. Sketches allocates it on first use, not NewCollector:
+	// zeroing its 90.2 KB is a large share of a streamed session's set-up.
 	sk *telemetry.SketchSet
 }
 

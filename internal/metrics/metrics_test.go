@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -259,6 +261,15 @@ func TestJobDoneAllocatesOnce(t *testing.T) {
 			col.JobDone(sm.Now(), done[i%len(done)])
 		}
 	}
+	// AllocsPerRun counts every malloc in the process. A GC cycle that
+	// starts inside the window wakes runtime goroutines that malloc (the
+	// unique package's map cleanup, a sudog in gcMarkDone, the scavenger's
+	// timer heap), and on a loaded machine the test goroutine is preempted
+	// and they run inside the window. So no cycle may start there: the pacer
+	// is off while measuring, and a forced cycle first lets the last one's
+	// work finish.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
 	// AllocsPerRun spends its warm-up call on cols[0]; the measured call is
 	// cols[1]'s first n completions, and in the second measurement its
 	// next n.

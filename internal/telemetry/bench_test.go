@@ -7,7 +7,7 @@ import (
 
 // The telemetry benchmark set: the per-completion sketch insert and one
 // epoch-span record. Wall time is report-only; their zero allocs/op is
-// asserted by TestTDigestAddZeroAlloc and TestEpochRingBeginNoAlloc.
+// asserted by TestHistogramAddZeroAlloc and TestEpochRingBeginNoAlloc.
 
 // BenchmarkTDigestAdd measures Histogram.Add. It keeps the name of the
 // sketch it replaced because the repository benchmark runs it by that name

@@ -68,6 +68,22 @@ func (h *Histogram) Add(x float64) {
 	h.counts[bucketOf(x)]++
 }
 
+// merge adds o's samples to h: h becomes the histogram of the union of the
+// two multisets, as if every sample of o had been added to h.
+func (h *Histogram) merge(o *Histogram) {
+	if o.n == 0 {
+		return
+	}
+	if h.n == 0 {
+		h.min, h.max = o.min, o.max
+	}
+	h.min, h.max = min(h.min, o.min), max(h.max, o.max)
+	h.n += o.n
+	for i, k := range o.counts {
+		h.counts[i] += k
+	}
+}
+
 // Count returns the number of samples inserted.
 func (h *Histogram) Count() int64 { return h.n }
 

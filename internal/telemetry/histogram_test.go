@@ -65,10 +65,7 @@ func TestHistogramErrorBound(t *testing.T) {
 	}
 }
 
-// TestTDigestEmptyAndSingle, TestTDigestCheckpointRoundTrip and
-// TestTDigestAddZeroAlloc test the Histogram; they keep the names of the
-// sketch it replaced until they are renamed with BenchmarkTDigestAdd.
-func TestTDigestEmptyAndSingle(t *testing.T) {
+func TestHistogramEmptyAndSingle(t *testing.T) {
 	var h Histogram
 	if !math.IsNaN(h.Quantile(0.5)) {
 		t.Fatalf("empty histogram quantile = %v, want NaN", h.Quantile(0.5))
@@ -133,7 +130,7 @@ func roundTrip(t *testing.T, from, into checkpoint.Stateful) {
 	}
 }
 
-func TestTDigestCheckpointRoundTrip(t *testing.T) {
+func TestHistogramCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	h := new(Histogram)
 	for k := 0; k < 50000; k++ {
@@ -204,6 +201,55 @@ func TestSketchSetCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLatencyIsClassSum pins the derived overall histogram: over random
+// completion streams that span every class, fall below and above the
+// histogram's range and carry NaNs, Latency equals a Histogram that was fed
+// every latency directly, as a whole struct, and so reads the same bits at
+// every quantile. Each stream puts its smallest and largest latency in a
+// different class, so every class's extremes must reach the sum.
+func TestLatencyIsClassSum(t *testing.T) {
+	var empty SketchSet
+	if got := empty.Latency(); got != (Histogram{}) {
+		t.Fatal("an empty set's latency histogram is not empty")
+	}
+	for top := range NumJobClasses {
+		var sk SketchSet
+		var ref Histogram
+		record := func(class int, lat, wait float64) {
+			sk.Record(class, lat, wait)
+			ref.Add(lat)
+		}
+		rng := rand.New(rand.NewSource(int64(31 + top)))
+		for k := 0; k < 100000; k++ {
+			var lat float64
+			switch r := rng.Float64(); {
+			case r < 0.01:
+				lat = math.NaN()
+			case r < 0.05:
+				lat = rng.Float64() * math.Ldexp(1, minExp) // below the range
+			case r < 0.09:
+				lat = math.Ldexp(1+rng.Float64(), maxExp) // above it
+			default:
+				lat = 60 * math.Exp(2*rng.NormFloat64())
+			}
+			record(rng.Intn(NumJobClasses), lat, rng.ExpFloat64())
+		}
+		record(top, math.SmallestNonzeroFloat64, 0)
+		record(top, math.Ldexp(1, maxExp+2), 0)
+		got := sk.Latency()
+		if got != ref {
+			t.Fatalf("extremes in class %s: summed classes (n %d, min %v, max %v) differ from the reference (n %d, min %v, max %v)",
+				JobClassNames[top], got.n, got.min, got.max, ref.n, ref.min, ref.max)
+		}
+		for k := 0; k <= 1000; k++ {
+			q := float64(k) / 1000
+			if g, w := got.Quantile(q), ref.Quantile(q); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("extremes in class %s, q=%v: %v, reference %v", JobClassNames[top], q, g, w)
+			}
+		}
+	}
+}
+
 func TestJobClassOf(t *testing.T) {
 	cases := []struct {
 		d    float64
@@ -216,11 +262,11 @@ func TestJobClassOf(t *testing.T) {
 	}
 }
 
-// TestTDigestAddZeroAlloc pins the hot paths: Histogram.Add,
+// TestHistogramAddZeroAlloc pins the hot paths: Histogram.Add,
 // SketchSet.Record and a Quantile read allocate nothing, and the set's fixed
-// footprint stays within the six 2,796-float64 buffers of the t-digests it
-// replaced. This pin runs under -race too (obs-smoke).
-func TestTDigestAddZeroAlloc(t *testing.T) {
+// footprint is exactly its four histograms. This pin runs under -race too
+// (obs-smoke).
+func TestHistogramAddZeroAlloc(t *testing.T) {
 	var h Histogram
 	rng := rand.New(rand.NewSource(19))
 	vals := make([]float64, 4096)
@@ -245,8 +291,8 @@ func TestTDigestAddZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("SketchSet.Record allocates %v/op, want 0", avg)
 	}
-	if size, limit := unsafe.Sizeof(*sk), uintptr(6*2796*8); size > limit {
-		t.Fatalf("SketchSet is %d bytes, over the %d the t-digests held", size, limit)
+	if size, want := unsafe.Sizeof(*sk), 4*unsafe.Sizeof(Histogram{}); size != want || size != 90240 {
+		t.Fatalf("SketchSet is %d bytes, want four %d-byte histograms, 90240", size, unsafe.Sizeof(Histogram{}))
 	}
 }
 
@@ -282,7 +328,8 @@ func FuzzSketchState(f *testing.F) {
 		if !bytes.Equal(again.Payload(), data) {
 			t.Fatalf("accepted payload re-encodes differently (%d vs %d bytes)", len(again.Payload()), len(data))
 		}
-		for _, h := range []*Histogram{got.Latency(), got.Wait()} {
+		lat := got.Latency()
+		for _, h := range []*Histogram{&lat, got.Wait()} {
 			if v := h.Quantile(0.5); h.Count() > 0 && !(v >= h.Quantile(0) && v <= h.Quantile(1)) {
 				t.Fatalf("median %v outside [min, max] = [%v, %v]", v, h.Quantile(0), h.Quantile(1))
 			}

@@ -31,26 +31,32 @@ func JobClassOf(durationSec float64) int {
 	}
 }
 
-// SketchSet is the session's live quantile state: one latency histogram, one
-// latency histogram per job class, and one wait-time histogram, held by
-// value. The zero value is an empty set; Record is the per-completion hot
-// path and performs no allocation.
+// SketchSet is the session's live quantile state: one latency histogram per
+// job class and one wait-time histogram, held by value. The overall latency
+// histogram is not kept: it is the classes' sum, which Latency builds on
+// read. The zero value is an empty set; Record is the per-completion hot path
+// and performs no allocation.
 type SketchSet struct {
-	latency Histogram                // latency, all jobs
-	class   [NumJobClasses]Histogram // latency, by job-duration class
-	wait    Histogram                // wait time, all jobs
+	class [NumJobClasses]Histogram // latency, by job-duration class
+	wait  Histogram                // wait time, all jobs
 }
 
-// Record ingests one completion: latency into the overall and class
-// histograms, wait into the wait histogram. Zero allocations.
+// Record ingests one completion: latency into its class histogram, wait into
+// the wait histogram. Zero allocations.
 func (s *SketchSet) Record(class int, latencySec, waitSec float64) {
-	s.latency.Add(latencySec)
 	s.class[class].Add(latencySec)
 	s.wait.Add(waitSec)
 }
 
-// Latency returns the overall latency histogram.
-func (s *SketchSet) Latency() *Histogram { return &s.latency }
+// Latency returns the overall latency histogram: the sum of the class
+// histograms, equal to the histogram of every latency recorded.
+func (s *SketchSet) Latency() Histogram {
+	var h Histogram
+	for i := range s.class {
+		h.merge(&s.class[i])
+	}
+	return h
+}
 
 // ClassLatency returns the latency histogram of one job class.
 func (s *SketchSet) ClassLatency(class int) *Histogram { return &s.class[class] }
@@ -58,9 +64,9 @@ func (s *SketchSet) ClassLatency(class int) *Histogram { return &s.class[class] 
 // Wait returns the wait-time histogram.
 func (s *SketchSet) Wait() *Histogram { return &s.wait }
 
-// State implements checkpoint.Stateful: the five histograms in a fixed order.
+// State implements checkpoint.Stateful: the class histograms in class order,
+// then the wait histogram.
 func (s *SketchSet) State(c *checkpoint.Codec) {
-	s.latency.State(c)
 	for i := range s.class {
 		s.class[i].State(c)
 	}

@@ -237,7 +237,8 @@ func (t *sessionTelemetry) buildProm(s *Session) {
 	sk := s.col.Sketches()
 	head("hiersim_latency_seconds", "summary",
 		"Completed-job latency quantiles (log-bucket histogram, within 0.78%; overall and per duration class).")
-	promQuantiles(b, "hiersim_latency_seconds", "", sk.Latency())
+	lat := sk.Latency()
+	promQuantiles(b, "hiersim_latency_seconds", "", &lat)
 	for cls := 0; cls < telemetry.NumJobClasses; cls++ {
 		promQuantiles(b, "hiersim_latency_seconds",
 			fmt.Sprintf("class=%q,", telemetry.JobClassNames[cls]), sk.ClassLatency(cls))
