@@ -142,8 +142,9 @@ profile:
 
 # profile-drl writes the CPU and allocation profiles of one paper-drl pass
 # (DRLOnly(30), 8,000 warmup + 44,000 jobs, seed 1 — the repository
-# benchmark's global-tier workload), the attribution DESIGN.md §7 and
-# CHANGES.md PR 16 quote: `go tool pprof -top hierdrl-bench.test cpu-drl.pprof`.
+# benchmark's global-tier workload), the attribution CHANGES.md PR 16 quotes
+# (DESIGN.md §7 has the kernels' ordering contract):
+# `go tool pprof -top hierdrl-bench.test cpu-drl.pprof`.
 profile-drl:
 	$(GO) test -run=NONE -bench='BenchmarkPaperDRLPass$$' -benchtime=3x \
 		-cpuprofile cpu-drl.pprof -memprofile mem-drl.pprof -o hierdrl-bench.test .

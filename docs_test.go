@@ -146,21 +146,7 @@ func TestDocsNameLiveSymbols(t *testing.T) {
 // Test, Fuzz or Benchmark function declared in some _test.go file. -run=NONE,
 // the idiom for running no test, is the one exception.
 func TestSmokeGatesNameLiveTests(t *testing.T) {
-	declared := map[string]bool{}
-	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		b, err := os.ReadFile(path)
-		for _, m := range decl.FindAllStringSubmatch(string(b), -1) {
-			declared[m[1]] = true
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	declared := declaredTests(t)
 	pattern := regexp.MustCompile(`-(run|fuzz|bench)[= ](?:'([^']*)'|([^\s']+))`)
 	gates := 0
 	for _, file := range []string{"Makefile", ".github/workflows/ci.yml"} {
@@ -187,5 +173,110 @@ func TestSmokeGatesNameLiveTests(t *testing.T) {
 	}
 	if gates == 0 {
 		t.Fatal("found no -run, -fuzz or -bench pattern in the Makefile or CI")
+	}
+}
+
+// declaredTests returns the name of every Test, Fuzz and Benchmark function
+// declared in a _test.go file of the repository.
+func declaredTests(t *testing.T) map[string]bool {
+	t.Helper()
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		for _, m := range decl.FindAllStringSubmatch(string(b), -1) {
+			declared[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return declared
+}
+
+// TestDesignCitationsResolve keeps citations into DESIGN.md live. Every §N
+// in the repository's Go files, the Makefile, CI, README.md, EXPERIMENTS.md,
+// the verify skill and DESIGN.md itself names a "## §N" heading; every
+// §N "Title" (a comma may follow the number) names a bold or italic lead,
+// a line starting **Title or *Title, inside section N; every section names
+// a test; and every Test, Fuzz and Benchmark name DESIGN.md mentions is
+// declared in some _test.go file. CHANGES.md and ROADMAP.md are logs of
+// what was, so their citations are not checked.
+func TestDesignCitationsResolve(t *testing.T) {
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := string(b)
+	sections := map[string]string{}
+	heads := regexp.MustCompile(`(?m)^## §(\d+) `).FindAllStringSubmatchIndex(design, -1)
+	for i, h := range heads {
+		end := len(design)
+		if i+1 < len(heads) {
+			end = heads[i+1][0]
+		}
+		sections[design[h[2]:h[3]]] = design[h[1]:end]
+	}
+	if len(sections) == 0 {
+		t.Fatal("DESIGN.md: found no ## §N headings")
+	}
+
+	testName := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9]\w*`)
+	declared := declaredTests(t)
+	for n, body := range sections {
+		if !testName.MatchString(body) {
+			t.Errorf("DESIGN.md §%s names no test", n)
+		}
+	}
+	for _, name := range testName.FindAllString(design, -1) {
+		if !declared[name] {
+			t.Errorf("DESIGN.md names %s, which no _test.go declares", name)
+		}
+	}
+
+	files := []string{"Makefile", ".github/workflows/ci.yml", "README.md", "EXPERIMENTS.md",
+		".claude/skills/verify/SKILL.md", "DESIGN.md"}
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A citation may wrap: join each line to the next, dropping the comment
+	// marker that starts the continuation.
+	wrap := regexp.MustCompile(`\s*\n\s*(?:(?://|#)\s*)?`)
+	cite := regexp.MustCompile(`§(\d+)(?:,? "([^"]+)")?`)
+	cited := 0
+	for _, file := range files {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cite.FindAllStringSubmatch(wrap.ReplaceAllString(string(b), " "), -1) {
+			cited++
+			body, ok := sections[m[1]]
+			switch {
+			case !ok:
+				t.Errorf("%s cites DESIGN.md §%s, which has no ## §%s heading", file, m[1], m[1])
+			case m[2] != "" && !regexp.MustCompile(`(?m)^(?:- )?\*{1,2}`+regexp.QuoteMeta(m[2])).MatchString(body):
+				t.Errorf("%s cites DESIGN.md §%s %q, which is no **%s or *%s lead in that section", file, m[1], m[2], m[2], m[2])
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("found no § citation")
 	}
 }

@@ -442,9 +442,6 @@ func (a *Agent) ActionCounts() []int64 {
 // Network exposes the online network for tests and ablations.
 func (a *Agent) Network() *QNetwork { return a.net }
 
-// Encoder exposes the state encoder.
-func (a *Agent) EncoderRef() *Encoder { return a.enc }
-
 // SaveWeights serializes the online network's weights (JSON). Optimizer
 // state is not captured: a restored agent resumes with fresh Adam moments,
 // which is the standard checkpointing contract.

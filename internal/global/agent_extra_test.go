@@ -79,7 +79,7 @@ func TestAgentUnmaskedFollowsArgmax(t *testing.T) {
 	a.ObserveCluster(0, 100, 0, 0)
 	v.Now = 1
 	j := testJob(0.3, 300)
-	s := a.EncoderRef().Encode(v, j)
+	s := a.enc.Encode(v, j)
 	want, _ := a.Network().Best(s)
 	if got := a.Allocate(j, v); got != want {
 		t.Fatalf("unmasked greedy chose %d want raw argmax %d", got, want)
@@ -213,7 +213,7 @@ func TestAgentWeightsRoundTrip(t *testing.T) {
 	if err := b.LoadWeights(&buf); err != nil {
 		t.Fatalf("LoadWeights: %v", err)
 	}
-	s := a.EncoderRef().Encode(v, testJob(0.2, 300))
+	s := a.enc.Encode(v, testJob(0.2, 300))
 	qa := a.Network().QValues(s)
 	qb := b.Network().QValues(s)
 	for i := range qa {

@@ -83,6 +83,22 @@ func TestEncoderStateContents(t *testing.T) {
 	}
 }
 
+// TestEncoderFeedsCommittedUtilization pins the state's server features to
+// committed utilization: running plus queued demand, clamped at 2.0.
+func TestEncoderFeedsCommittedUtilization(t *testing.T) {
+	e, _ := NewEncoder(2, 1, 7200)
+	v := testView(2, []float64{0.25, 0.75})
+	v.Pending[0] = cluster.Resources{0.5, 0, 0}
+	v.Pending[1] = cluster.Resources{1.5, 0.125, 0}
+	got := e.Encode(v, testJob(0.5, 3600)).Groups()
+	want := []float64{0.75, 0.125, 0.0625, 2, 0.5, 0.1875}
+	for i, w := range want {
+		if got[i] != w {
+			t.Fatalf("server features %v, want %v", got, want)
+		}
+	}
+}
+
 func TestStateCloneIndependent(t *testing.T) {
 	e, _ := NewEncoder(4, 2, 7200)
 	s := e.Encode(testView(4, []float64{0.1, 0.2, 0.3, 0.4}), testJob(0.5, 100))
@@ -422,7 +438,7 @@ func TestAgentLearnsToAvoidHotServer(t *testing.T) {
 	}
 	a.FreezePolicy()
 	v.Now = sim.Time(now)
-	s := a.EncoderRef().Encode(v, testJob(0.2, 300))
+	s := a.enc.Encode(v, testJob(0.2, 300))
 	best, _ := a.Network().Best(s)
 	if best == 0 {
 		q := a.Network().QValues(s)

@@ -98,47 +98,6 @@ func (t *Trace) Span() float64 {
 	return t.Jobs[len(t.Jobs)-1].Arrival - t.Jobs[0].Arrival
 }
 
-// Slice returns a sub-trace with jobs [from, to) re-IDed from 0 and arrival
-// times rebased so the first job arrives at 0.
-func (t *Trace) Slice(from, to int) *Trace {
-	if from < 0 || to > len(t.Jobs) || from > to {
-		panic(fmt.Sprintf("trace: Slice bounds [%d,%d) of %d", from, to, len(t.Jobs)))
-	}
-	out := &Trace{Jobs: make([]Job, to-from)}
-	if to == from {
-		return out
-	}
-	base := t.Jobs[from].Arrival
-	for i := from; i < to; i++ {
-		j := t.Jobs[i]
-		j.ID = i - from
-		j.Arrival -= base
-		out.Jobs[i-from] = j
-	}
-	return out
-}
-
-// Segments splits the trace into n contiguous segments of (nearly) equal job
-// count, mirroring the paper's "split the traces into 200 segments" step.
-func (t *Trace) Segments(n int) []*Trace {
-	if n <= 0 {
-		panic(fmt.Sprintf("trace: Segments with n=%d", n))
-	}
-	out := make([]*Trace, 0, n)
-	per := len(t.Jobs) / n
-	rem := len(t.Jobs) % n
-	start := 0
-	for i := 0; i < n; i++ {
-		size := per
-		if i < rem {
-			size++
-		}
-		out = append(out, t.Slice(start, start+size))
-		start += size
-	}
-	return out
-}
-
 // Stats summarizes a trace for calibration and test assertions.
 type Stats struct {
 	Jobs            int

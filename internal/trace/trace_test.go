@@ -107,56 +107,6 @@ func TestReadCSVSkipsBlankAndHeader(t *testing.T) {
 	}
 }
 
-func TestSliceRebases(t *testing.T) {
-	tr := fixture(100)
-	sub := tr.Slice(10, 20)
-	if sub.Len() != 10 {
-		t.Fatalf("slice length %d want 10", sub.Len())
-	}
-	if sub.Jobs[0].Arrival != 0 {
-		t.Fatalf("slice not rebased: first arrival %v", sub.Jobs[0].Arrival)
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatalf("slice invalid: %v", err)
-	}
-	want := tr.Jobs[15].Arrival - tr.Jobs[10].Arrival
-	if math.Abs(sub.Jobs[5].Arrival-want) > 1e-9 {
-		t.Fatalf("relative arrivals changed: %v want %v", sub.Jobs[5].Arrival, want)
-	}
-}
-
-func TestSliceBoundsPanics(t *testing.T) {
-	tr := fixture(10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	tr.Slice(5, 20)
-}
-
-func TestSegments(t *testing.T) {
-	tr := fixture(103)
-	segs := tr.Segments(10)
-	if len(segs) != 10 {
-		t.Fatalf("got %d segments want 10", len(segs))
-	}
-	total := 0
-	for _, s := range segs {
-		total += s.Len()
-		if err := s.Validate(); err != nil {
-			t.Fatalf("segment invalid: %v", err)
-		}
-	}
-	if total != 103 {
-		t.Fatalf("segments cover %d jobs want 103", total)
-	}
-	// First 3 segments get the remainder.
-	if segs[0].Len() != 11 || segs[3].Len() != 10 {
-		t.Fatalf("segment sizes: %d, %d", segs[0].Len(), segs[3].Len())
-	}
-}
-
 func TestComputeStatsEmptyAndSingle(t *testing.T) {
 	empty := &Trace{}
 	s := empty.ComputeStats()

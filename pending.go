@@ -87,7 +87,8 @@ func (q *pendingQueue) enqueueAll(jobs []trace.Job, firstID int) {
 // prefix exceeds both 1,024 slots and the live region. Compaction leaves no
 // head slack: the near-head inserts of a crash that lands before the next pop
 // take the tail-side shift, which on a 140k-job batch fault run was 0-5
-// inserts and under 1% of the pass (DESIGN.md §13).
+// inserts and under 1% of the pass (CHANGES.md PR 13; DESIGN.md §13 has the
+// ordering rule).
 func (q *pendingQueue) pop() trace.Job {
 	tj := q.buf[q.lo]
 	q.lo++

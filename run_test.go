@@ -248,3 +248,13 @@ func TestSyntheticTraceStats(t *testing.T) {
 		t.Fatalf("stats: %+v", stats)
 	}
 }
+
+// TestDiscountRateCalibration pins both tiers' default discount rates, where
+// the paper quotes 0.5/s: 0.05/s for the global tier, 0.01/s for the local
+// tier (DESIGN.md §2).
+func TestDiscountRateCalibration(t *testing.T) {
+	cfg := Hierarchical(30)
+	if cfg.Global.Beta != 0.05 || cfg.LocalRL.Beta != 0.01 {
+		t.Fatalf("global beta %v, local beta %v; want 0.05 and 0.01", cfg.Global.Beta, cfg.LocalRL.Beta)
+	}
+}

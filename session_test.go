@@ -664,9 +664,10 @@ func TestValidateClusterOverride(t *testing.T) {
 
 // TestSessionCloseStopsTrainHelper opens and closes 20 DRL sessions, the
 // last two as Checkpoint -> Restore -> Close: while a trained session is open
-// the goroutine count is its baseline plus the one parked train-step helper,
-// and after Close it is back at the baseline. Under GOMAXPROCS=1 no helper
-// starts at all.
+// exactly one train-step helper goroutine runs, and after Close none does.
+// Under GOMAXPROCS=1 no helper starts at all. It counts the helpers in a
+// dump of every stack, not all goroutines, so a goroutine of an earlier test
+// that exits while this one runs does not move the count.
 func TestSessionCloseStopsTrainHelper(t *testing.T) {
 	cfg := hierdrl.DRLOnly(6)
 	cfg.Global.AEHidden, cfg.Global.SubQHidden, cfg.Global.ReplayCap = []int{8, 4}, 16, 256
@@ -681,37 +682,51 @@ func TestSessionCloseStopsTrainHelper(t *testing.T) {
 		}
 		return s
 	}
-	// An exited goroutine leaves the count a moment after its last deferred
-	// call has run, so poll briefly for the expected count.
+	buf := make([]byte, 1<<16)
+	helpers := func() int {
+		n := runtime.Stack(buf, true)
+		for n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			n = runtime.Stack(buf, true)
+		}
+		count := 0
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			if strings.Contains(g, "internal/global.(*crew).help(") {
+				count++
+			}
+		}
+		return count
+	}
+	// An exited helper leaves the dump a moment after its last deferred call
+	// has run, so poll briefly for the expected count.
 	settle := func(want int) int {
-		n := runtime.NumGoroutine()
+		n := helpers()
 		for i := 0; i < 200 && n != want; i++ {
 			time.Sleep(time.Millisecond)
-			n = runtime.NumGoroutine()
+			n = helpers()
 		}
 		return n
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{2, 1} {
 		runtime.GOMAXPROCS(procs)
-		base := runtime.NumGoroutine()
-		helpers := 0
+		want := 0
 		if procs > 1 {
-			helpers = 1
+			want = 1
 		}
 		for i := 0; i < 18; i++ {
 			s := open()
 			if err := s.Drain(); err != nil {
 				t.Fatal(err)
 			}
-			if n := settle(base + helpers); n != base+helpers {
-				t.Fatalf("GOMAXPROCS=%d: %d goroutines with a trained session open, want %d", procs, n, base+helpers)
+			if n := settle(want); n != want {
+				t.Fatalf("GOMAXPROCS=%d: %d train helpers with a trained session open, want %d", procs, n, want)
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if n := settle(base); n != base {
-				t.Fatalf("GOMAXPROCS=%d: %d goroutines after Close, baseline %d", procs, n, base)
+			if n := settle(0); n != 0 {
+				t.Fatalf("GOMAXPROCS=%d: %d train helpers after Close, want 0", procs, n)
 			}
 		}
 		s := open()
@@ -733,8 +748,8 @@ func TestSessionCloseStopsTrainHelper(t *testing.T) {
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if n := settle(base); n != base {
-			t.Fatalf("GOMAXPROCS=%d: %d goroutines after Checkpoint -> Restore -> Close, baseline %d", procs, n, base)
+		if n := settle(0); n != 0 {
+			t.Fatalf("GOMAXPROCS=%d: %d train helpers after Checkpoint -> Restore -> Close, want 0", procs, n)
 		}
 	}
 }
