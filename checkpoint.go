@@ -356,28 +356,6 @@ func restoreConfig(rd *checkpoint.Reader) (Config, error) {
 	return cfg, nil
 }
 
-// SaveWeights serializes only the DRL agent's online-network weights — the
-// portable, architecture-checked export for transferring a trained policy
-// across runs. It is not a checkpoint: optimizer moments, replay buffer, and
-// RNG chains stay behind (use Checkpoint for exact resumption). Errors on
-// sessions without a DRL agent.
-func (s *Session) SaveWeights(w io.Writer) error {
-	if s.agent == nil {
-		return fmt.Errorf("hierdrl: SaveWeights: config %q has no DRL agent", s.cfg.Name)
-	}
-	return s.agent.SaveWeights(w)
-}
-
-// LoadWeights restores weights saved by SaveWeights into the session's DRL
-// agent (online and target networks). The architecture must match. Errors on
-// sessions without a DRL agent.
-func (s *Session) LoadWeights(r io.Reader) error {
-	if s.agent == nil {
-		return fmt.Errorf("hierdrl: LoadWeights: config %q has no DRL agent", s.cfg.Name)
-	}
-	return s.agent.LoadWeights(r)
-}
-
 // Drained reports whether every ingested job has been dispatched and either
 // completed or lost — the condition under which Step reports idle and Drain
 // stops on fault runs (whose crash/repair timers never exhaust the event

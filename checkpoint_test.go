@@ -304,13 +304,33 @@ var localTierCorruptions = []snapshotCorruption{
 	// Server 0's LSTM predictor's last arrival (after its weights, Adam
 	// moments and RNG): its next arrival was "out of order".
 	{"predictor-arrival-after-clock", func(b []byte) []byte {
-		return resealWord(b, findSection(b, "cluster"), 94732, math.Float64bits(1e15))
+		return resealWord(b, findSection(b, "cluster"), 95402, math.Float64bits(1e15))
 	}, hierdrl.ErrCorrupt},
 	// Server 0's RL timeout's reward integrator (the one open sojourn at the
-	// pause), its last integration point advanced to 1e15: its next
-	// observation sent "time backwards".
+	// pause; after the timeout's 7 x 6 Q-table and visit counts, its epsilon
+	// schedule and RNG), its last integration point advanced to 1e15: its
+	// next observation sent "time backwards".
 	{"sojourn-instant-after-clock", func(b []byte) []byte {
-		return resealWord(b, findSection(b, "cluster"), 1376, math.Float64bits(1e15))
+		return resealWord(b, findSection(b, "cluster"), 2048, math.Float64bits(1e15))
+	}, hierdrl.ErrCorrupt},
+	// That timeout's pending decision (state 5, action 0; after the
+	// integrator, the last power and queue length and the pending flag), its
+	// action set to 99 of 6: the run restored and its next idle epoch panicked
+	// indexing the Q-table.
+	{"rl-pending-action-out-of-range", func(b []byte) []byte {
+		return resealWord(b, findSection(b, "cluster"), 2097, 99)
+	}, hierdrl.ErrCorrupt},
+	// Its pending state set to 7, one past the table's 7 categories.
+	{"rl-pending-state-out-of-range", func(b []byte) []byte {
+		return resealWord(b, findSection(b, "cluster"), 2089, 7)
+	}, hierdrl.ErrCorrupt},
+	// The integrator's started flag (the top byte of the word before its
+	// sojourn start) cleared under that pending decision: the next idle epoch
+	// closed a sojourn that was never opened and panicked. Found by
+	// FuzzRestoreResealed (corpus entry 61d47b182b08361b).
+	{"rl-pending-without-sojourn", func(b []byte) []byte {
+		sp := findSection(b, "cluster")
+		return resealWord(b, sp, 2032, binary.LittleEndian.Uint64(b[sp.payload+2032:])&^(0xff<<56))
 	}, hierdrl.ErrCorrupt},
 }
 
@@ -327,11 +347,11 @@ var snapshotCorruptions = []snapshotCorruption{
 		binary.LittleEndian.PutUint32(b[8:], 99)
 		return b
 	}, hierdrl.ErrVersion},
-	// Format v10 (an overall latency histogram and series job counts beside
-	// the class histograms) is not read by a v11 reader; nor is any earlier
-	// version (the previous-version-vN rows, appended below).
+	// Format v11 (a string-keyed, lazily grown local Q-table) is not read by
+	// a v12 reader; nor is any earlier version (the previous-version-vN rows,
+	// appended below).
 	{"previous-version", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[8:], 10)
+		binary.LittleEndian.PutUint32(b[8:], 11)
 		return b
 	}, hierdrl.ErrVersion},
 	{"fingerprint-flip", func(b []byte) []byte { b[12] ^= 0xFF; return b }, hierdrl.ErrConfigMismatch},
@@ -414,7 +434,7 @@ var snapshotCorruptions = []snapshotCorruption{
 }
 
 func init() {
-	for v := 1; v < 10; v++ {
+	for v := 1; v < 11; v++ {
 		snapshotCorruptions = append(snapshotCorruptions, snapshotCorruption{fmt.Sprintf("previous-version-v%d", v), func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[8:], uint32(v))
 			return b
@@ -490,62 +510,6 @@ func testRejectsCorruption(t *testing.T, good []byte, tc snapshotCorruption) {
 			t.Fatalf("rejecting %d corrupt bytes allocated %d bytes", len(mutant), grew)
 		}
 	})
-}
-
-// TestSessionWeightsGoldenRoundTrip covers the weights-only export: saving a
-// trained session's policy, loading it into a fresh session, and re-saving
-// must reproduce the export byte for byte (so the loaded networks are
-// bitwise-identical — internal/global's TestAgentWeightsRoundTrip pins the
-// matching Q-value equality at the network level). Sessions without a DRL
-// agent reject the API.
-func TestSessionWeightsGoldenRoundTrip(t *testing.T) {
-	cfg := hierdrl.DRLOnly(5)
-	cfg.WarmupTrace = warmTrace(5)
-	tr := hierdrl.SyntheticTraceForCluster(200, 5, 1)
-
-	s1, err := hierdrl.NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s1.Close()
-	if err := s1.SubmitTrace(tr); err != nil {
-		t.Fatal(err)
-	}
-	drainResult(t, s1)
-	var w1 bytes.Buffer
-	if err := s1.SaveWeights(&w1); err != nil {
-		t.Fatalf("SaveWeights: %v", err)
-	}
-
-	cfg2 := cfg
-	cfg2.WarmupTrace = nil // fresh, untrained agent
-	s2, err := hierdrl.NewSession(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if err := s2.LoadWeights(bytes.NewReader(w1.Bytes())); err != nil {
-		t.Fatalf("LoadWeights: %v", err)
-	}
-	var w2 bytes.Buffer
-	if err := s2.SaveWeights(&w2); err != nil {
-		t.Fatalf("re-SaveWeights: %v", err)
-	}
-	if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
-		t.Fatalf("weights export not golden: %d vs %d bytes differ", w1.Len(), w2.Len())
-	}
-
-	s3, err := hierdrl.NewSession(hierdrl.RoundRobin(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if err := s3.SaveWeights(io.Discard); err == nil {
-		t.Fatal("SaveWeights accepted on a session without a DRL agent")
-	}
-	if err := s3.LoadWeights(bytes.NewReader(w1.Bytes())); err == nil {
-		t.Fatal("LoadWeights accepted on a session without a DRL agent")
-	}
 }
 
 // TestSessionCloseIdempotentAndCheckpointClosed pins the small-fix satellite:

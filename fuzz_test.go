@@ -38,7 +38,7 @@ func agentSnapshot(t testing.TB) []byte {
 // FuzzRestoreState throws arbitrary bytes at the snapshot restore path. The
 // seed corpus is one pristine mid-run snapshot from a fault-free run, every
 // corruption class of snapshotCorruptions and localTierCorruptions, two of the pinned golden snapshots
-// (format v11) — a fault-enabled run (fault clocks, retry map) and a
+// (format v12) — a fault-enabled run (fault clocks, retry map) and a
 // backoff fault run (longer metrics histograms) — and agentSnapshot, so the fuzzer starts from the exact byte
 // layouts the rejection table and the format pin hold, one of them mostly
 // replay memory, and mutates outward. The invariant: Restore either rejects
@@ -144,25 +144,29 @@ func finishRun(s *hierdrl.Session) error {
 }
 
 // FuzzRestoreResealed patches one 8-byte word of one section of a valid
-// snapshot — the small fault-free one or agentSnapshot — and recomputes that
-// section's CRC. FuzzRestoreState's byte mutations almost never get past the
+// snapshot — the small fault-free one, agentSnapshot or localSnapshot (the
+// LSTM predictors and RL timeouts) — and recomputes that section's CRC. FuzzRestoreState's byte mutations almost never get past the
 // CRC check; these always do, so every count, cursor, flag and value a state
 // walk reads is exposed to arbitrary input. The invariant: Restore returns an
 // error wrapping one of the three sentinels, or a session that steps 200
 // events; it never panics or hangs. Outside the agent section an accepted
 // session must also drain to its Result without panicking.
 func FuzzRestoreResealed(f *testing.F) {
-	snaps := [][]byte{smallSnapshot(f), agentSnapshot(f)}
-	session := 0
-	for i, sp := range sectionSpans(snaps[0]) {
-		if sp.name == "session" {
-			session = i
+	snaps := [][]byte{smallSnapshot(f), agentSnapshot(f), localSnapshot(f)}
+	index := func(snap []byte, name string) uint8 {
+		for i, sp := range sectionSpans(snap) {
+			if sp.name == name {
+				return uint8(i)
+			}
 		}
+		panic("snapshot has no section " + name)
 	}
 	// The queued-job count whose 48-byte bound wraps past zero.
-	f.Add(uint8(0), uint8(session), uint32(9), uint64(384307168202282326))
+	f.Add(uint8(0), index(snaps[0], "session"), uint32(9), uint64(384307168202282326))
 	f.Add(uint8(1), uint8(4), uint32(0), uint64(1<<61))
 	f.Add(uint8(1), uint8(4), uint32(100), uint64(1<<63))
+	// Server 0's RL timeout's pending action (rl-pending-action-out-of-range).
+	f.Add(uint8(2), index(snaps[2], "cluster"), uint32(2097), uint64(99))
 
 	f.Fuzz(func(t *testing.T, which, sec uint8, off uint32, word uint64) {
 		snap := snaps[int(which)%len(snaps)]

@@ -11,7 +11,7 @@ import (
 	"hierdrl"
 )
 
-// goldenSnapshots pins snapshot format v11 byte for byte. Each file under
+// goldenSnapshots pins snapshot format v12 byte for byte. Each file under
 // testdata/ is the snapshot of exactly the run described here, and want holds
 // the Summary bits the writing commit produced when it restored its own
 // snapshot of that run and drained (faultBits: the base measurements plus the
@@ -35,7 +35,11 @@ import (
 // outside the metrics section and its want bits are unchanged. Format v11
 // stores the metrics section's facts once (no overall latency histogram, no
 // series job counts): every live file changed in the version word and the
-// metrics section alone, which shrank, and no want word moved.
+// metrics section alone, which shrank, and no want word moved. Format v12
+// stores each RL timeout's Q-table as its dense array: hier30 changed in the
+// version word and the cluster section alone, which grew by every row the
+// lazy table had not yet made, the sketch file in the version word alone,
+// and no want word moved.
 // Together the files cover every section a snapshot can carry — DRL agent,
 // replay memory, per-server LSTM + RL timeout, fault clocks and retry map,
 // and the metrics histograms.
@@ -45,10 +49,10 @@ import (
 // (shard count 2) wrote, the v7 snapshot of TestCheckpointAfterHeadSideInsert's
 // fault run, the v8 snapshot of the sketch run, whose metrics section holds
 // t-digests, and its v9 snapshot, whose metrics section holds the sketch
-// flags and 8-byte bucket indices. There is no refused v10 file: every refused
-// file stops at the reader's one header comparison of the version word, which
-// TestRestoreRejectsCorruptSnapshots's previous-version rows run for every
-// earlier version, 1 to 10.
+// flags and 8-byte bucket indices. There is no refused v10 or v11 file: every
+// refused file stops at the reader's one header comparison of the version
+// word, which TestRestoreRejectsCorruptSnapshots's previous-version rows run
+// for every earlier version, 1 to 11.
 var goldenSnapshots = []struct {
 	file    string
 	refused bool

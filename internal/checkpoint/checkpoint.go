@@ -42,11 +42,10 @@ import (
 const Magic = "HDRLCKPT"
 
 // Version is the current snapshot format version. Readers reject any other
-// version with ErrVersion. Version 11 stores each fact of the metrics section
-// once: no overall latency histogram (it is the class histograms' sum) and no
-// job count per series point (it is the point's index times the checkpoint
-// interval); CHANGES.md records what each of versions 2 to 10 changed.
-const Version uint32 = 11
+// version with ErrVersion. Version 12 stores the local tier's Q-table as its
+// dense state-major array: every row, no state keys, no row count;
+// CHANGES.md records what each of versions 2 to 11 changed.
+const Version uint32 = 12
 
 // maxSectionLen bounds a single section payload (1 GiB) so a corrupt length
 // field cannot drive a huge allocation before the CRC check runs.
@@ -298,34 +297,25 @@ func (c *Codec) F64sFixed(v []float64) {
 	}
 }
 
-// Ints walks a length-prefixed []int.
-func (c *Codec) Ints(p *[]int) { set(c, p, ints(c, *p)) }
-
 // I64s walks a length-prefixed []int64.
-func (c *Codec) I64s(p *[]int64) { set(c, p, ints(c, *p)) }
-
-// ints walks a length-prefixed slice of 8-byte integers: encoding writes v,
-// decoding returns the slice it reads. The slice goes in and out by value: a
-// generic taking the field's address would move the caller's variable to
-// the heap.
-func ints[T int | int64](c *Codec, v []T) []T {
+func (c *Codec) I64s(p *[]int64) {
 	if !c.dec {
-		b := c.grow(8 + 8*len(v))
-		binary.LittleEndian.PutUint64(b, uint64(len(v)))
-		for i, x := range v {
+		b := c.grow(8 + 8*len(*p))
+		binary.LittleEndian.PutUint64(b, uint64(len(*p)))
+		for i, x := range *p {
 			binary.LittleEndian.PutUint64(b[8+8*i:], uint64(x))
 		}
-		return v
+		return
 	}
+	var v []int64
 	if n := c.Count(0, 8); n > 0 {
 		b := c.take(8 * n)
-		v = make([]T, n)
+		v = make([]int64, n)
 		for i := range v {
-			v[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+			v[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 		}
-		return v
 	}
-	return nil
+	*p = v
 }
 
 // F64sDelta walks cur as a delta against prev, a slice of the same
@@ -386,32 +376,16 @@ func (c *Codec) deltaWindow(prev, cur []float64) {
 	}
 }
 
-// Str walks a length-prefixed string.
-func (c *Codec) Str(p *string) {
-	if b, ok := text(c, *p); ok {
-		*p = string(b)
-	}
-}
-
 // Bytes walks a length-prefixed byte slice; decoding copies it out of the
 // payload.
 func (c *Codec) Bytes(p *[]byte) {
-	if b, ok := text(c, *p); ok {
-		*p = append([]byte(nil), b...)
-	}
-}
-
-// text walks a length-prefixed string or byte slice, one generic for both so
-// that encoding a string converts (and allocates) nothing. Decoding returns
-// the payload's bytes (none once failed) and true.
-func text[T string | []byte](c *Codec, v T) ([]byte, bool) {
 	if !c.dec {
-		b := c.grow(8 + len(v))
-		binary.LittleEndian.PutUint64(b, uint64(len(v)))
-		copy(b[8:], v)
-		return nil, false
+		b := c.grow(8 + len(*p))
+		binary.LittleEndian.PutUint64(b, uint64(len(*p)))
+		copy(b[8:], *p)
+		return
 	}
-	return c.take(c.Count(0, 1)), true
+	*p = append([]byte(nil), c.take(c.Count(0, 1))...)
 }
 
 // RNG walks a generator's two PCG state words, restoring r in place. It is

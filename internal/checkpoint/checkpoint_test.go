@@ -22,10 +22,8 @@ type sample struct {
 	i64  int64
 	n    int
 	f, z float64
-	s    string
 	fs   []float64
 	is   []int64
-	ints []int
 	bs   []byte
 }
 
@@ -36,18 +34,16 @@ func (v *sample) State(c *Codec) {
 	c.Int(&v.n)
 	c.F64(&v.f)
 	c.F64(&v.z)
-	c.Str(&v.s)
 	c.F64s(&v.fs)
 	c.I64s(&v.is)
-	c.Ints(&v.ints)
 	c.Bytes(&v.bs)
 }
 
 func testSample() sample {
 	return sample{
 		b: true, i32: -123456, i64: -42, n: 7, f: math.Pi, z: math.Copysign(0, -1),
-		s: "hello, snapshot", fs: []float64{1.5, -2.5, math.Inf(1)},
-		is: []int64{9, -9}, ints: []int{3, 1, 4}, bs: []byte{0xAA, 0xBB},
+		fs: []float64{1.5, -2.5, math.Inf(1)},
+		is: []int64{9, -9}, bs: []byte("hello, snapshot"),
 	}
 }
 
@@ -178,10 +174,8 @@ func TestDecInvalidSliceLength(t *testing.T) {
 	}{
 		{"F64s-2^40", 1 << 40, func(d *Codec) any { var v []float64; d.F64s(&v); return v }},
 		{"F64s", 1 << 61, func(d *Codec) any { var v []float64; d.F64s(&v); return v }},
-		{"Ints", 1 << 61, func(d *Codec) any { var v []int; d.Ints(&v); return v }},
 		{"I64s", 1 << 61, func(d *Codec) any { var v []int64; d.I64s(&v); return v }},
 		{"I64s-wraps-to-8", 1<<61 + 1, func(d *Codec) any { var v []int64; d.I64s(&v); return v }},
-		{"Str", math.MaxInt64, func(d *Codec) any { v := "x"; d.Str(&v); return v }},
 		{"Bytes", math.MaxInt64, func(d *Codec) any { v := []byte{1}; d.Bytes(&v); return v }},
 		{"Count-1", math.MaxInt64, func(d *Codec) any { return d.Count(0, 1) }},
 		{"Count-8", 1 << 61, func(d *Codec) any { return d.Count(0, 8) }},
@@ -201,20 +195,12 @@ func TestDecInvalidSliceLength(t *testing.T) {
 				if v != nil {
 					t.Fatalf("got %d values", len(v))
 				}
-			case []int:
-				if v != nil {
-					t.Fatalf("got %d values", len(v))
-				}
 			case []int64:
 				if v != nil {
 					t.Fatalf("got %d values", len(v))
 				}
 			case []byte:
 				if v != nil {
-					t.Fatalf("got %d bytes", len(v))
-				}
-			case string:
-				if v != "" {
 					t.Fatalf("got %d bytes", len(v))
 				}
 			case int:
@@ -265,9 +251,9 @@ func TestEncMatchesReferenceAppender(t *testing.T) {
 			case rng.Intn(8) == 0:
 				n = rng.Intn(3000)
 			}
-			op := rng.Intn(12)
+			op := rng.Intn(10)
 			if i == big {
-				op = 6 + rng.Intn(6)
+				op = 6 + rng.Intn(4)
 			}
 			switch op {
 			case 0:
@@ -312,34 +298,19 @@ func TestEncMatchesReferenceAppender(t *testing.T) {
 					u[j] = math.Float64bits(x)
 				}
 				ref = words(ref, u)
-			case 8, 9:
+			case 8:
 				u := make([]uint64, n)
+				v := make([]int64, n)
 				for j := range u {
 					u[j] = rng.Uint64()
+					v[j] = int64(u[j])
 				}
-				if op == 8 {
-					v := make([]int64, n)
-					for j, x := range u {
-						v[j] = int64(x)
-					}
-					e.I64s(&v)
-				} else {
-					v := make([]int, n)
-					for j, x := range u {
-						v[j] = int(x)
-					}
-					e.Ints(&v)
-				}
+				e.I64s(&v)
 				ref = words(ref, u)
-			case 10, 11:
+			case 9:
 				v := make([]byte, 8*n+rng.Intn(8))
 				rng.Read(v)
-				if op == 10 {
-					s := string(v)
-					e.Str(&s)
-				} else {
-					e.Bytes(&v)
-				}
+				e.Bytes(&v)
 				ref = le.AppendUint64(ref, uint64(len(v)))
 				ref = append(ref, v...)
 			}

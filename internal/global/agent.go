@@ -2,7 +2,6 @@ package global
 
 import (
 	"fmt"
-	"io"
 
 	"hierdrl/internal/cluster"
 	"hierdrl/internal/mat"
@@ -441,28 +440,6 @@ func (a *Agent) ActionCounts() []int64 {
 
 // Network exposes the online network for tests and ablations.
 func (a *Agent) Network() *QNetwork { return a.net }
-
-// SaveWeights serializes the online network's weights (JSON). Optimizer
-// state is not captured: a restored agent resumes with fresh Adam moments,
-// which is the standard checkpointing contract.
-func (a *Agent) SaveWeights(w io.Writer) error {
-	return nn.TakeSnapshot(a.net.Params()).Write(w)
-}
-
-// LoadWeights restores weights saved by SaveWeights into the online network
-// and synchronizes the target network. The architecture must match.
-func (a *Agent) LoadWeights(r io.Reader) error {
-	snap, err := nn.ReadSnapshot(r)
-	if err != nil {
-		return err
-	}
-	if err := snap.Restore(a.net.Params()); err != nil {
-		return err
-	}
-	a.net.InvalidateTransposes()
-	a.tgt.CopyWeightsFrom(a.net)
-	return nil
-}
 
 // String summarizes the agent's learning state.
 func (a *Agent) String() string {

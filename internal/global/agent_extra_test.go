@@ -1,7 +1,6 @@
 package global
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -191,51 +190,6 @@ func TestDuelingMeanCenteredAdvantages(t *testing.T) {
 		if diff := q2[i] - q1[i]; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("uniform advantage shift changed Q[%d] by %v (mean-centering broken)", i, diff)
 		}
-	}
-}
-
-// Save/Load round trip: a fresh agent restored from a trained agent's
-// weights must produce identical Q values.
-func TestAgentWeightsRoundTrip(t *testing.T) {
-	a := newTestAgent(t, 4)
-	v := testView(4, []float64{0.1, 0.5, 0.3, 0.7})
-	a.ObserveCluster(0, 100, 1, 0)
-	for i := 0; i < 40; i++ { // a few training steps so weights moved
-		v.Now = sim.Time(float64(i))
-		a.Allocate(testJob(0.2, 300), v)
-	}
-
-	var buf bytes.Buffer
-	if err := a.SaveWeights(&buf); err != nil {
-		t.Fatalf("SaveWeights: %v", err)
-	}
-	b := newTestAgent(t, 4)
-	if err := b.LoadWeights(&buf); err != nil {
-		t.Fatalf("LoadWeights: %v", err)
-	}
-	s := a.enc.Encode(v, testJob(0.2, 300))
-	qa := a.Network().QValues(s)
-	qb := b.Network().QValues(s)
-	for i := range qa {
-		if qa[i] != qb[i] {
-			t.Fatalf("Q[%d] differs after restore: %v vs %v", i, qa[i], qb[i])
-		}
-	}
-
-	// Mismatched architecture must be rejected.
-	var buf2 bytes.Buffer
-	if err := a.SaveWeights(&buf2); err != nil {
-		t.Fatalf("SaveWeights: %v", err)
-	}
-	cfg := DefaultConfig(4)
-	cfg.AEHidden = []int{6, 3}
-	cfg.SubQHidden = 16
-	c, err := NewAgent(cfg, 4, mat.NewRNG(8))
-	if err != nil {
-		t.Fatalf("NewAgent: %v", err)
-	}
-	if err := c.LoadWeights(&buf2); err == nil {
-		t.Fatal("architecture mismatch accepted")
 	}
 }
 

@@ -174,7 +174,7 @@ func TestRLTimeoutLearnsToStayOnUnderFrequentArrivals(t *testing.T) {
 			mgr.Decisions(), mgr.Updates())
 	}
 	// The steady-state idle gap is 5 s, predicted category c0 (< 15 s).
-	best, _ := mgr.QTable().Best("c0")
+	best, _ := mgr.QTable().Best(0)
 	if to := cfg.Timeouts[best]; to < 15 {
 		t.Fatalf("learned timeout %v for frequent arrivals; want >= 15 (stay on)", to)
 	}
@@ -188,7 +188,7 @@ func TestRLTimeoutLearnsToSleepUnderRareArrivals(t *testing.T) {
 	mgr := runServerWithRL(t, cfg, 2000, 10, 600)
 
 	// Predicted gap ~2000 s falls in the top category.
-	best, _ := mgr.QTable().Best("c6")
+	best, _ := mgr.QTable().Best(6)
 	if to := cfg.Timeouts[best]; to > 30 {
 		t.Fatalf("learned timeout %v for rare arrivals; want <= 30 (sleep fast)", to)
 	}
@@ -256,7 +256,7 @@ func TestRLTimeoutFirstUpdateMatchesIntegral(t *testing.T) {
 	rEq := integral / gain
 	// Fresh table: max_a' Q = 0, so target = gain * rEq = integral.
 	want := gain * rEq
-	got := mgr.QTable().Q("c6", 0) // first prediction is +Inf -> top category
+	got := mgr.QTable().Q(6, 0) // first prediction is +Inf -> top category
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("first Q update %v want %v", got, want)
 	}

@@ -3,7 +3,6 @@ package local
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"hierdrl/internal/cluster"
 	"hierdrl/internal/lstm"
@@ -117,7 +116,7 @@ type RLTimeout struct {
 	lastJQ    int
 
 	hasPending    bool
-	pendingState  string
+	pendingState  int
 	pendingAction int
 
 	decisions int64
@@ -134,12 +133,13 @@ func NewRLTimeout(cfg RLConfig, pred ArrivalPredictor, rng *mat.RNG) (*RLTimeout
 	if pred == nil {
 		return nil, fmt.Errorf("local: nil predictor")
 	}
+	disc := lstm.NewDiscretizer(cfg.PredictorBounds)
 	return &RLTimeout{
 		cfg:   cfg,
-		table: rl.NewQTable(len(cfg.Timeouts), cfg.Alpha, cfg.Beta, cfg.OptimisticInit),
+		table: rl.NewQTable(disc.NumCategories(), len(cfg.Timeouts), cfg.Alpha, cfg.Beta, cfg.OptimisticInit),
 		eps:   rl.NewEpsilonGreedy(cfg.Epsilon, cfg.EpsilonMin, cfg.EpsilonDecay, rng),
 		pred:  pred,
-		disc:  lstm.NewDiscretizer(cfg.PredictorBounds),
+		disc:  disc,
 		integ: rl.NewRewardIntegrator(cfg.Beta),
 	}, nil
 }
@@ -150,26 +150,21 @@ func (m *RLTimeout) rewardRate() float64 {
 	return -(w*m.lastPower/m.cfg.PowerNormW + (1-w)*float64(m.lastJQ))
 }
 
-// stateKey encodes the RL state: the power manager acts only when the
-// machine is idle with an empty queue, so the discriminating observation is
-// the predicted next inter-arrival category (Sec. VI-B state parameters).
-func (m *RLTimeout) stateKey() string {
-	return "c" + strconv.Itoa(m.disc.Categorize(m.pred.Predict()))
-}
-
-// OnIdle implements cluster.DPMPolicy — decision-epoch case (1).
+// OnIdle implements cluster.DPMPolicy — decision-epoch case (1). The power
+// manager acts only when the machine is idle with an empty queue, so the RL
+// state is the predicted next inter-arrival category (Sec. VI-B state
+// parameters), one of the table's disc.NumCategories() rows for every
+// prediction, NaN and +Inf included.
 func (m *RLTimeout) OnIdle(t sim.Time, _ *cluster.Server) float64 {
-	state := m.stateKey()
+	state := m.disc.Categorize(m.pred.Predict())
 	// Close the previous sojourn with the exact discounted reward.
 	if m.hasPending {
 		rEq, tau := m.integ.EquivalentRate(t.Seconds())
 		m.table.Update(m.pendingState, m.pendingAction, rEq, tau, state)
 		m.updates++
 	}
-	action := m.eps.Select(len(m.cfg.Timeouts), func() int {
-		best, _ := m.table.Best(state)
-		return best
-	})
+	best, _ := m.table.Best(state)
+	action := m.eps.SelectAction(len(m.cfg.Timeouts), best)
 	m.pendingState = state
 	m.pendingAction = action
 	m.hasPending = true

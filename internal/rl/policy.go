@@ -17,8 +17,8 @@ type EpsilonGreedy struct {
 }
 
 // NewEpsilonGreedy returns a policy that starts at eps, multiplies eps by
-// decay after every Select, and never goes below min. decay == 1 keeps eps
-// constant.
+// decay after every SelectAction, and never goes below min. decay == 1
+// keeps eps constant.
 func NewEpsilonGreedy(eps, min, decay float64, rng *mat.RNG) *EpsilonGreedy {
 	if eps < 0 || eps > 1 || min < 0 || min > eps || decay <= 0 || decay > 1 {
 		panic(fmt.Sprintf("rl: NewEpsilonGreedy invalid params eps=%v min=%v decay=%v",
@@ -27,32 +27,9 @@ func NewEpsilonGreedy(eps, min, decay float64, rng *mat.RNG) *EpsilonGreedy {
 	return &EpsilonGreedy{eps: eps, min: min, decay: decay, rng: rng}
 }
 
-// Select returns greedy(), or a uniform action in [0, nActions), exploring
-// with the current epsilon. Epsilon decays after each call.
-func (p *EpsilonGreedy) Select(nActions int, greedy func() int) int {
-	if nActions <= 0 {
-		panic("rl: Select requires nActions > 0")
-	}
-	a := -1
-	if p.rng.Float64() < p.eps {
-		a = p.rng.Intn(nActions)
-	} else {
-		a = greedy()
-	}
-	p.eps *= p.decay
-	if p.eps < p.min {
-		p.eps = p.min
-	}
-	if a < 0 || a >= nActions {
-		panic(fmt.Sprintf("rl: greedy chose out-of-range action %d", a))
-	}
-	return a
-}
-
-// SelectAction is Select with the greedy action passed by value instead of
-// through a callback, so hot paths avoid constructing a closure per
-// decision. RNG consumption and results are identical to
-// Select(nActions, func() int { return best }).
+// SelectAction returns best, or a uniform action in [0, nActions),
+// exploring with the current epsilon. Epsilon decays after each call. The
+// greedy action is passed by value, so a decision builds no closure.
 func (p *EpsilonGreedy) SelectAction(nActions, best int) int {
 	if nActions <= 0 {
 		panic("rl: SelectAction requires nActions > 0")

@@ -1,7 +1,6 @@
 package rl
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -53,72 +52,67 @@ func TestNegativeSojournPanics(t *testing.T) {
 }
 
 func TestQTableBasics(t *testing.T) {
-	q := NewQTable(3, 0.5, 0.5, 0)
-	if q.NumActions() != 3 {
-		t.Fatalf("NumActions %d", q.NumActions())
+	q := NewQTable(2, 3, 0.5, 0.5, 0)
+	if q.NumStates() != 2 || q.NumActions() != 3 {
+		t.Fatalf("NumStates %d NumActions %d", q.NumStates(), q.NumActions())
 	}
-	if got := q.Q("s", 1); got != 0 {
+	if got := q.Q(0, 1); got != 0 {
 		t.Fatalf("fresh Q = %v want 0", got)
 	}
-	a, v := q.Best("s")
+	a, v := q.Best(0)
 	if a != 0 || v != 0 {
 		t.Fatalf("fresh Best = (%d,%v)", a, v)
 	}
-	q.Update("s", 1, 10, 1, "s2")
-	if q.Q("s", 1) <= 0 {
+	q.Update(0, 1, 10, 1, 1)
+	if q.Q(0, 1) <= 0 {
 		t.Fatal("positive reward must raise Q")
 	}
-	a, _ = q.Best("s")
+	a, _ = q.Best(0)
 	if a != 1 {
 		t.Fatalf("Best after positive update = %d want 1", a)
 	}
-	if q.Visits("s", 1) != 1 {
-		t.Fatalf("Visits = %d want 1", q.Visits("s", 1))
+	if q.Visits(0, 1) != 1 || q.Visits(1, 1) != 0 {
+		t.Fatalf("Visits = %d, %d want 1, 0", q.Visits(0, 1), q.Visits(1, 1))
 	}
-	if q.States() != 2 { // "s" and "s2"
-		t.Fatalf("States = %d want 2", q.States())
+	if a, v := q.Best(1); a != 0 || v != 0 {
+		t.Fatalf("an update of state 0 moved state 1: Best = (%d,%v)", a, v)
 	}
 }
 
 func TestQTableOptimisticInit(t *testing.T) {
-	q := NewQTable(2, 0.5, 0.5, 5)
-	if got := q.Q("s", 0); got != 5 {
-		t.Fatalf("optimistic init = %v want 5", got)
+	q := NewQTable(3, 2, 0.5, 0.5, 5)
+	for s := 0; s < 3; s++ {
+		if got := q.Q(s, 1); got != 5 {
+			t.Fatalf("optimistic init of state %d = %v want 5", s, got)
+		}
 	}
 }
 
-// A two-state SMDP with known optimal policy: in state "idle" action 1 earns
-// rate 1 and returns to "idle" after tau=1; action 0 earns rate 0. The agent
+// A one-state SMDP with known optimal policy: in state idle action 1 earns
+// rate 1 and returns to idle after tau=1; action 0 earns rate 0. The agent
 // must learn Q(idle,1) > Q(idle,0).
 func TestQTableLearnsSimpleSMDP(t *testing.T) {
-	q := NewQTable(2, 0.2, 0.5, 0)
+	const idle = 0
+	q := NewQTable(1, 2, 0.2, 0.5, 0)
 	rng := mat.NewRNG(1)
 	pol := NewEpsilonGreedy(0.3, 0.05, 0.999, rng)
 	for i := 0; i < 3000; i++ {
-		a := pol.Select(2, func() int { b, _ := q.Best("idle"); return b })
+		best, _ := q.Best(idle)
+		a := pol.SelectAction(2, best)
 		rate := 0.0
 		if a == 1 {
 			rate = 1.0
 		}
-		q.Update("idle", a, rate, 1, "idle")
+		q.Update(idle, a, rate, 1, idle)
 	}
-	if q.Q("idle", 1) <= q.Q("idle", 0) {
-		t.Fatalf("failed to learn: Q1=%v Q0=%v", q.Q("idle", 1), q.Q("idle", 0))
+	if q.Q(idle, 1) <= q.Q(idle, 0) {
+		t.Fatalf("failed to learn: Q1=%v Q0=%v", q.Q(idle, 1), q.Q(idle, 0))
 	}
 	// The fixed point of always taking action 1:
 	// Q = g + d*Q with g=(1-e^-0.5)/0.5, d=e^-0.5 => Q = g/(1-d) ≈ 2.0
 	want := SojournGain(0.5, 1) / (1 - DiscountFactor(0.5, 1))
-	if math.Abs(q.Q("idle", 1)-want) > 0.3 {
-		t.Fatalf("Q(idle,1)=%v want ~%v", q.Q("idle", 1), want)
-	}
-}
-
-func TestQTableUpdateTerminal(t *testing.T) {
-	q := NewQTable(1, 1, 0.5, 0)
-	q.UpdateTerminal("s", 0, 2, 1)
-	want := SojournGain(0.5, 1) * 2
-	if math.Abs(q.Q("s", 0)-want) > 1e-12 {
-		t.Fatalf("terminal update: got %v want %v", q.Q("s", 0), want)
+	if math.Abs(q.Q(idle, 1)-want) > 0.3 {
+		t.Fatalf("Q(idle,1)=%v want ~%v", q.Q(idle, 1), want)
 	}
 }
 
@@ -126,9 +120,9 @@ func TestQTableUpdateTerminal(t *testing.T) {
 func TestQTableFullLearningRateProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := mat.NewRNG(seed)
-		q := NewQTable(4, 1, 0.5, 0)
-		state := fmt.Sprintf("s%d", g.Intn(5))
-		next := fmt.Sprintf("s%d", g.Intn(5))
+		q := NewQTable(5, 4, 1, 0.5, 0)
+		state := g.Intn(5)
+		next := g.Intn(5)
 		a := g.Intn(4)
 		rate := g.Normal(0, 10)
 		tau := g.Float64() * 100
@@ -143,13 +137,23 @@ func TestQTableFullLearningRateProperty(t *testing.T) {
 }
 
 func TestQTableActionRangePanics(t *testing.T) {
-	q := NewQTable(2, 0.5, 0.5, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range action should panic")
-		}
-	}()
-	q.Q("s", 2)
+	q := NewQTable(2, 2, 0.5, 0.5, 0)
+	for i, fn := range []func(){
+		func() { q.Q(0, 2) },
+		func() { q.Q(0, -1) },
+		func() { q.Q(2, 0) },
+		func() { q.Best(-1) },
+		func() { q.Update(0, 0, 1, 1, 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("case %d: out-of-range state or action should panic", i)
+				}
+			}()
+			fn()
+		}()
+	}
 }
 
 func TestEpsilonGreedyExploresAndExploits(t *testing.T) {
@@ -157,7 +161,7 @@ func TestEpsilonGreedyExploresAndExploits(t *testing.T) {
 	pol := NewEpsilonGreedy(1, 0, 1, rng) // pure exploration
 	counts := make([]int, 4)
 	for i := 0; i < 4000; i++ {
-		counts[pol.Select(4, func() int { return 0 })]++
+		counts[pol.SelectAction(4, 0)]++
 	}
 	for a, c := range counts {
 		if c < 800 || c > 1200 {
@@ -167,7 +171,7 @@ func TestEpsilonGreedyExploresAndExploits(t *testing.T) {
 
 	pol.SetEpsilon(0) // pure exploitation
 	for i := 0; i < 100; i++ {
-		if got := pol.Select(4, func() int { return 2 }); got != 2 {
+		if got := pol.SelectAction(4, 2); got != 2 {
 			t.Fatalf("pure exploitation chose %d", got)
 		}
 	}
@@ -177,7 +181,7 @@ func TestEpsilonGreedyDecay(t *testing.T) {
 	rng := mat.NewRNG(3)
 	pol := NewEpsilonGreedy(1, 0.1, 0.5, rng)
 	for i := 0; i < 10; i++ {
-		pol.Select(2, func() int { return 0 })
+		pol.SelectAction(2, 0)
 	}
 	if pol.Epsilon() != 0.1 {
 		t.Fatalf("epsilon after decay = %v want floor 0.1", pol.Epsilon())
@@ -191,7 +195,7 @@ func TestEpsilonGreedyValidation(t *testing.T) {
 		func() { NewEpsilonGreedy(0.5, 0.6, 1, rng) },
 		func() { NewEpsilonGreedy(0.5, 0.1, 0, rng) },
 		func() { NewEpsilonGreedy(0.5, 0.1, 1.5, rng) },
-		func() { NewEpsilonGreedy(0.5, 0.1, 1, rng).Select(0, func() int { return 0 }) },
+		func() { NewEpsilonGreedy(0.5, 0.1, 1, rng).SelectAction(0, 0) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -394,10 +398,11 @@ func TestRewardIntegratorEquivalenceProperty(t *testing.T) {
 
 func TestQTableConstructorPanics(t *testing.T) {
 	cases := []func(){
-		func() { NewQTable(0, 0.5, 0.5, 0) },
-		func() { NewQTable(2, 0, 0.5, 0) },
-		func() { NewQTable(2, 1.5, 0.5, 0) },
-		func() { NewQTable(2, 0.5, 0, 0) },
+		func() { NewQTable(0, 2, 0.5, 0.5, 0) },
+		func() { NewQTable(2, 0, 0.5, 0.5, 0) },
+		func() { NewQTable(2, 2, 0, 0.5, 0) },
+		func() { NewQTable(2, 2, 1.5, 0.5, 0) },
+		func() { NewQTable(2, 2, 0.5, 0, 0) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -450,24 +455,6 @@ func TestSampleIndicesIntoMatchesSampleIndices(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("index %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
-// SelectAction must consume the RNG identically to Select with a constant
-// greedy callback, including epsilon decay.
-func TestSelectActionMatchesSelect(t *testing.T) {
-	pa := NewEpsilonGreedy(0.5, 0.01, 0.99, mat.NewRNG(3))
-	pb := NewEpsilonGreedy(0.5, 0.01, 0.99, mat.NewRNG(3))
-	for i := 0; i < 200; i++ {
-		best := i % 7
-		a := pa.Select(7, func() int { return best })
-		b := pb.SelectAction(7, best)
-		if a != b {
-			t.Fatalf("step %d: Select %d != SelectAction %d", i, a, b)
-		}
-		if pa.Epsilon() != pb.Epsilon() {
-			t.Fatalf("step %d: epsilon diverged %v vs %v", i, pa.Epsilon(), pb.Epsilon())
 		}
 	}
 }

@@ -43,24 +43,26 @@ func SMDPTarget(beta, tau, rRate, nextBest float64) float64 {
 	return SojournGain(beta, tau)*rRate + DiscountFactor(beta, tau)*nextBest
 }
 
-// QTable is a tabular continuous-time Q-learning agent over a finite action
-// set with string-encoded states. The zero value is not usable; construct
-// with NewQTable.
+// QTable is a tabular continuous-time Q-learning agent over a finite state
+// set and a finite action set, stored densely: Q(s, a) is q[s*nActions+a].
+// The zero value is not usable; construct with NewQTable.
 type QTable struct {
 	nActions int
 	alpha    float64
 	beta     float64
-	optInit  float64
 
-	q      map[string][]float64
-	visits map[string][]int
+	q      []float64
+	visits []int
 }
 
-// NewQTable returns a Q-table for nActions actions with learning rate alpha
-// and discount rate beta. optInit is the optimistic initial Q-value for
-// unseen state-action pairs (0 is the common choice; the local power manager
-// benefits from mildly optimistic initialization).
-func NewQTable(nActions int, alpha, beta, optInit float64) *QTable {
+// NewQTable returns a Q-table for nStates states and nActions actions with
+// learning rate alpha and discount rate beta. Every Q-value starts at
+// optInit, the optimistic initial value (0 is the common choice; the local
+// power manager benefits from mildly optimistic initialization).
+func NewQTable(nStates, nActions int, alpha, beta, optInit float64) *QTable {
+	if nStates <= 0 {
+		panic(fmt.Sprintf("rl: NewQTable invalid state count %d", nStates))
+	}
 	if nActions <= 0 {
 		panic(fmt.Sprintf("rl: NewQTable invalid action count %d", nActions))
 	}
@@ -70,41 +72,42 @@ func NewQTable(nActions int, alpha, beta, optInit float64) *QTable {
 	if beta <= 0 {
 		panic(fmt.Sprintf("rl: NewQTable invalid discount rate %v", beta))
 	}
+	q := make([]float64, nStates*nActions)
+	for i := range q {
+		q[i] = optInit
+	}
 	return &QTable{
 		nActions: nActions,
 		alpha:    alpha,
 		beta:     beta,
-		optInit:  optInit,
-		q:        make(map[string][]float64),
-		visits:   make(map[string][]int),
+		q:        q,
+		visits:   make([]int, nStates*nActions),
 	}
 }
+
+// NumStates returns the size of the state set.
+func (t *QTable) NumStates() int { return len(t.q) / t.nActions }
 
 // NumActions returns the size of the action set.
 func (t *QTable) NumActions() int { return t.nActions }
 
-func (t *QTable) row(state string) []float64 {
-	row, ok := t.q[state]
-	if !ok {
-		row = make([]float64, t.nActions)
-		for i := range row {
-			row[i] = t.optInit
-		}
-		t.q[state] = row
-		t.visits[state] = make([]int, t.nActions)
+// row returns state's Q-values, one per action.
+func (t *QTable) row(state int) []float64 {
+	if state < 0 || state >= t.NumStates() {
+		panic(fmt.Sprintf("rl: state %d out of range [0,%d)", state, t.NumStates()))
 	}
-	return row
+	return t.q[state*t.nActions : (state+1)*t.nActions]
 }
 
 // Q returns the current value estimate for (state, action).
-func (t *QTable) Q(state string, action int) float64 {
+func (t *QTable) Q(state, action int) float64 {
 	t.checkAction(action)
 	return t.row(state)[action]
 }
 
 // Best returns the greedy action and its value for state. Ties break toward
 // the lowest action index, which keeps runs deterministic.
-func (t *QTable) Best(state string) (action int, value float64) {
+func (t *QTable) Best(state int) (action int, value float64) {
 	row := t.row(state)
 	action, value = 0, row[0]
 	for a := 1; a < len(row); a++ {
@@ -118,38 +121,23 @@ func (t *QTable) Best(state string) (action int, value float64) {
 // Update applies the Eqn. (2) value update for a transition that started in
 // state with action, accrued the equivalent constant reward rate rRate over
 // sojourn tau, and landed in nextState. It returns the TD error.
-func (t *QTable) Update(state string, action int, rRate, tau float64, nextState string) float64 {
+func (t *QTable) Update(state, action int, rRate, tau float64, nextState int) float64 {
 	t.checkAction(action)
 	_, nextBest := t.Best(nextState)
 	target := SMDPTarget(t.beta, tau, rRate, nextBest)
 	row := t.row(state)
 	td := target - row[action]
 	row[action] += t.alpha * td
-	t.visits[state][action]++
-	return td
-}
-
-// UpdateTerminal applies an update for a transition with no successor (used
-// at the end of an episode): the target is just the discounted reward.
-func (t *QTable) UpdateTerminal(state string, action int, rRate, tau float64) float64 {
-	t.checkAction(action)
-	target := SojournGain(t.beta, tau) * rRate
-	row := t.row(state)
-	td := target - row[action]
-	row[action] += t.alpha * td
-	t.visits[state][action]++
+	t.visits[state*t.nActions+action]++
 	return td
 }
 
 // Visits returns how many updates (state, action) has received.
-func (t *QTable) Visits(state string, action int) int {
+func (t *QTable) Visits(state, action int) int {
 	t.checkAction(action)
 	t.row(state)
-	return t.visits[state][action]
+	return t.visits[state*t.nActions+action]
 }
-
-// States returns the number of distinct states materialized so far.
-func (t *QTable) States() int { return len(t.q) }
 
 func (t *QTable) checkAction(a int) {
 	if a < 0 || a >= t.nActions {

@@ -1,8 +1,6 @@
 package rl
 
 import (
-	"sort"
-
 	"hierdrl/internal/checkpoint"
 	"hierdrl/internal/mat"
 )
@@ -64,37 +62,13 @@ func ReplayState[T any](r *Replay[T], c *checkpoint.Codec, elem func(*checkpoint
 	}
 }
 
-// State walks the learned Q-values and visit counts with sorted state keys,
-// so identical tables always produce identical bytes. Decoding replaces the
-// table contents.
+// State walks the learned Q-values and visit counts. Both have the
+// construction-config size nStates*nActions, so the walk stores no state
+// keys and no row count; decoding fills the table in place and refuses a
+// payload of any other width.
 func (t *QTable) State(c *checkpoint.Codec) {
-	keys := make([]string, 0, len(t.q))
-	for k := range t.q {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	// One row is at least its three length prefixes.
-	n := c.Count(len(keys), 24)
-	if c.Decoding() {
-		keys = make([]string, n)
-		t.q = make(map[string][]float64, n)
-		t.visits = make(map[string][]int, n)
-	}
-	for _, k := range keys {
-		q, v := t.q[k], t.visits[k]
-		c.Str(&k)
-		c.F64s(&q)
-		c.Ints(&v)
-		if c.Decoding() {
-			if c.Err() != nil {
-				return
-			}
-			if len(q) != t.nActions || len(v) != t.nActions {
-				c.Fail(checkpoint.ErrCorrupt, "QTable row width %d/%d, want %d", len(q), len(v), t.nActions)
-				return
-			}
-			t.q[k] = q
-			t.visits[k] = v
-		}
+	c.F64sFixed(t.q)
+	for i := range t.visits {
+		c.Int(&t.visits[i])
 	}
 }

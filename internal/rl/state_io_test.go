@@ -3,7 +3,6 @@ package rl
 import (
 	"bytes"
 	"errors"
-	"runtime"
 	"testing"
 
 	"hierdrl/internal/checkpoint"
@@ -78,7 +77,7 @@ func TestReplayRestoreCapacityMismatch(t *testing.T) {
 func TestEpsilonGreedyAndIntegratorRoundTrip(t *testing.T) {
 	p1 := NewEpsilonGreedy(1.0, 0.05, 0.999, mat.NewRNG(3))
 	for i := 0; i < 40; i++ {
-		p1.Select(4, func() int { return 0 })
+		p1.SelectAction(4, 0)
 	}
 	ri1 := NewRewardIntegrator(0.5)
 	ri1.Reset(10, 2.25)
@@ -104,24 +103,46 @@ func TestEpsilonGreedyAndIntegratorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQTableRejectsCraftedCount: a CRC-valid payload may claim any row count;
-// it must be bounded by the bytes that remain before anything is sized by it
-// (2^28 rows used to reach two make(map, n) calls — gigabytes — before the
-// first row was read).
-func TestQTableRejectsCraftedCount(t *testing.T) {
-	d := section(t, func(e *checkpoint.Codec) {
-		rows := 1 << 28
-		e.Int(&rows)
-	})
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	NewQTable(3, 0.1, 0.5, 0).State(d)
-	err := d.Err()
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, checkpoint.ErrCorrupt) {
-		t.Fatalf("crafted row count: got %v, want ErrCorrupt", err)
+// TestQTableStateRoundTrip: the table's walk restores every Q-value and
+// visit count into a fresh table of the same shape.
+func TestQTableStateRoundTrip(t *testing.T) {
+	q1 := NewQTable(3, 2, 0.5, 0.5, 1)
+	q1.Update(0, 1, 4, 2, 2)
+	q1.Update(2, 0, -3, 1, 0)
+	q1.Update(2, 0, -3, 1, 1)
+	d := section(t, q1.State)
+	q2 := NewQTable(3, 2, 0.5, 0.5, 1)
+	if q2.State(d); d.End() != nil {
+		t.Fatalf("restore: %v", d.End())
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("rejecting the crafted count allocated %d bytes", grew)
+	for s := 0; s < 3; s++ {
+		for a := 0; a < 2; a++ {
+			if q2.Q(s, a) != q1.Q(s, a) || q2.Visits(s, a) != q1.Visits(s, a) {
+				t.Fatalf("(%d,%d): Q %v visits %d, want %v, %d", s, a, q2.Q(s, a), q2.Visits(s, a), q1.Q(s, a), q1.Visits(s, a))
+			}
+		}
+	}
+}
+
+// TestQTableRejectsShortOrWidePayload: the table's width is construction
+// config, so a payload cut short, or one written by a table of another
+// shape, is ErrCorrupt.
+func TestQTableRejectsShortOrWidePayload(t *testing.T) {
+	payload := func(nStates, nActions int) []byte {
+		var e checkpoint.Codec
+		NewQTable(nStates, nActions, 0.5, 0.5, 0).State(&e)
+		return e.Payload()
+	}
+	good := payload(3, 2)
+	for name, b := range map[string][]byte{
+		"short":      good[:len(good)-8],
+		"more-rows":  payload(4, 2),
+		"fewer-rows": payload(2, 2),
+		"wider-rows": payload(3, 3),
+	} {
+		d := checkpoint.NewDec("s", b)
+		if NewQTable(3, 2, 0.5, 0.5, 0).State(d); !errors.Is(d.End(), checkpoint.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, d.End())
+		}
 	}
 }

@@ -278,9 +278,9 @@ func stepToRetry(t *testing.T, s *Session) (loBefore int) {
 // format v7 (its want bits did not move), for format v8, whose PCG generator
 // moved the run and its want bits, still v8 when the paper workload moved
 // onto internal/workload's generator and its streams changed, in the
-// version word alone, for format v9, and, in the version word and the
-// metrics section, for format v10 and last for format v11 (its want bits did
-// not move at any of the three):
+// version word alone, for format v9, in the version word and the metrics
+// section, for format v10 and for format v11, and, in the version word alone,
+// for format v12 (its want bits did not move at any of the four):
 // the code must write those bytes, restore them, and finish with the Summary
 // they record.
 func TestCheckpointAfterHeadSideInsert(t *testing.T) {

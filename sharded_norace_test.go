@@ -11,9 +11,9 @@ import (
 // TestShardedSteadyStepZeroAlloc pins the least-loaded steady state: with
 // every pool warm (event slots, job pool, metric buffers, load index) a Step
 // — load-index allocation, dispatch, server events — performs zero heap
-// allocations. The configuration avoids the RL power manager (whose Q-table
-// state keys are strings by design) so the pin measures the engine and the
-// load index themselves.
+// allocations. The configuration avoids the RL power manager (pinned on its
+// own by internal/local's TestRLTimeoutEpochAllocatesNothing) so the pin
+// measures the engine and the load index themselves.
 //
 // The build tag mirrors the other alloc-pinned suites: race instrumentation
 // allocates, so exact counts only hold without -race.
