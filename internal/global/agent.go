@@ -81,8 +81,10 @@ type Agent struct {
 	// crew runs each training step's phases on the caller and one helper
 	// goroutine (DESIGN.md §7, "Train step on two cores"). It is a separate
 	// object so that a parked helper, which holds only the crew, does not
-	// keep an agent whose session was dropped without Close alive.
+	// keep an agent whose session was dropped without Close alive; once
+	// such an agent is collected, stop's finalizer releases the helper.
 	crew *crew
+	stop *helperStop
 }
 
 // NewAgent builds a DRL agent for a cluster of m servers.
@@ -114,6 +116,7 @@ func NewAgent(cfg Config, m int, rng *mat.RNG) (*Agent, error) {
 		crew:         &crew{},
 	}
 	a.targetTask = a.targets
+	a.stop = newHelperStop(a.crew)
 	return a, nil
 }
 

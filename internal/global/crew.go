@@ -21,7 +21,7 @@ import (
 // period ahead of each step (prewake); it then spins at most wakeSpin for the
 // step to open. Between the phases of a step it spins at most helperSpin,
 // and then parks until the next wake. close stops it; a later step starts a
-// new one.
+// new one. An agent dropped without close stops it through its helperStop.
 type crew struct {
 	// word packs, from the high bits down, the phase generation, the
 	// phase's task count, the number of tasks the helper has claimed from
@@ -194,9 +194,28 @@ func (c *crew) close() {
 	}
 	c.running = false
 	c.active = false
+	c.release()
+	<-c.exited
+}
+
+// release tells the helper, if one runs, to quit, and does not wait: the
+// wake token it may send goes to a buffer that the sleeping flag's
+// compare-and-swap keeps empty.
+func (c *crew) release() {
 	c.quit.Store(true)
 	c.wakeHelper()
-	<-c.exited
+}
+
+// helperStop is referred to by one agent alone, so it becomes unreachable
+// with the agent, and its finalizer then releases the agent's helper. The
+// agent cannot carry the finalizer itself: its bound targetTask refers back
+// to it, and the runtime never finalizes an object on a reference cycle.
+type helperStop struct{ c *crew }
+
+func newHelperStop(c *crew) *helperStop {
+	h := &helperStop{c}
+	runtime.SetFinalizer(h, func(h *helperStop) { h.c.release() })
+	return h
 }
 
 // split reports whether the step in progress runs on two workers.

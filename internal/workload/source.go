@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"runtime"
 
 	"hierdrl/internal/mat"
 	"hierdrl/internal/trace"
@@ -37,9 +38,10 @@ type classState struct {
 	durMu, cpuMu, diskMu float64
 }
 
-// Source generates the configured workload one job at a time. It implements
-// trace.Source; it is not safe for concurrent use.
-type Source struct {
+// generator is the configured workload's sampler: its RNG streams and its
+// position in the job sequence. A Source's producer goroutine owns it from
+// the first Next on.
+type generator struct {
 	cfg      Config // as given; classes holds its classes, normalized
 	arr      *mat.RNG
 	pick     *mat.RNG // nil for a one-class mix, which draws no pick
@@ -49,7 +51,42 @@ type Source struct {
 	produced int
 }
 
-// NewSource validates cfg and returns a generator positioned before the
+// Read-ahead sizing: the producer fills batches of batchJobs jobs from a pool
+// of poolJobs. The pool must cover a consumer's burst between two stretches
+// of simulation, or the consumer waits on the producer every burst
+// (DESIGN.md §15 "Read-ahead").
+const (
+	batchJobs = 1024
+	poolJobs  = 16 * batchJobs
+)
+
+// Source generates the configured workload one job at a time. It implements
+// trace.Source; it is not safe for concurrent use.
+//
+// The jobs are generated ahead on a producer goroutine, started by the first
+// Next, into a fixed pool of batches: full batches come to Next through one
+// channel and spent ones go back through another. The producer owns the
+// generator, so the jobs are the ones the generator yields inline, bit for
+// bit. It ends with the last job, or once a Source dropped part-way is
+// collected. A first Next that finds GOMAXPROCS at 1 starts no producer: with
+// no core to run ahead on, the Source runs the generator on the caller.
+type Source struct {
+	gen        *generator // until a producer starts, which takes it
+	inline     bool       // the caller runs gen (GOMAXPROCS was 1)
+	numJobs    int
+	batch      []trace.Job // the batch Next hands out, from pos on
+	pos        int
+	produced   int
+	full, free chan []trace.Job
+	stop       *producerStop
+}
+
+// producerStop is referred to by one Source alone, so it becomes unreachable
+// with the Source, and its finalizer then stops the producer. On the Source
+// itself a finalizer would keep the pool alive for one more GC cycle.
+type producerStop struct{ quit chan struct{} }
+
+// NewSource validates cfg and returns a Source positioned before the
 // first job. Component RNG streams are seeded by two-level chaining —
 // chainSeed(seed, group) selects the component group (arrival process, class
 // picker, modulators, classes), then chainSeed(groupSeed, i) the member — so
@@ -59,7 +96,7 @@ func NewSource(cfg Config, seed int64) (*Source, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Source{cfg: cfg, arr: mat.NewRNG(chainSeed(seed, 0))}
+	s := &generator{cfg: cfg, arr: mat.NewRNG(chainSeed(seed, 0))}
 	if len(cfg.Classes) > 1 {
 		s.pick = mat.NewRNG(chainSeed(seed, 1))
 	}
@@ -91,13 +128,78 @@ func NewSource(cfg Config, seed int64) (*Source, error) {
 			diskMu: cl.Disk.logMedian(),
 		}
 	}
-	return s, nil
+	return &Source{gen: s, numJobs: cfg.NumJobs}, nil
 }
 
 var _ trace.Source = (*Source)(nil)
 
-// Produced returns the number of jobs generated so far.
+// Produced returns the number of jobs Next has handed out.
 func (s *Source) Produced() int { return s.produced }
+
+// Next returns the next job; ok is false once NumJobs jobs were handed out.
+// The jobs are the generator's (generator.next), in its order.
+func (s *Source) Next() (j trace.Job, ok bool) {
+	if s.pos == len(s.batch) {
+		if s.produced >= s.numJobs {
+			return trace.Job{}, false
+		}
+		switch {
+		case s.full != nil:
+			// Every batch is in one of the two channels or in hand, and each
+			// channel holds the whole pool, so this send never blocks.
+			s.free <- s.batch[:cap(s.batch)]
+		case s.inline || runtime.GOMAXPROCS(0) == 1:
+			// With one P there is no core to run ahead on: a producer would
+			// fill the whole pool before the caller ran again, and every job
+			// would pass through the slab. Run the generator here instead.
+			s.inline = true
+			s.produced++
+			return s.gen.next()
+		default:
+			s.start()
+		}
+		s.batch, s.pos = <-s.full, 0
+	}
+	j = s.batch[s.pos]
+	s.pos++
+	s.produced++
+	return j, true
+}
+
+// start allocates the pool (no more jobs than the workload has), hands the
+// generator to a producer goroutine and arranges for a Source dropped before
+// its last job to stop that producer.
+func (s *Source) start() {
+	slab := make([]trace.Job, min(s.numJobs, poolJobs))
+	n := (len(slab) + batchJobs - 1) / batchJobs
+	s.full, s.free = make(chan []trace.Job, n), make(chan []trace.Job, n)
+	for lo := 0; lo < len(slab); lo += batchJobs {
+		hi := min(lo+batchJobs, len(slab))
+		s.free <- slab[lo:hi:hi]
+	}
+	s.stop = &producerStop{make(chan struct{})}
+	runtime.SetFinalizer(s.stop, func(p *producerStop) { close(p.quit) })
+	go s.gen.produce(s.full, s.free, s.stop.quit)
+	s.gen = nil
+}
+
+// produce fills free batches with the generator's next jobs and passes them
+// on full, until the workload's last job or quit.
+func (g *generator) produce(full chan<- []trace.Job, free <-chan []trace.Job, quit <-chan struct{}) {
+	for g.produced < g.cfg.NumJobs {
+		var b []trace.Job
+		select {
+		case b = <-free:
+		case <-quit:
+			return
+		}
+		b = b[:min(len(b), g.cfg.NumJobs-g.produced)]
+		for i := range b {
+			b[i], _ = g.next()
+		}
+		full <- b
+	}
+}
 
 // baseRate evaluates the base layer's deterministic rate profile at t.
 func (b *Base) baseRate(t float64) float64 {
@@ -145,7 +247,7 @@ func flashMultiplier(m *Modulator, t float64) float64 {
 // rateAt composes the instantaneous rate at t: base profile times every
 // modulator's multiplier. MMPP burst state is advanced here, at arrival
 // instants, from each layer's own RNG.
-func (s *Source) rateAt(t float64) float64 {
+func (s *generator) rateAt(t float64) float64 {
 	rate := s.cfg.Base.baseRate(t)
 	for i := range s.mmpp {
 		st := &s.mmpp[i]
@@ -192,12 +294,12 @@ func (d *Dist) sample(rng *mat.RNG, mu float64) float64 {
 	}
 }
 
-// Next returns the next job; ok is false once NumJobs jobs were produced.
+// next returns the next job; ok is false once NumJobs jobs were produced.
 // Draw order per job is fixed — arrival gap, class pick (skipped when the mix
 // has one class; the pick stream is its own, so no other draw moves), then
 // the class's duration, CPU, independent-memory, and disk draws from the
 // class's own stream — so every job is reproducible by construction.
-func (s *Source) Next() (j trace.Job, ok bool) {
+func (s *generator) next() (j trace.Job, ok bool) {
 	if s.produced >= s.cfg.NumJobs {
 		return trace.Job{}, false
 	}

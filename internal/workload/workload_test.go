@@ -2,8 +2,12 @@ package workload
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"hierdrl/internal/trace"
 )
 
 // validConfig returns a minimal known-good configuration.
@@ -284,7 +288,9 @@ func diurnalBursty(n int) Config {
 }
 
 // BenchmarkSourceNext is the per-job cost of the generator, which runs
-// inside the measured loop of every streamed run.
+// beside the measured loop of every streamed run. Nothing else runs between
+// two calls, so Next waits on the producer: the figure is the producer's
+// per-job cost plus its share of the batch hand-offs.
 func BenchmarkSourceNext(b *testing.B) {
 	src := MustSource(diurnalBursty(b.N), 1)
 	b.ReportAllocs()
@@ -355,4 +361,148 @@ func FuzzWorkloadSource(f *testing.F) {
 			t.Fatalf("source yielded more than NumJobs = %d jobs", cfg.NumJobs)
 		}
 	})
+}
+
+// readAheadConfigs are the generator shapes the read-ahead is checked
+// against: one class, a multi-class mix, an MMPP layer, a flash crowd, a ramp
+// and a diurnal base.
+func readAheadConfigs() map[string]Config {
+	multi := validConfig()
+	second := multi.Classes[0]
+	multi.Classes[0].Weight = 0.3
+	second.Name, second.Weight = "heavy", 0.7
+	second.Duration = Dist{Kind: DistPareto, Alpha: 1.5, Xm: 300}
+	second.CPU = Dist{Kind: DistFixed, Mean: 0.2}
+	second.MemCorrelation = 1
+	multi.Classes = append(multi.Classes, second)
+	flash := validConfig()
+	flash.Mods = []Modulator{{Kind: ModFlash, AtSec: 600, Peak: 6, RampUpSec: 60, HoldSec: 300, DecaySec: 120, RepeatEverySec: 7200}}
+	ramp := validConfig()
+	ramp.Base = Base{Kind: BaseRamp, Rate: 0.05, EndRate: 0.4, RampSec: 20000}
+	diurnal := validConfig()
+	diurnal.Base = Base{Kind: BaseDiurnal, Rate: 0.2, Amplitude: 0.5, PeriodSec: 3600, PhaseSec: 900}
+	return map[string]Config{
+		"one-class": validConfig(),
+		"multi":     multi,
+		"mmpp":      diurnalBursty(0),
+		"flash":     flash,
+		"ramp":      ramp,
+		"diurnal":   diurnal,
+	}
+}
+
+// sameJob reports whether two jobs agree in every field, bit for bit.
+func sameJob(a, b trace.Job) bool {
+	if a.ID != b.ID || math.Float64bits(a.Arrival) != math.Float64bits(b.Arrival) ||
+		math.Float64bits(a.Duration) != math.Float64bits(b.Duration) {
+		return false
+	}
+	for p := range a.Req {
+		if math.Float64bits(a.Req[p]) != math.Float64bits(b.Req[p]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReadAheadMatchesGenerator pins the read-ahead to the generator: every
+// job Next hands out equals, bit for bit, the one the generator yields run
+// inline on the test goroutine, at lengths around the batch and pool
+// boundaries; after the last job Next stays false and Produced stays at
+// NumJobs. GOMAXPROCS 2 runs the producer, 1 the generator on the caller.
+func TestReadAheadMatchesGenerator(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{2, 1} {
+		runtime.GOMAXPROCS(procs)
+		for name, cfg := range readAheadConfigs() {
+			for _, n := range []int{1, batchJobs - 1, batchJobs, batchJobs + 1, poolJobs, poolJobs + 1, 2*poolJobs + batchJobs + 1} {
+				cfg.NumJobs = n
+				src, ref := MustSource(cfg, 11), MustSource(cfg, 11).gen
+				for i := 0; i < n; i++ {
+					j, ok := src.Next()
+					want, _ := ref.next()
+					if !ok {
+						t.Fatalf("GOMAXPROCS=%d %s n=%d: Next ended after %d jobs", procs, name, n, i)
+					}
+					if !sameJob(j, want) {
+						t.Fatalf("GOMAXPROCS=%d %s n=%d job %d: Source %+v, generator %+v", procs, name, n, i, j, want)
+					}
+					if src.Produced() != i+1 {
+						t.Fatalf("GOMAXPROCS=%d %s n=%d: Produced() = %d after %d jobs", procs, name, n, src.Produced(), i+1)
+					}
+				}
+				if src.inline != (procs == 1) {
+					t.Fatalf("GOMAXPROCS=%d %s n=%d: inline = %v", procs, name, n, src.inline)
+				}
+				for k := 0; k < 3; k++ {
+					if j, ok := src.Next(); ok {
+						t.Fatalf("GOMAXPROCS=%d %s n=%d: Next after the last job returned %+v", procs, name, n, j)
+					}
+					if src.Produced() != n {
+						t.Fatalf("GOMAXPROCS=%d %s n=%d: Produced() = %d after exhaustion", procs, name, n, src.Produced())
+					}
+				}
+			}
+		}
+	}
+}
+
+// producers counts the read-ahead producer goroutines in a dump of every
+// stack, polling briefly (with a GC each time, so that dropped sources are
+// finalized) until the count is want.
+func producers(want int) int {
+	buf := make([]byte, 1<<16)
+	count := func() int {
+		n := runtime.Stack(buf, true)
+		for n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			n = runtime.Stack(buf, true)
+		}
+		return strings.Count(string(buf[:n]), "internal/workload.(*generator).produce(")
+	}
+	n := count()
+	for i := 0; i < 200 && n != want; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		n = count()
+	}
+	return n
+}
+
+// TestAbandonedSourceStopsProducer drops sources part-way through their
+// jobs: once they are collected no producer is left. A source read to its
+// end stops its producer without being collected. Under GOMAXPROCS=1 no
+// producer starts at all.
+func TestAbandonedSourceStopsProducer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{2, 1} {
+		runtime.GOMAXPROCS(procs)
+		if n := producers(0); n != 0 {
+			t.Fatalf("GOMAXPROCS=%d: %d producers before the test", procs, n)
+		}
+		cfg := diurnalBursty(3 * poolJobs)
+		held := MustSource(cfg, 1)
+		held.Next()
+		for _, read := range []int{1, batchJobs, poolJobs / 2, poolJobs + 1} {
+			func() {
+				src := MustSource(cfg, 2)
+				for i := 0; i < read; i++ {
+					src.Next()
+				}
+			}()
+		}
+		want := 0
+		if procs > 1 {
+			want = 1
+		}
+		if n := producers(want); n != want {
+			t.Fatalf("GOMAXPROCS=%d: %d producers with one half-read source held, want %d", procs, n, want)
+		}
+		for _, ok := held.Next(); ok; _, ok = held.Next() {
+		}
+		if n := producers(0); n != 0 {
+			t.Fatalf("GOMAXPROCS=%d: %d producers after a source was read to its end, want 0", procs, n)
+		}
+		runtime.KeepAlive(held)
+	}
 }

@@ -51,6 +51,9 @@ func ScaleSim(m int) Config {
 
 // ScaleStream streams PaperWorkload(n, m) at seed: the jobs
 // SyntheticTraceForCluster(n, m, seed) holds, without materializing them.
+// Its first Next starts the generator on a goroutine of its own, which runs
+// up to 16,384 jobs ahead of the caller, unless GOMAXPROCS is 1 (DESIGN.md
+// §15 "Read-ahead").
 func ScaleStream(n, m int, seed int64) (*TraceStream, error) {
 	return workload.NewSource(PaperWorkload(n, m), seed)
 }
@@ -66,7 +69,7 @@ type TraceStream = WorkloadSource
 // its last arrival before the next chunk is pulled, so neither the workload
 // nor the pending queue ever materializes more than chunk+in-flight jobs.
 // This is how the scale presets push >= 2M jobs through a 10k-server cluster
-// in a few hundred MB.
+// in a few hundred MB. A chunk is 32,768 jobs.
 func RunSource(cfg Config, src JobSource, opts ...SessionOption) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("hierdrl: nil job source")

@@ -662,51 +662,51 @@ func TestValidateClusterOverride(t *testing.T) {
 	}
 }
 
-// TestSessionCloseStopsTrainHelper opens and closes 20 DRL sessions, the
-// last two as Checkpoint -> Restore -> Close: while a trained session is open
-// exactly one train-step helper goroutine runs, and after Close none does.
-// Under GOMAXPROCS=1 no helper starts at all. It counts the helpers in a
-// dump of every stack, not all goroutines, so a goroutine of an earlier test
-// that exits while this one runs does not move the count.
-func TestSessionCloseStopsTrainHelper(t *testing.T) {
-	cfg := hierdrl.DRLOnly(6)
-	cfg.Global.AEHidden, cfg.Global.SubQHidden, cfg.Global.ReplayCap = []int{8, 4}, 16, 256
-	tr := hierdrl.SyntheticTraceForCluster(300, 6, 1)
-	open := func() *hierdrl.Session {
-		s, err := hierdrl.NewSession(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SubmitTrace(tr); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
+// trainHelpers counts the train-step helper goroutines in a dump of every
+// stack, not all goroutines, so a goroutine of an earlier test that exits
+// meanwhile does not move the count. An exited helper leaves the dump a
+// moment after its last deferred call has run, so it polls briefly for the
+// count want, running a GC before each poll so that a dropped session's
+// agent is finalized.
+func trainHelpers(want int) int {
 	buf := make([]byte, 1<<16)
-	helpers := func() int {
+	count := func() int {
 		n := runtime.Stack(buf, true)
 		for n == len(buf) {
 			buf = make([]byte, 2*len(buf))
 			n = runtime.Stack(buf, true)
 		}
-		count := 0
-		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
-			if strings.Contains(g, "internal/global.(*crew).help(") {
-				count++
-			}
-		}
-		return count
+		return strings.Count(string(buf[:n]), "internal/global.(*crew).help(")
 	}
-	// An exited helper leaves the dump a moment after its last deferred call
-	// has run, so poll briefly for the expected count.
-	settle := func(want int) int {
-		n := helpers()
-		for i := 0; i < 200 && n != want; i++ {
-			time.Sleep(time.Millisecond)
-			n = helpers()
-		}
-		return n
+	n := count()
+	for i := 0; i < 200 && n != want; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		n = count()
 	}
+	return n
+}
+
+// helperTestSession opens a small DRL session with its trace submitted.
+func helperTestSession(t *testing.T) *hierdrl.Session {
+	cfg := hierdrl.DRLOnly(6)
+	cfg.Global.AEHidden, cfg.Global.SubQHidden, cfg.Global.ReplayCap = []int{8, 4}, 16, 256
+	s, err := hierdrl.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SubmitTrace(hierdrl.SyntheticTraceForCluster(300, 6, 1)); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestSessionCloseStopsTrainHelper opens and closes 20 DRL sessions, the
+// last two as Checkpoint -> Restore -> Close: while a trained session is open
+// exactly one train-step helper goroutine runs, and after Close none does,
+// with every closed session still reachable. Under GOMAXPROCS=1 no helper
+// starts at all.
+func TestSessionCloseStopsTrainHelper(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{2, 1} {
 		runtime.GOMAXPROCS(procs)
@@ -715,21 +715,24 @@ func TestSessionCloseStopsTrainHelper(t *testing.T) {
 			want = 1
 		}
 		for i := 0; i < 18; i++ {
-			s := open()
+			s := helperTestSession(t)
 			if err := s.Drain(); err != nil {
 				t.Fatal(err)
 			}
-			if n := settle(want); n != want {
+			if n := trainHelpers(want); n != want {
 				t.Fatalf("GOMAXPROCS=%d: %d train helpers with a trained session open, want %d", procs, n, want)
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if n := settle(0); n != 0 {
+			if n := trainHelpers(0); n != 0 {
 				t.Fatalf("GOMAXPROCS=%d: %d train helpers after Close, want 0", procs, n)
 			}
+			// Reachable until counted, so that Close, not the dropped-agent
+			// finalizer that trainHelpers' GC could run, stopped the helper.
+			runtime.KeepAlive(s)
 		}
-		s := open()
+		s := helperTestSession(t)
 		stepToCompleted(t, s, 150)
 		var buf bytes.Buffer
 		if err := s.Checkpoint(&buf); err != nil {
@@ -748,8 +751,37 @@ func TestSessionCloseStopsTrainHelper(t *testing.T) {
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if n := settle(0); n != 0 {
+		if n := trainHelpers(0); n != 0 {
 			t.Fatalf("GOMAXPROCS=%d: %d train helpers after Checkpoint -> Restore -> Close, want 0", procs, n)
+		}
+		runtime.KeepAlive(s)
+		runtime.KeepAlive(r)
+	}
+}
+
+// TestDroppedSessionStopsTrainHelper drops DRL sessions without Close after
+// their first training steps: while one is reachable its helper runs, and
+// once it is collected none does, under GOMAXPROCS 2 and 1.
+func TestDroppedSessionStopsTrainHelper(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{2, 1} {
+		runtime.GOMAXPROCS(procs)
+		want := 0
+		if procs > 1 {
+			want = 1
+		}
+		for i := 0; i < 5; i++ {
+			func() {
+				s := helperTestSession(t)
+				stepToCompleted(t, s, 150)
+				if n := trainHelpers(want); n != want {
+					t.Fatalf("GOMAXPROCS=%d: %d train helpers with a trained session held, want %d", procs, n, want)
+				}
+				runtime.KeepAlive(s)
+			}()
+			if n := trainHelpers(0); n != 0 {
+				t.Fatalf("GOMAXPROCS=%d: %d train helpers after a dropped session was collected, want 0", procs, n)
+			}
 		}
 	}
 }
