@@ -1,12 +1,17 @@
 package hierdrl_test
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -279,4 +284,218 @@ func TestDesignCitationsResolve(t *testing.T) {
 	if cited == 0 {
 		t.Fatal("found no § citation")
 	}
+}
+
+// TestProductionCodeHasProductionCallers keeps production code to what
+// production runs. It type-checks every non-test file of the module and of
+// bench/ (the repository benchmark, a module of its own that counts as a
+// caller), follows every reference from function to function, and fails on
+// each function or method of the module that no non-test code reaches. The
+// roots are the root package's exported API, the exported methods of the
+// internal types it re-exports by alias, main and init, package-level
+// initialisers, every method whose name an interface in the module declares
+// (plus String and Error, which fmt and the error interface call), and
+// productionRoots. A productionRoots entry that names no function, that
+// non-test code reaches anyway, or whose needer no _test.go declares fails
+// too.
+func TestProductionCodeHasProductionCallers(t *testing.T) {
+	// Without cgo the standard library type-checks from its pure-Go files
+	// alone, with no C toolchain.
+	cgo := build.Default.CgoEnabled
+	build.Default.CgoEnabled = false
+	defer func() { build.Default.CgoEnabled = cgo }()
+
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // import path -> non-test files
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir, name := filepath.Split(path)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Join(".", dir), name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		pkg := strings.TrimSuffix("hierdrl/"+filepath.ToSlash(filepath.Clean(dir)), "/.")
+		files[pkg] = append(files[pkg], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	checked := map[string]*types.Package{}
+	std := importer.ForCompiler(fset, "source", nil)
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		if files[path] == nil {
+			return std.Import(path)
+		}
+		conf := types.Config{Importer: imp}
+		p, err := conf.Check(path, fset, files[path], info)
+		checked[path] = p
+		return p, err
+	}
+	for path := range files {
+		if _, err := imp(path); err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+	}
+
+	// The call graph: an edge from each function to every function it names,
+	// and from the package-level initialisers (nil) to every function they
+	// name.
+	calls := map[*types.Func][]*types.Func{}
+	decls := map[*types.Func]*ast.FuncDecl{}
+	ifaceMethods := map[string]bool{"String": true, "Error": true}
+	aliased := map[*types.Func]bool{}
+	for path, fs := range files {
+		for _, f := range fs {
+			for _, d := range f.Decls {
+				var from *types.Func
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					from = info.Defs[fd.Name].(*types.Func)
+					decls[from] = fd
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.Ident:
+						if fn, ok := info.Uses[n].(*types.Func); ok {
+							calls[from] = append(calls[from], fn.Origin())
+						}
+					case *ast.InterfaceType:
+						for _, m := range n.Methods.List {
+							for _, name := range m.Names {
+								ifaceMethods[name.Name] = true
+							}
+						}
+					case *ast.TypeSpec:
+						if path == "hierdrl" && n.Assign.IsValid() && n.Name.IsExported() {
+							if named, ok := types.Unalias(info.TypeOf(n.Type)).(*types.Named); ok {
+								ms := types.NewMethodSet(types.NewPointer(named))
+								for i := 0; i < ms.Len(); i++ {
+									aliased[ms.At(i).Obj().(*types.Func)] = true
+								}
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	reached := map[*types.Func]bool{}
+	var reach func(fn *types.Func)
+	reach = func(fn *types.Func) {
+		if !reached[fn] {
+			reached[fn] = true
+			for _, c := range calls[fn] {
+				reach(c)
+			}
+		}
+	}
+	reach(nil)
+	byName := map[string]*types.Func{}
+	for fn := range decls {
+		byName[funcName(fn)] = fn
+		recv := fn.Type().(*types.Signature).Recv()
+		switch {
+		case fn.Name() == "main" || fn.Name() == "init",
+			fn.Pkg().Path() == "hierdrl" && fn.Exported() && (recv == nil || recvNamed(recv).Obj().Exported()),
+			aliased[fn] && fn.Exported(),
+			recv != nil && ifaceMethods[fn.Name()]:
+			reach(fn)
+		}
+	}
+	if len(productionRoots) > 15 {
+		t.Errorf("productionRoots has %d entries, want at most 15", len(productionRoots))
+	}
+	tests := declaredTests(t)
+	for _, root := range productionRoots {
+		fn, ok := byName[root.fn]
+		switch {
+		case !ok:
+			t.Errorf("productionRoots names %s, which is no function", root.fn)
+		case reached[fn]:
+			t.Errorf("productionRoots names %s, which non-test code reaches: drop the entry", root.fn)
+		case !tests[root.needer]:
+			t.Errorf("productionRoots entry %s needs %s, which no _test.go declares", root.fn, root.needer)
+		}
+	}
+	for _, root := range productionRoots {
+		if fn, ok := byName[root.fn]; ok {
+			reach(fn)
+		}
+	}
+	var dead []string
+	for fn, fd := range decls {
+		if !reached[fn] && fn.Pkg().Path() != "hierdrl/bench" {
+			dead = append(dead, fmt.Sprintf("%s: %s", fset.Position(fd.Pos()), funcName(fn)))
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s: no non-test code reaches it", d)
+	}
+}
+
+// productionRoots are the functions that stay in production code although
+// no production code calls them, each for a role production cannot fill,
+// with the test or benchmark that needs it. The functions only they reach
+// (QNetwork.remoteFeature under Q, callClosure under Schedule) need no entry.
+var productionRoots = []struct{ fn, role, needer string }{
+	{"internal/lstm.Cell.Step", "reference: the recording step the inference and training paths are compared against", "TestStepInferMatchesStep"},
+	{"internal/global.QNetwork.Q", "reference: one Q-value through the unbatched forward", "TestQNetworkGradCheck"},
+	{"internal/nn.MLP.Infer", "reference: the allocating inference the workspace and batched paths are compared against", "TestMLPGradCheck"},
+	{"internal/nn.Autoencoder.EncodeInfer", "reference: the encoder's allocating inference", "TestAutoencoderEncodeGradCheck"},
+	{"internal/mat.KernelFamily", "seam: names the kernel family init selected", "TestKernelFamilyIsOneOfTwo"},
+	{"internal/mat.ForEachKernelFamily", "seam: forces each kernel family the host supports", "TestGemm512MatchesScalarReference"},
+	{"internal/lstm.SetRoundHook", "seam: holds a training round open or makes it panic", "TestRoundPanicReraisedOnJoin"},
+	{"internal/sim.Simulator.Schedule", "test driver: a closure event, in the tests of five packages", "TestScheduleAndRunOrder"},
+	{"internal/sim.Simulator.ScheduleAfter", "test driver: a closure event after a delay, in the tests of five packages", "TestScheduleAfter"},
+	{"internal/sim.Simulator.RunAll", "test driver: drains a lane with a runaway guard, in the tests of five packages", "TestRunAllGuard"},
+	{"internal/checkpoint.Codec.Payload", "test driver: a section's encoded bytes, in the tests of five packages", "TestEncMatchesReferenceAppender"},
+	{"internal/global.QNetwork.MaxQBatch", "micro-benchmark driver: the call bench/'s global.maxq_batch32.us times", "BenchmarkQNetInferBatch"},
+	{"internal/global.Agent.FreezePolicy", "reserved: ROADMAP item 1 gives it a caller or deletes it", "TestAgentFreezeStopsLearning"},
+	{"internal/local.RLTimeout.FreezePolicy", "reserved: ROADMAP item 1 gives it a caller or deletes it", "TestRLTimeoutFreezePolicy"},
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// recvNamed is the named type of a method's receiver.
+func recvNamed(recv *types.Var) *types.Named {
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named)
+}
+
+// funcName names fn by its package's path in the module, its receiver type
+// and its name: internal/sim.Simulator.Run.
+func funcName(fn *types.Func) string {
+	s := strings.TrimPrefix(fn.Pkg().Path(), "hierdrl/") + "."
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		s += recvNamed(recv).Obj().Name() + "."
+	}
+	return s + fn.Name()
 }

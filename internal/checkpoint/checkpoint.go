@@ -608,9 +608,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Fingerprint returns the config fingerprint stored in the header.
 func (r *Reader) Fingerprint() uint64 { return r.fingerprint }
 
-// Sections returns the section names in file order.
-func (r *Reader) Sections() []string { return r.order }
-
 // Section returns a Codec decoding the named payload, or an
 // ErrCorrupt-wrapped error when the snapshot lacks it.
 func (r *Reader) Section(name string) (*Codec, error) {

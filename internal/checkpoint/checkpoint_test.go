@@ -70,7 +70,7 @@ func TestContainerRoundTrip(t *testing.T) {
 	if r.Fingerprint() != 0xDEADBEEFCAFE {
 		t.Fatalf("fingerprint = %#x", r.Fingerprint())
 	}
-	if got := r.Sections(); len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
+	if got := r.order; len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
 		t.Fatalf("sections = %v", got)
 	}
 

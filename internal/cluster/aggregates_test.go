@@ -33,21 +33,22 @@ func newActiveForTest(t *testing.T, m int, dpm DPMPolicy) (*Cluster, *sim.Simula
 	return c, sm
 }
 
-// submitRandom submits one random job at the next exponential arrival,
-// running the lane strictly before it first (the session's dispatch order).
+// submitRandom submits one random job at the next exponential arrival. The
+// job is dispatched by a priority-lane event at its arrival, as the session's
+// pump dispatches, so it precedes every same-instant lane event.
 func submitRandom(c *Cluster, sm *sim.Simulator, rng *mat.RNG, id int, arrival *float64) {
 	*arrival += rng.Exponential(0.5)
-	sm.RunBefore(sim.Time(*arrival))
-	sm.AdvanceTo(sim.Time(*arrival))
 	target := rng.Intn(c.M())
 	cpu := 0.05 + 0.3*rng.Float64()
-	c.Submit(&Job{
+	j := &Job{
 		ID:       id,
 		Arrival:  sim.Time(*arrival),
 		Duration: 1 + rng.Float64()*20,
 		Req:      Resources{cpu, cpu * 0.8, cpu * 0.5},
 		Server:   -1,
-	}, target)
+	}
+	sm.SchedulePriorityArg(j.Arrival, func(any) { c.Submit(j, target) }, nil)
+	sm.Run(j.Arrival)
 }
 
 // TestNewBuildsServersInOrderOnOneLane: the cluster builds every server on
@@ -64,8 +65,8 @@ func TestNewBuildsServersInOrderOnOneLane(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if c.Sim() != sm {
-		t.Fatal("Sim() is not the construction lane")
+	if c.sm != sm {
+		t.Fatal("the cluster is not on its construction lane")
 	}
 	for i, id := range order {
 		if id != i {
@@ -102,7 +103,7 @@ func TestAggregatesMatchRecompute(t *testing.T) {
 		}
 	}
 	c.InvariantCheck()
-	sm.RunBefore(sim.Time(math.MaxFloat64))
+	sm.RunAll(1 << 20)
 	c.InvariantCheck()
 
 	if got := c.Completed(); got != 400 {
@@ -155,7 +156,7 @@ func TestOnChangeAggregatesMatchRecompute(t *testing.T) {
 	for id := 0; id < 300; id++ {
 		submitRandom(c, sm, rng, id, &arrival)
 	}
-	sm.RunBefore(sim.Time(math.MaxFloat64))
+	sm.RunAll(1 << 20)
 	if changes < 600 {
 		t.Fatalf("only %d change callbacks for 300 jobs", changes)
 	}
@@ -181,7 +182,7 @@ func TestCallbacksInSimulatedTimeOrder(t *testing.T) {
 	for i, d := range durations {
 		c.Submit(&Job{ID: i, Arrival: 0, Duration: d, Req: Resources{0.1, 0.1, 0.1}, Server: -1}, i)
 	}
-	sm.RunBefore(sim.Time(math.MaxFloat64))
+	sm.RunAll(1 << 20)
 	want := []int{3, 1, 2, 0}
 	if len(order) != len(want) {
 		t.Fatalf("completion order %v, want %v", order, want)

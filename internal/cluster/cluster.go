@@ -234,9 +234,6 @@ func (c *Cluster) M() int { return c.cfg.M }
 // Server returns server i.
 func (c *Cluster) Server(i int) *Server { return c.servers[i] }
 
-// Sim returns the cluster's event lane.
-func (c *Cluster) Sim() *sim.Simulator { return c.sm }
-
 // Submit dispatches job j to the given server at the current time.
 func (c *Cluster) Submit(j *Job, server int) {
 	if server < 0 || server >= len(c.servers) {
@@ -333,9 +330,6 @@ func (c *Cluster) DownServers() int { return c.down }
 
 // Failures returns the total crash count so far.
 func (c *Cluster) Failures() int64 { return c.fails }
-
-// Down reports whether server i is currently crashed.
-func (c *Cluster) Down(i int) bool { return c.servers[i].Down() }
 
 // Accepting reports whether server i can take new work: neither down nor
 // draining for maintenance.
@@ -600,12 +594,6 @@ type View struct {
 	// it, so allocators see degraded capacity. Hand-built views may leave it
 	// nil; speed-aware allocators must treat nil as "all nominal".
 	Speed []float64
-}
-
-// Snapshot captures the current state of every server into a freshly
-// allocated View. Hot paths should hold one View and use SnapshotInto.
-func (c *Cluster) Snapshot() *View {
-	return c.SnapshotInto(&View{})
 }
 
 // SnapshotPrepare sizes v's slices for this cluster (allocating only when

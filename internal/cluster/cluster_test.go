@@ -442,7 +442,7 @@ func TestSnapshot(t *testing.T) {
 	sm.Schedule(0, func() { c.Submit(j1, 1); c.Submit(j2, 1) })
 	sm.Run(1)
 
-	v := c.Snapshot()
+	v := c.SnapshotInto(&View{})
 	if v.M != 3 || v.Now != 1 {
 		t.Fatalf("snapshot meta: M=%d Now=%v", v.M, v.Now)
 	}

@@ -99,6 +99,7 @@ func NewAgent(cfg Config, m int, rng *mat.RNG) (*Agent, error) {
 	net := NewQNetwork(enc, cfg, rng.Split())
 	tgt := NewQNetwork(enc, cfg, rng.Split())
 	tgt.CopyWeightsFrom(net)
+	tgt.sizeTargetArenas()
 	a := &Agent{
 		cfg:          cfg,
 		enc:          enc,
@@ -415,15 +416,6 @@ func (a *Agent) SetEpsilon(eps float64) { a.eps.SetEpsilon(eps) }
 // Epsilon returns the current exploration rate.
 func (a *Agent) Epsilon() float64 { return a.eps.Epsilon() }
 
-// Decisions returns the number of allocation epochs seen.
-func (a *Agent) Decisions() int64 { return a.decisions }
-
-// Updates returns the number of DNN minibatch updates.
-func (a *Agent) Updates() int64 { return a.updates }
-
-// ReplayLen returns the number of stored transitions.
-func (a *Agent) ReplayLen() int { return a.replay.Len() }
-
 // MeanLoss returns the mean training loss so far (NaN-free; 0 when no
 // updates have run).
 func (a *Agent) MeanLoss() float64 {
@@ -432,17 +424,6 @@ func (a *Agent) MeanLoss() float64 {
 	}
 	return a.lossSum / float64(a.lossN)
 }
-
-// ActionCounts returns how many times each server has been chosen —
-// a quick skew diagnostic for the learned policy.
-func (a *Agent) ActionCounts() []int64 {
-	out := make([]int64, len(a.actionCounts))
-	copy(out, a.actionCounts)
-	return out
-}
-
-// Network exposes the online network for tests and ablations.
-func (a *Agent) Network() *QNetwork { return a.net }
 
 // String summarizes the agent's learning state.
 func (a *Agent) String() string {

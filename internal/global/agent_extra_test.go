@@ -79,7 +79,7 @@ func TestAgentUnmaskedFollowsArgmax(t *testing.T) {
 	v.Now = 1
 	j := testJob(0.3, 300)
 	s := a.enc.Encode(v, j)
-	want, _ := a.Network().Best(s)
+	want, _ := a.net.Best(s)
 	if got := a.Allocate(j, v); got != want {
 		t.Fatalf("unmasked greedy chose %d want raw argmax %d", got, want)
 	}
@@ -105,7 +105,7 @@ func TestAgentBehaviorPolicyMix(t *testing.T) {
 		v.Now = sim.Time(float64(i))
 		a.Allocate(testJob(0.2, 300), v)
 	}
-	counts := a.ActionCounts()
+	counts := a.actionCounts
 	if counts[2] < int64(0.7*n) {
 		t.Fatalf("behaviour action chosen only %d/%d times", counts[2], n)
 	}
@@ -154,20 +154,11 @@ func TestAgentActionCountsAccumulate(t *testing.T) {
 		a.Allocate(testJob(0.2, 300), v)
 	}
 	var total int64
-	for _, c := range a.ActionCounts() {
+	for _, c := range a.actionCounts {
 		total += c
 	}
 	if total != 12 {
 		t.Fatalf("action counts sum %d want 12", total)
-	}
-	// Returned slice must be a copy.
-	a.ActionCounts()[0] = 999
-	var again int64
-	for _, c := range a.ActionCounts() {
-		again += c
-	}
-	if again != 12 {
-		t.Fatal("ActionCounts leaked internal state")
 	}
 }
 

@@ -46,8 +46,8 @@ func TestEncoderLayout(t *testing.T) {
 	if e.GroupOf(0) != 0 || e.GroupOf(2) != 1 || e.GroupOf(5) != 2 {
 		t.Fatal("GroupOf wrong")
 	}
-	if e.OffsetOf(3) != 1 || e.ServerOf(1, 1) != 3 {
-		t.Fatal("OffsetOf/ServerOf wrong")
+	if e.OffsetOf(3) != 1 || e.OffsetOf(4) != 0 {
+		t.Fatal("OffsetOf wrong")
 	}
 	if _, err := NewEncoder(7, 3, 7200); err == nil {
 		t.Fatal("non-divisible M accepted")
@@ -272,16 +272,27 @@ func TestPretrainAutoencoderReducesReconstruction(t *testing.T) {
 	}
 	before := 0.0
 	for _, s := range samples[:50] {
-		before += net.aes[0].ReconstructionLoss(s)
+		before += reconstructionLoss(net.aes[0], s)
 	}
 	net.PretrainAutoencoder(samples, 300, 16, 1e-3, rng)
 	after := 0.0
 	for _, s := range samples[:50] {
-		after += net.aes[0].ReconstructionLoss(s)
+		after += reconstructionLoss(net.aes[0], s)
 	}
 	if after >= before/2 {
 		t.Fatalf("AE pretraining ineffective: before %v after %v", before, after)
 	}
+}
+
+// reconstructionLoss is ae's mean-squared reconstruction error on x.
+func reconstructionLoss(ae *nn.Autoencoder, x mat.Vec) float64 {
+	y := ae.Dec.Infer(ae.Enc.Infer(x))
+	var loss float64
+	for i := range y {
+		d := y[i] - x[i]
+		loss += d * d
+	}
+	return loss / float64(len(y))
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -352,23 +363,23 @@ func TestAgentAllocateAndTransitions(t *testing.T) {
 			t.Fatalf("action %d out of range", got)
 		}
 	}
-	if a.Decisions() != 20 {
-		t.Fatalf("decisions %d want 20", a.Decisions())
+	if a.decisions != 20 {
+		t.Fatalf("decisions %d want 20", a.decisions)
 	}
 	// 19 completed transitions (the 20th is pending).
-	if a.ReplayLen() != 19 {
-		t.Fatalf("replay %d want 19", a.ReplayLen())
+	if a.replay.Len() != 19 {
+		t.Fatalf("replay %d want 19", a.replay.Len())
 	}
-	if a.Updates() == 0 {
+	if a.updates == 0 {
 		t.Fatal("no training updates ran")
 	}
 	a.FinishEpisode(sim.Time(500))
-	if a.ReplayLen() != 20 {
-		t.Fatalf("replay after FinishEpisode %d want 20", a.ReplayLen())
+	if a.replay.Len() != 20 {
+		t.Fatalf("replay after FinishEpisode %d want 20", a.replay.Len())
 	}
 	// Idempotent.
 	a.FinishEpisode(sim.Time(501))
-	if a.ReplayLen() != 20 {
+	if a.replay.Len() != 20 {
 		t.Fatal("FinishEpisode not idempotent")
 	}
 	if a.String() == "" {
@@ -385,8 +396,8 @@ func TestAgentFreezeStopsLearning(t *testing.T) {
 		v.Now = sim.Time(float64(i))
 		a.Allocate(testJob(0.2, 300), v)
 	}
-	if a.Updates() != 0 {
-		t.Fatalf("frozen agent trained %d times", a.Updates())
+	if a.updates != 0 {
+		t.Fatalf("frozen agent trained %d times", a.updates)
 	}
 	if a.Epsilon() != 0 {
 		t.Fatalf("frozen epsilon %v", a.Epsilon())
@@ -439,9 +450,9 @@ func TestAgentLearnsToAvoidHotServer(t *testing.T) {
 	a.FreezePolicy()
 	v.Now = sim.Time(now)
 	s := a.enc.Encode(v, testJob(0.2, 300))
-	best, _ := a.Network().Best(s)
+	best, _ := a.net.Best(s)
 	if best == 0 {
-		q := a.Network().QValues(s)
+		q := a.net.QValues(s)
 		t.Fatalf("agent still prefers the hot server: Q=%v", q)
 	}
 }

@@ -253,25 +253,16 @@ func (n *QNetwork) Best(s State) (action int, value float64) {
 // Each value is bitwise identical to QValues(s).Max().
 func (n *QNetwork) MaxQBatch(states []State) []float64 {
 	vals := make([]float64, len(states))
-	n.MaxQBatchInto(states, vals)
+	n.maxQFor(0, states, vals)
 	return vals
 }
 
-// MaxQBatchInto is MaxQBatch writing into a caller-owned slice of length
-// len(states); with a retained dst the call is allocation-free at steady
-// state.
-func (n *QNetwork) MaxQBatchInto(states []State, vals []float64) {
-	if len(vals) != len(states) {
-		panic(fmt.Sprintf("global: MaxQBatchInto dst length %d want %d", len(vals), len(states)))
-	}
-	n.maxQFor(0, states, vals)
-}
-
-// maxQFor is MaxQBatchInto run by one worker of a split training step, with
-// that worker's arena and remote-feature headers. A state's value never
-// depends on the other rows of its batch, so any split of the states between
-// workers yields the same bits; the caller of a split builds the target
-// network's cached transposes first (PrepareTransposes).
+// maxQFor is MaxQBatch writing into vals (length len(states)), run by one
+// worker of a split training step with that worker's arena and
+// remote-feature headers. A state's value never depends on the other rows of
+// its batch, so any split of the states between workers yields the same
+// bits; the caller of a split builds the target network's cached transposes
+// first (PrepareTransposes).
 func (n *QNetwork) maxQFor(worker int, states []State, vals []float64) {
 	if len(states) == 0 {
 		return

@@ -205,7 +205,7 @@ func TestQValuesIntoSteadyStateZeroAlloc(t *testing.T) {
 	}{
 		{"QValuesInto", func() { net.QValuesInto(s, out) }, 0},
 		{"QValues", func() { net.QValues(s) }, 1},
-		{"MaxQBatchInto", func() { net.MaxQBatchInto(states, vals) }, 0},
+		{"maxQFor", func() { net.maxQFor(0, states, vals) }, 0},
 		{"MaxQBatch", func() { net.MaxQBatch(states) }, 1},
 	} {
 		c.fn() // prime the arena

@@ -73,3 +73,27 @@ func (n *QNetwork) bindTasks() {
 	}
 	add(n.subs[0], &n.subTape, n.cfg.MiniBatch)
 }
+
+// sizeTargetArenas grows both workers' arenas to the high-water mark of a
+// split row task's target pass before the first training step. Otherwise the
+// helper's arena would grow during the first split step in which it wins a
+// row task, so whether a warm step allocates would depend on the schedule.
+// Each worker's pass runs over zero states until its arena stops growing;
+// the passes write only scratch and the cached transposes, which a stale
+// cache rebuilds from the same weights anyway.
+func (n *QNetwork) sizeTargetArenas() {
+	if !n.cfg.ShareWeights {
+		return
+	}
+	states := make([]State, min(samplesPerTask, n.cfg.MiniBatch))
+	for i := range states {
+		states[i] = n.enc.NewState()
+	}
+	vals := make([]float64, len(states))
+	for worker, ws := range [2]*mat.Workspace{n.ws, n.helperWS} {
+		for size := -1; size != ws.Cap(); {
+			size = ws.Cap()
+			n.maxQFor(worker, states, vals)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"hierdrl/internal/checkpoint"
@@ -126,7 +127,7 @@ func TestTrainStepSplitMatchesInline(t *testing.T) {
 			inline.a.FinishEpisode(sim.Time(inline.now + 1))
 		}
 	}
-	if split.a.Updates() == 0 {
+	if split.a.updates == 0 {
 		t.Fatal("the warm-up took no training step")
 	}
 	sameAgents(t, 0, split.a, inline.a)
@@ -155,7 +156,13 @@ func TestTrainStepSplitMatchesInline(t *testing.T) {
 		return
 	}
 	// AllocsPerRun would run the steps at GOMAXPROCS=1, which is the inline
-	// schedule; count the split schedule's allocations directly.
+	// schedule; count the split schedule's allocations directly. The count
+	// is process-wide, and a GC cycle running into the window allocates a
+	// sudog of its own (gcMarkDone's semaphore, seen in a MemProfile diff of
+	// a failing loaded run): the pacer is off while measuring, and a forced
+	// cycle first lets the last one's work finish.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < steps; i++ {
@@ -164,5 +171,47 @@ func TestTrainStepSplitMatchesInline(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n != 0 {
 		t.Errorf("%d warm split training steps allocated %d times, want 0", steps, n)
+	}
+}
+
+// TestTargetArenasSizedAtConstruction runs the helper's share of a training
+// step's target pass, a split row task's successors through the target
+// network on worker 1's arena, for the first time and counts no allocation.
+// An agent trained at GOMAXPROCS=1 runs every step inline and never starts
+// the helper, so only construction can have sized that arena; the restored
+// copy is a constructed agent whose state was decoded into it. GC cycles
+// stay out of the counted window, which is one call.
+func TestTargetArenasSizedAtConstruction(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pinning is meaningless under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r := newSplitRig(t, false)
+	defer func() { r.a.Close() }()
+	for i := 0; i < 3*r.cfg.ReplayCap; i++ {
+		r.decide()
+	}
+	if r.a.updates == 0 || r.a.crew.running {
+		t.Fatalf("%d training steps, helper running %v: want inline steps only", r.a.updates, r.a.crew.running)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, restored := range []bool{false, true} {
+		if restored {
+			r.roundTrip(t)
+		}
+		states := make([]State, samplesPerTask)
+		for i := range states {
+			states[i] = r.a.replay.At(i).S
+		}
+		vals := make([]float64, len(states))
+		r.a.tgt.PrepareTransposes()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.a.tgt.maxQFor(1, states, vals)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("restored %v: the helper's first target rows allocated %d times, want 0", restored, n)
+		}
 	}
 }

@@ -62,14 +62,6 @@ func (e *Encoder) GroupOf(server int) int {
 // OffsetOf returns a server's position within its group.
 func (e *Encoder) OffsetOf(server int) int { return server % e.groupSize }
 
-// ServerOf returns the server index for (group, offset).
-func (e *Encoder) ServerOf(group, offset int) int {
-	if group < 0 || group >= e.k || offset < 0 || offset >= e.groupSize {
-		panic(fmt.Sprintf("global: (group=%d, offset=%d) out of range", group, offset))
-	}
-	return group*e.groupSize + offset
-}
-
 // State is one full DRL state observation in one contiguous block: the K
 // group vectors in server order (server srv's features at
 // [srv*NumResources, (srv+1)*NumResources)), then the job features. A stored

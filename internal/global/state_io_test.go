@@ -194,8 +194,8 @@ func TestSuccessorMatchesStoredNext(t *testing.T) {
 			m.check(t, r.a, step)
 		}
 	}
-	if !m.full || r.a.Updates() == 0 {
-		t.Fatalf("ring full=%v, %d updates: the run exercised nothing", m.full, r.a.Updates())
+	if !m.full || r.a.updates == 0 {
+		t.Fatalf("ring full=%v, %d updates: the run exercised nothing", m.full, r.a.updates)
 	}
 	finish()
 }

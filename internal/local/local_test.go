@@ -174,7 +174,7 @@ func TestRLTimeoutLearnsToStayOnUnderFrequentArrivals(t *testing.T) {
 			mgr.Decisions(), mgr.Updates())
 	}
 	// The steady-state idle gap is 5 s, predicted category c0 (< 15 s).
-	best, _ := mgr.QTable().Best(0)
+	best, _ := mgr.table.Best(0)
 	if to := cfg.Timeouts[best]; to < 15 {
 		t.Fatalf("learned timeout %v for frequent arrivals; want >= 15 (stay on)", to)
 	}
@@ -188,7 +188,7 @@ func TestRLTimeoutLearnsToSleepUnderRareArrivals(t *testing.T) {
 	mgr := runServerWithRL(t, cfg, 2000, 10, 600)
 
 	// Predicted gap ~2000 s falls in the top category.
-	best, _ := mgr.QTable().Best(6)
+	best, _ := mgr.table.Best(6)
 	if to := cfg.Timeouts[best]; to > 30 {
 		t.Fatalf("learned timeout %v for rare arrivals; want <= 30 (sleep fast)", to)
 	}
@@ -201,8 +201,8 @@ func TestRLTimeoutFreezePolicy(t *testing.T) {
 		t.Fatalf("NewRLTimeout: %v", err)
 	}
 	mgr.FreezePolicy()
-	if mgr.Epsilon() != 0 {
-		t.Fatalf("epsilon after freeze %v want 0", mgr.Epsilon())
+	if mgr.eps.Epsilon() != 0 {
+		t.Fatalf("epsilon after freeze %v want 0", mgr.eps.Epsilon())
 	}
 }
 
@@ -210,11 +210,13 @@ func TestRLTimeoutFreezePolicy(t *testing.T) {
 // checks the first Q update numerically. One decision epoch at t=10 picks a
 // timeout; the server idles, sleeps, a job arrives and runs; the next idle
 // epoch closes the sojourn. With alpha=1 and a fresh table the new Q value
-// equals the SMDP target computed from the integrated reward.
+// equals the SMDP target computed from the integrated reward. The action set
+// is the one timeout 0, so the state's best value is that Q value.
 func TestRLTimeoutFirstUpdateMatchesIntegral(t *testing.T) {
 	cfg := DefaultRLConfig()
 	cfg.Alpha = 1
-	cfg.Epsilon = 0 // deterministic greedy (ties -> action 0 = timeout 0)
+	cfg.Timeouts = []float64{0}
+	cfg.Epsilon = 0 // deterministic greedy
 	cfg.EpsilonMin = 0
 	cfg.PowerWeight = 1 // reward = -P/145 only: independent of queue
 	rng := mat.NewRNG(7)
@@ -256,7 +258,7 @@ func TestRLTimeoutFirstUpdateMatchesIntegral(t *testing.T) {
 	rEq := integral / gain
 	// Fresh table: max_a' Q = 0, so target = gain * rEq = integral.
 	want := gain * rEq
-	got := mgr.QTable().Q(6, 0) // first prediction is +Inf -> top category
+	_, got := mgr.table.Best(6) // first prediction is +Inf -> top category
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("first Q update %v want %v", got, want)
 	}

@@ -218,17 +218,11 @@ func (m *RLTimeout) Join() {
 // FreezePolicy disables exploration (evaluation mode).
 func (m *RLTimeout) FreezePolicy() { m.eps.SetEpsilon(0) }
 
-// Epsilon returns the current exploration rate.
-func (m *RLTimeout) Epsilon() float64 { return m.eps.Epsilon() }
-
 // Decisions returns the number of case-(1) epochs seen.
 func (m *RLTimeout) Decisions() int64 { return m.decisions }
 
 // Updates returns the number of Q updates applied.
 func (m *RLTimeout) Updates() int64 { return m.updates }
-
-// QTable exposes the learned table for inspection in tests and ablations.
-func (m *RLTimeout) QTable() *rl.QTable { return m.table }
 
 var (
 	_ cluster.DPMPolicy       = (*RLTimeout)(nil)

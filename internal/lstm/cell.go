@@ -115,11 +115,6 @@ func (c *Cell) NewState() State {
 	return State{H: mat.NewVec(c.Hidden), C: mat.NewVec(c.Hidden)}
 }
 
-// Clone returns an independent copy of the state.
-func (s State) Clone() State {
-	return State{H: s.H.Clone(), C: s.C.Clone()}
-}
-
 // StepBack undoes one step of the recurrence during BPTT: given the loss
 // gradients with respect to this step's outputs (dH, dC), it returns the
 // gradients with respect to the step inputs.
@@ -247,10 +242,4 @@ func (c *Cell) Params() []nn.Param {
 		}
 	}
 	return ps
-}
-
-// NumParams returns the total scalar parameter count of the cell.
-func (c *Cell) NumParams() int {
-	return c.forget.NumParams() + c.input.NumParams() +
-		c.cand.NumParams() + c.output.NumParams()
 }

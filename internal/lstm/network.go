@@ -283,8 +283,3 @@ func (n *Network) Params() []nn.Param {
 	}
 	return n.params
 }
-
-// NumParams returns the total scalar parameter count.
-func (n *Network) NumParams() int {
-	return n.in.NumParams() + n.cell.NumParams() + n.out.NumParams()
-}

@@ -161,15 +161,6 @@ func (p *Predictor) ObserveArrival(t float64) {
 	p.lastArrival = t
 }
 
-// ObserveGap records a raw inter-arrival sample directly (used when replaying
-// traces offline).
-func (p *Predictor) ObserveGap(gap float64) {
-	if gap < 0 {
-		panic("lstm: negative inter-arrival")
-	}
-	p.observeGap(gap)
-}
-
 func (p *Predictor) observeGap(gap float64) {
 	z := math.Log1p(gap)
 	p.count++
@@ -325,9 +316,6 @@ func (p *Predictor) LastArrival() float64 { return p.lastArrival }
 // (diagnostics); a launched round's Adam step is visible to the next call
 // that joins it.
 func (p *Predictor) TrainingRounds() int { return p.trained }
-
-// ObservedArrivals reports how many inter-arrival samples have been recorded.
-func (p *Predictor) ObservedArrivals() int { return p.count }
 
 // Discretizer maps a continuous inter-arrival prediction to one of n
 // categories via explicit boundaries, producing the finite state component

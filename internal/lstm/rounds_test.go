@@ -54,11 +54,11 @@ func TestPredictorRoundsMatchInline(t *testing.T) {
 				t.Fatalf("step %d: State bytes differ from the inline predictor's", step)
 			}
 		}
-		if async.TrainingRounds() != inline.TrainingRounds() || async.ObservedArrivals() != inline.ObservedArrivals() ||
+		if async.TrainingRounds() != inline.TrainingRounds() || async.count != inline.count ||
 			async.Ready() != inline.Ready() {
 			t.Fatalf("step %d: counters (%d rounds, %d arrivals, ready %v), inline (%d, %d, %v)", step,
-				async.TrainingRounds(), async.ObservedArrivals(), async.Ready(),
-				inline.TrainingRounds(), inline.ObservedArrivals(), inline.Ready())
+				async.TrainingRounds(), async.count, async.Ready(),
+				inline.TrainingRounds(), inline.count, inline.Ready())
 		}
 	}
 	if async.TrainingRounds() < 500 {

@@ -57,9 +57,9 @@ func TestPredictorStateRoundTrip(t *testing.T) {
 		t.Fatalf("State: %v", err)
 	}
 
-	if p2.ObservedArrivals() != p1.ObservedArrivals() || p2.TrainingRounds() != p1.TrainingRounds() {
+	if p2.count != p1.count || p2.TrainingRounds() != p1.TrainingRounds() {
 		t.Fatalf("counters diverge: (%d,%d) vs (%d,%d)",
-			p2.ObservedArrivals(), p2.TrainingRounds(), p1.ObservedArrivals(), p1.TrainingRounds())
+			p2.count, p2.TrainingRounds(), p1.count, p1.TrainingRounds())
 	}
 
 	// Continue both across at least two more training rounds.

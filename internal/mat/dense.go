@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dense is a row-major dense matrix.
 type Dense struct {
@@ -22,22 +19,12 @@ func NewDense(rows, cols int) *Dense {
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
-// Set assigns the element at row i, column j.
-func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Dense) Row(i int) Vec { return Vec(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
 // Slice returns rows [r0, r1) of m as a header sharing its storage.
 func (m *Dense) Slice(r0, r1 int) Dense {
 	return Dense{Rows: r1 - r0, Cols: m.Cols, Data: m.Data[r0*m.Cols : r1*m.Cols]}
-}
-
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	out := NewDense(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
 }
 
 // Zero sets every element to 0.
@@ -89,27 +76,4 @@ func (m *Dense) AddOuter(a, b Vec) {
 	for i := 0; i < m.Rows; i++ {
 		addScaled(m.Data[i*m.Cols:(i+1)*m.Cols], a[i], b)
 	}
-}
-
-// FrobNorm returns the Frobenius norm of m.
-func (m *Dense) FrobNorm() float64 {
-	var s float64
-	for _, x := range m.Data {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// Equal reports whether m and n have identical shape and all elements are
-// within tol of each other.
-func (m *Dense) Equal(n *Dense, tol float64) bool {
-	if m.Rows != n.Rows || m.Cols != n.Cols {
-		return false
-	}
-	for i, x := range m.Data {
-		if math.Abs(x-n.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }

@@ -318,32 +318,23 @@ func TestGEMMShapePanics(t *testing.T) {
 
 func TestWorkspaceReuse(t *testing.T) {
 	ws := NewWorkspace()
-	v := ws.Take(8)
-	v.Fill(3)
-	m := ws.TakeMat(4, 4)
-	m.Data[0] = 7
-	ws.Reset()
-	v2 := ws.Take(8)
-	for _, x := range v2 {
-		if x != 0 {
-			t.Fatal("Take did not zero recycled memory")
-		}
+	take := func() (Vec, *Dense) {
+		ws.Reset()
+		return ws.TakeUninit(8), ws.TakeMatUninit(4, 4)
 	}
-	m2 := ws.TakeMat(4, 4)
-	if m2.Rows != 4 || m2.Cols != 4 {
-		t.Fatalf("TakeMat shape %dx%d", m2.Rows, m2.Cols)
+	take() // grows the arena to this computation's high-water mark
+	v, m := take()
+	if len(v) != 8 || m.Rows != 4 || m.Cols != 4 || len(m.Data) != 16 {
+		t.Fatalf("shapes: vec %d, mat %dx%d over %d", len(v), m.Rows, m.Cols, len(m.Data))
 	}
-	for _, x := range m2.Data {
-		if x != 0 {
-			t.Fatal("TakeMat did not zero recycled memory")
-		}
+	if &m.Data[0] == &v[0] || &m.Data[0] == &v[7] {
+		t.Fatal("TakeMatUninit overlaps the vector taken before it")
+	}
+	if v2, m2 := take(); &v2[0] != &v[0] || m2 != m || &m2.Data[0] != &m.Data[0] {
+		t.Fatal("takes after Reset did not recycle the arena's storage and headers")
 	}
 	// Steady state is allocation-free.
-	allocs := testing.AllocsPerRun(100, func() {
-		ws.Reset()
-		_ = ws.Take(8)
-		_ = ws.TakeMat(4, 4)
-	})
+	allocs := testing.AllocsPerRun(100, func() { take() })
 	if allocs != 0 {
 		t.Fatalf("workspace steady state allocates %v per run", allocs)
 	}

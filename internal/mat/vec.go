@@ -6,10 +6,7 @@
 // reuse buffers.
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Vec is a dense float64 vector.
 type Vec []float64
@@ -34,13 +31,6 @@ func (v Vec) Fill(s float64) {
 // Zero sets every element to 0.
 func (v Vec) Zero() { v.Fill(0) }
 
-// Scale multiplies every element by s in place.
-func (v Vec) Scale(s float64) {
-	for i := range v {
-		v[i] *= s
-	}
-}
-
 // Add adds b to v element-wise in place. It panics if lengths differ.
 func (v Vec) Add(b Vec) {
 	if len(v) != len(b) {
@@ -49,48 +39,6 @@ func (v Vec) Add(b Vec) {
 	for i := range v {
 		v[i] += b[i]
 	}
-}
-
-// Sub subtracts b from v element-wise in place. It panics if lengths differ.
-func (v Vec) Sub(b Vec) {
-	if len(v) != len(b) {
-		panic(fmt.Sprintf("mat: Sub length mismatch %d != %d", len(v), len(b)))
-	}
-	for i := range v {
-		v[i] -= b[i]
-	}
-}
-
-// MulElem multiplies v by b element-wise in place. It panics if lengths
-// differ.
-func (v Vec) MulElem(b Vec) {
-	if len(v) != len(b) {
-		panic(fmt.Sprintf("mat: MulElem length mismatch %d != %d", len(v), len(b)))
-	}
-	for i := range v {
-		v[i] *= b[i]
-	}
-}
-
-// Dot returns the inner product of a and b. It panics if lengths differ.
-func Dot(a, b Vec) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: Dot length mismatch %d != %d", len(a), len(b)))
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func (v Vec) Norm2() float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // Sum returns the sum of all elements of v.
@@ -125,21 +73,6 @@ func (v Vec) Max() (idx int, val float64) {
 	return idx, val
 }
 
-// Min returns the minimum element and its index. It panics on an empty
-// vector.
-func (v Vec) Min() (idx int, val float64) {
-	if len(v) == 0 {
-		panic("mat: Min of empty vector")
-	}
-	idx, val = 0, v[0]
-	for i, x := range v {
-		if x < val {
-			idx, val = i, x
-		}
-	}
-	return idx, val
-}
-
 // CopyFrom copies src into v. It panics if lengths differ.
 func (v Vec) CopyFrom(src Vec) {
 	if len(v) != len(src) {
@@ -159,25 +92,4 @@ func Concat(vs ...Vec) Vec {
 		out = append(out, v...)
 	}
 	return out
-}
-
-// Clamp limits every element of v to [lo, hi] in place.
-func (v Vec) Clamp(lo, hi float64) {
-	for i, x := range v {
-		if x < lo {
-			v[i] = lo
-		} else if x > hi {
-			v[i] = hi
-		}
-	}
-}
-
-// HasNaN reports whether any element is NaN or infinite.
-func (v Vec) HasNaN() bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return true
-		}
-	}
-	return false
 }

@@ -1,11 +1,11 @@
 package mat
 
 // Workspace is a bump-allocator arena for scratch vectors and matrices.
-// Call Reset at the start of a computation and Take/TakeMat for each scratch
-// buffer; after the arena has grown to the high-water mark of the workload,
-// every subsequent computation is allocation-free. A Workspace is not safe
-// for concurrent use — give each goroutine (each agent, each network) its
-// own.
+// Call Reset at the start of a computation and TakeUninit/TakeMatUninit for
+// each scratch buffer; after the arena has grown to the high-water mark of
+// the workload, every subsequent computation is allocation-free. A
+// Workspace is not safe for concurrent use — give each goroutine (each
+// agent, each network) its own.
 type Workspace struct {
 	buf  []float64
 	off  int
@@ -17,15 +17,20 @@ type Workspace struct {
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // Reset recycles the arena. Buffers handed out before the call must no
-// longer be used; their contents will be overwritten by subsequent Takes.
+// longer be used; their contents will be overwritten by subsequent takes.
 func (w *Workspace) Reset() {
 	w.off = 0
 	w.moff = 0
 }
 
-// Take returns a zeroed scratch vector of length n valid until the next
-// Reset.
-func (w *Workspace) Take(n int) Vec {
+// Cap returns how many floats the arena holds; it changes only when a take
+// outgrows it.
+func (w *Workspace) Cap() int { return len(w.buf) }
+
+// TakeUninit returns a scratch vector of length n valid until the next
+// Reset. It is not zeroed: it is for buffers every element of which the
+// caller overwrites before reading (e.g. GEMV/GEMM destinations).
+func (w *Workspace) TakeUninit(n int) Vec {
 	if w.off+n > len(w.buf) {
 		grown := 2*len(w.buf) + n
 		// Old buffers stay valid: they keep aliasing the previous backing
@@ -35,35 +40,12 @@ func (w *Workspace) Take(n int) Vec {
 	}
 	v := Vec(w.buf[w.off : w.off+n])
 	w.off += n
-	for i := range v {
-		v[i] = 0
-	}
 	return v
 }
 
-// TakeUninit is Take without the zero fill, for buffers every element of
-// which the caller overwrites before reading (e.g. GEMV/GEMM destinations).
-func (w *Workspace) TakeUninit(n int) Vec {
-	if w.off+n > len(w.buf) {
-		grown := 2*len(w.buf) + n
-		w.buf = make([]float64, grown)
-		w.off = 0
-	}
-	v := Vec(w.buf[w.off : w.off+n])
-	w.off += n
-	return v
-}
-
-// TakeMat returns a zeroed scratch rows×cols matrix valid until the next
-// Reset. The matrix header itself comes from the arena, so steady-state use
-// performs no heap allocation.
-func (w *Workspace) TakeMat(rows, cols int) *Dense {
-	m := w.takeMatHeader(rows, cols)
-	m.Data = w.Take(rows * cols)
-	return m
-}
-
-// TakeMatUninit is TakeMat without the zero fill.
+// TakeMatUninit returns a scratch rows×cols matrix valid until the next
+// Reset, not zeroed. The matrix header itself comes from the arena, so
+// steady-state use performs no heap allocation.
 func (w *Workspace) TakeMatUninit(rows, cols int) *Dense {
 	m := w.takeMatHeader(rows, cols)
 	m.Data = w.TakeUninit(rows * cols)

@@ -59,9 +59,6 @@ func NewAutoencoder(in int, hidden []int, rng *mat.RNG) *Autoencoder {
 	}
 }
 
-// CodeDim returns the dimensionality of the learned representation.
-func (a *Autoencoder) CodeDim() int { return a.Enc.OutDim() }
-
 // InDim returns the input dimensionality.
 func (a *Autoencoder) InDim() int { return a.Enc.InDim() }
 
@@ -74,14 +71,6 @@ func (a *Autoencoder) Encode(x mat.Vec) (code mat.Vec, back func(dy mat.Vec) mat
 
 // EncodeInfer returns the code for x without capturing backprop state.
 func (a *Autoencoder) EncodeInfer(x mat.Vec) mat.Vec { return a.Enc.Infer(x) }
-
-// ReconstructionLoss runs encode+decode on x and returns the MSE
-// reconstruction loss without updating any weights.
-func (a *Autoencoder) ReconstructionLoss(x mat.Vec) float64 {
-	y := a.Dec.Infer(a.Enc.Infer(x))
-	loss, _ := MSE(y, x)
-	return loss
-}
 
 // TrainBatch performs one optimizer step on a minibatch of inputs using the
 // reconstruction MSE objective, returning the mean loss over the batch. The

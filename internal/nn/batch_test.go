@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"slices"
 	"testing"
 
 	"hierdrl/internal/mat"
@@ -93,16 +94,21 @@ func testDenseForwardBatchMatchesPerSample(t *testing.T) {
 				}
 			}
 		}
-		if !bat.GW.Equal(ref.GW, 0) {
+		if !sameDense(bat.GW, ref.GW) {
 			t.Fatalf("shape %+v: batched dW diverges from per-sample accumulation", sh)
 		}
 		if d := maxAbsDiffVec(bat.GB, ref.GB); d != 0 {
 			t.Fatalf("shape %+v: batched db diverges by %g", sh, d)
 		}
-		if !dX.Equal(dXRef, 0) {
+		if !sameDense(dX, dXRef) {
 			t.Fatalf("shape %+v: batched dX diverges from per-sample backward", sh)
 		}
 	}
+}
+
+// sameDense reports whether a and b have the same shape and equal elements.
+func sameDense(a, b *mat.Dense) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols && slices.Equal(a.Data, b.Data)
 }
 
 func maxAbsDiffVec(a, b mat.Vec) float64 {
@@ -157,7 +163,7 @@ func testMLPBatchMatchesPerSample(t *testing.T) {
 			}
 		}
 	}
-	if !dX.Equal(dXRef, 0) {
+	if !sameDense(dX, dXRef) {
 		t.Fatal("MLP batched dX diverges")
 	}
 
@@ -165,7 +171,7 @@ func testMLPBatchMatchesPerSample(t *testing.T) {
 	ws := mat.NewWorkspace()
 	ws.Reset()
 	Yws := bat.InferBatchWS(ws, X)
-	if !Yws.Equal(Y, 0) {
+	if !sameDense(Yws, Y) {
 		t.Fatal("InferBatchWS diverges from ForwardBatchWS output")
 	}
 	ws.Reset()
@@ -189,7 +195,9 @@ func trainBatchPerSampleRef(a *Autoencoder, xs []mat.Vec, opt *Adam, clipNorm fl
 		y, decBack := a.Dec.Forward(code)
 		loss, grad := MSE(y, x)
 		total += loss
-		grad.Scale(scale)
+		for i := range grad {
+			grad[i] *= scale
+		}
 		encBack(decBack(grad))
 	}
 	if clipNorm > 0 {

@@ -32,9 +32,6 @@ func NewMLP(sizes []int, acts []Activation, rng *mat.RNG) *MLP {
 // InDim returns the input dimensionality.
 func (m *MLP) InDim() int { return m.Layers[0].In }
 
-// OutDim returns the output dimensionality.
-func (m *MLP) OutDim() int { return m.Layers[len(m.Layers)-1].Out }
-
 // Forward runs the network and returns the output plus a backward closure
 // producing dL/dinput while accumulating parameter gradients.
 func (m *MLP) Forward(x mat.Vec) (y mat.Vec, back func(dy mat.Vec) mat.Vec) {

@@ -1,12 +1,38 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"hierdrl/internal/mat"
 )
+
+// MSE returns the mean-squared-error loss between prediction y and target t,
+// along with the gradient dL/dy. The loss is 1/n * sum (y_i - t_i)^2.
+func MSE(y, t mat.Vec) (loss float64, grad mat.Vec) {
+	if len(y) != len(t) {
+		panic(fmt.Sprintf("nn: MSE length mismatch %d != %d", len(y), len(t)))
+	}
+	grad = mat.NewVec(len(y))
+	n := float64(len(y))
+	for i := range y {
+		d := y[i] - t[i]
+		loss += d * d
+		grad[i] = 2 * d / n
+	}
+	return loss / n, grad
+}
+
+// ReconstructionLoss runs encode+decode on x and returns the MSE
+// reconstruction loss without updating any weights.
+func (a *Autoencoder) ReconstructionLoss(x mat.Vec) float64 {
+	y := a.Dec.Infer(a.Enc.Infer(x))
+	loss, _ := MSE(y, x)
+	return loss
+}
 
 // scalarActs is the scalar reference for each activation: its value, and
 // its derivative given the input x and the output y.
@@ -224,13 +250,13 @@ func TestDenseWeightSharingAccumulates(t *testing.T) {
 	y1, b1 := d.Forward(x1)
 	_, g1 := MSE(y1, target)
 	b1(g1)
-	grad1 := d.GW.Clone()
+	grad1 := slices.Clone(d.GW.Data)
 
 	ZeroGrads(d.Params())
 	y2, b2 := d.Forward(x2)
 	_, g2 := MSE(y2, target)
 	b2(g2)
-	grad2 := d.GW.Clone()
+	grad2 := slices.Clone(d.GW.Data)
 
 	// Shared (two applications before reading gradients).
 	ZeroGrads(d.Params())
@@ -242,7 +268,7 @@ func TestDenseWeightSharingAccumulates(t *testing.T) {
 	bb(gb)
 
 	for i := range d.GW.Data {
-		want := grad1.Data[i] + grad2.Data[i]
+		want := grad1[i] + grad2[i]
 		if math.Abs(d.GW.Data[i]-want) > 1e-12 {
 			t.Fatalf("shared grad[%d] = %v, want sum %v", i, d.GW.Data[i], want)
 		}
@@ -307,8 +333,8 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	if math.Abs(w[0]-3) > 0.05 {
 		t.Fatalf("Adam did not converge: w=%v", w[0])
 	}
-	if opt.Steps() != 500 {
-		t.Fatalf("Steps: got %d want 500", opt.Steps())
+	if opt.t != 500 {
+		t.Fatalf("steps: got %d want 500", opt.t)
 	}
 }
 
@@ -332,7 +358,9 @@ func TestMLPLearnsLinearMap(t *testing.T) {
 			y, back := m.Forward(x)
 			l, grad := MSE(y, tgt)
 			total += l
-			grad.Scale(1.0 / 16)
+			for i := range grad {
+				grad[i] /= 16
+			}
 			back(grad)
 		}
 		ClipGrads(params, 10)
@@ -373,8 +401,8 @@ func TestAutoencoderReconstruction(t *testing.T) {
 	if loss > 0.02 {
 		t.Fatalf("autoencoder failed to learn 2-D manifold, final loss %v", loss)
 	}
-	if ae.CodeDim() != 2 || ae.InDim() != 8 {
-		t.Fatalf("dims: code=%d in=%d", ae.CodeDim(), ae.InDim())
+	if code := ae.Enc.Layers[len(ae.Enc.Layers)-1].Out; code != 2 || ae.InDim() != 8 {
+		t.Fatalf("dims: code=%d in=%d", code, ae.InDim())
 	}
 	x := sample()
 	if rl := ae.ReconstructionLoss(x); rl > 0.05 {

@@ -77,6 +77,3 @@ func (a *Adam) StepRange(params []Param, i, lo, hi int) {
 	mat.FusedAdam(p.Val[lo:hi], p.Grad[lo:hi], a.m[i][lo:hi], a.v[i][lo:hi],
 		a.Beta1, a.Beta2, a.c1, a.c2, a.LR, a.Eps)
 }
-
-// Steps returns how many updates have been applied.
-func (a *Adam) Steps() int { return a.t }

@@ -172,23 +172,23 @@ func TestLeastCommittedMatchesLeastLoadedScan(t *testing.T) {
 	arrival := 0.0
 	for i := 0; i < 400; i++ {
 		arrival += rng.Exponential(0.7)
-		sm.RunBefore(sim.Time(arrival))
-		cl.SnapshotInto(&v)
-		want := ll.Allocate(nil, &v)
-		if got := cl.LeastCommitted(); got != want {
-			t.Fatalf("step %d: LeastCommitted=%d, scan=%d", i, got, want)
-		}
-		// Oversized bursts periodically push every server past the 2.0
-		// sentinel, exercising the fallback branch.
-		cpu := 0.05 + 0.4*rng.Float64()
-		if i%50 == 49 {
-			cpu = 0.9
-		}
-		sm.AdvanceTo(sim.Time(arrival))
-		cl.Submit(&cluster.Job{
-			ID: i, Arrival: sim.Time(arrival), Duration: 30 + rng.Float64()*200,
-			Req: cluster.Resources{cpu, cpu * 0.8, cpu * 0.5}, Server: -1,
-		}, want)
+		dispatchAt(sm, sim.Time(arrival), func() {
+			cl.SnapshotInto(&v)
+			want := ll.Allocate(nil, &v)
+			if got := cl.LeastCommitted(); got != want {
+				t.Fatalf("step %d: LeastCommitted=%d, scan=%d", i, got, want)
+			}
+			// Oversized bursts periodically push every server past the 2.0
+			// sentinel, exercising the fallback branch.
+			cpu := 0.05 + 0.4*rng.Float64()
+			if i%50 == 49 {
+				cpu = 0.9
+			}
+			cl.Submit(&cluster.Job{
+				ID: i, Arrival: sim.Time(arrival), Duration: 30 + rng.Float64()*200,
+				Req: cluster.Resources{cpu, cpu * 0.8, cpu * 0.5}, Server: -1,
+			}, want)
+		})
 	}
 	cl.InvariantCheck()
 }
@@ -218,39 +218,48 @@ func TestLeastCommittedSkipsDrainingServers(t *testing.T) {
 	drainingSeen := 0
 	for i := 0; i < 2000; i++ {
 		arrival += rng.Exponential(0.7)
-		sm.RunBefore(sim.Time(arrival))
-		open := false
-		for k := 0; k < cl.M(); k++ {
-			if cl.Server(k).Draining() {
-				drainingSeen++
+		dispatchAt(sm, sim.Time(arrival), func() {
+			open := false
+			for k := 0; k < cl.M(); k++ {
+				if cl.Server(k).Draining() {
+					drainingSeen++
+				}
+				if cl.Accepting(k) && cl.Server(k).CommittedLoad() < 2.0 {
+					open = true
+				}
 			}
-			if cl.Accepting(k) && cl.Server(k).CommittedLoad() < 2.0 {
-				open = true
+			pick := cl.LeastCommitted()
+			if open && !cl.Accepting(pick) {
+				t.Fatalf("step %d: LeastCommitted=%d, which accepts no work (down %v, draining %v)",
+					i, pick, cl.Server(pick).Down(), cl.Server(pick).Draining())
 			}
-		}
-		pick := cl.LeastCommitted()
-		if open && !cl.Accepting(pick) {
-			t.Fatalf("step %d: LeastCommitted=%d, which accepts no work (down %v, draining %v)",
-				i, pick, cl.Down(pick), cl.Server(pick).Draining())
-		}
-		to := cl.NextUp(pick)
-		if to < 0 {
-			continue
-		}
-		cpu := 0.05 + 0.4*rng.Float64()
-		if i%50 == 49 {
-			cpu = 0.9
-		}
-		sm.AdvanceTo(sim.Time(arrival))
-		cl.Submit(&cluster.Job{
-			ID: i, Arrival: sim.Time(arrival), Duration: 30 + rng.Float64()*200,
-			Req: cluster.Resources{cpu, cpu * 0.8, cpu * 0.5}, Server: -1,
-		}, to)
+			to := cl.NextUp(pick)
+			if to < 0 {
+				return
+			}
+			cpu := 0.05 + 0.4*rng.Float64()
+			if i%50 == 49 {
+				cpu = 0.9
+			}
+			cl.Submit(&cluster.Job{
+				ID: i, Arrival: sim.Time(arrival), Duration: 30 + rng.Float64()*200,
+				Req: cluster.Resources{cpu, cpu * 0.8, cpu * 0.5}, Server: -1,
+			}, to)
+		})
 	}
 	if drainingSeen == 0 {
 		t.Fatal("no decision saw a draining server; test is vacuous")
 	}
 	cl.InvariantCheck()
+}
+
+// dispatchAt runs decide from a priority-lane event at the instant at, as the
+// session's pump dispatches an arrival: after every lane event strictly
+// before at and ahead of every same-instant one. The lane then runs through
+// at.
+func dispatchAt(sm *sim.Simulator, at sim.Time, decide func()) {
+	sm.SchedulePriorityArg(at, func(any) { decide() }, nil)
+	sm.Run(at)
 }
 
 // alwaysOnDPM keeps servers active for the load-index equivalence test.

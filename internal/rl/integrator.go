@@ -76,12 +76,6 @@ func (ri *RewardIntegrator) advance(t float64) {
 	ri.last = t
 }
 
-// Integral returns the discounted integral accumulated through time t.
-func (ri *RewardIntegrator) Integral(t float64) float64 {
-	ri.advance(t)
-	return ri.integral
-}
-
 // EquivalentRate closes the sojourn at time t and returns (rEq, tau): the
 // constant reward rate and sojourn length such that
 // SojournGain(beta,tau)*rEq equals the exact discounted integral. For an
@@ -99,6 +93,3 @@ func (ri *RewardIntegrator) EquivalentRate(t float64) (rEq, tau float64) {
 // Last returns the instant the integral has been advanced to (the sojourn's
 // start right after Reset).
 func (ri *RewardIntegrator) Last() float64 { return ri.last }
-
-// Rate returns the current instantaneous reward rate.
-func (ri *RewardIntegrator) Rate() float64 { return ri.rate }

@@ -26,21 +26,14 @@ func NewReplay[T any](capacity int) *Replay[T] {
 	return &Replay[T]{buf: make([]T, capacity), cap: capacity}
 }
 
-// Add appends a transition, evicting the oldest when at capacity.
-func (r *Replay[T]) Add(t T) {
-	r.buf[r.next] = t
-	r.CommitSlot()
-}
-
-// NextSlot returns a pointer to the slot the next Add would occupy, so the
+// NextSlot returns a pointer to the slot the next transition occupies, so the
 // caller can build the transition in place — reusing the evicted
 // transition's buffers instead of allocating fresh ones. The write is not
-// visible to sampling until CommitSlot runs; NextSlot/CommitSlot pairs must
-// not interleave with Add.
+// visible to sampling until CommitSlot runs.
 func (r *Replay[T]) NextSlot() *T { return &r.buf[r.next] }
 
-// CommitSlot finalizes a slot populated via NextSlot, with the same
-// bookkeeping as Add (cursor advance, wrap-around).
+// CommitSlot finalizes a slot populated via NextSlot: the cursor advances,
+// and at capacity it wraps so the oldest transition is evicted next.
 func (r *Replay[T]) CommitSlot() {
 	r.next++
 	if r.next == r.cap {
@@ -60,34 +53,14 @@ func (r *Replay[T]) Len() int {
 // Cap returns the capacity ND.
 func (r *Replay[T]) Cap() int { return r.cap }
 
-// Sample fills dst with n transitions drawn uniformly with replacement.
-// It panics when the memory is empty.
-func (r *Replay[T]) Sample(n int, rng *mat.RNG) []T {
-	ln := r.Len()
-	if ln == 0 {
-		panic("rl: Sample from empty replay memory")
-	}
-	out := make([]T, n)
-	for i := range out {
-		out[i] = r.buf[rng.Intn(ln)]
-	}
-	return out
-}
-
-// SampleIndices draws n slot indices uniformly with replacement, consuming
-// the RNG exactly as Sample does (so the two are interchangeable for
-// deterministic replays). Use At to dereference.
-func (r *Replay[T]) SampleIndices(n int, rng *mat.RNG) []int {
-	return r.SampleIndicesInto(make([]int, 0, n), n, rng)
-}
-
-// SampleIndicesInto is SampleIndices appending into dst (pass dst[:0] to
-// reuse a retained scratch slice; steady-state calls are allocation-free).
-// RNG consumption is identical to SampleIndices.
+// SampleIndicesInto appends n slot indices drawn uniformly with replacement
+// to dst (pass dst[:0] to reuse a retained scratch slice; steady-state calls
+// are allocation-free). Use At to dereference. It panics when the memory is
+// empty.
 func (r *Replay[T]) SampleIndicesInto(dst []int, n int, rng *mat.RNG) []int {
 	ln := r.Len()
 	if ln == 0 {
-		panic("rl: Sample from empty replay memory")
+		panic("rl: SampleIndicesInto from empty replay memory")
 	}
 	for i := 0; i < n; i++ {
 		dst = append(dst, rng.Intn(ln))
@@ -97,19 +70,6 @@ func (r *Replay[T]) SampleIndicesInto(dst []int, n int, rng *mat.RNG) []int {
 
 // At returns the transition stored in slot i (0 <= i < Len).
 func (r *Replay[T]) At(i int) T { return r.buf[i] }
-
-// Each calls fn for every stored transition in insertion order (oldest
-// first).
-func (r *Replay[T]) Each(fn func(T)) {
-	if r.full {
-		for i := r.next; i < r.cap; i++ {
-			fn(r.buf[i])
-		}
-	}
-	for i := 0; i < r.next; i++ {
-		fn(r.buf[i])
-	}
-}
 
 // Newest returns the slot of the most recently added transition, the one
 // slot whose ring successor is not the transition stored after it. It panics

@@ -53,10 +53,10 @@ func TestNegativeSojournPanics(t *testing.T) {
 
 func TestQTableBasics(t *testing.T) {
 	q := NewQTable(2, 3, 0.5, 0.5, 0)
-	if q.NumStates() != 2 || q.NumActions() != 3 {
-		t.Fatalf("NumStates %d NumActions %d", q.NumStates(), q.NumActions())
+	if q.NumStates() != 2 || q.nActions != 3 {
+		t.Fatalf("NumStates %d actions %d", q.NumStates(), q.nActions)
 	}
-	if got := q.Q(0, 1); got != 0 {
+	if got := q.row(0)[1]; got != 0 {
 		t.Fatalf("fresh Q = %v want 0", got)
 	}
 	a, v := q.Best(0)
@@ -64,15 +64,15 @@ func TestQTableBasics(t *testing.T) {
 		t.Fatalf("fresh Best = (%d,%v)", a, v)
 	}
 	q.Update(0, 1, 10, 1, 1)
-	if q.Q(0, 1) <= 0 {
+	if q.row(0)[1] <= 0 {
 		t.Fatal("positive reward must raise Q")
 	}
 	a, _ = q.Best(0)
 	if a != 1 {
 		t.Fatalf("Best after positive update = %d want 1", a)
 	}
-	if q.Visits(0, 1) != 1 || q.Visits(1, 1) != 0 {
-		t.Fatalf("Visits = %d, %d want 1, 0", q.Visits(0, 1), q.Visits(1, 1))
+	if q.visits[0*3+1] != 1 || q.visits[1*3+1] != 0 {
+		t.Fatalf("visits = %d, %d want 1, 0", q.visits[0*3+1], q.visits[1*3+1])
 	}
 	if a, v := q.Best(1); a != 0 || v != 0 {
 		t.Fatalf("an update of state 0 moved state 1: Best = (%d,%v)", a, v)
@@ -82,7 +82,7 @@ func TestQTableBasics(t *testing.T) {
 func TestQTableOptimisticInit(t *testing.T) {
 	q := NewQTable(3, 2, 0.5, 0.5, 5)
 	for s := 0; s < 3; s++ {
-		if got := q.Q(s, 1); got != 5 {
+		if got := q.row(s)[1]; got != 5 {
 			t.Fatalf("optimistic init of state %d = %v want 5", s, got)
 		}
 	}
@@ -105,14 +105,14 @@ func TestQTableLearnsSimpleSMDP(t *testing.T) {
 		}
 		q.Update(idle, a, rate, 1, idle)
 	}
-	if q.Q(idle, 1) <= q.Q(idle, 0) {
-		t.Fatalf("failed to learn: Q1=%v Q0=%v", q.Q(idle, 1), q.Q(idle, 0))
+	if q.row(idle)[1] <= q.row(idle)[0] {
+		t.Fatalf("failed to learn: Q1=%v Q0=%v", q.row(idle)[1], q.row(idle)[0])
 	}
 	// The fixed point of always taking action 1:
 	// Q = g + d*Q with g=(1-e^-0.5)/0.5, d=e^-0.5 => Q = g/(1-d) ≈ 2.0
 	want := SojournGain(0.5, 1) / (1 - DiscountFactor(0.5, 1))
-	if math.Abs(q.Q(idle, 1)-want) > 0.3 {
-		t.Fatalf("Q(idle,1)=%v want ~%v", q.Q(idle, 1), want)
+	if math.Abs(q.row(idle)[1]-want) > 0.3 {
+		t.Fatalf("Q(idle,1)=%v want ~%v", q.row(idle)[1], want)
 	}
 }
 
@@ -129,7 +129,7 @@ func TestQTableFullLearningRateProperty(t *testing.T) {
 		_, nextBest := q.Best(next)
 		want := SMDPTarget(0.5, tau, rate, nextBest)
 		q.Update(state, a, rate, tau, next)
-		return math.Abs(q.Q(state, a)-want) < 1e-9
+		return math.Abs(q.row(state)[a]-want) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -139,9 +139,9 @@ func TestQTableFullLearningRateProperty(t *testing.T) {
 func TestQTableActionRangePanics(t *testing.T) {
 	q := NewQTable(2, 2, 0.5, 0.5, 0)
 	for i, fn := range []func(){
-		func() { q.Q(0, 2) },
-		func() { q.Q(0, -1) },
-		func() { q.Q(2, 0) },
+		func() { q.Update(0, 2, 1, 1, 0) },
+		func() { q.Update(0, -1, 1, 1, 0) },
+		func() { q.Update(2, 0, 1, 1, 0) },
 		func() { q.Best(-1) },
 		func() { q.Update(0, 0, 1, 1, 2) },
 	} {
@@ -214,22 +214,20 @@ func TestReplayRingSemantics(t *testing.T) {
 	if r.Len() != 0 || r.Cap() != 3 {
 		t.Fatalf("fresh replay Len=%d Cap=%d", r.Len(), r.Cap())
 	}
-	r.Add(1)
-	r.Add(2)
+	push(r, 1)
+	push(r, 2)
 	if r.Latest() != 2 {
 		t.Fatalf("Latest = %d want 2", r.Latest())
 	}
-	r.Add(3)
-	r.Add(4) // evicts 1
+	push(r, 3)
+	push(r, 4) // evicts 1
 	if r.Len() != 3 {
 		t.Fatalf("Len after overflow = %d want 3", r.Len())
 	}
-	var got []int
-	r.Each(func(x int) { got = append(got, x) })
-	want := []int{2, 3, 4}
+	want := []int{4, 2, 3} // slot order: 4 took the oldest slot
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Each order: got %v want %v", got, want)
+		if r.At(i) != want[i] {
+			t.Fatalf("slot %d holds %d, want %d", i, r.At(i), want[i])
 		}
 	}
 	if r.Latest() != 4 {
@@ -240,12 +238,12 @@ func TestReplayRingSemantics(t *testing.T) {
 func TestReplaySampleUniform(t *testing.T) {
 	r := NewReplay[int](8)
 	for i := 0; i < 8; i++ {
-		r.Add(i)
+		push(r, i)
 	}
 	rng := mat.NewRNG(5)
 	counts := make([]int, 8)
-	for _, v := range r.Sample(8000, rng) {
-		counts[v]++
+	for _, i := range r.SampleIndicesInto(nil, 8000, rng) {
+		counts[r.At(i)]++
 	}
 	for v, c := range counts {
 		if c < 700 || c > 1300 {
@@ -258,7 +256,7 @@ func TestReplayPanics(t *testing.T) {
 	rng := mat.NewRNG(6)
 	for name, fn := range map[string]func(){
 		"ZeroCap":     func() { NewReplay[int](0) },
-		"EmptySample": func() { NewReplay[int](4).Sample(1, rng) },
+		"EmptySample": func() { NewReplay[int](4).SampleIndicesInto(nil, 1, rng) },
 		"EmptyLatest": func() { NewReplay[int](4).Latest() },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -285,7 +283,7 @@ func TestRewardIntegratorConstantRate(t *testing.T) {
 	}
 	// Exact integral: 3*(1-e^{-2})/0.5
 	want := 3 * (1 - math.Exp(-2)) / 0.5
-	if got := ri.Integral(14); math.Abs(got-want) > 1e-9 {
+	if got := integral(ri, 14); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Integral = %v want %v", got, want)
 	}
 }
@@ -297,7 +295,7 @@ func TestRewardIntegratorPiecewise(t *testing.T) {
 	ri := NewRewardIntegrator(b)
 	ri.Reset(0, 2)
 	ri.SetRate(1, 5)
-	got := ri.Integral(3)
+	got := integral(ri, 3)
 	want := 2*(1-math.Exp(-b))/b + 5*math.Exp(-b)*(1-math.Exp(-2*b))/b
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("piecewise integral = %v want %v", got, want)
@@ -313,7 +311,7 @@ func TestRewardIntegratorZeroBeta(t *testing.T) {
 	ri := NewRewardIntegrator(0)
 	ri.Reset(0, 2)
 	ri.SetRate(1, 4)
-	if got := ri.Integral(2); math.Abs(got-6) > 1e-12 {
+	if got := integral(ri, 2); math.Abs(got-6) > 1e-12 {
 		t.Fatalf("undiscounted integral = %v want 6", got)
 	}
 }
@@ -363,7 +361,7 @@ func TestRewardIntegratorEquivalenceProperty(t *testing.T) {
 		tNow := t0
 		// Reference numerical integral via fine sampling.
 		type piece struct{ start, rate float64 }
-		pieces := []piece{{t0, ri.Rate()}}
+		pieces := []piece{{t0, ri.rate}}
 		for k := 0; k < 1+g.Intn(6); k++ {
 			tNow += g.Float64() * 10
 			rate := g.Normal(0, 5)
@@ -416,45 +414,62 @@ func TestQTableConstructorPanics(t *testing.T) {
 	}
 }
 
-// NextSlot/CommitSlot must behave exactly like Add — same ordering, same
-// eviction — while letting callers reuse slot memory.
+// An in-place emplace (NextSlot, then CommitSlot) adds a transition to the
+// ring: the write is invisible until the commit, and once the ring is full
+// NextSlot hands out the oldest transition's slot, contents and all, so the
+// caller can reuse its memory.
 func TestReplayEmplaceMatchesAdd(t *testing.T) {
-	ra := NewReplay[int](4)
-	rb := NewReplay[int](4)
+	r := NewReplay[[]int](4)
 	for i := 0; i < 11; i++ {
-		ra.Add(i)
-		slot := rb.NextSlot()
-		*slot = i
-		rb.CommitSlot()
-		if ra.Len() != rb.Len() {
-			t.Fatalf("len diverged: %d vs %d", ra.Len(), rb.Len())
+		slot := r.NextSlot()
+		if i >= 4 && (*slot)[0] != i-4 {
+			t.Fatalf("add %d: NextSlot holds %v, want the oldest transition [%d]", i, *slot, i-4)
+		}
+		*slot = append((*slot)[:0], i)
+		if want := min(i, 4); r.Len() != want {
+			t.Fatalf("add %d: Len %d before the commit, want %d", i, r.Len(), want)
+		}
+		r.CommitSlot()
+		if r.Latest()[0] != i || r.At(r.Newest())[0] != i || r.Len() != min(i+1, 4) {
+			t.Fatalf("add %d: Latest %v, Len %d", i, r.Latest(), r.Len())
 		}
 	}
-	for i := 0; i < ra.Len(); i++ {
-		if ra.At(i) != rb.At(i) {
-			t.Fatalf("slot %d: %d vs %d", i, ra.At(i), rb.At(i))
+	for i := 0; i < 4; i++ {
+		if want := []int{8, 9, 10, 7}[i]; r.At(i)[0] != want {
+			t.Fatalf("slot %d holds %v, want [%d]", i, r.At(i), want)
 		}
-	}
-	if ra.Latest() != rb.Latest() || ra.Newest() != rb.Newest() {
-		t.Fatalf("latest: %d (slot %d) vs %d (slot %d)", ra.Latest(), ra.Newest(), rb.Latest(), rb.Newest())
 	}
 }
 
-// SampleIndicesInto must consume the RNG identically to SampleIndices.
+// SampleIndicesInto appends n sample indices to dst, each one draw of
+// Intn(Len) in order (the RNG stream every replay's minibatches follow).
 func TestSampleIndicesIntoMatchesSampleIndices(t *testing.T) {
 	r := NewReplay[int](32)
 	for i := 0; i < 20; i++ {
-		r.Add(i)
+		push(r, i)
 	}
-	a := r.SampleIndices(16, mat.NewRNG(7))
-	scratch := make([]int, 0, 16)
-	b := r.SampleIndicesInto(scratch[:0], 16, mat.NewRNG(7))
-	if len(a) != len(b) {
-		t.Fatalf("lengths %d vs %d", len(a), len(b))
+	ref := mat.NewRNG(7)
+	rng := mat.NewRNG(7)
+	scratch := []int{-1}
+	got := r.SampleIndicesInto(scratch, 16, rng)
+	if len(got) != 17 || got[0] != -1 {
+		t.Fatalf("SampleIndicesInto did not append to dst: %v", got)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("index %d: %d vs %d", i, a[i], b[i])
+	for i, x := range got[1:] {
+		if want := ref.Intn(20); x != want {
+			t.Fatalf("index %d: %d, want %d", i, x, want)
 		}
 	}
+}
+
+// push adds x to r through NextSlot and CommitSlot.
+func push[T any](r *Replay[T], x T) {
+	*r.NextSlot() = x
+	r.CommitSlot()
+}
+
+// integral advances ri to t and returns the discounted integral so far.
+func integral(ri *RewardIntegrator, t float64) float64 {
+	ri.advance(t)
+	return ri.integral
 }

@@ -88,21 +88,12 @@ func NewQTable(nStates, nActions int, alpha, beta, optInit float64) *QTable {
 // NumStates returns the size of the state set.
 func (t *QTable) NumStates() int { return len(t.q) / t.nActions }
 
-// NumActions returns the size of the action set.
-func (t *QTable) NumActions() int { return t.nActions }
-
 // row returns state's Q-values, one per action.
 func (t *QTable) row(state int) []float64 {
 	if state < 0 || state >= t.NumStates() {
 		panic(fmt.Sprintf("rl: state %d out of range [0,%d)", state, t.NumStates()))
 	}
 	return t.q[state*t.nActions : (state+1)*t.nActions]
-}
-
-// Q returns the current value estimate for (state, action).
-func (t *QTable) Q(state, action int) float64 {
-	t.checkAction(action)
-	return t.row(state)[action]
 }
 
 // Best returns the greedy action and its value for state. Ties break toward
@@ -130,13 +121,6 @@ func (t *QTable) Update(state, action int, rRate, tau float64, nextState int) fl
 	row[action] += t.alpha * td
 	t.visits[state*t.nActions+action]++
 	return td
-}
-
-// Visits returns how many updates (state, action) has received.
-func (t *QTable) Visits(state, action int) int {
-	t.checkAction(action)
-	t.row(state)
-	return t.visits[state*t.nActions+action]
 }
 
 func (t *QTable) checkAction(a int) {

@@ -36,7 +36,7 @@ func TestReplayRoundTrip(t *testing.T) {
 	for _, adds := range []int{5, 12} {
 		r1 := NewReplay[int](8)
 		for i := 0; i < adds; i++ {
-			r1.Add(100 + i)
+			push(r1, 100+i)
 		}
 		d := section(t, func(e *checkpoint.Codec) { ReplayState(r1, e, intState) })
 		r2 := NewReplay[int](8)
@@ -53,8 +53,8 @@ func TestReplayRoundTrip(t *testing.T) {
 			}
 		}
 		// The restored ring must keep evicting in the original order.
-		r1.Add(999)
-		r2.Add(999)
+		push(r1, 999)
+		push(r2, 999)
 		if r1.next != r2.next || r1.Latest() != r2.Latest() {
 			t.Fatalf("adds=%d post-restore Add diverges", adds)
 		}
@@ -63,7 +63,7 @@ func TestReplayRoundTrip(t *testing.T) {
 
 func TestReplayRestoreCapacityMismatch(t *testing.T) {
 	r1 := NewReplay[int](8)
-	r1.Add(1)
+	push(r1, 1)
 	d := section(t, func(e *checkpoint.Codec) { ReplayState(r1, e, intState) })
 	r2 := NewReplay[int](16)
 	ReplayState(r2, d, intState)
@@ -117,8 +117,8 @@ func TestQTableStateRoundTrip(t *testing.T) {
 	}
 	for s := 0; s < 3; s++ {
 		for a := 0; a < 2; a++ {
-			if q2.Q(s, a) != q1.Q(s, a) || q2.Visits(s, a) != q1.Visits(s, a) {
-				t.Fatalf("(%d,%d): Q %v visits %d, want %v, %d", s, a, q2.Q(s, a), q2.Visits(s, a), q1.Q(s, a), q1.Visits(s, a))
+			if q2.row(s)[a] != q1.row(s)[a] || q2.visits[s*q1.nActions+a] != q1.visits[s*q1.nActions+a] {
+				t.Fatalf("(%d,%d): Q %v visits %d, want %v, %d", s, a, q2.row(s)[a], q2.visits[s*q1.nActions+a], q1.row(s)[a], q1.visits[s*q1.nActions+a])
 			}
 		}
 	}

@@ -65,8 +65,8 @@ func TestRestoreRoundTripFiringOrder(t *testing.T) {
 	r.Step()
 	rlog := &[]fired{}
 	r.RestoreBegin(now, seq, prioSeq, nFired)
-	if r.Pending() != 0 {
-		t.Fatalf("pending after RestoreBegin = %d", r.Pending())
+	if r.live != 0 {
+		t.Fatalf("pending after RestoreBegin = %d", r.live)
 	}
 	for _, sv := range saved {
 		label := sv.label
@@ -144,8 +144,8 @@ func TestRestoreBeginReleasesCancelled(t *testing.T) {
 	tms[3].Cancel()
 	tms[7].Cancel()
 	s.RestoreBegin(42, 100, prioSeqBase+5, 7)
-	if s.Pending() != 0 || s.queueLen() != 0 {
-		t.Fatalf("queue not empty after RestoreBegin: pending=%d heap=%d", s.Pending(), s.queueLen())
+	if s.live != 0 || len(s.heap) != 0 {
+		t.Fatalf("queue not empty after RestoreBegin: pending=%d heap=%d", s.live, len(s.heap))
 	}
 	if s.Now() != 42 || s.Fired() != 7 || s.seq != 100 || s.prioSeq != prioSeqBase+5 {
 		t.Fatal("counters not restored")

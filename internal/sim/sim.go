@@ -317,37 +317,6 @@ func (s *Simulator) Run(until Time) {
 	}
 }
 
-// RunBefore fires every event scheduled strictly before t, leaving the clock
-// at the last fired event (it never advances the clock to t on its own), so
-// a dispatch at t made next still precedes same-instant lane events, as the
-// engine's priority-lane arrivals do. Tests drive a lane by hand with it. It
-// reports the number of events fired.
-func (s *Simulator) RunBefore(t Time) int {
-	n := 0
-	for {
-		next, ok := s.PeekTime()
-		if !ok || next >= t {
-			return n
-		}
-		s.Step()
-		n++
-	}
-}
-
-// AdvanceTo moves the clock forward to t without firing anything. It panics
-// if t is in the past or if an event strictly before t is still pending —
-// jumping over a scheduled event would corrupt the simulation order. Tests
-// use it to position a quiescent lane at a dispatch instant.
-func (s *Simulator) AdvanceTo(t Time) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: AdvanceTo into the past: %v < now %v", t, s.now))
-	}
-	if next, ok := s.PeekTime(); ok && next < t {
-		panic(fmt.Sprintf("sim: AdvanceTo %v over pending event at %v", t, next))
-	}
-	s.now = t
-}
-
 // RunAll fires every pending event. It panics if more than maxEvents fire,
 // protecting tests from runaway self-rescheduling models.
 func (s *Simulator) RunAll(maxEvents int64) {
@@ -376,16 +345,8 @@ func (s *Simulator) PeekTime() (Time, bool) {
 	return 0, false
 }
 
-// Pending returns the number of queued (non-cancelled) events. It is O(1):
-// the live count is maintained across Schedule/Cancel/Step.
-func (s *Simulator) Pending() int { return s.live }
-
 // Fired returns the total number of events that have executed.
 func (s *Simulator) Fired() int64 { return s.nFired }
-
-// queueLen reports the raw heap length including lazily-cancelled entries
-// (exposed to tests asserting compaction behaviour).
-func (s *Simulator) queueLen() int { return len(s.heap) }
 
 // --- 4-ary implicit heap over slot indices ---
 //

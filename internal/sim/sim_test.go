@@ -102,8 +102,8 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 3 {
 		t.Fatalf("clock after Run(3) = %v want 3", s.Now())
 	}
-	if s.Pending() != 2 {
-		t.Fatalf("pending = %d want 2", s.Pending())
+	if s.live != 2 {
+		t.Fatalf("pending = %d want 2", s.live)
 	}
 	// Running to a time with no events still advances the clock.
 	s.Run(10)
@@ -209,29 +209,29 @@ func TestEventLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// Pending must be O(1)-consistent across schedule, cancel, and fire.
+// The live count must stay consistent across schedule, cancel, and fire.
 func TestPendingLiveCount(t *testing.T) {
 	s := New()
 	timers := make([]Timer, 10)
 	for i := range timers {
 		timers[i] = s.Schedule(Time(i+1), func() {})
 	}
-	if s.Pending() != 10 {
-		t.Fatalf("Pending = %d want 10", s.Pending())
+	if s.live != 10 {
+		t.Fatalf("Pending = %d want 10", s.live)
 	}
 	timers[3].Cancel()
 	timers[7].Cancel()
-	if s.Pending() != 8 {
-		t.Fatalf("Pending after 2 cancels = %d want 8", s.Pending())
+	if s.live != 8 {
+		t.Fatalf("Pending after 2 cancels = %d want 8", s.live)
 	}
 	s.Step()
 	s.Step()
-	if s.Pending() != 6 {
-		t.Fatalf("Pending after 2 fires = %d want 6", s.Pending())
+	if s.live != 6 {
+		t.Fatalf("Pending after 2 fires = %d want 6", s.live)
 	}
 	s.RunAll(100)
-	if s.Pending() != 0 {
-		t.Fatalf("Pending after drain = %d want 0", s.Pending())
+	if s.live != 0 {
+		t.Fatalf("Pending after drain = %d want 0", s.live)
 	}
 }
 
@@ -273,10 +273,10 @@ func TestCancelledTimerCompaction(t *testing.T) {
 		}
 	}
 	live := n / 4
-	if s.Pending() != live {
-		t.Fatalf("Pending = %d want %d", s.Pending(), live)
+	if s.live != live {
+		t.Fatalf("Pending = %d want %d", s.live, live)
 	}
-	if got := s.queueLen(); got > live+minCompactLen {
+	if got := len(s.heap); got > live+minCompactLen {
 		t.Fatalf("heap holds %d entries for %d live timers; compaction failed", got, live)
 	}
 	fired := 0
@@ -328,10 +328,10 @@ func TestCompactionWithAllEntriesCancelled(t *testing.T) {
 	if !last.Cancel() {
 		t.Fatal("last timer was not pending")
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d want 0", s.Pending())
+	if s.live != 0 {
+		t.Fatalf("Pending = %d want 0", s.live)
 	}
-	if got := s.queueLen(); got != 0 {
+	if got := len(s.heap); got != 0 {
 		t.Fatalf("heap holds %d entries after full cancellation", got)
 	}
 	if s.Step() {
@@ -412,70 +412,4 @@ func TestCancelSubsetProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestRunBeforeExcludesBoundary asserts the hand-stepping contract:
-// RunBefore(t) fires strictly-before events only and leaves the clock at the
-// last fired event, so an epoch-time dispatch can still precede same-instant
-// lane events.
-func TestRunBeforeExcludesBoundary(t *testing.T) {
-	s := New()
-	var fired []int
-	s.Schedule(1, func() { fired = append(fired, 1) })
-	s.Schedule(2, func() { fired = append(fired, 2) })
-	s.Schedule(2, func() { fired = append(fired, 3) })
-	s.Schedule(3, func() { fired = append(fired, 4) })
-	if n := s.RunBefore(2); n != 1 {
-		t.Fatalf("RunBefore(2) fired %d events, want 1", n)
-	}
-	if len(fired) != 1 || fired[0] != 1 {
-		t.Fatalf("RunBefore(2) fired %v, want [1]", fired)
-	}
-	if s.Now() != 1 {
-		t.Fatalf("clock at %v after RunBefore(2), want 1 (last fired event)", s.Now())
-	}
-	if n := s.RunBefore(10); n != 3 {
-		t.Fatalf("RunBefore(10) fired %d events, want 3", n)
-	}
-	if want := []int{1, 2, 3, 4}; len(fired) != 4 || fired[1] != want[1] || fired[3] != want[3] {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	if n := s.RunBefore(100); n != 0 {
-		t.Fatalf("RunBefore on empty queue fired %d events", n)
-	}
-}
-
-// TestAdvanceTo asserts the quiescent clock jump and both misuse panics.
-func TestAdvanceTo(t *testing.T) {
-	s := New()
-	s.AdvanceTo(5)
-	if s.Now() != 5 {
-		t.Fatalf("Now=%v after AdvanceTo(5)", s.Now())
-	}
-	// Jumping to the timestamp of a pending event is allowed (the event
-	// fires afterwards at == now); jumping over it is not.
-	s.Schedule(7, func() {})
-	s.AdvanceTo(7)
-	if s.Now() != 7 {
-		t.Fatalf("Now=%v after AdvanceTo(7)", s.Now())
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("AdvanceTo over a pending event did not panic")
-			}
-		}()
-		s.AdvanceTo(8)
-	}()
-	if !s.Step() {
-		t.Fatal("pending event did not fire")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("AdvanceTo into the past did not panic")
-			}
-		}()
-		s.AdvanceTo(3)
-	}()
 }

@@ -78,10 +78,6 @@ func (r *EpochRing) Len() int {
 	return len(r.spans)
 }
 
-// Recorded returns the total number of epochs recorded (including those
-// that have been overwritten).
-func (r *EpochRing) Recorded() int64 { return r.n }
-
 // Spans appends the retained spans in chronological order to dst and
 // returns it.
 func (r *EpochRing) Spans(dst []EpochSpan) []EpochSpan {

@@ -21,7 +21,7 @@ func TestEpochRingWrapAndOrder(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		fillSpan(r, float64(i))
 	}
-	if got := r.Recorded(); got != 7 {
+	if got := r.n; got != 7 {
 		t.Fatalf("recorded %d, want 7", got)
 	}
 	if got := r.Len(); got != 4 {
