@@ -204,12 +204,16 @@ func (s *Session) sessionState(c *checkpoint.Codec) {
 			c.Fail(ErrCorrupt, "ingested %d", s.ingested)
 			return
 		}
-		pending = make([]trace.Job, nq)
 		s.pq.reset()
+		s.pq.reserve(nq)
 	}
 	prev := math.Inf(-1)
-	for k := range pending {
-		tj := &pending[k]
+	var job trace.Job // decoding: the job read, then appended to the queue
+	for k := 0; k < nq; k++ {
+		tj := &job
+		if !dec {
+			tj = &pending[k]
+		}
 		c.Int(&tj.ID)
 		c.F64(&tj.Arrival)
 		c.F64(&tj.Duration)

@@ -6,13 +6,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"hierdrl"
 )
 
 // TestRestoreAllocsFlatInReplayFill pins what Restore allocates for the DRL
-// agent's replay memory: one slab for all the slots, not one block per slot.
+// agent's replay memory: one state block per 256 slots, not one per slot.
 // Two snapshots of the same run, one with about ten times the filled slots of
 // the other, must restore in nearly the same number of allocations.
 func TestRestoreAllocsFlatInReplayFill(t *testing.T) {
@@ -45,6 +49,55 @@ func TestRestoreAllocsFlatInReplayFill(t *testing.T) {
 	t.Logf("Restore allocs: %.0f at ~200 filled slots, %.0f at ~2,000", few, many)
 	if d := many - few; d >= 64 || d <= -64 {
 		t.Fatalf("Restore allocs move with the replay fill: %.0f at ~200 slots, %.0f at ~2,000", few, many)
+	}
+}
+
+// TestRestoreQueueAllocatesOneQueue pins what Restore allocates for the
+// session's arrival queue: every decoded job goes straight into one array
+// reserved at the stored length. Two snapshots of one round-robin run, paused
+// at the same completion with 1,000 or all 9,000 jobs of a trace submitted,
+// differ in the queue alone. Beyond the extra snapshot bytes the reader
+// holds, restoring the longer one allocates about one queue's bytes more, not
+// the two or three a temporary copy and a doubling queue would.
+func TestRestoreQueueAllocatesOneQueue(t *testing.T) {
+	tr := hierdrl.SyntheticTraceForCluster(9000, 4, 1)
+	restore := func(n int) (alloc, snapLen uint64, queued int) {
+		s, err := hierdrl.NewSession(hierdrl.RoundRobin(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.SubmitTrace(&hierdrl.Trace{Jobs: tr.Jobs[:n]}); err != nil {
+			t.Fatal(err)
+		}
+		stepToCompleted(t, s, 200)
+		var buf bytes.Buffer
+		if err := s.Checkpoint(&buf); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		alloc = math.MaxUint64
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r, err := hierdrl.Restore(bytes.NewReader(buf.Bytes()))
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			r.Close()
+			alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+		}
+		return alloc, uint64(buf.Len()), s.Pending()
+	}
+	shortAlloc, shortLen, shortQ := restore(1000)
+	longAlloc, longLen, longQ := restore(len(tr.Jobs))
+	queueBytes := float64(longQ-shortQ) * float64(unsafe.Sizeof(hierdrl.Job{}))
+	extra := float64(longAlloc-shortAlloc) - float64(longLen-shortLen)
+	t.Logf("%d more queued jobs (%.0f B): Restore allocates %.0f B more beyond the snapshot bytes", longQ-shortQ, queueBytes, extra)
+	if extra < 0.75*queueBytes || extra > 1.25*queueBytes {
+		t.Fatalf("Restore of %d more queued jobs allocates %.2f queues' bytes more, want about 1", longQ-shortQ, extra/queueBytes)
 	}
 }
 

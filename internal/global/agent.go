@@ -11,11 +11,12 @@ import (
 )
 
 // Transition is one experience-memory record: the SMDP tuple
-// (s_k, a_k, equivalent reward rate, sojourn). The successor s_{k+1} is not
-// stored a second time: every observation enters the ring once, as the S of
-// the transition it opens (Agent.successor).
+// (s_k, a_k, equivalent reward rate, sojourn) minus s_k, which lives in the
+// agent's state blocks under the same slot index (Agent.slotState). The
+// successor s_{k+1} is not stored a second time: every observation enters
+// the ring once, as the state of the transition it opens (Agent.successor).
+// A Transition holds no pointer, so the ring is memory the GC never scans.
 type Transition struct {
-	S      State
 	Action int
 	REq    float64
 	Tau    float64
@@ -39,6 +40,9 @@ type Agent struct {
 	rng *mat.RNG
 
 	replay *rl.Replay[Transition]
+	// states holds s_k of every replay slot: slot i's is a window of block
+	// i/blockSlots, allocated when the ring or a restore first reaches it.
+	states []mat.Vec
 	integ  *rl.RewardIntegrator
 
 	lastPower float64
@@ -87,6 +91,12 @@ type Agent struct {
 	stop *helperStop
 }
 
+// blockSlots is the number of replay slots whose states share one block
+// (192 KB at the paper's 94-word state): the ring's first fill allocates once
+// per blockSlots transitions, and a ring that never fills holds only the
+// blocks it reached.
+const blockSlots = 256
+
 // NewAgent builds a DRL agent for a cluster of m servers.
 func NewAgent(cfg Config, m int, rng *mat.RNG) (*Agent, error) {
 	if err := cfg.Validate(m); err != nil {
@@ -109,6 +119,7 @@ func NewAgent(cfg Config, m int, rng *mat.RNG) (*Agent, error) {
 		eps:          rl.NewEpsilonGreedy(cfg.Epsilon, cfg.EpsilonMin, cfg.EpsilonDecay, rng.Split()),
 		rng:          rng.Split(),
 		replay:       rl.NewReplay[Transition](cfg.ReplayCap),
+		states:       make([]mat.Vec, (cfg.ReplayCap+blockSlots-1)/blockSlots),
 		integ:        rl.NewRewardIntegrator(cfg.Beta),
 		pendingState: enc.NewState(),
 		aeSampleCap:  4096,
@@ -179,7 +190,7 @@ func (a *Agent) Allocate(j *cluster.Job, v *cluster.View) int {
 	}
 
 	a.actionCounts[action]++
-	state.CloneInto(&a.pendingState)
+	a.pendingState.CopyFrom(state)
 	a.pendingAction = action
 	a.hasPending = true
 	a.integ.Reset(v.Now.Seconds(), a.rewardRate())
@@ -282,23 +293,34 @@ func (a *Agent) FinishEpisode(t sim.Time) {
 }
 
 // storeTransition closes the pending (state, action) pair into the replay
-// slot it will occupy, recycling the evicted transition's state block; only
-// a never-used slot allocates. These two callers are the ring's only writers.
+// slot it will occupy, overwriting the evicted transition's state in place;
+// only the first slot reached in a block allocates (the block). These two
+// callers are the ring's only writers.
 func (a *Agent) storeTransition(rEq, tau float64, terminal bool) {
-	tr := a.replay.NextSlot()
-	a.pendingState.CloneInto(&tr.S)
-	tr.Action = a.pendingAction
-	tr.REq = rEq
-	tr.Tau = tau
-	tr.Terminal = terminal
+	*a.replay.NextSlot() = Transition{Action: a.pendingAction, REq: rEq, Tau: tau, Terminal: terminal}
 	a.replay.CommitSlot()
+	a.slotState(a.replay.Newest()).CopyFrom(a.pendingState)
+}
+
+// slotState returns the state of replay slot i: a window of block
+// i/blockSlots, which the first slot reached in it allocates. The last block
+// holds only the slots below ReplayCap. Every read and write of a stored
+// state goes through here.
+func (a *Agent) slotState(i int) State {
+	dim := a.enc.StateDim()
+	b := i / blockSlots
+	if a.states[b] == nil {
+		a.states[b] = mat.NewVec(min(blockSlots, a.replay.Cap()-b*blockSlots) * dim)
+	}
+	off := (i - b*blockSlots) * dim
+	return State{v: a.states[b][off : off+dim : off+dim], groupDim: a.enc.GroupDim()}
 }
 
 // successor returns s_{k+1} of the non-terminal transition in ring slot i.
 // Consecutive decisions of an episode land in consecutive slots, each opening
 // with the observation that closed the one before, so the successor is the
-// ring neighbour's S — except for the newest slot, whose successor has not
-// been stored yet and is the pending state. (A terminal slot's neighbour
+// ring neighbour's state — except for the newest slot, whose successor has
+// not been stored yet and is the pending state. (A terminal slot's neighbour
 // opens the next episode; terminal transitions never bootstrap.)
 func (a *Agent) successor(i int) State {
 	if i == a.replay.Newest() {
@@ -307,7 +329,7 @@ func (a *Agent) successor(i int) State {
 	if i++; i == a.replay.Cap() {
 		i = 0
 	}
-	return a.replay.At(i).S
+	return a.slotState(i)
 }
 
 // trainStep samples a minibatch, computes SMDP targets with the target
@@ -329,7 +351,7 @@ func (a *Agent) trainStep() {
 		if !tr.Terminal {
 			nexts = append(nexts, a.successor(idx))
 		}
-		items = append(items, TrainItem{S: tr.S, Action: tr.Action})
+		items = append(items, TrainItem{S: a.slotState(idx), Action: tr.Action})
 	}
 	a.nextScratch, a.nextOff, a.itemScratch = nexts, append(offs, len(nexts)), items
 	if cap(a.maxQScratch) < len(nexts) {

@@ -2,6 +2,9 @@ package global
 
 import (
 	"math"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"hierdrl/internal/cluster"
@@ -184,15 +187,15 @@ func TestDuelingMeanCenteredAdvantages(t *testing.T) {
 	}
 }
 
-// coldAgent returns a small agent that has made no decision yet and the
-// function that runs one decision epoch on it.
-func coldAgent(t *testing.T) (a *Agent, cfg Config, epoch func()) {
+// coldAgent returns a small agent with a replayCap-slot ring that has made
+// no decision yet and the function that runs one decision epoch on it.
+func coldAgent(t *testing.T, replayCap int) (a *Agent, cfg Config, epoch func()) {
 	t.Helper()
 	m := 6
 	cfg = DefaultConfig(m)
 	cfg.AEHidden = []int{8, 4}
 	cfg.SubQHidden = 16
-	cfg.ReplayCap = 64 // small ring so the slot pool wraps (and warms) fast
+	cfg.ReplayCap = replayCap
 	cfg.MiniBatch = 8
 	cfg.TrainEvery = 8
 	a, err := NewAgent(cfg, m, mat.NewRNG(5))
@@ -221,7 +224,7 @@ func coldAgent(t *testing.T) (a *Agent, cfg Config, epoch func()) {
 // several training rounds done.
 func warmAgent(t *testing.T) (a *Agent, cfg Config, epoch func()) {
 	t.Helper()
-	a, cfg, epoch = coldAgent(t)
+	a, cfg, epoch = coldAgent(t, 64) // small ring so the slot pool wraps (and warms) fast
 	for i := 0; i < 3*cfg.ReplayCap; i++ {
 		epoch()
 	}
@@ -236,43 +239,93 @@ func TestAllocateEpochZeroAllocOnceWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pinning is meaningless under -race")
 	}
-	_, cfg, epoch := warmAgent(t)
+	warm, cfg, epoch := warmAgent(t)
 
 	// Non-training epochs: exactly zero. AllocsPerRun(1, ...) runs epoch
 	// twice (warmup + measured); across TrainEvery probes at least one
 	// measured run is training-free. The reservoir replacement, replay
 	// write, inference and selection paths must all be allocation-free, so
 	// the *minimum* observed is 0.
-	min := math.Inf(1)
+	fewest := math.Inf(1)
 	for k := 0; k < cfg.TrainEvery; k++ {
-		if avg := testing.AllocsPerRun(1, epoch); avg < min {
-			min = avg
+		if avg := testing.AllocsPerRun(1, epoch); avg < fewest {
+			fewest = avg
 		}
 	}
-	if min != 0 {
-		t.Fatalf("warm non-training Allocate epoch allocates %v, want 0", min)
+	if fewest != 0 {
+		t.Fatalf("warm non-training Allocate epoch allocates %v, want 0", fewest)
 	}
 	// Averaged over full train cycles it is zero as well (the whole-epoch
 	// figure BenchmarkAllocateEpoch reports).
 	if avg := testing.AllocsPerRun(8*cfg.TrainEvery, epoch); avg != 0 {
 		t.Fatalf("amortized Allocate epoch allocates %v, want 0", avg)
 	}
+	warm.Close() // its parked training helper would wake in the windows below
 
-	// The ring's first fill: storing into a never-used slot allocates exactly
-	// its one state block; storing into a slot that has held a transition
-	// allocates nothing.
-	a, cfg, epoch := coldAgent(t)
-	epoch() // opens the pending decision storeTransition closes
-	store := func() { a.storeTransition(-1, 5, false) }
-	if avg := testing.AllocsPerRun(cfg.ReplayCap/2-1, store); avg != 1 {
-		t.Fatalf("storing into a never-used slot allocates %v, want 1 (the state block)", avg)
+	// The ring's first fill: N stores into never-used slots, from an empty
+	// ring, allocate exactly ceil(N/blockSlots) times, one state block per
+	// blockSlots slots (the last block is short); stores into slots that have
+	// held a transition allocate nothing. AllocsPerRun would average the
+	// blocks away, so each window's mallocs are counted directly, with the GC
+	// pacer off and a forced cycle first, as in
+	// TestTrainStepSplitMatchesInline. The count is process-wide, and the
+	// runtime's own allocations can still land in a window (a new M when
+	// ReadMemStats restarts the world, a mark worker's sudog, seen in a
+	// MemProfile diff of a failing run); they only ever add, so each pin
+	// takes the least count of three fresh agents.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const replayCap = 2*blockSlots + blockSlots/2
+	for _, n := range []int{1, blockSlots, blockSlots + 1, replayCap} {
+		fresh, used := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		for range 3 {
+			a, _, epoch := coldAgent(t, replayCap)
+			epoch() // opens the pending decision storeTransition closes
+			fresh = min(fresh, storeMallocs(a, n))
+			if n == replayCap {
+				used = min(used, storeMallocs(a, replayCap))
+			}
+		}
+		if want := uint64((n + blockSlots - 1) / blockSlots); fresh != want {
+			t.Errorf("%d stores into never-used slots allocated %d times, want %d (one per state block)", n, fresh, want)
+		}
+		if n == replayCap && used != 0 {
+			t.Errorf("%d stores into used slots allocated %d times, want 0", replayCap, used)
+		}
 	}
-	for a.replay.Len() < cfg.ReplayCap {
-		store()
+}
+
+// storeMallocs runs n transition stores on a and returns the heap
+// allocations the process made meanwhile.
+func storeMallocs(a *Agent, n int) uint64 {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		a.storeTransition(-1, 5, false)
 	}
-	if avg := testing.AllocsPerRun(cfg.ReplayCap, store); avg != 0 {
-		t.Fatalf("storing into a used slot allocates %v, want 0", avg)
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestTransitionIsPointerFree walks Transition by reflection: a pointer,
+// slice, map, interface, string, func or channel anywhere in it would make
+// every slot of the replay ring memory the GC has to scan.
+func TestTransitionIsPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.String, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
 	}
+	walk("Transition", reflect.TypeOf(Transition{}))
 }
 
 // A warm training step — minibatch draw, batched target max-Q, batched

@@ -102,18 +102,17 @@ func TestEncoderFeedsCommittedUtilization(t *testing.T) {
 func TestStateCloneIndependent(t *testing.T) {
 	e, _ := NewEncoder(4, 2, 7200)
 	s := e.Encode(testView(4, []float64{0.1, 0.2, 0.3, 0.4}), testJob(0.5, 100))
-	var c State
-	s.CloneInto(&c)
-	block := c.v
+	c := e.NewState()
+	c.CopyFrom(s)
 	c.Group(0)[0] = 9
 	c.Job()[0] = 9
 	if s.Group(0)[0] == 9 || s.Job()[0] == 9 {
-		t.Fatal("CloneInto aliases buffers")
+		t.Fatal("CopyFrom aliases buffers")
 	}
-	// A shaped destination is refilled in place.
-	s.CloneInto(&c)
-	if &c.v[0] != &block[0] || c.Group(0)[0] != s.Group(0)[0] || c.Job()[0] != s.Job()[0] {
-		t.Fatal("CloneInto into a shaped state must reuse its block")
+	// A second copy refills the destination's block.
+	c.CopyFrom(s)
+	if c.Group(0)[0] != s.Group(0)[0] || c.Job()[0] != s.Job()[0] {
+		t.Fatal("CopyFrom left stale values in the destination")
 	}
 }
 

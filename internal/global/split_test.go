@@ -201,7 +201,7 @@ func TestTargetArenasSizedAtConstruction(t *testing.T) {
 		}
 		states := make([]State, samplesPerTask)
 		for i := range states {
-			states[i] = r.a.replay.At(i).S
+			states[i] = r.a.slotState(i)
 		}
 		vals := make([]float64, len(states))
 		r.a.tgt.PrepareTransposes()

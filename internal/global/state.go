@@ -143,13 +143,6 @@ func (e *Encoder) EncodeJobInto(j *cluster.Job, dst State) {
 	job[cluster.NumResources] = d
 }
 
-// CloneInto deep-copies s into dst, allocating dst's block only when it is
-// not already s's length (a never-used replay slot); stored transitions must
-// not alias live buffers.
-func (s State) CloneInto(dst *State) {
-	if len(dst.v) != len(s.v) {
-		dst.v = mat.NewVec(len(s.v))
-	}
-	dst.groupDim = s.groupDim
-	copy(dst.v, s.v)
-}
+// CopyFrom overwrites s's block with src's values; both are shaped by the
+// same encoder. Stored states are copies: they must not alias live buffers.
+func (s State) CopyFrom(src State) { s.v.CopyFrom(src.v) }

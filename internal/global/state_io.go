@@ -25,27 +25,16 @@ func (s State) state(c *checkpoint.Codec) { c.F64sFixed(s.v) }
 // replayState walks the replay memory. Slot 0's state is a fixed-length
 // block; every later slot's is a delta against the slot before it in the
 // buffer (consecutive observations differ in the few servers that took or
-// finished a job). Decoding cleared the ring, so every restored slot's block
-// is a capacity-clipped window of one slab of Len()·StateDim values: one
-// allocation per restore instead of one per slot, and CloneInto still
-// overwrites each window in place when the ring wraps.
+// finished a job). Decoding writes each state into its slot's window of the
+// agent's state blocks, so a restore allocates one block per blockSlots
+// restored slots.
 func (a *Agent) replayState(c *checkpoint.Codec) {
-	dim := a.enc.StateDim()
-	var slab, prev mat.Vec
-	rl.ReplayState(a.replay, c, func(c *checkpoint.Codec, tr *Transition) {
-		if c.Decoding() {
-			if slab == nil {
-				slab = mat.NewVec(a.replay.Len() * dim)
-			}
-			tr.S = State{v: slab[:dim:dim], groupDim: a.enc.GroupDim()}
-			slab = slab[dim:]
-		}
-		if prev == nil {
-			tr.S.state(c)
+	rl.ReplayState(a.replay, c, func(c *checkpoint.Codec, i int, tr *Transition) {
+		if s := a.slotState(i); i == 0 {
+			s.state(c)
 		} else {
-			c.F64sDelta(prev, tr.S.v)
+			c.F64sDelta(a.slotState(i-1).v, s.v)
 		}
-		prev = tr.S.v
 		a.transitionState(c, tr)
 	})
 }
@@ -63,7 +52,7 @@ func (a *Agent) transitionState(c *checkpoint.Codec, tr *Transition) {
 }
 
 // aeSamplesState walks the autoencoder sample reservoir, GroupDim values per
-// sample. Decoding cuts the samples from one slab, as replayState does.
+// sample. Decoding cuts the samples from one slab.
 func (a *Agent) aeSamplesState(c *checkpoint.Codec) {
 	gd := a.enc.GroupDim()
 	n := c.Count(len(a.aeSamples), 8*(1+gd))

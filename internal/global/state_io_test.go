@@ -141,7 +141,7 @@ func (m *nextModel) check(t *testing.T, a *Agent, step int) {
 	}
 	same := func(i, j int) bool {
 		got, want := a.replay.At(i), m.ring[j]
-		return sameBits(got.S.v, want.S) && got.Action == want.Action && got.Terminal == want.Terminal &&
+		return sameBits(a.slotState(i).v, want.S) && got.Action == want.Action && got.Terminal == want.Terminal &&
 			(want.Terminal || sameBits(a.successor(i).v, want.Next))
 	}
 	for i := 0; i < m.len(); i++ {

@@ -27,11 +27,12 @@ func (ri *RewardIntegrator) State(c *checkpoint.Codec) {
 	c.F64(&ri.integral)
 }
 
-// ReplayState walks the ring buffer's cursor state and every slot through
-// the element walk elem (slots beyond Len have never been written and are
-// skipped). Decoding requires r to have been constructed with the saved
-// capacity, and the element count to be the Len the cursor implies.
-func ReplayState[T any](r *Replay[T], c *checkpoint.Codec, elem func(*checkpoint.Codec, *T)) {
+// ReplayState walks the ring buffer's cursor state and every slot, in slot
+// order, through the element walk elem, which gets the slot index too (slots
+// beyond Len have never been written and are skipped). Decoding requires r
+// to have been constructed with the saved capacity, and the element count to
+// be the Len the cursor implies.
+func ReplayState[T any](r *Replay[T], c *checkpoint.Codec, elem func(c *checkpoint.Codec, i int, t *T)) {
 	capSaved, next, full := r.cap, r.next, r.full
 	c.Int(&capSaved)
 	c.Int(&next)
@@ -58,7 +59,7 @@ func ReplayState[T any](r *Replay[T], c *checkpoint.Codec, elem func(*checkpoint
 		clear(r.buf)
 	}
 	for i := 0; i < n && c.Err() == nil; i++ {
-		elem(c, &r.buf[i])
+		elem(c, i, &r.buf[i])
 	}
 }
 

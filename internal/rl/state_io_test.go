@@ -9,7 +9,7 @@ import (
 	"hierdrl/internal/mat"
 )
 
-func intState(c *checkpoint.Codec, v *int) { c.Int(v) }
+func intState(c *checkpoint.Codec, _ int, v *int) { c.Int(v) }
 
 func section(t *testing.T, fill func(*checkpoint.Codec)) *checkpoint.Codec {
 	t.Helper()
