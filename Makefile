@@ -69,7 +69,7 @@ chaos-smoke:
 # SIGINT-and-resume drills against the hiersim binary;
 # then, under the race detector, the fault run checkpointed right after a
 # head-side retry insert and resumed, the golden snapshots
-# re-emitted byte for byte (format v12 pin) and the earlier formats' refused, and
+# re-emitted byte for byte (format v13 pin) and the earlier formats' refused, and
 # every state walk over every strict prefix of its own payload; then a few
 # seconds each of FuzzRestoreState and FuzzRestoreResealed (one word of a
 # section rewritten under a recomputed CRC). FuzzRestoreState's minimization

@@ -347,11 +347,11 @@ var snapshotCorruptions = []snapshotCorruption{
 		binary.LittleEndian.PutUint32(b[8:], 99)
 		return b
 	}, hierdrl.ErrVersion},
-	// Format v11 (a string-keyed, lazily grown local Q-table) is not read by
-	// a v12 reader; nor is any earlier version (the previous-version-vN rows,
-	// appended below).
+	// Format v12 (the agent section stores the autoencoder samples) is not
+	// read by a v13 reader; nor is any earlier version (the
+	// previous-version-vN rows, appended below).
 	{"previous-version", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[8:], 11)
+		binary.LittleEndian.PutUint32(b[8:], 12)
 		return b
 	}, hierdrl.ErrVersion},
 	{"fingerprint-flip", func(b []byte) []byte { b[12] ^= 0xFF; return b }, hierdrl.ErrConfigMismatch},
@@ -434,7 +434,7 @@ var snapshotCorruptions = []snapshotCorruption{
 }
 
 func init() {
-	for v := 1; v < 11; v++ {
+	for v := 1; v < 12; v++ {
 		snapshotCorruptions = append(snapshotCorruptions, snapshotCorruption{fmt.Sprintf("previous-version-v%d", v), func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[8:], uint32(v))
 			return b

@@ -11,7 +11,7 @@ import (
 	"hierdrl"
 )
 
-// goldenSnapshots pins snapshot format v12 byte for byte. Each file under
+// goldenSnapshots pins snapshot format v13 byte for byte. Each file under
 // testdata/ is the snapshot of exactly the run described here, and want holds
 // the Summary bits the writing commit produced when it restored its own
 // snapshot of that run and drained (faultBits: the base measurements plus the
@@ -39,7 +39,10 @@ import (
 // stores each RL timeout's Q-table as its dense array: hier30 changed in the
 // version word and the cluster section alone, which grew by every row the
 // lazy table had not yet made, the sketch file in the version word alone,
-// and no want word moved.
+// and no want word moved. Format v13 stores the DRL agent's autoencoder
+// reservoir as its fill count alone: hier30 changed in the version word and
+// the agent section alone, which shrank by its 720 samples, the sketch file
+// in the version word alone, and no want word moved.
 // Together the files cover every section a snapshot can carry — DRL agent,
 // replay memory, per-server LSTM + RL timeout, fault clocks and retry map,
 // and the metrics histograms.
@@ -49,10 +52,10 @@ import (
 // (shard count 2) wrote, the v7 snapshot of TestCheckpointAfterHeadSideInsert's
 // fault run, the v8 snapshot of the sketch run, whose metrics section holds
 // t-digests, and its v9 snapshot, whose metrics section holds the sketch
-// flags and 8-byte bucket indices. There is no refused v10 or v11 file: every
-// refused file stops at the reader's one header comparison of the version
-// word, which TestRestoreRejectsCorruptSnapshots's previous-version rows run
-// for every earlier version, 1 to 11.
+// flags and 8-byte bucket indices. There is no refused v10, v11 or v12 file:
+// every refused file stops at the reader's one header comparison of the
+// version word, which TestRestoreRejectsCorruptSnapshots's previous-version
+// rows run for every earlier version, 1 to 12.
 var goldenSnapshots = []struct {
 	file    string
 	refused bool

@@ -42,10 +42,10 @@ import (
 const Magic = "HDRLCKPT"
 
 // Version is the current snapshot format version. Readers reject any other
-// version with ErrVersion. Version 12 stores the local tier's Q-table as its
-// dense state-major array: every row, no state keys, no row count;
-// CHANGES.md records what each of versions 2 to 11 changed.
-const Version uint32 = 12
+// version with ErrVersion. Version 13 stores the DRL agent's autoencoder
+// reservoir as its fill count alone, without the samples; CHANGES.md records
+// what each of versions 2 to 12 changed.
+const Version uint32 = 13
 
 // maxSectionLen bounds a single section payload (1 GiB) so a corrupt length
 // field cannot drive a huge allocation before the CRC check runs.

@@ -65,9 +65,15 @@ type Agent struct {
 	lossN        int64
 	actionCounts []int64
 
-	// aeSamples buffers group states for offline autoencoder pretraining.
+	// aeSamples buffers group states for offline autoencoder pretraining, a
+	// reservoir of aeSampleCap. aeFill counts the samples it has taken, up
+	// to the cap; past it, each group costs an RNG draw. Once
+	// PretrainAutoencoder has used the samples, or the agent was restored,
+	// aeDropped is set and only the count and the draws go on.
 	aeSamples   []mat.Vec
 	aeSampleCap int
+	aeFill      int
+	aeDropped   bool
 
 	// Decision-epoch scratch: every per-epoch buffer (encoded state, Q
 	// values, fit candidates, training batch assembly) is retained on the
@@ -394,21 +400,29 @@ func (a *Agent) TrainOffline(steps int) {
 }
 
 // PretrainAutoencoder trains the autoencoder(s) on the buffered group-state
-// samples (offline representation learning). Returns the final loss.
+// samples (offline representation learning) and then drops them: warm-up
+// calls it once, and nothing else reads them. Returns the final loss.
 func (a *Agent) PretrainAutoencoder(epochs int) float64 {
-	return a.net.PretrainAutoencoder(a.aeSamples, epochs, 32, 1e-3, a.rng)
+	loss := a.net.PretrainAutoencoder(a.aeSamples, epochs, 32, 1e-3, a.rng)
+	a.aeSamples, a.aeDropped = nil, true
+	return loss
 }
 
 func (a *Agent) bufferAESamples(s State) {
 	for k := 0; k < a.enc.K(); k++ {
-		g := s.Group(k)
-		if len(a.aeSamples) < a.aeSampleCap {
-			a.aeSamples = append(a.aeSamples, g.Clone())
-		} else {
-			// Reservoir-style replacement keeps the buffer representative;
-			// overwriting the victim in place keeps it allocation-free.
-			idx := a.rng.Intn(a.aeSampleCap)
-			a.aeSamples[idx].CopyFrom(g)
+		if a.aeFill < a.aeSampleCap {
+			a.aeFill++
+			if !a.aeDropped {
+				a.aeSamples = append(a.aeSamples, s.Group(k).Clone())
+			}
+			continue
+		}
+		// Reservoir-style replacement keeps the buffer representative;
+		// overwriting the victim in place keeps it allocation-free. The draw
+		// is made whether or not the samples are still kept.
+		idx := a.rng.Intn(a.aeSampleCap)
+		if !a.aeDropped {
+			a.aeSamples[idx].CopyFrom(s.Group(k))
 		}
 	}
 }

@@ -343,23 +343,48 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// The AE sample reservoir keeps growing until its cap; make sure the
-// replacement path (the steady state) really overwrites in place.
+// The AE sample reservoir fills to its cap, then replaces samples in place,
+// one RNG draw per buffered group. An agent that has dropped its samples —
+// after PretrainAutoencoder, or restored — keeps the same fill count and
+// makes the same draws, so every later decision matches one that kept them.
 func TestAESampleReservoirReplacesInPlace(t *testing.T) {
-	a := newTestAgent(t, 4)
+	keep, drop := newTestAgent(t, 4), newTestAgent(t, 4)
+	keep.aeSampleCap, drop.aeSampleCap = 8, 8
+	drop.aeSamples, drop.aeDropped = nil, true
 	v := testView(4, []float64{0.1, 0.2, 0.3, 0.4})
-	a.ObserveCluster(0, 200, 2, 0)
+	keep.ObserveCluster(0, 200, 2, 0)
+	drop.ObserveCluster(0, 200, 2, 0)
+	var first []*float64
 	for i := 0; i < 10; i++ {
 		v.Now = sim.Time(float64(i+1) * 10)
-		a.ObserveCluster(v.Now, 200, 2, 0)
-		a.Allocate(testJob(0.2, 300), v)
-	}
-	if len(a.aeSamples) == 0 {
-		t.Fatal("no AE samples buffered")
-	}
-	for _, s := range a.aeSamples {
-		if len(s) != a.enc.GroupDim() {
-			t.Fatalf("sample length %d want %d", len(s), a.enc.GroupDim())
+		for _, a := range []*Agent{keep, drop} {
+			a.ObserveCluster(v.Now, 200, 2, 0)
+			if got, want := a.Allocate(testJob(0.2, 300), v), keep.pendingAction; got != want {
+				t.Fatalf("decision %d: the agent without samples chose %d, the one with them %d", i, got, want)
+			}
 		}
+		if want := min((i+1)*keep.enc.K(), 8); keep.aeFill != want || drop.aeFill != want {
+			t.Fatalf("decision %d: fill counts %d and %d, want %d", i, keep.aeFill, drop.aeFill, want)
+		}
+		if first == nil && len(keep.aeSamples) == keep.aeSampleCap {
+			for _, s := range keep.aeSamples {
+				first = append(first, &s[0])
+			}
+		}
+	}
+	if len(keep.aeSamples) != keep.aeSampleCap || len(drop.aeSamples) != 0 || first == nil {
+		t.Fatalf("%d and %d samples kept, want %d and 0", len(keep.aeSamples), len(drop.aeSamples), keep.aeSampleCap)
+	}
+	for i, s := range keep.aeSamples {
+		if len(s) != keep.enc.GroupDim() || &s[0] != first[i] {
+			t.Fatalf("sample %d: length %d (want %d), or replaced by a new vector", i, len(s), keep.enc.GroupDim())
+		}
+	}
+	if keep.rng.Int63() != drop.rng.Int63() {
+		t.Fatal("the agent without samples made different RNG draws")
+	}
+	keep.PretrainAutoencoder(1)
+	if keep.aeSamples != nil || !keep.aeDropped || keep.aeFill != keep.aeSampleCap {
+		t.Fatalf("after pretraining: %d samples kept, dropped %v, fill %d", len(keep.aeSamples), keep.aeDropped, keep.aeFill)
 	}
 }

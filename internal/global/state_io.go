@@ -2,7 +2,6 @@ package global
 
 import (
 	"hierdrl/internal/checkpoint"
-	"hierdrl/internal/mat"
 	"hierdrl/internal/nn"
 	"hierdrl/internal/rl"
 )
@@ -51,20 +50,18 @@ func (a *Agent) transitionState(c *checkpoint.Codec, tr *Transition) {
 	}
 }
 
-// aeSamplesState walks the autoencoder sample reservoir, GroupDim values per
-// sample. Decoding cuts the samples from one slab.
+// aeSamplesState walks the autoencoder reservoir's fill count, which decides
+// whether bufferAESamples draws from the RNG. The samples are not stored:
+// PretrainAutoencoder alone reads them, warm-up alone calls it, and a
+// snapshot is taken after warm-up. A decoded agent keeps none.
 func (a *Agent) aeSamplesState(c *checkpoint.Codec) {
-	gd := a.enc.GroupDim()
-	n := c.Count(len(a.aeSamples), 8*(1+gd))
-	if c.Decoding() {
-		slab := mat.NewVec(n * gd)
-		a.aeSamples = make([]mat.Vec, n)
-		for i := range a.aeSamples {
-			a.aeSamples[i] = slab[i*gd : (i+1)*gd : (i+1)*gd]
-		}
+	c.Int(&a.aeFill)
+	if !c.Decoding() {
+		return
 	}
-	for _, v := range a.aeSamples {
-		c.F64sFixed(v)
+	a.aeSamples, a.aeDropped = nil, true
+	if c.Err() == nil && (a.aeFill < 0 || a.aeFill > a.aeSampleCap) {
+		c.Fail(checkpoint.ErrCorrupt, "autoencoder reservoir fill %d outside [0,%d]", a.aeFill, a.aeSampleCap)
 	}
 }
 
@@ -73,8 +70,8 @@ func (a *Agent) aeSamplesState(c *checkpoint.Codec) {
 // captured — both networks' weights, Adam moments, every RNG chain, the
 // replay memory, the open sojourn and pending transition (whose state is
 // also the newest replay slot's successor), the epsilon schedule, the
-// autoencoder sample reservoir (its fill level gates an RNG draw per
-// buffered group), and all counters.
+// autoencoder reservoir's fill count (it gates an RNG draw per buffered
+// group), and all counters.
 // Decoding requires an agent constructed from
 // the same Config (same architecture, replay capacity, and server count).
 func (a *Agent) State(c *checkpoint.Codec) {

@@ -203,7 +203,8 @@ func TestSuccessorMatchesStoredNext(t *testing.T) {
 // TestAgentStateRejectsUnreplayableReplay alters one field at a time in a
 // valid agent payload: each result is CRC-clean to the container but names a
 // replay memory the next trainStep would panic on (or sample never-written
-// slots from), so the walk must end in ErrCorrupt.
+// slots from), or a reservoir fill no run reaches, so the walk must end in
+// ErrCorrupt.
 func TestAgentStateRejectsUnreplayableReplay(t *testing.T) {
 	r := newReplayRig(t, 8)
 	for i := 0; i < 5; i++ {
@@ -253,6 +254,9 @@ func TestAgentStateRejectsUnreplayableReplay(t *testing.T) {
 		{"cursor-behind-count", func(b []byte) []byte { put(b, replay+cursor, 2); return b }, "replay cursor"},
 		{"newest-bootstraps-without-pending", func(b []byte) []byte { b[pending] = 0; return b }, "pending state"},
 		{"pending-action-names-no-server", func(b []byte) []byte { put(b, pending+1+block, -1); return b }, "pending action"},
+		// The walk ends with the autoencoder reservoir's fill count.
+		{"ae-fill-past-cap", func(b []byte) []byte { put(b, len(b)-8, int64(a.aeSampleCap+1)); return b }, "reservoir fill"},
+		{"ae-fill-negative", func(b []byte) []byte { put(b, len(b)-8, -1); return b }, "reservoir fill"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -280,7 +280,7 @@ func stepToRetry(t *testing.T, s *Session) (loBefore int) {
 // onto internal/workload's generator and its streams changed, in the
 // version word alone, for format v9, in the version word and the metrics
 // section, for format v10 and for format v11, and, in the version word alone,
-// for format v12 (its want bits did not move at any of the four):
+// for formats v12 and v13 (its want bits did not move at any of the five):
 // the code must write those bytes, restore them, and finish with the Summary
 // they record.
 func TestCheckpointAfterHeadSideInsert(t *testing.T) {
