@@ -10,12 +10,12 @@ import (
 	"hierdrl/internal/sim"
 )
 
-// Transition is one experience-memory record: the SMDP tuple
-// (s_k, a_k, equivalent reward rate, sojourn) minus s_k, which lives in the
-// agent's state blocks under the same slot index (Agent.slotState). The
-// successor s_{k+1} is not stored a second time: every observation enters
-// the ring once, as the state of the transition it opens (Agent.successor).
-// A Transition holds no pointer, so the ring is memory the GC never scans.
+// Transition is one experience-memory record: a_k, the equivalent reward
+// rate and the sojourn of the SMDP tuple. Its s_k lives in the agent's state
+// blocks under the same slot index (Agent.slotState), and the successor
+// s_{k+1} is not stored a second time: every observation enters the ring
+// once, as the state of the transition it opens (Agent.successor). A
+// Transition holds no pointer, so the ring is memory the GC never scans.
 type Transition struct {
 	Action int
 	REq    float64

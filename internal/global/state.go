@@ -65,7 +65,8 @@ func (e *Encoder) OffsetOf(server int) int { return server % e.groupSize }
 // State is one full DRL state observation in one contiguous block: the K
 // group vectors in server order (server srv's features at
 // [srv*NumResources, (srv+1)*NumResources)), then the job features. A stored
-// observation is therefore one allocation and one copy.
+// observation is therefore one copy, into its replay slot's window of a
+// state block (Agent.slotState).
 type State struct {
 	v        mat.Vec
 	groupDim int
